@@ -140,7 +140,7 @@ fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> b
                 result.remove(&entry.key);
             }
             sub.tx
-                .send(ClientEvent::Change(ChangeItem {
+                .send(ClientEvent::Change(Arc::new(ChangeItem {
                     match_type,
                     item: ResultItem {
                         key: entry.key.clone(),
@@ -149,7 +149,7 @@ fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> b
                         index: None,
                     },
                     old_index: None,
-                }))
+                })))
                 .is_ok()
         }
         SubState::Sorted { window, client } => {
@@ -168,7 +168,7 @@ fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> b
             };
             apply_events(client, &events);
             for ev in &events {
-                if sub.tx.send(ClientEvent::Change(visible_to_change(ev))).is_err() {
+                if sub.tx.send(ClientEvent::Change(Arc::new(visible_to_change(ev)))).is_err() {
                     return false;
                 }
             }

@@ -93,7 +93,7 @@ impl RealTimeProvider for PollAndDiff {
                         };
                         polls.fetch_add(1, Ordering::Relaxed);
                         for change in diff_results(&spec, &last, &fresh) {
-                            if tx.send(ClientEvent::Change(change)).is_err() {
+                            if tx.send(ClientEvent::Change(Arc::new(change))).is_err() {
                                 return; // subscriber gone
                             }
                         }

@@ -107,39 +107,16 @@ pub(crate) struct ChannelLive {
     pub(crate) on_drop: Option<Box<dyn FnOnce() + Send>>,
 }
 
-impl ChannelLive {
-    fn apply(&mut self, event: &ClientEvent) {
-        use invalidb_common::{
-            MaintenanceError, Notification, NotificationKind, SubscriptionId, TenantId,
-        };
-        let kind = match event {
-            ClientEvent::Initial(items) => NotificationKind::InitialResult { items: items.clone() },
-            ClientEvent::Change(c) => NotificationKind::Change(c.clone()),
-            ClientEvent::MaintenanceError(reason) => {
-                NotificationKind::Error(MaintenanceError { reason: reason.clone() })
-            }
-            ClientEvent::ConnectionLost | ClientEvent::Aggregate { .. } => return,
-        };
-        self.result.apply(&Notification {
-            tenant: TenantId::new(""),
-            subscription: SubscriptionId(0),
-            kind,
-            caused_by_write_at: 0,
-            trace: None,
-        });
-    }
-}
-
 impl LiveQuery for ChannelLive {
     fn next_event(&mut self, timeout: Duration) -> Option<ClientEvent> {
         let event = self.rx.recv_timeout(timeout).ok()?;
-        self.apply(&event);
+        self.result.apply_event(&event);
         Some(event)
     }
 
     fn try_next_event(&mut self) -> Option<ClientEvent> {
         let event = self.rx.try_recv().ok()?;
-        self.apply(&event);
+        self.result.apply_event(&event);
         Some(event)
     }
 

@@ -14,7 +14,7 @@
 use invalidb_bench::table;
 use invalidb_broker::{notify_topic, Broker, ChaosConfig, CLUSTER_TOPIC};
 use invalidb_common::{
-    doc, AfterImage, ClusterMessage, Key, Notification, NotificationKind, QuerySpec, SubscriptionId,
+    doc, AfterImage, ClusterMessage, Key, NotificationKind, NotifyEnvelope, QuerySpec, SubscriptionId,
     SubscriptionRequest, TenantId,
 };
 use invalidb_core::{Cluster, ClusterConfig};
@@ -95,8 +95,8 @@ fn run_trials(retention: Duration) -> usize {
         while std::time::Instant::now() < deadline && !got_add {
             if let Some(p) = notify.recv_timeout(Duration::from_millis(50)) {
                 if let Ok(d) = invalidb_json::payload_to_document(&p) {
-                    if let Ok(n) = Notification::from_document(&d) {
-                        if matches!(n.kind, NotificationKind::Change(_)) {
+                    if let Ok(envelope) = NotifyEnvelope::from_document(d) {
+                        if matches!(envelope.kind, NotificationKind::Change(_)) {
                             got_add = true;
                         }
                     }

@@ -13,7 +13,7 @@ use crate::workload::{range_query, Workload};
 use invalidb_broker::{notify_topic, Broker, CLUSTER_TOPIC};
 use invalidb_client::{AppServer, AppServerConfig, ClientEvent};
 use invalidb_common::{
-    AfterImage, ClusterMessage, Document, Histogram, Key, Notification, NotificationKind, QuerySpec,
+    AfterImage, ClusterMessage, Document, Histogram, Key, NotificationKind, NotifyEnvelope, QuerySpec,
     SubscriptionId, SubscriptionRequest, TenantId,
 };
 use invalidb_core::{Cluster, ClusterConfig};
@@ -167,10 +167,10 @@ fn run_standalone(cfg: &LiveConfig, broker: &Broker) -> LiveRun {
                     Ok(d) => d,
                     Err(_) => continue,
                 };
-                if d.get("type").and_then(|v| v.as_str()) == Some("heartbeat") {
-                    continue;
-                }
-                if let Ok(n) = Notification::from_document(&d) {
+                // One latency sample per addressed subscription: heartbeats
+                // are no envelope and fall out here.
+                let Ok(envelope) = NotifyEnvelope::from_document(d) else { continue };
+                for n in envelope.into_notifications() {
                     if let NotificationKind::Change(c) = &n.kind {
                         if let Some(lat) = c.item.doc.as_ref().and_then(latency_from_doc) {
                             hist.record(lat);
@@ -355,12 +355,10 @@ fn probe_until_live(broker: &Broker, _workload: &mut Workload) {
         probe_version += 1;
         let got = notify.recv_timeout(Duration::from_millis(200)).and_then(|p| {
             let d = invalidb_json::payload_to_document(&p).ok()?;
-            Notification::from_document(&d).ok()
+            NotifyEnvelope::from_document(d).ok()
         });
-        if let Some(n) = got {
-            if n.subscription == SubscriptionId(u64::MAX) {
-                break;
-            }
+        if got.is_some_and(|envelope| envelope.subscriptions.contains(&SubscriptionId(u64::MAX))) {
+            break;
         }
         if Instant::now() > deadline {
             break;

@@ -13,6 +13,7 @@
 
 use crate::server::ClientEvent;
 use invalidb_common::{ChangeItem, Key, MatchType};
+use std::sync::Arc;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Net {
@@ -26,7 +27,7 @@ enum Net {
 
 struct KeyState {
     net: Net,
-    latest: ChangeItem,
+    latest: Arc<ChangeItem>,
 }
 
 /// Collapses a batch of client events to its net effect. Ordering among
@@ -79,7 +80,7 @@ pub fn collapse(events: Vec<ClientEvent>) -> Vec<ClientEvent> {
         }
     }
     for (_, state) in keys {
-        let mut item = state.latest;
+        let mut item = Arc::unwrap_or_clone(state.latest);
         item.match_type = match state.net {
             Net::Added => MatchType::Add,
             Net::Changed => {
@@ -96,7 +97,7 @@ pub fn collapse(events: Vec<ClientEvent>) -> Vec<ClientEvent> {
         if item.match_type == MatchType::Remove {
             item.item.doc = None;
         }
-        out.push(ClientEvent::Change(item));
+        out.push(ClientEvent::Change(Arc::new(item)));
     }
     if let Some(agg) = latest_aggregate {
         out.push(agg);
@@ -110,7 +111,7 @@ mod tests {
     use invalidb_common::{doc, ResultItem, Value};
 
     fn change(mt: MatchType, key: &str, version: u64, n: i64) -> ClientEvent {
-        ClientEvent::Change(ChangeItem {
+        ClientEvent::Change(Arc::new(ChangeItem {
             match_type: mt,
             item: ResultItem {
                 key: Key::of(key),
@@ -119,7 +120,7 @@ mod tests {
                 index: None,
             },
             old_index: None,
-        })
+        }))
     }
 
     fn kinds(events: &[ClientEvent]) -> Vec<(MatchType, String)> {
@@ -217,11 +218,11 @@ mod tests {
 
     #[test]
     fn sorted_events_pass_through_untouched() {
-        let indexed = ClientEvent::Change(ChangeItem {
+        let indexed = ClientEvent::Change(Arc::new(ChangeItem {
             match_type: MatchType::Add,
             item: ResultItem { key: Key::of("k"), version: 1, doc: Some(doc! {}), index: Some(0) },
             old_index: None,
-        });
+        }));
         let out = collapse(vec![indexed.clone(), indexed.clone()]);
         assert_eq!(out.len(), 2, "index-based edit scripts are never collapsed");
     }

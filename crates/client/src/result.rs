@@ -6,6 +6,7 @@
 //! `old_index` to `index`, `remove` deletes at `old_index`. Unsorted queries
 //! carry no indices; membership is maintained by key.
 
+use crate::server::ClientEvent;
 use invalidb_common::{
     ChangeItem, Document, Key, MatchType, Notification, NotificationKind, ResultItem, Version,
 };
@@ -70,26 +71,37 @@ impl LiveResult {
     /// Applies one notification.
     pub fn apply(&mut self, notification: &Notification) {
         match &notification.kind {
-            NotificationKind::InitialResult { items } => {
-                self.entries = items.iter().filter_map(entry_of).collect();
-                self.seen_versions = items.iter().map(|i| (i.key.clone(), i.version)).collect();
-                self.degraded = false;
-            }
-            NotificationKind::Change(change) => {
-                self.apply_change(change);
-                self.degraded = false;
-            }
-            NotificationKind::Error(_) => {
-                // Keep the last valid state; the renewal delta follows.
-                self.degraded = true;
-            }
+            NotificationKind::InitialResult { items } => self.reset(items),
+            NotificationKind::Change(change) => self.apply_change(change),
+            // Keep the last valid state; the renewal delta follows.
+            NotificationKind::Error(_) => self.degraded = true,
             // Aggregate values are not item lists; handled at the
             // subscription level (`Subscription::aggregate`).
             NotificationKind::Aggregate { .. } => {}
         }
     }
 
+    /// Applies one client event, by reference: the only thing copied is
+    /// what this result keeps for itself.
+    pub fn apply_event(&mut self, event: &ClientEvent) {
+        match event {
+            ClientEvent::Initial(items) => self.reset(items),
+            ClientEvent::Change(change) => self.apply_change(change),
+            ClientEvent::MaintenanceError(_) => self.degraded = true,
+            ClientEvent::ConnectionLost | ClientEvent::Aggregate { .. } => {}
+        }
+    }
+
+    /// Replaces the result wholesale (initial result or renewal).
+    fn reset(&mut self, items: &[ResultItem]) {
+        self.entries = items.iter().filter_map(entry_of).collect();
+        self.seen_versions = items.iter().map(|i| (i.key.clone(), i.version)).collect();
+        self.degraded = false;
+    }
+
     fn apply_change(&mut self, change: &ChangeItem) {
+        // Any change ends the degraded phase a maintenance error began.
+        self.degraded = false;
         // Unsorted notifications (no index): guard against reordered
         // delivery by version. Removes pass on *equal* versions too: a
         // poll-and-diff provider can only report the last version it saw

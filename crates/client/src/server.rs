@@ -5,8 +5,9 @@ use crate::rate::TokenBucket;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use invalidb_broker::{notify_topic, BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::{
-    AfterImage, ClusterMessage, ConfigError, Document, Key, Notification, NotificationKind, QueryHash,
-    QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId, TraceContext,
+    AfterImage, ChangeItem, ClusterMessage, ConfigError, Document, Key, NotificationKind,
+    NotifyEnvelope, QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest,
+    TenantId, TraceContext,
 };
 use invalidb_obs::{AdminConfig, AdminServer, FlightEventKind, MetricsRegistry, MetricsSnapshot};
 use invalidb_query::normalize_spec;
@@ -231,8 +232,9 @@ impl AppServerConfigBuilder {
 pub enum ClientEvent {
     /// The initial query result (always the first event).
     Initial(Vec<ResultItem>),
-    /// An incremental result change.
-    Change(invalidb_common::ChangeItem),
+    /// An incremental result change. Shared: every subscriber of the query
+    /// the change belongs to holds a pointer to the one decoded copy.
+    Change(Arc<ChangeItem>),
     /// The sorted query hit a maintenance error; the app server is renewing
     /// it (rate-limited). The local result stays valid; incremental deltas
     /// follow after renewal.
@@ -583,94 +585,20 @@ impl AppServer {
     // Background machinery
     // ------------------------------------------------------------------
 
-    /// Dispatcher: receives notifications/heartbeats from the event layer
-    /// and routes them to subscription channels; flags renewals. Sampled
-    /// traces get their delivery stamp here and are recorded — complete —
-    /// into the metrics registry.
+    /// Dispatcher: receives notification envelopes and heartbeats from the
+    /// event layer and routes each envelope to the channels of the
+    /// subscriptions it addresses; flags renewals. Sampled traces get their
+    /// delivery stamp here and are recorded — complete — into the metrics
+    /// registry.
     fn spawn_dispatcher(&mut self) {
         let sub = self.broker.subscribe(&notify_topic(&self.tenant.0));
-        let shared = Arc::clone(&self.shared);
-        let metrics = self.config.metrics.clone();
-        let tenant = self.tenant.0.clone();
+        let dispatcher = Dispatcher::new(Arc::clone(&self.shared), &self.config.metrics, &self.tenant);
         let handle = std::thread::Builder::new()
             .name(format!("appserver-dispatch-{}", self.tenant))
             .spawn(move || {
-                while !shared.shutdown.load(Ordering::Relaxed) {
-                    let payload = match sub.recv_timeout(Duration::from_millis(50)) {
-                        Some(p) => p,
-                        None => continue,
-                    };
-                    // Heartbeats dominate idle notify-topic traffic; sniff
-                    // them through the lazy view so binary payloads never
-                    // materialize a document tree just to be discarded.
-                    let view = match invalidb_json::PayloadView::new(&payload) {
-                        Ok(v) => v,
-                        Err(_) => continue,
-                    };
-                    let is_heartbeat = match &view {
-                        invalidb_json::PayloadView::Binary(lazy) => matches!(
-                            lazy.get("type"),
-                            Ok(Some(v)) if v.as_str() == Some("heartbeat")
-                        ),
-                        invalidb_json::PayloadView::Json(d) => {
-                            d.get("type").and_then(|v| v.as_str()) == Some("heartbeat")
-                        }
-                    };
-                    if is_heartbeat {
-                        *shared.last_heartbeat.lock() = Instant::now();
-                        shared.connection_lost.store(false, Ordering::Relaxed);
-                        continue;
-                    }
-                    let d = match view.to_document() {
-                        Ok(d) => d,
-                        Err(_) => continue,
-                    };
-                    let n = match Notification::from_document(&d) {
-                        Ok(n) => n,
-                        Err(_) => continue,
-                    };
-                    // Any cluster traffic proves liveness.
-                    *shared.last_heartbeat.lock() = Instant::now();
-                    let mut subs = shared.subs.lock();
-                    if let Some(entry) = subs.get_mut(&n.subscription) {
-                        let event = match &n.kind {
-                            NotificationKind::InitialResult { items } => {
-                                ClientEvent::Initial(items.clone())
-                            }
-                            NotificationKind::Change(c) => ClientEvent::Change(c.clone()),
-                            NotificationKind::Error(e) => {
-                                entry.needs_renewal = true;
-                                ClientEvent::MaintenanceError(e.reason.clone())
-                            }
-                            NotificationKind::Aggregate { value, count } => {
-                                ClientEvent::Aggregate { value: value.clone(), count: *count }
-                            }
-                        };
-                        // Only baseline-carrying notifications confirm a
-                        // registration: a stray Change proves the pump is
-                        // alive but cannot repair a live result whose
-                        // initial was lost (sorted top-k especially), so it
-                        // must not cancel the at-least-once re-register.
-                        if matches!(
-                            n.kind,
-                            NotificationKind::InitialResult { .. } | NotificationKind::Aggregate { .. }
-                        ) {
-                            entry.confirmed = true;
-                        }
-                        metrics.inc("appserver.events_delivered");
-                        // Notification-staleness SLO: save → notify, per
-                        // tenant, for every delivered change (not just
-                        // sampled traces). Skew-guarded inside the
-                        // registry.
-                        if n.caused_by_write_at > 0 {
-                            metrics.record_staleness(&tenant, n.caused_by_write_at);
-                        }
-                        let mut trace = n.trace;
-                        if let Some(t) = trace.as_mut() {
-                            t.stamp(Stage::Delivery);
-                            metrics.record_trace(t);
-                        }
-                        let _ = entry.tx.send((event, trace));
+                while !dispatcher.shared.shutdown.load(Ordering::Relaxed) {
+                    if let Some(payload) = sub.recv_timeout(Duration::from_millis(50)) {
+                        dispatcher.dispatch(&payload);
                     }
                 }
             })
@@ -917,6 +845,131 @@ impl AppServer {
     }
 }
 
+/// The notify-topic consumer of one app server. Everything it cannot
+/// deliver is counted, never silently skipped.
+struct Dispatcher {
+    shared: Arc<Shared>,
+    metrics: MetricsRegistry,
+    tenant: String,
+    /// `appserver.events_delivered`: one per delivered subscription.
+    delivered: Arc<AtomicU64>,
+    /// `appserver.notify_decode_errors`: payloads that are no envelope.
+    decode_errors: Arc<AtomicU64>,
+    /// `appserver.notify_unknown_subscription`: addressed ids without a
+    /// live subscription (cancelled, or another app server's).
+    unknown_subscription: Arc<AtomicU64>,
+    /// `appserver.notify_channel_closed`: the subscriber dropped its
+    /// [`Subscription`] without unsubscribing.
+    channel_closed: Arc<AtomicU64>,
+}
+
+impl Dispatcher {
+    fn new(shared: Arc<Shared>, metrics: &MetricsRegistry, tenant: &TenantId) -> Self {
+        Self {
+            shared,
+            metrics: metrics.clone(),
+            tenant: tenant.0.clone(),
+            delivered: metrics.counter("appserver.events_delivered"),
+            decode_errors: metrics.counter("appserver.notify_decode_errors"),
+            unknown_subscription: metrics.counter("appserver.notify_unknown_subscription"),
+            channel_closed: metrics.counter("appserver.notify_channel_closed"),
+        }
+    }
+
+    /// Handles one payload from the notify topic.
+    fn dispatch(&self, payload: &[u8]) {
+        match Self::decode(payload) {
+            Ok(None) => {
+                *self.shared.last_heartbeat.lock() = Instant::now();
+                self.shared.connection_lost.store(false, Ordering::Relaxed);
+            }
+            Ok(Some(envelope)) => {
+                // Any cluster traffic proves liveness.
+                *self.shared.last_heartbeat.lock() = Instant::now();
+                self.deliver(envelope);
+            }
+            Err(()) => {
+                self.decode_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Decodes a payload once: `None` for a heartbeat, else the envelope.
+    fn decode(payload: &[u8]) -> Result<Option<NotifyEnvelope>, ()> {
+        let view = invalidb_json::PayloadView::new(payload).map_err(drop)?;
+        // Heartbeats dominate idle notify-topic traffic; sniff them
+        // through the lazy view so binary payloads never materialize a
+        // document tree just to be discarded.
+        let is_heartbeat = match &view {
+            invalidb_json::PayloadView::Binary(lazy) => matches!(
+                lazy.get("type"),
+                Ok(Some(v)) if v.as_str() == Some("heartbeat")
+            ),
+            invalidb_json::PayloadView::Json(d) => {
+                d.get("type").and_then(|v| v.as_str()) == Some("heartbeat")
+            }
+        };
+        if is_heartbeat {
+            return Ok(None);
+        }
+        let d = view.into_document().map_err(drop)?;
+        NotifyEnvelope::from_document(d).map(Some).map_err(drop)
+    }
+
+    /// Hands every addressed subscription the one decoded change, under
+    /// one acquisition of the subscription table.
+    fn deliver(&self, envelope: NotifyEnvelope) {
+        let NotifyEnvelope { subscriptions, kind, caused_by_write_at, trace, .. } = envelope;
+        // Only baseline-carrying notifications confirm a registration: a
+        // stray Change proves the pump is alive but cannot repair a live
+        // result whose initial was lost (sorted top-k especially), so it
+        // must not cancel the at-least-once re-register.
+        let confirms =
+            matches!(kind, NotificationKind::InitialResult { .. } | NotificationKind::Aggregate { .. });
+        let renews = matches!(kind, NotificationKind::Error(_));
+        let event = match kind {
+            NotificationKind::InitialResult { items } => ClientEvent::Initial(items),
+            NotificationKind::Change(change) => ClientEvent::Change(Arc::new(change)),
+            NotificationKind::Error(e) => ClientEvent::MaintenanceError(e.reason),
+            NotificationKind::Aggregate { value, count } => ClientEvent::Aggregate { value, count },
+        };
+        let mut subs = self.shared.subs.lock();
+        let mut hand = |id: &SubscriptionId, event: ClientEvent| {
+            let Some(entry) = subs.get_mut(id) else {
+                self.unknown_subscription.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            entry.needs_renewal |= renews;
+            entry.confirmed |= confirms;
+            // Notification-staleness SLO: save → notify, per tenant, for
+            // every delivered change (not just sampled traces).
+            // Skew-guarded inside the registry.
+            if caused_by_write_at > 0 {
+                self.metrics.record_staleness(&self.tenant, caused_by_write_at);
+            }
+            let mut trace = trace.clone();
+            if let Some(t) = trace.as_mut() {
+                t.stamp(Stage::Delivery);
+                self.metrics.record_trace(t);
+            }
+            if entry.tx.send((event, trace)).is_ok() {
+                self.delivered.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.channel_closed.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        // Every addressee but the last gets a pointer to the change; the
+        // last takes the event itself, so an initial result (always for one
+        // subscriber) is never copied.
+        if let Some((last, rest)) = subscriptions.split_last() {
+            for id in rest {
+                hand(id, event.clone());
+            }
+            hand(last, event);
+        }
+    }
+}
+
 impl Drop for AppServer {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
@@ -990,31 +1043,11 @@ impl Subscription {
         if let Some(t) = trace {
             self.last_trace = Some(t);
         }
-        self.apply(&event);
+        if let ClientEvent::Aggregate { value, count } = &event {
+            self.latest_aggregate = Some((value.clone(), *count));
+        }
+        self.result.apply_event(&event);
         event
-    }
-
-    fn apply(&mut self, event: &ClientEvent) {
-        use invalidb_common::{MaintenanceError, NotificationKind, TenantId};
-        let kind = match event {
-            ClientEvent::Initial(items) => NotificationKind::InitialResult { items: items.clone() },
-            ClientEvent::Change(c) => NotificationKind::Change(c.clone()),
-            ClientEvent::MaintenanceError(reason) => {
-                NotificationKind::Error(MaintenanceError { reason: reason.clone() })
-            }
-            ClientEvent::ConnectionLost => return,
-            ClientEvent::Aggregate { value, count } => {
-                self.latest_aggregate = Some((value.clone(), *count));
-                return;
-            }
-        };
-        self.result.apply(&Notification {
-            tenant: TenantId::new(""),
-            subscription: self.id,
-            kind,
-            caused_by_write_at: 0,
-            trace: None,
-        });
     }
 
     /// The locally maintained result.

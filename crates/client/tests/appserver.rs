@@ -1,8 +1,11 @@
 //! Application-server integration tests against a real cluster.
 
-use invalidb_broker::Broker;
+use invalidb_broker::{notify_topic, Broker};
 use invalidb_client::{AppServer, AppServerConfig, ClientEvent};
-use invalidb_common::{doc, Key, MatchType, QuerySpec, SortDirection};
+use invalidb_common::{
+    doc, ChangeItem, Key, MatchType, NotificationKind, NotifyEnvelope, QuerySpec, ResultItem,
+    SortDirection, SubscriptionId, TenantId,
+};
 use invalidb_core::{Cluster, ClusterConfig};
 use invalidb_store::{Store, UpdateSpec};
 use std::sync::Arc;
@@ -340,5 +343,65 @@ fn coalesced_receive_collapses_hot_key_churn() {
     );
     // The local result was maintained from the *uncollapsed* stream.
     assert_eq!(sub.result().len(), 2);
+    cluster.shutdown();
+}
+
+/// Every drop is counted: a torn envelope, bytes that are no payload, a
+/// payload that is no envelope, an id without a live subscription and a
+/// subscriber that went away each leave their mark, and none of them keeps
+/// the live addressee of the same envelope from its event.
+#[test]
+fn undeliverable_notifications_are_counted() {
+    let (broker, _store, cluster, app) = setup(1, 1);
+    let spec = QuerySpec::filter("nums", doc! { "n" => doc! { "$gte" => 0i64 } });
+    let mut live = app.subscribe(&spec).unwrap();
+    assert!(matches!(
+        live.events().timeout(Duration::from_secs(5)).next(),
+        Some(ClientEvent::Initial(_))
+    ));
+    let counter = |name: &str| app.metrics().counters.get(name).copied().unwrap_or(0);
+    let topic = notify_topic("app");
+    let envelope = |subscriptions: Vec<SubscriptionId>| {
+        let envelope = NotifyEnvelope {
+            tenant: TenantId::new("app"),
+            subscriptions,
+            kind: NotificationKind::Change(ChangeItem {
+                match_type: MatchType::Add,
+                item: ResultItem::new(Key::of("k"), 1, doc! { "n" => 1i64 }),
+                old_index: None,
+            }),
+            caused_by_write_at: 0,
+            trace: None,
+        };
+        invalidb_json::WireCodec::Binary.encode(&envelope.as_ref().to_document())
+    };
+
+    let whole = envelope(vec![SubscriptionId(424_242), live.id()]);
+    broker.publish(&topic, bytes::Bytes::copy_from_slice(&whole[..whole.len() / 2]));
+    broker.publish(&topic, bytes::Bytes::from_static(b"neither codec"));
+    broker.publish(&topic, invalidb_json::WireCodec::Binary.encode(&doc! { "type" => "add" }));
+    broker.publish(&topic, whole);
+    // (A slow host may re-register the subscription and deliver a second
+    // initial result first.)
+    let change = wait_for(
+        || match live.events().non_blocking().next() {
+            Some(ClientEvent::Change(c)) => Some(c),
+            _ => None,
+        },
+        Duration::from_secs(5),
+    )
+    .expect("the live addressee must still get its event");
+    assert_eq!(change.item.key, Key::of("k"));
+    assert_eq!(counter("appserver.notify_decode_errors"), 3);
+    assert_eq!(counter("appserver.notify_unknown_subscription"), 1);
+    assert_eq!(counter("appserver.notify_channel_closed"), 0);
+
+    let delivered = counter("appserver.events_delivered");
+    let gone = live.id();
+    drop(live);
+    broker.publish(&topic, envelope(vec![gone]));
+    wait_for(|| (counter("appserver.notify_channel_closed") == 1).then_some(()), Duration::from_secs(5))
+        .expect("closed channel counted");
+    assert_eq!(counter("appserver.events_delivered"), delivered, "nothing was delivered");
     cluster.shutdown();
 }

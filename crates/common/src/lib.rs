@@ -25,6 +25,7 @@ pub mod partition;
 pub mod query_spec;
 pub mod trace;
 pub mod value;
+pub mod write;
 
 pub use clock::{Clock, MockClock, SystemClock, Timestamp};
 pub use config::ConfigError;
@@ -33,11 +34,15 @@ pub use grid::{GridCoord, GridShape};
 pub use hist::Histogram;
 pub use id::{Key, QueryHash, SubscriptionId, TenantId};
 pub use msg::{AfterImage, ClusterMessage, SubscriptionRequest};
-pub use notify::{ChangeItem, MaintenanceError, MatchType, Notification, NotificationKind, ResultItem};
+pub use notify::{
+    ChangeItem, EnvelopeRef, ItemRef, KindRef, MaintenanceError, MatchType, Notification,
+    NotificationKind, NotifyEnvelope, ResultItem,
+};
 pub use partition::{fnv1a64, stable_hash64};
 pub use query_spec::{AggregateOp, AggregateSpec, QuerySpec, SortDirection, SortSpec, SpecError};
 pub use trace::{Stage, StageStamp, TraceContext, ALL_STAGES, MAX_PLAUSIBLE_HOP_MICROS};
 pub use value::{canonical_cmp, canonical_eq, Value};
+pub use write::{DocumentBuilder, FieldWriter};
 
 /// Version number of a stored record. The application server initializes
 /// every record with version 1 and increments it on each write; a delete

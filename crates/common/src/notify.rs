@@ -5,13 +5,23 @@
 //! the initial result; all subsequent ones are incremental updates tagged
 //! with a [`MatchType`]. A maintenance-error notification doubles as a
 //! *query renewal request* (§5.2).
+//!
+//! The cluster matches a write against a *query*, not against each of the
+//! query's subscribers, so the unit on the wire is the [`NotifyEnvelope`]:
+//! one transition, carried once, addressed to every subscription that
+//! shares the query. The notifier serializes it from borrowed parts
+//! ([`EnvelopeRef`]) without building a [`Document`]; the application
+//! server decodes it once and hands each addressed subscription a pointer.
+//! A [`Notification`] is the envelope seen by one of its addressees.
 
 use crate::document::Document;
 use crate::id::{Key, SubscriptionId, TenantId};
 use crate::query_spec::SpecError;
 use crate::trace::TraceContext;
 use crate::value::Value;
+use crate::write::{DocumentBuilder, FieldWriter};
 use crate::Version;
+use std::borrow::Cow;
 use std::fmt;
 
 /// The exact kind of result change encoded in a change notification (§5).
@@ -76,33 +86,23 @@ impl ResultItem {
         Self { key, version, doc: Some(doc), index: None }
     }
 
-    fn to_document(&self) -> Document {
-        let mut d = Document::with_capacity(4);
-        d.insert("key", self.key.0.clone());
-        d.insert("version", self.version as i64);
-        match &self.doc {
-            Some(doc) => d.insert("doc", doc.clone()),
-            None => d.insert("doc", Value::Null),
-        };
-        if let Some(idx) = self.index {
-            d.insert("index", idx as i64);
-        }
-        d
-    }
-
-    fn from_document(d: &Document) -> Result<Self, SpecError> {
-        let key = Key(d.get("key").cloned().ok_or_else(|| decode_err("result item missing `key`"))?);
+    fn from_document(mut d: Cow<'_, Document>) -> Result<Self, SpecError> {
+        let key = take(&mut d, "key").ok_or_else(|| decode_err("result item missing `key`"))?;
         let version =
             d.get("version")
                 .and_then(Value::as_i64)
                 .ok_or_else(|| decode_err("result item missing `version`"))? as Version;
-        let doc = match d.get("doc") {
-            Some(Value::Null) | None => None,
-            Some(Value::Object(doc)) => Some(doc.clone()),
-            Some(_) => return Err(decode_err("result item `doc` must be object or null")),
+        let doc = match take(&mut d, "doc") {
+            None => None,
+            Some(doc) if matches!(*doc, Value::Null) => None,
+            Some(doc) => Some(
+                object(doc)
+                    .ok_or_else(|| decode_err("result item `doc` must be object or null"))?
+                    .into_owned(),
+            ),
         };
         let index = d.get("index").and_then(Value::as_i64).map(|i| i as u64);
-        Ok(Self { key, version, doc, index })
+        Ok(Self { key: Key(key.into_owned()), version, doc, index })
     }
 }
 
@@ -155,7 +155,7 @@ pub enum NotificationKind {
     },
 }
 
-/// A notification addressed to one subscription.
+/// A notification as one subscription sees it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Notification {
     /// Owning tenant (application).
@@ -175,88 +175,116 @@ pub struct Notification {
 }
 
 impl Notification {
-    /// Encodes the notification as a document for transport.
+    /// Encodes the notification for transport: an envelope addressed to
+    /// this one subscription.
     pub fn to_document(&self) -> Document {
-        let mut d = Document::with_capacity(5);
-        d.insert("tenant", self.tenant.0.clone());
-        d.insert("subscription", self.subscription.0 as i64);
-        d.insert("writeAt", self.caused_by_write_at as i64);
-        match &self.kind {
-            NotificationKind::InitialResult { items } => {
-                d.insert("type", "initial");
-                d.insert(
-                    "items",
-                    Value::Array(items.iter().map(|i| Value::Object(i.to_document())).collect()),
-                );
-            }
-            NotificationKind::Change(change) => {
-                d.insert("type", change.match_type.as_str());
-                d.insert("item", change.item.to_document());
-                if let Some(old) = change.old_index {
-                    d.insert("oldIndex", old as i64);
-                }
-            }
-            NotificationKind::Error(err) => {
-                d.insert("type", "error");
-                d.insert("error", err.reason.clone());
-            }
-            NotificationKind::Aggregate { value, count } => {
-                d.insert("type", "aggregate");
-                d.insert("value", value.clone());
-                d.insert("count", *count as i64);
-            }
+        EnvelopeRef {
+            tenant: &self.tenant,
+            subscriptions: std::slice::from_ref(&self.subscription),
+            kind: KindRef::from(&self.kind),
+            caused_by_write_at: self.caused_by_write_at,
+            trace: self.trace.as_ref(),
         }
-        if let Some(trace) = &self.trace {
-            d.insert("trace", trace.to_document());
-        }
-        d
+        .to_document()
     }
 
-    /// Decodes a notification from its document encoding.
+    /// Decodes an envelope that addresses exactly one subscription. Readers
+    /// of a notify topic, where envelopes address many, decode with
+    /// [`NotifyEnvelope::from_document`] instead.
     pub fn from_document(d: &Document) -> Result<Self, SpecError> {
-        let tenant = TenantId(
-            d.get("tenant")
-                .and_then(Value::as_str)
-                .ok_or_else(|| decode_err("missing `tenant`"))?
-                .to_owned(),
-        );
-        let subscription = SubscriptionId(
-            d.get("subscription")
-                .and_then(Value::as_i64)
-                .ok_or_else(|| decode_err("missing `subscription`"))? as u64,
-        );
+        let NotifyEnvelope { tenant, subscriptions, kind, caused_by_write_at, trace } =
+            NotifyEnvelope::decode(Cow::Borrowed(d))?;
+        match subscriptions[..] {
+            [subscription] => Ok(Self { tenant, subscription, kind, caused_by_write_at, trace }),
+            _ => Err(decode_err("envelope does not address exactly one subscription")),
+        }
+    }
+}
+
+/// One result transition of one query, addressed to every subscription
+/// that shares the query — the message on a notify topic.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NotifyEnvelope {
+    /// Owning tenant (application).
+    pub tenant: TenantId,
+    /// The addressed subscriptions.
+    pub subscriptions: Vec<SubscriptionId>,
+    /// Payload, carried once for all addressees.
+    pub kind: NotificationKind,
+    /// See [`Notification::caused_by_write_at`].
+    pub caused_by_write_at: u64,
+    /// See [`Notification::trace`].
+    pub trace: Option<TraceContext>,
+}
+
+impl NotifyEnvelope {
+    /// The borrowed form, for encoding.
+    pub fn as_ref(&self) -> EnvelopeRef<'_> {
+        EnvelopeRef {
+            tenant: &self.tenant,
+            subscriptions: &self.subscriptions,
+            kind: KindRef::from(&self.kind),
+            caused_by_write_at: self.caused_by_write_at,
+            trace: self.trace.as_ref(),
+        }
+    }
+
+    /// Decodes an envelope, taking its parts out of `d` instead of copying
+    /// them. The addressees are the `subscriptions` id array; an envelope
+    /// from a producer that predates multicast carries a scalar
+    /// `subscription` instead, read as a list of one.
+    pub fn from_document(d: Document) -> Result<Self, SpecError> {
+        Self::decode(Cow::Owned(d))
+    }
+
+    /// The one decoder: parts move out of an owned document and are copied
+    /// out of a borrowed one, and nothing else is copied either way.
+    fn decode(mut d: Cow<'_, Document>) -> Result<Self, SpecError> {
+        let string = |v: Option<Cow<'_, Value>>| match v.map(Cow::into_owned) {
+            Some(Value::String(s)) => Some(s),
+            _ => None,
+        };
+        let tenant =
+            TenantId(string(take(&mut d, "tenant")).ok_or_else(|| decode_err("missing `tenant`"))?);
+        let id = |v: &Value| {
+            v.as_i64()
+                .map(|i| SubscriptionId(i as u64))
+                .ok_or_else(|| decode_err("subscription id must be an integer"))
+        };
+        let subscriptions = match (d.get("subscriptions"), d.get("subscription")) {
+            (Some(Value::Array(ids)), _) => ids.iter().map(id).collect::<Result<Vec<_>, _>>()?,
+            (None, Some(one)) => vec![id(one)?],
+            _ => return Err(decode_err("missing `subscriptions`")),
+        };
         let caused_by_write_at = d.get("writeAt").and_then(Value::as_i64).unwrap_or(0) as u64;
+        let item = |v: Cow<'_, Value>| {
+            ResultItem::from_document(object(v).ok_or_else(|| decode_err("item must be object"))?)
+        };
         let ty = d.get("type").and_then(Value::as_str).ok_or_else(|| decode_err("missing `type`"))?;
         let kind = match ty {
             "initial" => {
-                let items = d
-                    .get("items")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| decode_err("missing `items`"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_object()
-                            .ok_or_else(|| decode_err("item must be object"))
-                            .and_then(ResultItem::from_document)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                NotificationKind::InitialResult { items }
+                let items = match take(&mut d, "items").ok_or_else(|| decode_err("missing `items`"))? {
+                    Cow::Owned(Value::Array(items)) => {
+                        items.into_iter().map(Cow::Owned).map(item).collect()
+                    }
+                    Cow::Borrowed(Value::Array(items)) => {
+                        items.iter().map(Cow::Borrowed).map(item).collect()
+                    }
+                    _ => Err(decode_err("`items` must be an array")),
+                };
+                NotificationKind::InitialResult { items: items? }
             }
             "error" => NotificationKind::Error(MaintenanceError {
-                reason: d.get("error").and_then(Value::as_str).unwrap_or("unknown").to_owned(),
+                reason: string(take(&mut d, "error")).unwrap_or_else(|| "unknown".to_owned()),
             }),
             "aggregate" => NotificationKind::Aggregate {
-                value: d.get("value").cloned().unwrap_or(Value::Null),
+                value: take(&mut d, "value").map_or(Value::Null, Cow::into_owned),
                 count: d.get("count").and_then(Value::as_i64).unwrap_or(0) as u64,
             },
             other => {
                 let match_type = MatchType::parse_str(other)
                     .ok_or_else(|| decode_err("unknown notification type"))?;
-                let item = d
-                    .get("item")
-                    .and_then(Value::as_object)
-                    .ok_or_else(|| decode_err("missing `item`"))
-                    .and_then(ResultItem::from_document)?;
+                let item = item(take(&mut d, "item").ok_or_else(|| decode_err("missing `item`"))?)?;
                 let old_index = d.get("oldIndex").and_then(Value::as_i64).map(|i| i as u64);
                 NotificationKind::Change(ChangeItem { match_type, item, old_index })
             }
@@ -265,7 +293,205 @@ impl Notification {
             Some(td) => Some(TraceContext::from_document(td)?),
             None => None,
         };
-        Ok(Self { tenant, subscription, kind, caused_by_write_at, trace })
+        Ok(Self { tenant, subscriptions, kind, caused_by_write_at, trace })
+    }
+
+    /// The envelope as each of its addressees sees it, in address order.
+    pub fn into_notifications(self) -> Vec<Notification> {
+        let Self { tenant, subscriptions, kind, caused_by_write_at, trace } = self;
+        subscriptions
+            .into_iter()
+            .map(|subscription| Notification {
+                tenant: tenant.clone(),
+                subscription,
+                kind: kind.clone(),
+                caused_by_write_at,
+                trace: trace.clone(),
+            })
+            .collect()
+    }
+}
+
+/// A result member borrowed from wherever it lives (an after-image, a
+/// subscription request, a [`ResultItem`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ItemRef<'a> {
+    /// See [`ResultItem::key`].
+    pub key: &'a Key,
+    /// See [`ResultItem::version`].
+    pub version: Version,
+    /// See [`ResultItem::doc`].
+    pub doc: Option<&'a Document>,
+    /// See [`ResultItem::index`].
+    pub index: Option<u64>,
+}
+
+impl<'a> From<&'a ResultItem> for ItemRef<'a> {
+    fn from(item: &'a ResultItem) -> Self {
+        ItemRef { key: &item.key, version: item.version, doc: item.doc.as_ref(), index: item.index }
+    }
+}
+
+impl ItemRef<'_> {
+    fn write_to(&self, w: &mut impl FieldWriter) {
+        w.begin_object(3 + usize::from(self.index.is_some()));
+        w.key("key");
+        w.value(&self.key.0);
+        w.key("version");
+        w.int(self.version as i64);
+        w.key("doc");
+        match self.doc {
+            Some(doc) => w.document(doc),
+            None => w.value(&Value::Null),
+        }
+        if let Some(index) = self.index {
+            w.key("index");
+            w.int(index as i64);
+        }
+        w.end_object();
+    }
+}
+
+/// Borrowed form of a [`NotificationKind`].
+#[derive(Debug, Clone)]
+pub enum KindRef<'a> {
+    /// See [`NotificationKind::InitialResult`].
+    Initial(Vec<ItemRef<'a>>),
+    /// See [`NotificationKind::Change`].
+    Change {
+        /// See [`ChangeItem::match_type`].
+        match_type: MatchType,
+        /// See [`ChangeItem::item`].
+        item: ItemRef<'a>,
+        /// See [`ChangeItem::old_index`].
+        old_index: Option<u64>,
+    },
+    /// See [`NotificationKind::Error`].
+    Error(&'a str),
+    /// See [`NotificationKind::Aggregate`].
+    Aggregate {
+        /// Current aggregate value.
+        value: &'a Value,
+        /// Number of currently matching records.
+        count: u64,
+    },
+}
+
+impl<'a> From<&'a NotificationKind> for KindRef<'a> {
+    fn from(kind: &'a NotificationKind) -> Self {
+        match kind {
+            NotificationKind::InitialResult { items } => {
+                KindRef::Initial(items.iter().map(ItemRef::from).collect())
+            }
+            NotificationKind::Change(change) => KindRef::Change {
+                match_type: change.match_type,
+                item: ItemRef::from(&change.item),
+                old_index: change.old_index,
+            },
+            NotificationKind::Error(err) => KindRef::Error(&err.reason),
+            NotificationKind::Aggregate { value, count } => KindRef::Aggregate { value, count: *count },
+        }
+    }
+}
+
+/// A [`NotifyEnvelope`] assembled from borrowed parts: what the notifier
+/// serializes, so that a change is never copied on its way to the wire.
+#[derive(Debug, Clone)]
+pub struct EnvelopeRef<'a> {
+    /// See [`NotifyEnvelope::tenant`].
+    pub tenant: &'a TenantId,
+    /// See [`NotifyEnvelope::subscriptions`].
+    pub subscriptions: &'a [SubscriptionId],
+    /// See [`NotifyEnvelope::kind`].
+    pub kind: KindRef<'a>,
+    /// See [`Notification::caused_by_write_at`].
+    pub caused_by_write_at: u64,
+    /// See [`Notification::trace`].
+    pub trace: Option<&'a TraceContext>,
+}
+
+impl EnvelopeRef<'_> {
+    /// Writes the envelope — the one place its layout is written down.
+    pub fn write_to(&self, w: &mut impl FieldWriter) {
+        let kind_fields = match &self.kind {
+            KindRef::Initial(_) | KindRef::Error(_) => 1,
+            KindRef::Change { old_index, .. } => 1 + usize::from(old_index.is_some()),
+            KindRef::Aggregate { .. } => 2,
+        };
+        w.begin_object(4 + kind_fields + usize::from(self.trace.is_some()));
+        w.key("tenant");
+        w.str(&self.tenant.0);
+        w.key("subscriptions");
+        w.begin_array(self.subscriptions.len());
+        for subscription in self.subscriptions {
+            w.int(subscription.0 as i64);
+        }
+        w.end_array();
+        w.key("writeAt");
+        w.int(self.caused_by_write_at as i64);
+        w.key("type");
+        match &self.kind {
+            KindRef::Initial(items) => {
+                w.str("initial");
+                w.key("items");
+                w.begin_array(items.len());
+                for item in items {
+                    item.write_to(w);
+                }
+                w.end_array();
+            }
+            KindRef::Change { match_type, item, old_index } => {
+                w.str(match_type.as_str());
+                w.key("item");
+                item.write_to(w);
+                if let Some(old) = old_index {
+                    w.key("oldIndex");
+                    w.int(*old as i64);
+                }
+            }
+            KindRef::Error(reason) => {
+                w.str("error");
+                w.key("error");
+                w.str(reason);
+            }
+            KindRef::Aggregate { value, count } => {
+                w.str("aggregate");
+                w.key("value");
+                w.value(value);
+                w.key("count");
+                w.int(*count as i64);
+            }
+        }
+        if let Some(trace) = self.trace {
+            w.key("trace");
+            w.document(&trace.to_document());
+        }
+        w.end_object();
+    }
+
+    /// The envelope as an owned document.
+    pub fn to_document(&self) -> Document {
+        let mut builder = DocumentBuilder::new();
+        self.write_to(&mut builder);
+        builder.finish()
+    }
+}
+
+/// Takes a field out of a document being decoded: moved out of an owned
+/// document, borrowed from a borrowed one.
+fn take<'a>(d: &mut Cow<'a, Document>, key: &str) -> Option<Cow<'a, Value>> {
+    match d {
+        Cow::Owned(d) => d.remove(key).map(Cow::Owned),
+        Cow::Borrowed(d) => d.get(key).map(Cow::Borrowed),
+    }
+}
+
+/// The document of an object value, owned or borrowed like the value.
+fn object(v: Cow<'_, Value>) -> Option<Cow<'_, Document>> {
+    match v {
+        Cow::Owned(Value::Object(d)) => Some(Cow::Owned(d)),
+        Cow::Borrowed(Value::Object(d)) => Some(Cow::Borrowed(d)),
+        _ => None,
     }
 }
 
@@ -391,5 +617,49 @@ mod tests {
         assert!(Notification::from_document(&Document::new()).is_err());
         let d = doc! { "tenant" => "t", "subscription" => 1i64, "type" => "weird" };
         assert!(Notification::from_document(&d).is_err());
+        let d = doc! { "tenant" => "t", "subscriptions" => vec![Value::from("x")], "type" => "error" };
+        assert!(NotifyEnvelope::from_document(d).is_err());
+        let d = doc! { "tenant" => "t", "subscriptions" => 1i64, "type" => "error" };
+        assert!(NotifyEnvelope::from_document(d).is_err());
+    }
+
+    fn multicast() -> NotifyEnvelope {
+        NotifyEnvelope {
+            tenant: TenantId::new("app"),
+            subscriptions: vec![SubscriptionId(3), SubscriptionId(1), SubscriptionId(u64::MAX)],
+            kind: NotificationKind::Change(ChangeItem {
+                match_type: MatchType::Add,
+                item: item(),
+                old_index: None,
+            }),
+            caused_by_write_at: 77,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn envelope_carries_the_change_once_for_all_addressees() {
+        let env = multicast();
+        let d = env.as_ref().to_document();
+        assert_eq!(d.get("subscriptions").and_then(Value::as_array).map(<[Value]>::len), Some(3));
+        assert!(d.get("subscription").is_none());
+        assert_eq!(NotifyEnvelope::from_document(d.clone()).unwrap(), env);
+        // One addressee's view of it: same payload, own id, address order.
+        let notes = env.clone().into_notifications();
+        assert_eq!(notes.iter().map(|n| n.subscription).collect::<Vec<_>>(), env.subscriptions);
+        assert!(notes.iter().all(|n| n.kind == env.kind && n.caused_by_write_at == 77));
+        // A single notification cannot stand for three.
+        assert!(Notification::from_document(&d).is_err());
+    }
+
+    #[test]
+    fn scalar_subscription_decodes_as_a_list_of_one() {
+        let mut env = multicast();
+        env.subscriptions.truncate(1);
+        let mut d = env.as_ref().to_document();
+        d.remove("subscriptions");
+        d.insert("subscription", 3i64);
+        assert_eq!(NotifyEnvelope::from_document(d.clone()).unwrap(), env);
+        assert_eq!(Notification::from_document(&d).unwrap().subscription, SubscriptionId(3));
     }
 }

@@ -19,19 +19,14 @@
 //! ordered multiset so removals are exact.
 
 use crate::config::ClusterConfig;
-use crate::event::{Event, FilterChange, FilterChangeKind, OutMsg};
+use crate::event::{Event, FilterChange, FilterChangeKind, OutChange, OutMsg, OutNotify};
 use invalidb_common::{
-    canonical_eq, AggregateOp, Clock, Key, Notification, NotificationKind, QueryHash, Stage,
-    SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext, Value, Version,
+    canonical_eq, AggregateOp, Clock, Key, NotificationKind, QueryHash, Stage, SubscriptionId,
+    SubscriptionRequest, TenantId, Timestamp, TraceContext, Value, Version,
 };
 use invalidb_stream::{Bolt, BoltContext};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-struct SubState {
-    tenant: TenantId,
-    expires_at: Timestamp,
-}
 
 struct AggGroup {
     op: AggregateOp,
@@ -44,7 +39,9 @@ struct AggGroup {
     sum: f64,
     numeric: u64,
     last_emitted: Option<(Value, u64)>,
-    subscriptions: HashMap<SubscriptionId, SubState>,
+    /// The query's subscriptions, each with its TTL deadline. Ordered, so
+    /// that notifications address them in one stable order.
+    subscriptions: BTreeMap<SubscriptionId, Timestamp>,
 }
 
 impl AggGroup {
@@ -134,12 +131,10 @@ impl AggregationNode {
             sum: 0.0,
             numeric: 0,
             last_emitted: None,
-            subscriptions: HashMap::new(),
+            subscriptions: BTreeMap::new(),
         });
         let fresh_group = group.subscriptions.is_empty() && group.contributions.is_empty();
-        group
-            .subscriptions
-            .insert(req.subscription, SubState { tenant: req.tenant.clone(), expires_at });
+        group.subscriptions.insert(req.subscription, expires_at);
         if fresh_group {
             // Seed from the initial (un-aggregated) result.
             for item in &req.initial {
@@ -154,10 +149,10 @@ impl AggregationNode {
         // aggregate value.
         let (value, count) = group.current();
         group.last_emitted = Some((value.clone(), count));
-        ctx.emit(Event::Out(Arc::new(OutMsg::Notify(Notification {
+        ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
             tenant: req.tenant.clone(),
-            subscription: req.subscription,
-            kind: NotificationKind::Aggregate { value, count },
+            subscriptions: vec![req.subscription],
+            change: OutChange::Kind(NotificationKind::Aggregate { value, count }),
             caused_by_write_at: 0,
             trace: None,
         }))));
@@ -213,15 +208,13 @@ impl AggregationNode {
                 t.stamp(Stage::Aggregation);
                 t
             });
-            for (sub, state) in &group.subscriptions {
-                ctx.emit(Event::Out(Arc::new(OutMsg::Notify(Notification {
-                    tenant: state.tenant.clone(),
-                    subscription: *sub,
-                    kind: NotificationKind::Aggregate { value: value.clone(), count },
-                    caused_by_write_at: fc.written_at,
-                    trace: trace.clone(),
-                }))));
-            }
+            ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
+                tenant: fc.tenant.clone(),
+                subscriptions: group.subscriptions.keys().copied().collect(),
+                change: OutChange::Kind(NotificationKind::Aggregate { value, count }),
+                caused_by_write_at: fc.written_at,
+                trace,
+            }))));
         }
     }
 
@@ -248,8 +241,8 @@ impl AggregationNode {
     ) {
         let now = self.clock.now();
         if let Some(group) = self.groups.get_mut(&(tenant.clone(), query_hash)) {
-            if let Some(sub) = group.subscriptions.get_mut(&subscription) {
-                sub.expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
+            if let Some(expires_at) = group.subscriptions.get_mut(&subscription) {
+                *expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
             }
         }
     }
@@ -257,7 +250,7 @@ impl AggregationNode {
     fn expire(&mut self) {
         let now = self.clock.now();
         self.groups.retain(|_, group| {
-            group.subscriptions.retain(|_, sub| sub.expires_at > now);
+            group.subscriptions.retain(|_, expires_at| *expires_at > now);
             !group.subscriptions.is_empty()
         });
     }
@@ -352,10 +345,12 @@ mod tests {
             });
             for ev in collected {
                 if let Event::Out(msg) = ev {
-                    if let OutMsg::Notify(n) = &*msg {
-                        if let NotificationKind::Aggregate { value, count } = &n.kind {
-                            self.out.push((value.clone(), *count));
-                        }
+                    if let OutMsg::Notify(OutNotify {
+                        change: OutChange::Kind(NotificationKind::Aggregate { value, count }),
+                        ..
+                    }) = &*msg
+                    {
+                        self.out.push((value.clone(), *count));
                     }
                 }
             }

@@ -1,8 +1,8 @@
 //! Events flowing through the cluster topology.
 
 use invalidb_common::{
-    AfterImage, Document, Key, Notification, QueryHash, SpecError, SubscriptionId, SubscriptionRequest,
-    TenantId, TraceContext, Value, Version,
+    AfterImage, Document, EnvelopeRef, ItemRef, Key, KindRef, MatchType, NotificationKind, QueryHash,
+    SpecError, SubscriptionId, SubscriptionRequest, TenantId, TraceContext, Value, Version,
 };
 use std::sync::Arc;
 
@@ -207,13 +207,83 @@ impl FilterChange {
 /// Message leaving the cluster through the notifier.
 #[derive(Debug, Clone)]
 pub enum OutMsg {
-    /// A change/initial/error notification for one subscription.
-    Notify(Notification),
+    /// One result transition of one query, for all of its subscriptions.
+    Notify(OutNotify),
     /// Liveness signal for a tenant's application servers.
     Heartbeat {
         /// Tenant whose notify topic receives the heartbeat.
         tenant: TenantId,
     },
+}
+
+/// A change/error/aggregate notification on its way to the notifier. The
+/// unit is the (write, query) pair: the stages emit one of these per result
+/// transition, addressed to every subscription of the query's group, and
+/// the notifier turns it into one envelope.
+#[derive(Debug, Clone)]
+pub struct OutNotify {
+    /// Owning tenant.
+    pub tenant: TenantId,
+    /// The group's subscriptions at the time of the transition.
+    pub subscriptions: Vec<SubscriptionId>,
+    /// What changed.
+    pub change: OutChange,
+    /// Origin-write timestamp for latency accounting (`0` if none).
+    pub caused_by_write_at: u64,
+    /// Stage trace inherited from the causing write, if it was sampled.
+    pub trace: Option<TraceContext>,
+}
+
+/// The payload of an [`OutNotify`].
+#[derive(Debug, Clone)]
+pub enum OutChange {
+    /// A filtering-stage transition. The changed item *is* the write, so
+    /// the after-image is shared, not copied; the notifier serializes
+    /// straight from it.
+    Write {
+        /// The transition the write caused for this query.
+        match_type: MatchType,
+        /// The causing write.
+        image: Arc<AfterImage>,
+    },
+    /// A payload the emitting stage built itself: a window edit, a
+    /// maintenance error, an aggregate value.
+    Kind(NotificationKind),
+}
+
+impl OutNotify {
+    /// The wire envelope of this notification, borrowing its parts.
+    pub fn envelope(&self) -> EnvelopeRef<'_> {
+        let kind = match &self.change {
+            OutChange::Write { match_type, image } => KindRef::Change {
+                match_type: *match_type,
+                item: ItemRef {
+                    key: &image.key,
+                    version: image.version,
+                    doc: image.doc.as_ref(),
+                    index: None,
+                },
+                old_index: None,
+            },
+            OutChange::Kind(kind) => KindRef::from(kind),
+        };
+        EnvelopeRef {
+            tenant: &self.tenant,
+            subscriptions: &self.subscriptions,
+            kind,
+            caused_by_write_at: self.caused_by_write_at,
+            trace: self.trace.as_ref(),
+        }
+    }
+
+    /// The notification as each addressee will see it, through the wire
+    /// layout (stage unit tests assert on this view).
+    #[cfg(test)]
+    pub(crate) fn notifications(&self) -> Vec<invalidb_common::Notification> {
+        invalidb_common::NotifyEnvelope::from_document(self.envelope().to_document())
+            .expect("emitted envelope decodes")
+            .into_notifications()
+    }
 }
 
 #[cfg(test)]

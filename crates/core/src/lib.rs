@@ -45,5 +45,5 @@ pub mod window;
 
 pub use cluster::{CellHost, CellSet, Cluster, FullGrid};
 pub use config::{ClusterConfig, ClusterConfigBuilder, WorkerIdentity};
-pub use event::{Event, FilterChange, FilterChangeKind, OutMsg};
+pub use event::{Event, FilterChange, FilterChangeKind, OutChange, OutMsg, OutNotify};
 pub use window::{SortedWindow, VisibleEvent, WindowOutcome};

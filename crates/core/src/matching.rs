@@ -5,8 +5,9 @@
 //! every incoming after-image it evaluates all of its queries, compares the
 //! new matching status against the former one, and emits the transition:
 //!
-//! * unsorted filter queries are self-maintainable — the node emits finished
-//!   change notifications (one per subscription) straight to the notifier;
+//! * unsorted filter queries are self-maintainable — the node emits one
+//!   finished change notification per (write, query), addressed to all of
+//!   the query's subscriptions, straight to the notifier;
 //! * sorted queries emit [`FilterChange`]s to the sorting stage, and only
 //!   for items that match or just ceased matching — everything else is
 //!   filtered out here, slashing downstream throughput (§5.2).
@@ -18,18 +19,17 @@
 //! version of the same record is dropped (§5.1).
 
 use crate::config::{ClusterConfig, WorkerIdentity};
-use crate::event::{Event, FilterChange, FilterChangeKind, OutMsg, WriteBatch};
+use crate::event::{Event, FilterChange, FilterChangeKind, OutChange, OutMsg, OutNotify, WriteBatch};
 use crate::query_index::QueryIndex;
 use invalidb_common::trace::now_micros;
 use invalidb_common::{
-    AfterImage, ChangeItem, Clock, GridCoord, GridShape, Key, MatchType, Notification, NotificationKind,
-    QueryHash, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId, Timestamp,
-    TraceContext, Version,
+    AfterImage, Clock, GridCoord, GridShape, Key, MatchType, NotificationKind, QueryHash, Stage,
+    SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext, Version,
 };
 use invalidb_obs::{MetricsRegistry, SlowQueryScratch};
 use invalidb_query::{PreparedAtom, PreparedQuery};
 use invalidb_stream::{Bolt, BoltContext};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -39,11 +39,6 @@ struct RecordId {
     tenant: TenantId,
     collection: String,
     key: Key,
-}
-
-struct SubState {
-    tenant: TenantId,
-    expires_at: Timestamp,
 }
 
 /// Shared predicate evaluation (SharedDB-style): atomic predicate results
@@ -97,7 +92,9 @@ struct QueryGroup {
     /// result state). For sorted queries this is the *matching status* of
     /// keys within the bootstrap horizon, not the client-visible result.
     result: HashMap<Key, Version>,
-    subscriptions: HashMap<SubscriptionId, SubState>,
+    /// The query's subscriptions, each with its TTL deadline. Ordered, so
+    /// that notifications address them in one stable order.
+    subscriptions: BTreeMap<SubscriptionId, Timestamp>,
 }
 
 /// The matching-node bolt.
@@ -182,9 +179,7 @@ impl MatchingNode {
         let expires_at = now.after(std::time::Duration::from_micros(req.ttl_micros));
         let group_key = (req.tenant.clone(), req.query_hash);
         if let Some(group) = self.queries.get_mut(&group_key) {
-            group
-                .subscriptions
-                .insert(req.subscription, SubState { tenant: req.tenant.clone(), expires_at });
+            group.subscriptions.insert(req.subscription, expires_at);
             return;
         }
         let prepared = match self.config.engine.prepare(&req.spec) {
@@ -192,12 +187,12 @@ impl MatchingNode {
             Err(e) => {
                 // Unparseable query: report an error notification so the
                 // subscription does not dangle silently.
-                ctx.emit(Event::Out(Arc::new(OutMsg::Notify(Notification {
+                ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
                     tenant: req.tenant.clone(),
-                    subscription: req.subscription,
-                    kind: NotificationKind::Error(invalidb_common::MaintenanceError {
-                        reason: format!("query rejected: {e}"),
-                    }),
+                    subscriptions: vec![req.subscription],
+                    change: OutChange::Kind(NotificationKind::Error(
+                        invalidb_common::MaintenanceError { reason: format!("query rejected: {e}") },
+                    )),
                     caused_by_write_at: 0,
                     trace: None,
                 }))));
@@ -219,11 +214,8 @@ impl MatchingNode {
             prepared,
             staged: req.spec.needs_sorting_stage() || req.spec.needs_aggregation_stage(),
             result,
-            subscriptions: HashMap::new(),
+            subscriptions: BTreeMap::from([(req.subscription, expires_at)]),
         };
-        group
-            .subscriptions
-            .insert(req.subscription, SubState { tenant: req.tenant.clone(), expires_at });
         // Replay retained writes against the new query: closes the
         // write-subscription race (§5.1). Writes already reflected in the
         // initial result are skipped by the version guard.
@@ -523,7 +515,7 @@ impl MatchingNode {
     fn match_against(
         group: &mut QueryGroup,
         hash: QueryHash,
-        img: &AfterImage,
+        img: &Arc<AfterImage>,
         metrics: &MetricsRegistry,
         identity: Option<&WorkerIdentity>,
         scratch: &mut SlowQueryScratch,
@@ -547,7 +539,7 @@ impl MatchingNode {
     fn evaluate(
         group: &mut QueryGroup,
         hash: QueryHash,
-        img: &AfterImage,
+        img: &Arc<AfterImage>,
         metrics: &MetricsRegistry,
         identity: Option<&WorkerIdentity>,
         cache: &mut PredCache,
@@ -610,30 +602,20 @@ impl MatchingNode {
                 trace,
             })));
         } else {
-            // Self-maintainable queries: emit finished notifications.
+            // Self-maintainable queries: one finished notification for
+            // the whole group, pointing at the write instead of copying it.
             let match_type = match kind {
                 FilterChangeKind::Add => MatchType::Add,
                 FilterChangeKind::Change => MatchType::Change,
                 FilterChangeKind::Remove => MatchType::Remove,
             };
-            for (sub, state) in &group.subscriptions {
-                ctx.emit(Event::Out(Arc::new(OutMsg::Notify(Notification {
-                    tenant: state.tenant.clone(),
-                    subscription: *sub,
-                    kind: NotificationKind::Change(ChangeItem {
-                        match_type,
-                        item: ResultItem {
-                            key: img.key.clone(),
-                            version: img.version,
-                            doc: img.doc.clone(),
-                            index: None,
-                        },
-                        old_index: None,
-                    }),
-                    caused_by_write_at: img.written_at,
-                    trace: trace.clone(),
-                }))));
-            }
+            ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
+                tenant: group.tenant.clone(),
+                subscriptions: group.subscriptions.keys().copied().collect(),
+                change: OutChange::Write { match_type, image: Arc::clone(img) },
+                caused_by_write_at: img.written_at,
+                trace,
+            }))));
         }
         Some(kind)
     }
@@ -666,8 +648,8 @@ impl MatchingNode {
     ) {
         let now = self.clock.now();
         if let Some(group) = self.queries.get_mut(&(tenant.clone(), query_hash)) {
-            if let Some(sub) = group.subscriptions.get_mut(&subscription) {
-                sub.expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
+            if let Some(expires_at) = group.subscriptions.get_mut(&subscription) {
+                *expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
             }
         }
     }
@@ -677,7 +659,7 @@ impl MatchingNode {
         // TTL enforcement: drop expired subscriptions, then empty groups.
         let indexes = &mut self.indexes;
         self.queries.retain(|(tenant, hash), group| {
-            group.subscriptions.retain(|_, sub| sub.expires_at > now);
+            group.subscriptions.retain(|_, expires_at| *expires_at > now);
             let keep = !group.subscriptions.is_empty();
             if !keep {
                 if let Some(index) = indexes.get_mut(&(tenant.clone(), group.collection.clone())) {
@@ -814,7 +796,7 @@ pub(crate) fn publish_gauge_delta(gauge: &AtomicU64, last: &mut u64, now: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::{doc, MockClock, QuerySpec, SortDirection};
+    use invalidb_common::{doc, MockClock, Notification, QuerySpec, ResultItem, SortDirection};
     use invalidb_stream::{Grouping, Source, TopologyBuilder};
     use parking_lot::Mutex;
     use std::time::Duration;
@@ -903,16 +885,18 @@ mod tests {
         h.out.lock().clone()
     }
 
+    /// Every emitted notification as each of its addressees sees it.
     fn notifications(events: &[Event]) -> Vec<Notification> {
         events
             .iter()
             .filter_map(|e| match e {
                 Event::Out(msg) => match &**msg {
-                    OutMsg::Notify(n) => Some(n.clone()),
+                    OutMsg::Notify(n) => Some(n),
                     _ => None,
                 },
                 _ => None,
             })
+            .flat_map(OutNotify::notifications)
             .collect()
     }
 
@@ -1217,8 +1201,11 @@ mod tests {
         h.tx.send(subscribe_event(spec.clone(), 1, vec![])).unwrap();
         h.tx.send(subscribe_event(spec, 2, vec![])).unwrap();
         h.tx.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 }))).unwrap();
-        let notes = notifications(&wait_events(&h, 2));
-        let subs: std::collections::HashSet<u64> = notes.iter().map(|n| n.subscription.0).collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let events = wait_events(&h, 1);
+        assert_eq!(events.len(), 1, "one message per (write, query), not per subscription");
+        let subs: std::collections::HashSet<u64> =
+            notifications(&events).iter().map(|n| n.subscription.0).collect();
         assert_eq!(subs, std::collections::HashSet::from([1, 2]));
     }
 }

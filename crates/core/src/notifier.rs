@@ -12,10 +12,11 @@ use crate::config::ClusterConfig;
 use crate::event::{Event, OutMsg};
 use invalidb_broker::{notify_topic, BrokerHandle};
 use invalidb_common::{
-    doc, Clock, Notification, NotificationKind, Stage, SubscriptionRequest, TenantId, Timestamp,
+    doc, Clock, EnvelopeRef, ItemRef, KindRef, Stage, SubscriptionRequest, TenantId, Timestamp,
 };
 use invalidb_stream::{Bolt, BoltContext};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The notifier bolt.
@@ -25,34 +26,41 @@ pub struct Notifier {
     clock: Arc<dyn Clock>,
     /// Tenants seen, with the time of their last heartbeat.
     tenants: HashMap<TenantId, Timestamp>,
+    /// `notifier.published`: notifications, i.e. addressed subscriptions.
+    published: Arc<AtomicU64>,
+    /// `notifier.envelopes`: messages put on the event layer for them.
+    envelopes: Arc<AtomicU64>,
 }
 
 impl Notifier {
     /// Creates the notifier.
     pub fn new(broker: BrokerHandle, config: ClusterConfig, clock: Arc<dyn Clock>) -> Self {
-        Self { broker, config, clock, tenants: HashMap::new() }
+        let published = config.metrics.counter("notifier.published");
+        let envelopes = config.metrics.counter("notifier.envelopes");
+        Self { broker, config, clock, tenants: HashMap::new(), published, envelopes }
     }
 
-    fn publish(&self, notification: &Notification) {
-        self.config.metrics.inc("notifier.published");
+    /// Serializes one envelope straight from its borrowed parts and
+    /// publishes it once, whatever the number of addressees.
+    fn publish(&mut self, envelope: EnvelopeRef<'_>) {
+        self.remember(envelope.tenant);
+        self.published.fetch_add(envelope.subscriptions.len() as u64, Ordering::Relaxed);
+        self.envelopes.fetch_add(1, Ordering::Relaxed);
         // Traced notifications get the notifier stamp right before they are
-        // serialized onto the event layer; the clone only happens for
-        // sampled traces.
-        if notification.trace.is_some() {
-            let mut stamped = notification.clone();
-            if let Some(trace) = stamped.trace.as_mut() {
-                trace.stamp(Stage::Notifier);
-            }
-            let payload = self.config.wire_codec.encode(&stamped.to_document());
-            self.broker.publish(&notify_topic(&stamped.tenant.0), payload);
-            return;
-        }
-        let payload = self.config.wire_codec.encode(&notification.to_document());
-        self.broker.publish(&notify_topic(&notification.tenant.0), payload);
+        // serialized onto the event layer; only the trace is copied for it,
+        // and only for sampled writes.
+        let stamped = envelope.trace.cloned().map(|mut trace| {
+            trace.stamp(Stage::Notifier);
+            trace
+        });
+        let envelope = EnvelopeRef { trace: stamped.as_ref(), ..envelope };
+        let mut payload = self.config.wire_codec.writer();
+        envelope.write_to(&mut payload);
+        self.broker.publish(&notify_topic(&envelope.tenant.0), payload.finish());
     }
 
     fn initial_result(&mut self, req: &SubscriptionRequest) {
-        self.remember(req.tenant.clone());
+        self.remember(&req.tenant);
         if req.renewal {
             // Silent re-registration (failover replay): the client already
             // holds a live result, so re-emitting the cached bootstrap
@@ -75,23 +83,22 @@ impl Notifier {
             .skip(skip)
             .take(take)
             .enumerate()
-            .map(|(i, item)| {
-                let mut item = item.clone();
-                item.index = sorted.then_some(i as u64);
-                item
-            })
+            .map(|(i, item)| ItemRef { index: sorted.then_some(i as u64), ..ItemRef::from(item) })
             .collect();
-        self.publish(&Notification {
-            tenant: req.tenant.clone(),
-            subscription: req.subscription,
-            kind: NotificationKind::InitialResult { items },
+        self.publish(EnvelopeRef {
+            tenant: &req.tenant,
+            subscriptions: &[req.subscription],
+            kind: KindRef::Initial(items),
             caused_by_write_at: 0,
             trace: None,
         });
     }
 
-    fn remember(&mut self, tenant: TenantId) {
-        self.tenants.entry(tenant).or_insert_with(|| self.clock.now());
+    /// Adds the tenant to the heartbeat round on first sight.
+    fn remember(&mut self, tenant: &TenantId) {
+        if !self.tenants.contains_key(tenant) {
+            self.tenants.insert(tenant.clone(), self.clock.now());
+        }
     }
 
     fn heartbeat(&mut self) {
@@ -115,10 +122,7 @@ impl Bolt<Event> for Notifier {
         match input {
             Event::Subscribe(req) => self.initial_result(&req),
             Event::Out(msg) => match &*msg {
-                OutMsg::Notify(n) => {
-                    self.remember(n.tenant.clone());
-                    self.publish(n);
-                }
+                OutMsg::Notify(n) => self.publish(n.envelope()),
                 OutMsg::Heartbeat { tenant } => {
                     let payload = self.config.wire_codec.encode(&doc! {
                         "type" => "heartbeat",

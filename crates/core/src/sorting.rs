@@ -7,23 +7,18 @@
 //! (`changeIndex`), boundary crossings, and maintenance errors.
 
 use crate::config::ClusterConfig;
-use crate::event::{Event, FilterChange, OutMsg};
+use crate::event::{Event, FilterChange, OutChange, OutMsg, OutNotify};
 use crate::window::{apply_events, SortedWindow, VisibleEvent, WindowItem};
 use invalidb_common::{
-    ChangeItem, Clock, MaintenanceError, MatchType, Notification, NotificationKind, QueryHash,
-    ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext,
+    ChangeItem, Clock, MaintenanceError, MatchType, NotificationKind, QueryHash, ResultItem, Stage,
+    SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext,
 };
 use invalidb_obs::SlowQueryScratch;
 use invalidb_query::PreparedQuery;
 use invalidb_stream::{Bolt, BoltContext};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-
-struct SubState {
-    tenant: TenantId,
-    expires_at: Timestamp,
-}
 
 struct SortGroup {
     /// Human-readable rendering of the query spec, captured at subscribe
@@ -44,8 +39,9 @@ struct SortGroup {
     /// would freeze its key at the snapshot's state forever; instead it
     /// is replayed — version-guarded — right after the reseed.
     pending: Vec<Arc<FilterChange>>,
-    slack: u64,
-    subscriptions: HashMap<SubscriptionId, SubState>,
+    /// The query's subscriptions, each with its TTL deadline. Ordered, so
+    /// that notifications address them in one stable order.
+    subscriptions: BTreeMap<SubscriptionId, Timestamp>,
 }
 
 /// Bound on buffered filter changes per deactivated query. On overflow
@@ -107,18 +103,14 @@ impl SortingNode {
         let expires_at = now.after(std::time::Duration::from_micros(req.ttl_micros));
         let group_key = (req.tenant.clone(), req.query_hash);
         if let Some(group) = self.groups.get_mut(&group_key) {
-            group
-                .subscriptions
-                .insert(req.subscription, SubState { tenant: req.tenant.clone(), expires_at });
+            group.subscriptions.insert(req.subscription, expires_at);
             if group.active {
                 // Late joiner: its initial result (fresh from the database)
                 // may differ from the group's maintained window. Send the
                 // correction delta to this subscription only.
                 let fresh = SortedWindow::new(Arc::clone(&group.prepared), req.slack, &req.initial);
-                let delta = crate::window::diff_visible(fresh.visible(), &group.client_state);
-                let tenant = req.tenant.clone();
-                for ev in &delta {
-                    ctx.emit(to_notification_event(&tenant, req.subscription, ev, 0, None));
+                for ev in crate::window::diff_visible(fresh.visible(), &group.client_state) {
+                    ctx.emit(notify_event(&req.tenant, vec![req.subscription], ev, 0, None));
                 }
             } else {
                 // Renewal: re-seed from the fresh result. On the wire a
@@ -129,7 +121,6 @@ impl SortingNode {
                 // would corrupt the client's list.
                 let _ = group.window.reseed(req.slack, &req.initial, &group.client_state);
                 group.active = true;
-                group.slack = req.slack;
                 group.client_state = group.window.snapshot_visible();
                 // Replay changes buffered while deactivated. Per-key FIFO
                 // order is preserved, and the window's version guard drops
@@ -160,8 +151,6 @@ impl SortingNode {
         };
         let window = SortedWindow::new(Arc::clone(&prepared), req.slack, &req.initial);
         let client_state = window.snapshot_visible();
-        let mut subscriptions = HashMap::new();
-        subscriptions.insert(req.subscription, SubState { tenant: req.tenant.clone(), expires_at });
         self.groups.insert(
             group_key,
             SortGroup {
@@ -171,8 +160,7 @@ impl SortingNode {
                 client_state,
                 active: true,
                 pending: Vec::new(),
-                slack: req.slack,
-                subscriptions,
+                subscriptions: BTreeMap::from([(req.subscription, expires_at)]),
             },
         );
     }
@@ -228,15 +216,13 @@ impl SortingNode {
             group.active = false;
             *maintenance_errors += 1;
             config.metrics.inc("sorting.maintenance_errors");
-            for (sub, state) in &group.subscriptions {
-                ctx.emit(Event::Out(Arc::new(OutMsg::Notify(Notification {
-                    tenant: state.tenant.clone(),
-                    subscription: *sub,
-                    kind: NotificationKind::Error(MaintenanceError { reason: reason.clone() }),
-                    caused_by_write_at: fc.written_at,
-                    trace: trace.clone(),
-                }))));
-            }
+            ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
+                tenant: fc.tenant.clone(),
+                subscriptions: group.subscriptions.keys().copied().collect(),
+                change: OutChange::Kind(NotificationKind::Error(MaintenanceError { reason })),
+                caused_by_write_at: fc.written_at,
+                trace,
+            }))));
             slow_scratch.charge(
                 &fc.tenant.0,
                 fc.query_hash.0,
@@ -245,29 +231,19 @@ impl SortingNode {
             );
             return;
         }
-        Self::broadcast(group, &outcome.events, fc.written_at, trace.as_ref(), ctx);
         apply_events(&mut group.client_state, &outcome.events);
+        // One message per edit for the whole group: every member holds the
+        // same list, so every member gets the same script.
+        for ev in outcome.events {
+            let subscriptions = group.subscriptions.keys().copied().collect();
+            ctx.emit(notify_event(&fc.tenant, subscriptions, ev, fc.written_at, trace.clone()));
+        }
         slow_scratch.charge(
             &fc.tenant.0,
             fc.query_hash.0,
             || group.spec_display.clone(),
             started.elapsed().as_micros() as u64,
         );
-    }
-
-    fn broadcast(
-        group: &SortGroup,
-        events: &[VisibleEvent],
-        written_at: u64,
-        trace: Option<&TraceContext>,
-        ctx: &mut BoltContext<'_, Event>,
-    ) {
-        for ev in events {
-            for (sub, state) in &group.subscriptions {
-                ctx.emit(to_notification_event(&state.tenant, *sub, ev, written_at, trace));
-            }
-        }
-        let _ = &group.slack;
     }
 
     fn handle_unsubscribe(
@@ -293,8 +269,8 @@ impl SortingNode {
     ) {
         let now = self.clock.now();
         if let Some(group) = self.groups.get_mut(&(tenant.clone(), query_hash)) {
-            if let Some(sub) = group.subscriptions.get_mut(&subscription) {
-                sub.expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
+            if let Some(expires_at) = group.subscriptions.get_mut(&subscription) {
+                *expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
             }
         }
     }
@@ -302,63 +278,51 @@ impl SortingNode {
     fn expire(&mut self) {
         let now = self.clock.now();
         self.groups.retain(|_, group| {
-            group.subscriptions.retain(|_, sub| sub.expires_at > now);
+            group.subscriptions.retain(|_, expires_at| *expires_at > now);
             !group.subscriptions.is_empty()
         });
     }
 }
 
-/// Converts a window edit-script event into a per-subscription notification.
-fn to_notification_event(
+/// Turns a window edit into the notification announcing it to
+/// `subscriptions`; the edit's item moves into the message.
+fn notify_event(
     tenant: &TenantId,
-    subscription: SubscriptionId,
-    ev: &VisibleEvent,
+    subscriptions: Vec<SubscriptionId>,
+    ev: VisibleEvent,
     written_at: u64,
-    trace: Option<&TraceContext>,
+    trace: Option<TraceContext>,
 ) -> Event {
-    let kind = match ev {
-        VisibleEvent::Add { item, index } => NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Add,
-            item: ResultItem {
-                key: item.key.clone(),
-                version: item.version,
-                doc: Some(item.doc.clone()),
-                index: Some(*index as u64),
-            },
-            old_index: None,
-        }),
-        VisibleEvent::Change { item, index } => NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Change,
-            item: ResultItem {
-                key: item.key.clone(),
-                version: item.version,
-                doc: Some(item.doc.clone()),
-                index: Some(*index as u64),
-            },
-            old_index: None,
-        }),
-        VisibleEvent::ChangeIndex { item, old_index, index } => NotificationKind::Change(ChangeItem {
-            match_type: MatchType::ChangeIndex,
-            item: ResultItem {
-                key: item.key.clone(),
-                version: item.version,
-                doc: Some(item.doc.clone()),
-                index: Some(*index as u64),
-            },
-            old_index: Some(*old_index as u64),
-        }),
-        VisibleEvent::Remove { key, version, old_index } => NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Remove,
-            item: ResultItem { key: key.clone(), version: *version, doc: None, index: None },
-            old_index: Some(*old_index as u64),
-        }),
+    let indexed = |item: WindowItem, index: usize| ResultItem {
+        key: item.key,
+        version: item.version,
+        doc: Some(item.doc),
+        index: Some(index as u64),
     };
-    Event::Out(Arc::new(OutMsg::Notify(Notification {
+    let change = match ev {
+        VisibleEvent::Add { item, index } => {
+            ChangeItem { match_type: MatchType::Add, item: indexed(item, index), old_index: None }
+        }
+        VisibleEvent::Change { item, index } => {
+            ChangeItem { match_type: MatchType::Change, item: indexed(item, index), old_index: None }
+        }
+        VisibleEvent::ChangeIndex { item, old_index, index } => ChangeItem {
+            match_type: MatchType::ChangeIndex,
+            item: indexed(item, index),
+            old_index: Some(old_index as u64),
+        },
+        VisibleEvent::Remove { key, version, old_index } => ChangeItem {
+            match_type: MatchType::Remove,
+            item: ResultItem { key, version, doc: None, index: None },
+            old_index: Some(old_index as u64),
+        },
+    };
+    Event::Out(Arc::new(OutMsg::Notify(OutNotify {
         tenant: tenant.clone(),
-        subscription,
-        kind,
+        subscriptions,
+        change: OutChange::Kind(NotificationKind::Change(change)),
         caused_by_write_at: written_at,
-        trace: trace.cloned(),
+        trace,
     })))
 }
 
@@ -393,7 +357,9 @@ impl Bolt<Event> for SortingNode {
 mod tests {
     use super::*;
     use crate::event::FilterChangeKind;
-    use invalidb_common::{doc, Document, Key, MatchType, MockClock, QuerySpec, SortDirection};
+    use invalidb_common::{
+        doc, Document, Key, MatchType, MockClock, Notification, QuerySpec, SortDirection,
+    };
     use invalidb_stream::{Grouping, Source, TopologyBuilder};
     use parking_lot::Mutex;
     use std::time::Duration;
@@ -481,24 +447,29 @@ mod tests {
         }
     }
 
+    /// Waits for `n` notifications, counted as their addressees see them.
     fn notifications(h: &Harness, n: usize) -> Vec<Notification> {
+        let mut seen = Vec::new();
         for _ in 0..400 {
-            if h.out.lock().len() >= n {
+            seen = h
+                .out
+                .lock()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Out(msg) => match &**msg {
+                        OutMsg::Notify(note) => Some(note),
+                        _ => None,
+                    },
+                    _ => None,
+                })
+                .flat_map(OutNotify::notifications)
+                .collect();
+            if seen.len() >= n {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        h.out
-            .lock()
-            .iter()
-            .filter_map(|e| match e {
-                Event::Out(msg) => match &**msg {
-                    OutMsg::Notify(note) => Some(note.clone()),
-                    _ => None,
-                },
-                _ => None,
-            })
-            .collect()
+        seen
     }
 
     /// Regression test for the inactive-discard race: a filter change that

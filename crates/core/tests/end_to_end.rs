@@ -5,7 +5,7 @@ use bytes::Bytes;
 use invalidb_broker::{notify_topic, Broker, CLUSTER_TOPIC};
 use invalidb_common::{
     doc, AfterImage, ClusterMessage, Document, Key, MatchType, Notification, NotificationKind,
-    QuerySpec, ResultItem, SortDirection, SubscriptionId, SubscriptionRequest, TenantId,
+    NotifyEnvelope, QuerySpec, ResultItem, SortDirection, SubscriptionId, SubscriptionRequest, TenantId,
 };
 use invalidb_core::{Cluster, ClusterConfig};
 use std::time::Duration;
@@ -41,12 +41,14 @@ fn write_msg(collection: &str, key: Key, version: u64, doc: Option<Document>) ->
     })
 }
 
-fn decode(payload: Bytes) -> Option<Notification> {
-    let d = invalidb_json::payload_to_document(&payload).ok()?;
-    if d.get("type").and_then(|v| v.as_str()) == Some("heartbeat") {
-        return None;
-    }
-    Notification::from_document(&d).ok()
+/// One notify-topic payload as its addressees see it: nothing for a
+/// heartbeat, one notification per addressed subscription for an envelope.
+fn decode(payload: Bytes) -> Vec<Notification> {
+    invalidb_json::payload_to_document(&payload)
+        .ok()
+        .and_then(|d| NotifyEnvelope::from_document(d).ok())
+        .map(NotifyEnvelope::into_notifications)
+        .unwrap_or_default()
 }
 
 /// Collects `n` non-heartbeat notifications (with timeout).
@@ -55,9 +57,7 @@ fn collect(sub: &invalidb_broker::Subscription, n: usize) -> Vec<Notification> {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while out.len() < n && std::time::Instant::now() < deadline {
         if let Some(payload) = sub.recv_timeout(Duration::from_millis(100)) {
-            if let Some(n) = decode(payload) {
-                out.push(n);
-            }
+            out.extend(decode(payload));
         }
     }
     out
@@ -103,9 +103,7 @@ fn unsorted_query_full_roundtrip_on_2x2_grid() {
 fn collect_available(sub: &invalidb_broker::Subscription) -> Vec<Notification> {
     let mut out = Vec::new();
     while let Some(p) = sub.try_recv() {
-        if let Some(n) = decode(p) {
-            out.push(n);
-        }
+        out.extend(decode(p));
     }
     out
 }
@@ -429,9 +427,9 @@ fn batched_writes_notify_byte_identically_to_serial() {
             while idle < 8 {
                 match notify.recv_timeout(Duration::from_millis(100)) {
                     Some(p) => {
-                        if let Some(n) = decode(p.clone()) {
+                        for n in decode(p.clone()) {
                             idle = 0;
-                            out.entry(n.subscription.0).or_default().push(p);
+                            out.entry(n.subscription.0).or_default().push(p.clone());
                         }
                     }
                     None => idle += 1,
@@ -526,7 +524,7 @@ fn query_index_is_transparent() {
         while idle < 8 {
             match notify.recv_timeout(Duration::from_millis(100)) {
                 Some(p) => {
-                    if let Some(n) = decode(p) {
+                    for n in decode(p) {
                         idle = 0;
                         if let NotificationKind::Change(c) = &n.kind {
                             out.push(format!(
@@ -645,7 +643,7 @@ fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
         while idle < 8 {
             match notify.recv_timeout(Duration::from_millis(100)) {
                 Some(p) => {
-                    if let Some(n) = decode(p) {
+                    for n in decode(p) {
                         idle = 0;
                         if let NotificationKind::Change(c) = &n.kind {
                             out.push(format!(

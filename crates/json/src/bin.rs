@@ -124,7 +124,7 @@ pub fn encode_value_into(value: &Value, out: &mut Vec<u8>) {
     }
 }
 
-fn encode_object_body(doc: &Document, out: &mut Vec<u8>) {
+pub(crate) fn encode_object_body(doc: &Document, out: &mut Vec<u8>) {
     put_varint(out, doc.len() as u64);
     for (key, value) in doc.iter() {
         put_varint(out, key.len() as u64);
@@ -133,7 +133,7 @@ fn encode_object_body(doc: &Document, out: &mut Vec<u8>) {
     }
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;

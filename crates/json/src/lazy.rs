@@ -497,10 +497,10 @@ impl<'a> PayloadView<'a> {
 
     /// Decodes the full payload into an owned [`Document`] — exactly what
     /// [`payload_to_document`](crate::payload_to_document) returns.
-    pub fn to_document(&self) -> Result<Document, JsonError> {
+    pub fn into_document(self) -> Result<Document, JsonError> {
         match self {
             PayloadView::Binary(lazy) => lazy.materialize().map_err(JsonError::from),
-            PayloadView::Json(doc) => Ok(doc.clone()),
+            PayloadView::Json(doc) => Ok(doc),
         }
     }
 }
@@ -605,7 +605,7 @@ mod tests {
             assert_eq!(view.get_path("op").unwrap(), Some(Value::from("write")));
             assert_eq!(view.get_path("doc.n").unwrap(), Some(Value::Int(1)));
             assert_eq!(view.get_path("doc.m").unwrap(), None);
-            assert_eq!(view.to_document().unwrap(), d);
+            assert_eq!(view.into_document().unwrap(), d);
         }
     }
 }

@@ -31,12 +31,14 @@ mod error;
 pub mod lazy;
 mod parse;
 mod ser;
+mod writer;
 
 pub use bin::{BinError, BinErrorKind};
 pub use lazy::{LazyArray, LazyDoc, LazyObject, LazyValue, PayloadView};
 pub use error::{JsonError, JsonErrorKind};
 pub use parse::{parse_document, parse_value, Parser};
 pub use ser::{to_bytes, to_string, write_document, write_value};
+pub use writer::PayloadWriter;
 
 use bytes::Bytes;
 use invalidb_common::Document;
@@ -60,6 +62,12 @@ impl WireCodec {
             WireCodec::Json => document_to_payload(doc),
             WireCodec::Binary => document_to_binary_payload(doc),
         }
+    }
+
+    /// A writer producing a payload in this codec field by field, for a
+    /// message that should not be copied into a [`Document`] first.
+    pub fn writer(&self) -> PayloadWriter {
+        PayloadWriter::new(*self)
     }
 }
 

@@ -16,8 +16,9 @@
 //! * `*.connected` (gauge, 0/1) — transport link state.
 //! * `*.queue_depth` (gauge) — send-queue and stage-input saturation.
 //! * `*.ingest_lag_us` (gauge) — how far matching trails the write stream.
-//! * `*.dropped`, `*.decode_errors` (counters) — evaluated as deltas
-//!   between consecutive evaluations, so old incidents age out.
+//! * `*.dropped`, `*decode_errors` (counters; `ingress.decode_errors`,
+//!   `appserver.notify_decode_errors`, ...) — evaluated as deltas between
+//!   consecutive evaluations, so old incidents age out.
 
 use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::snapshot::MetricsSnapshot;
@@ -81,7 +82,7 @@ pub enum HealthCauseKind {
     /// (`*.dropped` delta).
     QueueDrops,
     /// Frames failed to decode since the last evaluation
-    /// (`*.decode_errors` delta).
+    /// (`*decode_errors` delta).
     DecodeErrors,
     /// Grid cells are currently not assigned to any live worker
     /// (`*.cells_unassigned` gauge): writes for those cells are not being
@@ -338,7 +339,7 @@ impl HealthMonitor {
         for (name, &v) in &snap.counters {
             let (kind, threshold) = if name.ends_with(".dropped") {
                 (HealthCauseKind::QueueDrops, p.drops_degraded)
-            } else if name.ends_with(".decode_errors") {
+            } else if name.ends_with("decode_errors") {
                 (HealthCauseKind::DecodeErrors, p.decode_errors_degraded)
             } else {
                 continue;
@@ -405,6 +406,16 @@ mod tests {
         assert_eq!(r.causes[0].value, 3);
         // No new drops: incident ages out.
         assert_eq!(m.evaluate(&snap).status, HealthStatus::Healthy);
+        // Decode errors follow the same rule, whatever prefixes the name.
+        for name in ["ingress.decode_errors", "appserver.notify_decode_errors"] {
+            snap.counters.insert(name.into(), 0);
+            assert_eq!(m.evaluate(&snap).status, HealthStatus::Healthy);
+            snap.counters.insert(name.into(), 1);
+            let r = m.evaluate(&snap);
+            assert_eq!(r.status, HealthStatus::Degraded, "{name}");
+            assert_eq!(r.causes[0].kind, HealthCauseKind::DecodeErrors);
+            assert_eq!(m.evaluate(&snap).status, HealthStatus::Healthy);
+        }
     }
 
     #[test]

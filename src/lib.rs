@@ -95,8 +95,9 @@ pub use invalidb_client::{
     AppServer, AppServerConfig, AppServerConfigBuilder, ClientEvent, Error, Events, Subscription,
 };
 pub use invalidb_common::{
-    doc, AfterImage, ChangeItem, Document, Key, MatchType, Notification, NotificationKind, QueryHash,
-    QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId, TenantId, TraceContext, Value, Version,
+    doc, AfterImage, ChangeItem, Document, Key, MatchType, Notification, NotificationKind,
+    NotifyEnvelope, QueryHash, QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId, TenantId,
+    TraceContext, Value, Version,
 };
 pub use invalidb_core::{Cluster, ClusterConfig, ClusterConfigBuilder};
 pub use invalidb_obs::{

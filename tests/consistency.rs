@@ -176,9 +176,10 @@ fn stale_after_images_never_resurrect_deleted_records() {
             if d.get("type").and_then(|v| v.as_str()) == Some("heartbeat") {
                 continue;
             }
-            let n = invalidb::Notification::from_document(&d).unwrap();
-            if let invalidb::NotificationKind::Change(c) = n.kind {
-                kinds.push(c.match_type);
+            for n in invalidb::NotifyEnvelope::from_document(d).unwrap().into_notifications() {
+                if let invalidb::NotificationKind::Change(c) = n.kind {
+                    kinds.push(c.match_type);
+                }
             }
         }
     }
