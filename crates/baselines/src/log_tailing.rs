@@ -145,7 +145,7 @@ fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> b
                     item: ResultItem {
                         key: entry.key.clone(),
                         version: entry.version,
-                        doc: if matches { entry.doc.clone() } else { None },
+                        doc: if matches { entry.doc.as_deref().cloned() } else { None },
                         index: None,
                     },
                     old_index: None,
@@ -153,7 +153,7 @@ fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> b
                 .is_ok()
         }
         SubState::Sorted { window, client } => {
-            let outcome = window.apply(&entry.key, entry.version, entry.doc.as_ref());
+            let outcome = window.apply(&entry.key, entry.version, entry.doc.as_deref());
             let events = if outcome.error.is_some() {
                 // Co-located with the store: renew immediately (no broker
                 // hop, no rate limit — one of log tailing's few perks). The

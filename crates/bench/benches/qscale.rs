@@ -2,25 +2,24 @@
 //! grows from 1k to 100k, across filter-shape mixes that stress different
 //! parts of the multi-query index:
 //!
-//! - `unique_ranges`      — every subscription has its own two-sided range
-//!                          (the paper's workload; indexable before and after
-//!                          this PR, so both modes stay flat).
-//! - `shared_conjunctions`— conjunctive filters drawn from a bounded pool of
-//!                          status × price-bound combinations. The pre-PR
-//!                          planner cannot index a conjunction at all and
-//!                          falls back to scanning every distinct filter per
-//!                          write; the new planner anchors each query under
-//!                          its equality lane and memoizes shared atoms.
-//! - `duplicated_filters` — many subscriptions over a small pool of textually
-//!                          identical filters. Both modes dedup by query hash,
-//!                          so this measures cost per *distinct* filter.
-//! - `mixed`              — one third of each.
+//! - `unique_ranges` — every subscription has its own two-sided range (the
+//!   paper's workload; indexable before and after this PR, so both modes
+//!   stay flat).
+//! - `shared_conjunctions` — conjunctive filters drawn from a bounded pool
+//!   of status × price-bound combinations. The pre-PR planner cannot index
+//!   a conjunction at all and falls back to scanning every distinct filter
+//!   per write; the new planner anchors each query under its equality lane
+//!   and memoizes shared atoms.
+//! - `duplicated_filters` — many subscriptions over a small pool of
+//!   textually identical filters. Both modes dedup by query hash, so this
+//!   measures cost per *distinct* filter.
+//! - `mixed` — one third of each.
 //!
 //! Two modes per (shape, Q) cell:
-//! - `new`  — `IndexOptions::default()` (eq lanes + conjunctive anchoring)
-//!            with per-write shared predicate evaluation via `conjuncts()`.
-//! - `pre`  — `IndexOptions::legacy()` (the pre-PR single-range planner) with
-//!            whole-query `matches()` per candidate, i.e. the old path.
+//! - `new` — `IndexOptions::default()` (eq lanes + conjunctive anchoring)
+//!   with per-write shared predicate evaluation via `conjuncts()`.
+//! - `pre` — `IndexOptions::legacy()` (the pre-PR single-range planner) with
+//!   whole-query `matches()` per candidate, i.e. the old path.
 //!
 //! Writes `BENCH_qscale.json` (validated by `examples/bench_check.rs`).
 //! `INVALIDB_BENCH_SCALE` scales the query counts; 0 runs a smoke pass.
@@ -55,8 +54,8 @@ impl Rng {
     }
 }
 
-/// The i-th filter of a shape, for a target population of `q` queries.
-fn filter_for(shape: &str, i: usize, q: usize) -> Document {
+/// The i-th filter of a shape.
+fn filter_for(shape: &str, i: usize) -> Document {
     match shape {
         // Distinct two-sided ranges over a domain that grows with Q, so each
         // write stabs a roughly constant number of windows at any scale.
@@ -78,11 +77,9 @@ fn filter_for(shape: &str, i: usize, q: usize) -> Document {
             let bound = (((i / 16) % 4) as i64) * 25;
             doc! { "tag" => tag, "qty" => doc! { "$gte" => bound } }
         }
-        "mixed" => filter_for(
-            ["unique_ranges", "shared_conjunctions", "duplicated_filters"][i % 3],
-            i / 3,
-            q / 3,
-        ),
+        "mixed" => {
+            filter_for(["unique_ranges", "shared_conjunctions", "duplicated_filters"][i % 3], i / 3)
+        }
         _ => unreachable!("unknown shape {shape}"),
     }
 }
@@ -114,7 +111,7 @@ fn run_cell(shape: &'static str, q: usize) -> Cell {
     let mut seen: HashSet<FilterHash> = HashSet::new();
     let mut filters: Vec<Document> = Vec::new();
     for i in 0..q {
-        let f = filter_for(shape, i, q);
+        let f = filter_for(shape, i);
         if seen.insert(filter_hash(&decompose(&f))) {
             filters.push(f);
         }
@@ -252,7 +249,7 @@ fn main() {
         }));
     }
 
-    let top = cells.iter().filter(|c| c.shape == "mixed").last().unwrap();
+    let top = cells.iter().rfind(|c| c.shape == "mixed").unwrap();
     let improvement = top.pre_us / top.new_us.max(1e-9);
     println!();
     println!(

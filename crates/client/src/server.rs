@@ -5,11 +5,13 @@ use crate::rate::TokenBucket;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use invalidb_broker::{notify_topic, BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::{
-    AfterImage, ChangeItem, ClusterMessage, ConfigError, Document, Key, NotificationKind,
-    NotifyEnvelope, QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest,
-    TenantId, TraceContext,
+    ChangeItem, ClusterMessage, ConfigError, Document, Key, NotificationKind, NotifyEnvelope,
+    QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId,
+    TraceContext, WriteRef,
 };
-use invalidb_obs::{AdminConfig, AdminServer, FlightEventKind, MetricsRegistry, MetricsSnapshot};
+use invalidb_obs::{
+    AdminConfig, AdminServer, FlightEventKind, MetricsRegistry, MetricsSnapshot, StalenessRecorder,
+};
 use invalidb_query::normalize_spec;
 use invalidb_store::{Store, UpdateSpec, WriteResult};
 use parking_lot::Mutex;
@@ -463,16 +465,21 @@ impl AppServer {
     }
 
     fn forward(&self, collection: &str, w: &WriteResult) {
-        let msg = ClusterMessage::Write(AfterImage {
-            tenant: self.tenant.clone(),
-            collection: collection.to_owned(),
-            key: w.key.clone(),
+        // The envelope is written in one pass from the parts at hand: the
+        // after-image is the store's own copy, borrowed.
+        let trace = self.next_trace();
+        let mut payload = self.config.wire_codec.writer();
+        WriteRef {
+            tenant: &self.tenant,
+            collection,
+            key: &w.key,
             version: w.version,
-            doc: w.doc.clone(),
+            doc: w.doc.as_deref(),
             written_at: now_micros(),
-            trace: self.next_trace(),
-        });
-        let payload = self.config.wire_codec.encode(&msg.to_document());
+            trace: trace.as_ref(),
+        }
+        .write_to(&mut payload);
+        let payload = payload.finish();
         if self.config.write_replay_buffer > 0 {
             let mut ring = self.shared.write_ring.lock();
             if ring.len() >= self.config.write_replay_buffer {
@@ -850,7 +857,8 @@ impl AppServer {
 struct Dispatcher {
     shared: Arc<Shared>,
     metrics: MetricsRegistry,
-    tenant: String,
+    /// The tenant's `slo.<tenant>.staleness_us` histogram, resolved once.
+    staleness: StalenessRecorder,
     /// `appserver.events_delivered`: one per delivered subscription.
     delivered: Arc<AtomicU64>,
     /// `appserver.notify_decode_errors`: payloads that are no envelope.
@@ -868,7 +876,7 @@ impl Dispatcher {
         Self {
             shared,
             metrics: metrics.clone(),
-            tenant: tenant.0.clone(),
+            staleness: metrics.staleness(&tenant.0),
             delivered: metrics.counter("appserver.events_delivered"),
             decode_errors: metrics.counter("appserver.notify_decode_errors"),
             unknown_subscription: metrics.counter("appserver.notify_unknown_subscription"),
@@ -945,7 +953,7 @@ impl Dispatcher {
             // every delivered change (not just sampled traces).
             // Skew-guarded inside the registry.
             if caused_by_write_at > 0 {
-                self.metrics.record_staleness(&self.tenant, caused_by_write_at);
+                self.staleness.record(caused_by_write_at);
             }
             let mut trace = trace.clone();
             if let Some(t) = trace.as_mut() {

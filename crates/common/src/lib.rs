@@ -33,7 +33,7 @@ pub use document::Document;
 pub use grid::{GridCoord, GridShape};
 pub use hist::Histogram;
 pub use id::{Key, QueryHash, SubscriptionId, TenantId};
-pub use msg::{AfterImage, ClusterMessage, SubscriptionRequest};
+pub use msg::{AfterImage, ClusterMessage, SubscriptionRequest, WriteRef};
 pub use notify::{
     ChangeItem, EnvelopeRef, ItemRef, KindRef, MaintenanceError, MatchType, Notification,
     NotificationKind, NotifyEnvelope, ResultItem,

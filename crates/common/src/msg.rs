@@ -9,6 +9,7 @@ use crate::notify::ResultItem;
 use crate::query_spec::{QuerySpec, SpecError};
 use crate::trace::TraceContext;
 use crate::value::Value;
+use crate::write::{DocumentBuilder, FieldWriter};
 use crate::Version;
 
 /// Fully specified representation of a written entity (§5): the complete
@@ -38,6 +39,77 @@ impl AfterImage {
     /// True if this after-image encodes a delete.
     pub fn is_delete(&self) -> bool {
         self.doc.is_none()
+    }
+
+    /// The borrowed form, for encoding.
+    pub fn as_ref(&self) -> WriteRef<'_> {
+        WriteRef {
+            tenant: &self.tenant,
+            collection: &self.collection,
+            key: &self.key,
+            version: self.version,
+            doc: self.doc.as_ref(),
+            written_at: self.written_at,
+            trace: self.trace.as_ref(),
+        }
+    }
+}
+
+/// A write envelope ([`ClusterMessage::Write`]) assembled from borrowed
+/// parts: what an application server serializes, so that an after-image is
+/// never copied on its way to the wire. The mirror image of
+/// [`crate::EnvelopeRef`] on the way in.
+#[derive(Debug, Clone, Copy)]
+pub struct WriteRef<'a> {
+    /// See [`AfterImage::tenant`].
+    pub tenant: &'a TenantId,
+    /// See [`AfterImage::collection`].
+    pub collection: &'a str,
+    /// See [`AfterImage::key`].
+    pub key: &'a Key,
+    /// See [`AfterImage::version`].
+    pub version: Version,
+    /// See [`AfterImage::doc`].
+    pub doc: Option<&'a Document>,
+    /// See [`AfterImage::written_at`].
+    pub written_at: u64,
+    /// See [`AfterImage::trace`].
+    pub trace: Option<&'a TraceContext>,
+}
+
+impl WriteRef<'_> {
+    /// Writes the envelope — the one place its layout is written down.
+    pub fn write_to(&self, w: &mut impl FieldWriter) {
+        w.begin_object(7 + usize::from(self.trace.is_some()));
+        w.key("op");
+        w.str("write");
+        w.key("tenant");
+        w.str(&self.tenant.0);
+        w.key("collection");
+        w.str(self.collection);
+        w.key("key");
+        w.value(&self.key.0);
+        w.key("version");
+        w.int(self.version as i64);
+        w.key("writtenAt");
+        w.int(self.written_at as i64);
+        w.key("doc");
+        match self.doc {
+            Some(doc) => w.document(doc),
+            None => w.value(&Value::Null),
+        }
+        if let Some(trace) = self.trace {
+            w.key("trace");
+            w.document(&trace.to_document());
+        }
+        w.end_object();
+    }
+
+    /// The envelope as an owned document.
+    pub fn to_document(&self) -> Document {
+        let mut builder = DocumentBuilder::new();
+        self.write_to(&mut builder);
+        builder.finish()
     }
 }
 
@@ -104,9 +176,10 @@ pub enum ClusterMessage {
 impl ClusterMessage {
     /// Encodes the message as a document for the event layer.
     pub fn to_document(&self) -> Document {
-        let mut d = Document::with_capacity(8);
         match self {
+            ClusterMessage::Write(img) => img.as_ref().to_document(),
             ClusterMessage::Subscribe(req) => {
+                let mut d = Document::with_capacity(9);
                 d.insert("op", "subscribe");
                 d.insert("tenant", req.tenant.0.clone());
                 d.insert("subscription", req.subscription.0 as i64);
@@ -123,37 +196,26 @@ impl ClusterMessage {
                         req.initial.iter().map(|i| Value::Object(result_item_to_doc(i))).collect(),
                     ),
                 );
+                d
             }
             ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
+                let mut d = Document::with_capacity(4);
                 d.insert("op", "unsubscribe");
                 d.insert("tenant", tenant.0.clone());
                 d.insert("subscription", subscription.0 as i64);
                 d.insert("queryHash", query_hash.0 as i64);
+                d
             }
             ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
+                let mut d = Document::with_capacity(5);
                 d.insert("op", "extendTtl");
                 d.insert("tenant", tenant.0.clone());
                 d.insert("subscription", subscription.0 as i64);
                 d.insert("queryHash", query_hash.0 as i64);
                 d.insert("ttl", *ttl_micros as i64);
-            }
-            ClusterMessage::Write(img) => {
-                d.insert("op", "write");
-                d.insert("tenant", img.tenant.0.clone());
-                d.insert("collection", img.collection.clone());
-                d.insert("key", img.key.0.clone());
-                d.insert("version", img.version as i64);
-                d.insert("writtenAt", img.written_at as i64);
-                match &img.doc {
-                    Some(doc) => d.insert("doc", doc.clone()),
-                    None => d.insert("doc", Value::Null),
-                };
-                if let Some(trace) = &img.trace {
-                    d.insert("trace", trace.to_document());
-                }
+                d
             }
         }
-        d
     }
 
     /// Decodes a message from its document encoding.

@@ -6,7 +6,7 @@
 //! filtering stage and receive its output partitioned by query: each
 //! aggregate query is owned by exactly one task, which maintains the
 //! per-record contributions of the *entire* matching set and emits a new
-//! [`NotificationKind::Aggregate`] whenever the aggregate value changes.
+//! [`invalidb_common::NotificationKind::Aggregate`] whenever the aggregate value changes.
 //!
 //! Because the filtering stage only forwards matching/ceased-matching
 //! writes, the aggregation node's input throughput is bounded by the
@@ -18,13 +18,14 @@
 //! state plus the per-key version map; `min`/`max` additionally keep an
 //! ordered multiset so removals are exact.
 
-use crate::config::ClusterConfig;
-use crate::event::{Event, FilterChange, FilterChangeKind, OutChange, OutMsg, OutNotify};
+use crate::event::{Event, FilterChange, FilterChangeKind};
+use crate::notifier::Publisher;
+use crate::subscribers::Subscribers;
 use invalidb_common::{
-    canonical_eq, AggregateOp, Clock, Key, NotificationKind, QueryHash, Stage, SubscriptionId,
-    SubscriptionRequest, TenantId, Timestamp, TraceContext, Value, Version,
+    canonical_eq, AggregateOp, Clock, EnvelopeRef, Key, KindRef, QueryHash, Stage, SubscriptionId,
+    SubscriptionRequest, TenantId, TraceContext, Value, Version,
 };
-use invalidb_stream::{Bolt, BoltContext};
+use invalidb_stream::Task;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -39,9 +40,7 @@ struct AggGroup {
     sum: f64,
     numeric: u64,
     last_emitted: Option<(Value, u64)>,
-    /// The query's subscriptions, each with its TTL deadline. Ordered, so
-    /// that notifications address them in one stable order.
-    subscriptions: BTreeMap<SubscriptionId, Timestamp>,
+    subscriptions: Subscribers,
 }
 
 impl AggGroup {
@@ -97,17 +96,17 @@ fn number(sum: f64) -> Value {
     }
 }
 
-/// The aggregation-stage bolt.
+/// One partition of the aggregation stage: a [`Task`] on its own thread.
 pub struct AggregationNode {
-    config: ClusterConfig,
     clock: Arc<dyn Clock>,
+    publisher: Publisher,
     groups: HashMap<(TenantId, QueryHash), AggGroup>,
 }
 
 impl AggregationNode {
     /// Creates an aggregation node.
-    pub fn new(config: ClusterConfig, clock: Arc<dyn Clock>) -> Self {
-        Self { config, clock, groups: HashMap::new() }
+    pub fn new(clock: Arc<dyn Clock>, publisher: Publisher) -> Self {
+        Self { clock, publisher, groups: HashMap::new() }
     }
 
     /// Number of aggregate queries owned by this node.
@@ -115,7 +114,7 @@ impl AggregationNode {
         self.groups.len()
     }
 
-    fn handle_subscribe(&mut self, req: &SubscriptionRequest, ctx: &mut BoltContext<'_, Event>) {
+    fn handle_subscribe(&mut self, req: &SubscriptionRequest) {
         let agg = match &req.spec.aggregate {
             Some(a) => a.clone(),
             None => return,
@@ -131,7 +130,7 @@ impl AggregationNode {
             sum: 0.0,
             numeric: 0,
             last_emitted: None,
-            subscriptions: BTreeMap::new(),
+            subscriptions: Subscribers::default(),
         });
         let fresh_group = group.subscriptions.is_empty() && group.contributions.is_empty();
         group.subscriptions.insert(req.subscription, expires_at);
@@ -148,18 +147,17 @@ impl AggregationNode {
         // The first notification for the new subscription is the current
         // aggregate value.
         let (value, count) = group.current();
-        group.last_emitted = Some((value.clone(), count));
-        ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
-            tenant: req.tenant.clone(),
-            subscriptions: vec![req.subscription],
-            change: OutChange::Kind(NotificationKind::Aggregate { value, count }),
+        self.publisher.publish(EnvelopeRef {
+            tenant: &req.tenant,
+            subscriptions: &[req.subscription],
+            kind: KindRef::Aggregate { value: &value, count },
             caused_by_write_at: 0,
             trace: None,
-        }))));
-        let _ = &self.config;
+        });
+        group.last_emitted = Some((value, count));
     }
 
-    fn handle_filter_change(&mut self, fc: &FilterChange, ctx: &mut BoltContext<'_, Event>) {
+    fn handle_filter_change(&mut self, fc: &FilterChange) {
         let group = match self.groups.get_mut(&(fc.tenant.clone(), fc.query_hash)) {
             Some(g) => g,
             None => return,
@@ -202,19 +200,19 @@ impl AggregationNode {
             None => true,
         };
         if changed {
-            group.last_emitted = Some((value.clone(), count));
             // Stamp the aggregation stage once on sampled traces.
             let trace: Option<TraceContext> = fc.trace.clone().map(|mut t| {
                 t.stamp(Stage::Aggregation);
                 t
             });
-            ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
-                tenant: fc.tenant.clone(),
-                subscriptions: group.subscriptions.keys().copied().collect(),
-                change: OutChange::Kind(NotificationKind::Aggregate { value, count }),
+            self.publisher.publish(EnvelopeRef {
+                tenant: &fc.tenant,
+                subscriptions: group.subscriptions.ids(),
+                kind: KindRef::Aggregate { value: &value, count },
                 caused_by_write_at: fc.written_at,
-                trace,
-            }))));
+                trace: trace.as_ref(),
+            });
+            group.last_emitted = Some((value, count));
         }
     }
 
@@ -225,7 +223,7 @@ impl AggregationNode {
         subscription: SubscriptionId,
     ) {
         if let Some(group) = self.groups.get_mut(&(tenant.clone(), query_hash)) {
-            group.subscriptions.remove(&subscription);
+            group.subscriptions.remove(subscription);
             if group.subscriptions.is_empty() {
                 self.groups.remove(&(tenant.clone(), query_hash));
             }
@@ -241,16 +239,14 @@ impl AggregationNode {
     ) {
         let now = self.clock.now();
         if let Some(group) = self.groups.get_mut(&(tenant.clone(), query_hash)) {
-            if let Some(expires_at) = group.subscriptions.get_mut(&subscription) {
-                *expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
-            }
+            group.subscriptions.extend_ttl(subscription, now, ttl_micros);
         }
     }
 
     fn expire(&mut self) {
         let now = self.clock.now();
         self.groups.retain(|_, group| {
-            group.subscriptions.retain(|_, expires_at| *expires_at > now);
+            group.subscriptions.expire(now);
             !group.subscriptions.is_empty()
         });
     }
@@ -265,22 +261,24 @@ fn contribution(doc: &invalidb_common::Document, field: &Option<String>) -> Valu
     }
 }
 
-impl Bolt<Event> for AggregationNode {
-    fn execute(&mut self, input: Event, ctx: &mut BoltContext<'_, Event>) {
-        match input {
-            Event::Subscribe(req) => self.handle_subscribe(&req, ctx),
-            Event::FilterChange(fc) => self.handle_filter_change(&fc, ctx),
-            Event::Unsubscribe { tenant, query_hash, subscription } => {
-                self.handle_unsubscribe(&tenant, query_hash, subscription)
+impl Task<Event> for AggregationNode {
+    fn handle(&mut self, batch: &mut Vec<Event>) {
+        for input in batch.drain(..) {
+            match input {
+                Event::Subscribe(req) => self.handle_subscribe(&req),
+                Event::FilterChange(fc) => self.handle_filter_change(&fc),
+                Event::Unsubscribe { tenant, query_hash, subscription } => {
+                    self.handle_unsubscribe(&tenant, query_hash, subscription)
+                }
+                Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
+                    self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
+                }
+                Event::Write(_) => {}
             }
-            Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
-                self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
-            }
-            Event::Write(_) | Event::Out(_) => {}
         }
     }
 
-    fn tick(&mut self, _ctx: &mut BoltContext<'_, Event>) {
+    fn tick(&mut self) {
         self.expire();
     }
 }
@@ -288,25 +286,32 @@ impl Bolt<Event> for AggregationNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::{doc, Document, MockClock, QuerySpec, ResultItem};
+    use crate::config::ClusterConfig;
+    use crate::notifier::testing::{Wire, TENANT};
+    use invalidb_common::{doc, Document, MockClock, NotificationKind, QuerySpec, ResultItem};
 
-    /// Drives the node directly with a hand-built context.
+    /// Drives the node directly; what it publishes is read back off the
+    /// notify topic.
     struct Probe {
         node: AggregationNode,
+        wire: Wire,
         out: Vec<(Value, u64)>,
     }
 
     impl Probe {
         fn new() -> Self {
+            let clock = MockClock::new();
+            let wire = Wire::new(&ClusterConfig::new(1, 1), &clock);
             Self {
-                node: AggregationNode::new(ClusterConfig::new(1, 1), Arc::new(MockClock::new())),
+                node: AggregationNode::new(Arc::new(clock), wire.publisher.clone()),
+                wire,
                 out: Vec::new(),
             }
         }
 
         fn subscribe(&mut self, spec: &QuerySpec, initial: Vec<ResultItem>) {
             let req = SubscriptionRequest {
-                tenant: TenantId::new("t"),
+                tenant: TenantId::new(TENANT),
                 subscription: SubscriptionId(1),
                 query_hash: spec.stable_hash(),
                 spec: spec.clone(),
@@ -327,7 +332,7 @@ mod tests {
             doc: Option<Document>,
         ) {
             self.drive(Event::FilterChange(Arc::new(FilterChange {
-                tenant: TenantId::new("t"),
+                tenant: TenantId::new(TENANT),
                 query_hash: spec.stable_hash(),
                 kind,
                 key: Key::of(key),
@@ -339,19 +344,10 @@ mod tests {
         }
 
         fn drive(&mut self, event: Event) {
-            let mut collected = Vec::new();
-            invalidb_stream::run_with_collector(&mut collected, |ctx| {
-                self.node.execute(event, ctx);
-            });
-            for ev in collected {
-                if let Event::Out(msg) = ev {
-                    if let OutMsg::Notify(OutNotify {
-                        change: OutChange::Kind(NotificationKind::Aggregate { value, count }),
-                        ..
-                    }) = &*msg
-                    {
-                        self.out.push((value.clone(), *count));
-                    }
+            self.node.handle(&mut vec![event]);
+            for envelope in self.wire.envelopes() {
+                if let NotificationKind::Aggregate { value, count } = envelope.kind {
+                    self.out.push((value, count));
                 }
             }
         }
@@ -459,7 +455,7 @@ mod tests {
         p.subscribe(&spec, vec![]);
         assert_eq!(p.node.active_queries(), 1);
         p.drive(Event::Unsubscribe {
-            tenant: TenantId::new("t"),
+            tenant: TenantId::new(TENANT),
             subscription: SubscriptionId(1),
             query_hash: spec.stable_hash(),
         });

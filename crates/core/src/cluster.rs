@@ -1,41 +1,55 @@
-//! Cluster assembly: wires ingestion, the matching grid, the sorting stage
-//! and the notifier into one stream topology connected to the event layer.
+//! Cluster assembly: the ingress, the matching grid and the sorting and
+//! aggregation stages as hand-wired tasks between two event-layer topics.
+//!
+//! ```text
+//!  event layer ──► ingress ──┬──► cell (qp, wp) ──► event layer   (unsorted: encode + publish)
+//!  "invalidb.cluster"        │         │
+//!                            │         ▼
+//!                            └──► sorting / aggregation partition ──► event layer
+//! ```
+//!
+//! A queue stands only where the paper has a boundary: in front of a cell
+//! (the QP × WP grid is what partitions the work) and in front of a
+//! sorting/aggregation partition (keyed by query hash, a different key than
+//! the cell's). Everything else — decode and partition hashing in the
+//! ingress; index probe, predicate evaluation, notify encode and publish in
+//! the cell — is a function call on the thread that has the message.
 //!
 //! Cell hosting is abstracted behind [`CellHost`]: the classic in-process
 //! deployment hosts the [`FullGrid`], while a multi-process worker hosts a
-//! [`CellSet`] — only its assigned cells receive events, and staged
+//! [`CellSet`] — only its assigned cells exist here, and staged
 //! (sorted/aggregate) output from cells whose query-partition row lives on
-//! another worker is shuffled through the event layer instead of an
-//! in-process channel.
+//! another worker is published by the cell to the row's shuffle topic
+//! instead of an in-process queue.
 
 use crate::aggregation::AggregationNode;
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, WorkerIdentity};
 use crate::event::{Event, FilterChange};
-use crate::matching::MatchingNode;
-use crate::notifier::Notifier;
+use crate::links::StageLinks;
+use crate::matching::{MatchingNode, StagedOut};
+use crate::notifier::Publisher;
 use crate::sorting::SortingNode;
-use invalidb_broker::{shuffle_topic, BrokerHandle, CLUSTER_TOPIC};
-use invalidb_common::partition::partition_of;
+use crossbeam::channel::{bounded, Receiver, Sender};
+use invalidb_broker::{shuffle_topic, BrokerHandle, Bytes, Subscription, CLUSTER_TOPIC};
 use invalidb_common::{ClusterMessage, GridCoord, GridShape, Stage, SystemClock};
 use invalidb_obs::{
-    AdminConfig, AdminServer, FlightRecorder, MetricsRegistry, MetricsSnapshot, SlowQueryLog,
+    AdminConfig, AdminServer, ComponentMetrics, FlightRecorder, MetricsRegistry, MetricsSnapshot,
+    SlowQueryLog, TopologyMetrics,
 };
-use invalidb_stream::{
-    Bolt, BoltContext, Grouping, RunningTopology, Source, TopologyBuilder, TopologyConfig,
-    TopologyMetrics,
-};
+use invalidb_stream::{task, Task, TaskConfig};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Decides which matching-grid cells this process hosts.
 ///
 /// The 2-D grid (§5.1) is position-addressed: cell `(qp, wp)` sees every
 /// (query, write) pair for its partitions regardless of where it runs. A
-/// `CellHost` tells the topology which cells are local, so the same
-/// assembly code serves both the single-process grid and a remote worker
-/// hosting an assigned subset.
+/// `CellHost` tells the assembly which cells are local, so the same code
+/// serves both the single-process grid and a remote worker hosting an
+/// assigned subset.
 pub trait CellHost: Send + Sync {
     /// True when the matching cell with this task index runs here.
     fn owns_cell(&self, task: usize) -> bool;
@@ -112,12 +126,20 @@ impl CellHost for CellSet {
 /// handle shuts the cluster down — application servers and the database are
 /// unaffected (isolated failure domain, §5).
 pub struct Cluster {
-    topology: Option<RunningTopology>,
+    shutdown: Arc<AtomicBool>,
+    /// The pipeline threads, front to back: ingress (and shuffle ingress),
+    /// cells, stage partitions. Joined in this order on shutdown.
+    threads: Vec<JoinHandle<()>>,
     grid: GridShape,
     decode_errors: Arc<AtomicU64>,
     registry: MetricsRegistry,
+    task_metrics: Arc<TopologyMetrics>,
     admin: Option<AdminServer>,
 }
+
+/// How long the ingress blocks on the event layer before it looks at the
+/// shutdown flag and the heartbeat deadline again.
+const INGRESS_POLL: Duration = Duration::from_millis(10);
 
 impl Cluster {
     /// Starts a cluster with the given configuration, attached to an event
@@ -131,12 +153,11 @@ impl Cluster {
     /// Starts a cluster hosting only the cells a [`CellHost`] claims.
     ///
     /// With [`FullGrid`] this is exactly [`Cluster::start`]. With a
-    /// [`CellSet`] the topology still declares every matching task (unowned
-    /// ones stay empty — they never receive an event), but routing is
-    /// filtered to owned cells, initial results and the sorting/aggregation
-    /// stages run only for owned rows, and staged output from owned cells
-    /// whose row is anchored elsewhere leaves through the per-row shuffle
-    /// topic ([`invalidb_broker::shuffle_topic`]).
+    /// [`CellSet`] only the owned cells are spawned and fed, initial results
+    /// and the sorting/aggregation stages serve only owned rows, and staged
+    /// output from owned cells whose row is anchored elsewhere leaves
+    /// through the per-row shuffle topic
+    /// ([`invalidb_broker::shuffle_topic`]).
     pub fn start_with_host(
         broker: impl Into<BrokerHandle>,
         config: ClusterConfig,
@@ -146,332 +167,101 @@ impl Cluster {
         let grid = GridShape::new(config.query_partitions, config.write_partitions);
         let clock = Arc::new(SystemClock::new());
         let decode_errors = Arc::new(AtomicU64::new(0));
-        let complete = host.is_complete();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let publisher = Publisher::new(broker.clone(), &config, clock.clone());
+        let task_metrics = Arc::new(TopologyMetrics::default());
+        let task_config =
+            TaskConfig { tick_interval: config.tick_interval, max_batch: config.max_batch };
+        let queues = |n: usize| -> (Vec<Sender<Event>>, Vec<Receiver<Event>>) {
+            (0..n).map(|_| bounded(config.queue_capacity)).unzip()
+        };
+        let mut threads = Vec::new();
 
-        let mut b = TopologyBuilder::<Event>::new().with_config(TopologyConfig {
-            queue_capacity: config.queue_capacity,
-            tick_interval: config.tick_interval,
-            source_poll_timeout: Duration::from_millis(10),
-            max_batch: config.max_batch,
-        });
+        // The queues: one per stage partition, one per owned cell.
+        let (sorting, sorting_rx) = queues(config.sorting_tasks.max(1));
+        let (aggregation, aggregation_rx) = queues(config.aggregation_tasks.max(1));
+        let links = StageLinks { sorting, aggregation };
+        let mut cells: Vec<Option<Sender<Event>>> = vec![None; grid.nodes()];
+        let mut cells_rx = Vec::new();
+        for task in (0..grid.nodes()).filter(|&task| host.owns_cell(task)) {
+            let (tx, rx) = bounded(config.queue_capacity);
+            cells[task] = Some(tx);
+            cells_rx.push((task, rx));
+        }
 
-        // Ingress: decode opaque event-layer payloads into cluster events.
-        b.add_source(
-            "ingress",
-            IngressSource {
-                subscription: broker.subscribe(CLUSTER_TOPIC),
-                decode_errors: Arc::clone(&decode_errors),
-                metrics: config.metrics.clone(),
-                identity: config.worker_identity.clone(),
-            },
-        );
+        // Ingress: decodes event-layer payloads, answers subscriptions with
+        // their initial result, and hands every event straight to the cells
+        // and stage partitions that own it.
+        let ingress = Ingress {
+            subscription: broker.subscribe(CLUSTER_TOPIC),
+            grid,
+            host: Arc::clone(&host),
+            cells,
+            links: links.clone(),
+            publisher: publisher.clone(),
+            identity: config.worker_identity.clone(),
+            decode_errors: Arc::clone(&decode_errors),
+            decode_error_count: config.metrics.counter("ingress.decode_errors"),
+            traced_writes: config.metrics.counter("ingress.traced_writes"),
+            component: task_metrics.component("ingress"),
+        };
+        {
+            let shutdown = Arc::clone(&shutdown);
+            threads.push(spawn("ingress".into(), move || ingress.run(&shutdown, task_config)));
+        }
 
         // Shuffle ingress (subset hosts only): staged output published by
-        // *other* workers' matching cells for rows anchored here.
-        if !complete {
-            let subscriptions = (0..grid.query_partitions)
-                .filter(|&qp| host.owns_row(qp))
-                .map(|qp| broker.subscribe(&shuffle_topic(qp)))
-                .collect::<Vec<_>>();
-            b.add_source(
-                "shuffle-ingress",
-                ShuffleIngress {
-                    subscriptions,
-                    decode_errors: Arc::clone(&decode_errors),
-                    metrics: config.metrics.clone(),
-                },
-            );
+        // *other* workers' cells for rows anchored here.
+        let shuffled: Vec<Subscription> = (0..grid.query_partitions)
+            .filter(|&qp| !host.is_complete() && host.owns_row(qp))
+            .map(|qp| broker.subscribe(&shuffle_topic(qp)))
+            .collect();
+        if !shuffled.is_empty() {
+            let shuffle = ShuffleIngress {
+                subscriptions: shuffled,
+                links: links.clone(),
+                decode_errors: Arc::clone(&decode_errors),
+                metrics: config.metrics.clone(),
+            };
+            let shutdown = Arc::clone(&shutdown);
+            threads.push(spawn("shuffle-ingress".into(), move || shuffle.run(&shutdown)));
         }
 
-        // Stateless ingestion tiers (§5.1): they "merely receive data items,
-        // compute their partitions by hashing static attributes, and forward
-        // the items to the corresponding matching nodes" — the hashing lives
-        // in the grouping functions of their outgoing connections.
-        b.add_bolt("query-ingest", config.query_ingest_nodes.max(1), |_| Box::new(Forwarder));
-        b.add_bolt("write-ingest", config.write_ingest_nodes.max(1), |_| Box::new(Forwarder));
-
-        // The QP × WP matching grid (filtering stage).
-        {
-            let config = config.clone();
-            let clock = clock.clone();
-            b.add_bolt("matching", grid.nodes(), move |task| {
-                Box::new(MatchingNode::new(task, grid, config.clone(), clock.clone() as _))
-            });
-        }
-
-        // Shuffle egress (subset hosts only): staged output from owned
-        // cells whose row is anchored on another worker leaves through the
-        // event layer here.
-        if !complete {
-            let config = config.clone();
-            let broker = broker.clone();
-            b.add_bolt("shuffle-egress", 1, move |_| {
-                Box::new(ShuffleEgress { broker: broker.clone(), grid, config: config.clone() })
-            });
+        // The owned cells of the QP × WP matching grid (filtering stage).
+        for (task, rx) in cells_rx {
+            let GridCoord { qp, wp } = grid.coord_of(task);
+            let staged = if host.owns_row(qp) {
+                StagedOut::Local(links.clone())
+            } else {
+                StagedOut::Shuffle {
+                    broker: broker.clone(),
+                    topic: shuffle_topic(qp),
+                    codec: config.wire_codec,
+                    published: config.metrics.counter("shuffle.egress"),
+                }
+            };
+            let node =
+                MatchingNode::new(task, grid, config.clone(), clock.clone(), publisher.clone(), staged);
+            let component = task_metrics.component("matching");
+            threads.push(spawn_task(format!("cell-{qp}x{wp}"), rx, node, task_config, component));
         }
 
         // Sorting stage, partitioned by query.
-        {
-            let config = config.clone();
-            let clock = clock.clone();
-            b.add_bolt("sorting", config.sorting_tasks.max(1), move |task| {
-                Box::new(SortingNode::new(task, config.clone(), clock.clone() as _))
-            });
+        for (task, rx) in sorting_rx.into_iter().enumerate() {
+            let node = SortingNode::new(task, config.clone(), clock.clone(), publisher.clone());
+            let component = task_metrics.component("sorting");
+            threads.push(spawn_task(format!("sorting-{task}"), rx, node, task_config, component));
         }
 
         // Aggregation stage (extension, §8.1), partitioned by query.
-        {
-            let config = config.clone();
-            let clock = clock.clone();
-            b.add_bolt("aggregation", config.aggregation_tasks.max(1), move |_| {
-                Box::new(AggregationNode::new(config.clone(), clock.clone() as _))
-            });
+        for (task, rx) in aggregation_rx.into_iter().enumerate() {
+            let node = AggregationNode::new(clock.clone(), publisher.clone());
+            let component = task_metrics.component("aggregation");
+            threads.push(spawn_task(format!("aggregation-{task}"), rx, node, task_config, component));
         }
-
-        // Notification sink.
-        {
-            let config = config.clone();
-            let broker = broker.clone();
-            let clock = clock.clone();
-            b.add_bolt("notifier", 1, move |_| {
-                Box::new(Notifier::new(broker.clone(), config.clone(), clock.clone() as _))
-            });
-        }
-
-        // Split ingress traffic to the two ingestion tiers.
-        b.connect(
-            "ingress",
-            "query-ingest",
-            Grouping::direct(|e: &Event, n| match e {
-                Event::Subscribe(req) => vec![partition_of(req.query_hash.0, n)],
-                Event::Unsubscribe { query_hash, .. } | Event::ExtendTtl { query_hash, .. } => {
-                    vec![partition_of(query_hash.0, n)]
-                }
-                _ => vec![],
-            }),
-        );
-        b.connect(
-            "ingress",
-            "write-ingest",
-            Grouping::direct(|e: &Event, n| match e {
-                Event::Write(img) => vec![partition_of(img.key.stable_hash(), n)],
-                _ => vec![],
-            }),
-        );
-
-        // Query ingestion → notifier FIRST: emits route in declaration order,
-        // so the initial result is enqueued at the (single, FIFO) notifier
-        // before the matching/sorting nodes even receive the subscription —
-        // no change notification can overtake the initial result. Only the
-        // row owner emits the initial result: on a subset host, the same
-        // subscription fans out to every worker with a cell in the row, and
-        // exactly one of them must answer.
-        {
-            let host = Arc::clone(&host);
-            let grid_rows = grid;
-            b.connect(
-                "query-ingest",
-                "notifier",
-                Grouping::direct(move |e: &Event, _n| match e {
-                    Event::Subscribe(req)
-                        if host.owns_row(grid_rows.query_partition(req.query_hash)) =>
-                    {
-                        vec![0]
-                    }
-                    _ => vec![],
-                }),
-            );
-        }
-        // Query ingestion → the grid row of the query partition, trimmed to
-        // the cells hosted here.
-        {
-            let host = Arc::clone(&host);
-            let grid_rows = grid;
-            b.connect(
-                "query-ingest",
-                "matching",
-                Grouping::direct(move |e: &Event, _n| {
-                    let owned =
-                        |tasks: Vec<usize>| tasks.into_iter().filter(|&t| host.owns_cell(t)).collect();
-                    match e {
-                        Event::Subscribe(req) => owned(grid_rows.tasks_for_query(req.query_hash)),
-                        Event::Unsubscribe { query_hash, .. } | Event::ExtendTtl { query_hash, .. } => {
-                            owned(grid_rows.tasks_for_query(*query_hash))
-                        }
-                        _ => vec![],
-                    }
-                }),
-            );
-        }
-        // Query ingestion → sorting (sorted queries own exactly one task on
-        // the worker anchoring their row).
-        {
-            let host = Arc::clone(&host);
-            let grid_rows = grid;
-            b.connect(
-                "query-ingest",
-                "sorting",
-                Grouping::direct(move |e: &Event, n| match e {
-                    Event::Subscribe(req)
-                        if req.spec.needs_sorting_stage()
-                            && host.owns_row(grid_rows.query_partition(req.query_hash)) =>
-                    {
-                        vec![partition_of(req.query_hash.0, n)]
-                    }
-                    Event::Unsubscribe { query_hash, .. } | Event::ExtendTtl { query_hash, .. }
-                        if host.owns_row(grid_rows.query_partition(*query_hash)) =>
-                    {
-                        vec![partition_of(query_hash.0, n)]
-                    }
-                    _ => vec![],
-                }),
-            );
-        }
-        // Query ingestion → aggregation (aggregate queries own one task on
-        // the worker anchoring their row).
-        {
-            let host = Arc::clone(&host);
-            let grid_rows = grid;
-            b.connect(
-                "query-ingest",
-                "aggregation",
-                Grouping::direct(move |e: &Event, n| match e {
-                    Event::Subscribe(req)
-                        if req.spec.needs_aggregation_stage()
-                            && host.owns_row(grid_rows.query_partition(req.query_hash)) =>
-                    {
-                        vec![partition_of(req.query_hash.0, n)]
-                    }
-                    Event::Unsubscribe { query_hash, .. } | Event::ExtendTtl { query_hash, .. }
-                        if host.owns_row(grid_rows.query_partition(*query_hash)) =>
-                    {
-                        vec![partition_of(query_hash.0, n)]
-                    }
-                    _ => vec![],
-                }),
-            );
-        }
-
-        // Write ingestion → the grid column of the write partition, trimmed
-        // to the cells hosted here.
-        {
-            let host = Arc::clone(&host);
-            let grid_cols = grid;
-            b.connect(
-                "write-ingest",
-                "matching",
-                Grouping::direct(move |e: &Event, _n| match e {
-                    Event::Write(img) => grid_cols
-                        .tasks_for_key(&img.key)
-                        .into_iter()
-                        .filter(|&t| host.owns_cell(t))
-                        .collect(),
-                    _ => vec![],
-                }),
-            );
-        }
-
-        // Filtering stage → shuffle egress: staged output for rows anchored
-        // on another worker crosses the event layer.
-        if !complete {
-            let host = Arc::clone(&host);
-            let grid_rows = grid;
-            b.connect(
-                "matching",
-                "shuffle-egress",
-                Grouping::direct(move |e: &Event, _n| match e {
-                    Event::FilterChange(fc)
-                        if !host.owns_row(grid_rows.query_partition(fc.query_hash)) =>
-                    {
-                        vec![0]
-                    }
-                    _ => vec![],
-                }),
-            );
-        }
-
-        // Filtering stage → sorting stage (partitioned by query hash) and
-        // → notifier (finished notifications of self-maintainable queries).
-        {
-            let host = Arc::clone(&host);
-            let grid_rows = grid;
-            b.connect(
-                "matching",
-                "sorting",
-                Grouping::direct(move |e: &Event, n| match e {
-                    Event::FilterChange(fc)
-                        if host.owns_row(grid_rows.query_partition(fc.query_hash)) =>
-                    {
-                        vec![partition_of(fc.query_hash.0, n)]
-                    }
-                    _ => vec![],
-                }),
-            );
-        }
-        {
-            let host = Arc::clone(&host);
-            let grid_rows = grid;
-            b.connect(
-                "matching",
-                "aggregation",
-                Grouping::direct(move |e: &Event, n| match e {
-                    Event::FilterChange(fc)
-                        if host.owns_row(grid_rows.query_partition(fc.query_hash)) =>
-                    {
-                        vec![partition_of(fc.query_hash.0, n)]
-                    }
-                    _ => vec![],
-                }),
-            );
-        }
-
-        // Shuffle ingress → the row owner's sorting/aggregation stages.
-        if !complete {
-            b.connect(
-                "shuffle-ingress",
-                "sorting",
-                Grouping::direct(|e: &Event, n| match e {
-                    Event::FilterChange(fc) => vec![partition_of(fc.query_hash.0, n)],
-                    _ => vec![],
-                }),
-            );
-            b.connect(
-                "shuffle-ingress",
-                "aggregation",
-                Grouping::direct(|e: &Event, n| match e {
-                    Event::FilterChange(fc) => vec![partition_of(fc.query_hash.0, n)],
-                    _ => vec![],
-                }),
-            );
-        }
-        b.connect(
-            "matching",
-            "notifier",
-            Grouping::direct(|e: &Event, _n| match e {
-                Event::Out(_) => vec![0],
-                _ => vec![],
-            }),
-        );
-        b.connect(
-            "sorting",
-            "notifier",
-            Grouping::direct(|e: &Event, _n| match e {
-                Event::Out(_) => vec![0],
-                _ => vec![],
-            }),
-        );
-        b.connect(
-            "aggregation",
-            "notifier",
-            Grouping::direct(|e: &Event, _n| match e {
-                Event::Out(_) => vec![0],
-                _ => vec![],
-            }),
-        );
 
         let registry = config.metrics.clone();
-        let topology = b.start();
-        registry.attach_topology("cluster", Arc::clone(topology.metrics()));
+        registry.attach_topology("cluster", Arc::clone(&task_metrics));
         // Optional admin plane. A failed bind does not abort the cluster
         // (the pipeline is the product; the admin endpoint is a window into
         // it) but is recorded so it cannot go unnoticed.
@@ -484,7 +274,7 @@ impl Cluster {
                 }
             }
         });
-        Cluster { topology: Some(topology), grid, decode_errors, registry, admin }
+        Cluster { shutdown, threads, grid, decode_errors, registry, task_metrics, admin }
     }
 
     /// The grid shape this cluster runs.
@@ -492,10 +282,17 @@ impl Cluster {
         self.grid
     }
 
+    /// Names of the pipeline threads, front to back: `ingress`
+    /// (`shuffle-ingress` on subset hosts), one `cell-<qp>x<wp>` per hosted
+    /// cell, then the `sorting-<n>` and `aggregation-<n>` partitions.
+    pub fn pipeline_threads(&self) -> Vec<String> {
+        self.threads.iter().map(|t| t.thread().name().unwrap_or_default().to_owned()).collect()
+    }
+
     /// A point-in-time snapshot of every cluster metric: per-stage latency
     /// histograms (when tracing is enabled), matched/filtered/dropped
-    /// counters, per-partition gauges, and the topology's per-component
-    /// processed/emitted counters.
+    /// counters, per-partition gauges, and the tasks' per-component
+    /// processed/tick counters and queue depths.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -506,9 +303,10 @@ impl Cluster {
         self.registry.clone()
     }
 
-    /// Raw topology metrics (per-component processed/emitted counters).
+    /// Raw task metrics per component (`ingress`, `matching`, `sorting`,
+    /// `aggregation`): processed/tick counters and queue depth.
     pub fn topology_metrics(&self) -> Arc<TopologyMetrics> {
-        Arc::clone(self.topology.as_ref().expect("running").metrics())
+        Arc::clone(&self.task_metrics)
     }
 
     /// Count of event-layer payloads that failed to decode.
@@ -545,150 +343,209 @@ impl Cluster {
         if let Some(mut admin) = self.admin.take() {
             admin.shutdown();
         }
-        if let Some(t) = self.topology.take() {
-            t.shutdown();
+        self.stop();
+    }
+
+    /// Stops the ingress; every task downstream then drains its queue and
+    /// ends when its senders are gone.
+    fn stop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        if let Some(t) = self.topology.take() {
-            t.shutdown();
-        }
+        self.stop();
     }
 }
 
-/// Decodes event-layer payloads into topology events.
-struct IngressSource {
-    subscription: invalidb_broker::Subscription,
-    decode_errors: Arc<AtomicU64>,
-    metrics: MetricsRegistry,
-    /// Worker identity for trace stamps in multi-process deployments.
-    identity: Option<crate::config::WorkerIdentity>,
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new().name(name).spawn(body).expect("spawn pipeline thread")
 }
 
-impl Source<Event> for IngressSource {
-    fn poll(&mut self, timeout: Duration) -> Vec<Event> {
-        let first = match self.subscription.recv_timeout(timeout) {
-            Some(payload) => payload,
-            None => return Vec::new(),
-        };
-        let mut out = Vec::with_capacity(8);
-        // Binary write envelopes take the zero-copy lazy path (only the
-        // `key`/`doc`/`trace` subtrees are materialized); everything else
-        // falls back to the eager decoder with identical error accounting.
-        let mut decode = |payload: bytes::Bytes| match crate::ingest::decode_cluster_payload(
-            &payload,
-        ) {
-            Some(mut msg) => {
-                // Sampled traces get their ingestion stamp the moment the
-                // envelope is decoded off the event layer.
-                if let ClusterMessage::Write(img) = &mut msg {
-                    if let Some(trace) = img.trace.as_mut() {
-                        match &self.identity {
-                            Some(id) => id.stamp(trace, Stage::Ingestion),
-                            None => trace.stamp(Stage::Ingestion),
-                        }
-                        self.metrics.inc("ingress.traced_writes");
+fn spawn_task(
+    name: String,
+    rx: Receiver<Event>,
+    mut node: impl Task<Event> + Send + 'static,
+    config: TaskConfig,
+    metrics: Arc<ComponentMetrics>,
+) -> JoinHandle<()> {
+    spawn(name, move || task::run(&rx, &mut node, config, &metrics))
+}
+
+/// The front of the pipeline: one thread between the event layer and the
+/// cells.
+struct Ingress {
+    subscription: Subscription,
+    grid: GridShape,
+    host: Arc<dyn CellHost>,
+    /// Input queue per grid cell, by task index; `None` where the cell is
+    /// hosted elsewhere.
+    cells: Vec<Option<Sender<Event>>>,
+    links: StageLinks,
+    publisher: Publisher,
+    /// Worker identity for trace stamps in multi-process deployments.
+    identity: Option<WorkerIdentity>,
+    decode_errors: Arc<AtomicU64>,
+    decode_error_count: Arc<AtomicU64>,
+    traced_writes: Arc<AtomicU64>,
+    component: Arc<ComponentMetrics>,
+}
+
+impl Ingress {
+    fn run(self, shutdown: &AtomicBool, config: TaskConfig) {
+        let poll = config.tick_interval.min(INGRESS_POLL);
+        // Heartbeats are due on a deadline of their own: neither a write
+        // firehose nor a busy cell may stretch their cadence.
+        let mut last_heartbeat_check = Instant::now();
+        while !shutdown.load(Ordering::Relaxed) {
+            if let Some(payload) = self.subscription.recv_timeout(poll) {
+                self.accept(&payload);
+                for _ in 1..config.max_batch {
+                    match self.subscription.try_recv() {
+                        Some(payload) => self.accept(&payload),
+                        None => break,
                     }
                 }
-                out.push(msg.into());
             }
-            None => {
-                self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                self.metrics.inc("ingress.decode_errors");
+            if last_heartbeat_check.elapsed() >= config.tick_interval {
+                last_heartbeat_check = Instant::now();
+                self.component.ticks.fetch_add(1, Ordering::Relaxed);
+                self.publisher.heartbeat();
             }
+        }
+    }
+
+    /// Decodes one payload and routes it. Binary write envelopes take the
+    /// zero-copy lazy path (only the `key`/`doc`/`trace` subtrees are
+    /// materialized); everything else goes through the eager decoder with
+    /// identical error accounting.
+    fn accept(&self, payload: &Bytes) {
+        let Some(mut msg) = crate::ingest::decode_cluster_payload(payload) else {
+            self.decode_errors.fetch_add(1, Ordering::Relaxed);
+            self.decode_error_count.fetch_add(1, Ordering::Relaxed);
+            return;
         };
-        decode(first);
-        while let Some(payload) = self.subscription.try_recv() {
-            decode(payload);
-        }
-        out
-    }
-}
-
-impl From<ClusterMessage> for Event {
-    fn from(msg: ClusterMessage) -> Self {
-        match msg {
-            ClusterMessage::Subscribe(req) => Event::Subscribe(Arc::new(req)),
-            ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
-                Event::Unsubscribe { tenant, subscription, query_hash }
+        // Sampled traces get their ingestion stamp the moment the envelope
+        // is decoded off the event layer.
+        if let ClusterMessage::Write(img) = &mut msg {
+            if let Some(trace) = img.trace.as_mut() {
+                match &self.identity {
+                    Some(id) => id.stamp(trace, Stage::Ingestion),
+                    None => trace.stamp(Stage::Ingestion),
+                }
+                self.traced_writes.fetch_add(1, Ordering::Relaxed);
             }
-            ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
-                Event::ExtendTtl { tenant, subscription, query_hash, ttl_micros }
+        }
+        self.component.processed.fetch_add(1, Ordering::Relaxed);
+        self.route(msg.into());
+    }
+
+    /// Two-dimensional routing (§5.1): a write goes to the hosted cells of
+    /// its write partition's column, a query to the hosted cells of its
+    /// query partition's row — and, where the row is anchored here, to the
+    /// stage partition that owns it.
+    fn route(&self, event: Event) {
+        match &event {
+            Event::Write(img) => {
+                for task in self.grid.column_tasks(self.grid.write_partition(&img.key)) {
+                    self.to_cell(task, &event);
+                }
             }
-            ClusterMessage::Write(img) => Event::Write(Arc::new(img)),
+            Event::Subscribe(req) => {
+                let qp = self.grid.query_partition(req.query_hash);
+                // Only the row owner answers: the same subscription reaches
+                // every worker with a cell in the row. The initial result is
+                // on the notify topic before any cell or stage partition
+                // has the request, so no change notification overtakes it.
+                // The stage partition comes before the cells, so it knows
+                // the query before any of their filter changes arrives.
+                if self.host.owns_row(qp) {
+                    self.publisher.initial_result(req);
+                    if req.spec.needs_sorting_stage() {
+                        self.links.to_sorting(req.query_hash, event.clone());
+                    }
+                    if req.spec.needs_aggregation_stage() {
+                        self.links.to_aggregation(req.query_hash, event.clone());
+                    }
+                }
+                self.to_row(qp, &event);
+            }
+            Event::Unsubscribe { query_hash, .. } | Event::ExtendTtl { query_hash, .. } => {
+                let qp = self.grid.query_partition(*query_hash);
+                if self.host.owns_row(qp) {
+                    self.links.to_sorting(*query_hash, event.clone());
+                    self.links.to_aggregation(*query_hash, event.clone());
+                }
+                self.to_row(qp, &event);
+            }
+            // Not a message of the cluster topic.
+            Event::FilterChange(_) => {}
         }
     }
-}
 
-/// Stateless pass-through bolt (ingestion tier).
-struct Forwarder;
-
-impl Bolt<Event> for Forwarder {
-    fn execute(&mut self, input: Event, ctx: &mut BoltContext<'_, Event>) {
-        ctx.emit(input);
+    fn to_row(&self, qp: usize, event: &Event) {
+        for task in self.grid.row_tasks(qp) {
+            self.to_cell(task, event);
+        }
     }
-}
 
-/// Publishes staged output for rows anchored on other workers to the
-/// per-row shuffle topic.
-struct ShuffleEgress {
-    broker: BrokerHandle,
-    grid: GridShape,
-    config: ClusterConfig,
-}
-
-impl Bolt<Event> for ShuffleEgress {
-    fn execute(&mut self, input: Event, _ctx: &mut BoltContext<'_, Event>) {
-        if let Event::FilterChange(fc) = input {
-            let qp = self.grid.query_partition(fc.query_hash);
-            let payload = self.config.wire_codec.encode(&fc.to_document());
-            self.broker.publish(&shuffle_topic(qp), payload);
-            self.config.metrics.inc("shuffle.egress");
+    fn to_cell(&self, task: usize, event: &Event) {
+        if let Some(cell) = &self.cells[task] {
+            // Blocking send: the cell's bounded queue is the backpressure.
+            if cell.send(event.clone()).is_ok() {
+                self.component.emitted.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
 
 /// Receives staged output published by other workers for rows anchored
-/// here and re-injects it into the local topology.
+/// here and hands it to the local stage partitions.
 struct ShuffleIngress {
-    subscriptions: Vec<invalidb_broker::Subscription>,
+    subscriptions: Vec<Subscription>,
+    links: StageLinks,
     decode_errors: Arc<AtomicU64>,
     metrics: MetricsRegistry,
 }
 
-impl Source<Event> for ShuffleIngress {
-    fn poll(&mut self, timeout: Duration) -> Vec<Event> {
-        let mut out = Vec::new();
-        if self.subscriptions.is_empty() {
-            std::thread::sleep(timeout);
-            return out;
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
+impl ShuffleIngress {
+    fn run(self, shutdown: &AtomicBool) {
+        while !shutdown.load(Ordering::Relaxed) {
+            let mut idle = true;
             for sub in &self.subscriptions {
                 while let Some(payload) = sub.try_recv() {
-                    match invalidb_json::payload_to_document(&payload)
-                        .ok()
-                        .and_then(|d| FilterChange::from_document(&d).ok())
-                    {
-                        Some(fc) => {
-                            self.metrics.inc("shuffle.ingress");
-                            out.push(Event::FilterChange(Arc::new(fc)));
-                        }
-                        None => {
-                            self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            self.metrics.inc("shuffle.decode_errors");
-                        }
-                    }
+                    idle = false;
+                    self.accept(&payload);
                 }
             }
-            if !out.is_empty() || Instant::now() >= deadline {
-                return out;
+            if idle {
+                std::thread::sleep(Duration::from_millis(1));
             }
-            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn accept(&self, payload: &Bytes) {
+        let change = invalidb_json::payload_to_document(payload)
+            .ok()
+            .and_then(|d| FilterChange::from_document(&d).ok());
+        match change {
+            Some(fc) => {
+                self.metrics.inc("shuffle.ingress");
+                // The change does not say which stage its query lives in;
+                // the one that does not know the query ignores it.
+                let hash = fc.query_hash;
+                let event = Event::FilterChange(Arc::new(fc));
+                self.links.to_sorting(hash, event.clone());
+                self.links.to_aggregation(hash, event);
+            }
+            None => {
+                self.decode_errors.fetch_add(1, Ordering::Relaxed);
+                self.metrics.inc("shuffle.decode_errors");
+            }
         }
     }
 }

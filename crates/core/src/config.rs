@@ -58,10 +58,6 @@ pub struct ClusterConfig {
     pub sorting_tasks: usize,
     /// Parallelism of the aggregation stage (extension, §8.1).
     pub aggregation_tasks: usize,
-    /// Stateless query-ingestion nodes (the evaluation used 1).
-    pub query_ingest_nodes: usize,
-    /// Stateless write-ingestion nodes (the evaluation used 4).
-    pub write_ingest_nodes: usize,
     /// Write-stream retention time: how long matching nodes keep received
     /// after-images for replay on subscription (§5.1; Baqend runs a few
     /// seconds).
@@ -72,7 +68,8 @@ pub struct ClusterConfig {
     pub engine: Arc<dyn QueryEngine>,
     /// Per-task input queue capacity (backpressure bound).
     pub queue_capacity: usize,
-    /// Tick interval of the underlying topology.
+    /// Interval of every task's deadline-driven tick (retention expiry,
+    /// TTL enforcement, gauges) and of the ingress's heartbeat check.
     pub tick_interval: Duration,
     /// Enable the multi-query index (interval trees over single-attribute
     /// range/equality filters) in the matching nodes — the thesis's
@@ -96,10 +93,9 @@ pub struct ClusterConfig {
     /// the payload, so this is purely a producer-side knob; the default is
     /// the binary (`IVBD`) codec.
     pub wire_codec: invalidb_json::WireCodec,
-    /// How many buffered messages a topology task drains per scheduling
-    /// turn before it checks the clock again (batch execution). Higher
-    /// values amortize channel wakeups under load; `1` reproduces the old
-    /// one-message-per-turn behavior.
+    /// How many buffered messages a task drains per scheduling turn before
+    /// it checks the clock again (batch execution). Higher values amortize
+    /// channel wakeups under load; `1` is strictly one message per turn.
     pub max_batch: usize,
     /// Identity of the hosting worker process in a multi-process
     /// deployment. When set, sampled traces are stamped with the worker
@@ -117,8 +113,6 @@ impl ClusterConfig {
             write_partitions,
             sorting_tasks: 2,
             aggregation_tasks: 1,
-            query_ingest_nodes: 1,
-            write_ingest_nodes: 4,
             retention: Duration::from_secs(2),
             heartbeat_interval: Duration::from_millis(500),
             engine: Arc::new(MongoQueryEngine),
@@ -174,18 +168,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the number of query-ingestion nodes.
-    pub fn query_ingest_nodes(mut self, n: usize) -> Self {
-        self.config.query_ingest_nodes = n;
-        self
-    }
-
-    /// Sets the number of write-ingestion nodes.
-    pub fn write_ingest_nodes(mut self, n: usize) -> Self {
-        self.config.write_ingest_nodes = n;
-        self
-    }
-
     /// Sets the write-stream retention window.
     pub fn retention(mut self, retention: Duration) -> Self {
         self.config.retention = retention;
@@ -210,7 +192,7 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the topology tick interval.
+    /// Sets the tasks' tick interval.
     pub fn tick_interval(mut self, interval: Duration) -> Self {
         self.config.tick_interval = interval;
         self
@@ -247,7 +229,7 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Messages a topology task drains per scheduling turn.
+    /// Messages a task drains per scheduling turn.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.max_batch = max_batch;
         self
@@ -274,12 +256,6 @@ impl ClusterConfigBuilder {
         }
         if c.aggregation_tasks == 0 {
             return Err(ConfigError::new("aggregation_tasks", "must be at least 1"));
-        }
-        if c.query_ingest_nodes == 0 {
-            return Err(ConfigError::new("query_ingest_nodes", "must be at least 1"));
-        }
-        if c.write_ingest_nodes == 0 {
-            return Err(ConfigError::new("write_ingest_nodes", "must be at least 1"));
         }
         if c.queue_capacity == 0 {
             return Err(ConfigError::new("queue_capacity", "must be at least 1"));
@@ -334,8 +310,6 @@ mod tests {
     fn builder_rejects_zero_parallelism_and_capacity() {
         assert!(ClusterConfig::builder(1, 1).sorting_tasks(0).build().is_err());
         assert!(ClusterConfig::builder(1, 1).aggregation_tasks(0).build().is_err());
-        assert!(ClusterConfig::builder(1, 1).query_ingest_nodes(0).build().is_err());
-        assert!(ClusterConfig::builder(1, 1).write_ingest_nodes(0).build().is_err());
         assert!(ClusterConfig::builder(1, 1).queue_capacity(0).build().is_err());
         assert!(ClusterConfig::builder(1, 1).tick_interval(Duration::ZERO).build().is_err());
         assert!(ClusterConfig::builder(1, 1).max_batch(0).build().is_err());

@@ -1,13 +1,14 @@
-//! Events flowing through the cluster topology.
+//! Events flowing between the cluster's tasks.
 
 use invalidb_common::{
-    AfterImage, Document, EnvelopeRef, ItemRef, Key, KindRef, MatchType, NotificationKind, QueryHash,
-    SpecError, SubscriptionId, SubscriptionRequest, TenantId, TraceContext, Value, Version,
+    AfterImage, ClusterMessage, Document, Key, QueryHash, SpecError, SubscriptionId,
+    SubscriptionRequest, TenantId, TraceContext, Value, Version,
 };
 use std::sync::Arc;
 
-/// One message inside the cluster topology. Payloads are `Arc`-shared so
-/// broadcast groupings clone cheaply.
+/// One message on a task's input queue. Payloads are `Arc`-shared: a write
+/// goes to every cell of its column, a subscription to every cell of its
+/// row and to its stage partition, without being copied.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// Activate a real-time query (carries the full initial result).
@@ -34,60 +35,22 @@ pub enum Event {
     },
     /// An after-image from the write stream.
     Write(Arc<AfterImage>),
-    /// Filtering-stage output destined for the sorting stage.
+    /// Filtering-stage output destined for the sorting/aggregation stage.
     FilterChange(Arc<FilterChange>),
-    /// A finished notification (or heartbeat) destined for the notifier.
-    Out(Arc<OutMsg>),
 }
 
-/// A mini-batch of after-images, in arrival order.
-///
-/// The topology runtime drains up to `max_batch` buffered messages per
-/// scheduling turn; the matching stage regroups the contiguous
-/// [`Event::Write`] runs of such a turn into a `WriteBatch` so the whole
-/// batch shares one index probe and one per-query dispatch
-/// (`MatchingNode::handle_write_batch`). The buffer is reused turn over
-/// turn — hence `clear` instead of consuming constructors.
-#[derive(Debug, Clone, Default)]
-pub struct WriteBatch {
-    writes: Vec<Arc<AfterImage>>,
-}
-
-impl WriteBatch {
-    /// An empty batch with room for `cap` writes.
-    pub fn with_capacity(cap: usize) -> WriteBatch {
-        WriteBatch { writes: Vec::with_capacity(cap) }
-    }
-
-    /// Appends a write; arrival order is the vector order.
-    pub fn push(&mut self, img: Arc<AfterImage>) {
-        self.writes.push(img);
-    }
-
-    /// The batched after-images in arrival order.
-    pub fn writes(&self) -> &[Arc<AfterImage>] {
-        &self.writes
-    }
-
-    /// Number of batched writes.
-    pub fn len(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// True when no writes are batched.
-    pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// Drops all writes, keeping the allocation for reuse.
-    pub fn clear(&mut self) {
-        self.writes.clear();
-    }
-}
-
-impl From<Vec<Arc<AfterImage>>> for WriteBatch {
-    fn from(writes: Vec<Arc<AfterImage>>) -> WriteBatch {
-        WriteBatch { writes }
+impl From<ClusterMessage> for Event {
+    fn from(msg: ClusterMessage) -> Self {
+        match msg {
+            ClusterMessage::Subscribe(req) => Event::Subscribe(Arc::new(req)),
+            ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
+                Event::Unsubscribe { tenant, subscription, query_hash }
+            }
+            ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
+                Event::ExtendTtl { tenant, subscription, query_hash, ttl_micros }
+            }
+            ClusterMessage::Write(img) => Event::Write(Arc::new(img)),
+        }
     }
 }
 
@@ -201,88 +164,6 @@ impl FilterChange {
                 None => None,
             },
         })
-    }
-}
-
-/// Message leaving the cluster through the notifier.
-#[derive(Debug, Clone)]
-pub enum OutMsg {
-    /// One result transition of one query, for all of its subscriptions.
-    Notify(OutNotify),
-    /// Liveness signal for a tenant's application servers.
-    Heartbeat {
-        /// Tenant whose notify topic receives the heartbeat.
-        tenant: TenantId,
-    },
-}
-
-/// A change/error/aggregate notification on its way to the notifier. The
-/// unit is the (write, query) pair: the stages emit one of these per result
-/// transition, addressed to every subscription of the query's group, and
-/// the notifier turns it into one envelope.
-#[derive(Debug, Clone)]
-pub struct OutNotify {
-    /// Owning tenant.
-    pub tenant: TenantId,
-    /// The group's subscriptions at the time of the transition.
-    pub subscriptions: Vec<SubscriptionId>,
-    /// What changed.
-    pub change: OutChange,
-    /// Origin-write timestamp for latency accounting (`0` if none).
-    pub caused_by_write_at: u64,
-    /// Stage trace inherited from the causing write, if it was sampled.
-    pub trace: Option<TraceContext>,
-}
-
-/// The payload of an [`OutNotify`].
-#[derive(Debug, Clone)]
-pub enum OutChange {
-    /// A filtering-stage transition. The changed item *is* the write, so
-    /// the after-image is shared, not copied; the notifier serializes
-    /// straight from it.
-    Write {
-        /// The transition the write caused for this query.
-        match_type: MatchType,
-        /// The causing write.
-        image: Arc<AfterImage>,
-    },
-    /// A payload the emitting stage built itself: a window edit, a
-    /// maintenance error, an aggregate value.
-    Kind(NotificationKind),
-}
-
-impl OutNotify {
-    /// The wire envelope of this notification, borrowing its parts.
-    pub fn envelope(&self) -> EnvelopeRef<'_> {
-        let kind = match &self.change {
-            OutChange::Write { match_type, image } => KindRef::Change {
-                match_type: *match_type,
-                item: ItemRef {
-                    key: &image.key,
-                    version: image.version,
-                    doc: image.doc.as_ref(),
-                    index: None,
-                },
-                old_index: None,
-            },
-            OutChange::Kind(kind) => KindRef::from(kind),
-        };
-        EnvelopeRef {
-            tenant: &self.tenant,
-            subscriptions: &self.subscriptions,
-            kind,
-            caused_by_write_at: self.caused_by_write_at,
-            trace: self.trace.as_ref(),
-        }
-    }
-
-    /// The notification as each addressee will see it, through the wire
-    /// layout (stage unit tests assert on this view).
-    #[cfg(test)]
-    pub(crate) fn notifications(&self) -> Vec<invalidb_common::Notification> {
-        invalidb_common::NotifyEnvelope::from_document(self.envelope().to_document())
-            .expect("emitted envelope decodes")
-            .into_notifications()
     }
 }
 

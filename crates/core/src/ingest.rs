@@ -4,7 +4,7 @@
 //! eager decode path pays for it twice: `payload_to_document` materializes
 //! the *entire* envelope (including the embedded record state), then
 //! `ClusterMessage::from_document` clones the `doc` subtree again into the
-//! [`AfterImage`]. [`decode_cluster_message`] keeps the same observable
+//! [`invalidb_common::AfterImage`]. [`decode_cluster_message`] keeps the same observable
 //! result while doing neither: binary (`IVBD`) write envelopes are walked
 //! once through a borrowed [`LazyDoc`] view, materializing only the three
 //! subtrees the after-image actually owns (`key`, `doc`, `trace`) straight

@@ -1,31 +1,33 @@
 //! The InvaliDB cluster — the paper's primary contribution (§5).
 //!
-//! An [`Cluster`] hosts the real-time matching workload on a stream topology
-//! (`invalidb-stream`), reachable only through the event layer
-//! (`invalidb-broker`). Message flow:
+//! A [`Cluster`] hosts the real-time matching workload as a handful of
+//! run-to-completion tasks (`invalidb_stream::task`), reachable only
+//! through the event layer (`invalidb-broker`). Message flow:
 //!
 //! ```text
 //!            event layer (topic "invalidb.cluster")
 //!                          │
-//!                      [ingress]                  (decode opaque payloads)
+//!                      [ingress]        decode, hash, initial results, heartbeats
 //!                 ┌────────┴────────┐
-//!          [query-ingest]    [write-ingest]       (stateless, hash & route)
-//!                 │                 │
-//!                 ├──── row ──► [matching grid QP × WP] ◄── column ──┤
-//!                 │                 │  filtering stage (§5.1)
-//!                 │                 ▼
-//!                 ├─────────► [sorting stage]     (per-query order, §5.2)
-//!                 │                 │
+//!              row │                 │ column
 //!                 ▼                 ▼
-//!                [notifier] ──► event layer (topics "invalidb.notify.*")
+//!          [matching grid QP × WP]        one task per cell: probe, evaluate,
+//!                 │            │           encode, publish (§5.1)
+//!        sorted / │            │ unsorted
+//!       aggregate ▼            │
+//!   [sorting / aggregation]    │           per-query order (§5.2)
+//!                 │            │
+//!                 ▼            ▼
+//!        event layer (topics "invalidb.notify.*")
 //! ```
 //!
-//! * the **filtering stage** is the QP × WP grid of matching nodes: each
-//!   node holds a subset of queries and sees a fraction of the write
+//! * the **filtering stage** is the QP × WP grid of matching cells: each
+//!   cell holds a subset of queries and sees a fraction of the write
 //!   stream; it performs staleness avoidance and write-stream retention and
-//!   emits `add`/`change`/`remove` transitions;
-//! * unsorted filter queries are *self-maintainable*: their notifications
-//!   go straight to the notifier;
+//!   detects `add`/`change`/`remove` transitions;
+//! * unsorted filter queries are *self-maintainable*: the cell encodes and
+//!   publishes their notifications itself, through the shared
+//!   [`notifier::Publisher`];
 //! * sorted queries (order/limit/offset) flow into the **sorting stage**,
 //!   which maintains the `offset + result + slack` window, detects
 //!   positional changes (`changeIndex`), raises *query maintenance errors*
@@ -37,13 +39,16 @@ pub mod cluster;
 pub mod config;
 pub mod event;
 pub mod ingest;
+mod links;
 pub mod matching;
 pub mod notifier;
 pub mod query_index;
 pub mod sorting;
+mod subscribers;
 pub mod window;
 
 pub use cluster::{CellHost, CellSet, Cluster, FullGrid};
 pub use config::{ClusterConfig, ClusterConfigBuilder, WorkerIdentity};
-pub use event::{Event, FilterChange, FilterChangeKind, OutChange, OutMsg, OutNotify};
+pub use event::{Event, FilterChange, FilterChangeKind};
+pub use notifier::Publisher;
 pub use window::{SortedWindow, VisibleEvent, WindowOutcome};

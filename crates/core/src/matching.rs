@@ -5,12 +5,15 @@
 //! every incoming after-image it evaluates all of its queries, compares the
 //! new matching status against the former one, and emits the transition:
 //!
-//! * unsorted filter queries are self-maintainable — the node emits one
-//!   finished change notification per (write, query), addressed to all of
-//!   the query's subscriptions, straight to the notifier;
+//! * unsorted filter queries are self-maintainable — the node encodes one
+//!   change notification per (write, query), addressed to all of the
+//!   query's subscriptions, and publishes it itself;
 //! * sorted queries emit [`FilterChange`]s to the sorting stage, and only
 //!   for items that match or just ceased matching — everything else is
 //!   filtered out here, slashing downstream throughput (§5.2).
+//!
+//! A cell runs to completion: index probe, predicate evaluation, notify
+//! encode and event-layer publish are function calls on the cell's thread.
 //!
 //! The node also implements **write-stream retention** and **staleness
 //! avoidance**: received after-images are buffered for a configurable time
@@ -19,17 +22,21 @@
 //! version of the same record is dropped (§5.1).
 
 use crate::config::{ClusterConfig, WorkerIdentity};
-use crate::event::{Event, FilterChange, FilterChangeKind, OutChange, OutMsg, OutNotify, WriteBatch};
+use crate::event::{Event, FilterChange, FilterChangeKind};
+use crate::links::StageLinks;
+use crate::notifier::Publisher;
 use crate::query_index::QueryIndex;
+use crate::subscribers::Subscribers;
+use invalidb_broker::BrokerHandle;
 use invalidb_common::trace::now_micros;
 use invalidb_common::{
-    AfterImage, Clock, GridCoord, GridShape, Key, MatchType, NotificationKind, QueryHash, Stage,
-    SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext, Version,
+    AfterImage, Clock, EnvelopeRef, GridCoord, GridShape, ItemRef, Key, KindRef, MatchType, QueryHash,
+    Stage, SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext, Version,
 };
-use invalidb_obs::{MetricsRegistry, SlowQueryScratch};
+use invalidb_obs::SlowQueryScratch;
 use invalidb_query::{PreparedAtom, PreparedQuery};
-use invalidb_stream::{Bolt, BoltContext};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use invalidb_stream::Task;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -85,24 +92,76 @@ struct QueryGroup {
     /// time for the slow-query log.
     spec_display: String,
     prepared: Arc<dyn PreparedQuery>,
-    /// True when downstream stages (sorting/aggregation) consume this
-    /// query's transitions; false for self-maintainable filter queries.
-    staged: bool,
+    /// Which downstream stages consume this query's transitions; neither
+    /// for self-maintainable filter queries.
+    to_sorting: bool,
+    to_aggregation: bool,
     /// This node's partition of the currently matching keys (filtering-stage
     /// result state). For sorted queries this is the *matching status* of
     /// keys within the bootstrap horizon, not the client-visible result.
     result: HashMap<Key, Version>,
-    /// The query's subscriptions, each with its TTL deadline. Ordered, so
-    /// that notifications address them in one stable order.
-    subscriptions: BTreeMap<SubscriptionId, Timestamp>,
+    subscriptions: Subscribers,
 }
 
-/// The matching-node bolt.
+/// Where a cell's staged (sorted/aggregate) transitions go.
+pub(crate) enum StagedOut {
+    /// The cell's row is anchored in this process: straight onto the stage
+    /// partition's queue.
+    Local(StageLinks),
+    /// The row is anchored on another worker: through the event layer, on
+    /// the row's shuffle topic.
+    Shuffle {
+        /// The event layer.
+        broker: BrokerHandle,
+        /// `invalidb.shuffle.q<row>`.
+        topic: String,
+        /// Codec of the shuffled documents.
+        codec: invalidb_json::WireCodec,
+        /// `shuffle.egress`.
+        published: Arc<AtomicU64>,
+    },
+}
+
+/// What a transition needs on its way out of the cell, bundled so the
+/// evaluation path borrows one field beside the query table.
+struct Outputs {
+    publisher: Publisher,
+    staged: StagedOut,
+    identity: Option<WorkerIdentity>,
+    /// `matching.matched` / `matching.filtered`, resolved once.
+    matched: Arc<AtomicU64>,
+    filtered: Arc<AtomicU64>,
+}
+
+impl Outputs {
+    /// Passes a staged query's transition downstream.
+    fn forward(&self, group: &QueryGroup, change: FilterChange) {
+        match &self.staged {
+            StagedOut::Local(links) => {
+                let hash = change.query_hash;
+                let event = Event::FilterChange(Arc::new(change));
+                if group.to_sorting {
+                    links.to_sorting(hash, event.clone());
+                }
+                if group.to_aggregation {
+                    links.to_aggregation(hash, event);
+                }
+            }
+            StagedOut::Shuffle { broker, topic, codec, published } => {
+                broker.publish(topic, codec.encode(&change.to_document()));
+                published.fetch_add(1, AtomicOrdering::Relaxed);
+            }
+        }
+    }
+}
+
+/// One matching cell: a [`Task`] on its own thread.
 pub struct MatchingNode {
     coord: GridCoord,
     grid: GridShape,
     config: ClusterConfig,
     clock: Arc<dyn Clock>,
+    out: Outputs,
     queries: HashMap<(TenantId, QueryHash), QueryGroup>,
     /// Multi-query index per (tenant, collection): maps a write to the
     /// candidate queries instead of evaluating all of them (thesis's
@@ -124,8 +183,8 @@ pub struct MatchingNode {
     /// Locally accumulated slow-query charges, flushed to the shared log
     /// on tick so the per-evaluation hot path never takes its lock.
     slow_scratch: SlowQueryScratch,
-    /// Reused mini-batch buffer for [`Bolt::execute_batch`] turns.
-    write_scratch: WriteBatch,
+    /// Reused buffer for the contiguous write runs of a scheduling turn.
+    write_scratch: Vec<Arc<AfterImage>>,
     /// Shared predicate evaluation cache (cleared per evaluation run).
     pred_cache: PredCache,
     /// Reused candidate-pair buffer for the batched index probe.
@@ -140,18 +199,48 @@ pub struct MatchingNode {
     metric_pred_hits: Arc<AtomicU64>,
     last_indexed: u64,
     last_scanned: u64,
+    /// `matching.dropped_stale`, `matching.write_batches` and this cell's
+    /// `matching.<qp>x<wp>.*` gauges, resolved once as well.
+    metric_dropped_stale: Arc<AtomicU64>,
+    metric_write_batches: Arc<AtomicU64>,
+    gauge_active_queries: Arc<AtomicU64>,
+    gauge_retained_writes: Arc<AtomicU64>,
+    gauge_ingest_lag_us: Arc<AtomicU64>,
 }
 
 impl MatchingNode {
-    /// Creates the node for task index `task` in the grid.
-    pub fn new(task: usize, grid: GridShape, config: ClusterConfig, clock: Arc<dyn Clock>) -> Self {
-        let metric_indexed = config.metrics.gauge("matching.index.indexed_queries");
-        let metric_scanned = config.metrics.gauge("matching.index.scanned_queries");
-        let metric_eq_hits = config.metrics.counter("matching.index.eq_lane_hits");
-        let metric_pred_hits = config.metrics.counter("matching.index.pred_cache_hits");
+    /// Creates the cell with task index `task` in the grid. Notifications
+    /// leave through `publisher`, staged transitions through `staged`.
+    pub(crate) fn new(
+        task: usize,
+        grid: GridShape,
+        config: ClusterConfig,
+        clock: Arc<dyn Clock>,
+        publisher: Publisher,
+        staged: StagedOut,
+    ) -> Self {
+        let metrics = &config.metrics;
+        let metric_indexed = metrics.gauge("matching.index.indexed_queries");
+        let metric_scanned = metrics.gauge("matching.index.scanned_queries");
+        let metric_eq_hits = metrics.counter("matching.index.eq_lane_hits");
+        let metric_pred_hits = metrics.counter("matching.index.pred_cache_hits");
+        let coord = grid.coord_of(task);
+        let cell = format!("matching.{}x{}", coord.qp, coord.wp);
         Self {
-            coord: grid.coord_of(task),
+            coord,
             grid,
+            out: Outputs {
+                publisher,
+                staged,
+                identity: config.worker_identity.clone(),
+                matched: metrics.counter("matching.matched"),
+                filtered: metrics.counter("matching.filtered"),
+            },
+            metric_dropped_stale: metrics.counter("matching.dropped_stale"),
+            metric_write_batches: metrics.counter("matching.write_batches"),
+            gauge_active_queries: metrics.gauge(&format!("{cell}.active_queries")),
+            gauge_retained_writes: metrics.gauge(&format!("{cell}.retained_writes")),
+            gauge_ingest_lag_us: metrics.gauge(&format!("{cell}.ingest_lag_us")),
             config,
             clock,
             queries: HashMap::new(),
@@ -162,7 +251,7 @@ impl MatchingNode {
             stale_dropped: 0,
             ingest_lag_us: 0,
             slow_scratch: SlowQueryScratch::new(),
-            write_scratch: WriteBatch::default(),
+            write_scratch: Vec::new(),
             pred_cache: PredCache::default(),
             cand_pairs: Vec::new(),
             metric_indexed,
@@ -174,7 +263,7 @@ impl MatchingNode {
         }
     }
 
-    fn handle_subscribe(&mut self, req: &SubscriptionRequest, ctx: &mut BoltContext<'_, Event>) {
+    fn handle_subscribe(&mut self, req: &SubscriptionRequest) {
         let now = self.clock.now();
         let expires_at = now.after(std::time::Duration::from_micros(req.ttl_micros));
         let group_key = (req.tenant.clone(), req.query_hash);
@@ -187,15 +276,13 @@ impl MatchingNode {
             Err(e) => {
                 // Unparseable query: report an error notification so the
                 // subscription does not dangle silently.
-                ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
-                    tenant: req.tenant.clone(),
-                    subscriptions: vec![req.subscription],
-                    change: OutChange::Kind(NotificationKind::Error(
-                        invalidb_common::MaintenanceError { reason: format!("query rejected: {e}") },
-                    )),
+                self.out.publisher.publish(EnvelopeRef {
+                    tenant: &req.tenant,
+                    subscriptions: &[req.subscription],
+                    kind: KindRef::Error(&format!("query rejected: {e}")),
                     caused_by_write_at: 0,
                     trace: None,
-                }))));
+                });
                 return;
             }
         };
@@ -212,9 +299,10 @@ impl MatchingNode {
             collection: req.spec.collection.clone(),
             spec_display: req.spec.to_string(),
             prepared,
-            staged: req.spec.needs_sorting_stage() || req.spec.needs_aggregation_stage(),
+            to_sorting: req.spec.needs_sorting_stage(),
+            to_aggregation: req.spec.needs_aggregation_stage(),
             result,
-            subscriptions: BTreeMap::from([(req.subscription, expires_at)]),
+            subscriptions: Subscribers::of(req.subscription, expires_at),
         };
         // Replay retained writes against the new query: closes the
         // write-subscription race (§5.1). Writes already reflected in the
@@ -246,12 +334,10 @@ impl MatchingNode {
                 &mut group,
                 hash,
                 &img,
-                &self.config.metrics,
-                self.config.worker_identity.as_ref(),
+                &self.out,
                 &mut self.slow_scratch,
                 &mut self.pred_cache,
                 0,
-                ctx,
             );
             self.note_transition(&img, hash, transition);
         }
@@ -287,12 +373,6 @@ impl MatchingNode {
         }
     }
 
-    fn handle_write(&mut self, img: &Arc<AfterImage>, ctx: &mut BoltContext<'_, Event>) {
-        // Single writes are a batch of one: the same code path computes
-        // exactly the serial candidates (index stab ∪ containing holders).
-        self.handle_write_batch(std::slice::from_ref(img), ctx);
-    }
-
     /// Batched write evaluation — the mini-batch tentpole. Produces, per
     /// query and therefore per subscription, byte-identical notifications
     /// in the same order as feeding the writes one by one; only the
@@ -309,7 +389,7 @@ impl MatchingNode {
     ///    run (writes in arrival order), paying the query-table lookup,
     ///    clock reads and slow-query charge once per query per run
     ///    instead of once per (write, query) pair.
-    fn handle_write_batch(&mut self, imgs: &[Arc<AfterImage>], ctx: &mut BoltContext<'_, Event>) {
+    fn handle_write_batch(&mut self, imgs: &[Arc<AfterImage>]) {
         // Phase 1 — admission, in arrival order.
         let mut live: Vec<&Arc<AfterImage>> = Vec::with_capacity(imgs.len());
         for img in imgs {
@@ -323,7 +403,7 @@ impl MatchingNode {
             match self.latest_versions.get(&record) {
                 Some(&seen) if img.version <= seen => {
                     self.stale_dropped += 1;
-                    self.config.metrics.inc("matching.dropped_stale");
+                    self.metric_dropped_stale.fetch_add(1, AtomicOrdering::Relaxed);
                     continue;
                 }
                 _ => {}
@@ -350,7 +430,7 @@ impl MatchingNode {
             return;
         }
         if live.len() > 1 {
-            self.config.metrics.inc("matching.write_batches");
+            self.metric_write_batches.fetch_add(1, AtomicOrdering::Relaxed);
         }
         if !self.config.multi_query_index {
             // Unindexed fallback: every same-(tenant, collection) query is
@@ -364,12 +444,10 @@ impl MatchingNode {
                             group,
                             *hash,
                             img,
-                            &self.config.metrics,
-                            self.config.worker_identity.as_ref(),
+                            &self.out,
                             &mut self.slow_scratch,
                             &mut self.pred_cache,
                             0,
-                            ctx,
                         );
                     }
                 }
@@ -395,13 +473,13 @@ impl MatchingNode {
             let mut seen: std::collections::HashSet<&Key> = std::collections::HashSet::new();
             for i in 0..writes.len() {
                 if !seen.insert(&writes[i].key) {
-                    self.process_run(tenant, collection, &writes[start..i], ctx);
+                    self.process_run(tenant, collection, &writes[start..i]);
                     seen.clear();
                     seen.insert(&writes[i].key);
                     start = i;
                 }
             }
-            self.process_run(tenant, collection, &writes[start..], ctx);
+            self.process_run(tenant, collection, &writes[start..]);
         }
     }
 
@@ -413,7 +491,6 @@ impl MatchingNode {
         tenant: &TenantId,
         collection: &str,
         writes: &[&Arc<AfterImage>],
-        ctx: &mut BoltContext<'_, Event>,
     ) {
         if writes.is_empty() {
             return;
@@ -460,16 +537,9 @@ impl MatchingNode {
                     let started = std::time::Instant::now();
                     for k in i..j {
                         let img = writes[pairs[k].1 as usize];
-                        if let Some(kind) = Self::evaluate(
-                            group,
-                            hash,
-                            img,
-                            &self.config.metrics,
-                            self.config.worker_identity.as_ref(),
-                            &mut self.pred_cache,
-                            pairs[k].1,
-                            ctx,
-                        ) {
+                        if let Some(kind) =
+                            Self::evaluate(group, hash, img, &self.out, &mut self.pred_cache, pairs[k].1)
+                        {
                             transitions.push((pairs[k].1, kind));
                         }
                     }
@@ -516,15 +586,13 @@ impl MatchingNode {
         group: &mut QueryGroup,
         hash: QueryHash,
         img: &Arc<AfterImage>,
-        metrics: &MetricsRegistry,
-        identity: Option<&WorkerIdentity>,
+        out: &Outputs,
         scratch: &mut SlowQueryScratch,
         cache: &mut PredCache,
         write_idx: u32,
-        ctx: &mut BoltContext<'_, Event>,
     ) -> Option<FilterChangeKind> {
         let started = std::time::Instant::now();
-        let kind = Self::evaluate(group, hash, img, metrics, identity, cache, write_idx, ctx);
+        let kind = Self::evaluate(group, hash, img, out, cache, write_idx);
         scratch.charge(
             &group.tenant.0,
             hash.0,
@@ -540,11 +608,9 @@ impl MatchingNode {
         group: &mut QueryGroup,
         hash: QueryHash,
         img: &Arc<AfterImage>,
-        metrics: &MetricsRegistry,
-        identity: Option<&WorkerIdentity>,
+        out: &Outputs,
         cache: &mut PredCache,
         write_idx: u32,
-        ctx: &mut BoltContext<'_, Event>,
     ) -> Option<FilterChangeKind> {
         let old = group.result.get(&img.key).copied();
         if let Some(old_version) = old {
@@ -565,11 +631,11 @@ impl MatchingNode {
             (true, true) => FilterChangeKind::Change,
             (true, false) => FilterChangeKind::Remove,
             (false, false) => {
-                metrics.inc("matching.filtered");
+                out.filtered.fetch_add(1, AtomicOrdering::Relaxed);
                 return None; // irrelevant write: filtered out
             }
         };
-        metrics.inc("matching.matched");
+        out.matched.fetch_add(1, AtomicOrdering::Relaxed);
         match kind {
             FilterChangeKind::Remove => {
                 group.result.remove(&img.key);
@@ -583,15 +649,15 @@ impl MatchingNode {
         // free. On a workerd host the stamp also names the worker and its
         // assignment epoch, so a cross-process trace identifies the cell.
         let trace: Option<TraceContext> = img.trace.clone().map(|mut t| {
-            match identity {
+            match &out.identity {
                 Some(id) => id.stamp(&mut t, Stage::Matching),
                 None => t.stamp(Stage::Matching),
             }
             t
         });
-        if group.staged {
+        if group.to_sorting || group.to_aggregation {
             // Sorted/aggregate queries: pass the transition downstream.
-            ctx.emit(Event::FilterChange(Arc::new(FilterChange {
+            let change = FilterChange {
                 tenant: group.tenant.clone(),
                 query_hash: hash,
                 kind,
@@ -600,22 +666,33 @@ impl MatchingNode {
                 doc: img.doc.clone(),
                 written_at: img.written_at,
                 trace,
-            })));
+            };
+            out.forward(group, change);
         } else {
-            // Self-maintainable queries: one finished notification for
-            // the whole group, pointing at the write instead of copying it.
+            // Self-maintainable queries: one notification for the whole
+            // group, serialized straight from the write and published from
+            // this thread.
             let match_type = match kind {
                 FilterChangeKind::Add => MatchType::Add,
                 FilterChangeKind::Change => MatchType::Change,
                 FilterChangeKind::Remove => MatchType::Remove,
             };
-            ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
-                tenant: group.tenant.clone(),
-                subscriptions: group.subscriptions.keys().copied().collect(),
-                change: OutChange::Write { match_type, image: Arc::clone(img) },
+            out.publisher.publish(EnvelopeRef {
+                tenant: &group.tenant,
+                subscriptions: group.subscriptions.ids(),
+                kind: KindRef::Change {
+                    match_type,
+                    item: ItemRef {
+                        key: &img.key,
+                        version: img.version,
+                        doc: img.doc.as_ref(),
+                        index: None,
+                    },
+                    old_index: None,
+                },
                 caused_by_write_at: img.written_at,
-                trace,
-            }))));
+                trace: trace.as_ref(),
+            });
         }
         Some(kind)
     }
@@ -627,7 +704,7 @@ impl MatchingNode {
         subscription: SubscriptionId,
     ) {
         if let Some(group) = self.queries.get_mut(&(tenant.clone(), query_hash)) {
-            group.subscriptions.remove(&subscription);
+            group.subscriptions.remove(subscription);
             if group.subscriptions.is_empty() {
                 // Deactivated queries stop consuming resources (§5).
                 let collection = group.collection.clone();
@@ -648,9 +725,7 @@ impl MatchingNode {
     ) {
         let now = self.clock.now();
         if let Some(group) = self.queries.get_mut(&(tenant.clone(), query_hash)) {
-            if let Some(expires_at) = group.subscriptions.get_mut(&subscription) {
-                *expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
-            }
+            group.subscriptions.extend_ttl(subscription, now, ttl_micros);
         }
     }
 
@@ -659,7 +734,7 @@ impl MatchingNode {
         // TTL enforcement: drop expired subscriptions, then empty groups.
         let indexes = &mut self.indexes;
         self.queries.retain(|(tenant, hash), group| {
-            group.subscriptions.retain(|_, expires_at| *expires_at > now);
+            group.subscriptions.expire(now);
             let keep = !group.subscriptions.is_empty();
             if !keep {
                 if let Some(index) = indexes.get_mut(&(tenant.clone(), group.collection.clone())) {
@@ -705,56 +780,58 @@ impl MatchingNode {
     }
 }
 
-impl Bolt<Event> for MatchingNode {
-    fn execute(&mut self, input: Event, ctx: &mut BoltContext<'_, Event>) {
+impl MatchingNode {
+    /// Handles one control event (writes go through the batch path).
+    fn handle_control(&mut self, input: Event) {
         match input {
-            Event::Subscribe(req) => self.handle_subscribe(&req, ctx),
-            Event::Write(img) => self.handle_write(&img, ctx),
+            Event::Subscribe(req) => self.handle_subscribe(&req),
             Event::Unsubscribe { tenant, query_hash, subscription } => {
                 self.handle_unsubscribe(&tenant, query_hash, subscription)
             }
             Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
                 self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
             }
-            // Not addressed to the filtering stage.
-            Event::FilterChange(_) | Event::Out(_) => {}
+            // Writes are batched by `handle`; filter changes are not
+            // addressed to the filtering stage.
+            Event::Write(_) | Event::FilterChange(_) => {}
         }
     }
+}
 
-    fn execute_batch(&mut self, inputs: &mut Vec<Event>, ctx: &mut BoltContext<'_, Event>) {
-        // Regroup the turn's contiguous write runs into a `WriteBatch` so
-        // each run shares one index probe and one per-query dispatch.
-        // Control events flush the pending run first: a subscribe between
-        // two writes must observe exactly the writes before it.
-        let mut batch = std::mem::take(&mut self.write_scratch);
-        for event in inputs.drain(..) {
+impl Task<Event> for MatchingNode {
+    fn handle(&mut self, batch: &mut Vec<Event>) {
+        // Regroup the turn's contiguous write runs so each run shares one
+        // index probe and one per-query dispatch. Control events flush the
+        // pending run first: a subscribe between two writes must observe
+        // exactly the writes before it.
+        let mut writes = std::mem::take(&mut self.write_scratch);
+        for event in batch.drain(..) {
             match event {
-                Event::Write(img) => batch.push(img),
+                Event::Write(img) => writes.push(img),
                 other => {
-                    if !batch.is_empty() {
-                        self.handle_write_batch(batch.writes(), ctx);
-                        batch.clear();
+                    if !writes.is_empty() {
+                        self.handle_write_batch(&writes);
+                        writes.clear();
                     }
-                    self.execute(other, ctx);
+                    self.handle_control(other);
                 }
             }
         }
-        if !batch.is_empty() {
-            self.handle_write_batch(batch.writes(), ctx);
-            batch.clear();
+        if !writes.is_empty() {
+            self.handle_write_batch(&writes);
+            writes.clear();
         }
-        self.write_scratch = batch;
+        self.write_scratch = writes;
     }
 
-    fn tick(&mut self, _ctx: &mut BoltContext<'_, Event>) {
+    fn tick(&mut self) {
         self.expire();
         self.slow_scratch.flush(&self.config.metrics.slow_queries());
         // Per-partition gauges, refreshed once per tick so the hot write
-        // path never touches the registry maps.
-        let cell = format!("matching.{}x{}", self.coord.qp, self.coord.wp);
-        self.config.metrics.set_gauge(&format!("{cell}.active_queries"), self.queries.len() as u64);
-        self.config.metrics.set_gauge(&format!("{cell}.retained_writes"), self.retention.len() as u64);
-        self.config.metrics.set_gauge(&format!("{cell}.ingest_lag_us"), self.ingest_lag_us);
+        // path never touches them.
+        self.gauge_active_queries.store(self.queries.len() as u64, AtomicOrdering::Relaxed);
+        self.gauge_retained_writes.store(self.retention.len() as u64, AtomicOrdering::Relaxed);
+        self.gauge_ingest_lag_us.store(self.ingest_lag_us, AtomicOrdering::Relaxed);
         self.ingest_lag_us = 0;
         // Cluster-shared index/sharing series. The gauges are summed over
         // all cells, so each cell publishes its delta since the last tick;
@@ -796,63 +873,61 @@ pub(crate) fn publish_gauge_delta(gauge: &AtomicU64, last: &mut u64, now: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::{doc, MockClock, Notification, QuerySpec, ResultItem, SortDirection};
-    use invalidb_stream::{Grouping, Source, TopologyBuilder};
-    use parking_lot::Mutex;
+    use crate::notifier::testing::{Wire, TENANT};
+    use crossbeam::channel::{unbounded, Receiver};
+    use invalidb_common::{
+        doc, MockClock, Notification, NotificationKind, QuerySpec, ResultItem, SortDirection,
+    };
     use std::time::Duration;
 
-    /// Runs a single matching node standalone inside a tiny topology and
-    /// collects its emissions.
+    /// One cell driven synchronously: what it publishes is read back off
+    /// the notify topic, what it stages off the sorting partition's queue.
     struct Harness {
-        tx: crossbeam::channel::Sender<Event>,
-        out: Arc<Mutex<Vec<Event>>>,
+        node: MatchingNode,
+        wire: Wire,
+        staged: Receiver<Event>,
         clock: MockClock,
-        _topo: invalidb_stream::RunningTopology,
-    }
-
-    struct ChanSource(crossbeam::channel::Receiver<Event>);
-    impl Source<Event> for ChanSource {
-        fn poll(&mut self, timeout: Duration) -> Vec<Event> {
-            match self.0.recv_timeout(timeout) {
-                Ok(e) => {
-                    let mut out = vec![e];
-                    out.extend(self.0.try_iter());
-                    out
-                }
-                Err(_) => Vec::new(),
-            }
-        }
-    }
-
-    struct Collector(Arc<Mutex<Vec<Event>>>);
-    impl Bolt<Event> for Collector {
-        fn execute(&mut self, input: Event, _ctx: &mut BoltContext<'_, Event>) {
-            self.0.lock().push(input);
-        }
     }
 
     fn harness(config: ClusterConfig) -> Harness {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let out = Arc::new(Mutex::new(Vec::new()));
         let clock = MockClock::new();
-        let grid = GridShape::new(1, 1);
-        let mut b = TopologyBuilder::new();
-        b.add_source("src", ChanSource(rx));
-        let clock2 = clock.clone();
-        let cfg = config.clone();
-        b.add_bolt("node", 1, move |task| {
-            Box::new(MatchingNode::new(task, grid, cfg.clone(), Arc::new(clock2.clone())))
-        });
-        let out2 = Arc::clone(&out);
-        b.add_bolt("sink", 1, move |_| Box::new(Collector(Arc::clone(&out2))));
-        b.connect("src", "node", Grouping::Broadcast);
-        b.connect("node", "sink", Grouping::Shuffle);
-        Harness { tx, out, clock, _topo: b.start() }
+        let wire = Wire::new(&config, &clock);
+        let (tx, staged) = unbounded();
+        let links = StageLinks { sorting: vec![tx.clone()], aggregation: vec![tx] };
+        let node = MatchingNode::new(
+            0,
+            GridShape::new(1, 1),
+            config,
+            Arc::new(clock.clone()),
+            wire.publisher.clone(),
+            StagedOut::Local(links),
+        );
+        Harness { node, wire, staged, clock }
+    }
+
+    impl Harness {
+        fn send(&mut self, event: Event) {
+            self.node.handle(&mut vec![event]);
+        }
+
+        fn notifications(&self) -> Vec<Notification> {
+            self.wire.notifications()
+        }
+
+        fn filter_changes(&self) -> Vec<FilterChange> {
+            self.staged
+                .try_iter()
+                .filter_map(|e| match e {
+                    Event::FilterChange(fc) => Some((*fc).clone()),
+                    _ => None,
+                })
+                .collect()
+        }
     }
 
     fn subscribe_event(spec: QuerySpec, sub: u64, initial: Vec<ResultItem>) -> Event {
         Event::Subscribe(Arc::new(SubscriptionRequest {
-            tenant: TenantId::new("app"),
+            tenant: TenantId::new(TENANT),
             subscription: SubscriptionId(sub),
             query_hash: spec.stable_hash(),
             spec,
@@ -863,9 +938,21 @@ mod tests {
         }))
     }
 
+    fn write_to(tenant: &str, collection: &str, key: Key, version: Version, n: i64) -> Event {
+        Event::Write(Arc::new(AfterImage {
+            tenant: TenantId::new(tenant),
+            collection: collection.into(),
+            key,
+            version,
+            doc: Some(doc! { "n" => n }),
+            written_at: 42,
+            trace: None,
+        }))
+    }
+
     fn write_event(key: Key, version: Version, doc: Option<invalidb_common::Document>) -> Event {
         Event::Write(Arc::new(AfterImage {
-            tenant: TenantId::new("app"),
+            tenant: TenantId::new(TENANT),
             collection: "t".into(),
             key,
             version,
@@ -875,45 +962,20 @@ mod tests {
         }))
     }
 
-    fn wait_events(h: &Harness, n: usize) -> Vec<Event> {
-        for _ in 0..400 {
-            if h.out.lock().len() >= n {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        h.out.lock().clone()
-    }
-
-    /// Every emitted notification as each of its addressees sees it.
-    fn notifications(events: &[Event]) -> Vec<Notification> {
-        events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Out(msg) => match &**msg {
-                    OutMsg::Notify(n) => Some(n),
-                    _ => None,
-                },
-                _ => None,
-            })
-            .flat_map(OutNotify::notifications)
-            .collect()
-    }
-
     #[test]
     fn unsorted_query_lifecycle() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
-        h.tx.send(subscribe_event(spec, 1, vec![])).unwrap();
+        h.send(subscribe_event(spec, 1, vec![]));
         // add: matching insert
-        h.tx.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 15i64 }))).unwrap();
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 15i64 })));
         // filtered: non-matching insert
-        h.tx.send(write_event(Key::of("b"), 1, Some(doc! { "n" => 5i64 }))).unwrap();
+        h.send(write_event(Key::of("b"), 1, Some(doc! { "n" => 5i64 })));
         // change: still matching
-        h.tx.send(write_event(Key::of("a"), 2, Some(doc! { "n" => 20i64 }))).unwrap();
+        h.send(write_event(Key::of("a"), 2, Some(doc! { "n" => 20i64 })));
         // remove: update out of the result
-        h.tx.send(write_event(Key::of("a"), 3, Some(doc! { "n" => 1i64 }))).unwrap();
-        let notes = notifications(&wait_events(&h, 3));
+        h.send(write_event(Key::of("a"), 3, Some(doc! { "n" => 1i64 })));
+        let notes = h.notifications();
         let kinds: Vec<MatchType> = notes
             .iter()
             .filter_map(|n| match &n.kind {
@@ -923,50 +985,76 @@ mod tests {
             .collect();
         assert_eq!(kinds, vec![MatchType::Add, MatchType::Change, MatchType::Remove]);
         assert_eq!(notes[0].caused_by_write_at, 42);
+        let snap = h.node.config.metrics.snapshot();
+        assert_eq!(snap.counters["matching.matched"], 3);
+        assert_eq!(snap.counters["matching.filtered"], 0, "the index never proposed `b`");
     }
 
     #[test]
     fn sorted_query_emits_filter_changes() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(3);
-        h.tx.send(subscribe_event(spec, 1, vec![])).unwrap();
-        h.tx.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 }))).unwrap();
-        let events = wait_events(&h, 1);
-        let fcs: Vec<&FilterChange> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::FilterChange(fc) => Some(&**fc),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(fcs.len(), 1);
+        h.send(subscribe_event(spec, 1, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        let fcs = h.filter_changes();
+        assert_eq!(fcs.len(), 1, "one stage, one copy");
         assert_eq!(fcs[0].kind, FilterChangeKind::Add);
-        assert!(notifications(&events).is_empty(), "sorted queries do not notify directly");
+        assert!(h.notifications().is_empty(), "sorted queries do not notify directly");
+    }
+
+    #[test]
+    fn foreign_rows_leave_through_the_shuffle_topic() {
+        let config = ClusterConfig::new(1, 1);
+        let clock = MockClock::new();
+        let wire = Wire::new(&config, &clock);
+        let broker = invalidb_broker::Broker::new();
+        let shuffled = broker.subscribe("invalidb.shuffle.q0");
+        let mut node = MatchingNode::new(
+            0,
+            GridShape::new(1, 1),
+            config.clone(),
+            Arc::new(clock),
+            wire.publisher.clone(),
+            StagedOut::Shuffle {
+                broker: broker.into(),
+                topic: "invalidb.shuffle.q0".into(),
+                codec: config.wire_codec,
+                published: config.metrics.counter("shuffle.egress"),
+            },
+        );
+        let spec = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(3);
+        node.handle(&mut vec![
+            subscribe_event(spec.clone(), 1, vec![]),
+            write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })),
+        ]);
+        let payload = shuffled.try_recv().expect("published by the cell itself");
+        let fc = FilterChange::from_document(&invalidb_json::payload_to_document(&payload).unwrap())
+            .unwrap();
+        assert_eq!((fc.query_hash, fc.kind), (spec.stable_hash(), FilterChangeKind::Add));
+        assert_eq!(config.metrics.snapshot().counters["shuffle.egress"], 1);
     }
 
     #[test]
     fn stale_writes_are_dropped() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
-        h.tx.send(subscribe_event(spec, 1, vec![])).unwrap();
-        h.tx.send(write_event(Key::of("a"), 2, Some(doc! { "n" => 2i64 }))).unwrap();
+        h.send(subscribe_event(spec, 1, vec![]));
+        h.send(write_event(Key::of("a"), 2, Some(doc! { "n" => 2i64 })));
         // Older version arrives late (event-layer skew): must be ignored.
-        h.tx.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 }))).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        let notes = notifications(&h.out.lock().clone());
-        assert_eq!(notes.len(), 1, "only the newer write notifies");
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        assert_eq!(h.notifications().len(), 1, "only the newer write notifies");
+        assert_eq!(h.node.stale_dropped(), 1);
     }
 
     #[test]
     fn retention_replay_closes_write_subscription_race() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         // Write arrives BEFORE the subscription (and is not reflected in the
         // initial result): retention replay must catch it.
-        h.tx.send(write_event(Key::of("early"), 1, Some(doc! { "n" => 99i64 }))).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        h.send(write_event(Key::of("early"), 1, Some(doc! { "n" => 99i64 })));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
-        h.tx.send(subscribe_event(spec, 1, vec![])).unwrap();
-        let notes = notifications(&wait_events(&h, 1));
+        h.send(subscribe_event(spec, 1, vec![]));
+        let notes = h.notifications();
         assert_eq!(notes.len(), 1);
         match &notes[0].kind {
             NotificationKind::Change(c) => {
@@ -979,105 +1067,82 @@ mod tests {
 
     #[test]
     fn replay_respects_initial_result_versions() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         // The write is already reflected in the initial result (same
         // version): replay must NOT double-notify.
-        h.tx.send(write_event(Key::of("seen"), 3, Some(doc! { "n" => 50i64 }))).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        h.send(write_event(Key::of("seen"), 3, Some(doc! { "n" => 50i64 })));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
         let initial = vec![ResultItem::new(Key::of("seen"), 3, doc! { "n" => 50i64 })];
-        h.tx.send(subscribe_event(spec, 1, initial)).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(notifications(&h.out.lock().clone()).is_empty());
+        h.send(subscribe_event(spec, 1, initial));
+        assert!(h.notifications().is_empty());
     }
 
     #[test]
     fn unsubscribe_stops_notifications() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
         let hash = spec.stable_hash();
-        h.tx.send(subscribe_event(spec, 1, vec![])).unwrap();
-        h.tx.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 }))).unwrap();
-        wait_events(&h, 1);
-        h.tx.send(Event::Unsubscribe {
-            tenant: TenantId::new("app"),
+        h.send(subscribe_event(spec, 1, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        h.send(Event::Unsubscribe {
+            tenant: TenantId::new(TENANT),
             subscription: SubscriptionId(1),
             query_hash: hash,
-        })
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        h.tx.send(write_event(Key::of("b"), 1, Some(doc! { "n" => 2i64 }))).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(notifications(&h.out.lock().clone()).len(), 1, "no notification after cancel");
+        });
+        assert_eq!(h.node.active_queries(), 0, "the last subscriber takes the query with it");
+        h.send(write_event(Key::of("b"), 1, Some(doc! { "n" => 2i64 })));
+        assert_eq!(h.notifications().len(), 1, "no notification after cancel");
     }
 
     #[test]
     fn ttl_expiry_deactivates_queries() {
-        let mut cfg = ClusterConfig::new(1, 1);
-        cfg.tick_interval = Duration::from_millis(10);
-        let h = harness(cfg);
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
-        let mut req = match subscribe_event(spec, 1, vec![]) {
+        let hash = spec.stable_hash();
+        let mut req = match subscribe_event(spec.clone(), 1, vec![]) {
             Event::Subscribe(r) => (*r).clone(),
             _ => unreachable!(),
         };
         req.ttl_micros = 1_000; // 1ms TTL
-        h.tx.send(Event::Subscribe(Arc::new(req))).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        h.clock.advance(Duration::from_secs(1)); // well past TTL
-        std::thread::sleep(Duration::from_millis(200)); // ticks run expiry
-        h.tx.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 }))).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(notifications(&h.out.lock().clone()).is_empty(), "expired query must not match");
+        h.send(Event::Subscribe(Arc::new(req.clone())));
+        req.subscription = SubscriptionId(2);
+        h.send(Event::Subscribe(Arc::new(req)));
+        // The keeper extends one of the two.
+        h.send(Event::ExtendTtl {
+            tenant: TenantId::new(TENANT),
+            subscription: SubscriptionId(2),
+            query_hash: hash,
+            ttl_micros: 10_000_000,
+        });
+        h.clock.advance(Duration::from_secs(1)); // well past the short TTL
+        h.node.tick();
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        let addressed: Vec<u64> = h.notifications().iter().map(|n| n.subscription.0).collect();
+        assert_eq!(addressed, vec![2], "the lapsed subscription is no longer addressed");
+        h.clock.advance(Duration::from_secs(60));
+        h.node.tick();
+        assert_eq!(h.node.active_queries(), 0, "expired query must not match");
     }
 
     #[test]
-    fn multi_tenant_isolation() {
-        let h = harness(ClusterConfig::new(1, 1));
+    fn tenants_and_collections_are_isolated() {
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
-        h.tx.send(subscribe_event(spec, 1, vec![])).unwrap(); // tenant "app"
-                                                              // Write from another tenant: same collection name, must not match.
-        h.tx.send(Event::Write(Arc::new(AfterImage {
-            tenant: TenantId::new("other"),
-            collection: "t".into(),
-            key: Key::of("x"),
-            version: 1,
-            doc: Some(doc! { "n" => 5i64 }),
-            written_at: 0,
-            trace: None,
-        })))
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(notifications(&h.out.lock().clone()).is_empty());
-    }
-
-    #[test]
-    fn collection_isolation() {
-        let h = harness(ClusterConfig::new(1, 1));
-        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
-        h.tx.send(subscribe_event(spec, 1, vec![])).unwrap();
-        h.tx.send(Event::Write(Arc::new(AfterImage {
-            tenant: TenantId::new("app"),
-            collection: "other_collection".into(),
-            key: Key::of("x"),
-            version: 1,
-            doc: Some(doc! { "n" => 5i64 }),
-            written_at: 0,
-            trace: None,
-        })))
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(notifications(&h.out.lock().clone()).is_empty());
+        h.send(subscribe_event(spec, 1, vec![])); // tenant "app", collection "t"
+        // Same collection name, another tenant; same tenant, another collection.
+        h.send(write_to("other", "t", Key::of("x"), 1, 5));
+        h.send(write_to(TENANT, "other_collection", Key::of("x"), 1, 5));
+        assert!(h.notifications().is_empty());
     }
 
     #[test]
     fn delete_of_matching_item_notifies_remove() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
         let initial = vec![ResultItem::new(Key::of("a"), 1, doc! { "n" => 1i64 })];
-        h.tx.send(subscribe_event(spec, 1, initial)).unwrap();
-        h.tx.send(write_event(Key::of("a"), 2, None)).unwrap();
-        let notes = notifications(&wait_events(&h, 1));
+        h.send(subscribe_event(spec, 1, initial));
+        h.send(write_event(Key::of("a"), 2, None));
+        let notes = h.notifications();
         assert_eq!(notes.len(), 1);
         match &notes[0].kind {
             NotificationKind::Change(c) => {
@@ -1089,45 +1154,48 @@ mod tests {
     }
 
     #[test]
+    fn rejected_queries_answer_with_an_error() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$bogus" => 1i64 } });
+        h.send(subscribe_event(spec, 1, vec![]));
+        let notes = h.notifications();
+        assert_eq!(notes.len(), 1);
+        assert!(
+            matches!(&notes[0].kind, NotificationKind::Error(e) if e.reason.starts_with("query rejected")),
+            "got {:?}",
+            notes[0].kind
+        );
+        assert_eq!(h.node.active_queries(), 0);
+    }
+
+    #[test]
     fn slow_query_log_charges_evaluations() {
-        let cfg = ClusterConfig::new(1, 1);
-        let metrics = cfg.metrics.clone();
-        let h = harness(cfg);
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
-        h.tx.send(subscribe_event(spec, 1, vec![])).unwrap();
-        h.tx.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 }))).unwrap();
-        wait_events(&h, 1);
-        // Charges are accumulated locally and only reach the shared log on
-        // the node's next tick, so poll for the flush.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let top = loop {
-            let top = metrics.slow_queries().top(4);
-            if !top.is_empty() {
-                break top;
-            }
-            assert!(std::time::Instant::now() < deadline, "charges never flushed");
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        h.send(subscribe_event(spec, 1, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        // Charges are accumulated locally and reach the shared log on the
+        // cell's next tick.
+        let log = h.node.config.metrics.slow_queries();
+        assert!(log.top(4).is_empty());
+        h.node.tick();
+        let top = log.top(4);
         assert_eq!(top.len(), 1, "one query charged");
         assert!(top[0].evals >= 1);
-        assert_eq!(top[0].tenant, "app");
+        assert_eq!(top[0].tenant, TENANT);
         assert!(!top[0].label.is_empty(), "label captured from the query spec");
     }
 
     #[test]
     fn batched_writes_equal_serial_per_subscription() {
-        use invalidb_stream::run_with_collector;
-        // Two identically subscribed nodes: one executes writes one by one,
-        // the other gets them as a single execute_batch turn. Output per
-        // subscription (and per query hash for staged queries) must be
-        // byte-identical, including under moves-out-of-range, deletes,
-        // duplicate keys (forcing run splits) and a second collection.
-        let grid = GridShape::new(1, 1);
-        let cfg = ClusterConfig::new(1, 1);
-        let clock = MockClock::new();
-        let mut serial = MatchingNode::new(0, grid, cfg.clone(), Arc::new(clock.clone()));
-        let mut batched = MatchingNode::new(0, grid, cfg, Arc::new(clock.clone()));
-        let subs = vec![
+        // Two identically subscribed cells: one handles writes one by one,
+        // the other gets them as a single turn. Output per subscription
+        // (and per query hash for staged queries) must be byte-identical,
+        // including under moves-out-of-range, deletes, duplicate keys
+        // (forcing run splits) and a second collection.
+        let mut serial = harness(ClusterConfig::new(1, 1));
+        let mut batched = harness(ClusterConfig::new(1, 1));
+        let subs = [
             subscribe_event(QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } }), 1, vec![]),
             subscribe_event(
                 QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(3),
@@ -1136,76 +1204,54 @@ mod tests {
             ),
             subscribe_event(QuerySpec::filter("u", doc! { "n" => doc! { "$lt" => 0i64 } }), 3, vec![]),
         ];
-        let mut writes = vec![
+        let writes = [
             write_event(Key::of("a"), 1, Some(doc! { "n" => 15i64 })), // add
             write_event(Key::of("b"), 1, Some(doc! { "n" => 5i64 })),  // filtered (sub 1)
             write_event(Key::of("a"), 2, Some(doc! { "n" => 20i64 })), // change, dup key
             write_event(Key::of("a"), 3, Some(doc! { "n" => 1i64 })),  // move out of range
             write_event(Key::of("b"), 2, None),                        // delete
             write_event(Key::of("a"), 3, Some(doc! { "n" => 99i64 })), // stale (dropped)
+            write_to(TENANT, "u", Key::of("z"), 1, -4),
         ];
-        writes.push(Event::Write(Arc::new(AfterImage {
-            tenant: TenantId::new("app"),
-            collection: "u".into(),
-            key: Key::of("z"),
-            version: 1,
-            doc: Some(doc! { "n" => -4i64 }),
-            written_at: 42,
-            trace: None,
-        })));
-        let mut out_serial = Vec::new();
-        run_with_collector(&mut out_serial, |ctx| {
-            for sub in &subs {
-                serial.execute(sub.clone(), ctx);
-            }
-            for w in &writes {
-                serial.execute(w.clone(), ctx);
-            }
-        });
-        let mut out_batched = Vec::new();
-        run_with_collector(&mut out_batched, |ctx| {
-            let mut turn: Vec<Event> = subs.iter().chain(writes.iter()).cloned().collect();
-            batched.execute_batch(&mut turn, ctx);
-        });
-        let per_sub = |events: &[Event], sub: u64| -> Vec<Notification> {
-            notifications(events).into_iter().filter(|n| n.subscription.0 == sub).collect()
+        for event in subs.iter().chain(&writes) {
+            serial.send(event.clone());
+        }
+        batched.node.handle(&mut subs.iter().chain(&writes).cloned().collect());
+
+        let per_sub = |notes: &[Notification], sub: u64| -> Vec<Notification> {
+            notes.iter().filter(|n| n.subscription.0 == sub).cloned().collect()
         };
+        let (out_serial, out_batched) = (serial.notifications(), batched.notifications());
+        assert!(!out_serial.is_empty());
         for sub in [1u64, 2, 3] {
             assert_eq!(per_sub(&out_serial, sub), per_sub(&out_batched, sub), "subscription {sub}");
         }
-        let changes = |events: &[Event]| -> Vec<FilterChange> {
-            events
-                .iter()
-                .filter_map(|e| match e {
-                    Event::FilterChange(fc) => Some((**fc).clone()),
-                    _ => None,
-                })
-                .collect()
-        };
-        let serial_fc = changes(&out_serial);
-        assert_eq!(serial_fc.len(), changes(&out_batched).len());
-        for (a, b) in serial_fc.iter().zip(changes(&out_batched).iter()) {
+        let (serial_fc, batched_fc) = (serial.filter_changes(), batched.filter_changes());
+        assert!(!serial_fc.is_empty());
+        assert_eq!(serial_fc.len(), batched_fc.len());
+        for (a, b) in serial_fc.iter().zip(&batched_fc) {
             assert_eq!(a.key, b.key);
             assert_eq!(a.kind, b.kind);
             assert_eq!(a.version, b.version);
             assert_eq!(a.doc, b.doc);
         }
-        assert_eq!(serial.stale_dropped(), batched.stale_dropped());
-        assert_eq!(serial.retained_writes(), batched.retained_writes());
+        assert_eq!(serial.node.stale_dropped(), batched.node.stale_dropped());
+        assert_eq!(serial.node.retained_writes(), batched.node.retained_writes());
     }
 
     #[test]
     fn two_subscriptions_same_query_both_notified() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
-        h.tx.send(subscribe_event(spec.clone(), 1, vec![])).unwrap();
-        h.tx.send(subscribe_event(spec, 2, vec![])).unwrap();
-        h.tx.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 }))).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        let events = wait_events(&h, 1);
-        assert_eq!(events.len(), 1, "one message per (write, query), not per subscription");
-        let subs: std::collections::HashSet<u64> =
-            notifications(&events).iter().map(|n| n.subscription.0).collect();
-        assert_eq!(subs, std::collections::HashSet::from([1, 2]));
+        h.send(subscribe_event(spec.clone(), 2, vec![]));
+        h.send(subscribe_event(spec, 1, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        let envelopes = h.wire.envelopes();
+        assert_eq!(envelopes.len(), 1, "one message per (write, query), not per subscription");
+        assert_eq!(
+            envelopes[0].subscriptions,
+            vec![SubscriptionId(1), SubscriptionId(2)],
+            "addressed in one stable order"
+        );
     }
 }

@@ -1,51 +1,98 @@
-//! The notification sink: serializes outbound messages and publishes them
-//! to the event layer, plus heartbeat emission (§5.1).
+//! The shared publisher: the way out of the cluster (§5.1).
+//!
+//! Whoever produces a notification — a grid cell, a sorting or aggregation
+//! partition, the ingress for initial results — serializes it from borrowed
+//! parts and puts it on the tenant's notify topic itself, on its own
+//! thread. The publisher is the state those callers share: the event-layer
+//! handle, the codec, the `notifier.*` counters, and one entry per tenant
+//! with its topic name and heartbeat state.
 //!
 //! The first notification for any real-time query is the initial result; it
-//! is emitted here directly from the subscription request (trimmed to the
+//! is emitted directly from the subscription request (trimmed to the
 //! original offset/limit window, since the request carries the *rewritten*
 //! bootstrap result). In the absence of heartbeat messages an application
-//! server terminates affected subscriptions with an error, so the notifier
-//! periodically pings every tenant topic it has seen.
+//! server terminates affected subscriptions with an error, so every tenant
+//! topic the publisher has seen is pinged periodically.
 
 use crate::config::ClusterConfig;
-use crate::event::{Event, OutMsg};
-use invalidb_broker::{notify_topic, BrokerHandle};
-use invalidb_common::{
-    doc, Clock, EnvelopeRef, ItemRef, KindRef, Stage, SubscriptionRequest, TenantId, Timestamp,
-};
-use invalidb_stream::{Bolt, BoltContext};
+use invalidb_broker::{notify_topic, BrokerHandle, Bytes};
+use invalidb_common::{doc, Clock, EnvelopeRef, ItemRef, KindRef, Stage, SubscriptionRequest, TenantId};
+use invalidb_json::WireCodec;
+use invalidb_obs::MetricsRegistry;
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-/// The notifier bolt.
-pub struct Notifier {
+/// What the publisher keeps per tenant, resolved once on first sight.
+struct Tenant {
+    /// `invalidb.notify.<tenant>`.
+    topic: String,
+    /// The tenant's heartbeat message, encoded once.
+    heartbeat: Bytes,
+    /// Clock reading (µs) of the last heartbeat.
+    last_heartbeat: AtomicU64,
+}
+
+struct Inner {
     broker: BrokerHandle,
-    config: ClusterConfig,
+    codec: WireCodec,
     clock: Arc<dyn Clock>,
-    /// Tenants seen, with the time of their last heartbeat.
-    tenants: HashMap<TenantId, Timestamp>,
+    heartbeat_interval: Duration,
+    metrics: MetricsRegistry,
     /// `notifier.published`: notifications, i.e. addressed subscriptions.
     published: Arc<AtomicU64>,
     /// `notifier.envelopes`: messages put on the event layer for them.
     envelopes: Arc<AtomicU64>,
+    tenants: RwLock<HashMap<TenantId, Arc<Tenant>>>,
 }
 
-impl Notifier {
-    /// Creates the notifier.
-    pub fn new(broker: BrokerHandle, config: ClusterConfig, clock: Arc<dyn Clock>) -> Self {
-        let published = config.metrics.counter("notifier.published");
-        let envelopes = config.metrics.counter("notifier.envelopes");
-        Self { broker, config, clock, tenants: HashMap::new(), published, envelopes }
+/// Cheaply cloneable handle to the cluster's one publisher.
+#[derive(Clone)]
+pub struct Publisher {
+    inner: Arc<Inner>,
+}
+
+impl Publisher {
+    /// Creates the publisher of a cluster.
+    pub fn new(broker: BrokerHandle, config: &ClusterConfig, clock: Arc<dyn Clock>) -> Self {
+        Self {
+            inner: Arc::new(Inner {
+                broker,
+                codec: config.wire_codec,
+                clock,
+                heartbeat_interval: config.heartbeat_interval,
+                metrics: config.metrics.clone(),
+                published: config.metrics.counter("notifier.published"),
+                envelopes: config.metrics.counter("notifier.envelopes"),
+                tenants: RwLock::new(HashMap::new()),
+            }),
+        }
+    }
+
+    /// The tenant's entry; first sight adds it to the heartbeat round.
+    fn tenant(&self, tenant: &TenantId) -> Arc<Tenant> {
+        if let Some(entry) = self.inner.tenants.read().get(tenant) {
+            return Arc::clone(entry);
+        }
+        let entry = Arc::new(Tenant {
+            topic: notify_topic(&tenant.0),
+            heartbeat: self.inner.codec.encode(&doc! {
+                "type" => "heartbeat",
+                "tenant" => tenant.0.clone(),
+            }),
+            last_heartbeat: AtomicU64::new(self.inner.clock.now().micros()),
+        });
+        Arc::clone(self.inner.tenants.write().entry(tenant.clone()).or_insert(entry))
     }
 
     /// Serializes one envelope straight from its borrowed parts and
     /// publishes it once, whatever the number of addressees.
-    fn publish(&mut self, envelope: EnvelopeRef<'_>) {
-        self.remember(envelope.tenant);
-        self.published.fetch_add(envelope.subscriptions.len() as u64, Ordering::Relaxed);
-        self.envelopes.fetch_add(1, Ordering::Relaxed);
+    pub fn publish(&self, envelope: EnvelopeRef<'_>) {
+        let tenant = self.tenant(envelope.tenant);
+        self.inner.published.fetch_add(envelope.subscriptions.len() as u64, Ordering::Relaxed);
+        self.inner.envelopes.fetch_add(1, Ordering::Relaxed);
         // Traced notifications get the notifier stamp right before they are
         // serialized onto the event layer; only the trace is copied for it,
         // and only for sampled writes.
@@ -54,18 +101,22 @@ impl Notifier {
             trace
         });
         let envelope = EnvelopeRef { trace: stamped.as_ref(), ..envelope };
-        let mut payload = self.config.wire_codec.writer();
+        let mut payload = self.inner.codec.writer();
         envelope.write_to(&mut payload);
-        self.broker.publish(&notify_topic(&envelope.tenant.0), payload.finish());
+        self.inner.broker.publish(&tenant.topic, payload.finish());
     }
 
-    fn initial_result(&mut self, req: &SubscriptionRequest) {
-        self.remember(&req.tenant);
+    /// Publishes the initial result of a subscription. The ingress calls
+    /// this *before* it hands the request to any cell or stage, so no
+    /// change notification can overtake it on the notify topic.
+    pub fn initial_result(&self, req: &SubscriptionRequest) {
+        // The tenant joins the heartbeat round even if nothing is published.
+        self.tenant(&req.tenant);
         if req.renewal {
             // Silent re-registration (failover replay): the client already
             // holds a live result, so re-emitting the cached bootstrap
             // snapshot would clobber it with stale state.
-            self.config.metrics.inc("notifier.silent_renewals");
+            self.inner.metrics.inc("notifier.silent_renewals");
             return;
         }
         if req.spec.needs_aggregation_stage() {
@@ -94,48 +145,127 @@ impl Notifier {
         });
     }
 
-    /// Adds the tenant to the heartbeat round on first sight.
-    fn remember(&mut self, tenant: &TenantId) {
-        if !self.tenants.contains_key(tenant) {
-            self.tenants.insert(tenant.clone(), self.clock.now());
-        }
-    }
-
-    fn heartbeat(&mut self) {
-        let now = self.clock.now();
-        let interval = self.config.heartbeat_interval;
-        for (tenant, last) in self.tenants.iter_mut() {
-            if now.since(*last) >= interval {
-                *last = now;
-                let payload = self.config.wire_codec.encode(&doc! {
-                    "type" => "heartbeat",
-                    "tenant" => tenant.0.clone(),
-                });
-                self.broker.publish(&notify_topic(&tenant.0), payload);
+    /// Pings every known tenant whose last heartbeat is an interval old.
+    /// Driven by the ingress thread on its own deadline, so the cadence
+    /// holds whatever the cells are busy with.
+    pub fn heartbeat(&self) {
+        let now = self.inner.clock.now().micros();
+        let interval = self.inner.heartbeat_interval.as_micros() as u64;
+        for tenant in self.inner.tenants.read().values() {
+            if now.saturating_sub(tenant.last_heartbeat.load(Ordering::Relaxed)) >= interval {
+                tenant.last_heartbeat.store(now, Ordering::Relaxed);
+                self.inner.broker.publish(&tenant.topic, tenant.heartbeat.clone());
             }
         }
     }
 }
 
-impl Bolt<Event> for Notifier {
-    fn execute(&mut self, input: Event, _ctx: &mut BoltContext<'_, Event>) {
-        match input {
-            Event::Subscribe(req) => self.initial_result(&req),
-            Event::Out(msg) => match &*msg {
-                OutMsg::Notify(n) => self.publish(n.envelope()),
-                OutMsg::Heartbeat { tenant } => {
-                    let payload = self.config.wire_codec.encode(&doc! {
-                        "type" => "heartbeat",
-                        "tenant" => tenant.0.clone(),
-                    });
-                    self.broker.publish(&notify_topic(&tenant.0), payload);
-                }
-            },
-            _ => {}
+#[cfg(test)]
+pub(crate) mod testing {
+    //! A publisher over an in-process broker whose notify topic the test
+    //! reads back, so stage unit tests assert on what would reach the wire.
+
+    use super::*;
+    use invalidb_broker::{Broker, Subscription};
+    use invalidb_common::{MockClock, Notification, NotifyEnvelope};
+
+    /// Tenant used by the stage unit tests.
+    pub(crate) const TENANT: &str = "app";
+
+    pub(crate) struct Wire {
+        pub(crate) publisher: Publisher,
+        notify: Subscription,
+    }
+
+    impl Wire {
+        pub(crate) fn new(config: &ClusterConfig, clock: &MockClock) -> Self {
+            let broker = Broker::new();
+            let notify = broker.subscribe(&notify_topic(TENANT));
+            Self { publisher: Publisher::new(broker.into(), config, Arc::new(clock.clone())), notify }
+        }
+
+        /// Every envelope published since the last call.
+        pub(crate) fn envelopes(&self) -> Vec<NotifyEnvelope> {
+            std::iter::from_fn(|| self.notify.try_recv())
+                .filter_map(|payload| {
+                    let d = invalidb_json::payload_to_document(&payload).expect("decodable payload");
+                    NotifyEnvelope::from_document(d).ok() // heartbeats are no envelopes
+                })
+                .collect()
+        }
+
+        /// The same, as each addressee sees it.
+        pub(crate) fn notifications(&self) -> Vec<Notification> {
+            self.envelopes().into_iter().flat_map(NotifyEnvelope::into_notifications).collect()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{Wire, TENANT};
+    use super::*;
+    use invalidb_broker::Broker;
+    use invalidb_common::{MockClock, NotificationKind, QuerySpec, ResultItem, SubscriptionId};
+
+    fn request(spec: QuerySpec, initial: Vec<ResultItem>, renewal: bool) -> SubscriptionRequest {
+        SubscriptionRequest {
+            tenant: TenantId::new(TENANT),
+            subscription: SubscriptionId(7),
+            query_hash: spec.stable_hash(),
+            spec,
+            initial,
+            slack: 1,
+            ttl_micros: 1,
+            renewal,
         }
     }
 
-    fn tick(&mut self, _ctx: &mut BoltContext<'_, Event>) {
-        self.heartbeat();
+    #[test]
+    fn initial_result_is_trimmed_to_the_visible_window_and_counted() {
+        let config = ClusterConfig::new(1, 1);
+        let wire = Wire::new(&config, &MockClock::new());
+        let spec = QuerySpec::filter("t", doc! {})
+            .sorted_by("n", invalidb_common::SortDirection::Asc)
+            .with_limit(2);
+        let initial = (0..3i64)
+            .map(|i| ResultItem::new(invalidb_common::Key::of(i), 1, doc! { "n" => i }))
+            .collect();
+        wire.publisher.initial_result(&request(spec, initial, false));
+        let notes = wire.notifications();
+        assert_eq!(notes.len(), 1);
+        match &notes[0].kind {
+            NotificationKind::InitialResult { items } => {
+                assert_eq!(items.len(), 2, "slack is not client-visible");
+                assert_eq!(items[1].index, Some(1));
+            }
+            other => panic!("expected initial result, got {other:?}"),
+        }
+        let snap = config.metrics.snapshot();
+        assert_eq!(snap.counters["notifier.published"], 1);
+        assert_eq!(snap.counters["notifier.envelopes"], 1);
+    }
+
+    #[test]
+    fn silent_renewals_publish_nothing_but_join_the_heartbeat_round() {
+        let config = ClusterConfig::new(1, 1);
+        let clock = MockClock::new();
+        let broker = Broker::new();
+        let notify = broker.subscribe(&notify_topic(TENANT));
+        let publisher = Publisher::new(broker.into(), &config, Arc::new(clock.clone()));
+        publisher.initial_result(&request(QuerySpec::filter("t", doc! {}), vec![], true));
+        assert!(notify.try_recv().is_none());
+        assert_eq!(config.metrics.snapshot().counters["notifier.silent_renewals"], 1);
+
+        publisher.heartbeat();
+        assert!(notify.try_recv().is_none(), "not due yet");
+        clock.advance(config.heartbeat_interval);
+        publisher.heartbeat();
+        publisher.heartbeat();
+        let beat = notify.try_recv().expect("one heartbeat per interval");
+        let d = invalidb_json::payload_to_document(&beat).unwrap();
+        assert_eq!(d.get("type").and_then(|v| v.as_str()), Some("heartbeat"));
+        assert_eq!(d.get("tenant").and_then(|v| v.as_str()), Some(TENANT));
+        assert!(notify.try_recv().is_none());
     }
 }

@@ -1,23 +1,26 @@
 //! The sorting stage (§5.2).
 //!
 //! Sorting nodes receive filtering-stage output *partitioned by query* —
-//! each sorted query is owned by exactly one sorting task (fields grouping
-//! on the query hash), which therefore holds the query's full
+//! each sorted query is owned by exactly one sorting task (the partition
+//! of its query hash), which therefore holds the query's full
 //! offset+result+slack window and can detect positional changes
-//! (`changeIndex`), boundary crossings, and maintenance errors.
+//! (`changeIndex`), boundary crossings, and maintenance errors. A task
+//! encodes and publishes the notifications for its windows itself.
 
 use crate::config::ClusterConfig;
-use crate::event::{Event, FilterChange, OutChange, OutMsg, OutNotify};
+use crate::event::{Event, FilterChange};
+use crate::notifier::Publisher;
+use crate::subscribers::Subscribers;
 use crate::window::{apply_events, SortedWindow, VisibleEvent, WindowItem};
 use invalidb_common::{
-    ChangeItem, Clock, MaintenanceError, MatchType, NotificationKind, QueryHash, ResultItem, Stage,
-    SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext,
+    Clock, EnvelopeRef, ItemRef, KindRef, MatchType, QueryHash, Stage, SubscriptionId,
+    SubscriptionRequest, TenantId, TraceContext,
 };
 use invalidb_obs::SlowQueryScratch;
 use invalidb_query::PreparedQuery;
-use invalidb_stream::{Bolt, BoltContext};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::AtomicU64;
+use invalidb_stream::Task;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct SortGroup {
@@ -34,14 +37,11 @@ struct SortGroup {
     /// Filter changes that arrived while deactivated, in arrival order.
     /// The renewal's fresh snapshot is read from the store *before* the
     /// Subscribe is published, so a change generated from a later write
-    /// can still reach this task first (it travels on the matching
-    /// channel, the Subscribe on the query-ingest channel). Discarding it
-    /// would freeze its key at the snapshot's state forever; instead it
-    /// is replayed — version-guarded — right after the reseed.
+    /// can still reach this task first. Discarding it would freeze its key
+    /// at the snapshot's state forever; instead it is replayed —
+    /// version-guarded — right after the reseed.
     pending: Vec<Arc<FilterChange>>,
-    /// The query's subscriptions, each with its TTL deadline. Ordered, so
-    /// that notifications address them in one stable order.
-    subscriptions: BTreeMap<SubscriptionId, Timestamp>,
+    subscriptions: Subscribers,
 }
 
 /// Bound on buffered filter changes per deactivated query. On overflow
@@ -49,11 +49,11 @@ struct SortGroup {
 /// read later than anything shed, so it covers the loss.
 const PENDING_CAP: usize = 4096;
 
-/// The sorting-stage bolt.
+/// One partition of the sorting stage: a [`Task`] on its own thread.
 pub struct SortingNode {
-    task: usize,
     config: ClusterConfig,
     clock: Arc<dyn Clock>,
+    publisher: Publisher,
     groups: HashMap<(TenantId, QueryHash), SortGroup>,
     /// Observability: maintenance errors raised.
     maintenance_errors: u64,
@@ -67,20 +67,28 @@ pub struct SortingNode {
     /// matching stage's `matching.index.*` gauges.
     metric_shared: Arc<AtomicU64>,
     last_shared: u64,
+    /// `sorting.maintenance_errors`, `sorting.pending_shed` and this
+    /// task's `sorting.<task>.active_queries`, resolved once.
+    metric_errors: Arc<AtomicU64>,
+    metric_pending_shed: Arc<AtomicU64>,
+    gauge_active_queries: Arc<AtomicU64>,
 }
 
 impl SortingNode {
     /// Creates the sorting node for task index `task`.
-    pub fn new(task: usize, config: ClusterConfig, clock: Arc<dyn Clock>) -> Self {
-        let metric_shared = config.metrics.gauge("matching.index.shared_windows");
+    pub fn new(task: usize, config: ClusterConfig, clock: Arc<dyn Clock>, publisher: Publisher) -> Self {
+        let metrics = &config.metrics;
         Self {
-            task,
+            metric_shared: metrics.gauge("matching.index.shared_windows"),
+            metric_errors: metrics.counter("sorting.maintenance_errors"),
+            metric_pending_shed: metrics.counter("sorting.pending_shed"),
+            gauge_active_queries: metrics.gauge(&format!("sorting.{task}.active_queries")),
             config,
             clock,
+            publisher,
             groups: HashMap::new(),
             maintenance_errors: 0,
             slow_scratch: SlowQueryScratch::new(),
-            metric_shared,
             last_shared: 0,
         }
     }
@@ -95,7 +103,7 @@ impl SortingNode {
         self.maintenance_errors
     }
 
-    fn handle_subscribe(&mut self, req: &SubscriptionRequest, ctx: &mut BoltContext<'_, Event>) {
+    fn handle_subscribe(&mut self, req: &SubscriptionRequest) {
         if !req.spec.needs_sorting_stage() {
             return; // unsorted queries live entirely in the filtering stage
         }
@@ -110,12 +118,12 @@ impl SortingNode {
                 // correction delta to this subscription only.
                 let fresh = SortedWindow::new(Arc::clone(&group.prepared), req.slack, &req.initial);
                 for ev in crate::window::diff_visible(fresh.visible(), &group.client_state) {
-                    ctx.emit(notify_event(&req.tenant, vec![req.subscription], ev, 0, None));
+                    publish_edit(&self.publisher, &req.tenant, &[req.subscription], &ev, 0, None);
                 }
             } else {
                 // Renewal: re-seed from the fresh result. On the wire a
                 // renewal is indistinguishable from a fresh subscribe, so
-                // the notifier has already re-sent the initial result and
+                // the ingress has already re-sent the initial result and
                 // the client's list is reset wholesale — emitting a delta
                 // from the pre-error state on top of that replacement
                 // would corrupt the client's list.
@@ -130,14 +138,13 @@ impl SortingNode {
                 let pending = std::mem::take(&mut group.pending);
                 for fc in pending {
                     if group.active {
-                        Self::apply_filter_change(
+                        self.maintenance_errors += u64::from(Self::apply_filter_change(
                             group,
                             &fc,
-                            &self.config,
-                            &mut self.maintenance_errors,
+                            &self.publisher,
+                            &self.metric_errors,
                             &mut self.slow_scratch,
-                            ctx,
-                        );
+                        ));
                     } else {
                         group.pending.push(fc);
                     }
@@ -160,12 +167,12 @@ impl SortingNode {
                 client_state,
                 active: true,
                 pending: Vec::new(),
-                subscriptions: BTreeMap::from([(req.subscription, expires_at)]),
+                subscriptions: Subscribers::of(req.subscription, expires_at),
             },
         );
     }
 
-    fn handle_filter_change(&mut self, fc: &Arc<FilterChange>, ctx: &mut BoltContext<'_, Event>) {
+    fn handle_filter_change(&mut self, fc: &Arc<FilterChange>) {
         let group = match self.groups.get_mut(&(fc.tenant.clone(), fc.query_hash)) {
             Some(g) => g,
             None => return, // unknown query
@@ -176,31 +183,30 @@ impl SortingNode {
             // produced this change (see the `pending` field).
             if group.pending.len() >= PENDING_CAP {
                 group.pending.remove(0);
-                self.config.metrics.inc("sorting.pending_shed");
+                self.metric_pending_shed.fetch_add(1, Ordering::Relaxed);
             }
             group.pending.push(Arc::clone(fc));
             return;
         }
-        Self::apply_filter_change(
+        self.maintenance_errors += u64::from(Self::apply_filter_change(
             group,
             fc,
-            &self.config,
-            &mut self.maintenance_errors,
+            &self.publisher,
+            &self.metric_errors,
             &mut self.slow_scratch,
-            ctx,
-        );
+        ));
     }
 
-    /// Applies one filter change to an active group's window, emitting the
-    /// visible edit script (or a maintenance error, which deactivates).
+    /// Applies one filter change to an active group's window, publishing
+    /// the visible edit script — or a maintenance error, which deactivates
+    /// the group; returns whether that happened.
     fn apply_filter_change(
         group: &mut SortGroup,
         fc: &FilterChange,
-        config: &ClusterConfig,
-        maintenance_errors: &mut u64,
+        publisher: &Publisher,
+        metric_errors: &AtomicU64,
         slow_scratch: &mut SlowQueryScratch,
-        ctx: &mut BoltContext<'_, Event>,
-    ) {
+    ) -> bool {
         // Slow-query accounting: the window maintenance below is the
         // sorting stage's per-query cost.
         let started = std::time::Instant::now();
@@ -210,33 +216,27 @@ impl SortingNode {
             t.stamp(Stage::Sorting);
             t
         });
-        if let Some(reason) = outcome.error {
+        let failed = outcome.error.is_some();
+        if let Some(reason) = &outcome.error {
             // Query maintenance error: deactivate and ask for renewal. The
             // client's list stays at the last valid state (client_state).
             group.active = false;
-            *maintenance_errors += 1;
-            config.metrics.inc("sorting.maintenance_errors");
-            ctx.emit(Event::Out(Arc::new(OutMsg::Notify(OutNotify {
-                tenant: fc.tenant.clone(),
-                subscriptions: group.subscriptions.keys().copied().collect(),
-                change: OutChange::Kind(NotificationKind::Error(MaintenanceError { reason })),
+            metric_errors.fetch_add(1, Ordering::Relaxed);
+            publisher.publish(EnvelopeRef {
+                tenant: &fc.tenant,
+                subscriptions: group.subscriptions.ids(),
+                kind: KindRef::Error(reason),
                 caused_by_write_at: fc.written_at,
-                trace,
-            }))));
-            slow_scratch.charge(
-                &fc.tenant.0,
-                fc.query_hash.0,
-                || group.spec_display.clone(),
-                started.elapsed().as_micros() as u64,
-            );
-            return;
-        }
-        apply_events(&mut group.client_state, &outcome.events);
-        // One message per edit for the whole group: every member holds the
-        // same list, so every member gets the same script.
-        for ev in outcome.events {
-            let subscriptions = group.subscriptions.keys().copied().collect();
-            ctx.emit(notify_event(&fc.tenant, subscriptions, ev, fc.written_at, trace.clone()));
+                trace: trace.as_ref(),
+            });
+        } else {
+            apply_events(&mut group.client_state, &outcome.events);
+            // One message per edit for the whole group: every member holds
+            // the same list, so every member gets the same script.
+            for ev in &outcome.events {
+                let to = group.subscriptions.ids();
+                publish_edit(publisher, &fc.tenant, to, ev, fc.written_at, trace.as_ref());
+            }
         }
         slow_scratch.charge(
             &fc.tenant.0,
@@ -244,6 +244,7 @@ impl SortingNode {
             || group.spec_display.clone(),
             started.elapsed().as_micros() as u64,
         );
+        failed
     }
 
     fn handle_unsubscribe(
@@ -253,7 +254,7 @@ impl SortingNode {
         subscription: SubscriptionId,
     ) {
         if let Some(group) = self.groups.get_mut(&(tenant.clone(), query_hash)) {
-            group.subscriptions.remove(&subscription);
+            group.subscriptions.remove(subscription);
             if group.subscriptions.is_empty() {
                 self.groups.remove(&(tenant.clone(), query_hash));
             }
@@ -269,85 +270,80 @@ impl SortingNode {
     ) {
         let now = self.clock.now();
         if let Some(group) = self.groups.get_mut(&(tenant.clone(), query_hash)) {
-            if let Some(expires_at) = group.subscriptions.get_mut(&subscription) {
-                *expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
-            }
+            group.subscriptions.extend_ttl(subscription, now, ttl_micros);
         }
     }
 
     fn expire(&mut self) {
         let now = self.clock.now();
         self.groups.retain(|_, group| {
-            group.subscriptions.retain(|_, expires_at| *expires_at > now);
+            group.subscriptions.expire(now);
             !group.subscriptions.is_empty()
         });
     }
 }
 
-/// Turns a window edit into the notification announcing it to
-/// `subscriptions`; the edit's item moves into the message.
-fn notify_event(
+/// Publishes the notification announcing one window edit to
+/// `subscriptions`, serialized straight from the edit.
+fn publish_edit(
+    publisher: &Publisher,
     tenant: &TenantId,
-    subscriptions: Vec<SubscriptionId>,
-    ev: VisibleEvent,
+    subscriptions: &[SubscriptionId],
+    ev: &VisibleEvent,
     written_at: u64,
-    trace: Option<TraceContext>,
-) -> Event {
-    let indexed = |item: WindowItem, index: usize| ResultItem {
-        key: item.key,
-        version: item.version,
-        doc: Some(item.doc),
-        index: Some(index as u64),
-    };
-    let change = match ev {
-        VisibleEvent::Add { item, index } => {
-            ChangeItem { match_type: MatchType::Add, item: indexed(item, index), old_index: None }
+    trace: Option<&TraceContext>,
+) {
+    fn indexed(item: &WindowItem, index: usize) -> ItemRef<'_> {
+        ItemRef {
+            key: &item.key,
+            version: item.version,
+            doc: Some(&item.doc),
+            index: Some(index as u64),
         }
-        VisibleEvent::Change { item, index } => {
-            ChangeItem { match_type: MatchType::Change, item: indexed(item, index), old_index: None }
+    }
+    let (match_type, item, old_index) = match ev {
+        VisibleEvent::Add { item, index } => (MatchType::Add, indexed(item, *index), None),
+        VisibleEvent::Change { item, index } => (MatchType::Change, indexed(item, *index), None),
+        VisibleEvent::ChangeIndex { item, old_index, index } => {
+            (MatchType::ChangeIndex, indexed(item, *index), Some(*old_index as u64))
         }
-        VisibleEvent::ChangeIndex { item, old_index, index } => ChangeItem {
-            match_type: MatchType::ChangeIndex,
-            item: indexed(item, index),
-            old_index: Some(old_index as u64),
-        },
-        VisibleEvent::Remove { key, version, old_index } => ChangeItem {
-            match_type: MatchType::Remove,
-            item: ResultItem { key, version, doc: None, index: None },
-            old_index: Some(old_index as u64),
-        },
+        VisibleEvent::Remove { key, version, old_index } => (
+            MatchType::Remove,
+            ItemRef { key, version: *version, doc: None, index: None },
+            Some(*old_index as u64),
+        ),
     };
-    Event::Out(Arc::new(OutMsg::Notify(OutNotify {
-        tenant: tenant.clone(),
+    publisher.publish(EnvelopeRef {
+        tenant,
         subscriptions,
-        change: OutChange::Kind(NotificationKind::Change(change)),
+        kind: KindRef::Change { match_type, item, old_index },
         caused_by_write_at: written_at,
         trace,
-    })))
+    });
 }
 
-impl Bolt<Event> for SortingNode {
-    fn execute(&mut self, input: Event, ctx: &mut BoltContext<'_, Event>) {
-        match input {
-            Event::Subscribe(req) => self.handle_subscribe(&req, ctx),
-            Event::FilterChange(fc) => self.handle_filter_change(&fc, ctx),
-            Event::Unsubscribe { tenant, query_hash, subscription } => {
-                self.handle_unsubscribe(&tenant, query_hash, subscription)
+impl Task<Event> for SortingNode {
+    fn handle(&mut self, batch: &mut Vec<Event>) {
+        for input in batch.drain(..) {
+            match input {
+                Event::Subscribe(req) => self.handle_subscribe(&req),
+                Event::FilterChange(fc) => self.handle_filter_change(&fc),
+                Event::Unsubscribe { tenant, query_hash, subscription } => {
+                    self.handle_unsubscribe(&tenant, query_hash, subscription)
+                }
+                Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
+                    self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
+                }
+                Event::Write(_) => {}
             }
-            Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
-                self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
-            }
-            Event::Write(_) | Event::Out(_) => {}
         }
     }
 
-    fn tick(&mut self, _ctx: &mut BoltContext<'_, Event>) {
+    fn tick(&mut self) {
         self.expire();
         self.slow_scratch.flush(&self.config.metrics.slow_queries());
         // Per-task gauge, refreshed once per tick like the matching grid's.
-        self.config
-            .metrics
-            .set_gauge(&format!("sorting.{}.active_queries", self.task), self.groups.len() as u64);
+        self.gauge_active_queries.store(self.groups.len() as u64, Ordering::Relaxed);
         let shared = self.groups.values().filter(|g| g.subscriptions.len() >= 2).count() as u64;
         crate::matching::publish_gauge_delta(&self.metric_shared, &mut self.last_shared, shared);
     }
@@ -357,55 +353,42 @@ impl Bolt<Event> for SortingNode {
 mod tests {
     use super::*;
     use crate::event::FilterChangeKind;
+    use crate::notifier::testing::{Wire, TENANT};
     use invalidb_common::{
-        doc, Document, Key, MatchType, MockClock, Notification, QuerySpec, SortDirection,
+        doc, Document, Key, MatchType, MockClock, Notification, NotificationKind, QuerySpec, ResultItem,
+        SortDirection,
     };
-    use invalidb_stream::{Grouping, Source, TopologyBuilder};
-    use parking_lot::Mutex;
-    use std::time::Duration;
 
+    /// One sorting task driven synchronously; what it publishes is read
+    /// back off the notify topic.
     struct Harness {
-        tx: crossbeam::channel::Sender<Event>,
-        out: Arc<Mutex<Vec<Event>>>,
-        _topo: invalidb_stream::RunningTopology,
-    }
-
-    struct ChanSource(crossbeam::channel::Receiver<Event>);
-    impl Source<Event> for ChanSource {
-        fn poll(&mut self, timeout: Duration) -> Vec<Event> {
-            match self.0.recv_timeout(timeout) {
-                Ok(e) => {
-                    let mut out = vec![e];
-                    out.extend(self.0.try_iter());
-                    out
-                }
-                Err(_) => Vec::new(),
-            }
-        }
-    }
-
-    struct Collector(Arc<Mutex<Vec<Event>>>);
-    impl Bolt<Event> for Collector {
-        fn execute(&mut self, input: Event, _ctx: &mut BoltContext<'_, Event>) {
-            self.0.lock().push(input);
-        }
+        node: SortingNode,
+        wire: Wire,
+        /// Everything published so far, as the addressees see it.
+        seen: Vec<Notification>,
     }
 
     fn harness(config: ClusterConfig) -> Harness {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let out = Arc::new(Mutex::new(Vec::new()));
         let clock = MockClock::new();
-        let mut b = TopologyBuilder::new();
-        b.add_source("src", ChanSource(rx));
-        let cfg = config.clone();
-        b.add_bolt("node", 1, move |task| {
-            Box::new(SortingNode::new(task, cfg.clone(), Arc::new(clock.clone())))
-        });
-        let out2 = Arc::clone(&out);
-        b.add_bolt("sink", 1, move |_| Box::new(Collector(Arc::clone(&out2))));
-        b.connect("src", "node", Grouping::Broadcast);
-        b.connect("node", "sink", Grouping::Shuffle);
-        Harness { tx, out, _topo: b.start() }
+        let wire = Wire::new(&config, &clock);
+        let node = SortingNode::new(0, config, Arc::new(clock), wire.publisher.clone());
+        Harness { node, wire, seen: Vec::new() }
+    }
+
+    impl Harness {
+        fn send(&mut self, event: Event) {
+            self.node.handle(&mut vec![event]);
+        }
+
+        fn notifications(&mut self) -> &[Notification] {
+            self.seen.extend(self.wire.notifications());
+            &self.seen
+        }
+
+        fn shared_windows(&mut self) -> Option<u64> {
+            self.node.tick();
+            self.node.config.metrics.snapshot().gauges.get("matching.index.shared_windows").copied()
+        }
     }
 
     fn subscribe_event(spec: &QuerySpec, slack: u64, initial: Vec<ResultItem>) -> Event {
@@ -414,7 +397,7 @@ mod tests {
 
     fn subscribe_as(spec: &QuerySpec, sub: u64, slack: u64, initial: Vec<ResultItem>) -> Event {
         Event::Subscribe(Arc::new(SubscriptionRequest {
-            tenant: TenantId::new("app"),
+            tenant: TenantId::new(TENANT),
             subscription: SubscriptionId(sub),
             query_hash: spec.stable_hash(),
             spec: spec.clone(),
@@ -427,7 +410,7 @@ mod tests {
 
     fn change_event(spec: &QuerySpec, kind: FilterChangeKind, key: &str, version: u64, doc: Option<Document>) -> Event {
         Event::FilterChange(Arc::new(FilterChange {
-            tenant: TenantId::new("app"),
+            tenant: TenantId::new(TENANT),
             query_hash: spec.stable_hash(),
             kind,
             key: Key::of(key),
@@ -447,31 +430,6 @@ mod tests {
         }
     }
 
-    /// Waits for `n` notifications, counted as their addressees see them.
-    fn notifications(h: &Harness, n: usize) -> Vec<Notification> {
-        let mut seen = Vec::new();
-        for _ in 0..400 {
-            seen = h
-                .out
-                .lock()
-                .iter()
-                .filter_map(|e| match e {
-                    Event::Out(msg) => match &**msg {
-                        OutMsg::Notify(note) => Some(note),
-                        _ => None,
-                    },
-                    _ => None,
-                })
-                .flat_map(OutNotify::notifications)
-                .collect();
-            if seen.len() >= n {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        seen
-    }
-
     /// Regression test for the inactive-discard race: a filter change that
     /// reaches the sorting task while its query awaits renewal must be
     /// buffered and replayed after the reseed — the renewal's snapshot is
@@ -479,16 +437,16 @@ mod tests {
     /// may postdate the snapshot and be the key's only chance to surface.
     #[test]
     fn changes_buffered_while_awaiting_renewal_replay_after_reseed() {
-        let h = harness(ClusterConfig::new(1, 1));
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", Document::new())
             .sorted_by("n", SortDirection::Asc)
             .with_limit(2);
 
         // Seed with zero slack and a full (hence incomplete) window: the
         // first remove exhausts the window and raises a maintenance error.
-        h.tx.send(subscribe_event(&spec, 0, vec![item("k1", 1, 1), item("k2", 1, 2)])).unwrap();
-        h.tx.send(change_event(&spec, FilterChangeKind::Remove, "k1", 2, None)).unwrap();
-        let notes = notifications(&h, 1);
+        h.send(subscribe_event(&spec, 0, vec![item("k1", 1, 1), item("k2", 1, 2)]));
+        h.send(change_event(&spec, FilterChangeKind::Remove, "k1", 2, None));
+        let notes = h.notifications().to_vec();
         assert_eq!(notes.len(), 1, "remove on an exhausted window must error: {notes:?}");
         assert!(
             matches!(notes[0].kind, NotificationKind::Error(_)),
@@ -499,22 +457,20 @@ mod tests {
         // While the query is deactivated, two changes race the renewal:
         // one already covered by the upcoming snapshot (k2@1, stale) and
         // one that postdates it (k3). Both were silently discarded before.
-        h.tx.send(change_event(
+        h.send(change_event(
             &spec,
             FilterChangeKind::Change,
             "k2",
             1,
             Some(doc! { "n" => 2i64 }),
-        ))
-        .unwrap();
-        h.tx.send(change_event(&spec, FilterChangeKind::Add, "k3", 1, Some(doc! { "n" => 3i64 })))
-            .unwrap();
+        ));
+        h.send(change_event(&spec, FilterChangeKind::Add, "k3", 1, Some(doc! { "n" => 3i64 })));
 
         // Renewal: fresh snapshot read before k3's write reached the store.
         // Ample slack, window complete (1 item < cap).
-        h.tx.send(subscribe_event(&spec, 2, vec![item("k2", 1, 2)])).unwrap();
+        h.send(subscribe_event(&spec, 2, vec![item("k2", 1, 2)]));
 
-        let notes = notifications(&h, 2);
+        let notes = h.notifications().to_vec();
         assert_eq!(notes.len(), 2, "exactly the buffered fresh change must surface: {notes:?}");
         match &notes[1].kind {
             NotificationKind::Change(change) => {
@@ -533,31 +489,21 @@ mod tests {
     /// ordered notifications — the window dies only with its last member.
     #[test]
     fn shared_window_survives_member_churn_mid_renewal() {
-        let mut cfg = ClusterConfig::new(1, 1);
-        cfg.tick_interval = Duration::from_millis(10);
-        let metrics = cfg.metrics.clone();
-        let h = harness(cfg);
+        let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", Document::new())
             .sorted_by("n", SortDirection::Asc)
             .with_limit(2);
 
         // Two subscribers, one shared window.
-        h.tx.send(subscribe_as(&spec, 1, 0, vec![item("k1", 1, 1), item("k2", 1, 2)])).unwrap();
-        h.tx.send(subscribe_as(&spec, 2, 0, vec![item("k1", 1, 1), item("k2", 1, 2)])).unwrap();
+        h.send(subscribe_as(&spec, 1, 0, vec![item("k1", 1, 1), item("k2", 1, 2)]));
+        h.send(subscribe_as(&spec, 2, 0, vec![item("k1", 1, 1), item("k2", 1, 2)]));
         // The shared-windows gauge sees the group once both are attached.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if metrics.snapshot().gauges.get("matching.index.shared_windows").copied() == Some(1) {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "shared_windows gauge never rose");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(h.shared_windows(), Some(1));
 
         // Exhaust the zero-slack window: maintenance error deactivates the
         // group and notifies both members.
-        h.tx.send(change_event(&spec, FilterChangeKind::Remove, "k1", 2, None)).unwrap();
-        let notes = notifications(&h, 2);
+        h.send(change_event(&spec, FilterChangeKind::Remove, "k1", 2, None));
+        let notes = h.notifications().to_vec();
         assert_eq!(notes.len(), 2, "both members get the maintenance error: {notes:?}");
         assert!(notes.iter().all(|n| matches!(n.kind, NotificationKind::Error(_))));
         let erred: std::collections::HashSet<u64> =
@@ -566,18 +512,16 @@ mod tests {
 
         // While deactivated: a change postdating the upcoming snapshot is
         // buffered, and member 1 leaves mid-renewal.
-        h.tx.send(change_event(&spec, FilterChangeKind::Add, "k3", 1, Some(doc! { "n" => 3i64 })))
-            .unwrap();
-        h.tx.send(Event::Unsubscribe {
-            tenant: TenantId::new("app"),
+        h.send(change_event(&spec, FilterChangeKind::Add, "k3", 1, Some(doc! { "n" => 3i64 })));
+        h.send(Event::Unsubscribe {
+            tenant: TenantId::new(TENANT),
             query_hash: spec.stable_hash(),
             subscription: SubscriptionId(1),
-        })
-        .unwrap();
+        });
 
         // The survivor renews: reseed + pending replay must still work.
-        h.tx.send(subscribe_as(&spec, 2, 2, vec![item("k2", 1, 2)])).unwrap();
-        let notes = notifications(&h, 3);
+        h.send(subscribe_as(&spec, 2, 2, vec![item("k2", 1, 2)]));
+        let notes = h.notifications().to_vec();
         assert_eq!(notes.len(), 3, "replay reaches only the survivor: {notes:?}");
         let replayed = &notes[2];
         assert_eq!(replayed.subscription, SubscriptionId(2), "departed member gets nothing");
@@ -591,9 +535,8 @@ mod tests {
         }
 
         // Ordered maintenance continues for the survivor after churn.
-        h.tx.send(change_event(&spec, FilterChangeKind::Add, "k0", 1, Some(doc! { "n" => 0i64 })))
-            .unwrap();
-        let notes = notifications(&h, 4);
+        h.send(change_event(&spec, FilterChangeKind::Add, "k0", 1, Some(doc! { "n" => 0i64 })));
+        let notes = h.notifications().to_vec();
         let last = notes.last().unwrap();
         assert_eq!(last.subscription, SubscriptionId(2));
         match &last.kind {
@@ -605,15 +548,6 @@ mod tests {
         }
 
         // With one member left the window no longer counts as shared.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if metrics.snapshot().gauges.get("matching.index.shared_windows").copied()
-                == Some(0)
-            {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "shared_windows gauge never fell");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(h.shared_windows(), Some(0));
     }
 }

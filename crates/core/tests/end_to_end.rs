@@ -383,8 +383,6 @@ fn batched_writes_notify_byte_identically_to_serial() {
             // per-subscription order fully deterministic; batching may only
             // change how many messages share a scheduling turn.
             let cfg = ClusterConfig::builder(1, 1)
-                .query_ingest_nodes(1)
-                .write_ingest_nodes(1)
                 .sorting_tasks(1)
                 .wire_codec(codec)
                 .max_batch(max_batch)
@@ -567,8 +565,6 @@ fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
         // index positions) is fully deterministic, so any difference below
         // is the optimization's fault, not scheduling.
         let mut cfg = ClusterConfig::builder(1, 1)
-            .query_ingest_nodes(1)
-            .write_ingest_nodes(1)
             .sorting_tasks(1)
             .build()
             .unwrap();

@@ -63,6 +63,6 @@ pub use prom::{
     from_prometheus, from_prometheus_federated, to_prometheus, to_prometheus_federated,
     to_prometheus_labeled, COUNTER_FAMILY, GAUGE_FAMILY, HISTOGRAM_FAMILY, HISTOGRAM_STAT_FAMILY,
 };
-pub use registry::MetricsRegistry;
+pub use registry::{MetricsRegistry, StalenessRecorder};
 pub use slow::{SlowQueryEntry, SlowQueryLog, SlowQueryScratch, DEFAULT_SLOW_LOG_CAPACITY};
 pub use snapshot::{HistogramSummary, MetricsSnapshot};

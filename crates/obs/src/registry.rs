@@ -19,7 +19,7 @@ pub(crate) const E2E_HIST: &str = "stage.total";
 /// instead of being folded into the stage histograms.
 pub(crate) const SKEW_CLAMPED: &str = "trace.skew_clamped";
 /// Prefix of the per-tenant notification-staleness SLO histograms fed by
-/// [`MetricsRegistry::record_staleness`] (`slo.<tenant>.staleness_us`).
+/// [`StalenessRecorder::record`] (`slo.<tenant>.staleness_us`).
 pub(crate) const SLO_PREFIX: &str = "slo.";
 
 #[derive(Default)]
@@ -106,19 +106,15 @@ impl MetricsRegistry {
         self.inc("traces.recorded");
     }
 
-    /// Records one delivered notification's save→notify staleness into the
-    /// tenant's SLO histogram `slo.<tenant>.staleness_us` — the paper's
-    /// headline metric, per tenant. `written_at_micros` is the app-server
-    /// wall clock at write acceptance; since delivery happens back on an
-    /// app server, the pair is same-clock in the single-app-server case
-    /// and skew-clamped (like trace hops) otherwise.
-    pub fn record_staleness(&self, tenant: &str, written_at_micros: u64) {
-        let delta = now_micros() as i64 - written_at_micros as i64;
-        if delta < 0 || delta as u64 > MAX_PLAUSIBLE_HOP_MICROS {
-            self.inc(SKEW_CLAMPED);
-            return;
+    /// The recorder of one tenant's save→notify staleness SLO histogram
+    /// `slo.<tenant>.staleness_us` — the paper's headline metric, per
+    /// tenant. Resolve it once and keep it: recording through the handle
+    /// touches no registry map and formats no name.
+    pub fn staleness(&self, tenant: &str) -> StalenessRecorder {
+        StalenessRecorder {
+            hist: self.histogram(&format!("{SLO_PREFIX}{tenant}.staleness_us")),
+            skew_clamped: self.counter(SKEW_CLAMPED),
         }
-        self.record(&format!("{SLO_PREFIX}{tenant}.staleness_us"), delta as u64);
     }
 
     /// The registry's flight recorder: every component sharing this
@@ -192,6 +188,29 @@ impl MetricsRegistry {
             }
         }
         snap
+    }
+}
+
+/// Handle to one tenant's staleness histogram; see
+/// [`MetricsRegistry::staleness`].
+#[derive(Clone)]
+pub struct StalenessRecorder {
+    hist: Arc<Mutex<Histogram>>,
+    skew_clamped: Arc<AtomicU64>,
+}
+
+impl StalenessRecorder {
+    /// Records one delivered notification. `written_at_micros` is the
+    /// app-server wall clock at write acceptance; since delivery happens
+    /// back on an app server, the pair is same-clock in the
+    /// single-app-server case and skew-clamped (like trace hops) otherwise.
+    pub fn record(&self, written_at_micros: u64) {
+        let delta = now_micros() as i64 - written_at_micros as i64;
+        if delta < 0 || delta as u64 > MAX_PLAUSIBLE_HOP_MICROS {
+            self.skew_clamped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        self.hist.lock().record(delta as u64);
     }
 }
 
@@ -276,11 +295,12 @@ mod tests {
     #[test]
     fn staleness_feeds_per_tenant_histogram() {
         let reg = MetricsRegistry::new();
-        reg.record_staleness("tenant-a", invalidb_common::trace::now_micros());
+        let staleness = reg.staleness("tenant-a");
+        staleness.record(invalidb_common::trace::now_micros());
         let snap = reg.snapshot();
         assert_eq!(snap.hists["slo.tenant-a.staleness_us"].count, 1);
         // A write "from the future" is skew, not negative staleness.
-        reg.record_staleness("tenant-a", invalidb_common::trace::now_micros() + 120_000_000);
+        staleness.record(invalidb_common::trace::now_micros() + 120_000_000);
         let snap = reg.snapshot();
         assert_eq!(snap.hists["slo.tenant-a.staleness_us"].count, 1);
         assert_eq!(snap.counters["trace.skew_clamped"], 1);

@@ -15,7 +15,7 @@
 //!   `$ne`/`$nin`/`$not` are true negations (they match missing fields).
 
 use crate::geo::{haversine_m, GeoShape, Point};
-use crate::path::resolve;
+use crate::path::with_resolved;
 use crate::regex::Regex;
 use crate::text::TextQuery;
 use invalidb_common::{canonical_cmp, canonical_eq, Document, Value};
@@ -99,10 +99,9 @@ impl Filter {
             Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
             Filter::Or(fs) => fs.iter().any(|f| f.matches(doc)),
             Filter::Nor(fs) => !fs.iter().any(|f| f.matches(doc)),
-            Filter::Field { path, preds } => {
-                let candidates = resolve(doc, path);
-                preds.iter().all(|p| pred_holds(p, &candidates))
-            }
+            Filter::Field { path, preds } => with_resolved(doc, path, |candidates| {
+                preds.iter().all(|p| pred_holds(p, candidates))
+            }),
             Filter::Text(q) => q.matches(doc),
         }
     }

@@ -17,6 +17,20 @@ pub fn resolve<'a>(doc: &'a Document, path: &str) -> Vec<&'a Value> {
     out
 }
 
+/// Hands `f` the values [`resolve`] finds. A top-level field — the common
+/// case by far, and what every write and every pull-query candidate is
+/// tested on — resolves to at most one value with no fan-out, so it is
+/// looked up in place and nothing is allocated.
+pub fn with_resolved<R>(doc: &Document, path: &str, f: impl FnOnce(&[&Value]) -> R) -> R {
+    if path.contains('.') {
+        return f(&resolve(doc, path));
+    }
+    match doc.get(path) {
+        Some(value) => f(&[value]),
+        None => f(&[]),
+    }
+}
+
 fn resolve_doc<'a>(doc: &'a Document, segments: &[&str], out: &mut Vec<&'a Value>) {
     let (head, rest) = match segments.split_first() {
         Some(split) => split,
@@ -68,6 +82,20 @@ pub fn resolve_first<'a>(doc: &'a Document, path: &str) -> Option<&'a Value> {
 mod tests {
     use super::*;
     use invalidb_common::doc;
+
+    #[test]
+    fn with_resolved_agrees_with_resolve() {
+        let d = doc! {
+            "n" => 1i64,
+            "tags" => vec!["a", "b"],
+            "a" => doc! { "b" => 2i64 },
+            "items" => vec![Value::Object(doc! { "qty" => 5i64 }), Value::Object(doc! { "qty" => 9i64 })],
+        };
+        for path in ["n", "tags", "a", "missing", "a.b", "a.missing", "items.qty", "tags.1"] {
+            let expected = resolve(&d, path);
+            with_resolved(&d, path, |found| assert_eq!(found, expected.as_slice(), "{path}"));
+        }
+    }
 
     #[test]
     fn plain_nested_path() {

@@ -58,7 +58,7 @@ impl Collection {
     /// Reads one record (document and version).
     pub fn get(&self, key: &Key) -> Option<(Version, Document)> {
         let inner = self.inner.read();
-        inner.records.get(key).map(|r| (r.version, r.doc.clone()))
+        inner.records.get(key).map(|r| (r.version, Document::clone(&r.doc)))
     }
 
     /// Creates a new record. Fails on duplicate keys (like MongoDB insert).
@@ -69,46 +69,56 @@ impl Collection {
             return Err(StoreError::DuplicateKey(key));
         }
         let version = inner.tombstones.remove(&key).map(|v| v + 1).unwrap_or(1);
-        index_insert(&mut inner, &key, &doc);
-        inner.records.insert(key.clone(), StoredRecord { version, doc: doc.clone() });
-        drop(inner);
-        self.oplog.append(&self.name, key.clone(), version, Some(doc.clone()), OplogOp::Insert);
-        Ok(WriteResult { key, version, doc: Some(doc), op: WriteOp::Insert })
+        Ok(self.put(inner, key, version, doc, WriteOp::Insert))
     }
 
     /// Inserts or replaces (upsert). Returns the after-image.
     pub fn save(&self, key: Key, doc: Document) -> Result<WriteResult, StoreError> {
         let mut inner = self.inner.write();
-        let (version, op) = match inner.records.get(&key) {
-            Some(existing) => {
-                let old_doc = existing.doc.clone();
-                index_remove(&mut inner, &key, &old_doc);
-                (inner.records.get(&key).expect("held lock").version + 1, WriteOp::Update)
-            }
+        let (version, op) = match inner.records.get(&key).map(|r| r.version) {
+            Some(version) => (version + 1, WriteOp::Update),
             None => (inner.tombstones.remove(&key).map(|v| v + 1).unwrap_or(1), WriteOp::Insert),
         };
+        Ok(self.put(inner, key, version, doc, op))
+    }
+
+    /// Puts `doc` in place of whatever `key` held, maintaining the indexes,
+    /// and logs the write. The record, the oplog entry and the returned
+    /// after-image share the one document.
+    fn put(
+        &self,
+        mut inner: parking_lot::RwLockWriteGuard<'_, Inner>,
+        key: Key,
+        version: Version,
+        mut doc: Document,
+        op: WriteOp,
+    ) -> WriteResult {
+        // The caller's document is kept as it is, minus the room it grew
+        // into and never used.
+        doc.shrink_to_fit();
+        let doc = Arc::new(doc);
+        // Un-index from the record taken out of the map: nothing is copied
+        // just to be forgotten.
+        let replaced =
+            inner.records.insert(key.clone(), StoredRecord { version, doc: Arc::clone(&doc) });
+        if let Some(old) = replaced {
+            index_remove(&mut inner, &key, &old.doc);
+        }
         index_insert(&mut inner, &key, &doc);
-        inner.records.insert(key.clone(), StoredRecord { version, doc: doc.clone() });
         drop(inner);
         let oplog_op = if op == WriteOp::Insert { OplogOp::Insert } else { OplogOp::Update };
-        self.oplog.append(&self.name, key.clone(), version, Some(doc.clone()), oplog_op);
-        Ok(WriteResult { key, version, doc: Some(doc), op })
+        self.oplog.append(&self.name, key.clone(), version, Some(Arc::clone(&doc)), oplog_op);
+        WriteResult { key, version, doc: Some(doc), op }
     }
 
     /// Applies an update to an existing record; fails if it does not exist.
     /// Returns the after-image.
     pub fn update(&self, key: Key, spec: &UpdateSpec) -> Result<WriteResult, StoreError> {
-        let mut inner = self.inner.write();
+        let inner = self.inner.write();
         let current = inner.records.get(&key).ok_or_else(|| StoreError::NotFound(key.clone()))?;
         let new_doc = spec.apply(&current.doc)?;
-        let old_doc = current.doc.clone();
         let version = current.version + 1;
-        index_remove(&mut inner, &key, &old_doc);
-        index_insert(&mut inner, &key, &new_doc);
-        inner.records.insert(key.clone(), StoredRecord { version, doc: new_doc.clone() });
-        drop(inner);
-        self.oplog.append(&self.name, key.clone(), version, Some(new_doc.clone()), OplogOp::Update);
-        Ok(WriteResult { key, version, doc: Some(new_doc), op: WriteOp::Update })
+        Ok(self.put(inner, key, version, new_doc, WriteOp::Update))
     }
 
     /// Deletes a record; fails if it does not exist. The returned
@@ -150,11 +160,13 @@ impl Collection {
         let spec = query.spec();
         let inner = self.inner.read();
         let plan = plan_query(&spec.filter, inner.indexes.keys().map(String::as_str));
-        let mut matched: Vec<(Key, Version, Document)> = Vec::new();
+        // Matches share the stored documents while they are sorted and cut
+        // to the window; only the rows that are returned get copied.
+        let mut matched: Vec<(Key, Version, Arc<Document>)> = Vec::new();
         let mut consider = |key: &Key, inner: &Inner| {
             if let Some(record) = inner.records.get(key) {
                 if query.matches(&record.doc) {
-                    matched.push((key.clone(), record.version, record.doc.clone()));
+                    matched.push((key.clone(), record.version, Arc::clone(&record.doc)));
                 }
             }
         };
@@ -162,7 +174,7 @@ impl Collection {
             Plan::FullScan => {
                 for (key, record) in inner.records.iter() {
                     if query.matches(&record.doc) {
-                        matched.push((key.clone(), record.version, record.doc.clone()));
+                        matched.push((key.clone(), record.version, Arc::clone(&record.doc)));
                     }
                 }
             }
@@ -189,24 +201,25 @@ impl Collection {
             matched.sort_by(|a, b| a.0.cmp(&b.0));
         }
         let offset = spec.offset.min(matched.len() as u64) as usize;
-        let mut matched = matched.split_off(offset);
-        if let Some(limit) = spec.limit {
-            matched.truncate(limit as usize);
-        }
+        let limit = spec.limit.map_or(usize::MAX, |limit| limit as usize);
         matched
+            .into_iter()
+            .skip(offset)
+            .take(limit)
+            .map(|(key, version, doc)| (key, version, Document::clone(&doc)))
+            .collect()
     }
 
     /// Restores a record with an exact version (WAL recovery path —
     /// bypasses the oplog so recovery is not re-logged).
     pub(crate) fn restore(&self, key: Key, version: Version, doc: Document) {
         let mut inner = self.inner.write();
-        if let Some(existing) = inner.records.get(&key) {
-            let old = existing.doc.clone();
-            index_remove(&mut inner, &key, &old);
-        }
         inner.tombstones.remove(&key);
         index_insert(&mut inner, &key, &doc);
-        inner.records.insert(key, StoredRecord { version, doc });
+        let replaced = inner.records.insert(key.clone(), StoredRecord { version, doc: Arc::new(doc) });
+        if let Some(old) = replaced {
+            index_remove(&mut inner, &key, &old.doc);
+        }
     }
 
     /// Restores a delete with its exact tombstone version (WAL recovery).
@@ -226,7 +239,12 @@ impl Collection {
 
     /// Snapshot of all records (tests and tooling).
     pub fn scan_all(&self) -> Vec<(Key, Version, Document)> {
-        self.inner.read().records.iter().map(|(k, r)| (k.clone(), r.version, r.doc.clone())).collect()
+        self.inner
+            .read()
+            .records
+            .iter()
+            .map(|(k, r)| (k.clone(), r.version, Document::clone(&r.doc)))
+            .collect()
     }
 }
 

@@ -2,14 +2,16 @@
 
 use invalidb_common::{Document, Key, Version};
 use std::fmt;
+use std::sync::Arc;
 
 /// A record as stored inside a collection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRecord {
     /// Per-record version, starting at 1 and incremented on every write.
     pub version: Version,
-    /// Current document content.
-    pub doc: Document,
+    /// Current document content, shared with the oplog entry and the
+    /// [`WriteResult`] of the write that stored it.
+    pub doc: Arc<Document>,
 }
 
 /// Kind of write that produced a [`WriteResult`].
@@ -33,8 +35,9 @@ pub struct WriteResult {
     pub key: Key,
     /// Version after the write (tombstone version for deletes).
     pub version: Version,
-    /// Post-write record state; `None` for deletes.
-    pub doc: Option<Document>,
+    /// Post-write record state; `None` for deletes. Shared with the stored
+    /// record, not copied out of it.
+    pub doc: Option<Arc<Document>>,
     /// What kind of write happened.
     pub op: WriteOp,
 }

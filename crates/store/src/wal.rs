@@ -68,7 +68,7 @@ fn encode_entry(entry: &OplogEntry) -> String {
     d.insert("k", entry.key.0.clone());
     d.insert("v", entry.version as i64);
     match &entry.doc {
-        Some(doc) => d.insert("d", doc.clone()),
+        Some(doc) => d.insert("d", invalidb_common::Document::clone(doc)),
         None => d.insert("d", Value::Null),
     };
     invalidb_json::to_string(&d)

@@ -167,7 +167,7 @@ proptest! {
         for entry in store.oplog().read_from(0) {
             match entry.doc {
                 Some(doc) => {
-                    replayed.insert(entry.key, (entry.version, doc));
+                    replayed.insert(entry.key, (entry.version, Document::clone(&doc)));
                 }
                 None => {
                     replayed.remove(&entry.key);

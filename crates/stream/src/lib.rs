@@ -1,33 +1,30 @@
-//! A miniature distributed stream processor.
+//! The execution substrate of the InvaliDB cluster.
 //!
-//! The paper's prototype runs its matching workload on Apache Storm (§5.4):
-//! a *topology* of sources (spouts) and processing bolts connected by
-//! streams with configurable *groupings*. This crate reimplements the
-//! subset InvaliDB needs, in-process with one executor thread per task:
+//! The paper's prototype runs its matching workload on Apache Storm (§5.4).
+//! What the workload needs from a stream processor is small, and
+//! [`task`] is all of it: one bounded input queue per task (backpressure:
+//! when a matching cell cannot keep up, latency rises and eventually
+//! saturates — the knee the paper's SLA experiments measure), batch
+//! draining, deadline-driven *ticks* for time-driven work (retention
+//! expiry, TTL enforcement, gauges), and shutdown by dropping senders.
+//! The cluster wires its cells and stages by hand on top of it; partition
+//! routing is a hash in the ingress, not a grouping object.
 //!
-//! * [`Source`]s pull messages from the outside world (e.g. event-layer
-//!   subscriptions) and inject them into the topology;
-//! * [`Bolt`]s process one message at a time and may emit downstream; they
-//!   also receive periodic *ticks* for time-driven work (retention expiry,
-//!   TTL enforcement, heartbeats);
-//! * [`Grouping`]s route each message to downstream tasks: shuffle
-//!   (round-robin), fields (hash partitioning), broadcast, or *direct* — an
-//!   arbitrary task-list function, which is what implements InvaliDB's
-//!   two-dimensional grid routing (a write goes to all nodes of one write
-//!   partition; a query to all nodes of one query partition, §5.1);
-//! * bounded task queues give natural backpressure: when a matching node
-//!   cannot keep up, latency rises and eventually saturates — the knee the
-//!   paper's SLA experiments measure.
+//! [`topology`] is the former Storm-style builder (sources, bolts,
+//! round-robin connections). Nothing in the workspace runs on it any more;
+//! it is kept, on the same run loop, because the benchmark's
+//! `stream.hop_ns` row drives it.
 //!
-//! Delivery inside the topology is lossless and FIFO per channel (stronger
-//! than Storm's at-least-once, which the paper required precisely to avoid
+//! Delivery between tasks is lossless and FIFO per channel (stronger than
+//! Storm's at-least-once, which the paper required precisely to avoid
 //! losing writes).
 
 pub mod metrics;
+pub mod task;
 pub mod topology;
 
 pub use metrics::{ComponentMetrics, LinkMetrics, LinkRegistry, TopologyMetrics};
+pub use task::{Task, TaskConfig};
 pub use topology::{
-    run_with_collector, Bolt, BoltContext, Grouping, Message, RunningTopology, Source, TopologyBuilder,
-    TopologyConfig,
+    Bolt, BoltContext, Grouping, Message, RunningTopology, Source, TopologyBuilder, TopologyConfig,
 };

@@ -1,13 +1,18 @@
 //! Topology construction and execution.
+//!
+//! The InvaliDB cluster no longer runs on a topology — its cells are plain
+//! [`crate::task`]s wired by hand. What is left here is what the
+//! benchmark's `stream.hop_ns` row drives: sources, bolts, round-robin
+//! connections, and the shared task run loop underneath.
 
-use crate::metrics::TopologyMetrics;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use invalidb_common::partition::partition_of;
+use crate::task::{self, Task, TaskConfig};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use invalidb_obs::{ComponentMetrics, TopologyMetrics};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Marker bound for messages flowing through a topology.
 pub trait Message: Send + Clone + 'static {}
@@ -34,16 +39,13 @@ where
 /// Context handed to a bolt for emitting downstream.
 pub struct BoltContext<'a, M: Message> {
     outputs: &'a [OutputConnection<M>],
-    rr_counters: &'a [AtomicUsize],
-    emitted: u64,
 }
 
 impl<M: Message> BoltContext<'_, M> {
     /// Emits a message to all downstream connections (routed per grouping).
     pub fn emit(&mut self, msg: M) {
-        self.emitted += 1;
-        for (conn, rr) in self.outputs.iter().zip(self.rr_counters.iter()) {
-            conn.route(&msg, rr);
+        for conn in self.outputs {
+            conn.route(&msg);
         }
     }
 }
@@ -53,99 +55,31 @@ pub trait Bolt<M: Message>: Send {
     /// Processes one input message.
     fn execute(&mut self, input: M, ctx: &mut BoltContext<'_, M>);
 
-    /// Processes one scheduling turn's worth of buffered input (up to
-    /// `max_batch` messages, in arrival order). The runtime always delivers
-    /// through this hook; the default forwards message-by-message to
-    /// [`Bolt::execute`], so plain bolts behave exactly as before. Bolts
-    /// with cross-message amortization opportunities (the matching stage's
-    /// shared index probe) override it. Implementations must leave
-    /// `inputs` empty — the runtime reuses the buffer across turns.
-    fn execute_batch(&mut self, inputs: &mut Vec<M>, ctx: &mut BoltContext<'_, M>) {
-        for msg in inputs.drain(..) {
-            self.execute(msg, ctx);
-        }
-    }
-
     /// Periodic tick for time-driven work (default: no-op).
     fn tick(&mut self, _ctx: &mut BoltContext<'_, M>) {}
 }
 
-/// Routing function of a [`Grouping::Direct`]: message + downstream task
-/// count → target task indices.
-pub type DirectRouter<M> = Box<dyn Fn(&M, usize) -> Vec<usize> + Send + Sync>;
-
 /// How messages are routed to the tasks of a downstream component.
-pub enum Grouping<M> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grouping {
     /// Round-robin across tasks.
     Shuffle,
-    /// Hash partitioning: same hash → same task.
-    Fields(Box<dyn Fn(&M) -> u64 + Send + Sync>),
-    /// Every task receives every message.
-    Broadcast,
-    /// Arbitrary task list per message — implements InvaliDB's grid routing.
-    Direct(DirectRouter<M>),
-}
-
-impl<M> Grouping<M> {
-    /// Fields grouping from a hash function.
-    pub fn fields(f: impl Fn(&M) -> u64 + Send + Sync + 'static) -> Self {
-        Grouping::Fields(Box::new(f))
-    }
-
-    /// Direct grouping from a task-list function (receives the message and
-    /// the downstream task count).
-    pub fn direct(f: impl Fn(&M, usize) -> Vec<usize> + Send + Sync + 'static) -> Self {
-        Grouping::Direct(Box::new(f))
-    }
-}
-
-enum Input<M> {
-    Msg(M),
-    Stop,
 }
 
 struct OutputConnection<M: Message> {
-    grouping: Arc<Grouping<M>>,
-    task_senders: Vec<Sender<Input<M>>>,
-    emitted: Arc<crate::metrics::ComponentMetrics>,
+    task_senders: Vec<Sender<M>>,
+    next: AtomicUsize,
+    metrics: Arc<ComponentMetrics>,
 }
 
 impl<M: Message> OutputConnection<M> {
-    fn route(&self, msg: &M, rr: &AtomicUsize) {
-        let n = self.task_senders.len();
-        if n == 0 {
-            return;
-        }
-        match &*self.grouping {
-            Grouping::Shuffle => {
-                let i = rr.fetch_add(1, Ordering::Relaxed) % n;
-                self.send_to(i, msg.clone());
-            }
-            Grouping::Fields(hash) => {
-                let i = partition_of(hash(msg), n);
-                self.send_to(i, msg.clone());
-            }
-            Grouping::Broadcast => {
-                for i in 0..n {
-                    self.send_to(i, msg.clone());
-                }
-            }
-            Grouping::Direct(f) => {
-                for i in f(msg, n) {
-                    if i < n {
-                        self.send_to(i, msg.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    fn send_to(&self, task: usize, msg: M) {
+    fn route(&self, msg: &M) {
+        let task = self.next.fetch_add(1, Ordering::Relaxed) % self.task_senders.len();
         // Blocking send: bounded queues provide backpressure. A send only
         // fails when the receiving task is gone (shutdown path) — the
         // message is dropped then, matching "cluster taken down" semantics.
-        if self.task_senders[task].send(Input::Msg(msg)).is_ok() {
-            self.emitted.emitted.fetch_add(1, Ordering::Relaxed);
+        if self.task_senders[task].send(msg.clone()).is_ok() {
+            self.metrics.emitted.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -159,12 +93,7 @@ pub struct TopologyConfig {
     pub tick_interval: Duration,
     /// How long sources block in one `poll` call.
     pub source_poll_timeout: Duration,
-    /// How many already-buffered messages a bolt task drains per scheduling
-    /// turn (batch execution): after one blocking receive, up to
-    /// `max_batch - 1` more messages are taken without re-checking the
-    /// clock. Amortizes channel wakeups under load; `1` reproduces the
-    /// strict one-message-per-turn behavior. Ticks are never starved for
-    /// longer than one batch.
+    /// See [`TaskConfig::max_batch`].
     pub max_batch: usize,
 }
 
@@ -187,12 +116,12 @@ enum ComponentKind<M: Message> {
 struct ComponentDef<M: Message> {
     name: String,
     kind: ComponentKind<M>,
-    /// `(downstream component, grouping)` in declaration order.
-    downstream: Vec<(String, Arc<Grouping<M>>)>,
+    /// Downstream components in declaration order.
+    downstream: Vec<String>,
 }
 
 /// Declarative topology builder. Components must be added in topological
-/// order (upstream before downstream) — InvaliDB's pipelines are acyclic.
+/// order (upstream before downstream).
 pub struct TopologyBuilder<M: Message> {
     components: Vec<ComponentDef<M>>,
     config: TopologyConfig,
@@ -247,7 +176,7 @@ impl<M: Message> TopologyBuilder<M> {
 
     /// Connects `from` → `to` with a grouping. `to` must be a bolt declared
     /// *after* `from` (topological order).
-    pub fn connect(&mut self, from: &str, to: &str, grouping: Grouping<M>) -> &mut Self {
+    pub fn connect(&mut self, from: &str, to: &str, _grouping: Grouping) -> &mut Self {
         let from_idx = self.position(from).unwrap_or_else(|| panic!("unknown component `{from}`"));
         let to_idx = self.position(to).unwrap_or_else(|| panic!("unknown component `{to}`"));
         assert!(
@@ -258,7 +187,7 @@ impl<M: Message> TopologyBuilder<M> {
             matches!(self.components[to_idx].kind, ComponentKind::Bolt { .. }),
             "`{to}` must be a bolt"
         );
-        self.components[from_idx].downstream.push((to.to_owned(), Arc::new(grouping)));
+        self.components[from_idx].downstream.push(to.to_owned());
         self
     }
 
@@ -271,60 +200,49 @@ impl<M: Message> TopologyBuilder<M> {
         let metrics = Arc::new(TopologyMetrics::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         // 1. Create input channels for every bolt task.
-        let mut task_senders: HashMap<String, Vec<Sender<Input<M>>>> = HashMap::new();
-        let mut task_receivers: HashMap<String, Vec<Receiver<Input<M>>>> = HashMap::new();
+        let mut task_senders: HashMap<String, Vec<Sender<M>>> = HashMap::new();
+        let mut task_receivers: HashMap<String, Vec<Receiver<M>>> = HashMap::new();
         for c in &self.components {
             if let ComponentKind::Bolt { parallelism, .. } = &c.kind {
-                let mut txs = Vec::with_capacity(*parallelism);
-                let mut rxs = Vec::with_capacity(*parallelism);
-                for _ in 0..*parallelism {
-                    let (tx, rx) = bounded(self.config.queue_capacity);
-                    txs.push(tx);
-                    rxs.push(rx);
-                }
+                let (txs, rxs) = (0..*parallelism).map(|_| bounded(self.config.queue_capacity)).unzip();
                 task_senders.insert(c.name.clone(), txs);
                 task_receivers.insert(c.name.clone(), rxs);
             }
         }
-        // 2. Resolve output connections per component.
-        let connections: HashMap<String, Arc<Vec<OutputConnection<M>>>> = self
-            .components
-            .iter()
-            .map(|c| {
-                let conns: Vec<OutputConnection<M>> = c
-                    .downstream
-                    .iter()
-                    .map(|(to, grouping)| OutputConnection {
-                        grouping: Arc::clone(grouping),
-                        task_senders: task_senders[to].clone(),
-                        emitted: metrics.component(&c.name),
-                    })
-                    .collect();
-                (c.name.clone(), Arc::new(conns))
-            })
-            .collect();
-        // 3. Spawn executor threads.
+        // 2. Spawn executor threads. Every sender ends up owned by an
+        //    upstream thread, so the topology stops front to back: a task
+        //    ends once its upstreams are gone and its queue has drained.
+        let task_config =
+            TaskConfig { tick_interval: self.config.tick_interval, max_batch: self.config.max_batch };
         let mut source_threads = Vec::new();
-        let mut bolt_threads: Vec<(String, Vec<JoinHandle<()>>)> = Vec::new();
+        let mut bolt_threads = Vec::new();
         for c in self.components.iter_mut() {
+            let component = metrics.component(&c.name);
+            let outputs = |downstream: &[String]| -> Vec<OutputConnection<M>> {
+                downstream
+                    .iter()
+                    .map(|to| OutputConnection {
+                        task_senders: task_senders[to].clone(),
+                        next: AtomicUsize::new(0),
+                        metrics: Arc::clone(&component),
+                    })
+                    .collect()
+            };
             match &mut c.kind {
                 ComponentKind::Source(source) => {
                     let mut source = source.take().expect("source consumed once");
-                    let outputs = Arc::clone(&connections[&c.name]);
+                    let outputs = outputs(&c.downstream);
                     let shutdown = Arc::clone(&shutdown);
-                    let m = metrics.component(&c.name);
                     let poll_timeout = self.config.source_poll_timeout;
-                    let name = c.name.clone();
+                    let component = Arc::clone(&component);
                     let handle = std::thread::Builder::new()
-                        .name(format!("src-{name}"))
+                        .name(format!("src-{}", c.name))
                         .spawn(move || {
-                            let rr: Vec<AtomicUsize> =
-                                outputs.iter().map(|_| AtomicUsize::new(0)).collect();
                             while !shutdown.load(Ordering::Relaxed) {
                                 for msg in source.poll(poll_timeout) {
-                                    m.processed.fetch_add(1, Ordering::Relaxed);
-                                    for (conn, counter) in outputs.iter().zip(rr.iter()) {
-                                        conn.route(&msg, counter);
+                                    component.processed.fetch_add(1, Ordering::Relaxed);
+                                    for conn in &outputs {
+                                        conn.route(&msg);
                                     }
                                 }
                             }
@@ -332,148 +250,40 @@ impl<M: Message> TopologyBuilder<M> {
                         .expect("spawn source thread");
                     source_threads.push(handle);
                 }
-                ComponentKind::Bolt { parallelism, factory } => {
+                ComponentKind::Bolt { factory, .. } => {
                     let rxs = task_receivers.remove(&c.name).expect("receivers exist");
-                    let mut handles = Vec::with_capacity(*parallelism);
                     for (task, rx) in rxs.into_iter().enumerate() {
-                        let mut bolt = factory(task);
-                        let outputs = Arc::clone(&connections[&c.name]);
-                        let m = metrics.component(&c.name);
-                        let name = c.name.clone();
-                        let tick_interval = self.config.tick_interval;
-                        let max_batch = self.config.max_batch.max(1);
+                        let mut bolt = BoltTask { bolt: factory(task), outputs: outputs(&c.downstream) };
+                        let component = Arc::clone(&component);
                         let handle = std::thread::Builder::new()
-                            .name(format!("bolt-{name}-{task}"))
-                            .spawn(move || {
-                                let rr: Vec<AtomicUsize> =
-                                    outputs.iter().map(|_| AtomicUsize::new(0)).collect();
-                                let mut batch: Vec<M> = Vec::with_capacity(max_batch);
-                                // Ticks are due every `tick_interval` whether
-                                // or not the queue ever drains: a firehose
-                                // arriving faster than the interval would
-                                // otherwise reset `recv_timeout` forever and
-                                // starve time-driven work (retention expiry,
-                                // gauge publication) exactly when it matters.
-                                let mut last_tick = Instant::now();
-                                loop {
-                                    let wait = tick_interval.saturating_sub(last_tick.elapsed());
-                                    match rx.recv_timeout(wait) {
-                                        Ok(Input::Msg(msg)) => {
-                                            m.processed.fetch_add(1, Ordering::Relaxed);
-                                            // Saturation gauge: live input
-                                            // backlog (incl. the message in
-                                            // hand), refreshed per batch
-                                            // so a drained spike decays
-                                            // even under steady traffic.
-                                            m.queue_depth.store(rx.len() as u64 + 1, Ordering::Relaxed);
-                                            // Batch execution: drain what is
-                                            // already buffered (bounded)
-                                            // without paying a blocking
-                                            // receive per message, then hand
-                                            // the whole turn to the bolt in
-                                            // one call so it can amortize
-                                            // cross-message work.
-                                            batch.push(msg);
-                                            let mut stop = false;
-                                            while batch.len() < max_batch {
-                                                match rx.try_recv() {
-                                                    Ok(Input::Msg(msg)) => {
-                                                        m.processed.fetch_add(1, Ordering::Relaxed);
-                                                        batch.push(msg);
-                                                    }
-                                                    Ok(Input::Stop) => {
-                                                        stop = true;
-                                                        break;
-                                                    }
-                                                    Err(_) => break, // drained
-                                                }
-                                            }
-                                            let mut ctx = BoltContext {
-                                                outputs: &outputs,
-                                                rr_counters: &rr,
-                                                emitted: 0,
-                                            };
-                                            bolt.execute_batch(&mut batch, &mut ctx);
-                                            batch.clear();
-                                            if stop {
-                                                break;
-                                            }
-                                            if last_tick.elapsed() >= tick_interval {
-                                                m.ticks.fetch_add(1, Ordering::Relaxed);
-                                                let mut ctx = BoltContext {
-                                                    outputs: &outputs,
-                                                    rr_counters: &rr,
-                                                    emitted: 0,
-                                                };
-                                                bolt.tick(&mut ctx);
-                                                last_tick = Instant::now();
-                                            }
-                                        }
-                                        Err(RecvTimeoutError::Timeout) => {
-                                            m.ticks.fetch_add(1, Ordering::Relaxed);
-                                            // Idle: the backlog drained, so
-                                            // the gauge decays to the live
-                                            // queue length.
-                                            m.queue_depth.store(rx.len() as u64, Ordering::Relaxed);
-                                            let mut ctx = BoltContext {
-                                                outputs: &outputs,
-                                                rr_counters: &rr,
-                                                emitted: 0,
-                                            };
-                                            bolt.tick(&mut ctx);
-                                            last_tick = Instant::now();
-                                        }
-                                        Ok(Input::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-                                    }
-                                }
-                            })
+                            .name(format!("bolt-{}-{task}", c.name))
+                            .spawn(move || task::run(&rx, &mut bolt, task_config, &component))
                             .expect("spawn bolt thread");
-                        handles.push(handle);
+                        bolt_threads.push(handle);
                     }
-                    bolt_threads.push((c.name.clone(), handles));
                 }
             }
         }
-        // Keep one sender per bolt task for the shutdown path.
-        let stop_senders: Vec<(String, Vec<Sender<Input<M>>>)> =
-            bolt_threads.iter().map(|(name, _)| (name.clone(), task_senders[name].clone())).collect();
-        RunningTopology {
-            metrics,
-            shutdown,
-            source_threads,
-            stopper: Some(Box::new(move || {
-                // Components were added in topological order: stopping layer
-                // by layer after upstreams drained guarantees every task sees
-                // all of its input before Stop.
-                for ((_, handles), (_, senders)) in bolt_threads.into_iter().zip(stop_senders) {
-                    for tx in &senders {
-                        let _ = tx.send(Input::Stop);
-                    }
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                }
-            })),
-        }
+        RunningTopology { metrics, shutdown, source_threads, bolt_threads }
     }
 }
 
-/// Runs a closure with a [`BoltContext`] whose emissions are collected into
-/// `out` — lets bolt implementations be unit-tested in isolation, without
-/// assembling a topology.
-pub fn run_with_collector<M: Message>(out: &mut Vec<M>, f: impl FnOnce(&mut BoltContext<'_, M>)) {
-    let (tx, rx) = bounded(1 << 20);
-    let conns = vec![OutputConnection {
-        grouping: Arc::new(Grouping::<M>::Shuffle),
-        task_senders: vec![tx],
-        emitted: Arc::new(crate::metrics::ComponentMetrics::default()),
-    }];
-    let rr = vec![AtomicUsize::new(0)];
-    let mut ctx = BoltContext { outputs: &conns, rr_counters: &rr, emitted: 0 };
-    f(&mut ctx);
-    drop(conns);
-    while let Ok(Input::Msg(m)) = rx.try_recv() {
-        out.push(m);
+/// One bolt task with its outgoing connections, as a [`Task`].
+struct BoltTask<M: Message> {
+    bolt: Box<dyn Bolt<M>>,
+    outputs: Vec<OutputConnection<M>>,
+}
+
+impl<M: Message> Task<M> for BoltTask<M> {
+    fn handle(&mut self, batch: &mut Vec<M>) {
+        let mut ctx = BoltContext { outputs: &self.outputs };
+        for msg in batch.drain(..) {
+            self.bolt.execute(msg, &mut ctx);
+        }
+    }
+
+    fn tick(&mut self) {
+        self.bolt.tick(&mut BoltContext { outputs: &self.outputs });
     }
 }
 
@@ -482,7 +292,8 @@ pub struct RunningTopology {
     metrics: Arc<TopologyMetrics>,
     shutdown: Arc<AtomicBool>,
     source_threads: Vec<JoinHandle<()>>,
-    stopper: Option<Box<dyn FnOnce() + Send>>,
+    /// In topological order.
+    bolt_threads: Vec<JoinHandle<()>>,
 }
 
 impl RunningTopology {
@@ -500,11 +311,10 @@ impl RunningTopology {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        for h in self.source_threads.drain(..) {
+        // Sources drop their senders on exit; every bolt then sees all of
+        // its input before its queue disconnects.
+        for h in self.source_threads.drain(..).chain(self.bolt_threads.drain(..)) {
             let _ = h.join();
-        }
-        if let Some(stop) = self.stopper.take() {
-            stop();
         }
     }
 }
