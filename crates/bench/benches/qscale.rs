@@ -27,9 +27,7 @@
 use invalidb_bench::table;
 use invalidb_common::{doc, Document, QuerySpec, Value};
 use invalidb_core::query_index::{IndexOptions, QueryIndex};
-use invalidb_query::{
-    decompose, filter_hash, FilterHash, MongoQueryEngine, PredicateHash, QueryEngine,
-};
+use invalidb_query::{decompose, filter_hash, FilterHash, MongoQueryEngine, PredicateHash, QueryEngine};
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::time::Instant;
@@ -145,9 +143,9 @@ fn run_cell(shape: &'static str, q: usize) -> Cell {
             for &id in &cands {
                 let p = &prepared[id];
                 let matched = match p.conjuncts() {
-                    Some(atoms) => atoms
-                        .iter()
-                        .all(|a| *memo.entry(a.hash()).or_insert_with(|| a.matches(d))),
+                    Some(atoms) => {
+                        atoms.iter().all(|a| *memo.entry(a.hash()).or_insert_with(|| a.matches(d)))
+                    }
                     None => p.matches(d),
                 };
                 hits += matched as usize;

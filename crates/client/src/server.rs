@@ -5,9 +5,8 @@ use crate::rate::TokenBucket;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use invalidb_broker::{notify_topic, BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::{
-    ChangeItem, ClusterMessage, ConfigError, Document, Key, NotificationKind, NotifyEnvelope,
-    QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId,
-    TraceContext, WriteRef,
+    ChangeItem, ClusterMessage, ConfigError, Document, Key, NotificationKind, NotifyEnvelope, QueryHash,
+    QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId, TraceContext, WriteRef,
 };
 use invalidb_obs::{
     AdminConfig, AdminServer, FlightEventKind, MetricsRegistry, MetricsSnapshot, StalenessRecorder,
@@ -707,8 +706,7 @@ impl AppServer {
                     let generation = broker.generation();
                     if generation != last_generation {
                         last_generation = generation;
-                        let ring: Vec<bytes::Bytes> =
-                            shared.write_ring.lock().iter().cloned().collect();
+                        let ring: Vec<bytes::Bytes> = shared.write_ring.lock().iter().cloned().collect();
                         for payload in &ring {
                             broker.publish(CLUSTER_TOPIC, payload.clone());
                         }

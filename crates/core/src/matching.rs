@@ -69,7 +69,12 @@ impl PredCache {
     /// The conjunction of `atoms` over `doc`, memoized per (atom, write).
     /// Exactly equivalent to `prepared.matches(doc)` by the
     /// [`invalidb_query::PreparedQuery::conjuncts`] contract.
-    fn eval_all(&mut self, atoms: &[PreparedAtom], write_idx: u32, doc: &invalidb_common::Document) -> bool {
+    fn eval_all(
+        &mut self,
+        atoms: &[PreparedAtom],
+        write_idx: u32,
+        doc: &invalidb_common::Document,
+    ) -> bool {
         atoms.iter().all(|a| match self.map.entry((a.hash().0, write_idx)) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 self.hits += 1;
@@ -486,12 +491,7 @@ impl MatchingNode {
     /// Phase 3 of [`MatchingNode::handle_write_batch`]: one distinct-key
     /// run of one (tenant, collection) group — one index probe, then each
     /// candidate query's predicate over its columnar slice of the run.
-    fn process_run(
-        &mut self,
-        tenant: &TenantId,
-        collection: &str,
-        writes: &[&Arc<AfterImage>],
-    ) {
+    fn process_run(&mut self, tenant: &TenantId, collection: &str, writes: &[&Arc<AfterImage>]) {
         if writes.is_empty() {
             return;
         }
@@ -1028,8 +1028,8 @@ mod tests {
             write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })),
         ]);
         let payload = shuffled.try_recv().expect("published by the cell itself");
-        let fc = FilterChange::from_document(&invalidb_json::payload_to_document(&payload).unwrap())
-            .unwrap();
+        let fc =
+            FilterChange::from_document(&invalidb_json::payload_to_document(&payload).unwrap()).unwrap();
         assert_eq!((fc.query_hash, fc.kind), (spec.stable_hash(), FilterChangeKind::Add));
         assert_eq!(config.metrics.snapshot().counters["shuffle.egress"], 1);
     }
@@ -1129,7 +1129,7 @@ mod tests {
         let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
         h.send(subscribe_event(spec, 1, vec![])); // tenant "app", collection "t"
-        // Same collection name, another tenant; same tenant, another collection.
+                                                  // Same collection name, another tenant; same tenant, another collection.
         h.send(write_to("other", "t", Key::of("x"), 1, 5));
         h.send(write_to(TENANT, "other_collection", Key::of("x"), 1, 5));
         assert!(h.notifications().is_empty());

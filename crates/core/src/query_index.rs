@@ -378,10 +378,7 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                             // except for operator-shaped object literals;
                             // treat a stray scalar `$eq` as equality.
                             if self.opts.eq_lanes && eq_lane_safe(v) {
-                                return Placement::Eq {
-                                    attr: attr.to_owned(),
-                                    keys: vec![eq_key(v)],
-                                };
+                                return Placement::Eq { attr: attr.to_owned(), keys: vec![eq_key(v)] };
                             }
                             let slot = bound_slot(&mut bounds, attr);
                             slot.1 = Some(tighten(slot.1.take(), v, Ordering::Greater));
@@ -389,11 +386,8 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                         }
                         "$in" if self.opts.eq_lanes && best_in.is_none() => {
                             if let Some(items) = v.as_array() {
-                                if items.len() <= MAX_IN_LANE
-                                    && items.iter().all(eq_lane_safe)
-                                {
-                                    let mut keys: Vec<Vec<u8>> =
-                                        items.iter().map(eq_key).collect();
+                                if items.len() <= MAX_IN_LANE && items.iter().all(eq_lane_safe) {
+                                    let mut keys: Vec<Vec<u8>> = items.iter().map(eq_key).collect();
                                     keys.sort_unstable();
                                     keys.dedup();
                                     best_in = Some((attr.to_owned(), keys));
@@ -406,10 +400,7 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                 literal => {
                     // Plain equality: the most selective anchor there is.
                     if self.opts.eq_lanes && eq_lane_safe(literal) {
-                        return Placement::Eq {
-                            attr: attr.to_owned(),
-                            keys: vec![eq_key(literal)],
-                        };
+                        return Placement::Eq { attr: attr.to_owned(), keys: vec![eq_key(literal)] };
                     }
                     if range_scalar(literal) {
                         let slot = bound_slot(&mut bounds, attr);
@@ -423,9 +414,8 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
             return Placement::Eq { attr, keys };
         }
         // Prefer two-sided (bounded) intervals over half-lines.
-        let best = bounds
-            .into_iter()
-            .max_by_key(|(_, lo, hi)| (lo.is_some() as u8) + (hi.is_some() as u8));
+        let best =
+            bounds.into_iter().max_by_key(|(_, lo, hi)| (lo.is_some() as u8) + (hi.is_some() as u8));
         match best {
             Some((attr, lo, hi)) if lo.is_some() || hi.is_some() => Placement::Range {
                 attr,
@@ -928,10 +918,7 @@ mod tests {
                     }
                     1 => {
                         let lo = rng.gen_range(-20..20i64);
-                        f.insert(
-                            attr,
-                            doc! { "$gte" => lo, "$lt" => lo + rng.gen_range(0..10i64) },
-                        );
+                        f.insert(attr, doc! { "$gte" => lo, "$lt" => lo + rng.gen_range(0..10i64) });
                     }
                     2 => {
                         f.insert(attr, doc! { "$gt" => rng.gen_range(-20..20i64) });

@@ -408,7 +408,13 @@ mod tests {
         }))
     }
 
-    fn change_event(spec: &QuerySpec, kind: FilterChangeKind, key: &str, version: u64, doc: Option<Document>) -> Event {
+    fn change_event(
+        spec: &QuerySpec,
+        kind: FilterChangeKind,
+        key: &str,
+        version: u64,
+        doc: Option<Document>,
+    ) -> Event {
         Event::FilterChange(Arc::new(FilterChange {
             tenant: TenantId::new(TENANT),
             query_hash: spec.stable_hash(),
@@ -422,12 +428,7 @@ mod tests {
     }
 
     fn item(key: &str, version: u64, n: i64) -> ResultItem {
-        ResultItem {
-            key: Key::of(key),
-            version,
-            doc: Some(doc! { "n" => n }),
-            index: None,
-        }
+        ResultItem { key: Key::of(key), version, doc: Some(doc! { "n" => n }), index: None }
     }
 
     /// Regression test for the inactive-discard race: a filter change that
@@ -438,9 +439,8 @@ mod tests {
     #[test]
     fn changes_buffered_while_awaiting_renewal_replay_after_reseed() {
         let mut h = harness(ClusterConfig::new(1, 1));
-        let spec = QuerySpec::filter("t", Document::new())
-            .sorted_by("n", SortDirection::Asc)
-            .with_limit(2);
+        let spec =
+            QuerySpec::filter("t", Document::new()).sorted_by("n", SortDirection::Asc).with_limit(2);
 
         // Seed with zero slack and a full (hence incomplete) window: the
         // first remove exhausts the window and raises a maintenance error.
@@ -457,13 +457,7 @@ mod tests {
         // While the query is deactivated, two changes race the renewal:
         // one already covered by the upcoming snapshot (k2@1, stale) and
         // one that postdates it (k3). Both were silently discarded before.
-        h.send(change_event(
-            &spec,
-            FilterChangeKind::Change,
-            "k2",
-            1,
-            Some(doc! { "n" => 2i64 }),
-        ));
+        h.send(change_event(&spec, FilterChangeKind::Change, "k2", 1, Some(doc! { "n" => 2i64 })));
         h.send(change_event(&spec, FilterChangeKind::Add, "k3", 1, Some(doc! { "n" => 3i64 })));
 
         // Renewal: fresh snapshot read before k3's write reached the store.
@@ -490,9 +484,8 @@ mod tests {
     #[test]
     fn shared_window_survives_member_churn_mid_renewal() {
         let mut h = harness(ClusterConfig::new(1, 1));
-        let spec = QuerySpec::filter("t", Document::new())
-            .sorted_by("n", SortDirection::Asc)
-            .with_limit(2);
+        let spec =
+            QuerySpec::filter("t", Document::new()).sorted_by("n", SortDirection::Asc).with_limit(2);
 
         // Two subscribers, one shared window.
         h.send(subscribe_as(&spec, 1, 0, vec![item("k1", 1, 1), item("k2", 1, 2)]));
@@ -506,8 +499,7 @@ mod tests {
         let notes = h.notifications().to_vec();
         assert_eq!(notes.len(), 2, "both members get the maintenance error: {notes:?}");
         assert!(notes.iter().all(|n| matches!(n.kind, NotificationKind::Error(_))));
-        let erred: std::collections::HashSet<u64> =
-            notes.iter().map(|n| n.subscription.0).collect();
+        let erred: std::collections::HashSet<u64> = notes.iter().map(|n| n.subscription.0).collect();
         assert_eq!(erred, std::collections::HashSet::from([1, 2]));
 
         // While deactivated: a change postdating the upcoming snapshot is

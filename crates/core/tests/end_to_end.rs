@@ -457,10 +457,7 @@ fn batched_writes_notify_byte_identically_to_serial() {
                 b.len()
             );
             for (i, (sp, bp)) in s.iter().zip(b).enumerate() {
-                assert_eq!(
-                    sp, bp,
-                    "{codec:?} subscription {sub}: notification {i} differs byte-wise"
-                );
+                assert_eq!(sp, bp, "{codec:?} subscription {sub}: notification {i} differs byte-wise");
             }
         }
     }
@@ -564,10 +561,7 @@ fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
         // task, per-subscription notification content (including sorted
         // index positions) is fully deterministic, so any difference below
         // is the optimization's fault, not scheduling.
-        let mut cfg = ClusterConfig::builder(1, 1)
-            .sorting_tasks(1)
-            .build()
-            .unwrap();
+        let mut cfg = ClusterConfig::builder(1, 1).sorting_tasks(1).build().unwrap();
         cfg.multi_query_index = indexed;
         let cluster = Cluster::start(broker.clone(), cfg);
 
@@ -582,16 +576,11 @@ fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
         }
         // Eq-heavy and $in shapes.
         specs.push(QuerySpec::filter("t", doc! { "status" => "open" }));
-        specs.push(QuerySpec::filter(
-            "t",
-            doc! { "status" => doc! { "$in" => vec!["open", "closed"] } },
-        ));
+        specs
+            .push(QuerySpec::filter("t", doc! { "status" => doc! { "$in" => vec!["open", "closed"] } }));
         // Duplicated filter, spelled two ways: both normalize to one query
         // hash, so two subscriptions share one group.
-        specs.push(QuerySpec::filter(
-            "t",
-            doc! { "status" => "open", "n" => doc! { "$gte" => 10i64 } },
-        ));
+        specs.push(QuerySpec::filter("t", doc! { "status" => "open", "n" => doc! { "$gte" => 10i64 } }));
         specs.push(QuerySpec::filter(
             "t",
             doc! { "$and" => vec![
@@ -644,11 +633,7 @@ fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
                         if let NotificationKind::Change(c) = &n.kind {
                             out.push(format!(
                                 "{} {} {} v{} idx{:?}",
-                                n.subscription.0,
-                                c.match_type,
-                                c.item.key,
-                                c.item.version,
-                                c.item.index
+                                n.subscription.0, c.match_type, c.item.key, c.item.version, c.item.index
                             ));
                         }
                     }

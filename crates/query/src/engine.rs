@@ -313,7 +313,8 @@ mod tests {
             }
         }
         // Kv engine: same invariant under its own semantics.
-        let kv = KvQueryEngine.prepare(&QuerySpec::filter("t", doc! { "a" => 1i64, "b" => "x" })).unwrap();
+        let kv =
+            KvQueryEngine.prepare(&QuerySpec::filter("t", doc! { "a" => 1i64, "b" => "x" })).unwrap();
         let atoms = kv.conjuncts().unwrap();
         assert_eq!(atoms.len(), 2);
         for d in [doc! { "a" => 1i64, "b" => "x" }, doc! { "a" => 1i64 }, doc! {}] {

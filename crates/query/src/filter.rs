@@ -99,9 +99,9 @@ impl Filter {
             Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
             Filter::Or(fs) => fs.iter().any(|f| f.matches(doc)),
             Filter::Nor(fs) => !fs.iter().any(|f| f.matches(doc)),
-            Filter::Field { path, preds } => with_resolved(doc, path, |candidates| {
-                preds.iter().all(|p| pred_holds(p, candidates))
-            }),
+            Filter::Field { path, preds } => {
+                with_resolved(doc, path, |candidates| preds.iter().all(|p| pred_holds(p, candidates)))
+            }
             Filter::Text(q) => q.matches(doc),
         }
     }

@@ -77,9 +77,7 @@ fn collect_conjuncts(filter: &Document, out: &mut Vec<Document>) {
         match key {
             "$and" => match value.as_array() {
                 // Well-formed $and: flatten its operands into this level.
-                Some(items)
-                    if !items.is_empty() && items.iter().all(|i| i.as_object().is_some()) =>
-                {
+                Some(items) if !items.is_empty() && items.iter().all(|i| i.as_object().is_some()) => {
                     for item in items {
                         collect_conjuncts(item.as_object().expect("checked"), out);
                     }
