@@ -211,7 +211,7 @@ impl RealTimeProvider for LogTailing {
                 .map(|(i, w)| ResultItem {
                     key: w.key.clone(),
                     version: w.version,
-                    doc: Some(w.doc.clone()),
+                    doc: Some((*w.doc).clone()),
                     index: Some(i as u64),
                 })
                 .collect();

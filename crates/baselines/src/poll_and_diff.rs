@@ -123,7 +123,7 @@ pub(crate) fn diff_results(spec: &QuerySpec, old: &[ResultItem], new: &[ResultIt
                     r.doc.as_ref().map(|d| WindowItem {
                         key: r.key.clone(),
                         version: r.version,
-                        doc: d.clone(),
+                        doc: Arc::new(d.clone()),
                     })
                 })
                 .collect()
@@ -180,7 +180,7 @@ pub(crate) fn visible_to_change(ev: &VisibleEvent) -> ChangeItem {
             item: ResultItem {
                 key: item.key.clone(),
                 version: item.version,
-                doc: Some(item.doc.clone()),
+                doc: Some((*item.doc).clone()),
                 index: Some(*index as u64),
             },
             old_index: None,
@@ -190,7 +190,7 @@ pub(crate) fn visible_to_change(ev: &VisibleEvent) -> ChangeItem {
             item: ResultItem {
                 key: item.key.clone(),
                 version: item.version,
-                doc: Some(item.doc.clone()),
+                doc: Some((*item.doc).clone()),
                 index: Some(*index as u64),
             },
             old_index: None,
@@ -200,7 +200,7 @@ pub(crate) fn visible_to_change(ev: &VisibleEvent) -> ChangeItem {
             item: ResultItem {
                 key: item.key.clone(),
                 version: item.version,
-                doc: Some(item.doc.clone()),
+                doc: Some((*item.doc).clone()),
                 index: Some(*index as u64),
             },
             old_index: Some(*old_index as u64),

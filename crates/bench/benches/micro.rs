@@ -116,7 +116,7 @@ fn bench_matching(c: &mut Criterion) {
         }
         let mut pairs: Vec<(usize, u32)> = Vec::new();
         b.iter(|| {
-            index.candidates_batch(black_box(&refs), &mut pairs);
+            index.candidates_batch(black_box(&refs).iter().copied(), &mut pairs);
             black_box(pairs.len())
         });
     });
@@ -131,7 +131,7 @@ fn bench_ingest(c: &mut Criterion) {
     use invalidb_common::{AfterImage, ClusterMessage, TenantId};
     let mut w = Workload::new(6, 10);
     let envelope = ClusterMessage::Write(AfterImage {
-        tenant: TenantId("bench".to_owned()),
+        tenant: TenantId::new("bench"),
         collection: "t".to_owned(),
         key: Key::of(42),
         version: 7,

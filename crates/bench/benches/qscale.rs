@@ -269,10 +269,10 @@ fn main() {
         })
         .collect();
     let mut out = Document::with_capacity(4);
-    out.insert("scale".to_owned(), Value::Float(scale));
-    out.insert("rows".to_owned(), Value::Array(json_rows));
-    out.insert("scaling".to_owned(), Value::Array(scaling_rows));
-    out.insert("improvement_at_100k_mixed".to_owned(), Value::Float(improvement));
+    out.insert("scale", Value::Float(scale));
+    out.insert("rows", Value::Array(json_rows));
+    out.insert("scaling", Value::Array(scaling_rows));
+    out.insert("improvement_at_100k_mixed", Value::Float(improvement));
     let json = invalidb_json::to_string(&out);
     match std::fs::write(invalidb_bench::artifact_path("BENCH_qscale.json"), &json) {
         Ok(()) => println!("\nwrote {}", invalidb_bench::artifact_path("BENCH_qscale.json").display()),

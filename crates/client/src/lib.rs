@@ -29,5 +29,6 @@ pub use error::Error;
 pub use rate::TokenBucket;
 pub use result::LiveResult;
 pub use server::{
-    AppServer, AppServerConfig, AppServerConfigBuilder, ClientEvent, Events, Subscription,
+    decode_notify_payload, AppServer, AppServerConfig, AppServerConfigBuilder, ClientEvent, Events,
+    NotifyPayload, Subscription,
 };

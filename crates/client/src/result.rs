@@ -108,16 +108,22 @@ impl LiveResult {
         // (the tombstone version is unknowable from a result diff), and a
         // remove of the version we hold is never stale.
         if change.item.index.is_none() && change.old_index.is_none() {
-            let seen = self.seen_versions.get(&change.item.key).copied().unwrap_or(0);
-            let stale = if change.match_type == MatchType::Remove {
-                change.item.version < seen
-            } else {
-                change.item.version <= seen
+            let is_stale = |seen: Version| {
+                if change.match_type == MatchType::Remove {
+                    change.item.version < seen
+                } else {
+                    change.item.version <= seen
+                }
             };
-            if stale {
-                return;
+            // Updated in place: a key is copied the first time it is seen.
+            match self.seen_versions.get_mut(&change.item.key) {
+                Some(seen) if is_stale(*seen) => return,
+                Some(seen) => *seen = change.item.version,
+                None if is_stale(0) => return,
+                None => {
+                    self.seen_versions.insert(change.item.key.clone(), change.item.version);
+                }
             }
-            self.seen_versions.insert(change.item.key.clone(), change.item.version);
         }
         match change.match_type {
             MatchType::Add => match (entry_of(&change.item), change.item.index) {

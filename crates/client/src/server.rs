@@ -597,7 +597,7 @@ impl AppServer {
     /// delivery stamp here and are recorded — complete — into the metrics
     /// registry.
     fn spawn_dispatcher(&mut self) {
-        let sub = self.broker.subscribe(&notify_topic(&self.tenant.0));
+        let sub = self.broker.subscribe(&notify_topic(self.tenant.as_str()));
         let dispatcher = Dispatcher::new(Arc::clone(&self.shared), &self.config.metrics, &self.tenant);
         let handle = std::thread::Builder::new()
             .name(format!("appserver-dispatch-{}", self.tenant))
@@ -854,6 +854,8 @@ impl AppServer {
 /// deliver is counted, never silently skipped.
 struct Dispatcher {
     shared: Arc<Shared>,
+    /// The tenant whose notify topic this is; decoded envelopes share it.
+    tenant: TenantId,
     metrics: MetricsRegistry,
     /// The tenant's `slo.<tenant>.staleness_us` histogram, resolved once.
     staleness: StalenessRecorder,
@@ -874,7 +876,8 @@ impl Dispatcher {
         Self {
             shared,
             metrics: metrics.clone(),
-            staleness: metrics.staleness(&tenant.0),
+            staleness: metrics.staleness(tenant.as_str()),
+            tenant: tenant.clone(),
             delivered: metrics.counter("appserver.events_delivered"),
             decode_errors: metrics.counter("appserver.notify_decode_errors"),
             unknown_subscription: metrics.counter("appserver.notify_unknown_subscription"),
@@ -884,42 +887,20 @@ impl Dispatcher {
 
     /// Handles one payload from the notify topic.
     fn dispatch(&self, payload: &[u8]) {
-        match Self::decode(payload) {
-            Ok(None) => {
+        match decode_notify_payload(payload, &self.tenant) {
+            Some(NotifyPayload::Heartbeat) => {
                 *self.shared.last_heartbeat.lock() = Instant::now();
                 self.shared.connection_lost.store(false, Ordering::Relaxed);
             }
-            Ok(Some(envelope)) => {
+            Some(NotifyPayload::Envelope(envelope)) => {
                 // Any cluster traffic proves liveness.
                 *self.shared.last_heartbeat.lock() = Instant::now();
                 self.deliver(envelope);
             }
-            Err(()) => {
+            None => {
                 self.decode_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Decodes a payload once: `None` for a heartbeat, else the envelope.
-    fn decode(payload: &[u8]) -> Result<Option<NotifyEnvelope>, ()> {
-        let view = invalidb_json::PayloadView::new(payload).map_err(drop)?;
-        // Heartbeats dominate idle notify-topic traffic; sniff them
-        // through the lazy view so binary payloads never materialize a
-        // document tree just to be discarded.
-        let is_heartbeat = match &view {
-            invalidb_json::PayloadView::Binary(lazy) => matches!(
-                lazy.get("type"),
-                Ok(Some(v)) if v.as_str() == Some("heartbeat")
-            ),
-            invalidb_json::PayloadView::Json(d) => {
-                d.get("type").and_then(|v| v.as_str()) == Some("heartbeat")
-            }
-        };
-        if is_heartbeat {
-            return Ok(None);
-        }
-        let d = view.into_document().map_err(drop)?;
-        NotifyEnvelope::from_document(d).map(Some).map_err(drop)
     }
 
     /// Hands every addressed subscription the one decoded change, under
@@ -974,6 +955,39 @@ impl Dispatcher {
             hand(last, event);
         }
     }
+}
+
+/// What a payload on a notify topic turns out to be.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NotifyPayload {
+    /// The cluster's liveness ping.
+    Heartbeat,
+    /// A notification, addressed to some of the reader's subscriptions.
+    Envelope(NotifyEnvelope),
+}
+
+/// Decodes one payload read off `tenant`'s notify topic, once — what an
+/// app server's dispatcher does with everything it receives. `None` for a
+/// payload that is neither a heartbeat nor an envelope.
+pub fn decode_notify_payload(payload: &[u8], tenant: &TenantId) -> Option<NotifyPayload> {
+    let view = invalidb_json::PayloadView::new(payload).ok()?;
+    // Heartbeats dominate idle notify-topic traffic; sniff them
+    // through the lazy view so binary payloads never materialize a
+    // document tree just to be discarded.
+    let is_heartbeat = match &view {
+        invalidb_json::PayloadView::Binary(lazy) => matches!(
+            lazy.get("type"),
+            Ok(Some(v)) if v.as_str() == Some("heartbeat")
+        ),
+        invalidb_json::PayloadView::Json(d) => {
+            d.get("type").and_then(|v| v.as_str()) == Some("heartbeat")
+        }
+    };
+    if is_heartbeat {
+        return Some(NotifyPayload::Heartbeat);
+    }
+    let d = view.into_document().ok()?;
+    NotifyEnvelope::from_document_for(d, tenant).ok().map(NotifyPayload::Envelope)
 }
 
 impl Drop for AppServer {

@@ -109,7 +109,7 @@ struct State {
     /// Cached Subscribe envelopes by (tenant, subscription id) — replayed
     /// with `renewal: true` after every reassignment so replacement workers
     /// rebuild matching state.
-    subscriptions: HashMap<(String, u64), invalidb_common::SubscriptionRequest>,
+    subscriptions: HashMap<(invalidb_common::TenantId, u64), invalidb_common::SubscriptionRequest>,
     /// When cells were last orphaned (worker death/hangup) and recovery is
     /// still incomplete. Cleared — and `cluster.failover_mttr_ms` recorded
     /// — once every cell is assigned and every owner has been caught up at
@@ -705,13 +705,13 @@ fn subscription_cache_loop(inner: Arc<Inner>) {
             // refresh the cache — last write wins.
             ClusterMessage::Subscribe(req) if !req.renewal => {
                 let mut state = inner.state.lock();
-                state.subscriptions.insert((req.tenant.0.clone(), req.subscription.0), req);
+                state.subscriptions.insert((req.tenant.clone(), req.subscription.0), req);
                 let count = state.subscriptions.len() as u64;
                 inner.config.metrics.set_gauge("cluster.cached_subscriptions", count);
             }
             ClusterMessage::Unsubscribe { tenant, subscription, .. } => {
                 let mut state = inner.state.lock();
-                state.subscriptions.remove(&(tenant.0, subscription.0));
+                state.subscriptions.remove(&(tenant, subscription.0));
                 let count = state.subscriptions.len() as u64;
                 inner.config.metrics.set_gauge("cluster.cached_subscriptions", count);
             }

@@ -5,14 +5,87 @@
 //! Lookups are linear scans over a small `Vec`; documents in this domain are
 //! records with a handful of attributes, where a `Vec` beats hash maps both
 //! in memory and speed.
+//!
+//! Field names are *names*, not data: the same dozen short strings recur in
+//! every record of a collection, and a document is decoded, cloned and
+//! compared far more often than a name is ever looked at as text. They are
+//! therefore stored inline in the entry ([`FieldName`]) and the API speaks
+//! `&str` only — building, decoding and cloning a document allocate for its
+//! values, never for its names.
 
 use crate::value::Value;
 use std::fmt;
 
+/// Longest name stored inline. With the length byte and the enum tag this
+/// makes a [`FieldName`] exactly as large as the `String` it replaces.
+const INLINE_NAME: usize = 22;
+
+/// A field name: up to [`INLINE_NAME`] bytes inline, longer ones boxed.
+#[derive(Clone)]
+enum FieldName {
+    /// The first `len` bytes of `bytes` are the name — a whole `str`, copied
+    /// by [`FieldName::new`] and never modified, hence valid UTF-8.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_NAME],
+    },
+    Boxed(Box<str>),
+}
+
+// An entry must not grow: retained after-images and stored records are
+// made of these.
+const _: () = assert!(std::mem::size_of::<FieldName>() == std::mem::size_of::<String>());
+
+impl FieldName {
+    fn new(name: &str) -> Self {
+        if name.len() <= INLINE_NAME {
+            let mut bytes = [0; INLINE_NAME];
+            bytes[..name.len()].copy_from_slice(name.as_bytes());
+            FieldName::Inline { len: name.len() as u8, bytes }
+        } else {
+            FieldName::Boxed(name.into())
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            FieldName::Inline { len, bytes } => &bytes[..*len as usize],
+            FieldName::Boxed(name) => name.as_bytes(),
+        }
+    }
+
+    /// The name as text. Lookups compare [`FieldName::as_bytes`] and skip
+    /// the (at most 22-byte) validation this pays for an inline name.
+    fn as_str(&self) -> &str {
+        match self {
+            FieldName::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("inline field name holds a whole str")
+            }
+            FieldName::Boxed(name) => name,
+        }
+    }
+
+    fn is(&self, name: &str) -> bool {
+        self.as_bytes() == name.as_bytes()
+    }
+}
+
+impl PartialEq for FieldName {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Debug for FieldName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// An ordered mapping from field names to [`Value`]s.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Document {
-    entries: Vec<(String, Value)>,
+    entries: Vec<(FieldName, Value)>,
 }
 
 impl Document {
@@ -45,12 +118,12 @@ impl Document {
 
     /// Looks up a top-level field.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.entries.iter().find(|(k, _)| k.is(key)).map(|(_, v)| v)
     }
 
     /// Mutable lookup of a top-level field.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.entries.iter_mut().find(|(k, _)| k.is(key)).map(|(_, v)| v)
     }
 
     /// True if the field exists at top level.
@@ -60,21 +133,23 @@ impl Document {
 
     /// Inserts or replaces a field, returning the previous value if any.
     /// Replacement keeps the field's original position; a new field appends.
-    pub fn insert(&mut self, key: impl Into<String>, value: impl Into<Value>) -> Option<Value> {
-        let key = key.into();
+    /// The name is copied into the entry, so a borrowed `&str` is all a
+    /// caller needs to have.
+    pub fn insert(&mut self, key: impl AsRef<str>, value: impl Into<Value>) -> Option<Value> {
+        let key = key.as_ref();
         let value = value.into();
-        for (k, v) in self.entries.iter_mut() {
-            if *k == key {
-                return Some(std::mem::replace(v, value));
+        match self.get_mut(key) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => {
+                self.entries.push((FieldName::new(key), value));
+                None
             }
         }
-        self.entries.push((key, value));
-        None
     }
 
     /// Removes a field, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
+        let idx = self.entries.iter().position(|(k, _)| k.is(key))?;
         Some(self.entries.remove(idx).1)
     }
 
@@ -175,7 +250,7 @@ impl fmt::Display for Document {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{k}: {v}")?;
+            write!(f, "{}: {v}", k.as_str())?;
         }
         write!(f, "}}")
     }
@@ -191,11 +266,24 @@ impl FromIterator<(String, Value)> for Document {
     }
 }
 
+/// Owning iterator over a document's fields, in insertion order.
+pub struct IntoIter(std::vec::IntoIter<(FieldName, Value)>);
+
+impl Iterator for IntoIter {
+    type Item = (String, Value);
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k.as_str().to_owned(), v))
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
 impl IntoIterator for Document {
     type Item = (String, Value);
-    type IntoIter = std::vec::IntoIter<(String, Value)>;
+    type IntoIter = IntoIter;
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
+        IntoIter(self.entries.into_iter())
     }
 }
 

@@ -32,16 +32,16 @@ pub use config::ConfigError;
 pub use document::Document;
 pub use grid::{GridCoord, GridShape};
 pub use hist::Histogram;
-pub use id::{Key, QueryHash, SubscriptionId, TenantId};
+pub use id::{Key, QueryHash, SubscriptionId, TenantId, TenantInterner};
 pub use msg::{AfterImage, ClusterMessage, SubscriptionRequest, WriteRef};
 pub use notify::{
     ChangeItem, EnvelopeRef, ItemRef, KindRef, MaintenanceError, MatchType, Notification,
     NotificationKind, NotifyEnvelope, ResultItem,
 };
-pub use partition::{fnv1a64, stable_hash64};
+pub use partition::{fnv1a64, stable_hash64, Fnv1a};
 pub use query_spec::{AggregateOp, AggregateSpec, QuerySpec, SortDirection, SortSpec, SpecError};
 pub use trace::{Stage, StageStamp, TraceContext, ALL_STAGES, MAX_PLAUSIBLE_HOP_MICROS};
-pub use value::{canonical_cmp, canonical_eq, Value};
+pub use value::{canonical_cmp, canonical_eq, CanonicalSink, Value};
 pub use write::{DocumentBuilder, FieldWriter};
 
 /// Version number of a stored record. The application server initializes

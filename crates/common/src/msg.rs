@@ -84,7 +84,7 @@ impl WriteRef<'_> {
         w.key("op");
         w.str("write");
         w.key("tenant");
-        w.str(&self.tenant.0);
+        w.str(self.tenant.as_str());
         w.key("collection");
         w.str(self.collection);
         w.key("key");
@@ -181,7 +181,7 @@ impl ClusterMessage {
             ClusterMessage::Subscribe(req) => {
                 let mut d = Document::with_capacity(9);
                 d.insert("op", "subscribe");
-                d.insert("tenant", req.tenant.0.clone());
+                d.insert("tenant", req.tenant.as_str());
                 d.insert("subscription", req.subscription.0 as i64);
                 d.insert("query", req.spec.to_document());
                 d.insert("queryHash", req.query_hash.0 as i64);
@@ -201,7 +201,7 @@ impl ClusterMessage {
             ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
                 let mut d = Document::with_capacity(4);
                 d.insert("op", "unsubscribe");
-                d.insert("tenant", tenant.0.clone());
+                d.insert("tenant", tenant.as_str());
                 d.insert("subscription", subscription.0 as i64);
                 d.insert("queryHash", query_hash.0 as i64);
                 d
@@ -209,7 +209,7 @@ impl ClusterMessage {
             ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
                 let mut d = Document::with_capacity(5);
                 d.insert("op", "extendTtl");
-                d.insert("tenant", tenant.0.clone());
+                d.insert("tenant", tenant.as_str());
                 d.insert("subscription", subscription.0 as i64);
                 d.insert("queryHash", query_hash.0 as i64);
                 d.insert("ttl", *ttl_micros as i64);
@@ -222,11 +222,8 @@ impl ClusterMessage {
     pub fn from_document(d: &Document) -> Result<Self, SpecError> {
         let op = d.get("op").and_then(Value::as_str).ok_or_else(|| err("missing `op`"))?;
         let tenant = || -> Result<TenantId, SpecError> {
-            Ok(TenantId(
-                d.get("tenant")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| err("missing `tenant`"))?
-                    .to_owned(),
+            Ok(TenantId::new(
+                d.get("tenant").and_then(Value::as_str).ok_or_else(|| err("missing `tenant`"))?,
             ))
         };
         let sub = || -> Result<SubscriptionId, SpecError> {

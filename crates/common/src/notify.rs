@@ -193,7 +193,7 @@ impl Notification {
     /// [`NotifyEnvelope::from_document`] instead.
     pub fn from_document(d: &Document) -> Result<Self, SpecError> {
         let NotifyEnvelope { tenant, subscriptions, kind, caused_by_write_at, trace } =
-            NotifyEnvelope::decode(Cow::Borrowed(d))?;
+            NotifyEnvelope::decode(Cow::Borrowed(d), None)?;
         match subscriptions[..] {
             [subscription] => Ok(Self { tenant, subscription, kind, caused_by_write_at, trace }),
             _ => Err(decode_err("envelope does not address exactly one subscription")),
@@ -234,18 +234,31 @@ impl NotifyEnvelope {
     /// from a producer that predates multicast carries a scalar
     /// `subscription` instead, read as a list of one.
     pub fn from_document(d: Document) -> Result<Self, SpecError> {
-        Self::decode(Cow::Owned(d))
+        Self::decode(Cow::Owned(d), None)
+    }
+
+    /// [`NotifyEnvelope::from_document`] for the reader of `tenant`'s notify
+    /// topic: an envelope that names that tenant — all of them, unless the
+    /// topic is misused — shares the reader's id instead of allocating its
+    /// own.
+    pub fn from_document_for(d: Document, tenant: &TenantId) -> Result<Self, SpecError> {
+        Self::decode(Cow::Owned(d), Some(tenant))
     }
 
     /// The one decoder: parts move out of an owned document and are copied
     /// out of a borrowed one, and nothing else is copied either way.
-    fn decode(mut d: Cow<'_, Document>) -> Result<Self, SpecError> {
+    fn decode(mut d: Cow<'_, Document>, reader: Option<&TenantId>) -> Result<Self, SpecError> {
         let string = |v: Option<Cow<'_, Value>>| match v.map(Cow::into_owned) {
             Some(Value::String(s)) => Some(s),
             _ => None,
         };
-        let tenant =
-            TenantId(string(take(&mut d, "tenant")).ok_or_else(|| decode_err("missing `tenant`"))?);
+        let tenant = match d.get("tenant").and_then(Value::as_str) {
+            Some(name) => match reader {
+                Some(reader) if reader.as_str() == name => reader.clone(),
+                _ => TenantId::new(name),
+            },
+            None => return Err(decode_err("missing `tenant`")),
+        };
         let id = |v: &Value| {
             v.as_i64()
                 .map(|i| SubscriptionId(i as u64))
@@ -420,7 +433,7 @@ impl EnvelopeRef<'_> {
         };
         w.begin_object(4 + kind_fields + usize::from(self.trace.is_some()));
         w.key("tenant");
-        w.str(&self.tenant.0);
+        w.str(self.tenant.as_str());
         w.key("subscriptions");
         w.begin_array(self.subscriptions.len());
         for subscription in self.subscriptions {

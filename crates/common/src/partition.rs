@@ -7,16 +7,55 @@
 //! stable across processes and runs — `std::hash` makes no such guarantee,
 //! so we ship FNV-1a.
 
-/// 64-bit FNV-1a hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+use crate::value::CanonicalSink;
+
+/// Running 64-bit FNV-1a state: a hash that can be fed in pieces, so a
+/// canonical encoding is hashed as it is produced instead of being
+/// collected first. Feeding the pieces of a byte string in order gives
+/// [`fnv1a64`] of the whole.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
+
+    /// The state before any byte.
+    pub fn new() -> Self {
+        Fnv1a(Self::OFFSET)
     }
-    hash
+
+    /// Folds the next bytes in.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CanonicalSink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
+
+/// 64-bit FNV-1a hash.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.write(bytes);
+    hash.finish()
 }
 
 /// 64-bit finalizer (MurmurHash3's `fmix64`): full avalanche over FNV's

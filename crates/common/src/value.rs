@@ -117,58 +117,70 @@ impl Value {
         }
     }
 
-    /// Writes a canonical byte encoding of the value into `out`.
+    /// Streams a canonical byte encoding of the value into `out`.
     ///
     /// The encoding is used for stable hashing (query/write partitioning)
     /// and guarantees that canonically *equal* values — notably
     /// `Int(1)` and `Float(1.0)` — produce identical bytes, so a primary key
     /// always routes to the same write partition regardless of the numeric
-    /// representation chosen by a client.
-    pub fn write_canonical(&self, out: &mut Vec<u8>) {
+    /// representation chosen by a client. The bytes are the contract, not
+    /// how they are cut into [`CanonicalSink::put`] calls: a sink sees the
+    /// same stream whether it collects it (`Vec<u8>`) or folds it into a
+    /// hash as it arrives.
+    pub fn write_canonical<S: CanonicalSink + ?Sized>(&self, out: &mut S) {
         match self {
-            Value::Null => out.push(0x00),
-            Value::Bool(b) => {
-                out.push(0x05);
-                out.push(*b as u8);
-            }
-            Value::Int(i) => {
-                // Integral numbers encode through their i64 value when
-                // possible so Int(1) == Float(1.0) hash identically.
-                out.push(0x01);
-                out.extend_from_slice(&i.to_be_bytes());
-            }
-            Value::Float(f) => {
-                if let Some(i) = self.as_i64() {
-                    out.push(0x01);
-                    out.extend_from_slice(&i.to_be_bytes());
-                } else {
-                    out.push(0x02);
+            Value::Null => out.put(&[0x00]),
+            Value::Bool(b) => out.put(&[0x05, *b as u8]),
+            // Integral numbers encode through their i64 value when
+            // possible so Int(1) == Float(1.0) hash identically.
+            Value::Int(i) => out.put(&tagged(0x01, *i as u64)),
+            Value::Float(f) => match self.as_i64() {
+                Some(i) => out.put(&tagged(0x01, i as u64)),
+                None => {
                     let bits = if f.is_nan() { f64::NAN.to_bits() } else { f.to_bits() };
-                    out.extend_from_slice(&bits.to_be_bytes());
+                    out.put(&tagged(0x02, bits));
                 }
-            }
+            },
             Value::String(s) => {
-                out.push(0x03);
-                out.extend_from_slice(&(s.len() as u64).to_be_bytes());
-                out.extend_from_slice(s.as_bytes());
+                out.put(&tagged(0x03, s.len() as u64));
+                out.put(s.as_bytes());
             }
             Value::Array(items) => {
-                out.push(0x04);
-                out.extend_from_slice(&(items.len() as u64).to_be_bytes());
+                out.put(&tagged(0x04, items.len() as u64));
                 for item in items {
                     item.write_canonical(out);
                 }
             }
             Value::Object(doc) => {
-                out.push(0x06);
-                out.extend_from_slice(&(doc.len() as u64).to_be_bytes());
+                out.put(&tagged(0x06, doc.len() as u64));
                 for (k, v) in doc.iter() {
-                    out.extend_from_slice(&(k.len() as u64).to_be_bytes());
-                    out.extend_from_slice(k.as_bytes());
+                    out.put(&(k.len() as u64).to_be_bytes());
+                    out.put(k.as_bytes());
                     v.write_canonical(out);
                 }
             }
         }
+    }
+}
+
+/// A type tag followed by one big-endian word, as one `put`.
+fn tagged(tag: u8, word: u64) -> [u8; 9] {
+    let mut out = [tag; 9];
+    out[1..].copy_from_slice(&word.to_be_bytes());
+    out
+}
+
+/// Receiver of [`Value::write_canonical`]'s byte stream: a buffer that keeps
+/// the bytes, or a hash state that consumes them without anyone having to
+/// allocate the encoding first.
+pub trait CanonicalSink {
+    /// Takes the next bytes of the stream.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl CanonicalSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 

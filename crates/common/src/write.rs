@@ -65,7 +65,7 @@ impl DocumentBuilder {
     fn push(&mut self, value: Value) {
         match self.open.last_mut() {
             Some(Frame::Object { doc, key }) => {
-                doc.insert(std::mem::take(key), value);
+                doc.insert(key.as_str(), value);
             }
             Some(Frame::Array(items)) => items.push(value),
             None => {

@@ -31,7 +31,7 @@ use crate::notifier::Publisher;
 use crate::sorting::SortingNode;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use invalidb_broker::{shuffle_topic, BrokerHandle, Bytes, Subscription, CLUSTER_TOPIC};
-use invalidb_common::{ClusterMessage, GridCoord, GridShape, Stage, SystemClock};
+use invalidb_common::{ClusterMessage, GridCoord, GridShape, Stage, SystemClock, TenantInterner};
 use invalidb_obs::{
     AdminConfig, AdminServer, ComponentMetrics, FlightRecorder, MetricsRegistry, MetricsSnapshot,
     SlowQueryLog, TopologyMetrics,
@@ -199,6 +199,7 @@ impl Cluster {
             cells,
             links: links.clone(),
             publisher: publisher.clone(),
+            tenants: TenantInterner::default(),
             identity: config.worker_identity.clone(),
             decode_errors: Arc::clone(&decode_errors),
             decode_error_count: config.metrics.counter("ingress.decode_errors"),
@@ -387,6 +388,9 @@ struct Ingress {
     cells: Vec<Option<Sender<Event>>>,
     links: StageLinks,
     publisher: Publisher,
+    /// The tenants seen on the write stream: every after-image of a tenant
+    /// shares one id instead of carrying its own copy of the name.
+    tenants: TenantInterner,
     /// Worker identity for trace stamps in multi-process deployments.
     identity: Option<WorkerIdentity>,
     decode_errors: Arc<AtomicU64>,
@@ -396,7 +400,7 @@ struct Ingress {
 }
 
 impl Ingress {
-    fn run(self, shutdown: &AtomicBool, config: TaskConfig) {
+    fn run(mut self, shutdown: &AtomicBool, config: TaskConfig) {
         let poll = config.tick_interval.min(INGRESS_POLL);
         // Heartbeats are due on a deadline of their own: neither a write
         // firehose nor a busy cell may stretch their cadence.
@@ -423,8 +427,10 @@ impl Ingress {
     /// zero-copy lazy path (only the `key`/`doc`/`trace` subtrees are
     /// materialized); everything else goes through the eager decoder with
     /// identical error accounting.
-    fn accept(&self, payload: &Bytes) {
-        let Some(mut msg) = crate::ingest::decode_cluster_payload(payload) else {
+    fn accept(&mut self, payload: &Bytes) {
+        let tenants = &mut self.tenants;
+        let decoded = crate::ingest::decode_cluster_payload_with(payload, |name| tenants.intern(name));
+        let Some(mut msg) = decoded else {
             self.decode_errors.fetch_add(1, Ordering::Relaxed);
             self.decode_error_count.fetch_add(1, Ordering::Relaxed);
             return;

@@ -115,7 +115,7 @@ impl FilterChange {
     /// event layer instead of an in-process channel.
     pub fn to_document(&self) -> Document {
         let mut d = Document::with_capacity(8);
-        d.insert("tenant", self.tenant.0.clone());
+        d.insert("tenant", self.tenant.as_str());
         d.insert("queryHash", self.query_hash.0 as i64);
         d.insert("kind", self.kind.as_str());
         d.insert("key", self.key.0.clone());
@@ -147,8 +147,8 @@ impl FilterChange {
             }
         };
         Ok(FilterChange {
-            tenant: TenantId(
-                d.get("tenant").and_then(Value::as_str).ok_or_else(|| missing("tenant"))?.to_owned(),
+            tenant: TenantId::new(
+                d.get("tenant").and_then(Value::as_str).ok_or_else(|| missing("tenant"))?,
             ),
             query_hash: QueryHash(
                 d.get("queryHash").and_then(Value::as_i64).ok_or_else(|| missing("queryHash"))? as u64,
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn filter_change_roundtrips_through_document() {
         let change = FilterChange {
-            tenant: TenantId("app1".into()),
+            tenant: TenantId::new("app1"),
             query_hash: QueryHash(0xdead_beef),
             kind: FilterChangeKind::Change,
             key: Key(Value::from("k17")),
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn filter_change_delete_roundtrips() {
         let change = FilterChange {
-            tenant: TenantId("t".into()),
+            tenant: TenantId::new("t"),
             query_hash: QueryHash(1),
             kind: FilterChangeKind::Remove,
             key: Key(Value::from("gone")),

@@ -25,7 +25,7 @@ use invalidb_json::lazy::{LazyDoc, LazyValue};
 /// under *both* paths — the same outcomes as
 /// `payload_to_document(..).ok().and_then(|d| ClusterMessage::from_document(&d).ok())`.
 pub fn decode_cluster_message(payload: &[u8]) -> Option<ClusterMessage> {
-    if let Some(msg) = try_decode_binary_write(payload) {
+    if let Some(msg) = try_decode_binary_write(payload, TenantId::new) {
         return Some(msg);
     }
     let bytes = bytes::Bytes::copy_from_slice(payload);
@@ -36,7 +36,18 @@ pub fn decode_cluster_message(payload: &[u8]) -> Option<ClusterMessage> {
 /// Borrowed-`Bytes` variant of [`decode_cluster_message`] that avoids the
 /// defensive copy on the eager fallback.
 pub fn decode_cluster_payload(payload: &bytes::Bytes) -> Option<ClusterMessage> {
-    if let Some(msg) = try_decode_binary_write(payload) {
+    decode_cluster_payload_with(payload, TenantId::new)
+}
+
+/// [`decode_cluster_payload`] for a reader that sees the same tenants
+/// write after write (the ingress): `tenant_of` turns a write's tenant name
+/// into its id, typically through a [`invalidb_common::TenantInterner`], so
+/// the name is not allocated again for every after-image.
+pub fn decode_cluster_payload_with(
+    payload: &bytes::Bytes,
+    tenant_of: impl FnOnce(&str) -> TenantId,
+) -> Option<ClusterMessage> {
+    if let Some(msg) = try_decode_binary_write(payload, tenant_of) {
         return Some(msg);
     }
     let doc = invalidb_json::payload_to_document(payload).ok()?;
@@ -46,7 +57,10 @@ pub fn decode_cluster_payload(payload: &bytes::Bytes) -> Option<ClusterMessage> 
 /// The fast path: one skip-scan pass over a binary write envelope.
 /// `None` means "not a well-formed binary write" — the caller falls back
 /// to the eager decoder, which reproduces the old error accounting.
-fn try_decode_binary_write(payload: &[u8]) -> Option<ClusterMessage> {
+fn try_decode_binary_write(
+    payload: &[u8],
+    tenant_of: impl FnOnce(&str) -> TenantId,
+) -> Option<ClusterMessage> {
     if !invalidb_json::bin::is_binary(payload) {
         return None;
     }
@@ -55,7 +69,7 @@ fn try_decode_binary_write(payload: &[u8]) -> Option<ClusterMessage> {
     // One pass over the envelope fields; later duplicates overwrite, which
     // is exactly the last-duplicate-wins rule of the eager decoder.
     let mut is_write = false;
-    let mut tenant: Option<String> = None;
+    let mut tenant: Option<&str> = None;
     let mut collection: Option<String> = None;
     let mut key: Option<Key> = None;
     let mut version: Option<i64> = None;
@@ -66,7 +80,7 @@ fn try_decode_binary_write(payload: &[u8]) -> Option<ClusterMessage> {
         let (k, v) = entry.ok()?;
         match k {
             "op" => is_write = v.as_str() == Some("write"),
-            "tenant" => tenant = Some(v.as_str()?.to_owned()),
+            "tenant" => tenant = Some(v.as_str()?),
             "collection" => collection = Some(v.as_str()?.to_owned()),
             "key" => key = Some(Key(v.materialize().ok()?)),
             "version" => version = Some(lazy_i64(&v)?),
@@ -89,7 +103,7 @@ fn try_decode_binary_write(payload: &[u8]) -> Option<ClusterMessage> {
         return None;
     }
     Some(ClusterMessage::Write(invalidb_common::AfterImage {
-        tenant: TenantId(tenant?),
+        tenant: tenant_of(tenant?),
         collection: collection?,
         key: key?,
         version: version? as invalidb_common::Version,
@@ -166,13 +180,13 @@ mod tests {
     fn binary_writes_take_the_lazy_path() {
         let ClusterMessage::Write(img) = &sample_messages()[0] else { unreachable!() };
         let payload = WireCodec::Binary.encode(&ClusterMessage::Write(img.clone()).to_document());
-        assert!(try_decode_binary_write(&payload).is_some());
+        assert!(try_decode_binary_write(&payload, TenantId::new).is_some());
         // Control ops and JSON fall through to the eager decoder.
         let unsub = &sample_messages()[2];
         let ctrl = WireCodec::Binary.encode(&unsub.to_document());
-        assert!(try_decode_binary_write(&ctrl).is_none());
+        assert!(try_decode_binary_write(&ctrl, TenantId::new).is_none());
         let json = WireCodec::Json.encode(&ClusterMessage::Write(img.clone()).to_document());
-        assert!(try_decode_binary_write(&json).is_none());
+        assert!(try_decode_binary_write(&json, TenantId::new).is_none());
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! and replayed against newly subscribed queries (fixing the
 //! write-subscription race), and any write older than the newest seen
 //! version of the same record is dropped (§5.1).
+//!
+//! All of that state is kept per **scope** — one (tenant, collection) — and
+//! a scope is found once per run of writes, by borrowed lookup. Inside a
+//! scope a record is its [`Key`] and a query its [`QueryHash`]: no map is
+//! keyed by a tuple that would have to be assembled, and so copied, per
+//! write.
 
 use crate::config::{ClusterConfig, WorkerIdentity};
 use crate::event::{Event, FilterChange, FilterChangeKind};
@@ -36,17 +42,9 @@ use invalidb_common::{
 use invalidb_obs::SlowQueryScratch;
 use invalidb_query::{PreparedAtom, PreparedQuery};
 use invalidb_stream::Task;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
-
-/// Key identifying a record across tenants and collections.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct RecordId {
-    tenant: TenantId,
-    collection: String,
-    key: Key,
-}
 
 /// Shared predicate evaluation (SharedDB-style): atomic predicate results
 /// are memoized per write within one evaluation run, keyed by the atom's
@@ -89,10 +87,9 @@ impl PredCache {
     }
 }
 
-/// One active query on this node (shared by all its subscriptions).
+/// One active query on this node (shared by all its subscriptions). Its
+/// tenant and collection are those of the [`Scope`] it lives in.
 struct QueryGroup {
-    tenant: TenantId,
-    collection: String,
     /// Human-readable rendering of the query spec, captured at subscribe
     /// time for the slow-query log.
     spec_display: String,
@@ -106,6 +103,114 @@ struct QueryGroup {
     /// keys within the bootstrap horizon, not the client-visible result.
     result: HashMap<Key, Version>,
     subscriptions: Subscribers,
+}
+
+/// Everything a cell keeps for one (tenant, collection). Writes, queries,
+/// versions and retained after-images of different scopes never meet, so
+/// nothing in here names the tenant or the collection.
+#[derive(Default)]
+struct Scope {
+    queries: HashMap<QueryHash, QueryGroup>,
+    /// Multi-query index: maps a write to the candidate queries instead of
+    /// evaluating all of them (thesis's multi-query optimization; disable
+    /// via `ClusterConfig`).
+    index: QueryIndex<QueryHash>,
+    /// Inverted result membership: which queries currently contain a key.
+    /// Needed alongside the index because an update can move a record *out*
+    /// of a query's range — the new value no longer stabs that query.
+    containing: HashMap<Key, Vec<QueryHash>>,
+    /// Retained after-images, oldest first (§5.1 write-stream retention).
+    /// A new query replays this ring and no other.
+    retention: VecDeque<(Timestamp, Arc<AfterImage>)>,
+    /// Newest seen version per record (staleness avoidance).
+    latest_versions: HashMap<Key, Version>,
+}
+
+impl Scope {
+    /// Nothing left that a later event could need: no query to match, no
+    /// write to replay (and so no version to be stale against).
+    fn is_idle(&self) -> bool {
+        self.queries.is_empty() && self.retention.is_empty()
+    }
+
+    /// Staleness avoidance and retention for one incoming write: `false`
+    /// for a write that is not newer than what the scope has seen.
+    fn admit(&mut self, img: &Arc<AfterImage>, now: Timestamp) -> bool {
+        // Updated in place: a key is copied the first time it is seen.
+        match self.latest_versions.get_mut(&img.key) {
+            Some(seen) if img.version <= *seen => return false,
+            Some(seen) => *seen = img.version,
+            None => {
+                self.latest_versions.insert(img.key.clone(), img.version);
+            }
+        }
+        self.retention.push_back((now, Arc::clone(img)));
+        true
+    }
+
+    /// Drops retained writes older than `horizon`; returns how many.
+    fn trim_retention(&mut self, now: Timestamp, horizon: std::time::Duration) -> usize {
+        let mut trimmed = 0;
+        while self.retention.front().is_some_and(|(t, _)| now.since(*t) > horizon) {
+            let (_, img) = self.retention.pop_front().expect("peeked");
+            trimmed += 1;
+            // Forget latest-version entries only when they refer to the
+            // trimmed write (a newer one may have refreshed the record).
+            if self.latest_versions.get(&img.key) == Some(&img.version) {
+                self.latest_versions.remove(&img.key);
+            }
+        }
+        trimmed
+    }
+}
+
+/// The cell's scopes, by tenant and then collection — both probed with
+/// what a message already holds (`&TenantId`, `&str`).
+type Scopes = HashMap<TenantId, HashMap<String, Scope>>;
+
+/// The scope of (tenant, collection), created on first sight — the only
+/// time the two names are copied.
+fn scope_or_new<'a>(scopes: &'a mut Scopes, tenant: &TenantId, collection: &str) -> &'a mut Scope {
+    if !scopes.contains_key(tenant) {
+        scopes.insert(tenant.clone(), HashMap::new());
+    }
+    let collections = scopes.get_mut(tenant).expect("just ensured");
+    if !collections.contains_key(collection) {
+        collections.insert(collection.to_owned(), Scope::default());
+    }
+    collections.get_mut(collection).expect("just ensured")
+}
+
+/// Maintains the inverted result-membership map after a transition.
+fn note_transition(
+    containing: &mut HashMap<Key, Vec<QueryHash>>,
+    key: &Key,
+    hash: QueryHash,
+    kind: FilterChangeKind,
+) {
+    match kind {
+        FilterChangeKind::Add => match containing.get_mut(key) {
+            Some(holders) => {
+                if !holders.contains(&hash) {
+                    holders.push(hash);
+                }
+            }
+            None => {
+                containing.insert(key.clone(), vec![hash]);
+            }
+        },
+        FilterChangeKind::Remove => forget_holder(containing, key, hash),
+        FilterChangeKind::Change => {}
+    }
+}
+
+fn forget_holder(containing: &mut HashMap<Key, Vec<QueryHash>>, key: &Key, hash: QueryHash) {
+    if let Some(holders) = containing.get_mut(key) {
+        holders.retain(|h| *h != hash);
+        if holders.is_empty() {
+            containing.remove(key);
+        }
+    }
 }
 
 /// Where a cell's staged (sorted/aggregate) transitions go.
@@ -127,8 +232,7 @@ pub(crate) enum StagedOut {
     },
 }
 
-/// What a transition needs on its way out of the cell, bundled so the
-/// evaluation path borrows one field beside the query table.
+/// What a transition needs on its way out of the cell.
 struct Outputs {
     publisher: Publisher,
     staged: StagedOut,
@@ -160,40 +264,228 @@ impl Outputs {
     }
 }
 
+/// What evaluating writes needs beside the scope they belong to, bundled so
+/// the write path borrows one field of the node next to its scopes.
+struct Evaluator {
+    out: Outputs,
+    /// Locally accumulated slow-query charges, flushed to the shared log
+    /// on tick so the per-evaluation hot path never takes its lock.
+    slow_scratch: SlowQueryScratch,
+    /// Shared predicate evaluation cache (cleared per evaluation run).
+    pred_cache: PredCache,
+    /// Reused candidate-pair buffer for the batched index probe.
+    cand_pairs: Vec<(QueryHash, u32)>,
+    /// Whether writes find their queries through the scope's index.
+    indexed: bool,
+}
+
+impl Evaluator {
+    /// One distinct-key run of one scope's writes — one index probe, then
+    /// each candidate query's predicate over its columnar slice of the run
+    /// (writes in arrival order), paying the query-table lookup, clock
+    /// reads and slow-query charge once per query per run instead of once
+    /// per (write, query) pair.
+    fn process_run(&mut self, scope: &mut Scope, tenant: &TenantId, writes: &[Arc<AfterImage>]) {
+        if writes.is_empty() || scope.queries.is_empty() {
+            return;
+        }
+        if !self.indexed {
+            // Unindexed fallback: every query of the scope is evaluated per
+            // write — the shared predicate cache still collapses atoms
+            // repeated across those queries.
+            for img in writes {
+                self.pred_cache.begin_run();
+                for (hash, group) in scope.queries.iter_mut() {
+                    self.match_against(group, *hash, tenant, img, 0);
+                }
+            }
+            return;
+        }
+        let mut pairs = std::mem::take(&mut self.cand_pairs);
+        scope.index.candidates_batch(writes.iter().map(|img| img.doc.as_ref()), &mut pairs);
+        // Holder candidates: queries whose result currently contains the
+        // record (covers moves out of range and deletes). Keys are distinct
+        // within a run, so this snapshot equals the serial per-write lookup.
+        for (w, img) in writes.iter().enumerate() {
+            if let Some(holders) = scope.containing.get(&img.key) {
+                pairs.extend(holders.iter().map(|h| (*h, w as u32)));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        // Columnar evaluation: pairs are grouped by query hash with write
+        // indices ascending, so each query sees its writes in arrival
+        // order — per-subscription output is byte-identical to serial.
+        // One predicate-memo run spans the whole run: a memoized atom
+        // result is shared across every candidate query of each write.
+        self.pred_cache.begin_run();
+        for of_query in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let hash = of_query[0].0;
+            let Some(group) = scope.queries.get_mut(&hash) else {
+                // The query was cancelled/expired; lazily purge its
+                // membership entries so `containing` does not leak.
+                for (_, w) in of_query {
+                    forget_holder(&mut scope.containing, &writes[*w as usize].key, hash);
+                }
+                continue;
+            };
+            let started = std::time::Instant::now();
+            for (_, w) in of_query {
+                let img = &writes[*w as usize];
+                if let Some(kind) = self.evaluate(group, hash, tenant, img, *w) {
+                    note_transition(&mut scope.containing, &img.key, hash, kind);
+                }
+            }
+            self.slow_scratch.charge_n(
+                tenant.as_str(),
+                hash.0,
+                || group.spec_display.clone(),
+                of_query.len() as u64,
+                started.elapsed().as_micros() as u64,
+            );
+        }
+        pairs.clear();
+        self.cand_pairs = pairs;
+    }
+
+    /// Evaluates one write against one query, charging the wall-clock cost
+    /// to this node's local slow-query scratch (flushed to the shared log
+    /// on tick) so operators can see which query eats the grid.
+    fn match_against(
+        &mut self,
+        group: &mut QueryGroup,
+        hash: QueryHash,
+        tenant: &TenantId,
+        img: &Arc<AfterImage>,
+        write_idx: u32,
+    ) -> Option<FilterChangeKind> {
+        let started = std::time::Instant::now();
+        let kind = self.evaluate(group, hash, tenant, img, write_idx);
+        self.slow_scratch.charge(
+            tenant.as_str(),
+            hash.0,
+            || group.spec_display.clone(),
+            started.elapsed().as_micros() as u64,
+        );
+        kind
+    }
+
+    /// Core filtering-stage transition logic. Returns the transition kind
+    /// (None when the write was irrelevant or stale for this query).
+    fn evaluate(
+        &mut self,
+        group: &mut QueryGroup,
+        hash: QueryHash,
+        tenant: &TenantId,
+        img: &Arc<AfterImage>,
+        write_idx: u32,
+    ) -> Option<FilterChangeKind> {
+        let out = &self.out;
+        let held = group.result.get_mut(&img.key);
+        if held.as_ref().is_some_and(|old| img.version <= **old) {
+            return None; // stale relative to what this query already reflects
+        }
+        // Shared predicate evaluation: conjunctive queries resolve each
+        // atom through the per-run memo (identical result to
+        // `prepared.matches` by the `conjuncts` contract); queries that
+        // opt out of decomposition evaluate whole.
+        let cache = &mut self.pred_cache;
+        let matches_now = img.doc.as_ref().is_some_and(|d| match group.prepared.conjuncts() {
+            Some(atoms) => cache.eval_all(atoms, write_idx, d),
+            None => group.prepared.matches(d),
+        });
+        // The result is updated in place: a key is copied when it enters.
+        let kind = match (held, matches_now) {
+            (None, true) => {
+                group.result.insert(img.key.clone(), img.version);
+                FilterChangeKind::Add
+            }
+            (Some(version), true) => {
+                *version = img.version;
+                FilterChangeKind::Change
+            }
+            (Some(_), false) => {
+                group.result.remove(&img.key);
+                FilterChangeKind::Remove
+            }
+            (None, false) => {
+                out.filtered.fetch_add(1, AtomicOrdering::Relaxed);
+                return None; // irrelevant write: filtered out
+            }
+        };
+        out.matched.fetch_add(1, AtomicOrdering::Relaxed);
+        // Stamp the filtering stage on sampled traces; the clone touches
+        // only traced writes, so the unsampled fast path stays allocation
+        // free. On a workerd host the stamp also names the worker and its
+        // assignment epoch, so a cross-process trace identifies the cell.
+        let trace: Option<TraceContext> = img.trace.clone().map(|mut t| {
+            match &out.identity {
+                Some(id) => id.stamp(&mut t, Stage::Matching),
+                None => t.stamp(Stage::Matching),
+            }
+            t
+        });
+        if group.to_sorting || group.to_aggregation {
+            // Sorted/aggregate queries: pass the transition downstream.
+            let change = FilterChange {
+                tenant: tenant.clone(),
+                query_hash: hash,
+                kind,
+                key: img.key.clone(),
+                version: img.version,
+                doc: img.doc.clone(),
+                written_at: img.written_at,
+                trace,
+            };
+            out.forward(group, change);
+        } else {
+            // Self-maintainable queries: one notification for the whole
+            // group, serialized straight from the write and published from
+            // this thread.
+            let match_type = match kind {
+                FilterChangeKind::Add => MatchType::Add,
+                FilterChangeKind::Change => MatchType::Change,
+                FilterChangeKind::Remove => MatchType::Remove,
+            };
+            out.publisher.publish(EnvelopeRef {
+                tenant,
+                subscriptions: group.subscriptions.ids(),
+                kind: KindRef::Change {
+                    match_type,
+                    item: ItemRef {
+                        key: &img.key,
+                        version: img.version,
+                        doc: img.doc.as_ref(),
+                        index: None,
+                    },
+                    old_index: None,
+                },
+                caused_by_write_at: img.written_at,
+                trace: trace.as_ref(),
+            });
+        }
+        Some(kind)
+    }
+}
+
 /// One matching cell: a [`Task`] on its own thread.
 pub struct MatchingNode {
     coord: GridCoord,
     grid: GridShape,
     config: ClusterConfig,
     clock: Arc<dyn Clock>,
-    out: Outputs,
-    queries: HashMap<(TenantId, QueryHash), QueryGroup>,
-    /// Multi-query index per (tenant, collection): maps a write to the
-    /// candidate queries instead of evaluating all of them (thesis's
-    /// multi-query optimization; disable via `ClusterConfig`).
-    indexes: HashMap<(TenantId, String), QueryIndex<QueryHash>>,
-    /// Inverted result membership: which queries currently contain a key.
-    /// Needed alongside the index because an update can move a record *out*
-    /// of a query's range — the new value no longer stabs that query.
-    containing: HashMap<RecordId, Vec<QueryHash>>,
-    /// Retained after-images, oldest first (§5.1 write-stream retention).
-    retention: VecDeque<(Timestamp, Arc<AfterImage>)>,
-    /// Newest seen version per record (staleness avoidance).
-    latest_versions: HashMap<RecordId, Version>,
+    scopes: Scopes,
+    eval: Evaluator,
+    /// Query groups and retained after-images over all scopes.
+    active_queries: usize,
+    retained_writes: usize,
     /// Observability: dropped stale writes.
     stale_dropped: u64,
     /// Peak ingestion lag (write origin timestamp to matching evaluation)
     /// since the last tick, microseconds. Published as a gauge on tick.
     ingest_lag_us: u64,
-    /// Locally accumulated slow-query charges, flushed to the shared log
-    /// on tick so the per-evaluation hot path never takes its lock.
-    slow_scratch: SlowQueryScratch,
     /// Reused buffer for the contiguous write runs of a scheduling turn.
     write_scratch: Vec<Arc<AfterImage>>,
-    /// Shared predicate evaluation cache (cleared per evaluation run).
-    pred_cache: PredCache,
-    /// Reused candidate-pair buffer for the batched index probe.
-    cand_pairs: Vec<(QueryHash, u32)>,
     /// Cluster-shared `matching.index.*` series, resolved once so the tick
     /// path never touches the registry maps. Gauges are maintained by
     /// publishing this cell's delta since the last tick — the registry
@@ -234,12 +526,18 @@ impl MatchingNode {
         Self {
             coord,
             grid,
-            out: Outputs {
-                publisher,
-                staged,
-                identity: config.worker_identity.clone(),
-                matched: metrics.counter("matching.matched"),
-                filtered: metrics.counter("matching.filtered"),
+            eval: Evaluator {
+                out: Outputs {
+                    publisher,
+                    staged,
+                    identity: config.worker_identity.clone(),
+                    matched: metrics.counter("matching.matched"),
+                    filtered: metrics.counter("matching.filtered"),
+                },
+                slow_scratch: SlowQueryScratch::new(),
+                pred_cache: PredCache::default(),
+                cand_pairs: Vec::new(),
+                indexed: config.multi_query_index,
             },
             metric_dropped_stale: metrics.counter("matching.dropped_stale"),
             metric_write_batches: metrics.counter("matching.write_batches"),
@@ -248,17 +546,12 @@ impl MatchingNode {
             gauge_ingest_lag_us: metrics.gauge(&format!("{cell}.ingest_lag_us")),
             config,
             clock,
-            queries: HashMap::new(),
-            indexes: HashMap::new(),
-            containing: HashMap::new(),
-            retention: VecDeque::new(),
-            latest_versions: HashMap::new(),
+            scopes: HashMap::new(),
+            active_queries: 0,
+            retained_writes: 0,
             stale_dropped: 0,
             ingest_lag_us: 0,
-            slow_scratch: SlowQueryScratch::new(),
             write_scratch: Vec::new(),
-            pred_cache: PredCache::default(),
-            cand_pairs: Vec::new(),
             metric_indexed,
             metric_scanned,
             metric_eq_hits,
@@ -268,11 +561,29 @@ impl MatchingNode {
         }
     }
 
+    /// A 1×1 cell outside any cluster, for whoever wants to drive one
+    /// synchronously through [`Task::handle`] and [`Task::tick`] (tests,
+    /// per-stage measurements): notifications leave through `publisher` as
+    /// in a cluster; there is no stage partition behind the cell, so the
+    /// transitions of sorted and aggregate queries go nowhere.
+    pub fn solo(config: ClusterConfig, clock: Arc<dyn Clock>, publisher: Publisher) -> Self {
+        // A queue whose receiver is gone: what a stage partition looks like
+        // after shutdown, and sends to it are dropped the same way.
+        let (gone, _) = crossbeam::channel::bounded(1);
+        let nowhere = StageLinks { sorting: vec![gone.clone()], aggregation: vec![gone] };
+        Self::new(0, GridShape::new(1, 1), config, clock, publisher, StagedOut::Local(nowhere))
+    }
+
     fn handle_subscribe(&mut self, req: &SubscriptionRequest) {
         let now = self.clock.now();
         let expires_at = now.after(std::time::Duration::from_micros(req.ttl_micros));
-        let group_key = (req.tenant.clone(), req.query_hash);
-        if let Some(group) = self.queries.get_mut(&group_key) {
+        let hash = req.query_hash;
+        let known = self
+            .scopes
+            .get_mut(&req.tenant)
+            .and_then(|collections| collections.get_mut(req.spec.collection.as_str()))
+            .and_then(|scope| scope.queries.get_mut(&hash));
+        if let Some(group) = known {
             group.subscriptions.insert(req.subscription, expires_at);
             return;
         }
@@ -281,7 +592,7 @@ impl MatchingNode {
             Err(e) => {
                 // Unparseable query: report an error notification so the
                 // subscription does not dangle silently.
-                self.out.publisher.publish(EnvelopeRef {
+                self.eval.out.publisher.publish(EnvelopeRef {
                     tenant: &req.tenant,
                     subscriptions: &[req.subscription],
                     kind: KindRef::Error(&format!("query rejected: {e}")),
@@ -300,8 +611,6 @@ impl MatchingNode {
             }
         }
         let mut group = QueryGroup {
-            tenant: req.tenant.clone(),
-            collection: req.spec.collection.clone(),
             spec_display: req.spec.to_string(),
             prepared,
             to_sorting: req.spec.needs_sorting_stage(),
@@ -309,392 +618,95 @@ impl MatchingNode {
             result,
             subscriptions: Subscribers::of(req.subscription, expires_at),
         };
-        // Replay retained writes against the new query: closes the
-        // write-subscription race (§5.1). Writes already reflected in the
-        // initial result are skipped by the version guard.
-        let retained: Vec<Arc<AfterImage>> = self
-            .retention
-            .iter()
-            .filter(|(_, img)| img.tenant == group.tenant && img.collection == group.collection)
-            .map(|(_, img)| Arc::clone(img))
-            .collect();
-        let hash = req.query_hash;
-        if self.config.multi_query_index {
-            self.indexes
-                .entry((req.tenant.clone(), req.spec.collection.clone()))
-                .or_default()
-                .insert(hash, &req.spec.filter);
+        let Scope { queries, index, containing, retention, .. } =
+            scope_or_new(&mut self.scopes, &req.tenant, &req.spec.collection);
+        if self.eval.indexed {
+            index.insert(hash, &req.spec.filter);
             for key in group.result.keys() {
-                let record = RecordId {
-                    tenant: group.tenant.clone(),
-                    collection: group.collection.clone(),
-                    key: key.clone(),
-                };
-                self.containing.entry(record).or_default().push(hash);
+                containing.entry(key.clone()).or_default().push(hash);
             }
         }
-        for img in retained {
-            self.pred_cache.begin_run();
-            let transition = Self::match_against(
-                &mut group,
-                hash,
-                &img,
-                &self.out,
-                &mut self.slow_scratch,
-                &mut self.pred_cache,
-                0,
-            );
-            self.note_transition(&img, hash, transition);
+        // Replay the scope's retained writes against the new query: closes
+        // the write-subscription race (§5.1). Writes already reflected in
+        // the initial result are skipped by the version guard.
+        for (_, img) in retention.iter() {
+            self.eval.pred_cache.begin_run();
+            let transition = self.eval.match_against(&mut group, hash, &req.tenant, img, 0);
+            if let (true, Some(kind)) = (self.eval.indexed, transition) {
+                note_transition(containing, &img.key, hash, kind);
+            }
         }
-        self.queries.insert(group_key, group);
+        queries.insert(hash, group);
+        self.active_queries += 1;
     }
 
-    /// Maintains the inverted result-membership map after a transition.
-    fn note_transition(&mut self, img: &AfterImage, hash: QueryHash, kind: Option<FilterChangeKind>) {
-        if !self.config.multi_query_index {
-            return;
-        }
-        let record = RecordId {
-            tenant: img.tenant.clone(),
-            collection: img.collection.clone(),
-            key: img.key.clone(),
-        };
-        match kind {
-            Some(FilterChangeKind::Add) => {
-                let list = self.containing.entry(record).or_default();
-                if !list.contains(&hash) {
-                    list.push(hash);
-                }
-            }
-            Some(FilterChangeKind::Remove) => {
-                if let Some(list) = self.containing.get_mut(&record) {
-                    list.retain(|h| *h != hash);
-                    if list.is_empty() {
-                        self.containing.remove(&record);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Batched write evaluation — the mini-batch tentpole. Produces, per
-    /// query and therefore per subscription, byte-identical notifications
-    /// in the same order as feeding the writes one by one; only the
-    /// cross-query interleaving may differ.
+    /// Write evaluation for one scheduling turn's contiguous writes.
+    /// Produces, per query and therefore per subscription, byte-identical
+    /// notifications in the same order as feeding the writes one by one;
+    /// only the cross-query interleaving may differ.
     ///
-    /// Three phases:
-    /// 1. sequential admission (staleness avoidance, retention, lag),
-    ///    exactly as the serial path;
-    /// 2. group surviving writes by `(tenant, collection)` and split each
-    ///    group into distinct-key runs — within a run the `containing`
-    ///    snapshot equals every serial per-write lookup, so one batched
-    ///    index probe yields exactly the serial candidate sets;
-    /// 3. evaluate each candidate query over its columnar slice of the
-    ///    run (writes in arrival order), paying the query-table lookup,
-    ///    clock reads and slow-query charge once per query per run
-    ///    instead of once per (write, query) pair.
+    /// The turn is cut into stretches of one scope — found once per
+    /// stretch — and each stretch into distinct-key runs: an evaluation can
+    /// move a record in or out of a query's result, which changes the
+    /// holder candidates of a *later write to the same record*, so a run
+    /// ends before the first repeated key and its `containing` snapshot
+    /// equals every serial per-write lookup. Admission (staleness
+    /// avoidance, retention, lag) happens in arrival order as the runs are
+    /// formed; a stale write belongs to no run.
     fn handle_write_batch(&mut self, imgs: &[Arc<AfterImage>]) {
-        // Phase 1 — admission, in arrival order.
-        let mut live: Vec<&Arc<AfterImage>> = Vec::with_capacity(imgs.len());
-        for img in imgs {
-            let record = RecordId {
-                tenant: img.tenant.clone(),
-                collection: img.collection.clone(),
-                key: img.key.clone(),
-            };
-            // Staleness avoidance: drop anything not newer than what we've
-            // seen.
-            match self.latest_versions.get(&record) {
-                Some(&seen) if img.version <= seen => {
+        let now = self.clock.now();
+        let mut admitted = 0usize;
+        for stretch in imgs.chunk_by(|a, b| a.tenant == b.tenant && a.collection == b.collection) {
+            let tenant = &stretch[0].tenant;
+            let scope = scope_or_new(&mut self.scopes, tenant, &stretch[0].collection);
+            // Keys of the run in progress; a lone write repeats nothing.
+            let mut in_run: HashSet<&Key> = HashSet::new();
+            let mut run_start = 0;
+            for (i, img) in stretch.iter().enumerate() {
+                if !scope.admit(img, now) {
+                    self.eval.process_run(scope, tenant, &stretch[run_start..i]);
+                    in_run.clear();
+                    run_start = i + 1;
                     self.stale_dropped += 1;
                     self.metric_dropped_stale.fetch_add(1, AtomicOrdering::Relaxed);
                     continue;
                 }
-                _ => {}
-            }
-            self.latest_versions.insert(record, img.version);
-            self.retention.push_back((self.clock.now(), Arc::clone(img)));
-            // Ingestion lag: how far behind the write's origin timestamp
-            // this cell is running. Tracked as a peak here, published on
-            // tick.
-            let lag = now_micros().saturating_sub(img.written_at);
-            self.ingest_lag_us = self.ingest_lag_us.max(lag);
-            if let Some(cost) = self.config.synthetic_match_cost {
-                // Emulates the paper's CPU throttling so saturation appears
-                // at laptop-scale workloads; busy-wait per write to consume
-                // executor time.
-                let until = std::time::Instant::now() + cost * self.queries.len().max(1) as u32;
-                while std::time::Instant::now() < until {
-                    std::hint::spin_loop();
+                if stretch.len() > 1 && !in_run.insert(&img.key) {
+                    self.eval.process_run(scope, tenant, &stretch[run_start..i]);
+                    in_run.clear();
+                    in_run.insert(&img.key);
+                    run_start = i;
+                }
+                admitted += 1;
+                self.retained_writes += 1;
+                // Ingestion lag: how far behind the write's origin timestamp
+                // this cell is running. Tracked as a peak here, published on
+                // tick.
+                let lag = now_micros().saturating_sub(img.written_at);
+                self.ingest_lag_us = self.ingest_lag_us.max(lag);
+                if let Some(cost) = self.config.synthetic_match_cost {
+                    // Emulates the paper's CPU throttling so saturation appears
+                    // at laptop-scale workloads; busy-wait per write to consume
+                    // executor time.
+                    let until = std::time::Instant::now() + cost * self.active_queries.max(1) as u32;
+                    while std::time::Instant::now() < until {
+                        std::hint::spin_loop();
+                    }
                 }
             }
-            live.push(img);
+            self.eval.process_run(scope, tenant, &stretch[run_start..]);
         }
-        if live.is_empty() {
-            return;
-        }
-        if live.len() > 1 {
+        if admitted > 1 {
             self.metric_write_batches.fetch_add(1, AtomicOrdering::Relaxed);
         }
-        if !self.config.multi_query_index {
-            // Unindexed fallback: every same-(tenant, collection) query is
-            // evaluated per write, as before — the shared predicate cache
-            // still collapses atoms repeated across those queries.
-            for img in live {
-                self.pred_cache.begin_run();
-                for ((_, hash), group) in self.queries.iter_mut() {
-                    if group.tenant == img.tenant && group.collection == img.collection {
-                        Self::match_against(
-                            group,
-                            *hash,
-                            img,
-                            &self.out,
-                            &mut self.slow_scratch,
-                            &mut self.pred_cache,
-                            0,
-                        );
-                    }
-                }
-            }
-            return;
-        }
-        // Phase 2 — group by (tenant, collection), preserving arrival order
-        // within each group. A query belongs to exactly one group, so the
-        // order of writes any single query observes is unchanged.
-        let mut groups: Vec<(&TenantId, &str, Vec<&Arc<AfterImage>>)> = Vec::new();
-        for img in live {
-            match groups.iter_mut().find(|(t, c, _)| **t == img.tenant && *c == img.collection) {
-                Some((_, _, writes)) => writes.push(img),
-                None => groups.push((&img.tenant, &img.collection, vec![img])),
-            }
-        }
-        for (tenant, collection, writes) in groups {
-            // Distinct-key runs: an evaluation can move a record in or out
-            // of a query's result, which changes the holder candidates of a
-            // *later write to the same record*. Splitting at the first
-            // repeated key keeps every run's `containing` snapshot exact.
-            let mut start = 0;
-            let mut seen: std::collections::HashSet<&Key> = std::collections::HashSet::new();
-            for i in 0..writes.len() {
-                if !seen.insert(&writes[i].key) {
-                    self.process_run(tenant, collection, &writes[start..i]);
-                    seen.clear();
-                    seen.insert(&writes[i].key);
-                    start = i;
-                }
-            }
-            self.process_run(tenant, collection, &writes[start..]);
-        }
     }
 
-    /// Phase 3 of [`MatchingNode::handle_write_batch`]: one distinct-key
-    /// run of one (tenant, collection) group — one index probe, then each
-    /// candidate query's predicate over its columnar slice of the run.
-    fn process_run(&mut self, tenant: &TenantId, collection: &str, writes: &[&Arc<AfterImage>]) {
-        if writes.is_empty() {
-            return;
-        }
-        let index = match self.indexes.get_mut(&(tenant.clone(), collection.to_owned())) {
-            Some(index) => index,
-            None => return, // no queries for this (tenant, collection)
-        };
-        let docs: Vec<Option<&invalidb_common::Document>> =
-            writes.iter().map(|img| img.doc.as_ref()).collect();
-        let mut pairs = std::mem::take(&mut self.cand_pairs);
-        index.candidates_batch(&docs, &mut pairs);
-        // Holder candidates: queries whose result currently contains the
-        // record (covers moves out of range and deletes). Keys are distinct
-        // within a run, so this snapshot equals the serial per-write lookup.
-        for (w, img) in writes.iter().enumerate() {
-            let record = RecordId {
-                tenant: img.tenant.clone(),
-                collection: img.collection.clone(),
-                key: img.key.clone(),
-            };
-            if let Some(holders) = self.containing.get(&record) {
-                pairs.extend(holders.iter().map(|h| (*h, w as u32)));
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        // Columnar evaluation: pairs are grouped by query hash with write
-        // indices ascending, so each query sees its writes in arrival
-        // order — per-subscription output is byte-identical to serial.
-        // One predicate-memo run spans the whole run: a memoized atom
-        // result is shared across every candidate query of each write.
-        self.pred_cache.begin_run();
-        let mut transitions: Vec<(u32, FilterChangeKind)> = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let hash = pairs[i].0;
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j].0 == hash {
-                j += 1;
-            }
-            match self.queries.get_mut(&(tenant.clone(), hash)) {
-                Some(group) => {
-                    let started = std::time::Instant::now();
-                    for k in i..j {
-                        let img = writes[pairs[k].1 as usize];
-                        if let Some(kind) =
-                            Self::evaluate(group, hash, img, &self.out, &mut self.pred_cache, pairs[k].1)
-                        {
-                            transitions.push((pairs[k].1, kind));
-                        }
-                    }
-                    self.slow_scratch.charge_n(
-                        &group.tenant.0,
-                        hash.0,
-                        || group.spec_display.clone(),
-                        (j - i) as u64,
-                        started.elapsed().as_micros() as u64,
-                    );
-                }
-                None => {
-                    // The query was cancelled/expired; lazily purge its
-                    // membership entries so `containing` does not leak.
-                    for k in i..j {
-                        let img = writes[pairs[k].1 as usize];
-                        let record = RecordId {
-                            tenant: img.tenant.clone(),
-                            collection: img.collection.clone(),
-                            key: img.key.clone(),
-                        };
-                        if let Some(list) = self.containing.get_mut(&record) {
-                            list.retain(|h| *h != hash);
-                            if list.is_empty() {
-                                self.containing.remove(&record);
-                            }
-                        }
-                    }
-                }
-            }
-            for (w, kind) in transitions.drain(..) {
-                self.note_transition(writes[w as usize], hash, Some(kind));
-            }
-            i = j;
-        }
-        pairs.clear();
-        self.cand_pairs = pairs;
-    }
-
-    /// Evaluates one write against one query, charging the wall-clock cost
-    /// to this node's local slow-query scratch (flushed to the shared log
-    /// on tick) so operators can see which query eats the grid.
-    fn match_against(
-        group: &mut QueryGroup,
-        hash: QueryHash,
-        img: &Arc<AfterImage>,
-        out: &Outputs,
-        scratch: &mut SlowQueryScratch,
-        cache: &mut PredCache,
-        write_idx: u32,
-    ) -> Option<FilterChangeKind> {
-        let started = std::time::Instant::now();
-        let kind = Self::evaluate(group, hash, img, out, cache, write_idx);
-        scratch.charge(
-            &group.tenant.0,
-            hash.0,
-            || group.spec_display.clone(),
-            started.elapsed().as_micros() as u64,
-        );
-        kind
-    }
-
-    /// Core filtering-stage transition logic. Returns the transition kind
-    /// (None when the write was irrelevant or stale for this query).
-    fn evaluate(
-        group: &mut QueryGroup,
-        hash: QueryHash,
-        img: &Arc<AfterImage>,
-        out: &Outputs,
-        cache: &mut PredCache,
-        write_idx: u32,
-    ) -> Option<FilterChangeKind> {
-        let old = group.result.get(&img.key).copied();
-        if let Some(old_version) = old {
-            if img.version <= old_version {
-                return None; // stale relative to what this query already reflects
-            }
-        }
-        // Shared predicate evaluation: conjunctive queries resolve each
-        // atom through the per-run memo (identical result to
-        // `prepared.matches` by the `conjuncts` contract); queries that
-        // opt out of decomposition evaluate whole.
-        let matches_now = img.doc.as_ref().is_some_and(|d| match group.prepared.conjuncts() {
-            Some(atoms) => cache.eval_all(atoms, write_idx, d),
-            None => group.prepared.matches(d),
-        });
-        let kind = match (old.is_some(), matches_now) {
-            (false, true) => FilterChangeKind::Add,
-            (true, true) => FilterChangeKind::Change,
-            (true, false) => FilterChangeKind::Remove,
-            (false, false) => {
-                out.filtered.fetch_add(1, AtomicOrdering::Relaxed);
-                return None; // irrelevant write: filtered out
-            }
-        };
-        out.matched.fetch_add(1, AtomicOrdering::Relaxed);
-        match kind {
-            FilterChangeKind::Remove => {
-                group.result.remove(&img.key);
-            }
-            _ => {
-                group.result.insert(img.key.clone(), img.version);
-            }
-        }
-        // Stamp the filtering stage on sampled traces; the clone touches
-        // only traced writes, so the unsampled fast path stays allocation
-        // free. On a workerd host the stamp also names the worker and its
-        // assignment epoch, so a cross-process trace identifies the cell.
-        let trace: Option<TraceContext> = img.trace.clone().map(|mut t| {
-            match &out.identity {
-                Some(id) => id.stamp(&mut t, Stage::Matching),
-                None => t.stamp(Stage::Matching),
-            }
-            t
-        });
-        if group.to_sorting || group.to_aggregation {
-            // Sorted/aggregate queries: pass the transition downstream.
-            let change = FilterChange {
-                tenant: group.tenant.clone(),
-                query_hash: hash,
-                kind,
-                key: img.key.clone(),
-                version: img.version,
-                doc: img.doc.clone(),
-                written_at: img.written_at,
-                trace,
-            };
-            out.forward(group, change);
-        } else {
-            // Self-maintainable queries: one notification for the whole
-            // group, serialized straight from the write and published from
-            // this thread.
-            let match_type = match kind {
-                FilterChangeKind::Add => MatchType::Add,
-                FilterChangeKind::Change => MatchType::Change,
-                FilterChangeKind::Remove => MatchType::Remove,
-            };
-            out.publisher.publish(EnvelopeRef {
-                tenant: &group.tenant,
-                subscriptions: group.subscriptions.ids(),
-                kind: KindRef::Change {
-                    match_type,
-                    item: ItemRef {
-                        key: &img.key,
-                        version: img.version,
-                        doc: img.doc.as_ref(),
-                        index: None,
-                    },
-                    old_index: None,
-                },
-                caused_by_write_at: img.written_at,
-                trace: trace.as_ref(),
-            });
-        }
-        Some(kind)
+    /// The group of a query known only by tenant and hash, as cancellations
+    /// and TTL extensions name it, with the scope it lives in. A hash covers
+    /// the collection, so at most one of the tenant's scopes has it; a
+    /// tenant has few collections, so they are simply asked in turn.
+    fn scope_of_query(&mut self, tenant: &TenantId, query_hash: QueryHash) -> Option<&mut Scope> {
+        self.scopes.get_mut(tenant)?.values_mut().find(|scope| scope.queries.contains_key(&query_hash))
     }
 
     fn handle_unsubscribe(
@@ -703,16 +715,14 @@ impl MatchingNode {
         query_hash: QueryHash,
         subscription: SubscriptionId,
     ) {
-        if let Some(group) = self.queries.get_mut(&(tenant.clone(), query_hash)) {
-            group.subscriptions.remove(subscription);
-            if group.subscriptions.is_empty() {
-                // Deactivated queries stop consuming resources (§5).
-                let collection = group.collection.clone();
-                self.queries.remove(&(tenant.clone(), query_hash));
-                if let Some(index) = self.indexes.get_mut(&(tenant.clone(), collection)) {
-                    index.remove(query_hash);
-                }
-            }
+        let Some(scope) = self.scope_of_query(tenant, query_hash) else { return };
+        let group = scope.queries.get_mut(&query_hash).expect("scope found by this query");
+        group.subscriptions.remove(subscription);
+        if group.subscriptions.is_empty() {
+            // Deactivated queries stop consuming resources (§5).
+            scope.queries.remove(&query_hash);
+            scope.index.remove(query_hash);
+            self.active_queries -= 1;
         }
     }
 
@@ -724,54 +734,45 @@ impl MatchingNode {
         ttl_micros: u64,
     ) {
         let now = self.clock.now();
-        if let Some(group) = self.queries.get_mut(&(tenant.clone(), query_hash)) {
+        if let Some(group) =
+            self.scope_of_query(tenant, query_hash).and_then(|scope| scope.queries.get_mut(&query_hash))
+        {
             group.subscriptions.extend_ttl(subscription, now, ttl_micros);
         }
     }
 
     fn expire(&mut self) {
         let now = self.clock.now();
-        // TTL enforcement: drop expired subscriptions, then empty groups.
-        let indexes = &mut self.indexes;
-        self.queries.retain(|(tenant, hash), group| {
-            group.subscriptions.expire(now);
-            let keep = !group.subscriptions.is_empty();
-            if !keep {
-                if let Some(index) = indexes.get_mut(&(tenant.clone(), group.collection.clone())) {
-                    index.remove(*hash);
-                }
-            }
-            keep
-        });
-        // Retention trimming.
         let horizon = self.config.retention;
-        while let Some((t, _)) = self.retention.front() {
-            if now.since(*t) > horizon {
-                let (_, img) = self.retention.pop_front().expect("peeked");
-                // Forget latest-version entries only when they refer to the
-                // trimmed write (a newer one may have refreshed the record).
-                let record = RecordId {
-                    tenant: img.tenant.clone(),
-                    collection: img.collection.clone(),
-                    key: img.key.clone(),
-                };
-                if self.latest_versions.get(&record) == Some(&img.version) {
-                    self.latest_versions.remove(&record);
+        for scope in self.scopes.values_mut().flat_map(HashMap::values_mut) {
+            // TTL enforcement: drop expired subscriptions, then empty groups.
+            let Scope { queries, index, .. } = scope;
+            queries.retain(|hash, group| {
+                group.subscriptions.expire(now);
+                let keep = !group.subscriptions.is_empty();
+                if !keep {
+                    index.remove(*hash);
+                    self.active_queries -= 1;
                 }
-            } else {
-                break;
-            }
+                keep
+            });
+            self.retained_writes -= scope.trim_retention(now, horizon);
         }
+        // A scope goes with its last query and its last retained write.
+        self.scopes.retain(|_, collections| {
+            collections.retain(|_, scope| !scope.is_idle());
+            !collections.is_empty()
+        });
     }
 
     /// Number of active query groups (tests/metrics).
     pub fn active_queries(&self) -> usize {
-        self.queries.len()
+        self.active_queries
     }
 
     /// Number of retained after-images (tests/metrics).
     pub fn retained_writes(&self) -> usize {
-        self.retention.len()
+        self.retained_writes
     }
 
     /// Count of writes dropped by staleness avoidance.
@@ -826,11 +827,11 @@ impl Task<Event> for MatchingNode {
 
     fn tick(&mut self) {
         self.expire();
-        self.slow_scratch.flush(&self.config.metrics.slow_queries());
+        self.eval.slow_scratch.flush(&self.config.metrics.slow_queries());
         // Per-partition gauges, refreshed once per tick so the hot write
         // path never touches them.
-        self.gauge_active_queries.store(self.queries.len() as u64, AtomicOrdering::Relaxed);
-        self.gauge_retained_writes.store(self.retention.len() as u64, AtomicOrdering::Relaxed);
+        self.gauge_active_queries.store(self.active_queries as u64, AtomicOrdering::Relaxed);
+        self.gauge_retained_writes.store(self.retained_writes as u64, AtomicOrdering::Relaxed);
         self.gauge_ingest_lag_us.store(self.ingest_lag_us, AtomicOrdering::Relaxed);
         self.ingest_lag_us = 0;
         // Cluster-shared index/sharing series. The gauges are summed over
@@ -839,17 +840,17 @@ impl Task<Event> for MatchingNode {
         let mut indexed = 0u64;
         let mut scanned = 0u64;
         let mut eq_hits = 0u64;
-        for index in self.indexes.values_mut() {
-            indexed += index.indexed_len() as u64;
-            scanned += index.scan_len() as u64;
-            eq_hits += index.take_eq_lane_hits();
+        for scope in self.scopes.values_mut().flat_map(HashMap::values_mut) {
+            indexed += scope.index.indexed_len() as u64;
+            scanned += scope.index.scan_len() as u64;
+            eq_hits += scope.index.take_eq_lane_hits();
         }
         publish_gauge_delta(&self.metric_indexed, &mut self.last_indexed, indexed);
         publish_gauge_delta(&self.metric_scanned, &mut self.last_scanned, scanned);
         if eq_hits > 0 {
             self.metric_eq_hits.fetch_add(eq_hits, AtomicOrdering::Relaxed);
         }
-        let pred_hits = self.pred_cache.take_hits();
+        let pred_hits = self.eval.pred_cache.take_hits();
         if pred_hits > 0 {
             self.metric_pred_hits.fetch_add(pred_hits, AtomicOrdering::Relaxed);
         }
@@ -1133,6 +1134,142 @@ mod tests {
         h.send(write_to("other", "t", Key::of("x"), 1, 5));
         h.send(write_to(TENANT, "other_collection", Key::of("x"), 1, 5));
         assert!(h.notifications().is_empty());
+    }
+
+    fn subscribe_as(tenant: &str, spec: QuerySpec, sub: u64, initial: Vec<ResultItem>) -> Event {
+        match subscribe_event(spec, sub, initial) {
+            Event::Subscribe(req) => Event::Subscribe(Arc::new(SubscriptionRequest {
+                tenant: TenantId::new(tenant),
+                ..(*req).clone()
+            })),
+            _ => unreachable!(),
+        }
+    }
+
+    fn change_of(note: &Notification) -> (MatchType, Key, Version) {
+        match &note.kind {
+            NotificationKind::Change(c) => (c.match_type, c.item.key.clone(), c.item.version),
+            other => panic!("expected change, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tenants_sharing_a_collection_name_and_a_key_share_nothing() {
+        // The same query on the same collection name, the same key written:
+        // versions, retention, index and results are per tenant all the same.
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let other = h.wire.of_tenant("other");
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
+        h.send(subscribe_as(TENANT, spec.clone(), 1, vec![]));
+        h.send(write_to(TENANT, "t", Key::of("k"), 5, 50));
+        // Tenant B's record is at version 3. Tenant A's version 5 must not
+        // make it stale — not for the cell, not for B's query (which finds
+        // it in B's retention, not A's write).
+        h.send(write_to("other", "t", Key::of("k"), 3, 30));
+        assert_eq!(h.node.stale_dropped(), 0);
+        h.send(subscribe_as("other", spec, 2, vec![]));
+        let replayed = other.notifications();
+        assert_eq!(
+            replayed.iter().map(change_of).collect::<Vec<_>>(),
+            [(MatchType::Add, Key::of("k"), 3)]
+        );
+        assert_eq!(replayed[0].subscription, SubscriptionId(2));
+        // B moves its record out of the range: B's result loses it, A's
+        // keeps its own.
+        h.send(write_to("other", "t", Key::of("k"), 4, 1));
+        assert_eq!(
+            other.notifications().iter().map(change_of).collect::<Vec<_>>(),
+            [(MatchType::Remove, Key::of("k"), 4)]
+        );
+        let own: Vec<_> = h.notifications().iter().map(|n| (n.subscription.0, change_of(n))).collect();
+        assert_eq!(own, [(1, (MatchType::Add, Key::of("k"), 5))], "tenant A saw its own write only");
+        // Staleness is judged inside the scope: an older write of A's is
+        // stale, the same version from B is not.
+        h.send(write_to(TENANT, "t", Key::of("k"), 4, 60));
+        assert_eq!(h.node.stale_dropped(), 1);
+        h.send(write_to("other", "t", Key::of("k"), 5, 70));
+        assert_eq!(h.node.stale_dropped(), 1);
+        assert_eq!(
+            other.notifications().iter().map(change_of).collect::<Vec<_>>(),
+            [(MatchType::Add, Key::of("k"), 5)]
+        );
+        assert_eq!(h.node.retained_writes(), 4);
+    }
+
+    #[test]
+    fn a_scope_goes_with_its_last_query_and_last_retained_write() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let scopes = |h: &Harness| h.node.scopes.values().map(HashMap::len).sum::<usize>();
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
+        let hash = spec.stable_hash();
+        h.send(subscribe_event(spec, 1, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        // A write nobody subscribed to still has a scope: it is retained
+        // for whoever subscribes next, and its version counts.
+        h.send(write_to(TENANT, "unwatched", Key::of("a"), 1, 1));
+        assert_eq!(scopes(&h), 2);
+        // The last query leaves; the retained write keeps the scope.
+        h.send(Event::Unsubscribe {
+            tenant: TenantId::new(TENANT),
+            subscription: SubscriptionId(1),
+            query_hash: hash,
+        });
+        h.node.tick();
+        assert_eq!((h.node.active_queries(), h.node.retained_writes(), scopes(&h)), (0, 2, 2));
+        // Past the retention horizon nothing is left to keep them for.
+        h.clock.advance(h.node.config.retention + Duration::from_millis(1));
+        h.node.tick();
+        assert_eq!((h.node.retained_writes(), scopes(&h)), (0, 0));
+        assert!(h.node.scopes.is_empty(), "the tenant goes with its last scope");
+        // A version seen before the scope went is no longer held against a
+        // late write: the horizon is where staleness avoidance ends.
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 2i64 })));
+        assert_eq!(h.node.stale_dropped(), 0);
+    }
+
+    #[test]
+    fn cancellations_and_extensions_find_their_group_without_a_collection() {
+        // Unsubscribe and ExtendTtl carry tenant and query hash only; the
+        // group lives in one of the tenant's scopes.
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let specs =
+            ["t", "u", "v"].map(|c| QuerySpec::filter(c, doc! { "n" => doc! { "$gte" => 0i64 } }));
+        for (sub, spec) in specs.iter().enumerate() {
+            let mut req = match subscribe_event(spec.clone(), sub as u64, vec![]) {
+                Event::Subscribe(r) => (*r).clone(),
+                _ => unreachable!(),
+            };
+            req.ttl_micros = 1_000;
+            h.send(Event::Subscribe(Arc::new(req)));
+        }
+        assert_eq!(h.node.active_queries(), 3);
+        // Another tenant's cancellation of the same hash touches nothing.
+        h.send(Event::Unsubscribe {
+            tenant: TenantId::new("other"),
+            subscription: SubscriptionId(1),
+            query_hash: specs[1].stable_hash(),
+        });
+        assert_eq!(h.node.active_queries(), 3);
+        h.send(Event::Unsubscribe {
+            tenant: TenantId::new(TENANT),
+            subscription: SubscriptionId(1),
+            query_hash: specs[1].stable_hash(),
+        });
+        assert_eq!(h.node.active_queries(), 2);
+        h.send(Event::ExtendTtl {
+            tenant: TenantId::new(TENANT),
+            subscription: SubscriptionId(2),
+            query_hash: specs[2].stable_hash(),
+            ttl_micros: 10_000_000,
+        });
+        h.clock.advance(Duration::from_secs(1));
+        h.node.tick();
+        assert_eq!(h.node.active_queries(), 1, "the extended one outlives the short TTL");
+        for collection in ["t", "u", "v"] {
+            h.send(write_to(TENANT, collection, Key::of("a"), 1, 1));
+        }
+        let addressed: Vec<u64> = h.notifications().iter().map(|n| n.subscription.0).collect();
+        assert_eq!(addressed, vec![2]);
     }
 
     #[test]

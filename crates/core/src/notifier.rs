@@ -77,10 +77,10 @@ impl Publisher {
             return Arc::clone(entry);
         }
         let entry = Arc::new(Tenant {
-            topic: notify_topic(&tenant.0),
+            topic: notify_topic(tenant.as_str()),
             heartbeat: self.inner.codec.encode(&doc! {
                 "type" => "heartbeat",
-                "tenant" => tenant.0.clone(),
+                "tenant" => tenant.as_str(),
             }),
             last_heartbeat: AtomicU64::new(self.inner.clock.now().micros()),
         });
@@ -174,6 +174,7 @@ pub(crate) mod testing {
 
     pub(crate) struct Wire {
         pub(crate) publisher: Publisher,
+        broker: Broker,
         notify: Subscription,
     }
 
@@ -181,7 +182,17 @@ pub(crate) mod testing {
         pub(crate) fn new(config: &ClusterConfig, clock: &MockClock) -> Self {
             let broker = Broker::new();
             let notify = broker.subscribe(&notify_topic(TENANT));
-            Self { publisher: Publisher::new(broker.into(), config, Arc::new(clock.clone())), notify }
+            let publisher = Publisher::new(broker.clone().into(), config, Arc::new(clock.clone()));
+            Self { publisher, broker, notify }
+        }
+
+        /// The same wire, read on another tenant's notify topic.
+        pub(crate) fn of_tenant(&self, tenant: &str) -> Self {
+            Self {
+                publisher: self.publisher.clone(),
+                broker: self.broker.clone(),
+                notify: self.broker.subscribe(&notify_topic(tenant)),
+            }
         }
 
         /// Every envelope published since the last call.

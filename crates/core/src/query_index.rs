@@ -503,9 +503,9 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
     /// Batched candidate generation for a write mini-batch: pays the
     /// dirty-rebuild and attribute-map lookups once for the whole batch,
     /// and fills the caller's reusable `out` buffer (cleared first) — the
-    /// hot path allocates nothing. `docs[w]` is the after-image document of
-    /// write `w` (`None` for deletes, which probe nothing — the caller
-    /// resolves delete candidates through its result sets).
+    /// hot path allocates nothing. `docs` yields the after-image document of
+    /// write `w` as its `w`-th item (`None` for deletes, which probe nothing
+    /// — the caller resolves delete candidates through its result sets).
     ///
     /// `out` ends up in **columnar** layout: grouped by query id, write
     /// indices ascending within each group, no duplicates. Each query's
@@ -513,8 +513,11 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
     /// cost is paid once per batch. The pair set is exactly
     /// `{(id, w) | id ∈ candidates(docs[w])}` — the same conservative
     /// superset guarantee as [`QueryIndex::candidates`].
-    pub fn candidates_batch(&mut self, docs: &[Option<&Document>], out: &mut Vec<(Id, u32)>)
-    where
+    pub fn candidates_batch<'d>(
+        &mut self,
+        docs: impl IntoIterator<Item = Option<&'d Document>>,
+        out: &mut Vec<(Id, u32)>,
+    ) where
         Id: Ord,
     {
         self.rebuild_if_dirty();
@@ -522,7 +525,7 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         let mut scratch = std::mem::take(&mut self.stab_scratch);
         let mut key_scratch = std::mem::take(&mut self.key_scratch);
         let mut hits = 0u64;
-        for (w, doc) in docs.iter().enumerate() {
+        for (w, doc) in docs.into_iter().enumerate() {
             let w = w as u32;
             for id in &self.scan {
                 out.push((*id, w));
@@ -540,10 +543,10 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         self.stab_scratch = scratch;
         self.key_scratch = key_scratch;
         self.eq_lane_hits += hits;
-        // Stable sort: equal ids keep insertion order, and insertion order
-        // within one id is ascending write index (writes were visited in
-        // order), so duplicates of one `(id, w)` end up adjacent.
-        out.sort_by_key(|(id, _)| *id);
+        // Sorted as pairs: grouped by id, write indices ascending within an
+        // id, duplicates of one `(id, w)` adjacent — and in place, where a
+        // stable sort by id alone would allocate its merge buffer.
+        out.sort_unstable();
         out.dedup();
     }
 
@@ -836,7 +839,7 @@ mod tests {
             .collect();
         let refs: Vec<Option<&Document>> = docs.iter().map(Option::as_ref).collect();
         let mut pairs = Vec::new();
-        idx.candidates_batch(&refs, &mut pairs);
+        idx.candidates_batch(refs.iter().copied(), &mut pairs);
         // Columnar invariants: grouped by id, writes ascending, no dupes.
         for win in pairs.windows(2) {
             assert!(win[0] < win[1], "sorted unique pairs");

@@ -239,7 +239,7 @@ impl SortingNode {
             }
         }
         slow_scratch.charge(
-            &fc.tenant.0,
+            fc.tenant.as_str(),
             fc.query_hash.0,
             || group.spec_display.clone(),
             started.elapsed().as_micros() as u64,

@@ -27,8 +27,9 @@ pub struct WindowItem {
     pub key: Key,
     /// Record version.
     pub version: Version,
-    /// Record content.
-    pub doc: Document,
+    /// Record content, shared: the window, the edit scripts it emits and
+    /// the client state kept beside it all point at the one copy.
+    pub doc: Arc<Document>,
 }
 
 /// A client-visible result change with list positions.
@@ -103,7 +104,7 @@ impl SortedWindow {
                 r.doc.as_ref().map(|doc| WindowItem {
                     key: r.key.clone(),
                     version: r.version,
-                    doc: doc.clone(),
+                    doc: Arc::new(doc.clone()),
                 })
             })
             .collect();
@@ -141,12 +142,13 @@ impl SortedWindow {
 
     /// The client-visible slice `[offset, offset+limit)`.
     pub fn visible(&self) -> &[WindowItem] {
-        let start = self.offset.min(self.items.len());
-        let end = match self.limit {
-            Some(l) => (self.offset + l).min(self.items.len()),
-            None => self.items.len(),
-        };
-        &self.items[start..end]
+        &self.items[self.visible_range(self.items.len())]
+    }
+
+    /// Where the visible slice lies in a maintained list of `len` items.
+    fn visible_range(&self, len: usize) -> std::ops::Range<usize> {
+        let end = self.limit.map_or(len, |l| (self.offset + l).min(len));
+        self.offset.min(len)..end
     }
 
     /// Snapshot of the visible slice (kept by the sorting node across a
@@ -159,51 +161,59 @@ impl SortedWindow {
     pub fn apply(&mut self, key: &Key, version: Version, doc: Option<&Document>) -> WindowOutcome {
         // Version guard: replay and renewal can cross paths; never move a
         // record backwards.
-        if let Some(pos) = self.position_of(key) {
-            if self.items[pos].version >= version {
-                return WindowOutcome::default();
-            }
-        }
-        let before = self.snapshot_visible();
-        let matching = doc.is_some_and(|d| self.prepared.matches(d));
         let pos = self.position_of(key);
-        match (matching, pos) {
-            (false, None) => return WindowOutcome::default(),
-            (false, Some(p)) => {
-                self.items.remove(p);
-            }
-            (true, existing) => {
-                if let Some(p) = existing {
-                    self.items.remove(p);
-                }
-                let item = WindowItem {
-                    key: key.clone(),
-                    version,
-                    doc: doc.expect("matching implies doc").clone(),
-                };
-                let insert_at = self.insert_position(&item);
-                // Invariant: every *unknown* matching item sorts after the
-                // window's last item (items only ever leave the window off
-                // its end). An arrival sorting at the very end of an
-                // incomplete window is therefore ambiguous — unknown items
-                // may belong between — and must be discarded, whether it is
-                // new or an updated member that moved past the horizon.
-                let beyond_horizon = !self.complete && insert_at == self.items.len();
-                if !beyond_horizon {
-                    self.items.insert(insert_at, item);
-                    if let Some(cap) = self.cap {
-                        if self.items.len() > cap {
-                            self.items.pop();
-                            self.complete = false;
-                        }
-                    }
+        if pos.is_some_and(|p| self.items[p].version >= version) {
+            return WindowOutcome::default();
+        }
+        let matching = doc.is_some_and(|d| self.prepared.matches(d));
+        if !matching && pos.is_none() {
+            return WindowOutcome::default();
+        }
+        // A write moves at most three items: the record's old state leaves,
+        // its new state enters, and the last item falls off a full window.
+        // What left is kept, so the list as it was can be read back from the
+        // list as it is, and nothing has to be copied beforehand.
+        let left = pos.map(|p| (p, self.items.remove(p)));
+        let mut entered = None;
+        let mut fell_off = None;
+        if matching {
+            let item = WindowItem {
+                key: key.clone(),
+                version,
+                doc: Arc::new(doc.expect("matching implies doc").clone()),
+            };
+            let insert_at = self.insert_position(&item);
+            // Invariant: every *unknown* matching item sorts after the
+            // window's last item (items only ever leave the window off
+            // its end). An arrival sorting at the very end of an
+            // incomplete window is therefore ambiguous — unknown items
+            // may belong between — and must be discarded, whether it is
+            // new or an updated member that moved past the horizon.
+            let beyond_horizon = !self.complete && insert_at == self.items.len();
+            if !beyond_horizon {
+                self.items.insert(insert_at, item);
+                entered = Some(insert_at);
+                if self.cap.is_some_and(|cap| self.items.len() > cap) {
+                    fell_off = self.items.pop();
+                    self.complete = false;
                 }
             }
         }
         if let Some(err) = self.maintenance_error() {
             return WindowOutcome { events: Vec::new(), error: Some(err) };
         }
-        WindowOutcome { events: diff_visible_hinted(&before, self.visible(), Some(key)), error: None }
+        // The list before the write: the steps above, undone on references.
+        let mut before: Vec<&WindowItem> = self.items.iter().chain(&fell_off).collect();
+        if let Some(at) = entered {
+            before.remove(at);
+        }
+        if let Some((at, item)) = &left {
+            before.insert(*at, item);
+        }
+        let visible_before =
+            before[self.visible_range(before.len())].iter().map(|i| (&i.key, i.version));
+        let events = edit_script(visible_before.collect(), self.visible(), Some(key));
+        WindowOutcome { events, error: None }
     }
 
     /// Replaces the window content from a fresh bootstrap result (query
@@ -267,32 +277,46 @@ pub fn diff_visible_hinted(
     after: &[WindowItem],
     hint: Option<&Key>,
 ) -> Vec<VisibleEvent> {
+    edit_script(before.iter().map(|i| (&i.key, i.version)).collect(), after, hint)
+}
+
+/// The edit script from a list known by key and version (`work`, consumed
+/// as the client-side list the script is played on) to `after`. Keys are
+/// borrowed throughout; an event copies what it carries.
+fn edit_script<'a>(
+    mut work: Vec<(&'a Key, Version)>,
+    after: &'a [WindowItem],
+    hint: Option<&Key>,
+) -> Vec<VisibleEvent> {
     let mut events = Vec::new();
-    let mut work: Vec<(Key, Version)> = before.iter().map(|i| (i.key.clone(), i.version)).collect();
     // 1. Removals, highest index first so earlier indices stay valid.
     for i in (0..work.len()).rev() {
-        if !after.iter().any(|a| a.key == work[i].0) {
+        if !after.iter().any(|a| &a.key == work[i].0) {
             let (key, version) = work.remove(i);
-            events.push(VisibleEvent::Remove { key, version, old_index: i });
+            events.push(VisibleEvent::Remove { key: key.clone(), version, old_index: i });
         }
     }
     // 2. If the written item survived and moved, emit its move first.
     if let Some(hint) = hint {
-        let cur = work.iter().position(|(k, _)| k == hint);
+        let cur = work.iter().position(|(k, _)| *k == hint);
         let target = after.iter().position(|a| &a.key == hint);
         if let (Some(cur), Some(tgt)) = (cur, target) {
             if cur != tgt && tgt <= work.len() {
-                let item = after[tgt].clone();
+                let item = &after[tgt];
                 work.remove(cur);
-                work.insert(tgt.min(work.len()), (item.key.clone(), item.version));
-                events.push(VisibleEvent::ChangeIndex { item, old_index: cur, index: tgt });
+                work.insert(tgt.min(work.len()), (&item.key, item.version));
+                events.push(VisibleEvent::ChangeIndex {
+                    item: item.clone(),
+                    old_index: cur,
+                    index: tgt,
+                });
             }
         }
     }
     // 3. Walk the target list; insert or move to each remaining position.
     for (i, target) in after.iter().enumerate() {
         if let Some((key, version)) = work.get(i) {
-            if *key == target.key {
+            if **key == target.key {
                 if *version != target.version {
                     events.push(VisibleEvent::Change { item: target.clone(), index: i });
                     work[i].1 = target.version;
@@ -300,15 +324,15 @@ pub fn diff_visible_hinted(
                 continue;
             }
         }
-        match work.iter().position(|(k, _)| *k == target.key) {
+        match work.iter().position(|(k, _)| **k == target.key) {
             Some(j) => {
                 // The item exists later in the list: it moved here.
                 work.remove(j);
-                work.insert(i, (target.key.clone(), target.version));
+                work.insert(i, (&target.key, target.version));
                 events.push(VisibleEvent::ChangeIndex { item: target.clone(), old_index: j, index: i });
             }
             None => {
-                work.insert(i, (target.key.clone(), target.version));
+                work.insert(i, (&target.key, target.version));
                 events.push(VisibleEvent::Add { item: target.clone(), index: i });
             }
         }

@@ -51,7 +51,7 @@ fn after_image() -> impl Strategy<Value = AfterImage> {
         (optional(document()), 0u64..(i64::MAX as u64), optional(trace())),
     )
         .prop_map(|((tenant, collection, key, version), (doc, written_at, trace))| AfterImage {
-            tenant: TenantId(tenant),
+            tenant: TenantId::new(&tenant),
             collection,
             key: Key(key),
             version: version as u64,

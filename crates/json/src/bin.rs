@@ -320,13 +320,12 @@ impl<'a> BinReader<'a> {
         Ok(v as usize)
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, BinError> {
+    /// A length-prefixed string, borrowed from the payload.
+    pub(crate) fn str(&mut self) -> Result<&'a str, BinError> {
         let len = self.len_varint()?;
         let start = self.pos;
         let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| BinError::new(BinErrorKind::BadUtf8, start))
+        std::str::from_utf8(bytes).map_err(|_| BinError::new(BinErrorKind::BadUtf8, start))
     }
 
     pub(crate) fn object_body(&mut self, depth: usize) -> Result<Document, BinError> {
@@ -359,7 +358,7 @@ impl<'a> BinReader<'a> {
                 let b = self.take(8)?;
                 Value::Float(f64::from_bits(u64::from_be_bytes(b.try_into().expect("8 bytes"))))
             }
-            TAG_STRING => Value::String(self.str()?),
+            TAG_STRING => Value::String(self.str()?.to_owned()),
             TAG_ARRAY => {
                 let count = self.len_varint()?;
                 let mut items = Vec::with_capacity(count);

@@ -2,6 +2,7 @@
 
 use crate::error::{JsonError, JsonErrorKind};
 use invalidb_common::{Document, Value};
+use std::borrow::Cow;
 
 /// Maximum nesting depth accepted by the parser.
 pub const MAX_DEPTH: usize = 128;
@@ -95,7 +96,7 @@ impl<'a> Parser<'a> {
             None => Err(self.err(JsonErrorKind::UnexpectedEof)),
             Some(b'{') => self.object(depth).map(Value::Object),
             Some(b'[') => self.array(depth),
-            Some(b'"') => self.string().map(Value::String),
+            Some(b'"') => self.string().map(|s| Value::String(s.into_owned())),
             Some(b't') => {
                 if self.eat_keyword("true") {
                     Ok(Value::Bool(true))
@@ -146,11 +147,12 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            // A name is borrowed from the input unless it has escapes.
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             let value = self.value(depth + 1)?;
-            doc.insert(key, value);
+            doc.insert(&*key, value);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -187,28 +189,34 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string literal: borrowed from the input when it is one run of plain
+    /// bytes (every field name in practice), assembled when it has escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
+            // Fast path: take a run of plain bytes at once.
             while let Some(b) = self.peek() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                // Input is known-valid UTF-8 (constructed from &str).
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is valid UTF-8"),
-                );
-            }
+            // Input is known-valid UTF-8 (constructed from &str), and a run
+            // ends before an ASCII byte, so on a character boundary.
+            let run = std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is valid UTF-8");
             match self.bump() {
                 None => return Err(self.err(JsonErrorKind::UnexpectedEof)),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => self.escape(&mut out)?,
+                Some(b'"') if out.is_empty() => return Ok(Cow::Borrowed(run)),
+                Some(b'"') => {
+                    out.push_str(run);
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    out.push_str(run);
+                    self.escape(&mut out)?
+                }
                 Some(c) if c < 0x20 => {
                     self.pos -= 1;
                     return Err(self.err(JsonErrorKind::UnexpectedChar(c as char)));

@@ -85,7 +85,7 @@ fn envelope() -> impl Strategy<Value = NotifyEnvelope> {
         optional(trace()),
     )
         .prop_map(|(tenant, ids, kind, caused_by_write_at, trace)| NotifyEnvelope {
-            tenant: TenantId(tenant),
+            tenant: TenantId::new(&tenant),
             subscriptions: ids.into_iter().map(SubscriptionId).collect(),
             kind,
             caused_by_write_at,

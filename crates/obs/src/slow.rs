@@ -181,7 +181,10 @@ struct PendingCharge {
 /// lock is taken once per tick interval rather than once per write×query.
 #[derive(Default)]
 pub struct SlowQueryScratch {
-    pending: HashMap<(String, u64), PendingCharge>,
+    /// Per tenant, per query hash: both levels are probed with what the
+    /// caller holds (`&str`, `u64`), so a charge to a query already pending
+    /// copies nothing.
+    pending: HashMap<String, HashMap<u64, PendingCharge>>,
 }
 
 impl SlowQueryScratch {
@@ -200,23 +203,7 @@ impl SlowQueryScratch {
         label: impl FnOnce() -> String,
         cost_us: u64,
     ) {
-        if let Some(p) = self.pending.get_mut(&(tenant.to_owned(), query_hash)) {
-            p.evals += 1;
-            p.total_us += cost_us;
-            p.max_us = p.max_us.max(cost_us);
-            p.last_us = cost_us;
-            return;
-        }
-        self.pending.insert(
-            (tenant.to_owned(), query_hash),
-            PendingCharge {
-                label: Some(label()),
-                evals: 1,
-                total_us: cost_us,
-                max_us: cost_us,
-                last_us: cost_us,
-            },
-        );
+        self.charge_n(tenant, query_hash, label, 1, cost_us);
     }
 
     /// Charges `evals` evaluations totalling `cost_us` microseconds in one
@@ -235,79 +222,91 @@ impl SlowQueryScratch {
             return;
         }
         let per_eval = cost_us / evals;
-        if let Some(p) = self.pending.get_mut(&(tenant.to_owned(), query_hash)) {
-            p.evals += evals;
-            p.total_us += cost_us;
-            p.max_us = p.max_us.max(per_eval);
-            p.last_us = per_eval;
-            return;
+        let of_tenant = match self.pending.get_mut(tenant) {
+            Some(of_tenant) => of_tenant,
+            None => self.pending.entry(tenant.to_owned()).or_default(),
+        };
+        match of_tenant.get_mut(&query_hash) {
+            Some(p) => {
+                p.evals += evals;
+                p.total_us += cost_us;
+                p.max_us = p.max_us.max(per_eval);
+                p.last_us = per_eval;
+            }
+            None => {
+                of_tenant.insert(
+                    query_hash,
+                    PendingCharge {
+                        label: Some(label()),
+                        evals,
+                        total_us: cost_us,
+                        max_us: per_eval,
+                        last_us: per_eval,
+                    },
+                );
+            }
         }
-        self.pending.insert(
-            (tenant.to_owned(), query_hash),
-            PendingCharge {
-                label: Some(label()),
-                evals,
-                total_us: cost_us,
-                max_us: per_eval,
-                last_us: per_eval,
-            },
-        );
     }
 
     /// Number of distinct queries with unflushed charges.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.values().map(HashMap::len).sum()
     }
 
     /// Whether there is anything to flush.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.len() == 0
     }
 
     /// Drains every accumulated charge into `log` under a single lock
     /// acquisition. A no-op when nothing was charged.
     pub fn flush(&mut self, log: &SlowQueryLog) {
-        if self.pending.is_empty() {
+        if self.is_empty() {
             return;
         }
         let now = now_micros();
         let mut entries = log.inner.entries.lock();
-        for ((tenant, query_hash), p) in self.pending.drain() {
-            if let Some(e) = entries.get_mut(&(tenant.clone(), query_hash)) {
-                e.evals += p.evals;
-                e.total_us += p.total_us;
-                e.max_us = e.max_us.max(p.max_us);
-                e.last_us = p.last_us;
-                e.last_seen_micros = now;
-                continue;
-            }
-            if entries.len() >= log.inner.capacity {
-                if let Some(victim) =
-                    entries.iter().min_by_key(|(_, e)| e.total_us).map(|(k, _)| k.clone())
-                {
-                    entries.remove(&victim);
+        for (tenant, of_tenant) in self.pending.drain() {
+            // One key per tenant, re-aimed at each of its queries.
+            let mut key = (tenant.clone(), 0u64);
+            for (query_hash, p) in of_tenant {
+                key.1 = query_hash;
+                if let Some(e) = entries.get_mut(&key) {
+                    e.evals += p.evals;
+                    e.total_us += p.total_us;
+                    e.max_us = e.max_us.max(p.max_us);
+                    e.last_us = p.last_us;
+                    e.last_seen_micros = now;
+                    continue;
                 }
+                if entries.len() >= log.inner.capacity {
+                    if let Some(victim) =
+                        entries.iter().min_by_key(|(_, e)| e.total_us).map(|(k, _)| k.clone())
+                    {
+                        entries.remove(&victim);
+                    }
+                }
+                entries.insert(
+                    key.clone(),
+                    SlowQueryEntry {
+                        tenant: tenant.clone(),
+                        query_hash,
+                        label: p.label.unwrap_or_default(),
+                        evals: p.evals,
+                        total_us: p.total_us,
+                        max_us: p.max_us,
+                        last_us: p.last_us,
+                        last_seen_micros: now,
+                    },
+                );
             }
-            entries.insert(
-                (tenant.clone(), query_hash),
-                SlowQueryEntry {
-                    tenant,
-                    query_hash,
-                    label: p.label.unwrap_or_default(),
-                    evals: p.evals,
-                    total_us: p.total_us,
-                    max_us: p.max_us,
-                    last_us: p.last_us,
-                    last_seen_micros: now,
-                },
-            );
         }
     }
 }
 
 impl std::fmt::Debug for SlowQueryScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlowQueryScratch").field("pending", &self.pending.len()).finish()
+        f.debug_struct("SlowQueryScratch").field("pending", &self.len()).finish()
     }
 }
 

@@ -97,14 +97,16 @@ impl Collection {
         // into and never used.
         doc.shrink_to_fit();
         let doc = Arc::new(doc);
-        // Un-index from the record taken out of the map: nothing is copied
-        // just to be forgotten.
-        let replaced =
-            inner.records.insert(key.clone(), StoredRecord { version, doc: Arc::clone(&doc) });
-        if let Some(old) = replaced {
-            index_remove(&mut inner, &key, &old.doc);
-        }
-        index_insert(&mut inner, &key, &doc);
+        // An update replaces the record where it stands (the map keeps its
+        // key), and the indexes move from the record that was taken out:
+        // nothing is copied just to be forgotten.
+        let record = StoredRecord { version, doc: Arc::clone(&doc) };
+        let Inner { records, indexes, .. } = &mut *inner;
+        let replaced = match records.get_mut(&key) {
+            Some(held) => Some(std::mem::replace(held, record)),
+            None => records.insert(key.clone(), record),
+        };
+        reindex(indexes, &key, replaced.as_ref().map(|old| &*old.doc), Some(&doc));
         drop(inner);
         let oplog_op = if op == WriteOp::Insert { OplogOp::Insert } else { OplogOp::Update };
         self.oplog.append(&self.name, key.clone(), version, Some(Arc::clone(&doc)), oplog_op);
@@ -126,8 +128,7 @@ impl Collection {
     pub fn delete(&self, key: Key) -> Result<WriteResult, StoreError> {
         let mut inner = self.inner.write();
         let record = inner.records.remove(&key).ok_or_else(|| StoreError::NotFound(key.clone()))?;
-        let old_doc = record.doc;
-        index_remove(&mut inner, &key, &old_doc);
+        reindex(&mut inner.indexes, &key, Some(&record.doc), None);
         let version = record.version + 1;
         inner.tombstones.insert(key.clone(), version);
         drop(inner);
@@ -215,19 +216,17 @@ impl Collection {
     pub(crate) fn restore(&self, key: Key, version: Version, doc: Document) {
         let mut inner = self.inner.write();
         inner.tombstones.remove(&key);
-        index_insert(&mut inner, &key, &doc);
-        let replaced = inner.records.insert(key.clone(), StoredRecord { version, doc: Arc::new(doc) });
-        if let Some(old) = replaced {
-            index_remove(&mut inner, &key, &old.doc);
-        }
+        let doc = Arc::new(doc);
+        let replaced =
+            inner.records.insert(key.clone(), StoredRecord { version, doc: Arc::clone(&doc) });
+        reindex(&mut inner.indexes, &key, replaced.as_ref().map(|old| &*old.doc), Some(&doc));
     }
 
     /// Restores a delete with its exact tombstone version (WAL recovery).
     pub(crate) fn restore_delete(&self, key: Key, version: Version) {
         let mut inner = self.inner.write();
         if let Some(record) = inner.records.remove(&key) {
-            let old = record.doc;
-            index_remove(&mut inner, &key, &old);
+            reindex(&mut inner.indexes, &key, Some(&record.doc), None);
         }
         inner.tombstones.insert(key, version);
     }
@@ -258,18 +257,20 @@ fn as_ref_bound(
     }
 }
 
-fn index_insert(inner: &mut Inner, key: &Key, doc: &Document) {
-    let fields: Vec<String> = inner.indexes.keys().cloned().collect();
-    for field in fields {
-        let idx = inner.indexes.get_mut(&field).expect("just listed");
-        idx.insert(&field, key, doc);
-    }
-}
-
-fn index_remove(inner: &mut Inner, key: &Key, doc: &Document) {
-    let fields: Vec<String> = inner.indexes.keys().cloned().collect();
-    for field in fields {
-        let idx = inner.indexes.get_mut(&field).expect("just listed");
-        idx.remove(&field, key, doc);
+/// Moves the index entries of `key` from its old document to its new one
+/// (`None`: the record did not exist / no longer exists).
+fn reindex(
+    indexes: &mut HashMap<String, FieldIndex>,
+    key: &Key,
+    old: Option<&Document>,
+    new: Option<&Document>,
+) {
+    for (field, index) in indexes.iter_mut() {
+        match (old, new) {
+            (Some(old), Some(new)) => index.replace(field, key, old, new),
+            (Some(old), None) => index.remove(field, key, old),
+            (None, Some(new)) => index.insert(field, key, new),
+            (None, None) => {}
+        }
     }
 }

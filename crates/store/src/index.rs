@@ -22,40 +22,57 @@ impl FieldIndex {
         Self::default()
     }
 
-    /// Values a document contributes to this index for `path`.
-    fn index_values(doc: &Document, path: &str) -> Vec<Value> {
-        let candidates = invalidb_query::path::resolve(doc, path);
-        if candidates.is_empty() {
-            return vec![Value::Null];
-        }
-        let mut out = Vec::with_capacity(candidates.len());
-        for c in candidates {
-            match c {
-                Value::Array(items) if !items.is_empty() => out.extend(items.iter().cloned()),
-                Value::Array(_) => out.push(Value::Null),
-                other => out.push(other.clone()),
+    /// Hands `f` each value a document contributes to this index for `path`,
+    /// borrowed: every element of an array (multikey), `Null` for an empty
+    /// array or a missing field.
+    fn for_each_value(doc: &Document, path: &str, mut f: impl FnMut(&Value)) {
+        invalidb_query::path::with_resolved(doc, path, |candidates| {
+            if candidates.is_empty() {
+                f(&Value::Null);
             }
-        }
-        out
+            for candidate in candidates {
+                match candidate {
+                    Value::Array(items) if !items.is_empty() => items.iter().for_each(&mut f),
+                    Value::Array(_) => f(&Value::Null),
+                    other => f(other),
+                }
+            }
+        })
     }
 
     /// Indexes a document under its primary key.
     pub fn insert(&mut self, path: &str, pk: &Key, doc: &Document) {
-        for v in Self::index_values(doc, path) {
-            self.buckets.entry(Key(v)).or_default().insert(pk.clone());
-        }
+        Self::for_each_value(doc, path, |v| {
+            self.buckets.entry(Key(v.clone())).or_default().insert(pk.clone());
+        });
     }
 
     /// Removes a document's entries.
     pub fn remove(&mut self, path: &str, pk: &Key, doc: &Document) {
-        for v in Self::index_values(doc, path) {
-            if let Some(set) = self.buckets.get_mut(&Key(v.clone())) {
+        Self::for_each_value(doc, path, |v| {
+            let bucket = Key(v.clone());
+            if let Some(set) = self.buckets.get_mut(&bucket) {
                 set.remove(pk);
                 if set.is_empty() {
-                    self.buckets.remove(&Key(v));
+                    self.buckets.remove(&bucket);
                 }
             }
+        });
+    }
+
+    /// Re-indexes a record whose document was replaced. The common update
+    /// leaves the indexed field alone, and then the entries stay as they
+    /// are: nothing is removed only to be inserted again.
+    pub fn replace(&mut self, path: &str, pk: &Key, old: &Document, new: &Document) {
+        use invalidb_query::path::with_resolved;
+        // Equal resolved values contribute equal entries. (`Value` equality
+        // is stricter than the buckets' canonical one — `1` vs `1.0`, NaN —
+        // which only ever costs a re-index that was not needed.)
+        if with_resolved(old, path, |was| with_resolved(new, path, |is| was == is)) {
+            return;
         }
+        self.remove(path, pk, old);
+        self.insert(path, pk, new);
     }
 
     /// Primary keys of documents whose field equals `value`.
@@ -133,6 +150,34 @@ mod tests {
         idx.remove("tags", &Key::of(1i64), &d);
         assert!(idx.lookup_eq(&Value::from("x")).is_empty());
         assert_eq!(idx.distinct_values(), 0);
+    }
+
+    #[test]
+    fn replace_moves_entries_only_when_the_indexed_value_changed() {
+        let mut idx = FieldIndex::new();
+        let pk = Key::of("k");
+        let v1 = doc! { "n" => 1i64, "other" => "a" };
+        idx.insert("n", &pk, &v1);
+        // Same indexed value, another field changed: entries untouched.
+        let v2 = doc! { "n" => 1i64, "other" => "b" };
+        idx.replace("n", &pk, &v1, &v2);
+        assert_eq!(idx.lookup_eq(&Value::Int(1)), vec![pk.clone()]);
+        // Indexed value changed, dropped, became multikey.
+        let v3 = doc! { "n" => 2i64 };
+        idx.replace("n", &pk, &v2, &v3);
+        assert!(idx.lookup_eq(&Value::Int(1)).is_empty());
+        assert_eq!(idx.lookup_eq(&Value::Int(2)), vec![pk.clone()]);
+        let v4 = doc! { "other" => "c" };
+        idx.replace("n", &pk, &v3, &v4);
+        assert_eq!(idx.lookup_eq(&Value::Null), vec![pk.clone()]);
+        let v5 = doc! { "n" => vec![7i64, 8] };
+        idx.replace("n", &pk, &v4, &v5);
+        assert_eq!(idx.lookup_eq(&Value::Int(8)), vec![pk.clone()]);
+        assert_eq!(idx.distinct_values(), 2);
+        // Whatever the path taken, the index equals one built from scratch.
+        idx.replace("n", &pk, &v5, &v1);
+        assert_eq!(idx.lookup_eq(&Value::Int(1)), vec![pk]);
+        assert_eq!(idx.distinct_values(), 1);
     }
 
     #[test]

@@ -77,7 +77,9 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Self { data: Arc::from(v.into_boxed_slice()) }
+        // Straight into the shared allocation: going through a boxed slice
+        // first would shrink the vector (a reallocation) only to copy it.
+        Self { data: Arc::from(v) }
     }
 }
 

@@ -9,6 +9,11 @@
 //!   receivers are gone;
 //! * `recv` drains remaining messages even after all senders disconnect and
 //!   fails only once the queue is empty *and* no sender remains.
+//!
+//! A condition variable is signalled only when somebody waits on it: the
+//! waiter counts live in the state the mutex guards, so "is anyone blocked"
+//! is known to whoever changes the queue, and the common send or receive —
+//! nobody blocked on the other side — makes no wake-up system call.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -20,20 +25,68 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `not_empty` / senders blocked on `not_full`.
+        /// A thread counts itself in before it waits and out when it wakes,
+        /// both under the mutex, so a non-zero count seen by the thread that
+        /// just pushed or popped means a wake-up is owed.
+        waiting_receivers: usize,
+        waiting_senders: usize,
     }
 
     struct Chan<T> {
         state: Mutex<State<T>>,
-        /// Signalled when a message is pushed or all senders disconnect.
+        /// Signalled when a message is pushed while a receiver waits, or
+        /// all senders disconnect.
         not_empty: Condvar,
-        /// Signalled when a message is popped or all receivers disconnect.
+        /// Signalled when a message is popped while a sender waits, or all
+        /// receivers disconnect. Never on an unbounded channel: it cannot be
+        /// full, so no sender ever waits.
         not_full: Condvar,
         capacity: Option<usize>,
     }
 
+    type Guard<'a, T> = std::sync::MutexGuard<'a, State<T>>;
+
     impl<T> Chan<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+        fn lock(&self) -> Guard<'_, T> {
             self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Queues `msg` and wakes a receiver if one is blocked.
+        fn push(&self, mut st: Guard<'_, T>, msg: T) {
+            st.queue.push_back(msg);
+            let wake = st.waiting_receivers > 0;
+            drop(st);
+            if wake {
+                self.not_empty.notify_one();
+            }
+        }
+
+        /// Takes the oldest message, if any, and wakes a sender if one is
+        /// blocked on the room it leaves. The guard comes back when the
+        /// queue was empty.
+        fn pop<'a>(&self, mut st: Guard<'a, T>) -> Result<T, Guard<'a, T>> {
+            let Some(msg) = st.queue.pop_front() else { return Err(st) };
+            let wake = st.waiting_senders > 0;
+            drop(st);
+            if wake {
+                self.not_full.notify_one();
+            }
+            Ok(msg)
+        }
+
+        /// Blocks a receiver until `not_empty` is signalled or `timeout`
+        /// passes.
+        fn wait_not_empty<'a>(&self, mut st: Guard<'a, T>, timeout: Option<Duration>) -> Guard<'a, T> {
+            st.waiting_receivers += 1;
+            let mut st = match timeout {
+                Some(timeout) => {
+                    self.not_empty.wait_timeout(st, timeout).unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner),
+            };
+            st.waiting_receivers -= 1;
+            st
         }
     }
 
@@ -51,7 +104,13 @@ pub mod channel {
 
     fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
-            state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                senders: 1,
+                receivers: 1,
+                waiting_receivers: 0,
+                waiting_senders: 0,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
@@ -145,20 +204,20 @@ pub mod channel {
                 }
                 match self.chan.capacity {
                     Some(cap) if st.queue.len() >= cap => {
+                        st.waiting_senders += 1;
                         st = self.chan.not_full.wait(st).unwrap_or_else(PoisonError::into_inner);
+                        st.waiting_senders -= 1;
                     }
                     _ => break,
                 }
             }
-            st.queue.push_back(msg);
-            drop(st);
-            self.chan.not_empty.notify_one();
+            self.chan.push(st, msg);
             Ok(())
         }
 
         /// Sends without blocking; fails if full or disconnected.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut st = self.chan.lock();
+            let st = self.chan.lock();
             if st.receivers == 0 {
                 return Err(TrySendError::Disconnected(msg));
             }
@@ -167,9 +226,7 @@ pub mod channel {
                     return Err(TrySendError::Full(msg));
                 }
             }
-            st.queue.push_back(msg);
-            drop(st);
-            self.chan.not_empty.notify_one();
+            self.chan.push(st, msg);
             Ok(())
         }
 
@@ -226,15 +283,14 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut st = self.chan.lock();
             loop {
-                if let Some(msg) = st.queue.pop_front() {
-                    drop(st);
-                    self.chan.not_full.notify_one();
-                    return Ok(msg);
-                }
+                st = match self.chan.pop(st) {
+                    Ok(msg) => return Ok(msg),
+                    Err(st) => st,
+                };
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
-                st = self.chan.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st = self.chan.wait_not_empty(st, None);
             }
         }
 
@@ -243,11 +299,12 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut st = self.chan.lock();
             loop {
-                if let Some(msg) = st.queue.pop_front() {
-                    drop(st);
-                    self.chan.not_full.notify_one();
-                    return Ok(msg);
-                }
+                // The queue is looked at before the clock: a message that
+                // arrives as the wait times out is still received.
+                st = match self.chan.pop(st) {
+                    Ok(msg) => return Ok(msg),
+                    Err(st) => st,
+                };
                 if st.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
@@ -255,27 +312,17 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _) = self
-                    .chan
-                    .not_empty
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
+                st = self.chan.wait_not_empty(st, Some(deadline - now));
             }
         }
 
         /// Receives without blocking.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self.chan.lock();
-            if let Some(msg) = st.queue.pop_front() {
-                drop(st);
-                self.chan.not_full.notify_one();
-                return Ok(msg);
+            match self.chan.pop(self.chan.lock()) {
+                Ok(msg) => Ok(msg),
+                Err(st) if st.senders == 0 => Err(TryRecvError::Disconnected),
+                Err(_) => Err(TryRecvError::Empty),
             }
-            if st.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
         }
 
         /// Iterator draining currently available messages without blocking.
@@ -378,6 +425,106 @@ pub mod channel {
             t.join().unwrap().unwrap();
             assert_eq!(rx.recv(), Ok(2));
             assert_eq!(rx.recv(), Ok(3));
+        }
+
+        /// Runs `body` on its own thread and fails, instead of hanging the
+        /// suite, if it has not finished in a minute: what a missed wake-up
+        /// looks like from outside is a thread that sleeps forever.
+        fn finishes(body: impl FnOnce() + Send + 'static) {
+            let (done, finished) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                body();
+                let _ = done.send(());
+            });
+            match finished.recv_timeout(Duration::from_secs(60)) {
+                Ok(()) => worker.join().expect("stress body panicked"),
+                Err(_) => panic!("channel stress did not finish: a wake-up was missed"),
+            }
+        }
+
+        #[test]
+        fn tiny_bounded_channel_loses_no_message_and_no_wake_up() {
+            // Capacity 1 and 2 keep both sides blocking all the time, so
+            // every hand-over needs the wake-up the waiter counts decide on.
+            for cap in [1usize, 2] {
+                finishes(move || {
+                    const PRODUCERS: u64 = 4;
+                    const PER_PRODUCER: u64 = 25_000;
+                    let (tx, rx) = bounded::<u64>(cap);
+                    let producers: Vec<_> = (0..PRODUCERS)
+                        .map(|p| {
+                            let tx = tx.clone();
+                            std::thread::spawn(move || {
+                                for i in 0..PER_PRODUCER {
+                                    tx.send(p * PER_PRODUCER + i).unwrap();
+                                }
+                            })
+                        })
+                        .collect();
+                    drop(tx);
+                    let consumers: Vec<_> = (0..4)
+                        .map(|c| {
+                            let rx = rx.clone();
+                            std::thread::spawn(move || {
+                                let (mut count, mut sum) = (0u64, 0u64);
+                                // Half the consumers block, half poll with a
+                                // timeout, so both waits meet both wake-ups.
+                                loop {
+                                    let got = if c % 2 == 0 {
+                                        rx.recv().ok()
+                                    } else {
+                                        match rx.recv_timeout(Duration::from_millis(1)) {
+                                            Ok(v) => Some(v),
+                                            Err(RecvTimeoutError::Timeout) => continue,
+                                            Err(RecvTimeoutError::Disconnected) => None,
+                                        }
+                                    };
+                                    match got {
+                                        Some(v) => {
+                                            count += 1;
+                                            sum += v;
+                                        }
+                                        None => return (count, sum),
+                                    }
+                                }
+                            })
+                        })
+                        .collect();
+                    drop(rx);
+                    for p in producers {
+                        p.join().unwrap();
+                    }
+                    let (count, sum) = consumers
+                        .into_iter()
+                        .map(|c| c.join().unwrap())
+                        .fold((0, 0), |(n, s), (cn, cs)| (n + cn, s + cs));
+                    let total = PRODUCERS * PER_PRODUCER;
+                    assert_eq!(count, total, "every message received exactly once");
+                    assert_eq!(sum, total * (total - 1) / 2);
+                });
+            }
+        }
+
+        #[test]
+        fn recv_timeout_racing_a_late_sender_gets_the_message() {
+            // The sender is released by the receiver itself right before it
+            // starts to wait, so the send lands around the moment the
+            // receiver blocks — before, while or just after. Whichever it
+            // is, the message must arrive well inside the timeout.
+            finishes(|| {
+                for _ in 0..2_000 {
+                    let (tx, rx) = unbounded::<u32>();
+                    let (go, gone) = bounded::<()>(1);
+                    let sender = std::thread::spawn(move || {
+                        gone.recv().unwrap();
+                        tx.send(7).unwrap();
+                        tx
+                    });
+                    go.send(()).unwrap();
+                    assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(7));
+                    drop(sender.join().unwrap());
+                }
+            });
         }
 
         #[test]
