@@ -5,8 +5,7 @@
 //! Paper reference points (p99 ≤ 30 ms): 1 QP ≈ 1 500 queries, 16 QP ≈
 //! 29 000 queries — doubling the partitions doubles capacity.
 //!
-//! Runs on the calibrated discrete-event simulator (see DESIGN.md); the
-//! `live_cluster` bench validates the same shape on the real cluster.
+//! Runs on the calibrated discrete-event simulator (see DESIGN.md).
 
 use invalidb_bench::table;
 use invalidb_sim::{max_sustainable_queries, SimParams, SlaSearch};

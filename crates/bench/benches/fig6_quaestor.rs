@@ -10,20 +10,22 @@
 //! * (c) latency distribution snapshot, read-heavy (24 000 queries);
 //! * (d) latency distribution snapshot, write-heavy (5 000 ops/s).
 //!
-//! Besides the text tables, every number is also written to
-//! `BENCH_fig6.json` so plots and regression tooling can consume the run
-//! without scraping stdout.
+//! All four run on the calibrated simulator (`invalidb-sim`): the shapes are
+//! 16-node deployments no single host can stand up. Besides the text
+//! tables, every number is also written to `BENCH_fig6.json`, stamped with
+//! commit, toolchain, core count and `"simulated": true`, so plots and
+//! regression tooling can consume the run without scraping stdout.
 
 use invalidb_bench::table;
 use invalidb_common::{Document, Value};
 use invalidb_sim::{simulate, SimParams};
-use std::time::Duration;
 
 fn main() {
     let scale = invalidb_bench::scale();
     let duration = 20.0 * scale;
-    let mut out = Document::with_capacity(8);
+    let mut out = Document::with_capacity(11);
     out.insert("benchmark", "fig6_quaestor");
+    invalidb_bench::stamp_simulated(&mut out);
     out.insert("scale", scale);
     out.insert("sim_duration_s", duration);
 
@@ -134,120 +136,11 @@ fn main() {
     }
     println!("\npaper: quaestor's distribution is the standalone one shifted right ~5 ms, longer tail under write pressure, <100 ms near capacity");
 
-    // (e) per-stage breakdown, once per topology batch bound: max_batch=1
-    // is the pre-mini-batch pipeline, the default shows what batched
-    // matching buys per stage (the matching row is the interesting one).
-    let default_batch = invalidb_core::ClusterConfig::new(1, 1).max_batch;
-    let mut breakdowns = Vec::new();
-    let mut default_run = Value::Null;
-    for max_batch in [1usize, default_batch] {
-        let run = stage_breakdown(max_batch);
-        if max_batch == default_batch {
-            default_run = run.clone();
-        }
-        breakdowns.push(run);
-    }
-    // `fig6e` keeps the default run's shape (plus its `max_batch`) for
-    // existing consumers; the sweep lives under `breakdowns`.
-    let mut fig6e = match default_run {
-        Value::Object(d) => d,
-        _ => unreachable!("default batch run always recorded"),
-    };
-    fig6e.insert("breakdowns", Value::Array(breakdowns));
-    out.insert("fig6e", Value::from(fig6e));
-
     let json = invalidb_json::to_string(&out);
     match std::fs::write(invalidb_bench::artifact_path("BENCH_fig6.json"), &json) {
         Ok(()) => println!("\nmachine-readable results written to BENCH_fig6.json"),
         Err(e) => eprintln!("\nfailed to write BENCH_fig6.json: {e}"),
     }
-}
-
-/// (e) Extension beyond the paper: where does the latency go? Runs the
-/// *real* pipeline (store + broker + 2x2 cluster + app server) with
-/// stage tracing on every write and prints the per-stage latency table
-/// aggregated by the shared metrics registry. Returns the stage rows as
-/// a JSON array for `BENCH_fig6.json`.
-fn stage_breakdown(max_batch: usize) -> Value {
-    use invalidb_broker::Broker;
-    use invalidb_client::{AppServer, AppServerConfig, ClientEvent};
-    use invalidb_common::{doc, Key, QuerySpec};
-    use invalidb_core::{Cluster, ClusterConfig};
-    use invalidb_obs::MetricsRegistry;
-    use invalidb_store::Store;
-    use std::sync::Arc;
-
-    table::banner(
-        "Figure 6e",
-        &format!(
-            "per-stage latency breakdown, traced live pipeline (2 QP x 2 WP, max_batch={max_batch})"
-        ),
-    );
-    let store = Arc::new(Store::new());
-    let broker = Broker::new();
-    let metrics = MetricsRegistry::new();
-    let cluster = Cluster::start(
-        broker.clone(),
-        ClusterConfig::builder(2, 2).metrics(metrics.clone()).max_batch(max_batch).build().unwrap(),
-    );
-    let config =
-        AppServerConfig::builder().trace_sample_every(1).metrics(metrics.clone()).build().unwrap();
-    let app = AppServer::start("fig6e", Arc::clone(&store), broker.clone(), config);
-
-    let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
-    let mut sub = app.subscribe(&spec).unwrap();
-    sub.events().timeout(Duration::from_secs(10)).next().expect("initial result");
-
-    let writes = (500.0 * invalidb_bench::scale()).max(100.0) as i64;
-    let mut delivered = 0u64;
-    for i in 0..writes {
-        app.insert("t", Key::of(i), doc! { "n" => i }).unwrap();
-        // Consume as we go so the subscription channel never backs up.
-        for ev in sub.events().non_blocking() {
-            if matches!(ev, ClientEvent::Change(_)) {
-                delivered += 1;
-            }
-        }
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while delivered < writes as u64 && std::time::Instant::now() < deadline {
-        if let Some(ev) = sub.events().timeout(Duration::from_millis(100)).next() {
-            if matches!(ev, ClientEvent::Change(_)) {
-                delivered += 1;
-            }
-        }
-    }
-
-    let snapshot = app.metrics();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut stages = Vec::new();
-    for (stage, h) in snapshot.stage_breakdown() {
-        rows.push(vec![
-            stage.clone(),
-            format!("{}", h.count),
-            format!("{}", h.mean),
-            format!("{}", h.p50),
-            format!("{}", h.p99),
-            format!("{}", h.max),
-        ]);
-        let mut row = Document::with_capacity(6);
-        row.insert("stage", stage);
-        row.insert("count", h.count as i64);
-        row.insert("mean_us", h.mean as i64);
-        row.insert("p50_us", h.p50 as i64);
-        row.insert("p99_us", h.p99 as i64);
-        row.insert("max_us", h.max as i64);
-        stages.push(Value::from(row));
-    }
-    table::table(&["stage (µs)", "count", "mean", "p50", "p99", "max"], &rows);
-    println!("{writes} traced writes, {delivered} notifications delivered; stage.total is the end-to-end write->delivery latency, the stage.* rows its additive decomposition");
-    cluster.shutdown();
-    let mut breakdown = Document::with_capacity(4);
-    breakdown.insert("max_batch", max_batch as i64);
-    breakdown.insert("traced_writes", writes);
-    breakdown.insert("delivered", delivered as i64);
-    breakdown.insert("stages", Value::Array(stages));
-    Value::from(breakdown)
 }
 
 /// Prints a coarse latency histogram (2 ms buckets to 40 ms, like Fig 6c/d).

@@ -84,43 +84,6 @@ fn bench_matching(c: &mut Criterion) {
         });
     });
     group.finish();
-
-    // Mini-batch probing: one columnar `candidates_batch` call over a
-    // 32-write batch versus 32 serial `candidates` probes. Throughput is
-    // writes, so the report reads as per-write cost either way.
-    let mut w = Workload::new(4, 1_000);
-    let specs = w.queries(1_000);
-    let batch_docs: Vec<_> = (0..32).map(|_| w.next_document().1).collect();
-    let refs: Vec<Option<&invalidb_common::Document>> = batch_docs.iter().map(Some).collect();
-    let mut group = c.benchmark_group("matching_batch");
-    group.throughput(Throughput::Elements(batch_docs.len() as u64));
-    group.bench_function("serial_candidates_32_writes", |b| {
-        let mut index: QueryIndex<usize> = QueryIndex::default();
-        for (i, spec) in specs.iter().enumerate() {
-            index.insert(i, &spec.filter);
-        }
-        let mut cands: Vec<usize> = Vec::new();
-        b.iter(|| {
-            let mut pairs = 0usize;
-            for doc in &batch_docs {
-                index.candidates(black_box(doc), &mut cands);
-                pairs += cands.len();
-            }
-            black_box(pairs)
-        });
-    });
-    group.bench_function("candidates_batch_32_writes", |b| {
-        let mut index: QueryIndex<usize> = QueryIndex::default();
-        for (i, spec) in specs.iter().enumerate() {
-            index.insert(i, &spec.filter);
-        }
-        let mut pairs: Vec<(usize, u32)> = Vec::new();
-        b.iter(|| {
-            index.candidates_batch(black_box(&refs).iter().copied(), &mut pairs);
-            black_box(pairs.len())
-        });
-    });
-    group.finish();
 }
 
 fn bench_ingest(c: &mut Criterion) {

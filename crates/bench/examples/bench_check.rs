@@ -1,196 +1,64 @@
-//! Validates the checked-in machine-readable bench artifacts.
+//! Validates the checked-in machine-readable bench artifact.
 //!
-//! CI's bench-smoke step runs the transport benches at
-//! `INVALIDB_BENCH_SCALE=0` and then this check: every `BENCH_*.json`
-//! at the workspace root must exist, parse as a JSON document, and
-//! carry the fields downstream tooling (per-PR perf-trajectory diffs)
-//! relies on. Exits non-zero with a description on any violation.
+//! CI's bench-smoke step runs `fig6_quaestor` at `INVALIDB_BENCH_SCALE=0`
+//! and then this check: `BENCH_fig6.json` at the workspace root must exist,
+//! parse as a JSON document, say what produced it (`commit`, `rustc`,
+//! `nproc`, and `"simulated": true` — its numbers are the simulator's) and
+//! carry the rows downstream tooling (per-PR perf-trajectory diffs) relies
+//! on. Exits non-zero with a description on any violation.
 
 use invalidb_common::{Document, Value};
 
-fn load(name: &str) -> Document {
-    let path = invalidb_bench::artifact_path(name);
-    let raw = match std::fs::read_to_string(&path) {
-        Ok(raw) => raw,
-        Err(e) => fail(name, &format!("missing or unreadable ({e})")),
-    };
-    match invalidb_json::parse_document(&raw) {
-        Ok(doc) => doc,
-        Err(e) => fail(name, &format!("malformed JSON: {e:?}")),
-    }
-}
+const NAME: &str = "BENCH_fig6.json";
 
-fn fail(name: &str, why: &str) -> ! {
-    eprintln!("bench-check FAILED: {name}: {why}");
+fn fail(why: &str) -> ! {
+    eprintln!("bench-check FAILED: {NAME}: {why}");
     std::process::exit(1)
 }
 
-fn require_rows(name: &str, doc: &Document, field: &str) {
-    match doc.get(field) {
-        Some(Value::Array(rows)) if !rows.is_empty() => {}
-        Some(Value::Array(_)) => fail(name, &format!("`{field}` is empty")),
-        _ => fail(name, &format!("`{field}` missing or not an array")),
-    }
-}
-
-fn require_number(name: &str, row: &Document, field: &str, context: &str) {
-    match row.get(field) {
-        Some(Value::Float(_)) | Some(Value::Int(_)) => {}
-        _ => fail(name, &format!("{context} lacks numeric `{field}`")),
-    }
-}
-
 fn main() {
-    let transport = load("BENCH_transport.json");
-    require_rows("BENCH_transport.json", &transport, "rows");
-    match transport.get("improvement_pct") {
-        Some(Value::Float(_)) | Some(Value::Int(_)) => {}
-        _ => fail("BENCH_transport.json", "`improvement_pct` missing or not a number"),
-    }
-    if let Some(Value::Array(rows)) = transport.get("rows") {
-        let mut multiprocess = false;
-        for (i, row) in rows.iter().enumerate() {
-            let Value::Object(row) = row else {
-                fail("BENCH_transport.json", &format!("row {i} is not an object"));
-            };
-            for field in ["label", "transport", "codec", "batched", "mean_us", "p99_us", "max_us"] {
-                if row.get(field).is_none() {
-                    fail("BENCH_transport.json", &format!("row {i} lacks `{field}`"));
-                }
-            }
-            require_number("BENCH_transport.json", row, "max_batch", &format!("row {i}"));
-            if row.get("transport").and_then(|v| v.as_str()) == Some("multiprocess") {
-                multiprocess = true;
-                if row.get("remote_worker").is_none() {
-                    fail("BENCH_transport.json", &format!("row {i} lacks `remote_worker`"));
-                }
-            }
-        }
-        if !multiprocess {
-            fail("BENCH_transport.json", "no `transport = multiprocess` row");
-        }
-    }
-
-    // Topology batch-size sweep: the gain rows of the mini-batch matching
-    // optimization. A max_batch=1 row must anchor the sweep — the
-    // `batch_gain_pct` headline is quoted against it.
-    require_rows("BENCH_transport.json", &transport, "batch_sweep");
-    require_number("BENCH_transport.json", &transport, "batch_gain_pct", "document");
-    if let Some(Value::Array(sweep)) = transport.get("batch_sweep") {
-        let mut baseline = false;
-        for (i, row) in sweep.iter().enumerate() {
-            let Value::Object(row) = row else {
-                fail("BENCH_transport.json", &format!("batch_sweep row {i} is not an object"));
-            };
-            for field in ["max_batch", "mean_us", "p99_us", "max_us"] {
-                require_number("BENCH_transport.json", row, field, &format!("batch_sweep row {i}"));
-            }
-            if row.get("max_batch").and_then(|v| v.as_i64()) == Some(1) {
-                baseline = true;
-            }
-        }
-        if !baseline {
-            fail("BENCH_transport.json", "batch_sweep lacks the `max_batch = 1` baseline row");
-        }
-    }
-
-    let fig6 = load("BENCH_fig6.json");
-    let fig6e = match fig6.get("fig6e") {
-        Some(Value::Object(d)) => d,
-        Some(_) => fail("BENCH_fig6.json", "`fig6e` is not an object"),
-        None => fail("BENCH_fig6.json", "`fig6e` missing"),
+    let raw = match std::fs::read_to_string(invalidb_bench::artifact_path(NAME)) {
+        Ok(raw) => raw,
+        Err(e) => fail(&format!("missing or unreadable ({e})")),
     };
-    require_number("BENCH_fig6.json", fig6e, "max_batch", "`fig6e`");
-    require_rows("BENCH_fig6.json", fig6e, "stages");
-    match fig6e.get("breakdowns") {
-        Some(Value::Array(runs)) if !runs.is_empty() => {
-            let mut baseline = false;
-            for (i, run) in runs.iter().enumerate() {
-                let Value::Object(run) = run else {
-                    fail("BENCH_fig6.json", &format!("fig6e breakdown {i} is not an object"));
-                };
-                require_number("BENCH_fig6.json", run, "max_batch", &format!("fig6e breakdown {i}"));
-                require_rows("BENCH_fig6.json", run, "stages");
-                if let Some(Value::Array(stages)) = run.get("stages") {
-                    for (j, stage) in stages.iter().enumerate() {
-                        let Value::Object(stage) = stage else {
-                            fail(
-                                "BENCH_fig6.json",
-                                &format!("fig6e breakdown {i} stage {j} is not an object"),
-                            );
-                        };
-                        if stage.get("stage").and_then(|v| v.as_str()).is_none() {
-                            fail(
-                                "BENCH_fig6.json",
-                                &format!("fig6e breakdown {i} stage {j} lacks `stage`"),
-                            );
-                        }
-                        for field in ["count", "mean_us", "p50_us", "p99_us", "max_us"] {
-                            require_number(
-                                "BENCH_fig6.json",
-                                stage,
-                                field,
-                                &format!("fig6e breakdown {i} stage {j}"),
-                            );
-                        }
-                    }
-                }
-                if run.get("max_batch").and_then(|v| v.as_i64()) == Some(1) {
-                    baseline = true;
-                }
-            }
-            if !baseline {
-                fail("BENCH_fig6.json", "fig6e breakdowns lack the `max_batch = 1` baseline run");
-            }
+    let fig6: Document = match invalidb_json::parse_document(&raw) {
+        Ok(doc) => doc,
+        Err(e) => fail(&format!("malformed JSON: {e:?}")),
+    };
+
+    for field in ["commit", "rustc"] {
+        if fig6.get(field).and_then(|v| v.as_str()).is_none_or(str::is_empty) {
+            fail(&format!("stamp lacks `{field}`"));
         }
-        Some(Value::Array(_)) => fail("BENCH_fig6.json", "`fig6e.breakdowns` is empty"),
-        _ => fail("BENCH_fig6.json", "`fig6e.breakdowns` missing or not an array"),
+    }
+    if fig6.get("nproc").and_then(|v| v.as_i64()).is_none_or(|n| n < 1) {
+        fail("stamp lacks a positive `nproc`");
+    }
+    if fig6.get("simulated") != Some(&Value::Bool(true)) {
+        fail("not marked `\"simulated\": true`");
     }
 
-    // Q-scaling sweep: per-write matching cost vs. active query count, in
-    // both index modes, plus the growth exponents the sublinearity claim in
-    // EXPERIMENTS.md is quoted from.
-    let qscale = load("BENCH_qscale.json");
-    require_rows("BENCH_qscale.json", &qscale, "rows");
-    require_number("BENCH_qscale.json", &qscale, "improvement_at_100k_mixed", "document");
-    if let Some(Value::Array(rows)) = qscale.get("rows") {
-        let mut shapes: Vec<&str> = Vec::new();
+    let figures: [(&str, &[&str]); 4] = [
+        ("fig6a", &["queries", "standalone_p99_ms", "quaestor_p99_ms", "overhead_ms"]),
+        ("fig6b", &["ops_per_sec", "standalone_p99_ms", "quaestor_p99_ms"]),
+        ("fig6c", &["mean_ms", "p50_ms", "p99_ms", "notifications"]),
+        ("fig6d", &["mean_ms", "p50_ms", "p99_ms", "notifications"]),
+    ];
+    for (figure, numbers) in figures {
+        let rows = match fig6.get(figure) {
+            Some(Value::Array(rows)) if !rows.is_empty() => rows,
+            Some(Value::Array(_)) => fail(&format!("`{figure}` is empty")),
+            _ => fail(&format!("`{figure}` missing or not an array")),
+        };
         for (i, row) in rows.iter().enumerate() {
-            let Value::Object(row) = row else {
-                fail("BENCH_qscale.json", &format!("row {i} is not an object"));
-            };
-            match row.get("shape").and_then(|v| v.as_str()) {
-                Some(s) => {
-                    if !shapes.contains(&s) {
-                        shapes.push(s);
-                    }
+            let Value::Object(row) = row else { fail(&format!("{figure} row {i} is not an object")) };
+            for field in numbers {
+                if !matches!(row.get(field), Some(Value::Float(_) | Value::Int(_))) {
+                    fail(&format!("{figure} row {i} lacks numeric `{field}`"));
                 }
-                None => fail("BENCH_qscale.json", &format!("row {i} lacks `shape`")),
-            }
-            for field in ["q", "q_distinct", "writes", "new_us_per_write", "prepr_us_per_write"] {
-                require_number("BENCH_qscale.json", row, field, &format!("row {i}"));
-            }
-        }
-        for shape in ["unique_ranges", "shared_conjunctions", "duplicated_filters", "mixed"] {
-            if !shapes.contains(&shape) {
-                fail("BENCH_qscale.json", &format!("no rows for shape `{shape}`"));
-            }
-        }
-    }
-    require_rows("BENCH_qscale.json", &qscale, "scaling");
-    if let Some(Value::Array(rows)) = qscale.get("scaling") {
-        for (i, row) in rows.iter().enumerate() {
-            let Value::Object(row) = row else {
-                fail("BENCH_qscale.json", &format!("scaling row {i} is not an object"));
-            };
-            if row.get("shape").and_then(|v| v.as_str()).is_none() {
-                fail("BENCH_qscale.json", &format!("scaling row {i} lacks `shape`"));
-            }
-            for field in ["q_lo", "q_hi", "exponent_new", "exponent_prepr"] {
-                require_number("BENCH_qscale.json", row, field, &format!("scaling row {i}"));
             }
         }
     }
 
-    println!("bench-check OK: BENCH_transport.json, BENCH_fig6.json, BENCH_qscale.json");
+    println!("bench-check OK: {NAME}");
 }

@@ -1037,18 +1037,6 @@ impl Subscription {
         }
     }
 
-    /// Waits for the next event, applying it to the local result.
-    #[deprecated(since = "0.2.0", note = "use `events().timeout(..).next()` instead")]
-    pub fn next_event(&mut self, timeout: Duration) -> Option<ClientEvent> {
-        self.recv_one(timeout)
-    }
-
-    /// Non-blocking variant of the receive path.
-    #[deprecated(since = "0.2.0", note = "use `events().non_blocking().next()` instead")]
-    pub fn try_next_event(&mut self) -> Option<ClientEvent> {
-        self.try_recv_one()
-    }
-
     fn recv_one(&mut self, timeout: Duration) -> Option<ClientEvent> {
         let (event, trace) = self.rx.recv_timeout(timeout).ok()?;
         Some(self.absorb(event, trace))
@@ -1087,12 +1075,6 @@ impl Subscription {
     /// notification latency was spent.
     pub fn last_trace(&self) -> Option<&TraceContext> {
         self.last_trace.as_ref()
-    }
-
-    /// Batched receive with notification coalescing (extension, §8.1).
-    #[deprecated(since = "0.2.0", note = "use `events().coalesced(window)` instead")]
-    pub fn next_events_coalesced(&mut self, window: Duration) -> Vec<ClientEvent> {
-        self.recv_coalesced(window)
     }
 
     /// Waits up to `window` for a first event, keeps collecting until the

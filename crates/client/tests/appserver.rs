@@ -293,23 +293,6 @@ fn aggregate_queries_end_to_end() {
     cluster.shutdown();
 }
 
-/// The pre-`events()` receive surface must keep working for existing
-/// applications: deprecated, not removed.
-#[test]
-#[allow(deprecated)]
-fn deprecated_receive_surface_still_compiles_and_works() {
-    let (_broker, _store, cluster, app) = setup(1, 1);
-    let spec = QuerySpec::filter("t", doc! {});
-    let mut sub = app.subscribe(&spec).unwrap();
-    assert!(matches!(sub.next_event(Duration::from_secs(5)), Some(ClientEvent::Initial(_))));
-    app.insert("t", Key::of(1i64), doc! { "x" => 1i64 }).unwrap();
-    let ev = wait_for(|| sub.try_next_event(), Duration::from_secs(5)).expect("push update");
-    assert!(matches!(ev, ClientEvent::Change(_)));
-    let batch = sub.next_events_coalesced(Duration::from_millis(50));
-    assert!(batch.is_empty(), "no further events: {batch:?}");
-    cluster.shutdown();
-}
-
 #[test]
 fn coalesced_receive_collapses_hot_key_churn() {
     let (_broker, _store, cluster, app) = setup(1, 1);

@@ -9,7 +9,7 @@
 //! Field names are *names*, not data: the same dozen short strings recur in
 //! every record of a collection, and a document is decoded, cloned and
 //! compared far more often than a name is ever looked at as text. They are
-//! therefore stored inline in the entry ([`FieldName`]) and the API speaks
+//! therefore stored inline in the entry (`FieldName`) and the API speaks
 //! `&str` only — building, decoding and cloning a document allocate for its
 //! values, never for its names.
 

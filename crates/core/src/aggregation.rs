@@ -262,19 +262,17 @@ fn contribution(doc: &invalidb_common::Document, field: &Option<String>) -> Valu
 }
 
 impl Task<Event> for AggregationNode {
-    fn handle(&mut self, batch: &mut Vec<Event>) {
-        for input in batch.drain(..) {
-            match input {
-                Event::Subscribe(req) => self.handle_subscribe(&req),
-                Event::FilterChange(fc) => self.handle_filter_change(&fc),
-                Event::Unsubscribe { tenant, query_hash, subscription } => {
-                    self.handle_unsubscribe(&tenant, query_hash, subscription)
-                }
-                Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
-                    self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
-                }
-                Event::Write(_) => {}
+    fn handle(&mut self, input: Event) {
+        match input {
+            Event::Subscribe(req) => self.handle_subscribe(&req),
+            Event::FilterChange(fc) => self.handle_filter_change(&fc),
+            Event::Unsubscribe { tenant, query_hash, subscription } => {
+                self.handle_unsubscribe(&tenant, query_hash, subscription)
             }
+            Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
+                self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
+            }
+            Event::Write(_) => {}
         }
     }
 
@@ -344,7 +342,7 @@ mod tests {
         }
 
         fn drive(&mut self, event: Event) {
-            self.node.handle(&mut vec![event]);
+            self.node.handle(event);
             for envelope in self.wire.envelopes() {
                 if let NotificationKind::Aggregate { value, count } = envelope.kind {
                     self.out.push((value, count));

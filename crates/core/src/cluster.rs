@@ -36,7 +36,7 @@ use invalidb_obs::{
     AdminConfig, AdminServer, ComponentMetrics, FlightRecorder, MetricsRegistry, MetricsSnapshot,
     SlowQueryLog, TopologyMetrics,
 };
-use invalidb_stream::{task, Task, TaskConfig};
+use invalidb_stream::{task, Task};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -170,8 +170,7 @@ impl Cluster {
         let shutdown = Arc::new(AtomicBool::new(false));
         let publisher = Publisher::new(broker.clone(), &config, clock.clone());
         let task_metrics = Arc::new(TopologyMetrics::default());
-        let task_config =
-            TaskConfig { tick_interval: config.tick_interval, max_batch: config.max_batch };
+        let tick_interval = config.tick_interval;
         let queues = |n: usize| -> (Vec<Sender<Event>>, Vec<Receiver<Event>>) {
             (0..n).map(|_| bounded(config.queue_capacity)).unzip()
         };
@@ -208,7 +207,7 @@ impl Cluster {
         };
         {
             let shutdown = Arc::clone(&shutdown);
-            threads.push(spawn("ingress".into(), move || ingress.run(&shutdown, task_config)));
+            threads.push(spawn("ingress".into(), move || ingress.run(&shutdown, tick_interval)));
         }
 
         // Shuffle ingress (subset hosts only): staged output published by
@@ -244,21 +243,21 @@ impl Cluster {
             let node =
                 MatchingNode::new(task, grid, config.clone(), clock.clone(), publisher.clone(), staged);
             let component = task_metrics.component("matching");
-            threads.push(spawn_task(format!("cell-{qp}x{wp}"), rx, node, task_config, component));
+            threads.push(spawn_task(format!("cell-{qp}x{wp}"), rx, node, tick_interval, component));
         }
 
         // Sorting stage, partitioned by query.
         for (task, rx) in sorting_rx.into_iter().enumerate() {
             let node = SortingNode::new(task, config.clone(), clock.clone(), publisher.clone());
             let component = task_metrics.component("sorting");
-            threads.push(spawn_task(format!("sorting-{task}"), rx, node, task_config, component));
+            threads.push(spawn_task(format!("sorting-{task}"), rx, node, tick_interval, component));
         }
 
         // Aggregation stage (extension, §8.1), partitioned by query.
         for (task, rx) in aggregation_rx.into_iter().enumerate() {
             let node = AggregationNode::new(clock.clone(), publisher.clone());
             let component = task_metrics.component("aggregation");
-            threads.push(spawn_task(format!("aggregation-{task}"), rx, node, task_config, component));
+            threads.push(spawn_task(format!("aggregation-{task}"), rx, node, tick_interval, component));
         }
 
         let registry = config.metrics.clone();
@@ -371,10 +370,10 @@ fn spawn_task(
     name: String,
     rx: Receiver<Event>,
     mut node: impl Task<Event> + Send + 'static,
-    config: TaskConfig,
+    tick_interval: Duration,
     metrics: Arc<ComponentMetrics>,
 ) -> JoinHandle<()> {
-    spawn(name, move || task::run(&rx, &mut node, config, &metrics))
+    spawn(name, move || task::run(&rx, &mut node, tick_interval, &metrics))
 }
 
 /// The front of the pipeline: one thread between the event layer and the
@@ -400,22 +399,22 @@ struct Ingress {
 }
 
 impl Ingress {
-    fn run(mut self, shutdown: &AtomicBool, config: TaskConfig) {
-        let poll = config.tick_interval.min(INGRESS_POLL);
+    fn run(mut self, shutdown: &AtomicBool, tick_interval: Duration) {
+        let poll = tick_interval.min(INGRESS_POLL);
         // Heartbeats are due on a deadline of their own: neither a write
         // firehose nor a busy cell may stretch their cadence.
         let mut last_heartbeat_check = Instant::now();
         while !shutdown.load(Ordering::Relaxed) {
             if let Some(payload) = self.subscription.recv_timeout(poll) {
                 self.accept(&payload);
-                for _ in 1..config.max_batch {
+                for _ in 1..task::TURN {
                     match self.subscription.try_recv() {
                         Some(payload) => self.accept(&payload),
                         None => break,
                     }
                 }
             }
-            if last_heartbeat_check.elapsed() >= config.tick_interval {
+            if last_heartbeat_check.elapsed() >= tick_interval {
                 last_heartbeat_check = Instant::now();
                 self.component.ticks.fetch_add(1, Ordering::Relaxed);
                 self.publisher.heartbeat();

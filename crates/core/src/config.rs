@@ -71,15 +71,11 @@ pub struct ClusterConfig {
     /// Interval of every task's deadline-driven tick (retention expiry,
     /// TTL enforcement, gauges) and of the ingress's heartbeat check.
     pub tick_interval: Duration,
-    /// Enable the multi-query index (interval trees over single-attribute
-    /// range/equality filters) in the matching nodes — the thesis's
-    /// multi-query optimization. Disable to force the naive
-    /// evaluate-every-query path (ablation).
+    /// `false` makes every cell evaluate every query of a write's scope
+    /// instead of probing the multi-query index: the reference the
+    /// equivalence tests compare the indexed cell against. Not a setting.
+    #[doc(hidden)]
     pub multi_query_index: bool,
-    /// Optional synthetic CPU cost per query evaluation, used by the
-    /// benchmark harness to emulate the paper's per-node throttling (§6.1)
-    /// so saturation knees appear at laptop-friendly workload sizes.
-    pub synthetic_match_cost: Option<Duration>,
     /// The metrics registry the cluster reports into. Defaults to a fresh
     /// registry; pass a shared one to aggregate several components (e.g.
     /// cluster + app server) into a single snapshot.
@@ -93,10 +89,6 @@ pub struct ClusterConfig {
     /// the payload, so this is purely a producer-side knob; the default is
     /// the binary (`IVBD`) codec.
     pub wire_codec: invalidb_json::WireCodec,
-    /// How many buffered messages a task drains per scheduling turn before
-    /// it checks the clock again (batch execution). Higher values amortize
-    /// channel wakeups under load; `1` is strictly one message per turn.
-    pub max_batch: usize,
     /// Identity of the hosting worker process in a multi-process
     /// deployment. When set, sampled traces are stamped with the worker
     /// name and live epoch at the ingestion and filtering stages. `None`
@@ -119,11 +111,9 @@ impl ClusterConfig {
             queue_capacity: 8192,
             tick_interval: Duration::from_millis(50),
             multi_query_index: true,
-            synthetic_match_cost: None,
             metrics: MetricsRegistry::new(),
             admin_addr: None,
             wire_codec: invalidb_json::WireCodec::default(),
-            max_batch: 32,
             worker_identity: None,
         }
     }
@@ -198,18 +188,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Enables or disables the multi-query index.
-    pub fn multi_query_index(mut self, enabled: bool) -> Self {
-        self.config.multi_query_index = enabled;
-        self
-    }
-
-    /// Sets the synthetic per-evaluation CPU cost (benchmarking).
-    pub fn synthetic_match_cost(mut self, cost: Option<Duration>) -> Self {
-        self.config.synthetic_match_cost = cost;
-        self
-    }
-
     /// Uses a shared metrics registry instead of a fresh one.
     pub fn metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.config.metrics = metrics;
@@ -226,12 +204,6 @@ impl ClusterConfigBuilder {
     /// Codec for produced envelopes (decoding always sniffs).
     pub fn wire_codec(mut self, codec: invalidb_json::WireCodec) -> Self {
         self.config.wire_codec = codec;
-        self
-    }
-
-    /// Messages a task drains per scheduling turn.
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch;
         self
     }
 
@@ -262,9 +234,6 @@ impl ClusterConfigBuilder {
         }
         if c.tick_interval.is_zero() {
             return Err(ConfigError::new("tick_interval", "must be non-zero"));
-        }
-        if c.max_batch == 0 {
-            return Err(ConfigError::new("max_batch", "must be at least 1"));
         }
         Ok(self.config)
     }
@@ -312,7 +281,6 @@ mod tests {
         assert!(ClusterConfig::builder(1, 1).aggregation_tasks(0).build().is_err());
         assert!(ClusterConfig::builder(1, 1).queue_capacity(0).build().is_err());
         assert!(ClusterConfig::builder(1, 1).tick_interval(Duration::ZERO).build().is_err());
-        assert!(ClusterConfig::builder(1, 1).max_batch(0).build().is_err());
     }
 
     #[test]
@@ -321,14 +289,12 @@ mod tests {
             .sorting_tasks(5)
             .retention(Duration::from_secs(9))
             .queue_capacity(64)
-            .multi_query_index(false)
             .admin_addr("127.0.0.1:0")
             .build()
             .unwrap();
         assert_eq!(cfg.sorting_tasks, 5);
         assert_eq!(cfg.retention, Duration::from_secs(9));
         assert_eq!(cfg.queue_capacity, 64);
-        assert!(!cfg.multi_query_index);
         assert_eq!(cfg.admin_addr.as_deref(), Some("127.0.0.1:0"));
     }
 }

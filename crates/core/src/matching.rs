@@ -21,8 +21,8 @@
 //! write-subscription race), and any write older than the newest seen
 //! version of the same record is dropped (§5.1).
 //!
-//! All of that state is kept per **scope** — one (tenant, collection) — and
-//! a scope is found once per run of writes, by borrowed lookup. Inside a
+//! All of that state is kept per **scope** — one (tenant, collection) —
+//! found per write by borrowed lookup. Inside a
 //! scope a record is its [`Key`] and a query its [`QueryHash`]: no map is
 //! keyed by a tuple that would have to be assembled, and so copied, per
 //! write.
@@ -42,43 +42,39 @@ use invalidb_common::{
 use invalidb_obs::SlowQueryScratch;
 use invalidb_query::{PreparedAtom, PreparedQuery};
 use invalidb_stream::Task;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// Shared predicate evaluation (SharedDB-style): atomic predicate results
-/// are memoized per write within one evaluation run, keyed by the atom's
+/// are memoized for the write being evaluated, keyed by the atom's
 /// hash-consed identity. A predicate shared by a thousand conjunctive
 /// queries is evaluated once per write, not a thousand times.
 #[derive(Default)]
 struct PredCache {
-    /// (predicate hash, write index within the run) → result.
-    map: HashMap<(u64, u32), bool>,
+    /// Predicate hash → result for the current write.
+    map: HashMap<u64, bool>,
     hits: u64,
 }
 
 impl PredCache {
-    /// Starts a new run: prior writes' results no longer apply. Capacity is
-    /// retained, so the steady state allocates nothing.
-    fn begin_run(&mut self) {
+    /// Starts a new write: the previous write's results no longer apply.
+    /// Capacity is retained, so the steady state allocates nothing.
+    fn begin_write(&mut self) {
         self.map.clear();
     }
 
-    /// The conjunction of `atoms` over `doc`, memoized per (atom, write).
-    /// Exactly equivalent to `prepared.matches(doc)` by the
+    /// The conjunction of `atoms` over `doc`, memoized per atom. Exactly
+    /// equivalent to `prepared.matches(doc)` by the
     /// [`invalidb_query::PreparedQuery::conjuncts`] contract.
-    fn eval_all(
-        &mut self,
-        atoms: &[PreparedAtom],
-        write_idx: u32,
-        doc: &invalidb_common::Document,
-    ) -> bool {
-        atoms.iter().all(|a| match self.map.entry((a.hash().0, write_idx)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+    fn eval_all(&mut self, atoms: &[PreparedAtom], doc: &invalidb_common::Document) -> bool {
+        atoms.iter().all(|a| match self.map.entry(a.hash().0) {
+            Entry::Occupied(e) => {
                 self.hits += 1;
                 *e.get()
             }
-            std::collections::hash_map::Entry::Vacant(e) => *e.insert(a.matches(doc)),
+            Entry::Vacant(e) => *e.insert(a.matches(doc)),
         })
     }
 
@@ -112,8 +108,7 @@ struct QueryGroup {
 struct Scope {
     queries: HashMap<QueryHash, QueryGroup>,
     /// Multi-query index: maps a write to the candidate queries instead of
-    /// evaluating all of them (thesis's multi-query optimization; disable
-    /// via `ClusterConfig`).
+    /// evaluating all of them (thesis's multi-query optimization).
     index: QueryIndex<QueryHash>,
     /// Inverted result membership: which queries currently contain a key.
     /// Needed alongside the index because an update can move a record *out*
@@ -213,6 +208,21 @@ fn forget_holder(containing: &mut HashMap<Key, Vec<QueryHash>>, key: &Key, hash:
     }
 }
 
+/// Takes a query group whose last subscription is gone out of its scope's
+/// index and out of the holder list of every key it held — O(|result|), once
+/// per group, so `containing` only ever names live groups.
+fn retire(
+    index: &mut QueryIndex<QueryHash>,
+    containing: &mut HashMap<Key, Vec<QueryHash>>,
+    hash: QueryHash,
+    group: &QueryGroup,
+) {
+    index.remove(hash);
+    for key in group.result.keys() {
+        forget_holder(containing, key, hash);
+    }
+}
+
 /// Where a cell's staged (sorted/aggregate) transitions go.
 pub(crate) enum StagedOut {
     /// The cell's row is anchored in this process: straight onto the stage
@@ -264,110 +274,82 @@ impl Outputs {
     }
 }
 
-/// What evaluating writes needs beside the scope they belong to, bundled so
+/// What evaluating a write needs beside the scope it belongs to, bundled so
 /// the write path borrows one field of the node next to its scopes.
 struct Evaluator {
     out: Outputs,
     /// Locally accumulated slow-query charges, flushed to the shared log
     /// on tick so the per-evaluation hot path never takes its lock.
     slow_scratch: SlowQueryScratch,
-    /// Shared predicate evaluation cache (cleared per evaluation run).
+    /// Shared predicate evaluation cache (cleared per write).
     pred_cache: PredCache,
-    /// Reused candidate-pair buffer for the batched index probe.
-    cand_pairs: Vec<(QueryHash, u32)>,
+    /// Reused candidate buffer for the index probe.
+    candidates: Vec<QueryHash>,
     /// Whether writes find their queries through the scope's index.
     indexed: bool,
 }
 
 impl Evaluator {
-    /// One distinct-key run of one scope's writes — one index probe, then
-    /// each candidate query's predicate over its columnar slice of the run
-    /// (writes in arrival order), paying the query-table lookup, clock
-    /// reads and slow-query charge once per query per run instead of once
-    /// per (write, query) pair.
-    fn process_run(&mut self, scope: &mut Scope, tenant: &TenantId, writes: &[Arc<AfterImage>]) {
-        if writes.is_empty() || scope.queries.is_empty() {
+    /// One admitted write against its scope's queries: the candidates are
+    /// what the index proposes for the after-image plus the queries whose
+    /// result currently holds the record (an update can move it out of
+    /// their range, a delete has no document to probe with).
+    fn match_write(&mut self, scope: &mut Scope, tenant: &TenantId, img: &Arc<AfterImage>) {
+        let Scope { queries, index, containing, .. } = scope;
+        if queries.is_empty() {
             return;
         }
+        self.pred_cache.begin_write();
         if !self.indexed {
-            // Unindexed fallback: every query of the scope is evaluated per
-            // write — the shared predicate cache still collapses atoms
-            // repeated across those queries.
-            for img in writes {
-                self.pred_cache.begin_run();
-                for (hash, group) in scope.queries.iter_mut() {
-                    self.match_against(group, *hash, tenant, img, 0);
-                }
+            // Force-scan reference: every query of the scope is evaluated.
+            for (hash, group) in queries.iter_mut() {
+                self.match_against(containing, group, *hash, tenant, img);
             }
             return;
         }
-        let mut pairs = std::mem::take(&mut self.cand_pairs);
-        scope.index.candidates_batch(writes.iter().map(|img| img.doc.as_ref()), &mut pairs);
-        // Holder candidates: queries whose result currently contains the
-        // record (covers moves out of range and deletes). Keys are distinct
-        // within a run, so this snapshot equals the serial per-write lookup.
-        for (w, img) in writes.iter().enumerate() {
-            if let Some(holders) = scope.containing.get(&img.key) {
-                pairs.extend(holders.iter().map(|h| (*h, w as u32)));
+        let mut candidates = std::mem::take(&mut self.candidates);
+        match &img.doc {
+            Some(doc) => index.candidates(doc, &mut candidates),
+            None => {
+                candidates.clear();
+                candidates.extend_from_slice(index.scan_candidates());
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        // Columnar evaluation: pairs are grouped by query hash with write
-        // indices ascending, so each query sees its writes in arrival
-        // order — per-subscription output is byte-identical to serial.
-        // One predicate-memo run spans the whole run: a memoized atom
-        // result is shared across every candidate query of each write.
-        self.pred_cache.begin_run();
-        for of_query in pairs.chunk_by(|a, b| a.0 == b.0) {
-            let hash = of_query[0].0;
-            let Some(group) = scope.queries.get_mut(&hash) else {
-                // The query was cancelled/expired; lazily purge its
-                // membership entries so `containing` does not leak.
-                for (_, w) in of_query {
-                    forget_holder(&mut scope.containing, &writes[*w as usize].key, hash);
-                }
-                continue;
-            };
-            let started = std::time::Instant::now();
-            for (_, w) in of_query {
-                let img = &writes[*w as usize];
-                if let Some(kind) = self.evaluate(group, hash, tenant, img, *w) {
-                    note_transition(&mut scope.containing, &img.key, hash, kind);
-                }
-            }
-            self.slow_scratch.charge_n(
-                tenant.as_str(),
-                hash.0,
-                || group.spec_display.clone(),
-                of_query.len() as u64,
-                started.elapsed().as_micros() as u64,
-            );
+        if let Some(holders) = containing.get(&img.key) {
+            candidates.extend_from_slice(holders);
         }
-        pairs.clear();
-        self.cand_pairs = pairs;
+        candidates.sort_unstable();
+        candidates.dedup();
+        for hash in &candidates {
+            // Index and holder lists name live groups only (see `retire`).
+            let Some(group) = queries.get_mut(hash) else { continue };
+            self.match_against(containing, group, *hash, tenant, img);
+        }
+        self.candidates = candidates;
     }
 
-    /// Evaluates one write against one query, charging the wall-clock cost
-    /// to this node's local slow-query scratch (flushed to the shared log
-    /// on tick) so operators can see which query eats the grid.
+    /// Evaluates one write against one query and records the transition in
+    /// the scope's result membership, charging the wall-clock cost to this
+    /// node's local slow-query scratch (flushed to the shared log on tick)
+    /// so operators can see which query eats the grid.
     fn match_against(
         &mut self,
+        containing: &mut HashMap<Key, Vec<QueryHash>>,
         group: &mut QueryGroup,
         hash: QueryHash,
         tenant: &TenantId,
         img: &Arc<AfterImage>,
-        write_idx: u32,
-    ) -> Option<FilterChangeKind> {
+    ) {
         let started = std::time::Instant::now();
-        let kind = self.evaluate(group, hash, tenant, img, write_idx);
+        if let Some(kind) = self.evaluate(group, hash, tenant, img) {
+            note_transition(containing, &img.key, hash, kind);
+        }
         self.slow_scratch.charge(
             tenant.as_str(),
             hash.0,
             || group.spec_display.clone(),
             started.elapsed().as_micros() as u64,
         );
-        kind
     }
 
     /// Core filtering-stage transition logic. Returns the transition kind
@@ -378,7 +360,6 @@ impl Evaluator {
         hash: QueryHash,
         tenant: &TenantId,
         img: &Arc<AfterImage>,
-        write_idx: u32,
     ) -> Option<FilterChangeKind> {
         let out = &self.out;
         let held = group.result.get_mut(&img.key);
@@ -386,12 +367,12 @@ impl Evaluator {
             return None; // stale relative to what this query already reflects
         }
         // Shared predicate evaluation: conjunctive queries resolve each
-        // atom through the per-run memo (identical result to
+        // atom through the per-write memo (identical result to
         // `prepared.matches` by the `conjuncts` contract); queries that
         // opt out of decomposition evaluate whole.
         let cache = &mut self.pred_cache;
         let matches_now = img.doc.as_ref().is_some_and(|d| match group.prepared.conjuncts() {
-            Some(atoms) => cache.eval_all(atoms, write_idx, d),
+            Some(atoms) => cache.eval_all(atoms, d),
             None => group.prepared.matches(d),
         });
         // The result is updated in place: a key is copied when it enters.
@@ -484,8 +465,6 @@ pub struct MatchingNode {
     /// Peak ingestion lag (write origin timestamp to matching evaluation)
     /// since the last tick, microseconds. Published as a gauge on tick.
     ingest_lag_us: u64,
-    /// Reused buffer for the contiguous write runs of a scheduling turn.
-    write_scratch: Vec<Arc<AfterImage>>,
     /// Cluster-shared `matching.index.*` series, resolved once so the tick
     /// path never touches the registry maps. Gauges are maintained by
     /// publishing this cell's delta since the last tick — the registry
@@ -496,10 +475,9 @@ pub struct MatchingNode {
     metric_pred_hits: Arc<AtomicU64>,
     last_indexed: u64,
     last_scanned: u64,
-    /// `matching.dropped_stale`, `matching.write_batches` and this cell's
-    /// `matching.<qp>x<wp>.*` gauges, resolved once as well.
+    /// `matching.dropped_stale` and this cell's `matching.<qp>x<wp>.*`
+    /// gauges, resolved once as well.
     metric_dropped_stale: Arc<AtomicU64>,
-    metric_write_batches: Arc<AtomicU64>,
     gauge_active_queries: Arc<AtomicU64>,
     gauge_retained_writes: Arc<AtomicU64>,
     gauge_ingest_lag_us: Arc<AtomicU64>,
@@ -536,11 +514,10 @@ impl MatchingNode {
                 },
                 slow_scratch: SlowQueryScratch::new(),
                 pred_cache: PredCache::default(),
-                cand_pairs: Vec::new(),
+                candidates: Vec::new(),
                 indexed: config.multi_query_index,
             },
             metric_dropped_stale: metrics.counter("matching.dropped_stale"),
-            metric_write_batches: metrics.counter("matching.write_batches"),
             gauge_active_queries: metrics.gauge(&format!("{cell}.active_queries")),
             gauge_retained_writes: metrics.gauge(&format!("{cell}.retained_writes")),
             gauge_ingest_lag_us: metrics.gauge(&format!("{cell}.ingest_lag_us")),
@@ -551,7 +528,6 @@ impl MatchingNode {
             retained_writes: 0,
             stale_dropped: 0,
             ingest_lag_us: 0,
-            write_scratch: Vec::new(),
             metric_indexed,
             metric_scanned,
             metric_eq_hits,
@@ -622,83 +598,37 @@ impl MatchingNode {
             scope_or_new(&mut self.scopes, &req.tenant, &req.spec.collection);
         if self.eval.indexed {
             index.insert(hash, &req.spec.filter);
-            for key in group.result.keys() {
-                containing.entry(key.clone()).or_default().push(hash);
-            }
+        }
+        for key in group.result.keys() {
+            note_transition(containing, key, hash, FilterChangeKind::Add);
         }
         // Replay the scope's retained writes against the new query: closes
         // the write-subscription race (§5.1). Writes already reflected in
         // the initial result are skipped by the version guard.
         for (_, img) in retention.iter() {
-            self.eval.pred_cache.begin_run();
-            let transition = self.eval.match_against(&mut group, hash, &req.tenant, img, 0);
-            if let (true, Some(kind)) = (self.eval.indexed, transition) {
-                note_transition(containing, &img.key, hash, kind);
-            }
+            self.eval.pred_cache.begin_write();
+            self.eval.match_against(containing, &mut group, hash, &req.tenant, img);
         }
         queries.insert(hash, group);
         self.active_queries += 1;
     }
 
-    /// Write evaluation for one scheduling turn's contiguous writes.
-    /// Produces, per query and therefore per subscription, byte-identical
-    /// notifications in the same order as feeding the writes one by one;
-    /// only the cross-query interleaving may differ.
-    ///
-    /// The turn is cut into stretches of one scope — found once per
-    /// stretch — and each stretch into distinct-key runs: an evaluation can
-    /// move a record in or out of a query's result, which changes the
-    /// holder candidates of a *later write to the same record*, so a run
-    /// ends before the first repeated key and its `containing` snapshot
-    /// equals every serial per-write lookup. Admission (staleness
-    /// avoidance, retention, lag) happens in arrival order as the runs are
-    /// formed; a stale write belongs to no run.
-    fn handle_write_batch(&mut self, imgs: &[Arc<AfterImage>]) {
+    /// One after-image: staleness avoidance, retention, then evaluation
+    /// against the queries of its scope.
+    fn handle_write(&mut self, img: &Arc<AfterImage>) {
         let now = self.clock.now();
-        let mut admitted = 0usize;
-        for stretch in imgs.chunk_by(|a, b| a.tenant == b.tenant && a.collection == b.collection) {
-            let tenant = &stretch[0].tenant;
-            let scope = scope_or_new(&mut self.scopes, tenant, &stretch[0].collection);
-            // Keys of the run in progress; a lone write repeats nothing.
-            let mut in_run: HashSet<&Key> = HashSet::new();
-            let mut run_start = 0;
-            for (i, img) in stretch.iter().enumerate() {
-                if !scope.admit(img, now) {
-                    self.eval.process_run(scope, tenant, &stretch[run_start..i]);
-                    in_run.clear();
-                    run_start = i + 1;
-                    self.stale_dropped += 1;
-                    self.metric_dropped_stale.fetch_add(1, AtomicOrdering::Relaxed);
-                    continue;
-                }
-                if stretch.len() > 1 && !in_run.insert(&img.key) {
-                    self.eval.process_run(scope, tenant, &stretch[run_start..i]);
-                    in_run.clear();
-                    in_run.insert(&img.key);
-                    run_start = i;
-                }
-                admitted += 1;
-                self.retained_writes += 1;
-                // Ingestion lag: how far behind the write's origin timestamp
-                // this cell is running. Tracked as a peak here, published on
-                // tick.
-                let lag = now_micros().saturating_sub(img.written_at);
-                self.ingest_lag_us = self.ingest_lag_us.max(lag);
-                if let Some(cost) = self.config.synthetic_match_cost {
-                    // Emulates the paper's CPU throttling so saturation appears
-                    // at laptop-scale workloads; busy-wait per write to consume
-                    // executor time.
-                    let until = std::time::Instant::now() + cost * self.active_queries.max(1) as u32;
-                    while std::time::Instant::now() < until {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-            self.eval.process_run(scope, tenant, &stretch[run_start..]);
+        let scope = scope_or_new(&mut self.scopes, &img.tenant, &img.collection);
+        if !scope.admit(img, now) {
+            self.stale_dropped += 1;
+            self.metric_dropped_stale.fetch_add(1, AtomicOrdering::Relaxed);
+            return;
         }
-        if admitted > 1 {
-            self.metric_write_batches.fetch_add(1, AtomicOrdering::Relaxed);
-        }
+        self.retained_writes += 1;
+        // Ingestion lag: how far behind the write's origin timestamp this
+        // cell is running. Tracked as a peak here, published on tick.
+        let lag = now_micros().saturating_sub(img.written_at);
+        self.ingest_lag_us = self.ingest_lag_us.max(lag);
+        self.eval.match_write(scope, &img.tenant, img);
     }
 
     /// The group of a query known only by tenant and hash, as cancellations
@@ -716,12 +646,11 @@ impl MatchingNode {
         subscription: SubscriptionId,
     ) {
         let Some(scope) = self.scope_of_query(tenant, query_hash) else { return };
-        let group = scope.queries.get_mut(&query_hash).expect("scope found by this query");
-        group.subscriptions.remove(subscription);
-        if group.subscriptions.is_empty() {
+        let Entry::Occupied(mut group) = scope.queries.entry(query_hash) else { return };
+        group.get_mut().subscriptions.remove(subscription);
+        if group.get().subscriptions.is_empty() {
             // Deactivated queries stop consuming resources (§5).
-            scope.queries.remove(&query_hash);
-            scope.index.remove(query_hash);
+            retire(&mut scope.index, &mut scope.containing, query_hash, &group.remove());
             self.active_queries -= 1;
         }
     }
@@ -746,12 +675,12 @@ impl MatchingNode {
         let horizon = self.config.retention;
         for scope in self.scopes.values_mut().flat_map(HashMap::values_mut) {
             // TTL enforcement: drop expired subscriptions, then empty groups.
-            let Scope { queries, index, .. } = scope;
+            let Scope { queries, index, containing, .. } = scope;
             queries.retain(|hash, group| {
                 group.subscriptions.expire(now);
                 let keep = !group.subscriptions.is_empty();
                 if !keep {
-                    index.remove(*hash);
+                    retire(index, containing, *hash, group);
                     self.active_queries -= 1;
                 }
                 keep
@@ -781,10 +710,10 @@ impl MatchingNode {
     }
 }
 
-impl MatchingNode {
-    /// Handles one control event (writes go through the batch path).
-    fn handle_control(&mut self, input: Event) {
-        match input {
+impl Task<Event> for MatchingNode {
+    fn handle(&mut self, event: Event) {
+        match event {
+            Event::Write(img) => self.handle_write(&img),
             Event::Subscribe(req) => self.handle_subscribe(&req),
             Event::Unsubscribe { tenant, query_hash, subscription } => {
                 self.handle_unsubscribe(&tenant, query_hash, subscription)
@@ -792,37 +721,9 @@ impl MatchingNode {
             Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
                 self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
             }
-            // Writes are batched by `handle`; filter changes are not
-            // addressed to the filtering stage.
-            Event::Write(_) | Event::FilterChange(_) => {}
+            // Filter changes are not addressed to the filtering stage.
+            Event::FilterChange(_) => {}
         }
-    }
-}
-
-impl Task<Event> for MatchingNode {
-    fn handle(&mut self, batch: &mut Vec<Event>) {
-        // Regroup the turn's contiguous write runs so each run shares one
-        // index probe and one per-query dispatch. Control events flush the
-        // pending run first: a subscribe between two writes must observe
-        // exactly the writes before it.
-        let mut writes = std::mem::take(&mut self.write_scratch);
-        for event in batch.drain(..) {
-            match event {
-                Event::Write(img) => writes.push(img),
-                other => {
-                    if !writes.is_empty() {
-                        self.handle_write_batch(&writes);
-                        writes.clear();
-                    }
-                    self.handle_control(other);
-                }
-            }
-        }
-        if !writes.is_empty() {
-            self.handle_write_batch(&writes);
-            writes.clear();
-        }
-        self.write_scratch = writes;
     }
 
     fn tick(&mut self) {
@@ -908,7 +809,7 @@ mod tests {
 
     impl Harness {
         fn send(&mut self, event: Event) {
-            self.node.handle(&mut vec![event]);
+            self.node.handle(event);
         }
 
         fn notifications(&self) -> Vec<Notification> {
@@ -1024,10 +925,8 @@ mod tests {
             },
         );
         let spec = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(3);
-        node.handle(&mut vec![
-            subscribe_event(spec.clone(), 1, vec![]),
-            write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })),
-        ]);
+        node.handle(subscribe_event(spec.clone(), 1, vec![]));
+        node.handle(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
         let payload = shuffled.try_recv().expect("published by the cell itself");
         let fc =
             FilterChange::from_document(&invalidb_json::payload_to_document(&payload).unwrap()).unwrap();
@@ -1324,56 +1223,43 @@ mod tests {
     }
 
     #[test]
-    fn batched_writes_equal_serial_per_subscription() {
-        // Two identically subscribed cells: one handles writes one by one,
-        // the other gets them as a single turn. Output per subscription
-        // (and per query hash for staged queries) must be byte-identical,
-        // including under moves-out-of-range, deletes, duplicate keys
-        // (forcing run splits) and a second collection.
-        let mut serial = harness(ClusterConfig::new(1, 1));
-        let mut batched = harness(ClusterConfig::new(1, 1));
-        let subs = [
-            subscribe_event(QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } }), 1, vec![]),
-            subscribe_event(
-                QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(3),
-                2,
-                vec![],
-            ),
-            subscribe_event(QuerySpec::filter("u", doc! { "n" => doc! { "$lt" => 0i64 } }), 3, vec![]),
-        ];
-        let writes = [
-            write_event(Key::of("a"), 1, Some(doc! { "n" => 15i64 })), // add
-            write_event(Key::of("b"), 1, Some(doc! { "n" => 5i64 })),  // filtered (sub 1)
-            write_event(Key::of("a"), 2, Some(doc! { "n" => 20i64 })), // change, dup key
-            write_event(Key::of("a"), 3, Some(doc! { "n" => 1i64 })),  // move out of range
-            write_event(Key::of("b"), 2, None),                        // delete
-            write_event(Key::of("a"), 3, Some(doc! { "n" => 99i64 })), // stale (dropped)
-            write_to(TENANT, "u", Key::of("z"), 1, -4),
-        ];
-        for event in subs.iter().chain(&writes) {
-            serial.send(event.clone());
-        }
-        batched.node.handle(&mut subs.iter().chain(&writes).cloned().collect());
-
-        let per_sub = |notes: &[Notification], sub: u64| -> Vec<Notification> {
-            notes.iter().filter(|n| n.subscription.0 == sub).cloned().collect()
+    fn a_departed_query_leaves_no_holder_behind() {
+        // A page load over a quiet collection: the same query comes and
+        // goes while the keys it holds are never rewritten. Each arrival
+        // brings the keys in its bootstrap result.
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
+        let hash = spec.stable_hash();
+        let keys = ["a", "b", "c"].map(Key::of);
+        let unsubscribe = || Event::Unsubscribe {
+            tenant: TenantId::new(TENANT),
+            subscription: SubscriptionId(1),
+            query_hash: hash,
         };
-        let (out_serial, out_batched) = (serial.notifications(), batched.notifications());
-        assert!(!out_serial.is_empty());
-        for sub in [1u64, 2, 3] {
-            assert_eq!(per_sub(&out_serial, sub), per_sub(&out_batched, sub), "subscription {sub}");
+        let holders = |h: &Harness| -> Vec<Vec<QueryHash>> {
+            let containing = &h.node.scopes[&TenantId::new(TENANT)]["t"].containing;
+            keys.iter().map(|key| containing.get(key).cloned().unwrap_or_default()).collect()
+        };
+        h.send(subscribe_event(spec.clone(), 1, vec![]));
+        for key in &keys {
+            h.send(write_event(key.clone(), 1, Some(doc! { "n" => 1i64 })));
         }
-        let (serial_fc, batched_fc) = (serial.filter_changes(), batched.filter_changes());
-        assert!(!serial_fc.is_empty());
-        assert_eq!(serial_fc.len(), batched_fc.len());
-        for (a, b) in serial_fc.iter().zip(&batched_fc) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.version, b.version);
-            assert_eq!(a.doc, b.doc);
+        assert_eq!(holders(&h), vec![vec![hash]; 3]);
+        for _ in 0..3 {
+            h.send(unsubscribe());
+            let initial = keys.iter().map(|k| ResultItem::new(k.clone(), 1, doc! { "n" => 1i64 }));
+            h.send(subscribe_event(spec.clone(), 1, initial.collect()));
+            assert_eq!(holders(&h), vec![vec![hash]; 3], "one holder per key, however often it left");
         }
-        assert_eq!(serial.node.stale_dropped(), batched.node.stale_dropped());
-        assert_eq!(serial.node.retained_writes(), batched.node.retained_writes());
+        h.send(unsubscribe());
+        assert_eq!(holders(&h), vec![Vec::<QueryHash>::new(); 3]);
+        // TTL expiry retires a group the same way.
+        h.send(subscribe_event(spec, 1, vec![]));
+        assert_eq!(holders(&h), vec![vec![hash]; 3], "re-held through the retained writes");
+        h.clock.advance(Duration::from_secs(61));
+        h.node.tick();
+        assert_eq!(h.node.active_queries(), 0);
+        assert!(h.node.scopes.is_empty(), "nothing retained, nothing held: the scope went");
     }
 
     #[test]

@@ -323,19 +323,17 @@ fn publish_edit(
 }
 
 impl Task<Event> for SortingNode {
-    fn handle(&mut self, batch: &mut Vec<Event>) {
-        for input in batch.drain(..) {
-            match input {
-                Event::Subscribe(req) => self.handle_subscribe(&req),
-                Event::FilterChange(fc) => self.handle_filter_change(&fc),
-                Event::Unsubscribe { tenant, query_hash, subscription } => {
-                    self.handle_unsubscribe(&tenant, query_hash, subscription)
-                }
-                Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
-                    self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
-                }
-                Event::Write(_) => {}
+    fn handle(&mut self, input: Event) {
+        match input {
+            Event::Subscribe(req) => self.handle_subscribe(&req),
+            Event::FilterChange(fc) => self.handle_filter_change(&fc),
+            Event::Unsubscribe { tenant, query_hash, subscription } => {
+                self.handle_unsubscribe(&tenant, query_hash, subscription)
             }
+            Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
+                self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
+            }
+            Event::Write(_) => {}
         }
     }
 
@@ -377,7 +375,7 @@ mod tests {
 
     impl Harness {
         fn send(&mut self, event: Event) {
-            self.node.handle(&mut vec![event]);
+            self.node.handle(event);
         }
 
         fn notifications(&mut self) -> &[Notification] {

@@ -8,6 +8,7 @@ use invalidb_common::{
     NotifyEnvelope, QuerySpec, ResultItem, SortDirection, SubscriptionId, SubscriptionRequest, TenantId,
 };
 use invalidb_core::{Cluster, ClusterConfig};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 const TENANT: &str = "app";
@@ -366,103 +367,6 @@ fn multi_tenant_topics_are_isolated() {
     cluster.shutdown();
 }
 
-/// Mini-batch matching is a pure optimization: a burst of writes drained
-/// as one topology batch must produce **byte-identical** notifications —
-/// content and order, per subscription — to the same writes processed one
-/// message per turn, under both envelope codecs.
-#[test]
-fn batched_writes_notify_byte_identically_to_serial() {
-    use invalidb_json::WireCodec;
-    use std::collections::HashMap;
-
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        let run = |max_batch: usize| -> HashMap<u64, Vec<Bytes>> {
-            let broker = Broker::new();
-            let notify = broker.subscribe(&notify_topic(TENANT));
-            // A single chain of tasks (1x1 grid, one task per stage) makes
-            // per-subscription order fully deterministic; batching may only
-            // change how many messages share a scheduling turn.
-            let cfg = ClusterConfig::builder(1, 1)
-                .sorting_tasks(1)
-                .wire_codec(codec)
-                .max_batch(max_batch)
-                .build()
-                .unwrap();
-            let cluster = Cluster::start(broker.clone(), cfg);
-            let publish = |msg: &ClusterMessage| {
-                broker.publish(CLUSTER_TOPIC, codec.encode(&msg.to_document()));
-            };
-
-            let unsorted = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 25i64 } });
-            let sorted =
-                QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Desc).with_limit(3);
-            publish(&subscribe_msg(&unsorted, 1, vec![], 0));
-            publish(&subscribe_msg(&sorted, 2, vec![], 4));
-            collect(&notify, 2); // both initial results
-
-            // A deterministic burst published back-to-back so the batched
-            // run actually drains multi-message turns: repeated keys (runs
-            // split within a batch), updates moving records across the
-            // filter boundary, and deletes.
-            let mut versions: HashMap<i64, u64> = HashMap::new();
-            for i in 0..60i64 {
-                let key = i % 7;
-                let v = versions.entry(key).or_insert(0);
-                *v += 1;
-                let msg = if i % 9 == 8 {
-                    write_msg("t", Key::of(key), *v, None)
-                } else {
-                    write_msg("t", Key::of(key), *v, Some(doc! { "n" => (i * 13) % 50 }))
-                };
-                publish(&msg);
-            }
-
-            // Collect raw payloads until quiescent, grouped by subscription
-            // (heartbeats are unsubscription-addressed and timing-dependent,
-            // so they are excluded from the comparison).
-            let mut out: HashMap<u64, Vec<Bytes>> = HashMap::new();
-            let mut idle = 0;
-            while idle < 8 {
-                match notify.recv_timeout(Duration::from_millis(100)) {
-                    Some(p) => {
-                        for n in decode(p.clone()) {
-                            idle = 0;
-                            out.entry(n.subscription.0).or_default().push(p.clone());
-                        }
-                    }
-                    None => idle += 1,
-                }
-            }
-            cluster.shutdown();
-            out
-        };
-
-        let serial = run(1);
-        let batched = run(32);
-        assert!(
-            serial.values().map(Vec::len).sum::<usize>() > 10,
-            "workload produced too few notifications to be meaningful"
-        );
-        let mut subs: Vec<&u64> = serial.keys().chain(batched.keys()).collect();
-        subs.sort();
-        subs.dedup();
-        for sub in subs {
-            let s = serial.get(sub).map(Vec::as_slice).unwrap_or_default();
-            let b = batched.get(sub).map(Vec::as_slice).unwrap_or_default();
-            assert_eq!(
-                s.len(),
-                b.len(),
-                "{codec:?} subscription {sub}: serial {} vs batched {} notifications",
-                s.len(),
-                b.len()
-            );
-            for (i, (sp, bp)) in s.iter().zip(b).enumerate() {
-                assert_eq!(sp, bp, "{codec:?} subscription {sub}: notification {i} differs byte-wise");
-            }
-        }
-    }
-}
-
 /// The multi-query index is a pure optimization: with and without it, the
 /// same workload must produce exactly the same notifications.
 #[test]
@@ -499,7 +403,7 @@ fn query_index_is_transparent() {
         // Deterministic write mix: inserts, updates (moving records across
         // ranges), deletes.
         let mut rng = StdRng::seed_from_u64(77);
-        let mut versions = std::collections::HashMap::new();
+        let mut versions = HashMap::new();
         for _ in 0..120 {
             let key = rng.gen_range(0..15i64);
             let v = versions.entry(key).or_insert(0u64);
@@ -543,111 +447,163 @@ fn query_index_is_transparent() {
     assert_eq!(with_index, without_index, "index changed observable behaviour");
 }
 
-/// Equivalence proof for the sublinear-matching optimizations: conjunctive
-/// anchoring, equality lanes and the shared predicate cache must be
-/// invisible in the output. The same workload — heavy on conjunctions,
-/// `$eq`/`$in` shapes and *duplicated* filters (shared across
-/// subscriptions and spelled differently) — must notify identically with
-/// the index enabled and in force-scan mode.
-#[test]
-fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
+/// The conjunctive/shared-shape corpus: heavy on conjunctions, `$eq`/`$in`
+/// shapes and *duplicated* filters (shared across subscriptions and spelled
+/// differently), with array-valued attributes and a sorted query.
+fn shapes_corpus() -> Vec<ClusterMessage> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    let run = |indexed: bool| -> Vec<String> {
-        let broker = Broker::new();
-        let notify = broker.subscribe(&notify_topic(TENANT));
-        // Single chain of tasks: with one matching cell and one sorting
-        // task, per-subscription notification content (including sorted
-        // index positions) is fully deterministic, so any difference below
-        // is the optimization's fault, not scheduling.
-        let mut cfg = ClusterConfig::builder(1, 1).sorting_tasks(1).build().unwrap();
-        cfg.multi_query_index = indexed;
-        let cluster = Cluster::start(broker.clone(), cfg);
-
-        let statuses = ["open", "closed", "pending"];
-        let mut specs = Vec::new();
-        // Conjunctive: equality anchor + range residual.
-        for (i, status) in statuses.iter().enumerate() {
-            specs.push(QuerySpec::filter(
-                "t",
-                doc! { "status" => *status, "n" => doc! { "$lt" => (i as i64 + 1) * 30 } },
-            ));
-        }
-        // Eq-heavy and $in shapes.
-        specs.push(QuerySpec::filter("t", doc! { "status" => "open" }));
-        specs
-            .push(QuerySpec::filter("t", doc! { "status" => doc! { "$in" => vec!["open", "closed"] } }));
-        // Duplicated filter, spelled two ways: both normalize to one query
-        // hash, so two subscriptions share one group.
-        specs.push(QuerySpec::filter("t", doc! { "status" => "open", "n" => doc! { "$gte" => 10i64 } }));
+    let statuses = ["open", "closed", "pending"];
+    let mut specs = Vec::new();
+    // Conjunctive: equality anchor + range residual.
+    for (i, status) in statuses.iter().enumerate() {
         specs.push(QuerySpec::filter(
             "t",
-            doc! { "$and" => vec![
-                invalidb_common::Value::Object(doc! { "n" => doc! { "$gte" => 10i64 } }),
-                invalidb_common::Value::Object(doc! { "status" => doc! { "$eq" => "open" } }),
-            ]},
+            doc! { "status" => *status, "n" => doc! { "$lt" => (i as i64 + 1) * 30 } },
         ));
-        // Multi-op range condition (split into atoms, combined anchor) —
-        // matched via array fan-out too.
-        specs.push(QuerySpec::filter("t", doc! { "n" => doc! { "$gt" => 5i64, "$lt" => 40i64 } }));
-        // A sorted conjunctive query exercises the staged path.
-        specs.push(
-            QuerySpec::filter("t", doc! { "status" => "open" })
-                .sorted_by("n", SortDirection::Asc)
-                .with_limit(5),
-        );
-        for (i, spec) in specs.iter().enumerate() {
-            publish(&broker, &subscribe_msg(spec, i as u64 + 1, vec![], 2));
-        }
-        let mut rng = StdRng::seed_from_u64(123);
-        let mut versions = std::collections::HashMap::new();
-        for round in 0..120 {
-            let key = rng.gen_range(0..12i64);
-            let v = versions.entry(key).or_insert(0u64);
-            *v += 1;
-            let msg = if rng.gen_bool(0.15) {
-                write_msg("t", Key::of(key), *v, None)
-            } else {
-                let status = statuses[rng.gen_range(0..statuses.len())];
-                let doc = if round % 10 == 9 {
-                    // Array-valued attribute: fan-out semantics.
-                    doc! {
-                        "status" => status,
-                        "n" => vec![rng.gen_range(0..30i64), rng.gen_range(30..90i64)],
-                    }
-                } else {
-                    doc! { "status" => status, "n" => rng.gen_range(0..90i64) }
-                };
-                write_msg("t", Key::of(key), *v, Some(doc))
-            };
-            publish(&broker, &msg);
-        }
-        let mut out = Vec::new();
-        let mut idle = 0;
-        while idle < 8 {
-            match notify.recv_timeout(Duration::from_millis(100)) {
-                Some(p) => {
-                    for n in decode(p) {
-                        idle = 0;
-                        if let NotificationKind::Change(c) = &n.kind {
-                            out.push(format!(
-                                "{} {} {} v{} idx{:?}",
-                                n.subscription.0, c.match_type, c.item.key, c.item.version, c.item.index
-                            ));
-                        }
-                    }
+    }
+    // Eq-heavy and $in shapes.
+    specs.push(QuerySpec::filter("t", doc! { "status" => "open" }));
+    specs.push(QuerySpec::filter("t", doc! { "status" => doc! { "$in" => vec!["open", "closed"] } }));
+    // Duplicated filter, spelled two ways: both normalize to one query
+    // hash, so two subscriptions share one group.
+    specs.push(QuerySpec::filter("t", doc! { "status" => "open", "n" => doc! { "$gte" => 10i64 } }));
+    specs.push(QuerySpec::filter(
+        "t",
+        doc! { "$and" => vec![
+            invalidb_common::Value::Object(doc! { "n" => doc! { "$gte" => 10i64 } }),
+            invalidb_common::Value::Object(doc! { "status" => doc! { "$eq" => "open" } }),
+        ]},
+    ));
+    // Multi-op range condition (split into atoms, combined anchor) —
+    // matched via array fan-out too.
+    specs.push(QuerySpec::filter("t", doc! { "n" => doc! { "$gt" => 5i64, "$lt" => 40i64 } }));
+    // A sorted conjunctive query exercises the staged path.
+    specs.push(
+        QuerySpec::filter("t", doc! { "status" => "open" })
+            .sorted_by("n", SortDirection::Asc)
+            .with_limit(5),
+    );
+    let mut corpus: Vec<ClusterMessage> =
+        specs.iter().enumerate().map(|(i, spec)| subscribe_msg(spec, i as u64 + 1, vec![], 2)).collect();
+    let mut rng = StdRng::seed_from_u64(123);
+    let mut versions = HashMap::new();
+    for round in 0..120 {
+        let key = rng.gen_range(0..12i64);
+        let v = versions.entry(key).or_insert(0u64);
+        *v += 1;
+        corpus.push(if rng.gen_bool(0.15) {
+            write_msg("t", Key::of(key), *v, None)
+        } else {
+            let status = statuses[rng.gen_range(0..statuses.len())];
+            let doc = if round % 10 == 9 {
+                // Array-valued attribute: fan-out semantics.
+                doc! {
+                    "status" => status,
+                    "n" => vec![rng.gen_range(0..30i64), rng.gen_range(30..90i64)],
                 }
-                None => idle += 1,
+            } else {
+                doc! { "status" => status, "n" => rng.gen_range(0..90i64) }
+            };
+            write_msg("t", Key::of(key), *v, Some(doc))
+        });
+    }
+    corpus
+}
+
+/// The burst corpus: sixty writes over seven keys, so every key is
+/// rewritten again and again while its last transition is still fresh —
+/// updates that move a record across the filter boundary, deletes, and late
+/// arrivals of versions already superseded.
+fn burst_corpus() -> Vec<ClusterMessage> {
+    let unsorted = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 25i64 } });
+    let sorted = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Desc).with_limit(3);
+    let mut corpus = vec![subscribe_msg(&unsorted, 1, vec![], 0), subscribe_msg(&sorted, 2, vec![], 4)];
+    let mut versions: HashMap<i64, u64> = HashMap::new();
+    for i in 0..60i64 {
+        let key = i % 7;
+        let v = versions.entry(key).or_insert(0);
+        *v += 1;
+        corpus.push(if i % 9 == 8 {
+            write_msg("t", Key::of(key), *v, None)
+        } else {
+            write_msg("t", Key::of(key), *v, Some(doc! { "n" => (i * 13) % 50 }))
+        });
+        if i % 11 == 10 {
+            // Stale: the previous version of the same record, matching.
+            corpus.push(write_msg("t", Key::of(key), *v - 1, Some(doc! { "n" => 49i64 })));
+        }
+    }
+    corpus
+}
+
+/// What each subscription is sent, payload by payload, when `corpus` is
+/// published back-to-back to a fresh cluster. A single chain of tasks (1x1
+/// grid, one sorting task) makes per-subscription content and order —
+/// sorted index positions included — fully deterministic.
+fn notify_streams(
+    indexed: bool,
+    codec: invalidb_json::WireCodec,
+    corpus: &[ClusterMessage],
+) -> BTreeMap<u64, Vec<Bytes>> {
+    let broker = Broker::new();
+    let notify = broker.subscribe(&notify_topic(TENANT));
+    let mut cfg = ClusterConfig::builder(1, 1).sorting_tasks(1).wire_codec(codec).build().unwrap();
+    cfg.multi_query_index = indexed;
+    let cluster = Cluster::start(broker.clone(), cfg);
+    for msg in corpus {
+        broker.publish(CLUSTER_TOPIC, codec.encode(&msg.to_document()));
+    }
+    // Collect until quiescent. Heartbeats keep arriving forever, address
+    // nobody and must not reset the idle counter.
+    let mut out = BTreeMap::<u64, Vec<Bytes>>::new();
+    let mut idle = 0;
+    while idle < 8 {
+        match notify.recv_timeout(Duration::from_millis(100)) {
+            Some(p) => {
+                for n in decode(p.clone()) {
+                    idle = 0;
+                    out.entry(n.subscription.0).or_default().push(p.clone());
+                }
+            }
+            None => idle += 1,
+        }
+    }
+    cluster.shutdown();
+    out
+}
+
+/// Equivalence proof for the sublinear-matching optimizations: conjunctive
+/// anchoring, equality lanes, result-membership candidates and the shared
+/// predicate cache must be invisible in the output. Per subscription, the
+/// indexed cell must send **byte-identical** payloads in the same order as
+/// the force-scan reference, on both corpora and under both envelope codecs.
+#[test]
+fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
+    use invalidb_json::WireCodec;
+
+    for (name, corpus) in [("shapes", shapes_corpus()), ("burst", burst_corpus())] {
+        for codec in [WireCodec::Json, WireCodec::Binary] {
+            let with_index = notify_streams(true, codec, &corpus);
+            let force_scan = notify_streams(false, codec, &corpus);
+            let payloads = with_index.values().map(Vec::len).sum::<usize>();
+            assert!(payloads > 50, "{name}: {payloads} payloads is too few to be meaningful");
+            assert_eq!(
+                with_index.keys().collect::<Vec<_>>(),
+                force_scan.keys().collect::<Vec<_>>(),
+                "{name} {codec:?}: different subscriptions were addressed"
+            );
+            for (sub, indexed) in &with_index {
+                let scanned = &force_scan[sub];
+                assert_eq!(indexed.len(), scanned.len(), "{name} {codec:?} subscription {sub}: count");
+                for (i, (a, b)) in indexed.iter().zip(scanned).enumerate() {
+                    assert_eq!(
+                        a, b,
+                        "{name} {codec:?} subscription {sub}: payload {i} differs byte-wise"
+                    );
+                }
             }
         }
-        cluster.shutdown();
-        out.sort();
-        out
-    };
-
-    let with_index = run(true);
-    let force_scan = run(false);
-    assert!(with_index.len() > 50, "workload too small to be meaningful");
-    assert_eq!(with_index, force_scan, "shared-execution optimizations changed behaviour");
+    }
 }

@@ -22,8 +22,7 @@ use crate::frame::{Decoder, Frame, TraceInfo, CAP_BINARY};
 use crate::queue::{Closed, OverflowPolicy, SendQueue};
 use invalidb_broker::{Broker, BrokerHandle, Bytes, EventLayer, Subscription};
 use invalidb_common::trace::now_micros;
-use invalidb_obs::{FlightEventKind, MetricsRegistry};
-use invalidb_stream::LinkRegistry;
+use invalidb_obs::{FlightEventKind, LinkMetrics, LinkRegistry, MetricsRegistry};
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
@@ -113,7 +112,7 @@ struct Inner {
     seq: AtomicU64,
     /// Highest `Ack` sequence seen (observability for tests).
     acked: AtomicU64,
-    metrics: Arc<invalidb_stream::LinkMetrics>,
+    metrics: Arc<LinkMetrics>,
     /// Wall-clock micros of the last inbound frame; survives sessions so
     /// heartbeat staleness keeps climbing while disconnected.
     last_rx_micros: AtomicU64,
@@ -249,7 +248,7 @@ impl RemoteBroker {
     }
 
     /// Link metrics for this client's connection.
-    pub fn metrics(&self) -> Arc<invalidb_stream::LinkMetrics> {
+    pub fn metrics(&self) -> Arc<LinkMetrics> {
         Arc::clone(&self.inner.metrics)
     }
 
@@ -525,7 +524,7 @@ fn read_session(
     inner: &Arc<Inner>,
     mut stream: TcpStream,
     queue: &SendQueue<Frame>,
-    metrics: &Arc<invalidb_stream::LinkMetrics>,
+    metrics: &Arc<LinkMetrics>,
 ) {
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
     let mut decoder = Decoder::new();
@@ -598,7 +597,7 @@ fn read_session(
 fn spawn_writer(
     mut stream: TcpStream,
     queue: SendQueue<Frame>,
-    metrics: Arc<invalidb_stream::LinkMetrics>,
+    metrics: Arc<LinkMetrics>,
     inner: &Arc<Inner>,
 ) -> JoinHandle<()> {
     let heartbeat_interval = inner.config.heartbeat_interval;

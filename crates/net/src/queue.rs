@@ -17,8 +17,7 @@
 //!   its subscriptions, converting a silent gap into an explicit
 //!   connection-level event.
 
-use invalidb_obs::{FlightEventKind, FlightRecorder};
-use invalidb_stream::LinkMetrics;
+use invalidb_obs::{FlightEventKind, FlightRecorder, LinkMetrics};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;

@@ -16,8 +16,9 @@ use invalidb_broker::{BrokerHandle, Bytes};
 use invalidb_common::trace::{now_micros, Stage, TraceContext};
 use invalidb_common::Value;
 use invalidb_json::bin;
-use invalidb_obs::{AdminConfig, AdminServer, FlightEventKind, MetricsRegistry};
-use invalidb_stream::{LinkMetrics, LinkRegistry};
+use invalidb_obs::{
+    AdminConfig, AdminServer, FlightEventKind, LinkMetrics, LinkRegistry, MetricsRegistry,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};

@@ -203,45 +203,26 @@ impl SlowQueryScratch {
         label: impl FnOnce() -> String,
         cost_us: u64,
     ) {
-        self.charge_n(tenant, query_hash, label, 1, cost_us);
-    }
-
-    /// Charges `evals` evaluations totalling `cost_us` microseconds in one
-    /// call. The batched matching path times a whole per-query candidate
-    /// slice with a single clock-read pair; the per-evaluation cost is
-    /// approximated by the slice mean for the max/last fields.
-    pub fn charge_n(
-        &mut self,
-        tenant: &str,
-        query_hash: u64,
-        label: impl FnOnce() -> String,
-        evals: u64,
-        cost_us: u64,
-    ) {
-        if evals == 0 {
-            return;
-        }
-        let per_eval = cost_us / evals;
         let of_tenant = match self.pending.get_mut(tenant) {
             Some(of_tenant) => of_tenant,
             None => self.pending.entry(tenant.to_owned()).or_default(),
         };
         match of_tenant.get_mut(&query_hash) {
             Some(p) => {
-                p.evals += evals;
+                p.evals += 1;
                 p.total_us += cost_us;
-                p.max_us = p.max_us.max(per_eval);
-                p.last_us = per_eval;
+                p.max_us = p.max_us.max(cost_us);
+                p.last_us = cost_us;
             }
             None => {
                 of_tenant.insert(
                     query_hash,
                     PendingCharge {
                         label: Some(label()),
-                        evals,
+                        evals: 1,
                         total_us: cost_us,
-                        max_us: per_eval,
-                        last_us: per_eval,
+                        max_us: cost_us,
+                        last_us: cost_us,
                     },
                 );
             }

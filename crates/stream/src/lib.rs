@@ -4,9 +4,10 @@
 //! What the workload needs from a stream processor is small, and
 //! [`task`] is all of it: one bounded input queue per task (backpressure:
 //! when a matching cell cannot keep up, latency rises and eventually
-//! saturates — the knee the paper's SLA experiments measure), batch
-//! draining, deadline-driven *ticks* for time-driven work (retention
-//! expiry, TTL enforcement, gauges), and shutdown by dropping senders.
+//! saturates — the knee the paper's SLA experiments measure), a bounded
+//! drain per scheduling turn, deadline-driven *ticks* for time-driven work
+//! (retention expiry, TTL enforcement, gauges), and shutdown by dropping
+//! senders.
 //! The cluster wires its cells and stages by hand on top of it; partition
 //! routing is a hash in the ingress, not a grouping object.
 //!
@@ -19,12 +20,10 @@
 //! Storm's at-least-once, which the paper required precisely to avoid
 //! losing writes).
 
-pub mod metrics;
 pub mod task;
 pub mod topology;
 
-pub use metrics::{ComponentMetrics, LinkMetrics, LinkRegistry, TopologyMetrics};
-pub use task::{Task, TaskConfig};
+pub use task::Task;
 pub use topology::{
     Bolt, BoltContext, Grouping, Message, RunningTopology, Source, TopologyBuilder, TopologyConfig,
 };

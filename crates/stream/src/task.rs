@@ -1,5 +1,5 @@
-//! The run loop of one pipeline task: a bounded input queue, batch
-//! draining, and deadline-driven ticks.
+//! The run loop of one pipeline task: a bounded input queue, a bounded
+//! drain per scheduling turn, and deadline-driven ticks.
 //!
 //! This is all the InvaliDB cluster needs from a stream processor: a grid
 //! cell or a sorting partition is one [`Task`] on one thread, fed through
@@ -15,27 +15,22 @@ use std::time::{Duration, Instant};
 
 /// One unit of work that owns a thread.
 pub trait Task<M> {
-    /// Processes one scheduling turn's worth of buffered input, in arrival
-    /// order. Implementations must leave `batch` empty — the loop reuses
-    /// the buffer across turns.
-    fn handle(&mut self, batch: &mut Vec<M>);
+    /// Processes one message. Messages arrive in queue order.
+    fn handle(&mut self, msg: M);
 
     /// Time-driven work (retention expiry, TTL enforcement, gauges); due
-    /// every [`TaskConfig::tick_interval`] whether or not input arrives.
+    /// every tick interval whether or not input arrives.
     fn tick(&mut self);
 }
 
-/// Run-loop knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskConfig {
-    /// Interval between ticks.
-    pub tick_interval: Duration,
-    /// How many already-buffered messages are drained per scheduling turn:
-    /// after one blocking receive, up to `max_batch - 1` more are taken
-    /// without re-checking the clock. Ticks are never starved for longer
-    /// than one batch.
-    pub max_batch: usize,
-}
+/// How many already-buffered messages one scheduling turn handles: after a
+/// blocking receive, up to `TURN - 1` more are taken without re-reading the
+/// clock, refreshing the depth gauge (a lock on the channel) or checking
+/// for a due tick. A constant, not a setting: a turn of one pays those three
+/// per message and costs throughput behind a socket (EXPERIMENTS.md
+/// "`budget`: serial cell"), and nothing measured distinguishes the values
+/// above a handful. Ticks are never starved for longer than one turn.
+pub const TURN: usize = 32;
 
 /// Runs `task` on the calling thread until every sender of `rx` is gone
 /// and the queue is drained.
@@ -44,33 +39,29 @@ pub struct TaskConfig {
 /// drains: a firehose arriving faster than the interval would otherwise
 /// reset the receive timeout forever and starve time-driven work exactly
 /// when it matters. `metrics.queue_depth` is the live input backlog
-/// (including the message in hand), refreshed per batch so a drained spike
+/// (including the message in hand), refreshed per turn so a drained spike
 /// decays even under steady traffic.
 pub fn run<M>(
     rx: &Receiver<M>,
     task: &mut impl Task<M>,
-    config: TaskConfig,
+    tick_interval: Duration,
     metrics: &ComponentMetrics,
 ) {
-    let max_batch = config.max_batch.max(1);
-    let mut batch: Vec<M> = Vec::with_capacity(max_batch);
     let mut last_tick = Instant::now();
     loop {
-        let wait = config.tick_interval.saturating_sub(last_tick.elapsed());
+        let wait = tick_interval.saturating_sub(last_tick.elapsed());
         match rx.recv_timeout(wait) {
             Ok(msg) => {
                 metrics.queue_depth.store(rx.len() as u64 + 1, Ordering::Relaxed);
-                batch.push(msg);
-                while batch.len() < max_batch {
-                    match rx.try_recv() {
-                        Ok(msg) => batch.push(msg),
-                        Err(_) => break, // drained (a disconnect surfaces on the next receive)
-                    }
+                task.handle(msg);
+                let mut handled = 1;
+                // Until drained; a disconnect surfaces on the next receive.
+                for msg in rx.try_iter().take(TURN - 1) {
+                    task.handle(msg);
+                    handled += 1;
                 }
-                metrics.processed.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                task.handle(&mut batch);
-                batch.clear();
-                if last_tick.elapsed() < config.tick_interval {
+                metrics.processed.fetch_add(handled as u64, Ordering::Relaxed);
+                if last_tick.elapsed() < tick_interval {
                     continue;
                 }
             }
@@ -94,23 +85,20 @@ mod tests {
     #[derive(Default)]
     struct Counting {
         seen: Vec<u64>,
-        largest_batch: usize,
-        ticks: u32,
+        /// Messages seen by the time of each tick.
+        seen_at_tick: Vec<usize>,
     }
 
     impl Task<u64> for Counting {
-        fn handle(&mut self, batch: &mut Vec<u64>) {
-            self.largest_batch = self.largest_batch.max(batch.len());
-            self.seen.append(batch);
+        fn handle(&mut self, msg: u64) {
+            self.seen.push(msg);
         }
         fn tick(&mut self) {
-            self.ticks += 1;
+            self.seen_at_tick.push(self.seen.len());
         }
     }
 
-    fn config(tick_ms: u64, max_batch: usize) -> TaskConfig {
-        TaskConfig { tick_interval: Duration::from_millis(tick_ms), max_batch }
-    }
+    const MS: Duration = Duration::from_millis(1);
 
     #[test]
     fn drains_in_order_and_ends_when_senders_are_gone() {
@@ -121,9 +109,11 @@ mod tests {
         drop(tx);
         let mut task = Counting::default();
         let metrics = ComponentMetrics::default();
-        run(&rx, &mut task, config(1_000, 8), &metrics);
+        // A zero interval makes a tick due after every turn, so the ticks
+        // record where the turns ended.
+        run(&rx, &mut task, Duration::ZERO, &metrics);
         assert_eq!(task.seen, (0..100).collect::<Vec<_>>());
-        assert_eq!(task.largest_batch, 8, "a turn drains at most max_batch");
+        assert_eq!(task.seen_at_tick, [32, 64, 96, 100], "a turn handles at most TURN messages");
         assert_eq!(metrics.snapshot().0, 100);
     }
 
@@ -136,9 +126,10 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(100));
                 drop(tx);
             });
-            run(&rx, &mut task, config(5, 32), &ComponentMetrics::default());
+            run(&rx, &mut task, 5 * MS, &ComponentMetrics::default());
         });
-        assert!(task.ticks >= 5, "an idle task ticks on its interval, got {}", task.ticks);
+        let ticks = task.seen_at_tick.len();
+        assert!(ticks >= 5, "an idle task ticks on its interval, got {ticks}");
     }
 
     #[test]
@@ -152,12 +143,13 @@ mod tests {
             scope.spawn(move || {
                 for i in 0..100u64 {
                     tx.send(i).unwrap();
-                    std::thread::sleep(Duration::from_millis(1));
+                    std::thread::sleep(MS);
                 }
             });
-            run(&rx, &mut task, config(5, 32), &ComponentMetrics::default());
+            run(&rx, &mut task, 5 * MS, &ComponentMetrics::default());
         });
         assert_eq!(task.seen.len(), 100);
-        assert!(task.ticks >= 5, "ticks fired while messages kept arriving, got {}", task.ticks);
+        let ticks = task.seen_at_tick.len();
+        assert!(ticks >= 5, "ticks fired while messages kept arriving, got {ticks}");
     }
 }

@@ -5,7 +5,7 @@
 //! benchmark's `stream.hop_ns` row drives: sources, bolts, round-robin
 //! connections, and the shared task run loop underneath.
 
-use crate::task::{self, Task, TaskConfig};
+use crate::task::{self, Task};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use invalidb_obs::{ComponentMetrics, TopologyMetrics};
 use std::collections::HashMap;
@@ -93,8 +93,6 @@ pub struct TopologyConfig {
     pub tick_interval: Duration,
     /// How long sources block in one `poll` call.
     pub source_poll_timeout: Duration,
-    /// See [`TaskConfig::max_batch`].
-    pub max_batch: usize,
 }
 
 impl Default for TopologyConfig {
@@ -103,7 +101,6 @@ impl Default for TopologyConfig {
             queue_capacity: 8192,
             tick_interval: Duration::from_millis(100),
             source_poll_timeout: Duration::from_millis(20),
-            max_batch: 32,
         }
     }
 }
@@ -212,8 +209,7 @@ impl<M: Message> TopologyBuilder<M> {
         // 2. Spawn executor threads. Every sender ends up owned by an
         //    upstream thread, so the topology stops front to back: a task
         //    ends once its upstreams are gone and its queue has drained.
-        let task_config =
-            TaskConfig { tick_interval: self.config.tick_interval, max_batch: self.config.max_batch };
+        let tick_interval = self.config.tick_interval;
         let mut source_threads = Vec::new();
         let mut bolt_threads = Vec::new();
         for c in self.components.iter_mut() {
@@ -257,7 +253,7 @@ impl<M: Message> TopologyBuilder<M> {
                         let component = Arc::clone(&component);
                         let handle = std::thread::Builder::new()
                             .name(format!("bolt-{}-{task}", c.name))
-                            .spawn(move || task::run(&rx, &mut bolt, task_config, &component))
+                            .spawn(move || task::run(&rx, &mut bolt, tick_interval, &component))
                             .expect("spawn bolt thread");
                         bolt_threads.push(handle);
                     }
@@ -275,11 +271,8 @@ struct BoltTask<M: Message> {
 }
 
 impl<M: Message> Task<M> for BoltTask<M> {
-    fn handle(&mut self, batch: &mut Vec<M>) {
-        let mut ctx = BoltContext { outputs: &self.outputs };
-        for msg in batch.drain(..) {
-            self.bolt.execute(msg, &mut ctx);
-        }
+    fn handle(&mut self, msg: M) {
+        self.bolt.execute(msg, &mut BoltContext { outputs: &self.outputs });
     }
 
     fn tick(&mut self) {

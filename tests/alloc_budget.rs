@@ -160,14 +160,13 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
     // One subscription per range query, bootstrapped from the store as an
     // app server would; the initial results are read and dropped.
     let mut results: HashMap<SubscriptionId, LiveResult> = HashMap::new();
-    let mut batch = Vec::new();
     for q in 0..QUERIES {
         let spec = range_query(q);
         let initial = store.execute(&spec).unwrap();
         let mut result = LiveResult::new();
         result.apply_event(&ClientEvent::Initial(initial.clone()));
         results.insert(SubscriptionId(q), result);
-        batch.push(Event::Subscribe(Arc::new(SubscriptionRequest {
+        cell.handle(Event::Subscribe(Arc::new(SubscriptionRequest {
             tenant: tenant.clone(),
             subscription: SubscriptionId(q),
             query_hash: spec.stable_hash(),
@@ -178,7 +177,6 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
             renewal: false,
         })));
     }
-    cell.handle(&mut batch);
     while notify.try_recv().is_some() {}
 
     let mut tenants = TenantInterner::default();
@@ -213,17 +211,17 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
         drop(written);
 
         // Ingress: decode, and wrap for the cells.
-        counted(&mut stages.ingest_decode, || {
+        let event = counted(&mut stages.ingest_decode, || {
             let msg = decode_cluster_payload_with(&payload, |name| tenants.intern(name));
             let msg: ClusterMessage = msg.expect("a write envelope");
-            batch.push(Event::from(msg));
+            Event::from(msg)
         });
         drop(payload);
 
         // The cell, with the ticks it would get at this write rate: 5 ms a
         // write is 200 writes/s, a tick every 50 ms, a 2 s retention horizon.
         counted(&mut stages.cell, || {
-            cell.handle(&mut batch);
+            cell.handle(event);
             clock.advance(Duration::from_millis(5));
             if seq % 10 == 0 {
                 cell.tick();
