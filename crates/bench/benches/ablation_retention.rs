@@ -112,5 +112,5 @@ fn run_trials(retention: Duration) -> usize {
 }
 
 fn publish(broker: &Broker, msg: &ClusterMessage) {
-    broker.publish(CLUSTER_TOPIC, invalidb_json::document_to_payload(&msg.to_document()));
+    broker.publish(CLUSTER_TOPIC, invalidb_json::WireCodec.encode(&msg.to_document()));
 }

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the hot paths of the real-time engine:
 //! query matching (the per-(query, write) cost that dominates matching-node
-//! capacity), JSON (de)serialization (the per-write event-layer overhead of
-//! §6.3), sorted-window maintenance, partition hashing, and store CRUD.
+//! capacity), envelope decoding (the per-write event-layer overhead of
+//! §6.3), JSON text (de)serialization (the write-ahead log's), sorted-window
+//! maintenance, partition hashing, and store CRUD.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use invalidb_bench::workload::{range_query, Workload};
@@ -103,7 +104,7 @@ fn bench_ingest(c: &mut Criterion) {
         trace: None,
     })
     .to_document();
-    let payload = invalidb_json::WireCodec::Binary.encode(&envelope);
+    let payload = invalidb_json::WireCodec.encode(&envelope);
     let mut group = c.benchmark_group("ingest");
     group.throughput(Throughput::Bytes(payload.len() as u64));
     group.bench_function("decode_write_envelope_eager", |b| {
@@ -177,7 +178,7 @@ fn bench_broker(c: &mut Criterion) {
     let broker = Broker::new();
     let sub = broker.subscribe("bench");
     let mut w = Workload::new(5, 10);
-    let payload = invalidb_json::document_to_payload(&w.next_document().1);
+    let payload = invalidb_json::WireCodec.encode(&w.next_document().1);
     let mut group = c.benchmark_group("broker");
     group.throughput(Throughput::Bytes(payload.len() as u64));
     group.bench_function("publish_and_receive", |b| {

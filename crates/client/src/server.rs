@@ -8,6 +8,7 @@ use invalidb_common::{
     ChangeItem, ClusterMessage, ConfigError, Document, Key, NotificationKind, NotifyEnvelope, QueryHash,
     QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId, TraceContext, WriteRef,
 };
+use invalidb_json::{LazyDoc, WireCodec};
 use invalidb_obs::{
     AdminConfig, AdminServer, FlightEventKind, MetricsRegistry, MetricsSnapshot, StalenessRecorder,
 };
@@ -70,13 +71,6 @@ pub struct AppServerConfig {
     /// guards on surviving matching nodes drop the duplicates. `0`
     /// disables buffering (and epoch-triggered replay with it).
     pub write_replay_buffer: usize,
-    /// Codec for the envelopes this app server produces (forwarded writes,
-    /// subscription control messages). Consumers always sniff the codec
-    /// from the payload, so this is purely a producer-side knob; the
-    /// default is the binary (`IVBD`) codec. Set
-    /// [`WireCodec::Json`](invalidb_json::WireCodec::Json) to interoperate
-    /// with tooling that expects to read envelopes as text.
-    pub wire_codec: invalidb_json::WireCodec,
 }
 
 impl Default for AppServerConfig {
@@ -94,7 +88,6 @@ impl Default for AppServerConfig {
             write_replay_buffer: 256,
             metrics: MetricsRegistry::new(),
             admin_addr: None,
-            wire_codec: invalidb_json::WireCodec::default(),
         }
     }
 }
@@ -185,12 +178,6 @@ impl AppServerConfigBuilder {
     /// `/flight`) to the given address, e.g. `"127.0.0.1:0"`.
     pub fn admin_addr(mut self, addr: impl Into<String>) -> Self {
         self.config.admin_addr = Some(addr.into());
-        self
-    }
-
-    /// Codec for produced envelopes (decoding always sniffs).
-    pub fn wire_codec(mut self, codec: invalidb_json::WireCodec) -> Self {
-        self.config.wire_codec = codec;
         self
     }
 
@@ -467,7 +454,7 @@ impl AppServer {
         // The envelope is written in one pass from the parts at hand: the
         // after-image is the store's own copy, borrowed.
         let trace = self.next_trace();
-        let mut payload = self.config.wire_codec.writer();
+        let mut payload = WireCodec.writer();
         WriteRef {
             tenant: &self.tenant,
             collection,
@@ -508,7 +495,7 @@ impl AppServer {
     }
 
     fn publish(&self, msg: &ClusterMessage) {
-        self.broker.publish(CLUSTER_TOPIC, self.config.wire_codec.encode(&msg.to_document()));
+        self.broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
     }
 
     // ------------------------------------------------------------------
@@ -799,10 +786,7 @@ impl AppServer {
                                     ttl_micros: config.ttl.as_micros() as u64,
                                     renewal: false,
                                 });
-                                broker.publish(
-                                    CLUSTER_TOPIC,
-                                    config.wire_codec.encode(&msg.to_document()),
-                                );
+                                broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
                             }
                         }
                     }
@@ -817,7 +801,7 @@ impl AppServer {
                                 query_hash: entry.query_hash,
                                 ttl_micros: config.ttl.as_micros() as u64,
                             };
-                            broker.publish(CLUSTER_TOPIC, config.wire_codec.encode(&msg.to_document()));
+                            broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
                         }
                     }
                     // Gauges are refreshed once per keeper cycle, never on
@@ -970,23 +954,14 @@ pub enum NotifyPayload {
 /// app server's dispatcher does with everything it receives. `None` for a
 /// payload that is neither a heartbeat nor an envelope.
 pub fn decode_notify_payload(payload: &[u8], tenant: &TenantId) -> Option<NotifyPayload> {
-    let view = invalidb_json::PayloadView::new(payload).ok()?;
-    // Heartbeats dominate idle notify-topic traffic; sniff them
-    // through the lazy view so binary payloads never materialize a
-    // document tree just to be discarded.
-    let is_heartbeat = match &view {
-        invalidb_json::PayloadView::Binary(lazy) => matches!(
-            lazy.get("type"),
-            Ok(Some(v)) if v.as_str() == Some("heartbeat")
-        ),
-        invalidb_json::PayloadView::Json(d) => {
-            d.get("type").and_then(|v| v.as_str()) == Some("heartbeat")
-        }
-    };
-    if is_heartbeat {
+    let lazy = LazyDoc::new(payload).ok()?;
+    // Heartbeats dominate idle notify-topic traffic; sniff them through the
+    // lazy view so they never materialize a document tree just to be
+    // discarded.
+    if matches!(lazy.get("type"), Ok(Some(v)) if v.as_str() == Some("heartbeat")) {
         return Some(NotifyPayload::Heartbeat);
     }
-    let d = view.into_document().ok()?;
+    let d = lazy.materialize().ok()?;
     NotifyEnvelope::from_document_for(d, tenant).ok().map(NotifyPayload::Envelope)
 }
 

@@ -7,6 +7,7 @@ use invalidb_common::{
     SortDirection, SubscriptionId, TenantId,
 };
 use invalidb_core::{Cluster, ClusterConfig};
+use invalidb_json::WireCodec;
 use invalidb_store::{Store, UpdateSpec};
 use std::sync::Arc;
 use std::time::Duration;
@@ -329,9 +330,9 @@ fn coalesced_receive_collapses_hot_key_churn() {
     cluster.shutdown();
 }
 
-/// Every drop is counted: a torn envelope, bytes that are no payload, a
-/// payload that is no envelope, an id without a live subscription and a
-/// subscriber that went away each leave their mark, and none of them keeps
+/// Every drop is counted: a torn envelope, bytes that are no payload, an
+/// envelope in JSON text, a payload that is no envelope, an id without a
+/// live subscription and a subscriber that went away each leave their mark, and none of them keeps
 /// the live addressee of the same envelope from its event.
 #[test]
 fn undeliverable_notifications_are_counted() {
@@ -356,13 +357,14 @@ fn undeliverable_notifications_are_counted() {
             caused_by_write_at: 0,
             trace: None,
         };
-        invalidb_json::WireCodec::Binary.encode(&envelope.as_ref().to_document())
+        envelope.as_ref().to_document()
     };
 
-    let whole = envelope(vec![SubscriptionId(424_242), live.id()]);
+    let whole = WireCodec.encode(&envelope(vec![SubscriptionId(424_242), live.id()]));
     broker.publish(&topic, bytes::Bytes::copy_from_slice(&whole[..whole.len() / 2]));
-    broker.publish(&topic, bytes::Bytes::from_static(b"neither codec"));
-    broker.publish(&topic, invalidb_json::WireCodec::Binary.encode(&doc! { "type" => "add" }));
+    broker.publish(&topic, bytes::Bytes::from_static(b"no payload"));
+    broker.publish(&topic, invalidb_json::to_bytes(&envelope(vec![live.id()])).into());
+    broker.publish(&topic, WireCodec.encode(&doc! { "type" => "add" }));
     broker.publish(&topic, whole);
     // (A slow host may re-register the subscription and deliver a second
     // initial result first.)
@@ -375,14 +377,14 @@ fn undeliverable_notifications_are_counted() {
     )
     .expect("the live addressee must still get its event");
     assert_eq!(change.item.key, Key::of("k"));
-    assert_eq!(counter("appserver.notify_decode_errors"), 3);
+    assert_eq!(counter("appserver.notify_decode_errors"), 4);
     assert_eq!(counter("appserver.notify_unknown_subscription"), 1);
     assert_eq!(counter("appserver.notify_channel_closed"), 0);
 
     let delivered = counter("appserver.events_delivered");
     let gone = live.id();
     drop(live);
-    broker.publish(&topic, envelope(vec![gone]));
+    broker.publish(&topic, WireCodec.encode(&envelope(vec![gone])));
     wait_for(|| (counter("appserver.notify_channel_closed") == 1).then_some(()), Duration::from_secs(5))
         .expect("closed channel counted");
     assert_eq!(counter("appserver.events_delivered"), delivered, "nothing was delivered");

@@ -1,8 +1,7 @@
 //! The cluster coordinator: membership, heartbeat supervision, and
 //! epoch-numbered cell assignment.
 //!
-//! Workers dial the coordinator's frame port, negotiate capabilities via
-//! `Hello` (the coordinator requires [`CAP_CLUSTER`]), register with
+//! Workers dial the coordinator's frame port, register with
 //! `JoinCluster`, and prove liveness with `WorkerHeartbeat` frames. Every
 //! membership change — join, leave, missed heartbeats — bumps the epoch,
 //! recomputes the assignment table through the pluggable [`Placement`]
@@ -16,7 +15,8 @@
 use crate::assignment::{AssignmentTable, Placement, RoundRobin, WorkerInfo};
 use invalidb_broker::{BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::{doc, ClusterMessage, Document, GridShape, Value};
-use invalidb_net::frame::{Decoder, Frame, CAP_BINARY, CAP_CLUSTER, CAP_METRICS};
+use invalidb_json::WireCodec;
+use invalidb_net::frame::{Decoder, Frame};
 use invalidb_obs::{
     to_prometheus_federated, AdminConfig, AdminServer, FlightEventKind, HealthMonitor, HealthPolicy,
     HealthStatus, MetricsRegistry, MetricsSnapshot,
@@ -48,8 +48,6 @@ pub struct CoordinatorConfig {
     pub metrics: MetricsRegistry,
     /// Optional admin endpoint bind address (e.g. `127.0.0.1:0`).
     pub admin_addr: Option<String>,
-    /// Codec for epoch notices and replayed subscription envelopes.
-    pub wire_codec: invalidb_json::WireCodec,
 }
 
 impl CoordinatorConfig {
@@ -63,7 +61,6 @@ impl CoordinatorConfig {
             placement: Arc::new(RoundRobin),
             metrics: MetricsRegistry::new(),
             admin_addr: None,
-            wire_codec: invalidb_json::WireCodec::default(),
         }
     }
 }
@@ -431,7 +428,7 @@ fn reassign(inner: &Inner, state: &mut State, cause: &str, cause_worker: &str) {
         "epoch" => state.table.epoch as i64,
         "reassigned" => moved as i64,
     };
-    inner.broker.publish(EPOCH_TOPIC, inner.config.wire_codec.encode(&notice));
+    inner.broker.publish(EPOCH_TOPIC, WireCodec.encode(&notice));
 
     // Silent re-registration: replacement workers rebuild matching state
     // from the cached subscription (plus retention replay); `renewal: true`
@@ -449,7 +446,7 @@ fn replay_subscriptions(inner: &Inner, state: &State) {
     for req in state.subscriptions.values() {
         let mut req = req.clone();
         req.renewal = true;
-        let payload = inner.config.wire_codec.encode(&ClusterMessage::Subscribe(req).to_document());
+        let payload = WireCodec.encode(&ClusterMessage::Subscribe(req).to_document());
         inner.broker.publish(CLUSTER_TOPIC, payload);
         replayed += 1;
     }
@@ -474,8 +471,8 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     }
 }
 
-/// One worker control connection: Hello negotiation, JoinCluster
-/// registration, heartbeat and cell-state ingestion.
+/// One worker control connection: JoinCluster registration, heartbeat,
+/// cell-state and metrics-report ingestion.
 fn connection_loop(mut stream: TcpStream, inner: Arc<Inner>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
@@ -511,21 +508,6 @@ fn connection_loop(mut stream: TcpStream, inner: Arc<Inner>) {
                 }
             };
             match frame {
-                Frame::Hello { capabilities, .. } => {
-                    // A legacy peer without CAP_CLUSTER gets a polite Hello
-                    // back and is otherwise ignored — it will never send
-                    // the membership frames this port exists for.
-                    // CAP_METRICS invites workers to ship MetricsReport
-                    // snapshots for federation.
-                    let reply = Frame::Hello {
-                        client: "invalidb-coordinator".into(),
-                        capabilities: CAP_BINARY | CAP_CLUSTER | CAP_METRICS,
-                    };
-                    let _ = write_half.lock().write_all(&reply.encode());
-                    if capabilities & CAP_CLUSTER == 0 {
-                        inner.config.metrics.inc("cluster.legacy_hellos");
-                    }
-                }
                 Frame::JoinCluster { worker, weight } => {
                     let mut state = inner.state.lock();
                     state

@@ -2,10 +2,9 @@
 //! [`invalidb_core::Cluster`] over a [`CellSet`] and keeps a control
 //! connection to the coordinator.
 //!
-//! Lifecycle: dial the coordinator → `Hello` (announcing `CAP_CLUSTER`) →
-//! `JoinCluster` → heartbeat loop. Each `Assign` frame that changes the
-//! owned cell set tears down the hosted topology and rebuilds it for the
-//! new cells; state is then restored by the coordinator's silent
+//! Lifecycle: dial the coordinator → `JoinCluster` → heartbeat loop. Each
+//! `Assign` frame that changes the owned cell set tears down the hosted
+//! topology and rebuilds it for the new cells; state is then restored by the coordinator's silent
 //! subscription replay plus app-server write replay (retention-guarded, so
 //! survivors drop duplicates). Connection loss triggers exponential-backoff
 //! redial and a fresh `JoinCluster` — membership is lease-like, not sticky.
@@ -13,7 +12,7 @@
 use invalidb_broker::BrokerHandle;
 use invalidb_common::GridShape;
 use invalidb_core::{CellSet, Cluster, ClusterConfig, WorkerIdentity};
-use invalidb_net::frame::{Decoder, Frame, CAP_BINARY, CAP_CLUSTER, CAP_METRICS};
+use invalidb_net::frame::{Decoder, Frame};
 use invalidb_obs::MetricsRegistry;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -185,12 +184,8 @@ fn control_loop(inner: Arc<WorkerInner>) {
 fn session(inner: &Arc<WorkerInner>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let hello = Frame::Hello {
-        client: format!("invalidb-workerd/{}", inner.config.name),
-        capabilities: CAP_BINARY | CAP_CLUSTER | CAP_METRICS,
-    };
     let join = Frame::JoinCluster { worker: inner.config.name.clone(), weight: inner.config.weight };
-    if stream.write_all(&hello.encode()).is_err() || stream.write_all(&join.encode()).is_err() {
+    if stream.write_all(&join.encode()).is_err() {
         return;
     }
 
@@ -199,9 +194,6 @@ fn session(inner: &Arc<WorkerInner>, mut stream: TcpStream) {
     let mut last_heartbeat = Instant::now() - inner.config.heartbeat_interval;
     let mut last_cell_state = Instant::now();
     let mut nonce = 0u64;
-    // Capabilities the coordinator announced in its Hello reply; metrics
-    // snapshots are shipped only once CAP_METRICS is advertised.
-    let mut coordinator_caps = 0u32;
 
     while inner.running.load(Ordering::SeqCst) {
         if last_heartbeat.elapsed() >= inner.config.heartbeat_interval {
@@ -250,20 +242,16 @@ fn session(inner: &Arc<WorkerInner>, mut stream: TcpStream) {
                 }
             }
             // Metrics federation: ship the full snapshot so the
-            // coordinator can expose per-worker labeled series. Gated on
-            // the coordinator's advertised CAP_METRICS so an old
-            // coordinator never sees a frame type it cannot decode.
-            if coordinator_caps & CAP_METRICS != 0 {
-                let report = Frame::MetricsReport {
-                    worker: inner.config.name.clone(),
-                    epoch,
-                    snapshot: snap.to_json().into_bytes().into(),
-                };
-                if stream.write_all(&report.encode()).is_err() {
-                    return;
-                }
-                inner.config.metrics.inc("worker.metrics_reports");
+            // coordinator can expose per-worker labeled series.
+            let report = Frame::MetricsReport {
+                worker: inner.config.name.clone(),
+                epoch,
+                snapshot: snap.to_json().into_bytes().into(),
+            };
+            if stream.write_all(&report.encode()).is_err() {
+                return;
             }
+            inner.config.metrics.inc("worker.metrics_reports");
         }
         let n = match stream.read(&mut buf) {
             Ok(0) => return,
@@ -285,9 +273,6 @@ fn session(inner: &Arc<WorkerInner>, mut stream: TcpStream) {
                     // uses the first CellState at a fresh epoch to catch
                     // this worker up with a subscription replay.
                     last_cell_state = Instant::now() - inner.config.cell_state_interval;
-                }
-                Ok(Some(Frame::Hello { capabilities, .. })) => {
-                    coordinator_caps = capabilities;
                 }
                 Ok(Some(_)) => {}
                 Ok(None) => break,

@@ -230,9 +230,7 @@ impl NotifyEnvelope {
     }
 
     /// Decodes an envelope, taking its parts out of `d` instead of copying
-    /// them. The addressees are the `subscriptions` id array; an envelope
-    /// from a producer that predates multicast carries a scalar
-    /// `subscription` instead, read as a list of one.
+    /// them. The addressees are the `subscriptions` id array.
     pub fn from_document(d: Document) -> Result<Self, SpecError> {
         Self::decode(Cow::Owned(d), None)
     }
@@ -264,9 +262,8 @@ impl NotifyEnvelope {
                 .map(|i| SubscriptionId(i as u64))
                 .ok_or_else(|| decode_err("subscription id must be an integer"))
         };
-        let subscriptions = match (d.get("subscriptions"), d.get("subscription")) {
-            (Some(Value::Array(ids)), _) => ids.iter().map(id).collect::<Result<Vec<_>, _>>()?,
-            (None, Some(one)) => vec![id(one)?],
+        let subscriptions = match d.get("subscriptions") {
+            Some(Value::Array(ids)) => ids.iter().map(id).collect::<Result<Vec<_>, _>>()?,
             _ => return Err(decode_err("missing `subscriptions`")),
         };
         let caused_by_write_at = d.get("writeAt").and_then(Value::as_i64).unwrap_or(0) as u64;
@@ -634,6 +631,14 @@ mod tests {
         assert!(NotifyEnvelope::from_document(d).is_err());
         let d = doc! { "tenant" => "t", "subscriptions" => 1i64, "type" => "error" };
         assert!(NotifyEnvelope::from_document(d).is_err());
+        // A scalar `subscription` is not an address list.
+        let mut d = NotifyEnvelope { subscriptions: vec![SubscriptionId(3)], ..multicast() }
+            .as_ref()
+            .to_document();
+        d.remove("subscriptions");
+        d.insert("subscription", 3i64);
+        assert!(NotifyEnvelope::from_document(d.clone()).is_err());
+        assert!(Notification::from_document(&d).is_err());
     }
 
     fn multicast() -> NotifyEnvelope {
@@ -663,16 +668,5 @@ mod tests {
         assert!(notes.iter().all(|n| n.kind == env.kind && n.caused_by_write_at == 77));
         // A single notification cannot stand for three.
         assert!(Notification::from_document(&d).is_err());
-    }
-
-    #[test]
-    fn scalar_subscription_decodes_as_a_list_of_one() {
-        let mut env = multicast();
-        env.subscriptions.truncate(1);
-        let mut d = env.as_ref().to_document();
-        d.remove("subscriptions");
-        d.insert("subscription", 3i64);
-        assert_eq!(NotifyEnvelope::from_document(d.clone()).unwrap(), env);
-        assert_eq!(Notification::from_document(&d).unwrap().subscription, SubscriptionId(3));
     }
 }

@@ -3,8 +3,8 @@
 //! A message that is assembled from borrowed parts — a tenant here, an
 //! after-image there — should not have to be copied into a [`Document`]
 //! just to be serialized. [`FieldWriter`] is the sink such a message writes
-//! itself into: the wire codecs in `invalidb-json` implement it over a byte
-//! buffer, and [`DocumentBuilder`] implements it over an owned tree, so a
+//! itself into: the payload codec in `invalidb-json` implements it over a
+//! byte buffer, and [`DocumentBuilder`] implements it over an owned tree, so a
 //! layout is written down once and serves both.
 
 use crate::document::Document;

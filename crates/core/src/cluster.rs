@@ -236,7 +236,6 @@ impl Cluster {
                 StagedOut::Shuffle {
                     broker: broker.clone(),
                     topic: shuffle_topic(qp),
-                    codec: config.wire_codec,
                     published: config.metrics.counter("shuffle.egress"),
                 }
             };

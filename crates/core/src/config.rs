@@ -84,11 +84,6 @@ pub struct ClusterConfig {
     /// endpoint serving `/metrics`, `/healthz`, `/queries` and `/flight`
     /// over HTTP. `None` (the default) disables the endpoint.
     pub admin_addr: Option<String>,
-    /// Codec for the envelopes the cluster produces (notifications,
-    /// initial results, heartbeats). Consumers always sniff the codec from
-    /// the payload, so this is purely a producer-side knob; the default is
-    /// the binary (`IVBD`) codec.
-    pub wire_codec: invalidb_json::WireCodec,
     /// Identity of the hosting worker process in a multi-process
     /// deployment. When set, sampled traces are stamped with the worker
     /// name and live epoch at the ingestion and filtering stages. `None`
@@ -113,7 +108,6 @@ impl ClusterConfig {
             multi_query_index: true,
             metrics: MetricsRegistry::new(),
             admin_addr: None,
-            wire_codec: invalidb_json::WireCodec::default(),
             worker_identity: None,
         }
     }
@@ -198,12 +192,6 @@ impl ClusterConfigBuilder {
     /// `/flight`) to the given address, e.g. `"127.0.0.1:0"`.
     pub fn admin_addr(mut self, addr: impl Into<String>) -> Self {
         self.config.admin_addr = Some(addr.into());
-        self
-    }
-
-    /// Codec for produced envelopes (decoding always sniffs).
-    pub fn wire_codec(mut self, codec: invalidb_json::WireCodec) -> Self {
-        self.config.wire_codec = codec;
         self
     }
 

@@ -4,13 +4,13 @@
 //! eager decode path pays for it twice: `payload_to_document` materializes
 //! the *entire* envelope (including the embedded record state), then
 //! `ClusterMessage::from_document` clones the `doc` subtree again into the
-//! [`invalidb_common::AfterImage`]. [`decode_cluster_message`] keeps the same observable
-//! result while doing neither: binary (`IVBD`) write envelopes are walked
-//! once through a borrowed [`LazyDoc`] view, materializing only the three
+//! [`invalidb_common::AfterImage`]. [`decode_cluster_payload`] keeps the same
+//! observable result while doing neither: write envelopes are walked once
+//! through a borrowed [`LazyDoc`] view, materializing only the three
 //! subtrees the after-image actually owns (`key`, `doc`, `trace`) straight
-//! into their final places. JSON payloads and control ops (subscribe /
-//! unsubscribe / extendTtl — rare, and structurally dominated by the
-//! initial result) fall back to the eager decoder.
+//! into their final places. Control ops (subscribe / unsubscribe /
+//! extendTtl — rare, and structurally dominated by the initial result) fall
+//! back to the eager decoder.
 //!
 //! Equivalence contract: for every payload, the fast path either produces
 //! the exact message the eager path would, or bows out and lets the eager
@@ -21,20 +21,9 @@ use invalidb_common::{ClusterMessage, Key, TenantId, TraceContext};
 use invalidb_json::lazy::{LazyDoc, LazyValue};
 
 /// Decodes an event-layer payload into a [`ClusterMessage`], zero-copy for
-/// binary write envelopes. Returns `None` when the payload is malformed
-/// under *both* paths — the same outcomes as
+/// write envelopes. Returns `None` when the payload is malformed — the
+/// same outcomes as
 /// `payload_to_document(..).ok().and_then(|d| ClusterMessage::from_document(&d).ok())`.
-pub fn decode_cluster_message(payload: &[u8]) -> Option<ClusterMessage> {
-    if let Some(msg) = try_decode_binary_write(payload, TenantId::new) {
-        return Some(msg);
-    }
-    let bytes = bytes::Bytes::copy_from_slice(payload);
-    let doc = invalidb_json::payload_to_document(&bytes).ok()?;
-    ClusterMessage::from_document(&doc).ok()
-}
-
-/// Borrowed-`Bytes` variant of [`decode_cluster_message`] that avoids the
-/// defensive copy on the eager fallback.
 pub fn decode_cluster_payload(payload: &bytes::Bytes) -> Option<ClusterMessage> {
     decode_cluster_payload_with(payload, TenantId::new)
 }
@@ -47,23 +36,17 @@ pub fn decode_cluster_payload_with(
     payload: &bytes::Bytes,
     tenant_of: impl FnOnce(&str) -> TenantId,
 ) -> Option<ClusterMessage> {
-    if let Some(msg) = try_decode_binary_write(payload, tenant_of) {
+    if let Some(msg) = try_decode_write(payload, tenant_of) {
         return Some(msg);
     }
     let doc = invalidb_json::payload_to_document(payload).ok()?;
     ClusterMessage::from_document(&doc).ok()
 }
 
-/// The fast path: one skip-scan pass over a binary write envelope.
-/// `None` means "not a well-formed binary write" — the caller falls back
-/// to the eager decoder, which reproduces the old error accounting.
-fn try_decode_binary_write(
-    payload: &[u8],
-    tenant_of: impl FnOnce(&str) -> TenantId,
-) -> Option<ClusterMessage> {
-    if !invalidb_json::bin::is_binary(payload) {
-        return None;
-    }
+/// The fast path: one skip-scan pass over a write envelope. `None` means
+/// "not a well-formed write" — the caller falls back to the eager decoder,
+/// which reproduces the old error accounting.
+fn try_decode_write(payload: &[u8], tenant_of: impl FnOnce(&str) -> TenantId) -> Option<ClusterMessage> {
     let lazy = LazyDoc::new(payload).ok()?;
 
     // One pass over the envelope fields; later duplicates overwrite, which
@@ -166,33 +149,29 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_agrees_with_eager_for_both_codecs() {
+    fn fast_path_agrees_with_eager() {
         for msg in sample_messages() {
-            for codec in [WireCodec::Json, WireCodec::Binary] {
-                let payload = codec.encode(&msg.to_document());
-                assert_eq!(decode_cluster_payload(&payload), eager(&payload), "{msg:?}");
-                assert_eq!(decode_cluster_payload(&payload).as_ref(), Some(&msg));
-            }
+            let payload = WireCodec.encode(&msg.to_document());
+            assert_eq!(decode_cluster_payload(&payload), eager(&payload), "{msg:?}");
+            assert_eq!(decode_cluster_payload(&payload).as_ref(), Some(&msg));
         }
     }
 
     #[test]
-    fn binary_writes_take_the_lazy_path() {
+    fn writes_take_the_lazy_path() {
         let ClusterMessage::Write(img) = &sample_messages()[0] else { unreachable!() };
-        let payload = WireCodec::Binary.encode(&ClusterMessage::Write(img.clone()).to_document());
-        assert!(try_decode_binary_write(&payload, TenantId::new).is_some());
-        // Control ops and JSON fall through to the eager decoder.
+        let payload = WireCodec.encode(&ClusterMessage::Write(img.clone()).to_document());
+        assert!(try_decode_write(&payload, TenantId::new).is_some());
+        // Control ops fall through to the eager decoder.
         let unsub = &sample_messages()[2];
-        let ctrl = WireCodec::Binary.encode(&unsub.to_document());
-        assert!(try_decode_binary_write(&ctrl, TenantId::new).is_none());
-        let json = WireCodec::Json.encode(&ClusterMessage::Write(img.clone()).to_document());
-        assert!(try_decode_binary_write(&json, TenantId::new).is_none());
+        let ctrl = WireCodec.encode(&unsub.to_document());
+        assert!(try_decode_write(&ctrl, TenantId::new).is_none());
     }
 
     #[test]
     fn malformed_payloads_decode_to_none_like_eager() {
         let msg = &sample_messages()[0];
-        let full = WireCodec::Binary.encode(&msg.to_document());
+        let full = WireCodec.encode(&msg.to_document());
         for cut in 1..full.len() {
             let torn = bytes::Bytes::copy_from_slice(&full[..cut]);
             assert_eq!(decode_cluster_payload(&torn), eager(&torn), "cut at {cut}");

@@ -39,6 +39,7 @@ use invalidb_common::{
     AfterImage, Clock, EnvelopeRef, GridCoord, GridShape, ItemRef, Key, KindRef, MatchType, QueryHash,
     Stage, SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext, Version,
 };
+use invalidb_json::WireCodec;
 use invalidb_obs::SlowQueryScratch;
 use invalidb_query::{PreparedAtom, PreparedQuery};
 use invalidb_stream::Task;
@@ -235,8 +236,6 @@ pub(crate) enum StagedOut {
         broker: BrokerHandle,
         /// `invalidb.shuffle.q<row>`.
         topic: String,
-        /// Codec of the shuffled documents.
-        codec: invalidb_json::WireCodec,
         /// `shuffle.egress`.
         published: Arc<AtomicU64>,
     },
@@ -266,8 +265,8 @@ impl Outputs {
                     links.to_aggregation(hash, event);
                 }
             }
-            StagedOut::Shuffle { broker, topic, codec, published } => {
-                broker.publish(topic, codec.encode(&change.to_document()));
+            StagedOut::Shuffle { broker, topic, published } => {
+                broker.publish(topic, WireCodec.encode(&change.to_document()));
                 published.fetch_add(1, AtomicOrdering::Relaxed);
             }
         }
@@ -920,7 +919,6 @@ mod tests {
             StagedOut::Shuffle {
                 broker: broker.into(),
                 topic: "invalidb.shuffle.q0".into(),
-                codec: config.wire_codec,
                 published: config.metrics.counter("shuffle.egress"),
             },
         );

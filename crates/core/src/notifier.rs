@@ -4,7 +4,7 @@
 //! partition, the ingress for initial results — serializes it from borrowed
 //! parts and puts it on the tenant's notify topic itself, on its own
 //! thread. The publisher is the state those callers share: the event-layer
-//! handle, the codec, the `notifier.*` counters, and one entry per tenant
+//! handle, the `notifier.*` counters, and one entry per tenant
 //! with its topic name and heartbeat state.
 //!
 //! The first notification for any real-time query is the initial result; it
@@ -37,7 +37,6 @@ struct Tenant {
 
 struct Inner {
     broker: BrokerHandle,
-    codec: WireCodec,
     clock: Arc<dyn Clock>,
     heartbeat_interval: Duration,
     metrics: MetricsRegistry,
@@ -60,7 +59,6 @@ impl Publisher {
         Self {
             inner: Arc::new(Inner {
                 broker,
-                codec: config.wire_codec,
                 clock,
                 heartbeat_interval: config.heartbeat_interval,
                 metrics: config.metrics.clone(),
@@ -78,7 +76,7 @@ impl Publisher {
         }
         let entry = Arc::new(Tenant {
             topic: notify_topic(tenant.as_str()),
-            heartbeat: self.inner.codec.encode(&doc! {
+            heartbeat: WireCodec.encode(&doc! {
                 "type" => "heartbeat",
                 "tenant" => tenant.as_str(),
             }),
@@ -101,7 +99,7 @@ impl Publisher {
             trace
         });
         let envelope = EnvelopeRef { trace: stamped.as_ref(), ..envelope };
-        let mut payload = self.inner.codec.writer();
+        let mut payload = WireCodec.writer();
         envelope.write_to(&mut payload);
         self.inner.broker.publish(&tenant.topic, payload.finish());
     }

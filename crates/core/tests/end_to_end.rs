@@ -1,5 +1,5 @@
 //! End-to-end cluster tests: everything crosses the event layer as opaque
-//! JSON payloads, exactly like a production deployment.
+//! payloads, exactly like a production deployment.
 
 use bytes::Bytes;
 use invalidb_broker::{notify_topic, Broker, CLUSTER_TOPIC};
@@ -14,7 +14,7 @@ use std::time::Duration;
 const TENANT: &str = "app";
 
 fn publish(broker: &Broker, msg: &ClusterMessage) {
-    broker.publish(CLUSTER_TOPIC, invalidb_json::document_to_payload(&msg.to_document()));
+    broker.publish(CLUSTER_TOPIC, invalidb_json::WireCodec.encode(&msg.to_document()));
 }
 
 fn subscribe_msg(spec: &QuerySpec, sub: u64, initial: Vec<ResultItem>, slack: u64) -> ClusterMessage {
@@ -287,17 +287,20 @@ fn malformed_payloads_are_counted_not_fatal() {
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
     broker.publish(CLUSTER_TOPIC, Bytes::from_static(b"this is not json"));
     broker.publish(CLUSTER_TOPIC, Bytes::from_static(b"{\"op\": \"bogus\"}"));
+    // A well-formed write envelope in JSON text is not a payload either.
+    let json = write_msg("t", Key::of("json"), 1, Some(doc! { "n" => 1i64 })).to_document();
+    broker.publish(CLUSTER_TOPIC, Bytes::from(invalidb_json::to_bytes(&json)));
     // The cluster keeps working.
     let spec = QuerySpec::filter("t", doc! {});
     publish(&broker, &subscribe_msg(&spec, 1, vec![], 0));
     let notes = collect(&notify, 1);
     assert!(matches!(notes[0].kind, NotificationKind::InitialResult { .. }));
-    assert_eq!(cluster.decode_errors(), 2);
+    assert_eq!(cluster.decode_errors(), 3);
     cluster.shutdown();
 }
 
 #[test]
-fn torn_binary_payloads_are_counted_not_fatal() {
+fn torn_payloads_are_counted_not_fatal() {
     let broker = Broker::new();
     let notify = broker.subscribe(&notify_topic(TENANT));
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
@@ -305,19 +308,18 @@ fn torn_binary_payloads_are_counted_not_fatal() {
     // A valid binary write envelope, torn mid-payload (e.g. a producer
     // died mid-write): counted as a decode error, never a panic.
     let msg = write_msg("t", Key::of("torn"), 1, Some(doc! { "n" => 1i64 }));
-    let full = invalidb_json::document_to_binary_payload(&msg.to_document());
+    let full = invalidb_json::WireCodec.encode(&msg.to_document());
     broker.publish(CLUSTER_TOPIC, Bytes::copy_from_slice(&full[..full.len() / 2]));
     // Bare magic with nothing behind it is a decode error too.
     broker.publish(CLUSTER_TOPIC, Bytes::from_static(b"IVBD"));
 
-    // The cluster keeps working, binary and JSON alike.
+    // The cluster keeps working.
     let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
     publish(&broker, &subscribe_msg(&spec, 1, vec![], 0));
     broker.publish(
         CLUSTER_TOPIC,
-        invalidb_json::document_to_binary_payload(
-            &write_msg("t", Key::of("ok"), 1, Some(doc! { "n" => 5i64 })).to_document(),
-        ),
+        invalidb_json::WireCodec
+            .encode(&write_msg("t", Key::of("ok"), 1, Some(doc! { "n" => 5i64 })).to_document()),
     );
     let notes = collect(&notify, 2); // initial + add
     assert!(matches!(notes[0].kind, NotificationKind::InitialResult { .. }));
@@ -542,18 +544,14 @@ fn burst_corpus() -> Vec<ClusterMessage> {
 /// published back-to-back to a fresh cluster. A single chain of tasks (1x1
 /// grid, one sorting task) makes per-subscription content and order —
 /// sorted index positions included — fully deterministic.
-fn notify_streams(
-    indexed: bool,
-    codec: invalidb_json::WireCodec,
-    corpus: &[ClusterMessage],
-) -> BTreeMap<u64, Vec<Bytes>> {
+fn notify_streams(indexed: bool, corpus: &[ClusterMessage]) -> BTreeMap<u64, Vec<Bytes>> {
     let broker = Broker::new();
     let notify = broker.subscribe(&notify_topic(TENANT));
-    let mut cfg = ClusterConfig::builder(1, 1).sorting_tasks(1).wire_codec(codec).build().unwrap();
+    let mut cfg = ClusterConfig::builder(1, 1).sorting_tasks(1).build().unwrap();
     cfg.multi_query_index = indexed;
     let cluster = Cluster::start(broker.clone(), cfg);
     for msg in corpus {
-        broker.publish(CLUSTER_TOPIC, codec.encode(&msg.to_document()));
+        publish(&broker, msg);
     }
     // Collect until quiescent. Heartbeats keep arriving forever, address
     // nobody and must not reset the idle counter.
@@ -578,31 +576,24 @@ fn notify_streams(
 /// anchoring, equality lanes, result-membership candidates and the shared
 /// predicate cache must be invisible in the output. Per subscription, the
 /// indexed cell must send **byte-identical** payloads in the same order as
-/// the force-scan reference, on both corpora and under both envelope codecs.
+/// the force-scan reference, on both corpora.
 #[test]
 fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
-    use invalidb_json::WireCodec;
-
     for (name, corpus) in [("shapes", shapes_corpus()), ("burst", burst_corpus())] {
-        for codec in [WireCodec::Json, WireCodec::Binary] {
-            let with_index = notify_streams(true, codec, &corpus);
-            let force_scan = notify_streams(false, codec, &corpus);
-            let payloads = with_index.values().map(Vec::len).sum::<usize>();
-            assert!(payloads > 50, "{name}: {payloads} payloads is too few to be meaningful");
-            assert_eq!(
-                with_index.keys().collect::<Vec<_>>(),
-                force_scan.keys().collect::<Vec<_>>(),
-                "{name} {codec:?}: different subscriptions were addressed"
-            );
-            for (sub, indexed) in &with_index {
-                let scanned = &force_scan[sub];
-                assert_eq!(indexed.len(), scanned.len(), "{name} {codec:?} subscription {sub}: count");
-                for (i, (a, b)) in indexed.iter().zip(scanned).enumerate() {
-                    assert_eq!(
-                        a, b,
-                        "{name} {codec:?} subscription {sub}: payload {i} differs byte-wise"
-                    );
-                }
+        let with_index = notify_streams(true, &corpus);
+        let force_scan = notify_streams(false, &corpus);
+        let payloads = with_index.values().map(Vec::len).sum::<usize>();
+        assert!(payloads > 50, "{name}: {payloads} payloads is too few to be meaningful");
+        assert_eq!(
+            with_index.keys().collect::<Vec<_>>(),
+            force_scan.keys().collect::<Vec<_>>(),
+            "{name}: different subscriptions were addressed"
+        );
+        for (sub, indexed) in &with_index {
+            let scanned = &force_scan[sub];
+            assert_eq!(indexed.len(), scanned.len(), "{name} subscription {sub}: count");
+            for (i, (a, b)) in indexed.iter().zip(scanned).enumerate() {
+                assert_eq!(a, b, "{name} subscription {sub}: payload {i} differs byte-wise");
             }
         }
     }

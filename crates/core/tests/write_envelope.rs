@@ -1,5 +1,5 @@
-//! Property-based tests for the write envelope on the cluster topic in
-//! both wire codecs: the borrowed single-pass writer an application server
+//! Property-based tests for the write envelope on the cluster topic: the
+//! borrowed single-pass writer an application server
 //! uses and the document encoder agree byte for byte (with and without a
 //! trace, deletes included), the bytes decode back to the after-image at the
 //! cluster's ingress, and torn or corrupted envelopes never panic it.
@@ -9,8 +9,6 @@ use invalidb_common::{AfterImage, ClusterMessage, Document, Key, Stage, TenantId
 use invalidb_core::ingest::decode_cluster_payload;
 use invalidb_json::WireCodec;
 use proptest::prelude::*;
-
-const CODECS: [WireCodec; 2] = [WireCodec::Json, WireCodec::Binary];
 
 fn optional<T: Clone + std::fmt::Debug + 'static>(
     some: impl Strategy<Value = T> + 'static,
@@ -61,8 +59,8 @@ fn after_image() -> impl Strategy<Value = AfterImage> {
         })
 }
 
-fn written(codec: WireCodec, image: &AfterImage) -> Bytes {
-    let mut w = codec.writer();
+fn written(image: &AfterImage) -> Bytes {
+    let mut w = WireCodec.writer();
     image.as_ref().write_to(&mut w);
     w.finish()
 }
@@ -75,36 +73,27 @@ proptest! {
     #[test]
     fn written_envelope_equals_encoded_document_and_roundtrips(image in after_image()) {
         let message = ClusterMessage::Write(image.clone());
-        for codec in CODECS {
-            let payload = written(codec, &image);
-            prop_assert_eq!(&payload, &codec.encode(&message.to_document()), "{:?}", codec);
-            prop_assert_eq!(decode_cluster_payload(&payload), Some(message.clone()), "{:?}", codec);
-        }
+        let payload = written(&image);
+        prop_assert_eq!(&payload, &WireCodec.encode(&message.to_document()));
+        prop_assert_eq!(decode_cluster_payload(&payload), Some(message));
     }
 
     /// No proper prefix of a write envelope decodes, and none panics.
     #[test]
     fn truncated_envelopes_error_never_panic(image in after_image()) {
-        for codec in CODECS {
-            let full = written(codec, &image);
-            for cut in 0..full.len() {
-                let torn = Bytes::copy_from_slice(&full[..cut]);
-                prop_assert!(
-                    decode_cluster_payload(&torn).is_none(),
-                    "{:?}: prefix of {} bytes decoded", codec, cut
-                );
-            }
+        let full = written(&image);
+        for cut in 0..full.len() {
+            let torn = Bytes::copy_from_slice(&full[..cut]);
+            prop_assert!(decode_cluster_payload(&torn).is_none(), "prefix of {} bytes decoded", cut);
         }
     }
 
     /// A flipped byte may or may not still be a write; it never panics.
     #[test]
     fn corrupted_envelopes_never_panic(image in after_image(), at in any::<u16>(), flip in 1u8..=255) {
-        for codec in CODECS {
-            let mut raw = written(codec, &image).to_vec();
-            let at = at as usize % raw.len();
-            raw[at] ^= flip;
-            let _ = decode_cluster_payload(&Bytes::from(raw));
-        }
+        let mut raw = written(&image).to_vec();
+        let at = at as usize % raw.len();
+        raw[at] ^= flip;
+        let _ = decode_cluster_payload(&Bytes::from(raw));
     }
 }

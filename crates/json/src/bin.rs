@@ -33,13 +33,8 @@
 //! | 0x05 | string | length varint + UTF-8 bytes                    |
 //! | 0x06 | array  | count varint + values                          |
 //! | 0x07 | object | count varint + (key varint+bytes, value) pairs |
-//!
-//! The `IVBD` magic cannot collide with the JSON codec: a JSON payload's
-//! first non-whitespace byte is always `{` (envelope roots are objects), so
-//! [`is_binary`] distinguishes the two codecs from the leading bytes alone
-//! and [`crate::payload_to_document`] decodes either transparently.
 
-use crate::error::{JsonError, JsonErrorKind};
+use crate::lazy::{LazyDoc, LazyValue};
 use invalidb_common::{Document, Value};
 use std::fmt;
 
@@ -62,14 +57,6 @@ pub(crate) const TAG_FLOAT: u8 = 0x04;
 pub(crate) const TAG_STRING: u8 = 0x05;
 pub(crate) const TAG_ARRAY: u8 = 0x06;
 pub(crate) const TAG_OBJECT: u8 = 0x07;
-
-/// Whether `payload` starts like a binary-codec document (magic prefix;
-/// a partial prefix of a short payload also counts so torn payloads are
-/// routed to the binary decoder's error path rather than the JSON parser).
-pub fn is_binary(payload: &[u8]) -> bool {
-    let seen = payload.len().min(BIN_MAGIC.len());
-    seen > 0 && payload[..seen] == BIN_MAGIC[..seen]
-}
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -153,30 +140,18 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Byte pattern an envelope with an embedded trace is guaranteed to
-/// contain: key `"trace"` (length-prefixed) followed by the object tag.
-const TRACE_NEEDLE: &[u8] = &[5, b't', b'r', b'a', b'c', b'e', TAG_OBJECT];
-
-/// Scans a binary payload for an embedded trace context *without decoding
-/// it*: finds the `"trace"` key whose object value starts with an `"id"`
-/// integer entry (the layout `TraceContext::to_document` produces) and
-/// returns that id. The binary twin of `invalidb-net`'s JSON needle scan —
-/// what lets the broker server stamp only sampled envelopes.
+/// Reads the id of an envelope's embedded trace context *without decoding
+/// the envelope*: resolves the root's own `"trace"` field and returns the
+/// `"id"` integer it starts with (the layout `TraceContext::to_document`
+/// produces). A `trace` field nested inside a user document is not the
+/// envelope's and does not count. What lets the broker client flag, and
+/// the broker server stamp, only sampled envelopes.
 pub fn sniff_trace_id(payload: &[u8]) -> Option<i64> {
-    let hit = payload.windows(TRACE_NEEDLE.len()).position(|w| w == TRACE_NEEDLE)?;
-    let mut r = BinReader { buf: payload, pos: hit + TRACE_NEEDLE.len() };
-    let entries = r.varint().ok()?;
-    if entries == 0 {
-        return None;
+    let trace = LazyDoc::new(payload).ok()?.get("trace").ok()??.as_object()?;
+    match trace.entries().next()?.ok()? {
+        ("id", LazyValue::Int(id)) => Some(id),
+        _ => None,
     }
-    // First entry must be `"id" => Int`.
-    if r.take(3).ok()? != [2, b'i', b'd'] {
-        return None;
-    }
-    if r.byte().ok()? != TAG_INT {
-        return None;
-    }
-    Some(unzigzag(r.varint().ok()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -236,20 +211,6 @@ impl fmt::Display for BinError {
 }
 
 impl std::error::Error for BinError {}
-
-impl From<BinError> for JsonError {
-    // The payload-level API reports one error type for both codecs; binary
-    // failures map onto the closest JSON kind, keeping the byte offset.
-    fn from(e: BinError) -> JsonError {
-        let kind = match e.kind {
-            BinErrorKind::BadUtf8 => JsonErrorKind::InvalidUtf8,
-            BinErrorKind::TooDeep => JsonErrorKind::TooDeep,
-            BinErrorKind::TrailingBytes => JsonErrorKind::TrailingInput,
-            _ => JsonErrorKind::UnexpectedEof,
-        };
-        JsonError::new(kind, e.offset)
-    }
-}
 
 /// Decodes a binary payload (as produced by [`encode_document`]) back into
 /// a [`Document`]. The input is borrowed; only strings and containers
@@ -395,7 +356,7 @@ mod tests {
     fn roundtrip() {
         let d = sample();
         let bytes = encode_document(&d);
-        assert!(is_binary(&bytes));
+        assert_eq!(bytes[..4], BIN_MAGIC);
         assert_eq!(decode_document(&bytes).unwrap(), d);
     }
 
@@ -475,14 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn json_payload_is_not_binary() {
-        assert!(!is_binary(b"{\"a\":1}"));
-        assert!(!is_binary(b""));
-        assert!(is_binary(b"IV")); // torn binary prefix routes to binary
-        assert!(is_binary(&encode_document(&doc! {})));
-    }
-
-    #[test]
     fn trace_id_sniffing() {
         use invalidb_common::TraceContext;
         let trace = TraceContext::start(-7i64 as u64);
@@ -494,6 +447,17 @@ mod tests {
         assert_eq!(sniff_trace_id(&encode_document(&doc! { "op" => "write" })), None);
         // A *string* "trace" is not an embedded trace object.
         assert_eq!(sniff_trace_id(&encode_document(&doc! { "trace" => "zzz" })), None);
+    }
+
+    #[test]
+    fn trace_sniffing_ignores_a_trace_field_inside_the_user_document() {
+        let user_doc = doc! { "trace" => doc! { "id" => 5i64 } };
+        let untraced = doc! { "op" => "write", "doc" => user_doc };
+        assert_eq!(sniff_trace_id(&encode_document(&untraced)), None);
+        // The envelope's own trace follows `doc` in a write envelope.
+        let mut traced = untraced;
+        traced.insert("trace", invalidb_common::TraceContext::start(9).to_document());
+        assert_eq!(sniff_trace_id(&encode_document(&traced)), Some(9));
     }
 
     #[test]

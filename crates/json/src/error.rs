@@ -5,8 +5,6 @@ use std::fmt;
 /// What went wrong while parsing JSON text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JsonErrorKind {
-    /// Payload bytes were not valid UTF-8.
-    InvalidUtf8,
     /// Unexpected end of input.
     UnexpectedEof,
     /// Unexpected character.
@@ -44,7 +42,6 @@ impl JsonError {
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let what = match &self.kind {
-            JsonErrorKind::InvalidUtf8 => "payload is not valid UTF-8".to_owned(),
             JsonErrorKind::UnexpectedEof => "unexpected end of input".to_owned(),
             JsonErrorKind::UnexpectedChar(c) => format!("unexpected character {c:?}"),
             JsonErrorKind::BadNumber => "malformed number".to_owned(),

@@ -30,7 +30,6 @@ use crate::bin::{
     self, BinError, BinErrorKind, BinReader, BIN_MAGIC, BIN_VERSION, MAX_DEPTH, TAG_ARRAY, TAG_FALSE,
     TAG_FLOAT, TAG_INT, TAG_NULL, TAG_OBJECT, TAG_STRING, TAG_TRUE,
 };
-use crate::{parse_document, JsonError};
 use invalidb_common::{Document, Value};
 
 /// A borrowed, lazily resolved view over a binary payload's root object.
@@ -458,53 +457,6 @@ fn skip_container_body(r: &mut BinReader<'_>, depth: usize, keyed: bool) -> Resu
     Ok(())
 }
 
-/// A payload view with [`payload_to_document`](crate::payload_to_document)-
-/// equivalent sniffing: binary payloads become zero-copy [`LazyDoc`]s, JSON
-/// text falls back to one eager parse. Consumers branch on the variant to
-/// run allocation-free on the binary fast path while staying correct for
-/// every legacy payload.
-pub enum PayloadView<'a> {
-    /// A binary (`IVBD`) payload, viewed lazily.
-    Binary(LazyDoc<'a>),
-    /// A JSON payload, parsed eagerly (there is no lazy JSON path).
-    Json(Document),
-}
-
-impl<'a> PayloadView<'a> {
-    /// Sniffs the codec and builds the view. Mirrors
-    /// [`payload_to_document`](crate::payload_to_document)'s error
-    /// surface: both codecs report through [`JsonError`].
-    pub fn new(payload: &'a [u8]) -> Result<PayloadView<'a>, JsonError> {
-        if bin::is_binary(payload) {
-            return Ok(PayloadView::Binary(LazyDoc::new(payload).map_err(JsonError::from)?));
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| JsonError::new(crate::JsonErrorKind::InvalidUtf8, 0))?;
-        Ok(PayloadView::Json(parse_document(text)?))
-    }
-
-    /// Resolves a dotted path to an owned [`Value`] (materializing the
-    /// subtree on the binary path, cloning it on the JSON path).
-    pub fn get_path(&self, path: &str) -> Result<Option<Value>, JsonError> {
-        match self {
-            PayloadView::Binary(lazy) => match lazy.get_path(path).map_err(JsonError::from)? {
-                Some(v) => Ok(Some(v.materialize().map_err(JsonError::from)?)),
-                None => Ok(None),
-            },
-            PayloadView::Json(doc) => Ok(doc.get_path(path).cloned()),
-        }
-    }
-
-    /// Decodes the full payload into an owned [`Document`] — exactly what
-    /// [`payload_to_document`](crate::payload_to_document) returns.
-    pub fn into_document(self) -> Result<Document, JsonError> {
-        match self {
-            PayloadView::Binary(lazy) => lazy.materialize().map_err(JsonError::from),
-            PayloadView::Json(doc) => Ok(doc),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,17 +547,5 @@ mod tests {
         let eager = bin::decode_document(&bytes).unwrap();
         assert_eq!(eager.get("a"), Some(&Value::Int(2)));
         assert_eq!(lazy.get("a").unwrap().unwrap().as_i64(), Some(2));
-    }
-
-    #[test]
-    fn payload_view_sniffs_both_codecs() {
-        let d = doc! { "op" => "write", "doc" => doc! { "n" => 1i64 } };
-        for payload in [crate::document_to_payload(&d), crate::document_to_binary_payload(&d)] {
-            let view = PayloadView::new(&payload).unwrap();
-            assert_eq!(view.get_path("op").unwrap(), Some(Value::from("write")));
-            assert_eq!(view.get_path("doc.n").unwrap(), Some(Value::Int(1)));
-            assert_eq!(view.get_path("doc.m").unwrap(), None);
-            assert_eq!(view.into_document().unwrap(), d);
-        }
     }
 }

@@ -70,7 +70,7 @@ fn write_float(f: f64, out: &mut String) {
     }
 }
 
-pub(crate) fn write_string(s: &str, out: &mut String) {
+fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -1,4 +1,4 @@
-//! Payload writer: a [`FieldWriter`] over the wire codecs.
+//! Payload writer: a [`FieldWriter`] over the payload codec.
 //!
 //! [`WireCodec::encode`](crate::WireCodec::encode) needs the whole message
 //! as a [`Document`] first. A producer that already holds the parts — the
@@ -7,157 +7,76 @@
 //! with nothing copied in between.
 
 use crate::bin::{self, BIN_MAGIC, BIN_VERSION, TAG_ARRAY, TAG_OBJECT, TAG_STRING};
-use crate::{ser, WireCodec};
 use bytes::Bytes;
 use invalidb_common::{Document, FieldWriter, Value};
 
-enum Out {
-    /// `comma` is set when the next value or key at this nesting level
-    /// needs a separator before it.
-    Json { text: String, comma: bool },
-    /// `root` is set until the root object opened: it alone carries the
-    /// payload header instead of a value tag.
-    Binary { bytes: Vec<u8>, root: bool },
-}
-
 /// Serializes one payload field by field; created by
 /// [`WireCodec::writer`](crate::WireCodec::writer). The bytes equal
-/// `codec.encode(..)` of the document the same calls would build.
+/// `WireCodec.encode(..)` of the document the same calls would build.
 pub struct PayloadWriter {
-    out: Out,
+    bytes: Vec<u8>,
+    /// Set until the root object opened: it alone carries the payload
+    /// header instead of a value tag.
+    root: bool,
 }
 
 impl PayloadWriter {
-    pub(crate) fn new(codec: WireCodec) -> Self {
+    pub(crate) fn new() -> Self {
         // Notification envelopes run to a few hundred bytes.
-        let out = match codec {
-            WireCodec::Json => Out::Json { text: String::with_capacity(256), comma: false },
-            WireCodec::Binary => Out::Binary { bytes: Vec::with_capacity(256), root: true },
-        };
-        Self { out }
+        Self { bytes: Vec::with_capacity(256), root: true }
     }
 
     /// The finished payload.
     pub fn finish(self) -> Bytes {
-        match self.out {
-            Out::Json { text, .. } => Bytes::from(text.into_bytes()),
-            Out::Binary { bytes, .. } => Bytes::from(bytes),
-        }
-    }
-
-    /// JSON: the separator before a value, and the note that one follows.
-    fn json_value(text: &mut String, comma: &mut bool) {
-        if *comma {
-            text.push(',');
-        }
-        *comma = true;
+        Bytes::from(self.bytes)
     }
 }
 
 impl FieldWriter for PayloadWriter {
     fn begin_object(&mut self, fields: usize) {
-        match &mut self.out {
-            Out::Json { text, comma } => {
-                Self::json_value(text, comma);
-                text.push('{');
-                *comma = false;
-            }
-            Out::Binary { bytes, root } => {
-                if std::mem::take(root) {
-                    bytes.extend_from_slice(&BIN_MAGIC);
-                    bytes.push(BIN_VERSION);
-                } else {
-                    bytes.push(TAG_OBJECT);
-                }
-                bin::put_varint(bytes, fields as u64);
-            }
+        if std::mem::take(&mut self.root) {
+            self.bytes.extend_from_slice(&BIN_MAGIC);
+            self.bytes.push(BIN_VERSION);
+        } else {
+            self.bytes.push(TAG_OBJECT);
         }
+        bin::put_varint(&mut self.bytes, fields as u64);
     }
 
-    fn end_object(&mut self) {
-        if let Out::Json { text, comma } = &mut self.out {
-            text.push('}');
-            *comma = true;
-        }
-    }
+    fn end_object(&mut self) {}
 
     fn begin_array(&mut self, len: usize) {
-        match &mut self.out {
-            Out::Json { text, comma } => {
-                Self::json_value(text, comma);
-                text.push('[');
-                *comma = false;
-            }
-            Out::Binary { bytes, .. } => {
-                bytes.push(TAG_ARRAY);
-                bin::put_varint(bytes, len as u64);
-            }
-        }
+        self.bytes.push(TAG_ARRAY);
+        bin::put_varint(&mut self.bytes, len as u64);
     }
 
-    fn end_array(&mut self) {
-        if let Out::Json { text, comma } = &mut self.out {
-            text.push(']');
-            *comma = true;
-        }
-    }
+    fn end_array(&mut self) {}
 
     fn key(&mut self, key: &str) {
-        match &mut self.out {
-            Out::Json { text, comma } => {
-                Self::json_value(text, comma);
-                ser::write_string(key, text);
-                text.push(':');
-                *comma = false;
-            }
-            Out::Binary { bytes, .. } => {
-                bin::put_varint(bytes, key.len() as u64);
-                bytes.extend_from_slice(key.as_bytes());
-            }
-        }
+        bin::put_varint(&mut self.bytes, key.len() as u64);
+        self.bytes.extend_from_slice(key.as_bytes());
     }
 
     fn value(&mut self, value: &Value) {
-        match &mut self.out {
-            Out::Json { text, comma } => {
-                Self::json_value(text, comma);
-                ser::write_value(value, text);
-            }
-            Out::Binary { bytes, .. } => bin::encode_value_into(value, bytes),
-        }
+        bin::encode_value_into(value, &mut self.bytes);
     }
 
     fn document(&mut self, doc: &Document) {
-        match &mut self.out {
-            Out::Json { text, comma } => {
-                Self::json_value(text, comma);
-                ser::write_document(doc, text);
-            }
-            Out::Binary { bytes, .. } => {
-                bytes.push(TAG_OBJECT);
-                bin::encode_object_body(doc, bytes);
-            }
-        }
+        self.bytes.push(TAG_OBJECT);
+        bin::encode_object_body(doc, &mut self.bytes);
     }
 
     fn str(&mut self, s: &str) {
-        match &mut self.out {
-            Out::Json { text, comma } => {
-                Self::json_value(text, comma);
-                ser::write_string(s, text);
-            }
-            Out::Binary { bytes, .. } => {
-                bytes.push(TAG_STRING);
-                bin::put_varint(bytes, s.len() as u64);
-                bytes.extend_from_slice(s.as_bytes());
-            }
-        }
+        self.bytes.push(TAG_STRING);
+        bin::put_varint(&mut self.bytes, s.len() as u64);
+        self.bytes.extend_from_slice(s.as_bytes());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireCodec;
     use invalidb_common::doc;
 
     /// The same calls through a `DocumentBuilder` and through a
@@ -204,12 +123,10 @@ mod tests {
         let mut builder = invalidb_common::DocumentBuilder::new();
         write_sample(&mut builder);
         let built = builder.finish();
-        for codec in [WireCodec::Json, WireCodec::Binary] {
-            let mut w = codec.writer();
-            write_sample(&mut w);
-            let payload = w.finish();
-            assert_eq!(payload, codec.encode(&built), "{codec:?}");
-            assert_eq!(crate::payload_to_document(&payload).unwrap(), built, "{codec:?}");
-        }
+        let mut w = WireCodec.writer();
+        write_sample(&mut w);
+        let payload = w.finish();
+        assert_eq!(payload, WireCodec.encode(&built));
+        assert_eq!(crate::payload_to_document(&payload).unwrap(), built);
     }
 }

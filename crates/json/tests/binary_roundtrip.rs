@@ -1,10 +1,9 @@
 //! Property-based tests for the binary (`IVBD`) codec: round-trip
-//! fidelity, cross-codec equivalence with the JSON text codec, and
-//! torn-payload robustness.
+//! fidelity, deterministic encoding, and torn-payload robustness.
 
 use bytes::Bytes;
 use invalidb_common::{Document, Value};
-use invalidb_json::{bin, document_to_binary_payload, payload_to_document, LazyDoc, WireCodec};
+use invalidb_json::{bin, payload_to_document, LazyDoc, WireCodec};
 use proptest::prelude::*;
 
 /// Every dotted path addressable in `doc` (object keys and array indices),
@@ -73,39 +72,23 @@ fn document_strategy() -> impl Strategy<Value = Document> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
+    /// Decoding yields the document, and the encoder is deterministic (two
+    /// encodings of the same document are byte-identical — a consumer that
+    /// re-publishes a decoded notification cannot introduce wire-level
+    /// drift).
     #[test]
     fn binary_document_roundtrips(doc in document_strategy()) {
-        let payload = document_to_binary_payload(&doc);
-        prop_assert!(bin::is_binary(&payload));
+        let payload = WireCodec.encode(&doc);
         let back = payload_to_document(&payload).unwrap();
-        prop_assert_eq!(back, doc);
-    }
-
-    /// Both codecs must describe the same document: decoding the JSON
-    /// encoding and decoding the binary encoding yield identical results,
-    /// and the binary encoder is deterministic (two encodings of the same
-    /// document are byte-identical — a consumer that re-publishes a
-    /// decoded notification cannot introduce wire-level drift).
-    #[test]
-    fn cross_codec_equivalence(doc in document_strategy()) {
-        let json = WireCodec::Json.encode(&doc);
-        let binary = WireCodec::Binary.encode(&doc);
-        let from_json = payload_to_document(&json).unwrap();
-        let from_binary = payload_to_document(&binary).unwrap();
-        prop_assert_eq!(&from_json, &from_binary);
-        prop_assert_eq!(&from_json, &doc);
-        prop_assert_eq!(
-            document_to_binary_payload(&from_binary),
-            binary,
-            "binary encoding must be deterministic"
-        );
+        prop_assert_eq!(&back, &doc);
+        prop_assert_eq!(WireCodec.encode(&back), payload, "binary encoding must be deterministic");
     }
 
     /// Every proper prefix of a valid binary payload is an error — never a
     /// panic, never a silently-wrong document.
     #[test]
     fn truncated_binary_payload_errors_never_panics(doc in document_strategy()) {
-        let full = document_to_binary_payload(&doc);
+        let full = WireCodec.encode(&doc);
         for cut in 0..full.len() {
             let torn = Bytes::copy_from_slice(&full[..cut]);
             prop_assert!(
@@ -129,7 +112,7 @@ proptest! {
     /// materialization is the eager result.
     #[test]
     fn lazy_paths_agree_with_eager_decode(doc in document_strategy()) {
-        let payload = document_to_binary_payload(&doc);
+        let payload = WireCodec.encode(&doc);
         let lazy = LazyDoc::new(&payload).unwrap();
         let eager = payload_to_document(&payload).unwrap();
         prop_assert_eq!(&lazy.materialize().unwrap(), &eager);
@@ -150,7 +133,7 @@ proptest! {
     /// full materialization of a torn payload must never succeed.
     #[test]
     fn lazy_access_on_truncated_payload_never_panics(doc in document_strategy()) {
-        let full = document_to_binary_payload(&doc);
+        let full = WireCodec.encode(&doc);
         let paths = all_paths(&doc);
         for cut in 0..full.len() {
             if let Ok(lazy) = LazyDoc::new(&full[..cut]) {
@@ -179,7 +162,7 @@ proptest! {
         pos_fraction in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut raw = document_to_binary_payload(&doc).to_vec();
+        let mut raw = WireCodec.encode(&doc).to_vec();
         if raw.len() <= bin::BIN_MAGIC.len() + 1 {
             return Ok(());
         }
@@ -214,7 +197,7 @@ proptest! {
         pos_fraction in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut raw = document_to_binary_payload(&doc).to_vec();
+        let mut raw = WireCodec.encode(&doc).to_vec();
         if raw.len() <= bin::BIN_MAGIC.len() + 1 {
             return Ok(());
         }
@@ -222,7 +205,7 @@ proptest! {
             + ((raw.len() - bin::BIN_MAGIC.len() - 1) as f64 * pos_fraction) as usize;
         raw[idx] ^= 1 << bit;
         if let Ok(decoded) = payload_to_document(&Bytes::from(raw)) {
-            let reencoded = document_to_binary_payload(&decoded);
+            let reencoded = WireCodec.encode(&decoded);
             prop_assert_eq!(payload_to_document(&reencoded).unwrap(), decoded);
         }
     }

@@ -1,7 +1,6 @@
-//! Property-based tests for the notify-topic envelope in both wire codecs:
-//! the borrowed writer and the document encoder agree byte for byte, every
-//! envelope shape round-trips (multicast list, list of one, the scalar
-//! `subscription` of a pre-multicast producer, removes with a null doc,
+//! Property-based tests for the notify-topic envelope: the borrowed writer
+//! and the document encoder agree byte for byte, every envelope shape
+//! round-trips (multicast list, list of one, removes with a null doc,
 //! traced), and torn or corrupted envelopes never panic the decoder.
 
 use bytes::Bytes;
@@ -11,8 +10,6 @@ use invalidb_common::{
 };
 use invalidb_json::{payload_to_document, WireCodec};
 use proptest::prelude::*;
-
-const CODECS: [WireCodec; 2] = [WireCodec::Json, WireCodec::Binary];
 
 fn optional<T: Clone + std::fmt::Debug + 'static>(
     some: impl Strategy<Value = T> + 'static,
@@ -93,8 +90,8 @@ fn envelope() -> impl Strategy<Value = NotifyEnvelope> {
         })
 }
 
-fn written(codec: WireCodec, envelope: &NotifyEnvelope) -> Bytes {
-    let mut w = codec.writer();
+fn written(envelope: &NotifyEnvelope) -> Bytes {
+    let mut w = WireCodec.writer();
     envelope.as_ref().write_to(&mut w);
     w.finish()
 }
@@ -110,17 +107,15 @@ proptest! {
     /// bytes, and those bytes decode back to the envelope.
     #[test]
     fn written_envelope_equals_encoded_document_and_roundtrips(envelope in envelope()) {
-        for codec in CODECS {
-            let payload = written(codec, &envelope);
-            prop_assert_eq!(&payload, &codec.encode(&envelope.as_ref().to_document()), "{:?}", codec);
-            prop_assert_eq!(decoded(&payload), Some(envelope.clone()), "{:?}", codec);
-        }
+        let payload = written(&envelope);
+        prop_assert_eq!(&payload, &WireCodec.encode(&envelope.as_ref().to_document()));
+        prop_assert_eq!(decoded(&payload), Some(envelope));
     }
 
     /// Every addressee sees the one payload under its own id.
     #[test]
     fn addressees_see_the_same_change(envelope in envelope()) {
-        let seen = decoded(&written(WireCodec::Binary, &envelope)).unwrap().into_notifications();
+        let seen = decoded(&written(&envelope)).unwrap().into_notifications();
         prop_assert_eq!(
             seen.iter().map(|n| n.subscription).collect::<Vec<_>>(),
             envelope.subscriptions.clone()
@@ -132,39 +127,22 @@ proptest! {
         }
     }
 
-    /// A producer that predates multicast writes a scalar `subscription`;
-    /// it reads as a list of one, in both codecs.
-    #[test]
-    fn scalar_subscription_reads_as_a_list_of_one(envelope in envelope(), id in any::<u64>()) {
-        let envelope = NotifyEnvelope { subscriptions: vec![SubscriptionId(id)], ..envelope };
-        let mut legacy = envelope.as_ref().to_document();
-        legacy.remove("subscriptions");
-        legacy.insert("subscription", id as i64);
-        for codec in CODECS {
-            prop_assert_eq!(decoded(&codec.encode(&legacy)), Some(envelope.clone()), "{:?}", codec);
-        }
-    }
-
     /// No proper prefix of an envelope decodes, and none panics.
     #[test]
     fn truncated_envelopes_error_never_panic(envelope in envelope()) {
-        for codec in CODECS {
-            let full = written(codec, &envelope);
-            for cut in 0..full.len() {
-                let torn = Bytes::copy_from_slice(&full[..cut]);
-                prop_assert!(decoded(&torn).is_none(), "{:?}: prefix of {} bytes decoded", codec, cut);
-            }
+        let full = written(&envelope);
+        for cut in 0..full.len() {
+            let torn = Bytes::copy_from_slice(&full[..cut]);
+            prop_assert!(decoded(&torn).is_none(), "prefix of {} bytes decoded", cut);
         }
     }
 
     /// A flipped byte may or may not still be an envelope; it never panics.
     #[test]
     fn corrupted_envelopes_never_panic(envelope in envelope(), at in any::<u16>(), flip in 1u8..=255) {
-        for codec in CODECS {
-            let mut raw = written(codec, &envelope).to_vec();
-            let at = at as usize % raw.len();
-            raw[at] ^= flip;
-            let _ = decoded(&Bytes::from(raw));
-        }
+        let mut raw = written(&envelope).to_vec();
+        let at = at as usize % raw.len();
+        raw[at] ^= flip;
+        let _ = decoded(&Bytes::from(raw));
     }
 }

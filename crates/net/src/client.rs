@@ -10,15 +10,15 @@
 //! broker) and sends `UNSUBSCRIBE` upstream.
 //!
 //! A supervisor thread owns the connection lifecycle: connect with
-//! exponential backoff plus jitter, introduce itself with `HELLO`, replay
-//! every tracked subscription, then serve the session until EOF, error,
-//! or heartbeat timeout — and start over. Replay is what makes a
+//! exponential backoff plus jitter, replay every tracked subscription, then
+//! serve the session until EOF, error, or heartbeat timeout — and start
+//! over. Replay is what makes a
 //! mid-stream disconnect survivable: the server re-attaches the topics
 //! and the app-server's maintenance-error machinery (paper §5.2) repairs
 //! whatever was missed during the gap, leaning on the cluster's
 //! write-stream retention (§5.1).
 
-use crate::frame::{Decoder, Frame, TraceInfo, CAP_BINARY};
+use crate::frame::{Decoder, Frame, TraceInfo};
 use crate::queue::{Closed, OverflowPolicy, SendQueue};
 use invalidb_broker::{Broker, BrokerHandle, Bytes, EventLayer, Subscription};
 use invalidb_common::trace::now_micros;
@@ -28,7 +28,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 /// Tuning for [`RemoteBroker`].
 #[derive(Debug, Clone)]
 pub struct RemoteBrokerConfig {
-    /// Name sent in the `HELLO` frame (diagnostics only).
+    /// Name of this client in metric names and flight-recorder events.
     pub client_name: String,
     /// Outbound send-queue capacity in frames.
     pub queue_capacity: usize,
@@ -53,12 +53,6 @@ pub struct RemoteBrokerConfig {
     pub reconnect_max: Duration,
     /// Seed for backoff jitter (deterministic tests).
     pub jitter_seed: u64,
-    /// Advertise [`CAP_BINARY`] in the `Hello` frame, i.e. declare that
-    /// this client can decode binary (`IVBD`) envelope payloads. When
-    /// `false` the client behaves like a legacy JSON-only peer: it never
-    /// receives binary payloads (the server transcodes them down) and it
-    /// downgrades any binary payload it is asked to publish.
-    pub binary_payloads: bool,
     /// Most frames the writer thread coalesces into one buffered
     /// `write_all`. `1` disables batching (one syscall per frame).
     pub max_write_batch: usize,
@@ -82,7 +76,6 @@ impl Default for RemoteBrokerConfig {
             reconnect_base: Duration::from_millis(50),
             reconnect_max: Duration::from_secs(2),
             jitter_seed: 0x1DB1,
-            binary_payloads: true,
             max_write_batch: 64,
             metrics: MetricsRegistry::new(),
         }
@@ -105,10 +98,6 @@ struct Inner {
     socket: Mutex<Option<TcpStream>>,
     connected: AtomicBool,
     running: AtomicBool,
-    /// Capability bits from the server's `Hello` reply on the current
-    /// session; `0` until the reply arrives (and on reconnect), which is
-    /// the safe JSON-only assumption.
-    server_caps: AtomicU32,
     seq: AtomicU64,
     /// Highest `Ack` sequence seen (observability for tests).
     acked: AtomicU64,
@@ -161,7 +150,6 @@ impl RemoteBroker {
             socket: Mutex::new(None),
             connected: AtomicBool::new(false),
             running: AtomicBool::new(true),
-            server_caps: AtomicU32::new(0),
             seq: AtomicU64::new(0),
             acked: AtomicU64::new(0),
             metrics,
@@ -184,35 +172,12 @@ impl RemoteBroker {
     /// disconnected (event-layer delivery is best-effort, like Redis
     /// pub/sub — see DESIGN.md §2).
     pub fn publish(&self, topic: &str, payload: Bytes) -> usize {
-        let payload = self.downgrade(payload);
         let trace = sniff_trace(&payload);
         let frame = Frame::Publish { topic: topic.to_owned(), payload, trace };
         if self.enqueue(frame) {
             1
         } else {
             0
-        }
-    }
-
-    /// Transcodes a binary payload down to JSON when the peer has not
-    /// (yet) advertised [`CAP_BINARY`] — including the window before the
-    /// server's `Hello` reply lands, when its capabilities are unknown and
-    /// JSON is the only safe assumption. An undecodable binary payload
-    /// passes through opaque: the event layer never drops traffic over a
-    /// codec concern, and the consumer's decode-error accounting is the
-    /// right place for the corruption to surface.
-    fn downgrade(&self, payload: Bytes) -> Bytes {
-        if !invalidb_json::bin::is_binary(&payload) {
-            return payload;
-        }
-        if self.inner.config.binary_payloads
-            && self.inner.server_caps.load(Ordering::Relaxed) & CAP_BINARY != 0
-        {
-            return payload;
-        }
-        match invalidb_json::bin::decode_document(&payload) {
-            Ok(doc) => invalidb_json::document_to_payload(&doc),
-            Err(_) => payload,
         }
     }
 
@@ -228,12 +193,6 @@ impl RemoteBroker {
             self.enqueue(Frame::Subscribe { seq, topic: topic.to_owned() });
         }
         subscription
-    }
-
-    /// Capability bits the server advertised in its `Hello` reply on the
-    /// current session (`0` while disconnected or before the reply).
-    pub fn server_capabilities(&self) -> u32 {
-        self.inner.server_caps.load(Ordering::Relaxed)
     }
 
     /// Number of *local* subscriptions on `topic` (the server's global
@@ -348,46 +307,15 @@ impl RemoteBroker {
     }
 }
 
-/// Byte pattern a traced JSON envelope is guaranteed to contain: the
-/// compact serializer in `invalidb-json` emits insertion-ordered keys with
-/// no whitespace, and `TraceContext::to_document` puts `id` first.
-const TRACE_NEEDLE: &[u8] = b"\"trace\":{\"id\":";
-
 /// Detects an embedded [`TraceContext`](invalidb_common::TraceContext) in
-/// an opaque envelope payload without fully parsing it. Binary payloads go
-/// through `invalidb_json::bin::sniff_trace_id` (the binary twin of this
-/// scan); JSON payloads scan for [`TRACE_NEEDLE`] and read the integer
-/// that follows. Only *sampled* envelopes carry either pattern, so the
-/// common case is one memmem miss.
-///
-/// The resulting [`TraceInfo`] sidecar travels in the frame header
-/// extension ([`crate::frame::FLAG_TRACE`]) so the broker server can stamp
-/// the broker hop without ever deserializing unsampled traffic.
+/// an opaque envelope payload without decoding it
+/// (`invalidb_json::bin::sniff_trace_id`). The resulting [`TraceInfo`]
+/// sidecar travels in the frame header extension
+/// ([`crate::frame::FLAG_TRACE`]) so the broker server can stamp the broker
+/// hop without ever deserializing unsampled traffic.
 fn sniff_trace(payload: &Bytes) -> Option<TraceInfo> {
-    if invalidb_json::bin::is_binary(payload) {
-        return invalidb_json::bin::sniff_trace_id(payload).map(|id| TraceInfo {
-            trace_id: id as u64,
-            sent_at_micros: invalidb_common::trace::now_micros(),
-        });
-    }
-    let hit = payload.windows(TRACE_NEEDLE.len()).position(|w| w == TRACE_NEEDLE)?;
-    let rest = &payload[hit + TRACE_NEEDLE.len()..];
-    let (negative, digits) = match rest.first() {
-        Some(b'-') => (true, &rest[1..]),
-        _ => (false, rest),
-    };
-    let end = digits.iter().position(|b| !b.is_ascii_digit()).unwrap_or(digits.len());
-    if end == 0 {
-        return None;
-    }
-    let mut value: i64 = 0;
-    for &b in &digits[..end] {
-        value = value.wrapping_mul(10).wrapping_add((b - b'0') as i64);
-    }
-    if negative {
-        value = value.wrapping_neg();
-    }
-    Some(TraceInfo { trace_id: value as u64, sent_at_micros: invalidb_common::trace::now_micros() })
+    invalidb_json::bin::sniff_trace_id(payload)
+        .map(|id| TraceInfo { trace_id: id as u64, sent_at_micros: now_micros() })
 }
 
 impl EventLayer for RemoteBroker {
@@ -428,7 +356,7 @@ impl std::fmt::Debug for RemoteBroker {
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor: connect → hello → replay → serve → (backoff) → repeat
+// Supervisor: connect → replay → serve → (backoff) → repeat
 // ---------------------------------------------------------------------------
 
 fn supervise(inner: Arc<Inner>) {
@@ -488,13 +416,8 @@ fn run_session(inner: &Arc<Inner>, stream: TcpStream) {
         )),
     );
 
-    // Each session renegotiates: the peer may have been replaced by one
-    // with different capabilities, so assume JSON-only until its Hello.
-    inner.server_caps.store(0, Ordering::Relaxed);
-    // Introduce ourselves and replay every tracked topic before the
-    // queue is visible to publishers, so replay frames go out first.
-    let capabilities = if inner.config.binary_payloads { CAP_BINARY } else { 0 };
-    queue.push(Frame::Hello { client: inner.config.client_name.clone(), capabilities });
+    // Replay every tracked topic before the queue is visible to
+    // publishers, so replay frames go out first.
     {
         let topics = inner.topics.lock();
         for topic in topics.iter() {
@@ -574,10 +497,6 @@ fn read_session(
                     inner.acked.fetch_max(seq, Ordering::SeqCst);
                 }
                 Frame::Heartbeat { .. } => {}
-                // The server's half of the capability negotiation.
-                Frame::Hello { capabilities, .. } => {
-                    inner.server_caps.store(capabilities, Ordering::Relaxed);
-                }
                 // Server-only requests; ignore if echoed at us. Cluster
                 // membership frames travel on dedicated coordinator
                 // connections, never through the broker client.

@@ -46,37 +46,13 @@ pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 /// Header flag bit 0: the `Publish` payload is followed by [`TraceInfo`].
 pub const FLAG_TRACE: u16 = 0x0001;
 
-/// `Hello` capability bit 0: the sender can decode binary (`IVBD`)
-/// envelope payloads (see `invalidb_json::bin`). A peer that did not
-/// advertise this bit is only ever sent JSON-text payloads — binary ones
-/// are transcoded down before they reach its connection. Unknown
-/// capability bits are ignored (capability sets are additive), so future
-/// bits degrade gracefully against this version.
-pub const CAP_BINARY: u32 = 0x0000_0001;
-
-/// `Hello` capability bit 1: the sender speaks the cluster-membership
-/// protocol (`JoinCluster`, `Assign`, `CellState`, `WorkerHeartbeat`).
-/// A coordinator never sends membership frames to a peer that did not
-/// advertise this bit, so mixed fleets (old app servers, new workers)
-/// stay interoperable: legacy peers only ever see the six original frame
-/// types their decoder understands.
-pub const CAP_CLUSTER: u32 = 0x0000_0002;
-
-/// `Hello` capability bit 2: the sender understands metrics federation
-/// (`MetricsReport`). A worker only ships snapshots to a coordinator that
-/// advertised this bit in its `Hello` reply, and a coordinator ignores the
-/// frame from peers entirely at its discretion — the bit exists so a new
-/// worker dialing an old coordinator never emits a frame type the peer's
-/// decoder would reject as [`FrameError::UnknownType`].
-pub const CAP_METRICS: u32 = 0x0000_0004;
-
 /// Stage-tracing sidecar of a `Publish` frame (present iff [`FLAG_TRACE`]
 /// is set): identifies the sampled trace inside the opaque envelope and
 /// carries the sender's transmit timestamp, so the server can attribute
 /// client→server latency to the broker stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceInfo {
-    /// Trace id, mirroring the `trace.id` field inside the JSON envelope.
+    /// Trace id, mirroring the `trace.id` field inside the envelope.
     pub trace_id: u64,
     /// Sender wall clock at transmit, unix-epoch microseconds.
     pub sent_at_micros: u64,
@@ -85,17 +61,6 @@ pub struct TraceInfo {
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// Peer introduction: the first frame a client sends on every
-    /// (re)connection, answered by the server with a `Hello` of its own so
-    /// both sides learn each other's capabilities.
-    Hello {
-        /// Peer-chosen name (diagnostics only).
-        client: String,
-        /// Capability bits (e.g. [`CAP_BINARY`]). Encoded after the name;
-        /// a legacy `Hello` without the field decodes as `0` — no
-        /// capabilities, JSON-only.
-        capabilities: u32,
-    },
     /// Start delivering `topic` to this connection.
     Subscribe {
         /// Client-chosen sequence number, echoed in the `Ack`.
@@ -131,7 +96,6 @@ pub enum Frame {
         nonce: u64,
     },
     /// Worker → coordinator: request membership in the matching grid.
-    /// Requires [`CAP_CLUSTER`] on both sides of the `Hello` exchange.
     JoinCluster {
         /// Unique worker name (the assignment table keys on it).
         worker: String,
@@ -179,10 +143,9 @@ pub enum Frame {
     },
     /// Worker → coordinator: a full `MetricsSnapshot` of the worker's
     /// registry, shipped on a fixed cadence so the coordinator can serve a
-    /// federated `/metrics` for the whole fleet. Requires [`CAP_METRICS`]
-    /// on the coordinator's side of the `Hello` exchange. The snapshot is
-    /// opaque at this layer (its JSON rendering), so the wire protocol
-    /// does not chase the metrics schema.
+    /// federated `/metrics` for the whole fleet. The snapshot is opaque at
+    /// this layer (its JSON rendering), so the wire protocol does not chase
+    /// the metrics schema.
     MetricsReport {
         /// Reporting worker.
         worker: String,
@@ -194,9 +157,10 @@ pub enum Frame {
 }
 
 impl Frame {
+    /// The frame type byte. Id 1 belonged to the retired `Hello` frame
+    /// and is never reused.
     fn type_id(&self) -> u8 {
         match self {
-            Frame::Hello { .. } => 1,
             Frame::Subscribe { .. } => 2,
             Frame::Unsubscribe { .. } => 3,
             Frame::Publish { .. } => 4,
@@ -230,10 +194,6 @@ impl Frame {
         out.extend_from_slice(&[0u8; 8]); // length + CRC, backfilled below
         let body = out.len();
         match self {
-            Frame::Hello { client, capabilities } => {
-                put_str(out, client);
-                out.extend_from_slice(&capabilities.to_be_bytes());
-            }
             Frame::Subscribe { seq, topic } | Frame::Unsubscribe { seq, topic } => {
                 put_u64(out, *seq);
                 put_str(out, topic);
@@ -300,14 +260,6 @@ impl Frame {
         }
         let mut r = Reader { buf: payload, pos: 0 };
         let frame = match type_id {
-            1 => {
-                let client = r.str()?;
-                // Legacy peers sent only the name; absence of the field
-                // means "no capabilities", which is exactly the safe
-                // JSON-only fallback.
-                let capabilities = if r.pos < payload.len() { r.u32()? } else { 0 };
-                Frame::Hello { client, capabilities }
-            }
             2 => Frame::Subscribe { seq: r.u64()?, topic: r.str()? },
             3 => Frame::Unsubscribe { seq: r.u64()?, topic: r.str()? },
             4 => {
@@ -596,8 +548,6 @@ mod tests {
 
     fn all_frames() -> Vec<Frame> {
         vec![
-            Frame::Hello { client: "app-1".into(), capabilities: CAP_BINARY },
-            Frame::Hello { client: "legacy".into(), capabilities: 0 },
             Frame::Subscribe { seq: 7, topic: "invalidb.cluster".into() },
             Frame::Unsubscribe { seq: 8, topic: "invalidb.notify.t".into() },
             Frame::Publish { topic: "t".into(), payload: Bytes::from_static(b"{\"n\":1}"), trace: None },
@@ -766,23 +716,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_hello_without_capabilities_decodes_as_none() {
-        // Hand-build a Hello payload holding only the name, the pre-
-        // capability layout: it must decode with capabilities == 0.
+    fn retired_hello_type_id_is_unknown() {
+        // Type id 1 was the capability-negotiating `Hello`; a peer that
+        // still sends one gets a clean teardown, and the id is never reused.
         let mut payload = Vec::new();
         payload.extend_from_slice(&5u16.to_be_bytes());
         payload.extend_from_slice(b"app-1");
+        payload.extend_from_slice(&1u32.to_be_bytes());
         let mut wire = Vec::new();
         wire.extend_from_slice(&MAGIC);
         wire.push(PROTOCOL_VERSION);
-        wire.push(1); // Hello
+        wire.push(1);
         wire.extend_from_slice(&[0, 0]);
         wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         wire.extend_from_slice(&crc32(&payload).to_be_bytes());
         wire.extend_from_slice(&payload);
         let mut d = Decoder::new();
         d.feed(&wire);
-        assert_eq!(d.next().unwrap(), Some(Frame::Hello { client: "app-1".into(), capabilities: 0 }));
+        assert_eq!(d.next(), Err(FrameError::UnknownType(1)));
+        assert!(all_frames().iter().all(|f| f.encode()[5] != 1));
     }
 
     #[test]
@@ -857,13 +809,6 @@ mod tests {
         let mut d = Decoder::new();
         d.feed(&wire);
         assert!(matches!(d.next(), Err(FrameError::Truncated)));
-    }
-
-    #[test]
-    fn capability_bits_are_distinct() {
-        assert_eq!(CAP_BINARY & CAP_CLUSTER, 0);
-        assert_eq!(CAP_BINARY & CAP_METRICS, 0);
-        assert_eq!(CAP_CLUSTER & CAP_METRICS, 0);
     }
 
     #[test]

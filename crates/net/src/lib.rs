@@ -35,8 +35,7 @@ pub mod server;
 pub use chaos::{ChaosProxy, ChaosProxyConfig};
 pub use client::{RemoteBroker, RemoteBrokerConfig};
 pub use frame::{
-    crc32, Decoder, Frame, FrameError, TraceInfo, CAP_BINARY, CAP_CLUSTER, CAP_METRICS, FLAG_TRACE,
-    HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
+    crc32, Decoder, Frame, FrameError, TraceInfo, FLAG_TRACE, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use invalidb_broker::BrokerHandle;
 pub use queue::{OverflowPolicy, SendQueue};
@@ -81,7 +80,7 @@ mod tests {
     }
 
     #[test]
-    fn json_envelopes_survive_the_wire() {
+    fn envelopes_survive_the_wire() {
         use invalidb_common::doc;
         let srv = server();
         let client = client_for(&srv.local_addr());
@@ -89,7 +88,7 @@ mod tests {
         wait_for(|| client.last_acked() >= 1);
 
         let original = doc! { "type" => "write", "key" => "k1", "version" => 7i64 };
-        client.publish("docs", invalidb_json::document_to_payload(&original));
+        client.publish("docs", invalidb_json::WireCodec.encode(&original));
         let payload = sub.recv_timeout(Duration::from_secs(5)).expect("delivery");
         let decoded = invalidb_json::payload_to_document(&payload).expect("valid envelope");
         assert_eq!(decoded, original);

@@ -10,12 +10,12 @@
 //! its own queue, where the [`OverflowPolicy`] decides between shedding
 //! frames and disconnecting.
 
-use crate::frame::{Decoder, Frame, TraceInfo, CAP_BINARY};
+use crate::frame::{Decoder, Frame, TraceInfo};
 use crate::queue::{Closed, OverflowPolicy, SendQueue};
 use invalidb_broker::{BrokerHandle, Bytes};
 use invalidb_common::trace::{now_micros, Stage, TraceContext};
 use invalidb_common::Value;
-use invalidb_json::bin;
+use invalidb_json::WireCodec;
 use invalidb_obs::{
     AdminConfig, AdminServer, FlightEventKind, LinkMetrics, LinkRegistry, MetricsRegistry,
 };
@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -48,11 +48,6 @@ pub struct BrokerServerConfig {
     /// (e.g. `"127.0.0.1:9464"`), exposing `metrics` via `/metrics`,
     /// `/healthz`, `/queries`, and `/flight`.
     pub admin_addr: Option<String>,
-    /// Whether the server advertises [`CAP_BINARY`] in its `Hello` reply
-    /// and delivers binary payloads as-is to capable connections. When
-    /// `false` (a JSON-only deployment) every outbound binary payload is
-    /// transcoded to JSON before delivery.
-    pub binary_payloads: bool,
     /// Upper bound on how many queued frames the writer thread coalesces
     /// into one `write_all` syscall.
     pub max_write_batch: usize,
@@ -66,7 +61,6 @@ impl Default for BrokerServerConfig {
             heartbeat_interval: Duration::from_millis(500),
             metrics: MetricsRegistry::new(),
             admin_addr: None,
-            binary_payloads: true,
             max_write_batch: 64,
         }
     }
@@ -235,11 +229,7 @@ fn serve_connection(stream: TcpStream, peer: std::net::SocketAddr, shared: &Arc<
         Arc::clone(&shared.running),
     );
 
-    // Capabilities the peer declared in its Hello. Until one arrives the
-    // connection is treated as JSON-only — the safe floor every peer
-    // understands.
-    let peer_caps = Arc::new(AtomicU32::new(0));
-    read_loop(stream, peer, &queue, &metrics, &peer_caps, shared);
+    read_loop(stream, peer, &queue, &metrics, shared);
 
     // Reader is done (EOF, error, or shutdown): close the queue so the
     // writer drains and exits, then reap it. Pump threads notice the
@@ -259,7 +249,6 @@ fn read_loop(
     peer: std::net::SocketAddr,
     queue: &SendQueue<Frame>,
     metrics: &Arc<LinkMetrics>,
-    peer_caps: &Arc<AtomicU32>,
     shared: &Arc<Shared>,
 ) {
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
@@ -297,16 +286,6 @@ fn read_loop(
             };
             metrics.frames_in.fetch_add(1, Ordering::Relaxed);
             match frame {
-                Frame::Hello { capabilities, .. } => {
-                    // Remember what the peer can decode and answer with
-                    // our own capabilities, completing the negotiation.
-                    peer_caps.store(capabilities, Ordering::Relaxed);
-                    let server_caps = if shared.config.binary_payloads { CAP_BINARY } else { 0 };
-                    send(
-                        queue,
-                        Frame::Hello { client: "invalidb-server".into(), capabilities: server_caps },
-                    );
-                }
                 Frame::Subscribe { seq, topic } => {
                     pumps.entry(topic.clone()).or_insert_with(|| {
                         shared
@@ -314,7 +293,7 @@ fn read_loop(
                             .metrics
                             .flight()
                             .record(FlightEventKind::Subscribe, format!("{peer} {topic}"));
-                        spawn_pump(&topic, queue.clone(), metrics, peer_caps, shared)
+                        spawn_pump(&topic, queue.clone(), metrics, shared)
                     });
                     send(queue, Frame::Ack { seq });
                 }
@@ -364,17 +343,14 @@ fn spawn_pump(
     topic: &str,
     queue: SendQueue<Frame>,
     metrics: &Arc<LinkMetrics>,
-    peer_caps: &Arc<AtomicU32>,
     shared: &Arc<Shared>,
 ) -> Arc<AtomicBool> {
     let stop = Arc::new(AtomicBool::new(false));
     let pump_stop = Arc::clone(&stop);
     let metrics = Arc::clone(metrics);
-    let peer_caps = Arc::clone(peer_caps);
     let subscription = shared.broker.subscribe(topic);
     let topic = topic.to_owned();
     let running = Arc::clone(&shared.running);
-    let binary_ok = shared.config.binary_payloads;
     thread::Builder::new()
         .name(format!("net-pump-{topic}"))
         .spawn(move || {
@@ -387,15 +363,6 @@ fn spawn_pump(
                         }
                         continue;
                     }
-                };
-                // Binary payloads only flow to connections that declared
-                // CAP_BINARY; everyone else gets a JSON transcode. The
-                // caps flag is re-read per delivery so a late Hello
-                // upgrades the connection in place.
-                let payload = if binary_ok && peer_caps.load(Ordering::Relaxed) & CAP_BINARY != 0 {
-                    payload
-                } else {
-                    downgrade_to_json(payload)
                 };
                 metrics.bytes_out.fetch_add(payload.len() as u64, Ordering::Relaxed);
                 // Delivery-side stamping happens at the app server's
@@ -410,19 +377,6 @@ fn spawn_pump(
         })
         .expect("spawn pump thread");
     stop
-}
-
-/// Transcodes a binary payload to JSON for a peer that can't decode it.
-/// Non-binary payloads — and binary payloads that fail to decode (the
-/// pump must never drop traffic) — pass through untouched.
-fn downgrade_to_json(payload: Bytes) -> Bytes {
-    if !bin::is_binary(&payload) {
-        return payload;
-    }
-    match bin::decode_document(&payload) {
-        Ok(doc) => invalidb_json::document_to_payload(&doc),
-        Err(_) => payload,
-    }
 }
 
 fn send(queue: &SendQueue<Frame>, frame: Frame) {
@@ -447,7 +401,6 @@ fn stamp_broker(payload: Bytes, info: TraceInfo, registry: &MetricsRegistry) -> 
     } else {
         registry.inc("trace.skew_clamped");
     }
-    let was_binary = bin::is_binary(&payload);
     let mut doc = match invalidb_json::payload_to_document(&payload) {
         Ok(d) => d,
         Err(_) => return payload,
@@ -458,13 +411,7 @@ fn stamp_broker(payload: Bytes, info: TraceInfo, registry: &MetricsRegistry) -> 
     };
     trace.stamp(Stage::Broker);
     doc.insert("trace", trace.to_document());
-    // Re-encode in the codec the producer chose: stamping must not
-    // silently change what downstream consumers negotiated for.
-    if was_binary {
-        invalidb_json::document_to_binary_payload(&doc)
-    } else {
-        invalidb_json::document_to_payload(&doc)
-    }
+    WireCodec.encode(&doc)
 }
 
 fn spawn_writer(

@@ -28,8 +28,6 @@ fn cells_strategy() -> impl Strategy<Value = Vec<(u32, String)>> {
 
 fn frame_strategy() -> impl Strategy<Value = Frame> {
     prop_oneof![
-        ("[a-z0-9-]{0,16}", any::<u32>())
-            .prop_map(|(client, capabilities)| Frame::Hello { client, capabilities }),
         (any::<u64>(), topic_strategy()).prop_map(|(seq, topic)| Frame::Subscribe { seq, topic }),
         (any::<u64>(), topic_strategy()).prop_map(|(seq, topic)| Frame::Unsubscribe { seq, topic }),
         (topic_strategy(), prop::collection::vec(any::<u8>(), 0..256), trace_strategy()).prop_map(

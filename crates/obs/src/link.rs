@@ -1,7 +1,6 @@
 //! Component, topology, and network-link counters.
 //!
-//! These types originated in `invalidb-stream` (which still re-exports
-//! them); they live here so the whole workspace shares one observability
+//! They live here so the whole workspace shares one observability
 //! vocabulary and so [`crate::MetricsRegistry`] can absorb them into
 //! unified snapshots.
 

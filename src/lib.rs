@@ -7,7 +7,7 @@
 //! applications can depend on a single `invalidb` crate:
 //!
 //! * [`common`] — document model, partitioning grid, notification types
-//! * [`json`] — JSON wire codec for documents
+//! * [`json`] — document codecs: binary event-layer payloads, JSON text
 //! * [`query`] — MongoDB-compatible pluggable query engine
 //! * [`store`] — embedded pull-based document database
 //! * [`broker`] — the event layer (async pub/sub)

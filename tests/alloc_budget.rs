@@ -141,7 +141,6 @@ struct Stages {
 #[test]
 fn steady_state_updates_stay_within_their_allocation_budget() {
     let tenant = TenantId::new(TENANT);
-    let codec = WireCodec::Binary;
     let clock = MockClock::new();
     let broker = Broker::new();
     let notify = broker.subscribe(&notify_topic(TENANT));
@@ -195,7 +194,7 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
         // Writer thread: the store, then the write envelope.
         let written = counted(&mut stages.store_save, || store.save(COLLECTION, key, doc).unwrap());
         let payload = counted(&mut stages.write_encode, || {
-            let mut w = codec.writer();
+            let mut w = WireCodec.writer();
             WriteRef {
                 tenant: &tenant,
                 collection: COLLECTION,

@@ -87,7 +87,7 @@ fn heartbeats_and_retention_keep_their_cadence_under_a_write_firehose() {
         ttl_micros: 60_000_000,
         renewal: false,
     });
-    broker.publish(CLUSTER_TOPIC, invalidb::json::document_to_payload(&subscribe.to_document()));
+    broker.publish(CLUSTER_TOPIC, invalidb::json::WireCodec.encode(&subscribe.to_document()));
 
     let done = AtomicBool::new(false);
     let (written, beats, peak_retained) = std::thread::scope(|scope| {
@@ -107,7 +107,7 @@ fn heartbeats_and_retention_keep_their_cadence_under_a_write_firehose() {
                         written_at: 0,
                         trace: None,
                     });
-                    let payload = invalidb::json::document_to_binary_payload(&write.to_document());
+                    let payload = invalidb::json::WireCodec.encode(&write.to_document());
                     broker.publish(CLUSTER_TOPIC, payload);
                 }
                 std::thread::sleep(Duration::from_millis(1));

@@ -139,7 +139,7 @@ fn stale_after_images_never_resurrect_deleted_records() {
     let notify = broker.subscribe("invalidb.notify.stale");
     let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
     let publish = |msg: &ClusterMessage| {
-        broker.publish(CLUSTER_TOPIC, invalidb::json::document_to_payload(&msg.to_document()));
+        broker.publish(CLUSTER_TOPIC, invalidb::json::WireCodec.encode(&msg.to_document()));
     };
     publish(&ClusterMessage::Subscribe(SubscriptionRequest {
         tenant: TenantId::new("stale"),

@@ -185,7 +185,7 @@ fn one_envelope_per_transition_however_many_subscribers_share_the_query() {
         ttl_micros: 3_000_000,
         renewal: false,
     });
-    broker.publish(CLUSTER_TOPIC, invalidb::json::WireCodec::default().encode(&request.to_document()));
+    broker.publish(CLUSTER_TOPIC, invalidb::json::WireCodec.encode(&request.to_document()));
     let mut seen = Vec::new();
     envelopes(&raw, &mut seen);
     // An initial result is for its subscriber alone.
