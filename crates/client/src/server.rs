@@ -258,6 +258,24 @@ struct SubEntry {
     last_register: Instant,
 }
 
+impl SubEntry {
+    /// The registration this subscription publishes (initial or renewal),
+    /// still without its initial result: the caller runs the bootstrap
+    /// query outside the subscription table's lock and fills it in.
+    fn request(&self, tenant: &TenantId, id: SubscriptionId, ttl: Duration) -> SubscriptionRequest {
+        SubscriptionRequest {
+            tenant: tenant.clone(),
+            subscription: id,
+            spec: self.spec.clone(),
+            query_hash: self.query_hash,
+            initial: Vec::new(),
+            slack: self.slack,
+            ttl_micros: ttl.as_micros() as u64,
+            renewal: false,
+        }
+    }
+}
+
 struct Shared {
     subs: Mutex<HashMap<SubscriptionId, SubEntry>>,
     last_heartbeat: Mutex<Instant>,
@@ -275,6 +293,29 @@ struct Shared {
     epoch_replays: AtomicU64,
     /// Link-generation-triggered replays performed (observability).
     reconnect_replays: AtomicU64,
+}
+
+impl Shared {
+    /// Repairs what the event layer may have lost (a failover epoch bump or
+    /// a reconnected link): republishes the recent-write ring — matching
+    /// nodes drop the duplicates by version — and marks every subscription
+    /// for renewal and unconfirmed, so the keeper re-executes its bootstrap
+    /// query and keeps re-registering until a notification proves the
+    /// registration took (a renewal racing a rebuilding cluster or a
+    /// session's SUBSCRIBE replay can be lost like any other envelope).
+    /// Returns how many writes were replayed and subscriptions marked.
+    fn repair(&self, broker: &BrokerHandle) -> (usize, usize) {
+        let ring: Vec<bytes::Bytes> = self.write_ring.lock().iter().cloned().collect();
+        for payload in &ring {
+            broker.publish(CLUSTER_TOPIC, payload.clone());
+        }
+        let mut subs = self.subs.lock();
+        for entry in subs.values_mut() {
+            entry.needs_renewal = true;
+            entry.confirmed = false;
+        }
+        (ring.len(), subs.len())
+    }
 }
 
 /// An application server for one tenant.
@@ -494,10 +535,6 @@ impl AppServer {
         Some(TraceContext::start(id))
     }
 
-    fn publish(&self, msg: &ClusterMessage) {
-        self.broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
-    }
-
     // ------------------------------------------------------------------
     // Push-based interface
     // ------------------------------------------------------------------
@@ -523,29 +560,20 @@ impl AppServer {
         rewritten.aggregate = None;
         let initial = self.store.execute(&rewritten)?;
         let (tx, rx) = unbounded();
-        self.shared.subs.lock().insert(
-            id,
-            SubEntry {
-                spec: spec.clone(),
-                rewritten: rewritten.clone(),
-                query_hash,
-                slack,
-                tx,
-                needs_renewal: false,
-                confirmed: false,
-                last_register: Instant::now(),
-            },
-        );
-        self.publish(&ClusterMessage::Subscribe(SubscriptionRequest {
-            tenant: self.tenant.clone(),
-            subscription: id,
+        let entry = SubEntry {
             spec: spec.clone(),
+            rewritten,
             query_hash,
-            initial,
             slack,
-            ttl_micros: self.config.ttl.as_micros() as u64,
-            renewal: false,
-        }));
+            tx,
+            needs_renewal: false,
+            confirmed: false,
+            last_register: Instant::now(),
+        };
+        let request =
+            SubscriptionRequest { initial, ..entry.request(&self.tenant, id, self.config.ttl) };
+        self.shared.subs.lock().insert(id, entry);
+        publish(&self.broker, &ClusterMessage::Subscribe(request));
         self.config.metrics.flight().record(
             FlightEventKind::Subscribe,
             format!("{} sub={} {}", self.tenant, id.0, spec.collection),
@@ -562,11 +590,14 @@ impl AppServer {
     /// Cancels a subscription so it stops consuming cluster resources.
     pub fn unsubscribe(&self, subscription: &Subscription) {
         if let Some(entry) = self.shared.subs.lock().remove(&subscription.id) {
-            self.publish(&ClusterMessage::Unsubscribe {
-                tenant: self.tenant.clone(),
-                subscription: subscription.id,
-                query_hash: entry.query_hash,
-            });
+            publish(
+                &self.broker,
+                &ClusterMessage::Unsubscribe {
+                    tenant: self.tenant.clone(),
+                    subscription: subscription.id,
+                    query_hash: entry.query_hash,
+                },
+            );
             self.config.metrics.flight().record(
                 FlightEventKind::Unsubscribe,
                 format!("{} sub={} {}", self.tenant, subscription.id.0, entry.spec.collection),
@@ -629,34 +660,15 @@ impl AppServer {
                         // an out-of-order notice: nothing to repair.
                         continue;
                     }
-                    // 1. Replay buffered writes so rebuilt cells see the
-                    //    recent stream (duplicates are version-guarded).
-                    let ring: Vec<bytes::Bytes> = shared.write_ring.lock().iter().cloned().collect();
-                    for payload in &ring {
-                        broker.publish(CLUSTER_TOPIC, payload.clone());
-                    }
-                    // 2. Renew every subscription: the keeper re-executes
-                    //    bootstrap queries and re-registers (rate-limited).
-                    let mut marked = 0usize;
-                    {
-                        let mut subs = shared.subs.lock();
-                        for entry in subs.values_mut() {
-                            entry.needs_renewal = true;
-                            // See the keeper's generation watch: renewals
-                            // racing a rebuilding cluster can lose their
-                            // initial results too — stay unconfirmed until
-                            // a notification proves the registration took.
-                            entry.confirmed = false;
-                            marked += 1;
-                        }
-                    }
+                    // Rebuilt cells see the recent stream again; the keeper
+                    // re-executes bootstrap queries (rate-limited).
+                    let (replayed, marked) = shared.repair(&broker);
                     shared.epoch_replays.fetch_add(1, Ordering::Relaxed);
                     config.metrics.inc("appserver.epoch_replays");
                     config.metrics.flight().record(
                         FlightEventKind::Failover,
                         format!(
-                            "epoch {epoch}: replayed {} writes, renewing {marked} subscriptions",
-                            ring.len()
+                            "epoch {epoch}: replayed {replayed} writes, renewing {marked} subscriptions"
                         ),
                     );
                 }
@@ -685,41 +697,20 @@ impl AppServer {
                     //    against the dying session (at-most-once, §5.3) —
                     //    writes *and* notifications in flight during the gap
                     //    are gone and nothing downstream will ever resend
-                    //    them. Repair exactly like a failover epoch bump:
-                    //    replay the recent-write ring (duplicates are
-                    //    version-guarded by the matching nodes) and renew
-                    //    every subscription so fresh initial results rebuild
-                    //    the client-side live results from the pull truth.
+                    //    them. Repair exactly like a failover epoch bump, so
+                    //    fresh initial results rebuild the client-side live
+                    //    results from the pull truth.
                     let generation = broker.generation();
                     if generation != last_generation {
                         last_generation = generation;
-                        let ring: Vec<bytes::Bytes> = shared.write_ring.lock().iter().cloned().collect();
-                        for payload in &ring {
-                            broker.publish(CLUSTER_TOPIC, payload.clone());
-                        }
-                        let mut marked = 0usize;
-                        {
-                            let mut subs = shared.subs.lock();
-                            for entry in subs.values_mut() {
-                                entry.needs_renewal = true;
-                                // Un-confirm: the renewal itself races the
-                                // session's SUBSCRIBE replay, so its fresh
-                                // initial result can be dropped server-side
-                                // like any other envelope. Only a delivered
-                                // notification re-confirms; until then the
-                                // at-least-once retry keeps re-registering.
-                                entry.confirmed = false;
-                                marked += 1;
-                            }
-                        }
+                        let (replayed, marked) = shared.repair(&broker);
                         shared.reconnect_replays.fetch_add(1, Ordering::Relaxed);
                         config.metrics.inc("appserver.reconnect_replays");
                         config.metrics.flight().record(
                             FlightEventKind::Reconnect,
                             format!(
-                                "{tenant}: link generation {generation}: replayed {} writes, \
-                                 renewing {marked} subscriptions",
-                                ring.len()
+                                "{tenant}: link generation {generation}: replayed {replayed} writes, \
+                                 renewing {marked} subscriptions"
                             ),
                         );
                     }
@@ -763,30 +754,24 @@ impl AppServer {
                                     entry.slack = (entry.slack * 2).clamp(1, config.max_slack);
                                     entry.rewritten = entry.spec.rewrite_for_bootstrap(entry.slack);
                                     Some((
-                                        entry.spec.clone(),
                                         entry.rewritten.clone(),
-                                        entry.query_hash,
-                                        entry.slack,
+                                        entry.request(&tenant, id, config.ttl),
                                     ))
                                 }
                                 None => None,
                             }
                         };
-                        if let Some((spec, rewritten, query_hash, slack)) = request {
+                        if let Some((rewritten, request)) = request {
                             if let Ok(initial) = store.execute(&rewritten) {
                                 shared.renewals_performed.fetch_add(1, Ordering::Relaxed);
                                 config.metrics.inc("appserver.renewals");
-                                let msg = ClusterMessage::Subscribe(SubscriptionRequest {
-                                    tenant: tenant.clone(),
-                                    subscription: id,
-                                    spec,
-                                    query_hash,
-                                    initial,
-                                    slack,
-                                    ttl_micros: config.ttl.as_micros() as u64,
-                                    renewal: false,
-                                });
-                                broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
+                                publish(
+                                    &broker,
+                                    &ClusterMessage::Subscribe(SubscriptionRequest {
+                                        initial,
+                                        ..request
+                                    }),
+                                );
                             }
                         }
                     }
@@ -795,13 +780,15 @@ impl AppServer {
                         last_ttl_refresh = Instant::now();
                         let subs = shared.subs.lock();
                         for (id, entry) in subs.iter() {
-                            let msg = ClusterMessage::ExtendTtl {
-                                tenant: tenant.clone(),
-                                subscription: *id,
-                                query_hash: entry.query_hash,
-                                ttl_micros: config.ttl.as_micros() as u64,
-                            };
-                            broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
+                            publish(
+                                &broker,
+                                &ClusterMessage::ExtendTtl {
+                                    tenant: tenant.clone(),
+                                    subscription: *id,
+                                    query_hash: entry.query_hash,
+                                    ttl_micros: config.ttl.as_micros() as u64,
+                                },
+                            );
                         }
                     }
                     // Gauges are refreshed once per keeper cycle, never on
@@ -832,6 +819,11 @@ impl AppServer {
             .expect("spawn keeper");
         self.threads.push(handle);
     }
+}
+
+/// Publishes one control message to the cluster topic.
+fn publish(broker: &BrokerHandle, msg: &ClusterMessage) {
+    broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
 }
 
 /// The notify-topic consumer of one app server. Everything it cannot

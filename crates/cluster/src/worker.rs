@@ -321,7 +321,7 @@ fn handle_assign(
         config.worker_identity =
             Some(WorkerIdentity::new(inner.config.name.as_str(), Arc::clone(&inner.epoch)));
         let grid = invalidb_common::GridShape::new(config.query_partitions, config.write_partitions);
-        let host = Arc::new(CellSet::new(grid, mine.iter().copied()));
+        let host = CellSet::new(grid, mine.iter().copied());
         let next = if mine.is_empty() {
             None
         } else {

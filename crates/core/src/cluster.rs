@@ -15,9 +15,9 @@
 //! ingress; index probe, predicate evaluation, notify encode and publish in
 //! the cell — is a function call on the thread that has the message.
 //!
-//! Cell hosting is abstracted behind [`CellHost`]: the classic in-process
-//! deployment hosts the [`FullGrid`], while a multi-process worker hosts a
-//! [`CellSet`] — only its assigned cells exist here, and staged
+//! Which cells run here is a [`CellSet`]: the classic in-process
+//! deployment hosts [`CellSet::all`], while a multi-process worker hosts
+//! its assigned subset — only those cells exist here, and staged
 //! (sorted/aggregate) output from cells whose query-partition row lives on
 //! another worker is published by the cell to the row's shuffle topic
 //! instead of an in-process queue.
@@ -33,8 +33,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use invalidb_broker::{shuffle_topic, BrokerHandle, Bytes, Subscription, CLUSTER_TOPIC};
 use invalidb_common::{ClusterMessage, GridCoord, GridShape, Stage, SystemClock, TenantInterner};
 use invalidb_obs::{
-    AdminConfig, AdminServer, ComponentMetrics, FlightRecorder, MetricsRegistry, MetricsSnapshot,
-    SlowQueryLog, TopologyMetrics,
+    AdminConfig, AdminServer, FlightRecorder, MetricsRegistry, MetricsSnapshot, SlowQueryLog,
 };
 use invalidb_stream::{task, Task};
 use std::collections::BTreeSet;
@@ -43,42 +42,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Decides which matching-grid cells this process hosts.
+/// The matching-grid cells this process hosts, by task index (row-major,
+/// see [`GridShape::task_index`]).
 ///
 /// The 2-D grid (§5.1) is position-addressed: cell `(qp, wp)` sees every
 /// (query, write) pair for its partitions regardless of where it runs. A
-/// `CellHost` tells the assembly which cells are local, so the same code
-/// serves both the single-process grid and a remote worker hosting an
-/// assigned subset.
-pub trait CellHost: Send + Sync {
-    /// True when the matching cell with this task index runs here.
-    fn owns_cell(&self, task: usize) -> bool;
-    /// True when query-partition row `qp` is *anchored* here: the row owner
-    /// hosts the row's sorting/aggregation state and emits its initial
-    /// results. By convention the owner of cell `(qp, 0)` owns the row.
-    fn owns_row(&self, qp: usize) -> bool;
-    /// True when every cell of the grid is hosted here (no shuffle needed).
-    fn is_complete(&self) -> bool;
-}
-
-/// The classic single-process host: every cell of the grid lives here.
-pub struct FullGrid;
-
-impl CellHost for FullGrid {
-    fn owns_cell(&self, _task: usize) -> bool {
-        true
-    }
-    fn owns_row(&self, _qp: usize) -> bool {
-        true
-    }
-    fn is_complete(&self) -> bool {
-        true
-    }
-}
-
-/// A subset host for multi-process deployment: hosts exactly the matching
-/// cells named by their task indices (row-major, see
-/// [`GridShape::task_index`]).
+/// `CellSet` tells the assembly which cells are local, so the same code
+/// serves both the single-process grid ([`CellSet::all`]) and a remote
+/// worker hosting an assigned subset.
 #[derive(Debug, Clone)]
 pub struct CellSet {
     grid: GridShape,
@@ -86,8 +57,7 @@ pub struct CellSet {
 }
 
 impl CellSet {
-    /// Creates a host for the given cells of a grid. Out-of-range indices
-    /// are rejected.
+    /// The given cells of a grid. Out-of-range indices are rejected.
     pub fn new(grid: GridShape, cells: impl IntoIterator<Item = usize>) -> CellSet {
         let cells: BTreeSet<usize> = cells.into_iter().collect();
         assert!(
@@ -99,20 +69,24 @@ impl CellSet {
         CellSet { grid, cells }
     }
 
-    /// The hosted cell indices, ascending.
-    pub fn cells(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cells.iter().copied()
+    /// Every cell of the grid: the single-process deployment.
+    pub fn all(grid: GridShape) -> CellSet {
+        CellSet { grid, cells: (0..grid.nodes()).collect() }
     }
-}
 
-impl CellHost for CellSet {
+    /// True when the matching cell with this task index runs here.
     fn owns_cell(&self, task: usize) -> bool {
         self.cells.contains(&task)
     }
+
+    /// True when query-partition row `qp` is *anchored* here: the row owner
+    /// hosts the row's sorting/aggregation state and emits its initial
+    /// results. By convention the owner of cell `(qp, 0)` owns the row.
     fn owns_row(&self, qp: usize) -> bool {
-        qp < self.grid.query_partitions
-            && self.cells.contains(&self.grid.task_index(GridCoord { qp, wp: 0 }))
+        qp < self.grid.query_partitions && self.owns_cell(self.grid.task_index(GridCoord { qp, wp: 0 }))
     }
+
+    /// True when every cell of the grid is hosted here (no shuffle needed).
     fn is_complete(&self) -> bool {
         self.cells.len() == self.grid.nodes()
     }
@@ -133,7 +107,6 @@ pub struct Cluster {
     grid: GridShape,
     decode_errors: Arc<AtomicU64>,
     registry: MetricsRegistry,
-    task_metrics: Arc<TopologyMetrics>,
     admin: Option<AdminServer>,
 }
 
@@ -147,13 +120,14 @@ impl Cluster {
     /// [`BrokerHandle`], or any other [`invalidb_broker::EventLayer`]
     /// implementation (e.g. `invalidb-net`'s TCP-backed `RemoteBroker`).
     pub fn start(broker: impl Into<BrokerHandle>, config: ClusterConfig) -> Cluster {
-        Cluster::start_with_host(broker, config, Arc::new(FullGrid))
+        let grid = GridShape::new(config.query_partitions, config.write_partitions);
+        Cluster::start_with_host(broker, config, CellSet::all(grid))
     }
 
-    /// Starts a cluster hosting only the cells a [`CellHost`] claims.
+    /// Starts a cluster hosting only the cells of `host`.
     ///
-    /// With [`FullGrid`] this is exactly [`Cluster::start`]. With a
-    /// [`CellSet`] only the owned cells are spawned and fed, initial results
+    /// With [`CellSet::all`] this is exactly [`Cluster::start`]. With a
+    /// subset only the owned cells are spawned and fed, initial results
     /// and the sorting/aggregation stages serve only owned rows, and staged
     /// output from owned cells whose row is anchored elsewhere leaves
     /// through the per-row shuffle topic
@@ -161,7 +135,7 @@ impl Cluster {
     pub fn start_with_host(
         broker: impl Into<BrokerHandle>,
         config: ClusterConfig,
-        host: Arc<dyn CellHost>,
+        host: CellSet,
     ) -> Cluster {
         let broker: BrokerHandle = broker.into();
         let grid = GridShape::new(config.query_partitions, config.write_partitions);
@@ -169,7 +143,7 @@ impl Cluster {
         let decode_errors = Arc::new(AtomicU64::new(0));
         let shutdown = Arc::new(AtomicBool::new(false));
         let publisher = Publisher::new(broker.clone(), &config, clock.clone());
-        let task_metrics = Arc::new(TopologyMetrics::default());
+        let metrics = &config.metrics;
         let tick_interval = config.tick_interval;
         let queues = |n: usize| -> (Vec<Sender<Event>>, Vec<Receiver<Event>>) {
             (0..n).map(|_| bounded(config.queue_capacity)).unzip()
@@ -194,17 +168,22 @@ impl Cluster {
         let ingress = Ingress {
             subscription: broker.subscribe(CLUSTER_TOPIC),
             grid,
-            host: Arc::clone(&host),
+            host: host.clone(),
             cells,
             links: links.clone(),
             publisher: publisher.clone(),
             tenants: TenantInterner::default(),
             identity: config.worker_identity.clone(),
             decode_errors: Arc::clone(&decode_errors),
-            decode_error_count: config.metrics.counter("ingress.decode_errors"),
-            traced_writes: config.metrics.counter("ingress.traced_writes"),
-            component: task_metrics.component("ingress"),
+            decode_error_count: metrics.counter("ingress.decode_errors"),
+            traced_writes: metrics.counter("ingress.traced_writes"),
+            processed: metrics.counter("cluster.ingress.processed"),
+            emitted: metrics.counter("cluster.ingress.emitted"),
+            ticks: metrics.counter("cluster.ingress.ticks"),
         };
+        // The ingress has no queue of its own (it reads the event layer);
+        // the gauge is exported, at 0, so every component has one.
+        metrics.gauge("cluster.ingress.queue_depth");
         {
             let shutdown = Arc::clone(&shutdown);
             threads.push(spawn("ingress".into(), move || ingress.run(&shutdown, tick_interval)));
@@ -221,7 +200,7 @@ impl Cluster {
                 subscriptions: shuffled,
                 links: links.clone(),
                 decode_errors: Arc::clone(&decode_errors),
-                metrics: config.metrics.clone(),
+                metrics: metrics.clone(),
             };
             let shutdown = Arc::clone(&shutdown);
             threads.push(spawn("shuffle-ingress".into(), move || shuffle.run(&shutdown)));
@@ -236,31 +215,42 @@ impl Cluster {
                 StagedOut::Shuffle {
                     broker: broker.clone(),
                     topic: shuffle_topic(qp),
-                    published: config.metrics.counter("shuffle.egress"),
+                    published: metrics.counter("shuffle.egress"),
                 }
             };
             let node =
                 MatchingNode::new(task, grid, config.clone(), clock.clone(), publisher.clone(), staged);
-            let component = task_metrics.component("matching");
-            threads.push(spawn_task(format!("cell-{qp}x{wp}"), rx, node, tick_interval, component));
+            threads.push(spawn_task(
+                format!("cell-{qp}x{wp}"),
+                rx,
+                node,
+                tick_interval,
+                metrics,
+                "matching",
+            ));
         }
 
         // Sorting stage, partitioned by query.
         for (task, rx) in sorting_rx.into_iter().enumerate() {
             let node = SortingNode::new(task, config.clone(), clock.clone(), publisher.clone());
-            let component = task_metrics.component("sorting");
-            threads.push(spawn_task(format!("sorting-{task}"), rx, node, tick_interval, component));
+            threads.push(spawn_task(
+                format!("sorting-{task}"),
+                rx,
+                node,
+                tick_interval,
+                metrics,
+                "sorting",
+            ));
         }
 
         // Aggregation stage (extension, §8.1), partitioned by query.
         for (task, rx) in aggregation_rx.into_iter().enumerate() {
             let node = AggregationNode::new(clock.clone(), publisher.clone());
-            let component = task_metrics.component("aggregation");
-            threads.push(spawn_task(format!("aggregation-{task}"), rx, node, tick_interval, component));
+            let name = format!("aggregation-{task}");
+            threads.push(spawn_task(name, rx, node, tick_interval, metrics, "aggregation"));
         }
 
         let registry = config.metrics.clone();
-        registry.attach_topology("cluster", Arc::clone(&task_metrics));
         // Optional admin plane. A failed bind does not abort the cluster
         // (the pipeline is the product; the admin endpoint is a window into
         // it) but is recorded so it cannot go unnoticed.
@@ -273,7 +263,7 @@ impl Cluster {
                 }
             }
         });
-        Cluster { shutdown, threads, grid, decode_errors, registry, task_metrics, admin }
+        Cluster { shutdown, threads, grid, decode_errors, registry, admin }
     }
 
     /// The grid shape this cluster runs.
@@ -290,8 +280,9 @@ impl Cluster {
 
     /// A point-in-time snapshot of every cluster metric: per-stage latency
     /// histograms (when tracing is enabled), matched/filtered/dropped
-    /// counters, per-partition gauges, and the tasks' per-component
-    /// processed/tick counters and queue depths.
+    /// counters, per-partition gauges, and the per-component
+    /// `cluster.<component>.{processed,emitted,ticks,queue_depth}` series of
+    /// the `ingress`, `matching`, `sorting` and `aggregation` tasks.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -300,12 +291,6 @@ impl Cluster {
     /// was passed via [`ClusterConfig::builder`]'s `metrics` setter).
     pub fn registry(&self) -> MetricsRegistry {
         self.registry.clone()
-    }
-
-    /// Raw task metrics per component (`ingress`, `matching`, `sorting`,
-    /// `aggregation`): processed/tick counters and queue depth.
-    pub fn topology_metrics(&self) -> Arc<TopologyMetrics> {
-        Arc::clone(&self.task_metrics)
     }
 
     /// Count of event-layer payloads that failed to decode.
@@ -365,14 +350,22 @@ fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
     std::thread::Builder::new().name(name).spawn(body).expect("spawn pipeline thread")
 }
 
+/// Runs one stage task on its own thread, reporting under
+/// `cluster.<component>`: [`task::run`] resolves `processed`, `ticks` and
+/// `queue_depth`; `emitted` is created here so every component exports the
+/// same four series (only the ingress hands events on and counts it).
 fn spawn_task(
     name: String,
     rx: Receiver<Event>,
     mut node: impl Task<Event> + Send + 'static,
     tick_interval: Duration,
-    metrics: Arc<ComponentMetrics>,
+    metrics: &MetricsRegistry,
+    component: &str,
 ) -> JoinHandle<()> {
-    spawn(name, move || task::run(&rx, &mut node, tick_interval, &metrics))
+    let prefix = format!("cluster.{component}");
+    metrics.counter(&format!("{prefix}.emitted"));
+    let metrics = metrics.clone();
+    spawn(name, move || task::run(&rx, &mut node, tick_interval, &metrics, &prefix))
 }
 
 /// The front of the pipeline: one thread between the event layer and the
@@ -380,7 +373,7 @@ fn spawn_task(
 struct Ingress {
     subscription: Subscription,
     grid: GridShape,
-    host: Arc<dyn CellHost>,
+    host: CellSet,
     /// Input queue per grid cell, by task index; `None` where the cell is
     /// hosted elsewhere.
     cells: Vec<Option<Sender<Event>>>,
@@ -394,7 +387,10 @@ struct Ingress {
     decode_errors: Arc<AtomicU64>,
     decode_error_count: Arc<AtomicU64>,
     traced_writes: Arc<AtomicU64>,
-    component: Arc<ComponentMetrics>,
+    /// `cluster.ingress.{processed,emitted,ticks}`.
+    processed: Arc<AtomicU64>,
+    emitted: Arc<AtomicU64>,
+    ticks: Arc<AtomicU64>,
 }
 
 impl Ingress {
@@ -415,7 +411,7 @@ impl Ingress {
             }
             if last_heartbeat_check.elapsed() >= tick_interval {
                 last_heartbeat_check = Instant::now();
-                self.component.ticks.fetch_add(1, Ordering::Relaxed);
+                self.ticks.fetch_add(1, Ordering::Relaxed);
                 self.publisher.heartbeat();
             }
         }
@@ -444,7 +440,7 @@ impl Ingress {
                 self.traced_writes.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.component.processed.fetch_add(1, Ordering::Relaxed);
+        self.processed.fetch_add(1, Ordering::Relaxed);
         self.route(msg.into());
     }
 
@@ -501,7 +497,7 @@ impl Ingress {
         if let Some(cell) = &self.cells[task] {
             // Blocking send: the cell's bounded queue is the backpressure.
             if cell.send(event.clone()).is_ok() {
-                self.component.emitted.fetch_add(1, Ordering::Relaxed);
+                self.emitted.fetch_add(1, Ordering::Relaxed);
             }
         }
     }

@@ -47,7 +47,7 @@ pub mod sorting;
 mod subscribers;
 pub mod window;
 
-pub use cluster::{CellHost, CellSet, Cluster, FullGrid};
+pub use cluster::{CellSet, Cluster};
 pub use config::{ClusterConfig, ClusterConfigBuilder, WorkerIdentity};
 pub use event::{Event, FilterChange, FilterChangeKind};
 pub use notifier::Publisher;

@@ -19,14 +19,14 @@
 //! write-stream retention (§5.1).
 
 use crate::frame::{Decoder, Frame, TraceInfo};
-use crate::queue::{Closed, OverflowPolicy, SendQueue};
+use crate::queue::{spawn_writer, LinkSeries, SendQueue};
 use invalidb_broker::{Broker, BrokerHandle, Bytes, EventLayer, Subscription};
 use invalidb_common::trace::now_micros;
-use invalidb_obs::{FlightEventKind, LinkMetrics, LinkRegistry, MetricsRegistry};
+use invalidb_obs::{FlightEventKind, MetricsRegistry};
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,11 +37,14 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct RemoteBrokerConfig {
     /// Name of this client in metric names and flight-recorder events.
+    /// Must be unique among the clients sharing one `metrics` registry:
+    /// two clients of one name share their series, so a reconnect of
+    /// either bumps both [`generation`](EventLayer::generation)s and sends
+    /// both app servers through a needless repair.
     pub client_name: String,
-    /// Outbound send-queue capacity in frames.
+    /// Outbound send-queue capacity in frames; a full queue sheds its
+    /// oldest frame.
     pub queue_capacity: usize,
-    /// What to do when the outbound queue overflows.
-    pub overflow_policy: OverflowPolicy,
     /// How often to send heartbeats on an idle connection.
     pub heartbeat_interval: Duration,
     /// How long without *any* inbound frame before the connection is
@@ -53,15 +56,13 @@ pub struct RemoteBrokerConfig {
     pub reconnect_max: Duration,
     /// Seed for backoff jitter (deterministic tests).
     pub jitter_seed: u64,
-    /// Most frames the writer thread coalesces into one buffered
-    /// `write_all`. `1` disables batching (one syscall per frame).
-    pub max_write_batch: usize,
-    /// Registry the client reports into: its link metrics attach under
-    /// `net.client.<client_name>.*`, connection state and heartbeat
-    /// staleness publish as gauges (`…connected`, `…heartbeat_stale_ms`),
-    /// and reconnects/disconnects/decode errors land in the registry's
-    /// flight recorder. Share one registry across components to get a
-    /// single unified snapshot and health evaluation.
+    /// Registry the client reports into under `net.client.<client_name>.`:
+    /// the link counters (`frames_in`, `frames_out`, `bytes_in`,
+    /// `bytes_out`, `reconnects`, `decode_errors`, `dropped`) and the
+    /// gauges `queue_depth`, `connected` and `heartbeat_stale_ms`;
+    /// reconnects, disconnects and decode errors also land in the
+    /// registry's flight recorder. Share one registry across components to
+    /// get a single unified snapshot and health evaluation.
     pub metrics: MetricsRegistry,
 }
 
@@ -70,13 +71,11 @@ impl Default for RemoteBrokerConfig {
         RemoteBrokerConfig {
             client_name: "invalidb-client".into(),
             queue_capacity: 1024,
-            overflow_policy: OverflowPolicy::DropOldest,
             heartbeat_interval: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_secs(2),
             reconnect_base: Duration::from_millis(50),
             reconnect_max: Duration::from_secs(2),
             jitter_seed: 0x1DB1,
-            max_write_batch: 64,
             metrics: MetricsRegistry::new(),
         }
     }
@@ -97,11 +96,13 @@ struct Inner {
     /// Socket clone of the current session, for shutdown.
     socket: Mutex<Option<TcpStream>>,
     connected: AtomicBool,
-    running: AtomicBool,
+    /// Shared with each session's writer thread.
+    running: Arc<AtomicBool>,
     seq: AtomicU64,
     /// Highest `Ack` sequence seen (observability for tests).
     acked: AtomicU64,
-    metrics: Arc<LinkMetrics>,
+    /// Series under `net.client.<client_name>.`.
+    link: LinkSeries,
     /// Wall-clock micros of the last inbound frame; survives sessions so
     /// heartbeat staleness keeps climbing while disconnected.
     last_rx_micros: AtomicU64,
@@ -132,15 +133,10 @@ impl RemoteBroker {
     /// `"127.0.0.1:7473"`). Returns immediately; the supervisor connects
     /// (and keeps reconnecting) in the background.
     pub fn connect(addr: impl Into<String>, config: RemoteBrokerConfig) -> RemoteBroker {
-        // The link registry holds this client's one link, named after the
-        // client; attaching it puts `net.client.<name>.*` counters and the
-        // send-queue depth gauge into every registry snapshot.
-        let links = Arc::new(LinkRegistry::default());
-        let metrics = links.link(&config.client_name);
-        config.metrics.attach_links("net.client", links);
-        let gauge_base = format!("net.client.{}", config.client_name);
-        let stale_gauge = config.metrics.gauge(&format!("{gauge_base}.heartbeat_stale_ms"));
-        let connected_gauge = config.metrics.gauge(&format!("{gauge_base}.connected"));
+        let link_name = format!("net.client.{}", config.client_name);
+        let link = LinkSeries::resolve(&config.metrics, &link_name);
+        let stale_gauge = config.metrics.gauge(&format!("{link_name}.heartbeat_stale_ms"));
+        let connected_gauge = config.metrics.gauge(&format!("{link_name}.connected"));
         let inner = Arc::new(Inner {
             addr: addr.into(),
             config,
@@ -149,10 +145,10 @@ impl RemoteBroker {
             session: Mutex::new(None),
             socket: Mutex::new(None),
             connected: AtomicBool::new(false),
-            running: AtomicBool::new(true),
+            running: Arc::new(AtomicBool::new(true)),
             seq: AtomicU64::new(0),
             acked: AtomicU64::new(0),
-            metrics,
+            link,
             last_rx_micros: AtomicU64::new(now_micros()),
             stale_gauge,
             connected_gauge,
@@ -204,11 +200,6 @@ impl RemoteBroker {
     /// Whether a session is currently established.
     pub fn is_connected(&self) -> bool {
         self.inner.connected.load(Ordering::SeqCst)
-    }
-
-    /// Link metrics for this client's connection.
-    pub fn metrics(&self) -> Arc<LinkMetrics> {
-        Arc::clone(&self.inner.metrics)
     }
 
     /// Highest `Ack` sequence number received from the server.
@@ -336,7 +327,7 @@ impl EventLayer for RemoteBroker {
         // session, which is exactly the generation contract: a bump tells
         // publishers that frames enqueued against the previous session may
         // have died with it.
-        self.metrics().reconnects.load(Ordering::Relaxed)
+        self.inner.link.reconnects.load(Ordering::Relaxed)
     }
 }
 
@@ -375,7 +366,7 @@ fn supervise(inner: Arc<Inner>) {
         };
         stream.set_nodelay(true).ok();
         backoff = inner.config.reconnect_base;
-        inner.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+        inner.link.reconnects.fetch_add(1, Ordering::Relaxed);
         flight.record(FlightEventKind::Reconnect, format!("{name} -> {}", inner.addr));
         inner.connected_gauge.store(1, Ordering::Relaxed);
         run_session(&inner, stream);
@@ -405,15 +396,10 @@ fn sleep_with_jitter(inner: &Inner, backoff: Duration, rng: &mut StdRng) {
 }
 
 fn run_session(inner: &Arc<Inner>, stream: TcpStream) {
-    let metrics = Arc::clone(&inner.metrics);
-    let queue = SendQueue::with_recorder(
+    let queue = inner.link.send_queue(
         inner.config.queue_capacity,
-        inner.config.overflow_policy,
-        Arc::clone(&metrics),
-        Some((
-            inner.config.metrics.flight(),
-            format!("client {} -> {}", inner.config.client_name, inner.addr),
-        )),
+        inner.config.metrics.flight(),
+        format!("client {} -> {}", inner.config.client_name, inner.addr),
     );
 
     // Replay every tracked topic before the queue is visible to
@@ -435,20 +421,24 @@ fn run_session(inner: &Arc<Inner>, stream: TcpStream) {
         Ok(s) => s,
         Err(_) => return,
     };
-    let writer = spawn_writer(writer_stream, queue.clone(), Arc::clone(&metrics), inner);
+    let writer = spawn_writer(
+        "net-client-writer",
+        writer_stream,
+        queue.clone(),
+        Arc::clone(&inner.link.frames_out),
+        true,
+        inner.config.heartbeat_interval,
+        Arc::clone(&inner.running),
+    );
 
-    read_session(inner, stream, &queue, &metrics);
+    read_session(inner, stream, &queue);
 
     queue.close();
     let _ = writer.join();
 }
 
-fn read_session(
-    inner: &Arc<Inner>,
-    mut stream: TcpStream,
-    queue: &SendQueue<Frame>,
-    metrics: &Arc<LinkMetrics>,
-) {
+fn read_session(inner: &Arc<Inner>, mut stream: TcpStream, queue: &SendQueue<Frame>) {
+    let link = &inner.link;
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
     let mut decoder = Decoder::new();
     let mut buf = [0u8; 16 * 1024];
@@ -479,7 +469,7 @@ fn read_session(
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 Err(_) => {
-                    metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    link.decode_errors.fetch_add(1, Ordering::Relaxed);
                     inner.config.metrics.flight().record(
                         FlightEventKind::DecodeError,
                         format!("{} <- {}", inner.config.client_name, inner.addr),
@@ -487,10 +477,10 @@ fn read_session(
                     break 'outer;
                 }
             };
-            metrics.frames_in.fetch_add(1, Ordering::Relaxed);
+            link.frames_in.fetch_add(1, Ordering::Relaxed);
             match frame {
                 Frame::Publish { topic, payload, .. } => {
-                    metrics.bytes_in.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                    link.bytes_in.fetch_add(payload.len() as u64, Ordering::Relaxed);
                     inner.mirror.publish(&topic, payload);
                 }
                 Frame::Ack { seq } => {
@@ -511,53 +501,4 @@ fn read_session(
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
-}
-
-fn spawn_writer(
-    mut stream: TcpStream,
-    queue: SendQueue<Frame>,
-    metrics: Arc<LinkMetrics>,
-    inner: &Arc<Inner>,
-) -> JoinHandle<()> {
-    let heartbeat_interval = inner.config.heartbeat_interval;
-    let max_batch = inner.config.max_write_batch.max(1);
-    let inner = Arc::clone(inner);
-    thread::Builder::new()
-        .name("net-client-writer".into())
-        .spawn(move || {
-            // Heartbeats are identical every beat: encode once per
-            // connection instead of once per beat.
-            let heartbeat = Frame::Heartbeat { nonce: 0 }.encode();
-            let mut batch: Vec<Frame> = Vec::with_capacity(max_batch);
-            let mut scratch: Vec<u8> = Vec::with_capacity(16 * 1024);
-            loop {
-                if !inner.running.load(Ordering::SeqCst) {
-                    break;
-                }
-                match queue.pop_batch(&mut batch, max_batch, heartbeat_interval) {
-                    Ok(0) => {
-                        // Idle: prove liveness to the peer.
-                        if stream.write_all(&heartbeat).is_err() {
-                            queue.close();
-                            break;
-                        }
-                        metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(n) => {
-                        scratch.clear();
-                        for frame in batch.drain(..) {
-                            frame.encode_into(&mut scratch);
-                        }
-                        if stream.write_all(&scratch).is_err() {
-                            queue.close();
-                            break;
-                        }
-                        metrics.frames_out.fetch_add(n as u64, Ordering::Relaxed);
-                    }
-                    Err(Closed) => break,
-                }
-            }
-            let _ = stream.shutdown(Shutdown::Both);
-        })
-        .expect("spawn client writer thread")
 }

@@ -11,9 +11,9 @@
 //!   version-tagged headers and a CRC-32 payload check. Envelope payloads
 //!   stay exactly what the in-process broker carries: opaque bytes
 //!   produced by `invalidb-json`.
-//! * [`queue`] — bounded per-connection send queues with an explicit
-//!   [`OverflowPolicy`]: shed oldest frames (Redis pub/sub semantics) or
-//!   disconnect, turning overload into a visible connection event.
+//! * [`queue`] — bounded per-connection send queues that shed their oldest
+//!   frames on overflow (Redis pub/sub semantics), each drained by one
+//!   writer thread that batches frames into one syscall.
 //! * [`server`] — [`BrokerServer`] exposes any [`BrokerHandle`]'s topic
 //!   API over TCP (SUBSCRIBE / PUBLISH / ACK frames).
 //! * [`client`] — [`RemoteBroker`] implements the same publish/subscribe
@@ -25,6 +25,11 @@
 //!   repair (paper §5.1–5.2).
 //! * [`chaos`] — [`ChaosProxy`] injects latency, partitions, truncated
 //!   frames, and resets between client and server, at the byte level.
+//!
+//! Both ends report into the [`invalidb_obs::MetricsRegistry`] of their
+//! config: a client under `net.client.<client_name>.`, the server per
+//! connection under `net.server.<peer>.` (removed when the peer
+//! disconnects).
 
 pub mod chaos;
 pub mod client;
@@ -38,15 +43,14 @@ pub use frame::{
     crc32, Decoder, Frame, FrameError, TraceInfo, FLAG_TRACE, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use invalidb_broker::BrokerHandle;
-pub use queue::{OverflowPolicy, SendQueue};
+pub use queue::SendQueue;
 pub use server::{BrokerServer, BrokerServerConfig};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use invalidb_broker::Broker;
-    use std::sync::atomic::Ordering;
+    use invalidb_broker::{Broker, EventLayer};
     use std::time::Duration;
 
     fn server() -> BrokerServer {
@@ -120,7 +124,7 @@ mod tests {
         client.kick();
         // Supervisor reconnects and replays SUBSCRIBE: a fresh ack arrives.
         wait_for(|| client.last_acked() > acked_before);
-        assert!(client.metrics().reconnects.load(Ordering::Relaxed) >= 2);
+        assert!(client.generation() >= 2, "the reconnect bumps the link generation");
 
         let publisher = client_for(&srv.local_addr());
         publisher.publish("stable", Bytes::from_static(b"after"));
@@ -184,12 +188,12 @@ mod tests {
         let sub = client.subscribe("part");
         wait_for(|| client.last_acked() >= 1);
         let acked_before = client.last_acked();
-        let reconnects_before = client.metrics().reconnects.load(Ordering::Relaxed);
+        let reconnects_before = client.generation();
 
         proxy.partition(true);
         // The partition blackholes traffic; the client must notice via
         // heartbeat timeout and start reconnecting.
-        wait_for(|| client.metrics().reconnects.load(Ordering::Relaxed) > reconnects_before);
+        wait_for(|| client.generation() > reconnects_before);
         proxy.partition(false);
         // After the heal a replayed SUBSCRIBE reaches the server: a fresh
         // (higher-seq) ack proves the subscription survived the partition.
@@ -201,6 +205,56 @@ mod tests {
         assert_eq!(&got[..], b"healed");
         client.shutdown();
         publisher.shutdown();
+    }
+
+    /// A client's `frames_out` counts the frames its writer put on the
+    /// socket; a server connection's counts the publishes its pumps queued
+    /// (acks are not counted). Heartbeats, which both would count, are
+    /// kept out of the way by a long interval.
+    #[test]
+    fn frames_out_counts_client_writes_and_server_publishes() {
+        let registry = invalidb_obs::MetricsRegistry::new();
+        let quiet = Duration::from_secs(60);
+        let srv = BrokerServer::bind(
+            "127.0.0.1:0",
+            Broker::new(),
+            BrokerServerConfig {
+                heartbeat_interval: quiet,
+                metrics: registry.clone(),
+                ..Default::default()
+            },
+        )
+        .expect("bind server");
+        let client = RemoteBroker::connect(
+            srv.local_addr().to_string(),
+            RemoteBrokerConfig {
+                client_name: "counted".into(),
+                heartbeat_interval: quiet,
+                heartbeat_timeout: quiet,
+                metrics: registry.clone(),
+                ..Default::default()
+            },
+        );
+        assert!(client.wait_connected(Duration::from_secs(5)));
+        let sub = client.subscribe("count");
+        wait_for(|| client.last_acked() >= 1);
+        for _ in 0..3 {
+            client.publish("count", Bytes::from_static(b"x"));
+        }
+        for _ in 0..3 {
+            sub.recv_timeout(Duration::from_secs(5)).expect("delivery");
+        }
+        let counter = |name: &str| registry.snapshot().counters.get(name).copied();
+        wait_for(|| counter("net.client.counted.frames_out") == Some(4));
+        let snap = registry.snapshot();
+        let server_side: Vec<u64> = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("net.server.") && name.ends_with(".frames_out"))
+            .map(|(_, &n)| n)
+            .collect();
+        assert_eq!(server_side, [3], "three publishes pumped, the ack not counted");
+        client.shutdown();
     }
 
     fn wait_for(mut cond: impl FnMut() -> bool) {

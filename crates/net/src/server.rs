@@ -7,21 +7,22 @@
 //! gets a *pump* thread bridging the broker
 //! [`Subscription`](invalidb_broker::Subscription) into the
 //! send queue as `Publish` frames — so a slow connection backs up only
-//! its own queue, where the [`OverflowPolicy`] decides between shedding
-//! frames and disconnecting.
+//! its own queue, which sheds its oldest frames when full.
+//!
+//! A connection reports under `net.server.<peer>.`; those series are
+//! removed from the registry when the connection closes, since peer
+//! addresses are ephemeral.
 
 use crate::frame::{Decoder, Frame, TraceInfo};
-use crate::queue::{Closed, OverflowPolicy, SendQueue};
+use crate::queue::{spawn_writer, LinkSeries, SendQueue};
 use invalidb_broker::{BrokerHandle, Bytes};
 use invalidb_common::trace::{now_micros, Stage, TraceContext};
 use invalidb_common::Value;
 use invalidb_json::WireCodec;
-use invalidb_obs::{
-    AdminConfig, AdminServer, FlightEventKind, LinkMetrics, LinkRegistry, MetricsRegistry,
-};
+use invalidb_obs::{AdminConfig, AdminServer, FlightEventKind, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,15 +32,14 @@ use std::time::Duration;
 /// Tuning for [`BrokerServer`].
 #[derive(Debug, Clone)]
 pub struct BrokerServerConfig {
-    /// Per-connection send-queue capacity in frames.
+    /// Per-connection send-queue capacity in frames; a full queue sheds
+    /// its oldest frame.
     pub queue_capacity: usize,
-    /// What to do when a connection's send queue overflows.
-    pub overflow_policy: OverflowPolicy,
     /// How often the server sends heartbeat frames on an idle connection.
     pub heartbeat_interval: Duration,
     /// Registry the server reports into: traced-publish counters, the
     /// client→broker hop histogram (`net.broker_hop_us`), per-connection
-    /// link metrics (attached as `net.server.<peer>.*`), and flight-
+    /// link series (`net.server.<peer>.*`, removed on disconnect), and flight-
     /// recorder events (connects, drops, decode errors, subscription
     /// churn). Share one registry across components to get a single
     /// unified snapshot.
@@ -48,20 +48,15 @@ pub struct BrokerServerConfig {
     /// (e.g. `"127.0.0.1:9464"`), exposing `metrics` via `/metrics`,
     /// `/healthz`, `/queries`, and `/flight`.
     pub admin_addr: Option<String>,
-    /// Upper bound on how many queued frames the writer thread coalesces
-    /// into one `write_all` syscall.
-    pub max_write_batch: usize,
 }
 
 impl Default for BrokerServerConfig {
     fn default() -> Self {
         BrokerServerConfig {
             queue_capacity: 1024,
-            overflow_policy: OverflowPolicy::DropOldest,
             heartbeat_interval: Duration::from_millis(500),
             metrics: MetricsRegistry::new(),
             admin_addr: None,
-            max_write_batch: 64,
         }
     }
 }
@@ -72,7 +67,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 struct Shared {
     broker: BrokerHandle,
     config: BrokerServerConfig,
-    links: Arc<LinkRegistry>,
     running: Arc<AtomicBool>,
     /// Clones of live connection sockets keyed by a per-connection token,
     /// for shutdown(). Each connection thread removes its own entry when
@@ -98,11 +92,6 @@ impl BrokerServer {
     ) -> io::Result<BrokerServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let links = Arc::new(LinkRegistry::default());
-        // Per-connection link metrics become part of every registry
-        // snapshot (`net.server.<peer>.*`), feeding the health model's
-        // queue-depth and drop signals.
-        config.metrics.attach_links("net.server", Arc::clone(&links));
         // Optional admin plane. Like Cluster and AppServer, a failed admin
         // bind does not abort the broker (serving the event layer is the
         // product; the admin endpoint is a window into it) but is recorded
@@ -119,7 +108,6 @@ impl BrokerServer {
         let shared = Arc::new(Shared {
             broker: broker.into(),
             config,
-            links,
             running: Arc::new(AtomicBool::new(true)),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
@@ -135,11 +123,6 @@ impl BrokerServer {
     /// The address the server is listening on.
     pub fn local_addr(&self) -> std::net::SocketAddr {
         self.local_addr
-    }
-
-    /// Per-connection link metrics, keyed by peer address.
-    pub fn links(&self) -> Arc<LinkRegistry> {
-        Arc::clone(&self.shared.links)
     }
 
     /// The metrics registry this server reports into (a shared handle).
@@ -205,31 +188,27 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn serve_connection(stream: TcpStream, peer: std::net::SocketAddr, shared: &Arc<Shared>) {
-    let metrics = shared.links.link(&peer.to_string());
-    let flight = shared.config.metrics.flight();
-    let queue = SendQueue::with_recorder(
-        shared.config.queue_capacity,
-        shared.config.overflow_policy,
-        Arc::clone(&metrics),
-        Some((flight.clone(), format!("server conn {peer}"))),
-    );
-    metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+    let Ok(writer_stream) = stream.try_clone() else { return };
+    let registry = &shared.config.metrics;
+    let name = format!("net.server.{peer}");
+    let link = Arc::new(LinkSeries::resolve(registry, &name));
+    let flight = registry.flight();
+    let queue =
+        link.send_queue(shared.config.queue_capacity, flight.clone(), format!("server conn {peer}"));
+    link.reconnects.fetch_add(1, Ordering::Relaxed);
     flight.record(FlightEventKind::Reconnect, format!("server accepted {peer}"));
 
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
     let writer = spawn_writer(
+        "net-writer",
         writer_stream,
         queue.clone(),
-        Arc::clone(&metrics),
+        Arc::clone(&link.frames_out),
+        false,
         shared.config.heartbeat_interval,
-        shared.config.max_write_batch.max(1),
         Arc::clone(&shared.running),
     );
 
-    read_loop(stream, peer, &queue, &metrics, shared);
+    read_loop(stream, peer, &queue, &link, shared);
 
     // Reader is done (EOF, error, or shutdown): close the queue so the
     // writer drains and exits, then reap it. Pump threads notice the
@@ -241,14 +220,14 @@ fn serve_connection(stream: TcpStream, peer: std::net::SocketAddr, shared: &Arc<
     }
     // Peer addresses are ephemeral; keeping dead links would grow every
     // snapshot forever.
-    shared.links.forget(&peer.to_string());
+    registry.remove_prefix(&format!("{name}."));
 }
 
 fn read_loop(
     mut stream: TcpStream,
     peer: std::net::SocketAddr,
     queue: &SendQueue<Frame>,
-    metrics: &Arc<LinkMetrics>,
+    link: &Arc<LinkSeries>,
     shared: &Arc<Shared>,
 ) {
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
@@ -275,7 +254,7 @@ fn read_loop(
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 Err(_) => {
-                    metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    link.decode_errors.fetch_add(1, Ordering::Relaxed);
                     shared
                         .config
                         .metrics
@@ -284,7 +263,7 @@ fn read_loop(
                     break 'outer; // corrupt stream: drop the connection
                 }
             };
-            metrics.frames_in.fetch_add(1, Ordering::Relaxed);
+            link.frames_in.fetch_add(1, Ordering::Relaxed);
             match frame {
                 Frame::Subscribe { seq, topic } => {
                     pumps.entry(topic.clone()).or_insert_with(|| {
@@ -293,7 +272,7 @@ fn read_loop(
                             .metrics
                             .flight()
                             .record(FlightEventKind::Subscribe, format!("{peer} {topic}"));
-                        spawn_pump(&topic, queue.clone(), metrics, shared)
+                        spawn_pump(&topic, queue.clone(), link, shared)
                     });
                     send(queue, Frame::Ack { seq });
                 }
@@ -309,7 +288,7 @@ fn read_loop(
                     send(queue, Frame::Ack { seq });
                 }
                 Frame::Publish { topic, payload, trace } => {
-                    metrics.bytes_in.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                    link.bytes_in.fetch_add(payload.len() as u64, Ordering::Relaxed);
                     let payload = match trace {
                         Some(info) => stamp_broker(payload, info, &shared.config.metrics),
                         None => payload,
@@ -342,12 +321,12 @@ fn read_loop(
 fn spawn_pump(
     topic: &str,
     queue: SendQueue<Frame>,
-    metrics: &Arc<LinkMetrics>,
+    link: &Arc<LinkSeries>,
     shared: &Arc<Shared>,
 ) -> Arc<AtomicBool> {
     let stop = Arc::new(AtomicBool::new(false));
     let pump_stop = Arc::clone(&stop);
-    let metrics = Arc::clone(metrics);
+    let link = Arc::clone(link);
     let subscription = shared.broker.subscribe(topic);
     let topic = topic.to_owned();
     let running = Arc::clone(&shared.running);
@@ -364,14 +343,14 @@ fn spawn_pump(
                         continue;
                     }
                 };
-                metrics.bytes_out.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                link.bytes_out.fetch_add(payload.len() as u64, Ordering::Relaxed);
                 // Delivery-side stamping happens at the app server's
                 // dispatcher; the outbound hop carries no sidecar.
                 let frame = Frame::Publish { topic: topic.clone(), payload, trace: None };
                 if !queue.push(frame) {
-                    break; // queue closed (disconnect policy or teardown)
+                    break; // queue closed: the connection is going away
                 }
-                metrics.frames_out.fetch_add(1, Ordering::Relaxed);
+                link.frames_out.fetch_add(1, Ordering::Relaxed);
             }
             // Dropping `subscription` unsubscribes from the broker.
         })
@@ -412,51 +391,4 @@ fn stamp_broker(payload: Bytes, info: TraceInfo, registry: &MetricsRegistry) -> 
     trace.stamp(Stage::Broker);
     doc.insert("trace", trace.to_document());
     WireCodec.encode(&doc)
-}
-
-fn spawn_writer(
-    mut stream: TcpStream,
-    queue: SendQueue<Frame>,
-    metrics: Arc<LinkMetrics>,
-    heartbeat_interval: Duration,
-    max_batch: usize,
-    running: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    thread::Builder::new()
-        .name("net-writer".into())
-        .spawn(move || {
-            // Heartbeats are identical every beat: encode once per
-            // connection instead of once per beat.
-            let heartbeat = Frame::Heartbeat { nonce: 0 }.encode();
-            let mut batch: Vec<Frame> = Vec::with_capacity(max_batch);
-            let mut scratch: Vec<u8> = Vec::with_capacity(16 * 1024);
-            loop {
-                if !running.load(Ordering::SeqCst) {
-                    break;
-                }
-                match queue.pop_batch(&mut batch, max_batch, heartbeat_interval) {
-                    Ok(0) => {
-                        // Idle: prove liveness to the peer.
-                        if stream.write_all(&heartbeat).is_err() {
-                            queue.close();
-                            break;
-                        }
-                        metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(_) => {
-                        scratch.clear();
-                        for frame in batch.drain(..) {
-                            frame.encode_into(&mut scratch);
-                        }
-                        if stream.write_all(&scratch).is_err() {
-                            queue.close();
-                            break;
-                        }
-                    }
-                    Err(Closed) => break,
-                }
-            }
-            let _ = stream.shutdown(Shutdown::Both);
-        })
-        .expect("spawn writer thread")
 }

@@ -9,12 +9,11 @@
 //! * **Stage tracing** — `invalidb_common::TraceContext` rides in message
 //!   envelopes; [`MetricsRegistry::record_trace`] folds completed traces
 //!   into per-stage latency histograms.
-//! * **Metrics registry** — one [`MetricsRegistry`] unifies named counters,
-//!   gauges, and log-bucket histograms with the topology/link metrics that
-//!   previously lived scattered in `crates/stream`
-//!   ([`ComponentMetrics`], [`LinkMetrics`], [`LinkRegistry`],
-//!   [`TopologyMetrics`] are now hosted here; `invalidb-stream` re-exports
-//!   them for back-compat).
+//! * **Metrics registry** — one [`MetricsRegistry`] holds every named
+//!   counter, gauge and log-bucket histogram of a deployment: pipeline
+//!   tasks (`cluster.<component>.*`) and network links
+//!   (`net.client.<name>.*`, `net.server.<peer>.*`) resolve their handles
+//!   from it like every other component.
 //! * **Export** — [`MetricsSnapshot`] renders as an aligned text table or
 //!   as JSON, and both renderers carry exactly the same numbers (the JSON
 //!   round-trips losslessly).
@@ -44,7 +43,6 @@
 mod admin;
 mod flight;
 mod health;
-mod link;
 mod prom;
 mod registry;
 mod slow;
@@ -58,7 +56,6 @@ pub use flight::{
 pub use health::{
     HealthCause, HealthCauseKind, HealthMonitor, HealthPolicy, HealthReport, HealthStatus,
 };
-pub use link::{ComponentMetrics, LinkMetrics, LinkRegistry, TopologyMetrics};
 pub use prom::{
     from_prometheus, from_prometheus_federated, to_prometheus, to_prometheus_federated,
     to_prometheus_labeled, COUNTER_FAMILY, GAUGE_FAMILY, HISTOGRAM_FAMILY, HISTOGRAM_STAT_FAMILY,

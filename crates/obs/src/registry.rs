@@ -1,7 +1,6 @@
 //! The unified metrics registry.
 
 use crate::flight::FlightRecorder;
-use crate::link::{LinkRegistry, TopologyMetrics};
 use crate::slow::SlowQueryLog;
 use crate::snapshot::{HistogramSummary, MetricsSnapshot};
 use invalidb_common::trace::now_micros;
@@ -27,17 +26,16 @@ struct Inner {
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     hists: RwLock<BTreeMap<String, Arc<Mutex<Histogram>>>>,
-    topologies: RwLock<Vec<(String, Arc<TopologyMetrics>)>>,
-    links: RwLock<Vec<(String, Arc<LinkRegistry>)>>,
     flight: FlightRecorder,
     slow: SlowQueryLog,
 }
 
-/// One registry unifying every metric of a deployment: named counters,
-/// gauges, log-bucket latency histograms, plus attached topology and
-/// network-link metric families. Cheap to clone (all clones share state);
-/// every accessor creates the metric on first use, so instrumentation
-/// sites never need registration boilerplate.
+/// The one place every metric of a deployment lives: named counters,
+/// gauges and log-bucket latency histograms. Cheap to clone (all clones
+/// share state); every accessor creates the metric on first use, so
+/// instrumentation sites never need registration boilerplate. A hot path
+/// resolves its handles once and then pays one relaxed atomic operation
+/// per event.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Inner>,
@@ -130,20 +128,17 @@ impl MetricsRegistry {
         self.inner.slow.clone()
     }
 
-    /// Attaches a topology's component metrics; its counters appear in
-    /// snapshots as `<label>.<component>.{processed,emitted,ticks}`.
-    pub fn attach_topology(&self, label: &str, metrics: Arc<TopologyMetrics>) {
-        self.inner.topologies.write().push((label.to_owned(), metrics));
+    /// Drops every counter, gauge and histogram whose name starts with
+    /// `prefix` — the series of something that is gone and not coming back
+    /// (a closed connection named after an ephemeral peer address). Handles
+    /// resolved earlier stay valid but no longer reach a snapshot.
+    pub fn remove_prefix(&self, prefix: &str) {
+        self.inner.counters.write().retain(|name, _| !name.starts_with(prefix));
+        self.inner.gauges.write().retain(|name, _| !name.starts_with(prefix));
+        self.inner.hists.write().retain(|name, _| !name.starts_with(prefix));
     }
 
-    /// Attaches a link registry; its counters appear in snapshots as
-    /// `<label>.<link>.{frames_in,frames_out,...}` and its queue depths as
-    /// gauges.
-    pub fn attach_links(&self, label: &str, links: Arc<LinkRegistry>) {
-        self.inner.links.write().push((label.to_owned(), links));
-    }
-
-    /// A point-in-time copy of every metric this registry can see.
+    /// A point-in-time copy of every metric in this registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for (name, c) in self.inner.counters.read().iter() {
@@ -154,38 +149,6 @@ impl MetricsRegistry {
         }
         for (name, h) in self.inner.hists.read().iter() {
             snap.hists.insert(name.clone(), HistogramSummary::of(&h.lock()));
-        }
-        for (label, topo) in self.inner.topologies.read().iter() {
-            let mut names = topo.component_names();
-            names.sort();
-            for comp in names {
-                let m = topo.component(&comp);
-                let (processed, emitted, ticks) = m.snapshot();
-                snap.counters.insert(format!("{label}.{comp}.processed"), processed);
-                snap.counters.insert(format!("{label}.{comp}.emitted"), emitted);
-                snap.counters.insert(format!("{label}.{comp}.ticks"), ticks);
-                snap.gauges.insert(
-                    format!("{label}.{comp}.queue_depth"),
-                    m.queue_depth.load(Ordering::Relaxed),
-                );
-            }
-        }
-        for (label, links) in self.inner.links.read().iter() {
-            let mut names = links.link_names();
-            names.sort();
-            for link in names {
-                let m = links.link(&link);
-                let base = format!("{label}.{link}");
-                snap.counters.insert(format!("{base}.frames_in"), m.frames_in.load(Ordering::Relaxed));
-                snap.counters.insert(format!("{base}.frames_out"), m.frames_out.load(Ordering::Relaxed));
-                snap.counters.insert(format!("{base}.bytes_in"), m.bytes_in.load(Ordering::Relaxed));
-                snap.counters.insert(format!("{base}.bytes_out"), m.bytes_out.load(Ordering::Relaxed));
-                snap.counters.insert(format!("{base}.dropped"), m.dropped.load(Ordering::Relaxed));
-                snap.counters.insert(format!("{base}.reconnects"), m.reconnects.load(Ordering::Relaxed));
-                snap.counters
-                    .insert(format!("{base}.decode_errors"), m.decode_errors.load(Ordering::Relaxed));
-                snap.gauges.insert(format!("{base}.queue_depth"), m.queue_depth.load(Ordering::Relaxed));
-            }
         }
         snap
     }
@@ -347,18 +310,23 @@ mod tests {
     }
 
     #[test]
-    fn attached_topology_and_links_appear_in_snapshot() {
+    fn remove_prefix_drops_only_the_named_family() {
         let reg = MetricsRegistry::new();
-        let topo = Arc::new(crate::TopologyMetrics::default());
-        topo.component("matching").processed.fetch_add(5, Ordering::Relaxed);
-        reg.attach_topology("cluster", Arc::clone(&topo));
-        let links = Arc::new(crate::LinkRegistry::default());
-        links.link("peer").frames_in.fetch_add(9, Ordering::Relaxed);
-        links.link("peer").queue_depth.store(4, Ordering::Relaxed);
-        reg.attach_links("net", Arc::clone(&links));
+        let frames = reg.counter("net.server.peer:1.frames_in");
+        reg.set_gauge("net.server.peer:1.queue_depth", 4);
+        reg.record("net.server.peer:1.hop_us", 7);
+        reg.inc("net.server.peer:10.frames_in");
+        reg.remove_prefix("net.server.peer:1.");
+        frames.fetch_add(1, Ordering::Relaxed);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters["cluster.matching.processed"], 5);
-        assert_eq!(snap.counters["net.peer.frames_in"], 9);
-        assert_eq!(snap.gauges["net.peer.queue_depth"], 4);
+        assert!(snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.hists.keys())
+            .all(|n| !n.starts_with("net.server.peer:1.")));
+        assert_eq!(snap.counters["net.server.peer:10.frames_in"], 1, "a longer name is another family");
+        // A name resolved again after removal starts a fresh series.
+        assert_eq!(reg.counter("net.server.peer:1.frames_in").load(Ordering::Relaxed), 0);
     }
 }

@@ -21,7 +21,6 @@ pub mod index;
 pub mod oplog;
 pub mod plan;
 pub mod record;
-pub mod sharded;
 pub mod update;
 pub mod wal;
 
@@ -30,6 +29,5 @@ mod store;
 pub use collection::Collection;
 pub use oplog::{OplogCursor, OplogEntry, OplogOp};
 pub use record::{StoreError, WriteOp, WriteResult};
-pub use sharded::ShardedStore;
 pub use store::Store;
 pub use update::UpdateSpec;

@@ -9,7 +9,7 @@
 //! has drained, so a pipeline shuts down front to back by dropping senders.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use invalidb_obs::ComponentMetrics;
+use invalidb_obs::MetricsRegistry;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -38,21 +38,29 @@ pub const TURN: usize = 32;
 /// Ticks are due every `tick_interval` whether or not the queue ever
 /// drains: a firehose arriving faster than the interval would otherwise
 /// reset the receive timeout forever and starve time-driven work exactly
-/// when it matters. `metrics.queue_depth` is the live input backlog
-/// (including the message in hand), refreshed per turn so a drained spike
-/// decays even under steady traffic.
+/// when it matters.
+///
+/// The task reports into `metrics` under `prefix`, resolved once on entry:
+/// counters `<prefix>.processed` (messages handled) and `<prefix>.ticks`,
+/// and the gauge `<prefix>.queue_depth`, the live input backlog (including
+/// the message in hand), refreshed per turn so a drained spike decays even
+/// under steady traffic. Tasks sharing a prefix add into the same series.
 pub fn run<M>(
     rx: &Receiver<M>,
     task: &mut impl Task<M>,
     tick_interval: Duration,
-    metrics: &ComponentMetrics,
+    metrics: &MetricsRegistry,
+    prefix: &str,
 ) {
+    let processed = metrics.counter(&format!("{prefix}.processed"));
+    let ticks = metrics.counter(&format!("{prefix}.ticks"));
+    let queue_depth = metrics.gauge(&format!("{prefix}.queue_depth"));
     let mut last_tick = Instant::now();
     loop {
         let wait = tick_interval.saturating_sub(last_tick.elapsed());
         match rx.recv_timeout(wait) {
             Ok(msg) => {
-                metrics.queue_depth.store(rx.len() as u64 + 1, Ordering::Relaxed);
+                queue_depth.store(rx.len() as u64 + 1, Ordering::Relaxed);
                 task.handle(msg);
                 let mut handled = 1;
                 // Until drained; a disconnect surfaces on the next receive.
@@ -60,18 +68,18 @@ pub fn run<M>(
                     task.handle(msg);
                     handled += 1;
                 }
-                metrics.processed.fetch_add(handled as u64, Ordering::Relaxed);
+                processed.fetch_add(handled as u64, Ordering::Relaxed);
                 if last_tick.elapsed() < tick_interval {
                     continue;
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
                 // Idle: the gauge decays to the live queue length.
-                metrics.queue_depth.store(rx.len() as u64, Ordering::Relaxed);
+                queue_depth.store(rx.len() as u64, Ordering::Relaxed);
             }
             Err(RecvTimeoutError::Disconnected) => return,
         }
-        metrics.ticks.fetch_add(1, Ordering::Relaxed);
+        ticks.fetch_add(1, Ordering::Relaxed);
         task.tick();
         last_tick = Instant::now();
     }
@@ -108,13 +116,16 @@ mod tests {
         }
         drop(tx);
         let mut task = Counting::default();
-        let metrics = ComponentMetrics::default();
+        let metrics = MetricsRegistry::new();
         // A zero interval makes a tick due after every turn, so the ticks
         // record where the turns ended.
-        run(&rx, &mut task, Duration::ZERO, &metrics);
+        run(&rx, &mut task, Duration::ZERO, &metrics, "t");
         assert_eq!(task.seen, (0..100).collect::<Vec<_>>());
         assert_eq!(task.seen_at_tick, [32, 64, 96, 100], "a turn handles at most TURN messages");
-        assert_eq!(metrics.snapshot().0, 100);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counters["t.processed"], 100);
+        assert_eq!(snap.counters["t.ticks"], 4);
+        assert_eq!(snap.gauges["t.queue_depth"], 4, "the last turn started with four queued");
     }
 
     #[test]
@@ -126,7 +137,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(100));
                 drop(tx);
             });
-            run(&rx, &mut task, 5 * MS, &ComponentMetrics::default());
+            run(&rx, &mut task, 5 * MS, &MetricsRegistry::new(), "t");
         });
         let ticks = task.seen_at_tick.len();
         assert!(ticks >= 5, "an idle task ticks on its interval, got {ticks}");
@@ -146,7 +157,7 @@ mod tests {
                     std::thread::sleep(MS);
                 }
             });
-            run(&rx, &mut task, 5 * MS, &ComponentMetrics::default());
+            run(&rx, &mut task, 5 * MS, &MetricsRegistry::new(), "t");
         });
         assert_eq!(task.seen.len(), 100);
         let ticks = task.seen_at_tick.len();

@@ -7,9 +7,9 @@
 
 use crate::task::{self, Task};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use invalidb_obs::{ComponentMetrics, TopologyMetrics};
+use invalidb_obs::MetricsRegistry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -69,7 +69,8 @@ pub enum Grouping {
 struct OutputConnection<M: Message> {
     task_senders: Vec<Sender<M>>,
     next: AtomicUsize,
-    metrics: Arc<ComponentMetrics>,
+    /// `<upstream>.emitted` of the topology's registry.
+    emitted: Arc<AtomicU64>,
 }
 
 impl<M: Message> OutputConnection<M> {
@@ -79,7 +80,7 @@ impl<M: Message> OutputConnection<M> {
         // fails when the receiving task is gone (shutdown path) — the
         // message is dropped then, matching "cluster taken down" semantics.
         if self.task_senders[task].send(msg.clone()).is_ok() {
-            self.metrics.emitted.fetch_add(1, Ordering::Relaxed);
+            self.emitted.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -192,9 +193,11 @@ impl<M: Message> TopologyBuilder<M> {
         self.components.iter().position(|c| c.name == name)
     }
 
-    /// Builds and starts the topology.
+    /// Builds and starts the topology. It reports into a registry of its
+    /// own: `<component>.{processed,emitted}` for every component, plus
+    /// `ticks` and `queue_depth` for bolts.
     pub fn start(mut self) -> RunningTopology {
-        let metrics = Arc::new(TopologyMetrics::default());
+        let metrics = MetricsRegistry::new();
         let shutdown = Arc::new(AtomicBool::new(false));
         // 1. Create input channels for every bolt task.
         let mut task_senders: HashMap<String, Vec<Sender<M>>> = HashMap::new();
@@ -213,14 +216,14 @@ impl<M: Message> TopologyBuilder<M> {
         let mut source_threads = Vec::new();
         let mut bolt_threads = Vec::new();
         for c in self.components.iter_mut() {
-            let component = metrics.component(&c.name);
+            let emitted = metrics.counter(&format!("{}.emitted", c.name));
             let outputs = |downstream: &[String]| -> Vec<OutputConnection<M>> {
                 downstream
                     .iter()
                     .map(|to| OutputConnection {
                         task_senders: task_senders[to].clone(),
                         next: AtomicUsize::new(0),
-                        metrics: Arc::clone(&component),
+                        emitted: Arc::clone(&emitted),
                     })
                     .collect()
             };
@@ -230,13 +233,13 @@ impl<M: Message> TopologyBuilder<M> {
                     let outputs = outputs(&c.downstream);
                     let shutdown = Arc::clone(&shutdown);
                     let poll_timeout = self.config.source_poll_timeout;
-                    let component = Arc::clone(&component);
+                    let processed = metrics.counter(&format!("{}.processed", c.name));
                     let handle = std::thread::Builder::new()
                         .name(format!("src-{}", c.name))
                         .spawn(move || {
                             while !shutdown.load(Ordering::Relaxed) {
                                 for msg in source.poll(poll_timeout) {
-                                    component.processed.fetch_add(1, Ordering::Relaxed);
+                                    processed.fetch_add(1, Ordering::Relaxed);
                                     for conn in &outputs {
                                         conn.route(&msg);
                                     }
@@ -250,10 +253,10 @@ impl<M: Message> TopologyBuilder<M> {
                     let rxs = task_receivers.remove(&c.name).expect("receivers exist");
                     for (task, rx) in rxs.into_iter().enumerate() {
                         let mut bolt = BoltTask { bolt: factory(task), outputs: outputs(&c.downstream) };
-                        let component = Arc::clone(&component);
+                        let (metrics, name) = (metrics.clone(), c.name.clone());
                         let handle = std::thread::Builder::new()
-                            .name(format!("bolt-{}-{task}", c.name))
-                            .spawn(move || task::run(&rx, &mut bolt, tick_interval, &component))
+                            .name(format!("bolt-{name}-{task}"))
+                            .spawn(move || task::run(&rx, &mut bolt, tick_interval, &metrics, &name))
                             .expect("spawn bolt thread");
                         bolt_threads.push(handle);
                     }
@@ -282,7 +285,7 @@ impl<M: Message> Task<M> for BoltTask<M> {
 
 /// Handle to a started topology.
 pub struct RunningTopology {
-    metrics: Arc<TopologyMetrics>,
+    metrics: MetricsRegistry,
     shutdown: Arc<AtomicBool>,
     source_threads: Vec<JoinHandle<()>>,
     /// In topological order.
@@ -290,8 +293,8 @@ pub struct RunningTopology {
 }
 
 impl RunningTopology {
-    /// Topology metrics.
-    pub fn metrics(&self) -> &Arc<TopologyMetrics> {
+    /// The topology's own registry, one series family per component.
+    pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 

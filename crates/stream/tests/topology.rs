@@ -106,9 +106,9 @@ fn multi_stage_pipeline_transforms() {
     let got = drain(&seen, 10);
     assert_eq!(got.len(), 10);
     assert!(got.iter().all(|(_, m)| m % 10 == 0), "stage1 multiplied by 10");
-    let metrics = topo.metrics().component("stage1").snapshot();
-    assert_eq!(metrics.0, 10, "stage1 processed all inputs");
-    assert_eq!(metrics.1, 10, "stage1 emitted all outputs");
+    let metrics = topo.metrics().snapshot();
+    assert_eq!(metrics.counters["stage1.processed"], 10, "stage1 processed all inputs");
+    assert_eq!(metrics.counters["stage1.emitted"], 10, "stage1 emitted all outputs");
     topo.shutdown();
 }
 

@@ -28,7 +28,7 @@
 use invalidb::client::{AppServer, AppServerConfig, ClientEvent};
 use invalidb::net::{RemoteBroker, RemoteBrokerConfig};
 use invalidb::store::Store;
-use invalidb::{doc, Key, QuerySpec};
+use invalidb::{doc, Key, MetricsRegistry, QuerySpec};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -105,9 +105,14 @@ fn main() {
 
     // ----- process 4 (this one): store + application server ------------
     let store = Arc::new(Store::new());
+    let metrics = MetricsRegistry::new();
     let remote = RemoteBroker::connect(
         event_addr.clone(),
-        RemoteBrokerConfig { client_name: "distributed-example".into(), ..Default::default() },
+        RemoteBrokerConfig {
+            client_name: "distributed-example".into(),
+            metrics: metrics.clone(),
+            ..Default::default()
+        },
     );
     assert!(remote.wait_connected(Duration::from_secs(5)), "event layer reachable");
     let app = AppServer::start(
@@ -141,7 +146,10 @@ fn main() {
         }
     }
 
-    let (frames_in, frames_out, _, dropped, reconnects) = remote.metrics().snapshot();
+    let counters = metrics.snapshot().counters;
+    let link = |name: &str| counters[&format!("net.client.distributed-example.{name}")];
+    let (frames_in, frames_out) = (link("frames_in"), link("frames_out"));
+    let (dropped, reconnects) = (link("dropped"), link("reconnects"));
     println!(
         "link metrics: {frames_in} frames in, {frames_out} frames out, \
          {dropped} dropped, {reconnects} (re)connects"

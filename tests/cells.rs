@@ -42,15 +42,11 @@ fn thread_census_per_grid_shape() {
     // A subset host spawns its own cells only; the one that anchors a row
     // also listens on that row's shuffle topic.
     let grid = GridShape::new(1, 2);
-    let anchor = Cluster::start_with_host(
-        broker.clone(),
-        ClusterConfig::new(1, 2),
-        Arc::new(CellSet::new(grid, [0])),
-    );
+    let anchor =
+        Cluster::start_with_host(broker.clone(), ClusterConfig::new(1, 2), CellSet::new(grid, [0]));
     let names = anchor.pipeline_threads();
     assert_eq!(names[..3], ["ingress", "shuffle-ingress", "cell-0x0"], "{names:?}");
-    let other =
-        Cluster::start_with_host(broker, ClusterConfig::new(1, 2), Arc::new(CellSet::new(grid, [1])));
+    let other = Cluster::start_with_host(broker, ClusterConfig::new(1, 2), CellSet::new(grid, [1]));
     let names = other.pipeline_threads();
     assert_eq!(names[..2], ["ingress", "cell-0x1"], "{names:?}");
     assert!(!names.contains(&"shuffle-ingress".to_owned()), "{names:?}");
@@ -170,10 +166,8 @@ fn subset_host_reaches_the_row_owner_through_the_shuffle_topic() {
     let grid = GridShape::new(1, 2);
     let (anchor_config, other_config) = (ClusterConfig::new(1, 2), ClusterConfig::new(1, 2));
     let (anchor_metrics, other_metrics) = (anchor_config.metrics.clone(), other_config.metrics.clone());
-    let anchor =
-        Cluster::start_with_host(broker.clone(), anchor_config, Arc::new(CellSet::new(grid, [0])));
-    let other =
-        Cluster::start_with_host(broker.clone(), other_config, Arc::new(CellSet::new(grid, [1])));
+    let anchor = Cluster::start_with_host(broker.clone(), anchor_config, CellSet::new(grid, [0]));
+    let other = Cluster::start_with_host(broker.clone(), other_config, CellSet::new(grid, [1]));
     // The subscription must not be re-registered: every registration is
     // answered, and the point is that exactly one worker answers one.
     let app_config =

@@ -15,10 +15,9 @@ use invalidb::net::{
     BrokerServer, BrokerServerConfig, ChaosProxy, ChaosProxyConfig, RemoteBroker, RemoteBrokerConfig,
 };
 use invalidb::store::Store;
-use invalidb::{doc, Key, QuerySpec, SortDirection};
+use invalidb::{doc, Key, MetricsRegistry, QuerySpec, SortDirection};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,13 +37,24 @@ fn cluster_host() -> ClusterHost {
     ClusterHost { store, cluster, server }
 }
 
-fn remote(addr: &str) -> RemoteBroker {
+const CLIENT: &str = "net-stack-test";
+
+fn remote(addr: &str, metrics: &MetricsRegistry) -> RemoteBroker {
     let client = RemoteBroker::connect(
         addr.to_string(),
-        RemoteBrokerConfig { client_name: "net-stack-test".into(), ..Default::default() },
+        RemoteBrokerConfig {
+            client_name: CLIENT.into(),
+            metrics: metrics.clone(),
+            ..Default::default()
+        },
     );
     assert!(client.wait_connected(Duration::from_secs(5)), "event layer reachable");
     client
+}
+
+/// A counter of the test client's link, read off its registry.
+fn link_counter(metrics: &MetricsRegistry, name: &str) -> u64 {
+    metrics.snapshot().counters[&format!("net.client.{CLIENT}.{name}")]
 }
 
 /// Drains pending events and compares each live result against the
@@ -117,7 +127,8 @@ fn subscribe_write_notify_across_tcp_with_chaos() {
         },
     )
     .expect("start chaos proxy");
-    let link = remote(&proxy.local_addr().to_string());
+    let metrics = MetricsRegistry::new();
+    let link = remote(&proxy.local_addr().to_string(), &metrics);
     let app =
         AppServer::start("netstack", Arc::clone(&host.store), link.clone(), AppServerConfig::default());
 
@@ -146,7 +157,7 @@ fn subscribe_write_notify_across_tcp_with_chaos() {
 
     assert_converges(&host.store, &mut subs, Duration::from_secs(20), "latency chaos");
     assert_eq!(host.cluster.decode_errors(), 0, "cluster envelope decode errors");
-    assert_eq!(link.metrics().decode_errors.load(Ordering::Relaxed), 0, "client frame errors");
+    assert_eq!(link_counter(&metrics, "decode_errors"), 0, "client frame errors");
     link.shutdown();
 }
 
@@ -165,7 +176,8 @@ fn forced_disconnect_recovers_via_replay() {
         },
     )
     .expect("start chaos proxy");
-    let link = remote(&proxy.local_addr().to_string());
+    let metrics = MetricsRegistry::new();
+    let link = remote(&proxy.local_addr().to_string(), &metrics);
     let app = AppServer::start(
         "netstack-dc",
         Arc::clone(&host.store),
@@ -189,7 +201,7 @@ fn forced_disconnect_recovers_via_replay() {
     // Kill the TCP connection out from under the app server, mid-stream,
     // and keep writing into the gap. Envelopes published while the link
     // is down are lost — at-most-once, exactly like Redis pub/sub.
-    let reconnects_before = link.metrics().reconnects.load(Ordering::Relaxed);
+    let reconnects_before = link_counter(&metrics, "reconnects");
     link.kick();
     proxy.reset_all();
     for _ in 0..50 {
@@ -199,7 +211,7 @@ fn forced_disconnect_recovers_via_replay() {
     // The supervisor reconnects and replays its SUBSCRIBEs; notifications
     // flow again without the app server doing anything.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while link.metrics().reconnects.load(Ordering::Relaxed) <= reconnects_before {
+    while link_counter(&metrics, "reconnects") <= reconnects_before {
         assert!(Instant::now() < deadline, "supervisor should reconnect");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -258,7 +270,7 @@ fn forced_disconnect_recovers_via_replay() {
             divergences(&host.store, &mut subs).join("\n")
         );
     }
-    assert!(link.metrics().reconnects.load(Ordering::Relaxed) >= 2, "metrics record the reconnect");
+    assert!(link_counter(&metrics, "reconnects") >= 2, "metrics record the reconnect");
     link.shutdown();
 }
 
@@ -276,7 +288,8 @@ fn reconnect_repair_restores_convergence_without_redrive() {
         ChaosProxyConfig { seed: 31, ..ChaosProxyConfig::default() },
     )
     .expect("start chaos proxy");
-    let link = remote(&proxy.local_addr().to_string());
+    let metrics = MetricsRegistry::new();
+    let link = remote(&proxy.local_addr().to_string(), &metrics);
     let app = AppServer::start(
         "netstack-regen",
         Arc::clone(&host.store),
@@ -300,7 +313,7 @@ fn reconnect_repair_restores_convergence_without_redrive() {
 
     // Sever the link and write into the gap. These publishes are lost on
     // the wire (at-most-once) but retained in the app server's write ring.
-    let reconnects_before = link.metrics().reconnects.load(Ordering::Relaxed);
+    let reconnects_before = link_counter(&metrics, "reconnects");
     let replays_before = app.reconnect_replays();
     link.kick();
     proxy.reset_all();
@@ -309,7 +322,7 @@ fn reconnect_repair_restores_convergence_without_redrive() {
     }
 
     let deadline = Instant::now() + Duration::from_secs(10);
-    while link.metrics().reconnects.load(Ordering::Relaxed) <= reconnects_before {
+    while link_counter(&metrics, "reconnects") <= reconnects_before {
         assert!(Instant::now() < deadline, "supervisor should reconnect");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -339,7 +352,7 @@ fn truncated_frames_are_survived() {
     .expect("start chaos proxy");
 
     // Subscriber on a clean link; publisher through the truncating proxy.
-    let clean = remote(&host.server.local_addr().to_string());
+    let clean = remote(&host.server.local_addr().to_string(), &MetricsRegistry::new());
     let sub = clean.subscribe("lossy");
     let ack_deadline = Instant::now() + Duration::from_secs(10);
     while clean.last_acked() < 1 {
@@ -347,7 +360,8 @@ fn truncated_frames_are_survived() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    let lossy = remote(&proxy.local_addr().to_string());
+    let lossy_metrics = MetricsRegistry::new();
+    let lossy = remote(&proxy.local_addr().to_string(), &lossy_metrics);
     let mut received = 0u32;
     for i in 0..200u32 {
         lossy.publish("lossy", invalidb::broker::Bytes::from(i.to_be_bytes().to_vec()));
@@ -365,11 +379,8 @@ fn truncated_frames_are_survived() {
     }
 
     assert!(received > 0, "some publishes survive the lossy link");
-    assert!(
-        lossy.metrics().reconnects.load(Ordering::Relaxed) >= 2,
-        "truncation forces reconnects (got {})",
-        lossy.metrics().reconnects.load(Ordering::Relaxed)
-    );
+    let reconnects = link_counter(&lossy_metrics, "reconnects");
+    assert!(reconnects >= 2, "truncation forces reconnects (got {reconnects})");
     clean.shutdown();
     lossy.shutdown();
 }

@@ -3,23 +3,29 @@
 //! health model reacting to an induced network partition.
 //!
 //! Everything here observes the system the way an external operator
-//! would — `GET` requests against the admin endpoint — never by poking
-//! in-process state. The health scenario is the runbook's promised arc:
-//! Healthy → Degraded (chaos proxy partitions the broker link) →
-//! Healthy (partition heals, supervisor reconnects), with the flight
-//! recorder holding the transitions and the reconnect in order.
+//! would — `GET` requests against the admin endpoint or a registry
+//! snapshot — never by poking in-process state. The health scenario is
+//! the runbook's promised arc: Healthy → Degraded (chaos proxy partitions
+//! the broker link) → Healthy (partition heals, supervisor reconnects),
+//! with the flight recorder holding the transitions and the reconnect in
+//! order.
 
 use invalidb::broker::Broker;
+use invalidb::client::{AppServer, AppServerConfig};
+use invalidb::core::{Cluster, ClusterConfig};
 use invalidb::net::{
     BrokerServer, BrokerServerConfig, ChaosProxy, ChaosProxyConfig, RemoteBroker, RemoteBrokerConfig,
 };
 use invalidb::obs::from_prometheus;
+use invalidb::store::Store;
 use invalidb::{
-    AdminConfig, AdminServer, FlightEvent, FlightEventKind, HealthPolicy, MetricsRegistry,
+    doc, AdminConfig, AdminServer, FlightEvent, FlightEventKind, HealthPolicy, Key, MetricsRegistry,
     MetricsSnapshot,
 };
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Minimal HTTP/1.0 GET; returns (status code, body).
@@ -210,6 +216,123 @@ fn healthz_degrades_and_recovers_under_partition() {
 
     admin.shutdown();
     link.shutdown();
+}
+
+/// Polls `cond` every few milliseconds until it holds or `deadline` passes.
+fn wait_until(deadline: Duration, what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + deadline;
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Names of every counter, gauge and histogram in `snap` under `prefix`.
+fn series(snap: &MetricsSnapshot, prefix: &str) -> BTreeSet<String> {
+    let names = snap.counters.keys().chain(snap.gauges.keys()).chain(snap.hists.keys());
+    names.filter(|name| name.starts_with(prefix)).cloned().collect()
+}
+
+/// One registry holds every series of a deployment: a 1×1 cluster behind
+/// a loopback event layer, its client link and the server's side of that
+/// link report into the same registry under stable names, and the server
+/// removes a peer's series when the peer goes away.
+#[test]
+fn cluster_and_both_link_ends_report_into_one_registry() {
+    let registry = MetricsRegistry::new();
+    let mut server = BrokerServer::bind(
+        "127.0.0.1:0",
+        Broker::new(),
+        BrokerServerConfig { metrics: registry.clone(), ..BrokerServerConfig::default() },
+    )
+    .expect("bind event-layer server");
+    let link = RemoteBroker::connect(
+        server.local_addr().to_string(),
+        RemoteBrokerConfig {
+            client_name: "obs-link".into(),
+            metrics: registry.clone(),
+            ..RemoteBrokerConfig::default()
+        },
+    );
+    let config = ClusterConfig::builder(1, 1).metrics(registry.clone()).build().expect("valid config");
+    let cluster = Cluster::start(link.clone(), config);
+    // The cluster's topic subscription is acknowledged only by a server
+    // that is serving (and reporting) this connection.
+    wait_until(Duration::from_secs(10), "the cluster's subscribe ack", || link.last_acked() >= 1);
+
+    let snap = registry.snapshot();
+    let mut expected = BTreeSet::new();
+    for component in ["ingress", "matching", "sorting", "aggregation"] {
+        for name in ["processed", "emitted", "ticks", "queue_depth"] {
+            expected.insert(format!("cluster.{component}.{name}"));
+        }
+    }
+    assert_eq!(series(&snap, "cluster."), expected);
+
+    let link_series = ["frames_in", "frames_out", "bytes_in", "bytes_out", "reconnects"]
+        .into_iter()
+        .chain(["decode_errors", "dropped", "queue_depth"]);
+    let client: BTreeSet<String> = link_series
+        .clone()
+        .chain(["connected", "heartbeat_stale_ms"])
+        .map(|name| format!("net.client.obs-link.{name}"))
+        .collect();
+    assert_eq!(series(&snap, "net.client."), client);
+    assert_eq!(snap.counters["net.client.obs-link.reconnects"], 1);
+    assert_eq!(snap.gauges["net.client.obs-link.connected"], 1);
+
+    let server_side = series(&snap, "net.server.");
+    let peers: BTreeSet<&str> = server_side
+        .iter()
+        .filter_map(|name| name.strip_prefix("net.server.")?.rsplit_once('.').map(|(peer, _)| peer))
+        .collect();
+    assert_eq!(peers.len(), 1, "one connection, one peer: {server_side:?}");
+    let peer = peers.into_iter().next().expect("one peer");
+    let expected: BTreeSet<String> =
+        link_series.map(|name| format!("net.server.{peer}.{name}")).collect();
+    assert_eq!(server_side, expected);
+    assert!(snap.counters[&format!("net.server.{peer}.frames_in")] >= 1, "the subscribe came in");
+
+    cluster.shutdown();
+    link.shutdown();
+    wait_until(Duration::from_secs(10), "the peer's series to go", || {
+        series(&registry.snapshot(), "net.server.").is_empty()
+    });
+    assert!(!series(&registry.snapshot(), "net.client.obs-link.").is_empty(), "the client's stay");
+    server.shutdown();
+}
+
+/// A worker rebuilds its cluster on the same registry whenever its cell
+/// assignment changes. The per-component counters are the registry's own,
+/// so they keep counting across the rebuild instead of starting over.
+#[test]
+fn cluster_counters_stay_monotonic_across_a_rebuild() {
+    let registry = MetricsRegistry::new();
+    let broker = Broker::new();
+    let config = ClusterConfig::builder(1, 1).metrics(registry.clone()).build().expect("valid config");
+    let app =
+        AppServer::start("rebuild", Arc::new(Store::new()), broker.clone(), AppServerConfig::default());
+    let processed =
+        || registry.snapshot().counters.get("cluster.ingress.processed").copied().unwrap_or(0);
+    let mut seen = Vec::new();
+    let mut writes = 0i64;
+    for _ in 0..2 {
+        let cluster = Cluster::start(broker.clone(), config.clone());
+        seen.push(processed());
+        let before = processed();
+        for _ in 0..20 {
+            app.save("items", Key::of(writes), doc! { "n" => writes }).expect("save");
+            writes += 1;
+        }
+        wait_until(Duration::from_secs(10), "the ingress to take the writes", || {
+            processed() >= before + 20
+        });
+        seen.push(processed());
+        cluster.shutdown();
+        seen.push(processed());
+    }
+    assert!(seen.windows(2).all(|w| w[0] <= w[1]), "cluster.ingress.processed went back: {seen:?}");
+    assert_eq!(processed(), 40, "both clusters' writes are counted: {seen:?}");
 }
 
 /// Decodes the `/flight` JSON array back into events.
