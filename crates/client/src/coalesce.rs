@@ -12,7 +12,7 @@
 //! since only window-crossing writes reach the client at all.
 
 use crate::server::ClientEvent;
-use invalidb_common::{ChangeItem, Key, MatchType};
+use invalidb_common::{ChangeItem, Key, MatchType, ResultItem};
 use std::sync::Arc;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -80,24 +80,33 @@ pub fn collapse(events: Vec<ClientEvent>) -> Vec<ClientEvent> {
         }
     }
     for (_, state) in keys {
-        let mut item = Arc::unwrap_or_clone(state.latest);
-        item.match_type = match state.net {
+        let latest = state.latest;
+        let match_type = match state.net {
             Net::Added => MatchType::Add,
-            Net::Changed => {
-                if item.match_type == MatchType::Remove {
-                    MatchType::Remove // Removed→Add handled above; keep safe
-                } else {
-                    MatchType::Change
-                }
-            }
+            // Removed→Add is handled above; keep safe.
+            Net::Changed if latest.match_type == MatchType::Remove => MatchType::Remove,
+            Net::Changed => MatchType::Change,
             Net::Removed => MatchType::Remove,
         };
-        // A net remove reported via an earlier doc-carrying event must not
-        // leak content.
-        if item.match_type == MatchType::Remove {
-            item.item.doc = None;
-        }
-        out.push(ClientEvent::Change(Arc::new(item)));
+        let change = if match_type == MatchType::Remove {
+            if latest.match_type == MatchType::Remove && latest.item.doc.is_none() {
+                latest
+            } else {
+                // A net remove reported via an earlier doc-carrying event
+                // must not leak content, nor copy the content it drops.
+                let ResultItem { key, version, index, .. } = &latest.item;
+                let item = ResultItem { key: key.clone(), version: *version, doc: None, index: *index };
+                Arc::new(ChangeItem { match_type, item, old_index: latest.old_index })
+            }
+        } else if match_type == latest.match_type {
+            // Untouched: every subscriber the change reached keeps sharing it.
+            latest
+        } else {
+            let mut change = Arc::unwrap_or_clone(latest);
+            change.match_type = match_type;
+            Arc::new(change)
+        };
+        out.push(ClientEvent::Change(change));
     }
     if let Some(agg) = latest_aggregate {
         out.push(agg);
@@ -108,7 +117,7 @@ pub fn collapse(events: Vec<ClientEvent>) -> Vec<ClientEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::{doc, ResultItem, Value};
+    use invalidb_common::{doc, Value};
 
     fn change(mt: MatchType, key: &str, version: u64, n: i64) -> ClientEvent {
         ClientEvent::Change(Arc::new(ChangeItem {
@@ -188,6 +197,31 @@ mod tests {
         assert_eq!(kinds(&out), vec![(MatchType::Remove, "\"k\"".into())]);
         match &out[0] {
             ClientEvent::Change(c) => assert!(c.item.doc.is_none()),
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn an_untouched_change_comes_out_as_the_one_that_went_in() {
+        let last = change(MatchType::Change, "k", 3, 2);
+        let alone = change(MatchType::Add, "j", 1, 1);
+        let out = collapse(vec![change(MatchType::Change, "k", 2, 1), last.clone(), alone.clone()]);
+        let shared = |a: &ClientEvent, b: &ClientEvent| match (a, b) {
+            (ClientEvent::Change(a), ClientEvent::Change(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert_eq!(out.len(), 2);
+        assert!(shared(&out[0], &last), "the surviving change is shared, not copied");
+        assert!(shared(&out[1], &alone));
+    }
+
+    #[test]
+    fn remove_after_remove_then_change_drops_the_content() {
+        let events = vec![change(MatchType::Remove, "k", 2, 0), change(MatchType::Change, "k", 3, 5)];
+        let out = collapse(events);
+        assert_eq!(kinds(&out), vec![(MatchType::Remove, "\"k\"".into())]);
+        match &out[0] {
+            ClientEvent::Change(c) => assert_eq!((c.item.version, c.item.doc.is_none()), (3, true)),
             _ => unreachable!(),
         }
     }

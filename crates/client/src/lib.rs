@@ -27,7 +27,7 @@ mod server;
 pub use coalesce::collapse;
 pub use error::Error;
 pub use rate::TokenBucket;
-pub use result::LiveResult;
+pub use result::{LiveEntry, LiveResult, SharedDoc};
 pub use server::{
     decode_notify_payload, AppServer, AppServerConfig, AppServerConfigBuilder, ClientEvent, Events,
     NotifyPayload, Subscription,

@@ -5,11 +5,18 @@
 //! scripts to be applied: `add` inserts at `index`, `changeIndex` moves from
 //! `old_index` to `index`, `remove` deletes at `old_index`. Unsorted queries
 //! carry no indices; membership is maintained by key.
+//!
+//! An entry does not copy its document: it shares the change that
+//! delivered it, so a change addressed to N subscriptions is held once by
+//! all N live results.
 
 use crate::server::ClientEvent;
 use invalidb_common::{
     ChangeItem, Document, Key, MatchType, Notification, NotificationKind, ResultItem, Version,
 };
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// One entry of a maintained result.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,7 +26,52 @@ pub struct LiveEntry {
     /// Version last seen.
     pub version: Version,
     /// Record content.
-    pub doc: Document,
+    pub doc: SharedDoc,
+}
+
+/// A read-only record document shared with whatever delivered it; derefs
+/// to [`Document`].
+#[derive(Clone)]
+pub struct SharedDoc(Source);
+
+#[derive(Clone)]
+enum Source {
+    /// The after-image of a delivered change (one whose `item.doc` is set).
+    Change(Arc<ChangeItem>),
+    /// One item of an initial result.
+    Item(Arc<Document>),
+}
+
+impl SharedDoc {
+    /// The after-image `change` carries, shared; `None` for a remove.
+    fn of_change(change: &Arc<ChangeItem>) -> Option<Self> {
+        change.item.doc.is_some().then(|| Self(Source::Change(Arc::clone(change))))
+    }
+}
+
+impl Deref for SharedDoc {
+    type Target = Document;
+
+    fn deref(&self) -> &Document {
+        static EMPTY: Document = Document::new();
+        match &self.0 {
+            // `of_change` never shares a change without a document.
+            Source::Change(change) => change.item.doc.as_ref().unwrap_or(&EMPTY),
+            Source::Item(doc) => doc,
+        }
+    }
+}
+
+impl PartialEq for SharedDoc {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for SharedDoc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// A locally maintained query result.
@@ -68,11 +120,13 @@ impl LiveResult {
         self.degraded
     }
 
-    /// Applies one notification.
+    /// Applies one notification. The notification owns its change, so an
+    /// entry made from it shares a copy; [`LiveResult::apply_event`] shares
+    /// the delivered change itself.
     pub fn apply(&mut self, notification: &Notification) {
         match &notification.kind {
             NotificationKind::InitialResult { items } => self.reset(items),
-            NotificationKind::Change(change) => self.apply_change(change),
+            NotificationKind::Change(change) => self.apply_change(&Arc::new(change.clone())),
             // Keep the last valid state; the renewal delta follows.
             NotificationKind::Error(_) => self.degraded = true,
             // Aggregate values are not item lists; handled at the
@@ -81,8 +135,8 @@ impl LiveResult {
         }
     }
 
-    /// Applies one client event, by reference: the only thing copied is
-    /// what this result keeps for itself.
+    /// Applies one client event, by reference: an entry it adds or changes
+    /// shares the event's change, and copies only its key.
     pub fn apply_event(&mut self, event: &ClientEvent) {
         match event {
             ClientEvent::Initial(items) => self.reset(items),
@@ -92,14 +146,21 @@ impl LiveResult {
         }
     }
 
-    /// Replaces the result wholesale (initial result or renewal).
+    /// Replaces the result wholesale (initial result or renewal); each
+    /// entry gets its document in an `Arc` of its own.
     fn reset(&mut self, items: &[ResultItem]) {
-        self.entries = items.iter().filter_map(entry_of).collect();
+        self.entries = items
+            .iter()
+            .filter_map(|item| {
+                let doc = SharedDoc(Source::Item(Arc::new(item.doc.clone()?)));
+                Some(entry(item, doc))
+            })
+            .collect();
         self.seen_versions = items.iter().map(|i| (i.key.clone(), i.version)).collect();
         self.degraded = false;
     }
 
-    fn apply_change(&mut self, change: &ChangeItem) {
+    fn apply_change(&mut self, change: &Arc<ChangeItem>) {
         // Any change ends the degraded phase a maintenance error began.
         self.degraded = false;
         // Unsorted notifications (no index): guard against reordered
@@ -125,8 +186,10 @@ impl LiveResult {
                 }
             }
         }
+        // The entry an add or change makes shares the change itself.
+        let new_entry = || SharedDoc::of_change(change).map(|doc| entry(&change.item, doc));
         match change.match_type {
-            MatchType::Add => match (entry_of(&change.item), change.item.index) {
+            MatchType::Add => match (new_entry(), change.item.index) {
                 (Some(entry), Some(index)) => {
                     let at = (index as usize).min(self.entries.len());
                     self.entries.insert(at, entry);
@@ -139,7 +202,7 @@ impl LiveResult {
                 (None, _) => {}
             },
             MatchType::Change => {
-                if let Some(entry) = entry_of(&change.item) {
+                if let Some(entry) = new_entry() {
                     match change.item.index {
                         Some(index) if (index as usize) < self.entries.len() => {
                             self.entries[index as usize] = entry;
@@ -157,7 +220,7 @@ impl LiveResult {
                 }
             }
             MatchType::ChangeIndex => {
-                if let Some(entry) = entry_of(&change.item) {
+                if let Some(entry) = new_entry() {
                     if let Some(old) = change.old_index {
                         let old = old as usize;
                         if old < self.entries.len() {
@@ -184,18 +247,15 @@ impl LiveResult {
     }
 }
 
-fn entry_of(item: &ResultItem) -> Option<LiveEntry> {
-    item.doc.as_ref().map(|doc| LiveEntry {
-        key: item.key.clone(),
-        version: item.version,
-        doc: doc.clone(),
-    })
+/// The entry of `item`, holding `doc`: the key is the one copy it makes.
+fn entry(item: &ResultItem, doc: SharedDoc) -> LiveEntry {
+    LiveEntry { key: item.key.clone(), version: item.version, doc }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::{doc, SubscriptionId, TenantId};
+    use invalidb_common::{doc, MaintenanceError, SubscriptionId, TenantId};
 
     fn note(kind: NotificationKind) -> Notification {
         Notification {
@@ -207,93 +267,136 @@ mod tests {
         }
     }
 
+    /// The event the dispatcher makes of a notification's payload.
+    fn event_of(kind: &NotificationKind) -> ClientEvent {
+        match kind.clone() {
+            NotificationKind::InitialResult { items } => ClientEvent::Initial(items),
+            NotificationKind::Change(change) => ClientEvent::Change(Arc::new(change)),
+            NotificationKind::Error(e) => ClientEvent::MaintenanceError(e.reason),
+            NotificationKind::Aggregate { value, count } => ClientEvent::Aggregate { value, count },
+        }
+    }
+
+    /// One result fed through `apply(&Notification)` and one through
+    /// `apply_event`: the two must agree after every step.
+    #[derive(Default)]
+    struct Both {
+        by_note: LiveResult,
+        by_event: LiveResult,
+    }
+
+    impl Both {
+        fn apply(&mut self, kind: NotificationKind) -> &LiveResult {
+            self.by_event.apply_event(&event_of(&kind));
+            self.by_note.apply(&note(kind));
+            assert_eq!(self.by_note.entries(), self.by_event.entries());
+            assert_eq!(self.by_note.is_degraded(), self.by_event.is_degraded());
+            &self.by_event
+        }
+    }
+
+    fn initial(items: Vec<ResultItem>) -> NotificationKind {
+        NotificationKind::InitialResult { items }
+    }
+
+    fn change(match_type: MatchType, item: ResultItem, old_index: Option<u64>) -> NotificationKind {
+        NotificationKind::Change(ChangeItem { match_type, item, old_index })
+    }
+
     fn item(key: &str, version: Version, index: Option<u64>) -> ResultItem {
         ResultItem { key: Key::of(key), version, doc: Some(doc! { "k" => key }), index }
     }
 
+    fn gone(key: &str, version: Version) -> ResultItem {
+        ResultItem { key: Key::of(key), version, doc: None, index: None }
+    }
+
+    fn keys(keys: &[&str]) -> Vec<Key> {
+        keys.iter().map(|k| Key::of(*k)).collect()
+    }
+
     #[test]
     fn initial_result_replaces() {
-        let mut r = LiveResult::new();
-        r.apply(&note(NotificationKind::InitialResult {
-            items: vec![item("a", 1, Some(0)), item("b", 1, Some(1))],
-        }));
+        let mut r = Both::default();
+        let r = r.apply(initial(vec![item("a", 1, Some(0)), item("b", 1, Some(1))]));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.keys(), vec![Key::of("a"), Key::of("b")]);
+        assert_eq!(r.keys(), keys(&["a", "b"]));
     }
 
     #[test]
     fn sorted_edit_script() {
-        let mut r = LiveResult::new();
-        r.apply(&note(NotificationKind::InitialResult {
-            items: vec![item("a", 1, Some(0)), item("b", 1, Some(1)), item("c", 1, Some(2))],
-        }));
+        let mut r = Both::default();
+        r.apply(initial(vec![item("a", 1, Some(0)), item("b", 1, Some(1)), item("c", 1, Some(2))]));
         // remove b (index 1)
-        r.apply(&note(NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Remove,
-            item: ResultItem { key: Key::of("b"), version: 2, doc: None, index: None },
-            old_index: Some(1),
-        })));
-        assert_eq!(r.keys(), vec![Key::of("a"), Key::of("c")]);
+        let after = r.apply(change(MatchType::Remove, gone("b", 2), Some(1)));
+        assert_eq!(after.keys(), keys(&["a", "c"]));
         // add d at 1
-        r.apply(&note(NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Add,
-            item: item("d", 1, Some(1)),
-            old_index: None,
-        })));
-        assert_eq!(r.keys(), vec![Key::of("a"), Key::of("d"), Key::of("c")]);
+        let after = r.apply(change(MatchType::Add, item("d", 1, Some(1)), None));
+        assert_eq!(after.keys(), keys(&["a", "d", "c"]));
         // move a from 0 to 2
-        r.apply(&note(NotificationKind::Change(ChangeItem {
-            match_type: MatchType::ChangeIndex,
-            item: item("a", 2, Some(2)),
-            old_index: Some(0),
-        })));
-        assert_eq!(r.keys(), vec![Key::of("d"), Key::of("c"), Key::of("a")]);
+        let after = r.apply(change(MatchType::ChangeIndex, item("a", 2, Some(2)), Some(0)));
+        assert_eq!(after.keys(), keys(&["d", "c", "a"]));
         // change c in place
-        r.apply(&note(NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Change,
-            item: item("c", 5, Some(1)),
-            old_index: None,
-        })));
-        assert_eq!(r.entries()[1].version, 5);
+        let after = r.apply(change(MatchType::Change, item("c", 5, Some(1)), None));
+        assert_eq!(after.entries()[1].version, 5);
     }
 
     #[test]
     fn unsorted_membership_by_key() {
-        let mut r = LiveResult::new();
-        r.apply(&note(NotificationKind::InitialResult { items: vec![item("a", 1, None)] }));
-        r.apply(&note(NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Add,
-            item: item("b", 1, None),
-            old_index: None,
-        })));
-        r.apply(&note(NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Change,
-            item: item("a", 2, None),
-            old_index: None,
-        })));
-        r.apply(&note(NotificationKind::Change(ChangeItem {
-            match_type: MatchType::Remove,
-            item: ResultItem { key: Key::of("b"), version: 2, doc: None, index: None },
-            old_index: None,
-        })));
-        assert_eq!(r.keys(), vec![Key::of("a")]);
+        let mut r = Both::default();
+        r.apply(initial(vec![item("a", 1, None)]));
+        r.apply(change(MatchType::Add, item("b", 1, None), None));
+        r.apply(change(MatchType::Change, item("a", 2, None), None));
+        let r = r.apply(change(MatchType::Remove, gone("b", 2), None));
+        assert_eq!(r.keys(), keys(&["a"]));
         assert_eq!(r.entries()[0].version, 2);
     }
 
     #[test]
-    fn error_marks_degraded_until_next_data() {
-        let mut r = LiveResult::new();
-        r.apply(&note(NotificationKind::InitialResult { items: vec![item("a", 1, Some(0))] }));
-        r.apply(&note(NotificationKind::Error(invalidb_common::MaintenanceError {
-            reason: "slack exhausted".into(),
-        })));
-        assert!(r.is_degraded());
-        assert_eq!(r.len(), 1, "keeps last valid state");
-        r.apply(&note(NotificationKind::Change(ChangeItem {
+    fn initial_add_change_remove_leaves_the_newest_entries() {
+        let mut r = Both::default();
+        r.apply(initial(vec![item("a", 1, None), item("b", 1, None)]));
+        r.apply(change(MatchType::Add, item("c", 1, None), None));
+        let a3 = ResultItem::new(Key::of("a"), 3, doc! { "k" => "a", "n" => 3i64 });
+        r.apply(change(MatchType::Change, a3, None));
+        // A stale change of `c` is dropped by the version guard.
+        r.apply(change(MatchType::Change, item("c", 1, None), None));
+        let r = r.apply(change(MatchType::Remove, gone("b", 2), None));
+        let held: Vec<(Key, Version, Document)> =
+            r.entries().iter().map(|e| (e.key.clone(), e.version, (*e.doc).clone())).collect();
+        assert_eq!(
+            held,
+            [
+                (Key::of("c"), 1, doc! { "k" => "c" }),
+                (Key::of("a"), 3, doc! { "k" => "a", "n" => 3i64 }),
+            ]
+        );
+    }
+
+    #[test]
+    fn results_applying_one_change_share_its_document() {
+        let delivered = Arc::new(ChangeItem {
             match_type: MatchType::Add,
-            item: item("b", 1, Some(1)),
+            item: item("a", 1, None),
             old_index: None,
-        })));
-        assert!(!r.is_degraded());
+        });
+        let event = ClientEvent::Change(Arc::clone(&delivered));
+        let (mut a, mut b) = (LiveResult::new(), LiveResult::new());
+        a.apply_event(&event);
+        b.apply_event(&event);
+        assert!(std::ptr::eq(&*a.entries()[0].doc, &*b.entries()[0].doc));
+        let sent = delivered.item.doc.as_ref().expect("an add carries its document");
+        assert!(std::ptr::eq(&*a.entries()[0].doc, sent), "the entry is the delivered change");
+    }
+
+    #[test]
+    fn error_marks_degraded_until_next_data() {
+        let mut r = Both::default();
+        r.apply(initial(vec![item("a", 1, Some(0))]));
+        let erred =
+            r.apply(NotificationKind::Error(MaintenanceError { reason: "slack exhausted".into() }));
+        assert!(erred.is_degraded());
+        assert_eq!(erred.len(), 1, "keeps last valid state");
+        assert!(!r.apply(change(MatchType::Add, item("b", 1, Some(1)), None)).is_degraded());
     }
 }

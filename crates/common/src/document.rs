@@ -90,7 +90,7 @@ pub struct Document {
 
 impl Document {
     /// Creates an empty document.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self { entries: Vec::new() }
     }
 

@@ -158,24 +158,25 @@ impl AggregationNode {
     }
 
     fn handle_filter_change(&mut self, fc: &FilterChange) {
-        let group = match self.groups.get_mut(&(fc.tenant.clone(), fc.query_hash)) {
+        let img = &fc.image;
+        let group = match self.groups.get_mut(&(img.tenant.clone(), fc.query_hash)) {
             Some(g) => g,
             None => return,
         };
         // Version guard (replay/renewal crossings).
-        if let Some((seen, _)) = group.contributions.get(&fc.key) {
-            if fc.version <= *seen {
+        if let Some((seen, _)) = group.contributions.get(&img.key) {
+            if img.version <= *seen {
                 return;
             }
         }
         match fc.kind {
             FilterChangeKind::Add | FilterChangeKind::Change => {
-                let doc = match &fc.doc {
+                let doc = match &img.doc {
                     Some(d) => d,
                     None => return,
                 };
                 let new_value = contribution(doc, &group.field);
-                let old = group.contributions.insert(fc.key.clone(), (fc.version, new_value.clone()));
+                let old = group.contributions.insert(img.key.clone(), (img.version, new_value.clone()));
                 if let Some((_, old_value)) = &old {
                     if canonical_eq(old_value, &new_value) {
                         // Contribution unchanged; only the version moved.
@@ -187,7 +188,7 @@ impl AggregationNode {
                 group.add_contribution(&new_value);
             }
             FilterChangeKind::Remove => {
-                if let Some((_, old_value)) = group.contributions.remove(&fc.key) {
+                if let Some((_, old_value)) = group.contributions.remove(&img.key) {
                     group.remove_contribution(&old_value);
                 } else {
                     return;
@@ -206,10 +207,10 @@ impl AggregationNode {
                 t
             });
             self.publisher.publish(EnvelopeRef {
-                tenant: &fc.tenant,
+                tenant: &img.tenant,
                 subscriptions: group.subscriptions.ids(),
                 kind: KindRef::Aggregate { value: &value, count },
-                caused_by_write_at: fc.written_at,
+                caused_by_write_at: img.written_at,
                 trace: trace.as_ref(),
             });
             group.last_emitted = Some((value, count));
@@ -286,7 +287,9 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::notifier::testing::{Wire, TENANT};
-    use invalidb_common::{doc, Document, MockClock, NotificationKind, QuerySpec, ResultItem};
+    use invalidb_common::{
+        doc, AfterImage, Document, MockClock, NotificationKind, QuerySpec, ResultItem,
+    };
 
     /// Drives the node directly; what it publishes is read back off the
     /// notify topic.
@@ -329,14 +332,19 @@ mod tests {
             version: u64,
             doc: Option<Document>,
         ) {
-            self.drive(Event::FilterChange(Arc::new(FilterChange {
+            let image = AfterImage {
                 tenant: TenantId::new(TENANT),
-                query_hash: spec.stable_hash(),
-                kind,
+                collection: "t".into(),
                 key: Key::of(key),
                 version,
                 doc,
                 written_at: 0,
+                trace: None,
+            };
+            self.drive(Event::FilterChange(Arc::new(FilterChange {
+                query_hash: spec.stable_hash(),
+                kind,
+                image: Arc::new(image),
                 trace: None,
             })));
         }

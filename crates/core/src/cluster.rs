@@ -531,7 +531,7 @@ impl ShuffleIngress {
     fn accept(&self, payload: &Bytes) {
         let change = invalidb_json::payload_to_document(payload)
             .ok()
-            .and_then(|d| FilterChange::from_document(&d).ok());
+            .and_then(|d| FilterChange::from_document(d).ok());
         match change {
             Some(fc) => {
                 self.metrics.inc("shuffle.ingress");

@@ -406,17 +406,9 @@ impl Evaluator {
             t
         });
         if group.to_sorting || group.to_aggregation {
-            // Sorted/aggregate queries: pass the transition downstream.
-            let change = FilterChange {
-                tenant: tenant.clone(),
-                query_hash: hash,
-                kind,
-                key: img.key.clone(),
-                version: img.version,
-                doc: img.doc.clone(),
-                written_at: img.written_at,
-                trace,
-            };
+            // Sorted/aggregate queries: pass the transition downstream,
+            // sharing the write.
+            let change = FilterChange { query_hash: hash, kind, image: Arc::clone(img), trace };
             out.forward(group, change);
         } else {
             // Self-maintainable queries: one notification for the whole
@@ -927,7 +919,7 @@ mod tests {
         node.handle(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
         let payload = shuffled.try_recv().expect("published by the cell itself");
         let fc =
-            FilterChange::from_document(&invalidb_json::payload_to_document(&payload).unwrap()).unwrap();
+            FilterChange::from_document(invalidb_json::payload_to_document(&payload).unwrap()).unwrap();
         assert_eq!((fc.query_hash, fc.kind), (spec.stable_hash(), FilterChangeKind::Add));
         assert_eq!(config.metrics.snapshot().counters["shuffle.egress"], 1);
     }

@@ -173,7 +173,7 @@ impl SortingNode {
     }
 
     fn handle_filter_change(&mut self, fc: &Arc<FilterChange>) {
-        let group = match self.groups.get_mut(&(fc.tenant.clone(), fc.query_hash)) {
+        let group = match self.groups.get_mut(&(fc.image.tenant.clone(), fc.query_hash)) {
             Some(g) => g,
             None => return, // unknown query
         };
@@ -210,7 +210,8 @@ impl SortingNode {
         // Slow-query accounting: the window maintenance below is the
         // sorting stage's per-query cost.
         let started = std::time::Instant::now();
-        let outcome = group.window.apply(&fc.key, fc.version, fc.doc.as_ref());
+        let img = &fc.image;
+        let outcome = group.window.apply(&img.key, img.version, img.doc.as_ref());
         // Stamp the sorting stage once per filter change on sampled traces.
         let trace: Option<TraceContext> = fc.trace.clone().map(|mut t| {
             t.stamp(Stage::Sorting);
@@ -223,10 +224,10 @@ impl SortingNode {
             group.active = false;
             metric_errors.fetch_add(1, Ordering::Relaxed);
             publisher.publish(EnvelopeRef {
-                tenant: &fc.tenant,
+                tenant: &img.tenant,
                 subscriptions: group.subscriptions.ids(),
                 kind: KindRef::Error(reason),
-                caused_by_write_at: fc.written_at,
+                caused_by_write_at: img.written_at,
                 trace: trace.as_ref(),
             });
         } else {
@@ -235,11 +236,11 @@ impl SortingNode {
             // the same list, so every member gets the same script.
             for ev in &outcome.events {
                 let to = group.subscriptions.ids();
-                publish_edit(publisher, &fc.tenant, to, ev, fc.written_at, trace.as_ref());
+                publish_edit(publisher, &img.tenant, to, ev, img.written_at, trace.as_ref());
             }
         }
         slow_scratch.charge(
-            fc.tenant.as_str(),
+            img.tenant.as_str(),
             fc.query_hash.0,
             || group.spec_display.clone(),
             started.elapsed().as_micros() as u64,
@@ -353,8 +354,8 @@ mod tests {
     use crate::event::FilterChangeKind;
     use crate::notifier::testing::{Wire, TENANT};
     use invalidb_common::{
-        doc, Document, Key, MatchType, MockClock, Notification, NotificationKind, QuerySpec, ResultItem,
-        SortDirection,
+        doc, AfterImage, Document, Key, MatchType, MockClock, Notification, NotificationKind, QuerySpec,
+        ResultItem, SortDirection,
     };
 
     /// One sorting task driven synchronously; what it publishes is read
@@ -413,14 +414,19 @@ mod tests {
         version: u64,
         doc: Option<Document>,
     ) -> Event {
-        Event::FilterChange(Arc::new(FilterChange {
+        let image = AfterImage {
             tenant: TenantId::new(TENANT),
-            query_hash: spec.stable_hash(),
-            kind,
+            collection: "t".into(),
             key: Key::of(key),
             version,
             doc,
             written_at: 7,
+            trace: None,
+        };
+        Event::FilterChange(Arc::new(FilterChange {
+            query_hash: spec.stable_hash(),
+            kind,
+            image: Arc::new(image),
             trace: None,
         }))
     }

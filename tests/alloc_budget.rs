@@ -16,6 +16,9 @@
 //! synchronous grid cell (`MatchingNode::solo`: admission, probe, evaluate,
 //! notify encode, publish, and its ticks), the dispatcher decode
 //! (`decode_notify_payload`) and `LiveResult::apply_event`.
+//!
+//! A second run has eight subscriptions share every query, so one decoded
+//! change reaches eight live results; it holds the cost of each delivery.
 
 use invalidb::broker::{notify_topic, Broker};
 use invalidb::client::{decode_notify_payload, ClientEvent, LiveResult, NotifyPayload};
@@ -138,8 +141,18 @@ struct Stages {
     result_apply: u64,
 }
 
-#[test]
-fn steady_state_updates_stay_within_their_allocation_budget() {
+/// What one run counted over its measured writes.
+struct Run {
+    stages: Stages,
+    /// Envelopes times their addressees: one per `apply_event`.
+    deliveries: u64,
+}
+
+/// Drives `WARM_UP + MEASURED` steady-state updates through the stages, with
+/// `sharing` subscriptions per range query (so every envelope addresses
+/// that many live results), then checks that every maintained result
+/// equals the pull query.
+fn run(sharing: u64) -> Run {
     let tenant = TenantId::new(TENANT);
     let clock = MockClock::new();
     let broker = Broker::new();
@@ -156,37 +169,41 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
         store.save(COLLECTION, Key::of(format!("k{k:06}")), document(&mut rng, 0)).unwrap();
     }
 
-    // One subscription per range query, bootstrapped from the store as an
-    // app server would; the initial results are read and dropped.
+    // `sharing` subscriptions per range query, each bootstrapped from the
+    // store as an app server would; the initial results are read and
+    // dropped.
     let mut results: HashMap<SubscriptionId, LiveResult> = HashMap::new();
     for q in 0..QUERIES {
         let spec = range_query(q);
-        let initial = store.execute(&spec).unwrap();
-        let mut result = LiveResult::new();
-        result.apply_event(&ClientEvent::Initial(initial.clone()));
-        results.insert(SubscriptionId(q), result);
-        cell.handle(Event::Subscribe(Arc::new(SubscriptionRequest {
-            tenant: tenant.clone(),
-            subscription: SubscriptionId(q),
-            query_hash: spec.stable_hash(),
-            spec,
-            initial,
-            slack: 0,
-            ttl_micros: 3_600_000_000,
-            renewal: false,
-        })));
+        for s in 0..sharing {
+            let id = SubscriptionId(q * sharing + s);
+            let initial = store.execute(&spec).unwrap();
+            let mut result = LiveResult::new();
+            result.apply_event(&ClientEvent::Initial(initial.clone()));
+            results.insert(id, result);
+            cell.handle(Event::Subscribe(Arc::new(SubscriptionRequest {
+                tenant: tenant.clone(),
+                subscription: id,
+                query_hash: spec.stable_hash(),
+                spec: spec.clone(),
+                initial,
+                slack: 0,
+                ttl_micros: 3_600_000_000,
+                renewal: false,
+            })));
+        }
     }
     while notify.try_recv().is_some() {}
 
     let mut tenants = TenantInterner::default();
     let mut stages = Stages::default();
-    let mut notified = 0u64;
+    let mut deliveries = 0u64;
     for seq in 1..=WARM_UP + MEASURED {
         // Whatever the warm-up allocated (maps growing to their working
         // size, first sightings) is not the steady state.
         if seq == WARM_UP + 1 {
             stages = Stages::default();
-            notified = 0;
+            deliveries = 0;
         }
         let key = Key::of(format!("k{:06}", rng.below(KEYS)));
         let doc = document(&mut rng, seq);
@@ -237,39 +254,56 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
             });
             let NotificationKind::Change(change) = envelope.kind else { panic!("expected a change") };
             let event = counted(&mut stages.dispatch_decode, || ClientEvent::Change(Arc::new(change)));
+            assert_eq!(
+                envelope.subscriptions.len() as u64,
+                sharing,
+                "one envelope for the query's sharers"
+            );
             for id in &envelope.subscriptions {
                 let result = results.get_mut(id).expect("a known subscription");
                 counted(&mut stages.result_apply, || result.apply_event(&event));
-                notified += 1;
+                deliveries += 1;
             }
         }
     }
 
-    // The path did its work: about half a notification per write, and every
-    // maintained result equals the pull query.
-    let fan_out = notified as f64 / MEASURED as f64;
-    assert!((0.3..0.7).contains(&fan_out), "fan-out {fan_out}");
-    for q in [0, 1, QUERIES / 2, QUERIES - 1] {
-        let spec = range_query(q);
-        let mut pulled: Vec<Key> = store.execute(&spec).unwrap().into_iter().map(|i| i.key).collect();
-        let mut pushed = results[&SubscriptionId(q)].keys();
+    // The path did its work: every maintained result equals the pull query.
+    for q in 0..QUERIES {
+        let mut pulled: Vec<Key> =
+            store.execute(&range_query(q)).unwrap().into_iter().map(|i| i.key).collect();
         pulled.sort();
-        pushed.sort();
-        assert_eq!(pushed, pulled, "query {q}");
+        for s in 0..sharing {
+            let mut pushed = results[&SubscriptionId(q * sharing + s)].keys();
+            pushed.sort();
+            assert_eq!(pushed, pulled, "query {q}, subscription {s}");
+        }
     }
+    Run { stages, deliveries }
+}
 
-    let per_write = |n: u64| n as f64 / MEASURED as f64;
+fn per_write(n: u64) -> f64 {
+    n as f64 / MEASURED as f64
+}
+
+#[test]
+fn steady_state_updates_stay_within_their_allocation_budget() {
+    let Run { stages, deliveries } = run(1);
+    // About half a notification per write.
+    let fan_out = per_write(deliveries);
+    assert!((0.3..0.7).contains(&fan_out), "fan-out {fan_out}");
+
     println!("allocations per write over {MEASURED} updates, fan-out {fan_out:.2}:");
-    // Measured when set: 6.04, 2.00, 9.00, 3.58, 7.18, 2.17 — 30.0 in all,
-    // where the commit before (names copied at every layer) measured
-    // 17.04, 3.00, 21.00, 30.20, 16.93, 6.56 — 94.7.
+    // Measured when set: 6.04, 2.00, 9.00, 3.58, 7.18, 0.62 — 28.4 in all
+    // (`result.apply` was 2.17 while each live entry copied its document),
+    // where the commit before the identity model (names copied at every
+    // layer) measured 17.04, 3.00, 21.00, 30.20, 16.93, 6.56 — 94.7.
     let budget = [
         ("store.save", stages.store_save, 7.25),
         ("write.encode", stages.write_encode, 2.4),
         ("ingest.decode", stages.ingest_decode, 10.8),
         ("cell", stages.cell, 4.3),
         ("dispatch.decode", stages.dispatch_decode, 8.6),
-        ("result.apply", stages.result_apply, 2.6),
+        ("result.apply", stages.result_apply, 0.75),
     ];
     for (stage, allocs, ceiling) in budget {
         println!("  {stage:<16} {:>6.2}  (ceiling {ceiling})", per_write(allocs));
@@ -281,4 +315,20 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
             per_write(allocs)
         );
     }
+}
+
+/// Eight subscriptions share every range query, so every envelope reaches
+/// eight live results: applying it costs each of them its entry's key, not
+/// a copy of the document.
+#[test]
+fn a_change_shared_by_many_results_is_applied_without_copying_its_document() {
+    const SHARING: u64 = 8;
+    let Run { stages, deliveries } = run(SHARING);
+    let fan_out = per_write(deliveries) / SHARING as f64;
+    assert!((0.3..0.7).contains(&fan_out), "envelopes per write {fan_out}");
+    let per_delivery = stages.result_apply as f64 / deliveries as f64;
+    // Measured when set: 1.20 (4.23 while each live entry copied its
+    // document).
+    println!("result.apply: {per_delivery:.2} allocations per delivery over {deliveries} deliveries");
+    assert!(per_delivery <= 1.5, "result.apply: {per_delivery:.2} allocations per delivery, budget 1.5");
 }
