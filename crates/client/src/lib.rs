@@ -20,15 +20,16 @@
 
 mod coalesce;
 mod error;
+mod notify;
 mod rate;
 mod result;
 mod server;
 
 pub use coalesce::collapse;
 pub use error::Error;
+pub use notify::{decode_notify_payload, NotifyPayload};
 pub use rate::TokenBucket;
 pub use result::{LiveEntry, LiveResult, SharedDoc};
 pub use server::{
-    decode_notify_payload, AppServer, AppServerConfig, AppServerConfigBuilder, ClientEvent, Events,
-    NotifyPayload, Subscription,
+    AppServer, AppServerConfig, AppServerConfigBuilder, ClientEvent, Events, Subscription,
 };

@@ -1,6 +1,7 @@
 //! The application server.
 
 use crate::error::Error;
+use crate::notify::{decode_notify_payload, NotifyPayload};
 use crate::rate::TokenBucket;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use invalidb_broker::{notify_topic, BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
@@ -8,7 +9,7 @@ use invalidb_common::{
     ChangeItem, ClusterMessage, ConfigError, Document, Key, NotificationKind, NotifyEnvelope, QueryHash,
     QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId, TraceContext, WriteRef,
 };
-use invalidb_json::{LazyDoc, WireCodec};
+use invalidb_json::WireCodec;
 use invalidb_obs::{
     AdminConfig, AdminServer, FlightEventKind, MetricsRegistry, MetricsSnapshot, StalenessRecorder,
 };
@@ -590,18 +591,7 @@ impl AppServer {
     /// Cancels a subscription so it stops consuming cluster resources.
     pub fn unsubscribe(&self, subscription: &Subscription) {
         if let Some(entry) = self.shared.subs.lock().remove(&subscription.id) {
-            publish(
-                &self.broker,
-                &ClusterMessage::Unsubscribe {
-                    tenant: self.tenant.clone(),
-                    subscription: subscription.id,
-                    query_hash: entry.query_hash,
-                },
-            );
-            self.config.metrics.flight().record(
-                FlightEventKind::Unsubscribe,
-                format!("{} sub={} {}", self.tenant, subscription.id.0, entry.spec.collection),
-            );
+            cancel(&self.broker, &self.tenant, &self.config.metrics, subscription.id, &entry);
         }
     }
 
@@ -616,7 +606,12 @@ impl AppServer {
     /// registry.
     fn spawn_dispatcher(&mut self) {
         let sub = self.broker.subscribe(&notify_topic(self.tenant.as_str()));
-        let dispatcher = Dispatcher::new(Arc::clone(&self.shared), &self.config.metrics, &self.tenant);
+        let dispatcher = Dispatcher::new(
+            Arc::clone(&self.shared),
+            self.broker.clone(),
+            &self.config.metrics,
+            &self.tenant,
+        );
         let handle = std::thread::Builder::new()
             .name(format!("appserver-dispatch-{}", self.tenant))
             .spawn(move || {
@@ -826,10 +821,35 @@ fn publish(broker: &BrokerHandle, msg: &ClusterMessage) {
     broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
 }
 
+/// Tells the cluster that a subscription, already out of the subscription
+/// table, is gone — whether its holder unsubscribed or dropped it.
+fn cancel(
+    broker: &BrokerHandle,
+    tenant: &TenantId,
+    metrics: &MetricsRegistry,
+    subscription: SubscriptionId,
+    entry: &SubEntry,
+) {
+    publish(
+        broker,
+        &ClusterMessage::Unsubscribe {
+            tenant: tenant.clone(),
+            subscription,
+            query_hash: entry.query_hash,
+        },
+    );
+    metrics.flight().record(
+        FlightEventKind::Unsubscribe,
+        format!("{tenant} sub={} {}", subscription.0, entry.spec.collection),
+    );
+}
+
 /// The notify-topic consumer of one app server. Everything it cannot
 /// deliver is counted, never silently skipped.
 struct Dispatcher {
     shared: Arc<Shared>,
+    /// Where the cancellation of an abandoned subscription goes.
+    broker: BrokerHandle,
     /// The tenant whose notify topic this is; decoded envelopes share it.
     tenant: TenantId,
     metrics: MetricsRegistry,
@@ -843,14 +863,21 @@ struct Dispatcher {
     /// live subscription (cancelled, or another app server's).
     unknown_subscription: Arc<AtomicU64>,
     /// `appserver.notify_channel_closed`: the subscriber dropped its
-    /// [`Subscription`] without unsubscribing.
+    /// [`Subscription`] without unsubscribing. Counted once per
+    /// subscription, which is then cancelled.
     channel_closed: Arc<AtomicU64>,
 }
 
 impl Dispatcher {
-    fn new(shared: Arc<Shared>, metrics: &MetricsRegistry, tenant: &TenantId) -> Self {
+    fn new(
+        shared: Arc<Shared>,
+        broker: BrokerHandle,
+        metrics: &MetricsRegistry,
+        tenant: &TenantId,
+    ) -> Self {
         Self {
             shared,
+            broker,
             metrics: metrics.clone(),
             staleness: metrics.staleness(tenant.as_str()),
             tenant: tenant.clone(),
@@ -897,6 +924,7 @@ impl Dispatcher {
             NotificationKind::Aggregate { value, count } => ClientEvent::Aggregate { value, count },
         };
         let mut subs = self.shared.subs.lock();
+        let mut abandoned = Vec::new();
         let mut hand = |id: &SubscriptionId, event: ClientEvent| {
             let Some(entry) = subs.get_mut(id) else {
                 self.unknown_subscription.fetch_add(1, Ordering::Relaxed);
@@ -919,6 +947,7 @@ impl Dispatcher {
                 self.delivered.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.channel_closed.fetch_add(1, Ordering::Relaxed);
+                abandoned.push(*id);
             }
         };
         // Every addressee but the last gets a pointer to the change; the
@@ -930,31 +959,15 @@ impl Dispatcher {
             }
             hand(last, event);
         }
+        // A subscription dropped without `unsubscribe` would otherwise stay
+        // registered for good: the keeper keeps extending its TTL and the
+        // cluster keeps matching it. Cancel it like `unsubscribe` does.
+        for id in abandoned {
+            if let Some(entry) = subs.remove(&id) {
+                cancel(&self.broker, &self.tenant, &self.metrics, id, &entry);
+            }
+        }
     }
-}
-
-/// What a payload on a notify topic turns out to be.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NotifyPayload {
-    /// The cluster's liveness ping.
-    Heartbeat,
-    /// A notification, addressed to some of the reader's subscriptions.
-    Envelope(NotifyEnvelope),
-}
-
-/// Decodes one payload read off `tenant`'s notify topic, once — what an
-/// app server's dispatcher does with everything it receives. `None` for a
-/// payload that is neither a heartbeat nor an envelope.
-pub fn decode_notify_payload(payload: &[u8], tenant: &TenantId) -> Option<NotifyPayload> {
-    let lazy = LazyDoc::new(payload).ok()?;
-    // Heartbeats dominate idle notify-topic traffic; sniff them through the
-    // lazy view so they never materialize a document tree just to be
-    // discarded.
-    if matches!(lazy.get("type"), Ok(Some(v)) if v.as_str() == Some("heartbeat")) {
-        return Some(NotifyPayload::Heartbeat);
-    }
-    let d = lazy.materialize().ok()?;
-    NotifyEnvelope::from_document_for(d, tenant).ok().map(NotifyPayload::Envelope)
 }
 
 impl Drop for AppServer {

@@ -333,7 +333,8 @@ fn coalesced_receive_collapses_hot_key_churn() {
 /// Every drop is counted: a torn envelope, bytes that are no payload, an
 /// envelope in JSON text, a payload that is no envelope, an id without a
 /// live subscription and a subscriber that went away each leave their mark, and none of them keeps
-/// the live addressee of the same envelope from its event.
+/// the live addressee of the same envelope from its event. A subscriber
+/// that went away is cancelled, not kept alive.
 #[test]
 fn undeliverable_notifications_are_counted() {
     let (broker, _store, cluster, app) = setup(1, 1);
@@ -381,12 +382,36 @@ fn undeliverable_notifications_are_counted() {
     assert_eq!(counter("appserver.notify_unknown_subscription"), 1);
     assert_eq!(counter("appserver.notify_channel_closed"), 0);
 
+    // The cluster's live query groups, as its cells last reported them.
+    let active_queries = || {
+        let gauges = cluster.metrics().gauges;
+        gauges
+            .iter()
+            .filter(|(name, _)| name.starts_with("matching.") && name.ends_with(".active_queries"))
+            .map(|(_, n)| *n)
+            .sum::<u64>()
+    };
+    wait_for(|| (active_queries() == 1).then_some(()), Duration::from_secs(5))
+        .expect("the subscription's query is live in the cluster");
+
+    // A subscription dropped without `unsubscribe`: its closed channel is
+    // counted once, and the subscription is cancelled, here and in the
+    // cluster.
     let delivered = counter("appserver.events_delivered");
     let gone = live.id();
     drop(live);
     broker.publish(&topic, WireCodec.encode(&envelope(vec![gone])));
     wait_for(|| (counter("appserver.notify_channel_closed") == 1).then_some(()), Duration::from_secs(5))
         .expect("closed channel counted");
+    broker.publish(&topic, WireCodec.encode(&envelope(vec![gone])));
+    wait_for(
+        || (counter("appserver.notify_unknown_subscription") == 2).then_some(()),
+        Duration::from_secs(5),
+    )
+    .expect("a cancelled subscription is unknown to the dispatcher");
+    assert_eq!(counter("appserver.notify_channel_closed"), 1, "counted once");
     assert_eq!(counter("appserver.events_delivered"), delivered, "nothing was delivered");
+    wait_for(|| (active_queries() == 0).then_some(()), Duration::from_secs(5))
+        .expect("the abandoned subscription's query leaves the cluster");
     cluster.shutdown();
 }

@@ -66,8 +66,8 @@ fn try_decode_write(payload: &[u8], tenant_of: impl FnOnce(&str) -> TenantId) ->
             "tenant" => tenant = Some(v.as_str()?),
             "collection" => collection = Some(v.as_str()?.to_owned()),
             "key" => key = Some(Key(v.materialize().ok()?)),
-            "version" => version = Some(lazy_i64(&v)?),
-            "writtenAt" => written_at = lazy_i64(&v).unwrap_or(0) as u64,
+            "version" => version = Some(v.as_i64()?),
+            "writtenAt" => written_at = v.as_i64().unwrap_or(0) as u64,
             "doc" => {
                 doc = match v {
                     LazyValue::Null => Some(None),
@@ -94,17 +94,6 @@ fn try_decode_write(payload: &[u8], tenant_of: impl FnOnce(&str) -> TenantId) ->
         written_at,
         trace,
     }))
-}
-
-/// Mirrors `Value::as_i64`: integers, plus floats with no fractional part.
-fn lazy_i64(v: &LazyValue<'_>) -> Option<i64> {
-    match v {
-        LazyValue::Int(i) => Some(*i),
-        LazyValue::Float(f) if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f < i64::MAX as f64 => {
-            Some(*f as i64)
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -144,10 +144,12 @@ impl<'a> LazyValue<'a> {
         }
     }
 
-    /// The integer, if this is an integer.
+    /// The integer, if this is one: the rule of `Value::as_i64`, so an
+    /// integer encoded as a float without a fractional part counts too.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             LazyValue::Int(i) => Some(*i),
+            LazyValue::Float(f) => Value::Float(*f).as_i64(),
             _ => None,
         }
     }
@@ -250,6 +252,14 @@ pub struct LazyEntries<'a> {
     /// `None` until the count varint is read on the first `next()`.
     remaining: Option<usize>,
     depth: usize,
+}
+
+impl LazyEntries<'_> {
+    /// Payload offset of the cursor: once every entry has been yielded,
+    /// where the object ends — for the root, where the payload should.
+    pub fn offset(&self) -> usize {
+        self.r.pos
+    }
 }
 
 impl<'a> Iterator for LazyEntries<'a> {
@@ -485,6 +495,34 @@ mod tests {
         assert!(matches!(lazy.get("pi").unwrap().unwrap(), LazyValue::Float(f) if f == 3.5));
         assert!(lazy.get("nothing").unwrap().unwrap().is_null());
         assert!(lazy.get("absent").unwrap().is_none());
+    }
+
+    /// One integer rule for both decoders: `Value::as_i64`'s.
+    #[test]
+    fn as_i64_respects_exactness_like_value() {
+        let values = [
+            Value::Int(-7),
+            Value::Int(i64::MAX),
+            Value::Float(3.0),
+            Value::Float(-0.0),
+            Value::Float(3.5),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(i64::MAX as f64),
+            Value::Float(i64::MIN as f64),
+            Value::String("3".into()),
+            Value::Bool(true),
+            Value::Null,
+        ];
+        for value in values {
+            let bytes = encode_document(&doc! { "v" => value.clone() });
+            let lazy = LazyDoc::new(&bytes).unwrap().get("v").unwrap().unwrap();
+            assert_eq!(lazy.as_i64(), value.as_i64(), "{value:?}");
+        }
+        assert!(matches!(
+            LazyDoc::new(&encode_document(&doc! { "v" => 3.0f64 })).unwrap().get("v").unwrap(),
+            Some(v) if v.as_i64() == Some(3)
+        ));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct WireCodec;
 impl WireCodec {
     /// Encodes a document as an event-layer payload.
     pub fn encode(&self, doc: &Document) -> Bytes {
-        Bytes::from(bin::encode_document(doc))
+        PayloadWriter::encode(doc)
     }
 
     /// A writer producing a payload field by field, for a message that

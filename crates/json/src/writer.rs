@@ -5,10 +5,25 @@
 //! notifier holds the after-image a notification is about — writes them
 //! through a [`PayloadWriter`] instead and the bytes come out the same,
 //! with nothing copied in between.
+//!
+//! Both write into one buffer per thread, reused from payload to payload,
+//! and copy the finished bytes once into the shared [`Bytes`]: a payload
+//! costs one allocation, and the buffer does not regrow for every payload.
+//! A buffer that grew past 64 KiB (a large initial result) is freed
+//! instead of kept, so no thread holds more than that between payloads.
 
 use crate::bin::{self, BIN_MAGIC, BIN_VERSION, TAG_ARRAY, TAG_OBJECT, TAG_STRING};
 use bytes::Bytes;
 use invalidb_common::{Document, FieldWriter, Value};
+use std::cell::Cell;
+
+/// The largest buffer a thread keeps between two payloads.
+const SPARE_CAPACITY: usize = 64 * 1024;
+
+thread_local! {
+    /// This thread's buffer while no writer holds it.
+    static SPARE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// Serializes one payload field by field; created by
 /// [`WireCodec::writer`](crate::WireCodec::writer). The bytes equal
@@ -22,13 +37,37 @@ pub struct PayloadWriter {
 
 impl PayloadWriter {
     pub(crate) fn new() -> Self {
-        // Notification envelopes run to a few hundred bytes.
-        Self { bytes: Vec::with_capacity(256), root: true }
+        // A writer opened while another is open on the same thread finds no
+        // spare buffer and starts its own.
+        let mut bytes = SPARE.try_with(Cell::take).unwrap_or_default();
+        if bytes.capacity() == 0 {
+            // Notification envelopes run to a few hundred bytes.
+            bytes.reserve(256);
+        }
+        Self { bytes, root: true }
+    }
+
+    /// `doc` as a whole payload: what [`WireCodec::encode`](crate::WireCodec::encode) returns.
+    pub(crate) fn encode(doc: &Document) -> Bytes {
+        let mut w = Self::new();
+        bin::encode_document_into(doc, &mut w.bytes);
+        w.finish()
     }
 
     /// The finished payload.
     pub fn finish(self) -> Bytes {
-        Bytes::from(self.bytes)
+        Bytes::copy_from_slice(&self.bytes)
+    }
+}
+
+impl Drop for PayloadWriter {
+    /// Hands the buffer back to the thread, unless it grew too large.
+    fn drop(&mut self) {
+        let mut bytes = std::mem::take(&mut self.bytes);
+        if bytes.capacity() <= SPARE_CAPACITY {
+            bytes.clear();
+            let _ = SPARE.try_with(|spare| spare.set(bytes));
+        }
     }
 }
 
@@ -118,15 +157,72 @@ mod tests {
         w.end_object();
     }
 
-    #[test]
-    fn writer_bytes_equal_encoding_the_built_document() {
+    fn sample() -> Document {
         let mut builder = invalidb_common::DocumentBuilder::new();
         write_sample(&mut builder);
-        let built = builder.finish();
+        builder.finish()
+    }
+
+    /// The spare buffer's capacity, left in place.
+    fn spare_capacity() -> usize {
+        SPARE.with(|spare| {
+            let bytes = spare.take();
+            let capacity = bytes.capacity();
+            spare.set(bytes);
+            capacity
+        })
+    }
+
+    #[test]
+    fn writer_bytes_equal_encoding_the_built_document() {
+        let built = sample();
         let mut w = WireCodec.writer();
         write_sample(&mut w);
         let payload = w.finish();
+        assert_eq!(payload, Bytes::from(bin::encode_document(&built)));
         assert_eq!(payload, WireCodec.encode(&built));
         assert_eq!(crate::payload_to_document(&payload).unwrap(), built);
+    }
+
+    /// A writer opened while another is open on the same thread (an
+    /// encode inside a write) gets a buffer of its own: neither payload
+    /// sees the other's bytes.
+    #[test]
+    fn nested_writers_on_one_thread_write_their_own_payloads() {
+        let expected = Bytes::from(bin::encode_document(&sample()));
+        let mut outer = WireCodec.writer();
+        outer.begin_object(2);
+        outer.key("a");
+        outer.str("outer");
+        let mut inner = WireCodec.writer();
+        write_sample(&mut inner);
+        let encoded = WireCodec.encode(&sample());
+        outer.key("b");
+        outer.int(2);
+        outer.end_object();
+        assert_eq!(inner.finish(), expected);
+        assert_eq!(encoded, expected);
+        let outer_doc = doc! { "a" => "outer", "b" => 2i64 };
+        assert_eq!(outer.finish(), Bytes::from(bin::encode_document(&outer_doc)));
+        assert_eq!(WireCodec.encode(&outer_doc), Bytes::from(bin::encode_document(&outer_doc)));
+        // A writer after all of them starts from an empty buffer.
+        let mut after = WireCodec.writer();
+        write_sample(&mut after);
+        assert_eq!(after.finish(), expected);
+    }
+
+    /// A payload past the spare capacity comes out whole, its buffer is
+    /// not kept, and the next small payload is unaffected.
+    #[test]
+    fn a_large_payload_is_written_whole_and_its_buffer_freed() {
+        let large = doc! { "blob" => "x".repeat(SPARE_CAPACITY + 1), "n" => 1i64 };
+        let payload = WireCodec.encode(&large);
+        assert_eq!(payload, Bytes::from(bin::encode_document(&large)));
+        assert!(spare_capacity() <= SPARE_CAPACITY, "spare kept {} bytes", spare_capacity());
+        let mut w = WireCodec.writer();
+        write_sample(&mut w);
+        assert_eq!(w.finish(), WireCodec.encode(&sample()));
+        assert_eq!(WireCodec.encode(&sample()), Bytes::from(bin::encode_document(&sample())));
+        assert!(spare_capacity() > 0, "a small payload's buffer is kept");
     }
 }

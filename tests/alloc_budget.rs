@@ -293,16 +293,19 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
     assert!((0.3..0.7).contains(&fan_out), "fan-out {fan_out}");
 
     println!("allocations per write over {MEASURED} updates, fan-out {fan_out:.2}:");
-    // Measured when set: 6.04, 2.00, 9.00, 3.58, 7.18, 0.62 — 28.4 in all
-    // (`result.apply` was 2.17 while each live entry copied its document),
-    // where the commit before the identity model (names copied at every
-    // layer) measured 17.04, 3.00, 21.00, 30.20, 16.93, 6.56 — 94.7.
+    // Measured when set: 6.04, 1.00, 9.00, 3.07, 4.62, 0.62 — 24.4 in all
+    // (`write.encode` was 2.00, `cell` 3.58 and `dispatch.decode` 7.18
+    // while every payload grew a buffer of its own and the dispatcher
+    // built the whole envelope as a document; `result.apply` was 2.17
+    // while each live entry copied its document), where the commit before
+    // the identity model (names copied at every layer) measured 17.04,
+    // 3.00, 21.00, 30.20, 16.93, 6.56 — 94.7.
     let budget = [
         ("store.save", stages.store_save, 7.25),
-        ("write.encode", stages.write_encode, 2.4),
+        ("write.encode", stages.write_encode, 1.2),
         ("ingest.decode", stages.ingest_decode, 10.8),
-        ("cell", stages.cell, 4.3),
-        ("dispatch.decode", stages.dispatch_decode, 8.6),
+        ("cell", stages.cell, 3.7),
+        ("dispatch.decode", stages.dispatch_decode, 5.6),
         ("result.apply", stages.result_apply, 0.75),
     ];
     for (stage, allocs, ceiling) in budget {
@@ -319,16 +322,26 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
 
 /// Eight subscriptions share every range query, so every envelope reaches
 /// eight live results: applying it costs each of them its entry's key, not
-/// a copy of the document.
+/// a copy of the document, and decoding it costs its address list one
+/// allocation, not one per address.
 #[test]
 fn a_change_shared_by_many_results_is_applied_without_copying_its_document() {
     const SHARING: u64 = 8;
     let Run { stages, deliveries } = run(SHARING);
-    let fan_out = per_write(deliveries) / SHARING as f64;
+    let envelopes = deliveries / SHARING;
+    let fan_out = per_write(envelopes);
     assert!((0.3..0.7).contains(&fan_out), "envelopes per write {fan_out}");
     let per_delivery = stages.result_apply as f64 / deliveries as f64;
     // Measured when set: 1.20 (4.23 while each live entry copied its
     // document).
     println!("result.apply: {per_delivery:.2} allocations per delivery over {deliveries} deliveries");
     assert!(per_delivery <= 1.5, "result.apply: {per_delivery:.2} allocations per delivery, budget 1.5");
+    let per_envelope = stages.dispatch_decode as f64 / envelopes as f64;
+    // Measured when set: 9.00 (15.0 while the dispatcher built the envelope
+    // as a document, with a value per address).
+    println!("dispatch.decode: {per_envelope:.2} allocations per envelope over {envelopes} envelopes");
+    assert!(
+        per_envelope <= 10.5,
+        "dispatch.decode: {per_envelope:.2} allocations per envelope, budget 10.5"
+    );
 }
