@@ -333,7 +333,7 @@ fn cluster_json(inner: &Inner) -> String {
         .cells
         .iter()
         .map(|owner| match owner {
-            Some(w) => Value::String(w.clone()),
+            Some(w) => Value::from(w.as_str()),
             None => Value::Null,
         })
         .collect();
@@ -372,7 +372,8 @@ fn maybe_complete_failover(inner: &Inner, state: &mut State) {
     if !caught_up {
         return;
     }
-    let mttr_ms = since.elapsed().as_millis() as u64;
+    // Whole milliseconds, rounded up: a sub-millisecond recovery is not 0.
+    let mttr_ms = since.elapsed().as_micros().div_ceil(1_000) as u64;
     state.failover_since = None;
     let m = &inner.config.metrics;
     m.set_gauge("cluster.failover_mttr_ms", mttr_ms);
@@ -606,12 +607,11 @@ fn connection_loop(mut stream: TcpStream, inner: Arc<Inner>) {
         let same_conn =
             state.workers.get(&worker).map(|w| Arc::ptr_eq(&w.stream, &write_half)).unwrap_or(false);
         if same_conn && inner.running.load(Ordering::SeqCst) {
-            state.workers.remove(&worker);
+            let last_seen =
+                state.workers.remove(&worker).map_or_else(Instant::now, |w| w.last_heartbeat);
             let orphaned = state.table.evict(&worker);
             if orphaned > 0 {
-                // Start (or keep) the failover clock: cells just lost
-                // their host; MTTR runs until the grid is rebuilt.
-                state.failover_since.get_or_insert_with(Instant::now);
+                start_failover_clock(&mut state, last_seen);
             }
             inner.config.metrics.flight().record_cluster(
                 FlightEventKind::WorkerLeave,
@@ -624,6 +624,15 @@ fn connection_loop(mut stream: TcpStream, inner: Arc<Inner>) {
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Starts (or keeps) the failover clock when a worker that hosted cells is
+/// gone, whether it hung up or went silent. MTTR starts when the worker was
+/// last heard from, not when its loss was noticed — detection latency is
+/// part of recovery time — and runs until the grid is rebuilt.
+fn start_failover_clock(state: &mut State, last_seen: Instant) {
+    let since = state.failover_since.get_or_insert(last_seen);
+    *since = (*since).min(last_seen);
 }
 
 /// Declares workers dead after `heartbeat_timeout` of silence.
@@ -642,8 +651,6 @@ fn supervise_loop(inner: Arc<Inner>) {
             continue;
         }
         for worker in &dead {
-            // MTTR starts when the worker went silent, not when the
-            // timeout fired — detection latency is part of recovery time.
             let mut last_seen = Instant::now();
             if let Some(conn) = state.workers.remove(worker) {
                 last_seen = conn.last_heartbeat;
@@ -651,8 +658,7 @@ fn supervise_loop(inner: Arc<Inner>) {
             }
             let orphaned = state.table.evict(worker);
             if orphaned > 0 {
-                let since = state.failover_since.get_or_insert(last_seen);
-                *since = (*since).min(last_seen);
+                start_failover_clock(&mut state, last_seen);
             }
             inner.config.metrics.flight().record_cluster(
                 FlightEventKind::WorkerLeave,

@@ -6,86 +6,19 @@
 //! records with a handful of attributes, where a `Vec` beats hash maps both
 //! in memory and speed.
 //!
-//! Field names are *names*, not data: the same dozen short strings recur in
-//! every record of a collection, and a document is decoded, cloned and
-//! compared far more often than a name is ever looked at as text. They are
-//! therefore stored inline in the entry (`FieldName`) and the API speaks
+//! Field names are short strings, and a short string is a scalar: entries
+//! keep their name as a [`Str`], inline up to 22 bytes, and the API speaks
 //! `&str` only — building, decoding and cloning a document allocate for its
-//! values, never for its names.
+//! long strings and containers, never for its names.
 
+use crate::string::Str;
 use crate::value::Value;
 use std::fmt;
-
-/// Longest name stored inline. With the length byte and the enum tag this
-/// makes a [`FieldName`] exactly as large as the `String` it replaces.
-const INLINE_NAME: usize = 22;
-
-/// A field name: up to [`INLINE_NAME`] bytes inline, longer ones boxed.
-#[derive(Clone)]
-enum FieldName {
-    /// The first `len` bytes of `bytes` are the name — a whole `str`, copied
-    /// by [`FieldName::new`] and never modified, hence valid UTF-8.
-    Inline {
-        len: u8,
-        bytes: [u8; INLINE_NAME],
-    },
-    Boxed(Box<str>),
-}
-
-// An entry must not grow: retained after-images and stored records are
-// made of these.
-const _: () = assert!(std::mem::size_of::<FieldName>() == std::mem::size_of::<String>());
-
-impl FieldName {
-    fn new(name: &str) -> Self {
-        if name.len() <= INLINE_NAME {
-            let mut bytes = [0; INLINE_NAME];
-            bytes[..name.len()].copy_from_slice(name.as_bytes());
-            FieldName::Inline { len: name.len() as u8, bytes }
-        } else {
-            FieldName::Boxed(name.into())
-        }
-    }
-
-    fn as_bytes(&self) -> &[u8] {
-        match self {
-            FieldName::Inline { len, bytes } => &bytes[..*len as usize],
-            FieldName::Boxed(name) => name.as_bytes(),
-        }
-    }
-
-    /// The name as text. Lookups compare [`FieldName::as_bytes`] and skip
-    /// the (at most 22-byte) validation this pays for an inline name.
-    fn as_str(&self) -> &str {
-        match self {
-            FieldName::Inline { .. } => {
-                std::str::from_utf8(self.as_bytes()).expect("inline field name holds a whole str")
-            }
-            FieldName::Boxed(name) => name,
-        }
-    }
-
-    fn is(&self, name: &str) -> bool {
-        self.as_bytes() == name.as_bytes()
-    }
-}
-
-impl PartialEq for FieldName {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
-    }
-}
-
-impl fmt::Debug for FieldName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.as_str(), f)
-    }
-}
 
 /// An ordered mapping from field names to [`Value`]s.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Document {
-    entries: Vec<(FieldName, Value)>,
+    entries: Vec<(Str, Value)>,
 }
 
 impl Document {
@@ -118,12 +51,12 @@ impl Document {
 
     /// Looks up a top-level field.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.iter().find(|(k, _)| k.is(key)).map(|(_, v)| v)
+        self.entries.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// Mutable lookup of a top-level field.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.entries.iter_mut().find(|(k, _)| k.is(key)).map(|(_, v)| v)
+        self.entries.iter_mut().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// True if the field exists at top level.
@@ -141,7 +74,7 @@ impl Document {
         match self.get_mut(key) {
             Some(slot) => Some(std::mem::replace(slot, value)),
             None => {
-                self.entries.push((FieldName::new(key), value));
+                self.entries.push((Str::new(key), value));
                 None
             }
         }
@@ -149,7 +82,7 @@ impl Document {
 
     /// Removes a field, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let idx = self.entries.iter().position(|(k, _)| k.is(key))?;
+        let idx = self.entries.iter().position(|(k, _)| *k == key)?;
         Some(self.entries.remove(idx).1)
     }
 
@@ -267,7 +200,7 @@ impl FromIterator<(String, Value)> for Document {
 }
 
 /// Owning iterator over a document's fields, in insertion order.
-pub struct IntoIter(std::vec::IntoIter<(FieldName, Value)>);
+pub struct IntoIter(std::vec::IntoIter<(Str, Value)>);
 
 impl Iterator for IntoIter {
     type Item = (String, Value);

@@ -87,12 +87,12 @@ impl fmt::Display for Key {
 
 impl From<&str> for Key {
     fn from(s: &str) -> Self {
-        Key(Value::String(s.to_owned()))
+        Key(Value::String(s.into()))
     }
 }
 impl From<String> for Key {
     fn from(s: String) -> Self {
-        Key(Value::String(s))
+        Key(Value::String(s.into()))
     }
 }
 impl From<i64> for Key {

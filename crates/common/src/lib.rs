@@ -23,6 +23,7 @@ pub mod msg;
 pub mod notify;
 pub mod partition;
 pub mod query_spec;
+pub mod string;
 pub mod trace;
 pub mod value;
 pub mod write;
@@ -40,6 +41,7 @@ pub use notify::{
 };
 pub use partition::{fnv1a64, stable_hash64, Fnv1a};
 pub use query_spec::{AggregateOp, AggregateSpec, QuerySpec, SortDirection, SortSpec, SpecError};
+pub use string::Str;
 pub use trace::{Stage, StageStamp, TraceContext, ALL_STAGES, MAX_PLAUSIBLE_HOP_MICROS};
 pub use value::{canonical_cmp, canonical_eq, CanonicalSink, Value};
 pub use write::{DocumentBuilder, FieldWriter};

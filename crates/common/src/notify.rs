@@ -246,10 +246,6 @@ impl NotifyEnvelope {
     /// The one decoder: parts move out of an owned document and are copied
     /// out of a borrowed one, and nothing else is copied either way.
     fn decode(mut d: Cow<'_, Document>, reader: Option<&TenantId>) -> Result<Self, SpecError> {
-        let string = |v: Option<Cow<'_, Value>>| match v.map(Cow::into_owned) {
-            Some(Value::String(s)) => Some(s),
-            _ => None,
-        };
         let tenant = match d.get("tenant").and_then(Value::as_str) {
             Some(name) => match reader {
                 Some(reader) if reader.as_str() == name => reader.clone(),
@@ -285,7 +281,7 @@ impl NotifyEnvelope {
                 NotificationKind::InitialResult { items: items? }
             }
             "error" => NotificationKind::Error(MaintenanceError {
-                reason: string(take(&mut d, "error")).unwrap_or_else(|| "unknown".to_owned()),
+                reason: d.get("error").and_then(Value::as_str).unwrap_or("unknown").to_owned(),
             }),
             "aggregate" => NotificationKind::Aggregate {
                 value: take(&mut d, "value").map_or(Value::Null, Cow::into_owned),

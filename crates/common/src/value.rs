@@ -8,6 +8,7 @@
 //! the same output, given the same input of queries and writes").
 
 use crate::document::Document;
+use crate::string::Str;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -22,13 +23,16 @@ pub enum Value {
     Int(i64),
     /// 64-bit IEEE-754 float.
     Float(f64),
-    /// UTF-8 string.
-    String(String),
+    /// UTF-8 string; up to 22 bytes inline (see [`Str`]).
+    String(Str),
     /// Ordered array of values.
     Array(Vec<Value>),
     /// Nested document.
     Object(Document),
 }
+
+// Records, retained after-images and result windows are made of these.
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
 
 impl Value {
     /// Canonical type rank used for cross-type ordering.
@@ -234,11 +238,16 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::String(s.to_owned())
+        Value::String(s.into())
     }
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
+        Value::String(s.into())
+    }
+}
+impl From<Str> for Value {
+    fn from(s: Str) -> Self {
         Value::String(s)
     }
 }

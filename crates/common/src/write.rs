@@ -113,7 +113,7 @@ impl FieldWriter for DocumentBuilder {
     }
 
     fn str(&mut self, s: &str) {
-        self.push(Value::String(s.to_owned()));
+        self.push(Value::String(s.into()));
     }
 }
 

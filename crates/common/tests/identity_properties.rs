@@ -13,13 +13,19 @@
 //!   checked against a plain `Vec<(String, Value)>` model across the
 //!   boundary (names of 0, 1, 22, 23 and 64 bytes, multi-byte characters
 //!   ending exactly on and just past it).
+//! * The same [`Str`] carries string values. Equality, order, hashing,
+//!   `Debug` and `Display` are checked against a `String` model at that
+//!   boundary, and `stable_hash`, the canonical bytes and write partitions
+//!   of string keys are pinned to vectors taken from the encoder as it was
+//!   while string values were heap `String`s.
 
 use invalidb_common::{
     canonical_cmp, stable_hash64, CanonicalSink, Document, DocumentBuilder, FieldWriter, Fnv1a,
-    GridShape, Key, Value,
+    GridShape, Key, Str, Value,
 };
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Field names on both sides of the inline/boxed boundary.
@@ -36,6 +42,25 @@ fn name_strategy() -> impl Strategy<Value = String> {
         Just(format!("a{}", "é".repeat(11))),
         "\\PC{0,12}",
     ]
+}
+
+/// Strings on both sides of the inline/shared boundary, including
+/// multi-byte characters that end on byte 22 and that straddle it.
+fn str_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        name_strategy(),
+        Just(format!("{}é", "x".repeat(21))),
+        Just(format!("{}€", "x".repeat(20))),
+        Just(format!("{}😀", "x".repeat(18))),
+        Just(format!("{}😀", "x".repeat(19))),
+        "[xé€😀]{4,12}",
+    ]
+}
+
+fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
 }
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -59,7 +84,7 @@ fn values(floats: impl Strategy<Value = Value> + 'static) -> impl Strategy<Value
         any::<bool>().prop_map(Value::Bool),
         any::<i64>().prop_map(Value::Int),
         floats,
-        "\\PC{0,6}".prop_map(Value::String),
+        str_strategy().prop_map(|s: String| Value::String(s.into())),
     ];
     leaf.prop_recursive(3, 16, 4, |inner| {
         prop_oneof![
@@ -256,4 +281,128 @@ proptest! {
             prop_assert_eq!(expected, std::cmp::Ordering::Equal);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn strs_behave_like_the_string_model(a in str_strategy(), b in str_strategy()) {
+        let (sa, sb) = (Str::from(a.as_str()), Str::from(b.clone()));
+        prop_assert_eq!(&*sa, a.as_str());
+        prop_assert_eq!(sa.as_bytes(), a.as_bytes());
+        prop_assert_eq!(&sa, &Str::from(a.clone()), "from &str and from String agree");
+        prop_assert_eq!(sa == sb, a == b);
+        prop_assert_eq!(sa.cmp(&sb), a.cmp(&b));
+        prop_assert_eq!(sa.partial_cmp(&sb), a.partial_cmp(&b));
+        prop_assert_eq!(hash_of(&sa), hash_of(a.as_str()));
+        prop_assert_eq!(format!("{sa:?}"), format!("{a:?}"));
+        prop_assert_eq!(sa.to_string(), a.clone());
+        // Against borrowed and owned text.
+        prop_assert!(sa == a.as_str());
+        prop_assert!(a == sa);
+    }
+
+    #[test]
+    fn a_map_keyed_by_str_is_probed_with_a_borrowed_str(
+        names in prop::collection::vec(str_strategy(), 0..12),
+        probe in str_strategy(),
+    ) {
+        let map: HashMap<Str, usize> =
+            names.iter().enumerate().map(|(i, n)| (Str::from(n.as_str()), i)).collect();
+        let model: HashMap<&str, usize> =
+            names.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
+        for name in names.iter().chain([&probe]) {
+            prop_assert_eq!(map.get(name.as_str()), model.get(name.as_str()));
+        }
+    }
+
+    #[test]
+    fn string_values_compare_as_the_strings_they_hold(a in str_strategy(), b in str_strategy()) {
+        let (va, vb) = (Value::from(a.as_str()), Value::from(b.as_str()));
+        prop_assert_eq!(canonical_cmp(&va, &vb), a.cmp(&b));
+        prop_assert_eq!(va.as_str(), Some(a.as_str()));
+        prop_assert_eq!(Key(va.clone()) == Key(vb.clone()), a == b);
+        prop_assert_eq!(va.to_string(), format!("{a:?}"));
+    }
+}
+
+/// `stable_hash`, canonical bytes and write partitions (of 2, 3, 5 and 8)
+/// of string keys on both sides of the boundary, as the encoder produced
+/// them while string values were heap `String`s. Every deployed process
+/// routes by these.
+#[test]
+fn string_keys_route_as_they_did_when_strings_were_heap_allocated() {
+    let pinned: [(String, u64, [usize; 4], &str); 11] = [
+        (String::new(), 0xe8da8b1e8a5c82f2, [1, 2, 4, 7], "030000000000000000"),
+        ("k".into(), 0xd555e72464c97c02, [1, 2, 4, 6], "0300000000000000016b"),
+        ("k000123".into(), 0x1b11b13f441c2818, [0, 0, 0, 0], "0300000000000000076b303030313233"),
+        (
+            "x".repeat(22),
+            0x910849dc2c02cb90,
+            [1, 1, 2, 4],
+            "03000000000000001678787878787878787878787878787878787878787878",
+        ),
+        (
+            "x".repeat(23),
+            0x1528a9e9ac82bcd2,
+            [0, 0, 0, 0],
+            "0300000000000000177878787878787878787878787878787878787878787878",
+        ),
+        (
+            "é".repeat(11),
+            0xcd268b7c644b4ec2,
+            [1, 2, 4, 6],
+            "030000000000000016c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9",
+        ),
+        (
+            format!("a{}", "é".repeat(11)),
+            0x7ae56138840f256a,
+            [0, 1, 2, 3],
+            "03000000000000001761c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9",
+        ),
+        (
+            format!("{}é", "x".repeat(21)),
+            0x630b03d6b607037e,
+            [0, 1, 1, 3],
+            "030000000000000017787878787878787878787878787878787878787878c3a9",
+        ),
+        (
+            format!("{}€", "x".repeat(20)),
+            0xd157433c2abc64b6,
+            [1, 2, 4, 6],
+            "0300000000000000177878787878787878787878787878787878787878e282ac",
+        ),
+        (
+            format!("{}😀", "x".repeat(18)),
+            0x79d54def745e7367,
+            [0, 1, 2, 3],
+            "030000000000000016787878787878787878787878787878787878f09f9880",
+        ),
+        (
+            "x".repeat(64),
+            0xc0e0d8249aaee7ed,
+            [1, 2, 3, 6],
+            "030000000000000040787878787878787878787878787878787878787878787878787878787878\
+             78787878787878787878787878787878787878787878787878787878787878787878",
+        ),
+    ];
+    let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+    for (text, hash, partitions, bytes) in &pinned {
+        for key in
+            [Key::of(text.as_str()), Key::of(text.clone()), Key(Value::String(text.as_str().into()))]
+        {
+            assert_eq!(key.stable_hash(), *hash, "{text:?}");
+            assert_eq!(hex(&key.canonical_bytes()), *bytes, "{text:?}");
+            let routed = [2, 3, 5, 8].map(|wp| GridShape::new(1, wp).write_partition(&key));
+            assert_eq!(routed, *partitions, "{text:?}");
+        }
+    }
+    let nested = Key(Value::Array(vec![Value::from("ab"), Value::Int(1), Value::from("x".repeat(30))]));
+    assert_eq!(nested.stable_hash(), 0x6bfd8bd67bd85c5a);
+    assert_eq!(
+        hex(&nested.canonical_bytes()),
+        "0400000000000000030300000000000000026162010000000000000001030000000000\
+         00001e787878787878787878787878787878787878787878787878787878787878"
+    );
 }

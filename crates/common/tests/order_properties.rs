@@ -13,7 +13,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
         any::<i64>().prop_map(Value::Int),
         any::<f64>().prop_map(Value::Float), // includes NaN and infinities
-        "[a-c]{0,4}".prop_map(Value::String),
+        "[a-c]{0,4}".prop_map(|s: String| Value::String(s.into())),
     ];
     leaf.prop_recursive(3, 16, 4, |inner| {
         prop_oneof![

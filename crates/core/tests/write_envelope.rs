@@ -22,7 +22,7 @@ fn scalar() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
         any::<i64>().prop_map(Value::Int),
         any::<f64>().prop_filter("finite", |f| f.is_finite()).prop_map(Value::Float),
-        "\\PC{0,12}".prop_map(Value::String),
+        "\\PC{0,12}".prop_map(|s: String| Value::String(s.into())),
     ]
 }
 

@@ -319,7 +319,7 @@ impl<'a> BinReader<'a> {
                 let b = self.take(8)?;
                 Value::Float(f64::from_bits(u64::from_be_bytes(b.try_into().expect("8 bytes"))))
             }
-            TAG_STRING => Value::String(self.str()?.to_owned()),
+            TAG_STRING => Value::String(self.str()?.into()),
             TAG_ARRAY => {
                 let count = self.len_varint()?;
                 let mut items = Vec::with_capacity(count);

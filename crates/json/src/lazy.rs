@@ -183,7 +183,7 @@ impl<'a> LazyValue<'a> {
             LazyValue::Bool(b) => Value::Bool(*b),
             LazyValue::Int(i) => Value::Int(*i),
             LazyValue::Float(f) => Value::Float(*f),
-            LazyValue::Str(s) => Value::String((*s).to_owned()),
+            LazyValue::Str(s) => Value::String((*s).into()),
             LazyValue::Array(arr) => Value::Array(arr.materialize()?),
             LazyValue::Object(obj) => Value::Object(obj.materialize()?),
         })

@@ -96,7 +96,7 @@ impl<'a> Parser<'a> {
             None => Err(self.err(JsonErrorKind::UnexpectedEof)),
             Some(b'{') => self.object(depth).map(Value::Object),
             Some(b'[') => self.array(depth),
-            Some(b'"') => self.string().map(|s| Value::String(s.into_owned())),
+            Some(b'"') => self.string().map(|s| Value::String(s.as_ref().into())),
             Some(b't') => {
                 if self.eat_keyword("true") {
                     Ok(Value::Bool(true))

@@ -13,7 +13,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         // Finite floats only; NaN breaks PartialEq-based assertions.
         any::<f64>().prop_filter("finite", |f| f.is_finite()).prop_map(Value::Float),
-        "[\\PC\u{0}-\u{7f}]{0,16}".prop_map(Value::String),
+        "[\\PC\u{0}-\u{7f}]{0,16}".prop_map(|s: String| Value::String(s.into())),
     ];
     leaf.prop_recursive(4, 32, 8, |inner| {
         prop_oneof![
@@ -49,7 +49,7 @@ proptest! {
 
     #[test]
     fn strings_with_escapes_roundtrip(raw in "\\PC{0,32}") {
-        let v = Value::String(raw);
+        let v = Value::String(raw.into());
         let mut s = String::new();
         write_value(&v, &mut s);
         prop_assert_eq!(parse_value(&s).unwrap(), v);

@@ -11,7 +11,7 @@ fn scalar() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
         (-20i64..20).prop_map(Value::Int),
         (-20i64..20).prop_map(|i| Value::Float(i as f64 / 2.0)),
-        "[a-d]{0,3}".prop_map(Value::String),
+        "[a-d]{0,3}".prop_map(|s: String| Value::String(s.into())),
     ]
 }
 

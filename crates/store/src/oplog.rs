@@ -5,7 +5,7 @@
 //! architecture whose missing write-stream partitioning the paper identifies
 //! as the scalability bottleneck of Meteor/RethinkDB/Parse (§3.1).
 
-use invalidb_common::{Document, Key, Version};
+use invalidb_common::{Document, Key, Str, Version};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,8 +26,9 @@ pub enum OplogOp {
 pub struct OplogEntry {
     /// Monotonic sequence number (store-wide).
     pub seq: u64,
-    /// Collection the write targeted.
-    pub collection: String,
+    /// Collection the write targeted; a short name is copied without
+    /// allocating.
+    pub collection: Str,
     /// Primary key.
     pub key: Key,
     /// Record version after the write.
@@ -76,7 +77,7 @@ impl Oplog {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.entries.push(OplogEntry { seq, collection: collection.to_owned(), key, version, doc, op });
+        inner.entries.push(OplogEntry { seq, collection: collection.into(), key, version, doc, op });
         self.appended.notify_all();
         seq
     }

@@ -2,7 +2,7 @@
 //! full filter always re-applied as a residual (indexes narrow the candidate
 //! set; they never decide matching on their own).
 
-use invalidb_common::{Document, Value};
+use invalidb_common::{Document, Str, Value};
 use std::ops::Bound;
 
 /// Chosen access path for a query.
@@ -113,7 +113,7 @@ fn plan_operators(field: &str, obj: &Document) -> Option<Plan> {
 fn bracket_lower(rank: u8) -> Bound<Value> {
     match rank {
         1 => Bound::Included(Value::Float(f64::NAN)), // NaN sorts first among numbers
-        2 => Bound::Included(Value::String(String::new())),
+        2 => Bound::Included(Value::String(Str::default())),
         _ => Bound::Unbounded,
     }
 }
@@ -218,7 +218,7 @@ mod tests {
         let p = plan_query(&doc! { "name" => doc! { "$lt" => "m" } }, indexed().into_iter());
         match p {
             Plan::IndexRange { lower, upper, .. } => {
-                assert_eq!(lower, Bound::Included(Value::String(String::new())));
+                assert_eq!(lower, Bound::Included(Value::String(Str::default())));
                 assert_eq!(upper, Bound::Excluded(Value::String("m".into())));
             }
             other => panic!("expected range, got {other:?}"),

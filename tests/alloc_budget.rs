@@ -1,13 +1,15 @@
 //! Allocations per write, stage by stage.
 //!
 //! A write that notifies half a subscriber should pay for what it carries —
-//! its key, its values, its buffers — and not for the names every layer keys
-//! its state by. This test holds that: it drives steady-state updates through
-//! the stages of the save→notify path one function call at a time, on one
-//! thread, under an allocator that counts per thread, and asserts a ceiling
-//! per stage. The ceilings sit about a fifth above what the code measured when
-//! they were set (the numbers are in EXPERIMENTS.md, "Identity model"), so a
-//! regression fails here and names its layer; the benchmark's
+//! its long values, its containers, its buffers — and not for the names and
+//! short strings (its key among them) every layer keeps a copy of. This test
+//! holds that: it drives steady-state updates through the stages of the
+//! save→notify path one function call at a time, on one thread, under an
+//! allocator that counts per thread, and asserts a ceiling per stage. The
+//! ceilings sit about a fifth above what the code measured when they were
+//! set (the numbers are in EXPERIMENTS.md, "Identity model" and "short
+//! strings are scalars"), so a regression fails here and names its layer;
+//! the benchmark's
 //! `allocs_per_write` says the same for the threaded pipeline as a whole.
 //!
 //! The stages are the pipeline's own functions, in pipeline order:
@@ -293,20 +295,22 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
     assert!((0.3..0.7).contains(&fan_out), "fan-out {fan_out}");
 
     println!("allocations per write over {MEASURED} updates, fan-out {fan_out:.2}:");
-    // Measured when set: 6.04, 1.00, 9.00, 3.07, 4.62, 0.62 — 24.4 in all
-    // (`write.encode` was 2.00, `cell` 3.58 and `dispatch.decode` 7.18
+    // Measured when set: 3.04, 1.00, 3.00, 1.77, 1.54, 0.10 — 10.4 in all
+    // (6.04, 9.00, 3.07, 4.62 and 0.62 while every string value, key and
+    // collection name was a heap `String`, copied at every layer that kept
+    // it; `write.encode` was 2.00, `cell` 3.58 and `dispatch.decode` 7.18
     // while every payload grew a buffer of its own and the dispatcher
     // built the whole envelope as a document; `result.apply` was 2.17
     // while each live entry copied its document), where the commit before
     // the identity model (names copied at every layer) measured 17.04,
     // 3.00, 21.00, 30.20, 16.93, 6.56 — 94.7.
     let budget = [
-        ("store.save", stages.store_save, 7.25),
+        ("store.save", stages.store_save, 3.6),
         ("write.encode", stages.write_encode, 1.2),
-        ("ingest.decode", stages.ingest_decode, 10.8),
-        ("cell", stages.cell, 3.7),
-        ("dispatch.decode", stages.dispatch_decode, 5.6),
-        ("result.apply", stages.result_apply, 0.75),
+        ("ingest.decode", stages.ingest_decode, 3.6),
+        ("cell", stages.cell, 2.1),
+        ("dispatch.decode", stages.dispatch_decode, 1.85),
+        ("result.apply", stages.result_apply, 0.12),
     ];
     for (stage, allocs, ceiling) in budget {
         println!("  {stage:<16} {:>6.2}  (ceiling {ceiling})", per_write(allocs));
@@ -332,16 +336,38 @@ fn a_change_shared_by_many_results_is_applied_without_copying_its_document() {
     let fan_out = per_write(envelopes);
     assert!((0.3..0.7).contains(&fan_out), "envelopes per write {fan_out}");
     let per_delivery = stages.result_apply as f64 / deliveries as f64;
-    // Measured when set: 1.20 (4.23 while each live entry copied its
-    // document).
+    // Measured when set: 0.20 (1.20 while each entry's key was a heap
+    // `String`, 4.23 while each live entry copied its document).
     println!("result.apply: {per_delivery:.2} allocations per delivery over {deliveries} deliveries");
-    assert!(per_delivery <= 1.5, "result.apply: {per_delivery:.2} allocations per delivery, budget 1.5");
+    assert!(
+        per_delivery <= 0.25,
+        "result.apply: {per_delivery:.2} allocations per delivery, budget 0.25"
+    );
     let per_envelope = stages.dispatch_decode as f64 / envelopes as f64;
-    // Measured when set: 9.00 (15.0 while the dispatcher built the envelope
-    // as a document, with a value per address).
+    // Measured when set: 3.00 (9.00 while every string was a heap `String`,
+    // 15.0 while the dispatcher built the envelope as a document, with a
+    // value per address).
     println!("dispatch.decode: {per_envelope:.2} allocations per envelope over {envelopes} envelopes");
     assert!(
-        per_envelope <= 10.5,
-        "dispatch.decode: {per_envelope:.2} allocations per envelope, budget 10.5"
+        per_envelope <= 3.6,
+        "dispatch.decode: {per_envelope:.2} allocations per envelope, budget 3.6"
     );
+}
+
+/// A short string is a scalar: copying a key of up to 22 bytes allocates
+/// nothing, and copying a record of scalars and short strings allocates its
+/// entry vector and nothing else.
+#[test]
+fn short_keys_and_records_of_scalars_copy_without_allocating_their_strings() {
+    let key = Key::of("k".repeat(22));
+    let mut allocs = 0;
+    let copy = counted(&mut allocs, || key.clone());
+    assert_eq!(copy, key);
+    assert_eq!(allocs, 0, "cloning a 22-byte key");
+
+    let doc = document(&mut Lcg(7), 1);
+    let mut allocs = 0;
+    let copy = counted(&mut allocs, || doc.clone());
+    assert_eq!(copy, doc);
+    assert_eq!(allocs, 1, "cloning an eleven-field record of scalars and 10-byte strings");
 }

@@ -12,12 +12,15 @@
 //! * after SIGKILLing the worker that owns the grid, the coordinator
 //!   records a finite `cluster.failover_mttr_ms` once the survivors have
 //!   rebuilt and caught up.
+//!
+//! A second test drives the coordinator's hangup path with hand-rolled
+//! workers, so the MTTR's start is known exactly.
 
 use invalidb::broker::Broker;
 use invalidb::client::{AppServer, AppServerConfig, ClientEvent};
 use invalidb::cluster::{Coordinator, CoordinatorConfig};
 use invalidb::common::{GridShape, Stage};
-use invalidb::net::{BrokerServer, BrokerServerConfig};
+use invalidb::net::{BrokerServer, BrokerServerConfig, Frame};
 use invalidb::obs::{from_prometheus_federated, to_prometheus, MetricsRegistry};
 use invalidb::store::Store;
 use invalidb::{doc, Key, QuerySpec};
@@ -200,5 +203,68 @@ fn cluster_observability_end_to_end() {
     assert!(members.contains("\"failover_in_progress\":false"), "{members}");
 
     drop(sub);
+    coordinator.shutdown();
+}
+
+/// A worker that hangs up is gone as of its last heartbeat, as a silent one
+/// is: the failover clock starts there, not at the hangup, and a recovery
+/// is never recorded as 0 ms.
+#[test]
+fn hangup_failover_is_timed_from_the_last_heartbeat() {
+    const SILENCE: Duration = Duration::from_millis(150);
+    let registry = MetricsRegistry::new();
+    let mut config = CoordinatorConfig::new(GridShape::new(1, 1));
+    // Long enough that only the hangup can evict the victim.
+    config.heartbeat_timeout = Duration::from_secs(60);
+    config.metrics = registry.clone();
+    let coordinator = Coordinator::bind("127.0.0.1:0", Broker::new(), config).expect("bind coordinator");
+    let join = |name: &str| {
+        let mut stream = TcpStream::connect(coordinator.local_addr()).expect("connect coordinator");
+        let frame = Frame::JoinCluster { worker: name.to_string(), weight: 1 };
+        stream.write_all(&frame.encode()).expect("join");
+        stream
+    };
+
+    // The first to join hosts the only cell; its join is its last sign of
+    // life.
+    let victim = join("victim");
+    assert!(coordinator.wait_assigned(Duration::from_secs(10)), "initial assignment");
+    let mut survivor = join("survivor");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while coordinator.workers_alive() < 2 {
+        assert!(Instant::now() < deadline, "the survivor should join");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(coordinator.assignment().cells_of("victim").len(), 1, "victim hosts the cell");
+
+    std::thread::sleep(SILENCE);
+    let epoch_before = coordinator.epoch();
+    drop(victim);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while coordinator.epoch() == epoch_before {
+        assert!(Instant::now() < deadline, "the hangup should move the cell");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The survivor reports its new cell at once, which completes recovery.
+    let report = Frame::CellState {
+        worker: "survivor".to_string(),
+        epoch: coordinator.epoch(),
+        cell: 0,
+        active_queries: 0,
+        retained_writes: 0,
+    };
+    survivor.write_all(&report.encode()).expect("report cell state");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mttr_ms = loop {
+        if let Some(&v) = registry.snapshot().gauges.get("cluster.failover_mttr_ms") {
+            break v;
+        }
+        assert!(Instant::now() < deadline, "cluster.failover_mttr_ms never recorded");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(
+        mttr_ms >= SILENCE.as_millis() as u64 && mttr_ms < 60_000,
+        "MTTR runs from the victim's last heartbeat, at least {SILENCE:?} before its hangup; got {mttr_ms} ms"
+    );
     coordinator.shutdown();
 }
