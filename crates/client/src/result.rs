@@ -4,7 +4,9 @@
 //! to a local list, exactly as InvaliDB's sorting stage expects its edit
 //! scripts to be applied: `add` inserts at `index`, `changeIndex` moves from
 //! `old_index` to `index`, `remove` deletes at `old_index`. Unsorted queries
-//! carry no indices; membership is maintained by key.
+//! carry no indices: their result is a set, held in key order, so a change
+//! finds its key by binary search — O(log n) per change, not a pass over
+//! the whole result.
 //!
 //! An entry does not copy its document: it shares the change that
 //! delivered it, so a change addressed to N subscriptions is held once by
@@ -77,16 +79,19 @@ impl fmt::Debug for SharedDoc {
 /// A locally maintained query result.
 #[derive(Debug, Clone, Default)]
 pub struct LiveResult {
+    /// In result order: sort order for a sorted query, key order for an
+    /// unsorted one.
     entries: Vec<LiveEntry>,
     /// Set after a maintenance error until the renewal delta arrives.
     degraded: bool,
     /// Client-side staleness avoidance for *unsorted* results (mirrors the
-    /// matching nodes' scheme, §5.1): newest version seen per key —
-    /// including tombstones — so that notifications arriving out of order
-    /// over a misbehaving channel never resurrect old state. Sorted edit
-    /// scripts are index-based and assume an ordered channel (like the
-    /// production WebSocket), so they bypass this map.
-    seen_versions: std::collections::HashMap<Key, Version>,
+    /// matching nodes' scheme, §5.1), so that notifications arriving out of
+    /// order over a misbehaving channel never resurrect old state: the
+    /// newest version seen of every key that is *not* held. A held key's
+    /// version is its entry's. Sorted edit scripts are index-based and
+    /// assume an ordered channel (like the production WebSocket), so they
+    /// bypass the guard.
+    tombstones: std::collections::HashMap<Key, Version>,
 }
 
 impl LiveResult {
@@ -95,7 +100,8 @@ impl LiveResult {
         Self::default()
     }
 
-    /// Current entries in result order.
+    /// Current entries in result order: the query's sort order, or key
+    /// order for an unsorted query (whose result is a set).
     pub fn entries(&self) -> &[LiveEntry] {
         &self.entries
     }
@@ -110,9 +116,16 @@ impl LiveResult {
         self.entries.is_empty()
     }
 
-    /// Keys in result order.
+    /// Keys in result order (see [`LiveResult::entries`]).
     pub fn keys(&self) -> Vec<Key> {
         self.entries.iter().map(|e| e.key.clone()).collect()
+    }
+
+    /// The keys of an unsorted result that were notified but are not held,
+    /// each with the newest version seen: what keeps a late notification
+    /// from resurrecting a removed record. No key here is also an entry.
+    pub fn tombstones(&self) -> impl Iterator<Item = (&Key, Version)> {
+        self.tombstones.iter().map(|(key, version)| (key, *version))
     }
 
     /// True between a maintenance error and the renewal delta.
@@ -147,7 +160,8 @@ impl LiveResult {
     }
 
     /// Replaces the result wholesale (initial result or renewal); each
-    /// entry gets its document in an `Arc` of its own.
+    /// entry gets its document in an `Arc` of its own. Items without an
+    /// index are an unsorted result and are put in key order.
     fn reset(&mut self, items: &[ResultItem]) {
         self.entries = items
             .iter()
@@ -156,35 +170,23 @@ impl LiveResult {
                 Some(entry(item, doc))
             })
             .collect();
-        self.seen_versions = items.iter().map(|i| (i.key.clone(), i.version)).collect();
+        if items.iter().all(|item| item.index.is_none()) {
+            self.entries.sort_by(|a, b| a.key.cmp(&b.key));
+        }
+        self.tombstones = items
+            .iter()
+            .filter(|item| item.doc.is_none())
+            .map(|item| (item.key.clone(), item.version))
+            .collect();
         self.degraded = false;
     }
 
     fn apply_change(&mut self, change: &Arc<ChangeItem>) {
         // Any change ends the degraded phase a maintenance error began.
         self.degraded = false;
-        // Unsorted notifications (no index): guard against reordered
-        // delivery by version. Removes pass on *equal* versions too: a
-        // poll-and-diff provider can only report the last version it saw
-        // (the tombstone version is unknowable from a result diff), and a
-        // remove of the version we hold is never stale.
         if change.item.index.is_none() && change.old_index.is_none() {
-            let is_stale = |seen: Version| {
-                if change.match_type == MatchType::Remove {
-                    change.item.version < seen
-                } else {
-                    change.item.version <= seen
-                }
-            };
-            // Updated in place: a key is copied the first time it is seen.
-            match self.seen_versions.get_mut(&change.item.key) {
-                Some(seen) if is_stale(*seen) => return,
-                Some(seen) => *seen = change.item.version,
-                None if is_stale(0) => return,
-                None => {
-                    self.seen_versions.insert(change.item.key.clone(), change.item.version);
-                }
-            }
+            self.apply_unsorted(change);
+            return;
         }
         // The entry an add or change makes shares the change itself.
         let new_entry = || SharedDoc::of_change(change).map(|doc| entry(&change.item, doc));
@@ -195,7 +197,6 @@ impl LiveResult {
                     self.entries.insert(at, entry);
                 }
                 (Some(entry), None) => {
-                    // Unsorted: dedupe by key, append.
                     self.remove_key(&change.item.key);
                     self.entries.push(entry);
                 }
@@ -208,11 +209,6 @@ impl LiveResult {
                             self.entries[index as usize] = entry;
                         }
                         _ => {
-                            // Unsorted change is an UPSERT: when delivery is
-                            // reordered, a `change` can overtake the `add`
-                            // that establishes membership — the version
-                            // guard above already proved this event is the
-                            // newest state, so membership follows from it.
                             self.remove_key(&change.item.key);
                             self.entries.push(entry);
                         }
@@ -239,6 +235,63 @@ impl LiveResult {
                 }
                 _ => self.remove_key(&change.item.key),
             },
+        }
+    }
+
+    /// One change of an unsorted result (no index): membership by key, the
+    /// key found by binary search, guarded by version against reordered
+    /// delivery. Removes pass on *equal* versions too: a poll-and-diff
+    /// provider can only report the last version it saw (the tombstone
+    /// version is unknowable from a result diff), and a remove of the
+    /// version we hold is never stale.
+    fn apply_unsorted(&mut self, change: &Arc<ChangeItem>) {
+        let (key, version) = (&change.item.key, change.item.version);
+        let at = self.entries.binary_search_by(|e| e.key.cmp(key));
+        let seen = match at {
+            Ok(i) => self.entries[i].version,
+            Err(_) => self.tombstones.get(key).copied().unwrap_or(0),
+        };
+        let stale =
+            if change.match_type == MatchType::Remove { version < seen } else { version <= seen };
+        if stale {
+            return;
+        }
+        if change.match_type == MatchType::Remove {
+            match at {
+                Ok(i) => {
+                    let gone = self.entries.remove(i);
+                    self.tombstones.insert(gone.key, version);
+                }
+                Err(_) => self.tombstone(key, version),
+            }
+            return;
+        }
+        // An add, change or changeIndex is an UPSERT: when delivery is
+        // reordered, a `change` can overtake the `add` that establishes
+        // membership — the version guard already proved this event is the
+        // newest state, so membership follows from it. The entry shares the
+        // change itself.
+        match (SharedDoc::of_change(change), at) {
+            (Some(doc), Ok(i)) => self.entries[i] = entry(&change.item, doc),
+            (Some(doc), Err(i)) => {
+                self.tombstones.remove(key);
+                self.entries.insert(i, entry(&change.item, doc));
+            }
+            // Nothing to hold: a held key keeps its entry, an absent one
+            // records the version.
+            (None, Ok(_)) => {}
+            (None, Err(_)) => self.tombstone(key, version),
+        }
+    }
+
+    /// Records the newest version of a key that is not held; the key is
+    /// copied the first time it is seen.
+    fn tombstone(&mut self, key: &Key, version: Version) {
+        match self.tombstones.get_mut(key) {
+            Some(seen) => *seen = version,
+            None => {
+                self.tombstones.insert(key.clone(), version);
+            }
         }
     }
 
@@ -355,22 +408,36 @@ mod tests {
     #[test]
     fn initial_add_change_remove_leaves_the_newest_entries() {
         let mut r = Both::default();
-        r.apply(initial(vec![item("a", 1, None), item("b", 1, None)]));
+        // An unsorted initial result is put in key order.
+        let start = r.apply(initial(vec![item("d", 1, None), item("b", 1, None), item("a", 1, None)]));
+        assert_eq!(start.keys(), keys(&["a", "b", "d"]));
         r.apply(change(MatchType::Add, item("c", 1, None), None));
         let a3 = ResultItem::new(Key::of("a"), 3, doc! { "k" => "a", "n" => 3i64 });
         r.apply(change(MatchType::Change, a3, None));
         // A stale change of `c` is dropped by the version guard.
         r.apply(change(MatchType::Change, item("c", 1, None), None));
-        let r = r.apply(change(MatchType::Remove, gone("b", 2), None));
+        r.apply(change(MatchType::Remove, gone("b", 2), None));
+        // So is a late add of the removed `b`: its tombstone remembers v2.
+        let r = r.apply(change(MatchType::Add, item("b", 2, None), None));
         let held: Vec<(Key, Version, Document)> =
             r.entries().iter().map(|e| (e.key.clone(), e.version, (*e.doc).clone())).collect();
         assert_eq!(
             held,
             [
-                (Key::of("c"), 1, doc! { "k" => "c" }),
                 (Key::of("a"), 3, doc! { "k" => "a", "n" => 3i64 }),
-            ]
+                (Key::of("c"), 1, doc! { "k" => "c" }),
+                (Key::of("d"), 1, doc! { "k" => "d" }),
+            ],
+            "key order, newest versions"
         );
+        assert_eq!(r.tombstones().collect::<Vec<_>>(), [(&Key::of("b"), 2)]);
+    }
+
+    #[test]
+    fn a_sorted_initial_result_keeps_its_order() {
+        let mut r = Both::default();
+        let r = r.apply(initial(vec![item("b", 1, Some(0)), item("a", 1, Some(1))]));
+        assert_eq!(r.keys(), keys(&["b", "a"]));
     }
 
     #[test]

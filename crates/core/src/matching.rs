@@ -88,8 +88,8 @@ impl PredCache {
 /// tenant and collection are those of the [`Scope`] it lives in.
 struct QueryGroup {
     /// Human-readable rendering of the query spec, captured at subscribe
-    /// time for the slow-query log.
-    spec_display: String,
+    /// time for the slow-query log (which shares it until it keeps a copy).
+    spec_display: Arc<str>,
     prepared: Arc<dyn PreparedQuery>,
     /// Which downstream stages consume this query's transitions; neither
     /// for self-maintainable filter queries.
@@ -346,7 +346,7 @@ impl Evaluator {
         self.slow_scratch.charge(
             tenant.as_str(),
             hash.0,
-            || group.spec_display.clone(),
+            || Arc::clone(&group.spec_display),
             started.elapsed().as_micros() as u64,
         );
     }
@@ -578,7 +578,7 @@ impl MatchingNode {
             }
         }
         let mut group = QueryGroup {
-            spec_display: req.spec.to_string(),
+            spec_display: req.spec.to_string().into(),
             prepared,
             to_sorting: req.spec.needs_sorting_stage(),
             to_aggregation: req.spec.needs_aggregation_stage(),
@@ -595,10 +595,18 @@ impl MatchingNode {
         }
         // Replay the scope's retained writes against the new query: closes
         // the write-subscription race (§5.1). Writes already reflected in
-        // the initial result are skipped by the version guard.
+        // the initial result are skipped by the version guard. A write can
+        // only matter if the query holds its key or the index would have
+        // proposed the query for it — the rest are irrelevant by the
+        // index's superset contract, so they are not evaluated at all.
         for (_, img) in retention.iter() {
-            self.eval.pred_cache.begin_write();
-            self.eval.match_against(containing, &mut group, hash, &req.tenant, img);
+            let relevant = !self.eval.indexed
+                || group.result.contains_key(&img.key)
+                || img.doc.as_ref().is_some_and(|doc| index.admits(hash, doc));
+            if relevant {
+                self.eval.pred_cache.begin_write();
+                self.eval.match_against(containing, &mut group, hash, &req.tenant, img);
+            }
         }
         queries.insert(hash, group);
         self.active_queries += 1;
@@ -965,6 +973,55 @@ mod tests {
         let initial = vec![ResultItem::new(Key::of("seen"), 3, doc! { "n" => 50i64 })];
         h.send(subscribe_event(spec, 1, initial));
         assert!(h.notifications().is_empty());
+    }
+
+    #[test]
+    fn replay_evaluates_only_the_retained_writes_the_index_admits() {
+        let subscribe_after_writes = |config: ClusterConfig| {
+            let mut h = harness(config);
+            for i in 0..1_000i64 {
+                let doc = doc! { "status" => format!("s{}", i % 4), "price" => i };
+                h.send(write_event(Key::of(i), 1, Some(doc)));
+            }
+            // A delete of a key the new query never held.
+            h.send(write_event(Key::of(7i64), 2, None));
+            let filtered = |h: &Harness| h.node.config.metrics.snapshot().counters["matching.filtered"];
+            let before = filtered(&h);
+            // No retained write has this status; few reach this range.
+            h.send(subscribe_event(QuerySpec::filter("t", doc! { "status" => "s9" }), 1, vec![]));
+            let spec =
+                QuerySpec::filter("t", doc! { "status" => "s1", "price" => doc! { "$gte" => 990i64 } });
+            h.send(subscribe_event(spec, 2, vec![]));
+            let added: Vec<Key> = h.notifications().iter().map(|n| change_of(n).1).collect();
+            (filtered(&h) - before, added)
+        };
+        let (evaluated_in_vain, added) = subscribe_after_writes(ClusterConfig::new(1, 1));
+        assert!(evaluated_in_vain <= 10, "{evaluated_in_vain} retained writes evaluated in vain");
+        assert_eq!(added, [993i64, 997].map(Key::of));
+        // The force-scan reference replays, and finds, the same.
+        let mut scan = ClusterConfig::new(1, 1);
+        scan.multi_query_index = false;
+        let (scanned_in_vain, scanned) = subscribe_after_writes(scan);
+        assert_eq!(scanned, added);
+        assert!(scanned_in_vain >= 1_000);
+    }
+
+    #[test]
+    fn replay_removes_held_keys_the_index_no_longer_admits() {
+        // The bootstrap read saw both records in the range; an update out of
+        // it and a delete were retained before the subscription arrived.
+        let mut h = harness(ClusterConfig::new(1, 1));
+        h.send(write_event(Key::of("moved"), 2, Some(doc! { "status" => "s1", "price" => 5i64 })));
+        h.send(write_event(Key::of("deleted"), 2, None));
+        let spec =
+            QuerySpec::filter("t", doc! { "status" => "s1", "price" => doc! { "$gte" => 10i64 } });
+        let initial = ["moved", "deleted"]
+            .map(|k| ResultItem::new(Key::of(k), 1, doc! { "status" => "s1", "price" => 20i64 }));
+        h.send(subscribe_event(spec, 1, initial.to_vec()));
+        assert_eq!(
+            h.notifications().iter().map(change_of).collect::<Vec<_>>(),
+            [(MatchType::Remove, Key::of("moved"), 2), (MatchType::Remove, Key::of("deleted"), 2)]
+        );
     }
 
     #[test]

@@ -15,19 +15,25 @@
 //! * **Conjunctive anchoring**: a filter like `{status: "open", price:
 //!   {$lt: 100}}` is decomposed into atoms ([`invalidb_query::predicate`])
 //!   and registered under its most selective indexable atom — equality
-//!   first, then `$in`, then the tightest range — with the remaining atoms
-//!   as a residual that full verification (and the matching node's shared
-//!   predicate cache) handles.
+//!   first, then `$in`, then the tightest range.
+//! * **Residual ranges**: an equality or `$in` anchor also carries the
+//!   filter's tightest range on a *second* top-level attribute, and the
+//!   lane proposes the query only when the document reaches that range as
+//!   well (the envelope test an interval lane applies). Sixty-four
+//!   `{status: "open", price: {$lt: b}}` filters then cost a write of
+//!   status `"open"` one comparison each instead of one evaluation each.
+//!   Whatever atoms remain are verified in full (through the matching
+//!   node's shared predicate cache).
 //!
 //! The index is *conservative*: it may return supersets, never misses.
 //! Array-valued attributes fan out per MongoDB semantics, and since
 //! different elements may satisfy different conjuncts of one condition
-//! (`{a: {$gt: 5, $lt: 9}}` matches `{a: [4, 10]}`), interval lookups probe
-//! the **envelope** `[min(elements), max(elements)]` for intersection
-//! rather than stabbing per element — exact for scalars, superset for
-//! arrays. Every candidate is still verified with the full predicate
-//! evaluation, so correctness never depends on the index. Queries with no
-//! indexable atom fall into a scan list and are evaluated the classic way.
+//! (`{a: {$gt: 5, $lt: 9}}` matches `{a: [4, 10]}`), range tests use the
+//! **envelope** `[min(elements), max(elements)]` for intersection rather
+//! than stabbing per element — exact for scalars, superset for arrays.
+//! Every candidate is still verified with the full predicate evaluation,
+//! so correctness never depends on the index. Queries with no indexable
+//! atom fall into a scan list and are evaluated the classic way.
 //!
 //! The interval trees are static and rebuilt lazily on the first lookup
 //! after a subscription change — subscription churn is orders of magnitude
@@ -71,6 +77,26 @@ fn bracket_max() -> Value {
     Value::Object(Document::new())
 }
 
+/// The probe envelope of an attribute value: `[v, v]` for a scalar,
+/// `[min, max]` of the elements for an array, nothing for an empty array
+/// (no element can satisfy a range).
+fn envelope(value: &Value) -> Option<(&Value, &Value)> {
+    let Value::Array(items) = value else { return Some((value, value)) };
+    let (first, rest) = items.split_first()?;
+    Some(rest.iter().fold((first, first), |(min, max), item| {
+        (
+            if canonical_cmp(item, min) == Ordering::Less { item } else { min },
+            if canonical_cmp(item, max) == Ordering::Greater { item } else { max },
+        )
+    }))
+}
+
+/// Whether `[lo, hi]` intersects the envelope `[min, max]`:
+/// `lo <= max && hi >= min`.
+fn intersects(lo: &Value, hi: &Value, (min, max): (&Value, &Value)) -> bool {
+    canonical_cmp(lo, max) != Ordering::Greater && canonical_cmp(hi, min) != Ordering::Less
+}
+
 /// Static centered interval tree (sorted by `lo`, max-`hi` augmented).
 struct IntervalTree<Id> {
     /// Intervals sorted by `(lo, insertion order)`.
@@ -104,9 +130,9 @@ impl<Id: Copy> IntervalTree<Id> {
     }
 
     /// All intervals `[lo, hi]` intersecting the probe envelope
-    /// `[min, max]`, i.e. `lo <= max && hi >= min`. A point stab is the
-    /// degenerate envelope `min == max == v`.
-    fn intersecting(&self, min: &Value, max: &Value, out: &mut Vec<Id>) {
+    /// `[min, max]` (see [`intersects`]). A point stab is the degenerate
+    /// envelope `min == max == v`.
+    fn intersecting(&self, (min, max): (&Value, &Value), out: &mut Vec<Id>) {
         if self.intervals.is_empty() {
             return;
         }
@@ -166,19 +192,55 @@ fn range_scalar(v: &Value) -> bool {
 /// a lane registration.
 const MAX_IN_LANE: usize = 128;
 
-/// Where a query was registered (exact removal + accounting).
+/// The range an equality-lane entry's document must also reach: the
+/// filter's combined bounds on a second top-level attribute, widened like
+/// an interval lane's.
+#[derive(Debug, Clone)]
+struct Residual {
+    attr: String,
+    lo: Value,
+    hi: Value,
+}
+
+impl Residual {
+    /// Whether the attribute's value (or its array envelope) intersects
+    /// the range. A missing attribute never satisfies a range atom.
+    fn admits(&self, value: Option<&Value>) -> bool {
+        value.and_then(envelope).is_some_and(|env| intersects(&self.lo, &self.hi, env))
+    }
+}
+
+/// One query registered in an equality lane.
+struct LaneEntry<Id> {
+    id: Id,
+    residual: Option<Residual>,
+}
+
+/// A registration in the equality lanes: the query sits in the bucket of
+/// each of `keys` in the lane of `attr`.
+struct EqAnchor {
+    attr: String,
+    keys: Vec<Vec<u8>>,
+    residual: Option<Residual>,
+}
+
+/// Where a query was registered (exact removal + accounting). Boxed, an
+/// equality anchor costs the (far more numerous) others no size.
 enum Anchor {
     Scan,
-    Eq { attr: String, keys: Vec<Vec<u8>> },
+    Eq(Box<EqAnchor>),
     Range { attr: String },
 }
 
 /// A planned registration, before it is applied to the index structures.
 enum Placement {
     Scan,
-    Eq { attr: String, keys: Vec<Vec<u8>> },
+    Eq(EqAnchor),
     Range { attr: String, lo: Value, hi: Value },
 }
+
+/// Equality lanes: attribute → canonical literal bytes → queries.
+type EqLanes<Id> = HashMap<String, HashMap<Vec<u8>, Vec<LaneEntry<Id>>>>;
 
 /// The per-(tenant, collection) multi-query index.
 pub struct QueryIndex<Id: Copy + Eq + Hash> {
@@ -186,8 +248,7 @@ pub struct QueryIndex<Id: Copy + Eq + Hash> {
     ranges: HashMap<String, HashMap<Id, (Value, Value)>>,
     /// Built trees (lazily rebuilt when dirty).
     trees: HashMap<String, IntervalTree<Id>>,
-    /// Equality lanes: attribute → canonical literal bytes → queries.
-    eq: HashMap<String, HashMap<Vec<u8>, Vec<Id>>>,
+    eq: EqLanes<Id>,
     /// Queries that could not be indexed: always evaluated.
     scan: Vec<Id>,
     /// Where each registered query lives (exact removal).
@@ -224,12 +285,14 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                 self.scan.push(id);
                 Anchor::Scan
             }
-            Placement::Eq { attr, keys } => {
-                let lane = self.eq.entry(attr.clone()).or_default();
-                for key in &keys {
-                    lane.entry(key.clone()).or_default().push(id);
+            Placement::Eq(anchor) => {
+                let lane = self.eq.entry(anchor.attr.clone()).or_default();
+                for key in &anchor.keys {
+                    lane.entry(key.clone())
+                        .or_default()
+                        .push(LaneEntry { id, residual: anchor.residual.clone() });
                 }
-                Anchor::Eq { attr, keys }
+                Anchor::Eq(Box::new(anchor))
             }
             Placement::Range { attr, lo, hi } => {
                 self.ranges.entry(attr.clone()).or_default().insert(id, (lo, hi));
@@ -245,12 +308,13 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         match self.anchors.remove(&id) {
             None => {}
             Some(Anchor::Scan) => self.scan.retain(|s| *s != id),
-            Some(Anchor::Eq { attr, keys }) => {
+            Some(Anchor::Eq(anchor)) => {
+                let EqAnchor { attr, keys, .. } = *anchor;
                 if let Some(lane) = self.eq.get_mut(&attr) {
                     for key in &keys {
-                        if let Some(ids) = lane.get_mut(key) {
-                            ids.retain(|s| *s != id);
-                            if ids.is_empty() {
+                        if let Some(entries) = lane.get_mut(key) {
+                            entries.retain(|e| e.id != id);
+                            if entries.is_empty() {
                                 lane.remove(key);
                             }
                         }
@@ -314,12 +378,43 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         out.dedup();
     }
 
+    /// Whether [`QueryIndex::candidates`] would propose query `id` for
+    /// `doc`: the anchor and residual test of a probe, applied to that one
+    /// query. Queries on the scan list, and ids the index does not hold,
+    /// answer `true`.
+    pub fn admits(&mut self, id: Id, doc: &Document) -> bool {
+        let Self { anchors, ranges, key_scratch, .. } = self;
+        match anchors.get(&id) {
+            None | Some(Anchor::Scan) => true,
+            Some(Anchor::Eq(anchor)) => {
+                let EqAnchor { attr, keys, residual } = &**anchor;
+                let mut on_lane = |v: &Value| {
+                    key_scratch.clear();
+                    v.write_canonical(key_scratch);
+                    keys.iter().any(|k| k == key_scratch)
+                };
+                let hit = match doc.get(attr) {
+                    Some(Value::Array(items)) => items.iter().any(on_lane),
+                    Some(v) => on_lane(v),
+                    None => false,
+                };
+                hit && residual.as_ref().is_none_or(|r| r.admits(doc.get(&r.attr)))
+            }
+            Some(Anchor::Range { attr }) => match ranges.get(attr).and_then(|by_id| by_id.get(&id)) {
+                Some((lo, hi)) => {
+                    doc.get(attr).and_then(envelope).is_some_and(|env| intersects(lo, hi, env))
+                }
+                None => true,
+            },
+        }
+    }
+
     /// One document's probe against the equality lanes and interval trees.
     /// Array values fan out per element in the equality lanes; interval
     /// lookups use the element envelope (see the module docs for why
     /// per-element stabbing would miss multi-conjunct matches).
     fn probe(
-        eq: &HashMap<String, HashMap<Vec<u8>, Vec<Id>>>,
+        eq: &EqLanes<Id>,
         trees: &HashMap<String, IntervalTree<Id>>,
         doc: &Document,
         out: &mut Vec<Id>,
@@ -331,47 +426,49 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                 match value {
                     Value::Array(items) => {
                         for item in items {
-                            Self::probe_eq(lane, item, out, key_scratch, eq_hits);
+                            Self::probe_eq(lane, item, doc, out, key_scratch, eq_hits);
                         }
                     }
-                    v => Self::probe_eq(lane, v, out, key_scratch, eq_hits),
+                    v => Self::probe_eq(lane, v, doc, out, key_scratch, eq_hits),
                 }
             }
-            if let Some(tree) = trees.get(attr) {
-                match value {
-                    Value::Array(items) => {
-                        let mut min: Option<&Value> = None;
-                        let mut max: Option<&Value> = None;
-                        for item in items {
-                            if min.is_none_or(|m| canonical_cmp(item, m) == Ordering::Less) {
-                                min = Some(item);
-                            }
-                            if max.is_none_or(|m| canonical_cmp(item, m) == Ordering::Greater) {
-                                max = Some(item);
-                            }
-                        }
-                        if let (Some(min), Some(max)) = (min, max) {
-                            tree.intersecting(min, max, out);
-                        }
-                    }
-                    v => tree.intersecting(v, v, out),
-                }
+            if let (Some(tree), Some(env)) = (trees.get(attr), envelope(value)) {
+                tree.intersecting(env, out);
             }
         }
     }
 
+    /// The entries of `v`'s lane bucket whose residual range `doc` reaches.
     fn probe_eq(
-        lane: &HashMap<Vec<u8>, Vec<Id>>,
+        lane: &HashMap<Vec<u8>, Vec<LaneEntry<Id>>>,
         v: &Value,
+        doc: &Document,
         out: &mut Vec<Id>,
         key_scratch: &mut Vec<u8>,
         hits: &mut u64,
     ) {
         key_scratch.clear();
         v.write_canonical(key_scratch);
-        if let Some(ids) = lane.get(key_scratch.as_slice()) {
-            out.extend_from_slice(ids);
-            *hits += ids.len() as u64;
+        let Some(entries) = lane.get(key_scratch.as_slice()) else { return };
+        // The entries of a bucket mostly range over the same attribute:
+        // look its value up once per run of that attribute.
+        let mut looked_up: Option<(&str, Option<&Value>)> = None;
+        for entry in entries {
+            if let Some(residual) = &entry.residual {
+                let value = match looked_up {
+                    Some((attr, value)) if attr == residual.attr => value,
+                    _ => {
+                        let value = doc.get(&residual.attr);
+                        looked_up = Some((&residual.attr, value));
+                        value
+                    }
+                };
+                if !residual.admits(value) {
+                    continue;
+                }
+            }
+            out.push(entry.id);
+            *hits += 1;
         }
     }
 
@@ -400,12 +497,15 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
 
 /// Picks the anchor for a filter: equality beats `$in` beats ranges; among
 /// range atoms, all bounds on one attribute are combined into a single
-/// (tighter) interval — the envelope probe keeps that array-safe.
+/// (tighter) interval — the envelope probe keeps that array-safe. An
+/// equality or `$in` anchor takes the best range on another attribute as
+/// its residual.
 fn plan(filter: &Document) -> Placement {
     let atoms = invalidb_query::decompose(filter);
     // Per-attribute combined range bounds, in first-seen atom order
     // (atoms are canonically sorted, so planning is deterministic).
     let mut bounds: Vec<(String, Option<Value>, Option<Value>)> = Vec::new();
+    let mut best_eq: Option<(String, Vec<Vec<u8>>)> = None;
     let mut best_in: Option<(String, Vec<Vec<u8>>)> = None;
     for atom in &atoms {
         if atom.doc.len() != 1 {
@@ -418,7 +518,7 @@ fn plan(filter: &Document) -> Placement {
         match cond {
             Value::Object(obj) if obj.keys().any(|k| k.starts_with('$')) => {
                 if obj.len() != 1 {
-                    continue; // coupled/opaque condition: residual only
+                    continue; // coupled/opaque condition: left to verification
                 }
                 let (op, v) = obj.iter().next().expect("one op");
                 match op {
@@ -430,11 +530,11 @@ fn plan(filter: &Document) -> Placement {
                         let slot = bound_slot(&mut bounds, attr);
                         slot.2 = Some(tighten(slot.2.take(), v, Ordering::Less));
                     }
-                    "$eq" if range_scalar(v) => {
-                        // Normalization spells `$eq` as a plain literal
-                        // except for operator-shaped object literals;
-                        // treat a stray scalar `$eq` as equality.
-                        return Placement::Eq { attr: attr.to_owned(), keys: vec![eq_key(v)] };
+                    // Normalization spells `$eq` as a plain literal except
+                    // for operator-shaped object literals; treat a stray
+                    // scalar `$eq` as equality.
+                    "$eq" if range_scalar(v) && best_eq.is_none() => {
+                        best_eq = Some((attr.to_owned(), vec![eq_key(v)]));
                     }
                     "$in" if best_in.is_none() => {
                         if let Some(items) = v.as_array() {
@@ -450,23 +550,34 @@ fn plan(filter: &Document) -> Placement {
                 }
             }
             // Plain equality: the most selective anchor there is.
-            literal if eq_lane_safe(literal) => {
-                return Placement::Eq { attr: attr.to_owned(), keys: vec![eq_key(literal)] };
+            literal if eq_lane_safe(literal) && best_eq.is_none() => {
+                best_eq = Some((attr.to_owned(), vec![eq_key(literal)]));
             }
             _ => {}
         }
     }
-    if let Some((attr, keys)) = best_in {
-        return Placement::Eq { attr, keys };
+    if let Some((attr, keys)) = best_eq.or(best_in) {
+        let residual = best_range(bounds.into_iter().filter(|(a, _, _)| *a != attr))
+            .map(|(attr, lo, hi)| Residual { attr, lo, hi });
+        return Placement::Eq(EqAnchor { attr, keys, residual });
     }
-    // Prefer two-sided (bounded) intervals over half-lines.
-    let best = bounds.into_iter().max_by_key(|(_, lo, hi)| (lo.is_some() as u8) + (hi.is_some() as u8));
-    match best {
-        Some((attr, lo, hi)) if lo.is_some() || hi.is_some() => {
-            Placement::Range { attr, lo: lo.unwrap_or(bracket_min()), hi: hi.unwrap_or(bracket_max()) }
-        }
-        _ => Placement::Scan,
+    match best_range(bounds.into_iter()) {
+        Some((attr, lo, hi)) => Placement::Range { attr, lo, hi },
+        None => Placement::Scan,
     }
+}
+
+/// The combined bounds worth probing: two-sided intervals before
+/// half-lines, open ends closed with the bracket extremes.
+fn best_range(
+    bounds: impl Iterator<Item = (String, Option<Value>, Option<Value>)>,
+) -> Option<(String, Value, Value)> {
+    let (attr, lo, hi) =
+        bounds.max_by_key(|(_, lo, hi)| u8::from(lo.is_some()) + u8::from(hi.is_some()))?;
+    if lo.is_none() && hi.is_none() {
+        return None;
+    }
+    Some((attr, lo.unwrap_or_else(bracket_min), hi.unwrap_or_else(bracket_max)))
 }
 
 /// The combined-bound slot for `attr` (first-seen order preserved).
@@ -485,6 +596,10 @@ fn bound_slot<'a>(
 mod tests {
     use super::*;
     use invalidb_common::doc;
+    use invalidb_query::{MongoQueryEngine, PreparedQuery, QueryEngine};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn range_filter(lo: i64, hi: i64) -> Document {
         doc! { "random" => doc! { "$gte" => lo, "$lt" => hi } }
@@ -495,6 +610,37 @@ mod tests {
         let mut out = Vec::new();
         idx.candidates(doc, &mut out);
         out
+    }
+
+    /// The generator of a randomized test: seeded from the test's name, or
+    /// from `PROPTEST_SEED` when that is set, so the same test can explore
+    /// other sequences.
+    fn test_rng(name: &str) -> StdRng {
+        StdRng::seed_from_u64(proptest::test_runner::TestRng::for_test(name, 1).next_u64())
+    }
+
+    fn prepare(filter: &Document) -> Arc<dyn PreparedQuery> {
+        MongoQueryEngine.prepare(&invalidb_common::QuerySpec::filter("t", filter.clone())).unwrap()
+    }
+
+    /// The index's contract for one document: every true match is a
+    /// candidate, and `admits` agrees with the probe query by query.
+    fn assert_superset(
+        idx: &mut QueryIndex<usize>,
+        filters: &[Document],
+        prepared: &[Arc<dyn PreparedQuery>],
+        d: &Document,
+    ) {
+        let candidates = cands(idx, d);
+        for (i, p) in prepared.iter().enumerate() {
+            let proposed = candidates.contains(&i);
+            assert!(
+                !p.matches(d) || proposed,
+                "index missed true match of {:?} against {d}",
+                filters[i]
+            );
+            assert_eq!(idx.admits(i, d), proposed, "admits disagrees on {:?} against {d}", filters[i]);
+        }
     }
 
     #[test]
@@ -538,6 +684,8 @@ mod tests {
         assert_eq!(idx.scan_len(), 1);
         let c = cands(&mut idx, &doc! { "unrelated" => 1i64 });
         assert_eq!(c, vec![2], "scan queries always evaluated");
+        assert!(idx.admits(2, &doc! { "unrelated" => 1i64 }));
+        assert!(idx.admits(99, &doc! {}), "an unknown id is not ruled out");
     }
 
     #[test]
@@ -547,8 +695,9 @@ mod tests {
         idx.insert(2, &doc! { "complex" => doc! { "$ne" => 0i64 } });
         idx.insert(3, &doc! { "color" => "red" });
         idx.insert(4, &doc! { "n" => doc! { "$in" => vec![1i64, 2] } });
-        assert_eq!(idx.len(), 4);
-        for id in 1..=4 {
+        idx.insert(5, &doc! { "color" => "red", "n" => doc! { "$lt" => 3i64 } });
+        assert_eq!(idx.len(), 5);
+        for id in 1..=5 {
             idx.remove(id);
         }
         assert!(idx.is_empty());
@@ -598,7 +747,8 @@ mod tests {
     #[test]
     fn conjunctive_filters_anchor_instead_of_scanning() {
         let mut idx: QueryIndex<u32> = QueryIndex::default();
-        // Equality atom beats the range atom as anchor.
+        // Equality atom beats the range atom as anchor; the range stays on
+        // the lane entry as its residual.
         idx.insert(1, &doc! { "status" => "open", "price" => doc! { "$lt" => 100i64 } });
         // Range-only conjunction anchors on the (combined) interval.
         idx.insert(2, &doc! { "price" => doc! { "$gte" => 10i64, "$lt" => 20i64 }, "qty" => doc! { "$gt" => 0i64 } });
@@ -606,8 +756,9 @@ mod tests {
         idx.insert(3, &doc! { "state" => doc! { "$in" => vec!["a", "b"] } });
         assert_eq!(idx.scan_len(), 0, "no conjunctive filter fell to the scan list");
         assert_eq!(idx.indexed_len(), 3);
-        // Probes are supersets keyed on the anchor only.
-        assert_eq!(cands(&mut idx, &doc! { "status" => "open", "price" => 500i64 }), vec![1]);
+        // The lane proposes a query only inside its residual range.
+        assert!(cands(&mut idx, &doc! { "status" => "open", "price" => 500i64 }).is_empty());
+        assert_eq!(cands(&mut idx, &doc! { "status" => "open", "price" => 50i64 }), vec![1]);
         assert!(cands(&mut idx, &doc! { "status" => "closed", "price" => 50i64 }).is_empty());
         assert_eq!(cands(&mut idx, &doc! { "price" => 15i64 }), vec![2]);
         assert_eq!(cands(&mut idx, &doc! { "state" => "b" }), vec![3]);
@@ -615,42 +766,91 @@ mod tests {
     }
 
     #[test]
+    fn equality_lanes_check_the_residual_range() {
+        let mut idx: QueryIndex<u32> = QueryIndex::default();
+        idx.insert(1, &doc! { "status" => "s3", "price" => doc! { "$lt" => 630i64 } });
+        idx.insert(
+            2,
+            &doc! { "status" => "s3", "price" => doc! { "$gte" => 600i64, "$lte" => 610i64 } },
+        );
+        idx.insert(
+            3,
+            &doc! { "status" => doc! { "$in" => vec!["s3", "s4"] }, "price" => doc! { "$gt" => "m" } },
+        );
+        // A range on the anchor's own attribute is no residual.
+        idx.insert(
+            4,
+            &doc! { "status" => "s3", "$and" => vec![Value::Object(doc! { "status" => doc! { "$lt" => "a" } })] },
+        );
+        let mut probe = |price: Option<Value>| {
+            let mut d = doc! { "status" => "s3" };
+            if let Some(price) = price {
+                d.insert("price", price);
+            }
+            let mut c = cands(&mut idx, &d);
+            c.sort();
+            for id in 1..=4 {
+                assert_eq!(idx.admits(id, &d), c.contains(&id), "query {id} against {d}");
+            }
+            c
+        };
+        assert_eq!(probe(Some(Value::Int(620))), vec![1, 4]);
+        assert_eq!(probe(Some(Value::Int(610))), vec![1, 2, 4], "$lte on the exact bound");
+        assert_eq!(probe(Some(Value::Float(600.0))), vec![1, 2, 4], "$gte on the exact bound");
+        assert_eq!(probe(Some(Value::Int(640))), vec![4]);
+        // An array reaches a range when its envelope does.
+        assert_eq!(probe(Some(Value::Array(vec![Value::Int(640), Value::Int(605)]))), vec![1, 2, 4]);
+        assert_eq!(probe(Some(Value::Array(vec![Value::Int(590), Value::Int(640)]))), vec![1, 2, 4]);
+        assert_eq!(probe(Some(Value::Array(vec![]))), vec![4]);
+        // Types outside a bound's bracket, and a missing attribute, never do.
+        assert_eq!(probe(None), vec![4]);
+        assert_eq!(probe(Some(Value::Null)), vec![4]);
+        assert_eq!(probe(Some(Value::Bool(true))), vec![4]);
+        assert_eq!(probe(Some(Value::from("z"))), vec![3, 4], "a string bound admits strings only");
+        assert_eq!(probe(Some(Value::from("a"))), vec![4]);
+        assert_eq!(idx.take_eq_lane_hits(), 22, "only proposed entries count as lane hits");
+    }
+
+    #[test]
     fn candidates_are_superset_of_true_matches() {
-        use invalidb_query::{MongoQueryEngine, QueryEngine};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = test_rng("candidates_are_superset_of_true_matches");
+        let statuses = ["s0", "s1", "s2", "s3"];
         let mut idx: QueryIndex<usize> = QueryIndex::default();
-        let mut prepared = Vec::new();
+        let mut filters = Vec::new();
         for i in 0..200usize {
             let lo = rng.gen_range(-100..100i64);
             let hi = lo + rng.gen_range(0..30i64);
-            let filter = range_filter(lo, hi);
-            let spec = invalidb_common::QuerySpec::filter("t", filter.clone());
-            prepared.push(MongoQueryEngine.prepare(&spec).unwrap());
+            let status = statuses[rng.gen_range(0..statuses.len())];
+            // Ranges on their own, and the fan-out shape: an equality or
+            // `$in` anchor with a range on a second attribute.
+            let filter = match i % 4 {
+                0 | 1 => range_filter(lo, hi),
+                2 => doc! { "status" => status, "random" => doc! { "$lt" => hi } },
+                _ => doc! {
+                    "status" => doc! { "$in" => vec![status, statuses[i % statuses.len()]] },
+                    "random" => doc! { "$gte" => lo, "$lte" => hi },
+                },
+            };
             idx.insert(i, &filter);
+            filters.push(filter);
         }
+        let prepared: Vec<_> = filters.iter().map(prepare).collect();
         for _ in 0..500 {
-            let doc = doc! { "random" => rng.gen_range(-120..120i64) };
-            let candidates = cands(&mut idx, &doc);
-            for (i, p) in prepared.iter().enumerate() {
-                if p.matches(&doc) {
-                    assert!(candidates.contains(&i), "index missed a true match");
-                }
+            let mut d = doc! { "random" => rng.gen_range(-120..120i64) };
+            if rng.gen_bool(0.8) {
+                d.insert("status", statuses[rng.gen_range(0..statuses.len())]);
             }
+            assert_superset(&mut idx, &filters, &prepared, &d);
         }
     }
 
     /// Property test across generated filter shapes and documents
     /// (including arrays, nulls, floats and multi-attribute conjunctions):
     /// the candidate set must be a superset of the true matches, whatever
-    /// the planner chose as anchor.
+    /// the planner chose as anchor and residual.
     #[test]
     fn candidates_superset_property_for_arbitrary_shapes() {
-        use invalidb_query::{MongoQueryEngine, QueryEngine};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(29);
+        let mut rng = test_rng("candidates_superset_property_for_arbitrary_shapes");
         let attrs = ["a", "b", "c"];
         let colors = ["red", "green", "blue"];
         let gen_value = |rng: &mut StdRng| -> Value {
@@ -659,6 +859,15 @@ mod tests {
                 1 => Value::Float(rng.gen_range(-20.0..20.0)),
                 2 => Value::from(colors[rng.gen_range(0..colors.len())]),
                 _ => Value::Bool(rng.gen_bool(0.5)),
+            }
+        };
+        // A range bound: mostly integers (so documents land on it exactly),
+        // sometimes a float or a string.
+        let gen_bound = |rng: &mut StdRng| -> Value {
+            match rng.gen_range(0..5) {
+                0 => Value::Float(rng.gen_range(-20.0..20.0)),
+                1 => Value::from(colors[rng.gen_range(0..colors.len())]),
+                _ => Value::Int(rng.gen_range(-20..20i64)),
             }
         };
         // Range-only conjunctions whatever the seed yields: with no equality
@@ -703,17 +912,46 @@ mod tests {
             }
             filters.push(f);
         }
+        // Equality and `$in` anchors with a range on a second attribute:
+        // one- and two-sided, exclusive and inclusive, numeric and string
+        // bounds.
+        for _ in 0..100 {
+            let anchor = rng.gen_range(0..attrs.len());
+            let ranged = (anchor + 1 + rng.gen_range(0..attrs.len() - 1)) % attrs.len();
+            let mut f = Document::new();
+            if rng.gen_bool(0.5) {
+                f.insert(attrs[anchor], gen_value(&mut rng));
+            } else {
+                let vals: Vec<Value> = (0..rng.gen_range(1..4)).map(|_| gen_value(&mut rng)).collect();
+                f.insert(attrs[anchor], doc! { "$in" => Value::Array(vals) });
+            }
+            let lower = ["$gt", "$gte"][rng.gen_range(0..2usize)];
+            let upper = ["$lt", "$lte"][rng.gen_range(0..2usize)];
+            let range = match rng.gen_range(0..3) {
+                0 => doc! { lower => gen_bound(&mut rng) },
+                1 => doc! { upper => gen_bound(&mut rng) },
+                _ => {
+                    let lo = rng.gen_range(-20..20i64);
+                    doc! { lower => lo, upper => lo + rng.gen_range(0..10i64) }
+                }
+            };
+            f.insert(attrs[ranged], range);
+            filters.push(f);
+        }
         let mut idx: QueryIndex<usize> = QueryIndex::default();
-        let mut prepared = Vec::new();
         for (i, f) in filters.iter().enumerate() {
-            let spec = invalidb_common::QuerySpec::filter("t", f.clone());
-            prepared.push(MongoQueryEngine.prepare(&spec).unwrap());
             idx.insert(i, f);
         }
+        let prepared: Vec<_> = filters.iter().map(prepare).collect();
         for i in 0..range_only {
             assert!(matches!(&idx.anchors[&i], Anchor::Range { attr } if attr == "a"));
         }
-        let mut rng = StdRng::seed_from_u64(31);
+        let residuals = idx
+            .anchors
+            .values()
+            .filter(|a| matches!(a, Anchor::Eq(eq) if eq.residual.is_some()))
+            .count();
+        assert!(residuals >= 50, "only {residuals} lane entries carry a residual range");
         for _ in 0..400 {
             let mut d = Document::new();
             for attr in attrs {
@@ -732,16 +970,7 @@ mod tests {
                     }
                 }
             }
-            let candidates = cands(&mut idx, &d);
-            for (i, p) in prepared.iter().enumerate() {
-                if p.matches(&d) {
-                    assert!(
-                        candidates.contains(&i),
-                        "index missed true match of {:?} against {d}",
-                        filters[i]
-                    );
-                }
-            }
+            assert_superset(&mut idx, &filters, &prepared, &d);
         }
     }
 }

@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 struct SortGroup {
     /// Human-readable rendering of the query spec, captured at subscribe
-    /// time for the slow-query log.
-    spec_display: String,
+    /// time for the slow-query log (which shares it until it keeps a copy).
+    spec_display: Arc<str>,
     prepared: Arc<dyn PreparedQuery>,
     window: SortedWindow,
     /// What subscribed clients currently hold (maintained by applying the
@@ -161,7 +161,7 @@ impl SortingNode {
         self.groups.insert(
             group_key,
             SortGroup {
-                spec_display: req.spec.to_string(),
+                spec_display: req.spec.to_string().into(),
                 prepared,
                 window,
                 client_state,
@@ -242,7 +242,7 @@ impl SortingNode {
         slow_scratch.charge(
             img.tenant.as_str(),
             fc.query_hash.0,
-            || group.spec_display.clone(),
+            || Arc::clone(&group.spec_display),
             started.elapsed().as_micros() as u64,
         );
         failed

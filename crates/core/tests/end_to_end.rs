@@ -540,6 +540,54 @@ fn burst_corpus() -> Vec<ClusterMessage> {
     corpus
 }
 
+/// The fan-out corpus: 512 subscriptions on `status = s AND price < b`,
+/// 8 statuses × 64 bounds, so one write reaches 64 filters through its
+/// status lane and few of them through their residual price range. Keys
+/// move in and out of ranges and across statuses, some prices are arrays
+/// or missing, and late subscriptions replay the retained writes.
+fn fanout_corpus() -> Vec<ClusterMessage> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let statuses: Vec<String> = (0..8).map(|s| format!("s{s}")).collect();
+    let filter = |s: usize, price: Document| doc! { "status" => statuses[s].as_str(), "price" => price };
+    let mut corpus = Vec::new();
+    for (i, (s, b)) in (0..8).flat_map(|s| (0..64i64).map(move |b| (s, b))).enumerate() {
+        let spec = QuerySpec::filter("t", filter(s, doc! { "$lt" => (b + 1) * 16 }));
+        corpus.push(subscribe_msg(&spec, i as u64 + 1, vec![], 2));
+    }
+    let mut rng = StdRng::seed_from_u64(5501);
+    let mut versions = HashMap::new();
+    for round in 0..240 {
+        if round == 120 {
+            for s in 0..8 {
+                let spec =
+                    QuerySpec::filter("t", filter(s, doc! { "$gte" => 400i64, "$lte" => 600i64 }));
+                corpus.push(subscribe_msg(&spec, 1_000 + s as u64, vec![], 2));
+            }
+        }
+        let key = rng.gen_range(0..32i64);
+        let v = versions.entry(key).or_insert(0u64);
+        *v += 1;
+        let mut doc = doc! { "status" => statuses[rng.gen_range(0..8usize)].as_str() };
+        match round % 16 {
+            13 => {
+                doc.insert("price", vec![rng.gen_range(0..1024i64), rng.gen_range(0..1024i64)]);
+            }
+            14 => {}
+            15 => {
+                doc.insert("price", "cheap");
+            }
+            _ => {
+                doc.insert("price", rng.gen_range(0..1100i64));
+            }
+        }
+        let doc = (!rng.gen_bool(0.1)).then_some(doc);
+        corpus.push(write_msg("t", Key::of(key), *v, doc));
+    }
+    corpus
+}
+
 /// What each subscription is sent, payload by payload, when `corpus` is
 /// published back-to-back to a fresh cluster. A single chain of tasks (1x1
 /// grid, one sorting task) makes per-subscription content and order —
@@ -576,10 +624,12 @@ fn notify_streams(indexed: bool, corpus: &[ClusterMessage]) -> BTreeMap<u64, Vec
 /// anchoring, equality lanes, result-membership candidates and the shared
 /// predicate cache must be invisible in the output. Per subscription, the
 /// indexed cell must send **byte-identical** payloads in the same order as
-/// the force-scan reference, on both corpora.
+/// the force-scan reference, on every corpus.
 #[test]
 fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
-    for (name, corpus) in [("shapes", shapes_corpus()), ("burst", burst_corpus())] {
+    for (name, corpus) in
+        [("shapes", shapes_corpus()), ("burst", burst_corpus()), ("fanout", fanout_corpus())]
+    {
         let with_index = notify_streams(true, &corpus);
         let force_scan = notify_streams(false, &corpus);
         let payloads = with_index.values().map(Vec::len).sum::<usize>();

@@ -64,9 +64,99 @@ impl SlowQueryEntry {
     }
 }
 
+/// The evaluations charged to one query since they were last recorded.
+#[derive(Clone, Copy)]
+struct Cost {
+    evals: u64,
+    total_us: u64,
+    max_us: u64,
+    last_us: u64,
+}
+
+impl Cost {
+    fn one(cost_us: u64) -> Cost {
+        Cost { evals: 1, total_us: cost_us, max_us: cost_us, last_us: cost_us }
+    }
+
+    fn add(&mut self, cost_us: u64) {
+        self.evals += 1;
+        self.total_us += cost_us;
+        self.max_us = self.max_us.max(cost_us);
+        self.last_us = cost_us;
+    }
+}
+
+/// The tracked queries, per tenant and then per query hash: a charge to a
+/// tracked query is found with what the caller holds (`&str`, `u64`) and
+/// copies nothing.
+#[derive(Default)]
+struct Table {
+    by_tenant: HashMap<String, HashMap<u64, SlowQueryEntry>>,
+    len: usize,
+}
+
+impl Table {
+    /// Adds `cost` to the query's entry. A query seen for the first time
+    /// gets an entry — the only time its tenant and `label` are copied —
+    /// evicting the cheapest entry when the table is full.
+    fn record(
+        &mut self,
+        capacity: usize,
+        tenant: &str,
+        query_hash: u64,
+        label: impl FnOnce() -> String,
+        cost: Cost,
+        now: u64,
+    ) {
+        if let Some(e) =
+            self.by_tenant.get_mut(tenant).and_then(|of_tenant| of_tenant.get_mut(&query_hash))
+        {
+            e.evals += cost.evals;
+            e.total_us += cost.total_us;
+            e.max_us = e.max_us.max(cost.max_us);
+            e.last_us = cost.last_us;
+            e.last_seen_micros = now;
+            return;
+        }
+        if self.len >= capacity {
+            let cheapest =
+                self.values().min_by_key(|e| e.total_us).map(|e| (e.tenant.clone(), e.query_hash));
+            if let Some((tenant, query_hash)) = cheapest {
+                self.remove(&tenant, query_hash);
+            }
+        }
+        let entry = SlowQueryEntry {
+            tenant: tenant.to_owned(),
+            query_hash,
+            label: label(),
+            evals: cost.evals,
+            total_us: cost.total_us,
+            max_us: cost.max_us,
+            last_us: cost.last_us,
+            last_seen_micros: now,
+        };
+        self.by_tenant.entry(entry.tenant.clone()).or_default().insert(query_hash, entry);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, tenant: &str, query_hash: u64) {
+        let Some(of_tenant) = self.by_tenant.get_mut(tenant) else { return };
+        if of_tenant.remove(&query_hash).is_some() {
+            self.len -= 1;
+        }
+        if of_tenant.is_empty() {
+            self.by_tenant.remove(tenant);
+        }
+    }
+
+    fn values(&self) -> impl Iterator<Item = &SlowQueryEntry> {
+        self.by_tenant.values().flat_map(HashMap::values)
+    }
+}
+
 struct SlowInner {
     capacity: usize,
-    entries: Mutex<HashMap<(String, u64), SlowQueryEntry>>,
+    table: Mutex<Table>,
 }
 
 /// Bounded per-query cost accounting table. Cheap to clone (all clones
@@ -84,7 +174,7 @@ impl SlowQueryLog {
         SlowQueryLog {
             inner: Arc::new(SlowInner {
                 capacity: capacity.max(1),
-                entries: Mutex::new(HashMap::new()),
+                table: Mutex::new(Table::default()),
             }),
         }
     }
@@ -93,45 +183,18 @@ impl SlowQueryLog {
     /// `(tenant, query_hash)`. `label` is called only when the query is
     /// seen for the first time.
     pub fn charge(&self, tenant: &str, query_hash: u64, label: impl FnOnce() -> String, cost_us: u64) {
-        let mut entries = self.inner.entries.lock();
-        let key = (tenant.to_owned(), query_hash);
-        if let Some(e) = entries.get_mut(&key) {
-            e.evals += 1;
-            e.total_us += cost_us;
-            e.max_us = e.max_us.max(cost_us);
-            e.last_us = cost_us;
-            e.last_seen_micros = now_micros();
-            return;
-        }
-        if entries.len() >= self.inner.capacity {
-            if let Some(victim) = entries.iter().min_by_key(|(_, e)| e.total_us).map(|(k, _)| k.clone())
-            {
-                entries.remove(&victim);
-            }
-        }
-        entries.insert(
-            key,
-            SlowQueryEntry {
-                tenant: tenant.to_owned(),
-                query_hash,
-                label: label(),
-                evals: 1,
-                total_us: cost_us,
-                max_us: cost_us,
-                last_us: cost_us,
-                last_seen_micros: now_micros(),
-            },
-        );
+        let mut table = self.inner.table.lock();
+        table.record(self.inner.capacity, tenant, query_hash, label, Cost::one(cost_us), now_micros());
     }
 
     /// Forgets a query (it was unsubscribed and is not coming back).
     pub fn forget(&self, tenant: &str, query_hash: u64) {
-        self.inner.entries.lock().remove(&(tenant.to_owned(), query_hash));
+        self.inner.table.lock().remove(tenant, query_hash);
     }
 
     /// Number of distinct queries currently tracked.
     pub fn len(&self) -> usize {
-        self.inner.entries.lock().len()
+        self.inner.table.lock().len
     }
 
     /// Whether the log is empty.
@@ -142,7 +205,7 @@ impl SlowQueryLog {
     /// The `k` most expensive queries by total cost, most expensive first.
     /// Ties break by label so the order is deterministic.
     pub fn top(&self, k: usize) -> Vec<SlowQueryEntry> {
-        let mut all: Vec<SlowQueryEntry> = self.inner.entries.lock().values().cloned().collect();
+        let mut all: Vec<SlowQueryEntry> = self.inner.table.lock().values().cloned().collect();
         all.sort_by(|a, b| b.total_us.cmp(&a.total_us).then_with(|| a.label.cmp(&b.label)));
         all.truncate(k);
         all
@@ -163,13 +226,10 @@ impl Default for SlowQueryLog {
 }
 
 struct PendingCharge {
-    /// Captured on the query's first local sighting since the last flush;
-    /// consumed when the flush creates the shared entry.
-    label: Option<String>,
-    evals: u64,
-    total_us: u64,
-    max_us: u64,
-    last_us: u64,
+    /// Shared with the query that was charged; copied only if the flush
+    /// creates the shared entry.
+    label: Arc<str>,
+    cost: Cost,
 }
 
 /// A per-task charge accumulator for pipeline stages.
@@ -183,7 +243,8 @@ struct PendingCharge {
 pub struct SlowQueryScratch {
     /// Per tenant, per query hash: both levels are probed with what the
     /// caller holds (`&str`, `u64`), so a charge to a query already pending
-    /// copies nothing.
+    /// copies nothing. A flush empties the per-tenant maps but keeps them
+    /// (and the tenant's name) for the next interval.
     pending: HashMap<String, HashMap<u64, PendingCharge>>,
 }
 
@@ -195,12 +256,12 @@ impl SlowQueryScratch {
 
     /// Charges one evaluation of `cost_us` microseconds locally. `label`
     /// is called only on the query's first local sighting since the last
-    /// flush.
+    /// flush; it is expected to share the query's label, not copy it.
     pub fn charge(
         &mut self,
         tenant: &str,
         query_hash: u64,
-        label: impl FnOnce() -> String,
+        label: impl FnOnce() -> Arc<str>,
         cost_us: u64,
     ) {
         let of_tenant = match self.pending.get_mut(tenant) {
@@ -208,23 +269,9 @@ impl SlowQueryScratch {
             None => self.pending.entry(tenant.to_owned()).or_default(),
         };
         match of_tenant.get_mut(&query_hash) {
-            Some(p) => {
-                p.evals += 1;
-                p.total_us += cost_us;
-                p.max_us = p.max_us.max(cost_us);
-                p.last_us = cost_us;
-            }
+            Some(p) => p.cost.add(cost_us),
             None => {
-                of_tenant.insert(
-                    query_hash,
-                    PendingCharge {
-                        label: Some(label()),
-                        evals: 1,
-                        total_us: cost_us,
-                        max_us: cost_us,
-                        last_us: cost_us,
-                    },
-                );
+                of_tenant.insert(query_hash, PendingCharge { label: label(), cost: Cost::one(cost_us) });
             }
         }
     }
@@ -245,40 +292,19 @@ impl SlowQueryScratch {
         if self.is_empty() {
             return;
         }
+        // A tenant charged nothing over a whole interval is let go.
+        self.pending.retain(|_, of_tenant| !of_tenant.is_empty());
         let now = now_micros();
-        let mut entries = log.inner.entries.lock();
-        for (tenant, of_tenant) in self.pending.drain() {
-            // One key per tenant, re-aimed at each of its queries.
-            let mut key = (tenant.clone(), 0u64);
-            for (query_hash, p) in of_tenant {
-                key.1 = query_hash;
-                if let Some(e) = entries.get_mut(&key) {
-                    e.evals += p.evals;
-                    e.total_us += p.total_us;
-                    e.max_us = e.max_us.max(p.max_us);
-                    e.last_us = p.last_us;
-                    e.last_seen_micros = now;
-                    continue;
-                }
-                if entries.len() >= log.inner.capacity {
-                    if let Some(victim) =
-                        entries.iter().min_by_key(|(_, e)| e.total_us).map(|(k, _)| k.clone())
-                    {
-                        entries.remove(&victim);
-                    }
-                }
-                entries.insert(
-                    key.clone(),
-                    SlowQueryEntry {
-                        tenant: tenant.clone(),
-                        query_hash,
-                        label: p.label.unwrap_or_default(),
-                        evals: p.evals,
-                        total_us: p.total_us,
-                        max_us: p.max_us,
-                        last_us: p.last_us,
-                        last_seen_micros: now,
-                    },
+        let mut table = log.inner.table.lock();
+        for (tenant, of_tenant) in &mut self.pending {
+            for (query_hash, p) in of_tenant.drain() {
+                table.record(
+                    log.inner.capacity,
+                    tenant,
+                    query_hash,
+                    || p.label.to_string(),
+                    p.cost,
+                    now,
                 );
             }
         }
