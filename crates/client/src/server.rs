@@ -6,8 +6,9 @@ use crate::rate::TokenBucket;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use invalidb_broker::{notify_topic, BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::{
-    ChangeItem, ClusterMessage, ConfigError, Document, Key, NotificationKind, NotifyEnvelope, QueryHash,
-    QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId, TraceContext, WriteRef,
+    ChangeItem, Clock, ClusterMessage, ConfigError, Document, Histogram, Key, NotificationKind,
+    NotifyEnvelope, QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest,
+    SystemClock, TenantId, Timestamp, TraceContext, WriteRef,
 };
 use invalidb_json::WireCodec;
 use invalidb_obs::{
@@ -16,7 +17,7 @@ use invalidb_obs::{
 use invalidb_query::normalize_spec;
 use invalidb_store::{Store, UpdateSpec, WriteResult};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -242,12 +243,13 @@ pub enum ClientEvent {
 
 struct SubEntry {
     spec: QuerySpec,
-    rewritten: QuerySpec,
     /// Memoized hash of the normalized query (§5.1): attached to every
     /// follow-up request because it cannot be recomputed from those alone.
     query_hash: QueryHash,
     slack: u64,
     tx: Sender<(ClientEvent, Option<TraceContext>)>,
+    /// Whether a renewal is queued (or being published): at most one per
+    /// subscription is.
     needs_renewal: bool,
     /// Whether any notification (normally the initial result) has come back
     /// for this subscription. Registration is fire-and-forget on a pub/sub
@@ -256,7 +258,7 @@ struct SubEntry {
     /// delivery of the subscription itself.
     confirmed: bool,
     /// When the Subscribe envelope was last published (initial or renewal).
-    last_register: Instant,
+    last_register: Timestamp,
 }
 
 impl SubEntry {
@@ -277,9 +279,165 @@ impl SubEntry {
     }
 }
 
+/// The query whose result seeds a registration: the spec rewritten for
+/// `slack` (§5.2). Aggregate queries bootstrap from the plain matching set:
+/// the aggregation stage computes the value; the store just supplies the
+/// records.
+fn bootstrap(spec: &QuerySpec, slack: u64) -> QuerySpec {
+    let mut query = spec.rewrite_for_bootstrap(slack);
+    query.aggregate = None;
+    query
+}
+
+/// A subscription waiting in one of the keeper's queues, with the time it
+/// joined (a renewal) or was published (a registration).
+type Queued = (SubscriptionId, Timestamp);
+
+/// The subscription table and the keeper's agenda, under one lock.
+///
+/// The keeper never scans the table for work. The dispatcher queues a
+/// renewal when it delivers a maintenance error, repair queues every
+/// subscription once, and every published registration that is not yet
+/// confirmed joins a FIFO: the retry interval is one constant, so
+/// publication order is due order and the head is the next retry. Every
+/// method takes the current time, so the agenda runs on synthetic time in
+/// tests.
+struct Table {
+    entries: HashMap<SubscriptionId, SubEntry>,
+    /// Renewals waiting for a token, oldest first. An id may outlive its
+    /// subscription here; it is dropped when it reaches the head.
+    renewals: VecDeque<Queued>,
+    /// Registrations awaiting their confirmation, in publication order.
+    registrations: VecDeque<Queued>,
+    /// [`AppServerConfig::subscribe_retry_interval`].
+    retry_interval: Duration,
+}
+
+impl Table {
+    fn new(retry_interval: Duration) -> Self {
+        Self {
+            entries: HashMap::new(),
+            renewals: VecDeque::new(),
+            registrations: VecDeque::new(),
+            retry_interval,
+        }
+    }
+
+    /// Adds a subscription whose registration is published at
+    /// `entry.last_register`.
+    fn insert(&mut self, id: SubscriptionId, entry: SubEntry) {
+        self.registrations.push_back((id, entry.last_register));
+        self.entries.insert(id, entry);
+    }
+
+    /// Queues a renewal of `id` unless one is queued already. Returns
+    /// whether the queue was empty before: only then may the keeper be
+    /// asleep without a renewal deadline, and need a wake-up.
+    fn queue_renewal(&mut self, id: SubscriptionId, now: Timestamp) -> bool {
+        let Some(entry) = self.entries.get_mut(&id) else { return false };
+        if std::mem::replace(&mut entry.needs_renewal, true) {
+            return false;
+        }
+        self.renewals.push_back((id, now));
+        self.renewals.len() == 1
+    }
+
+    /// Marks every subscription unconfirmed and queues a renewal of each
+    /// that has none queued. Returns how many subscriptions there are.
+    fn repair(&mut self, now: Timestamp) -> usize {
+        for (id, entry) in self.entries.iter_mut() {
+            entry.confirmed = false;
+            if !std::mem::replace(&mut entry.needs_renewal, true) {
+                self.renewals.push_back((*id, now));
+            }
+        }
+        self.entries.len()
+    }
+
+    /// Queues a renewal of every registration whose retry is due at `now`
+    /// and still wanted. Returns how many were queued.
+    fn queue_due_retries(&mut self, now: Timestamp) -> u64 {
+        let mut retried = 0;
+        while let Some(&(id, published)) = self.registrations.front() {
+            if now < published.after(self.retry_interval) {
+                break;
+            }
+            self.registrations.pop_front();
+            // A confirmed registration needs no retry, a newer one has its
+            // own place in the queue, and a queued renewal registers again.
+            let Some(entry) = self.entries.get_mut(&id) else { continue };
+            if entry.confirmed || entry.last_register != published || entry.needs_renewal {
+                continue;
+            }
+            entry.needs_renewal = true;
+            self.renewals.push_back((id, now));
+            retried += 1;
+        }
+        give_back_if_drained(&mut self.registrations);
+        retried
+    }
+
+    /// Takes the oldest queued renewal of a live subscription off the
+    /// queue, and a token for it. `None` when the queue or the bucket is
+    /// empty.
+    fn next_renewal(&mut self, now: Timestamp, bucket: &mut TokenBucket) -> Option<Queued> {
+        while let Some(&(id, _)) = self.renewals.front() {
+            if self.entries.contains_key(&id) {
+                break;
+            }
+            self.renewals.pop_front();
+        }
+        if self.renewals.is_empty() || !bucket.try_take(now) {
+            return None;
+        }
+        let next = self.renewals.pop_front();
+        give_back_if_drained(&mut self.renewals);
+        next
+    }
+
+    /// Records that a renewal of `id` with `slack` was published at `now`:
+    /// the subscription may ask for the next one, and an unconfirmed
+    /// registration is retried from here. `None` if it was cancelled
+    /// meanwhile.
+    fn renewed(&mut self, id: SubscriptionId, slack: u64, now: Timestamp) -> Option<&SubEntry> {
+        let entry = self.entries.get_mut(&id)?;
+        entry.needs_renewal = false;
+        entry.slack = slack;
+        entry.last_register = now;
+        if !entry.confirmed {
+            self.registrations.push_back((id, now));
+        }
+        Some(entry)
+    }
+
+    /// When the table next has work for the keeper: the head renewal as
+    /// soon as the bucket has a token for it, the head registration when
+    /// its retry falls due.
+    fn next_due(&self, now: Timestamp, bucket: &TokenBucket) -> Option<Timestamp> {
+        let renewal = (!self.renewals.is_empty()).then(|| now.after(bucket.time_until_available(now)));
+        let retry =
+            self.registrations.front().map(|&(_, published)| published.after(self.retry_interval));
+        renewal.into_iter().chain(retry).min()
+    }
+}
+
+/// Frees an emptied queue's buffer once it is large: a burst (the
+/// registrations of a whole set-up, a repair) does not keep its memory, and
+/// a queue that keeps refilling a few entries keeps its small buffer.
+fn give_back_if_drained(queue: &mut VecDeque<Queued>) {
+    if queue.is_empty() && queue.capacity() > 64 {
+        *queue = VecDeque::new();
+    }
+}
+
 struct Shared {
-    subs: Mutex<HashMap<SubscriptionId, SubEntry>>,
-    last_heartbeat: Mutex<Instant>,
+    subs: Mutex<Table>,
+    /// The time base of every deadline of the app server.
+    clock: SystemClock,
+    /// When the cluster was last heard from, in `clock` microseconds.
+    last_heartbeat: AtomicU64,
+    /// Wakes the keeper: a renewal was queued, or the server shuts down.
+    wake: Sender<()>,
     shutdown: AtomicBool,
     renewals_performed: AtomicU64,
     connection_lost: AtomicBool,
@@ -299,23 +457,20 @@ struct Shared {
 impl Shared {
     /// Repairs what the event layer may have lost (a failover epoch bump or
     /// a reconnected link): republishes the recent-write ring — matching
-    /// nodes drop the duplicates by version — and marks every subscription
-    /// for renewal and unconfirmed, so the keeper re-executes its bootstrap
-    /// query and keeps re-registering until a notification proves the
-    /// registration took (a renewal racing a rebuilding cluster or a
+    /// nodes drop the duplicates by version — and queues every subscription
+    /// once for renewal, unconfirmed, so the keeper re-executes its
+    /// bootstrap query and keeps re-registering until a notification proves
+    /// the registration took (a renewal racing a rebuilding cluster or a
     /// session's SUBSCRIBE replay can be lost like any other envelope).
-    /// Returns how many writes were replayed and subscriptions marked.
+    /// Returns how many writes were replayed and subscriptions queued.
     fn repair(&self, broker: &BrokerHandle) -> (usize, usize) {
         let ring: Vec<bytes::Bytes> = self.write_ring.lock().iter().cloned().collect();
         for payload in &ring {
             broker.publish(CLUSTER_TOPIC, payload.clone());
         }
-        let mut subs = self.subs.lock();
-        for entry in subs.values_mut() {
-            entry.needs_renewal = true;
-            entry.confirmed = false;
-        }
-        (ring.len(), subs.len())
+        let marked = self.subs.lock().repair(self.clock.now());
+        let _ = self.wake.send(());
+        (ring.len(), marked)
     }
 }
 
@@ -330,7 +485,6 @@ pub struct AppServer {
     broker: BrokerHandle,
     config: AppServerConfig,
     shared: Arc<Shared>,
-    renewal_bucket: Arc<TokenBucket>,
     threads: Vec<std::thread::JoinHandle<()>>,
     admin: Option<AdminServer>,
 }
@@ -348,9 +502,13 @@ impl AppServer {
     ) -> Self {
         let tenant = tenant.into();
         let broker: BrokerHandle = broker.into();
+        let clock = SystemClock::new();
+        let (wake, woken) = unbounded();
         let shared = Arc::new(Shared {
-            subs: Mutex::new(HashMap::new()),
-            last_heartbeat: Mutex::new(Instant::now()),
+            subs: Mutex::new(Table::new(config.subscribe_retry_interval)),
+            last_heartbeat: AtomicU64::new(clock.now().micros()),
+            clock,
+            wake,
             shutdown: AtomicBool::new(false),
             renewals_performed: AtomicU64::new(0),
             connection_lost: AtomicBool::new(false),
@@ -360,7 +518,6 @@ impl AppServer {
             epoch_replays: AtomicU64::new(0),
             reconnect_replays: AtomicU64::new(0),
         });
-        let renewal_bucket = Arc::new(TokenBucket::new(config.renewal_burst, config.renewals_per_sec));
         // Optional admin plane. A failed bind does not abort the server but
         // is counted so it cannot go unnoticed.
         let admin = config.admin_addr.as_deref().and_then(|addr| {
@@ -372,18 +529,10 @@ impl AppServer {
                 }
             }
         });
-        let mut server = Self {
-            tenant: tenant.clone(),
-            store,
-            broker,
-            config,
-            shared,
-            renewal_bucket,
-            threads: Vec::new(),
-            admin,
-        };
+        let mut server =
+            Self { tenant: tenant.clone(), store, broker, config, shared, threads: Vec::new(), admin };
         server.spawn_dispatcher();
-        server.spawn_keeper();
+        server.spawn_keeper(woken);
         server.spawn_epoch_watcher();
         server
     }
@@ -423,7 +572,7 @@ impl AppServer {
 
     /// Current slack of a subscription (grows adaptively with renewals).
     pub fn current_slack(&self, subscription: &Subscription) -> Option<u64> {
-        self.shared.subs.lock().get(&subscription.id()).map(|e| e.slack)
+        self.shared.subs.lock().entries.get(&subscription.id()).map(|e| e.slack)
     }
 
     /// A point-in-time snapshot of this app server's metrics: renewal and
@@ -554,22 +703,16 @@ impl AppServer {
         let normalized = normalize_spec(spec);
         let query_hash = normalized.stable_hash();
         let slack = if spec.needs_sorting_stage() { self.config.default_slack } else { 0 };
-        let mut rewritten = spec.rewrite_for_bootstrap(slack);
-        // Aggregate queries bootstrap from the plain matching set: the
-        // aggregation stage computes the value; the store just supplies the
-        // records.
-        rewritten.aggregate = None;
-        let initial = self.store.execute(&rewritten)?;
+        let initial = self.store.execute(&bootstrap(spec, slack))?;
         let (tx, rx) = unbounded();
         let entry = SubEntry {
             spec: spec.clone(),
-            rewritten,
             query_hash,
             slack,
             tx,
             needs_renewal: false,
             confirmed: false,
-            last_register: Instant::now(),
+            last_register: self.shared.clock.now(),
         };
         let request =
             SubscriptionRequest { initial, ..entry.request(&self.tenant, id, self.config.ttl) };
@@ -590,7 +733,7 @@ impl AppServer {
 
     /// Cancels a subscription so it stops consuming cluster resources.
     pub fn unsubscribe(&self, subscription: &Subscription) {
-        if let Some(entry) = self.shared.subs.lock().remove(&subscription.id) {
+        if let Some(entry) = self.shared.subs.lock().entries.remove(&subscription.id) {
             cancel(&self.broker, &self.tenant, &self.config.metrics, subscription.id, &entry);
         }
     }
@@ -672,147 +815,192 @@ impl AppServer {
         self.threads.push(handle);
     }
 
-    /// Keeper: TTL extensions, heartbeat supervision, rate-limited renewals.
-    fn spawn_keeper(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let store = Arc::clone(&self.store);
-        let broker = self.broker.clone();
-        let tenant = self.tenant.clone();
-        let config = self.config.clone();
-        let bucket = Arc::clone(&self.renewal_bucket);
+    /// Keeper: rate-limited renewals, registration retries, TTL
+    /// extensions, heartbeat supervision — see [`Keeper`].
+    fn spawn_keeper(&mut self, woken: Receiver<()>) {
+        let metrics = &self.config.metrics;
+        let now = self.shared.clock.now();
+        let keeper = Keeper {
+            shared: Arc::clone(&self.shared),
+            store: Arc::clone(&self.store),
+            broker: self.broker.clone(),
+            tenant: self.tenant.clone(),
+            bucket: TokenBucket::new(self.config.renewal_burst, self.config.renewals_per_sec, now),
+            next_housekeeping: now,
+            next_ttl_refresh: now.after(self.config.ttl_refresh_interval),
+            last_generation: self.broker.generation(),
+            renewals: metrics.counter("appserver.renewals"),
+            renewal_wait_us: metrics.histogram("appserver.renewal_wait_us"),
+            config: self.config.clone(),
+        };
         let handle = std::thread::Builder::new()
             .name(format!("appserver-keeper-{}", self.tenant))
-            .spawn(move || {
-                let mut last_ttl_refresh = Instant::now();
-                let mut last_generation = broker.generation();
-                while !shared.shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(20));
-                    // -1. Link-generation watch: a remote event layer that
-                    //    reconnected silently dropped everything published
-                    //    against the dying session (at-most-once, §5.3) —
-                    //    writes *and* notifications in flight during the gap
-                    //    are gone and nothing downstream will ever resend
-                    //    them. Repair exactly like a failover epoch bump, so
-                    //    fresh initial results rebuild the client-side live
-                    //    results from the pull truth.
-                    let generation = broker.generation();
-                    if generation != last_generation {
-                        last_generation = generation;
-                        let (replayed, marked) = shared.repair(&broker);
-                        shared.reconnect_replays.fetch_add(1, Ordering::Relaxed);
-                        config.metrics.inc("appserver.reconnect_replays");
-                        config.metrics.flight().record(
-                            FlightEventKind::Reconnect,
-                            format!(
-                                "{tenant}: link generation {generation}: replayed {replayed} writes, \
-                                 renewing {marked} subscriptions"
-                            ),
-                        );
-                    }
-                    // 0. At-least-once registration: a Subscribe that never
-                    //    produced a notification was dropped somewhere (e.g.
-                    //    a worker mid-rebuild) — re-register it.
-                    {
-                        let mut subs = shared.subs.lock();
-                        for entry in subs.values_mut() {
-                            if !entry.confirmed
-                                && !entry.needs_renewal
-                                && entry.last_register.elapsed() >= config.subscribe_retry_interval
-                            {
-                                entry.needs_renewal = true;
-                                config.metrics.inc("appserver.subscribe_retries");
-                            }
-                        }
-                    }
-                    // 1. Renewals (poll-frequency rate limited, §5.2).
-                    let pending: Vec<SubscriptionId> = shared
-                        .subs
-                        .lock()
-                        .iter()
-                        .filter(|(_, e)| e.needs_renewal)
-                        .map(|(id, _)| *id)
-                        .collect();
-                    for id in pending {
-                        if !bucket.try_take() {
-                            break; // retry on the next keeper cycle
-                        }
-                        let request = {
-                            let mut subs = shared.subs.lock();
-                            match subs.get_mut(&id) {
-                                Some(entry) => {
-                                    entry.needs_renewal = false;
-                                    entry.last_register = Instant::now();
-                                    // Adaptive slack (§5.2 fn. 5): every
-                                    // renewal doubles the slack (capped), so
-                                    // delete-heavy queries stop thrashing
-                                    // the database with re-executions.
-                                    entry.slack = (entry.slack * 2).clamp(1, config.max_slack);
-                                    entry.rewritten = entry.spec.rewrite_for_bootstrap(entry.slack);
-                                    Some((
-                                        entry.rewritten.clone(),
-                                        entry.request(&tenant, id, config.ttl),
-                                    ))
-                                }
-                                None => None,
-                            }
-                        };
-                        if let Some((rewritten, request)) = request {
-                            if let Ok(initial) = store.execute(&rewritten) {
-                                shared.renewals_performed.fetch_add(1, Ordering::Relaxed);
-                                config.metrics.inc("appserver.renewals");
-                                publish(
-                                    &broker,
-                                    &ClusterMessage::Subscribe(SubscriptionRequest {
-                                        initial,
-                                        ..request
-                                    }),
-                                );
-                            }
-                        }
-                    }
-                    // 2. TTL extensions.
-                    if last_ttl_refresh.elapsed() >= config.ttl_refresh_interval {
-                        last_ttl_refresh = Instant::now();
-                        let subs = shared.subs.lock();
-                        for (id, entry) in subs.iter() {
-                            publish(
-                                &broker,
-                                &ClusterMessage::ExtendTtl {
-                                    tenant: tenant.clone(),
-                                    subscription: *id,
-                                    query_hash: entry.query_hash,
-                                    ttl_micros: config.ttl.as_micros() as u64,
-                                },
-                            );
-                        }
-                    }
-                    // Gauges are refreshed once per keeper cycle, never on
-                    // the write or delivery hot paths.
-                    config
-                        .metrics
-                        .set_gauge("appserver.active_subscriptions", shared.subs.lock().len() as u64);
-                    // 3. Heartbeat supervision: terminate on cluster silence.
-                    let silent_for = shared.last_heartbeat.lock().elapsed();
-                    config
-                        .metrics
-                        .set_gauge("appserver.heartbeat_stale_ms", silent_for.as_millis() as u64);
-                    if silent_for > config.heartbeat_timeout
-                        && !shared.connection_lost.swap(true, Ordering::Relaxed)
-                    {
-                        config.metrics.inc("appserver.connection_lost");
-                        config.metrics.flight().record(
-                            FlightEventKind::Disconnect,
-                            format!("{tenant}: cluster heartbeats stopped"),
-                        );
-                        let subs = shared.subs.lock();
-                        for entry in subs.values() {
-                            let _ = entry.tx.send((ClientEvent::ConnectionLost, None));
-                        }
-                    }
-                }
-            })
+            .spawn(move || keeper.run(&woken))
             .expect("spawn keeper");
         self.threads.push(handle);
+    }
+}
+
+/// How often the keeper runs its constant-time checks: the link generation,
+/// the cluster's silence and the gauges. It bounds how late a reconnect is
+/// repaired and a silent cluster noticed, and how long a registration
+/// published while the keeper slept goes unseen (subscribing does not wake
+/// the keeper; its retry is half a second away by default).
+const HOUSEKEEPING: Duration = Duration::from_millis(50);
+
+/// The app server's background loop for everything that happens at a time
+/// rather than on a message: one thread that blocks on its wake-up channel
+/// until the earliest of its deadlines — the head renewal's token, the head
+/// registration's retry, the next TTL refresh, the next housekeeping — or
+/// until the dispatcher queues a renewal into an empty queue.
+struct Keeper {
+    shared: Arc<Shared>,
+    store: Arc<Store>,
+    broker: BrokerHandle,
+    tenant: TenantId,
+    config: AppServerConfig,
+    /// The poll-frequency rate limit of §5.2: one token per renewal.
+    bucket: TokenBucket,
+    next_housekeeping: Timestamp,
+    next_ttl_refresh: Timestamp,
+    /// The event layer's connection generation at the last housekeeping.
+    last_generation: u64,
+    /// `appserver.renewals`.
+    renewals: Arc<AtomicU64>,
+    /// `appserver.renewal_wait_us`: from the request of a renewal (delivery
+    /// of the maintenance error, a repair, a due retry) to its publication.
+    renewal_wait_us: Arc<Mutex<Histogram>>,
+}
+
+impl Keeper {
+    fn run(mut self, woken: &Receiver<()>) {
+        while !self.shared.shutdown.load(Ordering::Relaxed) {
+            let next = self.turn(self.shared.clock.now());
+            let wait = next.since(self.shared.clock.now());
+            if woken.recv_timeout(wait).is_ok() {
+                while woken.try_recv().is_ok() {}
+            }
+        }
+    }
+
+    /// Does everything due at `now` and returns when the next thing is.
+    fn turn(&mut self, now: Timestamp) -> Timestamp {
+        if now >= self.next_housekeeping {
+            self.housekeeping(now);
+            self.next_housekeeping = now.after(HOUSEKEEPING);
+        }
+        if now >= self.next_ttl_refresh {
+            self.refresh_ttls();
+            self.next_ttl_refresh = now.after(self.config.ttl_refresh_interval);
+        }
+        // At-least-once registration: a Subscribe that never produced a
+        // baseline was dropped somewhere (e.g. a worker mid-rebuild).
+        let retried = self.shared.subs.lock().queue_due_retries(now);
+        if retried > 0 {
+            self.config.metrics.add("appserver.subscribe_retries", retried);
+        }
+        self.renew();
+        let now = self.shared.clock.now();
+        let table = self.shared.subs.lock().next_due(now, &self.bucket);
+        let next = self.next_housekeeping.min(self.next_ttl_refresh);
+        table.map_or(next, |due| due.min(next))
+    }
+
+    /// Publishes queued renewals, oldest first and one token each, until
+    /// the queue or the bucket runs dry.
+    fn renew(&mut self) {
+        loop {
+            let now = self.shared.clock.now();
+            let (queued, slack, query) = {
+                let mut table = self.shared.subs.lock();
+                let Some(queued) = table.next_renewal(now, &mut self.bucket) else { return };
+                let Some(entry) = table.entries.get(&queued.0) else { continue };
+                // Adaptive slack (§5.2 fn. 5): every renewal doubles the
+                // slack (capped), so delete-heavy queries stop thrashing the
+                // database with re-executions.
+                let slack = (entry.slack * 2).clamp(1, self.config.max_slack);
+                (queued, slack, bootstrap(&entry.spec, slack))
+            };
+            let Ok(initial) = self.store.execute(&query) else {
+                // The renewal stays wanted: back in line, flag still set.
+                self.shared.subs.lock().renewals.push_back(queued);
+                continue;
+            };
+            let now = self.shared.clock.now();
+            let request = {
+                let mut table = self.shared.subs.lock();
+                let Some(entry) = table.renewed(queued.0, slack, now) else { continue };
+                SubscriptionRequest { initial, ..entry.request(&self.tenant, queued.0, self.config.ttl) }
+            };
+            publish(&self.broker, &ClusterMessage::Subscribe(request));
+            self.shared.renewals_performed.fetch_add(1, Ordering::Relaxed);
+            self.renewals.fetch_add(1, Ordering::Relaxed);
+            self.renewal_wait_us.lock().record(now.since(queued.1).as_micros() as u64);
+        }
+    }
+
+    /// TTL extensions, one per subscription.
+    fn refresh_ttls(&self) {
+        let table = self.shared.subs.lock();
+        for (id, entry) in &table.entries {
+            publish(
+                &self.broker,
+                &ClusterMessage::ExtendTtl {
+                    tenant: self.tenant.clone(),
+                    subscription: *id,
+                    query_hash: entry.query_hash,
+                    ttl_micros: self.config.ttl.as_micros() as u64,
+                },
+            );
+        }
+    }
+
+    /// The link-generation watch, the gauges and heartbeat supervision.
+    fn housekeeping(&mut self, now: Timestamp) {
+        // A remote event layer that reconnected silently dropped everything
+        // published against the dying session (at-most-once, §5.3) — writes
+        // *and* notifications in flight during the gap are gone and nothing
+        // downstream will ever resend them. Repair exactly like a failover
+        // epoch bump, so fresh initial results rebuild the client-side live
+        // results from the pull truth.
+        let generation = self.broker.generation();
+        if generation != self.last_generation {
+            self.last_generation = generation;
+            let (replayed, marked) = self.shared.repair(&self.broker);
+            self.shared.reconnect_replays.fetch_add(1, Ordering::Relaxed);
+            self.config.metrics.inc("appserver.reconnect_replays");
+            self.config.metrics.flight().record(
+                FlightEventKind::Reconnect,
+                format!(
+                    "{}: link generation {generation}: replayed {replayed} writes, \
+                     renewing {marked} subscriptions",
+                    self.tenant
+                ),
+            );
+        }
+        let (subscriptions, pending) = {
+            let table = self.shared.subs.lock();
+            (table.entries.len(), table.renewals.len())
+        };
+        let metrics = &self.config.metrics;
+        metrics.set_gauge("appserver.active_subscriptions", subscriptions as u64);
+        metrics.set_gauge("appserver.renewals_pending", pending as u64);
+        // Heartbeat supervision: terminate on cluster silence.
+        let silent_for = now.since(Timestamp(self.shared.last_heartbeat.load(Ordering::Relaxed)));
+        metrics.set_gauge("appserver.heartbeat_stale_ms", silent_for.as_millis() as u64);
+        if silent_for > self.config.heartbeat_timeout
+            && !self.shared.connection_lost.swap(true, Ordering::Relaxed)
+        {
+            metrics.inc("appserver.connection_lost");
+            metrics.flight().record(
+                FlightEventKind::Disconnect,
+                format!("{}: cluster heartbeats stopped", self.tenant),
+            );
+            let table = self.shared.subs.lock();
+            for entry in table.entries.values() {
+                let _ = entry.tx.send((ClientEvent::ConnectionLost, None));
+            }
+        }
     }
 }
 
@@ -890,15 +1078,16 @@ impl Dispatcher {
 
     /// Handles one payload from the notify topic.
     fn dispatch(&self, payload: &[u8]) {
+        let now = self.shared.clock.now();
         match decode_notify_payload(payload, &self.tenant) {
             Some(NotifyPayload::Heartbeat) => {
-                *self.shared.last_heartbeat.lock() = Instant::now();
+                self.shared.last_heartbeat.store(now.micros(), Ordering::Relaxed);
                 self.shared.connection_lost.store(false, Ordering::Relaxed);
             }
             Some(NotifyPayload::Envelope(envelope)) => {
                 // Any cluster traffic proves liveness.
-                *self.shared.last_heartbeat.lock() = Instant::now();
-                self.deliver(envelope);
+                self.shared.last_heartbeat.store(now.micros(), Ordering::Relaxed);
+                self.deliver(envelope, now);
             }
             None => {
                 self.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -907,8 +1096,10 @@ impl Dispatcher {
     }
 
     /// Hands every addressed subscription the one decoded change, under
-    /// one acquisition of the subscription table.
-    fn deliver(&self, envelope: NotifyEnvelope) {
+    /// one acquisition of the subscription table. A maintenance error also
+    /// queues the subscription's renewal, and wakes the keeper when its
+    /// queue was empty.
+    fn deliver(&self, envelope: NotifyEnvelope, now: Timestamp) {
         let NotifyEnvelope { subscriptions, kind, caused_by_write_at, trace, .. } = envelope;
         // Only baseline-carrying notifications confirm a registration: a
         // stray Change proves the pump is alive but cannot repair a live
@@ -923,14 +1114,14 @@ impl Dispatcher {
             NotificationKind::Error(e) => ClientEvent::MaintenanceError(e.reason),
             NotificationKind::Aggregate { value, count } => ClientEvent::Aggregate { value, count },
         };
-        let mut subs = self.shared.subs.lock();
+        let mut table = self.shared.subs.lock();
         let mut abandoned = Vec::new();
+        let mut wake = false;
         let mut hand = |id: &SubscriptionId, event: ClientEvent| {
-            let Some(entry) = subs.get_mut(id) else {
+            let Some(entry) = table.entries.get_mut(id) else {
                 self.unknown_subscription.fetch_add(1, Ordering::Relaxed);
                 return;
             };
-            entry.needs_renewal |= renews;
             entry.confirmed |= confirms;
             // Notification-staleness SLO: save → notify, per tenant, for
             // every delivered change (not just sampled traces).
@@ -949,6 +1140,9 @@ impl Dispatcher {
                 self.channel_closed.fetch_add(1, Ordering::Relaxed);
                 abandoned.push(*id);
             }
+            if renews {
+                wake |= table.queue_renewal(*id, now);
+            }
         };
         // Every addressee but the last gets a pointer to the change; the
         // last takes the event itself, so an initial result (always for one
@@ -963,9 +1157,13 @@ impl Dispatcher {
         // registered for good: the keeper keeps extending its TTL and the
         // cluster keeps matching it. Cancel it like `unsubscribe` does.
         for id in abandoned {
-            if let Some(entry) = subs.remove(&id) {
+            if let Some(entry) = table.entries.remove(&id) {
                 cancel(&self.broker, &self.tenant, &self.metrics, id, &entry);
             }
+        }
+        drop(table);
+        if wake {
+            let _ = self.shared.wake.send(());
         }
     }
 }
@@ -973,6 +1171,7 @@ impl Dispatcher {
 impl Drop for AppServer {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
+        let _ = self.shared.wake.send(());
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -1139,4 +1338,125 @@ impl Iterator for Events<'_> {
 fn now_micros() -> u64 {
     use std::time::{SystemTime, UNIX_EPOCH};
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use invalidb_common::doc;
+
+    const RETRY: Duration = Duration::from_millis(500);
+    const T0: Timestamp = Timestamp(1_000_000);
+
+    fn entry(published: Timestamp) -> SubEntry {
+        SubEntry {
+            spec: QuerySpec::filter("t", doc! {}),
+            query_hash: QueryHash(7),
+            slack: 3,
+            tx: unbounded().0,
+            needs_renewal: false,
+            confirmed: false,
+            last_register: published,
+        }
+    }
+
+    fn table(ids: &[u64]) -> Table {
+        let mut table = Table::new(RETRY);
+        for &id in ids {
+            table.insert(SubscriptionId(id), entry(T0));
+        }
+        table
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    #[test]
+    fn a_queued_renewal_is_due_now() {
+        let mut table = table(&[1]);
+        let mut bucket = TokenBucket::new(4, 10.0, T0);
+        assert_eq!(table.next_due(T0, &bucket), Some(T0.after(RETRY)), "only the retry is scheduled");
+        let now = T0.after(ms(3));
+        assert!(table.queue_renewal(SubscriptionId(1), now), "an empty queue wakes the keeper");
+        assert!(!table.queue_renewal(SubscriptionId(1), now.after(ms(1))), "one renewal at a time");
+        assert!(!table.queue_renewal(SubscriptionId(9), now), "unknown ids are not queued");
+        assert_eq!(table.next_due(now, &bucket), Some(now));
+        assert_eq!(table.next_renewal(now, &mut bucket), Some((SubscriptionId(1), now)));
+        assert_eq!(table.next_renewal(now, &mut bucket), None);
+    }
+
+    #[test]
+    fn with_an_empty_bucket_the_next_wake_is_the_token_time() {
+        let mut table = table(&[1, 2]);
+        let mut bucket = TokenBucket::new(1, 10.0, T0);
+        table.queue_renewal(SubscriptionId(1), T0);
+        table.queue_renewal(SubscriptionId(2), T0);
+        assert_eq!(table.next_renewal(T0, &mut bucket), Some((SubscriptionId(1), T0)));
+        // The bucket is empty; its next token comes 100 ms later.
+        let due = table.next_due(T0, &bucket).expect("a renewal is queued");
+        assert!(due >= T0.after(ms(100)), "not before the token: {due:?}");
+        assert!(due <= T0.after(ms(100)).after(Duration::from_micros(1)), "{due:?}");
+        let early = Timestamp(T0.after(ms(100)).micros() - 1);
+        let again = table.next_due(early, &bucket).expect("still queued");
+        assert!(again >= T0.after(ms(100)), "woken early, it waits for the token again: {again:?}");
+        assert_eq!(table.next_renewal(early, &mut bucket), None, "no token yet");
+        assert_eq!(table.next_renewal(due, &mut bucket), Some((SubscriptionId(2), T0)));
+    }
+
+    #[test]
+    fn an_unconfirmed_registration_is_retried_when_due_and_a_confirmed_one_never() {
+        let mut table = table(&[1, 2]);
+        let mut bucket = TokenBucket::new(100, 10.0, T0);
+        table.entries.get_mut(&SubscriptionId(2)).unwrap().confirmed = true;
+        let due = T0.after(RETRY);
+        assert_eq!(table.next_due(T0, &bucket), Some(due));
+        assert_eq!(table.queue_due_retries(Timestamp(due.micros() - 1)), 0, "not yet");
+        assert_eq!(table.queue_due_retries(due), 1, "the unconfirmed one");
+        assert_eq!(table.next_renewal(due, &mut bucket), Some((SubscriptionId(1), due)));
+        assert_eq!(table.next_renewal(due, &mut bucket), None, "the confirmed one is not retried");
+        assert!(table.registrations.is_empty());
+
+        // The retry is published; still unconfirmed, it is retried again.
+        let published = due.after(ms(2));
+        let slack = table.renewed(SubscriptionId(1), 6, published).map(|e| e.slack);
+        assert_eq!(slack, Some(6));
+        assert_eq!(table.next_due(published, &bucket), Some(published.after(RETRY)));
+        // Confirmed meanwhile: the due retry is dropped, and nothing is left.
+        table.entries.get_mut(&SubscriptionId(1)).unwrap().confirmed = true;
+        assert_eq!(table.queue_due_retries(published.after(RETRY)), 0);
+        assert_eq!(table.next_due(published.after(RETRY), &bucket), None);
+        assert_eq!(table.queue_due_retries(published.after(ms(3_600_000))), 0);
+    }
+
+    #[test]
+    fn repair_renews_every_subscription_exactly_once() {
+        let mut table = table(&[1, 2, 3]);
+        let mut bucket = TokenBucket::new(100, 10.0, T0);
+        for entry in table.entries.values_mut() {
+            entry.confirmed = true;
+        }
+        table.queue_renewal(SubscriptionId(2), T0);
+        let now = T0.after(ms(10));
+        assert_eq!(table.repair(now), 3);
+        assert_eq!(table.repair(now.after(ms(1))), 3);
+        assert!(table.entries.values().all(|e| !e.confirmed && e.needs_renewal));
+        let mut renewed = Vec::new();
+        while let Some((id, _)) = table.next_renewal(now, &mut bucket) {
+            renewed.push(id.0);
+        }
+        renewed.sort_unstable();
+        assert_eq!(renewed, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_cancelled_subscription_takes_no_token() {
+        let mut table = table(&[1, 2]);
+        let mut bucket = TokenBucket::new(1, 10.0, T0);
+        table.queue_renewal(SubscriptionId(1), T0);
+        table.queue_renewal(SubscriptionId(2), T0);
+        table.entries.remove(&SubscriptionId(1));
+        assert_eq!(table.next_renewal(T0, &mut bucket), Some((SubscriptionId(2), T0)));
+        assert_eq!(table.next_due(T0, &bucket), Some(T0.after(RETRY)), "queue drained");
+    }
 }

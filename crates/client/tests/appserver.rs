@@ -3,14 +3,14 @@
 use invalidb_broker::{notify_topic, Broker};
 use invalidb_client::{AppServer, AppServerConfig, ClientEvent};
 use invalidb_common::{
-    doc, ChangeItem, Key, MatchType, NotificationKind, NotifyEnvelope, QuerySpec, ResultItem,
-    SortDirection, SubscriptionId, TenantId,
+    doc, ChangeItem, Key, MaintenanceError, MatchType, NotificationKind, NotifyEnvelope, QuerySpec,
+    ResultItem, SortDirection, SubscriptionId, TenantId,
 };
 use invalidb_core::{Cluster, ClusterConfig};
 use invalidb_json::WireCodec;
 use invalidb_store::{Store, UpdateSpec};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn setup(qp: usize, wp: usize) -> (Broker, Arc<Store>, Cluster, AppServer) {
     let broker = Broker::new();
@@ -95,39 +95,110 @@ fn sorted_subscription_maintains_order() {
     cluster.shutdown();
 }
 
+/// Five sorted windows run out of slack at once. Each renews automatically,
+/// and the renewals keep to the poll-frequency limit: with a burst of one
+/// and ten tokens a second, at most `1 + 10·t` renewals can have happened
+/// `t` seconds after the errors (the bound allows one more).
 #[test]
 fn renewal_after_maintenance_error_is_automatic_and_rate_limited() {
-    let (_broker, _store, cluster, app) = setup(1, 1);
-    for i in 0..10i64 {
-        app.insert("t", Key::of(i), doc! { "n" => i }).unwrap();
+    let broker = Broker::new();
+    let store = Arc::new(Store::new());
+    let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
+    let config = AppServerConfig::builder().renewal_burst(1).renewals_per_sec(10.0).build().unwrap();
+    let app = AppServer::start("app", Arc::clone(&store), broker.clone(), config);
+    let collections = ["t0", "t1", "t2", "t3", "t4"];
+    for c in collections {
+        for i in 0..10i64 {
+            app.insert(c, Key::of(i), doc! { "n" => i }).unwrap();
+        }
     }
     // slack defaults to 3; limit 2 → window of 5.
-    let spec = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(2);
-    let mut sub = app.subscribe(&spec).unwrap();
-    sub.events().timeout(Duration::from_secs(5)).next().expect("initial");
-    assert_eq!(sub.result().keys(), vec![Key::of(0i64), Key::of(1i64)]);
+    let mut subs: Vec<_> = collections
+        .iter()
+        .map(|c| {
+            let spec = QuerySpec::filter(*c, doc! {}).sorted_by("n", SortDirection::Asc).with_limit(2);
+            let mut sub = app.subscribe(&spec).unwrap();
+            sub.events().timeout(Duration::from_secs(5)).next().expect("initial");
+            assert_eq!(sub.result().keys(), vec![Key::of(0i64), Key::of(1i64)]);
+            sub
+        })
+        .collect();
 
-    // Delete enough leading items to exhaust the slack and force a renewal.
-    for i in 0..5i64 {
-        app.delete("t", Key::of(i)).unwrap();
+    // Delete enough leading items of every window to exhaust its slack.
+    let errors_forced = Instant::now();
+    for c in collections {
+        for i in 0..5i64 {
+            app.delete(c, Key::of(i)).unwrap();
+        }
     }
-    // Eventually the result converges to [5, 6] — via incremental updates,
-    // one maintenance error, and an automatic renewal.
-    let mut saw_error = false;
+    // Each result converges to [5, 6] — via incremental updates, one
+    // maintenance error and an automatic renewal.
+    let mut saw_error = [false; 5];
     wait_for(
         || {
-            while let Some(ev) = sub.events().non_blocking().next() {
-                if matches!(ev, ClientEvent::MaintenanceError(_)) {
-                    saw_error = true;
+            let renewed = app.renewals_performed();
+            let t = errors_forced.elapsed();
+            assert!(
+                renewed as f64 <= 2.0 + 10.0 * t.as_secs_f64(),
+                "{renewed} renewals {t:?} after the errors"
+            );
+            let mut converged = true;
+            for (sub, saw) in subs.iter_mut().zip(&mut saw_error) {
+                while let Some(ev) = sub.events().non_blocking().next() {
+                    *saw |= matches!(ev, ClientEvent::MaintenanceError(_));
                 }
+                converged &= sub.result().keys() == vec![Key::of(5i64), Key::of(6i64)];
             }
-            (sub.result().keys() == vec![Key::of(5i64), Key::of(6i64)]).then_some(())
+            (converged && renewed >= 5).then_some(())
         },
         Duration::from_secs(10),
     )
-    .unwrap_or_else(|| panic!("converged result, got {:?}", sub.result().keys()));
-    assert!(saw_error, "client observed the renewal request");
-    assert!(app.renewals_performed() >= 1);
+    .unwrap_or_else(|| {
+        let keys: Vec<_> = subs.iter().map(|s| s.result().keys()).collect();
+        panic!("{} renewals, results {keys:?}", app.renewals_performed())
+    });
+    assert!(saw_error.iter().all(|&saw| saw), "every client observed its renewal request");
+    cluster.shutdown();
+}
+
+/// A renewal is published when its maintenance error arrives, not at the
+/// next tick of a timer: twenty forced renewals on an idle stack wait a
+/// median under 5 ms, a tenth of the keeper's housekeeping period.
+#[test]
+fn a_renewal_is_published_when_its_error_arrives() {
+    let broker = Broker::new();
+    let store = Arc::new(Store::new());
+    let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
+    // A burst large enough that no renewal waits for a token.
+    let config = AppServerConfig::builder().renewal_burst(32).build().unwrap();
+    let app = AppServer::start("app", Arc::clone(&store), broker.clone(), config);
+    for i in 0..10i64 {
+        app.insert("t", Key::of(i), doc! { "n" => i }).unwrap();
+    }
+    let spec = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(2);
+    let mut sub = app.subscribe(&spec).unwrap();
+    sub.events().timeout(Duration::from_secs(5)).next().expect("initial");
+
+    let error = WireCodec.encode(
+        &NotifyEnvelope {
+            tenant: TenantId::new("app"),
+            subscriptions: vec![sub.id()],
+            kind: NotificationKind::Error(MaintenanceError { reason: "forced".into() }),
+            caused_by_write_at: 0,
+            trace: None,
+        }
+        .as_ref()
+        .to_document(),
+    );
+    for n in 1..=20 {
+        broker.publish(&notify_topic("app"), error.clone());
+        wait_for(|| (app.renewals_performed() >= n).then_some(()), Duration::from_secs(5))
+            .unwrap_or_else(|| panic!("renewal {n} published"));
+        while sub.events().non_blocking().next().is_some() {}
+    }
+    let waits = app.metrics().hists.get("appserver.renewal_wait_us").cloned().expect("renewal waits");
+    assert_eq!(waits.count, 20);
+    assert!(waits.p50 < 5_000, "median renewal wait {} µs", waits.p50);
     cluster.shutdown();
 }
 

@@ -20,7 +20,7 @@ impl Timestamp {
 
     /// Timestamp advanced by a duration (saturating).
     pub fn after(self, d: Duration) -> Timestamp {
-        Timestamp(self.0.saturating_add(d.as_micros() as u64))
+        Timestamp(self.0.saturating_add(u64::try_from(d.as_micros()).unwrap_or(u64::MAX)))
     }
 
     /// Elapsed duration since `earlier` (zero if `earlier` is later).
@@ -118,5 +118,6 @@ mod tests {
         assert_eq!(t.after(Duration::from_micros(50)), Timestamp(150));
         assert_eq!(Timestamp(150).since(t), Duration::from_micros(50));
         assert_eq!(t.since(Timestamp(150)), Duration::ZERO, "saturates");
+        assert_eq!(t.after(Duration::MAX), Timestamp(u64::MAX), "saturates");
     }
 }

@@ -45,6 +45,10 @@ struct OplogInner {
     /// Sequence number of `entries[0]` (entries may be trimmed).
     base_seq: u64,
     next_seq: u64,
+    /// Cursors blocked in [`OplogCursor::poll_wait`]. A cursor counts itself
+    /// in before it waits and out when it wakes, both under the mutex, so an
+    /// append that sees zero owes no wake-up and makes no system call.
+    waiters: usize,
 }
 
 /// Store-wide append-only oplog with blocking tail cursors.
@@ -78,7 +82,11 @@ impl Oplog {
         let seq = inner.next_seq;
         inner.next_seq += 1;
         inner.entries.push(OplogEntry { seq, collection: collection.into(), key, version, doc, op });
-        self.appended.notify_all();
+        let wake = inner.waiters > 0;
+        drop(inner);
+        if wake {
+            self.appended.notify_all();
+        }
         seq
     }
 
@@ -113,7 +121,9 @@ impl Oplog {
     fn wait_for(&self, from: u64, timeout: Duration) -> Vec<OplogEntry> {
         let mut inner = self.inner.lock();
         if inner.next_seq <= from {
+            inner.waiters += 1;
             self.appended.wait_for(&mut inner, timeout);
+            inner.waiters -= 1;
         }
         let start = from.saturating_sub(inner.base_seq) as usize;
         inner.entries.get(start.min(inner.entries.len())..).map(|s| s.to_vec()).unwrap_or_default()
@@ -227,6 +237,28 @@ mod tests {
         let entries = cur.poll_wait(Duration::from_secs(5));
         assert_eq!(entries.len(), 1);
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn one_append_wakes_every_waiting_cursor() {
+        let log = Arc::new(Oplog::new());
+        let waiting = |log: &Arc<Oplog>| log.inner.lock().waiters;
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let mut cur = OplogCursor::new(log.clone(), 0);
+                std::thread::spawn(move || cur.poll_wait(Duration::from_secs(10)).len())
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while waiting(&log) < 2 {
+            assert!(std::time::Instant::now() < deadline, "both cursors wait");
+            std::thread::yield_now();
+        }
+        log.append("c", Key::of(1i64), 1, Some(Arc::new(doc! {})), OplogOp::Insert);
+        for reader in readers {
+            assert_eq!(reader.join().unwrap(), 1);
+        }
+        assert_eq!(waiting(&log), 0, "a woken cursor counts itself out");
     }
 
     #[test]
