@@ -171,7 +171,7 @@ impl QuerySpec {
         let mut bytes = Vec::with_capacity(64);
         bytes.extend_from_slice(self.collection.as_bytes());
         bytes.push(0);
-        Value::Object(self.filter.clone()).write_canonical(&mut bytes);
+        self.filter.write_canonical(&mut bytes);
         for (field, dir) in &self.sort {
             bytes.extend_from_slice(field.as_bytes());
             bytes.push(match dir {

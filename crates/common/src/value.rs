@@ -155,14 +155,21 @@ impl Value {
                     item.write_canonical(out);
                 }
             }
-            Value::Object(doc) => {
-                out.put(&tagged(0x06, doc.len() as u64));
-                for (k, v) in doc.iter() {
-                    out.put(&(k.len() as u64).to_be_bytes());
-                    out.put(k.as_bytes());
-                    v.write_canonical(out);
-                }
-            }
+            Value::Object(doc) => doc.write_canonical(out),
+        }
+    }
+}
+
+impl Document {
+    /// The canonical encoding of this document as a value: exactly what
+    /// [`Value::write_canonical`] writes for `Value::Object` of it, without
+    /// the copy that wrapping it would take.
+    pub fn write_canonical<S: CanonicalSink + ?Sized>(&self, out: &mut S) {
+        out.put(&tagged(0x06, self.len() as u64));
+        for (k, v) in self.iter() {
+            out.put(&(k.len() as u64).to_be_bytes());
+            out.put(k.as_bytes());
+            v.write_canonical(out);
         }
     }
 }

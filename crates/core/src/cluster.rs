@@ -351,9 +351,10 @@ fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
 }
 
 /// Runs one stage task on its own thread, reporting under
-/// `cluster.<component>`: [`task::run`] resolves `processed`, `ticks` and
-/// `queue_depth`; `emitted` is created here so every component exports the
-/// same four series (only the ingress hands events on and counts it).
+/// `cluster.<component>`: the [`task::Series`] `processed`, `ticks` and
+/// `queue_depth`, and `emitted`, created here so every component exports the
+/// same four series (only the ingress hands events on and counts it). All
+/// four exist before the thread starts, as the ingress's do.
 fn spawn_task(
     name: String,
     rx: Receiver<Event>,
@@ -364,8 +365,8 @@ fn spawn_task(
 ) -> JoinHandle<()> {
     let prefix = format!("cluster.{component}");
     metrics.counter(&format!("{prefix}.emitted"));
-    let metrics = metrics.clone();
-    spawn(name, move || task::run(&rx, &mut node, tick_interval, &metrics, &prefix))
+    let series = task::Series::new(metrics, &prefix);
+    spawn(name, move || task::run(&rx, &mut node, tick_interval, &series))
 }
 
 /// The front of the pipeline: one thread between the event layer and the

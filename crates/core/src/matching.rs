@@ -41,7 +41,7 @@ use invalidb_common::{
 };
 use invalidb_json::WireCodec;
 use invalidb_obs::SlowQueryScratch;
-use invalidb_query::{PreparedAtom, PreparedQuery};
+use invalidb_query::{PreparedAtom, PreparedFilter};
 use invalidb_stream::Task;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -67,8 +67,8 @@ impl PredCache {
     }
 
     /// The conjunction of `atoms` over `doc`, memoized per atom. Exactly
-    /// equivalent to `prepared.matches(doc)` by the
-    /// [`invalidb_query::PreparedQuery::conjuncts`] contract.
+    /// equivalent to `filter.matches(doc)` by the
+    /// [`PreparedFilter::conjuncts`] contract.
     fn eval_all(&mut self, atoms: &[PreparedAtom], doc: &invalidb_common::Document) -> bool {
         atoms.iter().all(|a| match self.map.entry(a.hash().0) {
             Entry::Occupied(e) => {
@@ -90,7 +90,9 @@ struct QueryGroup {
     /// Human-readable rendering of the query spec, captured at subscribe
     /// time for the slow-query log (which shares it until it keeps a copy).
     spec_display: Arc<str>,
-    prepared: Arc<dyn PreparedQuery>,
+    /// The compiled filter, and nothing else of the query: its atoms when
+    /// it decomposes, so there is no second form of it to hold.
+    filter: Box<dyn PreparedFilter>,
     /// Which downstream stages consume this query's transitions; neither
     /// for self-maintainable filter queries.
     to_sorting: bool,
@@ -367,12 +369,12 @@ impl Evaluator {
         }
         // Shared predicate evaluation: conjunctive queries resolve each
         // atom through the per-write memo (identical result to
-        // `prepared.matches` by the `conjuncts` contract); queries that
+        // `filter.matches` by the `conjuncts` contract); queries that
         // opt out of decomposition evaluate whole.
         let cache = &mut self.pred_cache;
-        let matches_now = img.doc.as_ref().is_some_and(|d| match group.prepared.conjuncts() {
+        let matches_now = img.doc.as_ref().is_some_and(|d| match group.filter.conjuncts() {
             Some(atoms) => cache.eval_all(atoms, d),
-            None => group.prepared.matches(d),
+            None => group.filter.matches(d),
         });
         // The result is updated in place: a key is copied when it enters.
         let kind = match (held, matches_now) {
@@ -554,8 +556,11 @@ impl MatchingNode {
             group.subscriptions.insert(req.subscription, expires_at);
             return;
         }
-        let prepared = match self.config.engine.prepare(&req.spec) {
-            Ok(p) => p,
+        // The filter is all this stage evaluates; the sorting stage prepares
+        // the whole query for its window (and reports what only the whole
+        // query's preparation rejects).
+        let filter = match self.config.engine.prepare_filter(&req.spec.filter) {
+            Ok(f) => f,
             Err(e) => {
                 // Unparseable query: report an error notification so the
                 // subscription does not dangle silently.
@@ -579,7 +584,7 @@ impl MatchingNode {
         }
         let mut group = QueryGroup {
             spec_display: req.spec.to_string().into(),
-            prepared,
+            filter,
             to_sorting: req.spec.needs_sorting_stage(),
             to_aggregation: req.spec.needs_aggregation_stage(),
             result,

@@ -97,36 +97,53 @@ fn intersects(lo: &Value, hi: &Value, (min, max): (&Value, &Value)) -> bool {
     canonical_cmp(lo, max) != Ordering::Greater && canonical_cmp(hi, min) != Ordering::Less
 }
 
-/// Static centered interval tree (sorted by `lo`, max-`hi` augmented).
+/// Static interval tree over intervals sorted by `lo`, augmented with the
+/// largest `hi` of every segment.
+///
+/// The segments are those of a balanced recursive split of `0..n`: `[l, r]`
+/// splits at `mid = (l + r) / 2` into `[l, mid]` and `[mid + 1, r]`. Every
+/// split point belongs to exactly one internal segment, so the augmentation
+/// is one slot per interval: `max_at[mid]` is the index of the interval
+/// with the largest `hi` in the internal segment split at `mid`. A leaf
+/// reads its own interval's `hi`.
 struct IntervalTree<Id> {
     /// Intervals sorted by `(lo, insertion order)`.
     intervals: Vec<Interval<Id>>,
-    /// `max_hi[i]` = maximum `hi` in the segment-tree node `i` covers.
-    max_hi: Vec<Option<Value>>,
+    /// Per internal segment, at its split point: where its largest `hi` is.
+    max_at: Vec<u32>,
 }
 
 impl<Id: Copy> IntervalTree<Id> {
     fn build(mut intervals: Vec<Interval<Id>>) -> Self {
         intervals.sort_by(|a, b| canonical_cmp(&a.lo, &b.lo));
-        let mut tree = Self { max_hi: vec![None; intervals.len() * 4 + 4], intervals };
-        if !tree.intervals.is_empty() {
-            tree.augment(1, 0, tree.intervals.len() - 1);
+        let n = intervals.len();
+        assert!(n <= u32::MAX as usize, "an interval tree indexes its intervals by u32");
+        let mut tree = Self { max_at: vec![0; n], intervals };
+        if n > 0 {
+            tree.augment(0, n - 1);
         }
         tree
     }
 
-    fn augment(&mut self, node: usize, l: usize, r: usize) -> Value {
+    /// Fills `max_at` for the segment `[l, r]`; returns where its largest
+    /// `hi` is.
+    fn augment(&mut self, l: usize, r: usize) -> u32 {
         if l == r {
-            let hi = self.intervals[l].hi.clone();
-            self.max_hi[node] = Some(hi.clone());
-            return hi;
+            return l as u32;
         }
         let mid = (l + r) / 2;
-        let left = self.augment(node * 2, l, mid);
-        let right = self.augment(node * 2 + 1, mid + 1, r);
-        let max = if canonical_cmp(&left, &right) == Ordering::Less { right } else { left };
-        self.max_hi[node] = Some(max.clone());
+        let left = self.augment(l, mid);
+        let right = self.augment(mid + 1, r);
+        let (lhi, rhi) = (&self.intervals[left as usize].hi, &self.intervals[right as usize].hi);
+        let max = if canonical_cmp(lhi, rhi) == Ordering::Less { right } else { left };
+        self.max_at[mid] = max;
         max
+    }
+
+    /// The largest `hi` in the segment `[l, r]`.
+    fn max_hi(&self, l: usize, r: usize) -> &Value {
+        let at = if l == r { l } else { self.max_at[(l + r) / 2] as usize };
+        &self.intervals[at].hi
     }
 
     /// All intervals `[lo, hi]` intersecting the probe envelope
@@ -136,22 +153,13 @@ impl<Id: Copy> IntervalTree<Id> {
         if self.intervals.is_empty() {
             return;
         }
-        self.intersect_rec(1, 0, self.intervals.len() - 1, min, max, out);
+        self.intersect_rec(0, self.intervals.len() - 1, min, max, out);
     }
 
-    fn intersect_rec(
-        &self,
-        node: usize,
-        l: usize,
-        r: usize,
-        min: &Value,
-        max: &Value,
-        out: &mut Vec<Id>,
-    ) {
+    fn intersect_rec(&self, l: usize, r: usize, min: &Value, max: &Value, out: &mut Vec<Id>) {
         // Prune: no interval below this node reaches up to `min`.
-        match &self.max_hi[node] {
-            Some(max_hi) if canonical_cmp(max_hi, min) != Ordering::Less => {}
-            _ => return,
+        if canonical_cmp(self.max_hi(l, r), min) == Ordering::Less {
+            return;
         }
         // Prune: intervals are sorted by lo; if even the leftmost lo > max,
         // nothing here intersects the envelope.
@@ -164,8 +172,8 @@ impl<Id: Copy> IntervalTree<Id> {
             return;
         }
         let mid = (l + r) / 2;
-        self.intersect_rec(node * 2, l, mid, min, max, out);
-        self.intersect_rec(node * 2 + 1, mid + 1, r, min, max, out);
+        self.intersect_rec(l, mid, min, max, out);
+        self.intersect_rec(mid + 1, r, min, max, out);
     }
 }
 

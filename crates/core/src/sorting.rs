@@ -154,7 +154,21 @@ impl SortingNode {
         }
         let prepared = match self.config.engine.prepare(&req.spec) {
             Ok(p) => p,
-            Err(_) => return, // the filtering stage already reported this
+            Err(e) => {
+                // The filtering stage prepares the filter alone and reports
+                // a filter it rejects; what only the whole query fails on
+                // (a sort the engine cannot do) is reported here.
+                if self.config.engine.prepare_filter(&req.spec.filter).is_ok() {
+                    self.publisher.publish(EnvelopeRef {
+                        tenant: &req.tenant,
+                        subscriptions: &[req.subscription],
+                        kind: KindRef::Error(&format!("query rejected: {e}")),
+                        caused_by_write_at: 0,
+                        trace: None,
+                    });
+                }
+                return;
+            }
         };
         let window = SortedWindow::new(Arc::clone(&prepared), req.slack, &req.initial);
         let client_state = window.snapshot_visible();
@@ -478,6 +492,29 @@ mod tests {
             }
             other => panic!("expected buffered add to replay, got {other:?}"),
         }
+    }
+
+    /// An engine that compiles the filter but not the sort: the filtering
+    /// stage, which prepares filters only, accepts the query, so the
+    /// sorting stage is the one that rejects it, once, to its subscriber.
+    #[test]
+    fn a_sort_the_engine_cannot_do_is_rejected_here() {
+        let kv = ClusterConfig::new(1, 1).with_engine(Arc::new(invalidb_query::KvQueryEngine));
+        let mut h = harness(kv);
+        let spec = QuerySpec::filter("t", doc! { "c" => "x" }).sorted_by("n", SortDirection::Asc);
+        h.send(subscribe_event(&spec, 0, Vec::new()));
+        let notes = h.notifications().to_vec();
+        assert_eq!(notes.len(), 1, "{notes:?}");
+        match &notes[0].kind {
+            NotificationKind::Error(e) => assert!(e.reason.contains("sort"), "{e:?}"),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!(h.node.active_queries(), 0);
+        // A filter the engine rejects was reported by the filtering stage.
+        let bad = QuerySpec::filter("t", doc! { "c" => doc! { "$gt" => 1i64 } })
+            .sorted_by("n", SortDirection::Asc);
+        h.send(subscribe_event(&bad, 0, Vec::new()));
+        assert_eq!(h.notifications().len(), 1, "not reported twice");
     }
 
     /// Shared-sort-window churn: two subscriptions share one window (same

@@ -86,72 +86,146 @@ impl Cost {
     }
 }
 
-/// The tracked queries, per tenant and then per query hash: a charge to a
-/// tracked query is found with what the caller holds (`&str`, `u64`) and
-/// copies nothing.
+/// The tracked queries: a binary min-heap on `total_us`, so the entry a
+/// newcomer evicts is the root, and a per-tenant, per-hash map to each
+/// entry's place in it, probed with what the caller holds (`&str`, `u64`),
+/// so a charge to a tracked query copies nothing. Totals only grow, so an
+/// update moves its entry towards the leaves and never up.
 #[derive(Default)]
 struct Table {
-    by_tenant: HashMap<String, HashMap<u64, SlowQueryEntry>>,
-    len: usize,
+    heap: Vec<SlowQueryEntry>,
+    at: HashMap<String, HashMap<u64, usize>>,
 }
 
 impl Table {
     /// Adds `cost` to the query's entry. A query seen for the first time
-    /// gets an entry — the only time its tenant and `label` are copied —
-    /// evicting the cheapest entry when the table is full.
+    /// gets an entry, evicting the cheapest one when the table is full; the
+    /// evicted entry's strings are reused for the newcomer's tenant and the
+    /// label `label` writes.
     fn record(
         &mut self,
         capacity: usize,
         tenant: &str,
         query_hash: u64,
-        label: impl FnOnce() -> String,
+        label: impl FnOnce(&mut String),
         cost: Cost,
         now: u64,
     ) {
-        if let Some(e) =
-            self.by_tenant.get_mut(tenant).and_then(|of_tenant| of_tenant.get_mut(&query_hash))
-        {
+        if let Some(&i) = self.at.get(tenant).and_then(|of_tenant| of_tenant.get(&query_hash)) {
+            let e = &mut self.heap[i];
             e.evals += cost.evals;
             e.total_us += cost.total_us;
             e.max_us = e.max_us.max(cost.max_us);
             e.last_us = cost.last_us;
             e.last_seen_micros = now;
+            self.sift_down(i);
             return;
         }
-        if self.len >= capacity {
-            let cheapest =
-                self.values().min_by_key(|e| e.total_us).map(|e| (e.tenant.clone(), e.query_hash));
-            if let Some((tenant, query_hash)) = cheapest {
-                self.remove(&tenant, query_hash);
-            }
-        }
-        let entry = SlowQueryEntry {
-            tenant: tenant.to_owned(),
-            query_hash,
-            label: label(),
-            evals: cost.evals,
-            total_us: cost.total_us,
-            max_us: cost.max_us,
-            last_us: cost.last_us,
-            last_seen_micros: now,
+        let fill = |entry: &mut SlowQueryEntry| {
+            entry.tenant.clear();
+            entry.tenant.push_str(tenant);
+            entry.query_hash = query_hash;
+            entry.label.clear();
+            label(&mut entry.label);
+            entry.evals = cost.evals;
+            entry.total_us = cost.total_us;
+            entry.max_us = cost.max_us;
+            entry.last_us = cost.last_us;
+            entry.last_seen_micros = now;
         };
-        self.by_tenant.entry(entry.tenant.clone()).or_default().insert(query_hash, entry);
-        self.len += 1;
+        if self.heap.len() >= capacity {
+            // The newcomer takes the cheapest entry's place at the root.
+            let root = &mut self.heap[0];
+            unmap(&mut self.at, &root.tenant, root.query_hash);
+            fill(root);
+            self.sift_down(0);
+        } else {
+            let mut entry = SlowQueryEntry::default();
+            fill(&mut entry);
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
     fn remove(&mut self, tenant: &str, query_hash: u64) {
-        let Some(of_tenant) = self.by_tenant.get_mut(tenant) else { return };
-        if of_tenant.remove(&query_hash).is_some() {
-            self.len -= 1;
-        }
-        if of_tenant.is_empty() {
-            self.by_tenant.remove(tenant);
+        let Some(i) = unmap(&mut self.at, tenant, query_hash) else { return };
+        self.heap.swap_remove(i);
+        if i < self.heap.len() {
+            self.place(i);
         }
     }
 
-    fn values(&self) -> impl Iterator<Item = &SlowQueryEntry> {
-        self.by_tenant.values().flat_map(HashMap::values)
+    /// Moves the entry at `i` to where the heap order wants it.
+    fn place(&mut self, i: usize) {
+        let i = self.sift_up(i);
+        self.sift_down(i);
     }
+
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].total_us <= self.heap[i].total_us {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        self.note(i);
+        i
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let (l, r) = (2 * i + 1, 2 * i + 2);
+            let mut least = i;
+            for child in [l, r] {
+                if child < self.heap.len() && self.heap[child].total_us < self.heap[least].total_us {
+                    least = child;
+                }
+            }
+            if least == i {
+                break;
+            }
+            self.swap(i, least);
+            i = least;
+        }
+        self.note(i);
+    }
+
+    /// Swaps two entries; the one that lands at `a` is noted there.
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.note(a);
+    }
+
+    /// Points the map at the entry now at `i`. A query new to the table
+    /// gets its slot (and a tenant new to it, its name) here.
+    fn note(&mut self, i: usize) {
+        let e = &self.heap[i];
+        let of_tenant = match self.at.get_mut(e.tenant.as_str()) {
+            Some(of_tenant) => of_tenant,
+            None => self.at.entry(e.tenant.clone()).or_default(),
+        };
+        of_tenant.insert(e.query_hash, i);
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn values(&self) -> impl Iterator<Item = &SlowQueryEntry> {
+        self.heap.iter()
+    }
+}
+
+/// Drops a query from [`Table`]'s map; where its entry was.
+fn unmap(at: &mut HashMap<String, HashMap<u64, usize>>, tenant: &str, query_hash: u64) -> Option<usize> {
+    let of_tenant = at.get_mut(tenant)?;
+    let i = of_tenant.remove(&query_hash);
+    if of_tenant.is_empty() {
+        at.remove(tenant);
+    }
+    i
 }
 
 struct SlowInner {
@@ -184,6 +258,7 @@ impl SlowQueryLog {
     /// seen for the first time.
     pub fn charge(&self, tenant: &str, query_hash: u64, label: impl FnOnce() -> String, cost_us: u64) {
         let mut table = self.inner.table.lock();
+        let label = |buf: &mut String| buf.push_str(&label());
         table.record(self.inner.capacity, tenant, query_hash, label, Cost::one(cost_us), now_micros());
     }
 
@@ -194,7 +269,7 @@ impl SlowQueryLog {
 
     /// Number of distinct queries currently tracked.
     pub fn len(&self) -> usize {
-        self.inner.table.lock().len
+        self.inner.table.lock().len()
     }
 
     /// Whether the log is empty.
@@ -302,7 +377,7 @@ impl SlowQueryScratch {
                     log.inner.capacity,
                     tenant,
                     query_hash,
-                    || p.label.to_string(),
+                    |buf| buf.push_str(&p.label),
                     p.cost,
                     now,
                 );
@@ -354,6 +429,101 @@ mod tests {
         let top = log.top(10);
         let labels: Vec<&str> = top.iter().map(|e| e.label.as_str()).collect();
         assert_eq!(labels, vec!["heavy", "new"]);
+    }
+
+    /// The policy a full table follows, however it finds the cheapest
+    /// entry: what a scan of every entry would evict, it evicts.
+    #[test]
+    fn newcomers_evict_what_a_scan_would_and_the_heavy_stay() {
+        const CAPACITY: usize = 8;
+        const PRIME: u64 = 10_007;
+        let log = SlowQueryLog::with_capacity(CAPACITY);
+        let mut reference: Vec<SlowQueryEntry> = Vec::new();
+        let charge = |reference: &mut Vec<SlowQueryEntry>, tenant: &str, hash: u64, cost: u64| {
+            let label = format!("q{hash}");
+            log.charge(tenant, hash, || label.clone(), cost);
+            if let Some(e) = reference.iter_mut().find(|e| e.tenant == tenant && e.query_hash == hash) {
+                e.evals += 1;
+                e.total_us += cost;
+                return;
+            }
+            if reference.len() >= CAPACITY {
+                let cheapest = (0..reference.len()).min_by_key(|&i| reference[i].total_us).unwrap();
+                reference.swap_remove(cheapest);
+            }
+            let (tenant, evals, total_us) = (tenant.to_owned(), 1, cost);
+            reference.push(SlowQueryEntry {
+                tenant,
+                query_hash: hash,
+                label,
+                evals,
+                total_us,
+                ..Default::default()
+            });
+        };
+        // Every total is unique modulo the prime, so no two entries ever
+        // tie for cheapest and the eviction order is the policy's alone.
+        for (heavy, units) in [(1, 1_000), (2, 2_050), (3, 3_025)] {
+            charge(&mut reference, "t", heavy, units * PRIME);
+        }
+        for i in 1..=10_000u64 {
+            let tenant = ["t", "u", "v"][(i % 3) as usize];
+            let hash = 100 + i;
+            charge(&mut reference, tenant, hash, (i * 7_919) % PRIME);
+            let recent = 100 + i - 3;
+            let tenant = ["t", "u", "v"][(recent % 3) as usize];
+            let tracked = reference.iter().any(|e| e.tenant == tenant && e.query_hash == recent);
+            if i % 7 == 0 && tracked {
+                // A recharge grows a total: the entry moves down the heap.
+                charge(&mut reference, tenant, recent, (i % 5 + 1) * PRIME);
+            }
+            if i % 5 == 0 {
+                // The cheapest entry grows past others: the next newcomer
+                // must evict another one.
+                let cheapest = reference.iter().min_by_key(|e| e.total_us).unwrap();
+                let (tenant, hash) = (cheapest.tenant.clone(), cheapest.query_hash);
+                charge(&mut reference, &tenant, hash, 2 * PRIME);
+            }
+            if i % 100 == 0 {
+                charge(&mut reference, "t", 1 + i / 100 % 3, 100 * PRIME);
+            }
+            assert_eq!(log.len(), reference.len().min(CAPACITY), "after newcomer {i}");
+        }
+        let top = log.top(CAPACITY);
+        reference.sort_by(|a, b| b.total_us.cmp(&a.total_us).then_with(|| a.label.cmp(&b.label)));
+        let shape = |e: &SlowQueryEntry| (e.tenant.clone(), e.query_hash, e.evals, e.total_us);
+        assert_eq!(
+            top.iter().map(shape).collect::<Vec<_>>(),
+            reference.iter().map(shape).collect::<Vec<_>>()
+        );
+        assert!(
+            (1..=3).all(|heavy| top.iter().any(|e| e.query_hash == heavy)),
+            "the heavy queries stay"
+        );
+        for e in &top {
+            assert_eq!(e.label, format!("q{}", e.query_hash), "the label is the newcomer's own");
+        }
+    }
+
+    #[test]
+    fn a_forgotten_entry_leaves_the_cheapest_at_hand() {
+        let log = SlowQueryLog::with_capacity(8);
+        // Distinct totals: 4 is invertible modulo 11.
+        let cost = |q: u64| (q * 4) % 11 + 1;
+        for q in 0..10u64 {
+            log.charge("t", q, || format!("q{q}"), cost(q));
+            if [0, 9, 4].contains(&q) {
+                log.forget("t", q);
+            }
+        }
+        let left = [1, 2, 3, 5, 6, 7, 8];
+        assert_eq!(log.len(), left.len());
+        log.charge("t", 100, || "new".into(), 100);
+        log.charge("t", 101, || "newer".into(), 100);
+        let cheapest = *left.iter().min_by_key(|&&q| cost(q)).unwrap();
+        let kept: Vec<u64> = log.top(8).iter().map(|e| e.query_hash).collect();
+        assert_eq!(kept.len(), 8);
+        assert!(!kept.contains(&cheapest), "{cheapest} evicted, kept {kept:?}");
     }
 
     #[test]

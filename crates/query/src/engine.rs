@@ -5,7 +5,12 @@
 //! (1) parsing queries, (2) interpreting after-images, (3) computing the
 //! matching decision, and (4) sorting results according to database
 //! semantics. The cluster, event layer and partitioning scheme only ever
-//! see [`QuerySpec`]s and [`PreparedQuery`] handles.
+//! see [`QuerySpec`]s, [`PreparedFilter`]s and [`PreparedQuery`] handles.
+//!
+//! A filter is compiled once, into the one form its reader uses: a filter
+//! that decomposes into atoms is kept as those atoms and nothing else (their
+//! conjunction *is* the filter), so the filtering stage, which holds one
+//! compiled filter per live query, holds no second copy of it.
 //!
 //! Two implementations ship with the workspace:
 //!
@@ -15,11 +20,12 @@
 //!   conjunctive equality, demonstrating that a different datastore's
 //!   semantics can be plugged in without touching the cluster.
 
-use crate::filter::Filter;
+use crate::filter::{pred_holds, FieldPred, Filter};
 use crate::parse::{parse_filter, FilterParseError};
+use crate::path::with_resolved;
 use crate::predicate::{decompose, predicate_hash, PredicateHash};
 use crate::sort::compare_items;
-use invalidb_common::{canonical_eq, Document, Key, QuerySpec, Value};
+use invalidb_common::{canonical_eq, Document, Key, QuerySpec, Str, Value};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -50,16 +56,38 @@ impl From<FilterParseError> for EngineError {
     }
 }
 
-/// One compiled atomic conjunct of a prepared query, evaluable standalone.
+/// One compiled atomic conjunct of a prepared filter, evaluable standalone.
 /// Atoms with equal [`PredicateHash`]es compute the same function (within
 /// one engine), which is what lets the filtering stage evaluate a predicate
 /// once per write no matter how many queries contain it.
 pub struct PreparedAtom {
     hash: PredicateHash,
-    eval: Box<dyn Fn(&Document) -> bool + Send + Sync>,
+    eval: AtomEval,
+}
+
+/// How an atom decides. Most atoms are one operator on one top-level field
+/// (`{price: {$lt: 100}}`, `{status: "open"}`) and are kept as exactly that.
+enum AtomEval {
+    /// One operator on a top-level field.
+    Field { path: Str, pred: FieldPred },
+    /// Any other conjunct (a dotted path, `$or`, `$text`, ...), parsed whole.
+    Filter(Filter),
+    /// An engine's own test.
+    Test(Box<dyn Fn(&Document) -> bool + Send + Sync>),
 }
 
 impl PreparedAtom {
+    /// Compiles a parsed single-conjunct filter.
+    fn compiled(hash: PredicateHash, filter: Filter) -> Self {
+        let eval = match filter {
+            Filter::Field { path, mut preds } if preds.len() == 1 && !path.contains('.') => {
+                AtomEval::Field { path: path.into(), pred: preds.pop().expect("one predicate") }
+            }
+            other => AtomEval::Filter(other),
+        };
+        Self { hash, eval }
+    }
+
     /// Hash-consed identity of this predicate (see [`crate::predicate`]).
     pub fn hash(&self) -> PredicateHash {
         self.hash
@@ -67,13 +95,46 @@ impl PreparedAtom {
 
     /// Evaluates just this conjunct against a document.
     pub fn matches(&self, doc: &Document) -> bool {
-        (self.eval)(doc)
+        match &self.eval {
+            AtomEval::Field { path, pred } => with_resolved(doc, path, |c| pred_holds(pred, c)),
+            AtomEval::Filter(filter) => filter.matches(doc),
+            AtomEval::Test(test) => test(doc),
+        }
     }
 }
 
 impl fmt::Debug for PreparedAtom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "PreparedAtom({:#018x})", self.hash.0)
+    }
+}
+
+/// A filter compiled for repeated evaluation against after-images: all the
+/// filtering stage keeps of a query's predicate.
+pub trait PreparedFilter: Send + Sync {
+    /// Does the document match the filter?
+    fn matches(&self, doc: &Document) -> bool;
+
+    /// The filter as compiled atomic conjuncts, when the engine supports
+    /// shared predicate evaluation: `matches(doc)` is exactly
+    /// `conjuncts().iter().all(|a| a.matches(doc))` (an empty slice matches
+    /// everything). `None` opts out — the filter is only evaluable whole.
+    fn conjuncts(&self) -> Option<&[PreparedAtom]> {
+        None
+    }
+}
+
+/// A filter kept as its atoms, the one compiled form of both engines: it
+/// matches when every atom does.
+struct Conjunction(Box<[PreparedAtom]>);
+
+impl PreparedFilter for Conjunction {
+    fn matches(&self, doc: &Document) -> bool {
+        self.0.iter().all(|atom| atom.matches(doc))
+    }
+
+    fn conjuncts(&self) -> Option<&[PreparedAtom]> {
+        Some(&self.0)
     }
 }
 
@@ -85,71 +146,34 @@ pub trait PreparedQuery: Send + Sync {
     /// Does the document match the query's filter predicates?
     fn matches(&self, doc: &Document) -> bool;
 
-    /// The filter as compiled atomic conjuncts, when the engine supports
-    /// shared predicate evaluation: `matches(doc)` is exactly
-    /// `conjuncts().iter().all(|a| a.matches(doc))` (an empty slice matches
-    /// everything). `None` opts out — the query is only evaluable whole.
-    fn conjuncts(&self) -> Option<&[PreparedAtom]> {
-        None
-    }
-
     /// Orders two result items according to the query's sort specification
     /// (with the primary key as unambiguous final tiebreak).
     fn cmp_items(&self, a: (&Key, &Document), b: (&Key, &Document)) -> Ordering;
 }
 
-/// Factory for [`PreparedQuery`] values — one implementation per supported
-/// database dialect.
+/// Factory for [`PreparedFilter`] and [`PreparedQuery`] values — one
+/// implementation per supported database dialect.
 pub trait QueryEngine: Send + Sync {
     /// Engine name (for logs and capability matrices).
     fn name(&self) -> &'static str;
 
-    /// Compiles a wire-form query.
+    /// Compiles a filter document, parsing it once.
+    fn prepare_filter(&self, filter: &Document) -> Result<Box<dyn PreparedFilter>, EngineError>;
+
+    /// Compiles a wire-form query: its spec and [`QueryEngine::prepare_filter`].
     fn prepare(&self, spec: &QuerySpec) -> Result<Arc<dyn PreparedQuery>, EngineError>;
 }
 
-/// The MongoDB-compatible engine used by the production deployment (§5.4).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MongoQueryEngine;
-
-impl QueryEngine for MongoQueryEngine {
-    fn name(&self) -> &'static str {
-        "mongo"
-    }
-
-    fn prepare(&self, spec: &QuerySpec) -> Result<Arc<dyn PreparedQuery>, EngineError> {
-        let filter = parse_filter(&spec.filter)?;
-        // Compile the canonical conjuncts individually for shared predicate
-        // evaluation. Decomposition is semantics-preserving, so each atom
-        // must parse whenever the whole filter did; if one somehow does
-        // not, fall back to whole-filter evaluation rather than failing.
-        let mut atoms = Vec::new();
-        let mut complete = true;
-        for atom in decompose(&spec.filter) {
-            match parse_filter(&atom.doc) {
-                Ok(compiled) => atoms.push(PreparedAtom {
-                    hash: atom.hash,
-                    eval: Box::new(move |doc| compiled.matches(doc)),
-                }),
-                Err(_) => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        let atoms = complete.then_some(atoms);
-        Ok(Arc::new(MongoPrepared { spec: spec.clone(), filter, atoms }))
-    }
-}
-
-struct MongoPrepared {
+/// A query as both engines prepare it: its compiled filter, held in place
+/// (evaluating it follows no pointer more than the filter alone does), and
+/// its spec. The kv engine accepts no sort, so the spec's (empty) sort
+/// orders its items by primary key.
+struct Prepared {
+    filter: Conjunction,
     spec: QuerySpec,
-    filter: Filter,
-    /// Compiled canonical conjuncts (`None` if decomposition failed).
-    atoms: Option<Vec<PreparedAtom>>,
 }
 
-impl PreparedQuery for MongoPrepared {
+impl PreparedQuery for Prepared {
     fn spec(&self) -> &QuerySpec {
         &self.spec
     }
@@ -158,12 +182,50 @@ impl PreparedQuery for MongoPrepared {
         self.filter.matches(doc)
     }
 
-    fn conjuncts(&self) -> Option<&[PreparedAtom]> {
-        self.atoms.as_deref()
-    }
-
     fn cmp_items(&self, a: (&Key, &Document), b: (&Key, &Document)) -> Ordering {
         compare_items(&self.spec.sort, a, b)
+    }
+}
+
+/// The MongoDB-compatible engine used by the production deployment (§5.4).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MongoQueryEngine;
+
+impl MongoQueryEngine {
+    /// Compiles a filter, parsing it once: into its canonical conjuncts,
+    /// which together are the filter and which shared predicate evaluation
+    /// needs. Normalization never turns an invalid filter into a valid one,
+    /// so a conjunct that does not parse means the filter does not either;
+    /// parsing it whole then reports the filter's own error (or, should it
+    /// parse after all, keeps the whole filter as its one atom).
+    fn compile(filter: &Document) -> Result<Conjunction, EngineError> {
+        let decomposed = decompose(filter);
+        let mut atoms = Vec::with_capacity(decomposed.len());
+        for atom in decomposed {
+            match parse_filter(&atom.doc) {
+                Ok(parsed) => atoms.push(PreparedAtom::compiled(atom.hash, parsed)),
+                Err(_) => {
+                    let whole = PreparedAtom::compiled(predicate_hash(filter), parse_filter(filter)?);
+                    return Ok(Conjunction(Box::new([whole])));
+                }
+            }
+        }
+        Ok(Conjunction(atoms.into_boxed_slice()))
+    }
+}
+
+impl QueryEngine for MongoQueryEngine {
+    fn name(&self) -> &'static str {
+        "mongo"
+    }
+
+    fn prepare_filter(&self, filter: &Document) -> Result<Box<dyn PreparedFilter>, EngineError> {
+        Ok(Box::new(Self::compile(filter)?))
+    }
+
+    fn prepare(&self, spec: &QuerySpec) -> Result<Arc<dyn PreparedQuery>, EngineError> {
+        let spec = spec.clone();
+        Ok(Arc::new(Prepared { filter: Self::compile(&spec.filter)?, spec }))
     }
 }
 
@@ -172,72 +234,48 @@ impl PreparedQuery for MongoPrepared {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct KvQueryEngine;
 
+impl KvQueryEngine {
+    /// Each equality condition is one atom, and the atoms are the whole
+    /// filter; atom hashes are only ever compared within one engine, so kv
+    /// semantics (strict path lookup, no array fan-out) never mix with
+    /// mongo's for the same document.
+    fn compile(filter: &Document) -> Result<Conjunction, EngineError> {
+        let mut atoms = Vec::with_capacity(filter.len());
+        for (path, want) in filter.iter() {
+            if path.starts_with('$') {
+                return Err(EngineError::Unsupported(format!("operator `{path}`")));
+            }
+            if matches!(want, Value::Object(_) | Value::Array(_)) {
+                return Err(EngineError::Unsupported("non-scalar equality".into()));
+            }
+            let mut single = Document::with_capacity(1);
+            single.insert(path, want.clone());
+            let (path, want) = (Str::new(path), want.clone());
+            atoms.push(PreparedAtom {
+                hash: predicate_hash(&single),
+                eval: AtomEval::Test(Box::new(move |doc: &Document| {
+                    doc.get_path(&path).is_some_and(|got| canonical_eq(got, &want))
+                })),
+            });
+        }
+        Ok(Conjunction(atoms.into_boxed_slice()))
+    }
+}
+
 impl QueryEngine for KvQueryEngine {
     fn name(&self) -> &'static str {
         "kv"
+    }
+
+    fn prepare_filter(&self, filter: &Document) -> Result<Box<dyn PreparedFilter>, EngineError> {
+        Ok(Box::new(Self::compile(filter)?))
     }
 
     fn prepare(&self, spec: &QuerySpec) -> Result<Arc<dyn PreparedQuery>, EngineError> {
         if spec.needs_sorting_stage() {
             return Err(EngineError::Unsupported("sort/limit/offset".into()));
         }
-        let mut conditions = Vec::with_capacity(spec.filter.len());
-        for (k, v) in spec.filter.iter() {
-            if k.starts_with('$') {
-                return Err(EngineError::Unsupported(format!("operator `{k}`")));
-            }
-            match v {
-                Value::Object(_) | Value::Array(_) => {
-                    return Err(EngineError::Unsupported("non-scalar equality".into()))
-                }
-                scalar => conditions.push((k.to_owned(), scalar.clone())),
-            }
-        }
-        // Each equality condition is one atom; atom hashes are only ever
-        // compared within one engine, so kv semantics (strict path lookup,
-        // no array fan-out) never mix with mongo's for the same document.
-        let atoms = conditions
-            .iter()
-            .map(|(path, want)| {
-                let mut single = Document::with_capacity(1);
-                single.insert(path.clone(), want.clone());
-                let hash = predicate_hash(&single);
-                let (path, want) = (path.clone(), want.clone());
-                PreparedAtom {
-                    hash,
-                    eval: Box::new(move |doc: &Document| {
-                        doc.get_path(&path).is_some_and(|got| canonical_eq(got, &want))
-                    }),
-                }
-            })
-            .collect();
-        Ok(Arc::new(KvPrepared { spec: spec.clone(), conditions, atoms }))
-    }
-}
-
-struct KvPrepared {
-    spec: QuerySpec,
-    conditions: Vec<(String, Value)>,
-    atoms: Vec<PreparedAtom>,
-}
-
-impl PreparedQuery for KvPrepared {
-    fn spec(&self) -> &QuerySpec {
-        &self.spec
-    }
-
-    fn matches(&self, doc: &Document) -> bool {
-        self.conditions
-            .iter()
-            .all(|(path, want)| doc.get_path(path).is_some_and(|got| canonical_eq(got, want)))
-    }
-
-    fn conjuncts(&self) -> Option<&[PreparedAtom]> {
-        Some(&self.atoms)
-    }
-
-    fn cmp_items(&self, a: (&Key, &Document), b: (&Key, &Document)) -> Ordering {
-        a.0.cmp(b.0)
+        Ok(Arc::new(Prepared { filter: Self::compile(&spec.filter)?, spec: spec.clone() }))
     }
 }
 
@@ -253,6 +291,9 @@ mod tests {
         assert!(q.matches(&doc! { "n" => 15i64 }));
         assert!(!q.matches(&doc! { "n" => 5i64 }));
         assert_eq!(q.spec(), &spec);
+        let f = MongoQueryEngine.prepare_filter(&spec.filter).unwrap();
+        assert!(f.matches(&doc! { "n" => 15i64 }));
+        assert!(!f.matches(&doc! { "n" => 5i64 }));
     }
 
     #[test]
@@ -283,6 +324,9 @@ mod tests {
         assert!(KvQueryEngine.prepare(&op).is_err());
         let top = QuerySpec::filter("t", doc! { "$or" => Vec::<Value>::new() });
         assert!(KvQueryEngine.prepare(&top).is_err());
+        // A filter alone carries no sort: only the query is refused for it.
+        assert!(KvQueryEngine.prepare_filter(&sorted.filter).is_ok());
+        assert!(KvQueryEngine.prepare_filter(&op.filter).is_err());
     }
 
     #[test]
@@ -295,6 +339,8 @@ mod tests {
                 Value::Object(doc! { "y" => doc! { "$gte" => 5i64 } }),
             ], "z" => doc! { "$ne" => 0i64 } },
             doc! { "name" => doc! { "$regex" => "^ab", "$options" => "i" } },
+            doc! { "user.age" => doc! { "$gte" => 18i64 }, "a" => Value::Null },
+            doc! { "a" => doc! { "$not" => doc! { "$gt" => 2i64 } }, "price" => doc! { "$nin" => vec![5i64] } },
             doc! {},
         ];
         let docs = [
@@ -302,24 +348,74 @@ mod tests {
             doc! { "status" => "open", "price" => 200i64, "x" => 1i64, "z" => 0i64 },
             doc! { "price" => Value::from(vec![5i64, 50]), "y" => 7i64, "name" => "Abel", "z" => 3i64 },
             doc! { "a" => Value::from(vec![3i64]), "b" => Value::Null },
+            doc! { "user" => doc! { "age" => 30i64 }, "price" => 6i64 },
         ];
         for f in &filters {
-            let q = MongoQueryEngine.prepare(&QuerySpec::filter("t", f.clone())).unwrap();
-            let atoms = q.conjuncts().expect("mongo queries decompose");
+            let truth = parse_filter(f).unwrap();
+            let filter = MongoQueryEngine.prepare_filter(f).unwrap();
+            let query = MongoQueryEngine.prepare(&QuerySpec::filter("t", f.clone())).unwrap();
+            let atoms = filter.conjuncts().expect("mongo filters decompose");
             for d in &docs {
-                let whole = q.matches(d);
-                let product = atoms.iter().all(|a| a.matches(d));
-                assert_eq!(whole, product, "filter {f} doc {d}");
+                let whole = truth.matches(d);
+                assert_eq!(filter.matches(d), whole, "filter {f} doc {d}");
+                assert_eq!(query.matches(d), whole, "query {f} doc {d}");
+                assert_eq!(atoms.iter().all(|a| a.matches(d)), whole, "atoms of {f} doc {d}");
             }
         }
         // Kv engine: same invariant under its own semantics.
-        let kv =
-            KvQueryEngine.prepare(&QuerySpec::filter("t", doc! { "a" => 1i64, "b" => "x" })).unwrap();
-        let atoms = kv.conjuncts().unwrap();
-        assert_eq!(atoms.len(), 2);
-        for d in [doc! { "a" => 1i64, "b" => "x" }, doc! { "a" => 1i64 }, doc! {}] {
-            assert_eq!(kv.matches(&d), atoms.iter().all(|a| a.matches(&d)), "doc {d}");
+        let f = doc! { "a" => 1i64, "b" => "x", "c.d" => 2i64 };
+        let filter = KvQueryEngine.prepare_filter(&f).unwrap();
+        let query = KvQueryEngine.prepare(&QuerySpec::filter("t", f)).unwrap();
+        let atoms = filter.conjuncts().unwrap();
+        assert_eq!(atoms.len(), 3);
+        for d in [
+            doc! { "a" => 1i64, "b" => "x", "c" => doc! { "d" => 2i64 } },
+            doc! { "a" => 1i64, "b" => "x", "c" => Value::from(vec![Value::Object(doc! { "d" => 2i64 })]) },
+            doc! { "a" => 1i64 },
+            doc! {},
+        ] {
+            let strict = d.get("a").is_some_and(|v| canonical_eq(v, &1i64.into()))
+                && d.get("b").is_some_and(|v| canonical_eq(v, &"x".into()))
+                && d.get_path("c.d").is_some_and(|v| canonical_eq(v, &2i64.into()));
+            assert_eq!(filter.matches(&d), strict, "doc {d}");
+            assert_eq!(query.matches(&d), strict, "doc {d}");
+            assert_eq!(atoms.iter().all(|a| a.matches(&d)), strict, "doc {d}");
         }
+    }
+
+    #[test]
+    fn a_filter_and_its_query_are_rejected_alike() {
+        for bad in [
+            doc! { "n" => doc! { "$bogus" => 1i64 } },
+            doc! { "$or" => Vec::<Value>::new() },
+            doc! { "$and" => 3i64, "a" => 1i64 },
+            doc! { "a" => 1i64, "$where" => "x" },
+        ] {
+            let whole = parse_filter(&bad).unwrap_err();
+            let filter = MongoQueryEngine.prepare_filter(&bad).err().expect("rejected");
+            let query = MongoQueryEngine.prepare(&QuerySpec::filter("t", bad.clone())).err();
+            assert_eq!(filter, EngineError::Parse(whole), "filter {bad}");
+            assert_eq!(query, Some(filter), "query {bad}");
+        }
+    }
+
+    #[test]
+    fn a_one_operator_atom_keeps_its_field_and_predicate_only() {
+        let filter = MongoQueryEngine
+            .prepare_filter(&doc! { "random" => doc! { "$gte" => 5i64, "$lt" => 9i64 }, "u.v" => 1i64 })
+            .unwrap();
+        let kinds: Vec<&str> = filter
+            .conjuncts()
+            .unwrap()
+            .iter()
+            .map(|a| match a.eval {
+                AtomEval::Field { .. } => "field",
+                AtomEval::Filter(_) => "filter",
+                AtomEval::Test(_) => "test",
+            })
+            .collect();
+        assert_eq!(kinds.iter().filter(|k| **k == "field").count(), 2, "{kinds:?}");
+        assert_eq!(kinds.iter().filter(|k| **k == "filter").count(), 1, "a dotted path: {kinds:?}");
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl Filter {
 }
 
 /// Evaluates one predicate over the candidate values of a field path.
-fn pred_holds(pred: &FieldPred, candidates: &[&Value]) -> bool {
+pub(crate) fn pred_holds(pred: &FieldPred, candidates: &[&Value]) -> bool {
     match pred {
         FieldPred::Eq(v) => {
             if matches!(v, Value::Null) && candidates.is_empty() {

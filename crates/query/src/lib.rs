@@ -13,7 +13,8 @@
 //! * [`normalize`] — canonicalization for stable query hashing;
 //! * [`predicate`] — conjunctive decomposition into hash-consed atoms
 //!   (the currency of the multi-query optimizations);
-//! * [`engine`] — the [`QueryEngine`]/[`PreparedQuery`] plug-in interface
+//! * [`engine`] — the [`QueryEngine`] plug-in interface, which compiles a
+//!   filter into a [`PreparedFilter`] and a query into a [`PreparedQuery`],
 //!   with the full [`MongoQueryEngine`] and a minimal [`KvQueryEngine`].
 
 pub mod engine;
@@ -28,7 +29,8 @@ pub mod sort;
 pub mod text;
 
 pub use engine::{
-    EngineError, KvQueryEngine, MongoQueryEngine, PreparedAtom, PreparedQuery, QueryEngine,
+    EngineError, KvQueryEngine, MongoQueryEngine, PreparedAtom, PreparedFilter, PreparedQuery,
+    QueryEngine,
 };
 pub use filter::{FieldPred, Filter};
 pub use normalize::{normalize_filter, normalize_spec};

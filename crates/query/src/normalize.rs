@@ -57,7 +57,7 @@ pub(crate) fn conjuncts_of(filter: &Document) -> Vec<Document> {
         .into_iter()
         .map(|d| {
             let mut bytes = Vec::new();
-            Value::Object(d.clone()).write_canonical(&mut bytes);
+            d.write_canonical(&mut bytes);
             (bytes, d)
         })
         .collect();

@@ -21,7 +21,8 @@
 //! at parse time and is not a standalone predicate.
 
 use crate::normalize::conjuncts_of;
-use invalidb_common::{stable_hash64, Document, Value};
+use invalidb_common::partition::fmix64;
+use invalidb_common::{stable_hash64, Document, Fnv1a};
 
 /// Stable identity of one atomic predicate: the hash of the canonical byte
 /// encoding of its single-conjunct filter document.
@@ -45,9 +46,9 @@ pub struct Atom {
 
 /// Hashes a single-conjunct filter document into its predicate identity.
 pub fn predicate_hash(conjunct: &Document) -> PredicateHash {
-    let mut bytes = Vec::new();
-    Value::Object(conjunct.clone()).write_canonical(&mut bytes);
-    PredicateHash(stable_hash64(&bytes))
+    let mut hash = Fnv1a::new();
+    conjunct.write_canonical(&mut hash);
+    PredicateHash(fmix64(hash.finish()))
 }
 
 /// Decomposes a filter into its canonical atom set (sorted, deduplicated).
@@ -76,7 +77,7 @@ pub fn filter_hash(atoms: &[Atom]) -> FilterHash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::doc;
+    use invalidb_common::{doc, Value};
 
     fn hashes(filter: &Document) -> Vec<PredicateHash> {
         decompose(filter).iter().map(|a| a.hash).collect()
@@ -133,6 +134,19 @@ mod tests {
         assert_eq!(atoms.len(), 2, "coupled conditions are single atoms");
         for atom in &atoms {
             crate::parse::parse_filter(&atom.doc).expect("coupled atom parses standalone");
+        }
+    }
+
+    #[test]
+    fn a_streamed_hash_is_the_hash_of_the_collected_bytes() {
+        for atom in decompose(&doc! {
+            "status" => "open",
+            "price" => doc! { "$gt" => 10i64, "$lt" => 100.5 },
+            "tags" => doc! { "$in" => vec!["a", "b"] },
+        }) {
+            let mut bytes = Vec::new();
+            Value::Object(atom.doc.clone()).write_canonical(&mut bytes);
+            assert_eq!(atom.hash, PredicateHash(stable_hash64(&bytes)), "{}", atom.doc);
         }
     }
 

@@ -6,6 +6,7 @@
 //! fields index as `Null` (so `{field: null}` queries stay index-eligible).
 
 use invalidb_common::{Document, Key, Value};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
@@ -13,7 +14,50 @@ use std::ops::Bound;
 #[derive(Debug, Default)]
 pub struct FieldIndex {
     /// field value -> primary keys of documents holding that value.
-    buckets: BTreeMap<Key, BTreeSet<Key>>,
+    buckets: BTreeMap<Key, Bucket>,
+}
+
+/// The primary keys under one indexed value. On a field of many distinct
+/// values almost every value is held by one record, and such a bucket
+/// allocates nothing of its own: a set would be one B-tree leaf per value.
+#[derive(Debug)]
+enum Bucket {
+    One(Key),
+    Many(BTreeSet<Key>),
+}
+
+impl Bucket {
+    fn insert(&mut self, pk: &Key) {
+        match self {
+            Bucket::Many(set) => {
+                set.insert(pk.clone());
+            }
+            Bucket::One(held) if held == pk => {}
+            Bucket::One(held) => {
+                let held = std::mem::replace(held, Key(Value::Null));
+                *self = Bucket::Many(BTreeSet::from([held, pk.clone()]));
+            }
+        }
+    }
+
+    /// Removes `pk`; `true` when no key is left. A set down to one key
+    /// becomes that key again.
+    fn remove(&mut self, pk: &Key) -> bool {
+        let Bucket::Many(set) = self else { return matches!(self, Bucket::One(held) if held == pk) };
+        set.remove(pk);
+        if set.len() == 1 {
+            *self = Bucket::One(set.pop_first().expect("one key"));
+        }
+        false
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &Key> {
+        let (one, many) = match self {
+            Bucket::One(held) => (Some(held), None),
+            Bucket::Many(set) => (None, Some(set)),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 impl FieldIndex {
@@ -42,20 +86,20 @@ impl FieldIndex {
 
     /// Indexes a document under its primary key.
     pub fn insert(&mut self, path: &str, pk: &Key, doc: &Document) {
-        Self::for_each_value(doc, path, |v| {
-            self.buckets.entry(Key(v.clone())).or_default().insert(pk.clone());
+        Self::for_each_value(doc, path, |v| match self.buckets.entry(Key(v.clone())) {
+            Entry::Vacant(e) => {
+                e.insert(Bucket::One(pk.clone()));
+            }
+            Entry::Occupied(mut e) => e.get_mut().insert(pk),
         });
     }
 
     /// Removes a document's entries.
     pub fn remove(&mut self, path: &str, pk: &Key, doc: &Document) {
         Self::for_each_value(doc, path, |v| {
-            let bucket = Key(v.clone());
-            if let Some(set) = self.buckets.get_mut(&bucket) {
-                set.remove(pk);
-                if set.is_empty() {
-                    self.buckets.remove(&bucket);
-                }
+            let value = Key(v.clone());
+            if self.buckets.get_mut(&value).is_some_and(|bucket| bucket.remove(pk)) {
+                self.buckets.remove(&value);
             }
         });
     }
@@ -77,10 +121,7 @@ impl FieldIndex {
 
     /// Primary keys of documents whose field equals `value`.
     pub fn lookup_eq(&self, value: &Value) -> Vec<Key> {
-        self.buckets
-            .get(&Key(value.clone()))
-            .map(|set| set.iter().cloned().collect())
-            .unwrap_or_default()
+        self.buckets.get(&Key(value.clone())).map(|b| b.keys().cloned().collect()).unwrap_or_default()
     }
 
     /// Primary keys of documents whose field lies in the value range.
@@ -93,7 +134,7 @@ impl FieldIndex {
         };
         let mut seen = BTreeSet::new();
         for (_, pks) in self.buckets.range((to_key(lower), to_key(upper))) {
-            seen.extend(pks.iter().cloned());
+            seen.extend(pks.keys().cloned());
         }
         seen.into_iter().collect()
     }
@@ -178,6 +219,78 @@ mod tests {
         idx.replace("n", &pk, &v5, &v1);
         assert_eq!(idx.lookup_eq(&Value::Int(1)), vec![pk]);
         assert_eq!(idx.distinct_values(), 1);
+    }
+
+    /// Random inserts, removes and replaces, multikey documents included,
+    /// checked after every step against a map rebuilt from the records: one-key
+    /// buckets grow into sets and shrink back without losing or keeping a
+    /// key they should not.
+    #[test]
+    fn buckets_agree_with_a_model_through_one_and_many_transitions() {
+        struct Lcg(u64);
+        impl Lcg {
+            fn below(&mut self, n: u64) -> u64 {
+                self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (self.0 >> 33) % n
+            }
+        }
+        let mut rng = Lcg(11);
+        // Few values, so buckets are shared, split and merged all the time;
+        // arrays (repeats included) make records multikey.
+        let value = |rng: &mut Lcg| -> Value {
+            match rng.below(8) {
+                0 => Value::Array((0..rng.below(4)).map(|_| Value::Int(rng.below(6) as i64)).collect()),
+                1 => Value::Float(rng.below(6) as f64),
+                _ => Value::Int(rng.below(6) as i64),
+            }
+        };
+        let mut docs: BTreeMap<Key, Document> = BTreeMap::new();
+        let mut idx = FieldIndex::new();
+        let mut shapes = (0, 0);
+        for step in 0..4_000 {
+            let pk = Key::of(rng.below(12) as i64);
+            let new = (rng.below(10) > 0).then(|| match rng.below(10) {
+                0 => doc! { "other" => 1i64 },
+                _ => doc! { "n" => value(&mut rng) },
+            });
+            match (docs.remove(&pk), new) {
+                (Some(old), Some(new)) => {
+                    idx.replace("n", &pk, &old, &new);
+                    docs.insert(pk, new);
+                }
+                (Some(old), None) => idx.remove("n", &pk, &old),
+                (None, Some(new)) => {
+                    idx.insert("n", &pk, &new);
+                    docs.insert(pk, new);
+                }
+                (None, None) => {}
+            }
+            let mut model: BTreeMap<Key, BTreeSet<Key>> = BTreeMap::new();
+            for (pk, doc) in &docs {
+                FieldIndex::for_each_value(doc, "n", |v| {
+                    model.entry(Key(v.clone())).or_default().insert(pk.clone());
+                });
+            }
+            assert_eq!(idx.distinct_values(), model.len(), "step {step}");
+            for (v, pks) in &model {
+                let mut got = idx.lookup_eq(&v.0);
+                got.sort();
+                assert_eq!(got, pks.iter().cloned().collect::<Vec<_>>(), "step {step}, value {v}");
+            }
+            let all: BTreeSet<Key> = model.values().flatten().cloned().collect();
+            let got = idx.lookup_range(Bound::Unbounded, Bound::Unbounded);
+            assert_eq!(got, all.into_iter().collect::<Vec<_>>(), "step {step}");
+            for bucket in idx.buckets.values() {
+                match bucket {
+                    Bucket::One(_) => shapes.0 += 1,
+                    Bucket::Many(set) => {
+                        assert!(set.len() > 1, "a set of {} keys", set.len());
+                        shapes.1 += 1;
+                    }
+                }
+            }
+        }
+        assert!(shapes.0 > 0 && shapes.1 > 0, "both shapes seen: {shapes:?}");
     }
 
     #[test]

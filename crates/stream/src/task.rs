@@ -10,7 +10,8 @@
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use invalidb_obs::MetricsRegistry;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One unit of work that owns a thread.
@@ -32,6 +33,29 @@ pub trait Task<M> {
 /// above a handful. Ticks are never starved for longer than one turn.
 pub const TURN: usize = 32;
 
+/// What a task reports under its prefix: counters `<prefix>.processed`
+/// (messages handled) and `<prefix>.ticks`, and the gauge
+/// `<prefix>.queue_depth`, the live input backlog (including the message in
+/// hand), refreshed per turn so a drained spike decays even under steady
+/// traffic. Tasks sharing a prefix add into the same series. Resolved by
+/// whoever starts the task, so the series exist before its thread runs.
+pub struct Series {
+    processed: Arc<AtomicU64>,
+    ticks: Arc<AtomicU64>,
+    queue_depth: Arc<AtomicU64>,
+}
+
+impl Series {
+    /// Gets (or creates) the task's series in `metrics`.
+    pub fn new(metrics: &MetricsRegistry, prefix: &str) -> Self {
+        Self {
+            processed: metrics.counter(&format!("{prefix}.processed")),
+            ticks: metrics.counter(&format!("{prefix}.ticks")),
+            queue_depth: metrics.gauge(&format!("{prefix}.queue_depth")),
+        }
+    }
+}
+
 /// Runs `task` on the calling thread until every sender of `rx` is gone
 /// and the queue is drained.
 ///
@@ -40,21 +64,9 @@ pub const TURN: usize = 32;
 /// reset the receive timeout forever and starve time-driven work exactly
 /// when it matters.
 ///
-/// The task reports into `metrics` under `prefix`, resolved once on entry:
-/// counters `<prefix>.processed` (messages handled) and `<prefix>.ticks`,
-/// and the gauge `<prefix>.queue_depth`, the live input backlog (including
-/// the message in hand), refreshed per turn so a drained spike decays even
-/// under steady traffic. Tasks sharing a prefix add into the same series.
-pub fn run<M>(
-    rx: &Receiver<M>,
-    task: &mut impl Task<M>,
-    tick_interval: Duration,
-    metrics: &MetricsRegistry,
-    prefix: &str,
-) {
-    let processed = metrics.counter(&format!("{prefix}.processed"));
-    let ticks = metrics.counter(&format!("{prefix}.ticks"));
-    let queue_depth = metrics.gauge(&format!("{prefix}.queue_depth"));
+/// The task reports into `series` (see [`Series`]).
+pub fn run<M>(rx: &Receiver<M>, task: &mut impl Task<M>, tick_interval: Duration, series: &Series) {
+    let Series { processed, ticks, queue_depth } = series;
     let mut last_tick = Instant::now();
     loop {
         let wait = tick_interval.saturating_sub(last_tick.elapsed());
@@ -119,7 +131,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         // A zero interval makes a tick due after every turn, so the ticks
         // record where the turns ended.
-        run(&rx, &mut task, Duration::ZERO, &metrics, "t");
+        run(&rx, &mut task, Duration::ZERO, &Series::new(&metrics, "t"));
         assert_eq!(task.seen, (0..100).collect::<Vec<_>>());
         assert_eq!(task.seen_at_tick, [32, 64, 96, 100], "a turn handles at most TURN messages");
         let snap = metrics.snapshot();
@@ -137,7 +149,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(100));
                 drop(tx);
             });
-            run(&rx, &mut task, 5 * MS, &MetricsRegistry::new(), "t");
+            run(&rx, &mut task, 5 * MS, &Series::new(&MetricsRegistry::new(), "t"));
         });
         let ticks = task.seen_at_tick.len();
         assert!(ticks >= 5, "an idle task ticks on its interval, got {ticks}");
@@ -157,7 +169,7 @@ mod tests {
                     std::thread::sleep(MS);
                 }
             });
-            run(&rx, &mut task, 5 * MS, &MetricsRegistry::new(), "t");
+            run(&rx, &mut task, 5 * MS, &Series::new(&MetricsRegistry::new(), "t"));
         });
         assert_eq!(task.seen.len(), 100);
         let ticks = task.seen_at_tick.len();

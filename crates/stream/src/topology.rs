@@ -253,10 +253,10 @@ impl<M: Message> TopologyBuilder<M> {
                     let rxs = task_receivers.remove(&c.name).expect("receivers exist");
                     for (task, rx) in rxs.into_iter().enumerate() {
                         let mut bolt = BoltTask { bolt: factory(task), outputs: outputs(&c.downstream) };
-                        let (metrics, name) = (metrics.clone(), c.name.clone());
+                        let series = task::Series::new(&metrics, &c.name);
                         let handle = std::thread::Builder::new()
-                            .name(format!("bolt-{name}-{task}"))
-                            .spawn(move || task::run(&rx, &mut bolt, tick_interval, &metrics, &name))
+                            .name(format!("bolt-{}-{task}", c.name))
+                            .spawn(move || task::run(&rx, &mut bolt, tick_interval, &series))
                             .expect("spawn bolt thread");
                         bolt_threads.push(handle);
                     }

@@ -295,7 +295,9 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
     assert!((0.3..0.7).contains(&fan_out), "fan-out {fan_out}");
 
     println!("allocations per write over {MEASURED} updates, fan-out {fan_out:.2}:");
-    // Measured when set: 3.04, 1.00, 3.00, 0.89, 1.54, 0.11 — 9.6 in all
+    // Measured when set: 3.04, 1.00, 3.00, 0.89, 1.54, 0.11 — 9.6 in all;
+    // `store.save` 2.09 since an index bucket holding one record is that
+    // record's key (a B-tree leaf per distinct value before)
     // (`cell` 1.77 while every query charged to the slow-query log copied
     // its label once per tick; 6.04, 9.00, 3.07, 4.62 and 0.62 while every
     // string value, key and
@@ -307,7 +309,7 @@ fn steady_state_updates_stay_within_their_allocation_budget() {
     // the identity model (names copied at every layer) measured 17.04,
     // 3.00, 21.00, 30.20, 16.93, 6.56 — 94.7.
     let budget = [
-        ("store.save", stages.store_save, 3.6),
+        ("store.save", stages.store_save, 2.5),
         ("write.encode", stages.write_encode, 1.2),
         ("ingest.decode", stages.ingest_decode, 3.6),
         ("cell", stages.cell, 1.1),
