@@ -84,9 +84,8 @@ impl PredCache {
     }
 }
 
-/// One active query on this node (shared by all its subscriptions). Its
-/// tenant and collection are those of the [`Scope`] it lives in.
-struct QueryGroup {
+/// What a cell keeps of a query itself, apart from any result of it.
+struct Query {
     /// Human-readable rendering of the query spec, captured at subscribe
     /// time for the slow-query log (which shares it until it keeps a copy).
     spec_display: Arc<str>,
@@ -97,6 +96,12 @@ struct QueryGroup {
     /// for self-maintainable filter queries.
     to_sorting: bool,
     to_aggregation: bool,
+}
+
+/// One active query on this node (shared by all its subscriptions). Its
+/// tenant and collection are those of the [`Scope`] it lives in.
+struct QueryGroup {
+    query: Query,
     /// This node's partition of the currently matching keys (filtering-stage
     /// result state). For sorted queries this is the *matching status* of
     /// keys within the bootstrap horizon, not the client-visible result.
@@ -118,7 +123,7 @@ struct Scope {
     /// of a query's range — the new value no longer stabs that query.
     containing: HashMap<Key, Vec<QueryHash>>,
     /// Retained after-images, oldest first (§5.1 write-stream retention).
-    /// A new query replays this ring and no other.
+    /// A new subscription replays this ring and no other.
     retention: VecDeque<(Timestamp, Arc<AfterImage>)>,
     /// Newest seen version per record (staleness avoidance).
     latest_versions: HashMap<Key, Version>,
@@ -149,8 +154,7 @@ impl Scope {
     /// Drops retained writes older than `horizon`; returns how many.
     fn trim_retention(&mut self, now: Timestamp, horizon: std::time::Duration) -> usize {
         let mut trimmed = 0;
-        while self.retention.front().is_some_and(|(t, _)| now.since(*t) > horizon) {
-            let (_, img) = self.retention.pop_front().expect("peeked");
+        while let Some((_, img)) = self.retention.pop_front_if(|(t, _)| now.since(*t) > horizon) {
             trimmed += 1;
             // Forget latest-version entries only when they refer to the
             // trimmed write (a newer one may have refreshed the record).
@@ -255,15 +259,15 @@ struct Outputs {
 
 impl Outputs {
     /// Passes a staged query's transition downstream.
-    fn forward(&self, group: &QueryGroup, change: FilterChange) {
+    fn forward(&self, query: &Query, change: FilterChange) {
         match &self.staged {
             StagedOut::Local(links) => {
                 let hash = change.query_hash;
                 let event = Event::FilterChange(Arc::new(change));
-                if group.to_sorting {
+                if query.to_sorting {
                     links.to_sorting(hash, event.clone());
                 }
-                if group.to_aggregation {
+                if query.to_aggregation {
                     links.to_aggregation(hash, event);
                 }
             }
@@ -294,27 +298,24 @@ impl Evaluator {
     /// One admitted write against its scope's queries: the candidates are
     /// what the index proposes for the after-image plus the queries whose
     /// result currently holds the record (an update can move it out of
-    /// their range, a delete has no document to probe with).
+    /// their range, a delete has no document to probe with). Each
+    /// transition goes to all of the group's subscriptions.
     fn match_write(&mut self, scope: &mut Scope, tenant: &TenantId, img: &Arc<AfterImage>) {
         let Scope { queries, index, containing, .. } = scope;
         if queries.is_empty() {
             return;
         }
         self.pred_cache.begin_write();
+        let mut candidates = std::mem::take(&mut self.candidates);
         if !self.indexed {
             // Force-scan reference: every query of the scope is evaluated.
-            for (hash, group) in queries.iter_mut() {
-                self.match_against(containing, group, *hash, tenant, img);
-            }
-            return;
-        }
-        let mut candidates = std::mem::take(&mut self.candidates);
-        match &img.doc {
-            Some(doc) => index.candidates(doc, &mut candidates),
-            None => {
-                candidates.clear();
-                candidates.extend_from_slice(index.scan_candidates());
-            }
+            candidates.clear();
+            candidates.extend(queries.keys());
+        } else if let Some(doc) = &img.doc {
+            index.candidates(doc, &mut candidates);
+        } else {
+            candidates.clear();
+            candidates.extend_from_slice(index.scan_candidates());
         }
         if let Some(holders) = containing.get(&img.key) {
             candidates.extend_from_slice(holders);
@@ -323,63 +324,73 @@ impl Evaluator {
         candidates.dedup();
         for hash in &candidates {
             // Index and holder lists name live groups only (see `retire`).
-            let Some(group) = queries.get_mut(hash) else { continue };
-            self.match_against(containing, group, *hash, tenant, img);
+            let Some(QueryGroup { query, result, subscriptions }) = queries.get_mut(hash) else {
+                continue;
+            };
+            if let Some(kind) =
+                self.match_against(query, *hash, result, subscriptions.ids(), tenant, img)
+            {
+                note_transition(containing, &img.key, *hash, kind);
+            }
         }
         self.candidates = candidates;
     }
 
-    /// Evaluates one write against one query and records the transition in
-    /// the scope's result membership, charging the wall-clock cost to this
-    /// node's local slow-query scratch (flushed to the shared log on tick)
-    /// so operators can see which query eats the grid.
+    /// Evaluates one write against one query, charging the wall-clock cost
+    /// to this node's local slow-query scratch (flushed to the shared log
+    /// on tick) so operators can see which query eats the grid.
     fn match_against(
         &mut self,
-        containing: &mut HashMap<Key, Vec<QueryHash>>,
-        group: &mut QueryGroup,
+        query: &Query,
         hash: QueryHash,
+        result: &mut HashMap<Key, Version>,
+        to: &[SubscriptionId],
         tenant: &TenantId,
         img: &Arc<AfterImage>,
-    ) {
+    ) -> Option<FilterChangeKind> {
         let started = std::time::Instant::now();
-        if let Some(kind) = self.evaluate(group, hash, tenant, img) {
-            note_transition(containing, &img.key, hash, kind);
-        }
+        let kind = self.evaluate(query, hash, result, to, tenant, img);
         self.slow_scratch.charge(
             tenant.as_str(),
             hash.0,
-            || Arc::clone(&group.spec_display),
+            || Arc::clone(&query.spec_display),
             started.elapsed().as_micros() as u64,
         );
+        kind
     }
 
-    /// Core filtering-stage transition logic. Returns the transition kind
-    /// (None when the write was irrelevant or stale for this query).
+    /// Core filtering-stage transition logic, for every path a write takes
+    /// to a query: moves `result` — the group's, or a new subscription's
+    /// view being caught up — and addresses the transition to `to` (or
+    /// passes it downstream). Returns the transition kind (None when the
+    /// write was irrelevant or stale for this view).
     fn evaluate(
         &mut self,
-        group: &mut QueryGroup,
+        query: &Query,
         hash: QueryHash,
+        result: &mut HashMap<Key, Version>,
+        to: &[SubscriptionId],
         tenant: &TenantId,
         img: &Arc<AfterImage>,
     ) -> Option<FilterChangeKind> {
         let out = &self.out;
-        let held = group.result.get_mut(&img.key);
+        let held = result.get_mut(&img.key);
         if held.as_ref().is_some_and(|old| img.version <= **old) {
-            return None; // stale relative to what this query already reflects
+            return None; // stale relative to what this view already reflects
         }
         // Shared predicate evaluation: conjunctive queries resolve each
         // atom through the per-write memo (identical result to
         // `filter.matches` by the `conjuncts` contract); queries that
         // opt out of decomposition evaluate whole.
         let cache = &mut self.pred_cache;
-        let matches_now = img.doc.as_ref().is_some_and(|d| match group.filter.conjuncts() {
+        let matches_now = img.doc.as_ref().is_some_and(|d| match query.filter.conjuncts() {
             Some(atoms) => cache.eval_all(atoms, d),
-            None => group.filter.matches(d),
+            None => query.filter.matches(d),
         });
         // The result is updated in place: a key is copied when it enters.
         let kind = match (held, matches_now) {
             (None, true) => {
-                group.result.insert(img.key.clone(), img.version);
+                result.insert(img.key.clone(), img.version);
                 FilterChangeKind::Add
             }
             (Some(version), true) => {
@@ -387,7 +398,7 @@ impl Evaluator {
                 FilterChangeKind::Change
             }
             (Some(_), false) => {
-                group.result.remove(&img.key);
+                result.remove(&img.key);
                 FilterChangeKind::Remove
             }
             (None, false) => {
@@ -407,15 +418,15 @@ impl Evaluator {
             }
             t
         });
-        if group.to_sorting || group.to_aggregation {
+        if query.to_sorting || query.to_aggregation {
             // Sorted/aggregate queries: pass the transition downstream,
             // sharing the write.
             let change = FilterChange { query_hash: hash, kind, image: Arc::clone(img), trace };
-            out.forward(group, change);
+            out.forward(query, change);
         } else {
-            // Self-maintainable queries: one notification for the whole
-            // group, serialized straight from the write and published from
-            // this thread.
+            // Self-maintainable queries: one notification for all of `to`,
+            // serialized straight from the write and published from this
+            // thread.
             let match_type = match kind {
                 FilterChangeKind::Add => MatchType::Add,
                 FilterChangeKind::Change => MatchType::Change,
@@ -423,7 +434,7 @@ impl Evaluator {
             };
             out.publisher.publish(EnvelopeRef {
                 tenant,
-                subscriptions: group.subscriptions.ids(),
+                subscriptions: to,
                 kind: KindRef::Change {
                     match_type,
                     item: ItemRef {
@@ -543,78 +554,101 @@ impl MatchingNode {
         Self::new(0, GridShape::new(1, 1), config, clock, publisher, StagedOut::Local(nowhere))
     }
 
+    /// One rule for every subscription whose client was handed
+    /// `req.initial`: its view starts from this node's slice of that result
+    /// and is caught up by replaying the scope's retained writes, each
+    /// transition addressed to it alone. A new group keeps the view as its
+    /// result; a joiner's is dropped, the group's own result being current.
     fn handle_subscribe(&mut self, req: &SubscriptionRequest) {
         let now = self.clock.now();
         let expires_at = now.after(std::time::Duration::from_micros(req.ttl_micros));
         let hash = req.query_hash;
-        let known = self
-            .scopes
-            .get_mut(&req.tenant)
-            .and_then(|collections| collections.get_mut(req.spec.collection.as_str()))
-            .and_then(|scope| scope.queries.get_mut(&hash));
-        if let Some(group) = known {
-            group.subscriptions.insert(req.subscription, expires_at);
-            return;
-        }
-        // The filter is all this stage evaluates; the sorting stage prepares
-        // the whole query for its window (and reports what only the whole
-        // query's preparation rejects).
-        let filter = match self.config.engine.prepare_filter(&req.spec.filter) {
-            Ok(f) => f,
-            Err(e) => {
-                // Unparseable query: report an error notification so the
-                // subscription does not dangle silently.
-                self.eval.out.publisher.publish(EnvelopeRef {
-                    tenant: &req.tenant,
-                    subscriptions: &[req.subscription],
-                    kind: KindRef::Error(&format!("query rejected: {e}")),
-                    caused_by_write_at: 0,
-                    trace: None,
-                });
-                return;
-            }
-        };
-        // Seed this node's result slice: only keys of *our* write partition
-        // ("every node receives only a partition of the result", §5.1).
-        let mut result = HashMap::new();
-        for item in &req.initial {
-            if self.grid.write_partition(&item.key) == self.coord.wp {
-                result.insert(item.key.clone(), item.version);
-            }
-        }
-        let mut group = QueryGroup {
-            spec_display: req.spec.to_string().into(),
-            filter,
-            to_sorting: req.spec.needs_sorting_stage(),
-            to_aggregation: req.spec.needs_aggregation_stage(),
-            result,
-            subscriptions: Subscribers::of(req.subscription, expires_at),
-        };
+        let to = std::slice::from_ref(&req.subscription);
         let Scope { queries, index, containing, retention, .. } =
             scope_or_new(&mut self.scopes, &req.tenant, &req.spec.collection);
-        if self.eval.indexed {
-            index.insert(hash, &req.spec.filter);
-        }
-        for key in group.result.keys() {
-            note_transition(containing, key, hash, FilterChangeKind::Add);
-        }
-        // Replay the scope's retained writes against the new query: closes
-        // the write-subscription race (§5.1). Writes already reflected in
-        // the initial result are skipped by the version guard. A write can
-        // only matter if the query holds its key or the index would have
-        // proposed the query for it — the rest are irrelevant by the
-        // index's superset contract, so they are not evaluated at all.
+        let (group, new) = match queries.entry(hash) {
+            Entry::Occupied(entry) => {
+                let group = entry.into_mut();
+                let member = group.subscriptions.ids().binary_search(&req.subscription).is_ok();
+                group.subscriptions.insert(req.subscription, expires_at);
+                // A silent re-registration was handed no initial result: its
+                // client already holds what the group addresses to it.
+                if req.renewal && member {
+                    return;
+                }
+                // A joiner's sorted window or aggregate is its stage
+                // partition's to correct; transitions sent from here would
+                // move the group's shared state.
+                if group.query.to_sorting || group.query.to_aggregation {
+                    return;
+                }
+                (group, false)
+            }
+            Entry::Vacant(entry) => {
+                // The filter is all this stage evaluates; the sorting stage
+                // prepares the whole query for its window (and reports what
+                // only the whole query's preparation rejects).
+                let filter = match self.config.engine.prepare_filter(&req.spec.filter) {
+                    Ok(f) => f,
+                    Err(e) => {
+                        // Unparseable query: report an error notification so
+                        // the subscription does not dangle silently.
+                        self.eval.out.publisher.publish(EnvelopeRef {
+                            tenant: &req.tenant,
+                            subscriptions: to,
+                            kind: KindRef::Error(&format!("query rejected: {e}")),
+                            caused_by_write_at: 0,
+                            trace: None,
+                        });
+                        return;
+                    }
+                };
+                if self.eval.indexed {
+                    index.insert(hash, &req.spec.filter);
+                }
+                self.active_queries += 1;
+                let group = entry.insert(QueryGroup {
+                    query: Query {
+                        spec_display: req.spec.to_string().into(),
+                        filter,
+                        to_sorting: req.spec.needs_sorting_stage(),
+                        to_aggregation: req.spec.needs_aggregation_stage(),
+                    },
+                    result: HashMap::new(),
+                    subscriptions: Subscribers::of(req.subscription, expires_at),
+                });
+                (group, true)
+            }
+        };
+        // Only keys of *our* write partition ("every node receives only a
+        // partition of the result", §5.1).
+        let mut view: HashMap<Key, Version> = req
+            .initial
+            .iter()
+            .filter(|item| self.grid.write_partition(&item.key) == self.coord.wp)
+            .map(|item| (item.key.clone(), item.version))
+            .collect();
+        // Replay the scope's retained writes against the view: closes the
+        // write-subscription race (§5.1). Writes already reflected in the
+        // initial result are skipped by the version guard. A write can only
+        // matter if the view holds its key or the index would have proposed
+        // the query for it — the rest are irrelevant by the index's
+        // superset contract, so they are not evaluated at all.
         for (_, img) in retention.iter() {
             let relevant = !self.eval.indexed
-                || group.result.contains_key(&img.key)
+                || view.contains_key(&img.key)
                 || img.doc.as_ref().is_some_and(|doc| index.admits(hash, doc));
             if relevant {
                 self.eval.pred_cache.begin_write();
-                self.eval.match_against(containing, &mut group, hash, &req.tenant, img);
+                self.eval.match_against(&group.query, hash, &mut view, to, &req.tenant, img);
             }
         }
-        queries.insert(hash, group);
-        self.active_queries += 1;
+        if new {
+            for key in view.keys() {
+                note_transition(containing, key, hash, FilterChangeKind::Add);
+            }
+            group.result = view;
+        }
     }
 
     /// One after-image: staleness avoidance, retention, then evaluation
@@ -1328,5 +1362,67 @@ mod tests {
             vec![SubscriptionId(1), SubscriptionId(2)],
             "addressed in one stable order"
         );
+    }
+
+    #[test]
+    fn a_joiner_is_caught_up_by_the_writes_its_initial_result_predates() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
+        let initial = vec![ResultItem::new(Key::of("k1"), 1, doc! { "n" => 50i64 })];
+        h.send(subscribe_event(spec.clone(), 1, initial.clone()));
+        // Retained while the joiner's store read is on its way: k1 leaves
+        // the filter, k2 enters it.
+        h.send(write_event(Key::of("k1"), 2, Some(doc! { "n" => 1i64 })));
+        h.send(write_event(Key::of("k2"), 1, Some(doc! { "n" => 20i64 })));
+        assert_eq!(h.notifications().len(), 2, "the group's own subscriber is notified live");
+        h.send(subscribe_event(spec, 2, initial));
+        let caught_up: Vec<_> =
+            h.notifications().iter().map(|n| (n.subscription.0, change_of(n))).collect();
+        assert_eq!(
+            caught_up,
+            [(2, (MatchType::Remove, Key::of("k1"), 2)), (2, (MatchType::Add, Key::of("k2"), 1))]
+        );
+        // The joiner shares the group's result from here on.
+        h.send(write_event(Key::of("k2"), 2, None));
+        let addressed: Vec<_> =
+            h.notifications().iter().map(|n| (n.subscription.0, change_of(n))).collect();
+        assert_eq!(
+            addressed,
+            [1, 2].map(|sub| (sub, (MatchType::Remove, Key::of("k2"), 2))),
+            "one result: k1 is not held twice, k2 leaves once"
+        );
+        assert_eq!(h.node.active_queries(), 1);
+    }
+
+    #[test]
+    fn a_member_with_a_fresh_initial_result_is_replayed_and_a_silent_one_is_not() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
+        h.send(subscribe_event(spec.clone(), 1, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 50i64 })));
+        assert_eq!(h.notifications().len(), 1);
+        // A re-subscription handed an initial result that predates the write.
+        h.send(subscribe_event(spec.clone(), 1, vec![]));
+        assert_eq!(
+            h.notifications().iter().map(|n| (n.subscription.0, change_of(n))).collect::<Vec<_>>(),
+            [(1, (MatchType::Add, Key::of("a"), 1))]
+        );
+        // A silent re-registration was handed nothing to correct.
+        let Event::Subscribe(req) = subscribe_event(spec, 1, vec![]) else { unreachable!() };
+        h.send(Event::Subscribe(Arc::new(SubscriptionRequest { renewal: true, ..(*req).clone() })));
+        assert!(h.notifications().is_empty());
+        assert_eq!(h.node.active_queries(), 1);
+    }
+
+    #[test]
+    fn a_sorted_joiner_is_left_to_its_stage_partition() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let spec = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(3);
+        h.send(subscribe_event(spec.clone(), 1, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        assert_eq!(h.filter_changes().len(), 1);
+        h.send(subscribe_event(spec, 2, vec![]));
+        assert!(h.filter_changes().is_empty(), "the shared window is not moved for a joiner");
+        assert!(h.notifications().is_empty());
     }
 }

@@ -9,6 +9,13 @@
 //! result folded from the notifications equals the pull result whenever the
 //! writer is held. Checked for unsorted and sorted-with-limit queries, on a
 //! 1×1 and a 2×2 grid, in-process and through a TCP event layer.
+//!
+//! A second series shares each unsorted filter among several live
+//! subscriptions, so most of them join a group that is already maintained
+//! and must be caught up from their own initial result. Sorted iterations
+//! are not shared: the sorting stage's joiner path is known to leave a
+//! shared window's members stale or with duplicate keys (an open ROADMAP
+//! item), and this test neither waits for nor hides that.
 
 use invalidb::broker::Broker;
 use invalidb::client::{AppServer, AppServerConfig, ClientEvent, Subscription};
@@ -106,9 +113,8 @@ impl Drop for Stack {
 }
 
 /// The `i`-th query: no two iterations share a normalized filter, so every
-/// subscription starts a query of its own (joining a live group is a
-/// different protocol). Even iterations are unsorted ranges, odd ones
-/// sorted windows.
+/// subscription starts a query of its own. Even iterations are unsorted
+/// ranges, odd ones sorted windows.
 fn query(i: usize) -> QuerySpec {
     let (lo, step) = ((i % 50) as i64, (i / 50) as i64);
     if i.is_multiple_of(2) {
@@ -157,7 +163,13 @@ fn converge(app: &AppServer, subs: &mut [(Subscription, QuerySpec)], context: &s
     }
 }
 
-fn stress(grid: (usize, usize), tcp: bool, seed: u64) {
+/// The `i`-th query of the shared series: unsorted ranges, five distinct
+/// filters, so each batch subscribes to every one of them five times.
+fn shared_query(i: usize) -> QuerySpec {
+    query((i % 5) * 2)
+}
+
+fn stress(grid: (usize, usize), tcp: bool, seed: u64, query: fn(usize) -> QuerySpec) {
     let context = format!("grid {grid:?} tcp {tcp} seed {seed}");
     let stack = start(grid, tcp);
     let app = &stack.app;
@@ -219,20 +231,40 @@ fn stress(grid: (usize, usize), tcp: bool, seed: u64) {
 
 #[test]
 fn initial_result_first_and_convergence_on_1x1_in_process() {
-    stress((1, 1), false, 11);
+    stress((1, 1), false, 11, query);
 }
 
 #[test]
 fn initial_result_first_and_convergence_on_2x2_in_process() {
-    stress((2, 2), false, 12);
+    stress((2, 2), false, 12, query);
 }
 
 #[test]
 fn initial_result_first_and_convergence_on_1x1_over_tcp() {
-    stress((1, 1), true, 13);
+    stress((1, 1), true, 13, query);
 }
 
 #[test]
 fn initial_result_first_and_convergence_on_2x2_over_tcp() {
-    stress((2, 2), true, 14);
+    stress((2, 2), true, 14, query);
+}
+
+#[test]
+fn shared_filters_converge_on_1x1_in_process() {
+    stress((1, 1), false, 21, shared_query);
+}
+
+#[test]
+fn shared_filters_converge_on_2x2_in_process() {
+    stress((2, 2), false, 22, shared_query);
+}
+
+#[test]
+fn shared_filters_converge_on_1x1_over_tcp() {
+    stress((1, 1), true, 23, shared_query);
+}
+
+#[test]
+fn shared_filters_converge_on_2x2_over_tcp() {
+    stress((2, 2), true, 24, shared_query);
 }
