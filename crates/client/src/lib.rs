@@ -27,7 +27,7 @@ mod server;
 
 pub use coalesce::collapse;
 pub use error::Error;
-pub use notify::{decode_notify_payload, NotifyPayload};
+pub use notify::{decode_notify_into, decode_notify_payload, NotifyPayload};
 pub use rate::TokenBucket;
 pub use result::{LiveEntry, LiveResult, SharedDoc};
 pub use server::{

@@ -5,7 +5,8 @@
 //! decodes it once, and [`decode_notify_payload`] makes that one decode
 //! cheap: it walks the envelope once through a borrowed [`LazyDoc`] view and
 //! materializes only what the [`NotifyEnvelope`] keeps — the id list
-//! (straight into its `Vec`), the item's key and document, and the trace.
+//! (straight into its `Vec`, the dispatcher's reused one through
+//! [`decode_notify_into`]), the item's key and document, and the trace.
 //! No document of the envelope or of its item is built on the way, and a
 //! heartbeat is recognized in the same pass. Initial results, errors and
 //! aggregates (rare, and dominated by what they carry) and anything
@@ -37,8 +38,21 @@ pub enum NotifyPayload {
 /// app server's dispatcher does with everything it receives. `None` for a
 /// payload that is neither a heartbeat nor an envelope.
 pub fn decode_notify_payload(payload: &[u8], tenant: &TenantId) -> Option<NotifyPayload> {
+    decode_notify_into(payload, tenant, &mut Vec::new())
+}
+
+/// [`decode_notify_payload`] for a reader that decodes envelope after
+/// envelope (the dispatcher): a change envelope's addressees are read into
+/// `addressees`, cleared first, and the envelope takes that buffer. Handed
+/// back once the envelope is delivered, it serves the next one, so the
+/// address list allocates nothing in the steady state.
+pub fn decode_notify_into(
+    payload: &[u8],
+    tenant: &TenantId,
+    addressees: &mut Vec<SubscriptionId>,
+) -> Option<NotifyPayload> {
     let lazy = LazyDoc::new(payload).ok()?;
-    if let Some(decoded) = decode_lazily(lazy, payload.len(), tenant) {
+    if let Some(decoded) = decode_lazily(lazy, payload.len(), tenant, addressees) {
         return Some(decoded);
     }
     decode_eagerly(lazy, tenant)
@@ -85,7 +99,12 @@ impl<'a> Fields<'a> {
 
 /// The lazy pass. `None` means "not a heartbeat or a change envelope in
 /// the notifier's shape": the caller falls back to the eager decoder.
-fn decode_lazily(lazy: LazyDoc<'_>, len: usize, reader: &TenantId) -> Option<NotifyPayload> {
+fn decode_lazily(
+    lazy: LazyDoc<'_>,
+    len: usize,
+    reader: &TenantId,
+    addressees: &mut Vec<SubscriptionId>,
+) -> Option<NotifyPayload> {
     let mut fields = Fields::default();
     // A field seen twice or one the notifier never writes: the eager
     // decoder validates what this pass would skip.
@@ -114,9 +133,10 @@ fn decode_lazily(lazy: LazyDoc<'_>, len: usize, reader: &TenantId) -> Option<Not
     let caused_by_write_at = integer(fields.write_at)?.unwrap_or(0) as u64;
     let old_index = integer(fields.old_index)?.map(|i| i as u64);
     let LazyValue::Array(ids) = fields.subscriptions? else { return None };
-    let mut subscriptions = Vec::with_capacity(ids.len().ok()?);
+    addressees.clear();
+    addressees.reserve(ids.len().ok()?);
     for id in ids.items() {
-        subscriptions.push(SubscriptionId(id.ok()?.as_i64()? as u64));
+        addressees.push(SubscriptionId(id.ok()?.as_i64()? as u64));
     }
     let LazyValue::Object(item) = fields.item? else { return None };
     let item = decode_item(item)?;
@@ -129,7 +149,7 @@ fn decode_lazily(lazy: LazyDoc<'_>, len: usize, reader: &TenantId) -> Option<Not
     };
     Some(NotifyPayload::Envelope(NotifyEnvelope {
         tenant,
-        subscriptions,
+        subscriptions: std::mem::take(addressees),
         kind: NotificationKind::Change(ChangeItem { match_type, item, old_index }),
         caused_by_write_at,
         trace,
@@ -284,12 +304,22 @@ mod tests {
     fn changes_take_the_lazy_path_and_the_rest_bow_out() {
         for envelope in envelopes() {
             let payload = written(&envelope);
-            let lazy = decode_lazily(LazyDoc::new(&payload).unwrap(), payload.len(), &tenant());
+            let lazy = decode_lazily(
+                LazyDoc::new(&payload).unwrap(),
+                payload.len(),
+                &tenant(),
+                &mut Vec::new(),
+            );
             let is_change = matches!(envelope.kind, NotificationKind::Change(_));
             assert_eq!(lazy.is_some(), is_change, "{envelope:?}");
         }
         let heartbeat = WireCodec.encode(&doc! { "type" => "heartbeat", "tenant" => "app" });
-        let lazy = decode_lazily(LazyDoc::new(&heartbeat).unwrap(), heartbeat.len(), &tenant());
+        let lazy = decode_lazily(
+            LazyDoc::new(&heartbeat).unwrap(),
+            heartbeat.len(),
+            &tenant(),
+            &mut Vec::new(),
+        );
         assert_eq!(lazy, Some(NotifyPayload::Heartbeat));
         assert_agrees(&heartbeat);
     }
@@ -404,7 +434,12 @@ mod tests {
         for d in cases {
             let payload = WireCodec.encode(&d);
             assert_eq!(
-                decode_lazily(LazyDoc::new(&payload).unwrap(), payload.len(), &tenant()),
+                decode_lazily(
+                    LazyDoc::new(&payload).unwrap(),
+                    payload.len(),
+                    &tenant(),
+                    &mut Vec::new()
+                ),
                 None,
                 "{d:?}"
             );

@@ -1,7 +1,7 @@
 //! The application server.
 
 use crate::error::Error;
-use crate::notify::{decode_notify_payload, NotifyPayload};
+use crate::notify::{decode_notify_into, NotifyPayload};
 use crate::rate::TokenBucket;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use invalidb_broker::{notify_topic, BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
@@ -749,7 +749,7 @@ impl AppServer {
     /// registry.
     fn spawn_dispatcher(&mut self) {
         let sub = self.broker.subscribe(&notify_topic(self.tenant.as_str()));
-        let dispatcher = Dispatcher::new(
+        let mut dispatcher = Dispatcher::new(
             Arc::clone(&self.shared),
             self.broker.clone(),
             &self.config.metrics,
@@ -1054,6 +1054,9 @@ struct Dispatcher {
     /// [`Subscription`] without unsubscribing. Counted once per
     /// subscription, which is then cancelled.
     channel_closed: Arc<AtomicU64>,
+    /// The address list every change envelope is decoded into, handed back
+    /// after delivery.
+    addressees: Vec<SubscriptionId>,
 }
 
 impl Dispatcher {
@@ -1073,13 +1076,14 @@ impl Dispatcher {
             decode_errors: metrics.counter("appserver.notify_decode_errors"),
             unknown_subscription: metrics.counter("appserver.notify_unknown_subscription"),
             channel_closed: metrics.counter("appserver.notify_channel_closed"),
+            addressees: Vec::new(),
         }
     }
 
     /// Handles one payload from the notify topic.
-    fn dispatch(&self, payload: &[u8]) {
+    fn dispatch(&mut self, payload: &[u8]) {
         let now = self.shared.clock.now();
-        match decode_notify_payload(payload, &self.tenant) {
+        match decode_notify_into(payload, &self.tenant, &mut self.addressees) {
             Some(NotifyPayload::Heartbeat) => {
                 self.shared.last_heartbeat.store(now.micros(), Ordering::Relaxed);
                 self.shared.connection_lost.store(false, Ordering::Relaxed);
@@ -1099,7 +1103,7 @@ impl Dispatcher {
     /// one acquisition of the subscription table. A maintenance error also
     /// queues the subscription's renewal, and wakes the keeper when its
     /// queue was empty.
-    fn deliver(&self, envelope: NotifyEnvelope, now: Timestamp) {
+    fn deliver(&mut self, envelope: NotifyEnvelope, now: Timestamp) {
         let NotifyEnvelope { subscriptions, kind, caused_by_write_at, trace, .. } = envelope;
         // Only baseline-carrying notifications confirm a registration: a
         // stray Change proves the pump is alive but cannot repair a live
@@ -1162,6 +1166,7 @@ impl Dispatcher {
             }
         }
         drop(table);
+        self.addressees = subscriptions;
         if wake {
             let _ = self.shared.wake.send(());
         }

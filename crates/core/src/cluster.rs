@@ -31,7 +31,7 @@ use crate::notifier::Publisher;
 use crate::sorting::SortingNode;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use invalidb_broker::{shuffle_topic, BrokerHandle, Bytes, Subscription, CLUSTER_TOPIC};
-use invalidb_common::{ClusterMessage, GridCoord, GridShape, Stage, SystemClock, TenantInterner};
+use invalidb_common::{GridCoord, GridShape, Stage, SystemClock, TenantInterner};
 use invalidb_obs::{
     AdminConfig, AdminServer, FlightRecorder, MetricsRegistry, MetricsSnapshot, SlowQueryLog,
 };
@@ -95,7 +95,7 @@ impl CellSet {
 /// A running InvaliDB cluster.
 ///
 /// The cluster is reachable *only* through the event layer: publish
-/// [`ClusterMessage`]s (JSON documents) to [`CLUSTER_TOPIC`]; notifications
+/// [`invalidb_common::ClusterMessage`]s (JSON documents) to [`CLUSTER_TOPIC`]; notifications
 /// arrive on per-tenant `invalidb.notify.<tenant>` topics. Dropping the
 /// handle shuts the cluster down — application servers and the database are
 /// unaffected (isolated failure domain, §5).
@@ -402,10 +402,10 @@ impl Ingress {
         let mut last_heartbeat_check = Instant::now();
         while !shutdown.load(Ordering::Relaxed) {
             if let Some(payload) = self.subscription.recv_timeout(poll) {
-                self.accept(&payload);
+                self.accept(payload);
                 for _ in 1..task::TURN {
                     match self.subscription.try_recv() {
-                        Some(payload) => self.accept(&payload),
+                        Some(payload) => self.accept(payload),
                         None => break,
                     }
                 }
@@ -422,18 +422,18 @@ impl Ingress {
     /// zero-copy lazy path (only the `key`/`doc`/`trace` subtrees are
     /// materialized); everything else goes through the eager decoder with
     /// identical error accounting.
-    fn accept(&mut self, payload: &Bytes) {
+    fn accept(&mut self, payload: Bytes) {
         let tenants = &mut self.tenants;
-        let decoded = crate::ingest::decode_cluster_payload_with(payload, |name| tenants.intern(name));
-        let Some(mut msg) = decoded else {
+        let decoded = crate::ingest::decode_event_with(payload, |name| tenants.intern(name));
+        let Some(mut event) = decoded else {
             self.decode_errors.fetch_add(1, Ordering::Relaxed);
             self.decode_error_count.fetch_add(1, Ordering::Relaxed);
             return;
         };
         // Sampled traces get their ingestion stamp the moment the envelope
-        // is decoded off the event layer.
-        if let ClusterMessage::Write(img) = &mut msg {
-            if let Some(trace) = img.trace.as_mut() {
+        // is decoded off the event layer (the image is not shared yet).
+        if let Event::Write { image, .. } = &mut event {
+            if let Some(trace) = Arc::get_mut(image).and_then(|img| img.trace.as_mut()) {
                 match &self.identity {
                     Some(id) => id.stamp(trace, Stage::Ingestion),
                     None => trace.stamp(Stage::Ingestion),
@@ -442,7 +442,7 @@ impl Ingress {
             }
         }
         self.processed.fetch_add(1, Ordering::Relaxed);
-        self.route(msg.into());
+        self.route(event);
     }
 
     /// Two-dimensional routing (§5.1): a write goes to the hosted cells of
@@ -451,8 +451,8 @@ impl Ingress {
     /// stage partition that owns it.
     fn route(&self, event: Event) {
         match &event {
-            Event::Write(img) => {
-                for task in self.grid.column_tasks(self.grid.write_partition(&img.key)) {
+            Event::Write { image, .. } => {
+                for task in self.grid.column_tasks(self.grid.write_partition(&image.key)) {
                     self.to_cell(task, &event);
                 }
             }

@@ -1,8 +1,9 @@
 //! Events flowing between the cluster's tasks.
 
+use bytes::Bytes;
 use invalidb_common::{
-    AfterImage, ClusterMessage, Document, Key, QueryHash, SpecError, SubscriptionId,
-    SubscriptionRequest, TenantId, TraceContext, Value, Version,
+    AfterImage, Document, Key, QueryHash, SpecError, SubscriptionId, SubscriptionRequest, TenantId,
+    TraceContext, Value, Version,
 };
 use std::sync::Arc;
 
@@ -33,25 +34,19 @@ pub enum Event {
         /// New TTL in microseconds.
         ttl_micros: u64,
     },
-    /// An after-image from the write stream.
-    Write(Arc<AfterImage>),
+    /// An after-image from the write stream, beside the payload it was
+    /// decoded from ([`crate::ingest::decode_event_with`]).
+    Write {
+        /// The decoded write.
+        image: Arc<AfterImage>,
+        /// The write envelope as it arrived: what a cell retains of it.
+        payload: Bytes,
+        /// Offset of the envelope's `doc` object in `payload`; `None` for
+        /// a delete.
+        doc_at: Option<u32>,
+    },
     /// Filtering-stage output destined for the sorting/aggregation stage.
     FilterChange(Arc<FilterChange>),
-}
-
-impl From<ClusterMessage> for Event {
-    fn from(msg: ClusterMessage) -> Self {
-        match msg {
-            ClusterMessage::Subscribe(req) => Event::Subscribe(Arc::new(req)),
-            ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
-                Event::Unsubscribe { tenant, subscription, query_hash }
-            }
-            ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
-                Event::ExtendTtl { tenant, subscription, query_hash, ttl_micros }
-            }
-            ClusterMessage::Write(img) => Event::Write(Arc::new(img)),
-        }
-    }
 }
 
 /// Kind of matching-status transition detected by the filtering stage.

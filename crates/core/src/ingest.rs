@@ -15,10 +15,16 @@
 //! Equivalence contract: for every payload, the fast path either produces
 //! the exact message the eager path would, or bows out and lets the eager
 //! path run (so malformed payloads are still counted as decode errors by
-//! the caller exactly as before).
+//! the caller exactly as before). It bows out of no write the eager path
+//! takes, which is what lets a cell retain a write as its payload
+//! ([`decode_event_with`]) and decode it again when a new subscription
+//! replays it.
 
-use invalidb_common::{ClusterMessage, Key, TenantId, TraceContext};
+use crate::event::Event;
+use invalidb_common::{AfterImage, ClusterMessage, Key, TenantId, TraceContext};
 use invalidb_json::lazy::{LazyDoc, LazyValue};
+use invalidb_json::WireCodec;
+use std::sync::Arc;
 
 /// Decodes an event-layer payload into a [`ClusterMessage`], zero-copy for
 /// write envelopes. Returns `None` when the payload is malformed — the
@@ -36,64 +42,112 @@ pub fn decode_cluster_payload_with(
     payload: &bytes::Bytes,
     tenant_of: impl FnOnce(&str) -> TenantId,
 ) -> Option<ClusterMessage> {
-    if let Some(msg) = try_decode_write(payload, tenant_of) {
-        return Some(msg);
+    if let Some((img, _, _)) = decode_write(payload, tenant_of) {
+        return Some(ClusterMessage::Write(img));
     }
     let doc = invalidb_json::payload_to_document(payload).ok()?;
     ClusterMessage::from_document(&doc).ok()
 }
 
-/// The fast path: one skip-scan pass over a write envelope. `None` means
-/// "not a well-formed write" — the caller falls back to the eager decoder,
-/// which reproduces the old error accounting.
-fn try_decode_write(payload: &[u8], tenant_of: impl FnOnce(&str) -> TenantId) -> Option<ClusterMessage> {
-    let lazy = LazyDoc::new(payload).ok()?;
-
-    // One pass over the envelope fields; later duplicates overwrite, which
-    // is exactly the last-duplicate-wins rule of the eager decoder.
-    let mut is_write = false;
-    let mut tenant: Option<&str> = None;
-    let mut collection: Option<String> = None;
-    let mut key: Option<Key> = None;
-    let mut version: Option<i64> = None;
-    let mut written_at: u64 = 0;
-    let mut doc = None;
-    let mut trace: Option<TraceContext> = None;
-    for entry in lazy.root().entries() {
-        let (k, v) = entry.ok()?;
-        match k {
-            "op" => is_write = v.as_str() == Some("write"),
-            "tenant" => tenant = Some(v.as_str()?),
-            "collection" => collection = Some(v.as_str()?.to_owned()),
-            "key" => key = Some(Key(v.materialize().ok()?)),
-            "version" => version = Some(v.as_i64()?),
-            "writtenAt" => written_at = v.as_i64().unwrap_or(0) as u64,
-            "doc" => {
-                doc = match v {
-                    LazyValue::Null => Some(None),
-                    LazyValue::Object(obj) => Some(Some(obj.materialize().ok()?)),
-                    _ => return None, // eager path rejects non-object `doc`
-                }
-            }
-            "trace" => {
-                let td = v.as_object()?.materialize().ok()?;
-                trace = Some(TraceContext::from_document(&td).ok()?);
-            }
-            _ => {}
-        }
+/// What the ingress routes to the cells: [`decode_cluster_payload_with`]'s
+/// message, a write carrying its payload (moved in, not copied) and the
+/// offset of its `doc` object beside the decoded image, so a cell can
+/// retain the bytes and let the image go. A write whose document
+/// repeats a field (no writer of this codebase emits one) carries its
+/// image encoded again instead, each field once as eager decoding keeps it,
+/// so that a field read in place is the one the image holds.
+pub fn decode_event_with(
+    payload: bytes::Bytes,
+    tenant_of: impl FnOnce(&str) -> TenantId,
+) -> Option<Event> {
+    if let Some((img, doc_at, repeats)) = decode_write(&payload, tenant_of) {
+        let (img, payload, doc_at) = if repeats {
+            let mut w = WireCodec.writer();
+            img.as_ref().write_to(&mut w);
+            let payload = w.finish();
+            let (img, doc_at, _) = decode_write(&payload, |_| img.tenant.clone())?;
+            (img, payload, doc_at)
+        } else {
+            (img, payload, doc_at)
+        };
+        return Some(Event::Write { image: Arc::new(img), payload, doc_at });
     }
-    if !is_write {
+    let doc = invalidb_json::payload_to_document(&payload).ok()?;
+    Some(match ClusterMessage::from_document(&doc).ok()? {
+        ClusterMessage::Subscribe(req) => Event::Subscribe(Arc::new(req)),
+        ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
+            Event::Unsubscribe { tenant, subscription, query_hash }
+        }
+        ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
+            Event::ExtendTtl { tenant, subscription, query_hash, ttl_micros }
+        }
+        // `decode_write` takes every write the eager decoder takes.
+        ClusterMessage::Write(_) => return None,
+    })
+}
+
+/// A retained write's payload decoded again for replay: the after-image
+/// [`decode_event_with`] decoded from it, of `tenant`, without its trace —
+/// a replayed transition is not the live write's stage path.
+pub(crate) fn decode_retained(payload: &[u8], tenant: &TenantId) -> Option<AfterImage> {
+    let (img, _, _) = decode_write(payload, |_| tenant.clone())?;
+    Some(AfterImage { trace: None, ..img })
+}
+
+/// The write decoder: one skip-scan pass over a write envelope, each field
+/// resolved last-duplicate-wins like the eager decoder, so that it takes
+/// every write that decoder takes. Returns the after-image, the offset of
+/// its `doc` object (`None` for a delete) and whether that object repeats a
+/// field. `None` means "not a well-formed write" — the callers fall back
+/// to the eager decoder, which reproduces the old error accounting.
+fn decode_write(
+    payload: &[u8],
+    tenant_of: impl FnOnce(&str) -> TenantId,
+) -> Option<(AfterImage, Option<u32>, bool)> {
+    let lazy = LazyDoc::new(payload).ok()?;
+    let (mut op, mut tenant, mut collection, mut key, mut version) = (None, None, None, None, None);
+    let (mut written_at, mut doc, mut trace) = (None, None, None);
+    for entry in lazy.root().entries() {
+        let (name, value) = entry.ok()?;
+        let slot = match name {
+            "op" => &mut op,
+            "tenant" => &mut tenant,
+            "collection" => &mut collection,
+            "key" => &mut key,
+            "version" => &mut version,
+            "writtenAt" => &mut written_at,
+            "doc" => &mut doc,
+            "trace" => &mut trace,
+            _ => continue,
+        };
+        *slot = Some(value);
+    }
+    if op?.as_str()? != "write" {
         return None;
     }
-    Some(ClusterMessage::Write(invalidb_common::AfterImage {
-        tenant: tenant_of(tenant?),
-        collection: collection?,
-        key: key?,
-        version: version? as invalidb_common::Version,
-        doc: doc.unwrap_or(None),
-        written_at,
+    let (doc, doc_at, repeats) = match doc {
+        None | Some(LazyValue::Null) => (None, None, false),
+        Some(LazyValue::Object(obj)) => {
+            let doc = obj.materialize().ok()?;
+            let repeats = doc.len() != obj.len().ok()?;
+            (Some(doc), Some(u32::try_from(obj.offset()).ok()?), repeats)
+        }
+        Some(_) => return None, // eager path rejects non-object `doc`
+    };
+    let trace = match trace {
+        Some(LazyValue::Object(td)) => Some(TraceContext::from_document(&td.materialize().ok()?).ok()?),
+        _ => None,
+    };
+    let img = AfterImage {
+        tenant: tenant_of(tenant?.as_str()?),
+        collection: collection?.as_str()?.to_owned(),
+        key: Key(key?.materialize().ok()?),
+        version: version?.as_i64()? as invalidb_common::Version,
+        doc,
+        written_at: written_at.and_then(|v: LazyValue<'_>| v.as_i64()).unwrap_or(0) as u64,
         trace,
-    }))
+    };
+    Some((img, doc_at, repeats))
 }
 
 #[cfg(test)]
@@ -150,11 +204,57 @@ mod tests {
     fn writes_take_the_lazy_path() {
         let ClusterMessage::Write(img) = &sample_messages()[0] else { unreachable!() };
         let payload = WireCodec.encode(&ClusterMessage::Write(img.clone()).to_document());
-        assert!(try_decode_write(&payload, TenantId::new).is_some());
+        assert!(decode_write(&payload, TenantId::new).is_some());
         // Control ops fall through to the eager decoder.
         let unsub = &sample_messages()[2];
         let ctrl = WireCodec.encode(&unsub.to_document());
-        assert!(try_decode_write(&ctrl, TenantId::new).is_none());
+        assert!(decode_write(&ctrl, TenantId::new).is_none());
+    }
+
+    /// Fields resolve last-duplicate-wins, as in the eager decoder, so the
+    /// write decoder takes every write that decoder takes; a document that
+    /// repeats a field reaches the cells encoded again, each field once.
+    #[test]
+    fn repeated_fields_resolve_like_eager() {
+        use invalidb_common::FieldWriter;
+        let mut w = WireCodec.writer();
+        let fields: [(&str, Value); 8] = [
+            ("op", "write".into()),
+            ("tenant", 5i64.into()),
+            ("tenant", "app".into()),
+            ("collection", "users".into()),
+            ("key", "u1".into()),
+            ("version", 3i64.into()),
+            ("doc", 5i64.into()),
+            ("trace", "untraced".into()),
+        ];
+        w.begin_object(fields.len() + 1);
+        for (name, value) in &fields {
+            w.key(name);
+            w.value(value);
+        }
+        w.key("doc");
+        w.begin_object(2);
+        for n in [1, 9] {
+            w.key("n");
+            w.int(n);
+        }
+        w.end_object();
+        w.end_object();
+        let payload = w.finish();
+        let decoded = decode_cluster_payload(&payload);
+        let expected = Some(doc! { "n" => 9i64 });
+        assert!(matches!(&decoded, Some(ClusterMessage::Write(img)) if img.doc == expected));
+        assert_eq!(decoded, eager(&payload));
+        let Some(Event::Write { image, payload: kept, doc_at }) =
+            decode_event_with(payload.clone(), TenantId::new)
+        else {
+            panic!("a write")
+        };
+        assert_eq!((image.doc.clone(), image.trace.clone()), (expected, None));
+        let at = doc_at.expect("a document") as usize;
+        let [n] = invalidb_json::LazyObject::at(&kept, at).find(["n"]).unwrap();
+        assert_eq!(n.and_then(|n| n.as_i64()), Some(9), "the field the image holds");
     }
 
     #[test]

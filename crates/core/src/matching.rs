@@ -16,10 +16,10 @@
 //! encode and event-layer publish are function calls on the cell's thread.
 //!
 //! The node also implements **write-stream retention** and **staleness
-//! avoidance**: received after-images are buffered for a configurable time
-//! and replayed against newly subscribed queries (fixing the
-//! write-subscription race), and any write older than the newest seen
-//! version of the same record is dropped (§5.1).
+//! avoidance**: received writes are buffered, as the payloads they arrived
+//! as, for a configurable time and replayed against newly subscribed
+//! queries (fixing the write-subscription race), and any write older than
+//! the newest seen version of the same record is dropped (§5.1).
 //!
 //! All of that state is kept per **scope** — one (tenant, collection) —
 //! found per write by borrowed lookup. Inside a
@@ -29,17 +29,19 @@
 
 use crate::config::{ClusterConfig, WorkerIdentity};
 use crate::event::{Event, FilterChange, FilterChangeKind};
+use crate::ingest::decode_retained;
 use crate::links::StageLinks;
 use crate::notifier::Publisher;
 use crate::query_index::QueryIndex;
 use crate::subscribers::Subscribers;
+use bytes::Bytes;
 use invalidb_broker::BrokerHandle;
 use invalidb_common::trace::now_micros;
 use invalidb_common::{
     AfterImage, Clock, EnvelopeRef, GridCoord, GridShape, ItemRef, Key, KindRef, MatchType, QueryHash,
     Stage, SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext, Version,
 };
-use invalidb_json::WireCodec;
+use invalidb_json::{LazyObject, WireCodec};
 use invalidb_obs::SlowQueryScratch;
 use invalidb_query::{PreparedAtom, PreparedFilter};
 use invalidb_stream::Task;
@@ -122,11 +124,30 @@ struct Scope {
     /// Needed alongside the index because an update can move a record *out*
     /// of a query's range — the new value no longer stabs that query.
     containing: HashMap<Key, Vec<QueryHash>>,
-    /// Retained after-images, oldest first (§5.1 write-stream retention).
-    /// A new subscription replays this ring and no other.
-    retention: VecDeque<(Timestamp, Arc<AfterImage>)>,
+    /// Retained writes, oldest first (§5.1 write-stream retention). A new
+    /// subscription replays this ring and no other.
+    retention: VecDeque<Retained>,
     /// Newest seen version per record (staleness avoidance).
     latest_versions: HashMap<Key, Version>,
+}
+
+/// A write kept for replay: what replay and trimming read of it beside the
+/// payload it arrived as. Its document stays encoded until a new
+/// subscription finds the write relevant.
+struct Retained {
+    at: Timestamp,
+    key: Key,
+    version: Version,
+    payload: Bytes,
+    /// Offset of the payload's `doc` object; `None` for a delete.
+    doc_at: Option<u32>,
+}
+
+impl Retained {
+    /// The write's document, read in place; `None` for a delete.
+    fn doc(&self) -> Option<LazyObject<'_>> {
+        Some(LazyObject::at(&self.payload, self.doc_at? as usize))
+    }
 }
 
 impl Scope {
@@ -138,7 +159,7 @@ impl Scope {
 
     /// Staleness avoidance and retention for one incoming write: `false`
     /// for a write that is not newer than what the scope has seen.
-    fn admit(&mut self, img: &Arc<AfterImage>, now: Timestamp) -> bool {
+    fn admit(&mut self, img: &AfterImage, payload: Bytes, doc_at: Option<u32>, now: Timestamp) -> bool {
         // Updated in place: a key is copied the first time it is seen.
         match self.latest_versions.get_mut(&img.key) {
             Some(seen) if img.version <= *seen => return false,
@@ -147,22 +168,30 @@ impl Scope {
                 self.latest_versions.insert(img.key.clone(), img.version);
             }
         }
-        self.retention.push_back((now, Arc::clone(img)));
+        self.retention.push_back(Retained {
+            at: now,
+            key: img.key.clone(),
+            version: img.version,
+            payload,
+            doc_at,
+        });
         true
     }
 
-    /// Drops retained writes older than `horizon`; returns how many.
-    fn trim_retention(&mut self, now: Timestamp, horizon: std::time::Duration) -> usize {
-        let mut trimmed = 0;
-        while let Some((_, img)) = self.retention.pop_front_if(|(t, _)| now.since(*t) > horizon) {
+    /// Drops retained writes older than `horizon`; returns how many, and
+    /// their payload bytes.
+    fn trim_retention(&mut self, now: Timestamp, horizon: std::time::Duration) -> (usize, usize) {
+        let (mut trimmed, mut bytes) = (0, 0);
+        while let Some(write) = self.retention.pop_front_if(|w| now.since(w.at) > horizon) {
             trimmed += 1;
+            bytes += write.payload.len();
             // Forget latest-version entries only when they refer to the
             // trimmed write (a newer one may have refreshed the record).
-            if self.latest_versions.get(&img.key) == Some(&img.version) {
-                self.latest_versions.remove(&img.key);
+            if self.latest_versions.get(&write.key) == Some(&write.version) {
+                self.latest_versions.remove(&write.key);
             }
         }
-        trimmed
+        (trimmed, bytes)
     }
 }
 
@@ -461,9 +490,16 @@ pub struct MatchingNode {
     clock: Arc<dyn Clock>,
     scopes: Scopes,
     eval: Evaluator,
-    /// Query groups and retained after-images over all scopes.
+    /// Query groups, retained writes and their payload bytes over all
+    /// scopes.
     active_queries: usize,
     retained_writes: usize,
+    retained_bytes: usize,
+    /// The after-images evaluated since the last tick, released together
+    /// on it. Dropped one by one between writes, their frees went in step
+    /// with the ingress allocating the next ones, which cost `range_20k`
+    /// about a tenth of its CPU per write (EXPERIMENTS.md).
+    evaluated: Vec<Arc<AfterImage>>,
     /// Observability: dropped stale writes.
     stale_dropped: u64,
     /// Peak ingestion lag (write origin timestamp to matching evaluation)
@@ -484,6 +520,7 @@ pub struct MatchingNode {
     metric_dropped_stale: Arc<AtomicU64>,
     gauge_active_queries: Arc<AtomicU64>,
     gauge_retained_writes: Arc<AtomicU64>,
+    gauge_retained_bytes: Arc<AtomicU64>,
     gauge_ingest_lag_us: Arc<AtomicU64>,
 }
 
@@ -524,12 +561,15 @@ impl MatchingNode {
             metric_dropped_stale: metrics.counter("matching.dropped_stale"),
             gauge_active_queries: metrics.gauge(&format!("{cell}.active_queries")),
             gauge_retained_writes: metrics.gauge(&format!("{cell}.retained_writes")),
+            gauge_retained_bytes: metrics.gauge(&format!("{cell}.retained_bytes")),
             gauge_ingest_lag_us: metrics.gauge(&format!("{cell}.ingest_lag_us")),
             config,
             clock,
             scopes: HashMap::new(),
             active_queries: 0,
             retained_writes: 0,
+            retained_bytes: 0,
+            evaluated: Vec::new(),
             stale_dropped: 0,
             ingest_lag_us: 0,
             metric_indexed,
@@ -633,15 +673,25 @@ impl MatchingNode {
         // initial result are skipped by the version guard. A write can only
         // matter if the view holds its key or the index would have proposed
         // the query for it — the rest are irrelevant by the index's
-        // superset contract, so they are not evaluated at all.
-        for (_, img) in retention.iter() {
-            let relevant = !self.eval.indexed
-                || view.contains_key(&img.key)
-                || img.doc.as_ref().is_some_and(|doc| index.admits(hash, doc));
-            if relevant {
-                self.eval.pred_cache.begin_write();
-                self.eval.match_against(&group.query, hash, &mut view, to, &req.tenant, img);
+        // superset contract, so they are neither decoded nor evaluated; the
+        // index's test reads its attributes off the encoded document.
+        let mut admission = index.admission(hash);
+        for write in retention.iter() {
+            if view.get(&write.key).is_some_and(|held| write.version <= *held) {
+                continue; // what `evaluate`'s version guard would skip
             }
+            let relevant = !self.eval.indexed
+                || view.contains_key(&write.key)
+                || write.doc().is_some_and(|doc| admission.admits_encoded(doc));
+            if !relevant {
+                continue;
+            }
+            // The ingress decoded this payload once already.
+            let img = decode_retained(&write.payload, &req.tenant);
+            debug_assert!(img.is_some(), "a retained payload no longer decodes");
+            let Some(img) = img else { continue };
+            self.eval.pred_cache.begin_write();
+            self.eval.match_against(&group.query, hash, &mut view, to, &req.tenant, &Arc::new(img));
         }
         if new {
             for key in view.keys() {
@@ -651,22 +701,25 @@ impl MatchingNode {
         }
     }
 
-    /// One after-image: staleness avoidance, retention, then evaluation
-    /// against the queries of its scope.
-    fn handle_write(&mut self, img: &Arc<AfterImage>) {
+    /// One after-image: staleness avoidance, retention of its payload, then
+    /// evaluation against the queries of its scope.
+    fn handle_write(&mut self, img: Arc<AfterImage>, payload: Bytes, doc_at: Option<u32>) {
         let now = self.clock.now();
         let scope = scope_or_new(&mut self.scopes, &img.tenant, &img.collection);
-        if !scope.admit(img, now) {
+        let bytes = payload.len();
+        if !scope.admit(&img, payload, doc_at, now) {
             self.stale_dropped += 1;
             self.metric_dropped_stale.fetch_add(1, AtomicOrdering::Relaxed);
             return;
         }
         self.retained_writes += 1;
+        self.retained_bytes += bytes;
         // Ingestion lag: how far behind the write's origin timestamp this
         // cell is running. Tracked as a peak here, published on tick.
         let lag = now_micros().saturating_sub(img.written_at);
         self.ingest_lag_us = self.ingest_lag_us.max(lag);
-        self.eval.match_write(scope, &img.tenant, img);
+        self.eval.match_write(scope, &img.tenant, &img);
+        self.evaluated.push(img);
     }
 
     /// The group of a query known only by tenant and hash, as cancellations
@@ -723,7 +776,9 @@ impl MatchingNode {
                 }
                 keep
             });
-            self.retained_writes -= scope.trim_retention(now, horizon);
+            let (trimmed, bytes) = scope.trim_retention(now, horizon);
+            self.retained_writes -= trimmed;
+            self.retained_bytes -= bytes;
         }
         // A scope goes with its last query and its last retained write.
         self.scopes.retain(|_, collections| {
@@ -737,7 +792,7 @@ impl MatchingNode {
         self.active_queries
     }
 
-    /// Number of retained after-images (tests/metrics).
+    /// Number of retained writes (tests/metrics).
     pub fn retained_writes(&self) -> usize {
         self.retained_writes
     }
@@ -751,7 +806,7 @@ impl MatchingNode {
 impl Task<Event> for MatchingNode {
     fn handle(&mut self, event: Event) {
         match event {
-            Event::Write(img) => self.handle_write(&img),
+            Event::Write { image, payload, doc_at } => self.handle_write(image, payload, doc_at),
             Event::Subscribe(req) => self.handle_subscribe(&req),
             Event::Unsubscribe { tenant, query_hash, subscription } => {
                 self.handle_unsubscribe(&tenant, query_hash, subscription)
@@ -765,12 +820,14 @@ impl Task<Event> for MatchingNode {
     }
 
     fn tick(&mut self) {
+        self.evaluated.clear();
         self.expire();
         self.eval.slow_scratch.flush(&self.config.metrics.slow_queries());
         // Per-partition gauges, refreshed once per tick so the hot write
         // path never touches them.
         self.gauge_active_queries.store(self.active_queries as u64, AtomicOrdering::Relaxed);
         self.gauge_retained_writes.store(self.retained_writes as u64, AtomicOrdering::Relaxed);
+        self.gauge_retained_bytes.store(self.retained_bytes as u64, AtomicOrdering::Relaxed);
         self.gauge_ingest_lag_us.store(self.ingest_lag_us, AtomicOrdering::Relaxed);
         self.ingest_lag_us = 0;
         // Cluster-shared index/sharing series. The gauges are summed over
@@ -816,7 +873,7 @@ mod tests {
     use crate::notifier::testing::{Wire, TENANT};
     use crossbeam::channel::{unbounded, Receiver};
     use invalidb_common::{
-        doc, MockClock, Notification, NotificationKind, QuerySpec, ResultItem, SortDirection,
+        doc, MockClock, Notification, NotificationKind, QuerySpec, ResultItem, SortDirection, Value,
     };
     use std::time::Duration;
 
@@ -878,20 +935,15 @@ mod tests {
         }))
     }
 
-    fn write_to(tenant: &str, collection: &str, key: Key, version: Version, n: i64) -> Event {
-        Event::Write(Arc::new(AfterImage {
-            tenant: TenantId::new(tenant),
-            collection: collection.into(),
-            key,
-            version,
-            doc: Some(doc! { "n" => n }),
-            written_at: 42,
-            trace: None,
-        }))
+    /// A write event as the ingress builds it, from the write's envelope.
+    fn event_of(img: &AfterImage) -> Event {
+        let mut w = WireCodec.writer();
+        img.as_ref().write_to(&mut w);
+        crate::ingest::decode_event_with(w.finish(), TenantId::new).expect("a write envelope")
     }
 
-    fn write_event(key: Key, version: Version, doc: Option<invalidb_common::Document>) -> Event {
-        Event::Write(Arc::new(AfterImage {
+    fn image(key: Key, version: Version, doc: Option<invalidb_common::Document>) -> AfterImage {
+        AfterImage {
             tenant: TenantId::new(TENANT),
             collection: "t".into(),
             key,
@@ -899,7 +951,19 @@ mod tests {
             doc,
             written_at: 42,
             trace: None,
-        }))
+        }
+    }
+
+    fn write_to(tenant: &str, collection: &str, key: Key, version: Version, n: i64) -> Event {
+        event_of(&AfterImage {
+            tenant: TenantId::new(tenant),
+            collection: collection.into(),
+            ..image(key, version, Some(doc! { "n" => n }))
+        })
+    }
+
+    fn write_event(key: Key, version: Version, doc: Option<invalidb_common::Document>) -> Event {
+        event_of(&image(key, version, doc))
     }
 
     #[test]
@@ -1061,6 +1125,128 @@ mod tests {
             h.notifications().iter().map(change_of).collect::<Vec<_>>(),
             [(MatchType::Remove, Key::of("moved"), 2), (MatchType::Remove, Key::of("deleted"), 2)]
         );
+    }
+
+    /// A write whose document repeats a field, written entry by entry (no
+    /// `Document` can hold it).
+    fn write_with_fields(key: &str, fields: &[(&str, i64)]) -> Event {
+        use invalidb_common::FieldWriter;
+        let mut w = WireCodec.writer();
+        w.begin_object(7);
+        for (name, value) in [("op", "write"), ("tenant", TENANT), ("collection", "t")] {
+            w.key(name);
+            w.str(value);
+        }
+        w.key("key");
+        w.value(&Key::of(key).0);
+        for (name, value) in [("version", 1), ("writtenAt", 42)] {
+            w.key(name);
+            w.int(value);
+        }
+        w.key("doc");
+        w.begin_object(fields.len());
+        for (name, value) in fields {
+            w.key(name);
+            w.int(*value);
+        }
+        w.end_object();
+        w.end_object();
+        crate::ingest::decode_event_with(w.finish(), TenantId::new).expect("a write envelope")
+    }
+
+    /// Replay reads retained payloads: a new group and then a joiner, both
+    /// handed the same initial result, are each sent exactly what replaying
+    /// the decoded images sent them — whether the view holds the key, the
+    /// index's test reads one attribute or two, or none (a scan-list
+    /// query), arrays and repeated fields included.
+    #[test]
+    fn replay_from_retained_payloads_sends_what_the_decoded_images_did() {
+        use MatchType::{Add, Remove};
+        fn check(
+            spec: QuerySpec,
+            held: &[&str],
+            writes: Vec<Event>,
+            sent: &[(MatchType, &str, Version)],
+        ) {
+            let mut h = harness(ClusterConfig::new(1, 1));
+            for write in writes {
+                h.send(write);
+            }
+            let initial: Vec<_> =
+                held.iter().map(|k| ResultItem::new(Key::of(*k), 1, doc! { "n" => 50i64 })).collect();
+            let case = spec.to_string();
+            h.send(subscribe_event(spec.clone(), 1, initial.clone()));
+            h.send(subscribe_event(spec, 2, initial));
+            let expected: Vec<_> = [1, 2]
+                .into_iter()
+                .flat_map(|sub| sent.iter().map(move |&(t, k, v)| (sub, (t, Key::of(k), v))))
+                .collect();
+            let notes = h.notifications();
+            assert_eq!(
+                notes.iter().map(|n| (n.subscription.0, change_of(n))).collect::<Vec<_>>(),
+                expected,
+                "{case}"
+            );
+        }
+        let write = |key: &str, doc| write_event(Key::of(key), 2, doc);
+        let n = |n: i64| Some(doc! { "n" => n });
+        let ints = |items: &[i64]| {
+            Some(doc! { "n" => items.iter().map(|i| Value::Int(*i)).collect::<Vec<_>>() })
+        };
+        let at_least_ten = || QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
+        // A delete of a held key, and an update out of the range.
+        check(at_least_ten(), &["k"], vec![write("k", None), write("x", None)], &[(Remove, "k", 2)]);
+        check(at_least_ten(), &["k"], vec![write("k", n(1)), write("x", n(5))], &[(Remove, "k", 2)]);
+        // An equality anchor with a residual range: two attributes read.
+        let status = |s: &str, price: i64| Some(doc! { "status" => s, "price" => price });
+        let spec =
+            QuerySpec::filter("t", doc! { "status" => "s1", "price" => doc! { "$gte" => 10i64 } });
+        let writes = vec![
+            write("a", status("s1", 20)),
+            write("b", status("s1", 5)),
+            write("c", status("s2", 20)),
+            write("d", status("s1", 5)),
+        ];
+        check(spec, &["d"], writes, &[(Add, "a", 2), (Remove, "d", 2)]);
+        // A scan-list query: nothing read before the full decode.
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$ne" => 0i64 } });
+        let writes = vec![write("a", n(1)), write("b", n(0)), write("c", Some(doc! { "m" => 3i64 }))];
+        check(spec, &[], writes, &[(Add, "a", 2), (Add, "c", 2)]);
+        // An array-valued anchor attribute, read through its envelope.
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gt" => 5i64, "$lt" => 9i64 } });
+        let writes = vec![
+            write("a", ints(&[4, 10])),
+            write("b", ints(&[20, 30])),
+            write("c", ints(&[])),
+            write("d", ints(&[7])),
+        ];
+        check(spec, &[], writes, &[(Add, "a", 2), (Add, "d", 2)]);
+        // A repeated field: the last one wins, as in the eager decoder.
+        let writes = vec![
+            write_with_fields("a", &[("n", 50), ("n", 1)]),
+            write_with_fields("b", &[("n", 1), ("n", 50)]),
+        ];
+        check(at_least_ten(), &[], writes, &[(Add, "b", 1)]);
+    }
+
+    #[test]
+    fn replayed_transitions_carry_no_trace() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
+        h.send(subscribe_event(spec.clone(), 1, vec![]));
+        let mut trace = TraceContext::start(7);
+        trace.stamp(Stage::Ingestion);
+        let img = image(Key::of("a"), 1, Some(doc! { "n" => 50i64 }));
+        h.send(event_of(&AfterImage { trace: Some(trace), ..img }));
+        let live = h.notifications();
+        assert!(live[0].trace.as_ref().and_then(|t| t.at(Stage::Matching)).is_some());
+        h.send(subscribe_event(spec, 2, vec![]));
+        let replayed = h.notifications();
+        assert_eq!(
+            replayed.iter().map(|n| (n.subscription.0, change_of(n))).collect::<Vec<_>>(),
+            [(2, (MatchType::Add, Key::of("a"), 1))]
+        );
+        assert!(replayed[0].trace.is_none(), "a replayed write is not on the live write's stage path");
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //! the steady-state write path performs no allocation here.
 
 use invalidb_common::{canonical_cmp, Document, Value};
+use invalidb_json::LazyObject;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -386,35 +387,22 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         out.dedup();
     }
 
-    /// Whether [`QueryIndex::candidates`] would propose query `id` for
-    /// `doc`: the anchor and residual test of a probe, applied to that one
-    /// query. Queries on the scan list, and ids the index does not hold,
-    /// answer `true`.
-    pub fn admits(&mut self, id: Id, doc: &Document) -> bool {
-        let Self { anchors, ranges, key_scratch, .. } = self;
-        match anchors.get(&id) {
-            None | Some(Anchor::Scan) => true,
-            Some(Anchor::Eq(anchor)) => {
-                let EqAnchor { attr, keys, residual } = &**anchor;
-                let mut on_lane = |v: &Value| {
-                    key_scratch.clear();
-                    v.write_canonical(key_scratch);
-                    keys.iter().any(|k| k == key_scratch)
-                };
-                let hit = match doc.get(attr) {
-                    Some(Value::Array(items)) => items.iter().any(on_lane),
-                    Some(v) => on_lane(v),
-                    None => false,
-                };
-                hit && residual.as_ref().is_none_or(|r| r.admits(doc.get(&r.attr)))
-            }
-            Some(Anchor::Range { attr }) => match ranges.get(attr).and_then(|by_id| by_id.get(&id)) {
-                Some((lo, hi)) => {
-                    doc.get(attr).and_then(envelope).is_some_and(|env| intersects(lo, hi, env))
-                }
-                None => true,
+    /// The test [`QueryIndex::candidates`] applies to query `id`, its anchor
+    /// and residual resolved once, for a caller that asks about document
+    /// after document (a new subscription replaying the retained writes).
+    /// Queries on the scan list, and ids the index does not hold, admit
+    /// every document.
+    pub fn admission(&self, id: Id) -> Admission<'_> {
+        let test = match self.anchors.get(&id) {
+            None | Some(Anchor::Scan) => Test::All,
+            Some(Anchor::Eq(anchor)) => Test::Eq(anchor),
+            Some(Anchor::Range { attr }) => match self.ranges.get(attr).and_then(|by_id| by_id.get(&id))
+            {
+                Some((lo, hi)) => Test::Range { attr, lo, hi },
+                None => Test::All,
             },
-        }
+        };
+        Admission { test, key_scratch: Vec::new() }
     }
 
     /// One document's probe against the equality lanes and interval trees.
@@ -500,6 +488,85 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
             self.trees.insert(attr.clone(), IntervalTree::build(intervals));
         }
         self.dirty = false;
+    }
+}
+
+/// One query's admission test, from [`QueryIndex::admission`].
+pub struct Admission<'a> {
+    test: Test<'a>,
+    /// Reused scratch for the canonical key encoding.
+    key_scratch: Vec<u8>,
+}
+
+#[derive(Clone, Copy)]
+enum Test<'a> {
+    All,
+    Eq(&'a EqAnchor),
+    Range { attr: &'a str, lo: &'a Value, hi: &'a Value },
+}
+
+impl<'a> Admission<'a> {
+    /// Whether the probe would propose the query for `doc`.
+    pub fn admits(&mut self, doc: &Document) -> bool {
+        let (anchor, residual) = self.attrs();
+        let Some(anchor) = anchor else { return true };
+        self.holds(doc.get(anchor), residual.and_then(|attr| doc.get(attr)))
+    }
+
+    /// [`Admission::admits`] over an encoded document whose fields do not
+    /// repeat (as in every payload a cell retains), read in place: only the
+    /// one or two attributes the test looks at are decoded, and the fields
+    /// after them are not read. A document that cannot be read is
+    /// admitted, for its full decode to judge.
+    pub fn admits_encoded(&mut self, doc: LazyObject<'_>) -> bool {
+        let (anchor, residual) = self.attrs();
+        let Some(anchor) = anchor else { return true };
+        let found = match residual {
+            Some(residual) => doc.find([anchor, residual]),
+            None => doc.find([anchor]).map(|[value]| [value, None]),
+        };
+        let Ok(found) = found else { return true };
+        let [Ok(anchor), Ok(residual)] = found.map(|v| v.map(|v| v.materialize()).transpose()) else {
+            return true;
+        };
+        self.holds(anchor.as_ref(), residual.as_ref())
+    }
+
+    /// The attributes the test reads: the anchor's (`None` when it admits
+    /// everything), and the residual range's.
+    fn attrs(&self) -> (Option<&'a str>, Option<&'a str>) {
+        match self.test {
+            Test::All => (None, None),
+            Test::Eq(anchor) => (Some(&anchor.attr), anchor.residual.as_ref().map(|r| r.attr.as_str())),
+            Test::Range { attr, .. } => (Some(attr), None),
+        }
+    }
+
+    /// The test over the values of [`Admission::attrs`] — a probe's, for
+    /// one query: an equality anchor hits its lane (an array through any
+    /// element) and the document reaches the residual range; a range
+    /// anchor's interval meets the value's envelope.
+    fn holds(&mut self, anchor: Option<&Value>, residual: Option<&Value>) -> bool {
+        match self.test {
+            Test::All => true,
+            Test::Eq(EqAnchor { keys, residual: range, .. }) => {
+                let scratch = &mut self.key_scratch;
+                let mut on_lane = |v: &Value| {
+                    scratch.clear();
+                    v.write_canonical(scratch);
+                    keys.iter().any(|k| k == scratch)
+                };
+                let hit = match anchor {
+                    Some(Value::Array(items)) => items.iter().any(on_lane),
+                    Some(v) => on_lane(v),
+                    None => false,
+                };
+                hit && range.as_ref().is_none_or(|r| r.admits(residual))
+            }
+            Test::Range { lo, hi, .. } => {
+                anchor.and_then(envelope).is_some_and(|env| intersects(lo, hi, env))
+            }
+        }
     }
 }
 
@@ -604,8 +671,10 @@ fn bound_slot<'a>(
 mod tests {
     use super::*;
     use invalidb_common::doc;
+    use invalidb_json::LazyDoc;
     use invalidb_query::{MongoQueryEngine, PreparedQuery, QueryEngine};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
@@ -632,7 +701,8 @@ mod tests {
     }
 
     /// The index's contract for one document: every true match is a
-    /// candidate, and `admits` agrees with the probe query by query.
+    /// candidate, and the admission test, over the document and over its
+    /// encoding read in place, agrees with the probe query by query.
     fn assert_superset(
         idx: &mut QueryIndex<usize>,
         filters: &[Document],
@@ -640,6 +710,8 @@ mod tests {
         d: &Document,
     ) {
         let candidates = cands(idx, d);
+        let encoded = invalidb_json::WireCodec.encode(d);
+        let in_place = LazyDoc::new(&encoded).unwrap().root();
         for (i, p) in prepared.iter().enumerate() {
             let proposed = candidates.contains(&i);
             assert!(
@@ -647,7 +719,10 @@ mod tests {
                 "index missed true match of {:?} against {d}",
                 filters[i]
             );
-            assert_eq!(idx.admits(i, d), proposed, "admits disagrees on {:?} against {d}", filters[i]);
+            let mut admission = idx.admission(i);
+            let filter = &filters[i];
+            assert_eq!(admission.admits(d), proposed, "admits disagrees on {filter:?} against {d}");
+            assert_eq!(admission.admits_encoded(in_place), proposed, "in place: {filter:?} on {d}");
         }
     }
 
@@ -692,8 +767,8 @@ mod tests {
         assert_eq!(idx.scan_len(), 1);
         let c = cands(&mut idx, &doc! { "unrelated" => 1i64 });
         assert_eq!(c, vec![2], "scan queries always evaluated");
-        assert!(idx.admits(2, &doc! { "unrelated" => 1i64 }));
-        assert!(idx.admits(99, &doc! {}), "an unknown id is not ruled out");
+        assert!(idx.admission(2).admits(&doc! { "unrelated" => 1i64 }));
+        assert!(idx.admission(99).admits(&doc! {}), "an unknown id is not ruled out");
     }
 
     #[test]
@@ -798,7 +873,7 @@ mod tests {
             let mut c = cands(&mut idx, &d);
             c.sort();
             for id in 1..=4 {
-                assert_eq!(idx.admits(id, &d), c.contains(&id), "query {id} against {d}");
+                assert_eq!(idx.admission(id).admits(&d), c.contains(&id), "query {id} against {d}");
             }
             c
         };
@@ -978,6 +1053,59 @@ mod tests {
                     }
                 }
             }
+            assert_superset(&mut idx, &filters, &prepared, &d);
+        }
+    }
+
+    /// The admission test read in place walks an encoding only up to the
+    /// attributes it needs: it agrees with the probe wherever they sit
+    /// among fields of every type, nested namesakes included.
+    #[test]
+    fn candidates_and_the_in_place_admission_agree_wherever_the_attributes_sit() {
+        let mut rng =
+            test_rng("candidates_and_the_in_place_admission_agree_wherever_the_attributes_sit");
+        let colors = ["red", "green"];
+        let mut filters = vec![doc! { "a" => doc! { "$ne" => 0i64 } }];
+        for _ in 0..60 {
+            let lo = rng.gen_range(-10..10i64);
+            let range = doc! { "$gte" => lo, "$lt" => lo + rng.gen_range(1..8i64) };
+            filters.push(match rng.gen_range(0..3) {
+                0 => doc! { "a" => range },
+                1 => doc! { "b" => colors[rng.gen_range(0..2usize)], "a" => range },
+                _ => doc! { "a" => rng.gen_range(-10..10i64) },
+            });
+        }
+        let mut idx: QueryIndex<usize> = QueryIndex::default();
+        for (i, f) in filters.iter().enumerate() {
+            idx.insert(i, f);
+        }
+        let prepared: Vec<_> = filters.iter().map(prepare).collect();
+        let fillers = [
+            Value::Null,
+            Value::Float(2.5),
+            Value::from("a string too long to be held inline"),
+            Value::Array(vec![Value::Object(doc! { "a" => 1i64 })]),
+            Value::Object(doc! { "a" => 3i64, "b" => "red" }),
+        ];
+        for _ in 0..300 {
+            let mut fields = Vec::new();
+            for name in ["x", "y", "z"] {
+                if rng.gen_bool(0.6) {
+                    fields.push((name, fillers[rng.gen_range(0..fillers.len())].clone()));
+                }
+            }
+            if rng.gen_bool(0.8) {
+                let n = Value::Int(rng.gen_range(-10..10i64));
+                fields.push((
+                    "a",
+                    if rng.gen_bool(0.2) { Value::Array(vec![n, Value::Int(4)]) } else { n },
+                ));
+            }
+            if rng.gen_bool(0.7) {
+                fields.push(("b", Value::from(colors[rng.gen_range(0..2usize)])));
+            }
+            fields.shuffle(&mut rng);
+            let d = fields.into_iter().map(|(name, value)| (name.to_owned(), value)).collect();
             assert_superset(&mut idx, &filters, &prepared, &d);
         }
     }

@@ -348,7 +348,7 @@ impl Task<Event> for SortingNode {
             Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
                 self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
             }
-            Event::Write(_) => {}
+            Event::Write { .. } => {}
         }
     }
 

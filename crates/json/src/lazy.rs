@@ -221,6 +221,48 @@ impl<'a> LazyObject<'a> {
         Ok(found)
     }
 
+    /// Resolves `keys` in one pass over the object body, comparing key
+    /// bytes only, and stops as soon as each has been found: the first
+    /// field of each name, which is the one eager decoding keeps when no
+    /// field repeats. Unlike [`LazyObject::get`], it neither reads past its
+    /// hits nor resolves a repeated field the eager way.
+    pub fn find<const N: usize>(&self, keys: [&str; N]) -> Result<[Option<LazyValue<'a>>; N], BinError> {
+        let mut r = BinReader { buf: self.buf, pos: self.pos };
+        let count = r.len_varint()?;
+        let mut found = [None; N];
+        let mut missing = N;
+        for _ in 0..count {
+            if missing == 0 {
+                break;
+            }
+            let klen = r.len_varint()?;
+            let kbytes = r.take(klen)?;
+            match keys.iter().position(|key| key.as_bytes() == kbytes) {
+                Some(i) if found[i].is_none() => {
+                    found[i] = Some(read_lazy_value(&mut r, self.depth + 1)?);
+                    missing -= 1;
+                }
+                _ => skip_value(&mut r, self.depth + 1)?,
+            }
+        }
+        Ok(found)
+    }
+
+    /// The object one level below the root whose body starts at `offset` of
+    /// `payload`: what a [`LazyObject::offset`] of a payload already
+    /// validated by [`LazyDoc::new`] named, found again without reading the
+    /// header. Any other offset reads as whatever the bytes there encode —
+    /// corrupt, never a panic.
+    pub fn at(payload: &'a [u8], offset: usize) -> LazyObject<'a> {
+        LazyObject { buf: payload, pos: offset.min(payload.len()), depth: 1 }
+    }
+
+    /// Payload offset of this object's body, where [`LazyObject::at`] finds
+    /// it again.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// Iterates `(key, value)` entries in wire order. Each call to
     /// `next()` decodes one key slice and wraps one value lazily.
     pub fn entries(&self) -> LazyEntries<'a> {
@@ -559,6 +601,19 @@ mod tests {
     }
 
     #[test]
+    fn find_resolves_fields_in_one_pass_and_an_offset_reopens_an_object() {
+        let bytes = payload();
+        let lazy = LazyDoc::new(&bytes).unwrap();
+        let [doc, version, absent] = lazy.root().find(["doc", "version", "absent"]).unwrap();
+        assert_eq!(version.unwrap().as_i64(), Some(42));
+        assert!(absent.is_none());
+        let doc = doc.unwrap().as_object().unwrap();
+        let reopened = LazyObject::at(&bytes, doc.offset());
+        assert_eq!(reopened.materialize().unwrap(), doc.materialize().unwrap());
+        assert!(LazyObject::at(&bytes, bytes.len() + 7).get("n").is_err(), "corrupt, no panic");
+    }
+
+    #[test]
     fn header_validation() {
         assert!(matches!(LazyDoc::new(b"JSON{}"), Err(BinError { kind: BinErrorKind::BadMagic, .. })));
         assert!(matches!(LazyDoc::new(b"IVB"), Err(BinError { kind: BinErrorKind::Truncated, .. })));
@@ -585,5 +640,6 @@ mod tests {
         let eager = bin::decode_document(&bytes).unwrap();
         assert_eq!(eager.get("a"), Some(&Value::Int(2)));
         assert_eq!(lazy.get("a").unwrap().unwrap().as_i64(), Some(2));
+        assert_eq!(lazy.root().find(["a"]).unwrap()[0].unwrap().as_i64(), Some(1), "the first");
     }
 }

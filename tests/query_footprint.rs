@@ -1,8 +1,9 @@
-//! What a live query and an indexed record hold, in bytes.
+//! What a live query, a retained write and an indexed record hold, in bytes.
 //!
 //! A matching node's capacity is its memory divided by what one live query
 //! costs there (§5.1: query partitions scale the number of concurrent
-//! queries), and a store's index is paid once per record. This test counts
+//! queries) and what it retains of the write stream for replay; a store's
+//! index is paid once per record. This test counts
 //! the bytes each holds under an allocator that keeps a per-thread balance of
 //! bytes allocated minus bytes freed, and asserts a ceiling per line. The
 //! ceilings sit about a fifth above what the code measured when they were set
@@ -13,10 +14,12 @@
 //! `alloc_budget.rs` counts allocations rather than bytes.
 
 use invalidb::broker::Broker;
-use invalidb::common::{MockClock, SubscriptionRequest};
+use invalidb::common::{MockClock, SubscriptionRequest, TenantInterner};
+use invalidb::core::ingest::decode_event_with;
 use invalidb::core::matching::MatchingNode;
 use invalidb::core::query_index::QueryIndex;
 use invalidb::core::{ClusterConfig, Event, Publisher};
+use invalidb::json::WireCodec;
 use invalidb::query::{MongoQueryEngine, QueryEngine};
 use invalidb::store::Store;
 use invalidb::stream::Task;
@@ -102,6 +105,21 @@ fn record(rng: &mut Lcg) -> Document {
     doc! { "random" => rng.below(QUERIES * SLOT as u64) as i64 }
 }
 
+/// A write as an app server puts it on the cluster topic, decoded into an
+/// event by the ingress.
+fn write_event(image: &AfterImage, tenants: &mut TenantInterner) -> Event {
+    let mut w = WireCodec.writer();
+    image.as_ref().write_to(&mut w);
+    decode_event_with(w.finish(), |name| tenants.intern(name)).expect("a write envelope")
+}
+
+fn solo_cell() -> MatchingNode {
+    let clock = MockClock::new();
+    let config = ClusterConfig::new(1, 1);
+    let publisher = Publisher::new(Broker::new().into(), &config, Arc::new(clock.clone()));
+    MatchingNode::solo(config, Arc::new(clock), publisher)
+}
+
 fn per(bytes: i64, n: u64) -> f64 {
     bytes as f64 / n as f64
 }
@@ -110,10 +128,7 @@ fn per(bytes: i64, n: u64) -> f64 {
 /// once its query index has built the interval tree on the first probe.
 #[test]
 fn a_live_range_query_holds_one_compiled_filter() {
-    let clock = MockClock::new();
-    let config = ClusterConfig::new(1, 1);
-    let publisher = Publisher::new(Broker::new().into(), &config, Arc::new(clock.clone()));
-    let mut cell = MatchingNode::solo(config, Arc::new(clock), publisher);
+    let mut cell = solo_cell();
     let tenant = TenantId::new(TENANT);
     let requests: Vec<_> = (0..QUERIES)
         .map(|q| {
@@ -130,7 +145,7 @@ fn a_live_range_query_holds_one_compiled_filter() {
             })
         })
         .collect();
-    let probe = Event::Write(Arc::new(AfterImage {
+    let probe = AfterImage {
         tenant: tenant.clone(),
         collection: COLLECTION.into(),
         key: Key::of("k000001"),
@@ -138,7 +153,8 @@ fn a_live_range_query_holds_one_compiled_filter() {
         doc: Some(doc! { "random" => 7i64 }),
         written_at: 0,
         trace: None,
-    }));
+    };
+    let probe = write_event(&probe, &mut TenantInterner::default());
 
     // The requests outlive the count: what a cell holds is what it keeps
     // of them, not the messages themselves.
@@ -195,6 +211,60 @@ fn a_live_range_query_holds_one_compiled_filter() {
 /// filter and each atom parsed again).
 const CELL_CEILING: f64 = 960.0;
 const FILTER_CEILING: f64 = 250.0;
+
+/// `range_20k`'s ring: 25 000 writes to its 20 000 records.
+const WRITES: u64 = 25_000;
+
+/// Bytes a solo cell holds per retained write: `range_20k`'s documents (the
+/// deciding integer, a sequence number, five 10-character strings and four
+/// more integers), written as an app server writes them and fed through the
+/// ingress decode. No query is subscribed, so what is left after each
+/// write is what the cell keeps for replay and staleness avoidance.
+#[test]
+fn a_retained_write_holds_its_payload() {
+    let mut cell = solo_cell();
+    let mut tenants = TenantInterner::default();
+    let mut rng = Lcg(7);
+    let start = held();
+    for seq in 0..WRITES {
+        let mut doc = record(&mut rng);
+        doc.insert("seq", seq as i64);
+        for name in ["s1", "s2", "s3", "s4", "s5"] {
+            doc.insert(name, format!("{:010}", rng.below(10_000_000_000)));
+        }
+        for name in ["i1", "i2", "i3", "i4"] {
+            doc.insert(name, rng.below(1_000) as i64);
+        }
+        let image = AfterImage {
+            tenant: TenantId::new(TENANT),
+            collection: COLLECTION.into(),
+            key: Key::of(format!("k{:06}", seq % RECORDS)),
+            version: seq / RECORDS + 1,
+            doc: Some(doc),
+            written_at: seq,
+            trace: None,
+        };
+        cell.handle(write_event(&image, &mut tenants));
+        // Ticks release the evaluated images; the clock stands, so they
+        // trim nothing.
+        if seq % 1_000 == 999 {
+            cell.tick();
+        }
+    }
+    let retained = per(held() - start, WRITES);
+    assert_eq!(cell.retained_writes() as u64, WRITES);
+    drop(cell);
+    println!("bytes held per retained write over {WRITES} writes to {RECORDS} records:");
+    println!("  cell              {retained:>8.1}  (ceiling {RETAINED_CEILING})");
+    assert!(
+        retained <= RETAINED_CEILING,
+        "a retained write holds {retained:.1} bytes in the cell, budget {RETAINED_CEILING}"
+    );
+}
+
+/// Measured when set: 372.5 (855.8 while the cell kept each write's decoded
+/// after-image instead of its payload).
+const RETAINED_CEILING: f64 = 450.0;
 
 /// Bytes a secondary index costs per record: the same records saved into a
 /// store with and without an index on the attribute they vary in.
