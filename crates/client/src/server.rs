@@ -355,20 +355,22 @@ impl Table {
     }
 
     /// Queues a renewal of every registration whose retry is due at `now`
-    /// and still wanted. Returns how many were queued.
+    /// and still wanted, and drops the heads that are no longer wanted,
+    /// due or not, so that the keeper does not wake for them. Returns how
+    /// many were queued.
     fn queue_due_retries(&mut self, now: Timestamp) -> u64 {
         let mut retried = 0;
         while let Some(&(id, published)) = self.registrations.front() {
-            if now < published.after(self.retry_interval) {
+            // A confirmed registration needs no retry, a newer one has its
+            // own place in the queue, and a queued renewal registers again.
+            let wanted = self.entries.get(&id).is_some_and(|entry| {
+                !entry.confirmed && entry.last_register == published && !entry.needs_renewal
+            });
+            if wanted && now < published.after(self.retry_interval) {
                 break;
             }
             self.registrations.pop_front();
-            // A confirmed registration needs no retry, a newer one has its
-            // own place in the queue, and a queued renewal registers again.
-            let Some(entry) = self.entries.get_mut(&id) else { continue };
-            if entry.confirmed || entry.last_register != published || entry.needs_renewal {
-                continue;
-            }
+            let Some(entry) = self.entries.get_mut(&id).filter(|_| wanted) else { continue };
             entry.needs_renewal = true;
             self.renewals.push_back((id, now));
             retried += 1;
@@ -455,6 +457,28 @@ struct Shared {
 }
 
 impl Shared {
+    /// The state of a new app server, and the keeper's end of its wake-up
+    /// channel.
+    fn new(config: &AppServerConfig) -> (Arc<Shared>, Receiver<()>) {
+        let clock = SystemClock::new();
+        let (wake, woken) = unbounded();
+        let shared = Shared {
+            subs: Mutex::new(Table::new(config.subscribe_retry_interval)),
+            last_heartbeat: AtomicU64::new(clock.now().micros()),
+            clock,
+            wake,
+            shutdown: AtomicBool::new(false),
+            renewals_performed: AtomicU64::new(0),
+            connection_lost: AtomicBool::new(false),
+            writes_forwarded: AtomicU64::new(0),
+            write_ring: Mutex::new(std::collections::VecDeque::new()),
+            last_epoch: AtomicU64::new(0),
+            epoch_replays: AtomicU64::new(0),
+            reconnect_replays: AtomicU64::new(0),
+        };
+        (Arc::new(shared), woken)
+    }
+
     /// Repairs what the event layer may have lost (a failover epoch bump or
     /// a reconnected link): republishes the recent-write ring — matching
     /// nodes drop the duplicates by version — and queues every subscription
@@ -502,22 +526,7 @@ impl AppServer {
     ) -> Self {
         let tenant = tenant.into();
         let broker: BrokerHandle = broker.into();
-        let clock = SystemClock::new();
-        let (wake, woken) = unbounded();
-        let shared = Arc::new(Shared {
-            subs: Mutex::new(Table::new(config.subscribe_retry_interval)),
-            last_heartbeat: AtomicU64::new(clock.now().micros()),
-            clock,
-            wake,
-            shutdown: AtomicBool::new(false),
-            renewals_performed: AtomicU64::new(0),
-            connection_lost: AtomicBool::new(false),
-            writes_forwarded: AtomicU64::new(0),
-            write_ring: Mutex::new(std::collections::VecDeque::new()),
-            last_epoch: AtomicU64::new(0),
-            epoch_replays: AtomicU64::new(0),
-            reconnect_replays: AtomicU64::new(0),
-        });
+        let (shared, woken) = Shared::new(&config);
         // Optional admin plane. A failed bind does not abort the server but
         // is counted so it cannot go unnoticed.
         let admin = config.admin_addr.as_deref().and_then(|addr| {
@@ -733,7 +742,8 @@ impl AppServer {
 
     /// Cancels a subscription so it stops consuming cluster resources.
     pub fn unsubscribe(&self, subscription: &Subscription) {
-        if let Some(entry) = self.shared.subs.lock().entries.remove(&subscription.id) {
+        let entry = self.shared.subs.lock().entries.remove(&subscription.id);
+        if let Some(entry) = entry {
             cancel(&self.broker, &self.tenant, &self.config.metrics, subscription.id, &entry);
         }
     }
@@ -818,21 +828,7 @@ impl AppServer {
     /// Keeper: rate-limited renewals, registration retries, TTL
     /// extensions, heartbeat supervision — see [`Keeper`].
     fn spawn_keeper(&mut self, woken: Receiver<()>) {
-        let metrics = &self.config.metrics;
-        let now = self.shared.clock.now();
-        let keeper = Keeper {
-            shared: Arc::clone(&self.shared),
-            store: Arc::clone(&self.store),
-            broker: self.broker.clone(),
-            tenant: self.tenant.clone(),
-            bucket: TokenBucket::new(self.config.renewal_burst, self.config.renewals_per_sec, now),
-            next_housekeeping: now,
-            next_ttl_refresh: now.after(self.config.ttl_refresh_interval),
-            last_generation: self.broker.generation(),
-            renewals: metrics.counter("appserver.renewals"),
-            renewal_wait_us: metrics.histogram("appserver.renewal_wait_us"),
-            config: self.config.clone(),
-        };
+        let keeper = Keeper::new(self);
         let handle = std::thread::Builder::new()
             .name(format!("appserver-keeper-{}", self.tenant))
             .spawn(move || keeper.run(&woken))
@@ -873,6 +869,25 @@ struct Keeper {
 }
 
 impl Keeper {
+    fn new(server: &AppServer) -> Self {
+        let metrics = &server.config.metrics;
+        let now = server.shared.clock.now();
+        let config = &server.config;
+        Keeper {
+            shared: Arc::clone(&server.shared),
+            store: Arc::clone(&server.store),
+            broker: server.broker.clone(),
+            tenant: server.tenant.clone(),
+            bucket: TokenBucket::new(config.renewal_burst, config.renewals_per_sec, now),
+            next_housekeeping: now,
+            next_ttl_refresh: now.after(config.ttl_refresh_interval),
+            last_generation: server.broker.generation(),
+            renewals: metrics.counter("appserver.renewals"),
+            renewal_wait_us: metrics.histogram("appserver.renewal_wait_us"),
+            config: config.clone(),
+        }
+    }
+
     fn run(mut self, woken: &Receiver<()>) {
         while !self.shared.shutdown.load(Ordering::Relaxed) {
             let next = self.turn(self.shared.clock.now());
@@ -939,16 +954,20 @@ impl Keeper {
         }
     }
 
-    /// TTL extensions, one per subscription.
+    /// TTL extensions, one per subscription, published after the table's
+    /// lock is released: the dispatcher delivers meanwhile.
     fn refresh_ttls(&self) {
-        let table = self.shared.subs.lock();
-        for (id, entry) in &table.entries {
+        let live: Vec<(SubscriptionId, QueryHash)> = {
+            let table = self.shared.subs.lock();
+            table.entries.iter().map(|(id, entry)| (*id, entry.query_hash)).collect()
+        };
+        for (subscription, query_hash) in live {
             publish(
                 &self.broker,
                 &ClusterMessage::ExtendTtl {
                     tenant: self.tenant.clone(),
-                    subscription: *id,
-                    query_hash: entry.query_hash,
+                    subscription,
+                    query_hash,
                     ttl_micros: self.config.ttl.as_micros() as u64,
                 },
             );
@@ -1004,9 +1023,12 @@ impl Keeper {
     }
 }
 
-/// Publishes one control message to the cluster topic.
+/// Publishes one control message to the cluster topic, written straight
+/// from its parts.
 fn publish(broker: &BrokerHandle, msg: &ClusterMessage) {
-    broker.publish(CLUSTER_TOPIC, WireCodec.encode(&msg.to_document()));
+    let mut payload = WireCodec.writer();
+    msg.write_to(&mut payload);
+    broker.publish(CLUSTER_TOPIC, payload.finish());
 }
 
 /// Tells the cluster that a subscription, already out of the subscription
@@ -1102,7 +1124,8 @@ impl Dispatcher {
     /// Hands every addressed subscription the one decoded change, under
     /// one acquisition of the subscription table. A maintenance error also
     /// queues the subscription's renewal, and wakes the keeper when its
-    /// queue was empty.
+    /// queue was empty. What is published in turn (the cancellation of an
+    /// abandoned subscription) goes out after the table is released.
     fn deliver(&mut self, envelope: NotifyEnvelope, now: Timestamp) {
         let NotifyEnvelope { subscriptions, kind, caused_by_write_at, trace, .. } = envelope;
         // Only baseline-carrying notifications confirm a registration: a
@@ -1121,18 +1144,14 @@ impl Dispatcher {
         let mut table = self.shared.subs.lock();
         let mut abandoned = Vec::new();
         let mut wake = false;
+        let mut live = 0;
         let mut hand = |id: &SubscriptionId, event: ClientEvent| {
             let Some(entry) = table.entries.get_mut(id) else {
                 self.unknown_subscription.fetch_add(1, Ordering::Relaxed);
                 return;
             };
             entry.confirmed |= confirms;
-            // Notification-staleness SLO: save → notify, per tenant, for
-            // every delivered change (not just sampled traces).
-            // Skew-guarded inside the registry.
-            if caused_by_write_at > 0 {
-                self.staleness.record(caused_by_write_at);
-            }
+            live += 1;
             let mut trace = trace.clone();
             if let Some(t) = trace.as_mut() {
                 t.stamp(Stage::Delivery);
@@ -1157,15 +1176,21 @@ impl Dispatcher {
             }
             hand(last, event);
         }
+        // Notification-staleness SLO: save → notify, per tenant, for every
+        // delivered notification (not just sampled traces); one reading
+        // serves every addressee. Skew-guarded inside the registry.
+        if caused_by_write_at > 0 && live > 0 {
+            self.staleness.record(caused_by_write_at, live);
+        }
         // A subscription dropped without `unsubscribe` would otherwise stay
         // registered for good: the keeper keeps extending its TTL and the
         // cluster keeps matching it. Cancel it like `unsubscribe` does.
-        for id in abandoned {
-            if let Some(entry) = table.entries.remove(&id) {
-                cancel(&self.broker, &self.tenant, &self.metrics, id, &entry);
-            }
-        }
+        let abandoned: Vec<_> =
+            abandoned.into_iter().filter_map(|id| Some((id, table.entries.remove(&id)?))).collect();
         drop(table);
+        for (id, entry) in abandoned {
+            cancel(&self.broker, &self.tenant, &self.metrics, id, &entry);
+        }
         self.addressees = subscriptions;
         if wake {
             let _ = self.shared.wake.send(());
@@ -1452,6 +1477,152 @@ mod tests {
         }
         renewed.sort_unstable();
         assert_eq!(renewed, vec![1, 2, 3]);
+    }
+
+    /// After a burst of registrations, the confirmed ones leave the retry
+    /// queue at the keeper's next turn, due or not: it does not wake once
+    /// for each of them.
+    #[test]
+    fn confirmed_registrations_leave_the_retry_queue_before_they_are_due() {
+        let mut table = table(&(0..100).collect::<Vec<_>>());
+        let bucket = TokenBucket::new(4, 10.0, T0);
+        for entry in table.entries.values_mut() {
+            entry.confirmed = true;
+        }
+        let now = T0.after(ms(10));
+        assert_eq!(table.queue_due_retries(now), 0);
+        assert_eq!(table.next_due(now, &bucket), None);
+        assert!(table.registrations.is_empty());
+        // An unconfirmed head still waits for its retry, and keeps the ones
+        // behind it in the queue.
+        table.insert(SubscriptionId(200), entry(now));
+        table.insert(SubscriptionId(201), entry(now));
+        table.entries.get_mut(&SubscriptionId(201)).unwrap().confirmed = true;
+        assert_eq!(table.queue_due_retries(now.after(ms(1))), 0);
+        assert_eq!(table.next_due(now, &bucket), Some(now.after(RETRY)));
+        assert_eq!(table.queue_due_retries(now.after(RETRY)), 1);
+        assert_eq!(table.next_due(now.after(RETRY), &bucket), Some(now.after(RETRY)), "its renewal");
+        assert!(table.registrations.is_empty());
+    }
+
+    /// An event layer that fails the test when a payload is published while
+    /// the subscription table is locked.
+    struct LockCheck {
+        shared: Arc<std::sync::OnceLock<Arc<Shared>>>,
+        published: Arc<AtomicU64>,
+        broker: invalidb_broker::Broker,
+    }
+
+    impl invalidb_broker::EventLayer for LockCheck {
+        fn publish(&self, topic: &str, payload: bytes::Bytes) -> usize {
+            let shared = self.shared.get().expect("the app server's state");
+            assert!(shared.subs.try_lock().is_some(), "published to {topic} under the table's lock");
+            self.published.fetch_add(1, Ordering::Relaxed);
+            self.broker.publish(topic, payload)
+        }
+
+        fn subscribe(&self, topic: &str) -> invalidb_broker::Subscription {
+            self.broker.subscribe(topic)
+        }
+
+        fn subscriber_count(&self, topic: &str) -> usize {
+            self.broker.subscriber_count(topic)
+        }
+    }
+
+    /// What a subscription's holder receives.
+    type Inbox = Receiver<(ClientEvent, Option<TraceContext>)>;
+
+    /// An app server without its threads, over a [`LockCheck`], with `n`
+    /// registered subscriptions whose receivers are returned, and the
+    /// count of what it publishes.
+    fn server(n: u64) -> (AppServer, Vec<Inbox>, Arc<AtomicU64>) {
+        let config = AppServerConfig::default();
+        let (shared, _) = Shared::new(&config);
+        let published = Arc::new(AtomicU64::new(0));
+        let layer = LockCheck {
+            shared: Arc::new(std::sync::OnceLock::from(Arc::clone(&shared))),
+            published: Arc::clone(&published),
+            broker: invalidb_broker::Broker::new(),
+        };
+        let mut receivers = Vec::new();
+        for id in 0..n {
+            let (tx, rx) = unbounded();
+            shared.subs.lock().insert(SubscriptionId(id), SubEntry { tx, ..entry(T0) });
+            receivers.push(rx);
+        }
+        let server = AppServer {
+            tenant: TenantId::new("app"),
+            store: Arc::new(Store::new()),
+            broker: BrokerHandle::new(layer),
+            config,
+            shared,
+            threads: Vec::new(),
+            admin: None,
+        };
+        (server, receivers, published)
+    }
+
+    fn change_to(ids: &[u64], caused_by_write_at: u64) -> NotifyEnvelope {
+        let item = ResultItem::new(Key::of("k"), 1, doc! { "n" => 1i64 });
+        NotifyEnvelope {
+            tenant: TenantId::new("app"),
+            subscriptions: ids.iter().copied().map(SubscriptionId).collect(),
+            kind: NotificationKind::Change(ChangeItem {
+                match_type: invalidb_common::MatchType::Add,
+                item,
+                old_index: None,
+            }),
+            caused_by_write_at,
+            trace: None,
+        }
+    }
+
+    /// TTL refreshes, an unsubscribe and the cancellation of an abandoned
+    /// subscription all publish with the subscription table released.
+    #[test]
+    fn nothing_is_published_under_the_subscription_table_lock() {
+        let (server, mut receivers, published) = server(3);
+        Keeper::new(&server).refresh_ttls();
+        assert_eq!(published.load(Ordering::Relaxed), 3, "one extension per subscription");
+        let (tx, rx) = unbounded();
+        let subscription = Subscription {
+            id: SubscriptionId(0),
+            rx,
+            result: crate::LiveResult::new(),
+            latest_aggregate: None,
+            last_trace: None,
+        };
+        drop(tx);
+        server.unsubscribe(&subscription);
+        assert_eq!(published.load(Ordering::Relaxed), 4);
+        // The holder of subscription 1 dropped it: delivering cancels it.
+        receivers.remove(1);
+        let mut dispatcher = Dispatcher::new(
+            Arc::clone(&server.shared),
+            server.broker.clone(),
+            &server.config.metrics,
+            &server.tenant,
+        );
+        dispatcher.deliver(change_to(&[1, 2], 0), T0);
+        assert_eq!(published.load(Ordering::Relaxed), 5, "the cancellation");
+        assert_eq!(server.shared.subs.lock().entries.len(), 1);
+    }
+
+    /// Every addressee of an envelope is one staleness sample, however
+    /// many share the envelope.
+    #[test]
+    fn an_envelope_to_n_live_subscriptions_is_n_staleness_samples() {
+        let (server, _receivers, _) = server(5);
+        let metrics = &server.config.metrics;
+        let mut dispatcher =
+            Dispatcher::new(Arc::clone(&server.shared), server.broker.clone(), metrics, &server.tenant);
+        let written_at = invalidb_common::trace::now_micros();
+        dispatcher.deliver(change_to(&[0, 1, 2, 3, 99], written_at), T0);
+        let samples = metrics.histogram("slo.app.staleness_us").lock().count();
+        assert_eq!(samples, 4, "four live addressees, one unknown");
+        dispatcher.deliver(change_to(&[4], written_at), T0);
+        assert_eq!(metrics.histogram("slo.app.staleness_us").lock().count(), 5);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 use crate::assignment::{AssignmentTable, Placement, RoundRobin, WorkerInfo};
 use invalidb_broker::{BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::{doc, ClusterMessage, Document, GridShape, Value};
-use invalidb_json::WireCodec;
+use invalidb_core::ingest::decode_cluster_payload;
+use invalidb_json::{LazyDoc, WireCodec};
 use invalidb_net::frame::{Decoder, Frame};
 use invalidb_obs::{
     to_prometheus_federated, AdminConfig, AdminServer, FlightEventKind, HealthMonitor, HealthPolicy,
@@ -447,8 +448,9 @@ fn replay_subscriptions(inner: &Inner, state: &State) {
     for req in state.subscriptions.values() {
         let mut req = req.clone();
         req.renewal = true;
-        let payload = WireCodec.encode(&ClusterMessage::Subscribe(req).to_document());
-        inner.broker.publish(CLUSTER_TOPIC, payload);
+        let mut payload = WireCodec.writer();
+        ClusterMessage::Subscribe(req).write_to(&mut payload);
+        inner.broker.publish(CLUSTER_TOPIC, payload.finish());
         replayed += 1;
     }
     if replayed > 0 {
@@ -680,12 +682,13 @@ fn subscription_cache_loop(inner: Arc<Inner>) {
             Some(payload) => payload,
             None => continue,
         };
-        let Some(msg) = invalidb_json::payload_to_document(&payload)
-            .ok()
-            .and_then(|d| ClusterMessage::from_document(&d).ok())
-        else {
+        // Writes are nearly all of the topic and none is cached: their tag
+        // is read, and nothing else.
+        let op = LazyDoc::new(&payload).ok().and_then(|d| d.root().find(["op"]).ok());
+        if matches!(op, Some([Some(op)]) if op.as_str() == Some("write")) {
             continue;
-        };
+        }
+        let Some(msg) = decode_cluster_payload(&payload) else { continue };
         match msg {
             // Our own renewal replays are skipped (they would only write
             // back what is already cached); app-server renewals carry

@@ -58,11 +58,19 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::bucket_index(value)] += 1;
-        self.count += 1;
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of `value` at once.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts[Self::bucket_index(value)] += n;
+        self.count += n;
         let v = value as f64;
-        self.sum += v;
-        self.sum_sq += v * v;
+        self.sum += v * n as f64;
+        self.sum_sq += v * v * n as f64;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }

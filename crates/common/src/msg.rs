@@ -1,11 +1,13 @@
 //! Messages flowing from application servers *into* the InvaliDB cluster.
 //!
 //! Everything crosses the event layer as an opaque payload; these types
-//! define the envelope structure plus document encodings used on both ends.
+//! define the envelope structure and write it (`write_to`). Their document
+//! forms pin that layout in tests; the cluster's ingress decodes payloads
+//! with its own typed decoder (`invalidb_core::ingest`).
 
 use crate::document::Document;
 use crate::id::{Key, QueryHash, SubscriptionId, TenantId};
-use crate::notify::ResultItem;
+use crate::notify::{ItemRef, ResultItem};
 use crate::query_spec::{QuerySpec, SpecError};
 use crate::trace::TraceContext;
 use crate::value::Value;
@@ -174,7 +176,53 @@ pub enum ClusterMessage {
 }
 
 impl ClusterMessage {
-    /// Encodes the message as a document for the event layer.
+    /// Writes the message for the event layer, without building a
+    /// document: the layout of a write is [`WriteRef`]'s, the others are
+    /// written down here.
+    pub fn write_to(&self, w: &mut impl FieldWriter) {
+        match self {
+            ClusterMessage::Write(img) => img.as_ref().write_to(w),
+            ClusterMessage::Subscribe(req) => {
+                write_head(w, "subscribe", 8 + usize::from(req.renewal), &req.tenant, req.subscription);
+                w.key("query");
+                req.spec.write_to(w);
+                w.key("queryHash");
+                w.int(req.query_hash.0 as i64);
+                w.key("slack");
+                w.int(req.slack as i64);
+                w.key("ttl");
+                w.int(req.ttl_micros as i64);
+                if req.renewal {
+                    w.key("renewal");
+                    w.value(&Value::Bool(true));
+                }
+                w.key("initial");
+                w.begin_array(req.initial.len());
+                for item in &req.initial {
+                    ItemRef::from(item).write_to(w);
+                }
+                w.end_array();
+                w.end_object();
+            }
+            ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
+                write_head(w, "unsubscribe", 4, tenant, *subscription);
+                w.key("queryHash");
+                w.int(query_hash.0 as i64);
+                w.end_object();
+            }
+            ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
+                write_head(w, "extendTtl", 5, tenant, *subscription);
+                w.key("queryHash");
+                w.int(query_hash.0 as i64);
+                w.key("ttl");
+                w.int(*ttl_micros as i64);
+                w.end_object();
+            }
+        }
+    }
+
+    /// Encodes the message as a document: the layout [`ClusterMessage::write_to`]
+    /// writes, built field by field here as the oracle that pins it.
     pub fn to_document(&self) -> Document {
         match self {
             ClusterMessage::Write(img) => img.as_ref().to_document(),
@@ -308,6 +356,24 @@ impl ClusterMessage {
             _ => Err(err("unknown `op`")),
         }
     }
+}
+
+/// Opens a control message: its object of `fields` entries, and the `op`,
+/// `tenant` and `subscription` every one of them starts with.
+fn write_head(
+    w: &mut impl FieldWriter,
+    op: &str,
+    fields: usize,
+    tenant: &TenantId,
+    subscription: SubscriptionId,
+) {
+    w.begin_object(fields);
+    w.key("op");
+    w.str(op);
+    w.key("tenant");
+    w.str(tenant.as_str());
+    w.key("subscription");
+    w.int(subscription.0 as i64);
 }
 
 fn result_item_to_doc(item: &ResultItem) -> Document {

@@ -193,7 +193,7 @@ impl Notification {
     /// [`NotifyEnvelope::from_document`] instead.
     pub fn from_document(d: &Document) -> Result<Self, SpecError> {
         let NotifyEnvelope { tenant, subscriptions, kind, caused_by_write_at, trace } =
-            NotifyEnvelope::decode(Cow::Borrowed(d), None)?;
+            NotifyEnvelope::decode(Cow::Borrowed(d))?;
         match subscriptions[..] {
             [subscription] => Ok(Self { tenant, subscription, kind, caused_by_write_at, trace }),
             _ => Err(decode_err("envelope does not address exactly one subscription")),
@@ -232,25 +232,16 @@ impl NotifyEnvelope {
     /// Decodes an envelope, taking its parts out of `d` instead of copying
     /// them. The addressees are the `subscriptions` id array.
     pub fn from_document(d: Document) -> Result<Self, SpecError> {
-        Self::decode(Cow::Owned(d), None)
+        Self::decode(Cow::Owned(d))
     }
 
-    /// [`NotifyEnvelope::from_document`] for the reader of `tenant`'s notify
-    /// topic: an envelope that names that tenant — all of them, unless the
-    /// topic is misused — shares the reader's id instead of allocating its
-    /// own.
-    pub fn from_document_for(d: Document, tenant: &TenantId) -> Result<Self, SpecError> {
-        Self::decode(Cow::Owned(d), Some(tenant))
-    }
-
-    /// The one decoder: parts move out of an owned document and are copied
-    /// out of a borrowed one, and nothing else is copied either way.
-    fn decode(mut d: Cow<'_, Document>, reader: Option<&TenantId>) -> Result<Self, SpecError> {
+    /// The document decoder: parts move out of an owned document and are
+    /// copied out of a borrowed one, and nothing else is copied either way.
+    /// The notify topic's readers decode with the typed decoder, which this
+    /// one pins.
+    fn decode(mut d: Cow<'_, Document>) -> Result<Self, SpecError> {
         let tenant = match d.get("tenant").and_then(Value::as_str) {
-            Some(name) => match reader {
-                Some(reader) if reader.as_str() == name => reader.clone(),
-                _ => TenantId::new(name),
-            },
+            Some(name) => TenantId::new(name),
             None => return Err(decode_err("missing `tenant`")),
         };
         let id = |v: &Value| {
@@ -339,7 +330,8 @@ impl<'a> From<&'a ResultItem> for ItemRef<'a> {
 }
 
 impl ItemRef<'_> {
-    fn write_to(&self, w: &mut impl FieldWriter) {
+    /// Writes the item, in an initial result or a change alike.
+    pub(crate) fn write_to(&self, w: &mut impl FieldWriter) {
         w.begin_object(3 + usize::from(self.index.is_some()));
         w.key("key");
         w.value(&self.key.0);

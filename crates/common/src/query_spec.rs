@@ -10,6 +10,7 @@ use crate::document::Document;
 use crate::id::QueryHash;
 use crate::partition::stable_hash64;
 use crate::value::Value;
+use crate::write::FieldWriter;
 use std::fmt;
 
 /// Sort direction for one sort key.
@@ -231,6 +232,50 @@ impl QuerySpec {
             d.insert("aggregate", a);
         }
         d
+    }
+
+    /// Writes the spec in [`QuerySpec::to_document`]'s layout without
+    /// building it: a repeated sort key is written once, at its first
+    /// position with its last direction, as that document holds it.
+    pub fn write_to(&self, w: &mut impl FieldWriter) {
+        let first = |i: usize| self.sort[..i].iter().all(|(field, _)| *field != self.sort[i].0);
+        let fields =
+            [!self.sort.is_empty(), self.limit.is_some(), self.offset > 0, self.aggregate.is_some()];
+        w.begin_object(2 + fields.iter().filter(|f| **f).count());
+        w.key("collection");
+        w.str(&self.collection);
+        w.key("filter");
+        w.document(&self.filter);
+        if !self.sort.is_empty() {
+            w.key("sort");
+            w.begin_object((0..self.sort.len()).filter(|i| first(*i)).count());
+            for (i, (field, _)) in self.sort.iter().enumerate().filter(|(i, _)| first(*i)) {
+                let last = self.sort[i..].iter().rev().find(|(f, _)| f == field);
+                w.key(field);
+                w.int(last.map_or(0, |(_, dir)| dir.as_i64()));
+            }
+            w.end_object();
+        }
+        if let Some(limit) = self.limit {
+            w.key("limit");
+            w.int(limit as i64);
+        }
+        if self.offset > 0 {
+            w.key("offset");
+            w.int(self.offset as i64);
+        }
+        if let Some(agg) = &self.aggregate {
+            w.key("aggregate");
+            w.begin_object(1 + usize::from(agg.field.is_some()));
+            w.key("op");
+            w.str(agg.op.as_str());
+            if let Some(field) = &agg.field {
+                w.key("field");
+                w.str(field);
+            }
+            w.end_object();
+        }
+        w.end_object();
     }
 
     /// Decodes a spec from its document encoding.

@@ -418,10 +418,9 @@ impl Ingress {
         }
     }
 
-    /// Decodes one payload and routes it. Binary write envelopes take the
-    /// zero-copy lazy path (only the `key`/`doc`/`trace` subtrees are
-    /// materialized); everything else goes through the eager decoder with
-    /// identical error accounting.
+    /// Decodes one payload with the cluster topic's typed decoder
+    /// ([`crate::ingest`]) and routes it; a malformed one, a repeated field
+    /// included, is counted as a decode error.
     fn accept(&mut self, payload: Bytes) {
         let tenants = &mut self.tenants;
         let decoded = crate::ingest::decode_event_with(payload, |name| tenants.intern(name));

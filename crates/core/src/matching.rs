@@ -1127,38 +1127,12 @@ mod tests {
         );
     }
 
-    /// A write whose document repeats a field, written entry by entry (no
-    /// `Document` can hold it).
-    fn write_with_fields(key: &str, fields: &[(&str, i64)]) -> Event {
-        use invalidb_common::FieldWriter;
-        let mut w = WireCodec.writer();
-        w.begin_object(7);
-        for (name, value) in [("op", "write"), ("tenant", TENANT), ("collection", "t")] {
-            w.key(name);
-            w.str(value);
-        }
-        w.key("key");
-        w.value(&Key::of(key).0);
-        for (name, value) in [("version", 1), ("writtenAt", 42)] {
-            w.key(name);
-            w.int(value);
-        }
-        w.key("doc");
-        w.begin_object(fields.len());
-        for (name, value) in fields {
-            w.key(name);
-            w.int(*value);
-        }
-        w.end_object();
-        w.end_object();
-        crate::ingest::decode_event_with(w.finish(), TenantId::new).expect("a write envelope")
-    }
-
     /// Replay reads retained payloads: a new group and then a joiner, both
     /// handed the same initial result, are each sent exactly what replaying
     /// the decoded images sent them — whether the view holds the key, the
     /// index's test reads one attribute or two, or none (a scan-list
-    /// query), arrays and repeated fields included.
+    /// query), arrays included. (A write that repeats a field never
+    /// reaches a cell: the ingress rejects it.)
     #[test]
     fn replay_from_retained_payloads_sends_what_the_decoded_images_did() {
         use MatchType::{Add, Remove};
@@ -1221,12 +1195,6 @@ mod tests {
             write("d", ints(&[7])),
         ];
         check(spec, &[], writes, &[(Add, "a", 2), (Add, "d", 2)]);
-        // A repeated field: the last one wins, as in the eager decoder.
-        let writes = vec![
-            write_with_fields("a", &[("n", 50), ("n", 1)]),
-            write_with_fields("b", &[("n", 1), ("n", 50)]),
-        ];
-        check(at_least_ten(), &[], writes, &[(Add, "b", 1)]);
     }
 
     #[test]

@@ -177,6 +177,9 @@ pub enum BinErrorKind {
     TooDeep,
     /// A varint ran past 10 bytes (corrupt length).
     BadVarint,
+    /// An object names a field twice. No writer emits one, so no decoder
+    /// guesses which of the two was meant.
+    RepeatedKey,
 }
 
 /// A binary decode error with the byte offset it was detected at.
@@ -205,6 +208,7 @@ impl fmt::Display for BinError {
             BinErrorKind::BadUtf8 => "string is not valid UTF-8".to_string(),
             BinErrorKind::TooDeep => "nesting too deep".to_string(),
             BinErrorKind::BadVarint => "varint overflow".to_string(),
+            BinErrorKind::RepeatedKey => "object repeats a field".to_string(),
         };
         write!(f, "binary codec error at byte {}: {what}", self.offset)
     }
@@ -214,8 +218,9 @@ impl std::error::Error for BinError {}
 
 /// Decodes a binary payload (as produced by [`encode_document`]) back into
 /// a [`Document`]. The input is borrowed; only strings and containers
-/// allocate. Never panics on malformed input — truncation, bad tags, and
-/// corrupt varints all surface as [`BinError`]s.
+/// allocate. Never panics on malformed input — truncation, bad tags,
+/// corrupt varints and an object that repeats a field all surface as
+/// [`BinError`]s.
 pub fn decode_document(payload: &[u8]) -> Result<Document, BinError> {
     let mut r = BinReader { buf: payload, pos: 0 };
     let magic = r.take(4).map_err(|e| BinError::new(BinErrorKind::BadMagic, e.offset))?;
@@ -298,9 +303,12 @@ impl<'a> BinReader<'a> {
         let count = self.len_varint()?;
         let mut doc = Document::with_capacity(count);
         for _ in 0..count {
+            let at = self.pos;
             let key = self.str()?;
             let value = self.value(depth)?;
-            doc.insert(key, value);
+            if doc.insert(key, value).is_some() {
+                return Err(BinError::new(BinErrorKind::RepeatedKey, at));
+            }
         }
         Ok(doc)
     }

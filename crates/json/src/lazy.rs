@@ -13,18 +13,20 @@
 //!
 //! Semantics mirror the eager decoder exactly where both are defined:
 //!
-//! * duplicate keys resolve **last-wins** (eager decoding inserts into a
-//!   [`Document`], whose `insert` replaces in place);
+//! * an object that repeats a field is an error to every decoder that
+//!   materializes it and to [`LazyObject::fields`], the typed decoders'
+//!   walk; only the probes [`LazyObject::get`] (last) and
+//!   [`LazyObject::find`] (first) still pick one of the two;
 //! * [`LazyDoc::get_path`] walks dotted paths with numeric array indices,
 //!   matching `Document::get_path`;
 //! * structural corruption (truncation, bad tags, overlong varints, over-
 //!   deep nesting) surfaces as the same [`BinError`]s — never a panic.
 //!
-//! Two documented deviations, both on inputs the eager decoder rejects
-//! outright: a lazy access never validates UTF-8 of strings it merely
-//! skips over, and bytes trailing the root object go unnoticed unless
-//! [`LazyDoc::materialize`] is called (which re-checks, like the eager
-//! path).
+//! Two documented deviations of the probes, both on inputs the eager
+//! decoder rejects outright: a lazy access never validates UTF-8 of strings
+//! it merely skips over, and bytes trailing the root object go unnoticed
+//! unless [`LazyDoc::materialize`] or [`LazyDoc::fields`] reads to the end
+//! (both re-check, like the eager path).
 
 use crate::bin::{
     self, BinError, BinErrorKind, BinReader, BIN_MAGIC, BIN_VERSION, MAX_DEPTH, TAG_ARRAY, TAG_FALSE,
@@ -113,6 +115,18 @@ impl<'a> LazyDoc<'a> {
     pub fn materialize(&self) -> Result<Document, BinError> {
         bin::decode_document(self.buf)
     }
+
+    /// [`LazyObject::fields`] of the root, which must also end the payload.
+    pub fn fields<const N: usize>(
+        &self,
+        names: [&str; N],
+    ) -> Result<[Option<LazyValue<'a>>; N], BinError> {
+        let (found, end) = self.root().fields_to_end(names)?;
+        if end != self.buf.len() {
+            return Err(BinError { kind: BinErrorKind::TrailingBytes, offset: end });
+        }
+        Ok(found)
+    }
 }
 
 /// A borrowed value inside a binary payload. Scalars are decoded in place;
@@ -175,6 +189,17 @@ impl<'a> LazyValue<'a> {
         matches!(self, LazyValue::Null)
     }
 
+    /// The value, once checked as strictly as materializing it: a
+    /// container is materialized and dropped, a scalar was checked when it
+    /// was read. For a field a typed decoder reads no further, which an
+    /// eager decode would still have checked.
+    pub fn checked(self) -> Result<Self, BinError> {
+        if matches!(self, LazyValue::Array(_) | LazyValue::Object(_)) {
+            self.materialize()?;
+        }
+        Ok(self)
+    }
+
     /// Converts into an owned [`Value`], decoding any contained subtree
     /// eagerly (the one place a lazy access allocates).
     pub fn materialize(&self) -> Result<Value, BinError> {
@@ -202,9 +227,9 @@ pub struct LazyObject<'a> {
 }
 
 impl<'a> LazyObject<'a> {
-    /// Resolves a field by key (last duplicate wins, like eager decoding).
-    /// The whole object body is skip-scanned so corruption behind the hit
-    /// is still detected.
+    /// Resolves a field by key (of a repeated one, the last). The whole
+    /// object body is skip-scanned so corruption behind the hit is still
+    /// detected.
     pub fn get(&self, key: &str) -> Result<Option<LazyValue<'a>>, BinError> {
         let mut r = BinReader { buf: self.buf, pos: self.pos };
         let count = r.len_varint()?;
@@ -223,9 +248,8 @@ impl<'a> LazyObject<'a> {
 
     /// Resolves `keys` in one pass over the object body, comparing key
     /// bytes only, and stops as soon as each has been found: the first
-    /// field of each name, which is the one eager decoding keeps when no
-    /// field repeats. Unlike [`LazyObject::get`], it neither reads past its
-    /// hits nor resolves a repeated field the eager way.
+    /// field of each name. Unlike [`LazyObject::get`], it does not read
+    /// past its hits.
     pub fn find<const N: usize>(&self, keys: [&str; N]) -> Result<[Option<LazyValue<'a>>; N], BinError> {
         let mut r = BinReader { buf: self.buf, pos: self.pos };
         let count = r.len_varint()?;
@@ -246,6 +270,45 @@ impl<'a> LazyObject<'a> {
             }
         }
         Ok(found)
+    }
+
+    /// Resolves `names` in one pass over the whole body, as strictly as
+    /// materializing the object would check it: a name given twice is
+    /// [`BinErrorKind::RepeatedKey`], and an object with a field outside
+    /// `names` is materialized once to check that field (and dropped). The
+    /// values found are read as by [`LazyObject::entries`]: a container
+    /// among them is checked only by whoever reads it.
+    pub fn fields<const N: usize>(
+        &self,
+        names: [&str; N],
+    ) -> Result<[Option<LazyValue<'a>>; N], BinError> {
+        Ok(self.fields_to_end(names)?.0)
+    }
+
+    /// [`LazyObject::fields`] and the offset where the object ends.
+    fn fields_to_end<const N: usize>(
+        &self,
+        names: [&str; N],
+    ) -> Result<([Option<LazyValue<'a>>; N], usize), BinError> {
+        let mut found = [None; N];
+        let mut others = false;
+        let mut entries = self.entries();
+        loop {
+            let at = entries.offset();
+            let Some(entry) = entries.next() else { break };
+            let (name, value) = entry?;
+            match names.iter().position(|n| *n == name) {
+                Some(i) if found[i].replace(value).is_some() => {
+                    return Err(BinError { kind: BinErrorKind::RepeatedKey, offset: at });
+                }
+                Some(_) => {}
+                None => others = true,
+            }
+        }
+        if others {
+            self.materialize()?;
+        }
+        Ok((found, entries.offset()))
     }
 
     /// The object one level below the root whose body starts at `offset` of
@@ -622,24 +685,60 @@ mod tests {
         assert!(matches!(LazyDoc::new(&bytes), Err(BinError { kind: BinErrorKind::BadVersion(9), .. })));
     }
 
-    #[test]
-    fn duplicate_keys_resolve_last_wins() {
-        // Hand-build a body with `a` twice: eager decoding keeps the last.
+    fn error<T>(result: Result<T, BinError>) -> Option<BinErrorKind> {
+        result.err().map(|e| e.kind)
+    }
+
+    /// A body with `a` twice, `b` once and then `c`, whose value is `inner`.
+    fn repeating(inner: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&BIN_MAGIC);
         bytes.push(BIN_VERSION);
-        bytes.push(2); // two entries
-        for (i, v) in [1u8, 2u8].iter().enumerate() {
-            bytes.push(1);
-            bytes.push(b'a');
-            bytes.push(TAG_INT);
-            bytes.push(*v * 2); // zigzag of 1 is 2, of 2 is 4
-            let _ = i;
+        bytes.push(4);
+        for (name, v) in [(b'a', 1u8), (b'a', 2), (b'b', 3)] {
+            bytes.extend_from_slice(&[1, name, TAG_INT, v * 2]); // zigzag of v is 2v
         }
+        bytes.extend_from_slice(&[1, b'c']);
+        bytes.extend_from_slice(inner);
+        bytes
+    }
+
+    #[test]
+    fn a_repeated_key_is_an_error_to_every_decoder_and_a_probe_picks_one() {
+        let bytes = repeating(&[TAG_NULL]);
         let lazy = LazyDoc::new(&bytes).unwrap();
-        let eager = bin::decode_document(&bytes).unwrap();
-        assert_eq!(eager.get("a"), Some(&Value::Int(2)));
-        assert_eq!(lazy.get("a").unwrap().unwrap().as_i64(), Some(2));
+        assert_eq!(bin::decode_document(&bytes).unwrap_err().kind, BinErrorKind::RepeatedKey);
+        assert_eq!(lazy.materialize().unwrap_err().kind, BinErrorKind::RepeatedKey);
+        assert_eq!(error(lazy.fields(["a"])), Some(BinErrorKind::RepeatedKey));
+        assert_eq!(error(lazy.fields(["b"])), Some(BinErrorKind::RepeatedKey), "another's");
+        assert_eq!(lazy.get("a").unwrap().unwrap().as_i64(), Some(2), "the last");
         assert_eq!(lazy.root().find(["a"]).unwrap()[0].unwrap().as_i64(), Some(1), "the first");
+        // At any depth: inside an object value, to `checked` as well.
+        let nested = [TAG_OBJECT, 2, 1, b'x', TAG_NULL, 1, b'x', TAG_TRUE];
+        let mut bytes = encode_document(&doc! { "c" => Value::Null });
+        bytes.truncate(bytes.len() - 1);
+        bytes.extend_from_slice(&nested);
+        let [c] = LazyDoc::new(&bytes).unwrap().fields(["c"]).unwrap();
+        assert_eq!(error(c.unwrap().checked()), Some(BinErrorKind::RepeatedKey));
+        assert_eq!(bin::decode_document(&bytes).unwrap_err().kind, BinErrorKind::RepeatedKey);
+    }
+
+    #[test]
+    fn fields_resolve_names_in_one_pass_and_check_the_rest() {
+        let bytes = payload();
+        let lazy = LazyDoc::new(&bytes).unwrap();
+        let [op, doc, absent] = lazy.fields(["op", "doc", "absent"]).unwrap();
+        assert_eq!(op.unwrap().as_str(), Some("write"));
+        assert!(doc.unwrap().as_object().is_some() && absent.is_none());
+        // A field outside the names with bad UTF-8 deep inside: checked.
+        let mut bad = encode_document(&doc! { "op" => "write", "x" => vec![Value::from("~")] });
+        let at = bad.iter().position(|b| *b == b'~').unwrap();
+        bad[at] = 0xFF;
+        assert_eq!(error(LazyDoc::new(&bad).unwrap().fields(["op"])), Some(BinErrorKind::BadUtf8));
+        assert!(LazyDoc::new(&bad).unwrap().fields(["op", "x"]).is_ok(), "a named one is not");
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        let trailing = LazyDoc::new(&trailing).unwrap().fields(["op"]);
+        assert_eq!(error(trailing), Some(BinErrorKind::TrailingBytes));
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The event layer transports *entirely opaque payloads* (§5.3); every
 //! payload on it is one [`bin`] (`IVBD`) document — a tag-based,
-//! length-prefixed encoding, produced by [`WireCodec`] and read back by
-//! [`payload_to_document`] or, field by field without materializing, by
-//! [`LazyDoc`]. Serialization cost is part of what the paper measures
+//! length-prefixed encoding, produced by [`WireCodec`] and read back field
+//! by field, without materializing, by [`LazyDoc`] (the typed message
+//! decoders, with [`wire`]'s readers of the parts they share) or whole by
+//! [`payload_to_document`]. Serialization cost is part of what the paper measures
 //! (§6.3 attributes the slightly sublinear write scalability to per-write
 //! (de)serialization overhead), so the codec is implemented honestly
 //! rather than bypassed with in-process references.
@@ -25,6 +26,7 @@ mod error;
 pub mod lazy;
 mod parse;
 mod ser;
+pub mod wire;
 mod writer;
 
 pub use bin::{BinError, BinErrorKind};

@@ -6,8 +6,8 @@
 //! (and multi-byte characters ending on and past the boundary) the payload
 //! codec and the JSON text codec must produce exactly the bytes spelled out
 //! by hand below, decode them back to the same document — eagerly, lazily
-//! and through the text parser with escapes — and keep resolving duplicates
-//! last-wins.
+//! and through the text parser with escapes. A repeated name resolves
+//! last-wins in text and is an error on the wire.
 //!
 //! String values are held the same way (`Str`: inline up to 22 bytes,
 //! shared beyond). They too are spelled out by hand across the boundary, and
@@ -16,7 +16,9 @@
 
 use bytes::Bytes;
 use invalidb_common::{doc, Document, Value};
-use invalidb_json::{bin, parse_document, payload_to_document, to_string, LazyDoc, WireCodec};
+use invalidb_json::{
+    bin, parse_document, payload_to_document, to_string, BinErrorKind, LazyDoc, WireCodec,
+};
 use proptest::prelude::*;
 
 /// Names on both sides of the boundary that need no JSON escaping.
@@ -114,8 +116,10 @@ proptest! {
         }
     }
 
+    /// The text parser resolves a repeated name last-wins; the binary
+    /// codec, whose writers never repeat one, rejects it.
     #[test]
-    fn decoders_resolve_repeated_names_last_wins(
+    fn text_resolves_repeated_names_last_wins_and_binary_rejects_them(
         fields in prop::collection::vec((name_strategy(), 0i64..1_000_000), 1..8),
         again in 0i64..1_000_000,
     ) {
@@ -124,9 +128,10 @@ proptest! {
         wire.push((fields[0].0.clone(), again));
         let expected: Document =
             last_wins(&wire).into_iter().map(|(k, v)| (k, Value::Int(v))).collect();
-        let binary = Bytes::from(binary_by_hand(&wire));
-        prop_assert_eq!(&bin::decode_document(&binary).unwrap(), &expected);
         prop_assert_eq!(&parse_document(&json_by_hand(&wire)).unwrap(), &expected);
+        let binary = Bytes::from(binary_by_hand(&wire));
+        let rejected = bin::decode_document(&binary).map_err(|e| e.kind);
+        prop_assert_eq!(rejected, Err(BinErrorKind::RepeatedKey));
         let lazy = LazyDoc::new(&binary).unwrap();
         prop_assert_eq!(lazy.get(&fields[0].0).unwrap().and_then(|v| v.as_i64()), Some(again));
     }

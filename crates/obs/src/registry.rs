@@ -163,17 +163,18 @@ pub struct StalenessRecorder {
 }
 
 impl StalenessRecorder {
-    /// Records one delivered notification. `written_at_micros` is the
-    /// app-server wall clock at write acceptance; since delivery happens
-    /// back on an app server, the pair is same-clock in the
-    /// single-app-server case and skew-clamped (like trace hops) otherwise.
-    pub fn record(&self, written_at_micros: u64) {
+    /// Records `notifications` delivered notifications of one write, with
+    /// one clock reading. `written_at_micros` is the app-server wall clock
+    /// at write acceptance; since delivery happens back on an app server,
+    /// the pair is same-clock in the single-app-server case and
+    /// skew-clamped (like trace hops) otherwise.
+    pub fn record(&self, written_at_micros: u64, notifications: u64) {
         let delta = now_micros() as i64 - written_at_micros as i64;
         if delta < 0 || delta as u64 > MAX_PLAUSIBLE_HOP_MICROS {
-            self.skew_clamped.fetch_add(1, Ordering::Relaxed);
+            self.skew_clamped.fetch_add(notifications, Ordering::Relaxed);
             return;
         }
-        self.hist.lock().record(delta as u64);
+        self.hist.lock().record_n(delta as u64, notifications);
     }
 }
 
@@ -259,11 +260,11 @@ mod tests {
     fn staleness_feeds_per_tenant_histogram() {
         let reg = MetricsRegistry::new();
         let staleness = reg.staleness("tenant-a");
-        staleness.record(invalidb_common::trace::now_micros());
+        staleness.record(invalidb_common::trace::now_micros(), 1);
         let snap = reg.snapshot();
         assert_eq!(snap.hists["slo.tenant-a.staleness_us"].count, 1);
         // A write "from the future" is skew, not negative staleness.
-        staleness.record(invalidb_common::trace::now_micros() + 120_000_000);
+        staleness.record(invalidb_common::trace::now_micros() + 120_000_000, 1);
         let snap = reg.snapshot();
         assert_eq!(snap.hists["slo.tenant-a.staleness_us"].count, 1);
         assert_eq!(snap.counters["trace.skew_clamped"], 1);

@@ -3,8 +3,9 @@
 #
 # Builds a parent ref in a git worktree with its own CARGO_TARGET_DIR, then
 # runs the benchmark command for parent and change alternately — one pair per
-# (seed, workload), the side that goes first alternating pair by pair so host
-# drift cancels — and prints, per (workload, end-to-end metric): median and
+# (seed, workload), the side that goes first alternating from seed to seed
+# within each workload (and from workload to workload within a seed), so host
+# drift and run order land on both sides of every workload — and prints, per (workload, end-to-end metric): median and
 # quartiles of both sides, the change of the median, how many pairs the change
 # won, each side's quartile spread against the metric's bound, and how many
 # runs exited non-zero or reported failed operations.
@@ -76,10 +77,10 @@ if [ "$report_only" -eq 0 ]; then
         (cd "$dir" && CARGO_TARGET_DIR=$out/$side-target \
             cargo build --release --offline --quiet --manifest-path "$manifest")
     done
-    pair=0
     for ((seed = first_seed; seed < first_seed + seeds; seed++)); do
+        index=0
         for workload in $workloads; do
-            if ((pair++ % 2 == 0)); then
+            if (((seed - first_seed + index++) % 2 == 0)); then
                 run parent "$parent_dir" "$workload" "$seed"; run change "$repo" "$workload" "$seed"
             else
                 run change "$repo" "$workload" "$seed"; run parent "$parent_dir" "$workload" "$seed"
