@@ -54,7 +54,9 @@ pub fn decode_notify_into(
     // checks the rest.
     let (head, kind) = match kind?.as_str()? {
         "heartbeat" => {
-            lazy.fields(["type"]).ok()?;
+            // The notifier's `{type, tenant}` is read without materializing.
+            let [_, tenant] = lazy.fields(["type", "tenant"]).ok()?;
+            tenant.map(LazyValue::checked).transpose().ok()?;
             return Some(NotifyPayload::Heartbeat);
         }
         "initial" => {

@@ -1508,15 +1508,17 @@ mod tests {
     /// An event layer that fails the test when a payload is published while
     /// the subscription table is locked.
     struct LockCheck {
-        shared: Arc<std::sync::OnceLock<Arc<Shared>>>,
+        shared: Arc<Shared>,
         published: Arc<AtomicU64>,
         broker: invalidb_broker::Broker,
     }
 
     impl invalidb_broker::EventLayer for LockCheck {
         fn publish(&self, topic: &str, payload: bytes::Bytes) -> usize {
-            let shared = self.shared.get().expect("the app server's state");
-            assert!(shared.subs.try_lock().is_some(), "published to {topic} under the table's lock");
+            assert!(
+                self.shared.subs.try_lock().is_some(),
+                "published to {topic} under the table's lock"
+            );
             self.published.fetch_add(1, Ordering::Relaxed);
             self.broker.publish(topic, payload)
         }
@@ -1541,7 +1543,7 @@ mod tests {
         let (shared, _) = Shared::new(&config);
         let published = Arc::new(AtomicU64::new(0));
         let layer = LockCheck {
-            shared: Arc::new(std::sync::OnceLock::from(Arc::clone(&shared))),
+            shared: Arc::clone(&shared),
             published: Arc::clone(&published),
             broker: invalidb_broker::Broker::new(),
         };

@@ -15,8 +15,8 @@
 use crate::assignment::{AssignmentTable, Placement, RoundRobin, WorkerInfo};
 use invalidb_broker::{BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::{doc, ClusterMessage, Document, GridShape, Value};
-use invalidb_core::ingest::decode_cluster_payload;
-use invalidb_json::{LazyDoc, WireCodec};
+use invalidb_core::ingest::decode_control;
+use invalidb_json::WireCodec;
 use invalidb_net::frame::{Decoder, Frame};
 use invalidb_obs::{
     to_prometheus_federated, AdminConfig, AdminServer, FlightEventKind, HealthMonitor, HealthPolicy,
@@ -684,11 +684,7 @@ fn subscription_cache_loop(inner: Arc<Inner>) {
         };
         // Writes are nearly all of the topic and none is cached: their tag
         // is read, and nothing else.
-        let op = LazyDoc::new(&payload).ok().and_then(|d| d.root().find(["op"]).ok());
-        if matches!(op, Some([Some(op)]) if op.as_str() == Some("write")) {
-            continue;
-        }
-        let Some(msg) = decode_cluster_payload(&payload) else { continue };
+        let Some(msg) = decode_control(&payload) else { continue };
         match msg {
             // Our own renewal replays are skipped (they would only write
             // back what is already cached); app-server renewals carry

@@ -59,20 +59,44 @@ pub(crate) fn decode_retained(payload: &[u8], tenant: &TenantId) -> Option<After
     Some(AfterImage { trace: None, ..img })
 }
 
+/// Decodes a control message — a subscribe, unsubscribe or TTL extension;
+/// `None` for a write, skipped once its `op` is read, or a malformed
+/// payload. What a reader that keeps only subscriptions needs.
+pub fn decode_control(payload: &[u8]) -> Option<ClusterMessage> {
+    let (lazy, op) = opened(payload)?;
+    decode_control_op(lazy, op, TenantId::new)
+}
+
+/// The payload's view and its `op`. Every writer puts `op` first; the
+/// decoders' `fields` reject a second one.
+fn opened(payload: &[u8]) -> Option<(LazyDoc<'_>, &str)> {
+    let lazy = LazyDoc::new(payload).ok()?;
+    let [op] = lazy.root().find(["op"]).ok()?;
+    Some((lazy, op?.as_str()?))
+}
+
 /// The decoder: the message, and for a write the offset of its `doc`
 /// object (`None` for a delete).
 fn decode(
     payload: &[u8],
     tenant_of: impl FnOnce(&str) -> TenantId,
 ) -> Option<(ClusterMessage, Option<u32>)> {
-    let lazy = LazyDoc::new(payload).ok()?;
-    // Every writer puts `op` first; `fields` below rejects a second one.
-    let [op] = lazy.root().find(["op"]).ok()?;
-    let message = match op?.as_str()? {
-        "write" => {
+    match opened(payload)? {
+        (lazy, "write") => {
             let (img, doc_at) = decode_write(lazy, tenant_of)?;
-            return Some((ClusterMessage::Write(img), doc_at));
+            Some((ClusterMessage::Write(img), doc_at))
         }
+        (lazy, op) => Some((decode_control_op(lazy, op, tenant_of)?, None)),
+    }
+}
+
+/// A control message whose `op` has been read; `None` for any other `op`.
+fn decode_control_op(
+    lazy: LazyDoc<'_>,
+    op: &str,
+    tenant_of: impl FnOnce(&str) -> TenantId,
+) -> Option<ClusterMessage> {
+    Some(match op {
         "subscribe" => {
             let names = [
                 "op",
@@ -123,8 +147,7 @@ fn decode(
             }
         }
         _ => return None,
-    };
-    Some((message, None))
+    })
 }
 
 /// A write envelope: its after-image and the offset of its `doc` object.

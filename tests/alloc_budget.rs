@@ -24,7 +24,8 @@
 //! change reaches eight live results; it holds the cost of each delivery.
 //! A third follows a sorted query's renewal across the wire: the keeper's
 //! Subscribe envelope, its decode at the ingress, the initial result the
-//! publisher writes for it and the dispatcher's decode of that.
+//! publisher writes for it and the dispatcher's decode of that. A heartbeat
+//! is recognised without allocating.
 
 use invalidb::broker::{notify_topic, Broker};
 use invalidb::client::{decode_notify_into, ClientEvent, LiveResult, NotifyPayload};
@@ -462,4 +463,17 @@ fn a_sorted_renewal_crosses_the_wire_within_its_allocation_budget() {
             "{stage}: {per_renewal:.2} allocations per renewal, budget {ceiling}"
         );
     }
+}
+
+/// The notifier's heartbeat, `{type, tenant}`, is recognised by the
+/// dispatcher without building anything.
+#[test]
+fn a_heartbeat_decodes_without_allocating() {
+    let tenant = TenantId::new(TENANT);
+    let payload = WireCodec.encode(&doc! { "type" => "heartbeat", "tenant" => TENANT });
+    let mut addressees = Vec::new();
+    let mut allocs = 0;
+    let decoded = counted(&mut allocs, || decode_notify_into(&payload, &tenant, &mut addressees));
+    assert_eq!(decoded, Some(NotifyPayload::Heartbeat));
+    assert_eq!(allocs, 0, "allocations to decode a heartbeat");
 }

@@ -13,7 +13,11 @@
 //! * on every payload that repeats no field, each typed decoder answers what
 //!   its oracle answers — over truncations, flipped bytes, trailing bytes
 //!   and integers encoded as integral floats of every message;
-//! * every payload that repeats a field, at any depth, is rejected.
+//! * every payload that repeats a field, at any depth, is rejected;
+//! * the coordinator's control-only decoder (`ingest::decode_control`)
+//!   answers as the cluster decoder does, and `None` for every write;
+//! * each addressee of a decoded envelope sees its kind, trace and write
+//!   time.
 //!
 //! Each property seeds itself from its name; CI runs the file under more
 //! seeds through `PROPTEST_SEED`.
@@ -25,7 +29,7 @@ use invalidb::common::{
     MaintenanceError, MatchType, NotificationKind, NotifyEnvelope, QueryHash, QuerySpec, ResultItem,
     SortDirection, Stage, SubscriptionId, SubscriptionRequest, TenantId, TraceContext, Value,
 };
-use invalidb::core::ingest::decode_cluster_payload;
+use invalidb::core::ingest::{decode_cluster_payload, decode_control};
 use invalidb::json::{bin, LazyDoc, LazyValue, PayloadWriter, WireCodec};
 use proptest::prelude::*;
 
@@ -275,12 +279,16 @@ fn repeats(value: LazyValue<'_>) -> bool {
 /// repeats a field is rejected, any other decodes as its oracle does.
 fn check(payload: &[u8]) -> Result<(), TestCaseError> {
     let cluster = decode_cluster_payload(&Bytes::copy_from_slice(payload));
+    let control = decode_control(payload);
     let notify = decode_notify_payload(payload, &reader());
     if LazyDoc::new(payload).is_ok_and(|lazy| repeats(LazyValue::Object(lazy.root()))) {
         prop_assert_eq!(cluster, None);
+        prop_assert_eq!(control, None);
         prop_assert_eq!(notify, None);
     } else {
-        prop_assert_eq!(cluster, cluster_oracle(payload));
+        let oracle = cluster_oracle(payload);
+        prop_assert_eq!(control, oracle.clone().filter(|m| !matches!(m, ClusterMessage::Write(_))));
+        prop_assert_eq!(cluster, oracle);
         prop_assert_eq!(notify, notify_oracle(payload));
     }
     Ok(())
@@ -406,6 +414,27 @@ proptest! {
         raw = full.to_vec();
         raw.push(flip);
         check(&raw)?;
+    }
+
+    /// Every addressee of a decoded envelope sees the one payload under its
+    /// own id: the envelope's tenant, kind, trace and write time.
+    #[test]
+    fn wire_codec_addressees_see_the_same_change(envelope in envelope()) {
+        let payload = Message::Notify(envelope.clone()).written();
+        let Some(NotifyPayload::Envelope(decoded)) = decode_notify_payload(&payload, &reader()) else {
+            return Err(TestCaseError::fail("the envelope does not decode".to_owned()));
+        };
+        let seen = decoded.into_notifications();
+        prop_assert_eq!(
+            seen.iter().map(|n| n.subscription).collect::<Vec<_>>(),
+            envelope.subscriptions.clone()
+        );
+        for n in &seen {
+            prop_assert_eq!(&n.tenant, &envelope.tenant);
+            prop_assert_eq!(&n.kind, &envelope.kind);
+            prop_assert_eq!(&n.trace, &envelope.trace);
+            prop_assert_eq!(n.caused_by_write_at, envelope.caused_by_write_at);
+        }
     }
 
     /// A field named twice, at the root or in any object below it, makes
