@@ -13,6 +13,7 @@
 
 use crate::string::Str;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An ordered mapping from field names to [`Value`]s.
@@ -173,6 +174,33 @@ fn set_path_inner(
     match doc.get_mut(head).expect("just inserted") {
         Value::Object(inner) => set_path_inner(inner, rest, value),
         _ => Err(PathError { at: (*head).to_owned() }),
+    }
+}
+
+/// A record's top-level attributes, wherever the record is held: a decoded
+/// [`Document`], or an encoded one that reads an attribute only when asked
+/// for it. What the query index probes and a one-field predicate tests.
+pub trait Attributes {
+    /// The value of top-level attribute `name`; `None` when it is absent.
+    fn attr(&self, name: &str) -> Option<Cow<'_, Value>>;
+}
+
+/// [`Attributes`] of a record that can also be had whole, for a predicate
+/// that reads more than one top-level attribute.
+pub trait Record: Attributes {
+    /// The whole record.
+    fn document(&self) -> &Document;
+}
+
+impl Attributes for Document {
+    fn attr(&self, name: &str) -> Option<Cow<'_, Value>> {
+        self.get(name).map(Cow::Borrowed)
+    }
+}
+
+impl Record for Document {
+    fn document(&self) -> &Document {
+        self
     }
 }
 

@@ -30,13 +30,13 @@ pub mod write;
 
 pub use clock::{Clock, MockClock, SystemClock, Timestamp};
 pub use config::ConfigError;
-pub use document::Document;
+pub use document::{Attributes, Document, Record};
 pub use grid::{GridCoord, GridShape};
 pub use hist::Histogram;
 pub use id::{Key, QueryHash, SubscriptionId, TenantId, TenantInterner};
 pub use msg::{AfterImage, ClusterMessage, SubscriptionRequest, WriteRef};
 pub use notify::{
-    ChangeItem, EnvelopeRef, ItemRef, KindRef, MaintenanceError, MatchType, Notification,
+    ChangeItem, DocRef, EnvelopeRef, ItemRef, KindRef, MaintenanceError, MatchType, Notification,
     NotificationKind, NotifyEnvelope, ResultItem,
 };
 pub use partition::{fnv1a64, stable_hash64, Fnv1a};
@@ -44,7 +44,7 @@ pub use query_spec::{AggregateOp, AggregateSpec, QuerySpec, SortDirection, SortS
 pub use string::Str;
 pub use trace::{Stage, StageStamp, TraceContext, ALL_STAGES, MAX_PLAUSIBLE_HOP_MICROS};
 pub use value::{canonical_cmp, canonical_eq, CanonicalSink, Value};
-pub use write::{DocumentBuilder, FieldWriter};
+pub use write::{DocumentBuilder, EncodedObject, FieldWriter};
 
 /// Version number of a stored record. The application server initializes
 /// every record with version 1 and increments it on each write; a delete

@@ -19,7 +19,7 @@ use crate::id::{Key, SubscriptionId, TenantId};
 use crate::query_spec::SpecError;
 use crate::trace::TraceContext;
 use crate::value::Value;
-use crate::write::{DocumentBuilder, FieldWriter};
+use crate::write::{DocumentBuilder, EncodedObject, FieldWriter};
 use crate::Version;
 use std::borrow::Cow;
 use std::fmt;
@@ -318,14 +318,29 @@ pub struct ItemRef<'a> {
     /// See [`ResultItem::version`].
     pub version: Version,
     /// See [`ResultItem::doc`].
-    pub doc: Option<&'a Document>,
+    pub doc: Option<DocRef<'a>>,
     /// See [`ResultItem::index`].
     pub index: Option<u64>,
 }
 
+/// A record as an [`ItemRef`] points to it.
+#[derive(Debug, Clone, Copy)]
+pub enum DocRef<'a> {
+    /// A decoded document.
+    Tree(&'a Document),
+    /// A document still in the payload bytes it arrived in, copied into
+    /// the envelope as they are.
+    Encoded(&'a dyn EncodedObject),
+}
+
 impl<'a> From<&'a ResultItem> for ItemRef<'a> {
     fn from(item: &'a ResultItem) -> Self {
-        ItemRef { key: &item.key, version: item.version, doc: item.doc.as_ref(), index: item.index }
+        ItemRef {
+            key: &item.key,
+            version: item.version,
+            doc: item.doc.as_ref().map(DocRef::Tree),
+            index: item.index,
+        }
     }
 }
 
@@ -339,7 +354,8 @@ impl ItemRef<'_> {
         w.int(self.version as i64);
         w.key("doc");
         match self.doc {
-            Some(doc) => w.document(doc),
+            Some(DocRef::Tree(doc)) => w.document(doc),
+            Some(DocRef::Encoded(doc)) => w.encoded(doc),
             None => w.value(&Value::Null),
         }
         if let Some(index) = self.index {

@@ -9,6 +9,7 @@
 
 use crate::document::Document;
 use crate::value::Value;
+use std::fmt;
 
 /// Receiver of a document written one field at a time.
 ///
@@ -31,12 +32,24 @@ pub trait FieldWriter {
     fn value(&mut self, value: &Value);
     /// Writes a borrowed document as an object value.
     fn document(&mut self, doc: &Document);
+    /// Writes an object value that is already encoded: the payload codec
+    /// copies its bytes, any other writer writes the document they hold.
+    fn encoded(&mut self, object: &dyn EncodedObject);
     /// Writes a string value.
     fn str(&mut self, s: &str);
     /// Writes an integer value.
     fn int(&mut self, i: i64) {
         self.value(&Value::Int(i));
     }
+}
+
+/// An object value still in the bytes of the binary payload codec it
+/// arrived in: a write's record while a matching cell reads it in place.
+pub trait EncodedObject: fmt::Debug {
+    /// Its encoding, from the entry count to the end of its last entry.
+    fn body(&self) -> &[u8];
+    /// The object as a document.
+    fn to_document(&self) -> Document;
 }
 
 enum Frame {
@@ -110,6 +123,10 @@ impl FieldWriter for DocumentBuilder {
 
     fn document(&mut self, doc: &Document) {
         self.push(Value::Object(doc.clone()));
+    }
+
+    fn encoded(&mut self, object: &dyn EncodedObject) {
+        self.push(Value::Object(object.to_document()));
     }
 
     fn str(&mut self, s: &str) {

@@ -273,7 +273,7 @@ impl Task<Event> for AggregationNode {
             Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
                 self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
             }
-            Event::Write { .. } => {}
+            Event::Write(_) => {}
         }
     }
 

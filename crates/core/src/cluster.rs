@@ -24,7 +24,7 @@
 
 use crate::aggregation::AggregationNode;
 use crate::config::{ClusterConfig, WorkerIdentity};
-use crate::event::{Event, FilterChange};
+use crate::event::{Event, FilterChange, WriteEvent};
 use crate::links::StageLinks;
 use crate::matching::{MatchingNode, StagedOut};
 use crate::notifier::Publisher;
@@ -380,7 +380,7 @@ struct Ingress {
     cells: Vec<Option<Sender<Event>>>,
     links: StageLinks,
     publisher: Publisher,
-    /// The tenants seen on the write stream: every after-image of a tenant
+    /// The tenants seen on the cluster topic: every message of a tenant
     /// shares one id instead of carrying its own copy of the name.
     tenants: TenantInterner,
     /// Worker identity for trace stamps in multi-process deployments.
@@ -430,15 +430,13 @@ impl Ingress {
             return;
         };
         // Sampled traces get their ingestion stamp the moment the envelope
-        // is decoded off the event layer (the image is not shared yet).
-        if let Event::Write { image, .. } = &mut event {
-            if let Some(trace) = Arc::get_mut(image).and_then(|img| img.trace.as_mut()) {
-                match &self.identity {
-                    Some(id) => id.stamp(trace, Stage::Ingestion),
-                    None => trace.stamp(Stage::Ingestion),
-                }
-                self.traced_writes.fetch_add(1, Ordering::Relaxed);
+        // is decoded off the event layer.
+        if let Event::Write(WriteEvent { trace: Some(trace), .. }) = &mut event {
+            match &self.identity {
+                Some(id) => id.stamp(trace, Stage::Ingestion),
+                None => trace.stamp(Stage::Ingestion),
             }
+            self.traced_writes.fetch_add(1, Ordering::Relaxed);
         }
         self.processed.fetch_add(1, Ordering::Relaxed);
         self.route(event);
@@ -450,8 +448,8 @@ impl Ingress {
     /// stage partition that owns it.
     fn route(&self, event: Event) {
         match &event {
-            Event::Write { image, .. } => {
-                for task in self.grid.column_tasks(self.grid.write_partition(&image.key)) {
+            Event::Write(write) => {
+                for task in self.grid.column_tasks(self.grid.write_partition(&write.header.key)) {
                     self.to_cell(task, &event);
                 }
             }
@@ -529,10 +527,7 @@ impl ShuffleIngress {
     }
 
     fn accept(&self, payload: &Bytes) {
-        let change = invalidb_json::payload_to_document(payload)
-            .ok()
-            .and_then(|d| FilterChange::from_document(d).ok());
-        match change {
+        match FilterChange::decode(payload) {
             Some(fc) => {
                 self.metrics.inc("shuffle.ingress");
                 // The change does not say which stage its query lives in;

@@ -2,14 +2,16 @@
 
 use bytes::Bytes;
 use invalidb_common::{
-    AfterImage, Document, Key, QueryHash, SpecError, SubscriptionId, SubscriptionRequest, TenantId,
+    AfterImage, FieldWriter, Key, QueryHash, SubscriptionId, SubscriptionRequest, TenantId,
     TraceContext, Value, Version,
 };
+use invalidb_json::lazy::{CheckedObject, LazyDoc, LazyValue};
+use invalidb_json::wire;
 use std::sync::Arc;
 
-/// One message on a task's input queue. Payloads are `Arc`-shared: a write
-/// goes to every cell of its column, a subscription to every cell of its
-/// row and to its stage partition, without being copied.
+/// One message on a task's input queue. Payloads are shared, not copied: a
+/// write goes to every cell of its column, a subscription to every cell of
+/// its row and to its stage partition.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// Activate a real-time query (carries the full initial result).
@@ -34,19 +36,94 @@ pub enum Event {
         /// New TTL in microseconds.
         ttl_micros: u64,
     },
-    /// An after-image from the write stream, beside the payload it was
-    /// decoded from ([`crate::ingest::decode_event_with`]).
-    Write {
-        /// The decoded write.
-        image: Arc<AfterImage>,
-        /// The write envelope as it arrived: what a cell retains of it.
-        payload: Bytes,
-        /// Offset of the envelope's `doc` object in `payload`; `None` for
-        /// a delete.
-        doc_at: Option<u32>,
-    },
+    /// A write from the write stream, still in the bytes it arrived as.
+    Write(WriteEvent),
     /// Filtering-stage output destined for the sorting/aggregation stage.
     FilterChange(Arc<FilterChange>),
+}
+
+/// A write envelope the ingress has checked
+/// ([`crate::ingest::decode_event_with`]) as strictly as decoding it would:
+/// the payload, its header and trace decoded beside it, and where its `doc`
+/// object lies in it. The record is not decoded on the way to the cells;
+/// they read its attributes in place.
+#[derive(Debug, Clone)]
+pub struct WriteEvent {
+    /// The write envelope as it arrived: what a cell retains of it.
+    pub payload: Bytes,
+    /// The envelope's scalar fields.
+    pub header: WriteHeader,
+    /// Where the envelope's `doc` object lies in `payload`.
+    pub doc: DocSpan,
+    /// The sampled stage trace, stamped by the ingress; `None` for an
+    /// untraced write (the common case).
+    pub trace: Option<Box<TraceContext>>,
+}
+
+/// A write envelope's scalar fields but its collection, which a cell reads
+/// in place ([`WriteEvent::collection`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WriteHeader {
+    /// Owning tenant.
+    pub tenant: TenantId,
+    /// Primary key.
+    pub key: Key,
+    /// The record's version.
+    pub version: Version,
+    /// The app server's clock when the write was issued (0 when absent).
+    pub written_at: u64,
+}
+
+impl WriteEvent {
+    /// The collection's name, read in place.
+    pub fn collection(&self) -> Option<&str> {
+        envelope_field(&self.payload, "collection")?.as_str()
+    }
+
+    /// The written record, read in place; `None` for a delete.
+    pub fn doc(&self) -> Option<CheckedObject<'_>> {
+        self.doc.of(&self.payload)
+    }
+}
+
+/// A top-level field of a write envelope the ingress checked, read in
+/// place. The probe stops at its hit: the ingress let no name repeat.
+pub(crate) fn envelope_field<'a>(payload: &'a [u8], name: &str) -> Option<LazyValue<'a>> {
+    let [value] = LazyDoc::new(payload).ok()?.root().find([name]).ok()?;
+    value
+}
+
+/// Where a checked write envelope's `doc` object lies in its payload: its
+/// body, from the entry count to its end. Empty for a delete.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DocSpan {
+    start: u32,
+    end: u32,
+}
+
+impl DocSpan {
+    /// A delete's: no document.
+    pub const NONE: DocSpan = DocSpan { start: 0, end: 0 };
+
+    /// The object whose body starts at offset `start` of its payload and
+    /// runs `len` bytes; `None` past what a span can hold.
+    pub(crate) fn at(start: usize, len: usize) -> Option<DocSpan> {
+        let end = start.checked_add(len)?;
+        Some(DocSpan { start: u32::try_from(start).ok()?, end: u32::try_from(end).ok()? })
+    }
+
+    /// The document in `payload`, the one this span was taken from; `None`
+    /// for a delete.
+    pub fn of<'a>(&self, payload: &'a [u8]) -> Option<CheckedObject<'a>> {
+        if *self == DocSpan::NONE {
+            return None;
+        }
+        let Some(body) = payload.get(self.start as usize..self.end as usize) else {
+            debug_assert!(false, "a document span outside its payload");
+            return None;
+        };
+        Some(CheckedObject::new(body))
+    }
 }
 
 /// Kind of matching-status transition detected by the filtering stage.
@@ -72,8 +149,8 @@ pub struct FilterChange {
     /// The causing write, shared with every cell and query it reached: its
     /// tenant, key, version, after-image (`None` for deletes) and origin
     /// timestamp are the transition's. Its own `trace` is not read (see
-    /// [`FilterChange::trace`]); one decoded from the shuffle topic has no
-    /// collection, which no stage needs.
+    /// [`FilterChange::trace`]), and it has no collection, which no stage
+    /// needs.
     pub image: Arc<AfterImage>,
     /// Stage trace inherited from the causing write, if it was sampled,
     /// with the filtering stage's stamp.
@@ -102,68 +179,68 @@ impl FilterChangeKind {
 }
 
 impl FilterChange {
-    /// Encodes the change as a document for the shuffle topic: matching
-    /// cells hosted off the row owner ship their staged output through the
-    /// event layer instead of an in-process channel.
-    pub fn to_document(&self) -> Document {
+    /// Writes the change for the shuffle topic: matching cells hosted off
+    /// the row owner ship their staged output through the event layer
+    /// instead of an in-process queue. The one place its layout is written
+    /// down.
+    pub fn write_to(&self, w: &mut impl FieldWriter) {
         let img = &self.image;
-        let mut d = Document::with_capacity(8);
-        d.insert("tenant", img.tenant.as_str());
-        d.insert("queryHash", self.query_hash.0 as i64);
-        d.insert("kind", self.kind.as_str());
-        d.insert("key", img.key.0.clone());
-        d.insert("version", img.version as i64);
+        w.begin_object(7 + usize::from(self.trace.is_some()));
+        w.key("tenant");
+        w.str(img.tenant.as_str());
+        w.key("queryHash");
+        w.int(self.query_hash.0 as i64);
+        w.key("kind");
+        w.str(self.kind.as_str());
+        w.key("key");
+        w.value(&img.key.0);
+        w.key("version");
+        w.int(img.version as i64);
+        w.key("doc");
         match &img.doc {
-            Some(doc) => d.insert("doc", doc.clone()),
-            None => d.insert("doc", Value::Null),
-        };
-        d.insert("writtenAt", img.written_at as i64);
-        if let Some(trace) = &self.trace {
-            d.insert("trace", trace.to_document());
+            Some(doc) => w.document(doc),
+            None => w.value(&Value::Null),
         }
-        d
+        w.key("writtenAt");
+        w.int(img.written_at as i64);
+        if let Some(trace) = &self.trace {
+            w.key("trace");
+            w.document(&trace.to_document());
+        }
+        w.end_object();
     }
 
-    /// Decodes a change from its document encoding, moving the key and the
-    /// after-image out of `d` into the change's one [`AfterImage`].
-    pub fn from_document(mut d: Document) -> Result<FilterChange, SpecError> {
-        let missing = |f: &str| SpecError { message: format!("filter change missing `{f}`") };
-        let kind = d
-            .get("kind")
-            .and_then(Value::as_str)
-            .and_then(FilterChangeKind::parse)
-            .ok_or_else(|| missing("kind"))?;
-        let tenant =
-            TenantId::new(d.get("tenant").and_then(Value::as_str).ok_or_else(|| missing("tenant"))?);
-        let query_hash = QueryHash(
-            d.get("queryHash").and_then(Value::as_i64).ok_or_else(|| missing("queryHash"))? as u64,
-        );
-        let version =
-            d.get("version").and_then(Value::as_i64).ok_or_else(|| missing("version"))? as Version;
-        let written_at = d.get("writtenAt").and_then(Value::as_i64).unwrap_or(0) as u64;
-        let trace = match d.get("trace").and_then(Value::as_object) {
-            Some(td) => Some(TraceContext::from_document(td)?),
-            None => None,
+    /// Decodes a change from the shuffle topic in one pass over the
+    /// payload, in the cluster topic's way (`crate::ingest`): the key and
+    /// the record go straight into the change's one [`AfterImage`]; `None`
+    /// for a malformed payload, a repeated field included.
+    pub fn decode(payload: &[u8]) -> Option<FilterChange> {
+        let names = ["tenant", "queryHash", "kind", "key", "version", "doc", "writtenAt", "trace"];
+        let [tenant, query_hash, kind, key, version, doc, written_at, trace] =
+            LazyDoc::new(payload).ok()?.fields(names).ok()?;
+        let image = AfterImage {
+            tenant: TenantId::new(tenant?.as_str()?),
+            collection: String::new(),
+            key: Key(key?.materialize().ok()?),
+            version: version?.as_i64()? as Version,
+            doc: wire::document(doc)?,
+            written_at: wire::optional(written_at, LazyValue::as_i64)?.unwrap_or(0) as u64,
+            trace: None,
         };
-        let key = Key(d.remove("key").ok_or_else(|| missing("key"))?);
-        let doc = match d.remove("doc") {
-            Some(Value::Null) | None => None,
-            Some(Value::Object(doc)) => Some(doc),
-            Some(_) => {
-                return Err(SpecError { message: "filter change `doc` must be object or null".into() })
-            }
-        };
-        let image =
-            AfterImage { tenant, collection: String::new(), key, version, doc, written_at, trace: None };
-        Ok(FilterChange { query_hash, kind, image: Arc::new(image), trace })
+        Some(FilterChange {
+            query_hash: QueryHash(query_hash?.as_i64()? as u64),
+            kind: FilterChangeKind::parse(kind?.as_str()?)?,
+            image: Arc::new(image),
+            trace: wire::trace(trace)?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::{doc, Stage};
-    use invalidb_json::{payload_to_document, WireCodec};
+    use invalidb_common::{doc, Document, Stage};
+    use invalidb_json::WireCodec;
 
     fn change(
         kind: FilterChangeKind,
@@ -172,7 +249,7 @@ mod tests {
     ) -> FilterChange {
         let image = AfterImage {
             tenant: TenantId::new("app1"),
-            collection: "items".into(),
+            collection: String::new(),
             key: Key(Value::from("k17")),
             version: 42,
             doc,
@@ -182,37 +259,22 @@ mod tests {
         FilterChange { query_hash: QueryHash(0xdead_beef), kind, image: Arc::new(image), trace }
     }
 
-    #[test]
-    fn filter_change_roundtrips_through_document() {
-        let change = change(FilterChangeKind::Change, Some(doc! { "rank" => 3i64 }), None);
-        let decoded = FilterChange::from_document(change.to_document()).unwrap();
-        assert_eq!((decoded.query_hash, decoded.kind), (change.query_hash, change.kind));
-        let (a, b) = (&decoded.image, &change.image);
-        assert_eq!(
-            (&a.tenant, &a.key, a.version, &a.doc, a.written_at),
-            (&b.tenant, &b.key, b.version, &b.doc, b.written_at)
-        );
-        assert!(decoded.trace.is_none());
+    fn written(change: &FilterChange) -> Bytes {
+        let mut w = WireCodec.writer();
+        change.write_to(&mut w);
+        w.finish()
     }
 
+    /// The shuffle-topic layout is what workers of different builds
+    /// exchange: the change writes the document laid out field by field in
+    /// that order, and decodes back to itself.
     #[test]
-    fn filter_change_delete_roundtrips() {
-        let change = change(FilterChangeKind::Remove, None, None);
-        let decoded = FilterChange::from_document(change.to_document()).unwrap();
-        assert_eq!(decoded.image.doc, None);
-        assert_eq!(decoded.kind, FilterChangeKind::Remove);
-    }
-
-    /// The shuffle-topic layout is what workers of different builds exchange:
-    /// the change encodes to the same bytes as the document written field by
-    /// field in that layout, and a decoded change encodes to the bytes it
-    /// was decoded from.
-    #[test]
-    fn filter_change_keeps_its_shuffle_bytes() {
+    fn filter_change_keeps_its_shuffle_bytes_and_decodes_back() {
         let mut trace = TraceContext::start(9);
         trace.stamp_at(Stage::Matching, 5);
         let cases = [
             (FilterChangeKind::Change, Some(doc! { "rank" => 3i64, "name" => "x" }), Some(trace)),
+            (FilterChangeKind::Add, Some(Document::new()), None),
             (FilterChangeKind::Remove, None, None),
         ];
         for (kind, doc, trace) in cases {
@@ -229,10 +291,13 @@ mod tests {
             if let Some(trace) = &trace {
                 layout.insert("trace", trace.to_document());
             }
-            let bytes = WireCodec.encode(&change.to_document());
+            let bytes = written(&change);
             assert_eq!(bytes, WireCodec.encode(&layout), "{kind:?}");
-            let decoded = FilterChange::from_document(payload_to_document(&bytes).unwrap()).unwrap();
-            assert_eq!(WireCodec.encode(&decoded.to_document()), bytes, "{kind:?}");
+            let decoded = FilterChange::decode(&bytes).expect("decodes");
+            assert_eq!((decoded.query_hash, decoded.kind), (change.query_hash, change.kind));
+            assert_eq!(decoded.image, change.image);
+            assert_eq!(decoded.trace, change.trace);
+            assert_eq!(written(&decoded), bytes, "{kind:?}");
         }
     }
 
@@ -240,6 +305,6 @@ mod tests {
     fn filter_change_rejects_bad_kind() {
         let d = doc! { "tenant" => "t", "queryHash" => 1i64, "kind" => "explode",
         "key" => "k", "version" => 1i64 };
-        assert!(FilterChange::from_document(d).is_err());
+        assert!(FilterChange::decode(&WireCodec.encode(&d)).is_none());
     }
 }

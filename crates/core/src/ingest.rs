@@ -2,22 +2,25 @@
 //!
 //! Writes, subscribes, unsubscribes and TTL extensions are read in one pass
 //! over a borrowed [`LazyDoc`] view. Nothing is built that the message does
-//! not keep: a write's key, record and trace go straight into its
-//! [`AfterImage`], a subscription's filter and initial records straight
-//! into its [`SubscriptionRequest`], each materialized once, and no
-//! document of the envelope is built on the way.
+//! not keep: a subscription's filter and initial records go straight into
+//! its [`SubscriptionRequest`], each materialized once, and no document of
+//! the envelope is built on the way. A write the ingress hands on is not
+//! decoded beyond its header and trace: it is checked as strictly as
+//! decoding it would check it and travels as its payload
+//! ([`decode_event_with`]).
 //!
 //! Contract: a payload decodes to exactly what
 //! `ClusterMessage::from_document(&payload_to_document(..))` returns, or to
-//! `None` where that fails. Its writers never repeat a field, so a payload
-//! that does, at any level, is malformed, to this decoder and that one
-//! alike. That is what lets a cell retain a write as its payload
-//! ([`decode_event_with`]), read its fields in place and decode it again
-//! when a new subscription replays it.
+//! `None` where that fails, and [`decode_event_with`] rejects exactly the
+//! payloads [`decode_cluster_payload`] rejects. Its writers never repeat a
+//! field, so a payload that does, at any level, is malformed, to these
+//! decoders and that one alike. That is what lets a cell read a write's
+//! fields in place with probes that take the first field of a name.
 
-use crate::event::Event;
+use crate::event::{DocSpan, Event, WriteEvent, WriteHeader};
 use invalidb_common::{
-    AfterImage, ClusterMessage, Key, QueryHash, SubscriptionId, SubscriptionRequest, TenantId, Version,
+    AfterImage, ClusterMessage, Key, QueryHash, SubscriptionId, SubscriptionRequest, TenantId,
+    TraceContext, Version,
 };
 use invalidb_json::lazy::{LazyDoc, LazyValue};
 use invalidb_json::wire;
@@ -26,37 +29,49 @@ use std::sync::Arc;
 /// Decodes an event-layer payload into a [`ClusterMessage`]; `None` when
 /// the payload is malformed.
 pub fn decode_cluster_payload(payload: &bytes::Bytes) -> Option<ClusterMessage> {
-    decode(payload, TenantId::new).map(|(message, _)| message)
+    let (lazy, op) = opened(payload)?;
+    if op != "write" {
+        return decode_control_op(lazy, op, TenantId::new);
+    }
+    // The write as the ingress checks it, then decoded whole.
+    let (WriteHeader { tenant, key, version, written_at }, collection, doc, trace) =
+        check_write(lazy, TenantId::new)?;
+    Some(ClusterMessage::Write(AfterImage {
+        tenant,
+        collection: collection.to_owned(),
+        key,
+        version,
+        doc: doc.of(payload).map(|doc| doc.materialize()),
+        written_at,
+        trace,
+    }))
 }
 
-/// What the ingress routes to the cells: the payload's message, a write
-/// carrying its payload (moved in, not copied) and the offset of its `doc`
-/// object beside the decoded image, so a cell can retain the bytes and let
-/// the image go. `tenant_of` turns the tenant's name into its id,
-/// typically through a [`invalidb_common::TenantInterner`], so the name is
-/// not allocated again for every message.
+/// What the ingress routes to the cells: the payload's message. A write is
+/// checked, its header and trace decoded, and the payload moved into the
+/// event, not copied: an untraced write costs no allocation. `tenant_of`
+/// turns the tenant's name into its id, typically through a
+/// [`invalidb_common::TenantInterner`], so the name is not allocated again
+/// for every message.
 pub fn decode_event_with(
     payload: bytes::Bytes,
     tenant_of: impl FnOnce(&str) -> TenantId,
 ) -> Option<Event> {
-    Some(match decode(&payload, tenant_of)? {
-        (ClusterMessage::Write(img), doc_at) => Event::Write { image: Arc::new(img), payload, doc_at },
-        (ClusterMessage::Subscribe(req), _) => Event::Subscribe(Arc::new(req)),
-        (ClusterMessage::Unsubscribe { tenant, subscription, query_hash }, _) => {
+    let (lazy, op) = opened(&payload)?;
+    if op == "write" {
+        let (header, _, doc, trace) = check_write(lazy, tenant_of)?;
+        return Some(Event::Write(WriteEvent { payload, header, doc, trace: trace.map(Box::new) }));
+    }
+    Some(match decode_control_op(lazy, op, tenant_of)? {
+        ClusterMessage::Subscribe(req) => Event::Subscribe(Arc::new(req)),
+        ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
             Event::Unsubscribe { tenant, subscription, query_hash }
         }
-        (ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros }, _) => {
+        ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
             Event::ExtendTtl { tenant, subscription, query_hash, ttl_micros }
         }
+        ClusterMessage::Write(_) => return None,
     })
-}
-
-/// A retained write's payload decoded again for replay: the after-image
-/// [`decode_event_with`] decoded from it, of `tenant`, without its trace —
-/// a replayed transition is not the live write's stage path.
-pub(crate) fn decode_retained(payload: &[u8], tenant: &TenantId) -> Option<AfterImage> {
-    let (img, _) = decode_write(LazyDoc::new(payload).ok()?, |_| tenant.clone())?;
-    Some(AfterImage { trace: None, ..img })
 }
 
 /// Decodes a control message — a subscribe, unsubscribe or TTL extension;
@@ -73,21 +88,6 @@ fn opened(payload: &[u8]) -> Option<(LazyDoc<'_>, &str)> {
     let lazy = LazyDoc::new(payload).ok()?;
     let [op] = lazy.root().find(["op"]).ok()?;
     Some((lazy, op?.as_str()?))
-}
-
-/// The decoder: the message, and for a write the offset of its `doc`
-/// object (`None` for a delete).
-fn decode(
-    payload: &[u8],
-    tenant_of: impl FnOnce(&str) -> TenantId,
-) -> Option<(ClusterMessage, Option<u32>)> {
-    match opened(payload)? {
-        (lazy, "write") => {
-            let (img, doc_at) = decode_write(lazy, tenant_of)?;
-            Some((ClusterMessage::Write(img), doc_at))
-        }
-        (lazy, op) => Some((decode_control_op(lazy, op, tenant_of)?, None)),
-    }
 }
 
 /// A control message whose `op` has been read; `None` for any other `op`.
@@ -150,27 +150,28 @@ fn decode_control_op(
     })
 }
 
-/// A write envelope: its after-image and the offset of its `doc` object.
-fn decode_write(
+/// A write envelope checked as strictly as decoding it whole would check
+/// it, building nothing of its record: its header, its collection, where
+/// its `doc` object lies, and its trace.
+fn check_write(
     lazy: LazyDoc<'_>,
     tenant_of: impl FnOnce(&str) -> TenantId,
-) -> Option<(AfterImage, Option<u32>)> {
+) -> Option<(WriteHeader, &str, DocSpan, Option<TraceContext>)> {
     let names = ["op", "tenant", "collection", "key", "version", "writtenAt", "doc", "trace"];
     let [_, tenant, collection, key, version, written_at, doc, trace] = lazy.fields(names).ok()?;
-    let doc_at = match doc {
-        Some(LazyValue::Object(obj)) => Some(u32::try_from(obj.offset()).ok()?),
-        _ => None,
+    let doc = match doc {
+        None | Some(LazyValue::Null) => DocSpan::NONE,
+        Some(LazyValue::Object(obj)) => DocSpan::at(obj.offset(), obj.check().ok()?.bytes().len())?,
+        Some(_) => return None,
     };
-    let img = AfterImage {
-        collection: collection?.as_str()?.to_owned(),
+    let (collection, trace) = (collection?.as_str()?, wire::trace(trace)?);
+    let header = WriteHeader {
         key: Key(key?.materialize().ok()?),
         version: version?.as_i64()? as Version,
-        doc: wire::document(doc)?,
         written_at: wire::optional(written_at, LazyValue::as_i64)?.unwrap_or(0) as u64,
-        trace: wire::trace(trace)?,
         tenant: tenant_of(tenant?.as_str()?),
     };
-    Some((img, doc_at))
+    Some((header, collection, doc, trace))
 }
 
 #[cfg(test)]
@@ -243,15 +244,34 @@ mod tests {
         ]
     }
 
+    /// What the ingress hands on for `payload` agrees with the oracle: the
+    /// same payloads are rejected, and a write's header, record and trace,
+    /// read where the event keeps them, are the oracle's after-image.
+    fn assert_event_agrees(payload: &bytes::Bytes) {
+        let event = decode_event_with(payload.clone(), TenantId::new);
+        assert_eq!(event.is_some(), oracle(payload).is_some(), "{payload:?}");
+        if let (Some(Event::Write(write)), Some(ClusterMessage::Write(img))) = (event, oracle(payload)) {
+            let WriteHeader { tenant, key, version, written_at } = &write.header;
+            assert_eq!(
+                (tenant, write.collection(), key, *version, *written_at),
+                (&img.tenant, Some(img.collection.as_str()), &img.key, img.version, img.written_at)
+            );
+            assert_eq!(write.doc().map(|doc| doc.materialize()), img.doc);
+            assert_eq!(write.trace.map(|trace| *trace), img.trace);
+        }
+    }
+
     #[test]
     fn every_message_and_every_truncation_decodes_like_the_oracle() {
         for msg in sample_messages() {
             let full = written(&msg);
             assert_eq!(decode_cluster_payload(&full).as_ref(), Some(&msg));
             assert_eq!(decode_cluster_payload(&full), oracle(&full), "{msg:?}");
+            assert_event_agrees(&full);
             for cut in 1..full.len() {
                 let torn = bytes::Bytes::copy_from_slice(&full[..cut]);
                 assert_eq!(decode_cluster_payload(&torn), oracle(&torn), "cut at {cut}");
+                assert_event_agrees(&torn);
             }
         }
     }

@@ -15,6 +15,14 @@
 //! A cell runs to completion: index probe, predicate evaluation, notify
 //! encode and event-layer publish are function calls on the cell's thread.
 //!
+//! A write stays in the bytes it arrived as ([`WriteEvent`]). The cell reads
+//! its header in place, probes the index and tests one-field predicates
+//! with the attributes they name, decoded one at a time, and copies the
+//! record's bytes into a change notification as they are. Only a predicate
+//! that reads the record whole, or a transition that goes on to a staged
+//! query, has the write decoded into an [`AfterImage`], once per write
+//! (counted as `matching.materialized`).
+//!
 //! The node also implements **write-stream retention** and **staleness
 //! avoidance**: received writes are buffered, as the payloads they arrived
 //! as, for a configurable time and replayed against newly subscribed
@@ -28,8 +36,7 @@
 //! write.
 
 use crate::config::{ClusterConfig, WorkerIdentity};
-use crate::event::{Event, FilterChange, FilterChangeKind};
-use crate::ingest::decode_retained;
+use crate::event::{envelope_field, DocSpan, Event, FilterChange, FilterChangeKind, WriteEvent};
 use crate::links::StageLinks;
 use crate::notifier::Publisher;
 use crate::query_index::QueryIndex;
@@ -38,13 +45,16 @@ use bytes::Bytes;
 use invalidb_broker::BrokerHandle;
 use invalidb_common::trace::now_micros;
 use invalidb_common::{
-    AfterImage, Clock, EnvelopeRef, GridCoord, GridShape, ItemRef, Key, KindRef, MatchType, QueryHash,
-    Stage, SubscriptionId, SubscriptionRequest, TenantId, Timestamp, TraceContext, Version,
+    AfterImage, Attributes, Clock, DocRef, Document, EnvelopeRef, GridCoord, GridShape, ItemRef, Key,
+    KindRef, MatchType, QueryHash, Record, Stage, SubscriptionId, SubscriptionRequest, TenantId,
+    Timestamp, TraceContext, Value, Version,
 };
-use invalidb_json::{LazyObject, WireCodec};
+use invalidb_json::{CheckedObject, WireCodec};
 use invalidb_obs::SlowQueryScratch;
 use invalidb_query::{PreparedAtom, PreparedFilter};
 use invalidb_stream::Task;
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -68,16 +78,16 @@ impl PredCache {
         self.map.clear();
     }
 
-    /// The conjunction of `atoms` over `doc`, memoized per atom. Exactly
-    /// equivalent to `filter.matches(doc)` by the
+    /// The conjunction of `atoms` over `record`, memoized per atom.
+    /// Exactly equivalent to `filter.matches(doc)` by the
     /// [`PreparedFilter::conjuncts`] contract.
-    fn eval_all(&mut self, atoms: &[PreparedAtom], doc: &invalidb_common::Document) -> bool {
+    fn eval_all(&mut self, atoms: &[PreparedAtom], record: &impl Record) -> bool {
         atoms.iter().all(|a| match self.map.entry(a.hash().0) {
             Entry::Occupied(e) => {
                 self.hits += 1;
                 *e.get()
             }
-            Entry::Vacant(e) => *e.insert(a.matches(doc)),
+            Entry::Vacant(e) => *e.insert(a.matches_in(record)),
         })
     }
 
@@ -112,7 +122,7 @@ struct QueryGroup {
 }
 
 /// Everything a cell keeps for one (tenant, collection). Writes, queries,
-/// versions and retained after-images of different scopes never meet, so
+/// versions and retained writes of different scopes never meet, so
 /// nothing in here names the tenant or the collection.
 #[derive(Default)]
 struct Scope {
@@ -132,21 +142,26 @@ struct Scope {
 }
 
 /// A write kept for replay: what replay and trimming read of it beside the
-/// payload it arrived as. Its document stays encoded until a new
-/// subscription finds the write relevant.
+/// payload it arrived as, which replay reads in place like a live write.
 struct Retained {
     at: Timestamp,
     key: Key,
     version: Version,
     payload: Bytes,
-    /// Offset of the payload's `doc` object; `None` for a delete.
-    doc_at: Option<u32>,
+    /// Where the payload's `doc` object lies.
+    doc: DocSpan,
 }
 
 impl Retained {
     /// The write's document, read in place; `None` for a delete.
-    fn doc(&self) -> Option<LazyObject<'_>> {
-        Some(LazyObject::at(&self.payload, self.doc_at? as usize))
+    fn doc(&self) -> Option<CheckedObject<'_>> {
+        self.doc.of(&self.payload)
+    }
+
+    /// The write's `writtenAt`, read in place.
+    fn written_at(&self) -> u64 {
+        let at = envelope_field(&self.payload, "writtenAt").and_then(|at| at.as_i64());
+        at.unwrap_or(0) as u64
     }
 }
 
@@ -159,21 +174,23 @@ impl Scope {
 
     /// Staleness avoidance and retention for one incoming write: `false`
     /// for a write that is not newer than what the scope has seen.
-    fn admit(&mut self, img: &AfterImage, payload: Bytes, doc_at: Option<u32>, now: Timestamp) -> bool {
+    fn admit(&mut self, write: &WriteEvent, now: Timestamp) -> bool {
+        let (key, version) = (&write.header.key, write.header.version);
         // Updated in place: a key is copied the first time it is seen.
-        match self.latest_versions.get_mut(&img.key) {
-            Some(seen) if img.version <= *seen => return false,
-            Some(seen) => *seen = img.version,
+        match self.latest_versions.get_mut(key) {
+            Some(seen) if version <= *seen => return false,
+            Some(seen) => *seen = version,
             None => {
-                self.latest_versions.insert(img.key.clone(), img.version);
+                self.latest_versions.insert(key.clone(), version);
             }
         }
+        let payload = write.payload.clone();
         self.retention.push_back(Retained {
             at: now,
-            key: img.key.clone(),
-            version: img.version,
+            key: key.clone(),
+            version,
             payload,
-            doc_at,
+            doc: write.doc,
         });
         true
     }
@@ -259,6 +276,81 @@ fn retire(
     }
 }
 
+/// One write as a cell evaluates it: its header, its record read in place
+/// from the payload, and the after-image built from the two on first need —
+/// by a predicate that reads the record whole, or by a transition that goes
+/// on to a staged query — then shared by every query the write reaches.
+pub(crate) struct Written<'a> {
+    tenant: &'a TenantId,
+    key: &'a Key,
+    version: Version,
+    written_at: u64,
+    trace: Option<&'a TraceContext>,
+    /// `None` for a delete.
+    doc: Option<CheckedObject<'a>>,
+    image: OnceCell<Arc<AfterImage>>,
+}
+
+impl<'a> Written<'a> {
+    /// A live write.
+    pub(crate) fn live(write: &'a WriteEvent) -> Self {
+        let WriteEvent { header, trace, .. } = write;
+        Written {
+            tenant: &header.tenant,
+            key: &header.key,
+            version: header.version,
+            written_at: header.written_at,
+            trace: trace.as_deref(),
+            doc: write.doc(),
+            image: OnceCell::new(),
+        }
+    }
+
+    /// A retained write of `tenant`'s replayed: not on the live write's
+    /// stage path, so without its trace.
+    fn replayed(tenant: &'a TenantId, write: &'a Retained) -> Self {
+        Written {
+            tenant,
+            key: &write.key,
+            version: write.version,
+            written_at: write.written_at(),
+            trace: None,
+            doc: write.doc(),
+            image: OnceCell::new(),
+        }
+    }
+
+    /// The write as an after-image, built on first need. It carries no
+    /// collection, which no stage reads, and no trace: a transition carries
+    /// its own.
+    fn image(&self) -> &Arc<AfterImage> {
+        self.image.get_or_init(|| {
+            Arc::new(AfterImage {
+                tenant: self.tenant.clone(),
+                collection: String::new(),
+                key: self.key.clone(),
+                version: self.version,
+                doc: self.doc.map(|doc| doc.materialize()),
+                written_at: self.written_at,
+                trace: None,
+            })
+        })
+    }
+}
+
+impl Attributes for Written<'_> {
+    fn attr(&self, name: &str) -> Option<Cow<'_, Value>> {
+        self.doc.as_ref()?.attr(name)
+    }
+}
+
+impl Record for Written<'_> {
+    fn document(&self) -> &Document {
+        static NO_RECORD: Document = Document::new();
+        self.image().doc.as_ref().unwrap_or(&NO_RECORD)
+    }
+}
+
 /// Where a cell's staged (sorted/aggregate) transitions go.
 pub(crate) enum StagedOut {
     /// The cell's row is anchored in this process: straight onto the stage
@@ -281,9 +373,11 @@ struct Outputs {
     publisher: Publisher,
     staged: StagedOut,
     identity: Option<WorkerIdentity>,
-    /// `matching.matched` / `matching.filtered`, resolved once.
+    /// `matching.matched` / `matching.filtered` / `matching.materialized`,
+    /// resolved once.
     matched: Arc<AtomicU64>,
     filtered: Arc<AtomicU64>,
+    materialized: Arc<AtomicU64>,
 }
 
 impl Outputs {
@@ -301,9 +395,18 @@ impl Outputs {
                 }
             }
             StagedOut::Shuffle { broker, topic, published } => {
-                broker.publish(topic, WireCodec.encode(&change.to_document()));
+                let mut payload = WireCodec.writer();
+                change.write_to(&mut payload);
+                broker.publish(topic, payload.finish());
                 published.fetch_add(1, AtomicOrdering::Relaxed);
             }
+        }
+    }
+
+    /// Counts an evaluated write whose after-image was built.
+    fn count_materialized(&self, write: &Written<'_>) {
+        if write.image.get().is_some() {
+            self.materialized.fetch_add(1, AtomicOrdering::Relaxed);
         }
     }
 }
@@ -325,11 +428,11 @@ struct Evaluator {
 
 impl Evaluator {
     /// One admitted write against its scope's queries: the candidates are
-    /// what the index proposes for the after-image plus the queries whose
-    /// result currently holds the record (an update can move it out of
-    /// their range, a delete has no document to probe with). Each
-    /// transition goes to all of the group's subscriptions.
-    fn match_write(&mut self, scope: &mut Scope, tenant: &TenantId, img: &Arc<AfterImage>) {
+    /// what the index proposes for the record plus the queries whose result
+    /// currently holds it (an update can move it out of their range, a
+    /// delete has no document to probe with). Each transition goes to all
+    /// of the group's subscriptions.
+    fn match_write(&mut self, scope: &mut Scope, written: Written<'_>) {
         let Scope { queries, index, containing, .. } = scope;
         if queries.is_empty() {
             return;
@@ -340,13 +443,13 @@ impl Evaluator {
             // Force-scan reference: every query of the scope is evaluated.
             candidates.clear();
             candidates.extend(queries.keys());
-        } else if let Some(doc) = &img.doc {
-            index.candidates(doc, &mut candidates);
+        } else if let Some(doc) = &written.doc {
+            index.candidates_in(doc, &mut candidates);
         } else {
             candidates.clear();
             candidates.extend_from_slice(index.scan_candidates());
         }
-        if let Some(holders) = containing.get(&img.key) {
+        if let Some(holders) = containing.get(written.key) {
             candidates.extend_from_slice(holders);
         }
         candidates.sort_unstable();
@@ -356,13 +459,12 @@ impl Evaluator {
             let Some(QueryGroup { query, result, subscriptions }) = queries.get_mut(hash) else {
                 continue;
             };
-            if let Some(kind) =
-                self.match_against(query, *hash, result, subscriptions.ids(), tenant, img)
-            {
-                note_transition(containing, &img.key, *hash, kind);
+            if let Some(kind) = self.match_against(query, *hash, result, subscriptions.ids(), &written) {
+                note_transition(containing, written.key, *hash, kind);
             }
         }
         self.candidates = candidates;
+        self.out.count_materialized(&written);
     }
 
     /// Evaluates one write against one query, charging the wall-clock cost
@@ -374,13 +476,12 @@ impl Evaluator {
         hash: QueryHash,
         result: &mut HashMap<Key, Version>,
         to: &[SubscriptionId],
-        tenant: &TenantId,
-        img: &Arc<AfterImage>,
+        write: &Written<'_>,
     ) -> Option<FilterChangeKind> {
         let started = std::time::Instant::now();
-        let kind = self.evaluate(query, hash, result, to, tenant, img);
+        let kind = self.evaluate(query, hash, result, to, write);
         self.slow_scratch.charge(
-            tenant.as_str(),
+            write.tenant.as_str(),
             hash.0,
             || Arc::clone(&query.spec_display),
             started.elapsed().as_micros() as u64,
@@ -399,35 +500,36 @@ impl Evaluator {
         hash: QueryHash,
         result: &mut HashMap<Key, Version>,
         to: &[SubscriptionId],
-        tenant: &TenantId,
-        img: &Arc<AfterImage>,
+        write: &Written<'_>,
     ) -> Option<FilterChangeKind> {
         let out = &self.out;
-        let held = result.get_mut(&img.key);
-        if held.as_ref().is_some_and(|old| img.version <= **old) {
+        let held = result.get_mut(write.key);
+        if held.as_ref().is_some_and(|old| write.version <= **old) {
             return None; // stale relative to what this view already reflects
         }
         // Shared predicate evaluation: conjunctive queries resolve each
         // atom through the per-write memo (identical result to
-        // `filter.matches` by the `conjuncts` contract); queries that
-        // opt out of decomposition evaluate whole.
+        // `filter.matches` by the `conjuncts` contract), a one-field atom
+        // reading its attribute in place; queries that opt out of
+        // decomposition evaluate the record whole.
         let cache = &mut self.pred_cache;
-        let matches_now = img.doc.as_ref().is_some_and(|d| match query.filter.conjuncts() {
-            Some(atoms) => cache.eval_all(atoms, d),
-            None => query.filter.matches(d),
-        });
+        let matches_now = write.doc.is_some()
+            && match query.filter.conjuncts() {
+                Some(atoms) => cache.eval_all(atoms, write),
+                None => query.filter.matches(write.document()),
+            };
         // The result is updated in place: a key is copied when it enters.
         let kind = match (held, matches_now) {
             (None, true) => {
-                result.insert(img.key.clone(), img.version);
+                result.insert(write.key.clone(), write.version);
                 FilterChangeKind::Add
             }
             (Some(version), true) => {
-                *version = img.version;
+                *version = write.version;
                 FilterChangeKind::Change
             }
             (Some(_), false) => {
-                result.remove(&img.key);
+                result.remove(write.key);
                 FilterChangeKind::Remove
             }
             (None, false) => {
@@ -440,7 +542,7 @@ impl Evaluator {
         // only traced writes, so the unsampled fast path stays allocation
         // free. On a workerd host the stamp also names the worker and its
         // assignment epoch, so a cross-process trace identifies the cell.
-        let trace: Option<TraceContext> = img.trace.clone().map(|mut t| {
+        let trace: Option<TraceContext> = write.trace.cloned().map(|mut t| {
             match &out.identity {
                 Some(id) => id.stamp(&mut t, Stage::Matching),
                 None => t.stamp(Stage::Matching),
@@ -449,32 +551,32 @@ impl Evaluator {
         });
         if query.to_sorting || query.to_aggregation {
             // Sorted/aggregate queries: pass the transition downstream,
-            // sharing the write.
-            let change = FilterChange { query_hash: hash, kind, image: Arc::clone(img), trace };
-            out.forward(query, change);
+            // sharing the write's one after-image.
+            let image = Arc::clone(write.image());
+            out.forward(query, FilterChange { query_hash: hash, kind, image, trace });
         } else {
             // Self-maintainable queries: one notification for all of `to`,
-            // serialized straight from the write and published from this
-            // thread.
+            // the record's bytes copied into it as they arrived, published
+            // from this thread.
             let match_type = match kind {
                 FilterChangeKind::Add => MatchType::Add,
                 FilterChangeKind::Change => MatchType::Change,
                 FilterChangeKind::Remove => MatchType::Remove,
             };
             out.publisher.publish(EnvelopeRef {
-                tenant,
+                tenant: write.tenant,
                 subscriptions: to,
                 kind: KindRef::Change {
                     match_type,
                     item: ItemRef {
-                        key: &img.key,
-                        version: img.version,
-                        doc: img.doc.as_ref(),
+                        key: write.key,
+                        version: write.version,
+                        doc: write.doc.as_ref().map(|doc| DocRef::Encoded(doc)),
                         index: None,
                     },
                     old_index: None,
                 },
-                caused_by_write_at: img.written_at,
+                caused_by_write_at: write.written_at,
                 trace: trace.as_ref(),
             });
         }
@@ -495,11 +597,6 @@ pub struct MatchingNode {
     active_queries: usize,
     retained_writes: usize,
     retained_bytes: usize,
-    /// The after-images evaluated since the last tick, released together
-    /// on it. Dropped one by one between writes, their frees went in step
-    /// with the ingress allocating the next ones, which cost `range_20k`
-    /// about a tenth of its CPU per write (EXPERIMENTS.md).
-    evaluated: Vec<Arc<AfterImage>>,
     /// Observability: dropped stale writes.
     stale_dropped: u64,
     /// Peak ingestion lag (write origin timestamp to matching evaluation)
@@ -552,6 +649,7 @@ impl MatchingNode {
                     identity: config.worker_identity.clone(),
                     matched: metrics.counter("matching.matched"),
                     filtered: metrics.counter("matching.filtered"),
+                    materialized: metrics.counter("matching.materialized"),
                 },
                 slow_scratch: SlowQueryScratch::new(),
                 pred_cache: PredCache::default(),
@@ -569,7 +667,6 @@ impl MatchingNode {
             active_queries: 0,
             retained_writes: 0,
             retained_bytes: 0,
-            evaluated: Vec::new(),
             stale_dropped: 0,
             ingest_lag_us: 0,
             metric_indexed,
@@ -673,8 +770,10 @@ impl MatchingNode {
         // initial result are skipped by the version guard. A write can only
         // matter if the view holds its key or the index would have proposed
         // the query for it — the rest are irrelevant by the index's
-        // superset contract, so they are neither decoded nor evaluated; the
-        // index's test reads its attributes off the encoded document.
+        // superset contract, so they are not evaluated; the index's test
+        // reads its attributes in place. The others take a live write's
+        // path, without its trace: a replayed transition is not on the live
+        // write's stage path.
         let mut admission = index.admission(hash);
         for write in retention.iter() {
             if view.get(&write.key).is_some_and(|held| write.version <= *held) {
@@ -682,16 +781,14 @@ impl MatchingNode {
             }
             let relevant = !self.eval.indexed
                 || view.contains_key(&write.key)
-                || write.doc().is_some_and(|doc| admission.admits_encoded(doc));
+                || write.doc().is_some_and(|doc| admission.admits(&doc));
             if !relevant {
                 continue;
             }
-            // The ingress decoded this payload once already.
-            let img = decode_retained(&write.payload, &req.tenant);
-            debug_assert!(img.is_some(), "a retained payload no longer decodes");
-            let Some(img) = img else { continue };
+            let written = Written::replayed(&req.tenant, write);
             self.eval.pred_cache.begin_write();
-            self.eval.match_against(&group.query, hash, &mut view, to, &req.tenant, &Arc::new(img));
+            self.eval.match_against(&group.query, hash, &mut view, to, &written);
+            self.eval.out.count_materialized(&written);
         }
         if new {
             for key in view.keys() {
@@ -701,25 +798,29 @@ impl MatchingNode {
         }
     }
 
-    /// One after-image: staleness avoidance, retention of its payload, then
-    /// evaluation against the queries of its scope.
-    fn handle_write(&mut self, img: Arc<AfterImage>, payload: Bytes, doc_at: Option<u32>) {
+    /// One write: staleness avoidance, retention of its payload, then
+    /// evaluation against the queries of its scope, found with the
+    /// collection's name read in place.
+    fn handle_write(&mut self, write: WriteEvent) {
+        // The ingress checked the envelope.
+        let Some(collection) = write.collection() else {
+            debug_assert!(false, "a checked write without its collection");
+            return;
+        };
         let now = self.clock.now();
-        let scope = scope_or_new(&mut self.scopes, &img.tenant, &img.collection);
-        let bytes = payload.len();
-        if !scope.admit(&img, payload, doc_at, now) {
+        let scope = scope_or_new(&mut self.scopes, &write.header.tenant, collection);
+        if !scope.admit(&write, now) {
             self.stale_dropped += 1;
             self.metric_dropped_stale.fetch_add(1, AtomicOrdering::Relaxed);
             return;
         }
         self.retained_writes += 1;
-        self.retained_bytes += bytes;
+        self.retained_bytes += write.payload.len();
         // Ingestion lag: how far behind the write's origin timestamp this
         // cell is running. Tracked as a peak here, published on tick.
-        let lag = now_micros().saturating_sub(img.written_at);
+        let lag = now_micros().saturating_sub(write.header.written_at);
         self.ingest_lag_us = self.ingest_lag_us.max(lag);
-        self.eval.match_write(scope, &img.tenant, &img);
-        self.evaluated.push(img);
+        self.eval.match_write(scope, Written::live(&write));
     }
 
     /// The group of a query known only by tenant and hash, as cancellations
@@ -806,7 +907,7 @@ impl MatchingNode {
 impl Task<Event> for MatchingNode {
     fn handle(&mut self, event: Event) {
         match event {
-            Event::Write { image, payload, doc_at } => self.handle_write(image, payload, doc_at),
+            Event::Write(write) => self.handle_write(write),
             Event::Subscribe(req) => self.handle_subscribe(&req),
             Event::Unsubscribe { tenant, query_hash, subscription } => {
                 self.handle_unsubscribe(&tenant, query_hash, subscription)
@@ -820,7 +921,6 @@ impl Task<Event> for MatchingNode {
     }
 
     fn tick(&mut self) {
-        self.evaluated.clear();
         self.expire();
         self.eval.slow_scratch.flush(&self.config.metrics.slow_queries());
         // Per-partition gauges, refreshed once per tick so the hot write
@@ -1029,10 +1129,104 @@ mod tests {
         node.handle(subscribe_event(spec.clone(), 1, vec![]));
         node.handle(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
         let payload = shuffled.try_recv().expect("published by the cell itself");
-        let fc =
-            FilterChange::from_document(invalidb_json::payload_to_document(&payload).unwrap()).unwrap();
+        let fc = FilterChange::decode(&payload).expect("a filter change");
         assert_eq!((fc.query_hash, fc.kind), (spec.stable_hash(), FilterChangeKind::Add));
         assert_eq!(config.metrics.snapshot().counters["shuffle.egress"], 1);
+    }
+
+    /// A change notification copies the record's bytes as the write carried
+    /// them: each envelope a cell publishes is, byte for byte, the envelope
+    /// written from the decoded after-image — for a record of long strings,
+    /// integral floats and nested arrays, an update out of the range and a
+    /// delete alike.
+    #[test]
+    fn notifications_spliced_from_the_write_are_the_ones_written_from_its_image() {
+        use MatchType::{Add, Change, Remove};
+        let mut h = harness(ClusterConfig::new(1, 1));
+        h.send(subscribe_event(
+            QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } }),
+            1,
+            vec![],
+        ));
+        let record = |n: Value| {
+            doc! {
+                "n" => n,
+                "long" => "a string well over the twenty-two inline bytes",
+                "f" => 3.0f64,
+                "nested" => vec![Value::from(vec![Value::Int(1), Value::Null]), Value::Object(doc! {})],
+            }
+        };
+        let images = [
+            (Add, image(Key::of("a"), 1, Some(record(Value::Int(10))))),
+            (Change, image(Key::of("a"), 2, Some(record(Value::Float(12.0))))),
+            (Add, image(Key::of("b"), 1, Some(doc! { "n" => 99i64 }))),
+            (Remove, image(Key::of("a"), 3, Some(record(Value::Int(1))))),
+            (Remove, image(Key::of("b"), 2, None)),
+        ];
+        for (_, img) in &images {
+            h.send(event_of(img));
+        }
+        let published = h.wire.payloads();
+        assert_eq!(published.len(), images.len());
+        for ((_, payload), (match_type, img)) in published.iter().zip(&images) {
+            let mut w = WireCodec.writer();
+            EnvelopeRef {
+                tenant: &img.tenant,
+                subscriptions: &[SubscriptionId(1)],
+                kind: KindRef::Change {
+                    match_type: *match_type,
+                    item: ItemRef {
+                        key: &img.key,
+                        version: img.version,
+                        doc: img.doc.as_ref().map(DocRef::Tree),
+                        index: None,
+                    },
+                    old_index: None,
+                },
+                caused_by_write_at: img.written_at,
+                trace: None,
+            }
+            .write_to(&mut w);
+            assert_eq!(payload, &w.finish(), "{match_type:?} of {:?}", img.key);
+        }
+    }
+
+    /// `matching.materialized` counts the writes a cell decoded into an
+    /// after-image: none on a stream that only ranges match, and each write
+    /// once on a stream every write of which reaches sorted queries, however
+    /// many, and a predicate that reads the record whole.
+    #[test]
+    fn a_write_is_materialized_only_for_a_staged_query_or_a_whole_record_predicate_and_once() {
+        let materialized =
+            |h: &Harness| h.node.config.metrics.snapshot().counters["matching.materialized"];
+        let mut ranges = harness(ClusterConfig::new(1, 1));
+        for (sub, lo) in [(1, 0i64), (2, 50)] {
+            let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => lo, "$lt" => lo + 50 } });
+            ranges.send(subscribe_event(spec, sub, vec![]));
+        }
+        for i in 0..20i64 {
+            ranges.send(write_event(Key::of(i % 7), i as Version + 1, Some(doc! { "n" => i * 5 })));
+        }
+        ranges.send(write_event(Key::of(3i64), 99, None));
+        assert!(ranges.notifications().len() >= 20, "every write entered or left a range");
+        assert_eq!(materialized(&ranges), 0, "a range-only stream");
+
+        let mut sorted = harness(ClusterConfig::new(1, 1));
+        let by_n =
+            |limit| QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(limit);
+        sorted.send(subscribe_event(by_n(3), 1, vec![]));
+        sorted.send(subscribe_event(by_n(5), 2, vec![]));
+        sorted.send(subscribe_event(QuerySpec::filter("t", doc! { "m.x" => 1i64 }), 3, vec![]));
+        for i in 0..20i64 {
+            sorted.send(write_event(
+                Key::of(i),
+                1,
+                Some(doc! { "n" => i, "m" => doc! { "x" => i % 2 } }),
+            ));
+        }
+        assert_eq!(sorted.filter_changes().len(), 40, "both windows saw every write");
+        assert_eq!(sorted.notifications().len(), 10, "the dotted path matched every other write");
+        assert_eq!(materialized(&sorted), 20, "one after-image per write");
     }
 
     #[test]

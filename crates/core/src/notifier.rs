@@ -164,7 +164,7 @@ pub(crate) mod testing {
     //! reads back, so stage unit tests assert on what would reach the wire.
 
     use super::*;
-    use invalidb_broker::{Broker, Subscription};
+    use invalidb_broker::{Broker, Bytes, Subscription};
     use invalidb_common::{MockClock, Notification, NotifyEnvelope};
 
     /// Tenant used by the stage unit tests.
@@ -193,14 +193,20 @@ pub(crate) mod testing {
             }
         }
 
-        /// Every envelope published since the last call.
-        pub(crate) fn envelopes(&self) -> Vec<NotifyEnvelope> {
+        /// Every envelope published since the last call, with its payload.
+        pub(crate) fn payloads(&self) -> Vec<(NotifyEnvelope, Bytes)> {
             std::iter::from_fn(|| self.notify.try_recv())
                 .filter_map(|payload| {
                     let d = invalidb_json::payload_to_document(&payload).expect("decodable payload");
-                    NotifyEnvelope::from_document(d).ok() // heartbeats are no envelopes
+                    // Heartbeats are no envelopes.
+                    NotifyEnvelope::from_document(d).ok().map(|envelope| (envelope, payload))
                 })
                 .collect()
+        }
+
+        /// Every envelope published since the last call.
+        pub(crate) fn envelopes(&self) -> Vec<NotifyEnvelope> {
+            self.payloads().into_iter().map(|(envelope, _)| envelope).collect()
         }
 
         /// The same, as each addressee sees it.

@@ -40,9 +40,13 @@
 //! rarer than writes (the paper's measurement phases hold the query set
 //! constant). Candidate generation fills caller-provided scratch buffers:
 //! the steady-state write path performs no allocation here.
+//!
+//! A probe reads a document through [`Attributes`], so a write's record is
+//! probed where it lies in the write's payload: only the attributes that
+//! have a lane or a tree are read, and only those are decoded.
 
-use invalidb_common::{canonical_cmp, Document, Value};
-use invalidb_json::LazyObject;
+use invalidb_common::{canonical_cmp, Attributes, Document, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -376,6 +380,12 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
     /// document's top-level attribute values hit. A superset of the true
     /// matches; adjacent duplicates removed.
     pub fn candidates(&mut self, doc: &Document, out: &mut Vec<Id>) {
+        self.candidates_in(doc, out);
+    }
+
+    /// [`QueryIndex::candidates`] for a document held anywhere, a write's
+    /// record read in place among them.
+    pub fn candidates_in(&mut self, doc: &(impl Attributes + ?Sized), out: &mut Vec<Id>) {
         self.rebuild_if_dirty();
         out.clear();
         out.extend_from_slice(&self.scan);
@@ -405,30 +415,32 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         Admission { test, key_scratch: Vec::new() }
     }
 
-    /// One document's probe against the equality lanes and interval trees.
-    /// Array values fan out per element in the equality lanes; interval
-    /// lookups use the element envelope (see the module docs for why
-    /// per-element stabbing would miss multi-conjunct matches).
+    /// One document's probe against the equality lanes and interval trees:
+    /// the document is read for the attributes that have a lane or a tree,
+    /// and no others. Array values fan out per element in the equality
+    /// lanes; interval lookups use the element envelope (see the module
+    /// docs for why per-element stabbing would miss multi-conjunct matches).
     fn probe(
         eq: &EqLanes<Id>,
         trees: &HashMap<String, IntervalTree<Id>>,
-        doc: &Document,
+        doc: &(impl Attributes + ?Sized),
         out: &mut Vec<Id>,
         key_scratch: &mut Vec<u8>,
         eq_hits: &mut u64,
     ) {
-        for (attr, value) in doc.iter() {
-            if let Some(lane) = eq.get(attr) {
-                match value {
-                    Value::Array(items) => {
-                        for item in items {
-                            Self::probe_eq(lane, item, doc, out, key_scratch, eq_hits);
-                        }
+        for (attr, lane) in eq {
+            match doc.attr(attr).as_deref() {
+                Some(Value::Array(items)) => {
+                    for item in items {
+                        Self::probe_eq(lane, item, doc, out, key_scratch, eq_hits);
                     }
-                    v => Self::probe_eq(lane, v, doc, out, key_scratch, eq_hits),
                 }
+                Some(v) => Self::probe_eq(lane, v, doc, out, key_scratch, eq_hits),
+                None => {}
             }
-            if let (Some(tree), Some(env)) = (trees.get(attr), envelope(value)) {
+        }
+        for (attr, tree) in trees {
+            if let Some(env) = doc.attr(attr).as_deref().and_then(envelope) {
                 tree.intersecting(env, out);
             }
         }
@@ -438,7 +450,7 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
     fn probe_eq(
         lane: &HashMap<Vec<u8>, Vec<LaneEntry<Id>>>,
         v: &Value,
-        doc: &Document,
+        doc: &(impl Attributes + ?Sized),
         out: &mut Vec<Id>,
         key_scratch: &mut Vec<u8>,
         hits: &mut u64,
@@ -447,18 +459,14 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         v.write_canonical(key_scratch);
         let Some(entries) = lane.get(key_scratch.as_slice()) else { return };
         // The entries of a bucket mostly range over the same attribute:
-        // look its value up once per run of that attribute.
-        let mut looked_up: Option<(&str, Option<&Value>)> = None;
+        // read its value once per run of that attribute.
+        let mut looked_up: Option<(&str, Option<Cow<'_, Value>>)> = None;
         for entry in entries {
             if let Some(residual) = &entry.residual {
-                let value = match looked_up {
-                    Some((attr, value)) if attr == residual.attr => value,
-                    _ => {
-                        let value = doc.get(&residual.attr);
-                        looked_up = Some((&residual.attr, value));
-                        value
-                    }
-                };
+                if looked_up.as_ref().is_none_or(|(attr, _)| *attr != residual.attr) {
+                    looked_up = Some((&residual.attr, doc.attr(&residual.attr)));
+                }
+                let value = looked_up.as_ref().and_then(|(_, value)| value.as_deref());
                 if !residual.admits(value) {
                     continue;
                 }
@@ -506,30 +514,13 @@ enum Test<'a> {
 }
 
 impl<'a> Admission<'a> {
-    /// Whether the probe would propose the query for `doc`.
-    pub fn admits(&mut self, doc: &Document) -> bool {
+    /// Whether the probe would propose the query for `doc`, which is read
+    /// for the one or two attributes the test looks at and no others.
+    pub fn admits(&mut self, doc: &(impl Attributes + ?Sized)) -> bool {
         let (anchor, residual) = self.attrs();
         let Some(anchor) = anchor else { return true };
-        self.holds(doc.get(anchor), residual.and_then(|attr| doc.get(attr)))
-    }
-
-    /// [`Admission::admits`] over an encoded document whose fields do not
-    /// repeat (as in every payload a cell retains), read in place: only the
-    /// one or two attributes the test looks at are decoded, and the fields
-    /// after them are not read. A document that cannot be read is
-    /// admitted, for its full decode to judge.
-    pub fn admits_encoded(&mut self, doc: LazyObject<'_>) -> bool {
-        let (anchor, residual) = self.attrs();
-        let Some(anchor) = anchor else { return true };
-        let found = match residual {
-            Some(residual) => doc.find([anchor, residual]),
-            None => doc.find([anchor]).map(|[value]| [value, None]),
-        };
-        let Ok(found) = found else { return true };
-        let [Ok(anchor), Ok(residual)] = found.map(|v| v.map(|v| v.materialize()).transpose()) else {
-            return true;
-        };
-        self.holds(anchor.as_ref(), residual.as_ref())
+        let (anchor, residual) = (doc.attr(anchor), residual.and_then(|attr| doc.attr(attr)));
+        self.holds(anchor.as_deref(), residual.as_deref())
     }
 
     /// The attributes the test reads: the anchor's (`None` when it admits
@@ -701,8 +692,9 @@ mod tests {
     }
 
     /// The index's contract for one document: every true match is a
-    /// candidate, and the admission test, over the document and over its
-    /// encoding read in place, agrees with the probe query by query.
+    /// candidate, the probe of its encoding read in place proposes the same
+    /// candidates, and the admission test, over the document and over its
+    /// encoding, agrees with the probe query by query.
     fn assert_superset(
         idx: &mut QueryIndex<usize>,
         filters: &[Document],
@@ -711,7 +703,10 @@ mod tests {
     ) {
         let candidates = cands(idx, d);
         let encoded = invalidb_json::WireCodec.encode(d);
-        let in_place = LazyDoc::new(&encoded).unwrap().root();
+        let in_place = LazyDoc::new(&encoded).unwrap().root().check().unwrap();
+        let mut probed = Vec::new();
+        idx.candidates_in(&in_place, &mut probed);
+        assert_eq!(probed, candidates, "the probe in place on {d}");
         for (i, p) in prepared.iter().enumerate() {
             let proposed = candidates.contains(&i);
             assert!(
@@ -722,7 +717,7 @@ mod tests {
             let mut admission = idx.admission(i);
             let filter = &filters[i];
             assert_eq!(admission.admits(d), proposed, "admits disagrees on {filter:?} against {d}");
-            assert_eq!(admission.admits_encoded(in_place), proposed, "in place: {filter:?} on {d}");
+            assert_eq!(admission.admits(&in_place), proposed, "in place: {filter:?} on {d}");
         }
     }
 
@@ -1054,6 +1049,111 @@ mod tests {
                 }
             }
             assert_superset(&mut idx, &filters, &prepared, &d);
+        }
+    }
+
+    /// Differential: a record read in place from its encoding, as a cell
+    /// reads a write, is probed and evaluated exactly as the decoded record
+    /// is — the probe proposes the same candidates, and the filter's atoms,
+    /// each reading one attribute in place or the record whole, decide as
+    /// `PreparedFilter::matches` does on the decoded record. Records mix
+    /// integers and floats, short and long strings, arrays, nested objects,
+    /// nulls and missing attributes; filters are ranges, `$eq`, `$in`,
+    /// dotted paths and `$or`.
+    #[test]
+    fn candidates_and_evaluation_in_place_agree_with_the_decoded_record() {
+        use crate::event::Event;
+        use crate::matching::Written;
+        use invalidb_common::{AfterImage, Key, TenantId};
+        let mut rng = test_rng("candidates_and_evaluation_in_place_agree_with_the_decoded_record");
+        let attrs = ["a", "b", "c"];
+        let long = ["a string of more than twenty-two bytes", "another string past the inline limit"];
+        let scalar = |rng: &mut StdRng| -> Value {
+            match rng.gen_range(0..6) {
+                0 => Value::Int(rng.gen_range(-10..10i64)),
+                1 => Value::Float(rng.gen_range(-10..10i64) as f64),
+                2 => Value::Float(rng.gen_range(-10.0..10.0)),
+                3 => Value::from(["red", "blue"][rng.gen_range(0..2usize)]),
+                4 => Value::from(long[rng.gen_range(0..2usize)]),
+                _ => Value::Null,
+            }
+        };
+        let mut filters = Vec::new();
+        for _ in 0..80 {
+            let attr = attrs[rng.gen_range(0..attrs.len())];
+            let path = if rng.gen_bool(0.2) { "n.x" } else { attr };
+            let lo = rng.gen_range(-10..10i64);
+            let condition = match rng.gen_range(0..4) {
+                0 => Value::Object(doc! { "$gte" => lo, "$lt" => lo + rng.gen_range(1..8i64) }),
+                1 => scalar(&mut rng),
+                2 => Value::Object(doc! { "$in" => vec![scalar(&mut rng), scalar(&mut rng)] }),
+                _ => Value::Object(doc! { "$gt" => lo }),
+            };
+            let mut filter = Document::new();
+            filter.insert(path, condition);
+            if rng.gen_bool(0.3) {
+                let other = attrs[rng.gen_range(0..attrs.len())];
+                let either = vec![
+                    Value::Object(doc! { other => scalar(&mut rng) }),
+                    Value::Object(doc! { "n.x" => doc! { "$lte" => lo } }),
+                ];
+                filter.insert("$or", either);
+            }
+            filters.push(filter);
+        }
+        let mut idx: QueryIndex<usize> = QueryIndex::default();
+        for (i, f) in filters.iter().enumerate() {
+            idx.insert(i, f);
+        }
+        let prepared: Vec<_> = filters.iter().map(prepare).collect();
+        let compiled: Vec<_> =
+            filters.iter().map(|f| MongoQueryEngine.prepare_filter(f).unwrap()).collect();
+        for _ in 0..400 {
+            let mut d = Document::new();
+            for attr in attrs {
+                match rng.gen_range(0..5) {
+                    0 => {} // missing
+                    1 => {
+                        d.insert(
+                            attr,
+                            Value::Array((0..rng.gen_range(0..3)).map(|_| scalar(&mut rng)).collect()),
+                        );
+                    }
+                    _ => {
+                        d.insert(attr, scalar(&mut rng));
+                    }
+                }
+            }
+            if rng.gen_bool(0.5) {
+                d.insert("n", doc! { "x" => scalar(&mut rng), "y" => vec![scalar(&mut rng)] });
+            }
+            assert_superset(&mut idx, &filters, &prepared, &d);
+            let image = AfterImage {
+                tenant: TenantId::new("app"),
+                collection: "t".into(),
+                key: Key::of(1i64),
+                version: 1,
+                doc: Some(d.clone()),
+                written_at: 0,
+                trace: None,
+            };
+            let mut w = invalidb_json::WireCodec.writer();
+            image.as_ref().write_to(&mut w);
+            let Some(Event::Write(write)) = crate::ingest::decode_event_with(w.finish(), TenantId::new)
+            else {
+                panic!("a write envelope")
+            };
+            let written = Written::live(&write);
+            let materialized = write.doc().expect("a record").materialize();
+            assert_eq!(materialized, d);
+            for (filter, compiled) in filters.iter().zip(&compiled) {
+                let atoms = compiled.conjuncts().expect("mongo filters decompose");
+                assert_eq!(
+                    atoms.iter().all(|atom| atom.matches_in(&written)),
+                    compiled.matches(&materialized),
+                    "{filter:?} on {d}"
+                );
+            }
         }
     }
 

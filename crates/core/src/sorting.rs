@@ -13,7 +13,7 @@ use crate::notifier::Publisher;
 use crate::subscribers::Subscribers;
 use crate::window::{apply_events, SortedWindow, VisibleEvent, WindowItem};
 use invalidb_common::{
-    Clock, EnvelopeRef, ItemRef, KindRef, MatchType, QueryHash, Stage, SubscriptionId,
+    Clock, DocRef, EnvelopeRef, ItemRef, KindRef, MatchType, QueryHash, Stage, SubscriptionId,
     SubscriptionRequest, TenantId, TraceContext,
 };
 use invalidb_obs::SlowQueryScratch;
@@ -312,7 +312,7 @@ fn publish_edit(
         ItemRef {
             key: &item.key,
             version: item.version,
-            doc: Some(&item.doc),
+            doc: Some(DocRef::Tree(&item.doc)),
             index: Some(index as u64),
         }
     }
@@ -348,7 +348,7 @@ impl Task<Event> for SortingNode {
             Event::ExtendTtl { tenant, query_hash, subscription, ttl_micros } => {
                 self.handle_extend_ttl(&tenant, query_hash, subscription, ttl_micros)
             }
-            Event::Write { .. } => {}
+            Event::Write(_) => {}
         }
     }
 

@@ -49,6 +49,10 @@ pub const BIN_VERSION: u8 = 1;
 /// overflow past the other.
 pub const MAX_DEPTH: usize = 128;
 
+/// The most names of an object [`BinReader::check_object_body`] compares
+/// on the stack.
+const NAMES_INLINE: usize = 16;
+
 pub(crate) const TAG_NULL: u8 = 0x00;
 pub(crate) const TAG_FALSE: u8 = 0x01;
 pub(crate) const TAG_TRUE: u8 = 0x02;
@@ -311,6 +315,62 @@ impl<'a> BinReader<'a> {
             }
         }
         Ok(doc)
+    }
+
+    /// Walks an object body as [`BinReader::object_body`] reads it and
+    /// fails where that fails — tags, varints, depth, the UTF-8 of every
+    /// key and string, a repeated key at any depth — but builds nothing:
+    /// an object's names are compared in place. An object of more than
+    /// [`NAMES_INLINE`] fields is decoded instead, to find a repeated one.
+    pub(crate) fn check_object_body(&mut self, depth: usize) -> Result<(), BinError> {
+        if depth > MAX_DEPTH {
+            return Err(BinError::new(BinErrorKind::TooDeep, self.pos));
+        }
+        let start = self.pos;
+        let count = self.len_varint()?;
+        if count > NAMES_INLINE {
+            self.pos = start;
+            return self.object_body(depth).map(drop);
+        }
+        let mut names: [&[u8]; NAMES_INLINE] = [&[]; NAMES_INLINE];
+        for i in 0..count {
+            let at = self.pos;
+            names[i] = self.str()?.as_bytes();
+            self.check_value(depth)?;
+            if names[..i].contains(&names[i]) {
+                return Err(BinError::new(BinErrorKind::RepeatedKey, at));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`BinReader::value`]'s walk, building nothing (see
+    /// [`BinReader::check_object_body`]).
+    fn check_value(&mut self, depth: usize) -> Result<(), BinError> {
+        if depth > MAX_DEPTH {
+            return Err(BinError::new(BinErrorKind::TooDeep, self.pos));
+        }
+        let at = self.pos;
+        match self.byte()? {
+            TAG_NULL | TAG_FALSE | TAG_TRUE => {}
+            TAG_INT => {
+                self.varint()?;
+            }
+            TAG_FLOAT => {
+                self.take(8)?;
+            }
+            TAG_STRING => {
+                self.str()?;
+            }
+            TAG_ARRAY => {
+                for _ in 0..self.len_varint()? {
+                    self.check_value(depth + 1)?;
+                }
+            }
+            TAG_OBJECT => self.check_object_body(depth + 1)?,
+            other => return Err(BinError::new(BinErrorKind::BadTag(other), at)),
+        }
+        Ok(())
     }
 
     pub(crate) fn value(&mut self, depth: usize) -> Result<Value, BinError> {

@@ -27,12 +27,19 @@
 //! it merely skips over, and bytes trailing the root object go unnoticed
 //! unless [`LazyDoc::materialize`] or [`LazyDoc::fields`] reads to the end
 //! (both re-check, like the eager path).
+//!
+//! [`LazyObject::check`] accepts exactly what materializing the object
+//! accepts, in one walk that allocates nothing for objects of up to 16
+//! fields, and hands back the checked
+//! object as a [`CheckedObject`]: its bytes, read in place attribute by
+//! attribute, copied verbatim into another payload, or materialized.
 
 use crate::bin::{
     self, BinError, BinErrorKind, BinReader, BIN_MAGIC, BIN_VERSION, MAX_DEPTH, TAG_ARRAY, TAG_FALSE,
     TAG_FLOAT, TAG_INT, TAG_NULL, TAG_OBJECT, TAG_STRING, TAG_TRUE,
 };
-use invalidb_common::{Document, Value};
+use invalidb_common::{Attributes, Document, EncodedObject, Value};
+use std::borrow::Cow;
 
 /// A borrowed, lazily resolved view over a binary payload's root object.
 ///
@@ -189,13 +196,21 @@ impl<'a> LazyValue<'a> {
         matches!(self, LazyValue::Null)
     }
 
-    /// The value, once checked as strictly as materializing it: a
-    /// container is materialized and dropped, a scalar was checked when it
-    /// was read. For a field a typed decoder reads no further, which an
-    /// eager decode would still have checked.
+    /// The value, once checked as strictly as materializing it, without
+    /// building it: a container is walked ([`LazyObject::check`]), a scalar
+    /// was checked when it was read. For a field a typed decoder reads no
+    /// further, which an eager decode would still have checked.
     pub fn checked(self) -> Result<Self, BinError> {
-        if matches!(self, LazyValue::Array(_) | LazyValue::Object(_)) {
-            self.materialize()?;
+        match self {
+            LazyValue::Array(arr) => {
+                for item in arr.items() {
+                    item?.checked()?;
+                }
+            }
+            LazyValue::Object(obj) => {
+                obj.check()?;
+            }
+            _ => {}
         }
         Ok(self)
     }
@@ -275,7 +290,7 @@ impl<'a> LazyObject<'a> {
     /// Resolves `names` in one pass over the whole body, as strictly as
     /// materializing the object would check it: a name given twice is
     /// [`BinErrorKind::RepeatedKey`], and an object with a field outside
-    /// `names` is materialized once to check that field (and dropped). The
+    /// `names` is checked once more as a whole ([`LazyObject::check`]). The
     /// values found are read as by [`LazyObject::entries`]: a container
     /// among them is checked only by whoever reads it.
     pub fn fields<const N: usize>(
@@ -306,22 +321,23 @@ impl<'a> LazyObject<'a> {
             }
         }
         if others {
-            self.materialize()?;
+            self.check()?;
         }
         Ok((found, entries.offset()))
     }
 
-    /// The object one level below the root whose body starts at `offset` of
-    /// `payload`: what a [`LazyObject::offset`] of a payload already
-    /// validated by [`LazyDoc::new`] named, found again without reading the
-    /// header. Any other offset reads as whatever the bytes there encode —
-    /// corrupt, never a panic.
-    pub fn at(payload: &'a [u8], offset: usize) -> LazyObject<'a> {
-        LazyObject { buf: payload, pos: offset.min(payload.len()), depth: 1 }
+    /// Checks the object exactly as strictly as [`LazyObject::materialize`]
+    /// would — tags, varints, depth, the UTF-8 of every key and string, no
+    /// key repeated at any depth — in one walk that builds nothing (but an
+    /// object of more than 16 fields, decoded to compare its names), and
+    /// hands back its bytes.
+    pub fn check(&self) -> Result<CheckedObject<'a>, BinError> {
+        let mut r = BinReader { buf: self.buf, pos: self.pos };
+        r.check_object_body(self.depth)?;
+        Ok(CheckedObject { body: &self.buf[self.pos..r.pos] })
     }
 
-    /// Payload offset of this object's body, where [`LazyObject::at`] finds
-    /// it again.
+    /// Payload offset of this object's body.
     pub fn offset(&self) -> usize {
         self.pos
     }
@@ -347,6 +363,69 @@ impl<'a> LazyObject<'a> {
     pub fn materialize(&self) -> Result<Document, BinError> {
         let mut r = BinReader { buf: self.buf, pos: self.pos };
         r.object_body(self.depth)
+    }
+}
+
+/// An object's encoding that [`LazyObject::check`] accepted: its body, from
+/// the entry count to the end of its last entry. Its top-level attributes
+/// are read in place ([`Attributes`]), only the ones asked for and each
+/// when asked for; a payload writer copies its bytes verbatim
+/// ([`EncodedObject`]).
+#[derive(Clone, Copy, Debug)]
+pub struct CheckedObject<'a> {
+    body: &'a [u8],
+}
+
+impl<'a> CheckedObject<'a> {
+    /// The object that [`CheckedObject::bytes`] of an earlier check
+    /// returned, kept apart from it (a cell keeps a write's offsets
+    /// instead). Other bytes read as whatever they encode: corrupt, never a
+    /// panic — a debug build asserts on the first read that fails.
+    pub fn new(body: &'a [u8]) -> Self {
+        CheckedObject { body }
+    }
+
+    /// The object's body.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.body
+    }
+
+    /// A lazy window onto the object, one level below a root.
+    fn object(&self) -> LazyObject<'a> {
+        LazyObject { buf: self.body, pos: 0, depth: 1 }
+    }
+
+    /// The object as a document.
+    pub fn materialize(&self) -> Document {
+        let Ok(doc) = self.object().materialize() else {
+            debug_assert!(false, "a checked object no longer decodes");
+            return Document::new();
+        };
+        doc
+    }
+}
+
+impl Attributes for CheckedObject<'_> {
+    fn attr(&self, name: &str) -> Option<Cow<'_, Value>> {
+        let Ok([value]) = self.object().find([name]) else {
+            debug_assert!(false, "a checked object no longer reads");
+            return None;
+        };
+        let Ok(value) = value?.materialize() else {
+            debug_assert!(false, "a checked object's `{name}` no longer decodes");
+            return None;
+        };
+        Some(Cow::Owned(value))
+    }
+}
+
+impl EncodedObject for CheckedObject<'_> {
+    fn body(&self) -> &[u8] {
+        self.body
+    }
+
+    fn to_document(&self) -> Document {
+        self.materialize()
     }
 }
 
@@ -664,16 +743,22 @@ mod tests {
     }
 
     #[test]
-    fn find_resolves_fields_in_one_pass_and_an_offset_reopens_an_object() {
+    fn find_resolves_fields_in_one_pass_and_a_checked_object_reads_in_place() {
         let bytes = payload();
         let lazy = LazyDoc::new(&bytes).unwrap();
         let [doc, version, absent] = lazy.root().find(["doc", "version", "absent"]).unwrap();
         assert_eq!(version.unwrap().as_i64(), Some(42));
         assert!(absent.is_none());
         let doc = doc.unwrap().as_object().unwrap();
-        let reopened = LazyObject::at(&bytes, doc.offset());
-        assert_eq!(reopened.materialize().unwrap(), doc.materialize().unwrap());
-        assert!(LazyObject::at(&bytes, bytes.len() + 7).get("n").is_err(), "corrupt, no panic");
+        let checked = doc.check().unwrap();
+        let whole = doc.materialize().unwrap();
+        assert_eq!(checked.bytes(), &bytes[doc.offset()..doc.offset() + checked.bytes().len()]);
+        let kept = CheckedObject::new(checked.bytes());
+        assert_eq!(kept.materialize(), whole);
+        assert_eq!(kept.attr("n").as_deref(), whole.get("n"));
+        assert!(kept.attr("absent").is_none());
+        assert_eq!(kept.attr("tags").as_deref(), whole.get("tags"));
+        assert!(CheckedObject::new(&[]).object().get("n").is_err(), "corrupt, no panic");
     }
 
     #[test]
@@ -720,7 +805,33 @@ mod tests {
         bytes.extend_from_slice(&nested);
         let [c] = LazyDoc::new(&bytes).unwrap().fields(["c"]).unwrap();
         assert_eq!(error(c.unwrap().checked()), Some(BinErrorKind::RepeatedKey));
+        assert_eq!(error(c.unwrap().as_object().unwrap().check()), Some(BinErrorKind::RepeatedKey));
         assert_eq!(bin::decode_document(&bytes).unwrap_err().kind, BinErrorKind::RepeatedKey);
+    }
+
+    /// The walk that builds nothing fails exactly where materializing
+    /// fails, with the same error, on every truncation and byte flip — of a
+    /// document with nesting, one with more names than are compared on the
+    /// stack, and one that repeats a name.
+    #[test]
+    fn check_fails_where_materialize_fails() {
+        let wide: Document = (0..40).map(|i| (format!("f{i}"), Value::Int(i))).collect();
+        let mut repeated = encode_document(&wide);
+        let at = repeated.windows(3).rposition(|w| w == b"f39").unwrap();
+        repeated[at + 2] = b'0'; // `f30` twice, in an object too wide for the stack
+        for bytes in [payload(), encode_document(&wide), repeated, repeating(&[TAG_NULL])] {
+            for variant in
+                (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).chain((5..bytes.len()).map(|at| {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= 0x80;
+                    flipped
+                }))
+            {
+                let Ok(lazy) = LazyDoc::new(&variant) else { continue };
+                let root = lazy.root();
+                assert_eq!(root.check().map(|_| ()), root.materialize().map(|_| ()), "{variant:?}");
+            }
+        }
     }
 
     #[test]

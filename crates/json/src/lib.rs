@@ -31,7 +31,7 @@ mod writer;
 
 pub use bin::{BinError, BinErrorKind};
 pub use error::{JsonError, JsonErrorKind};
-pub use lazy::{LazyArray, LazyDoc, LazyObject, LazyValue};
+pub use lazy::{CheckedObject, LazyArray, LazyDoc, LazyObject, LazyValue};
 pub use parse::{parse_document, parse_value, Parser};
 pub use ser::{to_bytes, to_string, write_document, write_value};
 pub use writer::PayloadWriter;

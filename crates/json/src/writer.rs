@@ -14,7 +14,7 @@
 
 use crate::bin::{self, BIN_MAGIC, BIN_VERSION, TAG_ARRAY, TAG_OBJECT, TAG_STRING};
 use bytes::Bytes;
-use invalidb_common::{Document, FieldWriter, Value};
+use invalidb_common::{Document, EncodedObject, FieldWriter, Value};
 use std::cell::Cell;
 
 /// The largest buffer a thread keeps between two payloads.
@@ -103,6 +103,11 @@ impl FieldWriter for PayloadWriter {
     fn document(&mut self, doc: &Document) {
         self.bytes.push(TAG_OBJECT);
         bin::encode_object_body(doc, &mut self.bytes);
+    }
+
+    fn encoded(&mut self, object: &dyn EncodedObject) {
+        self.bytes.push(TAG_OBJECT);
+        self.bytes.extend_from_slice(object.body());
     }
 
     fn str(&mut self, s: &str) {

@@ -22,10 +22,9 @@
 
 use crate::filter::{pred_holds, FieldPred, Filter};
 use crate::parse::{parse_filter, FilterParseError};
-use crate::path::with_resolved;
 use crate::predicate::{decompose, predicate_hash, PredicateHash};
 use crate::sort::compare_items;
-use invalidb_common::{canonical_eq, Document, Key, QuerySpec, Str, Value};
+use invalidb_common::{canonical_eq, Document, Key, QuerySpec, Record, Str, Value};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -95,10 +94,20 @@ impl PreparedAtom {
 
     /// Evaluates just this conjunct against a document.
     pub fn matches(&self, doc: &Document) -> bool {
+        self.matches_in(doc)
+    }
+
+    /// [`PreparedAtom::matches`] over a record held anywhere: a one-field
+    /// atom reads its one attribute (so a record read in place decodes
+    /// that attribute alone), any other atom the whole record.
+    pub fn matches_in(&self, record: &(impl Record + ?Sized)) -> bool {
         match &self.eval {
-            AtomEval::Field { path, pred } => with_resolved(doc, path, |c| pred_holds(pred, c)),
-            AtomEval::Filter(filter) => filter.matches(doc),
-            AtomEval::Test(test) => test(doc),
+            AtomEval::Field { path, pred } => match record.attr(path) {
+                Some(value) => pred_holds(pred, &[&value]),
+                None => pred_holds(pred, &[]),
+            },
+            AtomEval::Filter(filter) => filter.matches(record.document()),
+            AtomEval::Test(test) => test(record.document()),
         }
     }
 }

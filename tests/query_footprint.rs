@@ -245,7 +245,7 @@ fn a_retained_write_holds_its_payload() {
             trace: None,
         };
         cell.handle(write_event(&image, &mut tenants));
-        // Ticks release the evaluated images; the clock stands, so they
+        // Ticks run as they would in a cluster; the clock stands, so they
         // trim nothing.
         if seq % 1_000 == 999 {
             cell.tick();

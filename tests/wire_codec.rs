@@ -1,12 +1,14 @@
 //! One typed codec per wire message, pinned to its document form.
 //!
 //! Every message on the cluster topic (write, subscribe, unsubscribe,
-//! extendTtl) and on a notify topic (change, initial result, error,
-//! aggregate, heartbeat) is written by its typed writer and read by its
-//! typed decoder (`ingest::decode_cluster_payload`,
-//! `decode_notify_payload`). The document forms — `to_document`, and
-//! `from_document` over the whole payload decoded as a document — are the
-//! oracle. The properties:
+//! extendTtl), on a notify topic (change, initial result, error,
+//! aggregate, heartbeat) and on a shuffle topic (a filter change) is
+//! written by its typed writer and read by its typed decoder
+//! (`ingest::decode_cluster_payload`, `decode_notify_payload`,
+//! `FilterChange::decode`). The document forms — `to_document`, and
+//! `from_document` over the whole payload decoded as a document; for a
+//! filter change, the layout written out below — are the oracle. The
+//! properties:
 //!
 //! * a typed writer writes the bytes of its document form, and its decoder
 //!   reads them back to the message;
@@ -16,8 +18,14 @@
 //! * every payload that repeats a field, at any depth, is rejected;
 //! * the coordinator's control-only decoder (`ingest::decode_control`)
 //!   answers as the cluster decoder does, and `None` for every write;
+//! * the ingress's decoder (`ingest::decode_event_with`), which checks a
+//!   write and hands it on as its payload, rejects exactly what the cluster
+//!   decoder rejects, and a write's header, record and trace, read where
+//!   the event keeps them, are the decoded after-image's;
 //! * each addressee of a decoded envelope sees its kind, trace and write
-//!   time.
+//!   time;
+//! * a change envelope whose record is copied in as the bytes it arrived in
+//!   is the envelope written from the decoded record.
 //!
 //! Each property seeds itself from its name; CI runs the file under more
 //! seeds through `PROPTEST_SEED`.
@@ -25,13 +33,16 @@
 use invalidb::broker::Bytes;
 use invalidb::client::{decode_notify_payload, NotifyPayload};
 use invalidb::common::{
-    AfterImage, AggregateOp, AggregateSpec, ChangeItem, ClusterMessage, Document, FieldWriter, Key,
-    MaintenanceError, MatchType, NotificationKind, NotifyEnvelope, QueryHash, QuerySpec, ResultItem,
-    SortDirection, Stage, SubscriptionId, SubscriptionRequest, TenantId, TraceContext, Value,
+    AfterImage, AggregateOp, AggregateSpec, ChangeItem, ClusterMessage, DocRef, Document, EnvelopeRef,
+    FieldWriter, ItemRef, Key, KindRef, MaintenanceError, MatchType, NotificationKind, NotifyEnvelope,
+    QueryHash, QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId, SubscriptionRequest,
+    TenantId, TraceContext, Value,
 };
-use invalidb::core::ingest::{decode_cluster_payload, decode_control};
+use invalidb::core::ingest::{decode_cluster_payload, decode_control, decode_event_with};
+use invalidb::core::{Event, FilterChange, FilterChangeKind};
 use invalidb::json::{bin, LazyDoc, LazyValue, PayloadWriter, WireCodec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn optional<T: Clone + std::fmt::Debug + 'static>(
     some: impl Strategy<Value = T> + 'static,
@@ -195,13 +206,116 @@ fn envelope() -> impl Strategy<Value = NotifyEnvelope> {
         })
 }
 
-/// A message of either topic.
+/// A staged transition as a cell off the row owner ships it.
+fn filter_change() -> impl Strategy<Value = FilterChange> {
+    let kind = prop_oneof![
+        Just(FilterChangeKind::Add),
+        Just(FilterChangeKind::Change),
+        Just(FilterChangeKind::Remove),
+    ];
+    (
+        ("\\PC{1,8}", any::<u64>(), kind),
+        (scalar(), any::<u32>(), optional(document()), 0u64..(i64::MAX as u64), optional(trace())),
+    )
+        .prop_map(|((tenant, hash, kind), (key, version, doc, written_at, trace))| FilterChange {
+            query_hash: QueryHash(hash),
+            kind,
+            image: Arc::new(AfterImage {
+                tenant: TenantId::new(&tenant),
+                collection: String::new(),
+                key: Key(key),
+                version: version as u64,
+                doc,
+                written_at,
+                trace: None,
+            }),
+            trace,
+        })
+}
+
+/// A filter change as parts that compare.
+type Shuffled = (QueryHash, FilterChangeKind, AfterImage, Option<TraceContext>);
+
+fn shuffled(change: &FilterChange) -> Shuffled {
+    (change.query_hash, change.kind, (*change.image).clone(), change.trace.clone())
+}
+
+/// The shuffle topic's document form: the oracle its typed codec is pinned
+/// to.
+fn filter_change_document(change: &FilterChange) -> Document {
+    let img = &change.image;
+    let mut d = invalidb::doc! {
+        "tenant" => img.tenant.as_str(),
+        "queryHash" => change.query_hash.0 as i64,
+        "kind" => change.kind.as_str(),
+        "key" => img.key.0.clone(),
+        "version" => img.version as i64,
+        "doc" => img.doc.clone().map_or(Value::Null, Value::Object),
+        "writtenAt" => img.written_at as i64,
+    };
+    if let Some(trace) = &change.trace {
+        d.insert("trace", trace.to_document());
+    }
+    d
+}
+
+/// The shuffle topic's oracle: the change taken out of the whole payload
+/// decoded as a document.
+fn shuffle_oracle(payload: &[u8]) -> Option<Shuffled> {
+    let d = bin::decode_document(payload).ok()?;
+    let image = AfterImage {
+        tenant: TenantId::new(d.get("tenant")?.as_str()?),
+        collection: String::new(),
+        key: Key(d.get("key")?.clone()),
+        version: d.get("version")?.as_i64()? as u64,
+        doc: match d.get("doc") {
+            None | Some(Value::Null) => None,
+            Some(Value::Object(doc)) => Some(doc.clone()),
+            Some(_) => return None,
+        },
+        written_at: d.get("writtenAt").and_then(Value::as_i64).unwrap_or(0) as u64,
+        trace: None,
+    };
+    let trace = match d.get("trace").and_then(Value::as_object) {
+        Some(trace) => Some(TraceContext::from_document(trace).ok()?),
+        None => None,
+    };
+    let kind = FilterChangeKind::parse(d.get("kind")?.as_str()?)?;
+    Some((QueryHash(d.get("queryHash")?.as_i64()? as u64), kind, image, trace))
+}
+
+/// What the ingress hands on, as the message it stands for: a write's
+/// header, record and trace read where the event keeps them.
+fn ingested(event: Event) -> Option<ClusterMessage> {
+    Some(match event {
+        Event::Write(write) => ClusterMessage::Write(AfterImage {
+            collection: write.collection()?.to_owned(),
+            doc: write.doc().map(|doc| doc.materialize()),
+            trace: write.trace.as_deref().cloned(),
+            tenant: write.header.tenant,
+            key: write.header.key,
+            version: write.header.version,
+            written_at: write.header.written_at,
+        }),
+        Event::Subscribe(req) => ClusterMessage::Subscribe((*req).clone()),
+        Event::Unsubscribe { tenant, subscription, query_hash } => {
+            ClusterMessage::Unsubscribe { tenant, subscription, query_hash }
+        }
+        Event::ExtendTtl { tenant, subscription, query_hash, ttl_micros } => {
+            ClusterMessage::ExtendTtl { tenant, subscription, query_hash, ttl_micros }
+        }
+        Event::FilterChange(_) => return None,
+    })
+}
+
+/// A message of any topic.
 #[derive(Debug, Clone)]
 enum Message {
     Cluster(ClusterMessage),
     Notify(NotifyEnvelope),
     /// The publisher's heartbeat for a tenant, a document on the wire.
     Heartbeat(String),
+    Shuffle(FilterChange),
 }
 
 impl Message {
@@ -212,6 +326,7 @@ impl Message {
             Message::Cluster(message) => message.write_to(&mut w),
             Message::Notify(envelope) => envelope.as_ref().write_to(&mut w),
             Message::Heartbeat(_) => return WireCodec.encode(&self.document()),
+            Message::Shuffle(change) => change.write_to(&mut w),
         }
         w.finish()
     }
@@ -224,6 +339,7 @@ impl Message {
             Message::Heartbeat(tenant) => {
                 invalidb::doc! { "type" => "heartbeat", "tenant" => tenant.as_str() }
             }
+            Message::Shuffle(change) => filter_change_document(change),
         }
     }
 }
@@ -234,6 +350,7 @@ fn message() -> impl Strategy<Value = Message> {
         control().prop_map(Message::Cluster),
         envelope().prop_map(Message::Notify),
         "\\PC{1,8}".prop_map(Message::Heartbeat),
+        filter_change().prop_map(Message::Shuffle),
     ]
 }
 
@@ -275,21 +392,27 @@ fn repeats(value: LazyValue<'_>) -> bool {
     }
 }
 
-/// The contract on one payload, for both topics' decoders: one that
+/// The contract on one payload, for every topic's decoders: one that
 /// repeats a field is rejected, any other decodes as its oracle does.
 fn check(payload: &[u8]) -> Result<(), TestCaseError> {
     let cluster = decode_cluster_payload(&Bytes::copy_from_slice(payload));
     let control = decode_control(payload);
+    let event = decode_event_with(Bytes::copy_from_slice(payload), TenantId::new);
     let notify = decode_notify_payload(payload, &reader());
+    let shuffle = FilterChange::decode(payload).map(|change| shuffled(&change));
     if LazyDoc::new(payload).is_ok_and(|lazy| repeats(LazyValue::Object(lazy.root()))) {
         prop_assert_eq!(cluster, None);
         prop_assert_eq!(control, None);
+        prop_assert!(event.is_none());
         prop_assert_eq!(notify, None);
+        prop_assert_eq!(shuffle, None);
     } else {
         let oracle = cluster_oracle(payload);
         prop_assert_eq!(control, oracle.clone().filter(|m| !matches!(m, ClusterMessage::Write(_))));
+        prop_assert_eq!(event.and_then(ingested), oracle.clone());
         prop_assert_eq!(cluster, oracle);
         prop_assert_eq!(notify, notify_oracle(payload));
+        prop_assert_eq!(shuffle, shuffle_oracle(payload));
     }
     Ok(())
 }
@@ -389,6 +512,9 @@ proptest! {
             Message::Heartbeat(_) => {
                 prop_assert_eq!(decode_notify_payload(&payload, &reader()), Some(NotifyPayload::Heartbeat))
             }
+            Message::Shuffle(change) => {
+                prop_assert_eq!(FilterChange::decode(&payload).map(|c| shuffled(&c)), Some(shuffled(change)))
+            }
         }
         check(&payload)?;
     }
@@ -405,7 +531,9 @@ proptest! {
         for cut in 0..full.len() {
             let torn = &full[..cut];
             prop_assert_eq!(decode_cluster_payload(&Bytes::copy_from_slice(torn)), None);
+            prop_assert!(decode_event_with(Bytes::copy_from_slice(torn), TenantId::new).is_none());
             prop_assert_eq!(decode_notify_payload(torn, &reader()), None);
+            prop_assert!(FilterChange::decode(torn).is_none());
             check(torn)?;
         }
         let mut raw = full.to_vec();
@@ -472,6 +600,109 @@ proptest! {
     fn wire_codec_integral_floats_decode_like_the_oracle(message in message()) {
         let Value::Object(d) = floats(Value::Object(message.document())) else { unreachable!() };
         check(&WireCodec.encode(&d))?;
+    }
+
+    /// A change envelope whose record is copied in as the bytes it arrived
+    /// in is, byte for byte and as a document, the one written from the
+    /// decoded record.
+    #[test]
+    fn wire_codec_a_spliced_record_writes_the_decoded_records_bytes(record in document()) {
+        assert_spliced_like_decoded(&record);
+    }
+}
+
+/// [`wire_codec_a_spliced_record_writes_the_decoded_records_bytes`] for
+/// one record: encoded on its own, checked, and copied into a change
+/// envelope.
+fn assert_spliced_like_decoded(record: &Document) {
+    let bytes = WireCodec.encode(record);
+    let spliced = LazyDoc::new(&bytes).unwrap().root().check().unwrap();
+    let key = Key::of("k");
+    let tenant = reader();
+    let envelope = |doc| EnvelopeRef {
+        tenant: &tenant,
+        subscriptions: &[SubscriptionId(1), SubscriptionId(2)],
+        kind: KindRef::Change {
+            match_type: MatchType::Change,
+            item: ItemRef { key: &key, version: 3, doc: Some(doc), index: None },
+            old_index: None,
+        },
+        caused_by_write_at: 9,
+        trace: None,
+    };
+    let written = |envelope: EnvelopeRef<'_>| {
+        let mut w = WireCodec.writer();
+        envelope.write_to(&mut w);
+        w.finish()
+    };
+    let (from_bytes, from_tree) = (envelope(DocRef::Encoded(&spliced)), envelope(DocRef::Tree(record)));
+    assert_eq!(written(from_bytes.clone()), written(from_tree.clone()), "{record}");
+    assert_eq!(from_bytes.to_document(), from_tree.to_document(), "{record}");
+}
+
+/// The spliced envelope on the shapes where bytes and tree could part: an
+/// empty record, integral floats, nested arrays and strings past the
+/// inline limit.
+#[test]
+fn wire_codec_spliced_records_of_every_shape_write_the_decoded_bytes() {
+    let records = [
+        Document::new(),
+        invalidb::doc! { "f" => 3.0f64, "g" => -0.0f64, "i" => 3i64 },
+        invalidb::doc! { "a" => vec![Value::from(vec![Value::Int(1), Value::Float(2.0)]), Value::Null] },
+        invalidb::doc! { "s" => "x".repeat(23), "nested" => invalidb::doc! { "t" => "é".repeat(40) } },
+    ];
+    for record in &records {
+        assert_spliced_like_decoded(record);
+    }
+}
+
+/// A write whose record holds an invalid string, or names a field twice
+/// three levels down, is no message to the ingress's decoders; nor is a
+/// filter change whose record does.
+#[test]
+fn wire_codec_a_flaw_deep_inside_a_record_is_rejected_by_every_decoder() {
+    let record = invalidb::doc! {
+        "top" => 1i64,
+        "a" => invalidb::doc! { "b" => invalidb::doc! { "c" => 1i64, "d" => MARK } },
+    };
+    let write = Message::Cluster(ClusterMessage::Write(AfterImage {
+        tenant: TenantId::new("app"),
+        collection: "items".into(),
+        key: Key::of("k"),
+        version: 2,
+        doc: Some(record.clone()),
+        written_at: 7,
+        trace: None,
+    }));
+    let change = Message::Shuffle(FilterChange {
+        query_hash: QueryHash(5),
+        kind: FilterChangeKind::Add,
+        image: Arc::new(AfterImage {
+            tenant: TenantId::new("app"),
+            collection: String::new(),
+            key: Key::of("k"),
+            version: 2,
+            doc: Some(record),
+            written_at: 7,
+            trace: None,
+        }),
+        trace: None,
+    });
+    for message in [write, change] {
+        let d = message.document();
+        // The objects in writing order: the root, `doc`, `a`, `b`.
+        let repeated = write_repeating(&d, 3);
+        let mut invalid = WireCodec.encode(&d).to_vec();
+        let at = invalid.windows(MARK.len()).position(|w| w == MARK.as_bytes()).unwrap();
+        invalid[at] = 0xFF;
+        for payload in [&repeated[..], &invalid[..]] {
+            assert!(bin::decode_document(payload).is_err(), "{message:?}");
+            assert_eq!(decode_cluster_payload(&Bytes::copy_from_slice(payload)), None);
+            assert!(decode_event_with(Bytes::copy_from_slice(payload), TenantId::new).is_none());
+            assert!(FilterChange::decode(payload).is_none());
+            check(payload).unwrap();
+        }
+        assert!(check(&message.written()).is_ok());
     }
 }
 
