@@ -352,7 +352,9 @@ impl Subscription {
         self.rx.len()
     }
 
-    /// The raw receiver (for `select!`-style integration).
+    /// The raw receiver. A task that reads the topic runs on a clone of
+    /// it; dropping the subscription disconnects the clone once it has
+    /// drained.
     pub fn receiver(&self) -> &Receiver<Bytes> {
         &self.rx
     }

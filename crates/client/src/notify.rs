@@ -16,7 +16,8 @@
 //! malformed, to this decoder and that one alike.
 
 use invalidb_common::{
-    ChangeItem, MaintenanceError, MatchType, NotificationKind, NotifyEnvelope, SubscriptionId, TenantId,
+    ChangeItem, EpochNotice, MaintenanceError, MatchType, NotificationKind, NotifyEnvelope,
+    SubscriptionId, TenantId,
 };
 use invalidb_json::{wire, LazyDoc, LazyValue};
 
@@ -27,6 +28,14 @@ pub enum NotifyPayload {
     Heartbeat,
     /// A notification, addressed to some of the reader's subscriptions.
     Envelope(NotifyEnvelope),
+}
+
+/// Decodes one payload read off the epoch topic, in one pass: `None` for
+/// anything but an object of an integer `epoch` and `reassigned` (and
+/// well-formed fields besides).
+pub fn decode_epoch_notice(payload: &[u8]) -> Option<EpochNotice> {
+    let [epoch, reassigned] = LazyDoc::new(payload).ok()?.fields(["epoch", "reassigned"]).ok()?;
+    Some(EpochNotice { epoch: epoch?.as_i64()? as u64, reassigned: reassigned?.as_i64()? as u64 })
 }
 
 /// Decodes one payload read off `tenant`'s notify topic, once — what an

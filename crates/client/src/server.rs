@@ -1,14 +1,14 @@
 //! The application server.
 
 use crate::error::Error;
-use crate::notify::{decode_notify_into, NotifyPayload};
+use crate::notify::{decode_epoch_notice, decode_notify_into, NotifyPayload};
 use crate::rate::TokenBucket;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use invalidb_broker::{notify_topic, BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
+use invalidb_broker::{notify_topic, BrokerHandle, Bytes, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::{
-    ChangeItem, Clock, ClusterMessage, ConfigError, Document, Histogram, Key, NotificationKind,
-    NotifyEnvelope, QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId, SubscriptionRequest,
-    SystemClock, TenantId, Timestamp, TraceContext, WriteRef,
+    ChangeItem, Clock, ClusterMessage, ConfigError, Document, EpochNotice, Histogram, Key,
+    NotificationKind, NotifyEnvelope, QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId,
+    SubscriptionRequest, SystemClock, TenantId, Timestamp, TraceContext, WriteRef,
 };
 use invalidb_json::WireCodec;
 use invalidb_obs::{
@@ -16,6 +16,7 @@ use invalidb_obs::{
 };
 use invalidb_query::normalize_spec;
 use invalidb_store::{Store, UpdateSpec, WriteResult};
+use invalidb_stream::{task, Task};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -440,6 +441,7 @@ struct Shared {
     last_heartbeat: AtomicU64,
     /// Wakes the keeper: a renewal was queued, or the server shuts down.
     wake: Sender<()>,
+    /// Ends the keeper, whose input is `wake` and so never closes.
     shutdown: AtomicBool,
     renewals_performed: AtomicU64,
     connection_lost: AtomicBool,
@@ -509,6 +511,9 @@ pub struct AppServer {
     broker: BrokerHandle,
     config: AppServerConfig,
     shared: Arc<Shared>,
+    /// The event-layer subscriptions the dispatcher and the epoch watcher
+    /// read. Dropping them ends both.
+    inputs: Vec<invalidb_broker::Subscription>,
     threads: Vec<std::thread::JoinHandle<()>>,
     admin: Option<AdminServer>,
 }
@@ -539,10 +544,18 @@ impl AppServer {
             }
         });
         let mut server =
-            Self { tenant: tenant.clone(), store, broker, config, shared, threads: Vec::new(), admin };
-        server.spawn_dispatcher();
-        server.spawn_keeper(woken);
-        server.spawn_epoch_watcher();
+            Self { tenant, store, broker, config, shared, inputs: vec![], threads: vec![], admin };
+        let dispatcher = Dispatcher::new(&server);
+        server.spawn_reader(&notify_topic(server.tenant.as_str()), "dispatch", dispatcher);
+        let keeper = Keeper::new(&server);
+        server.spawn("keeper", move || keeper.run(&woken));
+        let watcher = EpochWatcher {
+            shared: Arc::clone(&server.shared),
+            broker: server.broker.clone(),
+            metrics: server.config.metrics.clone(),
+            decode_errors: server.config.metrics.counter("appserver.epoch_decode_errors"),
+        };
+        server.spawn_reader(EPOCH_TOPIC, "epoch", watcher);
         server
     }
 
@@ -752,88 +765,21 @@ impl AppServer {
     // Background machinery
     // ------------------------------------------------------------------
 
-    /// Dispatcher: receives notification envelopes and heartbeats from the
-    /// event layer and routes each envelope to the channels of the
-    /// subscriptions it addresses; flags renewals. Sampled traces get their
-    /// delivery stamp here and are recorded — complete — into the metrics
-    /// registry.
-    fn spawn_dispatcher(&mut self) {
-        let sub = self.broker.subscribe(&notify_topic(self.tenant.as_str()));
-        let mut dispatcher = Dispatcher::new(
-            Arc::clone(&self.shared),
-            self.broker.clone(),
-            &self.config.metrics,
-            &self.tenant,
-        );
-        let handle = std::thread::Builder::new()
-            .name(format!("appserver-dispatch-{}", self.tenant))
-            .spawn(move || {
-                while !dispatcher.shared.shutdown.load(Ordering::Relaxed) {
-                    if let Some(payload) = sub.recv_timeout(Duration::from_millis(50)) {
-                        dispatcher.dispatch(&payload);
-                    }
-                }
-            })
-            .expect("spawn dispatcher");
-        self.threads.push(handle);
+    /// Starts one of the server's threads, `appserver-<name>-<tenant>`.
+    fn spawn(&mut self, name: &str, body: impl FnOnce() + Send + 'static) {
+        let name = format!("appserver-{name}-{}", self.tenant);
+        self.threads.push(std::thread::Builder::new().name(name).spawn(body).expect("spawn thread"));
     }
 
-    /// Epoch watcher: when the cluster coordinator announces a failover
-    /// (epoch bump with reassigned cells), republish the recent-write ring
-    /// so replacement workers catch up, and mark every subscription for
-    /// renewal so the keeper re-executes bootstrap queries against the
-    /// store (fresh initial results repair client state). Surviving
-    /// matching nodes drop the replayed duplicates via their per-key
-    /// version guards.
-    fn spawn_epoch_watcher(&mut self) {
-        let sub = self.broker.subscribe(EPOCH_TOPIC);
-        let shared = Arc::clone(&self.shared);
-        let broker = self.broker.clone();
-        let config = self.config.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("appserver-epoch-{}", self.tenant))
-            .spawn(move || {
-                while !shared.shutdown.load(Ordering::Relaxed) {
-                    let payload = match sub.recv_timeout(Duration::from_millis(50)) {
-                        Some(p) => p,
-                        None => continue,
-                    };
-                    let Ok(d) = invalidb_json::payload_to_document(&payload) else { continue };
-                    let epoch = d.get("epoch").and_then(|v| v.as_i64()).unwrap_or(0) as u64;
-                    let reassigned = d.get("reassigned").and_then(|v| v.as_i64()).unwrap_or(0) as u64;
-                    let prev = shared.last_epoch.swap(epoch, Ordering::Relaxed);
-                    config.metrics.set_gauge("appserver.cluster_epoch", epoch);
-                    if epoch <= prev || reassigned == 0 {
-                        // First sighting of a table that moved nothing, or
-                        // an out-of-order notice: nothing to repair.
-                        continue;
-                    }
-                    // Rebuilt cells see the recent stream again; the keeper
-                    // re-executes bootstrap queries (rate-limited).
-                    let (replayed, marked) = shared.repair(&broker);
-                    shared.epoch_replays.fetch_add(1, Ordering::Relaxed);
-                    config.metrics.inc("appserver.epoch_replays");
-                    config.metrics.flight().record(
-                        FlightEventKind::Failover,
-                        format!(
-                            "epoch {epoch}: replayed {replayed} writes, renewing {marked} subscriptions"
-                        ),
-                    );
-                }
-            })
-            .expect("spawn epoch watcher");
-        self.threads.push(handle);
-    }
-
-    /// Keeper: rate-limited renewals, registration retries, TTL
-    /// extensions, heartbeat supervision — see [`Keeper`].
-    fn spawn_keeper(&mut self, woken: Receiver<()>) {
-        let keeper = Keeper::new(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("appserver-keeper-{}", self.tenant))
-            .spawn(move || keeper.run(&woken))
-            .expect("spawn keeper");
-        self.threads.push(handle);
+    /// Runs `task` on its own thread over a subscription to `topic`,
+    /// reporting its [`task::Series`] under `appserver.<name>`. The server
+    /// keeps the subscription: dropping it ends the thread.
+    fn spawn_reader(&mut self, topic: &str, name: &str, mut task: impl Task<Bytes> + Send + 'static) {
+        let input = self.broker.subscribe(topic);
+        let rx = input.receiver().clone();
+        let series = task::Series::new(&self.config.metrics, &format!("appserver.{name}"));
+        self.spawn(name, move || task::run(&rx, &mut task, task::IDLE_TICK, &series));
+        self.inputs.push(input);
     }
 }
 
@@ -1054,8 +1000,11 @@ fn cancel(
     );
 }
 
-/// The notify-topic consumer of one app server. Everything it cannot
-/// deliver is counted, never silently skipped.
+/// The notify-topic consumer of one app server: routes each envelope to the
+/// channels of the subscriptions it addresses and flags renewals. Sampled
+/// traces get their delivery stamp here and are recorded — complete — into
+/// the metrics registry. Everything it cannot deliver is counted, never
+/// silently skipped.
 struct Dispatcher {
     shared: Arc<Shared>,
     /// Where the cancellation of an abandoned subscription goes.
@@ -1082,42 +1031,19 @@ struct Dispatcher {
 }
 
 impl Dispatcher {
-    fn new(
-        shared: Arc<Shared>,
-        broker: BrokerHandle,
-        metrics: &MetricsRegistry,
-        tenant: &TenantId,
-    ) -> Self {
+    fn new(server: &AppServer) -> Self {
+        let metrics = &server.config.metrics;
         Self {
-            shared,
-            broker,
+            shared: Arc::clone(&server.shared),
+            broker: server.broker.clone(),
             metrics: metrics.clone(),
-            staleness: metrics.staleness(tenant.as_str()),
-            tenant: tenant.clone(),
+            staleness: metrics.staleness(server.tenant.as_str()),
+            tenant: server.tenant.clone(),
             delivered: metrics.counter("appserver.events_delivered"),
             decode_errors: metrics.counter("appserver.notify_decode_errors"),
             unknown_subscription: metrics.counter("appserver.notify_unknown_subscription"),
             channel_closed: metrics.counter("appserver.notify_channel_closed"),
             addressees: Vec::new(),
-        }
-    }
-
-    /// Handles one payload from the notify topic.
-    fn dispatch(&mut self, payload: &[u8]) {
-        let now = self.shared.clock.now();
-        match decode_notify_into(payload, &self.tenant, &mut self.addressees) {
-            Some(NotifyPayload::Heartbeat) => {
-                self.shared.last_heartbeat.store(now.micros(), Ordering::Relaxed);
-                self.shared.connection_lost.store(false, Ordering::Relaxed);
-            }
-            Some(NotifyPayload::Envelope(envelope)) => {
-                // Any cluster traffic proves liveness.
-                self.shared.last_heartbeat.store(now.micros(), Ordering::Relaxed);
-                self.deliver(envelope, now);
-            }
-            None => {
-                self.decode_errors.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
@@ -1198,8 +1124,72 @@ impl Dispatcher {
     }
 }
 
+impl Task<Bytes> for Dispatcher {
+    /// Handles one payload from the notify topic.
+    fn handle(&mut self, payload: Bytes) {
+        let now = self.shared.clock.now();
+        match decode_notify_into(&payload, &self.tenant, &mut self.addressees) {
+            Some(NotifyPayload::Heartbeat) => {
+                self.shared.last_heartbeat.store(now.micros(), Ordering::Relaxed);
+                self.shared.connection_lost.store(false, Ordering::Relaxed);
+            }
+            Some(NotifyPayload::Envelope(envelope)) => {
+                // Any cluster traffic proves liveness.
+                self.shared.last_heartbeat.store(now.micros(), Ordering::Relaxed);
+                self.deliver(envelope, now);
+            }
+            None => {
+                self.decode_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// The epoch-topic consumer of one app server. When the cluster coordinator
+/// announces a failover (an epoch bump with reassigned cells), it
+/// republishes the recent-write ring so replacement workers catch up, and
+/// marks every subscription for renewal so the keeper re-executes bootstrap
+/// queries against the store (fresh initial results repair client state).
+/// Surviving matching nodes drop the replayed duplicates via their per-key
+/// version guards.
+struct EpochWatcher {
+    shared: Arc<Shared>,
+    broker: BrokerHandle,
+    metrics: MetricsRegistry,
+    /// `appserver.epoch_decode_errors`: payloads that are no epoch notice.
+    decode_errors: Arc<AtomicU64>,
+}
+
+impl Task<Bytes> for EpochWatcher {
+    fn handle(&mut self, payload: Bytes) {
+        let Some(EpochNotice { epoch, reassigned }) = decode_epoch_notice(&payload) else {
+            self.decode_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let prev = self.shared.last_epoch.swap(epoch, Ordering::Relaxed);
+        self.metrics.set_gauge("appserver.cluster_epoch", epoch);
+        if epoch <= prev || reassigned == 0 {
+            // First sighting of a table that moved nothing, or an
+            // out-of-order notice: nothing to repair.
+            return;
+        }
+        // Rebuilt cells see the recent stream again; the keeper re-executes
+        // bootstrap queries (rate-limited).
+        let (replayed, marked) = self.shared.repair(&self.broker);
+        self.shared.epoch_replays.fetch_add(1, Ordering::Relaxed);
+        self.metrics.inc("appserver.epoch_replays");
+        self.metrics.flight().record(
+            FlightEventKind::Failover,
+            format!("epoch {epoch}: replayed {replayed} writes, renewing {marked} subscriptions"),
+        );
+    }
+}
+
 impl Drop for AppServer {
+    /// Closes the dispatcher's and the epoch watcher's subscriptions, which
+    /// ends both, stops the keeper, and joins all three.
     fn drop(&mut self) {
+        self.inputs.clear();
         self.shared.shutdown.store(true, Ordering::Relaxed);
         let _ = self.shared.wake.send(());
         for t in self.threads.drain(..) {
@@ -1559,6 +1549,7 @@ mod tests {
             broker: BrokerHandle::new(layer),
             config,
             shared,
+            inputs: Vec::new(),
             threads: Vec::new(),
             admin: None,
         };
@@ -1600,15 +1591,53 @@ mod tests {
         assert_eq!(published.load(Ordering::Relaxed), 4);
         // The holder of subscription 1 dropped it: delivering cancels it.
         receivers.remove(1);
-        let mut dispatcher = Dispatcher::new(
-            Arc::clone(&server.shared),
-            server.broker.clone(),
-            &server.config.metrics,
-            &server.tenant,
-        );
+        let mut dispatcher = Dispatcher::new(&server);
         dispatcher.deliver(change_to(&[1, 2], 0), T0);
         assert_eq!(published.load(Ordering::Relaxed), 5, "the cancellation");
         assert_eq!(server.shared.subs.lock().entries.len(), 1);
+    }
+
+    /// The dispatcher without its thread: a change envelope handed to it
+    /// reaches the addressed subscription's channel.
+    #[test]
+    fn a_dispatcher_delivers_a_change_through_handle() {
+        let (server, receivers, _) = server(1);
+        let mut dispatcher = Dispatcher::new(&server);
+        let mut payload = WireCodec.writer();
+        change_to(&[0], 0).as_ref().write_to(&mut payload);
+        dispatcher.handle(payload.finish());
+        let (event, _) = receivers[0].try_recv().expect("the change is delivered");
+        assert!(matches!(event, ClientEvent::Change(c) if c.item.key == Key::of("k")));
+    }
+
+    /// The epoch watcher without its thread: a payload that is no notice,
+    /// one without an epoch included, is counted; a notice that moved
+    /// nothing records the epoch, and a bump that moved cells queues every
+    /// subscription for renewal.
+    #[test]
+    fn the_epoch_watcher_counts_what_is_no_notice_and_repairs_on_a_bump() {
+        let (server, _receivers, _) = server(2);
+        let metrics = &server.config.metrics;
+        let mut watcher = EpochWatcher {
+            shared: Arc::clone(&server.shared),
+            broker: server.broker.clone(),
+            metrics: metrics.clone(),
+            decode_errors: metrics.counter("appserver.epoch_decode_errors"),
+        };
+        let notice = |epoch, reassigned| {
+            let mut payload = WireCodec.writer();
+            EpochNotice { epoch, reassigned }.write_to(&mut payload);
+            payload.finish()
+        };
+        watcher.handle(Bytes::from_static(b"no notice"));
+        watcher.handle(WireCodec.encode(&doc! { "reassigned" => 1i64 }));
+        assert_eq!(metrics.snapshot().counters["appserver.epoch_decode_errors"], 2);
+        watcher.handle(notice(1, 0));
+        assert_eq!(metrics.snapshot().gauges["appserver.cluster_epoch"], 1);
+        assert!(server.shared.subs.lock().renewals.is_empty(), "nothing moved");
+        watcher.handle(notice(2, 3));
+        assert_eq!(server.shared.epoch_replays.load(Ordering::Relaxed), 1);
+        assert_eq!(server.shared.subs.lock().renewals.len(), 2, "each subscription once");
     }
 
     /// Every addressee of an envelope is one staleness sample, however
@@ -1617,8 +1646,7 @@ mod tests {
     fn an_envelope_to_n_live_subscriptions_is_n_staleness_samples() {
         let (server, _receivers, _) = server(5);
         let metrics = &server.config.metrics;
-        let mut dispatcher =
-            Dispatcher::new(Arc::clone(&server.shared), server.broker.clone(), metrics, &server.tenant);
+        let mut dispatcher = Dispatcher::new(&server);
         let written_at = invalidb_common::trace::now_micros();
         dispatcher.deliver(change_to(&[0, 1, 2, 3, 99], written_at), T0);
         let samples = metrics.histogram("slo.app.staleness_us").lock().count();

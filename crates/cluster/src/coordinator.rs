@@ -13,8 +13,8 @@
 //! stale initial result.
 
 use crate::assignment::{AssignmentTable, Placement, RoundRobin, WorkerInfo};
-use invalidb_broker::{BrokerHandle, CLUSTER_TOPIC, EPOCH_TOPIC};
-use invalidb_common::{doc, ClusterMessage, Document, GridShape, Value};
+use invalidb_broker::{BrokerHandle, Bytes, Subscription, CLUSTER_TOPIC, EPOCH_TOPIC};
+use invalidb_common::{doc, ClusterMessage, Document, EpochNotice, GridShape, Value};
 use invalidb_core::ingest::decode_control;
 use invalidb_json::WireCodec;
 use invalidb_net::frame::{Decoder, Frame};
@@ -22,6 +22,7 @@ use invalidb_obs::{
     to_prometheus_federated, AdminConfig, AdminServer, FlightEventKind, HealthMonitor, HealthPolicy,
     HealthStatus, MetricsRegistry, MetricsSnapshot,
 };
+use invalidb_stream::{task, Task};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
@@ -127,6 +128,9 @@ pub struct Coordinator {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
     admin: Option<AdminServer>,
+    /// The cluster-topic subscription the subscription cache reads;
+    /// dropping it ends the cache's thread.
+    cache_input: Option<Subscription>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -190,35 +194,17 @@ impl Coordinator {
             }
         });
 
-        let mut threads = Vec::new();
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                thread::Builder::new()
-                    .name("coord-accept".into())
-                    .spawn(move || accept_loop(listener, inner))
-                    .expect("spawn accept thread"),
-            );
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                thread::Builder::new()
-                    .name("coord-supervise".into())
-                    .spawn(move || supervise_loop(inner))
-                    .expect("spawn supervisor thread"),
-            );
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                thread::Builder::new()
-                    .name("coord-subcache".into())
-                    .spawn(move || subscription_cache_loop(inner))
-                    .expect("spawn subscription cache thread"),
-            );
-        }
-        Ok(Coordinator { inner, local_addr, admin, threads })
+        let cache_input = inner.broker.subscribe(CLUSTER_TOPIC);
+        let rx = cache_input.receiver().clone();
+        let series = task::Series::new(&inner.config.metrics, "cluster.subscription_cache");
+        let mut cache = SubscriptionCache { inner: Arc::clone(&inner) };
+        let (accept, supervise) = (Arc::clone(&inner), Arc::clone(&inner));
+        let threads = vec![
+            spawn("coord-accept", move || accept_loop(listener, accept)),
+            spawn("coord-supervise", move || supervise_loop(supervise)),
+            spawn("coord-subcache", move || task::run(&rx, &mut cache, task::IDLE_TICK, &series)),
+        ];
+        Ok(Coordinator { inner, local_addr, admin, cache_input: Some(cache_input), threads })
     }
 
     /// Where the coordinator's frame port listens.
@@ -281,6 +267,7 @@ impl Coordinator {
                 let _ = worker.stream.lock().shutdown(Shutdown::Both);
             }
         }
+        self.cache_input = None;
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -291,6 +278,10 @@ impl Drop for Coordinator {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+fn spawn(name: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    thread::Builder::new().name(name.into()).spawn(body).expect("spawn coordinator thread")
 }
 
 fn publish_gauges(inner: &Inner, state: &State) {
@@ -426,11 +417,9 @@ fn reassign(inner: &Inner, state: &mut State, cause: &str, cause_worker: &str) {
 
     // Tell application servers the epoch moved so they can replay their
     // recent-write buffers and renew subscriptions against the store.
-    let notice = doc! {
-        "epoch" => state.table.epoch as i64,
-        "reassigned" => moved as i64,
-    };
-    inner.broker.publish(EPOCH_TOPIC, WireCodec.encode(&notice));
+    let mut notice = WireCodec.writer();
+    EpochNotice { epoch: state.table.epoch, reassigned: moved as u64 }.write_to(&mut notice);
+    inner.broker.publish(EPOCH_TOPIC, notice.finish());
 
     // Silent re-registration: replacement workers rebuild matching state
     // from the cached subscription (plus retention replay); `renewal: true`
@@ -675,16 +664,16 @@ fn supervise_loop(inner: Arc<Inner>) {
 }
 
 /// Caches Subscribe envelopes off the cluster topic for failover replay.
-fn subscription_cache_loop(inner: Arc<Inner>) {
-    let sub = inner.broker.subscribe(CLUSTER_TOPIC);
-    while inner.running.load(Ordering::SeqCst) {
-        let payload = match sub.recv_timeout(Duration::from_millis(250)) {
-            Some(payload) => payload,
-            None => continue,
-        };
+struct SubscriptionCache {
+    inner: Arc<Inner>,
+}
+
+impl Task<Bytes> for SubscriptionCache {
+    fn handle(&mut self, payload: Bytes) {
+        let inner = &self.inner;
         // Writes are nearly all of the topic and none is cached: their tag
         // is read, and nothing else.
-        let Some(msg) = decode_control(&payload) else { continue };
+        let Some(msg) = decode_control(&payload) else { return };
         match msg {
             // Our own renewal replays are skipped (they would only write
             // back what is already cached); app-server renewals carry

@@ -358,6 +358,29 @@ impl ClusterMessage {
     }
 }
 
+/// An epoch change, announced by the cluster coordinator to application
+/// servers on the epoch topic: the assignment epoch now in force and how
+/// many grid cells it moved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochNotice {
+    /// The new assignment epoch.
+    pub epoch: u64,
+    /// Grid cells whose owner changed with it.
+    pub reassigned: u64,
+}
+
+impl EpochNotice {
+    /// Writes the notice — the one place its layout is written down.
+    pub fn write_to(&self, w: &mut impl FieldWriter) {
+        w.begin_object(2);
+        w.key("epoch");
+        w.int(self.epoch as i64);
+        w.key("reassigned");
+        w.int(self.reassigned as i64);
+        w.end_object();
+    }
+}
+
 /// Opens a control message: its object of `fields` entries, and the `op`,
 /// `tenant` and `subscription` every one of them starts with.
 fn write_head(

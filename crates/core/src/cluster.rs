@@ -37,10 +37,10 @@ use invalidb_obs::{
 };
 use invalidb_stream::{task, Task};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The matching-grid cells this process hosts, by task index (row-major,
 /// see [`GridShape::task_index`]).
@@ -100,7 +100,10 @@ impl CellSet {
 /// handle shuts the cluster down — application servers and the database are
 /// unaffected (isolated failure domain, §5).
 pub struct Cluster {
-    shutdown: Arc<AtomicBool>,
+    /// The event-layer subscriptions the ingress tasks read: the cluster
+    /// topic's, then each anchored row's shuffle topic's. Dropping one ends
+    /// the task that reads it.
+    inputs: Vec<Subscription>,
     /// The pipeline threads, front to back: ingress (and shuffle ingress),
     /// cells, stage partitions. Joined in this order on shutdown.
     threads: Vec<JoinHandle<()>>,
@@ -109,10 +112,6 @@ pub struct Cluster {
     registry: MetricsRegistry,
     admin: Option<AdminServer>,
 }
-
-/// How long the ingress blocks on the event layer before it looks at the
-/// shutdown flag and the heartbeat deadline again.
-const INGRESS_POLL: Duration = Duration::from_millis(10);
 
 impl Cluster {
     /// Starts a cluster with the given configuration, attached to an event
@@ -141,7 +140,6 @@ impl Cluster {
         let grid = GridShape::new(config.query_partitions, config.write_partitions);
         let clock = Arc::new(SystemClock::new());
         let decode_errors = Arc::new(AtomicU64::new(0));
-        let shutdown = Arc::new(AtomicBool::new(false));
         let publisher = Publisher::new(broker.clone(), &config, clock.clone());
         let metrics = &config.metrics;
         let tick_interval = config.tick_interval;
@@ -164,46 +162,29 @@ impl Cluster {
 
         // Ingress: decodes event-layer payloads, answers subscriptions with
         // their initial result, and hands every event straight to the cells
-        // and stage partitions that own it.
-        let ingress = Ingress {
-            subscription: broker.subscribe(CLUSTER_TOPIC),
-            grid,
-            host: host.clone(),
-            cells,
-            links: links.clone(),
-            publisher: publisher.clone(),
-            tenants: TenantInterner::default(),
-            identity: config.worker_identity.clone(),
-            decode_errors: Arc::clone(&decode_errors),
-            decode_error_count: metrics.counter("ingress.decode_errors"),
-            traced_writes: metrics.counter("ingress.traced_writes"),
-            processed: metrics.counter("cluster.ingress.processed"),
-            emitted: metrics.counter("cluster.ingress.emitted"),
-            ticks: metrics.counter("cluster.ingress.ticks"),
-        };
-        // The ingress has no queue of its own (it reads the event layer);
-        // the gauge is exported, at 0, so every component has one.
-        metrics.gauge("cluster.ingress.queue_depth");
-        {
-            let shutdown = Arc::clone(&shutdown);
-            threads.push(spawn("ingress".into(), move || ingress.run(&shutdown, tick_interval)));
-        }
+        // and stage partitions that own it. Its queue is its subscription.
+        let input = broker.subscribe(CLUSTER_TOPIC);
+        let ingress =
+            Ingress::new(host.clone(), cells, links.clone(), publisher.clone(), &config, &decode_errors);
+        let rx = input.receiver().clone();
+        threads.push(spawn_task("ingress".into(), rx, ingress, tick_interval, metrics, "ingress"));
+        let mut inputs = vec![input];
 
-        // Shuffle ingress (subset hosts only): staged output published by
-        // *other* workers' cells for rows anchored here.
-        let shuffled: Vec<Subscription> = (0..grid.query_partitions)
-            .filter(|&qp| !host.is_complete() && host.owns_row(qp))
-            .map(|qp| broker.subscribe(&shuffle_topic(qp)))
-            .collect();
-        if !shuffled.is_empty() {
+        // Shuffle ingress (subset hosts only), one per row anchored here:
+        // staged output published by *other* workers' cells for the row.
+        if !host.is_complete() {
             let shuffle = ShuffleIngress {
-                subscriptions: shuffled,
                 links: links.clone(),
                 decode_errors: Arc::clone(&decode_errors),
-                metrics: metrics.clone(),
+                ingested: metrics.counter("shuffle.ingress"),
+                decode_error_count: metrics.counter("shuffle.decode_errors"),
             };
-            let shutdown = Arc::clone(&shutdown);
-            threads.push(spawn("shuffle-ingress".into(), move || shuffle.run(&shutdown)));
+            for qp in (0..grid.query_partitions).filter(|&qp| host.owns_row(qp)) {
+                let input = broker.subscribe(&shuffle_topic(qp));
+                let (name, rx) = ("shuffle-ingress".into(), input.receiver().clone());
+                threads.push(spawn_task(name, rx, shuffle.clone(), task::IDLE_TICK, metrics, "shuffle"));
+                inputs.push(input);
+            }
         }
 
         // The owned cells of the QP × WP matching grid (filtering stage).
@@ -263,7 +244,7 @@ impl Cluster {
                 }
             }
         });
-        Cluster { shutdown, threads, grid, decode_errors, registry, admin }
+        Cluster { inputs, threads, grid, decode_errors, registry, admin }
     }
 
     /// The grid shape this cluster runs.
@@ -271,9 +252,10 @@ impl Cluster {
         self.grid
     }
 
-    /// Names of the pipeline threads, front to back: `ingress`
-    /// (`shuffle-ingress` on subset hosts), one `cell-<qp>x<wp>` per hosted
-    /// cell, then the `sorting-<n>` and `aggregation-<n>` partitions.
+    /// Names of the pipeline threads, front to back: `ingress` (and one
+    /// `shuffle-ingress` per anchored row on subset hosts), one
+    /// `cell-<qp>x<wp>` per hosted cell, then the `sorting-<n>` and
+    /// `aggregation-<n>` partitions.
     pub fn pipeline_threads(&self) -> Vec<String> {
         self.threads.iter().map(|t| t.thread().name().unwrap_or_default().to_owned()).collect()
     }
@@ -282,7 +264,8 @@ impl Cluster {
     /// histograms (when tracing is enabled), matched/filtered/dropped
     /// counters, per-partition gauges, and the per-component
     /// `cluster.<component>.{processed,emitted,ticks,queue_depth}` series of
-    /// the `ingress`, `matching`, `sorting` and `aggregation` tasks.
+    /// the `ingress`, `matching`, `sorting` and `aggregation` tasks (and
+    /// `shuffle` on subset hosts that anchor a row).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -330,10 +313,15 @@ impl Cluster {
         self.stop();
     }
 
-    /// Stops the ingress; every task downstream then drains its queue and
-    /// ends when its senders are gone.
+    /// Stops the ingress at once: dropping its subscription ends it, and
+    /// what it has not taken yet is discarded. Every task downstream then
+    /// drains its queue and ends when its senders are gone.
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        for input in self.inputs.drain(..) {
+            let backlog = input.receiver().clone();
+            drop(input);
+            backlog.try_iter().for_each(drop);
+        }
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -346,19 +334,15 @@ impl Drop for Cluster {
     }
 }
 
-fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new().name(name).spawn(body).expect("spawn pipeline thread")
-}
-
-/// Runs one stage task on its own thread, reporting under
+/// Runs one pipeline task on its own thread, reporting under
 /// `cluster.<component>`: the [`task::Series`] `processed`, `ticks` and
 /// `queue_depth`, and `emitted`, created here so every component exports the
-/// same four series (only the ingress hands events on and counts it). All
-/// four exist before the thread starts, as the ingress's do.
-fn spawn_task(
+/// same four series (none counts into `emitted`). All four exist before the
+/// thread starts.
+fn spawn_task<M: Send + 'static>(
     name: String,
-    rx: Receiver<Event>,
-    mut node: impl Task<Event> + Send + 'static,
+    rx: Receiver<M>,
+    mut node: impl Task<M> + Send + 'static,
     tick_interval: Duration,
     metrics: &MetricsRegistry,
     component: &str,
@@ -366,13 +350,16 @@ fn spawn_task(
     let prefix = format!("cluster.{component}");
     metrics.counter(&format!("{prefix}.emitted"));
     let series = task::Series::new(metrics, &prefix);
-    spawn(name, move || task::run(&rx, &mut node, tick_interval, &series))
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || task::run(&rx, &mut node, tick_interval, &series))
+        .expect("spawn pipeline thread")
 }
 
-/// The front of the pipeline: one thread between the event layer and the
-/// cells.
+/// The front of the pipeline: one task between the event layer and the
+/// cells. Its tick drives the heartbeats, on a deadline of its own: neither
+/// a write firehose nor a busy cell may stretch their cadence.
 struct Ingress {
-    subscription: Subscription,
     grid: GridShape,
     host: CellSet,
     /// Input queue per grid cell, by task index; `None` where the cell is
@@ -388,58 +375,30 @@ struct Ingress {
     decode_errors: Arc<AtomicU64>,
     decode_error_count: Arc<AtomicU64>,
     traced_writes: Arc<AtomicU64>,
-    /// `cluster.ingress.{processed,emitted,ticks}`.
-    processed: Arc<AtomicU64>,
-    emitted: Arc<AtomicU64>,
-    ticks: Arc<AtomicU64>,
 }
 
 impl Ingress {
-    fn run(mut self, shutdown: &AtomicBool, tick_interval: Duration) {
-        let poll = tick_interval.min(INGRESS_POLL);
-        // Heartbeats are due on a deadline of their own: neither a write
-        // firehose nor a busy cell may stretch their cadence.
-        let mut last_heartbeat_check = Instant::now();
-        while !shutdown.load(Ordering::Relaxed) {
-            if let Some(payload) = self.subscription.recv_timeout(poll) {
-                self.accept(payload);
-                for _ in 1..task::TURN {
-                    match self.subscription.try_recv() {
-                        Some(payload) => self.accept(payload),
-                        None => break,
-                    }
-                }
-            }
-            if last_heartbeat_check.elapsed() >= tick_interval {
-                last_heartbeat_check = Instant::now();
-                self.ticks.fetch_add(1, Ordering::Relaxed);
-                self.publisher.heartbeat();
-            }
+    fn new(
+        host: CellSet,
+        cells: Vec<Option<Sender<Event>>>,
+        links: StageLinks,
+        publisher: Publisher,
+        config: &ClusterConfig,
+        decode_errors: &Arc<AtomicU64>,
+    ) -> Self {
+        let metrics = &config.metrics;
+        Ingress {
+            grid: host.grid,
+            host,
+            cells,
+            links,
+            publisher,
+            tenants: TenantInterner::default(),
+            identity: config.worker_identity.clone(),
+            decode_errors: Arc::clone(decode_errors),
+            decode_error_count: metrics.counter("ingress.decode_errors"),
+            traced_writes: metrics.counter("ingress.traced_writes"),
         }
-    }
-
-    /// Decodes one payload with the cluster topic's typed decoder
-    /// ([`crate::ingest`]) and routes it; a malformed one, a repeated field
-    /// included, is counted as a decode error.
-    fn accept(&mut self, payload: Bytes) {
-        let tenants = &mut self.tenants;
-        let decoded = crate::ingest::decode_event_with(payload, |name| tenants.intern(name));
-        let Some(mut event) = decoded else {
-            self.decode_errors.fetch_add(1, Ordering::Relaxed);
-            self.decode_error_count.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        // Sampled traces get their ingestion stamp the moment the envelope
-        // is decoded off the event layer.
-        if let Event::Write(WriteEvent { trace: Some(trace), .. }) = &mut event {
-            match &self.identity {
-                Some(id) => id.stamp(trace, Stage::Ingestion),
-                None => trace.stamp(Stage::Ingestion),
-            }
-            self.traced_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        self.processed.fetch_add(1, Ordering::Relaxed);
-        self.route(event);
     }
 
     /// Two-dimensional routing (§5.1): a write goes to the hosted cells of
@@ -494,42 +453,57 @@ impl Ingress {
     fn to_cell(&self, task: usize, event: &Event) {
         if let Some(cell) = &self.cells[task] {
             // Blocking send: the cell's bounded queue is the backpressure.
-            if cell.send(event.clone()).is_ok() {
-                self.emitted.fetch_add(1, Ordering::Relaxed);
-            }
+            let _ = cell.send(event.clone());
         }
     }
 }
 
-/// Receives staged output published by other workers for rows anchored
+impl Task<Bytes> for Ingress {
+    /// Decodes one payload with the cluster topic's typed decoder
+    /// ([`crate::ingest`]) and routes it; a malformed one, a repeated field
+    /// included, is counted as a decode error.
+    fn handle(&mut self, payload: Bytes) {
+        let tenants = &mut self.tenants;
+        let decoded = crate::ingest::decode_event_with(payload, |name| tenants.intern(name));
+        let Some(mut event) = decoded else {
+            self.decode_errors.fetch_add(1, Ordering::Relaxed);
+            self.decode_error_count.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        // Sampled traces get their ingestion stamp the moment the envelope
+        // is decoded off the event layer.
+        if let Event::Write(WriteEvent { trace: Some(trace), .. }) = &mut event {
+            match &self.identity {
+                Some(id) => id.stamp(trace, Stage::Ingestion),
+                None => trace.stamp(Stage::Ingestion),
+            }
+            self.traced_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        self.route(event);
+    }
+
+    fn tick(&mut self) {
+        self.publisher.heartbeat();
+    }
+}
+
+/// Receives the staged output other workers publish for one row anchored
 /// here and hands it to the local stage partitions.
+#[derive(Clone)]
 struct ShuffleIngress {
-    subscriptions: Vec<Subscription>,
     links: StageLinks,
     decode_errors: Arc<AtomicU64>,
-    metrics: MetricsRegistry,
+    /// `shuffle.ingress`: changes handed on.
+    ingested: Arc<AtomicU64>,
+    /// `shuffle.decode_errors`.
+    decode_error_count: Arc<AtomicU64>,
 }
 
-impl ShuffleIngress {
-    fn run(self, shutdown: &AtomicBool) {
-        while !shutdown.load(Ordering::Relaxed) {
-            let mut idle = true;
-            for sub in &self.subscriptions {
-                while let Some(payload) = sub.try_recv() {
-                    idle = false;
-                    self.accept(&payload);
-                }
-            }
-            if idle {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-
-    fn accept(&self, payload: &Bytes) {
-        match FilterChange::decode(payload) {
+impl Task<Bytes> for ShuffleIngress {
+    fn handle(&mut self, payload: Bytes) {
+        match FilterChange::decode(&payload) {
             Some(fc) => {
-                self.metrics.inc("shuffle.ingress");
+                self.ingested.fetch_add(1, Ordering::Relaxed);
                 // The change does not say which stage its query lives in;
                 // the one that does not know the query ignores it.
                 let hash = fc.query_hash;
@@ -539,8 +513,94 @@ impl ShuffleIngress {
             }
             None => {
                 self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                self.metrics.inc("shuffle.decode_errors");
+                self.decode_error_count.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use invalidb_broker::{notify_topic, Broker};
+    use invalidb_common::{
+        doc, AfterImage, ClusterMessage, Key, MatchType, MockClock, NotificationKind, NotifyEnvelope,
+        QuerySpec, SubscriptionId, SubscriptionRequest, TenantId, Value,
+    };
+    use invalidb_json::{payload_to_document, WireCodec};
+
+    fn payload(message: &ClusterMessage) -> Bytes {
+        let mut w = WireCodec.writer();
+        message.write_to(&mut w);
+        w.finish()
+    }
+
+    /// The ingress without its thread, on one thread with its cell: a
+    /// subscribe and a write handed to it reach the cell's queue, the cell
+    /// turns them into a change on the notify topic, and a tick publishes
+    /// the tenant's heartbeat.
+    #[test]
+    fn an_ingress_is_driven_by_handle_and_tick_alone() {
+        let config = ClusterConfig::new(1, 1);
+        let clock = MockClock::new();
+        let broker = Broker::new();
+        let notify = broker.subscribe(&notify_topic("app"));
+        let publisher = Publisher::new(broker.into(), &config, Arc::new(clock.clone()));
+        let grid = GridShape::new(1, 1);
+        let (cell, cell_rx) = bounded(8);
+        let (gone, _) = bounded(1);
+        let links = StageLinks { sorting: vec![gone.clone()], aggregation: vec![gone] };
+        let decode_errors = Arc::new(AtomicU64::new(0));
+        let mut ingress = Ingress::new(
+            CellSet::all(grid),
+            vec![Some(cell)],
+            links.clone(),
+            publisher.clone(),
+            &config,
+            &decode_errors,
+        );
+        let staged = StagedOut::Local(links);
+        let mut node =
+            MatchingNode::new(0, grid, config.clone(), Arc::new(clock.clone()), publisher, staged);
+
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
+        ingress.handle(payload(&ClusterMessage::Subscribe(SubscriptionRequest {
+            tenant: TenantId::new("app"),
+            subscription: SubscriptionId(1),
+            query_hash: spec.stable_hash(),
+            spec,
+            initial: vec![],
+            slack: 0,
+            ttl_micros: 60_000_000,
+            renewal: false,
+        })));
+        ingress.handle(payload(&ClusterMessage::Write(AfterImage {
+            tenant: TenantId::new("app"),
+            collection: "t".into(),
+            key: Key::of("a"),
+            version: 1,
+            doc: Some(doc! { "n" => 15i64 }),
+            written_at: 42,
+            trace: None,
+        })));
+        for event in cell_rx.try_iter() {
+            node.handle(event);
+        }
+        let kinds: Vec<NotificationKind> = notify
+            .receiver()
+            .try_iter()
+            .map(|p| NotifyEnvelope::from_document(payload_to_document(&p).unwrap()).unwrap().kind)
+            .collect();
+        assert!(
+            matches!(&kinds[..], [NotificationKind::InitialResult { .. }, NotificationKind::Change(c)]
+                if c.match_type == MatchType::Add),
+            "{kinds:?}"
+        );
+
+        clock.advance(config.heartbeat_interval);
+        ingress.tick();
+        let beat = payload_to_document(&notify.try_recv().expect("a heartbeat")).unwrap();
+        assert_eq!(beat.get("type").and_then(Value::as_str), Some("heartbeat"));
+        assert_eq!(decode_errors.load(Ordering::Relaxed), 0);
     }
 }

@@ -7,6 +7,8 @@
 //! message — probe, evaluate, encode, publish — is a function call on that
 //! thread. A task ends when every sender of its queue is gone and the queue
 //! has drained, so a pipeline shuts down front to back by dropping senders.
+//! A task that reads the event layer runs on its subscription's receiver and
+//! ends when its owner drops the subscription.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use invalidb_obs::MetricsRegistry;
@@ -20,8 +22,8 @@ pub trait Task<M> {
     fn handle(&mut self, msg: M);
 
     /// Time-driven work (retention expiry, TTL enforcement, gauges); due
-    /// every tick interval whether or not input arrives.
-    fn tick(&mut self);
+    /// every tick interval whether or not input arrives. None by default.
+    fn tick(&mut self) {}
 }
 
 /// How many already-buffered messages one scheduling turn handles: after a
@@ -32,6 +34,10 @@ pub trait Task<M> {
 /// "`budget`: serial cell"), and nothing measured distinguishes the values
 /// above a handful. Ticks are never starved for longer than one turn.
 pub const TURN: usize = 32;
+
+/// The tick interval of a task with no time-driven work: its ticks only let
+/// the depth gauge decay to the live backlog while it idles.
+pub const IDLE_TICK: Duration = Duration::from_secs(1);
 
 /// What a task reports under its prefix: counters `<prefix>.processed`
 /// (messages handled) and `<prefix>.ticks`, and the gauge

@@ -1,10 +1,12 @@
 //! The cluster as a set of run-to-completion tasks: which threads a grid
 //! shape spawns, that time-driven work keeps its cadence under a write
-//! firehose, and that a subset host reaches a sorting partition anchored on
-//! another worker through the shuffle topic.
+//! firehose, that a subset host reaches a sorting partition anchored on
+//! another worker through the shuffle topic, and that every reader of the
+//! event layer ends when its subscription is dropped.
 
 use invalidb::broker::{notify_topic, Broker, CLUSTER_TOPIC};
 use invalidb::client::{AppServer, AppServerConfig, ClientEvent};
+use invalidb::cluster::{Coordinator, CoordinatorConfig};
 use invalidb::common::{AfterImage, ClusterMessage, GridShape, SubscriptionRequest};
 use invalidb::core::{CellSet, Cluster, ClusterConfig};
 use invalidb::store::Store;
@@ -54,7 +56,7 @@ fn thread_census_per_grid_shape() {
 
 /// The cluster-level twin of the task loop's `ticks_survive_a_message_firehose`:
 /// while writes arrive faster than `tick_interval`, heartbeats keep their
-/// cadence (they are due on the ingress's own deadline) and the cell keeps
+/// cadence (they are the ingress's tick) and the cell keeps
 /// trimming its retention ring (its tick is deadline-driven too).
 #[test]
 fn heartbeats_and_retention_keep_their_cadence_under_a_write_firehose() {
@@ -224,4 +226,58 @@ fn subset_host_reaches_the_row_owner_through_the_shuffle_topic() {
     drop(app);
     other.shutdown();
     anchor.shutdown();
+}
+
+/// Every thread that reads the event layer ends when its owner drops the
+/// subscription, whatever is still queued on it: with 20 000 writes
+/// waiting on the cluster topic (and their notifications on the app
+/// server's), dropping an app server and a coordinator returns, and so
+/// does shutting down a subset host with a shuffle ingress and a full host.
+#[test]
+fn readers_of_the_event_layer_end_with_writes_still_queued() {
+    let broker = Broker::new();
+    let grid = GridShape::new(1, 2);
+    let full = Cluster::start(broker.clone(), ClusterConfig::new(1, 2));
+    let subset =
+        Cluster::start_with_host(broker.clone(), ClusterConfig::new(1, 2), CellSet::new(grid, [0]));
+    assert!(subset.pipeline_threads().contains(&"shuffle-ingress".to_owned()));
+    let coordinator =
+        Coordinator::bind("127.0.0.1:0", broker.clone(), CoordinatorConfig::new(grid)).unwrap();
+    let app =
+        AppServer::start(TENANT, Arc::new(Store::new()), broker.clone(), AppServerConfig::default());
+    // Every write matches: the cells keep the dispatcher busy too.
+    let live = app.subscribe(&QuerySpec::filter("t", doc! {})).unwrap();
+
+    for n in 0..20_000i64 {
+        let write = ClusterMessage::Write(AfterImage {
+            tenant: TenantId::new(TENANT),
+            collection: "t".into(),
+            key: Key::of(n),
+            version: 1,
+            doc: Some(doc! { "n" => n }),
+            written_at: 0,
+            trace: None,
+        });
+        let mut payload = invalidb::json::WireCodec.writer();
+        write.write_to(&mut payload);
+        broker.publish(CLUSTER_TOPIC, payload.finish());
+    }
+    drop(live);
+    // Stopped one by one on a thread that owns them all, so a reader that
+    // never ends fails the test instead of hanging it.
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        drop(app);
+        let _ = done.send("the app server");
+        drop(coordinator);
+        let _ = done.send("the coordinator");
+        subset.shutdown();
+        let _ = done.send("the subset host");
+        full.shutdown();
+        let _ = done.send("the full host");
+    });
+    for what in ["the app server", "the coordinator", "the subset host", "the full host"] {
+        assert_eq!(stopped.recv_timeout(Duration::from_secs(60)), Ok(what), "{what} never stopped");
+    }
+    stopper.join().unwrap();
 }

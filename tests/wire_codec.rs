@@ -2,13 +2,13 @@
 //!
 //! Every message on the cluster topic (write, subscribe, unsubscribe,
 //! extendTtl), on a notify topic (change, initial result, error,
-//! aggregate, heartbeat) and on a shuffle topic (a filter change) is
-//! written by its typed writer and read by its typed decoder
-//! (`ingest::decode_cluster_payload`, `decode_notify_payload`,
-//! `FilterChange::decode`). The document forms — `to_document`, and
-//! `from_document` over the whole payload decoded as a document; for a
-//! filter change, the layout written out below — are the oracle. The
-//! properties:
+//! aggregate, heartbeat), on a shuffle topic (a filter change) and on the
+//! epoch topic (an epoch notice) is written by its typed writer and read by
+//! its typed decoder (`ingest::decode_cluster_payload`,
+//! `decode_notify_payload`, `FilterChange::decode`, `decode_epoch_notice`).
+//! The document forms — `to_document`, and `from_document` over the whole
+//! payload decoded as a document; for a filter change and an epoch notice,
+//! the layout written out below — are the oracle. The properties:
 //!
 //! * a typed writer writes the bytes of its document form, and its decoder
 //!   reads them back to the message;
@@ -31,12 +31,12 @@
 //! seeds through `PROPTEST_SEED`.
 
 use invalidb::broker::Bytes;
-use invalidb::client::{decode_notify_payload, NotifyPayload};
+use invalidb::client::{decode_epoch_notice, decode_notify_payload, NotifyPayload};
 use invalidb::common::{
     AfterImage, AggregateOp, AggregateSpec, ChangeItem, ClusterMessage, DocRef, Document, EnvelopeRef,
-    FieldWriter, ItemRef, Key, KindRef, MaintenanceError, MatchType, NotificationKind, NotifyEnvelope,
-    QueryHash, QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId, SubscriptionRequest,
-    TenantId, TraceContext, Value,
+    EpochNotice, FieldWriter, ItemRef, Key, KindRef, MaintenanceError, MatchType, NotificationKind,
+    NotifyEnvelope, QueryHash, QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId,
+    SubscriptionRequest, TenantId, TraceContext, Value,
 };
 use invalidb::core::ingest::{decode_cluster_payload, decode_control, decode_event_with};
 use invalidb::core::{Event, FilterChange, FilterChangeKind};
@@ -284,6 +284,24 @@ fn shuffle_oracle(payload: &[u8]) -> Option<Shuffled> {
     Some((QueryHash(d.get("queryHash")?.as_i64()? as u64), kind, image, trace))
 }
 
+/// The coordinator's announcement of a new assignment epoch.
+fn epoch_notice() -> impl Strategy<Value = EpochNotice> {
+    (any::<u64>(), any::<u64>()).prop_map(|(epoch, reassigned)| EpochNotice { epoch, reassigned })
+}
+
+/// The epoch topic's document form.
+fn epoch_notice_document(notice: &EpochNotice) -> Document {
+    invalidb::doc! { "epoch" => notice.epoch as i64, "reassigned" => notice.reassigned as i64 }
+}
+
+/// The epoch topic's oracle: the notice's two integers taken out of the
+/// whole payload decoded as a document.
+fn epoch_oracle(payload: &[u8]) -> Option<EpochNotice> {
+    let d = bin::decode_document(payload).ok()?;
+    let int = |name: &str| d.get(name).and_then(Value::as_i64).map(|n| n as u64);
+    Some(EpochNotice { epoch: int("epoch")?, reassigned: int("reassigned")? })
+}
+
 /// What the ingress hands on, as the message it stands for: a write's
 /// header, record and trace read where the event keeps them.
 fn ingested(event: Event) -> Option<ClusterMessage> {
@@ -316,6 +334,7 @@ enum Message {
     /// The publisher's heartbeat for a tenant, a document on the wire.
     Heartbeat(String),
     Shuffle(FilterChange),
+    Epoch(EpochNotice),
 }
 
 impl Message {
@@ -327,6 +346,7 @@ impl Message {
             Message::Notify(envelope) => envelope.as_ref().write_to(&mut w),
             Message::Heartbeat(_) => return WireCodec.encode(&self.document()),
             Message::Shuffle(change) => change.write_to(&mut w),
+            Message::Epoch(notice) => notice.write_to(&mut w),
         }
         w.finish()
     }
@@ -340,6 +360,7 @@ impl Message {
                 invalidb::doc! { "type" => "heartbeat", "tenant" => tenant.as_str() }
             }
             Message::Shuffle(change) => filter_change_document(change),
+            Message::Epoch(notice) => epoch_notice_document(notice),
         }
     }
 }
@@ -351,6 +372,7 @@ fn message() -> impl Strategy<Value = Message> {
         envelope().prop_map(Message::Notify),
         "\\PC{1,8}".prop_map(Message::Heartbeat),
         filter_change().prop_map(Message::Shuffle),
+        epoch_notice().prop_map(Message::Epoch),
     ]
 }
 
@@ -400,12 +422,14 @@ fn check(payload: &[u8]) -> Result<(), TestCaseError> {
     let event = decode_event_with(Bytes::copy_from_slice(payload), TenantId::new);
     let notify = decode_notify_payload(payload, &reader());
     let shuffle = FilterChange::decode(payload).map(|change| shuffled(&change));
+    let epoch = decode_epoch_notice(payload);
     if LazyDoc::new(payload).is_ok_and(|lazy| repeats(LazyValue::Object(lazy.root()))) {
         prop_assert_eq!(cluster, None);
         prop_assert_eq!(control, None);
         prop_assert!(event.is_none());
         prop_assert_eq!(notify, None);
         prop_assert_eq!(shuffle, None);
+        prop_assert_eq!(epoch, None);
     } else {
         let oracle = cluster_oracle(payload);
         prop_assert_eq!(control, oracle.clone().filter(|m| !matches!(m, ClusterMessage::Write(_))));
@@ -413,6 +437,7 @@ fn check(payload: &[u8]) -> Result<(), TestCaseError> {
         prop_assert_eq!(cluster, oracle);
         prop_assert_eq!(notify, notify_oracle(payload));
         prop_assert_eq!(shuffle, shuffle_oracle(payload));
+        prop_assert_eq!(epoch, epoch_oracle(payload));
     }
     Ok(())
 }
@@ -515,6 +540,7 @@ proptest! {
             Message::Shuffle(change) => {
                 prop_assert_eq!(FilterChange::decode(&payload).map(|c| shuffled(&c)), Some(shuffled(change)))
             }
+            Message::Epoch(notice) => prop_assert_eq!(decode_epoch_notice(&payload), Some(*notice)),
         }
         check(&payload)?;
     }
@@ -534,6 +560,7 @@ proptest! {
             prop_assert!(decode_event_with(Bytes::copy_from_slice(torn), TenantId::new).is_none());
             prop_assert_eq!(decode_notify_payload(torn, &reader()), None);
             prop_assert!(FilterChange::decode(torn).is_none());
+            prop_assert_eq!(decode_epoch_notice(torn), None);
             check(torn)?;
         }
         let mut raw = full.to_vec();
