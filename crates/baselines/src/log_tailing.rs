@@ -211,11 +211,11 @@ impl RealTimeProvider for LogTailing {
                 .map(|(i, w)| ResultItem {
                     key: w.key.clone(),
                     version: w.version,
-                    doc: Some((*w.doc).clone()),
+                    doc: Some(w.record().materialize()),
                     index: Some(i as u64),
                 })
                 .collect();
-            let client = window.snapshot_visible();
+            let client = window.visible().to_vec();
             (SubState::Sorted { window, client }, visible)
         } else {
             let initial = self.store.execute(spec).map_err(|e| e.to_string())?;

@@ -120,11 +120,8 @@ pub(crate) fn diff_results(spec: &QuerySpec, old: &[ResultItem], new: &[ResultIt
             items
                 .iter()
                 .filter_map(|r| {
-                    r.doc.as_ref().map(|d| WindowItem {
-                        key: r.key.clone(),
-                        version: r.version,
-                        doc: Arc::new(d.clone()),
-                    })
+                    let doc = r.doc.as_ref()?;
+                    Some(WindowItem::from_document(r.key.clone(), r.version, doc, &spec.sort))
                 })
                 .collect()
         };
@@ -180,7 +177,7 @@ pub(crate) fn visible_to_change(ev: &VisibleEvent) -> ChangeItem {
             item: ResultItem {
                 key: item.key.clone(),
                 version: item.version,
-                doc: Some((*item.doc).clone()),
+                doc: Some(item.record().materialize()),
                 index: Some(*index as u64),
             },
             old_index: None,
@@ -190,7 +187,7 @@ pub(crate) fn visible_to_change(ev: &VisibleEvent) -> ChangeItem {
             item: ResultItem {
                 key: item.key.clone(),
                 version: item.version,
-                doc: Some((*item.doc).clone()),
+                doc: Some(item.record().materialize()),
                 index: Some(*index as u64),
             },
             old_index: None,
@@ -200,7 +197,7 @@ pub(crate) fn visible_to_change(ev: &VisibleEvent) -> ChangeItem {
             item: ResultItem {
                 key: item.key.clone(),
                 version: item.version,
-                doc: Some((*item.doc).clone()),
+                doc: Some(item.record().materialize()),
                 index: Some(*index as u64),
             },
             old_index: Some(*old_index as u64),

@@ -71,7 +71,7 @@ fn churn(slack: u64) -> (u64, u64) {
     }
     let initial = db.top((LIMIT + slack) as usize);
     let mut window = SortedWindow::new(prepared, slack, &initial);
-    let mut client = window.snapshot_visible();
+    let mut client = window.visible().to_vec();
 
     let mut renewals = 0u64;
     for _ in 0..OPS {

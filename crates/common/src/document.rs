@@ -104,20 +104,10 @@ impl Document {
     /// segments as array indices (`"tags.0"`). The query engine layers
     /// MongoDB's implicit array fan-out on top of this in `invalidb-query`.
     pub fn get_path(&self, path: &str) -> Option<&Value> {
-        let mut segments = path.split('.');
-        let first = segments.next()?;
-        let mut current = self.get(first)?;
-        for seg in segments {
-            current = match current {
-                Value::Object(doc) => doc.get(seg)?,
-                Value::Array(items) => {
-                    let idx: usize = seg.parse().ok()?;
-                    items.get(idx)?
-                }
-                _ => return None,
-            };
+        match path.split_once('.') {
+            Some((head, rest)) => descend(self.get(head)?, rest),
+            None => self.get(path),
         }
-        Some(current)
     }
 
     /// Sets a dotted path, creating intermediate objects as needed.
@@ -183,6 +173,30 @@ fn set_path_inner(
 pub trait Attributes {
     /// The value of top-level attribute `name`; `None` when it is absent.
     fn attr(&self, name: &str) -> Option<Cow<'_, Value>>;
+
+    /// The value at a dotted path, resolved as [`Document::get_path`]
+    /// resolves it: the top-level attribute read on its own, the rest of
+    /// the path inside it.
+    fn attr_path(&self, path: &str) -> Option<Cow<'_, Value>> {
+        let Some((head, rest)) = path.split_once('.') else { return self.attr(path) };
+        match self.attr(head)? {
+            Cow::Borrowed(value) => descend(value, rest).map(Cow::Borrowed),
+            Cow::Owned(value) => descend(&value, rest).cloned().map(Cow::Owned),
+        }
+    }
+}
+
+/// Follows the dotted `rest` of a path from `value`: objects by name,
+/// arrays by numeric segment; a scalar ends the walk with `None`.
+fn descend<'a>(mut value: &'a Value, rest: &str) -> Option<&'a Value> {
+    for seg in rest.split('.') {
+        value = match value {
+            Value::Object(doc) => doc.get(seg)?,
+            Value::Array(items) => items.get(seg.parse::<usize>().ok()?)?,
+            _ => return None,
+        };
+    }
+    Some(value)
 }
 
 /// [`Attributes`] of a record that can also be had whole, for a predicate

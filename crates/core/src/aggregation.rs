@@ -22,10 +22,11 @@ use crate::event::{Event, FilterChange, FilterChangeKind};
 use crate::notifier::Publisher;
 use crate::subscribers::Subscribers;
 use invalidb_common::{
-    canonical_eq, AggregateOp, Clock, EnvelopeRef, Key, KindRef, QueryHash, Stage, SubscriptionId,
-    SubscriptionRequest, TenantId, TraceContext, Value, Version,
+    canonical_eq, AggregateOp, Attributes, Clock, EnvelopeRef, Key, KindRef, QueryHash, Stage,
+    SubscriptionId, SubscriptionRequest, TenantId, TraceContext, Value, Version,
 };
 use invalidb_stream::Task;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -158,7 +159,7 @@ impl AggregationNode {
     }
 
     fn handle_filter_change(&mut self, fc: &FilterChange) {
-        let img = &fc.image;
+        let img = &fc.header;
         let group = match self.groups.get_mut(&(img.tenant.clone(), fc.query_hash)) {
             Some(g) => g,
             None => return,
@@ -171,11 +172,8 @@ impl AggregationNode {
         }
         match fc.kind {
             FilterChangeKind::Add | FilterChangeKind::Change => {
-                let doc = match &img.doc {
-                    Some(d) => d,
-                    None => return,
-                };
-                let new_value = contribution(doc, &group.field);
+                let Some(record) = fc.record() else { return };
+                let new_value = contribution(&record, &group.field);
                 let old = group.contributions.insert(img.key.clone(), (img.version, new_value.clone()));
                 if let Some((_, old_value)) = &old {
                     if canonical_eq(old_value, &new_value) {
@@ -254,11 +252,12 @@ impl AggregationNode {
 }
 
 /// A record's contribution to the aggregate: its (first) value at the
-/// field path, or `Null` when missing (counted, but numerically inert).
-fn contribution(doc: &invalidb_common::Document, field: &Option<String>) -> Value {
+/// field path, read where the record is held, or `Null` when missing
+/// (counted, but numerically inert).
+fn contribution(record: &impl Attributes, field: &Option<String>) -> Value {
     match field {
         None => Value::Int(1),
-        Some(path) => doc.get_path(path).cloned().unwrap_or(Value::Null),
+        Some(path) => record.attr_path(path).map_or(Value::Null, Cow::into_owned),
     }
 }
 
@@ -286,10 +285,9 @@ impl Task<Event> for AggregationNode {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use crate::event::WriteHeader;
     use crate::notifier::testing::{Wire, TENANT};
-    use invalidb_common::{
-        doc, AfterImage, Document, MockClock, NotificationKind, QuerySpec, ResultItem,
-    };
+    use invalidb_common::{doc, Document, MockClock, NotificationKind, QuerySpec, ResultItem};
 
     /// Drives the node directly; what it publishes is read back off the
     /// notify topic.
@@ -332,21 +330,10 @@ mod tests {
             version: u64,
             doc: Option<Document>,
         ) {
-            let image = AfterImage {
-                tenant: TenantId::new(TENANT),
-                collection: "t".into(),
-                key: Key::of(key),
-                version,
-                doc,
-                written_at: 0,
-                trace: None,
-            };
-            self.drive(Event::FilterChange(Arc::new(FilterChange {
-                query_hash: spec.stable_hash(),
-                kind,
-                image: Arc::new(image),
-                trace: None,
-            })));
+            let header =
+                WriteHeader { tenant: TenantId::new(TENANT), key: Key::of(key), version, written_at: 0 };
+            let change = FilterChange::of_document(spec.stable_hash(), kind, header, doc.as_ref(), None);
+            self.drive(Event::FilterChange(change));
         }
 
         fn drive(&mut self, event: Event) {

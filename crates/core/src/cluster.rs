@@ -177,6 +177,7 @@ impl Cluster {
                 links: links.clone(),
                 decode_errors: Arc::clone(&decode_errors),
                 ingested: metrics.counter("shuffle.ingress"),
+                emitted: metrics.counter("cluster.shuffle.emitted"),
                 decode_error_count: metrics.counter("shuffle.decode_errors"),
             };
             for qp in (0..grid.query_partitions).filter(|&qp| host.owns_row(qp)) {
@@ -337,8 +338,9 @@ impl Drop for Cluster {
 /// Runs one pipeline task on its own thread, reporting under
 /// `cluster.<component>`: the [`task::Series`] `processed`, `ticks` and
 /// `queue_depth`, and `emitted`, created here so every component exports the
-/// same four series (none counts into `emitted`). All four exist before the
-/// thread starts.
+/// same four series (the ingress and the shuffle ingress count the events
+/// they hand on into it; the stages publish instead). All four exist before
+/// the thread starts.
 fn spawn_task<M: Send + 'static>(
     name: String,
     rx: Receiver<M>,
@@ -359,7 +361,7 @@ fn spawn_task<M: Send + 'static>(
 /// The front of the pipeline: one task between the event layer and the
 /// cells. Its tick drives the heartbeats, on a deadline of its own: neither
 /// a write firehose nor a busy cell may stretch their cadence.
-struct Ingress {
+pub(crate) struct Ingress {
     grid: GridShape,
     host: CellSet,
     /// Input queue per grid cell, by task index; `None` where the cell is
@@ -375,10 +377,13 @@ struct Ingress {
     decode_errors: Arc<AtomicU64>,
     decode_error_count: Arc<AtomicU64>,
     traced_writes: Arc<AtomicU64>,
+    /// `cluster.ingress.emitted`: events handed to a cell or a stage
+    /// partition.
+    emitted: Arc<AtomicU64>,
 }
 
 impl Ingress {
-    fn new(
+    pub(crate) fn new(
         host: CellSet,
         cells: Vec<Option<Sender<Event>>>,
         links: StageLinks,
@@ -398,6 +403,7 @@ impl Ingress {
             decode_errors: Arc::clone(decode_errors),
             decode_error_count: metrics.counter("ingress.decode_errors"),
             traced_writes: metrics.counter("ingress.traced_writes"),
+            emitted: metrics.counter("cluster.ingress.emitted"),
         }
     }
 
@@ -417,16 +423,22 @@ impl Ingress {
                 // Only the row owner answers: the same subscription reaches
                 // every worker with a cell in the row. The initial result is
                 // on the notify topic before any cell or stage partition
-                // has the request, so no change notification overtakes it.
+                // has the request, so no change notification overtakes it —
+                // but a sorted query's is its sorting partition's to
+                // publish, on the thread that publishes the query's edits:
+                // a renewer's old window may still address it until then.
                 // The stage partition comes before the cells, so it knows
                 // the query before any of their filter changes arrives.
                 if self.host.owns_row(qp) {
-                    self.publisher.initial_result(req);
                     if req.spec.needs_sorting_stage() {
                         self.links.to_sorting(req.query_hash, event.clone());
+                        self.emitted.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        self.publisher.initial_result(req);
                     }
                     if req.spec.needs_aggregation_stage() {
                         self.links.to_aggregation(req.query_hash, event.clone());
+                        self.emitted.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 self.to_row(qp, &event);
@@ -436,6 +448,7 @@ impl Ingress {
                 if self.host.owns_row(qp) {
                     self.links.to_sorting(*query_hash, event.clone());
                     self.links.to_aggregation(*query_hash, event.clone());
+                    self.emitted.fetch_add(2, Ordering::Relaxed);
                 }
                 self.to_row(qp, &event);
             }
@@ -454,6 +467,7 @@ impl Ingress {
         if let Some(cell) = &self.cells[task] {
             // Blocking send: the cell's bounded queue is the backpressure.
             let _ = cell.send(event.clone());
+            self.emitted.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -495,6 +509,8 @@ struct ShuffleIngress {
     decode_errors: Arc<AtomicU64>,
     /// `shuffle.ingress`: changes handed on.
     ingested: Arc<AtomicU64>,
+    /// `cluster.shuffle.emitted`: events handed to a stage partition.
+    emitted: Arc<AtomicU64>,
     /// `shuffle.decode_errors`.
     decode_error_count: Arc<AtomicU64>,
 }
@@ -507,9 +523,9 @@ impl Task<Bytes> for ShuffleIngress {
                 // The change does not say which stage its query lives in;
                 // the one that does not know the query ignores it.
                 let hash = fc.query_hash;
-                let event = Event::FilterChange(Arc::new(fc));
-                self.links.to_sorting(hash, event.clone());
-                self.links.to_aggregation(hash, event);
+                self.links.to_sorting(hash, Event::FilterChange(fc.clone()));
+                self.links.to_aggregation(hash, Event::FilterChange(fc));
+                self.emitted.fetch_add(2, Ordering::Relaxed);
             }
             None => {
                 self.decode_errors.fetch_add(1, Ordering::Relaxed);

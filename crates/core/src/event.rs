@@ -2,11 +2,11 @@
 
 use bytes::Bytes;
 use invalidb_common::{
-    AfterImage, FieldWriter, Key, QueryHash, SubscriptionId, SubscriptionRequest, TenantId,
-    TraceContext, Value, Version,
+    Document, FieldWriter, Key, QueryHash, SubscriptionId, SubscriptionRequest, TenantId, TraceContext,
+    Value, Version,
 };
 use invalidb_json::lazy::{CheckedObject, LazyDoc, LazyValue};
-use invalidb_json::wire;
+use invalidb_json::{wire, WireCodec};
 use std::sync::Arc;
 
 /// One message on a task's input queue. Payloads are shared, not copied: a
@@ -39,7 +39,7 @@ pub enum Event {
     /// A write from the write stream, still in the bytes it arrived as.
     Write(WriteEvent),
     /// Filtering-stage output destined for the sorting/aggregation stage.
-    FilterChange(Arc<FilterChange>),
+    FilterChange(FilterChange),
 }
 
 /// A write envelope the ingress has checked
@@ -112,6 +112,14 @@ impl DocSpan {
         Some(DocSpan { start: u32::try_from(start).ok()?, end: u32::try_from(end).ok()? })
     }
 
+    /// `doc` encoded as a payload of its own, and the span of its body.
+    pub fn encode(doc: &Document) -> (Bytes, DocSpan) {
+        let payload = WireCodec.encode(doc);
+        let start = LazyDoc::new(&payload).expect("just encoded").root().offset();
+        let span = DocSpan::at(start, payload.len() - start).expect("a span of its own payload");
+        (payload, span)
+    }
+
     /// The document in `payload`, the one this span was taken from; `None`
     /// for a delete.
     pub fn of<'a>(&self, payload: &'a [u8]) -> Option<CheckedObject<'a>> {
@@ -139,19 +147,23 @@ pub enum FilterChangeKind {
 
 /// Filtering-stage output for one (query, write) pair (§5.2): only items
 /// that satisfy the matching condition or just ceased matching are passed
-/// down — everything else was filtered out upstream.
+/// down — everything else was filtered out upstream. The record stays in
+/// the bytes it arrived in: a change is a refcount on a payload the cell
+/// already holds, and a stage reads the record in place.
 #[derive(Debug, Clone)]
 pub struct FilterChange {
     /// The affected query.
     pub query_hash: QueryHash,
     /// Transition kind.
     pub kind: FilterChangeKind,
-    /// The causing write, shared with every cell and query it reached: its
-    /// tenant, key, version, after-image (`None` for deletes) and origin
-    /// timestamp are the transition's. Its own `trace` is not read (see
-    /// [`FilterChange::trace`]), and it has no collection, which no stage
-    /// needs.
-    pub image: Arc<AfterImage>,
+    /// The bytes the record lies in: the write envelope as the ingress
+    /// checked it, or the shuffle message the change crossed the event
+    /// layer in.
+    pub payload: Bytes,
+    /// The causing write's tenant, key, version and origin timestamp.
+    pub header: WriteHeader,
+    /// Where the record lies in `payload`; [`DocSpan::NONE`] for a delete.
+    pub doc: DocSpan,
     /// Stage trace inherited from the causing write, if it was sampled,
     /// with the filtering stage's stamp.
     pub trace: Option<TraceContext>,
@@ -179,30 +191,48 @@ impl FilterChangeKind {
 }
 
 impl FilterChange {
+    /// A change whose record is given as a document, which is encoded once
+    /// into a payload of its own.
+    pub fn of_document(
+        query_hash: QueryHash,
+        kind: FilterChangeKind,
+        header: WriteHeader,
+        record: Option<&Document>,
+        trace: Option<TraceContext>,
+    ) -> FilterChange {
+        let (payload, doc) = record.map_or((Bytes::new(), DocSpan::NONE), DocSpan::encode);
+        FilterChange { query_hash, kind, payload, header, doc, trace }
+    }
+
+    /// The record, read in place; `None` for a delete.
+    pub fn record(&self) -> Option<CheckedObject<'_>> {
+        self.doc.of(&self.payload)
+    }
+
     /// Writes the change for the shuffle topic: matching cells hosted off
     /// the row owner ship their staged output through the event layer
     /// instead of an in-process queue. The one place its layout is written
-    /// down.
+    /// down; the record's bytes are copied in as they are.
     pub fn write_to(&self, w: &mut impl FieldWriter) {
-        let img = &self.image;
+        let header = &self.header;
         w.begin_object(7 + usize::from(self.trace.is_some()));
         w.key("tenant");
-        w.str(img.tenant.as_str());
+        w.str(header.tenant.as_str());
         w.key("queryHash");
         w.int(self.query_hash.0 as i64);
         w.key("kind");
         w.str(self.kind.as_str());
         w.key("key");
-        w.value(&img.key.0);
+        w.value(&header.key.0);
         w.key("version");
-        w.int(img.version as i64);
+        w.int(header.version as i64);
         w.key("doc");
-        match &img.doc {
-            Some(doc) => w.document(doc),
+        match &self.record() {
+            Some(doc) => w.encoded(doc),
             None => w.value(&Value::Null),
         }
         w.key("writtenAt");
-        w.int(img.written_at as i64);
+        w.int(header.written_at as i64);
         if let Some(trace) = &self.trace {
             w.key("trace");
             w.document(&trace.to_document());
@@ -211,26 +241,31 @@ impl FilterChange {
     }
 
     /// Decodes a change from the shuffle topic in one pass over the
-    /// payload, in the cluster topic's way (`crate::ingest`): the key and
-    /// the record go straight into the change's one [`AfterImage`]; `None`
-    /// for a malformed payload, a repeated field included.
-    pub fn decode(payload: &[u8]) -> Option<FilterChange> {
+    /// payload, in the cluster topic's way (`crate::ingest`): the record is
+    /// checked as strictly as decoding it would check it and stays in the
+    /// payload, which the change keeps; `None` for a malformed payload, a
+    /// repeated field included.
+    pub fn decode(payload: &Bytes) -> Option<FilterChange> {
         let names = ["tenant", "queryHash", "kind", "key", "version", "doc", "writtenAt", "trace"];
         let [tenant, query_hash, kind, key, version, doc, written_at, trace] =
             LazyDoc::new(payload).ok()?.fields(names).ok()?;
-        let image = AfterImage {
+        let doc = match doc {
+            None | Some(LazyValue::Null) => DocSpan::NONE,
+            Some(LazyValue::Object(obj)) => DocSpan::at(obj.offset(), obj.check().ok()?.bytes().len())?,
+            Some(_) => return None,
+        };
+        let header = WriteHeader {
             tenant: TenantId::new(tenant?.as_str()?),
-            collection: String::new(),
             key: Key(key?.materialize().ok()?),
             version: version?.as_i64()? as Version,
-            doc: wire::document(doc)?,
             written_at: wire::optional(written_at, LazyValue::as_i64)?.unwrap_or(0) as u64,
-            trace: None,
         };
         Some(FilterChange {
             query_hash: QueryHash(query_hash?.as_i64()? as u64),
             kind: FilterChangeKind::parse(kind?.as_str()?)?,
-            image: Arc::new(image),
+            payload: payload.clone(),
+            header,
+            doc,
             trace: wire::trace(trace)?,
         })
     }
@@ -239,24 +274,20 @@ impl FilterChange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::{doc, Document, Stage};
-    use invalidb_json::WireCodec;
+    use invalidb_common::{doc, Stage};
 
     fn change(
         kind: FilterChangeKind,
         doc: Option<Document>,
         trace: Option<TraceContext>,
     ) -> FilterChange {
-        let image = AfterImage {
+        let header = WriteHeader {
             tenant: TenantId::new("app1"),
-            collection: String::new(),
             key: Key(Value::from("k17")),
             version: 42,
-            doc,
             written_at: 123_456,
-            trace: None,
         };
-        FilterChange { query_hash: QueryHash(0xdead_beef), kind, image: Arc::new(image), trace }
+        FilterChange::of_document(QueryHash(0xdead_beef), kind, header, doc.as_ref(), trace)
     }
 
     fn written(change: &FilterChange) -> Bytes {
@@ -285,7 +316,7 @@ mod tests {
                 "kind" => kind.as_str(),
                 "key" => "k17",
                 "version" => 42i64,
-                "doc" => doc.map_or(Value::Null, Value::Object),
+                "doc" => doc.clone().map_or(Value::Null, Value::Object),
                 "writtenAt" => 123_456i64,
             };
             if let Some(trace) = &trace {
@@ -295,7 +326,8 @@ mod tests {
             assert_eq!(bytes, WireCodec.encode(&layout), "{kind:?}");
             let decoded = FilterChange::decode(&bytes).expect("decodes");
             assert_eq!((decoded.query_hash, decoded.kind), (change.query_hash, change.kind));
-            assert_eq!(decoded.image, change.image);
+            assert_eq!(decoded.header, change.header);
+            assert_eq!(decoded.record().map(|d| d.materialize()), doc);
             assert_eq!(decoded.trace, change.trace);
             assert_eq!(written(&decoded), bytes, "{kind:?}");
         }

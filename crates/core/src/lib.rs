@@ -31,8 +31,8 @@
 //! * sorted queries (order/limit/offset) flow into the **sorting stage**,
 //!   which maintains the `offset + result + slack` window, detects
 //!   positional changes (`changeIndex`), raises *query maintenance errors*
-//!   when the slack is exhausted, and replays incremental deltas after a
-//!   renewal.
+//!   when the slack is exhausted, and catches a renewer's own window up
+//!   with the query's retained changes.
 
 pub mod aggregation;
 pub mod cluster;

@@ -18,10 +18,10 @@
 //! A write stays in the bytes it arrived as ([`WriteEvent`]). The cell reads
 //! its header in place, probes the index and tests one-field predicates
 //! with the attributes they name, decoded one at a time, and copies the
-//! record's bytes into a change notification as they are. Only a predicate
-//! that reads the record whole, or a transition that goes on to a staged
-//! query, has the write decoded into an [`AfterImage`], once per write
-//! (counted as `matching.materialized`).
+//! record's bytes into a change notification as they are. A transition that
+//! goes on to a staged query carries the payload on, not a decoded record.
+//! Only a predicate that reads the record whole has the record decoded,
+//! once per write (counted as `matching.materialized`).
 //!
 //! The node also implements **write-stream retention** and **staleness
 //! avoidance**: received writes are buffered, as the payloads they arrived
@@ -36,7 +36,9 @@
 //! write.
 
 use crate::config::{ClusterConfig, WorkerIdentity};
-use crate::event::{envelope_field, DocSpan, Event, FilterChange, FilterChangeKind, WriteEvent};
+use crate::event::{
+    envelope_field, DocSpan, Event, FilterChange, FilterChangeKind, WriteEvent, WriteHeader,
+};
 use crate::links::StageLinks;
 use crate::notifier::Publisher;
 use crate::query_index::QueryIndex;
@@ -45,9 +47,9 @@ use bytes::Bytes;
 use invalidb_broker::BrokerHandle;
 use invalidb_common::trace::now_micros;
 use invalidb_common::{
-    AfterImage, Attributes, Clock, DocRef, Document, EnvelopeRef, GridCoord, GridShape, ItemRef, Key,
-    KindRef, MatchType, QueryHash, Record, Stage, SubscriptionId, SubscriptionRequest, TenantId,
-    Timestamp, TraceContext, Value, Version,
+    Attributes, Clock, DocRef, Document, EnvelopeRef, GridCoord, GridShape, ItemRef, Key, KindRef,
+    MatchType, QueryHash, Record, Stage, SubscriptionId, SubscriptionRequest, TenantId, Timestamp,
+    TraceContext, Value, Version,
 };
 use invalidb_json::{CheckedObject, WireCodec};
 use invalidb_obs::SlowQueryScratch;
@@ -276,19 +278,22 @@ fn retire(
     }
 }
 
-/// One write as a cell evaluates it: its header, its record read in place
-/// from the payload, and the after-image built from the two on first need —
-/// by a predicate that reads the record whole, or by a transition that goes
-/// on to a staged query — then shared by every query the write reaches.
+/// One write as a cell evaluates it: its header, and its record read in
+/// place from the payload it arrived in — or decoded, on first need by a
+/// predicate that reads it whole, then shared by every query the write
+/// reaches.
 pub(crate) struct Written<'a> {
     tenant: &'a TenantId,
     key: &'a Key,
     version: Version,
     written_at: u64,
     trace: Option<&'a TraceContext>,
+    payload: &'a Bytes,
+    /// Where the record lies in `payload`.
+    span: DocSpan,
     /// `None` for a delete.
     doc: Option<CheckedObject<'a>>,
-    image: OnceCell<Arc<AfterImage>>,
+    record: OnceCell<Document>,
 }
 
 impl<'a> Written<'a> {
@@ -301,8 +306,10 @@ impl<'a> Written<'a> {
             version: header.version,
             written_at: header.written_at,
             trace: trace.as_deref(),
+            payload: &write.payload,
+            span: write.doc,
             doc: write.doc(),
-            image: OnceCell::new(),
+            record: OnceCell::new(),
         }
     }
 
@@ -315,26 +322,34 @@ impl<'a> Written<'a> {
             version: write.version,
             written_at: write.written_at(),
             trace: None,
+            payload: &write.payload,
+            span: write.doc,
             doc: write.doc(),
-            image: OnceCell::new(),
+            record: OnceCell::new(),
         }
     }
 
-    /// The write as an after-image, built on first need. It carries no
-    /// collection, which no stage reads, and no trace: a transition carries
-    /// its own.
-    fn image(&self) -> &Arc<AfterImage> {
-        self.image.get_or_init(|| {
-            Arc::new(AfterImage {
+    /// A staged query's transition of this write: the payload shared, the
+    /// header copied.
+    fn change(
+        &self,
+        query_hash: QueryHash,
+        kind: FilterChangeKind,
+        trace: Option<TraceContext>,
+    ) -> FilterChange {
+        FilterChange {
+            query_hash,
+            kind,
+            payload: self.payload.clone(),
+            header: WriteHeader {
                 tenant: self.tenant.clone(),
-                collection: String::new(),
                 key: self.key.clone(),
                 version: self.version,
-                doc: self.doc.map(|doc| doc.materialize()),
                 written_at: self.written_at,
-                trace: None,
-            })
-        })
+            },
+            doc: self.span,
+            trace,
+        }
     }
 }
 
@@ -346,8 +361,7 @@ impl Attributes for Written<'_> {
 
 impl Record for Written<'_> {
     fn document(&self) -> &Document {
-        static NO_RECORD: Document = Document::new();
-        self.image().doc.as_ref().unwrap_or(&NO_RECORD)
+        self.record.get_or_init(|| self.doc.map_or_else(Document::new, |doc| doc.materialize()))
     }
 }
 
@@ -386,12 +400,11 @@ impl Outputs {
         match &self.staged {
             StagedOut::Local(links) => {
                 let hash = change.query_hash;
-                let event = Event::FilterChange(Arc::new(change));
                 if query.to_sorting {
-                    links.to_sorting(hash, event.clone());
+                    links.to_sorting(hash, Event::FilterChange(change.clone()));
                 }
                 if query.to_aggregation {
-                    links.to_aggregation(hash, event);
+                    links.to_aggregation(hash, Event::FilterChange(change));
                 }
             }
             StagedOut::Shuffle { broker, topic, published } => {
@@ -403,9 +416,9 @@ impl Outputs {
         }
     }
 
-    /// Counts an evaluated write whose after-image was built.
+    /// Counts an evaluated write whose record was decoded.
     fn count_materialized(&self, write: &Written<'_>) {
-        if write.image.get().is_some() {
+        if write.record.get().is_some() {
             self.materialized.fetch_add(1, AtomicOrdering::Relaxed);
         }
     }
@@ -551,9 +564,8 @@ impl Evaluator {
         });
         if query.to_sorting || query.to_aggregation {
             // Sorted/aggregate queries: pass the transition downstream,
-            // sharing the write's one after-image.
-            let image = Arc::clone(write.image());
-            out.forward(query, FilterChange { query_hash: hash, kind, image, trace });
+            // sharing the write's payload.
+            out.forward(query, write.change(hash, kind, trace));
         } else {
             // Self-maintainable queries: one notification for all of `to`,
             // the record's bytes copied into it as they arrived, published
@@ -681,14 +693,18 @@ impl MatchingNode {
     /// A 1×1 cell outside any cluster, for whoever wants to drive one
     /// synchronously through [`Task::handle`] and [`Task::tick`] (tests,
     /// per-stage measurements): notifications leave through `publisher` as
-    /// in a cluster; there is no stage partition behind the cell, so the
-    /// transitions of sorted and aggregate queries go nowhere.
-    pub fn solo(config: ClusterConfig, clock: Arc<dyn Clock>, publisher: Publisher) -> Self {
-        // A queue whose receiver is gone: what a stage partition looks like
-        // after shutdown, and sends to it are dropped the same way.
-        let (gone, _) = crossbeam::channel::bounded(1);
-        let nowhere = StageLinks { sorting: vec![gone.clone()], aggregation: vec![gone] };
-        Self::new(0, GridShape::new(1, 1), config, clock, publisher, StagedOut::Local(nowhere))
+    /// in a cluster, and the transitions of sorted and aggregate queries
+    /// through the queue returned beside the cell — what a stage partition
+    /// reads. Once the queue is dropped they go nowhere, as after shutdown.
+    pub fn solo(
+        config: ClusterConfig,
+        clock: Arc<dyn Clock>,
+        publisher: Publisher,
+    ) -> (Self, crossbeam::channel::Receiver<Event>) {
+        let (staged, queue) = crossbeam::channel::unbounded();
+        let links = StageLinks { sorting: vec![staged.clone()], aggregation: vec![staged] };
+        let cell = Self::new(0, GridShape::new(1, 1), config, clock, publisher, StagedOut::Local(links));
+        (cell, queue)
     }
 
     /// One rule for every subscription whose client was handed
@@ -971,9 +987,10 @@ pub(crate) fn publish_gauge_delta(gauge: &AtomicU64, last: &mut u64, now: u64) {
 mod tests {
     use super::*;
     use crate::notifier::testing::{Wire, TENANT};
-    use crossbeam::channel::{unbounded, Receiver};
+    use crossbeam::channel::Receiver;
     use invalidb_common::{
-        doc, MockClock, Notification, NotificationKind, QuerySpec, ResultItem, SortDirection, Value,
+        doc, AfterImage, MockClock, Notification, NotificationKind, QuerySpec, ResultItem,
+        SortDirection, Value,
     };
     use std::time::Duration;
 
@@ -989,16 +1006,7 @@ mod tests {
     fn harness(config: ClusterConfig) -> Harness {
         let clock = MockClock::new();
         let wire = Wire::new(&config, &clock);
-        let (tx, staged) = unbounded();
-        let links = StageLinks { sorting: vec![tx.clone()], aggregation: vec![tx] };
-        let node = MatchingNode::new(
-            0,
-            GridShape::new(1, 1),
-            config,
-            Arc::new(clock.clone()),
-            wire.publisher.clone(),
-            StagedOut::Local(links),
-        );
+        let (node, staged) = MatchingNode::solo(config, Arc::new(clock.clone()), wire.publisher.clone());
         Harness { node, wire, staged, clock }
     }
 
@@ -1015,7 +1023,7 @@ mod tests {
             self.staged
                 .try_iter()
                 .filter_map(|e| match e {
-                    Event::FilterChange(fc) => Some((*fc).clone()),
+                    Event::FilterChange(fc) => Some(fc),
                     _ => None,
                 })
                 .collect()
@@ -1192,11 +1200,12 @@ mod tests {
     }
 
     /// `matching.materialized` counts the writes a cell decoded into an
-    /// after-image: none on a stream that only ranges match, and each write
-    /// once on a stream every write of which reaches sorted queries, however
-    /// many, and a predicate that reads the record whole.
+    /// after-image: none on a stream that only ranges match, none on one
+    /// every write of which reaches sorted queries, however many (their
+    /// transitions carry the payload on), and each write once on a stream a
+    /// predicate that reads the record whole sees.
     #[test]
-    fn a_write_is_materialized_only_for_a_staged_query_or_a_whole_record_predicate_and_once() {
+    fn a_write_is_materialized_only_for_a_whole_record_predicate_and_once() {
         let materialized =
             |h: &Harness| h.node.config.metrics.snapshot().counters["matching.materialized"];
         let mut ranges = harness(ClusterConfig::new(1, 1));
@@ -1216,17 +1225,27 @@ mod tests {
             |limit| QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(limit);
         sorted.send(subscribe_event(by_n(3), 1, vec![]));
         sorted.send(subscribe_event(by_n(5), 2, vec![]));
-        sorted.send(subscribe_event(QuerySpec::filter("t", doc! { "m.x" => 1i64 }), 3, vec![]));
+        let write =
+            |i: i64| write_event(Key::of(i), 1, Some(doc! { "n" => i, "m" => doc! { "x" => i % 2 } }));
         for i in 0..20i64 {
-            sorted.send(write_event(
-                Key::of(i),
-                1,
-                Some(doc! { "n" => i, "m" => doc! { "x" => i % 2 } }),
-            ));
+            sorted.send(write(i));
         }
         assert_eq!(sorted.filter_changes().len(), 40, "both windows saw every write");
-        assert_eq!(sorted.notifications().len(), 10, "the dotted path matched every other write");
-        assert_eq!(materialized(&sorted), 20, "one after-image per write");
+        assert_eq!(materialized(&sorted), 0, "a sorted-only stream");
+
+        let mut whole = harness(ClusterConfig::new(1, 1));
+        for x in [0i64, 1] {
+            whole.send(subscribe_event(
+                QuerySpec::filter("t", doc! { "m.x" => x }),
+                1 + x as u64,
+                vec![],
+            ));
+        }
+        for i in 0..20i64 {
+            whole.send(write(i));
+        }
+        assert_eq!(whole.notifications().len(), 20, "each write matched one of the dotted paths");
+        assert_eq!(materialized(&whole), 20, "one after-image per write");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The shared publisher: the way out of the cluster (§5.1).
 //!
 //! Whoever produces a notification — a grid cell, a sorting or aggregation
-//! partition, the ingress for initial results — serializes it from borrowed
-//! parts and puts it on the tenant's notify topic itself, on its own
-//! thread. The publisher is the state those callers share: the event-layer
-//! handle, the `notifier.*` counters, and one entry per tenant
-//! with its topic name and heartbeat state.
+//! partition, the ingress or the sorting partition for initial results —
+//! serializes it from borrowed parts and puts it on the tenant's notify
+//! topic itself, on its own thread. The publisher is the state those callers
+//! share: the event-layer handle, the `notifier.*` counters, and one entry
+//! per tenant with its topic name and heartbeat state.
 //!
 //! The first notification for any real-time query is the initial result; it
 //! is emitted directly from the subscription request (trimmed to the
@@ -104,9 +104,11 @@ impl Publisher {
         self.inner.broker.publish(&tenant.topic, payload.finish());
     }
 
-    /// Publishes the initial result of a subscription. The ingress calls
-    /// this *before* it hands the request to any cell or stage, so no
-    /// change notification can overtake it on the notify topic.
+    /// Publishes the initial result of a subscription. Whoever answers the
+    /// subscription calls this before any change for it can be published:
+    /// the ingress before it hands the request to any cell or stage, the
+    /// sorting partition of a sorted query before it addresses the query's
+    /// first edit to it.
     pub fn initial_result(&self, req: &SubscriptionRequest) {
         // The tenant joins the heartbeat round even if nothing is published.
         self.tenant(&req.tenant);

@@ -52,6 +52,13 @@ impl Subscribers {
         self.deadlines.retain(|d| *d > now);
     }
 
+    /// Takes every subscription of `other` in, with its deadline.
+    pub(crate) fn absorb(&mut self, other: Subscribers) {
+        for (id, expires_at) in other.ids.into_iter().zip(other.deadlines) {
+            self.insert(id, expires_at);
+        }
+    }
+
     /// The addressees, ascending.
     pub(crate) fn ids(&self) -> &[SubscriptionId] {
         &self.ids

@@ -12,24 +12,50 @@
 //! When the window can no longer prove what the visible result is — a
 //! removal shrinks it below `offset+limit` while items beyond the horizon
 //! had been discarded — a **query maintenance error** is raised: the query
-//! must be renewed from a fresh database result ([`SortedWindow::reseed`]),
-//! after which the incremental delta from the last valid visible state is
-//! emitted.
+//! must be renewed from a fresh database result, which seeds a new window.
+//!
+//! An entry keeps its record in the bytes it arrived in, with the values it
+//! sorts by read once beside them ([`WindowItem`]); a filter change enters
+//! the window without being decoded ([`SortedWindow::apply_change`]). The
+//! document-form entry points ([`SortedWindow::new`], [`SortedWindow::apply`])
+//! encode a record once and take the same path.
 
-use invalidb_common::{Document, Key, ResultItem, Version};
-use invalidb_query::PreparedQuery;
+use crate::event::{DocSpan, FilterChange, FilterChangeKind};
+use bytes::Bytes;
+use invalidb_common::{Document, Key, ResultItem, SortSpec, Version};
+use invalidb_json::CheckedObject;
+use invalidb_query::{compare_keys, PreparedQuery, SortKey};
 use std::sync::Arc;
 
-/// One record inside the maintained window.
+/// One record inside the maintained window: what it sorts by, read once
+/// when it entered, and the bytes it arrived in, shared with every holder
+/// of the write. An edit script that carries it copies its key and a
+/// refcount, not its record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowItem {
     /// Primary key.
     pub key: Key,
     /// Record version.
     pub version: Version,
-    /// Record content, shared: the window, the edit scripts it emits and
-    /// the client state kept beside it all point at the one copy.
-    pub doc: Arc<Document>,
+    sort_key: SortKey,
+    payload: Bytes,
+    /// Where the record lies in `payload`.
+    doc: DocSpan,
+}
+
+impl WindowItem {
+    /// The entry of a record given as a document, encoded once. `sort` is
+    /// the window's: the entry sorts by what the record holds under it.
+    pub fn from_document(key: Key, version: Version, doc: &Document, sort: &SortSpec) -> WindowItem {
+        let (payload, span) = DocSpan::encode(doc);
+        WindowItem { sort_key: SortKey::of(doc, sort), key, version, payload, doc: span }
+    }
+
+    /// The record, read in place.
+    pub fn record(&self) -> CheckedObject<'_> {
+        let record = self.doc.of(&self.payload);
+        record.expect("a window holds matching records only")
+    }
 }
 
 /// A client-visible result change with list positions.
@@ -69,7 +95,7 @@ pub enum VisibleEvent {
     },
 }
 
-/// Result of applying one write to the window.
+/// Result of applying one write to the window, in document form.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WindowOutcome {
     /// Client-visible edit script (empty when nothing visible changed).
@@ -88,6 +114,10 @@ pub struct SortedWindow {
     items: Vec<WindowItem>,
     /// True while the window provably contains *all* matching items.
     complete: bool,
+    /// Reused by every apply: the visible slice as it was, by key and
+    /// version, and the edit script.
+    before: Vec<(Key, Version)>,
+    script: Vec<VisibleEvent>,
 }
 
 impl SortedWindow {
@@ -101,19 +131,16 @@ impl SortedWindow {
         let mut items: Vec<WindowItem> = initial
             .iter()
             .filter_map(|r| {
-                r.doc.as_ref().map(|doc| WindowItem {
-                    key: r.key.clone(),
-                    version: r.version,
-                    doc: Arc::new(doc.clone()),
-                })
+                let doc = r.doc.as_ref()?;
+                Some(WindowItem::from_document(r.key.clone(), r.version, doc, &spec.sort))
             })
             .collect();
-        items.sort_by(|a, b| prepared.cmp_items((&a.key, &a.doc), (&b.key, &b.doc)));
+        items.sort_by(|a, b| compare_keys(&spec.sort, (&a.key, &a.sort_key), (&b.key, &b.sort_key)));
         items.dedup_by(|a, b| a.key == b.key);
         // The window is complete iff the bootstrap result did not fill the
         // rewritten limit (the database had nothing more to give).
         let complete = cap.is_none_or(|c| items.len() < c);
-        Self { prepared, offset, limit, cap, items, complete }
+        Self { prepared, offset, limit, cap, items, complete, before: Vec::new(), script: Vec::new() }
     }
 
     /// Number of items currently maintained (offset + result + slack).
@@ -151,37 +178,56 @@ impl SortedWindow {
         self.offset.min(len)..end
     }
 
-    /// Snapshot of the visible slice (kept by the sorting node across a
-    /// maintenance error so the renewal delta can be computed).
-    pub fn snapshot_visible(&self) -> Vec<WindowItem> {
-        self.visible().to_vec()
+    /// Applies one filter change: whether the record matches is the
+    /// change's kind, and what it sorts by is read from its bytes in place.
+    /// Returns the visible edit script (empty when nothing visible moved),
+    /// or the maintenance error that left the window unmaintainable.
+    pub fn apply_change(&mut self, change: &FilterChange) -> Result<&[VisibleEvent], String> {
+        let record = change.record().filter(|_| change.kind != FilterChangeKind::Remove);
+        let entering = record.map(|record| WindowItem {
+            key: change.header.key.clone(),
+            version: change.header.version,
+            sort_key: SortKey::of(&record, &self.prepared.spec().sort),
+            payload: change.payload.clone(),
+            doc: change.doc,
+        });
+        self.apply_entry(&change.header.key, change.header.version, entering)
     }
 
-    /// Applies one write (after-image or tombstone) to the window.
+    /// Applies one write (after-image or tombstone), given as a document:
+    /// whether it matches is the query's filter's to say.
     pub fn apply(&mut self, key: &Key, version: Version, doc: Option<&Document>) -> WindowOutcome {
+        let sort = &self.prepared.spec().sort;
+        let matching = doc.filter(|doc| self.prepared.matches(doc));
+        let entering = matching.map(|doc| WindowItem::from_document(key.clone(), version, doc, sort));
+        match self.apply_entry(key, version, entering) {
+            Ok(events) => WindowOutcome { events: events.to_vec(), error: None },
+            Err(error) => WindowOutcome { events: Vec::new(), error: Some(error) },
+        }
+    }
+
+    /// One write: `entering` is the record's entry when it matches.
+    fn apply_entry(
+        &mut self,
+        key: &Key,
+        version: Version,
+        entering: Option<WindowItem>,
+    ) -> Result<&[VisibleEvent], String> {
+        self.script.clear();
         // Version guard: replay and renewal can cross paths; never move a
         // record backwards.
         let pos = self.position_of(key);
-        if pos.is_some_and(|p| self.items[p].version >= version) {
-            return WindowOutcome::default();
+        if pos.is_some_and(|p| self.items[p].version >= version) || (entering.is_none() && pos.is_none())
+        {
+            return Ok(&self.script);
         }
-        let matching = doc.is_some_and(|d| self.prepared.matches(d));
-        if !matching && pos.is_none() {
-            return WindowOutcome::default();
+        self.before.clear();
+        let visible = &self.items[self.visible_range(self.items.len())];
+        self.before.extend(visible.iter().map(|item| (item.key.clone(), item.version)));
+        if let Some(p) = pos {
+            self.items.remove(p);
         }
-        // A write moves at most three items: the record's old state leaves,
-        // its new state enters, and the last item falls off a full window.
-        // What left is kept, so the list as it was can be read back from the
-        // list as it is, and nothing has to be copied beforehand.
-        let left = pos.map(|p| (p, self.items.remove(p)));
-        let mut entered = None;
-        let mut fell_off = None;
-        if matching {
-            let item = WindowItem {
-                key: key.clone(),
-                version,
-                doc: Arc::new(doc.expect("matching implies doc").clone()),
-            };
+        if let Some(item) = entering {
             let insert_at = self.insert_position(&item);
             // Invariant: every *unknown* matching item sorts after the
             // window's last item (items only ever leave the window off
@@ -189,31 +235,20 @@ impl SortedWindow {
             // incomplete window is therefore ambiguous — unknown items
             // may belong between — and must be discarded, whether it is
             // new or an updated member that moved past the horizon.
-            let beyond_horizon = !self.complete && insert_at == self.items.len();
-            if !beyond_horizon {
+            if self.complete || insert_at < self.items.len() {
                 self.items.insert(insert_at, item);
-                entered = Some(insert_at);
                 if self.cap.is_some_and(|cap| self.items.len() > cap) {
-                    fell_off = self.items.pop();
+                    self.items.pop();
                     self.complete = false;
                 }
             }
         }
         if let Some(err) = self.maintenance_error() {
-            return WindowOutcome { events: Vec::new(), error: Some(err) };
+            return Err(err);
         }
-        // The list before the write: the steps above, undone on references.
-        let mut before: Vec<&WindowItem> = self.items.iter().chain(&fell_off).collect();
-        if let Some(at) = entered {
-            before.remove(at);
-        }
-        if let Some((at, item)) = &left {
-            before.insert(*at, item);
-        }
-        let visible_before =
-            before[self.visible_range(before.len())].iter().map(|i| (&i.key, i.version));
-        let events = edit_script(visible_before.collect(), self.visible(), Some(key));
-        WindowOutcome { events, error: None }
+        let after = &self.items[self.visible_range(self.items.len())];
+        edit_script(&mut self.before, after, Some(key), &mut self.script);
+        Ok(&self.script)
     }
 
     /// Replaces the window content from a fresh bootstrap result (query
@@ -225,10 +260,7 @@ impl SortedWindow {
         initial: &[ResultItem],
         last_visible: &[WindowItem],
     ) -> Vec<VisibleEvent> {
-        let fresh = SortedWindow::new(Arc::clone(&self.prepared), slack, initial);
-        self.cap = fresh.cap;
-        self.items = fresh.items;
-        self.complete = fresh.complete;
+        *self = SortedWindow::new(Arc::clone(&self.prepared), slack, initial);
         diff_visible(last_visible, self.visible())
     }
 
@@ -250,9 +282,10 @@ impl SortedWindow {
     }
 
     fn insert_position(&self, item: &WindowItem) -> usize {
+        let sort = &self.prepared.spec().sort;
         self.items
             .binary_search_by(|probe| {
-                self.prepared.cmp_items((&probe.key, &probe.doc), (&item.key, &item.doc))
+                compare_keys(sort, (&probe.key, &probe.sort_key), (&item.key, &item.sort_key))
             })
             .unwrap_or_else(|p| p)
     }
@@ -264,47 +297,41 @@ impl SortedWindow {
 /// are emitted first (descending positions), then per-position inserts and
 /// moves (ascending).
 pub fn diff_visible(before: &[WindowItem], after: &[WindowItem]) -> Vec<VisibleEvent> {
-    diff_visible_hinted(before, after, None)
+    let mut work = before.iter().map(|i| (i.key.clone(), i.version)).collect();
+    let mut events = Vec::new();
+    edit_script(&mut work, after, None, &mut events);
+    events
 }
 
-/// Like [`diff_visible`], with a hint naming the single written key. A write
-/// can reorder at most that one item among survivors, so the hint lets the
-/// script attribute `changeIndex` to the item that actually changed (the
-/// paper's semantics: "result member was updated and changed its position")
-/// instead of to whichever survivor the generic walk reaches first.
-pub fn diff_visible_hinted(
-    before: &[WindowItem],
+/// Appends to `events` the edit script from a list known by key and
+/// version (`work`, consumed as the client-side list the script is played
+/// on) to `after`. A hint names the single written key: a write can reorder
+/// at most that one item among survivors, so the hint lets the script
+/// attribute `changeIndex` to the item that actually changed (the paper's
+/// semantics: "result member was updated and changed its position") instead
+/// of to whichever survivor the generic walk reaches first.
+fn edit_script(
+    work: &mut Vec<(Key, Version)>,
     after: &[WindowItem],
     hint: Option<&Key>,
-) -> Vec<VisibleEvent> {
-    edit_script(before.iter().map(|i| (&i.key, i.version)).collect(), after, hint)
-}
-
-/// The edit script from a list known by key and version (`work`, consumed
-/// as the client-side list the script is played on) to `after`. Keys are
-/// borrowed throughout; an event copies what it carries.
-fn edit_script<'a>(
-    mut work: Vec<(&'a Key, Version)>,
-    after: &'a [WindowItem],
-    hint: Option<&Key>,
-) -> Vec<VisibleEvent> {
-    let mut events = Vec::new();
+    events: &mut Vec<VisibleEvent>,
+) {
     // 1. Removals, highest index first so earlier indices stay valid.
     for i in (0..work.len()).rev() {
-        if !after.iter().any(|a| &a.key == work[i].0) {
+        if !after.iter().any(|a| a.key == work[i].0) {
             let (key, version) = work.remove(i);
-            events.push(VisibleEvent::Remove { key: key.clone(), version, old_index: i });
+            events.push(VisibleEvent::Remove { key, version, old_index: i });
         }
     }
     // 2. If the written item survived and moved, emit its move first.
     if let Some(hint) = hint {
-        let cur = work.iter().position(|(k, _)| *k == hint);
+        let cur = work.iter().position(|(k, _)| k == hint);
         let target = after.iter().position(|a| &a.key == hint);
         if let (Some(cur), Some(tgt)) = (cur, target) {
             if cur != tgt && tgt <= work.len() {
                 let item = &after[tgt];
-                work.remove(cur);
-                work.insert(tgt.min(work.len()), (&item.key, item.version));
+                let moved = work.remove(cur);
+                work.insert(tgt.min(work.len()), (moved.0, item.version));
                 events.push(VisibleEvent::ChangeIndex {
                     item: item.clone(),
                     old_index: cur,
@@ -315,29 +342,28 @@ fn edit_script<'a>(
     }
     // 3. Walk the target list; insert or move to each remaining position.
     for (i, target) in after.iter().enumerate() {
-        if let Some((key, version)) = work.get(i) {
-            if **key == target.key {
+        if let Some((key, version)) = work.get_mut(i) {
+            if *key == target.key {
                 if *version != target.version {
                     events.push(VisibleEvent::Change { item: target.clone(), index: i });
-                    work[i].1 = target.version;
+                    *version = target.version;
                 }
                 continue;
             }
         }
-        match work.iter().position(|(k, _)| **k == target.key) {
+        match work.iter().position(|(k, _)| *k == target.key) {
             Some(j) => {
                 // The item exists later in the list: it moved here.
-                work.remove(j);
-                work.insert(i, (&target.key, target.version));
+                let moved = work.remove(j);
+                work.insert(i, (moved.0, target.version));
                 events.push(VisibleEvent::ChangeIndex { item: target.clone(), old_index: j, index: i });
             }
             None => {
-                work.insert(i, (&target.key, target.version));
+                work.insert(i, (target.key.clone(), target.version));
                 events.push(VisibleEvent::Add { item: target.clone(), index: i });
             }
         }
     }
-    events
 }
 
 /// Applies an edit script to a client-side list — the client algorithm the
@@ -557,8 +583,11 @@ mod tests {
         assert_eq!(w.len(), 50);
         assert_eq!(w.visible().len(), 50);
         // Ordered ascending by n.
-        let ns: Vec<i64> =
-            w.visible().iter().map(|i| i.doc.get("n").unwrap().as_i64().unwrap()).collect();
+        let ns: Vec<i64> = w
+            .visible()
+            .iter()
+            .map(|i| i.record().materialize().get("n").unwrap().as_i64().unwrap())
+            .collect();
         let mut sorted = ns.clone();
         sorted.sort_unstable();
         assert_eq!(ns, sorted);
@@ -567,7 +596,7 @@ mod tests {
     #[test]
     fn reseed_emits_delta_from_last_valid_state() {
         let mut w = figure3_window();
-        let last = w.snapshot_visible();
+        let last = w.visible().to_vec();
         // Renewal returns a fresh result where id 4 is gone and id 11 is new.
         let fresh = vec![
             item(5, 2018, 1),
@@ -593,7 +622,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xBA0E);
         for trial in 0..50 {
             let mut w = figure3_window();
-            let mut client = w.snapshot_visible();
+            let mut client = w.visible().to_vec();
             let mut versions = std::collections::HashMap::new();
             for (id, v) in [(5i64, 1u64), (8, 1), (3, 1), (4, 1), (7, 1), (9, 1)] {
                 versions.insert(id, v);

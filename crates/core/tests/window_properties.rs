@@ -107,7 +107,7 @@ proptest! {
         let prepared = prepared(offset, limit);
         let fetch = (offset + limit + slack) as usize;
         let mut window = SortedWindow::new(Arc::clone(&prepared), slack, &db.bootstrap(fetch));
-        let mut client: Vec<WindowItem> = window.snapshot_visible();
+        let mut client: Vec<WindowItem> = window.visible().to_vec();
         let mut renewals = 0u32;
 
         for op in &ops {

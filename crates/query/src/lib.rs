@@ -36,4 +36,4 @@ pub use filter::{FieldPred, Filter};
 pub use normalize::{normalize_filter, normalize_spec};
 pub use parse::{parse_filter, FilterParseError};
 pub use predicate::{decompose, filter_hash, predicate_hash, Atom, FilterHash, PredicateHash};
-pub use sort::{compare_items, sort_value};
+pub use sort::{compare_items, compare_keys, sort_value, SortKey};

@@ -7,7 +7,7 @@
 //! always unambiguous.
 
 use crate::path::resolve_first;
-use invalidb_common::{canonical_cmp, Document, Key, SortDirection, SortSpec, Value};
+use invalidb_common::{canonical_cmp, Attributes, Document, Key, SortDirection, SortSpec, Value};
 use std::cmp::Ordering;
 
 /// The value a document contributes for one sort key.
@@ -16,8 +16,13 @@ use std::cmp::Ordering;
 /// is used for ascending sorts and the largest for descending; missing
 /// fields sort as `Null`.
 pub fn sort_value<'a>(doc: &'a Document, path: &str, dir: SortDirection) -> &'a Value {
+    pick(resolve_first(doc, path), dir)
+}
+
+/// [`sort_value`]'s rule applied to what a path resolved to.
+fn pick(found: Option<&Value>, dir: SortDirection) -> &Value {
     const NULL: &Value = &Value::Null;
-    match resolve_first(doc, path) {
+    match found {
         None => NULL,
         Some(Value::Array(items)) => {
             let pick = match dir {
@@ -30,17 +35,58 @@ pub fn sort_value<'a>(doc: &'a Document, path: &str, dir: SortDirection) -> &'a 
     }
 }
 
+/// One sort field's comparison of two contributed values.
+fn compare_values(dir: SortDirection, a: &Value, b: &Value) -> Ordering {
+    let ord = canonical_cmp(a, b);
+    match dir {
+        SortDirection::Asc => ord,
+        SortDirection::Desc => ord.reverse(),
+    }
+}
+
 /// Compares two `(key, document)` pairs under a sort specification, with the
 /// primary key as implicit final (ascending) tiebreak.
 pub fn compare_items(sort: &SortSpec, a: (&Key, &Document), b: (&Key, &Document)) -> Ordering {
     for (path, dir) in sort {
-        let va = sort_value(a.1, path, *dir);
-        let vb = sort_value(b.1, path, *dir);
-        let ord = canonical_cmp(va, vb);
-        let ord = match dir {
-            SortDirection::Asc => ord,
-            SortDirection::Desc => ord.reverse(),
-        };
+        let ord = compare_values(*dir, sort_value(a.1, path, *dir), sort_value(b.1, path, *dir));
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    a.0.cmp(b.0)
+}
+
+/// The values a record sorts by under one [`SortSpec`], read once, so that
+/// comparing two records reads neither of them again. The first value is
+/// held inline: a one-field sort allocates nothing for it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SortKey {
+    first: Value,
+    rest: Box<[Value]>,
+}
+
+impl SortKey {
+    /// What `record` contributes for each field of `sort`, by
+    /// [`sort_value`]'s rule, each attribute read where the record is held.
+    pub fn of(record: &(impl Attributes + ?Sized), sort: &SortSpec) -> SortKey {
+        let mut values = sort.iter().map(|(path, dir)| {
+            let found = record.attr_path(path);
+            pick(found.as_deref(), *dir).clone()
+        });
+        let first = values.next().unwrap_or(Value::Null);
+        SortKey { first, rest: values.collect() }
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Value> {
+        std::iter::once(&self.first).chain(self.rest.iter())
+    }
+}
+
+/// [`compare_items`] of two records by their [`SortKey`]s under the `sort`
+/// they were read with.
+pub fn compare_keys(sort: &SortSpec, a: (&Key, &SortKey), b: (&Key, &SortKey)) -> Ordering {
+    for ((_, dir), (va, vb)) in sort.iter().zip(a.1.values().zip(b.1.values())) {
+        let ord = compare_values(*dir, va, vb);
         if ord != Ordering::Equal {
             return ord;
         }
@@ -117,6 +163,32 @@ mod tests {
         assert_eq!(ab, ba.reverse());
         let aa = compare_items(&spec, (&a.0, &a.1), (&a.0, &a.1));
         assert_eq!(aa, Ordering::Equal);
+    }
+
+    #[test]
+    fn sort_keys_order_as_the_documents_do() {
+        let spec: SortSpec = vec![
+            ("year".into(), SortDirection::Desc),
+            ("a.b".into(), SortDirection::Asc),
+            ("tags".into(), SortDirection::Asc),
+        ];
+        let docs = [
+            doc! { "year" => 2018i64, "a" => doc! { "b" => 2i64 }, "tags" => vec![5i64, 1] },
+            doc! { "year" => 2018i64, "a" => doc! { "b" => 2i64 }, "tags" => vec![3i64] },
+            doc! { "year" => 2018i64, "a" => doc! { "b" => 1i64 } },
+            doc! { "year" => 2017i64 },
+            doc! { "title" => "no year" },
+        ];
+        for (i, a) in docs.iter().enumerate() {
+            for (j, b) in docs.iter().enumerate() {
+                let (ka, kb) = (Key::of(i as i64), Key::of(j as i64));
+                assert_eq!(
+                    compare_keys(&spec, (&ka, &SortKey::of(a, &spec)), (&kb, &SortKey::of(b, &spec))),
+                    compare_items(&spec, (&ka, a), (&kb, b)),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

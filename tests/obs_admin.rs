@@ -333,6 +333,11 @@ fn cluster_counters_stay_monotonic_across_a_rebuild() {
     }
     assert!(seen.windows(2).all(|w| w[0] <= w[1]), "cluster.ingress.processed went back: {seen:?}");
     assert_eq!(processed(), 40, "both clusters' writes are counted: {seen:?}");
+    // The ingress counts what it hands on: each write, to the one cell of
+    // its column.
+    let emitted = registry.snapshot().counters["cluster.ingress.emitted"];
+    assert!(emitted > 0, "the ingress handed nothing on");
+    assert_eq!(emitted, 40, "one cell per write on a 1×1 grid");
 }
 
 /// Decodes the `/flight` JSON array back into events.

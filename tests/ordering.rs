@@ -1,10 +1,11 @@
 //! Ordering stress: subscribe while a writer hammers matching keys.
 //!
 //! The initial result is published by the cluster's ingress before the
-//! subscription is handed to any cell or sorting partition, and every
-//! notification for it is published by a cell or partition that already has
-//! it — so on the notify topic the initial result comes first, whichever of
-//! the cluster's threads wins the CPU. And since a subscription and the
+//! subscription is handed to any cell (a sorted query's by its sorting
+//! partition, before any edit for it), and every notification for it is
+//! published by a cell or partition that already has it — so on the notify
+//! topic the initial result comes first, whichever of the cluster's threads
+//! wins the CPU. And since a subscription and the
 //! writes around it travel one FIFO from the ingress to each cell, the
 //! result folded from the notifications equals the pull result whenever the
 //! writer is held. Checked for unsorted and sorted-with-limit queries, on a
@@ -12,10 +13,9 @@
 //!
 //! A second series shares each unsorted filter among several live
 //! subscriptions, so most of them join a group that is already maintained
-//! and must be caught up from their own initial result. Sorted iterations
-//! are not shared: the sorting stage's joiner path is known to leave a
-//! shared window's members stale or with duplicate keys (an open ROADMAP
-//! item), and this test neither waits for nor hides that.
+//! and must be caught up from their own initial result. A third does the
+//! same for sorted windows: pairs of iterations subscribe the same sorted
+//! query, so one of each pair joins a window that is already maintained.
 
 use invalidb::broker::Broker;
 use invalidb::client::{AppServer, AppServerConfig, ClientEvent, Subscription};
@@ -169,6 +169,12 @@ fn shared_query(i: usize) -> QuerySpec {
     query((i % 5) * 2)
 }
 
+/// The `i`-th query of the shared sorted series: each sorted window of the
+/// first series, subscribed twice in a row.
+fn shared_sorted_query(i: usize) -> QuerySpec {
+    query((i / 2) * 2 + 1)
+}
+
 fn stress(grid: (usize, usize), tcp: bool, seed: u64, query: fn(usize) -> QuerySpec) {
     let context = format!("grid {grid:?} tcp {tcp} seed {seed}");
     let stack = start(grid, tcp);
@@ -267,4 +273,24 @@ fn shared_filters_converge_on_1x1_over_tcp() {
 #[test]
 fn shared_filters_converge_on_2x2_over_tcp() {
     stress((2, 2), true, 24, shared_query);
+}
+
+#[test]
+fn shared_sorted_windows_converge_on_1x1_in_process() {
+    stress((1, 1), false, 31, shared_sorted_query);
+}
+
+#[test]
+fn shared_sorted_windows_converge_on_2x2_in_process() {
+    stress((2, 2), false, 32, shared_sorted_query);
+}
+
+#[test]
+fn shared_sorted_windows_converge_on_1x1_over_tcp() {
+    stress((1, 1), true, 33, shared_sorted_query);
+}
+
+#[test]
+fn shared_sorted_windows_converge_on_2x2_over_tcp() {
+    stress((2, 2), true, 34, shared_sorted_query);
 }

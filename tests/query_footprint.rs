@@ -2,8 +2,9 @@
 //!
 //! A matching node's capacity is its memory divided by what one live query
 //! costs there (§5.1: query partitions scale the number of concurrent
-//! queries) and what it retains of the write stream for replay; a store's
-//! index is paid once per record. This test counts
+//! queries) and what it retains of the write stream for replay; a sorting
+//! node's, what a window holds per item; a store's index is paid once per
+//! record. This test counts
 //! the bytes each holds under an allocator that keeps a per-thread balance of
 //! bytes allocated minus bytes freed, and asserts a ceiling per line. The
 //! ceilings sit about a fifth above what the code measured when they were set
@@ -18,12 +19,12 @@ use invalidb::common::{MockClock, SubscriptionRequest, TenantInterner};
 use invalidb::core::ingest::decode_event_with;
 use invalidb::core::matching::MatchingNode;
 use invalidb::core::query_index::QueryIndex;
-use invalidb::core::{ClusterConfig, Event, Publisher};
+use invalidb::core::{ClusterConfig, Event, FilterChange, FilterChangeKind, Publisher, SortedWindow};
 use invalidb::json::WireCodec;
 use invalidb::query::{MongoQueryEngine, QueryEngine};
 use invalidb::store::Store;
 use invalidb::stream::Task;
-use invalidb::{doc, AfterImage, Document, Key, QuerySpec, SubscriptionId, TenantId};
+use invalidb::{doc, AfterImage, Document, Key, QuerySpec, SortDirection, SubscriptionId, TenantId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -117,7 +118,7 @@ fn solo_cell() -> MatchingNode {
     let clock = MockClock::new();
     let config = ClusterConfig::new(1, 1);
     let publisher = Publisher::new(Broker::new().into(), &config, Arc::new(clock.clone()));
-    MatchingNode::solo(config, Arc::new(clock), publisher)
+    MatchingNode::solo(config, Arc::new(clock), publisher).0
 }
 
 fn per(bytes: i64, n: u64) -> f64 {
@@ -265,6 +266,74 @@ fn a_retained_write_holds_its_payload() {
 /// Measured when set: 372.5 (855.8 while the cell kept each write's decoded
 /// after-image instead of its payload).
 const RETAINED_CEILING: f64 = 450.0;
+
+/// Items of the window below: a power of two, so the window's list holds
+/// no spare capacity when the count is taken.
+const WINDOW_ITEMS: u64 = 4_096;
+
+/// Bytes a sorted window holds per item, beside the payload it shares with
+/// the cell that retains the write: `sorted_top10`'s records (a category, a
+/// score and the paper's nine other fields), each staged as the change a
+/// cell passes on for a `cat = c ORDER BY score DESC LIMIT 10` query whose
+/// slack takes them all.
+#[test]
+fn a_window_item_holds_its_sort_key_and_a_share_of_its_payload() {
+    let mut tenants = TenantInterner::default();
+    let mut rng = Lcg(7);
+    let spec = QuerySpec::filter(COLLECTION, doc! { "cat" => 1i64 })
+        .sorted_by("score", SortDirection::Desc)
+        .with_limit(10);
+    let changes: Vec<FilterChange> = (0..WINDOW_ITEMS)
+        .map(|seq| {
+            let mut doc =
+                doc! { "cat" => 1i64, "score" => rng.below(1 << 40) as i64, "seq" => seq as i64 };
+            for name in ["s1", "s2", "s3", "s4", "s5"] {
+                doc.insert(name, format!("{:010}", rng.below(10_000_000_000)));
+            }
+            for name in ["i1", "i2", "i3", "i4"] {
+                doc.insert(name, rng.below(1_000) as i64);
+            }
+            let image = AfterImage {
+                tenant: TenantId::new(TENANT),
+                collection: COLLECTION.into(),
+                key: Key::of(format!("k{seq:06}")),
+                version: 1,
+                doc: Some(doc),
+                written_at: seq,
+                trace: None,
+            };
+            let Event::Write(write) = write_event(&image, &mut tenants) else { panic!("a write") };
+            FilterChange {
+                query_hash: spec.stable_hash(),
+                kind: FilterChangeKind::Add,
+                payload: write.payload,
+                header: write.header,
+                doc: write.doc,
+                trace: None,
+            }
+        })
+        .collect();
+    let prepared = MongoQueryEngine.prepare(&spec).unwrap();
+    let slack = WINDOW_ITEMS - 10;
+    let start = held();
+    let mut window = SortedWindow::new(prepared, slack, &[]);
+    for change in &changes {
+        assert!(window.apply_change(change).is_ok(), "a window with room for every item");
+    }
+    let item = per(held() - start, WINDOW_ITEMS);
+    assert_eq!(window.len() as u64, WINDOW_ITEMS);
+    drop(window);
+    println!("bytes held per window item over {WINDOW_ITEMS} items:");
+    println!("  window            {item:>8.1}  (ceiling {WINDOW_ITEM_CEILING})");
+    assert!(
+        item <= WINDOW_ITEM_CEILING,
+        "a window item holds {item:.1} bytes, budget {WINDOW_ITEM_CEILING}"
+    );
+}
+
+/// Measured when set: 112.3 (its key, version, sort key, payload handle and
+/// span; the payload is the cell's).
+const WINDOW_ITEM_CEILING: f64 = 135.0;
 
 /// Bytes a secondary index costs per record: the same records saved into a
 /// store with and without an index on the attribute they vary in.

@@ -38,11 +38,11 @@ use invalidb::common::{
     NotifyEnvelope, QueryHash, QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId,
     SubscriptionRequest, TenantId, TraceContext, Value,
 };
+use invalidb::core::event::WriteHeader;
 use invalidb::core::ingest::{decode_cluster_payload, decode_control, decode_event_with};
 use invalidb::core::{Event, FilterChange, FilterChangeKind};
 use invalidb::json::{bin, LazyDoc, LazyValue, PayloadWriter, WireCodec};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn optional<T: Clone + std::fmt::Debug + 'static>(
     some: impl Strategy<Value = T> + 'static,
@@ -217,19 +217,14 @@ fn filter_change() -> impl Strategy<Value = FilterChange> {
         ("\\PC{1,8}", any::<u64>(), kind),
         (scalar(), any::<u32>(), optional(document()), 0u64..(i64::MAX as u64), optional(trace())),
     )
-        .prop_map(|((tenant, hash, kind), (key, version, doc, written_at, trace))| FilterChange {
-            query_hash: QueryHash(hash),
-            kind,
-            image: Arc::new(AfterImage {
+        .prop_map(|((tenant, hash, kind), (key, version, doc, written_at, trace))| {
+            let header = WriteHeader {
                 tenant: TenantId::new(&tenant),
-                collection: String::new(),
                 key: Key(key),
                 version: version as u64,
-                doc,
                 written_at,
-                trace: None,
-            }),
-            trace,
+            };
+            FilterChange::of_document(QueryHash(hash), kind, header, doc.as_ref(), trace)
         })
 }
 
@@ -237,13 +232,20 @@ fn filter_change() -> impl Strategy<Value = FilterChange> {
 type Shuffled = (QueryHash, FilterChangeKind, AfterImage, Option<TraceContext>);
 
 fn shuffled(change: &FilterChange) -> Shuffled {
-    (change.query_hash, change.kind, (*change.image).clone(), change.trace.clone())
+    (change.query_hash, change.kind, image_of(change), change.trace.clone())
+}
+
+/// The write a change carries, its record decoded.
+fn image_of(change: &FilterChange) -> AfterImage {
+    let WriteHeader { tenant, key, version, written_at } = change.header.clone();
+    let doc = change.record().map(|record| record.materialize());
+    AfterImage { tenant, collection: String::new(), key, version, doc, written_at, trace: None }
 }
 
 /// The shuffle topic's document form: the oracle its typed codec is pinned
 /// to.
 fn filter_change_document(change: &FilterChange) -> Document {
-    let img = &change.image;
+    let img = &image_of(change);
     let mut d = invalidb::doc! {
         "tenant" => img.tenant.as_str(),
         "queryHash" => change.query_hash.0 as i64,
@@ -421,7 +423,7 @@ fn check(payload: &[u8]) -> Result<(), TestCaseError> {
     let control = decode_control(payload);
     let event = decode_event_with(Bytes::copy_from_slice(payload), TenantId::new);
     let notify = decode_notify_payload(payload, &reader());
-    let shuffle = FilterChange::decode(payload).map(|change| shuffled(&change));
+    let shuffle = FilterChange::decode(&Bytes::copy_from_slice(payload)).map(|change| shuffled(&change));
     let epoch = decode_epoch_notice(payload);
     if LazyDoc::new(payload).is_ok_and(|lazy| repeats(LazyValue::Object(lazy.root()))) {
         prop_assert_eq!(cluster, None);
@@ -559,7 +561,7 @@ proptest! {
             prop_assert_eq!(decode_cluster_payload(&Bytes::copy_from_slice(torn)), None);
             prop_assert!(decode_event_with(Bytes::copy_from_slice(torn), TenantId::new).is_none());
             prop_assert_eq!(decode_notify_payload(torn, &reader()), None);
-            prop_assert!(FilterChange::decode(torn).is_none());
+            prop_assert!(FilterChange::decode(&Bytes::copy_from_slice(torn)).is_none());
             prop_assert_eq!(decode_epoch_notice(torn), None);
             check(torn)?;
         }
@@ -701,20 +703,15 @@ fn wire_codec_a_flaw_deep_inside_a_record_is_rejected_by_every_decoder() {
         written_at: 7,
         trace: None,
     }));
-    let change = Message::Shuffle(FilterChange {
-        query_hash: QueryHash(5),
-        kind: FilterChangeKind::Add,
-        image: Arc::new(AfterImage {
-            tenant: TenantId::new("app"),
-            collection: String::new(),
-            key: Key::of("k"),
-            version: 2,
-            doc: Some(record),
-            written_at: 7,
-            trace: None,
-        }),
-        trace: None,
-    });
+    let header =
+        WriteHeader { tenant: TenantId::new("app"), key: Key::of("k"), version: 2, written_at: 7 };
+    let change = Message::Shuffle(FilterChange::of_document(
+        QueryHash(5),
+        FilterChangeKind::Add,
+        header,
+        Some(&record),
+        None,
+    ));
     for message in [write, change] {
         let d = message.document();
         // The objects in writing order: the root, `doc`, `a`, `b`.
@@ -726,7 +723,7 @@ fn wire_codec_a_flaw_deep_inside_a_record_is_rejected_by_every_decoder() {
             assert!(bin::decode_document(payload).is_err(), "{message:?}");
             assert_eq!(decode_cluster_payload(&Bytes::copy_from_slice(payload)), None);
             assert!(decode_event_with(Bytes::copy_from_slice(payload), TenantId::new).is_none());
-            assert!(FilterChange::decode(payload).is_none());
+            assert!(FilterChange::decode(&Bytes::copy_from_slice(payload)).is_none());
             check(payload).unwrap();
         }
         assert!(check(&message.written()).is_ok());
