@@ -1068,16 +1068,23 @@ impl Dispatcher {
             NotificationKind::Aggregate { value, count } => ClientEvent::Aggregate { value, count },
         };
         let mut table = self.shared.subs.lock();
+        // Notification-staleness SLO: save → notify, per tenant, for every
+        // delivered notification (not just sampled traces); one reading
+        // serves every addressee. Skew-guarded inside the registry. Taken
+        // before the first hand-off, so a subscriber holding the event
+        // finds its sample recorded.
+        let live = subscriptions.iter().filter(|id| table.entries.contains_key(id)).count();
+        if caused_by_write_at > 0 && live > 0 {
+            self.staleness.record(caused_by_write_at, live as u64);
+        }
         let mut abandoned = Vec::new();
         let mut wake = false;
-        let mut live = 0;
         let mut hand = |id: &SubscriptionId, event: ClientEvent| {
             let Some(entry) = table.entries.get_mut(id) else {
                 self.unknown_subscription.fetch_add(1, Ordering::Relaxed);
                 return;
             };
             entry.confirmed |= confirms;
-            live += 1;
             let mut trace = trace.clone();
             if let Some(t) = trace.as_mut() {
                 t.stamp(Stage::Delivery);
@@ -1101,12 +1108,6 @@ impl Dispatcher {
                 hand(id, event.clone());
             }
             hand(last, event);
-        }
-        // Notification-staleness SLO: save → notify, per tenant, for every
-        // delivered notification (not just sampled traces); one reading
-        // serves every addressee. Skew-guarded inside the registry.
-        if caused_by_write_at > 0 && live > 0 {
-            self.staleness.record(caused_by_write_at, live);
         }
         // A subscription dropped without `unsubscribe` would otherwise stay
         // registered for good: the keeper keeps extending its TTL and the

@@ -5,9 +5,11 @@
 //! every incoming after-image it evaluates all of its queries, compares the
 //! new matching status against the former one, and emits the transition:
 //!
-//! * unsorted filter queries are self-maintainable — the node encodes one
-//!   change notification per (write, query), addressed to all of the
-//!   query's subscriptions, and publishes it itself;
+//! * unsorted filter queries are self-maintainable — the node collects the
+//!   subscriptions of every query a write moves, by match type, and
+//!   encodes and publishes one change notification per match type, so the
+//!   record's bytes are copied out once per (write, match type) however
+//!   many queries it reaches;
 //! * sorted queries emit [`FilterChange`]s to the sorting stage, and only
 //!   for items that match or just ceased matching — everything else is
 //!   filtered out here, slashing downstream throughput (§5.2).
@@ -416,6 +418,20 @@ impl Outputs {
         }
     }
 
+    /// The write's trace stamped by the filtering stage; the clone touches
+    /// only traced writes, so the unsampled fast path stays allocation free.
+    /// On a workerd host the stamp also names the worker and its assignment
+    /// epoch, so a cross-process trace identifies the cell.
+    fn stamped(&self, write: &Written<'_>) -> Option<TraceContext> {
+        write.trace.cloned().map(|mut t| {
+            match &self.identity {
+                Some(id) => id.stamp(&mut t, Stage::Matching),
+                None => t.stamp(Stage::Matching),
+            }
+            t
+        })
+    }
+
     /// Counts an evaluated write whose record was decoded.
     fn count_materialized(&self, write: &Written<'_>) {
         if write.record.get().is_some() {
@@ -435,16 +451,23 @@ struct Evaluator {
     pred_cache: PredCache,
     /// Reused candidate buffer for the index probe.
     candidates: Vec<QueryHash>,
+    /// The subscriptions the write being evaluated moves, by match type
+    /// (indexed as [`MATCH_TYPES`]): each list leaves as one envelope.
+    addressees: [Vec<SubscriptionId>; 3],
     /// Whether writes find their queries through the scope's index.
     indexed: bool,
 }
+
+/// The match type of each of [`Evaluator::addressees`]' lists.
+const MATCH_TYPES: [MatchType; 3] = [MatchType::Add, MatchType::Change, MatchType::Remove];
 
 impl Evaluator {
     /// One admitted write against its scope's queries: the candidates are
     /// what the index proposes for the record plus the queries whose result
     /// currently holds it (an update can move it out of their range, a
-    /// delete has no document to probe with). Each transition goes to all
-    /// of the group's subscriptions.
+    /// delete has no document to probe with). Each unsorted transition
+    /// addresses all of the group's subscriptions, in the write's one
+    /// envelope of its match type.
     fn match_write(&mut self, scope: &mut Scope, written: Written<'_>) {
         let Scope { queries, index, containing, .. } = scope;
         if queries.is_empty() {
@@ -477,7 +500,41 @@ impl Evaluator {
             }
         }
         self.candidates = candidates;
-        self.out.count_materialized(&written);
+        self.flush(&written);
+    }
+
+    /// Publishes the write's unsorted transitions, one envelope per match
+    /// type it caused, each borrowing the record's bytes as they arrived.
+    /// A subscription is in one group, so it is addressed at most once.
+    fn flush(&mut self, write: &Written<'_>) {
+        let out = &self.out;
+        out.count_materialized(write);
+        if self.addressees.iter().all(Vec::is_empty) {
+            return;
+        }
+        let trace = out.stamped(write);
+        for (to, match_type) in self.addressees.iter_mut().zip(MATCH_TYPES) {
+            if to.is_empty() {
+                continue;
+            }
+            out.publisher.publish(EnvelopeRef {
+                tenant: write.tenant,
+                subscriptions: to,
+                kind: KindRef::Change {
+                    match_type,
+                    item: ItemRef {
+                        key: write.key,
+                        version: write.version,
+                        doc: write.doc.as_ref().map(|doc| DocRef::Encoded(doc)),
+                        index: None,
+                    },
+                    old_index: None,
+                },
+                caused_by_write_at: write.written_at,
+                trace: trace.as_ref(),
+            });
+            to.clear();
+        }
     }
 
     /// Evaluates one write against one query, charging the wall-clock cost
@@ -504,9 +561,10 @@ impl Evaluator {
 
     /// Core filtering-stage transition logic, for every path a write takes
     /// to a query: moves `result` — the group's, or a new subscription's
-    /// view being caught up — and addresses the transition to `to` (or
-    /// passes it downstream). Returns the transition kind (None when the
-    /// write was irrelevant or stale for this view).
+    /// view being caught up — and adds `to` to the write's addressees of
+    /// the transition's match type (or passes the transition downstream).
+    /// Returns the transition kind (None when the write was irrelevant or
+    /// stale for this view).
     fn evaluate(
         &mut self,
         query: &Query,
@@ -551,46 +609,19 @@ impl Evaluator {
             }
         };
         out.matched.fetch_add(1, AtomicOrdering::Relaxed);
-        // Stamp the filtering stage on sampled traces; the clone touches
-        // only traced writes, so the unsampled fast path stays allocation
-        // free. On a workerd host the stamp also names the worker and its
-        // assignment epoch, so a cross-process trace identifies the cell.
-        let trace: Option<TraceContext> = write.trace.cloned().map(|mut t| {
-            match &out.identity {
-                Some(id) => id.stamp(&mut t, Stage::Matching),
-                None => t.stamp(Stage::Matching),
-            }
-            t
-        });
         if query.to_sorting || query.to_aggregation {
             // Sorted/aggregate queries: pass the transition downstream,
             // sharing the write's payload.
-            out.forward(query, write.change(hash, kind, trace));
+            out.forward(query, write.change(hash, kind, out.stamped(write)));
         } else {
-            // Self-maintainable queries: one notification for all of `to`,
-            // the record's bytes copied into it as they arrived, published
-            // from this thread.
-            let match_type = match kind {
-                FilterChangeKind::Add => MatchType::Add,
-                FilterChangeKind::Change => MatchType::Change,
-                FilterChangeKind::Remove => MatchType::Remove,
+            // Self-maintainable queries: `to` joins the write's envelope of
+            // this match type, published by `flush`.
+            let list = match kind {
+                FilterChangeKind::Add => 0,
+                FilterChangeKind::Change => 1,
+                FilterChangeKind::Remove => 2,
             };
-            out.publisher.publish(EnvelopeRef {
-                tenant: write.tenant,
-                subscriptions: to,
-                kind: KindRef::Change {
-                    match_type,
-                    item: ItemRef {
-                        key: write.key,
-                        version: write.version,
-                        doc: write.doc.as_ref().map(|doc| DocRef::Encoded(doc)),
-                        index: None,
-                    },
-                    old_index: None,
-                },
-                caused_by_write_at: write.written_at,
-                trace: trace.as_ref(),
-            });
+            self.addressees[list].extend_from_slice(to);
         }
         Some(kind)
     }
@@ -666,6 +697,7 @@ impl MatchingNode {
                 slow_scratch: SlowQueryScratch::new(),
                 pred_cache: PredCache::default(),
                 candidates: Vec::new(),
+                addressees: Default::default(),
                 indexed: config.multi_query_index,
             },
             metric_dropped_stale: metrics.counter("matching.dropped_stale"),
@@ -804,7 +836,7 @@ impl MatchingNode {
             let written = Written::replayed(&req.tenant, write);
             self.eval.pred_cache.begin_write();
             self.eval.match_against(&group.query, hash, &mut view, to, &written);
-            self.eval.out.count_materialized(&written);
+            self.eval.flush(&written);
         }
         if new {
             for key in view.keys() {
@@ -984,26 +1016,29 @@ pub(crate) fn publish_gauge_delta(gauge: &AtomicU64, last: &mut u64, now: u64) {
 }
 
 #[cfg(test)]
+mod exhaustive;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::notifier::testing::{Wire, TENANT};
     use crossbeam::channel::Receiver;
     use invalidb_common::{
-        doc, AfterImage, MockClock, Notification, NotificationKind, QuerySpec, ResultItem,
-        SortDirection, Value,
+        doc, AfterImage, MockClock, Notification, NotificationKind, NotifyEnvelope, QuerySpec,
+        ResultItem, SortDirection, Value,
     };
     use std::time::Duration;
 
     /// One cell driven synchronously: what it publishes is read back off
     /// the notify topic, what it stages off the sorting partition's queue.
-    struct Harness {
-        node: MatchingNode,
-        wire: Wire,
+    pub(super) struct Harness {
+        pub(super) node: MatchingNode,
+        pub(super) wire: Wire,
         staged: Receiver<Event>,
-        clock: MockClock,
+        pub(super) clock: MockClock,
     }
 
-    fn harness(config: ClusterConfig) -> Harness {
+    pub(super) fn harness(config: ClusterConfig) -> Harness {
         let clock = MockClock::new();
         let wire = Wire::new(&config, &clock);
         let (node, staged) = MatchingNode::solo(config, Arc::new(clock.clone()), wire.publisher.clone());
@@ -1011,11 +1046,11 @@ mod tests {
     }
 
     impl Harness {
-        fn send(&mut self, event: Event) {
+        pub(super) fn send(&mut self, event: Event) {
             self.node.handle(event);
         }
 
-        fn notifications(&self) -> Vec<Notification> {
+        pub(super) fn notifications(&self) -> Vec<Notification> {
             self.wire.notifications()
         }
 
@@ -1030,7 +1065,7 @@ mod tests {
         }
     }
 
-    fn subscribe_event(spec: QuerySpec, sub: u64, initial: Vec<ResultItem>) -> Event {
+    pub(super) fn subscribe_event(spec: QuerySpec, sub: u64, initial: Vec<ResultItem>) -> Event {
         Event::Subscribe(Arc::new(SubscriptionRequest {
             tenant: TenantId::new(TENANT),
             subscription: SubscriptionId(sub),
@@ -1070,7 +1105,11 @@ mod tests {
         })
     }
 
-    fn write_event(key: Key, version: Version, doc: Option<invalidb_common::Document>) -> Event {
+    pub(super) fn write_event(
+        key: Key,
+        version: Version,
+        doc: Option<invalidb_common::Document>,
+    ) -> Event {
         event_of(&image(key, version, doc))
     }
 
@@ -1498,7 +1537,7 @@ mod tests {
         }
     }
 
-    fn change_of(note: &Notification) -> (MatchType, Key, Version) {
+    pub(super) fn change_of(note: &Notification) -> (MatchType, Key, Version) {
         match &note.kind {
             NotificationKind::Change(c) => (c.match_type, c.item.key.clone(), c.item.version),
             other => panic!("expected change, got {other:?}"),
@@ -1723,11 +1762,85 @@ mod tests {
         h.send(subscribe_event(spec, 1, vec![]));
         h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
         let envelopes = h.wire.envelopes();
-        assert_eq!(envelopes.len(), 1, "one message per (write, query), not per subscription");
+        assert_eq!(envelopes.len(), 1, "one message per (write, match type), not per subscription");
         assert_eq!(
             envelopes[0].subscriptions,
             vec![SubscriptionId(1), SubscriptionId(2)],
             "addressed in one stable order"
+        );
+    }
+
+    pub(super) fn at_least(n: i64) -> QuerySpec {
+        QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => n } })
+    }
+
+    /// The change each envelope carries, with whom it is addressed to.
+    fn addressed(envelopes: &[NotifyEnvelope]) -> Vec<(Vec<u64>, (MatchType, Key, Version))> {
+        envelopes
+            .iter()
+            .map(|e| {
+                let to = e.subscriptions.iter().map(|s| s.0).collect();
+                let NotificationKind::Change(c) = &e.kind else { panic!("expected a change") };
+                (to, (c.match_type, c.item.key.clone(), c.item.version))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_envelope_addresses_every_unsorted_query_a_write_moves_alike() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        h.send(subscribe_event(at_least(10), 3, vec![]));
+        h.send(subscribe_event(at_least(10), 1, vec![]));
+        h.send(subscribe_event(at_least(20), 2, vec![]));
+        // A sorted query the same write reaches.
+        let sorted = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(3);
+        h.send(subscribe_event(sorted.clone(), 4, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 50i64 })));
+        // The groups follow one another in hash order, each in id order.
+        let mut groups =
+            [(at_least(10).stable_hash(), vec![1, 3]), (at_least(20).stable_hash(), vec![2])];
+        groups.sort();
+        let to: Vec<u64> = groups.into_iter().flat_map(|(_, ids)| ids).collect();
+        assert_eq!(addressed(&h.wire.envelopes()), [(to, (MatchType::Add, Key::of("a"), 1))]);
+        let staged: Vec<_> = h.filter_changes().iter().map(|fc| (fc.query_hash, fc.kind)).collect();
+        assert_eq!(staged, [(sorted.stable_hash(), FilterChangeKind::Add)], "still forwarded");
+        let snap = h.node.config.metrics.snapshot();
+        assert_eq!(snap.counters["notifier.published"], 3);
+        assert_eq!(snap.counters["notifier.envelopes"], 1);
+    }
+
+    #[test]
+    fn a_write_that_leaves_one_query_and_enters_another_sends_a_remove_and_an_add() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let range =
+            |lo: i64| QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => lo, "$lt" => lo + 50 } });
+        h.send(subscribe_event(range(0), 1, vec![]));
+        h.send(subscribe_event(range(50), 2, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 10i64 })));
+        h.send(write_event(Key::of("a"), 2, Some(doc! { "n" => 60i64 })));
+        assert_eq!(
+            addressed(&h.wire.envelopes()),
+            [
+                (vec![1], (MatchType::Add, Key::of("a"), 1)),
+                (vec![2], (MatchType::Add, Key::of("a"), 2)),
+                (vec![1], (MatchType::Remove, Key::of("a"), 2)),
+            ]
+        );
+    }
+
+    #[test]
+    fn replay_addresses_only_the_joiner_whatever_else_the_write_moved() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        h.send(subscribe_event(at_least(10), 1, vec![]));
+        h.send(subscribe_event(at_least(20), 2, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 50i64 })));
+        h.send(write_event(Key::of("b"), 1, Some(doc! { "n" => 15i64 })));
+        assert_eq!(h.wire.envelopes().len(), 2, "one envelope per live write");
+        // The joiner's store read predates both writes.
+        h.send(subscribe_event(at_least(10), 3, vec![]));
+        assert_eq!(
+            addressed(&h.wire.envelopes()),
+            [(vec![3], (MatchType::Add, Key::of("a"), 1)), (vec![3], (MatchType::Add, Key::of("b"), 1)),]
         );
     }
 

@@ -369,6 +369,9 @@ impl std::error::Error for FrameError {}
 #[derive(Default)]
 pub struct Decoder {
     buf: Vec<u8>,
+    /// Where the first unconsumed byte of `buf` lies: frames are consumed
+    /// by moving it, and the bytes before it go once per [`Decoder::feed`].
+    start: usize,
     /// Set once a hard error is returned; all further reads fail.
     poisoned: bool,
 }
@@ -379,14 +382,16 @@ impl Decoder {
         Self::default()
     }
 
-    /// Appends received bytes.
+    /// Appends received bytes, after dropping the frames consumed since
+    /// the last call.
     pub fn feed(&mut self, chunk: &[u8]) {
+        self.buf.drain(..std::mem::take(&mut self.start));
         self.buf.extend_from_slice(chunk);
     }
 
     /// Bytes buffered but not yet consumed (torn tail size).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Tries to decode the next complete frame.
@@ -407,42 +412,43 @@ impl Decoder {
     }
 
     fn next_inner(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() < HEADER_LEN {
+        let buf = &self.buf[self.start..];
+        if buf.len() < HEADER_LEN {
             // Validate what we can see of the header early, so garbage is
             // rejected without waiting for 16 bytes that may never come.
-            let seen = self.buf.len().min(4);
-            if self.buf[..seen] != MAGIC[..seen] {
+            let seen = buf.len().min(4);
+            if buf[..seen] != MAGIC[..seen] {
                 let mut m = [0u8; 4];
-                m[..seen].copy_from_slice(&self.buf[..seen]);
+                m[..seen].copy_from_slice(&buf[..seen]);
                 return Err(FrameError::BadMagic(m));
             }
             return Ok(None);
         }
-        if self.buf[..4] != MAGIC {
+        if buf[..4] != MAGIC {
             let mut m = [0u8; 4];
-            m.copy_from_slice(&self.buf[..4]);
+            m.copy_from_slice(&buf[..4]);
             return Err(FrameError::BadMagic(m));
         }
-        if self.buf[4] != PROTOCOL_VERSION {
-            return Err(FrameError::BadVersion(self.buf[4]));
+        if buf[4] != PROTOCOL_VERSION {
+            return Err(FrameError::BadVersion(buf[4]));
         }
-        let type_id = self.buf[5];
-        let flags = u16::from_be_bytes([self.buf[6], self.buf[7]]);
-        let len = u32::from_be_bytes([self.buf[8], self.buf[9], self.buf[10], self.buf[11]]) as usize;
+        let type_id = buf[5];
+        let flags = u16::from_be_bytes([buf[6], buf[7]]);
+        let len = u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]) as usize;
         if len > MAX_PAYLOAD {
             return Err(FrameError::Oversized(len));
         }
-        if self.buf.len() < HEADER_LEN + len {
+        if buf.len() < HEADER_LEN + len {
             return Ok(None); // torn tail: wait for the rest
         }
-        let expected = u32::from_be_bytes([self.buf[12], self.buf[13], self.buf[14], self.buf[15]]);
-        let payload = &self.buf[HEADER_LEN..HEADER_LEN + len];
+        let expected = u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]]);
+        let payload = &buf[HEADER_LEN..HEADER_LEN + len];
         let actual = crc32(payload);
         if actual != expected {
             return Err(FrameError::CrcMismatch { expected, actual });
         }
         let frame = Frame::decode_payload(type_id, flags, payload)?;
-        self.buf.drain(..HEADER_LEN + len);
+        self.start += HEADER_LEN + len;
         Ok(Some(frame))
     }
 }
@@ -753,6 +759,38 @@ mod tests {
             got.push(f);
         }
         assert_eq!(got, frames);
+    }
+
+    #[test]
+    fn a_batched_read_is_consumed_in_place_and_compacted_on_the_next_feed() {
+        // A 16 KB socket read holds about a hundred publishes; this chunk
+        // holds two thousand and ends in a torn frame.
+        let frames: Vec<Frame> = (0..2_000u32)
+            .map(|i| Frame::Publish {
+                topic: format!("invalidb.notify.t{}", i % 7),
+                payload: Bytes::from(vec![b'x'; (i % 97) as usize]),
+                trace: None,
+            })
+            .collect();
+        let mut chunk = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut chunk);
+        }
+        let torn = Frame::Heartbeat { nonce: 5 }.encode();
+        chunk.extend_from_slice(&torn[..7]);
+        let mut d = Decoder::new();
+        d.feed(&chunk);
+        let mut got = Vec::new();
+        while let Some(f) = d.next().unwrap() {
+            got.push(f);
+        }
+        assert_eq!(got, frames);
+        assert_eq!(d.buffered(), 7, "the torn frame waits");
+        assert_eq!(d.buf.len(), chunk.len(), "no frame was moved out of the buffer");
+        d.feed(&torn[7..]);
+        assert_eq!(d.buf.len(), torn.len(), "the next feed keeps only the unconsumed bytes");
+        assert_eq!(d.next().unwrap(), Some(Frame::Heartbeat { nonce: 5 }));
+        assert_eq!((d.next().unwrap(), d.buffered()), (None, 0));
     }
 
     #[test]

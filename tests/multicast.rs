@@ -1,9 +1,12 @@
-//! One notification per (write, query), addressed to many — end to end.
+//! One notification per (write, cell, match type), addressed to many — end
+//! to end.
 //!
-//! The cluster matches a write against a query once, so the notify topic
-//! carries one envelope per result transition however many subscriptions
-//! share the query, and every subscriber still folds exactly the pull
-//! result.
+//! The cluster matches a write against a query once, and a cell gathers the
+//! subscriptions of every unsorted query a write moves into one envelope
+//! per match type. So the notify topic carries fewer envelopes than result
+//! transitions, however many subscriptions share a query, while every
+//! subscription is addressed exactly once per transition and still folds
+//! exactly the pull result.
 
 use invalidb::broker::{notify_topic, Broker, CLUSTER_TOPIC};
 use invalidb::client::{AppServer, AppServerConfig, ClientEvent, Subscription};
@@ -12,12 +15,12 @@ use invalidb::core::{Cluster, ClusterConfig};
 use invalidb::query::normalize_spec;
 use invalidb::store::Store;
 use invalidb::{
-    doc, Document, Key, NotificationKind, NotifyEnvelope, QuerySpec, SortDirection, SubscriptionId,
-    TenantId, Version,
+    doc, Document, Key, MatchType, NotificationKind, NotifyEnvelope, QuerySpec, SortDirection,
+    SubscriptionId, TenantId, Version,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -114,17 +117,21 @@ fn queries() -> Vec<(QuerySpec, Filter)> {
     ]
 }
 
-/// Applies `count` seeded writes through the app server and returns how
-/// many (write, query) pairs changed a result: the record matched before
-/// or matches after.
+/// One result transition of one write: the key written, the query (its
+/// index in [`queries`]) whose result it moved, and how.
+type Transition = (i64, usize, MatchType);
+
+/// Applies `count` seeded writes through the app server and returns every
+/// (write, query) pair that changed a result: the record matched before or
+/// matches after.
 fn write_phase(
     app: &AppServer,
     rng: &mut StdRng,
     model: &mut HashMap<i64, Document>,
     count: usize,
-) -> usize {
+) -> Vec<Transition> {
     let filters: Vec<Filter> = queries().into_iter().map(|(_, f)| f).collect();
-    let mut transitions = 0;
+    let mut transitions = Vec::new();
     for _ in 0..count {
         let key = rng.gen_range(0..12i64);
         let before = model.get(&key).cloned();
@@ -139,14 +146,64 @@ fn write_phase(
             model.insert(key, d.clone());
             Some(d)
         };
-        transitions += filters
-            .iter()
-            .filter(|matches| {
-                before.as_ref().is_some_and(matches) || after.as_ref().is_some_and(matches)
-            })
-            .count();
+        for (query, matches) in filters.iter().enumerate() {
+            let was = before.as_ref().is_some_and(matches);
+            let is = after.as_ref().is_some_and(matches);
+            let match_type = match (was, is) {
+                (false, true) => MatchType::Add,
+                (true, true) => MatchType::Change,
+                (true, false) => MatchType::Remove,
+                (false, false) => continue,
+            };
+            transitions.push((key, query, match_type));
+        }
     }
     transitions
+}
+
+/// Checks the change envelopes of one write phase against its transitions,
+/// `addressees[q]` being the subscriptions of query `q` (in id order):
+/// every (write, subscription) transition is addressed exactly once, the
+/// phase carries fewer envelopes than transitions, and the shared query's
+/// subscriptions appear together, in id order, in one envelope per
+/// transition of that query.
+fn check_phase(seen: &[NotifyEnvelope], transitions: &[Transition], addressees: &[Vec<SubscriptionId>]) {
+    let envelopes: Vec<&NotifyEnvelope> = changes(seen).collect();
+    let mut expected: HashMap<(Key, SubscriptionId, MatchType), usize> = HashMap::new();
+    for &(key, query, match_type) in transitions {
+        for &sub in &addressees[query] {
+            *expected.entry((Key::of(key), sub, match_type)).or_default() += 1;
+        }
+    }
+    let mut addressed: HashMap<(Key, SubscriptionId, MatchType), usize> = HashMap::new();
+    let mut writes_to: HashSet<(Key, Version, SubscriptionId)> = HashSet::new();
+    for envelope in &envelopes {
+        let NotificationKind::Change(change) = &envelope.kind else { unreachable!() };
+        let key = &change.item.key;
+        for &sub in &envelope.subscriptions {
+            *addressed.entry((key.clone(), sub, change.match_type)).or_default() += 1;
+            let once = writes_to.insert((key.clone(), change.item.version, sub));
+            assert!(once, "{sub:?} addressed twice by one write");
+        }
+    }
+    assert_eq!(addressed, expected, "each (write, subscription) transition addressed once");
+    assert!(
+        envelopes.len() < transitions.len(),
+        "{} envelopes for {} transitions: queries a write moves share its envelope",
+        envelopes.len(),
+        transitions.len()
+    );
+    let shared = &addressees[0];
+    let to_shared: Vec<_> = envelopes.iter().filter(|e| e.subscriptions.contains(&shared[0])).collect();
+    assert_eq!(to_shared.len(), transitions.iter().filter(|(_, query, _)| *query == 0).count());
+    for envelope in to_shared {
+        let at = envelope.subscriptions.iter().position(|sub| *sub == shared[0]).unwrap();
+        assert_eq!(
+            envelope.subscriptions.get(at..at + shared.len()),
+            Some(&shared[..]),
+            "the whole group, together and in id order"
+        );
+    }
 }
 
 fn changes(envelopes: &[NotifyEnvelope]) -> impl Iterator<Item = &NotifyEnvelope> {
@@ -154,7 +211,7 @@ fn changes(envelopes: &[NotifyEnvelope]) -> impl Iterator<Item = &NotifyEnvelope
 }
 
 #[test]
-fn one_envelope_per_transition_however_many_subscribers_share_the_query() {
+fn each_transition_is_addressed_once_however_many_subscribers_share_the_query() {
     let (broker, cluster, app) = start(2, 2);
     let raw = broker.subscribe(&notify_topic(TENANT));
     let mut rng = StdRng::seed_from_u64(15);
@@ -200,20 +257,16 @@ fn one_envelope_per_transition_however_many_subscribers_share_the_query() {
 
     // Phase 1: everyone is subscribed.
     let members: Vec<SubscriptionId> = subs[..4].iter().map(|(sub, _)| sub.id()).collect();
+    let mut everyone = members.clone();
+    everyone.push(lapsing);
+    everyone.sort();
+    let mut addressees: Vec<Vec<SubscriptionId>> =
+        std::iter::once(everyone).chain(subs[4..].iter().map(|(sub, _)| vec![sub.id()])).collect();
     let phase1 = write_phase(&app, &mut rng, &mut model, 60);
     converge(&app, &mut subs);
     let from = seen.len();
     envelopes(&raw, &mut seen);
-    assert_eq!(changes(&seen[from..]).count(), phase1, "one envelope per (write, query) transition");
-    let mut everyone = members.clone();
-    everyone.push(lapsing);
-    everyone.sort();
-    let to_shared: Vec<&NotifyEnvelope> =
-        changes(&seen[from..]).filter(|e| e.subscriptions.contains(&members[1])).collect();
-    assert!(!to_shared.is_empty());
-    for envelope in &to_shared {
-        assert_eq!(envelope.subscriptions, everyone, "the whole group, in id order");
-    }
+    check_phase(&seen[from..], &phase1, &addressees);
 
     // One member unsubscribes mid-stream and the unattended one's TTL runs
     // out; only those two stop being addressed.
@@ -225,15 +278,10 @@ fn one_envelope_per_transition_however_many_subscribers_share_the_query() {
     converge(&app, &mut subs);
     let from = seen.len();
     envelopes(&raw, &mut seen);
-    assert_eq!(changes(&seen[from..]).count(), phase2);
     let mut remaining = members[1..].to_vec();
     remaining.sort();
-    let to_shared: Vec<&NotifyEnvelope> =
-        changes(&seen[from..]).filter(|e| e.subscriptions.contains(&members[1])).collect();
-    assert!(!to_shared.is_empty());
-    for envelope in &to_shared {
-        assert_eq!(envelope.subscriptions, remaining, "only the two departed members are gone");
-    }
+    addressees[0] = remaining;
+    check_phase(&seen[from..], &phase2, &addressees);
     let mut left = left;
     assert!(left.events().non_blocking().next().is_none(), "nothing after unsubscribe");
     assert_eq!(folded(&left), frozen);
