@@ -123,6 +123,8 @@ struct QueryGroup {
     /// keys within the bootstrap horizon, not the client-visible result.
     result: HashMap<Key, Version>,
     subscriptions: Subscribers,
+    /// When the group formed: what its stage partition retained starts here.
+    since: Timestamp,
 }
 
 /// Everything a cell keeps for one (tenant, collection). Writes, queries,
@@ -492,7 +494,7 @@ impl Evaluator {
         candidates.dedup();
         for hash in &candidates {
             // Index and holder lists name live groups only (see `retire`).
-            let Some(QueryGroup { query, result, subscriptions }) = queries.get_mut(hash) else {
+            let Some(QueryGroup { query, result, subscriptions, .. }) = queries.get_mut(hash) else {
                 continue;
             };
             if let Some(kind) = self.match_against(query, *hash, result, subscriptions.ids(), &written) {
@@ -749,7 +751,7 @@ impl MatchingNode {
         let expires_at = now.after(std::time::Duration::from_micros(req.ttl_micros));
         let hash = req.query_hash;
         let to = std::slice::from_ref(&req.subscription);
-        let Scope { queries, index, containing, retention, .. } =
+        let Scope { queries, index, containing, retention, latest_versions, .. } =
             scope_or_new(&mut self.scopes, &req.tenant, &req.spec.collection);
         let (group, new) = match queries.entry(hash) {
             Entry::Occupied(entry) => {
@@ -761,10 +763,12 @@ impl MatchingNode {
                 if req.renewal && member {
                     return;
                 }
-                // A joiner's sorted window or aggregate is its stage
-                // partition's to correct; transitions sent from here would
-                // move the group's shared state.
-                if group.query.to_sorting || group.query.to_aggregation {
+                // A joiner's aggregate is its stage partition's to correct;
+                // transitions sent from here would move the group's shared
+                // state. So is a sorted joiner's window, but for the writes
+                // retained from before the group formed (below).
+                let before = retention.front().is_some_and(|write| write.at <= group.since);
+                if group.query.to_aggregation || (group.query.to_sorting && !before) {
                     return;
                 }
                 (group, false)
@@ -801,6 +805,7 @@ impl MatchingNode {
                     },
                     result: HashMap::new(),
                     subscriptions: Subscribers::of(req.subscription, expires_at),
+                    since: now,
                 });
                 (group, true)
             }
@@ -821,11 +826,18 @@ impl MatchingNode {
         // superset contract, so they are not evaluated; the index's test
         // reads its attributes in place. The others take a live write's
         // path, without its trace: a replayed transition is not on the live
-        // write's stage path.
+        // write's stage path. A sorted joiner gets the newest write of each
+        // key from before the group formed, which every other window of its
+        // query has seen (an older one would move them back).
+        let sorted_joiner = !new && group.query.to_sorting;
         let mut admission = index.admission(hash);
         for write in retention.iter() {
-            if view.get(&write.key).is_some_and(|held| write.version <= *held) {
-                continue; // what `evaluate`'s version guard would skip
+            if sorted_joiner && write.at > group.since {
+                break;
+            }
+            let superseded = sorted_joiner && latest_versions.get(&write.key) != Some(&write.version);
+            if superseded || view.get(&write.key).is_some_and(|held| write.version <= *held) {
+                continue;
             }
             let relevant = !self.eval.indexed
                 || view.contains_key(&write.key)
@@ -1013,6 +1025,40 @@ pub(crate) fn publish_gauge_delta(gauge: &AtomicU64, last: &mut u64, now: u64) {
         gauge.fetch_sub(*last - now, AtomicOrdering::Relaxed);
     }
     *last = now;
+}
+
+#[cfg(test)]
+impl MatchingNode {
+    /// Hashes what decides the cell's later output, for tests that compare
+    /// cells across runs: each scope's groups (result, members, and how
+    /// many retained writes came before the group) and latest versions, and
+    /// its retained writes when a new group may still replay them.
+    pub(crate) fn hash_state(&self, replayable: bool, hasher: &mut impl std::hash::Hasher) {
+        use std::collections::BTreeMap;
+        use std::hash::Hash;
+        let mut scopes: Vec<_> =
+            self.scopes.iter().flat_map(|(t, s)| s.iter().map(move |(c, s)| (t, c, s))).collect();
+        scopes.sort_by_key(|(tenant, collection, _)| (tenant.as_str(), *collection));
+        for (_, _, scope) in scopes {
+            let mut groups: Vec<_> = scope
+                .queries
+                .iter()
+                .map(|(hash, group)| {
+                    let before = scope.retention.iter().filter(|write| write.at <= group.since).count();
+                    let result: BTreeMap<_, _> = group.result.iter().collect();
+                    (*hash, result, group.subscriptions.ids(), before)
+                })
+                .collect();
+            groups.sort_by_key(|(hash, ..)| *hash);
+            let versions: BTreeMap<_, _> = scope.latest_versions.iter().collect();
+            (groups, versions).hash(hasher);
+            if replayable {
+                for write in &scope.retention {
+                    (&write.key, write.version, &write.payload[..]).hash(hasher);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1894,15 +1940,31 @@ mod tests {
         assert_eq!(h.node.active_queries(), 1);
     }
 
+    /// A sorted joiner is replayed, as filter changes for its stage
+    /// partition, the newest retained write of each key from before the
+    /// group formed: the partition retained the later ones itself, and an
+    /// older one would move the windows that have seen the newer back.
     #[test]
-    fn a_sorted_joiner_is_left_to_its_stage_partition() {
+    fn a_sorted_joiner_is_replayed_the_newest_writes_from_before_the_group() {
         let mut h = harness(ClusterConfig::new(1, 1));
         let spec = QuerySpec::filter("t", doc! {}).sorted_by("n", SortDirection::Asc).with_limit(3);
-        h.send(subscribe_event(spec.clone(), 1, vec![]));
         h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
-        assert_eq!(h.filter_changes().len(), 1);
-        h.send(subscribe_event(spec, 2, vec![]));
-        assert!(h.filter_changes().is_empty(), "the shared window is not moved for a joiner");
-        assert!(h.notifications().is_empty());
+        h.send(write_event(Key::of("a"), 2, Some(doc! { "n" => 2i64 })));
+        h.send(write_event(Key::of("b"), 1, Some(doc! { "n" => 3i64 })));
+        h.clock.advance(Duration::from_millis(1));
+        h.send(subscribe_event(spec.clone(), 1, vec![]));
+        h.clock.advance(Duration::from_millis(1));
+        h.send(write_event(Key::of("c"), 1, Some(doc! { "n" => 4i64 })));
+        assert_eq!(h.filter_changes().len(), 4, "the first subscription's replay, and c");
+        let initial = vec![ResultItem::new(Key::of("b"), 1, doc! { "n" => 3i64 })];
+        h.send(subscribe_event(spec, 2, initial));
+        let replayed: Vec<_> =
+            h.filter_changes().iter().map(|c| (c.header.key.clone(), c.header.version)).collect();
+        assert_eq!(
+            replayed,
+            [(Key::of("a"), 2)],
+            "the newest of each key it does not hold, from before"
+        );
+        assert!(h.notifications().is_empty(), "the partition publishes a sorted query's edits");
     }
 }

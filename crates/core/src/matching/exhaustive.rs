@@ -183,24 +183,7 @@ impl Run {
             self.read.as_ref().map(|items| items.iter().map(|i| (i.key.clone(), i.version)).collect());
         (self.store, read, &self.folded).hash(&mut hasher);
         let pending = self.folded.iter().any(Option::is_none);
-        // One scope: the tenant's collection `t`.
-        for scope in self.h.node.scopes.values().flat_map(HashMap::values) {
-            let mut groups: Vec<_> = scope
-                .queries
-                .iter()
-                .map(|(hash, group)| {
-                    (*hash, group.result.iter().collect::<BTreeMap<_, _>>(), group.subscriptions.ids())
-                })
-                .collect();
-            groups.sort_by_key(|(hash, ..)| *hash);
-            let versions: BTreeMap<_, _> = scope.latest_versions.iter().collect();
-            (groups, versions).hash(&mut hasher);
-            if pending {
-                for write in &scope.retention {
-                    (&write.key, write.version, &write.payload[..]).hash(&mut hasher);
-                }
-            }
-        }
+        self.h.node.hash_state(pending, &mut hasher);
         hasher.finish()
     }
 }

@@ -454,16 +454,20 @@ impl Task<Event> for SortingNode {
 }
 
 #[cfg(test)]
+mod exhaustive;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{CellSet, Ingress};
     use crate::event::{FilterChangeKind, WriteHeader};
     use crate::links::StageLinks;
+    use crate::matching::MatchingNode;
     use crate::notifier::testing::{Wire, TENANT};
     use crossbeam::channel::{bounded, unbounded, Receiver};
     use invalidb_common::{
-        doc, ClusterMessage, Document, GridShape, MockClock, Notification, NotificationKind, QuerySpec,
-        ResultItem, SortDirection, Version,
+        doc, AfterImage, ClusterMessage, Document, GridShape, MockClock, Notification, NotificationKind,
+        QuerySpec, ResultItem, SortDirection, Version,
     };
     use invalidb_json::WireCodec;
     use std::collections::BTreeMap;
@@ -474,18 +478,25 @@ mod tests {
     /// queued as a cell queues it. The queue reaches the task only on
     /// `deliver`, so a test chooses how events interleave. What is published
     /// is read back off the notify topic and folded per subscription as a
-    /// client folds it.
-    struct Harness {
-        node: SortingNode,
+    /// client folds it. The grid's one cell gets what the ingress routes to
+    /// it, writes included, when `run_cell` says; what it stages for the
+    /// task waits in `in_flight` until `arrive`.
+    pub(super) struct Harness {
+        pub(super) node: SortingNode,
         ingress: Ingress,
         queue: Receiver<Event>,
         to_node: crossbeam::channel::Sender<Event>,
-        wire: Wire,
+        pub(super) wire: Wire,
         /// Every notification so far, as the addressees see it.
         seen: Vec<Notification>,
+        pub(super) clock: MockClock,
+        pub(super) cell: MatchingNode,
+        to_cell: Receiver<Event>,
+        staged: Receiver<Event>,
+        pub(super) in_flight: Vec<Event>,
     }
 
-    fn harness(config: ClusterConfig) -> Harness {
+    pub(super) fn harness(config: ClusterConfig) -> Harness {
         let clock = MockClock::new();
         let wire = Wire::new(&config, &clock);
         let (to_node, queue) = unbounded();
@@ -493,24 +504,75 @@ mod tests {
         let links = StageLinks { sorting: vec![to_node.clone()], aggregation: vec![gone] };
         let grid = GridShape::new(1, 1);
         let errors = Arc::new(AtomicU64::new(0));
+        let (cell_link, to_cell) = unbounded();
         let ingress = Ingress::new(
             CellSet::all(grid),
-            vec![None],
+            vec![Some(cell_link)],
             links,
             wire.publisher.clone(),
             &config,
             &errors,
         );
-        let node = SortingNode::new(0, config, Arc::new(clock), wire.publisher.clone());
-        Harness { node, ingress, queue, to_node, wire, seen: Vec::new() }
+        let (cell, staged) =
+            MatchingNode::solo(config.clone(), Arc::new(clock.clone()), wire.publisher.clone());
+        let node = SortingNode::new(0, config, Arc::new(clock.clone()), wire.publisher.clone());
+        let in_flight = Vec::new();
+        Harness {
+            node,
+            ingress,
+            queue,
+            to_node,
+            wire,
+            seen: Vec::new(),
+            clock,
+            cell,
+            to_cell,
+            staged,
+            in_flight,
+        }
     }
 
     impl Harness {
         /// A subscription through the ingress, queued for the task.
-        fn subscribe(&mut self, request: SubscriptionRequest) {
+        pub(super) fn subscribe(&mut self, request: SubscriptionRequest) {
             let mut w = WireCodec.writer();
             ClusterMessage::Subscribe(request).write_to(&mut w);
             self.ingress.handle(w.finish());
+        }
+
+        /// A write of `key`'s record `{n}`, or its delete, through the
+        /// ingress to the cell, which runs.
+        pub(super) fn write(&mut self, key: &str, version: Version, n: Option<i64>) {
+            let image = AfterImage {
+                tenant: TenantId::new(TENANT),
+                collection: "t".into(),
+                key: Key::of(key),
+                version,
+                doc: n.map(|n| doc! { "n" => n }),
+                written_at: 7,
+                trace: None,
+            };
+            let mut w = WireCodec.writer();
+            image.as_ref().write_to(&mut w);
+            self.ingress.handle(w.finish());
+            self.run_cell();
+        }
+
+        /// Hands the cell what the ingress routed to it; what it stages
+        /// for the task is in flight.
+        pub(super) fn run_cell(&mut self) {
+            while let Ok(event) = self.to_cell.try_recv() {
+                self.cell.handle(event);
+            }
+            self.in_flight.extend(self.staged.try_iter());
+        }
+
+        /// Hands the task everything in flight, then everything queued.
+        pub(super) fn arrive(&mut self) {
+            for event in std::mem::take(&mut self.in_flight) {
+                self.to_node.send(event).unwrap();
+            }
+            self.deliver();
         }
 
         /// An event queued for the task, as a cell or the ingress queues it.
@@ -519,14 +581,14 @@ mod tests {
         }
 
         /// Hands the task everything queued.
-        fn deliver(&mut self) {
+        pub(super) fn deliver(&mut self) {
             while let Ok(event) = self.queue.try_recv() {
                 self.node.handle(event);
             }
         }
 
         /// Delivers, then reads what was published.
-        fn send(&mut self, event: Event) {
+        pub(super) fn send(&mut self, event: Event) {
             self.queue(event);
             self.deliver();
         }
@@ -643,7 +705,12 @@ mod tests {
         }
     }
 
-    fn request(spec: &QuerySpec, sub: u64, slack: u64, initial: Vec<ResultItem>) -> SubscriptionRequest {
+    pub(super) fn request(
+        spec: &QuerySpec,
+        sub: u64,
+        slack: u64,
+        initial: Vec<ResultItem>,
+    ) -> SubscriptionRequest {
         SubscriptionRequest {
             tenant: TenantId::new(TENANT),
             subscription: SubscriptionId(sub),
@@ -660,7 +727,7 @@ mod tests {
         Event::Subscribe(Arc::new(request(spec, sub, slack, initial)))
     }
 
-    fn change_event(
+    pub(super) fn change_event(
         spec: &QuerySpec,
         kind: FilterChangeKind,
         key: &str,
@@ -682,7 +749,7 @@ mod tests {
         ResultItem { key: Key::of(key), version, doc: Some(doc! { "n" => n }), index: None }
     }
 
-    fn top(limit: u64) -> QuerySpec {
+    pub(super) fn top(limit: u64) -> QuerySpec {
         QuerySpec::filter("t", Document::new()).sorted_by("n", SortDirection::Desc).with_limit(limit)
     }
 
@@ -896,6 +963,30 @@ mod tests {
 
         // With one member left the window no longer counts as shared.
         assert_eq!(h.shared_windows(), Some(0));
+    }
+
+    /// Found by `exhaustive`: a joiner whose store read predates a write the
+    /// query's first subscription read. The partition never retained a
+    /// change for that write, the first subscription's initial result
+    /// holding it; the cell replays a sorted joiner the newest retained
+    /// write of each key from before the group formed, which the joiner's
+    /// window catches up from and every other window ignores.
+    #[test]
+    fn a_joiner_whose_read_predates_the_first_subscription_folds_the_pull_result() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let spec = top(2);
+        let stale = Vec::new(); // 1. B reads the store: nothing.
+        h.write("k0", 1, Some(10)); // 2.
+        h.subscribe(request(&spec, 1, 1, vec![item("k0", 1, 10)])); // 3. A.
+        h.deliver();
+        h.run_cell();
+        h.subscribe(request(&spec, 2, 0, stale)); // 4. B.
+        h.deliver();
+        h.run_cell();
+        h.arrive();
+        let held = vec![(Key::of("k0"), 1)];
+        assert_eq!(h.folded(), BTreeMap::from([(1, held.clone()), (2, held)]));
+        assert_eq!(h.shared_windows(), Some(1), "one list, one group");
     }
 
     /// Two subscriptions whose initial results differ start two groups; once

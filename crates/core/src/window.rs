@@ -291,6 +291,20 @@ impl SortedWindow {
     }
 }
 
+#[cfg(test)]
+impl SortedWindow {
+    /// Hashes what decides the window's next edits, for tests that compare
+    /// windows across runs: each item's key, version and bytes, whether the
+    /// window holds every match, and how many items it keeps at most.
+    pub(crate) fn hash_state(&self, hasher: &mut impl std::hash::Hasher) {
+        use std::hash::Hash;
+        for item in &self.items {
+            (&item.key, item.version, &item.payload[..]).hash(hasher);
+        }
+        (self.items.len(), self.complete, self.cap).hash(hasher);
+    }
+}
+
 /// Computes the edit script turning `before` into `after`.
 ///
 /// The script is sequentially applicable to a client-side list: removals

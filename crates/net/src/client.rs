@@ -18,8 +18,8 @@
 //! whatever was missed during the gap, leaning on the cluster's
 //! write-stream retention (§5.1).
 
-use crate::frame::{Decoder, Frame, TraceInfo};
-use crate::queue::{spawn_writer, LinkSeries, SendQueue};
+use crate::frame::{Decoder, Frame, FrameRef, TraceInfo};
+use crate::queue::{spawn_writer, LinkSeries, Outbound, SendQueue};
 use invalidb_broker::{Broker, BrokerHandle, Bytes, EventLayer, Subscription};
 use invalidb_common::trace::now_micros;
 use invalidb_obs::{FlightEventKind, MetricsRegistry};
@@ -84,6 +84,16 @@ impl Default for RemoteBrokerConfig {
 /// How often blocked reads wake up to poll flags.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// Most topic names a client shares among its publishes.
+const SHARED_TOPICS: usize = 16;
+
+/// The current session's queue, if connected, and the shared topic names.
+#[derive(Default)]
+struct Session {
+    queue: Option<SendQueue<Outbound>>,
+    topics: Vec<Arc<str>>,
+}
+
 struct Inner {
     addr: String,
     config: RemoteBrokerConfig,
@@ -91,8 +101,7 @@ struct Inner {
     mirror: Broker,
     /// Topics the server should be forwarding; replayed on reconnect.
     topics: Mutex<HashSet<String>>,
-    /// Outbound queue of the *current* session, if connected.
-    session: Mutex<Option<SendQueue<Frame>>>,
+    session: Mutex<Session>,
     /// Socket clone of the current session, for shutdown.
     socket: Mutex<Option<TcpStream>>,
     connected: AtomicBool,
@@ -142,7 +151,7 @@ impl RemoteBroker {
             config,
             mirror: Broker::new(),
             topics: Mutex::new(HashSet::new()),
-            session: Mutex::new(None),
+            session: Mutex::default(),
             socket: Mutex::new(None),
             connected: AtomicBool::new(false),
             running: Arc::new(AtomicBool::new(true)),
@@ -165,16 +174,27 @@ impl RemoteBroker {
 
     /// Publishes an envelope to `topic` on the server. Returns 1 if the
     /// frame was enqueued for transmission, 0 if the client is currently
-    /// disconnected (event-layer delivery is best-effort, like Redis
+    /// disconnected or the topic is longer than 65 535 bytes, which counts
+    /// as `dropped` (event-layer delivery is best-effort, like Redis
     /// pub/sub — see DESIGN.md §2).
     pub fn publish(&self, topic: &str, payload: Bytes) -> usize {
-        let trace = sniff_trace(&payload);
-        let frame = Frame::Publish { topic: topic.to_owned(), payload, trace };
-        if self.enqueue(frame) {
-            1
-        } else {
-            0
+        if !self.fits(topic) {
+            return 0;
         }
+        let trace = sniff_trace(&payload);
+        let mut session = self.inner.session.lock();
+        let Session { queue: Some(queue), topics } = &mut *session else { return 0 };
+        let shared = match topics.iter().find(|shared| ***shared == *topic) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let name: Arc<str> = topic.into();
+                if topics.len() < SHARED_TOPICS {
+                    topics.push(Arc::clone(&name));
+                }
+                name
+            }
+        };
+        usize::from(queue.push(Outbound::Publish { topic: shared, payload, trace }))
     }
 
     /// Subscribes to `topic`. The returned [`Subscription`] behaves
@@ -183,7 +203,7 @@ impl RemoteBroker {
     /// subscriber count reaches zero).
     pub fn subscribe(&self, topic: &str) -> Subscription {
         let subscription = self.inner.mirror.subscribe(topic);
-        let newly_tracked = self.inner.topics.lock().insert(topic.to_owned());
+        let newly_tracked = self.fits(topic) && self.inner.topics.lock().insert(topic.to_owned());
         if newly_tracked {
             let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
             self.enqueue(Frame::Subscribe { seq, topic: topic.to_owned() });
@@ -242,7 +262,7 @@ impl RemoteBroker {
     /// background threads. Idempotent.
     pub fn shutdown(&self) {
         self.inner.running.store(false, Ordering::SeqCst);
-        if let Some(q) = self.inner.session.lock().as_ref() {
+        if let Some(q) = self.inner.session.lock().queue.as_ref() {
             q.close();
         }
         self.kick();
@@ -253,10 +273,15 @@ impl RemoteBroker {
 
     fn enqueue(&self, frame: Frame) -> bool {
         let session = self.inner.session.lock();
-        match session.as_ref() {
-            Some(q) => q.push(frame),
-            None => false,
-        }
+        session.queue.as_ref().is_some_and(|q| q.push(Outbound::Control(frame)))
+    }
+
+    /// Whether `topic` fits a frame's string field; one that does not is
+    /// counted as `dropped` instead of reaching the writer.
+    fn fits(&self, topic: &str) -> bool {
+        let fits = topic.len() <= usize::from(u16::MAX);
+        self.inner.link.dropped.fetch_add(u64::from(!fits), Ordering::Relaxed);
+        fits
     }
 
     /// Watches for topics whose local subscriber count dropped to zero
@@ -287,9 +312,9 @@ impl RemoteBroker {
                             continue;
                         }
                         topics.remove(&topic);
-                        if let Some(q) = session.as_ref() {
+                        if let Some(q) = session.queue.as_ref() {
                             let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-                            q.push(Frame::Unsubscribe { seq, topic });
+                            q.push(Outbound::Control(Frame::Unsubscribe { seq, topic }));
                         }
                     }
                 }
@@ -372,7 +397,7 @@ fn supervise(inner: Arc<Inner>) {
         run_session(&inner, stream);
         inner.connected.store(false, Ordering::SeqCst);
         inner.connected_gauge.store(0, Ordering::Relaxed);
-        *inner.session.lock() = None;
+        inner.session.lock().queue = None;
         *inner.socket.lock() = None;
         if inner.running.load(Ordering::SeqCst) {
             flight.record(FlightEventKind::Disconnect, format!("{name} -> {}", inner.addr));
@@ -408,13 +433,13 @@ fn run_session(inner: &Arc<Inner>, stream: TcpStream) {
         let topics = inner.topics.lock();
         for topic in topics.iter() {
             let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            queue.push(Frame::Subscribe { seq, topic: topic.clone() });
+            queue.push(Outbound::Control(Frame::Subscribe { seq, topic: topic.clone() }));
         }
     }
     if let Ok(clone) = stream.try_clone() {
         *inner.socket.lock() = Some(clone);
     }
-    *inner.session.lock() = Some(queue.clone());
+    inner.session.lock().queue = Some(queue.clone());
     inner.connected.store(true, Ordering::SeqCst);
 
     let writer_stream = match stream.try_clone() {
@@ -437,7 +462,7 @@ fn run_session(inner: &Arc<Inner>, stream: TcpStream) {
     let _ = writer.join();
 }
 
-fn read_session(inner: &Arc<Inner>, mut stream: TcpStream, queue: &SendQueue<Frame>) {
+fn read_session(inner: &Arc<Inner>, mut stream: TcpStream, queue: &SendQueue<Outbound>) {
     let link = &inner.link;
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
     let mut decoder = Decoder::new();
@@ -465,7 +490,7 @@ fn read_session(inner: &Arc<Inner>, mut stream: TcpStream, queue: &SendQueue<Fra
         inner.refresh_staleness();
         decoder.feed(&buf[..n]);
         loop {
-            let frame = match decoder.next() {
+            let frame = match decoder.next_ref() {
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 Err(_) => {
@@ -479,24 +504,17 @@ fn read_session(inner: &Arc<Inner>, mut stream: TcpStream, queue: &SendQueue<Fra
             };
             link.frames_in.fetch_add(1, Ordering::Relaxed);
             match frame {
-                Frame::Publish { topic, payload, .. } => {
+                FrameRef::Publish { topic, payload, .. } => {
                     link.bytes_in.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    inner.mirror.publish(&topic, payload);
+                    inner.mirror.publish(topic, Bytes::copy_from_slice(payload));
                 }
-                Frame::Ack { seq } => {
+                FrameRef::Other(Frame::Ack { seq }) => {
                     inner.acked.fetch_max(seq, Ordering::SeqCst);
                 }
-                Frame::Heartbeat { .. } => {}
-                // Server-only requests; ignore if echoed at us. Cluster
-                // membership frames travel on dedicated coordinator
-                // connections, never through the broker client.
-                Frame::Subscribe { .. }
-                | Frame::Unsubscribe { .. }
-                | Frame::JoinCluster { .. }
-                | Frame::Assign { .. }
-                | Frame::CellState { .. }
-                | Frame::WorkerHeartbeat { .. }
-                | Frame::MetricsReport { .. } => {}
+                // Heartbeats; server-only requests, ignored if echoed at us;
+                // cluster membership frames, which travel on dedicated
+                // coordinator connections, never through the broker client.
+                FrameRef::Other(_) => {}
             }
         }
     }

@@ -174,38 +174,19 @@ impl Frame {
         }
     }
 
-    fn flags(&self) -> u16 {
-        match self {
-            Frame::Publish { trace: Some(_), .. } => FLAG_TRACE,
-            _ => 0,
-        }
-    }
-
     /// Encodes the frame, header included, appending to `out` — the
     /// allocation-free form writer threads use to coalesce a whole batch
-    /// of frames into one reused scratch buffer. The payload is written
-    /// directly after the header; length and CRC are backfilled.
+    /// of frames into one reused scratch buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let header = out.len();
-        out.extend_from_slice(&MAGIC);
-        out.push(PROTOCOL_VERSION);
-        out.push(self.type_id());
-        out.extend_from_slice(&self.flags().to_be_bytes());
-        out.extend_from_slice(&[0u8; 8]); // length + CRC, backfilled below
-        let body = out.len();
-        match self {
+        if let Frame::Publish { topic, payload, trace } = self {
+            return encode_publish(out, topic, payload, *trace);
+        }
+        encode_frame(out, self.type_id(), 0, |out| match self {
             Frame::Subscribe { seq, topic } | Frame::Unsubscribe { seq, topic } => {
                 put_u64(out, *seq);
                 put_str(out, topic);
             }
-            Frame::Publish { topic, payload: blob, trace } => {
-                put_str(out, topic);
-                put_blob(out, blob);
-                if let Some(info) = trace {
-                    put_u64(out, info.trace_id);
-                    put_u64(out, info.sent_at_micros);
-                }
-            }
+            Frame::Publish { .. } => unreachable!("encoded by `encode_publish`"),
             Frame::Ack { seq } => put_u64(out, *seq),
             Frame::Heartbeat { nonce } => put_u64(out, *nonce),
             Frame::JoinCluster { worker, weight } => {
@@ -239,11 +220,7 @@ impl Frame {
                 put_u64(out, *epoch);
                 put_blob(out, snapshot);
             }
-        }
-        let len = (out.len() - body) as u32;
-        let crc = crc32(&out[body..]);
-        out[header + 8..header + 12].copy_from_slice(&len.to_be_bytes());
-        out[header + 12..header + 16].copy_from_slice(&crc.to_be_bytes());
+        });
     }
 
     /// Encodes the frame into a fresh buffer ([`Frame::encode_into`] with
@@ -254,56 +231,96 @@ impl Frame {
         out
     }
 
-    fn decode_payload(type_id: u8, flags: u16, payload: &[u8]) -> Result<Frame, FrameError> {
+    fn decode_payload(type_id: u8, flags: u16, payload: &[u8]) -> Result<FrameRef<'_>, FrameError> {
         if flags & !FLAG_TRACE != 0 || (flags & FLAG_TRACE != 0 && type_id != 4) {
             return Err(FrameError::UnknownFlags(flags));
         }
         let mut r = Reader { buf: payload, pos: 0 };
         let frame = match type_id {
-            2 => Frame::Subscribe { seq: r.u64()?, topic: r.str()? },
-            3 => Frame::Unsubscribe { seq: r.u64()?, topic: r.str()? },
             4 => {
-                let topic = r.str()?;
-                let payload = r.blob()?;
-                let trace = if flags & FLAG_TRACE != 0 {
-                    Some(TraceInfo { trace_id: r.u64()?, sent_at_micros: r.u64()? })
-                } else {
-                    None
+                let (topic, payload) = (r.str()?, r.blob()?);
+                let trace = match flags & FLAG_TRACE {
+                    0 => None,
+                    _ => Some(TraceInfo { trace_id: r.u64()?, sent_at_micros: r.u64()? }),
                 };
-                Frame::Publish { topic, payload, trace }
+                FrameRef::Publish { topic, payload, trace }
             }
-            5 => Frame::Ack { seq: r.u64()? },
-            6 => Frame::Heartbeat { nonce: r.u64()? },
-            7 => Frame::JoinCluster { worker: r.str()?, weight: r.u32()? },
-            8 => {
-                let epoch = r.u64()?;
-                let query_partitions = r.u32()?;
-                let write_partitions = r.u32()?;
-                let count = r.u32()? as usize;
-                // The count is attacker-controlled until the entries are
-                // actually read; bound the pre-allocation by what the
-                // remaining payload could possibly hold (≥ 4 bytes each).
-                let mut cells = Vec::with_capacity(count.min(payload.len() / 4));
-                for _ in 0..count {
-                    cells.push((r.u32()?, r.str()?));
+            _ => FrameRef::Other(match type_id {
+                2 => Frame::Subscribe { seq: r.u64()?, topic: r.str()?.to_owned() },
+                3 => Frame::Unsubscribe { seq: r.u64()?, topic: r.str()?.to_owned() },
+                5 => Frame::Ack { seq: r.u64()? },
+                6 => Frame::Heartbeat { nonce: r.u64()? },
+                7 => Frame::JoinCluster { worker: r.str()?.to_owned(), weight: r.u32()? },
+                8 => {
+                    let epoch = r.u64()?;
+                    let query_partitions = r.u32()?;
+                    let write_partitions = r.u32()?;
+                    let count = r.u32()? as usize;
+                    // The count is attacker-controlled until the entries are
+                    // actually read; bound the pre-allocation by what the
+                    // remaining payload could possibly hold (≥ 4 bytes each).
+                    let mut cells = Vec::with_capacity(count.min(payload.len() / 4));
+                    for _ in 0..count {
+                        cells.push((r.u32()?, r.str()?.to_owned()));
+                    }
+                    Frame::Assign { epoch, query_partitions, write_partitions, cells }
                 }
-                Frame::Assign { epoch, query_partitions, write_partitions, cells }
-            }
-            9 => Frame::CellState {
-                worker: r.str()?,
-                epoch: r.u64()?,
-                cell: r.u32()?,
-                active_queries: r.u64()?,
-                retained_writes: r.u64()?,
-            },
-            10 => Frame::WorkerHeartbeat { worker: r.str()?, epoch: r.u64()?, nonce: r.u64()? },
-            11 => Frame::MetricsReport { worker: r.str()?, epoch: r.u64()?, snapshot: r.blob()? },
-            other => return Err(FrameError::UnknownType(other)),
+                9 => Frame::CellState {
+                    worker: r.str()?.to_owned(),
+                    epoch: r.u64()?,
+                    cell: r.u32()?,
+                    active_queries: r.u64()?,
+                    retained_writes: r.u64()?,
+                },
+                10 => Frame::WorkerHeartbeat {
+                    worker: r.str()?.to_owned(),
+                    epoch: r.u64()?,
+                    nonce: r.u64()?,
+                },
+                11 => Frame::MetricsReport {
+                    worker: r.str()?.to_owned(),
+                    epoch: r.u64()?,
+                    snapshot: Bytes::copy_from_slice(r.blob()?),
+                },
+                other => return Err(FrameError::UnknownType(other)),
+            }),
         };
         if r.pos != payload.len() {
             return Err(FrameError::TrailingBytes { extra: payload.len() - r.pos });
         }
         Ok(frame)
+    }
+}
+
+/// A decoded frame that borrows from the [`Decoder`]'s buffer: a
+/// `Publish`'s topic and payload are read in place, so its consumer copies
+/// only what it keeps. Every other frame type comes back owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameRef<'a> {
+    /// [`Frame::Publish`], borrowed.
+    Publish {
+        /// Topic name.
+        topic: &'a str,
+        /// Opaque application payload.
+        payload: &'a [u8],
+        /// Stage-tracing sidecar ([`FLAG_TRACE`] extension).
+        trace: Option<TraceInfo>,
+    },
+    /// Any other frame.
+    Other(Frame),
+}
+
+impl FrameRef<'_> {
+    /// The owned frame: a `Publish`'s topic and payload copied out.
+    pub fn into_owned(self) -> Frame {
+        match self {
+            FrameRef::Publish { topic, payload, trace } => Frame::Publish {
+                topic: topic.to_owned(),
+                payload: Bytes::copy_from_slice(payload),
+                trace,
+            },
+            FrameRef::Other(frame) => frame,
+        }
     }
 }
 
@@ -362,7 +379,8 @@ impl std::error::Error for FrameError {}
 /// Incremental frame decoder.
 ///
 /// Feed raw socket chunks with [`Decoder::feed`], then drain complete
-/// frames with [`Decoder::next`]. `Ok(None)` means "need more bytes"
+/// frames with [`Decoder::next`], or with [`Decoder::next_ref`], which
+/// leaves a `Publish`'s topic and payload in the buffer. `Ok(None)` means "need more bytes"
 /// (including a torn tail mid-frame); an `Err` means the stream is
 /// corrupt and the connection must be torn down — the decoder does not
 /// attempt to resynchronize.
@@ -399,63 +417,101 @@ impl Decoder {
     // stream) is the decoder's whole contract.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Frame>, FrameError> {
+        Ok(self.next_ref()?.map(FrameRef::into_owned))
+    }
+
+    /// [`Decoder::next`] without copying a `Publish`'s topic and payload
+    /// out of the buffer: they stay borrowed until the next call.
+    pub fn next_ref(&mut self) -> Result<Option<FrameRef<'_>>, FrameError> {
         if self.poisoned {
             return Err(FrameError::Truncated);
         }
-        match self.next_inner() {
-            Ok(v) => Ok(v),
+        match parse(&self.buf[self.start..]) {
+            Ok(Some((frame, len))) => {
+                self.start += len;
+                Ok(Some(frame))
+            }
+            Ok(None) => Ok(None),
             Err(e) => {
                 self.poisoned = true;
                 Err(e)
             }
         }
     }
+}
 
-    fn next_inner(&mut self) -> Result<Option<Frame>, FrameError> {
-        let buf = &self.buf[self.start..];
-        if buf.len() < HEADER_LEN {
-            // Validate what we can see of the header early, so garbage is
-            // rejected without waiting for 16 bytes that may never come.
-            let seen = buf.len().min(4);
-            if buf[..seen] != MAGIC[..seen] {
-                let mut m = [0u8; 4];
-                m[..seen].copy_from_slice(&buf[..seen]);
-                return Err(FrameError::BadMagic(m));
-            }
-            return Ok(None);
-        }
-        if buf[..4] != MAGIC {
+/// The first frame of `buf` and its length on the wire, `None` when `buf`
+/// holds only part of it.
+fn parse(buf: &[u8]) -> Result<Option<(FrameRef<'_>, usize)>, FrameError> {
+    if buf.len() < HEADER_LEN {
+        // Validate what we can see of the header early, so garbage is
+        // rejected without waiting for 16 bytes that may never come.
+        let seen = buf.len().min(4);
+        if buf[..seen] != MAGIC[..seen] {
             let mut m = [0u8; 4];
-            m.copy_from_slice(&buf[..4]);
+            m[..seen].copy_from_slice(&buf[..seen]);
             return Err(FrameError::BadMagic(m));
         }
-        if buf[4] != PROTOCOL_VERSION {
-            return Err(FrameError::BadVersion(buf[4]));
-        }
-        let type_id = buf[5];
-        let flags = u16::from_be_bytes([buf[6], buf[7]]);
-        let len = u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]) as usize;
-        if len > MAX_PAYLOAD {
-            return Err(FrameError::Oversized(len));
-        }
-        if buf.len() < HEADER_LEN + len {
-            return Ok(None); // torn tail: wait for the rest
-        }
-        let expected = u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]]);
-        let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-        let actual = crc32(payload);
-        if actual != expected {
-            return Err(FrameError::CrcMismatch { expected, actual });
-        }
-        let frame = Frame::decode_payload(type_id, flags, payload)?;
-        self.start += HEADER_LEN + len;
-        Ok(Some(frame))
+        return Ok(None);
     }
+    if buf[..4] != MAGIC {
+        let mut m = [0u8; 4];
+        m.copy_from_slice(&buf[..4]);
+        return Err(FrameError::BadMagic(m));
+    }
+    if buf[4] != PROTOCOL_VERSION {
+        return Err(FrameError::BadVersion(buf[4]));
+    }
+    let type_id = buf[5];
+    let flags = u16::from_be_bytes([buf[6], buf[7]]);
+    let len = u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]) as usize;
+    if len > MAX_PAYLOAD {
+        return Err(FrameError::Oversized(len));
+    }
+    if buf.len() < HEADER_LEN + len {
+        return Ok(None); // torn tail: wait for the rest
+    }
+    let expected = u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]]);
+    let payload = &buf[HEADER_LEN..HEADER_LEN + len];
+    let actual = crc32(payload);
+    if actual != expected {
+        return Err(FrameError::CrcMismatch { expected, actual });
+    }
+    Ok(Some((Frame::decode_payload(type_id, flags, payload)?, HEADER_LEN + len)))
 }
 
 // ---------------------------------------------------------------------------
 // Payload field encoding
 // ---------------------------------------------------------------------------
+
+/// Appends a frame of `type_id` and `flags` whose payload `body` writes;
+/// its length and CRC are backfilled.
+fn encode_frame(out: &mut Vec<u8>, type_id: u8, flags: u16, body: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(PROTOCOL_VERSION);
+    out.push(type_id);
+    out.extend_from_slice(&flags.to_be_bytes());
+    out.extend_from_slice(&[0u8; 8]); // length + CRC, backfilled below
+    body(out);
+    let len = (out.len() - header - HEADER_LEN) as u32;
+    let crc = crc32(&out[header + HEADER_LEN..]);
+    out[header + 8..header + 12].copy_from_slice(&len.to_be_bytes());
+    out[header + 12..header + 16].copy_from_slice(&crc.to_be_bytes());
+}
+
+/// Appends a `Publish` frame: the one encoder of [`Frame::Publish`] and of
+/// the publishes a link queues with a shared topic.
+pub(crate) fn encode_publish(out: &mut Vec<u8>, topic: &str, payload: &[u8], trace: Option<TraceInfo>) {
+    encode_frame(out, 4, if trace.is_some() { FLAG_TRACE } else { 0 }, |out| {
+        put_str(out, topic);
+        put_blob(out, payload);
+        if let Some(info) = trace {
+            put_u64(out, info.trace_id);
+            put_u64(out, info.sent_at_micros);
+        }
+    });
+}
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
@@ -479,8 +535,8 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], FrameError> {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         if self.buf.len() - self.pos < n {
             return Err(FrameError::Truncated);
         }
@@ -499,21 +555,17 @@ impl Reader<'_> {
         Ok(u32::from_be_bytes(b.try_into().expect("4 bytes")))
     }
 
-    fn str(&mut self) -> Result<String, FrameError> {
+    fn str(&mut self) -> Result<&'a str, FrameError> {
         let len = {
             let b = self.take(2)?;
             u16::from_be_bytes([b[0], b[1]]) as usize
         };
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| FrameError::BadUtf8)
     }
 
-    fn blob(&mut self) -> Result<Bytes, FrameError> {
-        let len = {
-            let b = self.take(4)?;
-            u32::from_be_bytes([b[0], b[1], b[2], b[3]]) as usize
-        };
-        Ok(Bytes::copy_from_slice(self.take(len)?))
+    fn blob(&mut self) -> Result<&'a [u8], FrameError> {
+        let len = self.u32()? as usize;
+        self.take(len)
     }
 }
 

@@ -40,7 +40,8 @@ pub mod server;
 pub use chaos::{ChaosProxy, ChaosProxyConfig};
 pub use client::{RemoteBroker, RemoteBrokerConfig};
 pub use frame::{
-    crc32, Decoder, Frame, FrameError, TraceInfo, FLAG_TRACE, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
+    crc32, Decoder, Frame, FrameError, FrameRef, TraceInfo, FLAG_TRACE, HEADER_LEN, MAX_PAYLOAD,
+    PROTOCOL_VERSION,
 };
 pub use invalidb_broker::BrokerHandle;
 pub use queue::SendQueue;
@@ -254,6 +255,34 @@ mod tests {
             .map(|(_, &n)| n)
             .collect();
         assert_eq!(server_side, [3], "three publishes pumped, the ack not counted");
+        client.shutdown();
+    }
+
+    /// A topic too long for a frame's string field is refused when it is
+    /// queued, and counted as dropped; the link carries on.
+    #[test]
+    fn an_over_long_topic_is_refused_and_the_link_carries_on() {
+        let registry = invalidb_obs::MetricsRegistry::new();
+        let srv = server();
+        let client = RemoteBroker::connect(
+            srv.local_addr().to_string(),
+            RemoteBrokerConfig {
+                client_name: "long".into(),
+                metrics: registry.clone(),
+                ..Default::default()
+            },
+        );
+        assert!(client.wait_connected(Duration::from_secs(5)));
+        let long = "t".repeat(70_000);
+        let _unsent = client.subscribe(&long);
+        let sub = client.subscribe("short");
+        wait_for(|| client.last_acked() >= 1);
+        assert_eq!(client.publish(&long, Bytes::from_static(b"lost")), 0, "refused");
+        assert_eq!(client.publish("short", Bytes::from_static(b"after")), 1);
+        let got = sub.recv_timeout(Duration::from_secs(5)).expect("delivery after the refusals");
+        assert_eq!(&got[..], b"after");
+        assert!(client.is_connected(), "the writer survived");
+        assert_eq!(registry.snapshot().counters["net.client.long.dropped"], 2, "both refusals");
         client.shutdown();
     }
 

@@ -10,7 +10,8 @@
 //! Redis pub/sub: best-effort, at-most-once (DESIGN.md §2) — and the
 //! app server's maintenance-error machinery recovers from the gap.
 
-use crate::frame::Frame;
+use crate::frame::{encode_publish, Frame, TraceInfo};
+use bytes::Bytes;
 use invalidb_obs::{FlightEventKind, FlightRecorder, MetricsRegistry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -23,6 +24,22 @@ use std::time::{Duration, Instant};
 
 /// Most frames a writer thread coalesces into one buffered `write_all`.
 pub(crate) const MAX_WRITE_BATCH: usize = 64;
+
+/// What a link queues: a publish, with a topic shared, or any other frame.
+pub(crate) enum Outbound {
+    Publish { topic: Arc<str>, payload: Bytes, trace: Option<TraceInfo> },
+    Control(Frame),
+}
+
+impl Outbound {
+    /// Appends the frame's wire bytes, a publish's those of its `Frame`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Outbound::Publish { topic, payload, trace } => encode_publish(out, topic, payload, *trace),
+            Outbound::Control(frame) => frame.encode_into(out),
+        }
+    }
+}
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -46,9 +63,8 @@ struct Inner<T> {
 }
 
 /// A bounded MPSC queue of outbound frames, one per connection. Generic
-/// over the queued item so the writer path can carry decoded
-/// [`Frame`]s (encoded in bulk into a reused scratch buffer) while tests
-/// can queue raw bytes.
+/// over the queued item so the writer path can carry frames (encoded in
+/// bulk into a reused scratch buffer) while tests can queue raw bytes.
 ///
 /// Producers call [`push`](SendQueue::push); the connection's writer
 /// thread calls [`pop_batch`](SendQueue::pop_batch) to coalesce several
@@ -227,7 +243,7 @@ impl LinkSeries {
         capacity: usize,
         flight: FlightRecorder,
         label: String,
-    ) -> SendQueue<Frame> {
+    ) -> SendQueue<Outbound> {
         SendQueue::new(capacity, Arc::clone(&self.dropped), Arc::clone(&self.queue_depth), flight, label)
     }
 }
@@ -242,7 +258,7 @@ impl LinkSeries {
 pub(crate) fn spawn_writer(
     name: &str,
     mut stream: TcpStream,
-    queue: SendQueue<Frame>,
+    queue: SendQueue<Outbound>,
     frames_out: Arc<AtomicU64>,
     count_queued: bool,
     heartbeat_interval: Duration,
@@ -254,7 +270,7 @@ pub(crate) fn spawn_writer(
             // Heartbeats are identical every beat: encode once per
             // connection instead of once per beat.
             let heartbeat = Frame::Heartbeat { nonce: 0 }.encode();
-            let mut batch: Vec<Frame> = Vec::with_capacity(MAX_WRITE_BATCH);
+            let mut batch: Vec<Outbound> = Vec::with_capacity(MAX_WRITE_BATCH);
             let mut scratch: Vec<u8> = Vec::with_capacity(16 * 1024);
             while running.load(Ordering::SeqCst) {
                 let written = match queue.pop_batch(&mut batch, MAX_WRITE_BATCH, heartbeat_interval) {
@@ -299,6 +315,25 @@ mod tests {
         let mut out = Vec::new();
         q.pop_batch(&mut out, MAX_WRITE_BATCH, Duration::from_millis(10)).unwrap();
         out
+    }
+
+    /// A publish queued with a shared topic goes out as the bytes of the
+    /// `Frame::Publish` with its fields.
+    #[test]
+    fn a_queued_publish_encodes_as_its_frame() {
+        let trace = Some(TraceInfo { trace_id: 9, sent_at_micros: 1_700_000_000_000_000 });
+        for (topic, payload, trace) in [
+            ("invalidb.cluster", &b"{\"n\":1}"[..], None),
+            ("invalidb.notify.t", &b"{\"trace\":{\"id\":9}}"[..], trace),
+            ("", &b""[..], None),
+        ] {
+            let payload = Bytes::copy_from_slice(payload);
+            let frame = Frame::Publish { topic: topic.into(), payload: payload.clone(), trace };
+            let queued = Outbound::Publish { topic: topic.into(), payload, trace };
+            let mut wire = vec![0xAA]; // appends, after what the batch holds
+            queued.encode_into(&mut wire);
+            assert_eq!(wire[1..], frame.encode()[..], "{frame:?}");
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! removed from the registry when the connection closes, since peer
 //! addresses are ephemeral.
 
-use crate::frame::{Decoder, Frame, TraceInfo};
-use crate::queue::{spawn_writer, LinkSeries, SendQueue};
+use crate::frame::{Decoder, Frame, FrameRef, TraceInfo};
+use crate::queue::{spawn_writer, LinkSeries, Outbound, SendQueue};
 use invalidb_broker::{BrokerHandle, Bytes};
 use invalidb_common::trace::{now_micros, Stage, TraceContext};
 use invalidb_common::Value;
@@ -226,7 +226,7 @@ fn serve_connection(stream: TcpStream, peer: std::net::SocketAddr, shared: &Arc<
 fn read_loop(
     mut stream: TcpStream,
     peer: std::net::SocketAddr,
-    queue: &SendQueue<Frame>,
+    queue: &SendQueue<Outbound>,
     link: &Arc<LinkSeries>,
     shared: &Arc<Shared>,
 ) {
@@ -250,7 +250,7 @@ fn read_loop(
         };
         decoder.feed(&buf[..n]);
         loop {
-            let frame = match decoder.next() {
+            let frame = match decoder.next_ref() {
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 Err(_) => {
@@ -265,7 +265,16 @@ fn read_loop(
             };
             link.frames_in.fetch_add(1, Ordering::Relaxed);
             match frame {
-                Frame::Subscribe { seq, topic } => {
+                FrameRef::Publish { topic, payload, trace } => {
+                    link.bytes_in.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                    let payload = Bytes::copy_from_slice(payload);
+                    let payload = match trace {
+                        Some(info) => stamp_broker(payload, info, &shared.config.metrics),
+                        None => payload,
+                    };
+                    shared.broker.publish(topic, payload);
+                }
+                FrameRef::Other(Frame::Subscribe { seq, topic }) => {
                     pumps.entry(topic.clone()).or_insert_with(|| {
                         shared
                             .config
@@ -276,7 +285,7 @@ fn read_loop(
                     });
                     send(queue, Frame::Ack { seq });
                 }
-                Frame::Unsubscribe { seq, topic } => {
+                FrameRef::Other(Frame::Unsubscribe { seq, topic }) => {
                     if let Some(stop) = pumps.remove(&topic) {
                         stop.store(true, Ordering::SeqCst);
                         shared
@@ -287,26 +296,13 @@ fn read_loop(
                     }
                     send(queue, Frame::Ack { seq });
                 }
-                Frame::Publish { topic, payload, trace } => {
-                    link.bytes_in.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    let payload = match trace {
-                        Some(info) => stamp_broker(payload, info, &shared.config.metrics),
-                        None => payload,
-                    };
-                    shared.broker.publish(&topic, payload);
-                }
-                Frame::Heartbeat { nonce } => {
+                FrameRef::Other(Frame::Heartbeat { nonce }) => {
                     send(queue, Frame::Heartbeat { nonce });
                 }
                 // Cluster membership frames belong to the coordinator
                 // protocol; a broker server ignores them so legacy topologies
                 // keep working when a cluster-capable peer dials in.
-                Frame::Ack { .. }
-                | Frame::JoinCluster { .. }
-                | Frame::Assign { .. }
-                | Frame::CellState { .. }
-                | Frame::WorkerHeartbeat { .. }
-                | Frame::MetricsReport { .. } => {}
+                FrameRef::Other(_) => {}
             }
         }
     }
@@ -320,7 +316,7 @@ fn read_loop(
 /// Bridges one broker subscription into the connection's send queue.
 fn spawn_pump(
     topic: &str,
-    queue: SendQueue<Frame>,
+    queue: SendQueue<Outbound>,
     link: &Arc<LinkSeries>,
     shared: &Arc<Shared>,
 ) -> Arc<AtomicBool> {
@@ -328,7 +324,7 @@ fn spawn_pump(
     let pump_stop = Arc::clone(&stop);
     let link = Arc::clone(link);
     let subscription = shared.broker.subscribe(topic);
-    let topic = topic.to_owned();
+    let topic: Arc<str> = topic.into();
     let running = Arc::clone(&shared.running);
     thread::Builder::new()
         .name(format!("net-pump-{topic}"))
@@ -346,7 +342,7 @@ fn spawn_pump(
                 link.bytes_out.fetch_add(payload.len() as u64, Ordering::Relaxed);
                 // Delivery-side stamping happens at the app server's
                 // dispatcher; the outbound hop carries no sidecar.
-                let frame = Frame::Publish { topic: topic.clone(), payload, trace: None };
+                let frame = Outbound::Publish { topic: Arc::clone(&topic), payload, trace: None };
                 if !queue.push(frame) {
                     break; // queue closed: the connection is going away
                 }
@@ -358,8 +354,8 @@ fn spawn_pump(
     stop
 }
 
-fn send(queue: &SendQueue<Frame>, frame: Frame) {
-    queue.push(frame);
+fn send(queue: &SendQueue<Outbound>, frame: Frame) {
+    queue.push(Outbound::Control(frame));
 }
 
 /// Stamps [`Stage::Broker`] into a traced envelope and records the

@@ -1,9 +1,11 @@
 //! Property tests for the wire codec: every frame that can be encoded
 //! must round-trip through the decoder, under arbitrary chunking — and
 //! torn or corrupted streams must be rejected without producing a frame.
+//! The borrowing decode (`Decoder::next_ref`) yields what the owning one
+//! (`Decoder::next`) does, frame for frame and error for error.
 
 use bytes::Bytes;
-use invalidb_net::frame::{Decoder, Frame, FrameError, TraceInfo, HEADER_LEN};
+use invalidb_net::frame::{Decoder, Frame, FrameError, FrameRef, TraceInfo, HEADER_LEN};
 use proptest::prelude::*;
 
 fn topic_strategy() -> impl Strategy<Value = String> {
@@ -56,7 +58,42 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
         ),
         (worker_strategy(), any::<u64>(), any::<u64>())
             .prop_map(|(worker, epoch, nonce)| Frame::WorkerHeartbeat { worker, epoch, nonce }),
+        (worker_strategy(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(
+            |(worker, epoch, snapshot)| Frame::MetricsReport {
+                worker,
+                epoch,
+                snapshot: Bytes::from(snapshot)
+            }
+        ),
     ]
+}
+
+type Decoded = Vec<Result<Frame, FrameError>>;
+
+/// What `wire`, fed in `chunk`-byte pieces, decodes to through `next` and
+/// through `next_ref` (each frame made owned): every frame, and the error
+/// that ends the stream, if one does.
+fn decode_both(wire: &[u8], chunk: usize) -> (Decoded, Decoded) {
+    let (mut owning, mut borrowing) = (Decoder::new(), Decoder::new());
+    let (mut by_next, mut by_next_ref) = (Vec::new(), Vec::new());
+    for piece in wire.chunks(chunk) {
+        owning.feed(piece);
+        borrowing.feed(piece);
+        loop {
+            let next = owning.next().transpose();
+            let next_ref = borrowing.next_ref().map(|f| f.map(FrameRef::into_owned)).transpose();
+            let (Some(next), Some(next_ref)) = (next, next_ref) else {
+                break;
+            };
+            let failed = next.is_err() || next_ref.is_err();
+            by_next.push(next);
+            by_next_ref.push(next_ref);
+            if failed {
+                return (by_next, by_next_ref);
+            }
+        }
+    }
+    (by_next, by_next_ref)
 }
 
 proptest! {
@@ -134,6 +171,30 @@ proptest! {
             matches!(d.next(), Err(FrameError::CrcMismatch { .. })),
             "flipped payload bit must fail the CRC"
         );
+    }
+
+    #[test]
+    fn next_ref_yields_what_next_yields(
+        frames in prop::collection::vec(frame_strategy(), 1..5),
+        chunk_size in 1usize..64,
+        (corrupt, flip_fraction, bit) in (any::<bool>(), 0.0f64..1.0, 0u8..8),
+        (truncate, cut_fraction) in (any::<bool>(), 0.0f64..1.0),
+    ) {
+        let mut wire: Vec<u8> = frames.iter().flat_map(|f| f.encode()).collect();
+        if corrupt {
+            // Anywhere: magic, version, type, flags, length, CRC or payload.
+            let idx = ((wire.len() - 1) as f64 * flip_fraction) as usize;
+            wire[idx] ^= 1 << bit;
+        }
+        if truncate {
+            wire.truncate(((wire.len() - 1) as f64 * cut_fraction) as usize);
+        }
+        let (by_next, by_next_ref) = decode_both(&wire, chunk_size);
+        prop_assert_eq!(&by_next, &by_next_ref);
+        if !corrupt && !truncate {
+            let expected: Decoded = frames.into_iter().map(Ok).collect();
+            prop_assert_eq!(by_next_ref, expected);
+        }
     }
 
     #[test]

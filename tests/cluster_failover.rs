@@ -167,8 +167,9 @@ fn sigkill_failover_loses_no_subscriptions() {
         )
         .unwrap();
     }
+    let written = Instant::now();
     let mut seen: HashMap<String, usize> = HashMap::new();
-    let deadline = Instant::now() + Duration::from_secs(15);
+    let deadline = written + Duration::from_secs(15);
     while seen.len() < PROBES && Instant::now() < deadline {
         for event in sub.events().timeout(Duration::from_millis(250)) {
             if let ClientEvent::Change(c) = &event {
@@ -179,7 +180,29 @@ fn sigkill_failover_loses_no_subscriptions() {
             }
         }
     }
-    assert_eq!(seen.len(), PROBES, "lost subscriptions: only {seen:?} notified");
+    // A probe missing from the window is a recovery slower than it or a
+    // lost subscription: listening 15 s longer tells which.
+    let mut late: Vec<String> = Vec::new();
+    if seen.len() < PROBES {
+        let mut missing: Vec<String> = (0..PROBES)
+            .map(|i| format!("probe{i}"))
+            .filter(|k| !seen.keys().any(|s| s.contains(k)))
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(15);
+        while !missing.is_empty() && Instant::now() < deadline {
+            for event in sub.events().timeout(Duration::from_millis(250)) {
+                if let ClientEvent::Change(c) = &event {
+                    let key = format!("{}", c.item.key);
+                    if let Some(at) = missing.iter().position(|probe| key.contains(probe.as_str())) {
+                        let probe = missing.remove(at);
+                        late.push(format!("{probe} late ({} ms)", written.elapsed().as_millis()));
+                    }
+                }
+            }
+        }
+        late.extend(missing.into_iter().map(|probe| format!("{probe} never")));
+    }
+    assert_eq!(seen.len(), PROBES, "lost subscriptions: only {seen:?} notified; {late:?}");
     // A grace window to catch duplicates trailing in.
     let dup_deadline = Instant::now() + Duration::from_secs(2);
     while Instant::now() < dup_deadline {
