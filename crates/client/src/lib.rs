@@ -30,6 +30,4 @@ pub use error::Error;
 pub use notify::{decode_epoch_notice, decode_notify_into, decode_notify_payload, NotifyPayload};
 pub use rate::TokenBucket;
 pub use result::{LiveEntry, LiveResult, SharedDoc};
-pub use server::{
-    AppServer, AppServerConfig, AppServerConfigBuilder, ClientEvent, Events, Subscription,
-};
+pub use server::{AppServer, AppServerConfig, ClientEvent, Events, Subscription};

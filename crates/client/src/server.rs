@@ -5,6 +5,7 @@ use crate::notify::{decode_epoch_notice, decode_notify_into, NotifyPayload};
 use crate::rate::TokenBucket;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use invalidb_broker::{notify_topic, BrokerHandle, Bytes, CLUSTER_TOPIC, EPOCH_TOPIC};
+use invalidb_common::trace::now_micros;
 use invalidb_common::{
     ChangeItem, Clock, ClusterMessage, ConfigError, Document, EpochNotice, Histogram, Key,
     NotificationKind, NotifyEnvelope, QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId,
@@ -25,16 +26,17 @@ use std::time::{Duration, Instant};
 
 /// Application-server tunables.
 ///
-/// Construct with [`AppServerConfig::default`] plus struct update syntax, or
-/// — preferred — through the validating [`AppServerConfig::builder`].
+/// Construct with [`AppServerConfig::default`] plus struct update syntax.
+/// [`AppServer::start`] checks the settings with
+/// [`validate`](AppServerConfig::validate) and panics on a config it
+/// rejects; call `validate` first to get a `Result`.
 #[derive(Debug, Clone)]
 pub struct AppServerConfig {
     /// Slack added to sorted bootstrap queries (§5.2).
     pub default_slack: u64,
-    /// Subscription TTL granted to the cluster.
+    /// Subscription TTL granted to the cluster. TTL extensions are sent
+    /// six times per TTL.
     pub ttl: Duration,
-    /// How often TTL extensions are sent.
-    pub ttl_refresh_interval: Duration,
     /// How long to wait for a subscription's first notification before
     /// re-publishing its Subscribe envelope. Registration travels over
     /// pub/sub with no delivery guarantee — a worker whose topology is
@@ -81,7 +83,6 @@ impl Default for AppServerConfig {
         Self {
             default_slack: 3,
             ttl: Duration::from_secs(60),
-            ttl_refresh_interval: Duration::from_secs(10),
             subscribe_retry_interval: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_secs(5),
             renewal_burst: 16,
@@ -96,125 +97,38 @@ impl Default for AppServerConfig {
 }
 
 impl AppServerConfig {
-    /// A validating builder seeded with the defaults.
-    pub fn builder() -> AppServerConfigBuilder {
-        AppServerConfigBuilder { config: AppServerConfig::default() }
-    }
-}
-
-/// Builder for [`AppServerConfig`] that rejects inconsistent settings at
-/// [`build`](AppServerConfigBuilder::build) time instead of misbehaving at
-/// runtime (e.g. a default slack above the adaptive-growth cap).
-#[derive(Debug, Clone)]
-pub struct AppServerConfigBuilder {
-    config: AppServerConfig,
-}
-
-impl AppServerConfigBuilder {
-    /// Slack added to sorted bootstrap queries.
-    pub fn slack(mut self, slack: u64) -> Self {
-        self.config.default_slack = slack;
-        self
-    }
-
-    /// Cap for adaptive slack growth.
-    pub fn max_slack(mut self, max_slack: u64) -> Self {
-        self.config.max_slack = max_slack;
-        self
-    }
-
-    /// Subscription TTL granted to the cluster.
-    pub fn ttl(mut self, ttl: Duration) -> Self {
-        self.config.ttl = ttl;
-        self
-    }
-
-    /// How often TTL extensions are sent.
-    pub fn ttl_refresh_interval(mut self, interval: Duration) -> Self {
-        self.config.ttl_refresh_interval = interval;
-        self
-    }
-
-    /// Retry cadence for unconfirmed subscription registrations.
-    pub fn subscribe_retry_interval(mut self, interval: Duration) -> Self {
-        self.config.subscribe_retry_interval = interval;
-        self
-    }
-
-    /// Cluster silence tolerated before termination.
-    pub fn heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.config.heartbeat_timeout = timeout;
-        self
-    }
-
-    /// Token-bucket capacity for query renewals.
-    pub fn renewal_burst(mut self, burst: u32) -> Self {
-        self.config.renewal_burst = burst;
-        self
-    }
-
-    /// Token-bucket refill rate (renewals per second).
-    pub fn renewals_per_sec(mut self, rate: f64) -> Self {
-        self.config.renewals_per_sec = rate;
-        self
-    }
-
-    /// Trace every Nth forwarded write (`0` disables tracing).
-    pub fn trace_sample_every(mut self, every: u64) -> Self {
-        self.config.trace_sample_every = every;
-        self
-    }
-
-    /// Recent-write buffer size for epoch replay (`0` disables it).
-    pub fn write_replay_buffer(mut self, capacity: usize) -> Self {
-        self.config.write_replay_buffer = capacity;
-        self
-    }
-
-    /// Registry receiving this app server's metrics and traces.
-    pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.config.metrics = registry;
-        self
-    }
-
-    /// Binds an admin endpoint (`/metrics`, `/healthz`, `/queries`,
-    /// `/flight`) to the given address, e.g. `"127.0.0.1:0"`.
-    pub fn admin_addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.admin_addr = Some(addr.into());
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<AppServerConfig, ConfigError> {
-        let c = self.config;
-        if c.max_slack == 0 {
+    /// Checks the settings: a non-zero `max_slack` at or above the default
+    /// slack, a non-zero renewal burst, a positive finite renewal rate, and
+    /// non-zero TTL and heartbeat timeout.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.max_slack == 0 {
             return Err(ConfigError::new("max_slack", "must be at least 1"));
         }
-        if c.default_slack > c.max_slack {
+        if self.default_slack > self.max_slack {
             return Err(ConfigError::new(
                 "slack",
-                format!("default slack {} exceeds max_slack {}", c.default_slack, c.max_slack),
+                format!("default slack {} exceeds max_slack {}", self.default_slack, self.max_slack),
             ));
         }
-        if c.renewal_burst == 0 {
+        if self.renewal_burst == 0 {
             return Err(ConfigError::new("renewal_burst", "must be at least 1"));
         }
-        if c.renewals_per_sec <= 0.0 || !c.renewals_per_sec.is_finite() {
+        if self.renewals_per_sec <= 0.0 || !self.renewals_per_sec.is_finite() {
             return Err(ConfigError::new("renewals_per_sec", "must be a positive finite rate"));
         }
-        if c.ttl.is_zero() {
+        if self.ttl.is_zero() {
             return Err(ConfigError::new("ttl", "must be non-zero"));
         }
-        if c.ttl_refresh_interval >= c.ttl {
-            return Err(ConfigError::new(
-                "ttl_refresh_interval",
-                "must be shorter than the ttl, or subscriptions expire between refreshes",
-            ));
-        }
-        if c.heartbeat_timeout.is_zero() {
+        if self.heartbeat_timeout.is_zero() {
             return Err(ConfigError::new("heartbeat_timeout", "must be non-zero"));
         }
-        Ok(c)
+        Ok(())
+    }
+
+    /// How often TTL extensions are sent: a sixth of the TTL (10 s at the
+    /// default).
+    fn ttl_refresh_interval(&self) -> Duration {
+        self.ttl / 6
     }
 }
 
@@ -523,12 +437,16 @@ impl AppServer {
     /// in-process [`invalidb_broker::Broker`], a [`BrokerHandle`], or any
     /// other [`invalidb_broker::EventLayer`] implementation (e.g.
     /// `invalidb-net`'s TCP-backed `RemoteBroker`).
+    ///
+    /// Panics with the [`AppServerConfig::validate`] error on an invalid
+    /// config.
     pub fn start(
         tenant: impl Into<TenantId>,
         store: Arc<Store>,
         broker: impl Into<BrokerHandle>,
         config: AppServerConfig,
     ) -> Self {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let tenant = tenant.into();
         let broker: BrokerHandle = broker.into();
         let (shared, woken) = Shared::new(&config);
@@ -826,7 +744,7 @@ impl Keeper {
             tenant: server.tenant.clone(),
             bucket: TokenBucket::new(config.renewal_burst, config.renewals_per_sec, now),
             next_housekeeping: now,
-            next_ttl_refresh: now.after(config.ttl_refresh_interval),
+            next_ttl_refresh: now.after(config.ttl_refresh_interval()),
             last_generation: server.broker.generation(),
             renewals: metrics.counter("appserver.renewals"),
             renewal_wait_us: metrics.histogram("appserver.renewal_wait_us"),
@@ -852,7 +770,7 @@ impl Keeper {
         }
         if now >= self.next_ttl_refresh {
             self.refresh_ttls();
-            self.next_ttl_refresh = now.after(self.config.ttl_refresh_interval);
+            self.next_ttl_refresh = now.after(self.config.ttl_refresh_interval());
         }
         // At-least-once registration: a Subscribe that never produced a
         // baseline was dropped somewhere (e.g. a worker mid-rebuild).
@@ -1356,11 +1274,6 @@ impl Iterator for Events<'_> {
     }
 }
 
-fn now_micros() -> u64 {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_micros() as u64).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1648,7 +1561,7 @@ mod tests {
         let (server, _receivers, _) = server(5);
         let metrics = &server.config.metrics;
         let mut dispatcher = Dispatcher::new(&server);
-        let written_at = invalidb_common::trace::now_micros();
+        let written_at = now_micros();
         dispatcher.deliver(change_to(&[0, 1, 2, 3, 99], written_at), T0);
         let samples = metrics.histogram("slo.app.staleness_us").lock().count();
         assert_eq!(samples, 4, "four live addressees, one unknown");

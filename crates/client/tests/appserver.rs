@@ -104,7 +104,8 @@ fn renewal_after_maintenance_error_is_automatic_and_rate_limited() {
     let broker = Broker::new();
     let store = Arc::new(Store::new());
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
-    let config = AppServerConfig::builder().renewal_burst(1).renewals_per_sec(10.0).build().unwrap();
+    let config =
+        AppServerConfig { renewal_burst: 1, renewals_per_sec: 10.0, ..AppServerConfig::default() };
     let app = AppServer::start("app", Arc::clone(&store), broker.clone(), config);
     let collections = ["t0", "t1", "t2", "t3", "t4"];
     for c in collections {
@@ -170,7 +171,7 @@ fn a_renewal_is_published_when_its_error_arrives() {
     let store = Arc::new(Store::new());
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
     // A burst large enough that no renewal waits for a token.
-    let config = AppServerConfig::builder().renewal_burst(32).build().unwrap();
+    let config = AppServerConfig { renewal_burst: 32, ..AppServerConfig::default() };
     let app = AppServer::start("app", Arc::clone(&store), broker.clone(), config);
     for i in 0..10i64 {
         app.insert("t", Key::of(i), doc! { "n" => i }).unwrap();
@@ -208,7 +209,7 @@ fn heartbeat_loss_terminates_subscriptions() {
     let store = Arc::new(Store::new());
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
     let config =
-        AppServerConfig::builder().heartbeat_timeout(Duration::from_millis(300)).build().unwrap();
+        AppServerConfig { heartbeat_timeout: Duration::from_millis(300), ..AppServerConfig::default() };
     let app = AppServer::start("app", Arc::clone(&store), broker.clone(), config);
 
     let spec = QuerySpec::filter("t", doc! {});
@@ -278,7 +279,7 @@ fn slack_grows_adaptively_with_renewals() {
     let broker = Broker::new();
     let store = Arc::new(Store::new());
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
-    let config = AppServerConfig::builder().slack(1).max_slack(8).build().unwrap();
+    let config = AppServerConfig { default_slack: 1, max_slack: 8, ..AppServerConfig::default() };
     let app = AppServer::start("adapt", Arc::clone(&store), broker.clone(), config);
 
     for i in 0..40i64 {
@@ -485,4 +486,11 @@ fn undeliverable_notifications_are_counted() {
     wait_for(|| (active_queries() == 0).then_some(()), Duration::from_secs(5))
         .expect("the abandoned subscription's query leaves the cluster");
     cluster.shutdown();
+}
+
+#[test]
+#[should_panic(expected = "invalid config `max_slack`")]
+fn start_rejects_a_struct_literal_with_zero_max_slack() {
+    let config = AppServerConfig { max_slack: 0, ..AppServerConfig::default() };
+    AppServer::start("app", Arc::new(Store::new()), Broker::new(), config);
 }

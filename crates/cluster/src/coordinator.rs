@@ -32,6 +32,9 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// How often the supervisor scans for missed heartbeats.
+const SUPERVISE_INTERVAL: Duration = Duration::from_millis(100);
+
 /// Coordinator tuning knobs.
 #[derive(Clone)]
 pub struct CoordinatorConfig {
@@ -40,8 +43,6 @@ pub struct CoordinatorConfig {
     /// A worker silent for longer than this is declared dead and its cells
     /// are reassigned.
     pub heartbeat_timeout: Duration,
-    /// How often the supervisor scans for missed heartbeats.
-    pub supervise_interval: Duration,
     /// Placement strategy for orphaned cells.
     pub placement: Arc<dyn Placement>,
     /// Metrics registry (gauges `cluster.workers_alive`, `cluster.epoch`,
@@ -53,13 +54,12 @@ pub struct CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
-    /// Defaults: 2 s heartbeat timeout, 100 ms supervision, weighted
-    /// round-robin placement, no admin endpoint.
+    /// Defaults: 2 s heartbeat timeout, weighted round-robin placement, no
+    /// admin endpoint.
     pub fn new(grid: GridShape) -> CoordinatorConfig {
         CoordinatorConfig {
             grid,
             heartbeat_timeout: Duration::from_secs(2),
-            supervise_interval: Duration::from_millis(100),
             placement: Arc::new(RoundRobin),
             metrics: MetricsRegistry::new(),
             admin_addr: None,
@@ -629,7 +629,7 @@ fn start_failover_clock(state: &mut State, last_seen: Instant) {
 /// Declares workers dead after `heartbeat_timeout` of silence.
 fn supervise_loop(inner: Arc<Inner>) {
     while inner.running.load(Ordering::SeqCst) {
-        thread::sleep(inner.config.supervise_interval);
+        thread::sleep(SUPERVISE_INTERVAL);
         let mut state = inner.state.lock();
         let timeout = inner.config.heartbeat_timeout;
         let dead: Vec<String> = state

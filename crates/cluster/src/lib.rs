@@ -44,10 +44,13 @@ mod tests {
     use invalidb_broker::Broker;
     use invalidb_common::GridShape;
     use invalidb_core::ClusterConfig;
-    use std::time::Duration;
+    use invalidb_net::frame::Frame;
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
 
     fn worker_config(name: &str, qp: usize, wp: usize) -> WorkerConfig {
-        WorkerConfig::new(name, ClusterConfig::builder(qp, wp).build().expect("valid config"))
+        WorkerConfig::new(name, ClusterConfig::new(qp, wp))
     }
 
     #[test]
@@ -125,5 +128,40 @@ mod tests {
         assert_eq!(table.cells_of("w2").len(), 4, "{}", table.render());
         coord.shutdown();
         w2.shutdown();
+    }
+
+    #[test]
+    fn a_malformed_assign_is_counted_and_the_hosted_cells_kept() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a stand-in coordinator");
+        let config = worker_config("w1", 1, 1);
+        let metrics = config.metrics.clone();
+        let worker = Worker::connect(listener.local_addr().unwrap().to_string(), Broker::new(), config);
+        let (mut coordinator, _) = listener.accept().expect("the worker dials in");
+        let mut assign = |epoch, query_partitions, write_partitions, cells: &[u32]| {
+            let cells = cells.iter().map(|&cell| (cell, "w1".to_owned())).collect();
+            let frame = Frame::Assign { epoch, query_partitions, write_partitions, cells };
+            coordinator.write_all(&frame.encode()).expect("send Assign");
+        };
+        let wait = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        };
+        let rejected = || metrics.snapshot().counters.get("worker.rejected_assigns").copied();
+
+        assign(1, 2, 1, &[0, 1]);
+        assert!(worker.wait_assigned(Duration::from_secs(5)));
+        // A zero grid dimension, then a cell outside the 2x1 grid.
+        assign(2, 0, 1, &[]);
+        assign(3, 2, 1, &[0, 2]);
+        wait("two rejected Assigns", &|| rejected() == Some(2));
+        assert_eq!((worker.epoch(), worker.cells()), (1, vec![0, 1]));
+        // The control thread lives on: a well-formed table still applies.
+        assign(4, 1, 1, &[0]);
+        wait("the table of epoch 4", &|| worker.cells() == [0]);
+        assert_eq!(worker.epoch(), 4);
+        worker.shutdown();
     }
 }

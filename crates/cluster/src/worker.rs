@@ -23,6 +23,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Interval between `CellState` reports (and the `MetricsReport` that
+/// follows them).
+const CELL_STATE_INTERVAL: Duration = Duration::from_secs(1);
+
 /// Worker tuning knobs.
 #[derive(Clone)]
 pub struct WorkerConfig {
@@ -34,8 +38,6 @@ pub struct WorkerConfig {
     /// Interval between `WorkerHeartbeat` frames. Must be well below the
     /// coordinator's heartbeat timeout.
     pub heartbeat_interval: Duration,
-    /// Interval between `CellState` reports.
-    pub cell_state_interval: Duration,
     /// Base configuration for the hosted topology; its grid dimensions are
     /// overwritten by each `Assign` frame.
     pub cluster: ClusterConfig,
@@ -44,13 +46,12 @@ pub struct WorkerConfig {
 }
 
 impl WorkerConfig {
-    /// Defaults: weight 1, 250 ms heartbeats, 1 s cell-state reports.
+    /// Defaults: weight 1, 250 ms heartbeats.
     pub fn new(name: impl Into<String>, cluster: ClusterConfig) -> WorkerConfig {
         WorkerConfig {
             name: name.into(),
             weight: 1,
             heartbeat_interval: Duration::from_millis(250),
-            cell_state_interval: Duration::from_secs(1),
             metrics: cluster.metrics.clone(),
             cluster,
         }
@@ -85,11 +86,15 @@ pub struct Worker {
 impl Worker {
     /// Starts a worker that dials `coordinator_addr` and hosts its assigned
     /// cells against `broker` (the shared event layer).
+    ///
+    /// Panics with the [`ClusterConfig::validate`] error when the base
+    /// cluster config is invalid.
     pub fn connect(
         coordinator_addr: impl Into<String>,
         broker: impl Into<BrokerHandle>,
         config: WorkerConfig,
     ) -> Worker {
+        config.cluster.validate().unwrap_or_else(|e| panic!("{e}"));
         let inner = Arc::new(WorkerInner {
             config,
             broker: broker.into(),
@@ -208,7 +213,7 @@ fn session(inner: &Arc<WorkerInner>, mut stream: TcpStream) {
                 return;
             }
         }
-        if last_cell_state.elapsed() >= inner.config.cell_state_interval {
+        if last_cell_state.elapsed() >= CELL_STATE_INTERVAL {
             last_cell_state = Instant::now();
             let epoch = inner.epoch.load(Ordering::SeqCst);
             let cells: Vec<usize> = inner.cells.lock().iter().copied().collect();
@@ -272,7 +277,7 @@ fn session(inner: &Arc<WorkerInner>, mut stream: TcpStream) {
                     // Report the new cell set immediately: the coordinator
                     // uses the first CellState at a fresh epoch to catch
                     // this worker up with a subscription replay.
-                    last_cell_state = Instant::now() - inner.config.cell_state_interval;
+                    last_cell_state = Instant::now() - CELL_STATE_INTERVAL;
                 }
                 Ok(Some(_)) => {}
                 Ok(None) => break,
@@ -293,6 +298,12 @@ fn handle_assign(
     write_partitions: u32,
     cells: Vec<(u32, String)>,
 ) {
+    let nodes = query_partitions as usize * write_partitions as usize;
+    if nodes == 0 || cells.iter().any(|&(cell, _)| cell as usize >= nodes) {
+        // No grid, or a cell outside it: keep the cells hosted now.
+        inner.config.metrics.inc("worker.rejected_assigns");
+        return;
+    }
     if epoch <= inner.epoch.load(Ordering::SeqCst) && inner.assigned.load(Ordering::SeqCst) {
         // Stale or duplicate table: epochs only move forward.
         return;

@@ -1,12 +1,13 @@
-//! Configuration validation shared by the builder APIs.
+//! The error of configuration validation.
 //!
-//! Both `AppServerConfig::builder()` (crates/client) and
-//! `ClusterConfig::builder()` (crates/core) validate their settings at
-//! construction time and report inconsistencies through this one error
-//! type, so the facade crate can surface a single configuration error
-//! regardless of which layer rejected the settings.
+//! `AppServerConfig::validate` (crates/client) and
+//! `ClusterConfig::validate` (crates/core) report an inconsistent setting
+//! through this one error type, so the facade crate can surface a single
+//! configuration error whichever layer rejected the settings. The
+//! components' `start` functions run the same checks and panic with its
+//! text.
 
-/// A configuration rejected at construction time.
+/// A rejected configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// Which setting (or pair of settings) was inconsistent.

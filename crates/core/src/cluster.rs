@@ -118,7 +118,11 @@ impl Cluster {
     /// layer — an in-process [`invalidb_broker::Broker`], a
     /// [`BrokerHandle`], or any other [`invalidb_broker::EventLayer`]
     /// implementation (e.g. `invalidb-net`'s TCP-backed `RemoteBroker`).
+    ///
+    /// Panics with the [`ClusterConfig::validate`] error on an invalid
+    /// config.
     pub fn start(broker: impl Into<BrokerHandle>, config: ClusterConfig) -> Cluster {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let grid = GridShape::new(config.query_partitions, config.write_partitions);
         Cluster::start_with_host(broker, config, CellSet::all(grid))
     }
@@ -131,11 +135,15 @@ impl Cluster {
     /// output from owned cells whose row is anchored elsewhere leaves
     /// through the per-row shuffle topic
     /// ([`invalidb_broker::shuffle_topic`]).
+    ///
+    /// Panics with the [`ClusterConfig::validate`] error on an invalid
+    /// config.
     pub fn start_with_host(
         broker: impl Into<BrokerHandle>,
         config: ClusterConfig,
         host: CellSet,
     ) -> Cluster {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let broker: BrokerHandle = broker.into();
         let grid = GridShape::new(config.query_partitions, config.write_partitions);
         let clock = Arc::new(SystemClock::new());
@@ -149,8 +157,8 @@ impl Cluster {
         let mut threads = Vec::new();
 
         // The queues: one per stage partition, one per owned cell.
-        let (sorting, sorting_rx) = queues(config.sorting_tasks.max(1));
-        let (aggregation, aggregation_rx) = queues(config.aggregation_tasks.max(1));
+        let (sorting, sorting_rx) = queues(config.sorting_tasks);
+        let (aggregation, aggregation_rx) = bounded(config.queue_capacity);
         let links = StageLinks { sorting, aggregation };
         let mut cells: Vec<Option<Sender<Event>>> = vec![None; grid.nodes()];
         let mut cells_rx = Vec::new();
@@ -225,12 +233,10 @@ impl Cluster {
             ));
         }
 
-        // Aggregation stage (extension, §8.1), partitioned by query.
-        for (task, rx) in aggregation_rx.into_iter().enumerate() {
-            let node = AggregationNode::new(clock.clone(), publisher.clone());
-            let name = format!("aggregation-{task}");
-            threads.push(spawn_task(name, rx, node, tick_interval, metrics, "aggregation"));
-        }
+        // Aggregation stage (extension, §8.1): one task.
+        let node = AggregationNode::new(clock.clone(), publisher.clone());
+        let name = "aggregation-0".into();
+        threads.push(spawn_task(name, aggregation_rx, node, tick_interval, metrics, "aggregation"));
 
         let registry = config.metrics.clone();
         // Optional admin plane. A failed bind does not abort the cluster
@@ -255,8 +261,8 @@ impl Cluster {
 
     /// Names of the pipeline threads, front to back: `ingress` (and one
     /// `shuffle-ingress` per anchored row on subset hosts), one
-    /// `cell-<qp>x<wp>` per hosted cell, then the `sorting-<n>` and
-    /// `aggregation-<n>` partitions.
+    /// `cell-<qp>x<wp>` per hosted cell, then the `sorting-<n>` partitions
+    /// and `aggregation-0`.
     pub fn pipeline_threads(&self) -> Vec<String> {
         self.threads.iter().map(|t| t.thread().name().unwrap_or_default().to_owned()).collect()
     }
@@ -272,7 +278,7 @@ impl Cluster {
     }
 
     /// The live registry this cluster reports into (shared with whatever
-    /// was passed via [`ClusterConfig::builder`]'s `metrics` setter).
+    /// was passed as [`ClusterConfig::metrics`]).
     pub fn registry(&self) -> MetricsRegistry {
         self.registry.clone()
     }
@@ -437,7 +443,7 @@ impl Ingress {
                         self.publisher.initial_result(req);
                     }
                     if req.spec.needs_aggregation_stage() {
-                        self.links.to_aggregation(req.query_hash, event.clone());
+                        self.links.to_aggregation(event.clone());
                         self.emitted.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -447,7 +453,7 @@ impl Ingress {
                 let qp = self.grid.query_partition(*query_hash);
                 if self.host.owns_row(qp) {
                     self.links.to_sorting(*query_hash, event.clone());
-                    self.links.to_aggregation(*query_hash, event.clone());
+                    self.links.to_aggregation(event.clone());
                     self.emitted.fetch_add(2, Ordering::Relaxed);
                 }
                 self.to_row(qp, &event);
@@ -524,7 +530,7 @@ impl Task<Bytes> for ShuffleIngress {
                 // the one that does not know the query ignores it.
                 let hash = fc.query_hash;
                 self.links.to_sorting(hash, Event::FilterChange(fc.clone()));
-                self.links.to_aggregation(hash, Event::FilterChange(fc));
+                self.links.to_aggregation(Event::FilterChange(fc));
                 self.emitted.fetch_add(2, Ordering::Relaxed);
             }
             None => {
@@ -565,7 +571,7 @@ mod tests {
         let grid = GridShape::new(1, 1);
         let (cell, cell_rx) = bounded(8);
         let (gone, _) = bounded(1);
-        let links = StageLinks { sorting: vec![gone.clone()], aggregation: vec![gone] };
+        let links = StageLinks { sorting: vec![gone.clone()], aggregation: gone };
         let decode_errors = Arc::new(AtomicU64::new(0));
         let mut ingress = Ingress::new(
             CellSet::all(grid),

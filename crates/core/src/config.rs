@@ -56,8 +56,6 @@ pub struct ClusterConfig {
     pub write_partitions: usize,
     /// Parallelism of the sorting stage (scaled independently, §5.2).
     pub sorting_tasks: usize,
-    /// Parallelism of the aggregation stage (extension, §8.1).
-    pub aggregation_tasks: usize,
     /// Write-stream retention time: how long matching nodes keep received
     /// after-images for replay on subscription (§5.1; Baqend runs a few
     /// seconds).
@@ -99,7 +97,6 @@ impl ClusterConfig {
             query_partitions,
             write_partitions,
             sorting_tasks: 2,
-            aggregation_tasks: 1,
             retention: Duration::from_secs(2),
             heartbeat_interval: Duration::from_millis(500),
             engine: Arc::new(MongoQueryEngine),
@@ -112,118 +109,27 @@ impl ClusterConfig {
         }
     }
 
-    /// A validating builder for the same settings; rejects inconsistent
-    /// combinations (zero partitions, zero queue capacity, …) at
-    /// construction time instead of panicking deep inside `Cluster::start`.
-    pub fn builder(query_partitions: usize, write_partitions: usize) -> ClusterConfigBuilder {
-        ClusterConfigBuilder { config: ClusterConfig::new(query_partitions, write_partitions) }
-    }
-
-    /// Overrides the query engine.
-    pub fn with_engine(mut self, engine: Arc<dyn QueryEngine>) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Overrides the retention window.
-    pub fn with_retention(mut self, retention: Duration) -> Self {
-        self.retention = retention;
-        self
-    }
-}
-
-/// Builder returned by [`ClusterConfig::builder`]. Each setter overrides
-/// one field; [`ClusterConfigBuilder::build`] validates the combination.
-#[derive(Debug, Clone)]
-pub struct ClusterConfigBuilder {
-    config: ClusterConfig,
-}
-
-impl ClusterConfigBuilder {
-    /// Sets the sorting-stage parallelism.
-    pub fn sorting_tasks(mut self, n: usize) -> Self {
-        self.config.sorting_tasks = n;
-        self
-    }
-
-    /// Sets the aggregation-stage parallelism.
-    pub fn aggregation_tasks(mut self, n: usize) -> Self {
-        self.config.aggregation_tasks = n;
-        self
-    }
-
-    /// Sets the write-stream retention window.
-    pub fn retention(mut self, retention: Duration) -> Self {
-        self.config.retention = retention;
-        self
-    }
-
-    /// Sets the heartbeat interval.
-    pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.config.heartbeat_interval = interval;
-        self
-    }
-
-    /// Sets the pluggable query engine.
-    pub fn engine(mut self, engine: Arc<dyn QueryEngine>) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Sets the per-task input queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the tasks' tick interval.
-    pub fn tick_interval(mut self, interval: Duration) -> Self {
-        self.config.tick_interval = interval;
-        self
-    }
-
-    /// Uses a shared metrics registry instead of a fresh one.
-    pub fn metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.config.metrics = metrics;
-        self
-    }
-
-    /// Binds the admin endpoint (`/metrics`, `/healthz`, `/queries`,
-    /// `/flight`) to the given address, e.g. `"127.0.0.1:0"`.
-    pub fn admin_addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.admin_addr = Some(addr.into());
-        self
-    }
-
-    /// Identifies the hosting worker process; sampled traces stamped by
-    /// this cluster then carry its name and live assignment epoch.
-    pub fn worker_identity(mut self, identity: WorkerIdentity) -> Self {
-        self.config.worker_identity = Some(identity);
-        self
-    }
-
-    /// Validates the settings and returns the config.
-    pub fn build(self) -> Result<ClusterConfig, ConfigError> {
-        let c = &self.config;
-        if c.query_partitions == 0 {
+    /// Checks the settings: at least one partition in each grid dimension
+    /// and one sorting task, a non-zero queue capacity and tick interval.
+    /// [`Cluster::start`](crate::Cluster::start) panics with the error's
+    /// text on a config this rejects; call it first to get a `Result`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.query_partitions == 0 {
             return Err(ConfigError::new("query_partitions", "must be at least 1"));
         }
-        if c.write_partitions == 0 {
+        if self.write_partitions == 0 {
             return Err(ConfigError::new("write_partitions", "must be at least 1"));
         }
-        if c.sorting_tasks == 0 {
+        if self.sorting_tasks == 0 {
             return Err(ConfigError::new("sorting_tasks", "must be at least 1"));
         }
-        if c.aggregation_tasks == 0 {
-            return Err(ConfigError::new("aggregation_tasks", "must be at least 1"));
-        }
-        if c.queue_capacity == 0 {
+        if self.queue_capacity == 0 {
             return Err(ConfigError::new("queue_capacity", "must be at least 1"));
         }
-        if c.tick_interval.is_zero() {
+        if self.tick_interval.is_zero() {
             return Err(ConfigError::new("tick_interval", "must be non-zero"));
         }
-        Ok(self.config)
+        Ok(())
     }
 }
 
@@ -245,44 +151,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_defaults_match_new() {
-        let built = ClusterConfig::builder(2, 3).build().unwrap();
-        let plain = ClusterConfig::new(2, 3);
-        assert_eq!(built.query_partitions, plain.query_partitions);
-        assert_eq!(built.write_partitions, plain.write_partitions);
-        assert_eq!(built.sorting_tasks, plain.sorting_tasks);
-        assert_eq!(built.retention, plain.retention);
-        assert_eq!(built.queue_capacity, plain.queue_capacity);
+    fn new_is_valid() {
+        assert_eq!(ClusterConfig::new(2, 3).validate(), Ok(()));
     }
 
     #[test]
-    fn builder_rejects_zero_partitions() {
-        let err = ClusterConfig::builder(0, 2).build().unwrap_err();
+    fn rejects_zero_partitions() {
+        let err = ClusterConfig::new(0, 2).validate().unwrap_err();
         assert_eq!(err.field, "query_partitions");
-        let err = ClusterConfig::builder(2, 0).build().unwrap_err();
+        let err = ClusterConfig::new(2, 0).validate().unwrap_err();
         assert_eq!(err.field, "write_partitions");
     }
 
     #[test]
-    fn builder_rejects_zero_parallelism_and_capacity() {
-        assert!(ClusterConfig::builder(1, 1).sorting_tasks(0).build().is_err());
-        assert!(ClusterConfig::builder(1, 1).aggregation_tasks(0).build().is_err());
-        assert!(ClusterConfig::builder(1, 1).queue_capacity(0).build().is_err());
-        assert!(ClusterConfig::builder(1, 1).tick_interval(Duration::ZERO).build().is_err());
+    fn rejects_zero_parallelism_and_capacity() {
+        let base = || ClusterConfig::new(1, 1);
+        assert!(ClusterConfig { sorting_tasks: 0, ..base() }.validate().is_err());
+        assert!(ClusterConfig { queue_capacity: 0, ..base() }.validate().is_err());
+        assert!(ClusterConfig { tick_interval: Duration::ZERO, ..base() }.validate().is_err());
     }
 
     #[test]
-    fn builder_setters_apply() {
-        let cfg = ClusterConfig::builder(1, 1)
-            .sorting_tasks(5)
-            .retention(Duration::from_secs(9))
-            .queue_capacity(64)
-            .admin_addr("127.0.0.1:0")
-            .build()
-            .unwrap();
-        assert_eq!(cfg.sorting_tasks, 5);
-        assert_eq!(cfg.retention, Duration::from_secs(9));
-        assert_eq!(cfg.queue_capacity, 64);
-        assert_eq!(cfg.admin_addr.as_deref(), Some("127.0.0.1:0"));
+    fn settings_beside_the_checked_ones_pass() {
+        let cfg = ClusterConfig {
+            sorting_tasks: 5,
+            retention: Duration::from_secs(9),
+            queue_capacity: 64,
+            admin_addr: Some("127.0.0.1:0".into()),
+            ..ClusterConfig::new(1, 1)
+        };
+        assert_eq!(cfg.validate(), Ok(()));
     }
 }

@@ -48,7 +48,7 @@ mod subscribers;
 pub mod window;
 
 pub use cluster::{CellSet, Cluster};
-pub use config::{ClusterConfig, ClusterConfigBuilder, WorkerIdentity};
+pub use config::{ClusterConfig, WorkerIdentity};
 pub use event::{Event, FilterChange, FilterChangeKind};
 pub use notifier::Publisher;
 pub use window::{SortedWindow, VisibleEvent, WindowOutcome};

@@ -1,4 +1,4 @@
-//! The queues in front of the sorting and aggregation partitions.
+//! The queues in front of the sorting partitions and the aggregation task.
 //!
 //! A staged query lives under a different key than the cell that matched
 //! for it — the cell is addressed by (query row, write column), the stage
@@ -12,27 +12,25 @@ use crossbeam::channel::Sender;
 use invalidb_common::partition::partition_of;
 use invalidb_common::QueryHash;
 
-/// Senders to every sorting and aggregation partition of this process.
+/// Senders to every sorting partition and the one aggregation task of this
+/// process.
 #[derive(Clone)]
 pub(crate) struct StageLinks {
     pub(crate) sorting: Vec<Sender<Event>>,
-    pub(crate) aggregation: Vec<Sender<Event>>,
+    pub(crate) aggregation: Sender<Event>,
 }
 
 impl StageLinks {
+    // Blocking sends: the bounded queue is the backpressure. A send only
+    // fails once the partition is gone (shutdown), and the event with it.
+
     /// Hands `event` to the sorting partition that owns `query`.
     pub(crate) fn to_sorting(&self, query: QueryHash, event: Event) {
-        send(&self.sorting, query, event);
+        let _ = self.sorting[partition_of(query.0, self.sorting.len())].send(event);
     }
 
-    /// Hands `event` to the aggregation partition that owns `query`.
-    pub(crate) fn to_aggregation(&self, query: QueryHash, event: Event) {
-        send(&self.aggregation, query, event);
+    /// Hands `event` to the aggregation task.
+    pub(crate) fn to_aggregation(&self, event: Event) {
+        let _ = self.aggregation.send(event);
     }
-}
-
-fn send(partitions: &[Sender<Event>], query: QueryHash, event: Event) {
-    // Blocking send: the bounded queue is the backpressure. It only fails
-    // once the partition is gone (shutdown), and the event with it.
-    let _ = partitions[partition_of(query.0, partitions.len())].send(event);
 }

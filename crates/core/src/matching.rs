@@ -408,7 +408,7 @@ impl Outputs {
                     links.to_sorting(hash, Event::FilterChange(change.clone()));
                 }
                 if query.to_aggregation {
-                    links.to_aggregation(hash, Event::FilterChange(change));
+                    links.to_aggregation(Event::FilterChange(change));
                 }
             }
             StagedOut::Shuffle { broker, topic, published } => {
@@ -736,7 +736,7 @@ impl MatchingNode {
         publisher: Publisher,
     ) -> (Self, crossbeam::channel::Receiver<Event>) {
         let (staged, queue) = crossbeam::channel::unbounded();
-        let links = StageLinks { sorting: vec![staged.clone()], aggregation: vec![staged] };
+        let links = StageLinks { sorting: vec![staged.clone()], aggregation: staged };
         let cell = Self::new(0, GridShape::new(1, 1), config, clock, publisher, StagedOut::Local(links));
         (cell, queue)
     }

@@ -501,7 +501,7 @@ mod tests {
         let wire = Wire::new(&config, &clock);
         let (to_node, queue) = unbounded();
         let (gone, _) = bounded(1);
-        let links = StageLinks { sorting: vec![to_node.clone()], aggregation: vec![gone] };
+        let links = StageLinks { sorting: vec![to_node.clone()], aggregation: gone };
         let grid = GridShape::new(1, 1);
         let errors = Arc::new(AtomicU64::new(0));
         let (cell_link, to_cell) = unbounded();
@@ -880,7 +880,10 @@ mod tests {
     /// sorting stage is the one that rejects it, once, to its subscriber.
     #[test]
     fn a_sort_the_engine_cannot_do_is_rejected_here() {
-        let kv = ClusterConfig::new(1, 1).with_engine(Arc::new(invalidb_query::KvQueryEngine));
+        let kv = ClusterConfig {
+            engine: Arc::new(invalidb_query::KvQueryEngine),
+            ..ClusterConfig::new(1, 1)
+        };
         let mut h = harness(kv);
         let spec = QuerySpec::filter("t", doc! { "c" => "x" }).sorted_by("n", SortDirection::Asc);
         h.send(subscribe_as(&spec, 1, 0, Vec::new()));

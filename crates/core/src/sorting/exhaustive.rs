@@ -167,7 +167,7 @@ impl Run {
             // No sequence reaches the retention horizon, so every retained
             // change stays a joiner's to replay.
             static SETUP: (ClusterConfig, Arc<dyn PreparedQuery>) = (
-                ClusterConfig::new(1, 1).with_retention(Duration::from_secs(60)),
+                ClusterConfig { retention: Duration::from_secs(60), ..ClusterConfig::new(1, 1) },
                 MongoQueryEngine.prepare(&top(LIMIT)).expect("a sorted query"),
             );
         }

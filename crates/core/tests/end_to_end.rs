@@ -595,8 +595,7 @@ fn fanout_corpus() -> Vec<ClusterMessage> {
 fn notify_streams(indexed: bool, corpus: &[ClusterMessage]) -> BTreeMap<u64, Vec<Bytes>> {
     let broker = Broker::new();
     let notify = broker.subscribe(&notify_topic(TENANT));
-    let mut cfg = ClusterConfig::builder(1, 1).sorting_tasks(1).build().unwrap();
-    cfg.multi_query_index = indexed;
+    let cfg = ClusterConfig { sorting_tasks: 1, multi_query_index: indexed, ..ClusterConfig::new(1, 1) };
     let cluster = Cluster::start(broker.clone(), cfg);
     for msg in corpus {
         publish(&broker, msg);
@@ -647,4 +646,10 @@ fn conjunctive_and_shared_shapes_notify_identically_to_force_scan() {
             }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "invalid config `queue_capacity`")]
+fn start_rejects_a_struct_literal_with_zero_queue_capacity() {
+    Cluster::start(Broker::new(), ClusterConfig { queue_capacity: 0, ..ClusterConfig::new(1, 1) });
 }

@@ -54,8 +54,6 @@ pub struct RemoteBrokerConfig {
     pub reconnect_base: Duration,
     /// Reconnect delay ceiling.
     pub reconnect_max: Duration,
-    /// Seed for backoff jitter (deterministic tests).
-    pub jitter_seed: u64,
     /// Registry the client reports into under `net.client.<client_name>.`:
     /// the link counters (`frames_in`, `frames_out`, `bytes_in`,
     /// `bytes_out`, `reconnects`, `decode_errors`, `dropped`) and the
@@ -75,7 +73,6 @@ impl Default for RemoteBrokerConfig {
             heartbeat_timeout: Duration::from_secs(2),
             reconnect_base: Duration::from_millis(50),
             reconnect_max: Duration::from_secs(2),
-            jitter_seed: 0x1DB1,
             metrics: MetricsRegistry::new(),
         }
     }
@@ -83,6 +80,9 @@ impl Default for RemoteBrokerConfig {
 
 /// How often blocked reads wake up to poll flags.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Seed of the reconnect backoff's jitter: fixed, so runs repeat.
+const JITTER_SEED: u64 = 0x1DB1;
 
 /// Most topic names a client shares among its publishes.
 const SHARED_TOPICS: usize = 16;
@@ -227,16 +227,6 @@ impl RemoteBroker {
         self.inner.acked.load(Ordering::SeqCst)
     }
 
-    /// Time since the last inbound frame from the server (any frame
-    /// proves liveness — the server heartbeats idle connections). Keeps
-    /// climbing across disconnects, so it is the health model's primary
-    /// partition signal; also published continuously as the gauge
-    /// `net.client.<client_name>.heartbeat_stale_ms`.
-    pub fn heartbeat_staleness(&self) -> Duration {
-        let last = self.inner.last_rx_micros.load(Ordering::Relaxed);
-        Duration::from_micros(now_micros().saturating_sub(last))
-    }
-
     /// Blocks until a session is established or `timeout` elapses.
     pub fn wait_connected(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
@@ -376,7 +366,7 @@ impl std::fmt::Debug for RemoteBroker {
 // ---------------------------------------------------------------------------
 
 fn supervise(inner: Arc<Inner>) {
-    let mut rng = StdRng::seed_from_u64(inner.config.jitter_seed);
+    let mut rng = StdRng::seed_from_u64(JITTER_SEED);
     let mut backoff = inner.config.reconnect_base;
     let flight = inner.config.metrics.flight();
     let name = inner.config.client_name.clone();

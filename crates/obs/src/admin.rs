@@ -37,6 +37,9 @@ use std::time::Duration;
 /// How often blocked reads/accepts wake up to poll the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// How many slow-query entries `/queries` returns.
+const SLOW_QUERY_TOP_K: usize = 32;
+
 /// A custom route handler: returns `(status, content type, body)`.
 pub type AdminRoute = Arc<dyn Fn() -> (u16, &'static str, String) + Send + Sync>;
 
@@ -47,8 +50,6 @@ pub struct AdminConfig {
     pub health: HealthPolicy,
     /// Cadence of the background health evaluator.
     pub eval_interval: Duration,
-    /// How many slow-query entries `/queries` returns.
-    pub slow_query_top_k: usize,
     /// Extra routes, consulted *before* the built-ins — a host can add
     /// endpoints (the coordinator's `/cluster`) or shadow a built-in (its
     /// federated `/metrics`). Exact-path match, GET only.
@@ -72,7 +73,6 @@ impl Default for AdminConfig {
         AdminConfig {
             health: HealthPolicy::default(),
             eval_interval: Duration::from_millis(250),
-            slow_query_top_k: 32,
             routes: Vec::new(),
         }
     }
@@ -83,7 +83,6 @@ impl std::fmt::Debug for AdminConfig {
         f.debug_struct("AdminConfig")
             .field("health", &self.health)
             .field("eval_interval", &self.eval_interval)
-            .field("slow_query_top_k", &self.slow_query_top_k)
             .field("routes", &self.routes.iter().map(|(p, _)| p.as_str()).collect::<Vec<_>>())
             .finish()
     }
@@ -318,7 +317,7 @@ fn route(request_line: &str, shared: &Shared) -> Option<(u16, &'static str, Stri
             Some((status, "application/json", report.to_json()))
         }
         "/queries" => {
-            let top = shared.registry.slow_queries().top_json(shared.config.slow_query_top_k);
+            let top = shared.registry.slow_queries().top_json(SLOW_QUERY_TOP_K);
             Some((200, "application/json", top))
         }
         "/flight" => Some((200, "application/json", shared.registry.flight().dump_json())),

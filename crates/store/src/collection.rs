@@ -150,11 +150,6 @@ impl Collection {
         Ok(())
     }
 
-    /// Names of existing indexes.
-    pub fn index_fields(&self) -> Vec<String> {
-        self.inner.read().indexes.keys().cloned().collect()
-    }
-
     /// Executes a prepared query: plan, filter, sort, offset, limit.
     /// Returns `(key, version, document)` triples in result order.
     pub fn find(&self, query: &dyn PreparedQuery) -> Vec<(Key, Version, Document)> {

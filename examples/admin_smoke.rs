@@ -24,18 +24,14 @@ fn main() {
     let registry = invalidb::MetricsRegistry::new();
     let cluster = Cluster::start(
         broker.clone(),
-        ClusterConfig::builder(2, 2)
-            .metrics(registry.clone())
-            .admin_addr(addr)
-            .build()
-            .expect("valid config"),
+        ClusterConfig { metrics: registry.clone(), admin_addr: Some(addr), ..ClusterConfig::new(2, 2) },
     );
     let admin = cluster.admin_addr().expect("admin endpoint bound");
     let app = AppServer::start(
         "smoke",
         Arc::clone(&store),
         broker.clone(),
-        AppServerConfig::builder().metrics(registry).build().expect("valid config"),
+        AppServerConfig { metrics: registry, ..AppServerConfig::default() },
     );
     let _sub = app
         .subscribe(&QuerySpec::filter("events", doc! { "n" => doc! { "$gte" => 0i64 } }))

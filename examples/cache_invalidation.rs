@@ -89,7 +89,7 @@ fn main() {
         "shop",
         Arc::clone(&store),
         broker.clone(),
-        AppServerConfig::builder().build().expect("valid config"),
+        AppServerConfig::default(),
     ));
     let cache = QueryCache::new(Arc::clone(&app));
 

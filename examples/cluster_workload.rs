@@ -37,12 +37,7 @@ fn main() {
         eprintln!("event layer at {event_addr} unreachable");
         std::process::exit(1);
     }
-    let app = AppServer::start(
-        "smoke",
-        Arc::clone(&store),
-        remote,
-        AppServerConfig::builder().build().expect("valid config"),
-    );
+    let app = AppServer::start("smoke", Arc::clone(&store), remote, AppServerConfig::default());
 
     let spec = QuerySpec::filter("readings", doc! { "hot" => true });
     let mut sub = app.subscribe(&spec).unwrap();

@@ -115,12 +115,8 @@ fn main() {
         },
     );
     assert!(remote.wait_connected(Duration::from_secs(5)), "event layer reachable");
-    let app = AppServer::start(
-        "distributed",
-        Arc::clone(&store),
-        remote.clone(),
-        AppServerConfig::builder().build().expect("valid config"),
-    );
+    let app =
+        AppServer::start("distributed", Arc::clone(&store), remote.clone(), AppServerConfig::default());
 
     for (name, age) in [("ada", 36i64), ("grace", 45), ("edsger", 28)] {
         app.insert("users", Key::of(name), doc! { "name" => name, "age" => age }).unwrap();

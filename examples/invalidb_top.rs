@@ -105,18 +105,18 @@ fn main() {
     let registry = invalidb::MetricsRegistry::new();
     let cluster = Cluster::start(
         broker.clone(),
-        ClusterConfig::builder(2, 2)
-            .metrics(registry.clone())
-            .admin_addr("127.0.0.1:0")
-            .build()
-            .expect("valid config"),
+        ClusterConfig {
+            metrics: registry.clone(),
+            admin_addr: Some("127.0.0.1:0".into()),
+            ..ClusterConfig::new(2, 2)
+        },
     );
     let admin = cluster.admin_addr().expect("admin endpoint bound");
     let app = AppServer::start(
         "top-demo",
         Arc::clone(&store),
         broker.clone(),
-        AppServerConfig::builder().metrics(registry.clone()).build().expect("valid config"),
+        AppServerConfig { metrics: registry.clone(), ..AppServerConfig::default() },
     );
     let _sub = app
         .subscribe(&QuerySpec::filter("sensors", doc! { "value" => doc! { "$gte" => 50i64 } }))

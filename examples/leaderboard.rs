@@ -24,12 +24,7 @@ fn main() {
     let store = Arc::new(Store::new());
     let broker = Broker::new();
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(2, 2));
-    let app = AppServer::start(
-        "game",
-        Arc::clone(&store),
-        broker.clone(),
-        AppServerConfig::builder().build().expect("valid config"),
-    );
+    let app = AppServer::start("game", Arc::clone(&store), broker.clone(), AppServerConfig::default());
 
     let mut rng = StdRng::seed_from_u64(42);
     let players = ["ada", "bob", "cyd", "dee", "eli", "fay", "gus", "hal", "ivy", "joe"];

@@ -23,12 +23,7 @@ fn main() {
     let store = Arc::new(Store::new());
     let broker = Broker::new();
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(2, 2));
-    let app = AppServer::start(
-        "shop",
-        Arc::clone(&store),
-        broker.clone(),
-        AppServerConfig::builder().build().expect("valid config"),
-    );
+    let app = AppServer::start("shop", Arc::clone(&store), broker.clone(), AppServerConfig::default());
 
     let open = doc! { "status" => "open" };
     let metrics: Vec<(&str, QuerySpec)> = vec![

@@ -31,13 +31,21 @@ fn main() -> Result<(), invalidb::Error> {
     // 3. The InvaliDB cluster: a 2x2 grid of matching nodes — two query
     //    partitions (scales #queries) x two write partitions (scales write
     //    throughput).
-    let cluster =
-        Cluster::start(broker.clone(), ClusterConfig::builder(2, 2).metrics(metrics.clone()).build()?);
+    //    A config is a plain struct; `validate` reports what `start` would
+    //    panic on.
+    let cluster_config = ClusterConfig { metrics: metrics.clone(), ..ClusterConfig::new(2, 2) };
+    cluster_config.validate()?;
+    let cluster = Cluster::start(broker.clone(), cluster_config);
 
     // 4. The application server: unified pull/push interface for clients.
-    //    `trace_sample_every(1)` traces every write (production would
+    //    `trace_sample_every: 1` traces every write (production would
     //    sample, e.g. 1-in-1000).
-    let config = AppServerConfig::builder().trace_sample_every(1).metrics(metrics.clone()).build()?;
+    let config = AppServerConfig {
+        trace_sample_every: 1,
+        metrics: metrics.clone(),
+        ..AppServerConfig::default()
+    };
+    config.validate()?;
     let app = AppServer::start("quickstart", Arc::clone(&store), broker.clone(), config);
 
     // Seed some data through the app server (writes forward after-images to

@@ -18,12 +18,8 @@ fn main() {
     let store = Arc::new(Store::new());
     let broker = Broker::new();
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(2, 2));
-    let app = AppServer::start(
-        "twoogle",
-        Arc::clone(&store),
-        broker.clone(),
-        AppServerConfig::builder().build().expect("valid config"),
-    );
+    let app =
+        AppServer::start("twoogle", Arc::clone(&store), broker.clone(), AppServerConfig::default());
 
     // Three live searches, each far beyond Firebase/Firestore expressiveness.
     let searches: Vec<(&str, QuerySpec)> = vec![

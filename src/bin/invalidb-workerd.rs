@@ -76,8 +76,7 @@ fn main() {
 
     // The grid dimensions in the base config are placeholders; every
     // Assign frame carries the authoritative shape.
-    let cluster_config = ClusterConfig::builder(1, 1).build().expect("valid base config");
-    let mut config = WorkerConfig::new(opts.name.clone(), cluster_config);
+    let mut config = WorkerConfig::new(opts.name.clone(), ClusterConfig::new(1, 1));
     config.weight = opts.weight;
     let worker = Worker::connect(opts.coordinator.clone(), remote, config);
 

@@ -30,11 +30,12 @@
 //!
 //! The recommended surface, re-exported here at the top level:
 //!
-//! * Configuration through validating builders —
-//!   [`AppServerConfig::builder`](client::AppServerConfig::builder) and
-//!   [`ClusterConfig::builder`](core::ClusterConfig::builder) — which
-//!   reject inconsistent settings at construction time instead of
-//!   panicking deep inside the pipeline.
+//! * Configuration as plain structs, built from their defaults with
+//!   struct-update syntax. [`AppServer::start`] and [`Cluster::start`]
+//!   check every config they are given and panic with the rule it breaks;
+//!   [`AppServerConfig::validate`](client::AppServerConfig::validate) and
+//!   [`ClusterConfig::validate`](core::ClusterConfig::validate) return the
+//!   same [`ConfigError`](common::ConfigError) up front.
 //! * One [`Error`] type for every client-facing operation
 //!   (`subscribe`, `find`, the write methods), with [`From`] conversions
 //!   so `?` works across the store/config boundary.
@@ -70,7 +71,7 @@
 //! * `/flight` — the [`FlightRecorder`]'s ring of recent pipeline events
 //!   (reconnects, queue drops, decode errors, health transitions).
 //!
-//! Bind it with `ClusterConfig::builder(..).admin_addr("127.0.0.1:9464")`
+//! Bind it with `ClusterConfig { admin_addr: Some("127.0.0.1:9464".into()), .. }`
 //! (and the analogous `AppServerConfig` / `BrokerServerConfig` settings);
 //! see `examples/invalidb_top.rs` for a live terminal dashboard built on
 //! `/metrics` and the README's "Operations" runbook for the full tour.
@@ -91,15 +92,13 @@ pub use invalidb_sim as sim;
 pub use invalidb_store as store;
 pub use invalidb_stream as stream;
 
-pub use invalidb_client::{
-    AppServer, AppServerConfig, AppServerConfigBuilder, ClientEvent, Error, Events, Subscription,
-};
+pub use invalidb_client::{AppServer, AppServerConfig, ClientEvent, Error, Events, Subscription};
 pub use invalidb_common::{
     doc, AfterImage, ChangeItem, Document, Key, MatchType, Notification, NotificationKind,
     NotifyEnvelope, QueryHash, QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId, TenantId,
     TraceContext, Value, Version,
 };
-pub use invalidb_core::{Cluster, ClusterConfig, ClusterConfigBuilder};
+pub use invalidb_core::{Cluster, ClusterConfig};
 pub use invalidb_obs::{
     AdminConfig, AdminServer, FlightEvent, FlightEventKind, FlightRecorder, HealthMonitor, HealthPolicy,
     HealthReport, HealthStatus, MetricsRegistry, MetricsSnapshot, SlowQueryEntry, SlowQueryLog,

@@ -33,7 +33,7 @@ fn thread_census_per_grid_shape() {
     cluster.shutdown();
 
     // 2×2: one thread per cell, the stages as configured.
-    let config = ClusterConfig::builder(2, 2).sorting_tasks(1).build().unwrap();
+    let config = ClusterConfig { sorting_tasks: 1, ..ClusterConfig::new(2, 2) };
     let cluster = Cluster::start(broker.clone(), config);
     assert_eq!(
         cluster.pipeline_threads(),
@@ -63,12 +63,12 @@ fn heartbeats_and_retention_keep_their_cadence_under_a_write_firehose() {
     const FIREHOSE: Duration = Duration::from_millis(1_500);
     let heartbeat_interval = Duration::from_millis(100);
     let retention = Duration::from_millis(300);
-    let config = ClusterConfig::builder(1, 1)
-        .heartbeat_interval(heartbeat_interval)
-        .tick_interval(Duration::from_millis(10))
-        .retention(retention)
-        .build()
-        .unwrap();
+    let config = ClusterConfig {
+        heartbeat_interval,
+        tick_interval: Duration::from_millis(10),
+        retention,
+        ..ClusterConfig::new(1, 1)
+    };
     let broker = Broker::new();
     let notify = broker.subscribe(&notify_topic(TENANT));
     let cluster = Cluster::start(broker.clone(), config);

@@ -80,11 +80,11 @@ fn sigkill_failover_loses_no_subscriptions() {
         "failover",
         Arc::clone(&store),
         broker.clone(),
-        AppServerConfig::builder()
-            .write_replay_buffer(2048)
-            .renewals_per_sec(100.0)
-            .build()
-            .expect("valid config"),
+        AppServerConfig {
+            write_replay_buffer: 2048,
+            renewals_per_sec: 100.0,
+            ..AppServerConfig::default()
+        },
     ));
     let spec = QuerySpec::filter("readings", doc! { "hot" => true });
     let mut sub = app.subscribe(&spec).expect("subscribe");

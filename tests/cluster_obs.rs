@@ -99,13 +99,13 @@ fn cluster_observability_end_to_end() {
         "obs",
         Arc::clone(&store),
         broker.clone(),
-        AppServerConfig::builder()
-            .write_replay_buffer(2048)
-            .renewals_per_sec(100.0)
-            .trace_sample_every(1)
-            .metrics(app_registry.clone())
-            .build()
-            .expect("valid config"),
+        AppServerConfig {
+            write_replay_buffer: 2048,
+            renewals_per_sec: 100.0,
+            trace_sample_every: 1,
+            metrics: app_registry.clone(),
+            ..AppServerConfig::default()
+        },
     );
     let spec = QuerySpec::filter("readings", doc! { "hot" => true });
     let mut sub = app.subscribe(&spec).expect("subscribe");

@@ -118,7 +118,7 @@ fn pluggable_kv_engine_end_to_end() {
     use invalidb::query::KvQueryEngine;
     let store = Arc::new(Store::with_engine(Arc::new(KvQueryEngine)));
     let broker = Broker::new();
-    let cfg = ClusterConfig::new(2, 2).with_engine(Arc::new(KvQueryEngine));
+    let cfg = ClusterConfig { engine: Arc::new(KvQueryEngine), ..ClusterConfig::new(2, 2) };
     let cluster = Cluster::start(broker.clone(), cfg);
     let app = AppServer::start("kv", Arc::clone(&store), broker.clone(), AppServerConfig::default());
 

@@ -254,7 +254,7 @@ fn cluster_and_both_link_ends_report_into_one_registry() {
             ..RemoteBrokerConfig::default()
         },
     );
-    let config = ClusterConfig::builder(1, 1).metrics(registry.clone()).build().expect("valid config");
+    let config = ClusterConfig { metrics: registry.clone(), ..ClusterConfig::new(1, 1) };
     let cluster = Cluster::start(link.clone(), config);
     // The cluster's topic subscription is acknowledged only by a server
     // that is serving (and reporting) this connection.
@@ -309,7 +309,7 @@ fn cluster_and_both_link_ends_report_into_one_registry() {
 fn cluster_counters_stay_monotonic_across_a_rebuild() {
     let registry = MetricsRegistry::new();
     let broker = Broker::new();
-    let config = ClusterConfig::builder(1, 1).metrics(registry.clone()).build().expect("valid config");
+    let config = ClusterConfig { metrics: registry.clone(), ..ClusterConfig::new(1, 1) };
     let app =
         AppServer::start("rebuild", Arc::new(Store::new()), broker.clone(), AppServerConfig::default());
     let processed =

@@ -52,10 +52,13 @@ fn in_process_trace_covers_pipeline_with_monotone_stamps() {
     let metrics = MetricsRegistry::new();
     let cluster = Cluster::start(
         broker.clone(),
-        ClusterConfig::builder(2, 2).metrics(metrics.clone()).build().unwrap(),
+        ClusterConfig { metrics: metrics.clone(), ..ClusterConfig::new(2, 2) },
     );
-    let config =
-        AppServerConfig::builder().trace_sample_every(1).metrics(metrics.clone()).build().unwrap();
+    let config = AppServerConfig {
+        trace_sample_every: 1,
+        metrics: metrics.clone(),
+        ..AppServerConfig::default()
+    };
     let app = AppServer::start("obs", Arc::clone(&store), broker.clone(), config);
 
     let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
@@ -91,7 +94,7 @@ fn tcp_trace_adds_the_broker_stamp() {
     let metrics = MetricsRegistry::new();
     let cluster = Cluster::start(
         broker.clone(),
-        ClusterConfig::builder(1, 2).metrics(metrics.clone()).build().unwrap(),
+        ClusterConfig { metrics: metrics.clone(), ..ClusterConfig::new(1, 2) },
     );
     let server_config = BrokerServerConfig { metrics: metrics.clone(), ..BrokerServerConfig::default() };
     let server = BrokerServer::bind("127.0.0.1:0", broker, server_config).expect("bind event layer");
@@ -102,8 +105,11 @@ fn tcp_trace_adds_the_broker_stamp() {
         RemoteBrokerConfig { client_name: "obs-trace-test".into(), ..Default::default() },
     );
     assert!(remote.wait_connected(Duration::from_secs(5)));
-    let config =
-        AppServerConfig::builder().trace_sample_every(1).metrics(metrics.clone()).build().unwrap();
+    let config = AppServerConfig {
+        trace_sample_every: 1,
+        metrics: metrics.clone(),
+        ..AppServerConfig::default()
+    };
     let app = AppServer::start("obs-tcp", Arc::clone(&store), remote.clone(), config);
 
     let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
