@@ -52,10 +52,10 @@ pub fn notify_topic(tenant: &str) -> String {
     format!("invalidb.notify.{tenant}")
 }
 
-/// Topic carrying staged (sorted/aggregate) partial results for one query
-/// partition row: matching cells hosted on a worker that does *not* own
-/// the row publish their `FilterChange`s here, and the row owner folds
-/// them into its sorting/aggregation stages.
+/// Topic carrying staged (sorted) partial results for one query partition
+/// row: matching cells hosted on a worker that does *not* own the row
+/// publish their `FilterChange`s here, and the row owner folds them into
+/// its sorting stage.
 pub fn shuffle_topic(query_partition: usize) -> String {
     format!("invalidb.shuffle.q{query_partition}")
 }

@@ -5,11 +5,11 @@
 //!
 //! [`collapse`] reduces a batch of change notifications to its *net effect*:
 //! for every key only the final state survives, intermediate hot-key churn
-//! disappears, and add→remove pairs cancel entirely. Aggregate updates
-//! collapse to the latest value. Events carrying sorted-query indices pass
-//! through untouched — index-based edit scripts are sequential and must not
-//! be reordered; hotspot mitigation for sorted queries happens naturally,
-//! since only window-crossing writes reach the client at all.
+//! disappears, and add→remove pairs cancel entirely. Events carrying
+//! sorted-query indices pass through untouched — index-based edit scripts
+//! are sequential and must not be reordered; hotspot mitigation for sorted
+//! queries happens naturally, since only window-crossing writes reach the
+//! client at all.
 
 use crate::server::ClientEvent;
 use invalidb_common::{ChangeItem, Key, MatchType, ResultItem};
@@ -36,7 +36,6 @@ pub fn collapse(events: Vec<ClientEvent>) -> Vec<ClientEvent> {
     let mut out: Vec<ClientEvent> = Vec::new();
     // (key, state) in last-touched order; batches are small, linear is fine.
     let mut keys: Vec<(Key, KeyState)> = Vec::new();
-    let mut latest_aggregate: Option<ClientEvent> = None;
     for ev in events {
         match ev {
             ClientEvent::Change(c) if c.item.index.is_none() && c.old_index.is_none() => {
@@ -73,7 +72,6 @@ pub fn collapse(events: Vec<ClientEvent>) -> Vec<ClientEvent> {
                     }
                 }
             }
-            ClientEvent::Aggregate { .. } => latest_aggregate = Some(ev),
             // Initial results, errors, connection loss and index-carrying
             // (sorted) events pass through in place.
             other => out.push(other),
@@ -107,9 +105,6 @@ pub fn collapse(events: Vec<ClientEvent>) -> Vec<ClientEvent> {
             Arc::new(change)
         };
         out.push(ClientEvent::Change(change));
-    }
-    if let Some(agg) = latest_aggregate {
-        out.push(agg);
     }
     out
 }
@@ -238,16 +233,6 @@ mod tests {
             kinds(&out),
             vec![(MatchType::Add, "\"b\"".into()), (MatchType::Add, "\"a\"".into())]
         );
-    }
-
-    #[test]
-    fn aggregates_collapse_to_latest() {
-        let events = vec![
-            ClientEvent::Aggregate { value: Value::Int(1), count: 1 },
-            ClientEvent::Aggregate { value: Value::Int(5), count: 3 },
-        ];
-        let out = collapse(events);
-        assert_eq!(out, vec![ClientEvent::Aggregate { value: Value::Int(5), count: 3 }]);
     }
 
     #[test]

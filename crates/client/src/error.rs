@@ -21,9 +21,6 @@ pub enum Error {
     Store(StoreError),
     /// A configuration value was rejected (builder validation).
     Config(ConfigError),
-    /// The query cannot run as a real-time query (e.g. combining
-    /// aggregation with sort/limit/offset).
-    BadQuery(String),
 }
 
 impl std::fmt::Display for Error {
@@ -31,7 +28,6 @@ impl std::fmt::Display for Error {
         match self {
             Error::Store(e) => write!(f, "store error: {e}"),
             Error::Config(e) => write!(f, "{e}"),
-            Error::BadQuery(reason) => write!(f, "bad query: {reason}"),
         }
     }
 }
@@ -41,7 +37,6 @@ impl std::error::Error for Error {
         match self {
             Error::Store(e) => Some(e),
             Error::Config(e) => Some(e),
-            Error::BadQuery(_) => None,
         }
     }
 }

@@ -6,8 +6,8 @@
 //! it once, in one pass over a borrowed [`LazyDoc`] view, and materializes
 //! only what the [`NotifyEnvelope`] keeps — the id list (straight into the
 //! dispatcher's reused `Vec`, through [`decode_notify_into`]), an item's key
-//! and record, an initial result's records, an aggregate's value, the
-//! trace. No document of the envelope or of its items is built on the way.
+//! and record, an initial result's records, the trace. No document of the
+//! envelope or of its items is built on the way.
 //!
 //! Contract, as for the cluster topic at the ingress: a payload decodes to
 //! exactly what `NotifyEnvelope::from_document(payload_to_document(..))`
@@ -83,13 +83,6 @@ pub fn decode_notify_into(
                 lazy.fields(["tenant", "subscriptions", "writeAt", "type", "trace", "error"]).ok()?;
             let reason = wire::optional(error, LazyValue::as_str)?.unwrap_or("unknown").to_owned();
             ([tenant, ids, write_at, trace], NotificationKind::Error(MaintenanceError { reason }))
-        }
-        "aggregate" => {
-            let names = ["tenant", "subscriptions", "writeAt", "type", "trace", "value", "count"];
-            let [tenant, ids, write_at, _, trace, value, count] = lazy.fields(names).ok()?;
-            let value = value.map_or(Ok(invalidb_common::Value::Null), |v| v.materialize()).ok()?;
-            let count = wire::optional(count, LazyValue::as_i64)?.unwrap_or(0) as u64;
-            ([tenant, ids, write_at, trace], NotificationKind::Aggregate { value, count })
         }
         change => {
             let match_type = MatchType::parse_str(change)?;
@@ -199,7 +192,6 @@ mod tests {
                 NotificationKind::InitialResult { items: vec![item(Some(0)), item(Some(1))] },
             ),
             envelope(vec![1], NotificationKind::Error(MaintenanceError { reason: "slack".into() })),
-            envelope(vec![1], NotificationKind::Aggregate { value: Value::Float(4.5), count: 3 }),
         ]
     }
 

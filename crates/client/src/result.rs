@@ -142,9 +142,6 @@ impl LiveResult {
             NotificationKind::Change(change) => self.apply_change(&Arc::new(change.clone())),
             // Keep the last valid state; the renewal delta follows.
             NotificationKind::Error(_) => self.degraded = true,
-            // Aggregate values are not item lists; handled at the
-            // subscription level (`Subscription::aggregate`).
-            NotificationKind::Aggregate { .. } => {}
         }
     }
 
@@ -155,7 +152,7 @@ impl LiveResult {
             ClientEvent::Initial(items) => self.reset(items),
             ClientEvent::Change(change) => self.apply_change(change),
             ClientEvent::MaintenanceError(_) => self.degraded = true,
-            ClientEvent::ConnectionLost | ClientEvent::Aggregate { .. } => {}
+            ClientEvent::ConnectionLost => {}
         }
     }
 
@@ -326,7 +323,6 @@ mod tests {
             NotificationKind::InitialResult { items } => ClientEvent::Initial(items),
             NotificationKind::Change(change) => ClientEvent::Change(Arc::new(change)),
             NotificationKind::Error(e) => ClientEvent::MaintenanceError(e.reason),
-            NotificationKind::Aggregate { value, count } => ClientEvent::Aggregate { value, count },
         }
     }
 

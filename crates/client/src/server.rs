@@ -147,13 +147,6 @@ pub enum ClientEvent {
     /// Cluster heartbeats stopped: the subscription is terminated. Clients
     /// may resubscribe or fall back to pull-based queries.
     ConnectionLost,
-    /// Updated value of a real-time aggregate query (extension, §8.1).
-    Aggregate {
-        /// Current aggregate value.
-        value: invalidb_common::Value,
-        /// Number of currently matching records.
-        count: u64,
-    },
 }
 
 struct SubEntry {
@@ -192,16 +185,6 @@ impl SubEntry {
             renewal: false,
         }
     }
-}
-
-/// The query whose result seeds a registration: the spec rewritten for
-/// `slack` (§5.2). Aggregate queries bootstrap from the plain matching set:
-/// the aggregation stage computes the value; the store just supplies the
-/// records.
-fn bootstrap(spec: &QuerySpec, slack: u64) -> QuerySpec {
-    let mut query = spec.rewrite_for_bootstrap(slack);
-    query.aggregate = None;
-    query
 }
 
 /// A subscription waiting in one of the keeper's queues, with the time it
@@ -632,18 +615,13 @@ impl AppServer {
     /// Subscribes to a real-time query. The first event is the initial
     /// result; every subsequent event is an incremental update.
     pub fn subscribe(&self, spec: &QuerySpec) -> Result<Subscription, Error> {
-        if spec.needs_aggregation_stage() && spec.needs_sorting_stage() {
-            return Err(Error::BadQuery(
-                "aggregate queries cannot be combined with sort/limit/offset".into(),
-            ));
-        }
         let id = SubscriptionId::generate();
         // Hash from normalized query attributes, memoized for the
         // subscription lifetime (§5.1).
         let normalized = normalize_spec(spec);
         let query_hash = normalized.stable_hash();
         let slack = if spec.needs_sorting_stage() { self.config.default_slack } else { 0 };
-        let initial = self.store.execute(&bootstrap(spec, slack))?;
+        let initial = self.store.execute(&spec.rewrite_for_bootstrap(slack))?;
         let (tx, rx) = unbounded();
         let entry = SubEntry {
             spec: spec.clone(),
@@ -662,13 +640,7 @@ impl AppServer {
             FlightEventKind::Subscribe,
             format!("{} sub={} {}", self.tenant, id.0, spec.collection),
         );
-        Ok(Subscription {
-            id,
-            rx,
-            result: crate::LiveResult::new(),
-            latest_aggregate: None,
-            last_trace: None,
-        })
+        Ok(Subscription { id, rx, result: crate::LiveResult::new(), last_trace: None })
     }
 
     /// Cancels a subscription so it stops consuming cluster resources.
@@ -798,7 +770,7 @@ impl Keeper {
                 // slack (capped), so delete-heavy queries stop thrashing the
                 // database with re-executions.
                 let slack = (entry.slack * 2).clamp(1, self.config.max_slack);
-                (queued, slack, bootstrap(&entry.spec, slack))
+                (queued, slack, entry.spec.rewrite_for_bootstrap(slack))
             };
             let Ok(initial) = self.store.execute(&query) else {
                 // The renewal stays wanted: back in line, flag still set.
@@ -976,14 +948,12 @@ impl Dispatcher {
         // stray Change proves the pump is alive but cannot repair a live
         // result whose initial was lost (sorted top-k especially), so it
         // must not cancel the at-least-once re-register.
-        let confirms =
-            matches!(kind, NotificationKind::InitialResult { .. } | NotificationKind::Aggregate { .. });
+        let confirms = matches!(kind, NotificationKind::InitialResult { .. });
         let renews = matches!(kind, NotificationKind::Error(_));
         let event = match kind {
             NotificationKind::InitialResult { items } => ClientEvent::Initial(items),
             NotificationKind::Change(change) => ClientEvent::Change(Arc::new(change)),
             NotificationKind::Error(e) => ClientEvent::MaintenanceError(e.reason),
-            NotificationKind::Aggregate { value, count } => ClientEvent::Aggregate { value, count },
         };
         let mut table = self.shared.subs.lock();
         // Notification-staleness SLO: save → notify, per tenant, for every
@@ -1122,7 +1092,6 @@ pub struct Subscription {
     id: SubscriptionId,
     rx: Receiver<(ClientEvent, Option<TraceContext>)>,
     result: crate::LiveResult,
-    latest_aggregate: Option<(invalidb_common::Value, u64)>,
     last_trace: Option<TraceContext>,
 }
 
@@ -1169,9 +1138,6 @@ impl Subscription {
         if let Some(t) = trace {
             self.last_trace = Some(t);
         }
-        if let ClientEvent::Aggregate { value, count } = &event {
-            self.latest_aggregate = Some((value.clone(), *count));
-        }
         self.result.apply_event(&event);
         event
     }
@@ -1179,11 +1145,6 @@ impl Subscription {
     /// The locally maintained result.
     pub fn result(&self) -> &crate::LiveResult {
         &self.result
-    }
-
-    /// Latest value of an aggregate subscription, as `(value, match count)`.
-    pub fn aggregate(&self) -> Option<&(invalidb_common::Value, u64)> {
-        self.latest_aggregate.as_ref()
     }
 
     /// The stage trace of the most recent sampled event delivered to this
@@ -1497,7 +1458,6 @@ mod tests {
             id: SubscriptionId(0),
             rx,
             result: crate::LiveResult::new(),
-            latest_aggregate: None,
             last_trace: None,
         };
         drop(tx);

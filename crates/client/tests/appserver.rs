@@ -311,62 +311,6 @@ fn slack_grows_adaptively_with_renewals() {
 }
 
 #[test]
-fn aggregate_queries_end_to_end() {
-    use invalidb_common::{AggregateOp, Value};
-    let (_broker, _store, cluster, app) = setup(2, 2);
-    for (id, price) in [(1i64, 10i64), (2, 30), (3, 20)] {
-        app.insert("orders", Key::of(id), doc! { "price" => price, "open" => true }).unwrap();
-    }
-    // Live SUM(price) over open orders.
-    let spec =
-        QuerySpec::filter("orders", doc! { "open" => true }).aggregated(AggregateOp::Sum, Some("price"));
-    let mut sub = app.subscribe(&spec).unwrap();
-    match sub.events().timeout(Duration::from_secs(5)).next().expect("initial aggregate") {
-        ClientEvent::Aggregate { value, count } => {
-            assert_eq!(value, Value::Int(60));
-            assert_eq!(count, 3);
-        }
-        other => panic!("expected aggregate, got {other:?}"),
-    }
-    // New matching order raises the sum.
-    app.insert("orders", Key::of(4i64), doc! { "price" => 40i64, "open" => true }).unwrap();
-    match sub.events().timeout(Duration::from_secs(5)).next().expect("sum update") {
-        ClientEvent::Aggregate { value, count } => {
-            assert_eq!(value, Value::Int(100));
-            assert_eq!(count, 4);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-    // Closing an order (update-out of the filter) lowers it.
-    app.update(
-        "orders",
-        Key::of(2i64),
-        &UpdateSpec::from_document(&doc! { "$set" => doc! { "open" => false } }).unwrap(),
-    )
-    .unwrap();
-    match sub.events().timeout(Duration::from_secs(5)).next().expect("sum drop") {
-        ClientEvent::Aggregate { value, count } => {
-            assert_eq!(value, Value::Int(70));
-            assert_eq!(count, 3);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-    assert_eq!(sub.aggregate(), Some(&(Value::Int(70), 3)));
-
-    // Irrelevant writes do not notify.
-    app.insert("other", Key::of(1i64), doc! { "x" => 1i64 }).unwrap();
-    std::thread::sleep(Duration::from_millis(300));
-    assert!(sub.events().non_blocking().next().is_none());
-
-    // Combining aggregate with sort is rejected at subscribe.
-    let bad = QuerySpec::filter("orders", doc! {})
-        .sorted_by("price", SortDirection::Asc)
-        .aggregated(AggregateOp::Count, None);
-    assert!(app.subscribe(&bad).is_err());
-    cluster.shutdown();
-}
-
-#[test]
 fn coalesced_receive_collapses_hot_key_churn() {
     let (_broker, _store, cluster, app) = setup(1, 1);
     let spec = QuerySpec::filter("hot", doc! { "n" => doc! { "$gte" => 0i64 } });

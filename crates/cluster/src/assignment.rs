@@ -166,7 +166,7 @@ impl Placement for RoundRobin {
 
 /// Row-affinity placement, informed by hypergraph-partitioning work on
 /// transactional workloads: cells of one query-partition row exchange
-/// staged (sorted/aggregate) output with the row anchor `(qp, 0)`, so
+/// staged (sorted) output with the row anchor `(qp, 0)`, so
 /// co-locating a row on one worker eliminates that shuffle traffic. Each
 /// orphan goes to the worker already hosting the most cells of its row,
 /// falling back to weighted least-loaded when the row has no incumbent.

@@ -9,7 +9,7 @@
 //!   (`WorkerHeartbeat`, configurable timeout), and epoch-numbered
 //!   [`AssignmentTable`]s mapping every grid cell to a worker process,
 //!   pushed as `Assign` frames;
-//! * **remote workers** ([`Worker`]) host matching/sorting/aggregation
+//! * **remote workers** ([`Worker`]) host matching/sorting
 //!   stages for their assigned cells as an
 //!   [`invalidb_core::Cluster`] over a [`invalidb_core::CellSet`];
 //! * **application servers** stay unchanged except for epoch awareness:

@@ -40,7 +40,7 @@ pub use notify::{
     NotificationKind, NotifyEnvelope, ResultItem,
 };
 pub use partition::{fnv1a64, stable_hash64, Fnv1a};
-pub use query_spec::{AggregateOp, AggregateSpec, QuerySpec, SortDirection, SortSpec, SpecError};
+pub use query_spec::{QuerySpec, SortDirection, SortSpec, SpecError};
 pub use string::Str;
 pub use trace::{Stage, StageStamp, TraceContext, ALL_STAGES, MAX_PLAUSIBLE_HOP_MICROS};
 pub use value::{canonical_cmp, canonical_eq, CanonicalSink, Value};

@@ -145,14 +145,6 @@ pub enum NotificationKind {
     /// server should renew it by re-executing the rewritten query
     /// (rate-limited by the poll frequency limit).
     Error(MaintenanceError),
-    /// Updated value of a real-time aggregate query (extension, §8.1).
-    Aggregate {
-        /// Current aggregate value (`Null` when no record matches and the
-        /// aggregate has no identity, e.g. min/max/avg of an empty set).
-        value: Value,
-        /// Number of currently matching records.
-        count: u64,
-    },
 }
 
 /// A notification as one subscription sees it.
@@ -274,10 +266,6 @@ impl NotifyEnvelope {
             "error" => NotificationKind::Error(MaintenanceError {
                 reason: d.get("error").and_then(Value::as_str).unwrap_or("unknown").to_owned(),
             }),
-            "aggregate" => NotificationKind::Aggregate {
-                value: take(&mut d, "value").map_or(Value::Null, Cow::into_owned),
-                count: d.get("count").and_then(Value::as_i64).unwrap_or(0) as u64,
-            },
             other => {
                 let match_type = MatchType::parse_str(other)
                     .ok_or_else(|| decode_err("unknown notification type"))?;
@@ -382,13 +370,6 @@ pub enum KindRef<'a> {
     },
     /// See [`NotificationKind::Error`].
     Error(&'a str),
-    /// See [`NotificationKind::Aggregate`].
-    Aggregate {
-        /// Current aggregate value.
-        value: &'a Value,
-        /// Number of currently matching records.
-        count: u64,
-    },
 }
 
 impl<'a> From<&'a NotificationKind> for KindRef<'a> {
@@ -403,7 +384,6 @@ impl<'a> From<&'a NotificationKind> for KindRef<'a> {
                 old_index: change.old_index,
             },
             NotificationKind::Error(err) => KindRef::Error(&err.reason),
-            NotificationKind::Aggregate { value, count } => KindRef::Aggregate { value, count: *count },
         }
     }
 }
@@ -430,7 +410,6 @@ impl EnvelopeRef<'_> {
         let kind_fields = match &self.kind {
             KindRef::Initial(_) | KindRef::Error(_) => 1,
             KindRef::Change { old_index, .. } => 1 + usize::from(old_index.is_some()),
-            KindRef::Aggregate { .. } => 2,
         };
         w.begin_object(4 + kind_fields + usize::from(self.trace.is_some()));
         w.key("tenant");
@@ -467,13 +446,6 @@ impl EnvelopeRef<'_> {
                 w.str("error");
                 w.key("error");
                 w.str(reason);
-            }
-            KindRef::Aggregate { value, count } => {
-                w.str("aggregate");
-                w.key("value");
-                w.value(value);
-                w.key("count");
-                w.int(*count as i64);
             }
         }
         if let Some(trace) = self.trace {
@@ -586,19 +558,6 @@ mod tests {
             subscription: SubscriptionId(7),
             kind: NotificationKind::Error(MaintenanceError { reason: "slack exhausted".into() }),
             caused_by_write_at: 0,
-            trace: None,
-        };
-        let back = Notification::from_document(&n.to_document()).unwrap();
-        assert_eq!(n, back);
-    }
-
-    #[test]
-    fn aggregate_roundtrip() {
-        let n = Notification {
-            tenant: TenantId::new("app"),
-            subscription: SubscriptionId(3),
-            kind: NotificationKind::Aggregate { value: Value::Float(4.5), count: 12 },
-            caused_by_write_at: 9,
             trace: None,
         };
         let back = Notification::from_document(&n.to_document()).unwrap();

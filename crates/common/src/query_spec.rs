@@ -44,57 +44,6 @@ impl SortDirection {
 /// Ordered list of `(field path, direction)` sort keys.
 pub type SortSpec = Vec<(String, SortDirection)>;
 
-/// Aggregation function for real-time aggregate queries (an *extension*
-/// beyond the paper's production scope — §8.1 names aggregations as future
-/// work to be added "through additional processing stages").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateOp {
-    /// Number of matching records.
-    Count,
-    /// Sum of a numeric field over matching records.
-    Sum,
-    /// Arithmetic mean of a numeric field.
-    Avg,
-    /// Smallest value of a field (canonical order).
-    Min,
-    /// Largest value of a field (canonical order).
-    Max,
-}
-
-impl AggregateOp {
-    /// Wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AggregateOp::Count => "count",
-            AggregateOp::Sum => "sum",
-            AggregateOp::Avg => "avg",
-            AggregateOp::Min => "min",
-            AggregateOp::Max => "max",
-        }
-    }
-
-    /// Parses the wire name.
-    pub fn parse_str(s: &str) -> Option<Self> {
-        match s {
-            "count" => Some(AggregateOp::Count),
-            "sum" => Some(AggregateOp::Sum),
-            "avg" => Some(AggregateOp::Avg),
-            "min" => Some(AggregateOp::Min),
-            "max" => Some(AggregateOp::Max),
-            _ => None,
-        }
-    }
-}
-
-/// A real-time aggregate over the matching set of a filter query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregateSpec {
-    /// The aggregation function.
-    pub op: AggregateOp,
-    /// Field the function applies to (`None` only for `Count`).
-    pub field: Option<String>,
-}
-
 /// A collection-based query in wire form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
@@ -108,34 +57,12 @@ pub struct QuerySpec {
     pub limit: Option<u64>,
     /// Number of leading results to skip.
     pub offset: u64,
-    /// Real-time aggregate over the matching set (extension, §8.1); mutually
-    /// exclusive with sort/limit/offset.
-    pub aggregate: Option<AggregateSpec>,
 }
 
 impl QuerySpec {
     /// Unsorted filter query over a collection.
     pub fn filter(collection: impl Into<String>, filter: Document) -> Self {
-        Self {
-            collection: collection.into(),
-            filter,
-            sort: Vec::new(),
-            limit: None,
-            offset: 0,
-            aggregate: None,
-        }
-    }
-
-    /// Turns the query into a real-time aggregate (builder style). Use
-    /// `field: None` only with [`AggregateOp::Count`].
-    pub fn aggregated(mut self, op: AggregateOp, field: Option<&str>) -> Self {
-        self.aggregate = Some(AggregateSpec { op, field: field.map(str::to_owned) });
-        self
-    }
-
-    /// Whether the query needs the aggregation stage (extension, §8.1).
-    pub fn needs_aggregation_stage(&self) -> bool {
-        self.aggregate.is_some()
+        Self { collection: collection.into(), filter, sort: Vec::new(), limit: None, offset: 0 }
     }
 
     /// Adds a sort key (builder style).
@@ -182,12 +109,6 @@ impl QuerySpec {
         }
         bytes.extend_from_slice(&self.limit.unwrap_or(u64::MAX).to_be_bytes());
         bytes.extend_from_slice(&self.offset.to_be_bytes());
-        if let Some(agg) = &self.aggregate {
-            bytes.extend_from_slice(agg.op.as_str().as_bytes());
-            if let Some(field) = &agg.field {
-                bytes.extend_from_slice(field.as_bytes());
-            }
-        }
         QueryHash(stable_hash64(&bytes))
     }
 
@@ -223,14 +144,6 @@ impl QuerySpec {
         if self.offset > 0 {
             d.insert("offset", self.offset as i64);
         }
-        if let Some(agg) = &self.aggregate {
-            let mut a = Document::with_capacity(2);
-            a.insert("op", agg.op.as_str());
-            if let Some(field) = &agg.field {
-                a.insert("field", field.clone());
-            }
-            d.insert("aggregate", a);
-        }
         d
     }
 
@@ -239,8 +152,7 @@ impl QuerySpec {
     /// position with its last direction, as that document holds it.
     pub fn write_to(&self, w: &mut impl FieldWriter) {
         let first = |i: usize| self.sort[..i].iter().all(|(field, _)| *field != self.sort[i].0);
-        let fields =
-            [!self.sort.is_empty(), self.limit.is_some(), self.offset > 0, self.aggregate.is_some()];
+        let fields = [!self.sort.is_empty(), self.limit.is_some(), self.offset > 0];
         w.begin_object(2 + fields.iter().filter(|f| **f).count());
         w.key("collection");
         w.str(&self.collection);
@@ -263,17 +175,6 @@ impl QuerySpec {
         if self.offset > 0 {
             w.key("offset");
             w.int(self.offset as i64);
-        }
-        if let Some(agg) = &self.aggregate {
-            w.key("aggregate");
-            w.begin_object(1 + usize::from(agg.field.is_some()));
-            w.key("op");
-            w.str(agg.op.as_str());
-            if let Some(field) = &agg.field {
-                w.key("field");
-                w.str(field);
-            }
-            w.end_object();
         }
         w.end_object();
     }
@@ -318,23 +219,12 @@ impl QuerySpec {
                 .ok_or(SpecError::new("`offset` must be a non-negative integer"))?
                 as u64,
         };
-        let aggregate = match d.get("aggregate") {
-            None => None,
-            Some(v) => {
-                let a = v.as_object().ok_or(SpecError::new("`aggregate` must be an object"))?;
-                let op = a
-                    .get("op")
-                    .and_then(Value::as_str)
-                    .and_then(AggregateOp::parse_str)
-                    .ok_or(SpecError::new("unknown aggregate op"))?;
-                let field = a.get("field").and_then(Value::as_str).map(str::to_owned);
-                if field.is_none() && op != AggregateOp::Count {
-                    return Err(SpecError::new("aggregate op requires a `field`"));
-                }
-                Some(AggregateSpec { op, field })
-            }
-        };
-        Ok(Self { collection, filter, sort, limit, offset, aggregate })
+        // Aggregate queries are not served: running one as its plain
+        // filter would push whole records to a client that asked for a value.
+        if d.get("aggregate").is_some() {
+            return Err(SpecError::new("aggregate queries are not supported"));
+        }
+        Ok(Self { collection, filter, sort, limit, offset })
     }
 }
 
@@ -452,6 +342,14 @@ mod tests {
         assert!(QuerySpec::from_document(&d).is_err());
         let d = doc! { "collection" => "t", "filter" => doc! {}, "sort" => doc! { "a" => 7i64 } };
         assert!(QuerySpec::from_document(&d).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_an_aggregate_instead_of_running_its_filter() {
+        let agg = doc! { "op" => "sum", "field" => "price" };
+        let d = doc! { "collection" => "t", "filter" => doc! {}, "aggregate" => agg };
+        let err = QuerySpec::from_document(&d).unwrap_err();
+        assert!(err.message.contains("aggregate"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A [`TraceContext`] is a lightweight trace id plus an ordered list of
 //! stage timestamps. It rides inside the message envelopes (`ClusterMessage`
 //! on the way in, `Notification` on the way out) so a single write can be
-//! followed app-server → broker → ingestion → matching → sorting/aggregation
-//! → delivery, and every notification can report a per-stage latency
+//! followed app-server → broker → ingestion → matching → sorting →
+//! delivery, and every notification can report a per-stage latency
 //! breakdown. Tracing is sampled (typically 1-in-N writes) and the context
 //! is `Option`-al everywhere, so the untraced fast path carries only a
 //! `None` discriminant.
@@ -33,8 +33,6 @@ pub enum Stage {
     Matching,
     /// A sorting task updated the maintained result.
     Sorting,
-    /// An aggregation task folded the change into its running aggregate.
-    Aggregation,
     /// The notifier serialized the notification onto the event layer.
     Notifier,
     /// The application server delivered the event to the subscriber.
@@ -42,13 +40,12 @@ pub enum Stage {
 }
 
 /// Every stage, in pipeline order. Useful for rendering breakdown tables.
-pub const ALL_STAGES: [Stage; 8] = [
+pub const ALL_STAGES: [Stage; 7] = [
     Stage::AppServer,
     Stage::Broker,
     Stage::Ingestion,
     Stage::Matching,
     Stage::Sorting,
-    Stage::Aggregation,
     Stage::Notifier,
     Stage::Delivery,
 ];
@@ -62,7 +59,6 @@ impl Stage {
             Stage::Ingestion => "ingestion",
             Stage::Matching => "matching",
             Stage::Sorting => "sorting",
-            Stage::Aggregation => "aggregation",
             Stage::Notifier => "notifier",
             Stage::Delivery => "delivery",
         }
@@ -76,7 +72,6 @@ impl Stage {
             "ingestion" => Stage::Ingestion,
             "matching" => Stage::Matching,
             "sorting" => Stage::Sorting,
-            "aggregation" => Stage::Aggregation,
             "notifier" => Stage::Notifier,
             "delivery" => Stage::Delivery,
             _ => return None,

@@ -18,10 +18,13 @@
 //!   boundary, and `stable_hash`, the canonical bytes and write partitions
 //!   of string keys are pinned to vectors taken from the encoder as it was
 //!   while string values were heap `String`s.
+//! * A [`QuerySpec`]'s `stable_hash` picks its query-partition row and its
+//!   sorting partition, so it is pinned to literal values for an empty
+//!   filter, a two-atom filter and a sorted window with limit and offset.
 
 use invalidb_common::{
-    canonical_cmp, stable_hash64, CanonicalSink, Document, DocumentBuilder, FieldWriter, Fnv1a,
-    GridShape, Key, Str, Value,
+    canonical_cmp, doc, stable_hash64, CanonicalSink, Document, DocumentBuilder, FieldWriter, Fnv1a,
+    GridShape, Key, QuerySpec, SortDirection, Str, Value,
 };
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -405,4 +408,30 @@ fn string_keys_route_as_they_did_when_strings_were_heap_allocated() {
         "0400000000000000030300000000000000026162010000000000000001030000000000\
          00001e787878787878787878787878787878787878787878787878787878787878"
     );
+}
+
+#[test]
+fn query_hashes_place_queries_where_they_were_pinned() {
+    let pinned = [
+        (QuerySpec::filter("items", Document::new()), 0x17b012aed9c41f99, [0, 0, 0, 0]),
+        (
+            QuerySpec::filter("items", doc! { "a" => 1i64, "b" => doc! { "$gte" => 2i64 } }),
+            0x3624cbc37b7235ac,
+            [0, 0, 1, 1],
+        ),
+        (
+            QuerySpec::filter("items", doc! { "b" => doc! { "$lt" => 9i64 } })
+                .sorted_by("b", SortDirection::Desc)
+                .with_limit(10)
+                .with_offset(2),
+            0x8a355fae840f5121,
+            [1, 1, 2, 4],
+        ),
+    ];
+    for (spec, hash, rows) in &pinned {
+        let got = spec.stable_hash();
+        let routed = [2, 3, 5, 8].map(|qp| GridShape::new(qp, 1).query_partition(got));
+        assert_eq!(got.0, *hash, "{spec}");
+        assert_eq!(routed, *rows, "{spec}");
+    }
 }

@@ -1,28 +1,27 @@
-//! Cluster assembly: the ingress, the matching grid and the sorting and
-//! aggregation stages as hand-wired tasks between two event-layer topics.
+//! Cluster assembly: the ingress, the matching grid and the sorting stage
+//! as hand-wired tasks between two event-layer topics.
 //!
 //! ```text
 //!  event layer ──► ingress ──┬──► cell (qp, wp) ──► event layer   (unsorted: encode + publish)
 //!  "invalidb.cluster"        │         │
 //!                            │         ▼
-//!                            └──► sorting / aggregation partition ──► event layer
+//!                            └──► sorting partition ──► event layer
 //! ```
 //!
 //! A queue stands only where the paper has a boundary: in front of a cell
 //! (the QP × WP grid is what partitions the work) and in front of a
-//! sorting/aggregation partition (keyed by query hash, a different key than
-//! the cell's). Everything else — decode and partition hashing in the
+//! sorting partition (keyed by query hash, a different key than the
+//! cell's). Everything else — decode and partition hashing in the
 //! ingress; index probe, predicate evaluation, notify encode and publish in
 //! the cell — is a function call on the thread that has the message.
 //!
 //! Which cells run here is a [`CellSet`]: the classic in-process
 //! deployment hosts [`CellSet::all`], while a multi-process worker hosts
 //! its assigned subset — only those cells exist here, and staged
-//! (sorted/aggregate) output from cells whose query-partition row lives on
+//! (sorted) output from cells whose query-partition row lives on
 //! another worker is published by the cell to the row's shuffle topic
 //! instead of an in-process queue.
 
-use crate::aggregation::AggregationNode;
 use crate::config::{ClusterConfig, WorkerIdentity};
 use crate::event::{Event, FilterChange, WriteEvent};
 use crate::links::StageLinks;
@@ -80,7 +79,7 @@ impl CellSet {
     }
 
     /// True when query-partition row `qp` is *anchored* here: the row owner
-    /// hosts the row's sorting/aggregation state and emits its initial
+    /// hosts the row's sorting state and emits its initial
     /// results. By convention the owner of cell `(qp, 0)` owns the row.
     fn owns_row(&self, qp: usize) -> bool {
         qp < self.grid.query_partitions && self.owns_cell(self.grid.task_index(GridCoord { qp, wp: 0 }))
@@ -105,7 +104,7 @@ pub struct Cluster {
     /// the task that reads it.
     inputs: Vec<Subscription>,
     /// The pipeline threads, front to back: ingress (and shuffle ingress),
-    /// cells, stage partitions. Joined in this order on shutdown.
+    /// cells, sorting partitions. Joined in this order on shutdown.
     threads: Vec<JoinHandle<()>>,
     grid: GridShape,
     decode_errors: Arc<AtomicU64>,
@@ -131,7 +130,7 @@ impl Cluster {
     ///
     /// With [`CellSet::all`] this is exactly [`Cluster::start`]. With a
     /// subset only the owned cells are spawned and fed, initial results
-    /// and the sorting/aggregation stages serve only owned rows, and staged
+    /// and the sorting stage serves only owned rows, and staged
     /// output from owned cells whose row is anchored elsewhere leaves
     /// through the per-row shuffle topic
     /// ([`invalidb_broker::shuffle_topic`]).
@@ -156,10 +155,9 @@ impl Cluster {
         };
         let mut threads = Vec::new();
 
-        // The queues: one per stage partition, one per owned cell.
+        // The queues: one per sorting partition, one per owned cell.
         let (sorting, sorting_rx) = queues(config.sorting_tasks);
-        let (aggregation, aggregation_rx) = bounded(config.queue_capacity);
-        let links = StageLinks { sorting, aggregation };
+        let links = StageLinks { sorting };
         let mut cells: Vec<Option<Sender<Event>>> = vec![None; grid.nodes()];
         let mut cells_rx = Vec::new();
         for task in (0..grid.nodes()).filter(|&task| host.owns_cell(task)) {
@@ -170,7 +168,7 @@ impl Cluster {
 
         // Ingress: decodes event-layer payloads, answers subscriptions with
         // their initial result, and hands every event straight to the cells
-        // and stage partitions that own it. Its queue is its subscription.
+        // and sorting partitions that own it. Its queue is its subscription.
         let input = broker.subscribe(CLUSTER_TOPIC);
         let ingress =
             Ingress::new(host.clone(), cells, links.clone(), publisher.clone(), &config, &decode_errors);
@@ -233,11 +231,6 @@ impl Cluster {
             ));
         }
 
-        // Aggregation stage (extension, §8.1): one task.
-        let node = AggregationNode::new(clock.clone(), publisher.clone());
-        let name = "aggregation-0".into();
-        threads.push(spawn_task(name, aggregation_rx, node, tick_interval, metrics, "aggregation"));
-
         let registry = config.metrics.clone();
         // Optional admin plane. A failed bind does not abort the cluster
         // (the pipeline is the product; the admin endpoint is a window into
@@ -261,18 +254,18 @@ impl Cluster {
 
     /// Names of the pipeline threads, front to back: `ingress` (and one
     /// `shuffle-ingress` per anchored row on subset hosts), one
-    /// `cell-<qp>x<wp>` per hosted cell, then the `sorting-<n>` partitions
-    /// and `aggregation-0`.
+    /// `cell-<qp>x<wp>` per hosted cell, then the `sorting-<n>` partitions.
     pub fn pipeline_threads(&self) -> Vec<String> {
         self.threads.iter().map(|t| t.thread().name().unwrap_or_default().to_owned()).collect()
     }
 
     /// A point-in-time snapshot of every cluster metric: per-stage latency
     /// histograms (when tracing is enabled), matched/filtered/dropped
-    /// counters, per-partition gauges, and the per-component
-    /// `cluster.<component>.{processed,emitted,ticks,queue_depth}` series of
-    /// the `ingress`, `matching`, `sorting` and `aggregation` tasks (and
-    /// `shuffle` on subset hosts that anchor a row).
+    /// counters, per-partition gauges, the per-component
+    /// `cluster.<component>.{processed,ticks,queue_depth}` series of the
+    /// `ingress`, `matching` and `sorting` tasks (and `shuffle` on subset
+    /// hosts that anchor a row), and `cluster.{ingress,shuffle}.emitted`,
+    /// the events those two hand on.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -341,12 +334,9 @@ impl Drop for Cluster {
     }
 }
 
-/// Runs one pipeline task on its own thread, reporting under
-/// `cluster.<component>`: the [`task::Series`] `processed`, `ticks` and
-/// `queue_depth`, and `emitted`, created here so every component exports the
-/// same four series (the ingress and the shuffle ingress count the events
-/// they hand on into it; the stages publish instead). All four exist before
-/// the thread starts.
+/// Runs one pipeline task on its own thread, reporting the
+/// [`task::Series`] `processed`, `ticks` and `queue_depth` under
+/// `cluster.<component>`, all three created before the thread starts.
 fn spawn_task<M: Send + 'static>(
     name: String,
     rx: Receiver<M>,
@@ -355,9 +345,7 @@ fn spawn_task<M: Send + 'static>(
     metrics: &MetricsRegistry,
     component: &str,
 ) -> JoinHandle<()> {
-    let prefix = format!("cluster.{component}");
-    metrics.counter(&format!("{prefix}.emitted"));
-    let series = task::Series::new(metrics, &prefix);
+    let series = task::Series::new(metrics, &format!("cluster.{component}"));
     std::thread::Builder::new()
         .name(name)
         .spawn(move || task::run(&rx, &mut node, tick_interval, &series))
@@ -383,7 +371,7 @@ pub(crate) struct Ingress {
     decode_errors: Arc<AtomicU64>,
     decode_error_count: Arc<AtomicU64>,
     traced_writes: Arc<AtomicU64>,
-    /// `cluster.ingress.emitted`: events handed to a cell or a stage
+    /// `cluster.ingress.emitted`: events handed to a cell or a sorting
     /// partition.
     emitted: Arc<AtomicU64>,
 }
@@ -416,7 +404,7 @@ impl Ingress {
     /// Two-dimensional routing (§5.1): a write goes to the hosted cells of
     /// its write partition's column, a query to the hosted cells of its
     /// query partition's row — and, where the row is anchored here, to the
-    /// stage partition that owns it.
+    /// sorting partition that owns it.
     fn route(&self, event: Event) {
         match &event {
             Event::Write(write) => {
@@ -428,12 +416,12 @@ impl Ingress {
                 let qp = self.grid.query_partition(req.query_hash);
                 // Only the row owner answers: the same subscription reaches
                 // every worker with a cell in the row. The initial result is
-                // on the notify topic before any cell or stage partition
+                // on the notify topic before any cell or sorting partition
                 // has the request, so no change notification overtakes it —
                 // but a sorted query's is its sorting partition's to
                 // publish, on the thread that publishes the query's edits:
                 // a renewer's old window may still address it until then.
-                // The stage partition comes before the cells, so it knows
+                // The sorting partition comes before the cells, so it knows
                 // the query before any of their filter changes arrives.
                 if self.host.owns_row(qp) {
                     if req.spec.needs_sorting_stage() {
@@ -442,10 +430,6 @@ impl Ingress {
                     } else {
                         self.publisher.initial_result(req);
                     }
-                    if req.spec.needs_aggregation_stage() {
-                        self.links.to_aggregation(event.clone());
-                        self.emitted.fetch_add(1, Ordering::Relaxed);
-                    }
                 }
                 self.to_row(qp, &event);
             }
@@ -453,8 +437,7 @@ impl Ingress {
                 let qp = self.grid.query_partition(*query_hash);
                 if self.host.owns_row(qp) {
                     self.links.to_sorting(*query_hash, event.clone());
-                    self.links.to_aggregation(event.clone());
-                    self.emitted.fetch_add(2, Ordering::Relaxed);
+                    self.emitted.fetch_add(1, Ordering::Relaxed);
                 }
                 self.to_row(qp, &event);
             }
@@ -508,14 +491,14 @@ impl Task<Bytes> for Ingress {
 }
 
 /// Receives the staged output other workers publish for one row anchored
-/// here and hands it to the local stage partitions.
+/// here and hands it to the local sorting partitions.
 #[derive(Clone)]
 struct ShuffleIngress {
     links: StageLinks,
     decode_errors: Arc<AtomicU64>,
     /// `shuffle.ingress`: changes handed on.
     ingested: Arc<AtomicU64>,
-    /// `cluster.shuffle.emitted`: events handed to a stage partition.
+    /// `cluster.shuffle.emitted`: events handed to a sorting partition.
     emitted: Arc<AtomicU64>,
     /// `shuffle.decode_errors`.
     decode_error_count: Arc<AtomicU64>,
@@ -526,12 +509,8 @@ impl Task<Bytes> for ShuffleIngress {
         match FilterChange::decode(&payload) {
             Some(fc) => {
                 self.ingested.fetch_add(1, Ordering::Relaxed);
-                // The change does not say which stage its query lives in;
-                // the one that does not know the query ignores it.
-                let hash = fc.query_hash;
-                self.links.to_sorting(hash, Event::FilterChange(fc.clone()));
-                self.links.to_aggregation(Event::FilterChange(fc));
-                self.emitted.fetch_add(2, Ordering::Relaxed);
+                self.links.to_sorting(fc.query_hash, Event::FilterChange(fc));
+                self.emitted.fetch_add(1, Ordering::Relaxed);
             }
             None => {
                 self.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -571,7 +550,7 @@ mod tests {
         let grid = GridShape::new(1, 1);
         let (cell, cell_rx) = bounded(8);
         let (gone, _) = bounded(1);
-        let links = StageLinks { sorting: vec![gone.clone()], aggregation: gone };
+        let links = StageLinks { sorting: vec![gone] };
         let decode_errors = Arc::new(AtomicU64::new(0));
         let mut ingress = Ingress::new(
             CellSet::all(grid),

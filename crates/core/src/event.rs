@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// One message on a task's input queue. Payloads are shared, not copied: a
 /// write goes to every cell of its column, a subscription to every cell of
-/// its row and to its stage partition.
+/// its row (a sorted one to its sorting partition too).
 #[derive(Debug, Clone)]
 pub enum Event {
     /// Activate a real-time query (carries the full initial result).
@@ -38,7 +38,7 @@ pub enum Event {
     },
     /// A write from the write stream, still in the bytes it arrived as.
     Write(WriteEvent),
-    /// Filtering-stage output destined for the sorting/aggregation stage.
+    /// Filtering-stage output destined for the sorting stage.
     FilterChange(FilterChange),
 }
 

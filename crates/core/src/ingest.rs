@@ -276,6 +276,20 @@ mod tests {
         }
     }
 
+    /// A subscribe whose query asks for an aggregate (a field older builds
+    /// wrote) is malformed rather than run as its plain filter.
+    #[test]
+    fn a_subscribe_for_an_aggregate_is_rejected() {
+        let subscribe = sample_messages().swap_remove(2);
+        let mut d = subscribe.to_document();
+        let Some(Value::Object(query)) = d.get_mut("query") else { panic!("no query in {d:?}") };
+        query.insert("aggregate", doc! { "op" => "count" });
+        let payload = WireCodec.encode(&d);
+        assert_eq!(decode_cluster_payload(&payload), None);
+        assert_eq!(oracle(&payload), None);
+        assert!(decode_event_with(payload, TenantId::new).is_none());
+    }
+
     /// No writer repeats a field, so a payload that does is malformed, at
     /// the root and inside the record alike, to the ingress and the oracle.
     #[test]

@@ -13,9 +13,9 @@
 //!                 ▼                 ▼
 //!          [matching grid QP × WP]        one task per cell: probe, evaluate,
 //!                 │            │           encode, publish (§5.1)
-//!        sorted / │            │ unsorted
-//!       aggregate ▼            │
-//!   [sorting / aggregation]    │           per-query order (§5.2)
+//!          sorted │            │ unsorted
+//!                 ▼            │
+//!            [sorting]         │           per-query order (§5.2)
 //!                 │            │
 //!                 ▼            ▼
 //!        event layer (topics "invalidb.notify.*")
@@ -34,7 +34,6 @@
 //!   when the slack is exhausted, and catches a renewer's own window up
 //!   with the query's retained changes.
 
-pub mod aggregation;
 pub mod cluster;
 pub mod config;
 pub mod event;

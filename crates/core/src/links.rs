@@ -1,9 +1,9 @@
-//! The queues in front of the sorting partitions and the aggregation task.
+//! The queues in front of the sorting partitions.
 //!
-//! A staged query lives under a different key than the cell that matched
-//! for it — the cell is addressed by (query row, write column), the stage
+//! A sorted query lives under a different key than the cell that matched
+//! for it — the cell is addressed by (query row, write column), the sorting
 //! partition by the query hash alone — so this is one of the places where
-//! the cluster keeps a queue. Whoever has something for a stage partition
+//! the cluster keeps a queue. Whoever has something for a sorting partition
 //! (the ingress for control events, a cell or the shuffle ingress for
 //! filter changes) sends it here.
 
@@ -12,12 +12,10 @@ use crossbeam::channel::Sender;
 use invalidb_common::partition::partition_of;
 use invalidb_common::QueryHash;
 
-/// Senders to every sorting partition and the one aggregation task of this
-/// process.
+/// Senders to every sorting partition of this process.
 #[derive(Clone)]
 pub(crate) struct StageLinks {
     pub(crate) sorting: Vec<Sender<Event>>,
-    pub(crate) aggregation: Sender<Event>,
 }
 
 impl StageLinks {
@@ -27,10 +25,5 @@ impl StageLinks {
     /// Hands `event` to the sorting partition that owns `query`.
     pub(crate) fn to_sorting(&self, query: QueryHash, event: Event) {
         let _ = self.sorting[partition_of(query.0, self.sorting.len())].send(event);
-    }
-
-    /// Hands `event` to the aggregation task.
-    pub(crate) fn to_aggregation(&self, event: Event) {
-        let _ = self.aggregation.send(event);
     }
 }

@@ -108,10 +108,9 @@ struct Query {
     /// The compiled filter, and nothing else of the query: its atoms when
     /// it decomposes, so there is no second form of it to hold.
     filter: Box<dyn PreparedFilter>,
-    /// Which downstream stages consume this query's transitions; neither
-    /// for self-maintainable filter queries.
+    /// Whether the sorting stage consumes this query's transitions; not for
+    /// self-maintainable filter queries.
     to_sorting: bool,
-    to_aggregation: bool,
 }
 
 /// One active query on this node (shared by all its subscriptions). Its
@@ -123,7 +122,7 @@ struct QueryGroup {
     /// keys within the bootstrap horizon, not the client-visible result.
     result: HashMap<Key, Version>,
     subscriptions: Subscribers,
-    /// When the group formed: what its stage partition retained starts here.
+    /// When the group formed: what its sorting partition retained starts here.
     since: Timestamp,
 }
 
@@ -369,10 +368,10 @@ impl Record for Written<'_> {
     }
 }
 
-/// Where a cell's staged (sorted/aggregate) transitions go.
+/// Where a cell's staged (sorted) transitions go.
 pub(crate) enum StagedOut {
-    /// The cell's row is anchored in this process: straight onto the stage
-    /// partition's queue.
+    /// The cell's row is anchored in this process: straight onto the
+    /// sorting partition's queue.
     Local(StageLinks),
     /// The row is anchored on another worker: through the event layer, on
     /// the row's shuffle topic.
@@ -400,17 +399,9 @@ struct Outputs {
 
 impl Outputs {
     /// Passes a staged query's transition downstream.
-    fn forward(&self, query: &Query, change: FilterChange) {
+    fn forward(&self, change: FilterChange) {
         match &self.staged {
-            StagedOut::Local(links) => {
-                let hash = change.query_hash;
-                if query.to_sorting {
-                    links.to_sorting(hash, Event::FilterChange(change.clone()));
-                }
-                if query.to_aggregation {
-                    links.to_aggregation(Event::FilterChange(change));
-                }
-            }
+            StagedOut::Local(links) => links.to_sorting(change.query_hash, Event::FilterChange(change)),
             StagedOut::Shuffle { broker, topic, published } => {
                 let mut payload = WireCodec.writer();
                 change.write_to(&mut payload);
@@ -611,10 +602,10 @@ impl Evaluator {
             }
         };
         out.matched.fetch_add(1, AtomicOrdering::Relaxed);
-        if query.to_sorting || query.to_aggregation {
-            // Sorted/aggregate queries: pass the transition downstream,
-            // sharing the write's payload.
-            out.forward(query, write.change(hash, kind, out.stamped(write)));
+        if query.to_sorting {
+            // Sorted queries: pass the transition downstream, sharing the
+            // write's payload.
+            out.forward(write.change(hash, kind, out.stamped(write)));
         } else {
             // Self-maintainable queries: `to` joins the write's envelope of
             // this match type, published by `flush`.
@@ -727,16 +718,16 @@ impl MatchingNode {
     /// A 1×1 cell outside any cluster, for whoever wants to drive one
     /// synchronously through [`Task::handle`] and [`Task::tick`] (tests,
     /// per-stage measurements): notifications leave through `publisher` as
-    /// in a cluster, and the transitions of sorted and aggregate queries
-    /// through the queue returned beside the cell — what a stage partition
-    /// reads. Once the queue is dropped they go nowhere, as after shutdown.
+    /// in a cluster, and the transitions of sorted queries through the
+    /// queue returned beside the cell — what a sorting partition reads.
+    /// Once the queue is dropped they go nowhere, as after shutdown.
     pub fn solo(
         config: ClusterConfig,
         clock: Arc<dyn Clock>,
         publisher: Publisher,
     ) -> (Self, crossbeam::channel::Receiver<Event>) {
         let (staged, queue) = crossbeam::channel::unbounded();
-        let links = StageLinks { sorting: vec![staged.clone()], aggregation: staged };
+        let links = StageLinks { sorting: vec![staged] };
         let cell = Self::new(0, GridShape::new(1, 1), config, clock, publisher, StagedOut::Local(links));
         (cell, queue)
     }
@@ -763,12 +754,12 @@ impl MatchingNode {
                 if req.renewal && member {
                     return;
                 }
-                // A joiner's aggregate is its stage partition's to correct;
-                // transitions sent from here would move the group's shared
-                // state. So is a sorted joiner's window, but for the writes
-                // retained from before the group formed (below).
+                // A sorted joiner's window is its sorting partition's to
+                // correct, but for the writes retained from before the group
+                // formed (below): transitions sent from here would move the
+                // group's shared state.
                 let before = retention.front().is_some_and(|write| write.at <= group.since);
-                if group.query.to_aggregation || (group.query.to_sorting && !before) {
+                if group.query.to_sorting && !before {
                     return;
                 }
                 (group, false)
@@ -801,7 +792,6 @@ impl MatchingNode {
                         spec_display: req.spec.to_string().into(),
                         filter,
                         to_sorting: req.spec.needs_sorting_stage(),
-                        to_aggregation: req.spec.needs_aggregation_stage(),
                     },
                     result: HashMap::new(),
                     subscriptions: Subscribers::of(req.subscription, expires_at),

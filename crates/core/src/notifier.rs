@@ -1,7 +1,7 @@
 //! The shared publisher: the way out of the cluster (§5.1).
 //!
-//! Whoever produces a notification — a grid cell, a sorting or aggregation
-//! partition, the ingress or the sorting partition for initial results —
+//! Whoever produces a notification — a grid cell, a sorting partition, or
+//! the ingress for an unsorted query's initial result —
 //! serializes it from borrowed parts and puts it on the tenant's notify
 //! topic itself, on its own thread. The publisher is the state those callers
 //! share: the event-layer handle, the `notifier.*` counters, and one entry
@@ -117,11 +117,6 @@ impl Publisher {
             // holds a live result, so re-emitting the cached bootstrap
             // snapshot would clobber it with stale state.
             self.inner.metrics.inc("notifier.silent_renewals");
-            return;
-        }
-        if req.spec.needs_aggregation_stage() {
-            // Aggregate queries: the aggregation stage emits the initial
-            // aggregate value instead of an item list.
             return;
         }
         // Trim the bootstrap result to the client-visible window.

@@ -248,8 +248,8 @@ impl SortingNode {
     /// Applies one filter change to every active window of its query,
     /// publishing each window's edit script to the window's group — or a
     /// maintenance error, which deactivates the group — and retains it. A
-    /// change of a query this task does not know (an aggregate's, handed to
-    /// every stage by the shuffle ingress) is ignored.
+    /// change of a query this task no longer knows (one still in flight when
+    /// the query lapsed) is ignored.
     fn handle_filter_change(&mut self, change: FilterChange) {
         let now = self.clock.now();
         let header = &change.header;
@@ -464,7 +464,7 @@ mod tests {
     use crate::links::StageLinks;
     use crate::matching::MatchingNode;
     use crate::notifier::testing::{Wire, TENANT};
-    use crossbeam::channel::{bounded, unbounded, Receiver};
+    use crossbeam::channel::{unbounded, Receiver};
     use invalidb_common::{
         doc, AfterImage, ClusterMessage, Document, GridShape, MockClock, Notification, NotificationKind,
         QuerySpec, ResultItem, SortDirection, Version,
@@ -500,8 +500,7 @@ mod tests {
         let clock = MockClock::new();
         let wire = Wire::new(&config, &clock);
         let (to_node, queue) = unbounded();
-        let (gone, _) = bounded(1);
-        let links = StageLinks { sorting: vec![to_node.clone()], aggregation: gone };
+        let links = StageLinks { sorting: vec![to_node.clone()] };
         let grid = GridShape::new(1, 1);
         let errors = Arc::new(AtomicU64::new(0));
         let (cell_link, to_cell) = unbounded();
@@ -635,7 +634,7 @@ mod tests {
                             other => panic!("edit off the list: {other:?} on {list:?}"),
                         }
                     }
-                    NotificationKind::Error(_) | NotificationKind::Aggregate { .. } => {}
+                    NotificationKind::Error(_) => {}
                 }
             }
             lists

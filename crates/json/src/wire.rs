@@ -10,10 +10,7 @@
 //! filter become a [`Document`], once each.
 
 use crate::lazy::LazyValue;
-use invalidb_common::{
-    AggregateOp, AggregateSpec, Document, Key, QuerySpec, ResultItem, SortDirection, TraceContext,
-    Version,
-};
+use invalidb_common::{Document, Key, QuerySpec, ResultItem, SortDirection, TraceContext, Version};
 
 /// An optional field read with `read`: `Some(None)` when it is absent or of
 /// another type — the eager `get(..).and_then(read)` — and `None` when it
@@ -65,6 +62,9 @@ pub fn item(value: LazyValue<'_>) -> Option<ResultItem> {
 pub fn query(value: LazyValue<'_>) -> Option<QuerySpec> {
     let names = ["collection", "filter", "sort", "limit", "offset", "aggregate"];
     let [collection, filter, sort, limit, offset, aggregate] = value.as_object()?.fields(names).ok()?;
+    if aggregate.is_some() {
+        return None; // an aggregate query, which is not served (see `QuerySpec::from_document`)
+    }
     let filter = filter?.as_object()?.materialize().ok()?;
     let mut spec = QuerySpec::filter(collection?.as_str()?, filter);
     if let Some(sort) = sort {
@@ -85,14 +85,5 @@ pub fn query(value: LazyValue<'_>) -> Option<QuerySpec> {
         None => 0,
         Some(offset) => count(offset)?,
     };
-    if let Some(aggregate) = aggregate {
-        let [op, field] = aggregate.as_object()?.fields(["op", "field"]).ok()?;
-        let op = AggregateOp::parse_str(op?.as_str()?)?;
-        let field = optional(field, LazyValue::as_str)?.map(str::to_owned);
-        if field.is_none() && op != AggregateOp::Count {
-            return None;
-        }
-        spec.aggregate = Some(AggregateSpec { op, field });
-    }
     Some(spec)
 }

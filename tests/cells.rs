@@ -23,13 +23,10 @@ const TENANT: &str = "app";
 #[test]
 fn thread_census_per_grid_shape() {
     let broker = Broker::new();
-    // 1×1: ingress, one cell, two sorting partitions, one aggregation
-    // partition — a write crosses writer → ingress → cell → dispatcher.
+    // 1×1: ingress, one cell, two sorting partitions — a write crosses
+    // writer → ingress → cell → dispatcher.
     let cluster = Cluster::start(broker.clone(), ClusterConfig::new(1, 1));
-    assert_eq!(
-        cluster.pipeline_threads(),
-        ["ingress", "cell-0x0", "sorting-0", "sorting-1", "aggregation-0"]
-    );
+    assert_eq!(cluster.pipeline_threads(), ["ingress", "cell-0x0", "sorting-0", "sorting-1"]);
     cluster.shutdown();
 
     // 2×2: one thread per cell, the stages as configured.
@@ -37,7 +34,7 @@ fn thread_census_per_grid_shape() {
     let cluster = Cluster::start(broker.clone(), config);
     assert_eq!(
         cluster.pipeline_threads(),
-        ["ingress", "cell-0x0", "cell-0x1", "cell-1x0", "cell-1x1", "sorting-0", "aggregation-0"]
+        ["ingress", "cell-0x0", "cell-0x1", "cell-1x0", "cell-1x1", "sorting-0"]
     );
     cluster.shutdown();
 

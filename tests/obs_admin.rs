@@ -262,11 +262,12 @@ fn cluster_and_both_link_ends_report_into_one_registry() {
 
     let snap = registry.snapshot();
     let mut expected = BTreeSet::new();
-    for component in ["ingress", "matching", "sorting", "aggregation"] {
-        for name in ["processed", "emitted", "ticks", "queue_depth"] {
+    for component in ["ingress", "matching", "sorting"] {
+        for name in ["processed", "ticks", "queue_depth"] {
             expected.insert(format!("cluster.{component}.{name}"));
         }
     }
+    expected.insert("cluster.ingress.emitted".to_owned());
     assert_eq!(series(&snap, "cluster."), expected);
 
     let link_series = ["frames_in", "frames_out", "bytes_in", "bytes_out", "reconnects"]

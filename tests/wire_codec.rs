@@ -2,7 +2,7 @@
 //!
 //! Every message on the cluster topic (write, subscribe, unsubscribe,
 //! extendTtl), on a notify topic (change, initial result, error,
-//! aggregate, heartbeat), on a shuffle topic (a filter change) and on the
+//! heartbeat), on a shuffle topic (a filter change) and on the
 //! epoch topic (an epoch notice) is written by its typed writer and read by
 //! its typed decoder (`ingest::decode_cluster_payload`,
 //! `decode_notify_payload`, `FilterChange::decode`, `decode_epoch_notice`).
@@ -33,10 +33,10 @@
 use invalidb::broker::Bytes;
 use invalidb::client::{decode_epoch_notice, decode_notify_payload, NotifyPayload};
 use invalidb::common::{
-    AfterImage, AggregateOp, AggregateSpec, ChangeItem, ClusterMessage, DocRef, Document, EnvelopeRef,
-    EpochNotice, FieldWriter, ItemRef, Key, KindRef, MaintenanceError, MatchType, NotificationKind,
-    NotifyEnvelope, QueryHash, QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId,
-    SubscriptionRequest, TenantId, TraceContext, Value,
+    AfterImage, ChangeItem, ClusterMessage, DocRef, Document, EnvelopeRef, EpochNotice, FieldWriter,
+    ItemRef, Key, KindRef, MaintenanceError, MatchType, NotificationKind, NotifyEnvelope, QueryHash,
+    QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId, SubscriptionRequest, TenantId,
+    TraceContext, Value,
 };
 use invalidb::core::event::WriteHeader;
 use invalidb::core::ingest::{decode_cluster_payload, decode_control, decode_event_with};
@@ -102,24 +102,10 @@ fn write() -> impl Strategy<Value = ClusterMessage> {
         })
 }
 
-/// Filters, sorted windows (distinct sort keys) and aggregates.
+/// Filters and sorted windows (distinct sort keys).
 fn query() -> impl Strategy<Value = QuerySpec> {
-    let aggregate = prop_oneof![
-        optional("\\PC{1,6}").prop_map(|field| AggregateSpec { op: AggregateOp::Count, field }),
-        (0usize..4, "\\PC{1,6}").prop_map(|(op, field)| AggregateSpec {
-            op: [AggregateOp::Sum, AggregateOp::Avg, AggregateOp::Min, AggregateOp::Max][op],
-            field: Some(field),
-        }),
-    ];
-    (
-        "\\PC{1,8}",
-        document(),
-        prop::collection::vec(any::<bool>(), 0..3),
-        optional(0u64..100),
-        0u64..4,
-        optional(aggregate),
-    )
-        .prop_map(|(collection, filter, sort, limit, offset, aggregate)| {
+    ("\\PC{1,8}", document(), prop::collection::vec(any::<bool>(), 0..3), optional(0u64..100), 0u64..4)
+        .prop_map(|(collection, filter, sort, limit, offset)| {
             let mut spec = QuerySpec::filter(collection, filter);
             for (i, asc) in sort.into_iter().enumerate() {
                 let dir = if asc { SortDirection::Asc } else { SortDirection::Desc };
@@ -127,7 +113,6 @@ fn query() -> impl Strategy<Value = QuerySpec> {
             }
             spec.limit = limit;
             spec.offset = offset;
-            spec.aggregate = aggregate;
             spec
         })
 }
@@ -182,8 +167,6 @@ fn kind() -> impl Strategy<Value = NotificationKind> {
             NotificationKind::Change(ChangeItem { match_type, item, old_index })
         }),
         "\\PC{0,16}".prop_map(|reason| NotificationKind::Error(MaintenanceError { reason })),
-        (scalar(), any::<u32>())
-            .prop_map(|(value, count)| NotificationKind::Aggregate { value, count: count as u64 }),
     ]
 }
 
