@@ -15,7 +15,9 @@
 use crate::poll_and_diff::visible_to_change;
 use crate::provider::{Capabilities, ChannelLive, LiveQuery, RealTimeProvider};
 use invalidb_client::ClientEvent;
-use invalidb_common::{ChangeItem, Key, MatchType, QuerySpec, ResultItem, Version};
+use invalidb_common::{
+    ChangeItem, Document, EncodedObject, Key, MatchType, QuerySpec, ResultItem, Version,
+};
 use invalidb_core::window::{apply_events, SortedWindow, WindowItem};
 use invalidb_query::PreparedQuery;
 use invalidb_store::{OplogCursor, OplogEntry, Store};
@@ -80,11 +82,14 @@ impl LogTailing {
                     while !shutdown.load(Ordering::Relaxed) {
                         for entry in cursor.poll_wait(Duration::from_millis(50)) {
                             writes_processed.fetch_add(1, Ordering::Relaxed);
+                            // The entry's record, decoded once for every
+                            // subscription it is tested against.
+                            let doc = entry.doc.as_ref().map(EncodedObject::to_document);
                             let mut reg = registry.lock();
                             let mut dead = Vec::new();
                             for (id, sub) in reg.subs.iter_mut() {
                                 if sub.spec.collection == entry.collection
-                                    && !process_entry(sub, &entry, &store)
+                                    && !process_entry(sub, &entry, doc.as_ref(), &store)
                                 {
                                     dead.push(*id);
                                 }
@@ -117,8 +122,14 @@ impl Drop for LogTailing {
     }
 }
 
-/// Returns `false` when the subscriber channel is gone.
-fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> bool {
+/// Returns `false` when the subscriber channel is gone. `doc` is the
+/// entry's record, decoded.
+fn process_entry(
+    sub: &mut TailSub,
+    entry: &OplogEntry,
+    doc: Option<&Document>,
+    store: &Arc<Store>,
+) -> bool {
     match &mut sub.state {
         SubState::Unsorted { result } => {
             let old = result.get(&entry.key).copied();
@@ -127,7 +138,7 @@ fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> b
                     return true;
                 }
             }
-            let matches = entry.doc.as_ref().is_some_and(|d| sub.prepared.matches(d));
+            let matches = doc.is_some_and(|d| sub.prepared.matches(d));
             let match_type = match (old.is_some(), matches) {
                 (false, true) => MatchType::Add,
                 (true, true) => MatchType::Change,
@@ -145,7 +156,7 @@ fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> b
                     item: ResultItem {
                         key: entry.key.clone(),
                         version: entry.version,
-                        doc: if matches { entry.doc.as_deref().cloned() } else { None },
+                        doc: if matches { doc.cloned() } else { None },
                         index: None,
                     },
                     old_index: None,
@@ -153,7 +164,7 @@ fn process_entry(sub: &mut TailSub, entry: &OplogEntry, store: &Arc<Store>) -> b
                 .is_ok()
         }
         SubState::Sorted { window, client } => {
-            let outcome = window.apply(&entry.key, entry.version, entry.doc.as_deref());
+            let outcome = window.apply(&entry.key, entry.version, doc);
             let events = if outcome.error.is_some() {
                 // Co-located with the store: renew immediately (no broker
                 // hop, no rate limit — one of log tailing's few perks). The

@@ -7,16 +7,16 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use invalidb_broker::{notify_topic, BrokerHandle, Bytes, CLUSTER_TOPIC, EPOCH_TOPIC};
 use invalidb_common::trace::now_micros;
 use invalidb_common::{
-    ChangeItem, Clock, ClusterMessage, ConfigError, Document, EpochNotice, Histogram, Key,
-    NotificationKind, NotifyEnvelope, QueryHash, QuerySpec, ResultItem, Stage, SubscriptionId,
-    SubscriptionRequest, SystemClock, TenantId, Timestamp, TraceContext, WriteRef,
+    ChangeItem, Clock, ClusterMessage, ConfigError, DocRef, Document, EpochNotice, Histogram, Key,
+    NotificationKind, NotifyEnvelope, QueryHash, QuerySpec, ResultItem, Stage, SubscribeRef,
+    SubscriptionId, SystemClock, TenantId, Timestamp, TraceContext, WriteRef,
 };
 use invalidb_json::WireCodec;
 use invalidb_obs::{
     AdminConfig, AdminServer, FlightEventKind, MetricsRegistry, MetricsSnapshot, StalenessRecorder,
 };
 use invalidb_query::normalize_spec;
-use invalidb_store::{Store, UpdateSpec, WriteResult};
+use invalidb_store::{Row, Store, UpdateSpec, WriteResult};
 use invalidb_stream::{task, Task};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -171,19 +171,23 @@ struct SubEntry {
 
 impl SubEntry {
     /// The registration this subscription publishes (initial or renewal),
-    /// still without its initial result: the caller runs the bootstrap
-    /// query outside the subscription table's lock and fills it in.
-    fn request(&self, tenant: &TenantId, id: SubscriptionId, ttl: Duration) -> SubscriptionRequest {
-        SubscriptionRequest {
-            tenant: tenant.clone(),
+    /// written with the rows of its bootstrap query (run by the caller
+    /// outside the subscription table's lock) spliced in as the store
+    /// holds them.
+    fn request(&self, tenant: &TenantId, id: SubscriptionId, ttl: Duration, rows: &[Row]) -> Bytes {
+        let mut payload = WireCodec.writer();
+        SubscribeRef {
+            tenant,
             subscription: id,
-            spec: self.spec.clone(),
+            spec: &self.spec,
             query_hash: self.query_hash,
-            initial: Vec::new(),
             slack: self.slack,
             ttl_micros: ttl.as_micros() as u64,
             renewal: false,
+            initial: rows.iter().map(Row::item),
         }
+        .write_to(&mut payload);
+        payload.finish()
     }
 }
 
@@ -566,7 +570,7 @@ impl AppServer {
 
     fn forward(&self, collection: &str, w: &WriteResult) {
         // The envelope is written in one pass from the parts at hand: the
-        // after-image is the store's own copy, borrowed.
+        // after-image is the store's own bytes, copied in as they are.
         let trace = self.next_trace();
         let mut payload = WireCodec.writer();
         WriteRef {
@@ -574,7 +578,7 @@ impl AppServer {
             collection,
             key: &w.key,
             version: w.version,
-            doc: w.doc.as_deref(),
+            doc: w.doc.as_ref().map(|doc| DocRef::Encoded(doc)),
             written_at: now_micros(),
             trace: trace.as_ref(),
         }
@@ -621,7 +625,7 @@ impl AppServer {
         let normalized = normalize_spec(spec);
         let query_hash = normalized.stable_hash();
         let slack = if spec.needs_sorting_stage() { self.config.default_slack } else { 0 };
-        let initial = self.store.execute(&spec.rewrite_for_bootstrap(slack))?;
+        let rows = self.store.find(&spec.rewrite_for_bootstrap(slack))?;
         let (tx, rx) = unbounded();
         let entry = SubEntry {
             spec: spec.clone(),
@@ -632,10 +636,9 @@ impl AppServer {
             confirmed: false,
             last_register: self.shared.clock.now(),
         };
-        let request =
-            SubscriptionRequest { initial, ..entry.request(&self.tenant, id, self.config.ttl) };
+        let payload = entry.request(&self.tenant, id, self.config.ttl, &rows);
         self.shared.subs.lock().insert(id, entry);
-        publish(&self.broker, &ClusterMessage::Subscribe(request));
+        self.broker.publish(CLUSTER_TOPIC, payload);
         self.config.metrics.flight().record(
             FlightEventKind::Subscribe,
             format!("{} sub={} {}", self.tenant, id.0, spec.collection),
@@ -772,18 +775,18 @@ impl Keeper {
                 let slack = (entry.slack * 2).clamp(1, self.config.max_slack);
                 (queued, slack, entry.spec.rewrite_for_bootstrap(slack))
             };
-            let Ok(initial) = self.store.execute(&query) else {
+            let Ok(rows) = self.store.find(&query) else {
                 // The renewal stays wanted: back in line, flag still set.
                 self.shared.subs.lock().renewals.push_back(queued);
                 continue;
             };
             let now = self.shared.clock.now();
-            let request = {
+            let payload = {
                 let mut table = self.shared.subs.lock();
                 let Some(entry) = table.renewed(queued.0, slack, now) else { continue };
-                SubscriptionRequest { initial, ..entry.request(&self.tenant, queued.0, self.config.ttl) }
+                entry.request(&self.tenant, queued.0, self.config.ttl, &rows)
             };
-            publish(&self.broker, &ClusterMessage::Subscribe(request));
+            self.broker.publish(CLUSTER_TOPIC, payload);
             self.shared.renewals_performed.fetch_add(1, Ordering::Relaxed);
             self.renewals.fetch_add(1, Ordering::Relaxed);
             self.renewal_wait_us.lock().record(now.since(queued.1).as_micros() as u64);

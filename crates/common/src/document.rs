@@ -33,13 +33,6 @@ impl Document {
         Self { entries: Vec::with_capacity(n) }
     }
 
-    /// Gives back the capacity the top-level fields do not use. For a
-    /// document that is about to be kept: a document grown by `insert`
-    /// carries up to twice the room it needs.
-    pub fn shrink_to_fit(&mut self) {
-        self.entries.shrink_to_fit();
-    }
-
     /// Number of top-level fields.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -34,7 +34,7 @@ pub use document::{Attributes, Document, Record};
 pub use grid::{GridCoord, GridShape};
 pub use hist::Histogram;
 pub use id::{Key, QueryHash, SubscriptionId, TenantId, TenantInterner};
-pub use msg::{AfterImage, ClusterMessage, EpochNotice, SubscriptionRequest, WriteRef};
+pub use msg::{AfterImage, ClusterMessage, EpochNotice, SubscribeRef, SubscriptionRequest, WriteRef};
 pub use notify::{
     ChangeItem, DocRef, EnvelopeRef, ItemRef, KindRef, MaintenanceError, MatchType, Notification,
     NotificationKind, NotifyEnvelope, ResultItem,

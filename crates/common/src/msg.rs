@@ -7,7 +7,7 @@
 
 use crate::document::Document;
 use crate::id::{Key, QueryHash, SubscriptionId, TenantId};
-use crate::notify::{ItemRef, ResultItem};
+use crate::notify::{DocRef, ItemRef, ResultItem};
 use crate::query_spec::{QuerySpec, SpecError};
 use crate::trace::TraceContext;
 use crate::value::Value;
@@ -50,7 +50,7 @@ impl AfterImage {
             collection: &self.collection,
             key: &self.key,
             version: self.version,
-            doc: self.doc.as_ref(),
+            doc: self.doc.as_ref().map(DocRef::Tree),
             written_at: self.written_at,
             trace: self.trace.as_ref(),
         }
@@ -71,8 +71,9 @@ pub struct WriteRef<'a> {
     pub key: &'a Key,
     /// See [`AfterImage::version`].
     pub version: Version,
-    /// See [`AfterImage::doc`].
-    pub doc: Option<&'a Document>,
+    /// See [`AfterImage::doc`]: a tree, or a record still in its bytes
+    /// (the store's), copied in as they are.
+    pub doc: Option<DocRef<'a>>,
     /// See [`AfterImage::written_at`].
     pub written_at: u64,
     /// See [`AfterImage::trace`].
@@ -97,7 +98,8 @@ impl WriteRef<'_> {
         w.int(self.written_at as i64);
         w.key("doc");
         match self.doc {
-            Some(doc) => w.document(doc),
+            Some(DocRef::Tree(doc)) => w.document(doc),
+            Some(DocRef::Encoded(doc)) => w.encoded(doc),
             None => w.value(&Value::Null),
         }
         if let Some(trace) = self.trace {
@@ -145,6 +147,79 @@ pub struct SubscriptionRequest {
     pub renewal: bool,
 }
 
+/// A subscription request ([`ClusterMessage::Subscribe`]) assembled from
+/// borrowed parts: what an application server publishes, its initial
+/// result written item by item from wherever the items are held (the
+/// store's rows, spliced). The mirror image of [`WriteRef`].
+#[derive(Debug, Clone)]
+pub struct SubscribeRef<'a, I> {
+    /// See [`SubscriptionRequest::tenant`].
+    pub tenant: &'a TenantId,
+    /// See [`SubscriptionRequest::subscription`].
+    pub subscription: SubscriptionId,
+    /// See [`SubscriptionRequest::spec`].
+    pub spec: &'a QuerySpec,
+    /// See [`SubscriptionRequest::query_hash`].
+    pub query_hash: QueryHash,
+    /// See [`SubscriptionRequest::slack`].
+    pub slack: u64,
+    /// See [`SubscriptionRequest::ttl_micros`].
+    pub ttl_micros: u64,
+    /// See [`SubscriptionRequest::renewal`].
+    pub renewal: bool,
+    /// See [`SubscriptionRequest::initial`]: its items, in query order.
+    pub initial: I,
+}
+
+impl<'a, I: ExactSizeIterator<Item = ItemRef<'a>> + Clone> SubscribeRef<'a, I> {
+    /// Writes the envelope — the one place its layout is written down.
+    pub fn write_to(&self, w: &mut impl FieldWriter) {
+        write_head(w, "subscribe", 8 + usize::from(self.renewal), self.tenant, self.subscription);
+        w.key("query");
+        self.spec.write_to(w);
+        w.key("queryHash");
+        w.int(self.query_hash.0 as i64);
+        w.key("slack");
+        w.int(self.slack as i64);
+        w.key("ttl");
+        w.int(self.ttl_micros as i64);
+        if self.renewal {
+            w.key("renewal");
+            w.value(&Value::Bool(true));
+        }
+        w.key("initial");
+        w.begin_array(self.initial.len());
+        for item in self.initial.clone() {
+            item.write_to(w);
+        }
+        w.end_array();
+        w.end_object();
+    }
+
+    /// The envelope as an owned document.
+    pub fn to_document(&self) -> Document {
+        let mut builder = DocumentBuilder::new();
+        self.write_to(&mut builder);
+        builder.finish()
+    }
+}
+
+impl SubscriptionRequest {
+    /// The borrowed form, for encoding.
+    pub fn as_ref(&self) -> SubscribeRef<'_, impl ExactSizeIterator<Item = ItemRef<'_>> + Clone> {
+        SubscribeRef {
+            tenant: &self.tenant,
+            subscription: self.subscription,
+            spec: &self.spec,
+            query_hash: self.query_hash,
+            slack: self.slack,
+            ttl_micros: self.ttl_micros,
+            renewal: self.renewal,
+            initial: self.initial.iter().map(ItemRef::from),
+        }
+    }
+}
+
 /// All message kinds the cluster ingests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterMessage {
@@ -177,33 +252,13 @@ pub enum ClusterMessage {
 
 impl ClusterMessage {
     /// Writes the message for the event layer, without building a
-    /// document: the layout of a write is [`WriteRef`]'s, the others are
-    /// written down here.
+    /// document: the layouts of a write and a subscription are
+    /// [`WriteRef`]'s and [`SubscribeRef`]'s, the others are written down
+    /// here.
     pub fn write_to(&self, w: &mut impl FieldWriter) {
         match self {
             ClusterMessage::Write(img) => img.as_ref().write_to(w),
-            ClusterMessage::Subscribe(req) => {
-                write_head(w, "subscribe", 8 + usize::from(req.renewal), &req.tenant, req.subscription);
-                w.key("query");
-                req.spec.write_to(w);
-                w.key("queryHash");
-                w.int(req.query_hash.0 as i64);
-                w.key("slack");
-                w.int(req.slack as i64);
-                w.key("ttl");
-                w.int(req.ttl_micros as i64);
-                if req.renewal {
-                    w.key("renewal");
-                    w.value(&Value::Bool(true));
-                }
-                w.key("initial");
-                w.begin_array(req.initial.len());
-                for item in &req.initial {
-                    ItemRef::from(item).write_to(w);
-                }
-                w.end_array();
-                w.end_object();
-            }
+            ClusterMessage::Subscribe(req) => req.as_ref().write_to(w),
             ClusterMessage::Unsubscribe { tenant, subscription, query_hash } => {
                 write_head(w, "unsubscribe", 4, tenant, *subscription);
                 w.key("queryHash");

@@ -34,7 +34,7 @@ pub use error::{JsonError, JsonErrorKind};
 pub use lazy::{CheckedObject, LazyArray, LazyDoc, LazyObject, LazyValue};
 pub use parse::{parse_document, parse_value, Parser};
 pub use ser::{to_bytes, to_string, write_document, write_value};
-pub use writer::PayloadWriter;
+pub use writer::{EncodedDoc, PayloadWriter};
 
 use bytes::Bytes;
 use invalidb_common::Document;

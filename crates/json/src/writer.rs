@@ -13,9 +13,11 @@
 //! instead of kept, so no thread holds more than that between payloads.
 
 use crate::bin::{self, BIN_MAGIC, BIN_VERSION, TAG_ARRAY, TAG_OBJECT, TAG_STRING};
+use crate::lazy::CheckedObject;
 use bytes::Bytes;
 use invalidb_common::{Document, EncodedObject, FieldWriter, Value};
 use std::cell::Cell;
+use std::fmt;
 
 /// The largest buffer a thread keeps between two payloads.
 const SPARE_CAPACITY: usize = 64 * 1024;
@@ -68,6 +70,44 @@ impl Drop for PayloadWriter {
             bytes.clear();
             let _ = SPARE.try_with(|spare| spare.set(bytes));
         }
+    }
+}
+
+/// A record held on its own as the body of its encoded object: the bytes
+/// [`EncodedObject::body`] returns and a payload writer copies verbatim.
+/// The store keeps each record so, shared by the record, its oplog entry
+/// and the write's after-image.
+#[derive(Clone, PartialEq, Eq)]
+pub struct EncodedDoc(Bytes);
+
+impl EncodedDoc {
+    /// Encodes `doc` through this thread's buffer and copies the bytes out
+    /// once: one allocation.
+    pub fn encode(doc: &Document) -> Self {
+        let mut w = PayloadWriter::new();
+        bin::encode_object_body(doc, &mut w.bytes);
+        EncodedDoc(w.finish())
+    }
+
+    /// The record, read in place.
+    pub fn object(&self) -> CheckedObject<'_> {
+        CheckedObject::new(&self.0)
+    }
+}
+
+impl EncodedObject for EncodedDoc {
+    fn body(&self) -> &[u8] {
+        &self.0
+    }
+
+    fn to_document(&self) -> Document {
+        self.object().materialize()
+    }
+}
+
+impl fmt::Debug for EncodedDoc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("EncodedDoc").field(&self.to_document()).finish()
     }
 }
 
@@ -187,6 +227,17 @@ mod tests {
         assert_eq!(payload, Bytes::from(bin::encode_document(&built)));
         assert_eq!(payload, WireCodec.encode(&built));
         assert_eq!(crate::payload_to_document(&payload).unwrap(), built);
+    }
+
+    /// An encoded record is the body a payload writer splices: the bytes
+    /// that follow the header of the document's own payload.
+    #[test]
+    fn an_encoded_doc_is_its_documents_payload_body() {
+        for doc in [sample(), Document::new()] {
+            let encoded = EncodedDoc::encode(&doc);
+            assert_eq!(encoded.body(), &bin::encode_document(&doc)[5..]);
+            assert_eq!(encoded.to_document(), doc);
+        }
     }
 
     /// A writer opened while another is open on the same thread (an

@@ -155,6 +155,11 @@ pub trait PreparedQuery: Send + Sync {
     /// Does the document match the query's filter predicates?
     fn matches(&self, doc: &Document) -> bool;
 
+    /// [`PreparedQuery::matches`] over a record held anywhere: a record
+    /// read in place decodes only what its atoms read
+    /// ([`PreparedAtom::matches_in`]).
+    fn matches_in(&self, record: &dyn Record) -> bool;
+
     /// Orders two result items according to the query's sort specification
     /// (with the primary key as unambiguous final tiebreak).
     fn cmp_items(&self, a: (&Key, &Document), b: (&Key, &Document)) -> Ordering;
@@ -189,6 +194,10 @@ impl PreparedQuery for Prepared {
 
     fn matches(&self, doc: &Document) -> bool {
         self.filter.matches(doc)
+    }
+
+    fn matches_in(&self, record: &dyn Record) -> bool {
+        self.filter.0.iter().all(|atom| atom.matches_in(record))
     }
 
     fn cmp_items(&self, a: (&Key, &Document), b: (&Key, &Document)) -> Ordering {

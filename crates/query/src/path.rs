@@ -6,7 +6,7 @@
 //! matcher then applies a predicate across all candidates ("any candidate
 //! matches" for positive predicates).
 
-use invalidb_common::{Document, Value};
+use invalidb_common::{Attributes, Document, Value};
 
 /// All values a dotted path resolves to within a document, in traversal
 /// order. An empty result means the path is missing entirely.
@@ -17,18 +17,27 @@ pub fn resolve<'a>(doc: &'a Document, path: &str) -> Vec<&'a Value> {
     out
 }
 
-/// Hands `f` the values [`resolve`] finds. A top-level field — the common
-/// case by far, and what every write and every pull-query candidate is
-/// tested on — resolves to at most one value with no fan-out, so it is
-/// looked up in place and nothing is allocated.
-pub fn with_resolved<R>(doc: &Document, path: &str, f: impl FnOnce(&[&Value]) -> R) -> R {
-    if path.contains('.') {
-        return f(&resolve(doc, path));
-    }
-    match doc.get(path) {
-        Some(value) => f(&[value]),
-        None => f(&[]),
-    }
+/// Hands `f` the values [`resolve`] finds, in a record held anywhere: its
+/// top-level attribute read on its own ([`Attributes::attr`], so a record
+/// read in place decodes that attribute alone), the rest of the path inside
+/// it. A top-level field — the common case by far, and what every write
+/// and every pull-query candidate is tested on — resolves to at most one
+/// value with no fan-out, and nothing is allocated for it.
+pub fn with_resolved<R>(
+    record: &(impl Attributes + ?Sized),
+    path: &str,
+    f: impl FnOnce(&[&Value]) -> R,
+) -> R {
+    let (head, rest) = match path.split_once('.') {
+        Some((head, rest)) => (head, Some(rest)),
+        None => (path, None),
+    };
+    let Some(value) = record.attr(head) else { return f(&[]) };
+    let Some(rest) = rest else { return f(&[&value]) };
+    let segments: Vec<&str> = rest.split('.').collect();
+    let mut out = Vec::new();
+    resolve_value(&value, &segments, &mut out);
+    f(&out)
 }
 
 fn resolve_doc<'a>(doc: &'a Document, segments: &[&str], out: &mut Vec<&'a Value>) {

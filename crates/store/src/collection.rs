@@ -1,14 +1,22 @@
 //! A single document collection: versioned records, secondary indexes, and
 //! query execution.
+//!
+//! A record is kept as the bytes of its encoded object ([`EncodedDoc`]),
+//! encoded once when it is written: the write envelope and every initial
+//! result copy them in as they are. The indexes and the pull queries read
+//! them in place, as the matching cells read a write.
 
 use crate::index::FieldIndex;
 use crate::oplog::{Oplog, OplogOp};
 use crate::plan::{plan_query, Plan};
-use crate::record::{StoreError, StoredRecord, WriteOp, WriteResult};
+use crate::record::{Row, StoreError, StoredRecord, WriteOp, WriteResult};
 use crate::update::UpdateSpec;
-use invalidb_common::{Document, Key, Version};
-use invalidb_query::PreparedQuery;
+use invalidb_common::{Attributes, Document, EncodedObject, Key, Record, Value, Version};
+use invalidb_json::{CheckedObject, EncodedDoc};
+use invalidb_query::{compare_keys, PreparedQuery, SortKey};
 use parking_lot::RwLock;
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -55,15 +63,20 @@ impl Collection {
         self.len() == 0
     }
 
-    /// Reads one record (document and version).
+    /// Reads one record (document and version), decoded.
     pub fn get(&self, key: &Key) -> Option<(Version, Document)> {
-        let inner = self.inner.read();
-        inner.records.get(key).map(|r| (r.version, Document::clone(&r.doc)))
+        let (version, doc) = {
+            let inner = self.inner.read();
+            let record = inner.records.get(key)?;
+            (record.version, record.doc.clone())
+        };
+        Some((version, doc.to_document()))
     }
 
     /// Creates a new record. Fails on duplicate keys (like MongoDB insert).
     /// Returns the after-image (`findAndModify` semantics, §5.4).
     pub fn insert(&self, key: Key, doc: Document) -> Result<WriteResult, StoreError> {
+        let doc = EncodedDoc::encode(&doc);
         let mut inner = self.inner.write();
         if inner.records.contains_key(&key) {
             return Err(StoreError::DuplicateKey(key));
@@ -74,6 +87,9 @@ impl Collection {
 
     /// Inserts or replaces (upsert). Returns the after-image.
     pub fn save(&self, key: Key, doc: Document) -> Result<WriteResult, StoreError> {
+        // Encoded before the lock is taken: writers to one collection
+        // serialize on the bookkeeping alone.
+        let doc = EncodedDoc::encode(&doc);
         let mut inner = self.inner.write();
         let (version, op) = match inner.records.get(&key).map(|r| r.version) {
             Some(version) => (version + 1, WriteOp::Update),
@@ -84,32 +100,28 @@ impl Collection {
 
     /// Puts `doc` in place of whatever `key` held, maintaining the indexes,
     /// and logs the write. The record, the oplog entry and the returned
-    /// after-image share the one document.
+    /// after-image share the one encoding.
     fn put(
         &self,
         mut inner: parking_lot::RwLockWriteGuard<'_, Inner>,
         key: Key,
         version: Version,
-        mut doc: Document,
+        doc: EncodedDoc,
         op: WriteOp,
     ) -> WriteResult {
-        // The caller's document is kept as it is, minus the room it grew
-        // into and never used.
-        doc.shrink_to_fit();
-        let doc = Arc::new(doc);
         // An update replaces the record where it stands (the map keeps its
         // key), and the indexes move from the record that was taken out:
         // nothing is copied just to be forgotten.
-        let record = StoredRecord { version, doc: Arc::clone(&doc) };
+        let record = StoredRecord { version, doc: doc.clone() };
         let Inner { records, indexes, .. } = &mut *inner;
         let replaced = match records.get_mut(&key) {
             Some(held) => Some(std::mem::replace(held, record)),
             None => records.insert(key.clone(), record),
         };
-        reindex(indexes, &key, replaced.as_ref().map(|old| &*old.doc), Some(&doc));
+        reindex(indexes, &key, replaced.as_ref().map(|old| &old.doc), Some(&doc));
         drop(inner);
         let oplog_op = if op == WriteOp::Insert { OplogOp::Insert } else { OplogOp::Update };
-        self.oplog.append(&self.name, key.clone(), version, Some(Arc::clone(&doc)), oplog_op);
+        self.oplog.append(&self.name, key.clone(), version, Some(doc.clone()), oplog_op);
         WriteResult { key, version, doc: Some(doc), op }
     }
 
@@ -118,7 +130,9 @@ impl Collection {
     pub fn update(&self, key: Key, spec: &UpdateSpec) -> Result<WriteResult, StoreError> {
         let inner = self.inner.write();
         let current = inner.records.get(&key).ok_or_else(|| StoreError::NotFound(key.clone()))?;
-        let new_doc = spec.apply(&current.doc)?;
+        // The one tree on the write path: the operators apply to the
+        // decoded record, which is encoded again.
+        let new_doc = EncodedDoc::encode(&spec.apply(&current.doc.to_document())?);
         let version = current.version + 1;
         Ok(self.put(inner, key, version, new_doc, WriteOp::Update))
     }
@@ -144,77 +158,75 @@ impl Collection {
         }
         let mut idx = FieldIndex::new();
         for (key, record) in inner.records.iter() {
-            idx.insert(field, key, &record.doc);
+            idx.insert(field, key, &record.doc.object());
         }
         inner.indexes.insert(field.to_owned(), idx);
         Ok(())
     }
 
     /// Executes a prepared query: plan, filter, sort, offset, limit.
-    /// Returns `(key, version, document)` triples in result order.
-    pub fn find(&self, query: &dyn PreparedQuery) -> Vec<(Key, Version, Document)> {
+    /// Returns the rows in result order, sharing the stored records: each
+    /// candidate is matched in its bytes and ordered by a sort key read in
+    /// place, and no row is decoded.
+    pub fn find(&self, query: &dyn PreparedQuery) -> Vec<Row> {
         let spec = query.spec();
-        let inner = self.inner.read();
-        let plan = plan_query(&spec.filter, inner.indexes.keys().map(String::as_str));
-        // Matches share the stored documents while they are sorted and cut
-        // to the window; only the rows that are returned get copied.
-        let mut matched: Vec<(Key, Version, Arc<Document>)> = Vec::new();
-        let mut consider = |key: &Key, inner: &Inner| {
-            if let Some(record) = inner.records.get(key) {
-                if query.matches(&record.doc) {
-                    matched.push((key.clone(), record.version, Arc::clone(&record.doc)));
+        let mut matched: Vec<(SortKey, Row)> = Vec::new();
+        {
+            let inner = self.inner.read();
+            let mut consider = |key: &Key, record: &StoredRecord| {
+                let object = record.doc.object();
+                if query.matches_in(&InPlace { object, whole: OnceCell::new() }) {
+                    let row = Row {
+                        key: key.clone(),
+                        version: record.version,
+                        doc: record.doc.clone(),
+                        index: None,
+                    };
+                    matched.push((SortKey::of(&object, &spec.sort), row));
                 }
-            }
-        };
-        match &plan {
-            Plan::FullScan => {
-                for (key, record) in inner.records.iter() {
-                    if query.matches(&record.doc) {
-                        matched.push((key.clone(), record.version, Arc::clone(&record.doc)));
+            };
+            let mut candidates = |keys: &mut dyn Iterator<Item = &Key>| {
+                for key in keys {
+                    if let Some(record) = inner.records.get(key) {
+                        consider(key, record);
                     }
                 }
-            }
-            Plan::IndexEq { field, value } => {
-                let idx = inner.indexes.get(field).expect("planned index exists");
-                for key in idx.lookup_eq(value) {
-                    consider(&key, &inner);
+            };
+            // Index scans hand out keys in key order, like the records'
+            // own map.
+            match plan_query(&spec.filter, &inner.indexes) {
+                Plan::FullScan => candidates(&mut inner.records.keys()),
+                Plan::IndexEq { field, value } => {
+                    candidates(&mut inner.indexes[field].lookup_eq(&value))
+                }
+                Plan::IndexRange { field, lower, upper } => {
+                    candidates(&mut inner.indexes[field].lookup_range(lower.as_ref(), upper.as_ref()))
                 }
             }
-            Plan::IndexRange { field, lower, upper } => {
-                let idx = inner.indexes.get(field).expect("planned index exists");
-                for key in idx.lookup_range(as_ref_bound(lower), as_ref_bound(upper)) {
-                    consider(&key, &inner);
-                }
-            }
         }
-        drop(inner);
-        if !spec.sort.is_empty() {
-            matched.sort_by(|a, b| query.cmp_items((&a.0, &a.2), (&b.0, &b.2)));
-        }
-        // Index scans return keys in value order, not key order; normalize
-        // unsorted results to key order so results are deterministic.
-        if spec.sort.is_empty() && !matches!(plan, Plan::FullScan) {
-            matched.sort_by(|a, b| a.0.cmp(&b.0));
-        }
+        // Without a sort, the order is the keys' (`compare_keys` ends on
+        // them), which the candidates already come in.
+        matched.sort_by(|a, b| compare_keys(&spec.sort, (&a.1.key, &a.0), (&b.1.key, &b.0)));
         let offset = spec.offset.min(matched.len() as u64) as usize;
         let limit = spec.limit.map_or(usize::MAX, |limit| limit as usize);
+        let sorted = !spec.sort.is_empty();
         matched
             .into_iter()
             .skip(offset)
             .take(limit)
-            .map(|(key, version, doc)| (key, version, Document::clone(&doc)))
+            .enumerate()
+            .map(|(i, (_, row))| Row { index: sorted.then_some(i as u64), ..row })
             .collect()
     }
 
     /// Restores a record with an exact version (WAL recovery path —
     /// bypasses the oplog so recovery is not re-logged).
     pub(crate) fn restore(&self, key: Key, version: Version, doc: Document) {
+        let doc = EncodedDoc::encode(&doc);
         let mut inner = self.inner.write();
         inner.tombstones.remove(&key);
-        let doc = Arc::new(doc);
-        let replaced =
-            inner.records.insert(key.clone(), StoredRecord { version, doc: Arc::clone(&doc) });
-        reindex(&mut inner.indexes, &key, replaced.as_ref().map(|old| &*old.doc), Some(&doc));
+        let replaced = inner.records.insert(key.clone(), StoredRecord { version, doc: doc.clone() });
+        reindex(&mut inner.indexes, &key, replaced.as_ref().map(|old| &old.doc), Some(&doc));
     }
 
     /// Restores a delete with its exact tombstone version (WAL recovery).
@@ -231,37 +243,48 @@ impl Collection {
         self.inner.read().tombstones.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
 
-    /// Snapshot of all records (tests and tooling).
+    /// Snapshot of all records, decoded (tests and tooling).
     pub fn scan_all(&self) -> Vec<(Key, Version, Document)> {
-        self.inner
-            .read()
-            .records
-            .iter()
-            .map(|(k, r)| (k.clone(), r.version, Document::clone(&r.doc)))
-            .collect()
+        let held: Vec<(Key, Version, EncodedDoc)> = {
+            let inner = self.inner.read();
+            inner.records.iter().map(|(k, r)| (k.clone(), r.version, r.doc.clone())).collect()
+        };
+        held.into_iter().map(|(k, version, doc)| (k, version, doc.to_document())).collect()
     }
 }
 
-fn as_ref_bound(
-    b: &std::ops::Bound<invalidb_common::Value>,
-) -> std::ops::Bound<&invalidb_common::Value> {
-    match b {
-        std::ops::Bound::Included(v) => std::ops::Bound::Included(v),
-        std::ops::Bound::Excluded(v) => std::ops::Bound::Excluded(v),
-        std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
+/// A stored record as a pull query's filter reads it: attribute by
+/// attribute in place, and decoded whole, once, only for an atom that
+/// reads the whole record (as a matching cell reads a write).
+struct InPlace<'a> {
+    object: CheckedObject<'a>,
+    whole: OnceCell<Document>,
+}
+
+impl Attributes for InPlace<'_> {
+    fn attr(&self, name: &str) -> Option<Cow<'_, Value>> {
+        self.object.attr(name)
     }
 }
 
-/// Moves the index entries of `key` from its old document to its new one
-/// (`None`: the record did not exist / no longer exists).
+impl Record for InPlace<'_> {
+    fn document(&self) -> &Document {
+        self.whole.get_or_init(|| self.object.materialize())
+    }
+}
+
+/// Moves the index entries of `key` from its old record to its new one
+/// (`None`: the record did not exist / no longer exists), reading both in
+/// place.
 fn reindex(
     indexes: &mut HashMap<String, FieldIndex>,
     key: &Key,
-    old: Option<&Document>,
-    new: Option<&Document>,
+    old: Option<&EncodedDoc>,
+    new: Option<&EncodedDoc>,
 ) {
+    let (old, new) = (old.map(EncodedDoc::object), new.map(EncodedDoc::object));
     for (field, index) in indexes.iter_mut() {
-        match (old, new) {
+        match (&old, &new) {
             (Some(old), Some(new)) => index.replace(field, key, old, new),
             (Some(old), None) => index.remove(field, key, old),
             (None, Some(new)) => index.insert(field, key, new),

@@ -4,8 +4,10 @@
 //! containing them, ordered by the canonical value order so range scans are
 //! possible. Array fields are *multikey*: every element is indexed. Missing
 //! fields index as `Null` (so `{field: null}` queries stay index-eligible).
+//! A record is read where it is held ([`Attributes`]): the store's records
+//! are read in place, in their bytes.
 
-use invalidb_common::{Document, Key, Value};
+use invalidb_common::{Attributes, Key, Value};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
@@ -15,6 +17,9 @@ use std::ops::Bound;
 pub struct FieldIndex {
     /// field value -> primary keys of documents holding that value.
     buckets: BTreeMap<Key, Bucket>,
+    /// Set once a record contributed more than one value (an array, or a
+    /// dotted path fanning out), and never cleared.
+    multikey: bool,
 }
 
 /// The primary keys under one indexed value. On a field of many distinct
@@ -66,11 +71,11 @@ impl FieldIndex {
         Self::default()
     }
 
-    /// Hands `f` each value a document contributes to this index for `path`,
+    /// Hands `f` each value a record contributes to this index for `path`,
     /// borrowed: every element of an array (multikey), `Null` for an empty
     /// array or a missing field.
-    fn for_each_value(doc: &Document, path: &str, mut f: impl FnMut(&Value)) {
-        invalidb_query::path::with_resolved(doc, path, |candidates| {
+    fn for_each_value(record: &(impl Attributes + ?Sized), path: &str, mut f: impl FnMut(&Value)) {
+        invalidb_query::path::with_resolved(record, path, |candidates| {
             if candidates.is_empty() {
                 f(&Value::Null);
             }
@@ -84,19 +89,30 @@ impl FieldIndex {
         })
     }
 
-    /// Indexes a document under its primary key.
-    pub fn insert(&mut self, path: &str, pk: &Key, doc: &Document) {
-        Self::for_each_value(doc, path, |v| match self.buckets.entry(Key(v.clone())) {
-            Entry::Vacant(e) => {
-                e.insert(Bucket::One(pk.clone()));
+    /// Indexes a record under its primary key.
+    pub fn insert(&mut self, path: &str, pk: &Key, record: &(impl Attributes + ?Sized)) {
+        let mut values = 0;
+        Self::for_each_value(record, path, |v| {
+            values += 1;
+            match self.buckets.entry(Key(v.clone())) {
+                Entry::Vacant(e) => {
+                    e.insert(Bucket::One(pk.clone()));
+                }
+                Entry::Occupied(mut e) => e.get_mut().insert(pk),
             }
-            Entry::Occupied(mut e) => e.get_mut().insert(pk),
         });
+        self.multikey |= values > 1;
     }
 
-    /// Removes a document's entries.
-    pub fn remove(&mut self, path: &str, pk: &Key, doc: &Document) {
-        Self::for_each_value(doc, path, |v| {
+    /// True once some record held more than one value of the field: a
+    /// range's two bounds may then be met by two of its values.
+    pub fn is_multikey(&self) -> bool {
+        self.multikey
+    }
+
+    /// Removes a record's entries.
+    pub fn remove(&mut self, path: &str, pk: &Key, record: &(impl Attributes + ?Sized)) {
+        Self::for_each_value(record, path, |v| {
             let value = Key(v.clone());
             if self.buckets.get_mut(&value).is_some_and(|bucket| bucket.remove(pk)) {
                 self.buckets.remove(&value);
@@ -107,7 +123,13 @@ impl FieldIndex {
     /// Re-indexes a record whose document was replaced. The common update
     /// leaves the indexed field alone, and then the entries stay as they
     /// are: nothing is removed only to be inserted again.
-    pub fn replace(&mut self, path: &str, pk: &Key, old: &Document, new: &Document) {
+    pub fn replace(
+        &mut self,
+        path: &str,
+        pk: &Key,
+        old: &(impl Attributes + ?Sized),
+        new: &(impl Attributes + ?Sized),
+    ) {
         use invalidb_query::path::with_resolved;
         // Equal resolved values contribute equal entries. (`Value` equality
         // is stricter than the buckets' canonical one — `1` vs `1.0`, NaN —
@@ -119,24 +141,40 @@ impl FieldIndex {
         self.insert(path, pk, new);
     }
 
-    /// Primary keys of documents whose field equals `value`.
-    pub fn lookup_eq(&self, value: &Value) -> Vec<Key> {
-        self.buckets.get(&Key(value.clone())).map(|b| b.keys().cloned().collect()).unwrap_or_default()
+    /// Primary keys of documents whose field equals `value`, borrowed from
+    /// the index.
+    pub fn lookup_eq(&self, value: &Value) -> impl Iterator<Item = &Key> {
+        self.buckets.get(&Key(value.clone())).into_iter().flat_map(Bucket::keys)
     }
 
-    /// Primary keys of documents whose field lies in the value range.
-    /// Results are deduplicated (multikey documents can hit several buckets).
-    pub fn lookup_range(&self, lower: Bound<&Value>, upper: Bound<&Value>) -> Vec<Key> {
+    /// Primary keys of documents whose field lies in the value range, in
+    /// key order, borrowed from the index. Results are deduplicated
+    /// (multikey documents can hit several buckets).
+    pub fn lookup_range(
+        &self,
+        lower: Bound<&Value>,
+        upper: Bound<&Value>,
+    ) -> impl Iterator<Item = &Key> {
         let to_key = |b: Bound<&Value>| match b {
             Bound::Included(v) => Bound::Included(Key(v.clone())),
             Bound::Excluded(v) => Bound::Excluded(Key(v.clone())),
             Bound::Unbounded => Bound::Unbounded,
         };
+        let (lower, upper) = (to_key(lower), to_key(upper));
+        // A range that ends before it starts holds nothing (and is no
+        // range to a B-tree, which panics on it).
+        let empty = match (&lower, &upper) {
+            (Bound::Included(l), Bound::Included(u)) => l > u,
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Included(u) | Bound::Excluded(u)) => l >= u,
+            _ => false,
+        };
         let mut seen = BTreeSet::new();
-        for (_, pks) in self.buckets.range((to_key(lower), to_key(upper))) {
-            seen.extend(pks.keys().cloned());
+        if !empty {
+            for (_, pks) in self.buckets.range((lower, upper)) {
+                seen.extend(pks.keys());
+            }
         }
-        seen.into_iter().collect()
+        seen.into_iter()
     }
 
     /// Number of distinct indexed values.
@@ -148,10 +186,21 @@ impl FieldIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::doc;
+    use invalidb_common::{doc, Document};
+    use invalidb_json::EncodedDoc;
 
     fn keys(v: Vec<Key>) -> Vec<String> {
         v.into_iter().map(|k| k.to_string()).collect()
+    }
+
+    /// [`FieldIndex::lookup_eq`]'s keys, collected.
+    fn eq(idx: &FieldIndex, value: &Value) -> Vec<Key> {
+        idx.lookup_eq(value).cloned().collect()
+    }
+
+    /// [`FieldIndex::lookup_range`]'s keys, collected.
+    fn range(idx: &FieldIndex, lower: Bound<&Value>, upper: Bound<&Value>) -> Vec<Key> {
+        idx.lookup_range(lower, upper).cloned().collect()
     }
 
     #[test]
@@ -160,11 +209,11 @@ mod tests {
         idx.insert("n", &Key::of("a"), &doc! { "n" => 5i64 });
         idx.insert("n", &Key::of("b"), &doc! { "n" => 5i64 });
         idx.insert("n", &Key::of("c"), &doc! { "n" => 7i64 });
-        assert_eq!(keys(idx.lookup_eq(&Value::Int(5))).len(), 2);
-        assert_eq!(keys(idx.lookup_eq(&Value::Int(7))), vec!["\"c\""]);
-        assert!(idx.lookup_eq(&Value::Int(9)).is_empty());
+        assert_eq!(keys(eq(&idx, &Value::Int(5))).len(), 2);
+        assert_eq!(keys(eq(&idx, &Value::Int(7))), vec!["\"c\""]);
+        assert!(eq(&idx, &Value::Int(9)).is_empty());
         // Cross-numeric equality via canonical keys.
-        assert_eq!(idx.lookup_eq(&Value::Float(5.0)).len(), 2);
+        assert_eq!(eq(&idx, &Value::Float(5.0)).len(), 2);
     }
 
     #[test]
@@ -173,8 +222,23 @@ mod tests {
         for i in 0..10i64 {
             idx.insert("n", &Key::of(i), &doc! { "n" => i });
         }
-        let pks = idx.lookup_range(Bound::Included(&Value::Int(3)), Bound::Excluded(&Value::Int(6)));
+        let pks = range(&idx, Bound::Included(&Value::Int(3)), Bound::Excluded(&Value::Int(6)));
         assert_eq!(pks.len(), 3);
+    }
+
+    /// A range that ends before it starts, or at its excluded start, finds
+    /// nothing.
+    #[test]
+    fn an_inverted_range_is_empty() {
+        let mut idx = FieldIndex::new();
+        for i in 0..10i64 {
+            idx.insert("n", &Key::of(i), &doc! { "n" => i });
+        }
+        let (three, six) = (Value::Int(3), Value::Int(6));
+        assert!(range(&idx, Bound::Included(&six), Bound::Included(&three)).is_empty());
+        assert!(range(&idx, Bound::Excluded(&three), Bound::Excluded(&three)).is_empty());
+        assert!(range(&idx, Bound::Included(&three), Bound::Excluded(&three)).is_empty());
+        assert_eq!(range(&idx, Bound::Included(&three), Bound::Included(&three)).len(), 1);
     }
 
     #[test]
@@ -182,14 +246,13 @@ mod tests {
         let mut idx = FieldIndex::new();
         let d = doc! { "tags" => vec!["x", "y"] };
         idx.insert("tags", &Key::of(1i64), &d);
-        assert_eq!(idx.lookup_eq(&Value::from("x")).len(), 1);
-        assert_eq!(idx.lookup_eq(&Value::from("y")).len(), 1);
+        assert_eq!(eq(&idx, &Value::from("x")).len(), 1);
+        assert_eq!(eq(&idx, &Value::from("y")).len(), 1);
         // Range spanning both values must dedupe to a single pk.
-        let pks =
-            idx.lookup_range(Bound::Included(&Value::from("x")), Bound::Included(&Value::from("y")));
+        let pks = range(&idx, Bound::Included(&Value::from("x")), Bound::Included(&Value::from("y")));
         assert_eq!(pks.len(), 1);
         idx.remove("tags", &Key::of(1i64), &d);
-        assert!(idx.lookup_eq(&Value::from("x")).is_empty());
+        assert!(eq(&idx, &Value::from("x")).is_empty());
         assert_eq!(idx.distinct_values(), 0);
     }
 
@@ -202,22 +265,22 @@ mod tests {
         // Same indexed value, another field changed: entries untouched.
         let v2 = doc! { "n" => 1i64, "other" => "b" };
         idx.replace("n", &pk, &v1, &v2);
-        assert_eq!(idx.lookup_eq(&Value::Int(1)), vec![pk.clone()]);
+        assert_eq!(eq(&idx, &Value::Int(1)), vec![pk.clone()]);
         // Indexed value changed, dropped, became multikey.
         let v3 = doc! { "n" => 2i64 };
         idx.replace("n", &pk, &v2, &v3);
-        assert!(idx.lookup_eq(&Value::Int(1)).is_empty());
-        assert_eq!(idx.lookup_eq(&Value::Int(2)), vec![pk.clone()]);
+        assert!(eq(&idx, &Value::Int(1)).is_empty());
+        assert_eq!(eq(&idx, &Value::Int(2)), vec![pk.clone()]);
         let v4 = doc! { "other" => "c" };
         idx.replace("n", &pk, &v3, &v4);
-        assert_eq!(idx.lookup_eq(&Value::Null), vec![pk.clone()]);
+        assert_eq!(eq(&idx, &Value::Null), vec![pk.clone()]);
         let v5 = doc! { "n" => vec![7i64, 8] };
         idx.replace("n", &pk, &v4, &v5);
-        assert_eq!(idx.lookup_eq(&Value::Int(8)), vec![pk.clone()]);
+        assert_eq!(eq(&idx, &Value::Int(8)), vec![pk.clone()]);
         assert_eq!(idx.distinct_values(), 2);
         // Whatever the path taken, the index equals one built from scratch.
         idx.replace("n", &pk, &v5, &v1);
-        assert_eq!(idx.lookup_eq(&Value::Int(1)), vec![pk]);
+        assert_eq!(eq(&idx, &Value::Int(1)), vec![pk]);
         assert_eq!(idx.distinct_values(), 1);
     }
 
@@ -273,12 +336,12 @@ mod tests {
             }
             assert_eq!(idx.distinct_values(), model.len(), "step {step}");
             for (v, pks) in &model {
-                let mut got = idx.lookup_eq(&v.0);
+                let mut got = eq(&idx, &v.0);
                 got.sort();
                 assert_eq!(got, pks.iter().cloned().collect::<Vec<_>>(), "step {step}, value {v}");
             }
             let all: BTreeSet<Key> = model.values().flatten().cloned().collect();
-            let got = idx.lookup_range(Bound::Unbounded, Bound::Unbounded);
+            let got = range(&idx, Bound::Unbounded, Bound::Unbounded);
             assert_eq!(got, all.into_iter().collect::<Vec<_>>(), "step {step}");
             for bucket in idx.buckets.values() {
                 match bucket {
@@ -293,11 +356,32 @@ mod tests {
         assert!(shapes.0 > 0 && shapes.1 > 0, "both shapes seen: {shapes:?}");
     }
 
+    /// A record read in place contributes what its decoded tree does: a
+    /// scalar, every element of an array, `Null` for an empty array or a
+    /// missing field, and the fan-out of a dotted path.
+    #[test]
+    fn a_record_in_its_bytes_contributes_the_values_of_its_tree() {
+        let record = doc! {
+            "n" => 5i64,
+            "tags" => vec!["x", "y", "x"],
+            "none" => Vec::<Value>::new(),
+            "a" => doc! { "b" => 2.0f64 },
+            "items" => vec![Value::Object(doc! { "qty" => 1i64 }), Value::from("s"), Value::Object(doc! {})],
+        };
+        let encoded = EncodedDoc::encode(&record);
+        for path in ["n", "tags", "none", "missing", "a.b", "a.c", "items.qty", "items.1", "n.x"] {
+            let (mut from_tree, mut from_bytes) = (Vec::new(), Vec::new());
+            FieldIndex::for_each_value(&record, path, |v| from_tree.push(v.clone()));
+            FieldIndex::for_each_value(&encoded.object(), path, |v| from_bytes.push(v.clone()));
+            assert_eq!(from_bytes, from_tree, "{path}");
+        }
+    }
+
     #[test]
     fn missing_field_indexes_as_null() {
         let mut idx = FieldIndex::new();
         idx.insert("n", &Key::of(1i64), &doc! { "other" => 1i64 });
-        assert_eq!(idx.lookup_eq(&Value::Null).len(), 1);
+        assert_eq!(eq(&idx, &Value::Null).len(), 1);
     }
 
     #[test]
@@ -308,7 +392,7 @@ mod tests {
         idx.insert("n", &Key::of("k"), &old);
         idx.remove("n", &Key::of("k"), &old);
         idx.insert("n", &Key::of("k"), &new);
-        assert!(idx.lookup_eq(&Value::Int(1)).is_empty());
-        assert_eq!(idx.lookup_eq(&Value::Int(2)).len(), 1);
+        assert!(eq(&idx, &Value::Int(1)).is_empty());
+        assert_eq!(eq(&idx, &Value::Int(2)).len(), 1);
     }
 }

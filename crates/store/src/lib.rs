@@ -28,6 +28,6 @@ mod store;
 
 pub use collection::Collection;
 pub use oplog::{OplogCursor, OplogEntry, OplogOp};
-pub use record::{StoreError, WriteOp, WriteResult};
+pub use record::{Row, StoreError, WriteOp, WriteResult};
 pub use store::Store;
 pub use update::UpdateSpec;

@@ -5,7 +5,8 @@
 //! architecture whose missing write-stream partitioning the paper identifies
 //! as the scalability bottleneck of Meteor/RethinkDB/Parse (§3.1).
 
-use invalidb_common::{Document, Key, Str, Version};
+use invalidb_common::{Key, Str, Version};
+use invalidb_json::EncodedDoc;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,7 +35,7 @@ pub struct OplogEntry {
     /// Record version after the write.
     pub version: Version,
     /// After-image, shared with the stored record; `None` for deletes.
-    pub doc: Option<Arc<Document>>,
+    pub doc: Option<EncodedDoc>,
     /// Operation kind.
     pub op: OplogOp,
 }
@@ -75,7 +76,7 @@ impl Oplog {
         collection: &str,
         key: Key,
         version: Version,
-        doc: Option<Arc<Document>>,
+        doc: Option<EncodedDoc>,
         op: OplogOp,
     ) -> u64 {
         let mut inner = self.inner.lock();
@@ -180,7 +181,8 @@ mod tests {
     fn append_assigns_monotonic_seqs() {
         let log = Oplog::new();
         for i in 0..5i64 {
-            let seq = log.append("c", Key::of(i), 1, Some(Arc::new(doc! {})), OplogOp::Insert);
+            let seq =
+                log.append("c", Key::of(i), 1, Some(EncodedDoc::encode(&doc! {})), OplogOp::Insert);
             assert_eq!(seq, i as u64);
         }
         assert_eq!(log.head(), 5);
@@ -189,10 +191,10 @@ mod tests {
     #[test]
     fn cursor_sees_only_new_entries_from_head() {
         let log = Arc::new(Oplog::new());
-        log.append("c", Key::of(1i64), 1, Some(Arc::new(doc! {})), OplogOp::Insert);
+        log.append("c", Key::of(1i64), 1, Some(EncodedDoc::encode(&doc! {})), OplogOp::Insert);
         let mut cur = OplogCursor::new(log.clone(), log.head());
         assert!(cur.poll().is_empty());
-        log.append("c", Key::of(2i64), 1, Some(Arc::new(doc! {})), OplogOp::Insert);
+        log.append("c", Key::of(2i64), 1, Some(EncodedDoc::encode(&doc! {})), OplogOp::Insert);
         log.append("c", Key::of(3i64), 1, None, OplogOp::Delete);
         assert_eq!(entry_keys(&cur.poll()), vec![1, 2]);
         assert!(cur.poll().is_empty());
@@ -201,8 +203,14 @@ mod tests {
     #[test]
     fn cursor_from_zero_replays_everything() {
         let log = Arc::new(Oplog::new());
-        log.append("c", Key::of(1i64), 1, Some(Arc::new(doc! {})), OplogOp::Insert);
-        log.append("c", Key::of(1i64), 2, Some(Arc::new(doc! { "x" => 1i64 })), OplogOp::Update);
+        log.append("c", Key::of(1i64), 1, Some(EncodedDoc::encode(&doc! {})), OplogOp::Insert);
+        log.append(
+            "c",
+            Key::of(1i64),
+            2,
+            Some(EncodedDoc::encode(&doc! { "x" => 1i64 })),
+            OplogOp::Update,
+        );
         let mut cur = OplogCursor::new(log, 0);
         let entries = cur.poll();
         assert_eq!(entries.len(), 2);
@@ -213,7 +221,7 @@ mod tests {
     fn trim_preserves_sequence_numbering() {
         let log = Arc::new(Oplog::new());
         for i in 0..10i64 {
-            log.append("c", Key::of(i), 1, Some(Arc::new(doc! {})), OplogOp::Insert);
+            log.append("c", Key::of(i), 1, Some(EncodedDoc::encode(&doc! {})), OplogOp::Insert);
         }
         log.trim_to(6);
         assert_eq!(log.base_seq(), 6);
@@ -231,7 +239,7 @@ mod tests {
             let log = log.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                log.append("c", Key::of(1i64), 1, Some(Arc::new(doc! {})), OplogOp::Insert);
+                log.append("c", Key::of(1i64), 1, Some(EncodedDoc::encode(&doc! {})), OplogOp::Insert);
             })
         };
         let entries = cur.poll_wait(Duration::from_secs(5));
@@ -254,7 +262,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "both cursors wait");
             std::thread::yield_now();
         }
-        log.append("c", Key::of(1i64), 1, Some(Arc::new(doc! {})), OplogOp::Insert);
+        log.append("c", Key::of(1i64), 1, Some(EncodedDoc::encode(&doc! {})), OplogOp::Insert);
         for reader in readers {
             assert_eq!(reader.join().unwrap(), 1);
         }

@@ -2,25 +2,27 @@
 //! full filter always re-applied as a residual (indexes narrow the candidate
 //! set; they never decide matching on their own).
 
+use crate::index::FieldIndex;
 use invalidb_common::{Document, Str, Value};
+use std::collections::HashMap;
 use std::ops::Bound;
 
-/// Chosen access path for a query.
+/// Chosen access path for a query, naming its field as the filter does.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Plan {
+pub enum Plan<'a> {
     /// Scan every record.
     FullScan,
     /// Point lookup on a field index.
     IndexEq {
         /// Indexed field.
-        field: String,
+        field: &'a str,
         /// Equality value.
         value: Value,
     },
     /// Range scan on a field index.
     IndexRange {
         /// Indexed field.
-        field: String,
+        field: &'a str,
         /// Lower bound.
         lower: Bound<Value>,
         /// Upper bound.
@@ -28,23 +30,21 @@ pub enum Plan {
     },
 }
 
-/// Picks a plan for a wire-form filter given the set of indexed fields.
+/// Picks a plan for a wire-form filter given the collection's indexes, by
+/// field.
 ///
 /// Only top-level conjunctive conditions are considered (fields of the
 /// filter document), which is the common fast path; anything else falls back
 /// to a full scan. Range conditions are clamped to the value's canonical
 /// type bracket so e.g. `{n: {$gt: 5}}` does not scan the string section of
-/// the index.
-pub fn plan_query<'a>(filter: &Document, indexed: impl Iterator<Item = &'a str>) -> Plan {
-    let indexed: Vec<&str> = indexed.collect();
+/// the index. Planning allocates nothing but the plan's own values.
+pub fn plan_query<'f>(filter: &'f Document, indexes: &HashMap<String, FieldIndex>) -> Plan<'f> {
     for (field, cond) in filter.iter() {
-        if field.starts_with('$') || !indexed.contains(&field) {
-            continue;
-        }
+        let Some(index) = indexes.get(field).filter(|_| !field.starts_with('$')) else { continue };
         match cond {
             // Literal equality (objects with operators handled below).
             Value::Object(obj) if obj.keys().any(|k| k.starts_with('$')) => {
-                if let Some(plan) = plan_operators(field, obj) {
+                if let Some(plan) = plan_operators(field, obj, index.is_multikey()) {
                     return plan;
                 }
             }
@@ -53,7 +53,7 @@ pub fn plan_query<'a>(filter: &Document, indexed: impl Iterator<Item = &'a str>)
                 // *contain* the array as an element; a multikey point lookup
                 // would miss whole-array matches, so skip those.
                 if !matches!(literal, Value::Array(_)) {
-                    return Plan::IndexEq { field: field.to_owned(), value: literal.clone() };
+                    return Plan::IndexEq { field, value: literal.clone() };
                 }
             }
         }
@@ -61,10 +61,10 @@ pub fn plan_query<'a>(filter: &Document, indexed: impl Iterator<Item = &'a str>)
     Plan::FullScan
 }
 
-fn plan_operators(field: &str, obj: &Document) -> Option<Plan> {
+fn plan_operators<'f>(field: &'f str, obj: &Document, multikey: bool) -> Option<Plan<'f>> {
     if let Some(v) = obj.get("$eq") {
         if !matches!(v, Value::Array(_)) {
-            return Some(Plan::IndexEq { field: field.to_owned(), value: v.clone() });
+            return Some(Plan::IndexEq { field, value: v.clone() });
         }
     }
     let mut lower: Bound<Value> = Bound::Unbounded;
@@ -98,6 +98,12 @@ fn plan_operators(field: &str, obj: &Document) -> Option<Plan> {
         }
     }
     let bracket = bracket_of?;
+    // On a multikey field a lower and an upper bound may each hold for
+    // another element of one record's array (`{tags: {$gte: "x", $lte:
+    // "b"}}` matches `["y", "a"]`): only the lower bound narrows the scan.
+    if multikey && !matches!(lower, Bound::Unbounded) {
+        upper = Bound::Unbounded;
+    }
     // Clamp open ends to the bracket boundary.
     if matches!(lower, Bound::Unbounded) {
         lower = bracket_lower(bracket);
@@ -105,7 +111,7 @@ fn plan_operators(field: &str, obj: &Document) -> Option<Plan> {
     if matches!(upper, Bound::Unbounded) {
         upper = bracket_upper(bracket);
     }
-    Some(Plan::IndexRange { field: field.to_owned(), lower, upper })
+    Some(Plan::IndexRange { field, lower, upper })
 }
 
 /// Bracket sentinels under the canonical order
@@ -175,30 +181,32 @@ mod tests {
     use super::*;
     use invalidb_common::doc;
 
-    fn indexed() -> Vec<&'static str> {
-        vec!["n", "name"]
+    fn indexed() -> HashMap<String, FieldIndex> {
+        ["n", "name"].into_iter().map(|field| (field.to_owned(), FieldIndex::new())).collect()
     }
 
     #[test]
     fn literal_equality_uses_index() {
-        let p = plan_query(&doc! { "n" => 5i64 }, indexed().into_iter());
-        assert_eq!(p, Plan::IndexEq { field: "n".into(), value: Value::Int(5) });
+        let filter = doc! { "n" => 5i64 };
+        let p = plan_query(&filter, &indexed());
+        assert_eq!(p, Plan::IndexEq { field: "n", value: Value::Int(5) });
     }
 
     #[test]
     fn non_indexed_field_full_scans() {
-        let p = plan_query(&doc! { "other" => 5i64 }, indexed().into_iter());
+        let filter = doc! { "other" => 5i64 };
+        let p = plan_query(&filter, &indexed());
         assert_eq!(p, Plan::FullScan);
     }
 
     #[test]
     fn range_operators_combine() {
-        let p =
-            plan_query(&doc! { "n" => doc! { "$gte" => 3i64, "$lt" => 9i64 } }, indexed().into_iter());
+        let filter = doc! { "n" => doc! { "$gte" => 3i64, "$lt" => 9i64 } };
+        let p = plan_query(&filter, &indexed());
         assert_eq!(
             p,
             Plan::IndexRange {
-                field: "n".into(),
+                field: "n",
                 lower: Bound::Included(Value::Int(3)),
                 upper: Bound::Excluded(Value::Int(9)),
             }
@@ -207,7 +215,8 @@ mod tests {
 
     #[test]
     fn open_range_clamps_to_bracket() {
-        let p = plan_query(&doc! { "n" => doc! { "$gt" => 5i64 } }, indexed().into_iter());
+        let filter = doc! { "n" => doc! { "$gt" => 5i64 } };
+        let p = plan_query(&filter, &indexed());
         match p {
             Plan::IndexRange { lower, upper, .. } => {
                 assert_eq!(lower, Bound::Excluded(Value::Int(5)));
@@ -215,7 +224,8 @@ mod tests {
             }
             other => panic!("expected range, got {other:?}"),
         }
-        let p = plan_query(&doc! { "name" => doc! { "$lt" => "m" } }, indexed().into_iter());
+        let filter = doc! { "name" => doc! { "$lt" => "m" } };
+        let p = plan_query(&filter, &indexed());
         match p {
             Plan::IndexRange { lower, upper, .. } => {
                 assert_eq!(lower, Bound::Included(Value::String(Str::default())));
@@ -227,32 +237,56 @@ mod tests {
 
     #[test]
     fn eq_operator_uses_point_lookup() {
-        let p = plan_query(&doc! { "n" => doc! { "$eq" => 7i64 } }, indexed().into_iter());
-        assert_eq!(p, Plan::IndexEq { field: "n".into(), value: Value::Int(7) });
+        let filter = doc! { "n" => doc! { "$eq" => 7i64 } };
+        let p = plan_query(&filter, &indexed());
+        assert_eq!(p, Plan::IndexEq { field: "n", value: Value::Int(7) });
     }
 
     #[test]
     fn array_equality_is_not_planned() {
-        let p = plan_query(&doc! { "n" => vec![1i64, 2] }, indexed().into_iter());
+        let filter = doc! { "n" => vec![1i64, 2] };
+        let p = plan_query(&filter, &indexed());
         assert_eq!(p, Plan::FullScan);
     }
 
     #[test]
     fn unsupported_operators_fall_back() {
-        let p = plan_query(&doc! { "n" => doc! { "$ne" => 5i64 } }, indexed().into_iter());
+        let filter = doc! { "n" => doc! { "$ne" => 5i64 } };
+        let p = plan_query(&filter, &indexed());
         assert_eq!(p, Plan::FullScan);
-        let p = plan_query(
-            &doc! { "$or" => vec![Value::Object(doc! { "n" => 1i64 })] },
-            indexed().into_iter(),
+        let filter = doc! { "$or" => vec![Value::Object(doc! { "n" => 1i64 })] };
+        let p = plan_query(&filter, &indexed());
+        assert_eq!(p, Plan::FullScan);
+        let filter = doc! { "n" => doc! { "$gt" => true } };
+        let p = plan_query(&filter, &indexed());
+        assert_eq!(p, Plan::FullScan);
+    }
+
+    /// Once a record holds several values of the field, a range keeps its
+    /// lower bound alone: a record's elements may meet its two bounds apart.
+    #[test]
+    fn a_multikey_range_keeps_one_bound() {
+        let mut indexes = indexed();
+        let filter = doc! { "n" => doc! { "$gte" => 3i64, "$lt" => 9i64 } };
+        let p = plan_query(&filter, &indexes);
+        assert!(matches!(p, Plan::IndexRange { upper: Bound::Excluded(Value::Int(9)), .. }), "{p:?}");
+        let index = indexes.get_mut("n").unwrap();
+        index.insert("n", &invalidb_common::Key::of(1i64), &doc! { "n" => vec![1i64, 10] });
+        let p = plan_query(&filter, &indexes);
+        assert_eq!(
+            p,
+            Plan::IndexRange {
+                field: "n",
+                lower: Bound::Included(Value::Int(3)),
+                upper: Bound::Included(Value::Float(f64::INFINITY)),
+            }
         );
-        assert_eq!(p, Plan::FullScan);
-        let p = plan_query(&doc! { "n" => doc! { "$gt" => true } }, indexed().into_iter());
-        assert_eq!(p, Plan::FullScan);
     }
 
     #[test]
     fn first_indexed_field_wins() {
-        let p = plan_query(&doc! { "other" => 1i64, "n" => 5i64 }, indexed().into_iter());
-        assert_eq!(p, Plan::IndexEq { field: "n".into(), value: Value::Int(5) });
+        let filter = doc! { "other" => 1i64, "n" => 5i64 };
+        let p = plan_query(&filter, &indexed());
+        assert_eq!(p, Plan::IndexEq { field: "n", value: Value::Int(5) });
     }
 }

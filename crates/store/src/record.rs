@@ -1,17 +1,17 @@
 //! Record-level types and store errors.
 
-use invalidb_common::{Document, Key, Version};
+use invalidb_common::{DocRef, EncodedObject, ItemRef, Key, ResultItem, Version};
+use invalidb_json::EncodedDoc;
 use std::fmt;
-use std::sync::Arc;
 
 /// A record as stored inside a collection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRecord {
     /// Per-record version, starting at 1 and incremented on every write.
     pub version: Version,
-    /// Current document content, shared with the oplog entry and the
-    /// [`WriteResult`] of the write that stored it.
-    pub doc: Arc<Document>,
+    /// Current document content, encoded once when it was written and
+    /// shared with the oplog entry and the [`WriteResult`] of that write.
+    pub doc: EncodedDoc,
 }
 
 /// Kind of write that produced a [`WriteResult`].
@@ -36,10 +36,46 @@ pub struct WriteResult {
     /// Version after the write (tombstone version for deletes).
     pub version: Version,
     /// Post-write record state; `None` for deletes. Shared with the stored
-    /// record, not copied out of it.
-    pub doc: Option<Arc<Document>>,
+    /// record, not copied out of it: the bytes the write envelope splices.
+    pub doc: Option<EncodedDoc>,
     /// What kind of write happened.
     pub op: WriteOp,
+}
+
+/// One row of a pull query's result, its record still in the store's bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Primary key.
+    pub key: Key,
+    /// Version of the record the query read.
+    pub version: Version,
+    /// The record, shared with the store.
+    pub doc: EncodedDoc,
+    /// Position in a sorted query's result; `None` for an unsorted query.
+    pub index: Option<u64>,
+}
+
+impl Row {
+    /// The row as an initial result's item, its record copied into the
+    /// envelope as the bytes it is.
+    pub fn item(&self) -> ItemRef<'_> {
+        ItemRef {
+            key: &self.key,
+            version: self.version,
+            doc: Some(DocRef::Encoded(&self.doc)),
+            index: self.index,
+        }
+    }
+
+    /// The row with its record decoded.
+    pub fn into_item(self) -> ResultItem {
+        ResultItem {
+            doc: Some(self.doc.to_document()),
+            key: self.key,
+            version: self.version,
+            index: self.index,
+        }
+    }
 }
 
 /// Errors surfaced by the store.

@@ -3,7 +3,7 @@
 
 use crate::collection::Collection;
 use crate::oplog::Oplog;
-use crate::record::{StoreError, WriteResult};
+use crate::record::{Row, StoreError, WriteResult};
 use crate::update::UpdateSpec;
 use invalidb_common::{Document, Key, QuerySpec, ResultItem};
 use invalidb_query::{MongoQueryEngine, PreparedQuery, QueryEngine};
@@ -105,22 +105,17 @@ impl Store {
         self.engine.prepare(spec).map_err(|e| StoreError::BadQuery(e.to_string()))
     }
 
-    /// Executes a pull-based query, returning result items in query order
-    /// (sorted queries carry their position in `index`).
-    pub fn execute(&self, spec: &QuerySpec) -> Result<Vec<ResultItem>, StoreError> {
+    /// Executes a pull-based query, returning its rows in query order
+    /// (sorted queries carry their position in `index`), each record in
+    /// the store's bytes: what an initial result splices.
+    pub fn find(&self, spec: &QuerySpec) -> Result<Vec<Row>, StoreError> {
         let prepared = self.prepare(spec)?;
-        let rows = self.collection(&spec.collection).find(prepared.as_ref());
-        let sorted = !spec.sort.is_empty();
-        Ok(rows
-            .into_iter()
-            .enumerate()
-            .map(|(i, (key, version, doc))| ResultItem {
-                key,
-                version,
-                doc: Some(doc),
-                index: sorted.then_some(i as u64),
-            })
-            .collect())
+        Ok(self.collection(&spec.collection).find(prepared.as_ref()))
+    }
+
+    /// [`Store::find`] with every record decoded.
+    pub fn execute(&self, spec: &QuerySpec) -> Result<Vec<ResultItem>, StoreError> {
+        Ok(self.find(spec)?.into_iter().map(Row::into_item).collect())
     }
 }
 
@@ -133,7 +128,7 @@ impl Default for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invalidb_common::{doc, SortDirection, Value};
+    use invalidb_common::{doc, EncodedObject, SortDirection, Value};
 
     fn seed_articles(store: &Store) {
         // Figure 3's working example.
@@ -154,7 +149,7 @@ mod tests {
         let store = Store::new();
         let w = store.insert("t", Key::of("a"), doc! { "n" => 1i64 }).unwrap();
         assert_eq!(w.version, 1);
-        assert_eq!(w.doc.as_ref().unwrap().get("n"), Some(&Value::Int(1)));
+        assert_eq!(w.doc.as_ref().unwrap().to_document().get("n"), Some(&Value::Int(1)));
         let w = store.save("t", Key::of("a"), doc! { "n" => 2i64 }).unwrap();
         assert_eq!(w.version, 2);
         let w = store
@@ -165,7 +160,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(w.version, 3);
-        assert_eq!(w.doc.as_ref().unwrap().get("n"), Some(&Value::Int(7)));
+        assert_eq!(w.doc.as_ref().unwrap().to_document().get("n"), Some(&Value::Int(7)));
         let w = store.delete("t", Key::of("a")).unwrap();
         assert_eq!(w.version, 4);
         assert!(w.doc.is_none(), "delete after-image is null");

@@ -17,7 +17,7 @@
 use crate::oplog::{OplogCursor, OplogEntry, OplogOp};
 use crate::record::StoreError;
 use crate::store::Store;
-use invalidb_common::{doc, Document, Key, Value};
+use invalidb_common::{doc, Document, EncodedObject, Key, Value};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write as IoWrite};
@@ -68,7 +68,7 @@ fn encode_entry(entry: &OplogEntry) -> String {
     d.insert("k", entry.key.0.clone());
     d.insert("v", entry.version as i64);
     match &entry.doc {
-        Some(doc) => d.insert("d", invalidb_common::Document::clone(doc)),
+        Some(doc) => d.insert("d", doc.to_document()),
         None => d.insert("d", Value::Null),
     };
     invalidb_json::to_string(&d)

@@ -25,7 +25,9 @@
 //! * each addressee of a decoded envelope sees its kind, trace and write
 //!   time;
 //! * a change envelope whose record is copied in as the bytes it arrived in
-//!   is the envelope written from the decoded record.
+//!   is the envelope written from the decoded record; so are a write
+//!   envelope and a subscription's initial result whose records are copied
+//!   in as the store holds them.
 //!
 //! Each property seeds itself from its name; CI runs the file under more
 //! seeds through `PROPTEST_SEED`.
@@ -35,13 +37,13 @@ use invalidb::client::{decode_epoch_notice, decode_notify_payload, NotifyPayload
 use invalidb::common::{
     AfterImage, ChangeItem, ClusterMessage, DocRef, Document, EnvelopeRef, EpochNotice, FieldWriter,
     ItemRef, Key, KindRef, MaintenanceError, MatchType, NotificationKind, NotifyEnvelope, QueryHash,
-    QuerySpec, ResultItem, SortDirection, Stage, SubscriptionId, SubscriptionRequest, TenantId,
-    TraceContext, Value,
+    QuerySpec, ResultItem, SortDirection, Stage, SubscribeRef, SubscriptionId, SubscriptionRequest,
+    TenantId, TraceContext, Value, WriteRef,
 };
 use invalidb::core::event::WriteHeader;
 use invalidb::core::ingest::{decode_cluster_payload, decode_control, decode_event_with};
 use invalidb::core::{Event, FilterChange, FilterChangeKind};
-use invalidb::json::{bin, LazyDoc, LazyValue, PayloadWriter, WireCodec};
+use invalidb::json::{bin, EncodedDoc, LazyDoc, LazyValue, PayloadWriter, WireCodec};
 use proptest::prelude::*;
 
 fn optional<T: Clone + std::fmt::Debug + 'static>(
@@ -616,16 +618,25 @@ proptest! {
 
     /// A change envelope whose record is copied in as the bytes it arrived
     /// in is, byte for byte and as a document, the one written from the
-    /// decoded record.
+    /// decoded record; so are a write envelope and a Subscribe envelope
+    /// whose records are the store's bytes.
     #[test]
     fn wire_codec_a_spliced_record_writes_the_decoded_records_bytes(record in document()) {
         assert_spliced_like_decoded(&record);
     }
 }
 
+/// The payload `write` writes.
+fn written(write: impl FnOnce(&mut PayloadWriter)) -> Bytes {
+    let mut w = WireCodec.writer();
+    write(&mut w);
+    w.finish()
+}
+
 /// [`wire_codec_a_spliced_record_writes_the_decoded_records_bytes`] for
 /// one record: encoded on its own, checked, and copied into a change
-/// envelope.
+/// envelope; encoded as the store keeps it, and copied into a write
+/// envelope and into the initial result of a Subscribe envelope.
 fn assert_spliced_like_decoded(record: &Document) {
     let bytes = WireCodec.encode(record);
     let spliced = LazyDoc::new(&bytes).unwrap().root().check().unwrap();
@@ -642,14 +653,64 @@ fn assert_spliced_like_decoded(record: &Document) {
         caused_by_write_at: 9,
         trace: None,
     };
-    let written = |envelope: EnvelopeRef<'_>| {
-        let mut w = WireCodec.writer();
-        envelope.write_to(&mut w);
-        w.finish()
-    };
     let (from_bytes, from_tree) = (envelope(DocRef::Encoded(&spliced)), envelope(DocRef::Tree(record)));
-    assert_eq!(written(from_bytes.clone()), written(from_tree.clone()), "{record}");
+    assert_eq!(written(|w| from_bytes.write_to(w)), written(|w| from_tree.write_to(w)), "{record}");
     assert_eq!(from_bytes.to_document(), from_tree.to_document(), "{record}");
+
+    let stored = EncodedDoc::encode(record);
+    let write = |doc| WriteRef {
+        tenant: &tenant,
+        collection: "c",
+        key: &key,
+        version: 3,
+        doc: Some(doc),
+        written_at: 9,
+        trace: None,
+    };
+    let (from_bytes, from_tree) = (write(DocRef::Encoded(&stored)), write(DocRef::Tree(record)));
+    assert_eq!(written(|w| from_bytes.write_to(w)), written(|w| from_tree.write_to(w)), "{record}");
+    assert_eq!(from_bytes.to_document(), from_tree.to_document(), "{record}");
+
+    // Two rows of a sorted result, as the app server writes them from the
+    // store's rows and as a decoded request writes them.
+    let spec = QuerySpec::filter("c", Document::new()).sorted_by("n", SortDirection::Asc).with_limit(1);
+    let item =
+        |doc, index| ItemRef { key: &key, version: 3 + index, doc: Some(doc), index: Some(index) };
+    let (from_bytes, from_tree) = (
+        [item(DocRef::Encoded(&stored), 0), item(DocRef::Encoded(&stored), 1)],
+        [item(DocRef::Tree(record), 0), item(DocRef::Tree(record), 1)],
+    );
+    let subscribe = |items| SubscribeRef {
+        tenant: &tenant,
+        subscription: SubscriptionId(1),
+        spec: &spec,
+        query_hash: QueryHash(5),
+        slack: 1,
+        ttl_micros: 60,
+        renewal: false,
+        initial: <[ItemRef<'_>; 2]>::into_iter(items),
+    };
+    let (from_bytes, from_tree) = (subscribe(from_bytes), subscribe(from_tree));
+    let request = ClusterMessage::Subscribe(SubscriptionRequest {
+        tenant: tenant.clone(),
+        subscription: SubscriptionId(1),
+        spec: spec.clone(),
+        query_hash: QueryHash(5),
+        initial: (0..2)
+            .map(|i| ResultItem {
+                index: Some(i),
+                ..ResultItem::new(key.clone(), 3 + i, record.clone())
+            })
+            .collect(),
+        slack: 1,
+        ttl_micros: 60,
+        renewal: false,
+    });
+    let spliced = written(|w| from_bytes.write_to(w));
+    assert_eq!(spliced, written(|w| from_tree.write_to(w)), "{record}");
+    assert_eq!(spliced, written(|w| request.write_to(w)), "{record}");
+    assert_eq!(from_bytes.to_document(), from_tree.to_document(), "{record}");
+    assert_eq!(from_bytes.to_document(), request.to_document(), "{record}");
 }
 
 /// The spliced envelope on the shapes where bytes and tree could part: an
