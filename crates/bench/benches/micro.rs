@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths of the real-time engine:
 //! query matching (the per-(query, write) cost that dominates matching-node
 //! capacity), envelope decoding (the per-write event-layer overhead of
-//! §6.3), JSON text (de)serialization (the write-ahead log's), sorted-window
+//! §6.3), JSON text (de)serialization (the admin output's), sorted-window
 //! maintenance, partition hashing, and store CRUD.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};

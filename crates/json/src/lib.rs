@@ -11,9 +11,8 @@
 //! rather than bypassed with in-process references.
 //!
 //! The JSON *text* codec ([`parse_document`], [`to_string`]) serves what
-//! people and files read: the write-ahead log, the admin endpoint and
-//! metrics snapshots. Its deviations from strict JSON (both documented and
-//! round-trip safe):
+//! people and files read: the admin endpoint and metrics snapshots. Its
+//! deviations from strict JSON (both documented and round-trip safe):
 //!
 //! * `NaN`, `Infinity` and `-Infinity` are accepted and produced as bare
 //!   tokens so that the full [`Value`](invalidb_common::Value) float domain round-trips;

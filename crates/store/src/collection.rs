@@ -219,30 +219,6 @@ impl Collection {
             .collect()
     }
 
-    /// Restores a record with an exact version (WAL recovery path —
-    /// bypasses the oplog so recovery is not re-logged).
-    pub(crate) fn restore(&self, key: Key, version: Version, doc: Document) {
-        let doc = EncodedDoc::encode(&doc);
-        let mut inner = self.inner.write();
-        inner.tombstones.remove(&key);
-        let replaced = inner.records.insert(key.clone(), StoredRecord { version, doc: doc.clone() });
-        reindex(&mut inner.indexes, &key, replaced.as_ref().map(|old| &old.doc), Some(&doc));
-    }
-
-    /// Restores a delete with its exact tombstone version (WAL recovery).
-    pub(crate) fn restore_delete(&self, key: Key, version: Version) {
-        let mut inner = self.inner.write();
-        if let Some(record) = inner.records.remove(&key) {
-            reindex(&mut inner.indexes, &key, Some(&record.doc), None);
-        }
-        inner.tombstones.insert(key, version);
-    }
-
-    /// Snapshot of tombstone versions (WAL checkpointing).
-    pub(crate) fn tombstone_snapshot(&self) -> Vec<(Key, Version)> {
-        self.inner.read().tombstones.iter().map(|(k, v)| (k.clone(), *v)).collect()
-    }
-
     /// Snapshot of all records, decoded (tests and tooling).
     pub fn scan_all(&self) -> Vec<(Key, Version, Document)> {
         let held: Vec<(Key, Version, EncodedDoc)> = {

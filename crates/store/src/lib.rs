@@ -12,9 +12,11 @@
 //!    the `invalidb-query` crate, satisfying §5.3's alignment requirement);
 //! 3. **a replication log** (oplog) — consumed by the log-tailing baseline.
 //!
-//! The store is multi-collection, thread-safe (readers-writer locking per
-//! collection), supports MongoDB-style update operators (`$set`, `$inc`,
-//! `$push`, …) and optional secondary indexes with a small query planner.
+//! The store is held in memory: durability is MongoDB's job in the paper
+//! and not one of the three things above. It is multi-collection, thread-safe
+//! (readers-writer locking per collection), supports MongoDB-style update
+//! operators (`$set`, `$inc`, `$push`, …) and optional secondary indexes
+//! with a small query planner.
 
 pub mod collection;
 pub mod index;
@@ -22,7 +24,6 @@ pub mod oplog;
 pub mod plan;
 pub mod record;
 pub mod update;
-pub mod wal;
 
 mod store;
 

@@ -91,8 +91,6 @@ pub enum StoreError {
     BadQuery(String),
     /// The named index already exists.
     IndexExists(String),
-    /// Write-ahead-log I/O failure.
-    Io(String),
 }
 
 impl fmt::Display for StoreError {
@@ -103,7 +101,6 @@ impl fmt::Display for StoreError {
             StoreError::BadUpdate(msg) => write!(f, "invalid update: {msg}"),
             StoreError::BadQuery(msg) => write!(f, "invalid query: {msg}"),
             StoreError::IndexExists(field) => write!(f, "index on `{field}` already exists"),
-            StoreError::Io(msg) => write!(f, "write-ahead log I/O error: {msg}"),
         }
     }
 }

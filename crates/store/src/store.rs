@@ -11,15 +11,11 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// An embedded multi-collection document store.
-///
-/// In-memory by default ([`Store::new`]); durable when opened on a
-/// write-ahead log ([`Store::open`]).
+/// An embedded multi-collection document store, held in memory.
 pub struct Store {
     engine: Arc<dyn QueryEngine>,
     oplog: Arc<Oplog>,
     collections: RwLock<HashMap<String, Arc<Collection>>>,
-    wal: parking_lot::Mutex<Option<crate::wal::WalHandle>>,
 }
 
 impl Store {
@@ -30,22 +26,7 @@ impl Store {
 
     /// Store with a custom query engine (pluggability, §5.3).
     pub fn with_engine(engine: Arc<dyn QueryEngine>) -> Self {
-        Self {
-            engine,
-            oplog: Arc::new(Oplog::new()),
-            collections: RwLock::new(HashMap::new()),
-            wal: parking_lot::Mutex::new(None),
-        }
-    }
-
-    pub(crate) fn attach_wal(&self, handle: crate::wal::WalHandle) {
-        *self.wal.lock() = Some(handle);
-    }
-
-    pub(crate) fn wal_writer(
-        &self,
-    ) -> Option<(std::path::PathBuf, Arc<parking_lot::Mutex<std::io::BufWriter<std::fs::File>>>)> {
-        self.wal.lock().as_ref().map(|h| (h.path.clone(), Arc::clone(&h.writer)))
+        Self { engine, oplog: Arc::new(Oplog::new()), collections: RwLock::new(HashMap::new()) }
     }
 
     /// The configured query engine.
@@ -68,11 +49,6 @@ impl Store {
             map.entry(name.to_owned())
                 .or_insert_with(|| Arc::new(Collection::new(name.to_owned(), Arc::clone(&self.oplog)))),
         )
-    }
-
-    /// Names of existing collections.
-    pub fn collection_names(&self) -> Vec<String> {
-        self.collections.read().keys().cloned().collect()
     }
 
     /// Inserts into a collection (error on duplicate key).
