@@ -18,14 +18,12 @@
 //!   *poll frequency rate limit* so the load inflicted on the database
 //!   stays predictable and configurable (§5.2).
 
-mod coalesce;
 mod error;
 mod notify;
 mod rate;
 mod result;
 mod server;
 
-pub use coalesce::collapse;
 pub use error::Error;
 pub use notify::{decode_epoch_notice, decode_notify_into, decode_notify_payload, NotifyPayload};
 pub use rate::TokenBucket;

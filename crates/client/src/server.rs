@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Application-server tunables.
 ///
@@ -340,10 +340,6 @@ struct Shared {
     clock: SystemClock,
     /// When the cluster was last heard from, in `clock` microseconds.
     last_heartbeat: AtomicU64,
-    /// Wakes the keeper: a renewal was queued, or the server shuts down.
-    wake: Sender<()>,
-    /// Ends the keeper, whose input is `wake` and so never closes.
-    shutdown: AtomicBool,
     renewals_performed: AtomicU64,
     connection_lost: AtomicBool,
     /// Forwarded-write sequence number, the basis for trace sampling.
@@ -360,17 +356,13 @@ struct Shared {
 }
 
 impl Shared {
-    /// The state of a new app server, and the keeper's end of its wake-up
-    /// channel.
-    fn new(config: &AppServerConfig) -> (Arc<Shared>, Receiver<()>) {
+    /// The state of a new app server.
+    fn new(config: &AppServerConfig) -> Arc<Shared> {
         let clock = SystemClock::new();
-        let (wake, woken) = unbounded();
         let shared = Shared {
             subs: Mutex::new(Table::new(config.subscribe_retry_interval)),
             last_heartbeat: AtomicU64::new(clock.now().micros()),
             clock,
-            wake,
-            shutdown: AtomicBool::new(false),
             renewals_performed: AtomicU64::new(0),
             connection_lost: AtomicBool::new(false),
             writes_forwarded: AtomicU64::new(0),
@@ -379,7 +371,7 @@ impl Shared {
             epoch_replays: AtomicU64::new(0),
             reconnect_replays: AtomicU64::new(0),
         };
-        (Arc::new(shared), woken)
+        Arc::new(shared)
     }
 
     /// Repairs what the event layer may have lost (a failover epoch bump or
@@ -389,14 +381,14 @@ impl Shared {
     /// bootstrap query and keeps re-registering until a notification proves
     /// the registration took (a renewal racing a rebuilding cluster or a
     /// session's SUBSCRIBE replay can be lost like any other envelope).
-    /// Returns how many writes were replayed and subscriptions queued.
+    /// Returns how many writes were replayed and subscriptions queued; a
+    /// caller other than the keeper wakes it.
     fn repair(&self, broker: &BrokerHandle) -> (usize, usize) {
         let ring: Vec<bytes::Bytes> = self.write_ring.lock().iter().cloned().collect();
         for payload in &ring {
             broker.publish(CLUSTER_TOPIC, payload.clone());
         }
         let marked = self.subs.lock().repair(self.clock.now());
-        let _ = self.wake.send(());
         (ring.len(), marked)
     }
 }
@@ -413,7 +405,8 @@ pub struct AppServer {
     config: AppServerConfig,
     shared: Arc<Shared>,
     /// The event-layer subscriptions the dispatcher and the epoch watcher
-    /// read. Dropping them ends both.
+    /// read. Dropping them ends both, and with them the keeper: they hold
+    /// the only senders of its wake-up channel.
     inputs: Vec<invalidb_broker::Subscription>,
     threads: Vec<std::thread::JoinHandle<()>>,
     admin: Option<AdminServer>,
@@ -436,7 +429,7 @@ impl AppServer {
         config.validate().unwrap_or_else(|e| panic!("{e}"));
         let tenant = tenant.into();
         let broker: BrokerHandle = broker.into();
-        let (shared, woken) = Shared::new(&config);
+        let shared = Shared::new(&config);
         // Optional admin plane. A failed bind does not abort the server but
         // is counted so it cannot go unnoticed.
         let admin = config.admin_addr.as_deref().and_then(|addr| {
@@ -450,17 +443,19 @@ impl AppServer {
         });
         let mut server =
             Self { tenant, store, broker, config, shared, inputs: vec![], threads: vec![], admin };
-        let dispatcher = Dispatcher::new(&server);
+        // The keeper's input is its wake-up channel; the dispatcher and the
+        // epoch watcher hold its senders.
+        let (wake, woken) = unbounded();
+        let dispatcher = Dispatcher::new(&server, wake.clone());
         server.spawn_reader(&notify_topic(server.tenant.as_str()), "dispatch", dispatcher);
-        let keeper = Keeper::new(&server);
-        server.spawn("keeper", move || keeper.run(&woken));
-        let watcher = EpochWatcher {
-            shared: Arc::clone(&server.shared),
-            broker: server.broker.clone(),
-            metrics: server.config.metrics.clone(),
-            decode_errors: server.config.metrics.counter("appserver.epoch_decode_errors"),
-        };
+        let watcher = EpochWatcher::new(&server, wake);
         server.spawn_reader(EPOCH_TOPIC, "epoch", watcher);
+        let mut keeper = Keeper::new(&server);
+        let clock = server.shared.clock.clone();
+        // Its work is counted in `appserver.renewals` and the gauges of its
+        // housekeeping; its task series are left unexported.
+        let series = task::Series::new(&MetricsRegistry::new(), "keeper");
+        server.spawn("keeper", move || task::run(&woken, &mut keeper, &clock, &series));
         server
     }
 
@@ -671,7 +666,8 @@ impl AppServer {
         let input = self.broker.subscribe(topic);
         let rx = input.receiver().clone();
         let series = task::Series::new(&self.config.metrics, &format!("appserver.{name}"));
-        self.spawn(name, move || task::run(&rx, &mut task, task::IDLE_TICK, &series));
+        let clock = self.shared.clock.clone();
+        self.spawn(name, move || task::run(&rx, &mut task, &clock, &series));
         self.inputs.push(input);
     }
 }
@@ -683,11 +679,13 @@ impl AppServer {
 /// the keeper; its retry is half a second away by default).
 const HOUSEKEEPING: Duration = Duration::from_millis(50);
 
-/// The app server's background loop for everything that happens at a time
-/// rather than on a message: one thread that blocks on its wake-up channel
-/// until the earliest of its deadlines — the head renewal's token, the head
-/// registration's retry, the next TTL refresh, the next housekeeping — or
-/// until the dispatcher queues a renewal into an empty queue.
+/// The app server's task for everything that happens at a time rather than
+/// on a message. Its input is a wake-up channel, and every turn of it ends
+/// with a tick ([`Task::TICK_AFTER_INPUT`]); otherwise it sleeps until the
+/// earliest of its deadlines: the head renewal's token, the head
+/// registration's retry, the next TTL refresh, the next housekeeping. The
+/// dispatcher wakes it when it queues a renewal into an empty queue, the
+/// epoch watcher after a repair.
 struct Keeper {
     shared: Arc<Shared>,
     store: Arc<Store>,
@@ -725,39 +723,6 @@ impl Keeper {
             renewal_wait_us: metrics.histogram("appserver.renewal_wait_us"),
             config: config.clone(),
         }
-    }
-
-    fn run(mut self, woken: &Receiver<()>) {
-        while !self.shared.shutdown.load(Ordering::Relaxed) {
-            let next = self.turn(self.shared.clock.now());
-            let wait = next.since(self.shared.clock.now());
-            if woken.recv_timeout(wait).is_ok() {
-                while woken.try_recv().is_ok() {}
-            }
-        }
-    }
-
-    /// Does everything due at `now` and returns when the next thing is.
-    fn turn(&mut self, now: Timestamp) -> Timestamp {
-        if now >= self.next_housekeeping {
-            self.housekeeping(now);
-            self.next_housekeeping = now.after(HOUSEKEEPING);
-        }
-        if now >= self.next_ttl_refresh {
-            self.refresh_ttls();
-            self.next_ttl_refresh = now.after(self.config.ttl_refresh_interval());
-        }
-        // At-least-once registration: a Subscribe that never produced a
-        // baseline was dropped somewhere (e.g. a worker mid-rebuild).
-        let retried = self.shared.subs.lock().queue_due_retries(now);
-        if retried > 0 {
-            self.config.metrics.add("appserver.subscribe_retries", retried);
-        }
-        self.renew();
-        let now = self.shared.clock.now();
-        let table = self.shared.subs.lock().next_due(now, &self.bucket);
-        let next = self.next_housekeeping.min(self.next_ttl_refresh);
-        table.map_or(next, |due| due.min(next))
     }
 
     /// Publishes queued renewals, oldest first and one token each, until
@@ -862,6 +827,37 @@ impl Keeper {
     }
 }
 
+impl Task<()> for Keeper {
+    const TICK_AFTER_INPUT: bool = true;
+
+    /// A wake-up: the tick that ends the turn does the work.
+    fn handle(&mut self, (): ()) {}
+
+    /// Does everything due at `now` and returns when the next thing is.
+    fn tick(&mut self, now: Timestamp) -> Timestamp {
+        if now >= self.next_housekeeping {
+            self.housekeeping(now);
+            self.next_housekeeping = now.after(HOUSEKEEPING);
+        }
+        if now >= self.next_ttl_refresh {
+            self.refresh_ttls();
+            self.next_ttl_refresh = now.after(self.config.ttl_refresh_interval());
+        }
+        // At-least-once registration: a Subscribe that never produced a
+        // baseline was dropped somewhere (e.g. a worker mid-rebuild).
+        let retried = self.shared.subs.lock().queue_due_retries(now);
+        if retried > 0 {
+            self.config.metrics.add("appserver.subscribe_retries", retried);
+        }
+        // After the housekeeping: what its repair queued is renewed now.
+        self.renew();
+        let now = self.shared.clock.now();
+        let table = self.shared.subs.lock().next_due(now, &self.bucket);
+        let next = self.next_housekeeping.min(self.next_ttl_refresh);
+        table.map_or(next, |due| due.min(next))
+    }
+}
+
 /// Publishes one control message to the cluster topic, written straight
 /// from its parts.
 fn publish(broker: &BrokerHandle, msg: &ClusterMessage) {
@@ -921,10 +917,12 @@ struct Dispatcher {
     /// The address list every change envelope is decoded into, handed back
     /// after delivery.
     addressees: Vec<SubscriptionId>,
+    /// Wakes the keeper.
+    wake: Sender<()>,
 }
 
 impl Dispatcher {
-    fn new(server: &AppServer) -> Self {
+    fn new(server: &AppServer, wake: Sender<()>) -> Self {
         let metrics = &server.config.metrics;
         Self {
             shared: Arc::clone(&server.shared),
@@ -937,6 +935,7 @@ impl Dispatcher {
             unknown_subscription: metrics.counter("appserver.notify_unknown_subscription"),
             channel_closed: metrics.counter("appserver.notify_channel_closed"),
             addressees: Vec::new(),
+            wake,
         }
     }
 
@@ -1011,7 +1010,7 @@ impl Dispatcher {
         }
         self.addressees = subscriptions;
         if wake {
-            let _ = self.shared.wake.send(());
+            let _ = self.wake.send(());
         }
     }
 }
@@ -1050,6 +1049,21 @@ struct EpochWatcher {
     metrics: MetricsRegistry,
     /// `appserver.epoch_decode_errors`: payloads that are no epoch notice.
     decode_errors: Arc<AtomicU64>,
+    /// Wakes the keeper after a repair.
+    wake: Sender<()>,
+}
+
+impl EpochWatcher {
+    fn new(server: &AppServer, wake: Sender<()>) -> Self {
+        let metrics = &server.config.metrics;
+        Self {
+            shared: Arc::clone(&server.shared),
+            broker: server.broker.clone(),
+            metrics: metrics.clone(),
+            decode_errors: metrics.counter("appserver.epoch_decode_errors"),
+            wake,
+        }
+    }
 }
 
 impl Task<Bytes> for EpochWatcher {
@@ -1068,6 +1082,7 @@ impl Task<Bytes> for EpochWatcher {
         // Rebuilt cells see the recent stream again; the keeper re-executes
         // bootstrap queries (rate-limited).
         let (replayed, marked) = self.shared.repair(&self.broker);
+        let _ = self.wake.send(());
         self.shared.epoch_replays.fetch_add(1, Ordering::Relaxed);
         self.metrics.inc("appserver.epoch_replays");
         self.metrics.flight().record(
@@ -1079,11 +1094,10 @@ impl Task<Bytes> for EpochWatcher {
 
 impl Drop for AppServer {
     /// Closes the dispatcher's and the epoch watcher's subscriptions, which
-    /// ends both, stops the keeper, and joins all three.
+    /// ends both; the keeper's input closes with them, and it ends too. Joins
+    /// all three.
     fn drop(&mut self) {
         self.inputs.clear();
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        let _ = self.shared.wake.send(());
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -1109,9 +1123,8 @@ impl Subscription {
     /// before it is returned.
     ///
     /// By default [`Events::next`] waits up to one second per event and
-    /// yields `None` on timeout; tune with [`Events::timeout`], switch to a
-    /// pure `try_recv` with [`Events::non_blocking`], or enable hot-key
-    /// batching with [`Events::coalesced`].
+    /// yields `None` on timeout; tune with [`Events::timeout`], or switch to
+    /// a pure `try_recv` with [`Events::non_blocking`].
     ///
     /// ```ignore
     /// for event in subscription.events().timeout(Duration::from_secs(5)) {
@@ -1119,12 +1132,7 @@ impl Subscription {
     /// }
     /// ```
     pub fn events(&mut self) -> Events<'_> {
-        Events {
-            sub: self,
-            timeout: Duration::from_secs(1),
-            coalesce: None,
-            buffer: std::collections::VecDeque::new(),
-        }
+        Events { sub: self, timeout: Duration::from_secs(1) }
     }
 
     fn recv_one(&mut self, timeout: Duration) -> Option<ClientEvent> {
@@ -1158,29 +1166,6 @@ impl Subscription {
     pub fn last_trace(&self) -> Option<&TraceContext> {
         self.last_trace.as_ref()
     }
-
-    /// Waits up to `window` for a first event, keeps collecting until the
-    /// window closes, applies everything to the local result, and returns
-    /// the batch collapsed to its net effect (hot-key churn disappears).
-    fn recv_coalesced(&mut self, window: Duration) -> Vec<ClientEvent> {
-        let first = match self.recv_one(window) {
-            Some(ev) => ev,
-            None => return Vec::new(),
-        };
-        let mut batch = vec![first];
-        let deadline = Instant::now() + window;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.recv_one(deadline - now) {
-                Some(ev) => batch.push(ev),
-                None => break,
-            }
-        }
-        crate::coalesce::collapse(batch)
-    }
 }
 
 /// Iterator over a subscription's incoming events, created by
@@ -1193,8 +1178,6 @@ impl Subscription {
 pub struct Events<'a> {
     sub: &'a mut Subscription,
     timeout: Duration,
-    coalesce: Option<Duration>,
-    buffer: std::collections::VecDeque<ClientEvent>,
 }
 
 impl Events<'_> {
@@ -1210,30 +1193,16 @@ impl Events<'_> {
         self.timeout = Duration::ZERO;
         self
     }
-
-    /// Opt-in coalescing: gather events for `window` per batch and yield the
-    /// batch collapsed to its net effect ([`crate::collapse`]) — hot-key
-    /// churn disappears, add→remove pairs cancel.
-    pub fn coalesced(mut self, window: Duration) -> Self {
-        self.coalesce = Some(window);
-        self
-    }
 }
 
 impl Iterator for Events<'_> {
     type Item = ClientEvent;
 
     fn next(&mut self) -> Option<ClientEvent> {
-        if let Some(ev) = self.buffer.pop_front() {
-            return Some(ev);
-        }
-        match self.coalesce {
-            Some(window) => {
-                self.buffer.extend(self.sub.recv_coalesced(window));
-                self.buffer.pop_front()
-            }
-            None if self.timeout.is_zero() => self.sub.try_recv_one(),
-            None => self.sub.recv_one(self.timeout),
+        if self.timeout.is_zero() {
+            self.sub.try_recv_one()
+        } else {
+            self.sub.recv_one(self.timeout)
         }
     }
 }
@@ -1408,7 +1377,7 @@ mod tests {
     /// count of what it publishes.
     fn server(n: u64) -> (AppServer, Vec<Inbox>, Arc<AtomicU64>) {
         let config = AppServerConfig::default();
-        let (shared, _) = Shared::new(&config);
+        let shared = Shared::new(&config);
         let published = Arc::new(AtomicU64::new(0));
         let layer = LockCheck {
             shared: Arc::clone(&shared),
@@ -1468,7 +1437,7 @@ mod tests {
         assert_eq!(published.load(Ordering::Relaxed), 4);
         // The holder of subscription 1 dropped it: delivering cancels it.
         receivers.remove(1);
-        let mut dispatcher = Dispatcher::new(&server);
+        let mut dispatcher = Dispatcher::new(&server, unbounded().0);
         dispatcher.deliver(change_to(&[1, 2], 0), T0);
         assert_eq!(published.load(Ordering::Relaxed), 5, "the cancellation");
         assert_eq!(server.shared.subs.lock().entries.len(), 1);
@@ -1479,7 +1448,7 @@ mod tests {
     #[test]
     fn a_dispatcher_delivers_a_change_through_handle() {
         let (server, receivers, _) = server(1);
-        let mut dispatcher = Dispatcher::new(&server);
+        let mut dispatcher = Dispatcher::new(&server, unbounded().0);
         let mut payload = WireCodec.writer();
         change_to(&[0], 0).as_ref().write_to(&mut payload);
         dispatcher.handle(payload.finish());
@@ -1495,12 +1464,7 @@ mod tests {
     fn the_epoch_watcher_counts_what_is_no_notice_and_repairs_on_a_bump() {
         let (server, _receivers, _) = server(2);
         let metrics = &server.config.metrics;
-        let mut watcher = EpochWatcher {
-            shared: Arc::clone(&server.shared),
-            broker: server.broker.clone(),
-            metrics: metrics.clone(),
-            decode_errors: metrics.counter("appserver.epoch_decode_errors"),
-        };
+        let mut watcher = EpochWatcher::new(&server, unbounded().0);
         let notice = |epoch, reassigned| {
             let mut payload = WireCodec.writer();
             EpochNotice { epoch, reassigned }.write_to(&mut payload);
@@ -1523,7 +1487,7 @@ mod tests {
     fn an_envelope_to_n_live_subscriptions_is_n_staleness_samples() {
         let (server, _receivers, _) = server(5);
         let metrics = &server.config.metrics;
-        let mut dispatcher = Dispatcher::new(&server);
+        let mut dispatcher = Dispatcher::new(&server, unbounded().0);
         let written_at = now_micros();
         dispatcher.deliver(change_to(&[0, 1, 2, 3, 99], written_at), T0);
         let samples = metrics.histogram("slo.app.staleness_us").lock().count();

@@ -14,7 +14,7 @@
 
 use crate::assignment::{AssignmentTable, Placement, RoundRobin, WorkerInfo};
 use invalidb_broker::{BrokerHandle, Bytes, Subscription, CLUSTER_TOPIC, EPOCH_TOPIC};
-use invalidb_common::{doc, ClusterMessage, Document, EpochNotice, GridShape, Value};
+use invalidb_common::{doc, ClusterMessage, Document, EpochNotice, GridShape, SystemClock, Value};
 use invalidb_core::ingest::decode_control;
 use invalidb_json::WireCodec;
 use invalidb_net::frame::{Decoder, Frame};
@@ -202,7 +202,7 @@ impl Coordinator {
         let threads = vec![
             spawn("coord-accept", move || accept_loop(listener, accept)),
             spawn("coord-supervise", move || supervise_loop(supervise)),
-            spawn("coord-subcache", move || task::run(&rx, &mut cache, task::IDLE_TICK, &series)),
+            spawn("coord-subcache", move || task::run(&rx, &mut cache, &SystemClock::new(), &series)),
         ];
         Ok(Coordinator { inner, local_addr, admin, cache_input: Some(cache_input), threads })
     }

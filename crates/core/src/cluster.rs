@@ -30,7 +30,7 @@ use crate::notifier::Publisher;
 use crate::sorting::SortingNode;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use invalidb_broker::{shuffle_topic, BrokerHandle, Bytes, Subscription, CLUSTER_TOPIC};
-use invalidb_common::{GridCoord, GridShape, Stage, SystemClock, TenantInterner};
+use invalidb_common::{GridCoord, GridShape, Stage, SystemClock, TenantInterner, Timestamp};
 use invalidb_obs::{
     AdminConfig, AdminServer, FlightRecorder, MetricsRegistry, MetricsSnapshot, SlowQueryLog,
 };
@@ -149,7 +149,6 @@ impl Cluster {
         let decode_errors = Arc::new(AtomicU64::new(0));
         let publisher = Publisher::new(broker.clone(), &config, clock.clone());
         let metrics = &config.metrics;
-        let tick_interval = config.tick_interval;
         let queues = |n: usize| -> (Vec<Sender<Event>>, Vec<Receiver<Event>>) {
             (0..n).map(|_| bounded(config.queue_capacity)).unzip()
         };
@@ -173,7 +172,7 @@ impl Cluster {
         let ingress =
             Ingress::new(host.clone(), cells, links.clone(), publisher.clone(), &config, &decode_errors);
         let rx = input.receiver().clone();
-        threads.push(spawn_task("ingress".into(), rx, ingress, tick_interval, metrics, "ingress"));
+        threads.push(spawn_task("ingress".into(), rx, ingress, &clock, metrics, "ingress"));
         let mut inputs = vec![input];
 
         // Shuffle ingress (subset hosts only), one per row anchored here:
@@ -189,7 +188,7 @@ impl Cluster {
             for qp in (0..grid.query_partitions).filter(|&qp| host.owns_row(qp)) {
                 let input = broker.subscribe(&shuffle_topic(qp));
                 let (name, rx) = ("shuffle-ingress".into(), input.receiver().clone());
-                threads.push(spawn_task(name, rx, shuffle.clone(), task::IDLE_TICK, metrics, "shuffle"));
+                threads.push(spawn_task(name, rx, shuffle.clone(), &clock, metrics, "shuffle"));
                 inputs.push(input);
             }
         }
@@ -208,27 +207,13 @@ impl Cluster {
             };
             let node =
                 MatchingNode::new(task, grid, config.clone(), clock.clone(), publisher.clone(), staged);
-            threads.push(spawn_task(
-                format!("cell-{qp}x{wp}"),
-                rx,
-                node,
-                tick_interval,
-                metrics,
-                "matching",
-            ));
+            threads.push(spawn_task(format!("cell-{qp}x{wp}"), rx, node, &clock, metrics, "matching"));
         }
 
         // Sorting stage, partitioned by query.
         for (task, rx) in sorting_rx.into_iter().enumerate() {
             let node = SortingNode::new(task, config.clone(), clock.clone(), publisher.clone());
-            threads.push(spawn_task(
-                format!("sorting-{task}"),
-                rx,
-                node,
-                tick_interval,
-                metrics,
-                "sorting",
-            ));
+            threads.push(spawn_task(format!("sorting-{task}"), rx, node, &clock, metrics, "sorting"));
         }
 
         let registry = config.metrics.clone();
@@ -334,21 +319,22 @@ impl Drop for Cluster {
     }
 }
 
-/// Runs one pipeline task on its own thread, reporting the
+/// Runs one pipeline task on its own thread and on `clock`, reporting the
 /// [`task::Series`] `processed`, `ticks` and `queue_depth` under
 /// `cluster.<component>`, all three created before the thread starts.
 fn spawn_task<M: Send + 'static>(
     name: String,
     rx: Receiver<M>,
     mut node: impl Task<M> + Send + 'static,
-    tick_interval: Duration,
+    clock: &Arc<SystemClock>,
     metrics: &MetricsRegistry,
     component: &str,
 ) -> JoinHandle<()> {
     let series = task::Series::new(metrics, &format!("cluster.{component}"));
+    let clock = Arc::clone(clock);
     std::thread::Builder::new()
         .name(name)
-        .spawn(move || task::run(&rx, &mut node, tick_interval, &series))
+        .spawn(move || task::run(&rx, &mut node, &*clock, &series))
         .expect("spawn pipeline thread")
 }
 
@@ -374,6 +360,8 @@ pub(crate) struct Ingress {
     /// `cluster.ingress.emitted`: events handed to a cell or a sorting
     /// partition.
     emitted: Arc<AtomicU64>,
+    /// [`ClusterConfig::tick_interval`].
+    tick_interval: Duration,
 }
 
 impl Ingress {
@@ -398,6 +386,7 @@ impl Ingress {
             decode_error_count: metrics.counter("ingress.decode_errors"),
             traced_writes: metrics.counter("ingress.traced_writes"),
             emitted: metrics.counter("cluster.ingress.emitted"),
+            tick_interval: config.tick_interval,
         }
     }
 
@@ -485,8 +474,9 @@ impl Task<Bytes> for Ingress {
         self.route(event);
     }
 
-    fn tick(&mut self) {
+    fn tick(&mut self, now: Timestamp) -> Timestamp {
         self.publisher.heartbeat();
+        now.after(self.tick_interval)
     }
 }
 
@@ -525,8 +515,8 @@ mod tests {
     use super::*;
     use invalidb_broker::{notify_topic, Broker};
     use invalidb_common::{
-        doc, AfterImage, ClusterMessage, Key, MatchType, MockClock, NotificationKind, NotifyEnvelope,
-        QuerySpec, SubscriptionId, SubscriptionRequest, TenantId, Value,
+        doc, AfterImage, Clock, ClusterMessage, Key, MatchType, MockClock, NotificationKind,
+        NotifyEnvelope, QuerySpec, SubscriptionId, SubscriptionRequest, TenantId, Value,
     };
     use invalidb_json::{payload_to_document, WireCodec};
 
@@ -599,7 +589,7 @@ mod tests {
         );
 
         clock.advance(config.heartbeat_interval);
-        ingress.tick();
+        ingress.tick(clock.now());
         let beat = payload_to_document(&notify.try_recv().expect("a heartbeat")).unwrap();
         assert_eq!(beat.get("type").and_then(Value::as_str), Some("heartbeat"));
         assert_eq!(decode_errors.load(Ordering::Relaxed), 0);

@@ -816,16 +816,20 @@ impl MatchingNode {
         // superset contract, so they are not evaluated; the index's test
         // reads its attributes in place. The others take a live write's
         // path, without its trace: a replayed transition is not on the live
-        // write's stage path. A sorted joiner gets the newest write of each
-        // key from before the group formed, which every other window of its
-        // query has seen (an older one would move them back).
+        // write's stage path. An unsorted subscriber gets only the newest
+        // write of each key: membership depends on it alone, and an older
+        // one would show the subscriber a record its read saw deleted. A
+        // sorted joiner gets the newest write of each key from before the
+        // group formed, which every other window of its query has seen (an
+        // older one would move them back).
         let sorted_joiner = !new && group.query.to_sorting;
+        let newest_only = sorted_joiner || !group.query.to_sorting;
         let mut admission = index.admission(hash);
         for write in retention.iter() {
             if sorted_joiner && write.at > group.since {
                 break;
             }
-            let superseded = sorted_joiner && latest_versions.get(&write.key) != Some(&write.version);
+            let superseded = newest_only && latest_versions.get(&write.key) != Some(&write.version);
             if superseded || view.get(&write.key).is_some_and(|held| write.version <= *held) {
                 continue;
             }
@@ -970,7 +974,7 @@ impl Task<Event> for MatchingNode {
         }
     }
 
-    fn tick(&mut self) {
+    fn tick(&mut self, now: Timestamp) -> Timestamp {
         self.expire();
         self.eval.slow_scratch.flush(&self.config.metrics.slow_queries());
         // Per-partition gauges, refreshed once per tick so the hot write
@@ -1000,6 +1004,7 @@ impl Task<Event> for MatchingNode {
         if pred_hits > 0 {
             self.metric_pred_hits.fetch_add(pred_hits, AtomicOrdering::Relaxed);
         }
+        now.after(self.config.tick_interval)
     }
 }
 
@@ -1175,6 +1180,24 @@ mod tests {
         let snap = h.node.config.metrics.snapshot();
         assert_eq!(snap.counters["matching.matched"], 3);
         assert_eq!(snap.counters["matching.filtered"], 0, "the index never proposed `b`");
+    }
+
+    /// A subscriber whose read followed a delete is told nothing of the
+    /// deleted record: the replay skips its older insert, which would show
+    /// it once (Add v1, then Remove v2). A joiner of the same query too.
+    #[test]
+    fn a_subscriber_that_read_after_a_delete_is_not_shown_the_deleted_record() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 15i64 })));
+        h.send(write_event(Key::of("a"), 2, None));
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
+        h.send(subscribe_event(spec.clone(), 1, vec![]));
+        h.send(subscribe_event(spec, 2, vec![]));
+        assert_eq!(h.notifications(), vec![], "nothing to tell either subscriber");
+        h.send(write_event(Key::of("a"), 3, Some(doc! { "n" => 20i64 })));
+        let adds: Vec<_> = h.notifications().iter().map(|n| (n.subscription, change_of(n))).collect();
+        let add = (MatchType::Add, Key::of("a"), 3);
+        assert_eq!(adds, vec![(SubscriptionId(1), add.clone()), (SubscriptionId(2), add)]);
     }
 
     #[test]
@@ -1543,12 +1566,12 @@ mod tests {
             ttl_micros: 10_000_000,
         });
         h.clock.advance(Duration::from_secs(1)); // well past the short TTL
-        h.node.tick();
+        h.node.tick(h.clock.now());
         h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
         let addressed: Vec<u64> = h.notifications().iter().map(|n| n.subscription.0).collect();
         assert_eq!(addressed, vec![2], "the lapsed subscription is no longer addressed");
         h.clock.advance(Duration::from_secs(60));
-        h.node.tick();
+        h.node.tick(h.clock.now());
         assert_eq!(h.node.active_queries(), 0, "expired query must not match");
     }
 
@@ -1641,11 +1664,11 @@ mod tests {
             subscription: SubscriptionId(1),
             query_hash: hash,
         });
-        h.node.tick();
+        h.node.tick(h.clock.now());
         assert_eq!((h.node.active_queries(), h.node.retained_writes(), scopes(&h)), (0, 2, 2));
         // Past the retention horizon nothing is left to keep them for.
         h.clock.advance(h.node.config.retention + Duration::from_millis(1));
-        h.node.tick();
+        h.node.tick(h.clock.now());
         assert_eq!((h.node.retained_writes(), scopes(&h)), (0, 0));
         assert!(h.node.scopes.is_empty(), "the tenant goes with its last scope");
         // A version seen before the scope went is no longer held against a
@@ -1690,7 +1713,7 @@ mod tests {
             ttl_micros: 10_000_000,
         });
         h.clock.advance(Duration::from_secs(1));
-        h.node.tick();
+        h.node.tick(h.clock.now());
         assert_eq!(h.node.active_queries(), 1, "the extended one outlives the short TTL");
         for collection in ["t", "u", "v"] {
             h.send(write_to(TENANT, collection, Key::of("a"), 1, 1));
@@ -1742,7 +1765,7 @@ mod tests {
         // cell's next tick.
         let log = h.node.config.metrics.slow_queries();
         assert!(log.top(4).is_empty());
-        h.node.tick();
+        h.node.tick(h.clock.now());
         let top = log.top(4);
         assert_eq!(top.len(), 1, "one query charged");
         assert!(top[0].evals >= 1);
@@ -1785,7 +1808,7 @@ mod tests {
         h.send(subscribe_event(spec, 1, vec![]));
         assert_eq!(holders(&h), vec![vec![hash]; 3], "re-held through the retained writes");
         h.clock.advance(Duration::from_secs(61));
-        h.node.tick();
+        h.node.tick(h.clock.now());
         assert_eq!(h.node.active_queries(), 0);
         assert!(h.node.scopes.is_empty(), "nothing retained, nothing held: the scope went");
     }

@@ -137,7 +137,7 @@ impl Run {
             Step::Delete(key) => self.write(key, None),
             Step::Tick => {
                 self.h.clock.advance(Duration::from_millis(100));
-                self.h.node.tick();
+                self.h.node.tick(self.h.clock.now());
             }
         }
         for note in self.h.notifications() {

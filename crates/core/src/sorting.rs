@@ -439,7 +439,7 @@ impl Task<Event> for SortingNode {
         }
     }
 
-    fn tick(&mut self) {
+    fn tick(&mut self, now: Timestamp) -> Timestamp {
         self.expire();
         for query in self.queries.values_mut() {
             query.merge_equal_groups();
@@ -450,6 +450,7 @@ impl Task<Event> for SortingNode {
         let groups = self.queries.values().flat_map(|query| &query.groups);
         let shared = groups.filter(|g| g.subscriptions.len() >= 2).count() as u64;
         crate::matching::publish_gauge_delta(&self.metric_shared, &mut self.last_shared, shared);
+        now.after(self.config.tick_interval)
     }
 }
 
@@ -641,7 +642,7 @@ mod tests {
         }
 
         fn shared_windows(&mut self) -> Option<u64> {
-            self.node.tick();
+            self.node.tick(self.clock.now());
             self.node.config.metrics.snapshot().gauges.get("matching.index.shared_windows").copied()
         }
     }

@@ -265,8 +265,8 @@ impl Run {
             Step::Tick | Step::Lapse => {
                 let lapse = matches!(step, Step::Lapse);
                 self.h.clock.advance(if lapse { TTL } else { Duration::from_millis(100) });
-                self.h.node.tick();
-                self.h.cell.tick();
+                self.h.node.tick(self.h.clock.now());
+                self.h.cell.tick(self.h.clock.now());
                 let notes = self.h.wire.notifications();
                 if lapse {
                     for sub in &mut self.subs {

@@ -5,9 +5,9 @@
 //! [`task`] is all of it: one bounded input queue per task (backpressure:
 //! when a matching cell cannot keep up, latency rises and eventually
 //! saturates — the knee the paper's SLA experiments measure), a bounded
-//! drain per scheduling turn, deadline-driven *ticks* for time-driven work
-//! (retention expiry, TTL enforcement, gauges), and shutdown by dropping
-//! senders.
+//! drain per scheduling turn, *ticks* for time-driven work (retention
+//! expiry, TTL enforcement, gauges) on deadlines read from an
+//! [`invalidb_common::Clock`], and shutdown by dropping senders.
 //! The cluster wires its cells and stages by hand on top of it; partition
 //! routing is a hash in the ingress, not a grouping object.
 //!

@@ -7,6 +7,7 @@
 
 use crate::task::{self, Task};
 use crossbeam::channel::{bounded, Receiver, Sender};
+use invalidb_common::{SystemClock, Timestamp};
 use invalidb_obs::MetricsRegistry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -252,11 +253,15 @@ impl<M: Message> TopologyBuilder<M> {
                 ComponentKind::Bolt { factory, .. } => {
                     let rxs = task_receivers.remove(&c.name).expect("receivers exist");
                     for (task, rx) in rxs.into_iter().enumerate() {
-                        let mut bolt = BoltTask { bolt: factory(task), outputs: outputs(&c.downstream) };
+                        let mut bolt = BoltTask {
+                            bolt: factory(task),
+                            outputs: outputs(&c.downstream),
+                            tick_interval,
+                        };
                         let series = task::Series::new(&metrics, &c.name);
                         let handle = std::thread::Builder::new()
                             .name(format!("bolt-{}-{task}", c.name))
-                            .spawn(move || task::run(&rx, &mut bolt, tick_interval, &series))
+                            .spawn(move || task::run(&rx, &mut bolt, &SystemClock::new(), &series))
                             .expect("spawn bolt thread");
                         bolt_threads.push(handle);
                     }
@@ -271,6 +276,8 @@ impl<M: Message> TopologyBuilder<M> {
 struct BoltTask<M: Message> {
     bolt: Box<dyn Bolt<M>>,
     outputs: Vec<OutputConnection<M>>,
+    /// [`TopologyConfig::tick_interval`].
+    tick_interval: Duration,
 }
 
 impl<M: Message> Task<M> for BoltTask<M> {
@@ -278,8 +285,9 @@ impl<M: Message> Task<M> for BoltTask<M> {
         self.bolt.execute(msg, &mut BoltContext { outputs: &self.outputs });
     }
 
-    fn tick(&mut self) {
+    fn tick(&mut self, now: Timestamp) -> Timestamp {
         self.bolt.tick(&mut BoltContext { outputs: &self.outputs });
+        now.after(self.tick_interval)
     }
 }
 

@@ -40,8 +40,8 @@
 //!   (`subscribe`, `find`, the write methods), with [`From`] conversions
 //!   so `?` works across the store/config boundary.
 //! * Event consumption through the [`Events`] iterator
-//!   ([`Subscription::events`](client::Subscription::events)) — blocking,
-//!   non-blocking, and coalescing modes behind one interface.
+//!   ([`Subscription::events`](client::Subscription::events)) — blocking
+//!   with a timeout, or non-blocking, behind one interface.
 //!
 //! ## Observability
 //!

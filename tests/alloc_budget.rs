@@ -38,8 +38,8 @@
 use invalidb::broker::{notify_topic, Broker, Bytes, CLUSTER_TOPIC};
 use invalidb::client::{decode_notify_into, ClientEvent, LiveResult, NotifyPayload};
 use invalidb::common::{
-    DocRef, MockClock, NotifyEnvelope, SortDirection, SubscribeRef, SubscriptionRequest, TenantInterner,
-    WriteRef,
+    Clock, DocRef, MockClock, NotifyEnvelope, SortDirection, SubscribeRef, SubscriptionRequest,
+    TenantInterner, WriteRef,
 };
 use invalidb::core::ingest::decode_event_with;
 use invalidb::core::matching::MatchingNode;
@@ -262,7 +262,7 @@ fn run(sharing: u64, width: i64) -> Run {
             cell.handle(event);
             clock.advance(Duration::from_millis(5));
             if seq % 10 == 0 {
-                cell.tick();
+                cell.tick(clock.now());
             }
         });
 
@@ -616,7 +616,7 @@ fn a_sorted_write_crosses_its_cell_and_window_within_its_allocation_budget() {
             cell.handle(event);
             clock.advance(Duration::from_millis(5));
             if seq % 10 == 0 {
-                cell.tick();
+                cell.tick(clock.now());
             }
         });
         counted(&mut window_allocs, || {
@@ -624,7 +624,7 @@ fn a_sorted_write_crosses_its_cell_and_window_within_its_allocation_budget() {
                 sorting.handle(event);
             }
             if seq % 10 == 0 {
-                sorting.tick();
+                sorting.tick(clock.now());
             }
         });
         // The app server: fold every notification, renew on an error.

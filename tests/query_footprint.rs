@@ -15,7 +15,7 @@
 //! `alloc_budget.rs` counts allocations rather than bytes.
 
 use invalidb::broker::Broker;
-use invalidb::common::{MockClock, SubscriptionRequest, TenantInterner};
+use invalidb::common::{MockClock, SubscriptionRequest, TenantInterner, Timestamp};
 use invalidb::core::ingest::decode_event_with;
 use invalidb::core::matching::MatchingNode;
 use invalidb::core::query_index::QueryIndex;
@@ -246,10 +246,10 @@ fn a_retained_write_holds_its_payload() {
             trace: None,
         };
         cell.handle(write_event(&image, &mut tenants));
-        // Ticks run as they would in a cluster; the clock stands, so they
-        // trim nothing.
+        // Ticks run as they would in a cluster; the clock stands at zero,
+        // so they trim nothing.
         if seq % 1_000 == 999 {
-            cell.tick();
+            cell.tick(Timestamp(0));
         }
     }
     let retained = per(held() - start, WRITES);
