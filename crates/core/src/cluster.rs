@@ -266,8 +266,8 @@ impl Cluster {
         self.decode_errors.load(Ordering::Relaxed)
     }
 
-    /// The slow-query log: per-query cost accounting fed by the matching
-    /// and sorting stages. `top(k)` returns the heaviest queries.
+    /// The slow-query log: per-query evaluation and change counts from the
+    /// filtering stage. `top(k)` returns the most evaluated queries.
     pub fn slow_queries(&self) -> SlowQueryLog {
         self.registry.slow_queries()
     }

@@ -54,7 +54,7 @@ use invalidb_common::{
     TraceContext, Value, Version,
 };
 use invalidb_json::{CheckedObject, WireCodec};
-use invalidb_obs::SlowQueryScratch;
+use invalidb_obs::QueryCounts;
 use invalidb_query::{PreparedAtom, PreparedFilter};
 use invalidb_stream::Task;
 use std::borrow::Cow;
@@ -102,9 +102,8 @@ impl PredCache {
 
 /// What a cell keeps of a query itself, apart from any result of it.
 struct Query {
-    /// Human-readable rendering of the query spec, captured at subscribe
-    /// time for the slow-query log (which shares it until it keeps a copy).
-    spec_display: Arc<str>,
+    /// The group's evaluation and change counts in the slow-query log.
+    counts: Arc<QueryCounts>,
     /// The compiled filter, and nothing else of the query: its atoms when
     /// it decomposes, so there is no second form of it to hold.
     filter: Box<dyn PreparedFilter>,
@@ -437,9 +436,6 @@ impl Outputs {
 /// the write path borrows one field of the node next to its scopes.
 struct Evaluator {
     out: Outputs,
-    /// Locally accumulated slow-query charges, flushed to the shared log
-    /// on tick so the per-evaluation hot path never takes its lock.
-    slow_scratch: SlowQueryScratch,
     /// Shared predicate evaluation cache (cleared per write).
     pred_cache: PredCache,
     /// Reused candidate buffer for the index probe.
@@ -530,9 +526,9 @@ impl Evaluator {
         }
     }
 
-    /// Evaluates one write against one query, charging the wall-clock cost
-    /// to this node's local slow-query scratch (flushed to the shared log
-    /// on tick) so operators can see which query eats the grid.
+    /// Evaluates one write against one query and counts the evaluation on
+    /// the query's slow-query handle, so operators can see which query eats
+    /// the grid.
     fn match_against(
         &mut self,
         query: &Query,
@@ -541,14 +537,8 @@ impl Evaluator {
         to: &[SubscriptionId],
         write: &Written<'_>,
     ) -> Option<FilterChangeKind> {
-        let started = std::time::Instant::now();
         let kind = self.evaluate(query, hash, result, to, write);
-        self.slow_scratch.charge(
-            write.tenant.as_str(),
-            hash.0,
-            || Arc::clone(&query.spec_display),
-            started.elapsed().as_micros() as u64,
-        );
+        query.counts.count(kind.is_some());
         kind
     }
 
@@ -687,7 +677,6 @@ impl MatchingNode {
                     filtered: metrics.counter("matching.filtered"),
                     materialized: metrics.counter("matching.materialized"),
                 },
-                slow_scratch: SlowQueryScratch::new(),
                 pred_cache: PredCache::default(),
                 candidates: Vec::new(),
                 addressees: Default::default(),
@@ -789,7 +778,11 @@ impl MatchingNode {
                 self.active_queries += 1;
                 let group = entry.insert(QueryGroup {
                     query: Query {
-                        spec_display: req.spec.to_string().into(),
+                        counts: self.config.metrics.slow_queries().register(
+                            req.tenant.clone(),
+                            hash.0,
+                            req.spec.to_string(),
+                        ),
                         filter,
                         to_sorting: req.spec.needs_sorting_stage(),
                     },
@@ -976,7 +969,6 @@ impl Task<Event> for MatchingNode {
 
     fn tick(&mut self, now: Timestamp) -> Timestamp {
         self.expire();
-        self.eval.slow_scratch.flush(&self.config.metrics.slow_queries());
         // Per-partition gauges, refreshed once per tick so the hot write
         // path never touches them.
         self.gauge_active_queries.store(self.active_queries as u64, AtomicOrdering::Relaxed);
@@ -1757,20 +1749,43 @@ mod tests {
 
     #[test]
     fn slow_query_log_charges_evaluations() {
-        let mut h = harness(ClusterConfig::new(1, 1));
+        // Without the index every write is evaluated against the query.
+        let mut config = ClusterConfig::new(1, 1);
+        config.multi_query_index = false;
+        let mut h = harness(config);
         let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
         h.send(subscribe_event(spec, 1, vec![]));
-        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
-        // Charges are accumulated locally and reach the shared log on the
-        // cell's next tick.
-        let log = h.node.config.metrics.slow_queries();
-        assert!(log.top(4).is_empty());
-        h.node.tick(h.clock.now());
-        let top = log.top(4);
-        assert_eq!(top.len(), 1, "one query charged");
-        assert!(top[0].evals >= 1);
+        // Ten inserts, five of them Adds, then one update out: a Remove.
+        for i in 0..10 {
+            h.send(write_event(Key::of(format!("k{i}").as_str()), 1, Some(doc! { "n" => i - 5 })));
+        }
+        h.send(write_event(Key::of("k9"), 2, Some(doc! { "n" => -1i64 })));
+        // Counted on the group's handle: the log sees them with no tick.
+        let top = h.node.config.metrics.slow_queries().top(4);
+        assert_eq!(top.len(), 1, "one query counted");
+        assert_eq!((top[0].evals, top[0].changes), (11, 6));
         assert_eq!(top[0].tenant, TENANT);
         assert!(!top[0].label.is_empty(), "label captured from the query spec");
+    }
+
+    #[test]
+    fn an_unsubscribed_query_leaves_the_slow_query_log() {
+        let mut h = harness(ClusterConfig::new(1, 1));
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 0i64 } });
+        let hash = spec.stable_hash();
+        h.send(subscribe_event(spec, 1, vec![]));
+        h.send(write_event(Key::of("a"), 1, Some(doc! { "n" => 1i64 })));
+        // Ticked as a running cell is: no tick brings a departed query back.
+        h.node.tick(h.clock.now());
+        let log = h.node.config.metrics.slow_queries();
+        assert_eq!(log.top(4).iter().map(|e| e.query_hash).collect::<Vec<_>>(), [hash.0]);
+        h.send(Event::Unsubscribe {
+            tenant: TenantId::new(TENANT),
+            subscription: SubscriptionId(1),
+            query_hash: hash,
+        });
+        h.node.tick(h.clock.now());
+        assert!(log.top(4).is_empty(), "the query left with its last group");
     }
 
     #[test]

@@ -28,7 +28,6 @@ use invalidb_common::{
     Clock, DocRef, EnvelopeRef, ItemRef, Key, KindRef, MatchType, QueryHash, Stage, SubscriptionId,
     SubscriptionRequest, TenantId, Timestamp, TraceContext,
 };
-use invalidb_obs::SlowQueryScratch;
 use invalidb_query::PreparedQuery;
 use invalidb_stream::Task;
 use std::collections::{HashMap, VecDeque};
@@ -47,10 +46,7 @@ struct SortGroup {
 /// What a sorting task keeps of one sorted query.
 #[derive(Default)]
 struct SortedQuery {
-    /// Rendering of the spec for the slow-query log (which shares it until
-    /// it keeps a copy), and the prepared query; set by the first
-    /// subscription.
-    spec_display: Arc<str>,
+    /// The prepared query; set by the first subscription.
     prepared: Option<Arc<dyn PreparedQuery>>,
     /// The query's filter changes of the last `retention`, in arrival
     /// order: what a new window is caught up with. A change shares its
@@ -123,9 +119,6 @@ pub struct SortingNode {
     clock: Arc<dyn Clock>,
     publisher: Publisher,
     queries: HashMap<(TenantId, QueryHash), SortedQuery>,
-    /// Locally accumulated slow-query charges, flushed to the shared log
-    /// on tick so the per-filter-change hot path never takes its lock.
-    slow_scratch: SlowQueryScratch,
     /// Cluster-shared gauge of sort windows serving more than one
     /// subscription. Published as a tick delta, like the matching stage's
     /// `matching.index.*` gauges.
@@ -154,7 +147,6 @@ impl SortingNode {
             clock,
             publisher,
             queries: HashMap::new(),
-            slow_scratch: SlowQueryScratch::new(),
             last_shared: 0,
         }
     }
@@ -191,7 +183,6 @@ impl SortingNode {
             Some(prepared) => Arc::clone(prepared),
             None => match self.config.engine.prepare(&req.spec) {
                 Ok(prepared) => {
-                    query.spec_display = req.spec.to_string().into();
                     query.prepared = Some(Arc::clone(&prepared));
                     prepared
                 }
@@ -256,9 +247,6 @@ impl SortingNode {
         let Some(query) = self.queries.get_mut(&(header.tenant.clone(), change.query_hash)) else {
             return;
         };
-        // Slow-query accounting: the window maintenance below is the
-        // sorting stage's per-query cost.
-        let started = std::time::Instant::now();
         // Stamp the sorting stage once per filter change on sampled traces.
         let trace: Option<TraceContext> = change.trace.clone().map(|mut t| {
             t.stamp(Stage::Sorting);
@@ -301,14 +289,6 @@ impl SortingNode {
                     );
                 }
             }
-        }
-        if !query.groups.is_empty() {
-            self.slow_scratch.charge(
-                header.tenant.as_str(),
-                change.query_hash.0,
-                || Arc::clone(&query.spec_display),
-                started.elapsed().as_micros() as u64,
-            );
         }
         query.retained.push_back((now, change));
     }
@@ -444,7 +424,6 @@ impl Task<Event> for SortingNode {
         for query in self.queries.values_mut() {
             query.merge_equal_groups();
         }
-        self.slow_scratch.flush(&self.config.metrics.slow_queries());
         // Per-task gauge, refreshed once per tick like the matching grid's.
         self.gauge_active_queries.store(self.active_queries() as u64, Ordering::Relaxed);
         let groups = self.queries.values().flat_map(|query| &query.groups);

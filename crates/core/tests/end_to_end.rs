@@ -1,5 +1,8 @@
 //! End-to-end cluster tests: everything crosses the event layer as opaque
 //! payloads, exactly like a production deployment.
+// These tests wait on a real cluster against the wall clock; the crate's
+// `Instant::now` ban is for the code under test.
+#![allow(clippy::disallowed_methods)]
 
 use bytes::Bytes;
 use invalidb_broker::{notify_topic, Broker, CLUSTER_TOPIC};

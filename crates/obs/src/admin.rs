@@ -348,7 +348,8 @@ mod tests {
         registry.inc("writes");
         registry.record("lat", 120);
         registry.flight().record(FlightEventKind::Reconnect, "peer a");
-        registry.slow_queries().charge("t", 7, || "q".into(), 900);
+        let group = registry.slow_queries().register(invalidb_common::TenantId::new("t"), 7, "q".into());
+        group.count(true);
         let mut admin =
             AdminServer::bind("127.0.0.1:0", registry.clone(), AdminConfig::default()).unwrap();
         let addr = admin.local_addr();
@@ -366,6 +367,8 @@ mod tests {
         let (status, body) = get(addr, "/queries");
         assert_eq!(status, 200);
         assert!(body.contains("\"query_hash\":7"));
+        assert!(body.contains("\"evals\":1,\"changes\":1"), "{body}");
+        assert!(!body.contains("total_us"), "{body}");
 
         let (status, body) = get(addr, "/flight");
         assert_eq!(status, 200);

@@ -35,8 +35,8 @@
 //!   ([`MetricsRegistry::flight`]), so components that already share a
 //!   registry feed the same ring.
 //! * **Slow-query log** — [`SlowQueryLog`]
-//!   ([`MetricsRegistry::slow_queries`]): per-query match/sort cost
-//!   accounting, top-K by cumulative cost.
+//!   ([`MetricsRegistry::slow_queries`]): per-query evaluation and change
+//!   counts from the filtering stage, top-K by evaluations.
 
 #![deny(missing_docs)]
 
@@ -57,9 +57,9 @@ pub use health::{
     HealthCause, HealthCauseKind, HealthMonitor, HealthPolicy, HealthReport, HealthStatus,
 };
 pub use prom::{
-    from_prometheus, from_prometheus_federated, to_prometheus, to_prometheus_federated,
-    to_prometheus_labeled, COUNTER_FAMILY, GAUGE_FAMILY, HISTOGRAM_FAMILY, HISTOGRAM_STAT_FAMILY,
+    from_prometheus, from_prometheus_federated, to_prometheus, to_prometheus_federated, COUNTER_FAMILY,
+    GAUGE_FAMILY, HISTOGRAM_FAMILY, HISTOGRAM_STAT_FAMILY,
 };
 pub use registry::{MetricsRegistry, StalenessRecorder};
-pub use slow::{SlowQueryEntry, SlowQueryLog, SlowQueryScratch, DEFAULT_SLOW_LOG_CAPACITY};
+pub use slow::{QueryCounts, SlowQueryEntry, SlowQueryLog};
 pub use snapshot::{HistogramSummary, MetricsSnapshot};

@@ -54,13 +54,6 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     render(&[(snap, Vec::new())])
 }
 
-/// Renders a snapshot with extra labels (e.g. `worker="w1"`) appended to
-/// every series, after the `name` label.
-pub fn to_prometheus_labeled(snap: &MetricsSnapshot, extra: &[(&str, &str)]) -> String {
-    let extra = extra.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-    render(&[(snap, extra)])
-}
-
 /// Renders one exposition document for a whole fleet: `local`'s series
 /// unlabeled, then each `(worker name, snapshot)` with a `worker` label.
 /// Family headers appear exactly once.
@@ -377,15 +370,6 @@ mod tests {
         snap.hists.insert("lat".into(), HistogramSummary::of(&h));
         let back = from_prometheus(&to_prometheus(&snap)).unwrap();
         assert_eq!(snap, back);
-    }
-
-    #[test]
-    fn labeled_series_carry_extra_labels() {
-        let text = to_prometheus_labeled(&sample(), &[("worker", "w1")]);
-        assert!(text.contains("invalidb_counter_total{name=\"appserver.renewals\",worker=\"w1\"} 3"));
-        assert!(text.contains(
-            "invalidb_histogram_us_bucket{name=\"stage.matching\",worker=\"w1\",le=\"10\"} 1"
-        ));
     }
 
     #[test]

@@ -122,8 +122,8 @@ impl MetricsRegistry {
         self.inner.flight.clone()
     }
 
-    /// The registry's slow-query log: the matching and sorting stages
-    /// charge per-query evaluation costs here.
+    /// The registry's slow-query log: each query group of the filtering
+    /// stage counts its evaluations and changes on a handle from it.
     pub fn slow_queries(&self) -> SlowQueryLog {
         self.inner.slow.clone()
     }
@@ -305,9 +305,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         let clone = reg.clone();
         clone.flight().record(crate::FlightEventKind::Reconnect, "peer");
-        clone.slow_queries().charge("t", 1, || "q".into(), 10);
+        let _group = clone.slow_queries().register(invalidb_common::TenantId::new("t"), 1, "q".into());
         assert_eq!(reg.flight().dump().len(), 1);
-        assert_eq!(reg.slow_queries().len(), 1);
+        assert_eq!(reg.slow_queries().top(10).len(), 1);
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn main() {
         );
     }
 
-    // The heaviest continuous queries, straight from /queries.
+    // The most evaluated continuous queries, straight from /queries.
     let (status, queries) = http_get(admin, "/queries").expect("scrape /queries");
     assert_eq!(status, 200);
     println!("\nslow-query log: {queries}");

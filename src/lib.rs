@@ -67,7 +67,8 @@
 //! * `/healthz` — the [`HealthReport`] of a [`HealthMonitor`]-derived
 //!   cluster health state (`healthy`/`degraded`/`unavailable`, with
 //!   machine-readable causes; HTTP 503 when unavailable),
-//! * `/queries` — the [`SlowQueryLog`]'s heaviest continuous queries,
+//! * `/queries` — the [`SlowQueryLog`]'s continuous queries with the most
+//!   evaluations in the filtering stage, with how many changed a result,
 //! * `/flight` — the [`FlightRecorder`]'s ring of recent pipeline events
 //!   (reconnects, queue drops, decode errors, health transitions).
 //!

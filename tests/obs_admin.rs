@@ -20,7 +20,7 @@ use invalidb::obs::from_prometheus;
 use invalidb::store::Store;
 use invalidb::{
     doc, AdminConfig, AdminServer, FlightEvent, FlightEventKind, HealthPolicy, Key, MetricsRegistry,
-    MetricsSnapshot,
+    MetricsSnapshot, TenantId,
 };
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -71,7 +71,10 @@ fn metrics_exposition_round_trips_over_socket() {
         registry.record("stage.matching", v);
     }
     registry.record("net.broker_hop_us", 333);
-    registry.slow_queries().charge("tenant-a", 42, || "SELECT * FROM t".into(), 1_500);
+    let group =
+        registry.slow_queries().register(TenantId::new("tenant-a"), 42, "SELECT * FROM t".into());
+    group.count(true);
+    group.count(false);
 
     let mut admin = AdminServer::bind("127.0.0.1:0", registry.clone(), AdminConfig::default())
         .expect("bind admin endpoint");
@@ -109,7 +112,11 @@ fn metrics_exposition_round_trips_over_socket() {
 
     let (status, queries) = http_get(addr, "/queries");
     assert_eq!(status, 200);
-    assert!(queries.contains("SELECT * FROM t"), "slow-query log reaches /queries: {queries}");
+    assert_eq!(
+        queries,
+        r#"[{"tenant":"tenant-a","query_hash":42,"label":"SELECT * FROM t","evals":2,"changes":1}]"#,
+        "the slow-query log reaches /queries with exactly these fields"
+    );
 
     admin.shutdown();
 }
